@@ -14,14 +14,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use std::hint::black_box;
+
 use cablevod_bench::bench_trace;
-use cablevod_cache::StrategySpec;
-use cablevod_hfc::units::DataSize;
+use cablevod_cache::{CacheStrategy, StrategySpec, WindowedLfu};
+use cablevod_hfc::ids::ProgramId;
+use cablevod_hfc::segment::Segmenter;
+use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_serve::clock::AcceleratedClock;
 use cablevod_serve::replay::{replay_trace, DecisionTier};
 use cablevod_sim::{run, SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
-use cablevod_trace::rechunk::{import_chunk_size, rechunk_by_neighborhood, rechunk_multi_index};
+use cablevod_trace::rechunk::{
+    import_chunk_size, neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index,
+};
 use cablevod_trace::scale;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::synth::{generate, generate_to_disk, SynthConfig};
@@ -93,6 +99,60 @@ fn engine_throughput(c: &mut Criterion) {
                 .expect("runs")
         })
     });
+    group.finish();
+}
+
+/// `WindowedLfu::on_access` alone, replayed with the bench trace's own
+/// per-neighborhood access sequences and costs (one strategy instance
+/// per neighborhood, as the engine builds them) — the layer row under
+/// `engine/lfu`. The default 7-day window outlasts the 6-day trace, so
+/// `lfu_on_access` is record + rebalance only; `lfu_on_access_window_1d`
+/// also drives `expire` and the repair of lazily filed cached scores.
+fn lfu_on_access(c: &mut Criterion) {
+    let trace = bench_trace();
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(500)
+        .with_per_peer_storage(DataSize::from_gigabytes(2));
+    let groups = neighborhood_groups(trace.user_count(), config.neighborhood_size())
+        .expect("valid neighborhood size");
+    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
+    let costs: Vec<u32> = trace
+        .catalog()
+        .iter()
+        .map(|(_, info)| u32::from(segmenter.segment_count(info.length)))
+        .collect();
+    let nbhds = groups.iter().copied().max().map_or(0, |g| g as usize + 1);
+    let mut accesses: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); nbhds];
+    for rec in trace.records() {
+        accesses[groups[rec.user.index()] as usize].push((rec.start, rec.program));
+    }
+    let nominal = config.stream_rate() * config.segment_len();
+    let capacity = config.per_peer_storage().as_bits() / nominal.as_bits()
+        * u64::from(config.neighborhood_size());
+
+    let mut group = c.benchmark_group("cache");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    for (name, history) in [
+        ("lfu_on_access", SimDuration::from_days(7)),
+        ("lfu_on_access_window_1d", SimDuration::from_days(1)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ops = Vec::new();
+                let mut probes = 0;
+                for sequence in &accesses {
+                    let mut lfu = WindowedLfu::new(capacity, history);
+                    for &(now, program) in sequence {
+                        lfu.on_access(program, costs[program.index()], now, &mut ops);
+                        ops.clear();
+                    }
+                    probes += lfu.candidate_probes();
+                }
+                black_box(probes)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -401,6 +461,7 @@ fn serve_online(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_throughput,
+    lfu_on_access,
     engine_parallel_throughput,
     engine_streaming_throughput,
     chunk_decode_throughput,

@@ -121,16 +121,15 @@ impl IndexStats {
 
 /// Placement and fill state of one admitted program.
 ///
-/// `peers[k]` hosts synthetic segment index `k` (replica `j` of real
-/// segment `i` lives at `k = i + j * count`); `materialized[k]` tracks
-/// whether that copy's bytes are actually present. Both vectors have
-/// length `count * replication`.
+/// `copies[k]` is synthetic segment index `k` (replica `j` of real
+/// segment `i` lives at `k = i + j * count`): the peer hosting it and
+/// whether that copy's bytes are actually present. One vector of length
+/// `count * replication`, so a hit reads both facts from one place.
 #[derive(Debug, Clone)]
 struct CachedProgram {
     length: SimDuration,
     admitted_at: SimTime,
-    peers: Vec<PeerId>,
-    materialized: Vec<bool>,
+    copies: Vec<(PeerId, bool)>,
 }
 
 /// The per-neighborhood cache orchestrator.
@@ -277,16 +276,15 @@ impl IndexServer {
     /// Where `segment` is placed, if admitted.
     pub fn location_of(&self, segment: SegmentId) -> Option<PeerId> {
         self.entry(segment.program())
-            .and_then(|e| e.peers.get(usize::from(segment.index())))
-            .copied()
+            .and_then(|e| e.copies.get(usize::from(segment.index())))
+            .map(|&(peer, _)| peer)
     }
 
     /// Whether `segment`'s content is actually present on its peer.
     pub fn is_materialized(&self, segment: SegmentId) -> bool {
         self.entry(segment.program())
-            .and_then(|e| e.materialized.get(usize::from(segment.index())))
-            .copied()
-            .unwrap_or(false)
+            .and_then(|e| e.copies.get(usize::from(segment.index())))
+            .is_some_and(|&(_, materialized)| materialized)
     }
 
     fn entry(&self, program: ProgramId) -> Option<&CachedProgram> {
@@ -340,7 +338,21 @@ impl IndexServer {
         let mut ops = std::mem::take(&mut self.ops);
         ops.clear();
         self.strategy.on_access(program, cost, now, &mut ops);
-        for op in &ops {
+        let executed = self.execute_ops(&ops, program, length, now, stbs);
+        self.ops = ops; // the buffer survives a failed execution too
+        executed
+    }
+
+    /// Executes the strategy's decisions for an access to `program`.
+    fn execute_ops<S: StbStore + ?Sized>(
+        &mut self,
+        ops: &[CacheOp],
+        program: ProgramId,
+        length: SimDuration,
+        now: SimTime,
+        stbs: &mut S,
+    ) -> Result<(), CacheError> {
+        for op in ops {
             match *op {
                 CacheOp::Evict(p) => self.execute_evict(p, stbs)?,
                 CacheOp::Admit(p) => {
@@ -358,7 +370,6 @@ impl IndexServer {
                 }
             }
         }
-        self.ops = ops;
         Ok(())
     }
 
@@ -405,11 +416,11 @@ impl IndexServer {
             return Ok(Resolution::Miss(MissReason::NotMaterialized));
         }
         let seg_pos = usize::from(segment.index());
-        if !entry.materialized.get(seg_pos).copied().unwrap_or(false) {
+        if !entry.copies.get(seg_pos).is_some_and(|&(_, there)| there) {
             // Fig 4, step 4: the assigned peer(s) read the miss broadcast.
             if self.fill == FillPolicy::OnBroadcast {
-                if let Some(slot) = entry.materialized.get_mut(seg_pos) {
-                    *slot = true;
+                if let Some((_, there)) = entry.copies.get_mut(seg_pos) {
+                    *there = true;
                     self.stats.capture_fills += 1;
                 }
             }
@@ -421,7 +432,7 @@ impl IndexServer {
         let count = self.segmenter.segment_count(entry.length);
         for replica in 0..self.replication {
             let pos = seg_pos + usize::from(replica) * usize::from(count);
-            let peer = entry.peers.get(pos).copied().ok_or_else(|| {
+            let &(peer, _) = entry.copies.get(pos).ok_or_else(|| {
                 let sid = SegmentId::new(program, segment.index() + u16::from(replica) * count);
                 CacheError::InconsistentState {
                     reason: format!("admitted segment {sid} has no location"),
@@ -472,17 +483,21 @@ impl IndexServer {
         }
         let count = self.segmenter.segment_count(length);
         let total = count * u16::from(self.replication);
-        let peers = self.ledger.place(program, total)?;
         let prefetch = self.fill == FillPolicy::Prefetch;
-        for (i, &peer) in peers.iter().enumerate() {
+        let copies: Vec<(PeerId, bool)> = self
+            .ledger
+            .place(program, total)?
+            .into_iter()
+            .map(|peer| (peer, prefetch))
+            .collect();
+        for (i, &(peer, _)) in copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
             stbs.stb_mut(peer)?.store(segment, self.nominal_segment)?;
         }
         self.programs[idx] = Some(CachedProgram {
             length,
             admitted_at: now,
-            peers,
-            materialized: vec![prefetch; usize::from(total)],
+            copies,
         });
         self.cached_count += 1;
         self.stats.admissions += 1;
@@ -503,7 +518,7 @@ impl IndexServer {
                 reason: format!("evict of unadmitted {program}"),
             });
         };
-        for (i, &peer) in entry.peers.iter().enumerate() {
+        for (i, &(peer, _)) in entry.copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
             stbs.stb_mut(peer)?.delete(segment, self.nominal_segment)?;
             self.ledger.release(peer)?;

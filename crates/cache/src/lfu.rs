@@ -12,6 +12,30 @@
 //! invariant — no uncached program strictly out-*counts* a cached one —
 //! via transactional swaps on every access.
 //!
+//! # What an access costs
+//!
+//! Every access rebalances, but only over what can change the cache. The
+//! rebalance (`waterline.rs`, shared with the Oracle) tries
+//! candidates best first and ends on the first of three exits, each of
+//! which leaves the emitted ops exactly those of walking every round:
+//!
+//! * *no candidate left* — there is nothing more to try;
+//! * *sixteen candidates visited* — the cap bounds an access's work while
+//!   the waterline self-corrects over later accesses. It is behaviour
+//!   that reports depend on (it decides at which access an admission
+//!   lands), not a tuning knob;
+//! * *the candidate just tried does not out-count even the weakest cached
+//!   program by the swap margin, and the free space is below the smallest
+//!   cost ever recorded* — later candidates count no more, so none can
+//!   swap; none can enter through free space either, since each costs at
+//!   least that smallest cost. Both halves are needed: with room to
+//!   spare, a lower-ranked, smaller candidate is still admitted.
+//!
+//! The third exit is the steady state of a full cache: one candidate
+//! probe per access ([`WindowedLfu::candidate_probes`] counts them).
+//! Likewise a hit does not re-sort the cached set, which is only ever
+//! read from its weak end: the stale key is repaired if it surfaces there.
+//!
 //! Tie handling matters enormously here. Swapping on recency among
 //! equal-count programs (the literal reading of "ties resolved using LRU")
 //! thrashes: in a 10 TB cache the capacity boundary falls among count-1
@@ -25,17 +49,13 @@
 //! substituting the real LRU strategy at history 0 (see
 //! `cablevod::experiments::fig11`), matching §VI-A.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
 use crate::strategy::{CacheOp, CacheStrategy};
-
-/// Score of a program: windowed access count, then recency, then id.
-/// Ordered ascending, so `BTreeSet::first` is the best eviction victim and
-/// `BTreeSet::last` the best admission candidate.
-type Score = (u32, u64, ProgramId);
+use crate::waterline::{Score, Tenants, Waterline};
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -46,6 +66,10 @@ struct Entry {
     /// Whether this dense-table slot holds a tracked program. Dead slots
     /// are skipped by every query; reviving one resets its fields.
     live: bool,
+    /// While cached: the `(count, last_seq)` this program is filed under
+    /// in the cached set, at or below its current score (see
+    /// [`WindowedLfu::record`]).
+    filed: (u32, u64),
 }
 
 impl Entry {
@@ -55,7 +79,17 @@ impl Entry {
         cost: 0,
         cached: false,
         live: false,
+        filed: (0, 0),
     };
+
+    fn fresh(last_seq: u64, cost: u32) -> Entry {
+        Entry {
+            last_seq,
+            cost,
+            live: true,
+            ..Entry::DEAD
+        }
+    }
 }
 
 /// The windowed-LFU cache strategy.
@@ -69,8 +103,6 @@ impl Entry {
 /// recorded) binary-searches its slot near the back, keeping expiry exact.
 #[derive(Debug)]
 pub struct WindowedLfu {
-    capacity: u64,
-    used: u64,
     window: SimDuration,
     /// A candidate must out-count a victim by at least this much to swap
     /// it out (free-space admissions are unaffected). Margin 1 is pure
@@ -84,15 +116,51 @@ pub struct WindowedLfu {
     history: VecDeque<(SimTime, u64, ProgramId)>,
     /// Dense per-program table indexed by `ProgramId::index()`.
     entries: Vec<Entry>,
-    cached: BTreeSet<Score>,
-    candidates: BTreeSet<Score>,
+    line: Waterline,
+}
+
+/// The program table as the waterline rebalance sees it.
+struct Table<'a> {
+    entries: &'a mut [Entry],
+    swap_margin: u32,
+}
+
+impl Tenants for Table<'_> {
+    fn cost(&self, program: ProgramId) -> Option<u32> {
+        Some(self.entries[program.index()].cost)
+    }
+
+    /// Strict count dominance by the swap margin: equal-count incumbents
+    /// are never displaced (see module docs).
+    fn displaces(&self, candidate: Score, victim: Score) -> bool {
+        victim.0 + self.swap_margin <= candidate.0
+    }
+
+    fn refile(&mut self, filed: Score) -> Score {
+        let entry = &mut self.entries[filed.2.index()];
+        entry.filed = (entry.count, entry.last_seq);
+        (entry.count, entry.last_seq, filed.2)
+    }
+
+    fn admitted(&mut self, score: Score) {
+        let entry = &mut self.entries[score.2.index()];
+        debug_assert!(entry.live && !entry.cached, "admitting a known candidate");
+        entry.cached = true;
+        entry.filed = (score.0, score.1);
+    }
+
+    fn evicted(&mut self, score: Score) -> bool {
+        let entry = &mut self.entries[score.2.index()];
+        debug_assert!(entry.live && entry.cached, "evicting a cached program");
+        entry.cached = false;
+        if entry.count == 0 {
+            *entry = Entry::DEAD;
+        }
+        entry.live
+    }
 }
 
 impl WindowedLfu {
-    /// Bound on admission/eviction work per access; keeps per-event cost
-    /// O(1) amortized while the waterline self-corrects across accesses.
-    const MAX_REBALANCE_ROUNDS: u32 = 16;
-
     /// Default swap margin (see the `swap_margin` field docs).
     pub const DEFAULT_SWAP_MARGIN: u32 = 2;
 
@@ -100,15 +168,12 @@ impl WindowedLfu {
     /// `window`.
     pub fn new(capacity_slots: u64, window: SimDuration) -> Self {
         WindowedLfu {
-            capacity: capacity_slots,
-            used: 0,
             window,
             swap_margin: Self::DEFAULT_SWAP_MARGIN,
             seq: 0,
             history: VecDeque::new(),
             entries: Vec::new(),
-            cached: BTreeSet::new(),
-            candidates: BTreeSet::new(),
+            line: Waterline::new(capacity_slots),
         }
     }
 
@@ -145,30 +210,27 @@ impl WindowedLfu {
     /// and for remote events ingested by the global variants (which may
     /// carry timestamps older than already-recorded local events; the
     /// time-keyed history keeps expiry exact regardless).
+    ///
+    /// A hit on a cached program only *raises* its score, and the cached
+    /// set is only ever read from its weak end, so the set keeps the
+    /// stale lower key (`Entry::filed`) and the rebalance repairs it if
+    /// it ever surfaces there.
     pub(crate) fn record(&mut self, program: ProgramId, cost: u32, at: SimTime) {
         self.seq += 1;
         let seq = self.seq;
+        self.line.note_cost(cost);
         let entry = self.entry_mut(program);
         if !entry.live {
-            *entry = Entry {
-                count: 0,
-                last_seq: 0,
-                cost,
-                cached: false,
-                live: true,
-            };
+            *entry = Entry::fresh(0, cost);
         }
         let old = (entry.count, entry.last_seq, program);
         entry.count += 1;
         entry.last_seq = seq;
         entry.cost = cost;
-        let new = (entry.count, entry.last_seq, program);
-        if entry.cached {
-            self.cached.remove(&old);
-            self.cached.insert(new);
-        } else {
-            self.candidates.remove(&old); // no-op for brand-new entries
-            self.candidates.insert(new);
+        if !entry.cached {
+            let new = (entry.count, entry.last_seq, program);
+            self.line.candidates.remove(&old); // no-op for brand-new entries
+            self.line.candidates.insert(new);
         }
         // Ring insert: local accesses arrive in nondecreasing time, so the
         // overwhelmingly common case is a push at the back. Remote
@@ -206,100 +268,40 @@ impl WindowedLfu {
             entry.count -= 1;
             let new = (entry.count, entry.last_seq, program);
             if entry.cached {
-                self.cached.remove(&old);
-                self.cached.insert(new);
-            } else if entry.count == 0 {
-                self.candidates.remove(&old);
-                *entry = Entry::DEAD;
+                // A filed key may lag below the score but never sit above
+                // it, so a lowered score is refiled as soon as it dips
+                // under its key.
+                let filed = (entry.filed.0, entry.filed.1, program);
+                if new < filed {
+                    entry.filed = (new.0, new.1);
+                    self.line.cached.remove(&filed);
+                    self.line.cached.insert(new);
+                }
             } else {
-                self.candidates.remove(&old);
-                self.candidates.insert(new);
+                self.line.candidates.remove(&old);
+                if entry.count == 0 {
+                    *entry = Entry::DEAD;
+                } else {
+                    self.line.candidates.insert(new);
+                }
             }
         }
     }
 
-    fn admit(&mut self, score: Score, ops: &mut Vec<CacheOp>) {
-        let program = score.2;
-        let entry = &mut self.entries[program.index()];
-        debug_assert!(entry.live, "admitting known program");
-        debug_assert!(!entry.cached);
-        entry.cached = true;
-        self.used += u64::from(entry.cost);
-        self.candidates.remove(&score);
-        self.cached.insert(score);
-        ops.push(CacheOp::Admit(program));
-    }
-
-    fn evict(&mut self, score: Score, ops: &mut Vec<CacheOp>) {
-        let program = score.2;
-        let entry = &mut self.entries[program.index()];
-        debug_assert!(entry.live, "evicting known program");
-        debug_assert!(entry.cached);
-        entry.cached = false;
-        self.used -= u64::from(entry.cost);
-        self.cached.remove(&score);
-        if entry.count > 0 {
-            self.candidates.insert(score);
-        } else {
-            *entry = Entry::DEAD;
-        }
-        ops.push(CacheOp::Evict(program));
-    }
-
-    /// Restores the waterline: admit the best candidates, evicting
-    /// lower-counted cached programs when that frees enough room. Swaps are
-    /// transactional — either the whole victim set is evicted and the
-    /// candidate admitted, or nothing changes. When the best candidate
-    /// cannot swap (e.g. it is large and its dominated victims are small),
-    /// the next-best candidate is tried, so a small dominating candidate is
-    /// never starved behind a big one.
+    /// Restores the waterline (see [`crate::waterline`]).
     pub(crate) fn rebalance(&mut self, ops: &mut Vec<CacheOp>) {
-        // Exclusive upper bound on candidates after a failed swap attempt.
-        let mut bound: Option<Score> = None;
-        for _ in 0..Self::MAX_REBALANCE_ROUNDS {
-            let candidate = match bound {
-                None => self.candidates.iter().next_back().copied(),
-                Some(b) => self.candidates.range(..b).next_back().copied(),
-            };
-            let Some(candidate) = candidate else { break };
-            let cost = u64::from(self.entries[candidate.2.index()].cost);
-            if cost > self.capacity {
-                // Can never fit at any occupancy; skip it but keep its
-                // counts tracked (it may fit a larger cache after a
-                // reconfiguration, and count reporting must stay exact).
-                bound = Some(candidate);
-                continue;
-            }
-            if self.used + cost <= self.capacity {
-                self.admit(candidate, ops);
-                bound = None;
-                continue;
-            }
-            // Gather victims out-counted by at least the swap margin
-            // (equal-count incumbents are never displaced — see module
-            // docs), oldest first, until the candidate fits.
-            let mut freed = 0u64;
-            let mut victims = Vec::new();
-            for &victim in self.cached.iter() {
-                if victim.0 + self.swap_margin > candidate.0 {
-                    break;
-                }
-                freed += u64::from(self.entries[victim.2.index()].cost);
-                victims.push(victim);
-                if self.used + cost - freed <= self.capacity {
-                    break;
-                }
-            }
-            if !victims.is_empty() && self.used + cost - freed <= self.capacity {
-                for victim in victims {
-                    self.evict(victim, ops);
-                }
-                self.admit(candidate, ops);
-                bound = None;
-            } else {
-                bound = Some(candidate); // try the next-best candidate
-            }
-        }
+        let mut table = Table {
+            entries: &mut self.entries,
+            swap_margin: self.swap_margin,
+        };
+        self.line.rebalance(&mut table, ops);
+    }
+
+    /// Candidates visited by every rebalance so far — the deterministic
+    /// work count behind the per-access timing: exactly one per access
+    /// once the cache is full and its weakest program is not out-counted.
+    pub fn candidate_probes(&self) -> u64 {
+        self.line.probes()
     }
 
     /// Windowed access count of `program` (0 when unknown).
@@ -314,14 +316,9 @@ impl WindowedLfu {
         if self.live_entry(program).is_none() {
             self.seq += 1;
             let seq = self.seq;
-            *self.entry_mut(program) = Entry {
-                count: 0,
-                last_seq: seq,
-                cost,
-                cached: false,
-                live: true,
-            };
-            self.candidates.insert((0, seq, program));
+            self.line.note_cost(cost);
+            *self.entry_mut(program) = Entry::fresh(seq, cost);
+            self.line.candidates.insert((0, seq, program));
         }
     }
 }
@@ -347,11 +344,11 @@ impl CacheStrategy for WindowedLfu {
     }
 
     fn used_slots(&self) -> u64 {
-        self.used
+        self.line.used()
     }
 
     fn capacity_slots(&self) -> u64 {
-        self.capacity
+        self.line.capacity()
     }
 }
 
@@ -495,6 +492,52 @@ mod tests {
             );
         }
         assert!(lfu.contains(p(0)));
+    }
+
+    #[test]
+    fn smaller_candidate_fills_free_space_behind_a_blocked_one() {
+        let mut lfu = WindowedLfu::new(10, day(1));
+        for t in 0..3 {
+            access(&mut lfu, 0, 6, t); // count 3, cached; 4 slots stay free
+        }
+        access(&mut lfu, 1, 5, 3);
+        let ops = access(&mut lfu, 1, 5, 4); // count 2: neither fits nor out-counts
+        assert!(ops.is_empty(), "{ops:?}");
+        // Program 2 ranks below program 1, which is tried first and is
+        // blocked by the undominated floor. "Nothing displaced" is not a
+        // reason to stop: program 2 fits the free space.
+        assert_eq!(access(&mut lfu, 2, 3, 5), vec![CacheOp::Admit(p(2))]);
+        assert_eq!(lfu.used_slots(), 9);
+    }
+
+    #[test]
+    fn full_cache_with_undominated_floor_costs_one_probe() {
+        let mut lfu = WindowedLfu::new(8, day(1));
+        access(&mut lfu, 0, 4, 0);
+        access(&mut lfu, 1, 4, 1); // full
+        for q in 2..22 {
+            access(&mut lfu, q, 4, u64::from(q)); // twenty count-1 candidates
+        }
+        let before = lfu.candidate_probes();
+        assert!(access(&mut lfu, 0, 4, 100).is_empty()); // a hit
+        assert_eq!(lfu.candidate_probes(), before + 1);
+        assert!(access(&mut lfu, 30, 4, 101).is_empty()); // a new candidate
+        assert_eq!(lfu.candidate_probes(), before + 2);
+    }
+
+    #[test]
+    fn stale_floor_key_is_repaired_before_choosing_victims() {
+        let mut lfu = WindowedLfu::new(8, day(1));
+        access(&mut lfu, 0, 4, 0);
+        access(&mut lfu, 1, 4, 1); // both count 1; program 0 is the older
+        for t in 2..5 {
+            access(&mut lfu, 0, 4, t); // count 4, still filed under count 1
+        }
+        access(&mut lfu, 2, 4, 5);
+        access(&mut lfu, 2, 4, 6);
+        // Count 3 clears the margin over program 1 only.
+        let ops = access(&mut lfu, 2, 4, 7);
+        assert_eq!(ops, vec![CacheOp::Evict(p(1)), CacheOp::Admit(p(2))]);
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub mod feed;
 pub mod fetch;
 pub mod index;
 pub mod lfu;
+#[cfg(test)]
+mod lfu_reference;
 pub mod lru;
 pub mod oracle;
 pub mod placement;
@@ -59,6 +61,7 @@ pub mod registry;
 pub mod schedule;
 pub mod strategy;
 pub mod tlru;
+mod waterline;
 pub mod watermark;
 
 pub use self::arc::ArcCache;

@@ -19,7 +19,7 @@
 //! the Oracle the identical event sequence, so decisions are
 //! bit-identical.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -27,6 +27,7 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 use crate::error::CacheError;
 use crate::schedule::ScheduleWindow;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
+use crate::waterline::{Score, Tenants, Waterline};
 
 /// The future accesses of one neighborhood, sorted by time, plus the slot
 /// cost of every catalog program (the Oracle admits programs it has never
@@ -76,40 +77,65 @@ impl AccessSchedule {
     }
 }
 
-/// Score of a program: future access count then id (total order).
-type Score = (u32, ProgramId);
-
 /// The clairvoyant cache strategy.
+///
+/// Scores are `(future count, 0, id)`: the Oracle has no recency, so the
+/// waterline score's middle field stays zero and the order is count then
+/// id.
 #[derive(Debug)]
 pub struct Oracle {
-    capacity: u64,
-    used: u64,
     lookahead: SimDuration,
     window: ScheduleWindow,
     /// future count per program with count > 0 or cached
     future: HashMap<ProgramId, u32>,
     cached_set: HashMap<ProgramId, ()>,
-    cached: BTreeSet<Score>,
-    candidates: BTreeSet<Score>,
+    line: Waterline,
+}
+
+/// The schedule's costs and the cached set as the waterline rebalance
+/// sees them.
+struct Catalog<'a> {
+    window: &'a ScheduleWindow,
+    cached_set: &'a mut HashMap<ProgramId, ()>,
+}
+
+impl Tenants for Catalog<'_> {
+    /// Zero-length programs are unplaceable; their future counts stay
+    /// tracked.
+    fn cost(&self, program: ProgramId) -> Option<u32> {
+        Some(self.window.cost(program)).filter(|&c| c > 0)
+    }
+
+    fn displaces(&self, candidate: Score, victim: Score) -> bool {
+        victim < candidate
+    }
+
+    fn admitted(&mut self, score: Score) {
+        self.cached_set.insert(score.2, ());
+    }
+
+    fn evicted(&mut self, score: Score) -> bool {
+        self.cached_set.remove(&score.2);
+        score.0 > 0
+    }
 }
 
 impl Oracle {
-    /// Bound on admission/eviction work per access (see
-    /// `WindowedLfu::MAX_REBALANCE_ROUNDS` for rationale).
-    const MAX_REBALANCE_ROUNDS: u32 = 16;
-
     /// Creates an Oracle with `capacity_slots` capacity looking
     /// `lookahead` into the schedule behind `window`.
     pub fn new(capacity_slots: u64, lookahead: SimDuration, window: ScheduleWindow) -> Self {
+        let mut line = Waterline::new(capacity_slots);
+        // Every candidate's cost comes from this table.
+        (0..window.cost_count())
+            .map(|i| window.cost(ProgramId::new(i as u32)))
+            .filter(|&cost| cost > 0)
+            .for_each(|cost| line.note_cost(cost));
         Oracle {
-            capacity: capacity_slots,
-            used: 0,
             lookahead,
             window,
             future: HashMap::new(),
             cached_set: HashMap::new(),
-            cached: BTreeSet::new(),
-            candidates: BTreeSet::new(),
+            line,
         }
     }
 
@@ -125,7 +151,7 @@ impl Oracle {
     }
 
     fn score_of(&self, program: ProgramId) -> Score {
-        (self.future.get(&program).copied().unwrap_or(0), program)
+        (self.future_count(program), 0, program)
     }
 
     fn bump(&mut self, program: ProgramId, delta: i64) {
@@ -137,14 +163,14 @@ impl Oracle {
         } else {
             self.future.insert(program, count);
         }
-        let new = (count, program);
+        let new = (count, 0, program);
         if is_cached {
-            self.cached.remove(&old);
-            self.cached.insert(new);
+            self.line.cached.remove(&old);
+            self.line.cached.insert(new);
         } else {
-            self.candidates.remove(&old);
+            self.line.candidates.remove(&old);
             if count > 0 {
-                self.candidates.insert(new);
+                self.line.candidates.insert(new);
             }
         }
     }
@@ -162,70 +188,12 @@ impl Oracle {
         }
     }
 
-    fn admit(&mut self, score: Score, ops: &mut Vec<CacheOp>) {
-        let program = score.1;
-        self.candidates.remove(&score);
-        self.cached.insert(score);
-        self.cached_set.insert(program, ());
-        self.used += u64::from(self.window.cost(program));
-        ops.push(CacheOp::Admit(program));
-    }
-
-    fn evict(&mut self, score: Score, ops: &mut Vec<CacheOp>) {
-        let program = score.1;
-        self.cached.remove(&score);
-        self.cached_set.remove(&program);
-        self.used -= u64::from(self.window.cost(program));
-        if score.0 > 0 {
-            self.candidates.insert(score);
-        }
-        ops.push(CacheOp::Evict(program));
-    }
-
     fn rebalance(&mut self, ops: &mut Vec<CacheOp>) {
-        // Exclusive upper bound on candidates after a failed swap attempt
-        // (see `WindowedLfu::rebalance` for rationale).
-        let mut bound: Option<Score> = None;
-        for _ in 0..Self::MAX_REBALANCE_ROUNDS {
-            let candidate = match bound {
-                None => self.candidates.iter().next_back().copied(),
-                Some(b) => self.candidates.range(..b).next_back().copied(),
-            };
-            let Some(candidate) = candidate else { break };
-            let cost = u64::from(self.window.cost(candidate.1));
-            if cost > self.capacity || cost == 0 {
-                // Unplaceable (oversized or zero-length): skip but keep the
-                // future counts tracked.
-                bound = Some(candidate);
-                continue;
-            }
-            if self.used + cost <= self.capacity {
-                self.admit(candidate, ops);
-                bound = None;
-                continue;
-            }
-            let mut freed = 0u64;
-            let mut victims = Vec::new();
-            for &victim in self.cached.iter() {
-                if victim >= candidate {
-                    break;
-                }
-                freed += u64::from(self.window.cost(victim.1));
-                victims.push(victim);
-                if self.used + cost - freed <= self.capacity {
-                    break;
-                }
-            }
-            if !victims.is_empty() && self.used + cost - freed <= self.capacity {
-                for victim in victims {
-                    self.evict(victim, ops);
-                }
-                self.admit(candidate, ops);
-                bound = None;
-            } else {
-                bound = Some(candidate);
-            }
-        }
+        let mut catalog = Catalog {
+            window: &self.window,
+            cached_set: &mut self.cached_set,
+        };
+        self.line.rebalance(&mut catalog, ops);
     }
 
     /// Future access count of `program` within the current window.
@@ -261,11 +229,11 @@ impl CacheStrategy for Oracle {
     }
 
     fn used_slots(&self) -> u64 {
-        self.used
+        self.line.used()
     }
 
     fn capacity_slots(&self) -> u64 {
-        self.capacity
+        self.line.capacity()
     }
 
     fn fill_policy(&self) -> FillPolicy {

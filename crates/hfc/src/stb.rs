@@ -7,19 +7,16 @@
 //! * at most **two concurrent streams** in either direction — the paper's
 //!   model of the two logical coax channels an inexpensive tuner can drive.
 //!
-//! [`SetTopBox`] tracks both resources. Stream slots are modelled as a small
-//! heap of end-times: acquiring a slot at time `t` first releases any stream
-//! that has already finished by `t`.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`SetTopBox`] tracks both resources. Stream slots are modelled as the
+//! end times of the in-flight streams, kept in the box itself: acquiring a
+//! slot at time `t` first releases any stream that has already finished by
+//! `t`.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::HfcError;
 use crate::ids::{PeerId, SegmentId};
 use crate::units::{DataSize, SimTime};
-use std::collections::HashSet;
 
 /// Mutable access to a collection of set-top boxes addressed by [`PeerId`].
 ///
@@ -72,12 +69,63 @@ pub struct SetTopBox {
     id: PeerId,
     capacity: DataSize,
     used: DataSize,
-    stored: HashSet<SegmentId>,
+    /// The cached segments, unordered. A box holds a few dozen at most
+    /// (10 GB is 33 nominal segments), so a scan beats hashing each id.
+    stored: Vec<SegmentId>,
     slot_limit: u8,
-    /// End times of in-flight streams (min-heap), lazily pruned.
+    /// In-flight streams, lazily pruned.
     #[serde(skip)]
-    active: BinaryHeap<Reverse<SimTime>>,
+    active: ActiveStreams,
     streams_refused: u64,
+}
+
+/// End times of a box's in-flight streams, in no particular order.
+///
+/// The index server touches a hosting peer's slots on every cache hit, so
+/// the paper's two slots live inline — a hit reads the box and nothing
+/// behind it. Streams beyond them (the viewer's own playback overcommitting
+/// a busy box, or a configured limit above two) spill to the heap.
+#[derive(Debug, Clone, Default)]
+struct ActiveStreams {
+    inline: [SimTime; Self::INLINE],
+    inline_len: u8,
+    spill: Vec<SimTime>,
+}
+
+impl ActiveStreams {
+    const INLINE: usize = DEFAULT_STREAM_SLOTS as usize;
+
+    fn len(&self) -> usize {
+        usize::from(self.inline_len) + self.spill.len()
+    }
+
+    fn push(&mut self, end: SimTime) {
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(slot) => {
+                *slot = end;
+                self.inline_len += 1;
+            }
+            None => self.spill.push(end),
+        }
+    }
+
+    /// Drops every stream that has ended by `now`.
+    fn release_finished(&mut self, now: SimTime) {
+        let mut kept = 0;
+        for i in 0..usize::from(self.inline_len) {
+            if self.inline[i] > now {
+                self.inline[kept] = self.inline[i];
+                kept += 1;
+            }
+        }
+        self.inline_len = kept as u8;
+        self.spill.retain(|&end| end > now);
+    }
+
+    fn clear(&mut self) {
+        self.inline_len = 0;
+        self.spill.clear();
+    }
 }
 
 impl SetTopBox {
@@ -89,9 +137,9 @@ impl SetTopBox {
             id,
             capacity,
             used: DataSize::ZERO,
-            stored: HashSet::new(),
+            stored: Vec::new(),
             slot_limit,
-            active: BinaryHeap::new(),
+            active: ActiveStreams::default(),
             streams_refused: 0,
         }
     }
@@ -157,7 +205,7 @@ impl SetTopBox {
             });
         }
         self.used += size;
-        self.stored.insert(segment);
+        self.stored.push(segment);
         Ok(())
     }
 
@@ -169,19 +217,20 @@ impl SetTopBox {
     /// Returns [`HfcError::SegmentNotStored`] if the peer does not hold the
     /// segment.
     pub fn delete(&mut self, segment: SegmentId, size: DataSize) -> Result<(), HfcError> {
-        if !self.stored.remove(&segment) {
+        let Some(at) = self.stored.iter().position(|&s| s == segment) else {
             return Err(HfcError::SegmentNotStored {
                 peer: self.id,
                 segment,
             });
-        }
+        };
+        self.stored.swap_remove(at);
         self.used = self.used.saturating_sub(size);
         Ok(())
     }
 
     /// Number of streams still active at `now` (prunes finished ones).
     pub fn active_streams(&mut self, now: SimTime) -> usize {
-        self.release_finished(now);
+        self.active.release_finished(now);
         self.active.len()
     }
 
@@ -191,12 +240,12 @@ impl SetTopBox {
     /// §V-C: "The cache will trigger a miss if a segment is requested from a
     /// peer that has more than two active streams in either direction."
     pub fn try_start_stream(&mut self, now: SimTime, end: SimTime) -> bool {
-        self.release_finished(now);
+        self.active.release_finished(now);
         if self.active.len() >= usize::from(self.slot_limit) {
             self.streams_refused += 1;
             return false;
         }
-        self.active.push(Reverse(end.max(now)));
+        self.active.push(end.max(now));
         true
     }
 
@@ -204,8 +253,8 @@ impl SetTopBox {
     /// which is never blocked — overcommit is surfaced via
     /// [`SetTopBox::is_overcommitted`]).
     pub fn start_stream_unchecked(&mut self, now: SimTime, end: SimTime) {
-        self.release_finished(now);
-        self.active.push(Reverse(end.max(now)));
+        self.active.release_finished(now);
+        self.active.push(end.max(now));
     }
 
     /// Whether the peer currently exceeds its slot limit (possible only via
@@ -225,16 +274,6 @@ impl SetTopBox {
         self.stored.clear();
         self.active.clear();
         self.streams_refused = 0;
-    }
-
-    fn release_finished(&mut self, now: SimTime) {
-        while let Some(Reverse(end)) = self.active.peek() {
-            if *end <= now {
-                self.active.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -316,6 +355,22 @@ mod tests {
         }
         assert!(stb.is_overcommitted(t));
         assert!(!stb.is_overcommitted(end));
+    }
+
+    #[test]
+    fn slots_beyond_the_inline_pair_release_in_any_order() {
+        let mut stb = SetTopBox::new(PeerId::new(0), DataSize::ZERO, 4);
+        let t = SimTime::EPOCH;
+        // End times out of order, two more than fit inline.
+        for end in [400, 100, 300, 200] {
+            assert!(stb.try_start_stream(t, SimTime::from_secs(end)));
+        }
+        assert!(!stb.try_start_stream(t, SimTime::from_secs(500)));
+        assert_eq!(stb.active_streams(SimTime::from_secs(100)), 3);
+        assert_eq!(stb.active_streams(SimTime::from_secs(350)), 1);
+        assert!(stb.try_start_stream(SimTime::from_secs(350), SimTime::from_secs(600)));
+        assert_eq!(stb.active_streams(SimTime::from_secs(400)), 1);
+        assert_eq!(stb.active_streams(SimTime::from_secs(600)), 0);
     }
 
     #[test]
