@@ -15,6 +15,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use std::hint::black_box;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cablevod_bench::bench_trace;
 use cablevod_cache::{CacheStrategy, StrategySpec, WindowedLfu};
@@ -23,6 +26,8 @@ use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_serve::clock::AcceleratedClock;
 use cablevod_serve::replay::{replay_trace, DecisionTier};
+use cablevod_serve::server::{Server, ServerConfig};
+use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
 use cablevod_sim::{run, SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::{
@@ -413,7 +418,10 @@ fn workload_generation(c: &mut Criterion) {
 /// through the full serve path (ingress stamping, feed publication,
 /// cooperative stepping), plus the per-session decision-latency p99 from
 /// one instrumented replay — the two rows ROADMAP item 2 trends next to
-/// offline sessions/sec.
+/// offline sessions/sec — and `socket_roundtrip`, the one row that goes
+/// through the socket: a `LOOKUP` ping-pong with an idle [`Server`] on a
+/// Unix socket, ns a round trip (two wake-ups, framing, the response
+/// cache, the reply flush).
 fn serve_online(c: &mut Criterion) {
     let trace = bench_trace();
     let config = SimConfig::paper_default()
@@ -456,6 +464,40 @@ fn serve_online(c: &mut Criterion) {
         u128::from(outcome.latency.mean_ns()),
         None,
     );
+
+    let path = std::env::temp_dir().join(format!("cablevod-bench-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let server = Server::unix(&path).expect("bind unix socket");
+    let term = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (config, term) = (&config, &term);
+        let served = scope.spawn(move || {
+            let mut clock = AcceleratedClock::default();
+            serve_serial(
+                &OnlineSpec::from_source(trace),
+                config,
+                config.strategy().factory().as_ref(),
+                |engine| server.run(engine, &mut clock, term, &ServerConfig::default()),
+            )
+        });
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut reply = String::new();
+        let mut group = c.benchmark_group("serve");
+        group.sample_size(1000);
+        group.throughput(Throughput::Elements(1));
+        group.bench_function("socket_roundtrip", |b| {
+            b.iter(|| {
+                stream.write_all(b"LOOKUP 0 1\n").expect("send");
+                reply.clear();
+                reader.read_line(&mut reply).expect("reply")
+            })
+        });
+        group.finish();
+        term.store(true, Ordering::SeqCst);
+        served.join().expect("server thread").expect("serve run");
+    });
+    let _ = std::fs::remove_file(&path);
 }
 
 criterion_group!(

@@ -17,6 +17,14 @@ pub trait ClockSource {
 
     /// Blocks (or jumps) until the clock reads at least `t`.
     fn wait_until(&mut self, t: SimTime);
+
+    /// How long until [`now`](ClockSource::now) reads a later second, for
+    /// a clock that can tell. `None` — the default — means "unknown": the
+    /// serve loop then looks at the clock every millisecond, which is
+    /// right for a clock that another thread or a test moves.
+    fn until_next_tick(&mut self) -> Option<Duration> {
+        None
+    }
 }
 
 /// Real time: one wall-clock second per simulated second, anchored at
@@ -58,6 +66,11 @@ impl ClockSource for WallClock {
             std::thread::sleep(Duration::from_millis(10).min(Duration::from_secs(behind.max(1))));
         }
     }
+
+    fn until_next_tick(&mut self) -> Option<Duration> {
+        let into_second = Duration::new(0, self.started.elapsed().subsec_nanos());
+        Some(Duration::from_secs(1) - into_second)
+    }
 }
 
 /// Virtual time: `wait_until` jumps instantly, so tests and benches run
@@ -92,5 +105,26 @@ impl ClockSource for AcceleratedClock {
         if t > self.now {
             self.now = t;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_clock_says_when_it_next_ticks_and_the_others_do_not() {
+        // Anchored 950 ms ago, so the tick is 50 ms away, not a second.
+        let now = Instant::now();
+        let mut wall = WallClock {
+            started: now.checked_sub(Duration::from_millis(950)).unwrap_or(now),
+            origin: SimTime::from_secs(7),
+        };
+        let before = wall.now();
+        let wait = wall.until_next_tick().expect("a wall clock knows");
+        assert!(wait <= Duration::from_secs(1) && wait > Duration::ZERO);
+        std::thread::sleep(wait);
+        assert_eq!(wall.now().as_secs(), before.as_secs() + 1);
+        assert_eq!(AcceleratedClock::default().until_next_tick(), None);
     }
 }

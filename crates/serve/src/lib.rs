@@ -47,7 +47,7 @@
 //! | `PLACED <epoch> <peer>` | The program's first segment is cached on `peer`; answer valid as of placement `epoch`. |
 //! | `ABSENT <epoch>` | The program is not currently placed in that neighborhood, as of `epoch`. |
 //! | `STATS <json>` | One JSON object of service counters. |
-//! | `ERR <reason>` | The request was malformed or violated the ordering contract. |
+//! | `ERR <reason>` | The request was malformed, named a user, program or neighborhood the plant does not have, or violated the ordering contract. `ERR line too long` also closes the connection. |
 //!
 //! ## Epoch semantics
 //!
@@ -71,8 +71,32 @@
 //! `{"serve": {...counters...}, "report": {...}}` where `report` is the
 //! canonical `SimReport` encoding (`cablevod_sim::report_to_json_string`)
 //! — byte-comparable with offline runs.
+//!
+//! ## What the loop waits on, and the two caps
+//!
+//! The serve loop sleeps on nothing but its work: when a pass finds
+//! nothing to do it blocks in one `poll(2)` over the listener and the
+//! open connections (input always; output only while reply bytes are
+//! waiting for a socket), for as long as the [`ClockSource`] says it is
+//! until its next second ([`ClockSource::until_next_tick`]; one
+//! millisecond for a clock that cannot say). A request, a writable
+//! socket, a signal or the tick wakes it; a request that arrives on an
+//! idle server is read at once. `term` raised by another thread is seen
+//! at the next wake-up — the next tick at the latest.
+//!
+//! The socket fails closed, with two constants of [`server`]:
+//!
+//! * a request line longer than [`server::MAX_LINE`] (4 KiB; wire lines
+//!   are under 64 bytes) is answered `ERR line too long` and the
+//!   connection is closed;
+//! * a connection owed more than [`server::MAX_OWED`] (64 Ki: reply
+//!   bytes its socket has not taken plus replies not yet rendered) is
+//!   not read until its client has read some — back-pressure through the
+//!   client's own socket buffer, so a client that pipelines without
+//!   reading costs the server a bounded amount of memory and is never
+//!   answered out of order.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -1,28 +1,28 @@
 //! Online-serve acceptance tests: loopback equivalence between the
 //! clocked online engines and the offline replay, explicit overload
-//! shedding at the socket ingress, and epoch-correctness of the front
+//! shedding at the socket ingress, a serve loop that waits on its sockets
+//! and its clock (not on a timer), and epoch-correctness of the front
 //! tier's response cache.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use cablevod_cache::StrategySpec;
-use cablevod_hfc::units::SimDuration;
-use cablevod_serve::clock::AcceleratedClock;
+use cablevod_hfc::units::{SimDuration, SimTime};
+use cablevod_serve::clock::{AcceleratedClock, ClockSource, WallClock};
 use cablevod_serve::replay::{replay_trace, DecisionTier};
-use cablevod_serve::server::{Server, ServerConfig};
+use cablevod_serve::server::ServerConfig;
 use cablevod_serve::ResponseCache;
-use cablevod_sim::engine::online::serve_serial;
 use cablevod_sim::{
-    report_from_json_str, report_to_json_string, run, AdmissionMode, FaultPlan, OnlineSpec,
-    RetryPolicy, SimConfig,
+    report_from_json_str, report_to_json_string, run, AdmissionMode, FaultPlan, RetryPolicy,
+    SimConfig,
 };
-use cablevod_tests::tiny_config;
+use cablevod_tests::{connect_with_retry, spawn_serve, tiny_config};
 use cablevod_trace::synth::generate;
 
 /// Every strategy family the decision tier can serve online without a
@@ -140,45 +140,21 @@ fn overload_sheds_explicitly_and_drains_on_term() {
     const QUEUE_CAP: usize = 4;
     const EXTRA: usize = 3;
 
-    let path = std::env::temp_dir().join(format!("cablevod-serve-ovl-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    // A pinned accelerated clock: simulated "now" stays 0, so once the
+    // first (empty) advance lands, the ingress queue can only drain
+    // again at shutdown.
     let term = Arc::new(AtomicBool::new(false));
-
-    let server = Server::unix(&path).expect("bind unix socket");
-    let server_term = Arc::clone(&term);
-    let server_thread = std::thread::spawn(move || {
-        let shape = generate(&tiny_config(120, 20, 2, 5));
-        let spec = OnlineSpec {
-            catalog: shape.catalog(),
-            user_count: shape.user_count(),
-            days: shape.days(),
-            capacity: 1 << 16,
-            schedule_records: None,
-        };
-        let config = SimConfig::default();
-        let strategy = StrategySpec::Lru.factory();
-        serve_serial(&spec, &config, strategy.as_ref(), |engine| {
-            // A pinned accelerated clock: simulated "now" stays 0, so
-            // once the first (empty) advance lands, the ingress queue
-            // can only drain again at shutdown.
-            let mut clock = AcceleratedClock::default();
-            let server_config = ServerConfig {
-                queue_cap: QUEUE_CAP,
-                max_sessions: None,
-            };
-            server.run(engine, &mut clock, &server_term, &server_config)
-        })
-        .expect("serve run")
-    });
+    let server_config = ServerConfig {
+        queue_cap: QUEUE_CAP,
+        max_sessions: None,
+    };
+    let (path, server_thread) =
+        spawn_serve("ovl", AcceleratedClock::default(), &term, server_config);
 
     // Wait for the socket to accept, then pin the first empty advance by
     // completing one STATS round-trip before any SESSION is sent.
-    let stream = connect_with_retry(&path);
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
+    let mut stream = connect_with_retry(&path);
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut stream = stream;
     let mut line = String::new();
 
     stream.write_all(b"STATS\n").expect("send STATS");
@@ -195,11 +171,8 @@ fn overload_sheds_explicitly_and_drains_on_term() {
     // The shed count is observable while the queue is still parked
     // (never blocked indefinitely): poll STATS on a second connection.
     let mut stats = connect_with_retry(&path);
-    stats
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
     let mut stats_reader = BufReader::new(stats.try_clone().expect("clone stream"));
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         stats.write_all(b"STATS\n").expect("poll STATS");
         let mut reply = String::new();
@@ -212,7 +185,7 @@ fn overload_sheds_explicitly_and_drains_on_term() {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "shed count never reached {EXTRA}: {reply}"
         );
         std::thread::sleep(Duration::from_millis(5));
@@ -254,17 +227,103 @@ fn overload_sheds_explicitly_and_drains_on_term() {
     let _ = std::fs::remove_file(&path);
 }
 
-fn connect_with_retry(path: &std::path::Path) -> UnixStream {
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        match UnixStream::connect(path) {
-            Ok(stream) => return stream,
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("connect {}: {e}", path.display()),
-        }
+/// A request on an idle connection is answered when it arrives, not when
+/// a timer next fires. Each request is sent after a pause long enough
+/// for the loop to have gone idle, so a loop that sleeps a millisecond
+/// whenever a pass found nothing answers from mid-sleep — half a
+/// millisecond in the median — and one that waits on the socket answers
+/// in the time a wake-up takes.
+#[test]
+fn an_idle_connection_is_answered_without_waiting_for_a_timer() {
+    const ROUND_TRIPS: usize = 100;
+    let term = Arc::new(AtomicBool::new(false));
+    let (path, server) = spawn_serve(
+        "rtt",
+        AcceleratedClock::default(),
+        &term,
+        ServerConfig::default(),
+    );
+    let mut stream = connect_with_retry(&path);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+
+    let mut waits = Vec::with_capacity(ROUND_TRIPS);
+    let mut line = String::new();
+    for i in 0..ROUND_TRIPS {
+        // Pauses of 2.0 to 2.9 ms: no fixed phase against a 1 ms timer.
+        std::thread::sleep(Duration::from_micros(2000 + 100 * (i as u64 % 10)));
+        let t0 = Instant::now();
+        stream.write_all(b"LOOKUP 0 3\n").expect("send LOOKUP");
+        line.clear();
+        reader.read_line(&mut line).expect("LOOKUP reply");
+        waits.push(t0.elapsed());
+        assert!(line.starts_with("ABSENT "), "unexpected: {line}");
     }
+    term.store(true, Ordering::SeqCst);
+    let (stats, _) = server.join().expect("server thread");
+    assert_eq!(stats.lookups, ROUND_TRIPS as u64);
+    // The median, so that a few host stalls do not decide.
+    waits.sort_unstable();
+    let median = waits[ROUND_TRIPS / 2];
+    assert!(
+        median < Duration::from_micros(250),
+        "median round trip {median:?}, all {ROUND_TRIPS} in {:?}",
+        waits.iter().sum::<Duration>()
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A wall clock that counts how often it is read.
+struct CountingWallClock {
+    inner: WallClock,
+    reads: Arc<AtomicU64>,
+}
+
+impl ClockSource for CountingWallClock {
+    fn now(&mut self) -> SimTime {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.now()
+    }
+
+    fn wait_until(&mut self, t: SimTime) {
+        self.inner.wait_until(t);
+    }
+
+    fn until_next_tick(&mut self) -> Option<Duration> {
+        self.inner.until_next_tick()
+    }
+}
+
+/// Under a wall clock an idle server wakes for the tick, not every
+/// millisecond; a connection still gets it out of the wait at once, and
+/// a `term` raised by a thread is seen at the next wake-up.
+#[test]
+fn an_idle_wall_clock_server_wakes_once_a_tick() {
+    let term = Arc::new(AtomicBool::new(false));
+    let reads = Arc::new(AtomicU64::new(0));
+    let clock = CountingWallClock {
+        inner: WallClock::default(),
+        reads: Arc::clone(&reads),
+    };
+    let (path, server) = spawn_serve("tick", clock, &term, ServerConfig::default());
+    drop(connect_with_retry(&path));
+    let before = reads.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_millis(200));
+    let idle_reads = reads.load(Ordering::Relaxed) - before;
+    assert!(
+        idle_reads <= 10,
+        "{idle_reads} clock reads in an idle 200 ms"
+    );
+
+    term.store(true, Ordering::SeqCst);
+    let t0 = Instant::now();
+    let _wake = UnixStream::connect(&path).expect("connect");
+    let (stats, _) = server.join().expect("server thread");
+    assert!(
+        t0.elapsed() < Duration::from_millis(500),
+        "a connection did not end the wait"
+    );
+    assert_eq!((stats.admitted, stats.shed), (0, 0));
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
