@@ -62,19 +62,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use cablevod_cache::StrategyRegistry;
-use cablevod_sim::{CellOutcome, CellResult, JobRetry, ResilienceOptions, RunOutcome, Scenario};
-
-/// Minimal JSON string escaping for labels (quotes and backslashes).
-fn json_escape(text: &str) -> String {
-    text.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
+use cablevod_sim::{
+    json_string, CellOutcome, CellResult, JobRetry, ResilienceOptions, RunOutcome, Scenario,
+};
 
 /// The per-cell result line. With `deterministic` (any `--checkpoint`
 /// run) the nondeterministic telemetry tail is omitted so interrupted
@@ -91,15 +81,15 @@ fn completed_json(
     // schema is fixed either way.
     let deg = report.degradation.as_ref();
     let head = format!(
-        "{{\"scenario\":\"{}\",\"series\":\"{}\",\"point\":\"{}\",\"strategy\":\"{}\",\
+        "{{\"scenario\":{},\"series\":{},\"point\":{},\"strategy\":{},\
          \"threads\":{},\"sessions\":{},\"segment_requests\":{},\"peak_gbps\":{:.6},\
          \"q05_gbps\":{:.6},\"q95_gbps\":{:.6},\"hit_rate\":{:.6},\
          \"blocked_sessions\":{},\"interrupted_sessions\":{},\"retries\":{},\
          \"delayed_hits\":{},\"inflight_misses\":{}",
-        json_escape(scenario),
-        json_escape(&cell.series),
-        json_escape(&cell.point),
-        json_escape(&t.strategy),
+        json_string(scenario),
+        json_string(&cell.series),
+        json_string(&cell.point),
+        json_string(&t.strategy),
         t.threads,
         report.sessions,
         report.segment_requests,
@@ -139,18 +129,17 @@ fn cell_json(scenario: &str, cell: &CellOutcome, deterministic: bool) -> String 
             completed_json(scenario, cell, outcome, deterministic)
         }
         CellResult::Failed { error, .. } => format!(
-            "{{\"scenario\":\"{}\",\"series\":\"{}\",\"point\":\"{}\",\"failed\":true,\
-             \"error\":\"{}\"}}",
-            json_escape(scenario),
-            json_escape(&cell.series),
-            json_escape(&cell.point),
-            json_escape(error),
+            "{{\"scenario\":{},\"series\":{},\"point\":{},\"failed\":true,\"error\":{}}}",
+            json_string(scenario),
+            json_string(&cell.series),
+            json_string(&cell.point),
+            json_string(error),
         ),
         CellResult::Skipped => format!(
-            "{{\"scenario\":\"{}\",\"series\":\"{}\",\"point\":\"{}\",\"skipped\":true}}",
-            json_escape(scenario),
-            json_escape(&cell.series),
-            json_escape(&cell.point),
+            "{{\"scenario\":{},\"series\":{},\"point\":{},\"skipped\":true}}",
+            json_string(scenario),
+            json_string(&cell.series),
+            json_string(&cell.point),
         ),
     }
 }
@@ -316,8 +305,8 @@ fn main() {
         .collect();
     let failed: Vec<&CellOutcome> = grid.failed().collect();
     let mut done = format!(
-        "{{\"scenario\":\"{}\",\"done\":true,\"jobs\":{}",
-        json_escape(&scenario.name),
+        "{{\"scenario\":{},\"done\":true,\"jobs\":{}",
+        json_string(&scenario.name),
         grid.cells.len()
     );
     if !failed.is_empty() {
@@ -329,10 +318,10 @@ fn main() {
                     _ => unreachable!("failed() yields only Failed cells"),
                 };
                 format!(
-                    "{{\"series\":\"{}\",\"point\":\"{}\",\"error\":\"{}\"}}",
-                    json_escape(&cell.series),
-                    json_escape(&cell.point),
-                    json_escape(error),
+                    "{{\"series\":{},\"point\":{},\"error\":{}}}",
+                    json_string(&cell.series),
+                    json_string(&cell.point),
+                    json_string(error),
                 )
             })
             .collect();
@@ -352,5 +341,33 @@ fn main() {
     }
     if !grid.is_complete() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cell error carrying control characters (a panic message, an I/O
+    /// error with a path) still prints as one RFC 8259 line.
+    #[test]
+    fn failed_cell_line_escapes_control_characters() {
+        let cell = CellOutcome {
+            key: cablevod_sim::CellKey {
+                point: 0,
+                series: 0,
+            },
+            series: "S".into(),
+            point: "P".into(),
+            result: CellResult::Failed {
+                error: "open\t/tmp/x\r: \u{1}".into(),
+                attempts: 1,
+            },
+        };
+        let line = cell_json("grid", &cell, true);
+        assert!(
+            line.ends_with(r#""error":"open\t/tmp/x\r: \u0001"}"#),
+            "{line}"
+        );
     }
 }

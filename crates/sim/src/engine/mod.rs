@@ -174,6 +174,13 @@ use stream::{ResidentSupply, StreamSupply};
 /// Runs one simulation of the workload in `source` under `config` and
 /// returns the measured report.
 ///
+/// A two-line shorthand: it hands the config's own strategy factory to
+/// the driver the [`Simulation`](crate::Simulation) builder composes, so
+/// `Simulation::over(source).config(config.clone()).run()?.report` is
+/// the same report, with telemetry beside it. Public because callers
+/// that want only the report (the repo benchmark's reference runs, most
+/// tests) say it shorter this way.
+///
 /// This is the serial reference path: one global event heap against the
 /// whole plant. A resident [`Trace`](cablevod_trace::record::Trace) takes
 /// the classic precomputed hot path; chunked sources (an on-disk
@@ -223,7 +230,8 @@ pub(crate) fn run_with<S: TraceSource + ?Sized>(
 }
 
 /// Runs one simulation sharded per neighborhood over `threads` workers,
-/// producing a report **bit-identical** to [`run`]'s.
+/// producing a report **bit-identical** to [`run`]'s — the same shorthand
+/// as [`run`], for `Simulation::over(source).config(..).threads(threads)`.
 ///
 /// Correctness rests on the paper's own isolation structure — see the
 /// module docs; thread count affects wall-clock only, never results.

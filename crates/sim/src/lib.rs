@@ -17,22 +17,23 @@
 //!   (trace source, base config, series/point sweep axes, thread policy)
 //!   with a generic executor; spec files round-trip through
 //!   [`Scenario::to_spec_string`] and drive the `cablevod-scenario`
-//!   binary end-to-end. [`Scenario::execute_resilient`] is the
-//!   crash-safe executor: per-cell `catch_unwind` isolation, bounded
-//!   retry, per-attempt timeouts, and a CRC-framed checkpoint journal
-//!   ([`CheckpointJournal`]) that lets a killed grid resume to a
-//!   byte-identical final report (see the
+//!   binary end-to-end. There is one executor, every cell of it behind
+//!   a `catch_unwind` bulkhead; [`Scenario::execute_resilient`] adds the
+//!   optional extras — bounded retry, per-attempt timeouts, and a
+//!   CRC-framed checkpoint journal ([`CheckpointJournal`]) that lets a
+//!   killed grid resume to a byte-identical final report (see the
 //!   [`scenario`] module's "Crash safety & resume" section);
 //! * [`engine`] — the discrete-event core behind the facade: session
 //!   records drive segment-granularity requests against per-neighborhood
 //!   cooperative caches with exact byte accounting; [`engine::run`] /
-//!   [`engine::run_parallel`] remain as thin direct entry points, and the
-//!   builder produces **bit-identical** reports to them (property-tested);
+//!   [`engine::run_parallel`] are two-line shorthands for a builder run
+//!   that wants only the report (**bit-identical**, property-tested);
 //! * [`config`] / [`report`] — the swept parameters and measured results;
 //! * [`baseline`] — the no-cache centralized service and the
 //!   headend-cache equivalence transform;
 //! * [`multicast`] — the §IV-A "why not multicast" bounds;
-//! * [`runner`] — the parameter-sweep pool ([`run_sweep`]).
+//! * [`runner`] — the worker pool and permit ledger the sweep and shard
+//!   layers share.
 //!
 //! # Fault model
 //!
@@ -114,10 +115,9 @@ pub use engine::{run, run_parallel};
 pub use error::SimError;
 pub use multicast::MulticastStats;
 pub use report::{DegradationReport, NeighborhoodDegradation, SimReport};
-pub use runner::run_sweep;
 pub use scenario::{
-    report_from_json_str, report_to_json_string, AxisPoint, CellKey, CellOutcome, CellRecord,
-    CellResult, CheckpointJournal, ConfigPatch, GridOutcome, JobRetry, JournalHeader, OwnedSource,
-    ResilienceOptions, Scenario, ScenarioOutcome, SourceSpec, StrategyRef,
+    json_string, report_from_json_str, report_to_json_string, AxisPoint, CellKey, CellOutcome,
+    CellRecord, CellResult, CheckpointJournal, ConfigPatch, GridOutcome, JobRetry, JournalHeader,
+    OwnedSource, ResilienceOptions, Scenario, ScenarioOutcome, SourceSpec, StrategyRef,
 };
 pub use simulation::{peak_rss_kb, RunOutcome, RunTelemetry, Simulation, ThreadPolicy};

@@ -1,8 +1,8 @@
 //! Parallel execution: the work-conserving hybrid pool.
 //!
-//! Two layers of parallelism used to own separate pools — [`run_sweep`]
-//! / the [`Scenario`](crate::Scenario) executors scheduled *independent
-//! simulation runs* (one per parameter point), while
+//! Two layers of parallelism used to own separate pools — the
+//! [`Scenario`](crate::Scenario) cell loop scheduled *independent
+//! simulation runs* (one per grid cell), while
 //! [`crate::engine::run_parallel`] sharded *one simulation* per
 //! neighborhood — and a sweep containing one big sharded cell serialized
 //! behind it. Both layers now draw workers from one process-wide
@@ -33,13 +33,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread::Scope;
-
-use cablevod_trace::source::TraceSource;
-
-use crate::config::SimConfig;
-use crate::engine::run;
-use crate::error::SimError;
-use crate::report::SimReport;
 
 /// The process-wide extra-worker budget: `default_threads() - 1` units
 /// (the caller's own thread is the implicit extra). Shared by the sweep
@@ -208,69 +201,9 @@ pub(crate) fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one simulation per `(label, config)` pair, in parallel, returning
-/// results in input order.
-///
-/// Generic over [`TraceSource`], so a sweep can run against a resident
-/// [`Trace`](cablevod_trace::record::Trace) or replay an on-disk columnar file without each job holding
-/// the full record vector.
-pub fn run_sweep<L: Clone + Send + Sync, S: TraceSource + ?Sized>(
-    source: &S,
-    jobs: &[(L, SimConfig)],
-) -> Vec<(L, Result<SimReport, SimError>)> {
-    let results = run_indexed(jobs.len(), default_threads(), |i| run(source, &jobs[i].1));
-    jobs.iter()
-        .zip(results)
-        .map(|((label, _), result)| (label.clone(), result))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cablevod_hfc::units::DataSize;
-    use cablevod_trace::synth::{generate, SynthConfig};
-
-    #[test]
-    fn sweep_matches_individual_runs_in_order() {
-        let trace = generate(&SynthConfig {
-            users: 300,
-            programs: 80,
-            days: 4,
-            ..SynthConfig::smoke_test()
-        });
-        let jobs: Vec<(u64, SimConfig)> = [1u64, 2, 4]
-            .into_iter()
-            .map(|gb| {
-                (
-                    gb,
-                    SimConfig::paper_default()
-                        .with_neighborhood_size(150)
-                        .with_per_peer_storage(DataSize::from_gigabytes(gb))
-                        .with_warmup_days(1),
-                )
-            })
-            .collect();
-        let swept = run_sweep(&trace, &jobs);
-        assert_eq!(swept.len(), 3);
-        for ((label, result), (expected_label, config)) in swept.iter().zip(&jobs) {
-            assert_eq!(label, expected_label);
-            let direct = run(&trace, config).expect("runs");
-            assert_eq!(result.as_ref().expect("runs"), &direct, "label {label}");
-        }
-    }
-
-    #[test]
-    fn empty_sweep_is_fine() {
-        let trace = generate(&SynthConfig {
-            users: 50,
-            programs: 10,
-            days: 2,
-            ..SynthConfig::smoke_test()
-        });
-        let jobs: Vec<((), SimConfig)> = Vec::new();
-        assert!(run_sweep(&trace, &jobs).is_empty());
-    }
 
     #[test]
     fn run_indexed_visits_every_index_in_order() {

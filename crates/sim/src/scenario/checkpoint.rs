@@ -166,7 +166,9 @@ impl CheckpointJournal {
         }
         let mut records = records.into_iter();
         let header = match records.next() {
-            Some(value) => header_from_json(&value).map_err(|e| err(format!("bad header: {e}")))?,
+            Some(value) => {
+                JournalHeader::from_json(&value).map_err(|e| err(format!("bad header: {e}")))?
+            }
             None => {
                 return Err(err(
                     "no valid header record (the file is corrupt — it was not \
@@ -178,7 +180,7 @@ impl CheckpointJournal {
         let mut cells = Vec::new();
         let mut seen = BTreeSet::new();
         for (i, value) in records.enumerate() {
-            let record = cell_from_json(&value)
+            let record = CellRecord::from_json(&value)
                 .map_err(|e| err(format!("bad cell record {}: {e}", i + 1)))?;
             if !seen.insert(record.key) {
                 return Err(err(format!("duplicate record for cell ({})", record.key)));
@@ -234,9 +236,9 @@ impl CheckpointJournal {
         let err = |reason: String| SimError::Config {
             reason: format!("checkpoint journal {}: {reason}", self.path.display()),
         };
-        let mut text = frame(&write_json(&header_json(&self.header)));
+        let mut text = frame(&write_json(&self.header.to_json()));
         for record in &self.cells {
-            text.push_str(&frame(&write_json(&cell_json(record))));
+            text.push_str(&frame(&write_json(&record.to_json())));
         }
         let mut tmp = self.path.clone().into_os_string();
         tmp.push(".tmp");
@@ -316,24 +318,7 @@ fn write_value(value: &Json, out: &mut String) {
             }
             out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
         }
-        Json::Str(text) => {
-            out.push('"');
-            for c in text.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        use std::fmt::Write as _;
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
+        Json::Str(text) => write_string(text, out),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -350,13 +335,34 @@ fn write_value(value: &Json, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_value(&Json::Str(key.clone()), out);
+                write_string(key, out);
                 out.push(':');
                 write_value(item, out);
             }
             out.push('}');
         }
     }
+}
+
+/// Writes `text` as a quoted JSON string — the one escaper every JSON line
+/// this workspace prints goes through.
+fn write_string(text: &str, out: &mut String) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// A recursive-descent parser over raw bytes (corrupt input may not be
@@ -565,290 +571,195 @@ fn as_str(value: &Json) -> ParseResult<&str> {
     }
 }
 
-fn num_field(fields: &[(String, Json)], key: &str) -> ParseResult<u64> {
-    as_num(get(fields, key)?)
+/// A journaled value: its one encoding, written and read back. Records
+/// are declared once, through `wire_object!` / `wire_tuple!` below, so
+/// the writer and the reader cannot disagree on a field list.
+trait Wire: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(value: &Json) -> ParseResult<Self>;
 }
 
-fn header_json(header: &JournalHeader) -> Json {
-    Json::Obj(vec![
-        ("scenario".into(), Json::Str(header.scenario.clone())),
-        (
-            "fingerprint".into(),
-            Json::Num(u64::from(header.fingerprint)),
-        ),
-        ("cells".into(), Json::Num(u64::from(header.cells))),
-    ])
-}
-
-fn header_from_json(value: &Json) -> ParseResult<JournalHeader> {
-    let fields = as_obj(value)?;
-    let narrow = |n: u64| u32::try_from(n).map_err(|_| "field overflows u32".to_string());
-    Ok(JournalHeader {
-        scenario: as_str(get(fields, "scenario")?)?.to_string(),
-        fingerprint: narrow(num_field(fields, "fingerprint")?)?,
-        cells: narrow(num_field(fields, "cells")?)?,
-    })
-}
-
-fn cell_json(record: &CellRecord) -> Json {
-    Json::Obj(vec![
-        (
-            "cell".into(),
-            Json::Arr(vec![
-                Json::Num(u64::from(record.key.point)),
-                Json::Num(u64::from(record.key.series)),
-            ]),
-        ),
-        ("series".into(), Json::Str(record.series.clone())),
-        ("point".into(), Json::Str(record.point.clone())),
-        ("strategy".into(), Json::Str(record.strategy.clone())),
-        ("threads".into(), Json::Num(record.threads)),
-        ("report".into(), report_json(&record.report)),
-    ])
-}
-
-fn cell_from_json(value: &Json) -> ParseResult<CellRecord> {
-    let fields = as_obj(value)?;
-    let key = as_arr(get(fields, "cell")?)?;
-    if key.len() != 2 {
-        return Err("cell key must be [point, series]".into());
+impl Wire for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
     }
-    let narrow = |n: u64| u32::try_from(n).map_err(|_| "cell index overflows u32".to_string());
-    Ok(CellRecord {
-        key: CellKey {
-            point: narrow(as_num(&key[0])?)?,
-            series: narrow(as_num(&key[1])?)?,
-        },
-        series: as_str(get(fields, "series")?)?.to_string(),
-        point: as_str(get(fields, "point")?)?.to_string(),
-        strategy: as_str(get(fields, "strategy")?)?.to_string(),
-        threads: num_field(fields, "threads")?,
-        report: report_from_json(get(fields, "report")?)?,
-    })
-}
-
-fn rate_stats_json(stats: &RateStats) -> Json {
-    Json::Arr(vec![
-        Json::Num(stats.mean.as_bps()),
-        Json::Num(stats.q05.as_bps()),
-        Json::Num(stats.q95.as_bps()),
-        Json::Num(stats.max.as_bps()),
-        Json::Num(stats.samples as u64),
-    ])
-}
-
-fn rate_stats_from_json(value: &Json) -> ParseResult<RateStats> {
-    let items = as_arr(value)?;
-    if items.len() != 5 {
-        return Err("rate stats must be [mean, q05, q95, max, samples]".into());
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        as_num(value)
     }
-    Ok(RateStats {
-        mean: BitRate::from_bps(as_num(&items[0])?),
-        q05: BitRate::from_bps(as_num(&items[1])?),
-        q95: BitRate::from_bps(as_num(&items[2])?),
-        max: BitRate::from_bps(as_num(&items[3])?),
-        samples: usize::try_from(as_num(&items[4])?)
-            .map_err(|_| "sample count overflows usize".to_string())?,
-    })
 }
 
-/// Seven-counter tuple, in declaration order.
-fn nbhd_degradation_json(n: &NeighborhoodDegradation) -> Json {
-    Json::Arr(vec![
-        Json::Num(n.blocked_sessions),
-        Json::Num(n.interrupted_sessions),
-        Json::Num(n.retries),
-        Json::Num(n.outage_secs),
-        Json::Num(n.recoveries_measured),
-        Json::Num(n.recovery_lag_total_secs),
-        Json::Num(n.recovery_lag_max_secs),
-    ])
+/// Narrower integers travel as `u64` and are range-checked on the way in.
+macro_rules! wire_narrow {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as u64)
+            }
+            fn from_json(value: &Json) -> ParseResult<Self> {
+                <$ty>::try_from(as_num(value)?)
+                    .map_err(|_| concat!("number overflows ", stringify!($ty)).to_string())
+            }
+        }
+    )*};
 }
+wire_narrow!(u32, usize);
 
-fn nbhd_degradation_from_json(value: &Json) -> ParseResult<NeighborhoodDegradation> {
-    let items = as_arr(value)?;
-    if items.len() != 7 {
-        return Err("neighborhood degradation must have 7 counters".into());
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
     }
-    Ok(NeighborhoodDegradation {
-        blocked_sessions: as_num(&items[0])?,
-        interrupted_sessions: as_num(&items[1])?,
-        retries: as_num(&items[2])?,
-        outage_secs: as_num(&items[3])?,
-        recoveries_measured: as_num(&items[4])?,
-        recovery_lag_total_secs: as_num(&items[5])?,
-        recovery_lag_max_secs: as_num(&items[6])?,
-    })
-}
-
-fn degradation_json(report: &DegradationReport) -> Json {
-    Json::Obj(vec![
-        ("blocked".into(), Json::Num(report.blocked_sessions)),
-        ("interrupted".into(), Json::Num(report.interrupted_sessions)),
-        ("retries".into(), Json::Num(report.retries)),
-        (
-            "retry_histogram".into(),
-            Json::Arr(
-                report
-                    .retry_histogram
-                    .iter()
-                    .map(|&n| Json::Num(n))
-                    .collect(),
-            ),
-        ),
-        (
-            "per_neighborhood".into(),
-            Json::Arr(
-                report
-                    .per_neighborhood
-                    .iter()
-                    .map(nbhd_degradation_json)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn degradation_from_json(value: &Json) -> ParseResult<DegradationReport> {
-    let fields = as_obj(value)?;
-    Ok(DegradationReport {
-        blocked_sessions: num_field(fields, "blocked")?,
-        interrupted_sessions: num_field(fields, "interrupted")?,
-        retries: num_field(fields, "retries")?,
-        retry_histogram: as_arr(get(fields, "retry_histogram")?)?
-            .iter()
-            .map(as_num)
-            .collect::<ParseResult<_>>()?,
-        per_neighborhood: as_arr(get(fields, "per_neighborhood")?)?
-            .iter()
-            .map(nbhd_degradation_from_json)
-            .collect::<ParseResult<_>>()?,
-    })
-}
-
-fn index_stats_json(stats: &IndexStats) -> Json {
-    Json::Arr(vec![
-        Json::Num(stats.hits),
-        Json::Num(stats.miss_uncached),
-        Json::Num(stats.miss_not_materialized),
-        Json::Num(stats.miss_peer_busy),
-        Json::Num(stats.admissions),
-        Json::Num(stats.evictions),
-        Json::Num(stats.capture_fills),
-        Json::Num(stats.delayed_hits),
-        Json::Num(stats.inflight_misses),
-    ])
-}
-
-fn index_stats_from_json(value: &Json) -> ParseResult<IndexStats> {
-    let items = as_arr(value)?;
-    if items.len() != 9 {
-        return Err("index stats must have 9 counters".into());
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        as_str(value).map(str::to_string)
     }
-    Ok(IndexStats {
-        hits: as_num(&items[0])?,
-        miss_uncached: as_num(&items[1])?,
-        miss_not_materialized: as_num(&items[2])?,
-        miss_peer_busy: as_num(&items[3])?,
-        admissions: as_num(&items[4])?,
-        evictions: as_num(&items[5])?,
-        capture_fills: as_num(&items[6])?,
-        delayed_hits: as_num(&items[7])?,
-        inflight_misses: as_num(&items[8])?,
-    })
 }
 
-fn report_json(report: &SimReport) -> Json {
-    Json::Obj(vec![
-        ("server_peak".into(), rate_stats_json(&report.server_peak)),
-        (
-            "server_total_bits".into(),
-            Json::Num(report.server_total.as_bits()),
-        ),
-        (
-            "server_hourly_bps".into(),
-            Json::Arr(
-                report
-                    .server_hourly
-                    .iter()
-                    .map(|rate| Json::Num(rate.as_bps()))
-                    .collect(),
-            ),
-        ),
-        ("coax_peak".into(), rate_stats_json(&report.coax_peak)),
-        (
-            "coax_per_neighborhood_bps".into(),
-            Json::Arr(
-                report
-                    .coax_per_neighborhood
-                    .iter()
-                    .map(|rate| Json::Num(rate.as_bps()))
-                    .collect(),
-            ),
-        ),
-        ("cache".into(), index_stats_json(&report.cache)),
-        ("sessions".into(), Json::Num(report.sessions)),
-        (
-            "segment_requests".into(),
-            Json::Num(report.segment_requests),
-        ),
-        (
-            "viewer_overcommits".into(),
-            Json::Num(report.viewer_overcommits),
-        ),
-        (
-            "degradation".into(),
-            report
-                .degradation
-                .as_ref()
-                .map_or(Json::Null, degradation_json),
-        ),
-        (
-            "measured_from_day".into(),
-            Json::Num(report.measured_from_day),
-        ),
-        ("measured_to_day".into(), Json::Num(report.measured_to_day)),
-    ])
+/// Bit rates are journaled in bps.
+impl Wire for BitRate {
+    fn to_json(&self) -> Json {
+        Json::Num(self.as_bps())
+    }
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        as_num(value).map(BitRate::from_bps)
+    }
 }
 
-fn report_from_json(value: &Json) -> ParseResult<SimReport> {
-    let fields = as_obj(value)?;
-    let hourly = as_arr(get(fields, "server_hourly_bps")?)?;
-    if hourly.len() != 24 {
-        return Err("server_hourly_bps must have 24 entries".into());
+/// Sizes are journaled in bits.
+impl Wire for DataSize {
+    fn to_json(&self) -> Json {
+        Json::Num(self.as_bits())
     }
-    let mut server_hourly = [BitRate::ZERO; 24];
-    for (slot, value) in server_hourly.iter_mut().zip(hourly) {
-        *slot = BitRate::from_bps(as_num(value)?);
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        as_num(value).map(DataSize::from_bits)
     }
-    Ok(SimReport {
-        server_peak: rate_stats_from_json(get(fields, "server_peak")?)?,
-        server_total: DataSize::from_bits(num_field(fields, "server_total_bits")?),
-        server_hourly,
-        coax_peak: rate_stats_from_json(get(fields, "coax_peak")?)?,
-        coax_per_neighborhood: as_arr(get(fields, "coax_per_neighborhood_bps")?)?
-            .iter()
-            .map(|value| Ok(BitRate::from_bps(as_num(value)?)))
-            .collect::<ParseResult<_>>()?,
-        cache: index_stats_from_json(get(fields, "cache")?)?,
-        sessions: num_field(fields, "sessions")?,
-        segment_requests: num_field(fields, "segment_requests")?,
-        viewer_overcommits: num_field(fields, "viewer_overcommits")?,
-        degradation: match get(fields, "degradation")? {
-            Json::Null => None,
-            value => Some(degradation_from_json(value)?),
-        },
-        measured_from_day: num_field(fields, "measured_from_day")?,
-        measured_to_day: num_field(fields, "measured_to_day")?,
-    })
 }
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::to_json).collect())
+    }
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        as_arr(value)?.iter().map(Wire::from_json).collect()
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::to_json).collect())
+    }
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        Vec::from_json(value)?
+            .try_into()
+            .map_err(|_| format!("expected {N} entries"))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Wire::to_json)
+    }
+    fn from_json(value: &Json) -> ParseResult<Self> {
+        match value {
+            Json::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+}
+
+/// A struct journaled as an object: each field under its key, in the
+/// order listed (the order is part of the byte-exact encoding).
+macro_rules! wire_object {
+    ($ty:ident { $($key:literal: $field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![$(($key.into(), self.$field.to_json())),*])
+            }
+            fn from_json(value: &Json) -> ParseResult<Self> {
+                let fields = as_obj(value)?;
+                Ok($ty { $($field: Wire::from_json(get(fields, $key)?)?),* })
+            }
+        }
+    };
+}
+
+/// A struct journaled as a fixed-length array of its fields, in the order
+/// listed.
+macro_rules! wire_tuple {
+    ($ty:ident [ $($field:ident),* $(,)? ]) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::Arr(vec![$(self.$field.to_json()),*])
+            }
+            fn from_json(value: &Json) -> ParseResult<Self> {
+                let [$($field),*] = as_arr(value)? else {
+                    return Err(concat!(stringify!($ty), ": wrong number of entries").into());
+                };
+                Ok($ty { $($field: Wire::from_json($field)?),* })
+            }
+        }
+    };
+}
+
+wire_object!(JournalHeader {
+    "scenario": scenario,
+    "fingerprint": fingerprint,
+    "cells": cells,
+});
+wire_tuple!(CellKey [point, series]);
+wire_object!(CellRecord {
+    "cell": key,
+    "series": series,
+    "point": point,
+    "strategy": strategy,
+    "threads": threads,
+    "report": report,
+});
+wire_tuple!(RateStats [mean, q05, q95, max, samples]);
+wire_tuple!(NeighborhoodDegradation [
+    blocked_sessions, interrupted_sessions, retries, outage_secs,
+    recoveries_measured, recovery_lag_total_secs, recovery_lag_max_secs,
+]);
+wire_object!(DegradationReport {
+    "blocked": blocked_sessions,
+    "interrupted": interrupted_sessions,
+    "retries": retries,
+    "retry_histogram": retry_histogram,
+    "per_neighborhood": per_neighborhood,
+});
+wire_tuple!(IndexStats [
+    hits, miss_uncached, miss_not_materialized, miss_peer_busy, admissions,
+    evictions, capture_fills, delayed_hits, inflight_misses,
+]);
+wire_object!(SimReport {
+    "server_peak": server_peak,
+    "server_total_bits": server_total,
+    "server_hourly_bps": server_hourly,
+    "coax_peak": coax_peak,
+    "coax_per_neighborhood_bps": coax_per_neighborhood,
+    "cache": cache,
+    "sessions": sessions,
+    "segment_requests": segment_requests,
+    "viewer_overcommits": viewer_overcommits,
+    "degradation": degradation,
+    "measured_from_day": measured_from_day,
+    "measured_to_day": measured_to_day,
+});
 
 /// Serializes a report to one canonical JSON line — the same encoding the
 /// checkpoint journal writes, so online (serve) and offline (journal)
 /// accounting can be compared byte-for-byte.
 #[must_use]
 pub fn report_to_json_string(report: &SimReport) -> String {
-    write_json(&report_json(report))
+    write_json(&report.to_json())
+}
+
+/// Renders `text` as a JSON string literal, quotes included: `"`, `\` and
+/// every control character escaped per RFC 8259 — the journal's own string
+/// encoding, for callers that format a JSON line by hand.
+#[must_use]
+pub fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    write_string(text, &mut out);
+    out
 }
 
 /// Parses a report back from [`report_to_json_string`]'s encoding.
@@ -859,7 +770,7 @@ pub fn report_to_json_string(report: &SimReport) -> String {
 /// not have the report's shape.
 pub fn report_from_json_str(text: &str) -> Result<SimReport, SimError> {
     let value = parse_json(text.as_bytes()).map_err(|reason| SimError::Config { reason })?;
-    report_from_json(&value).map_err(|reason| SimError::Config { reason })
+    SimReport::from_json(&value).map_err(|reason| SimError::Config { reason })
 }
 
 #[cfg(test)]
@@ -942,17 +853,21 @@ mod tests {
     fn report_codec_round_trips_exactly() {
         for salt in [0, 1, 2, 7, u64::from(u32::MAX)] {
             let report = sample_report(salt);
-            let decoded = report_from_json(&report_json(&report)).expect("decodes");
+            let decoded = SimReport::from_json(&report.to_json()).expect("decodes");
             assert_eq!(decoded, report, "salt {salt}");
         }
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let nasty = "a\"b\\c\nd\te\u{1}f émoji \u{1F600}";
+        let nasty = "a\"b\\c\nd\te\u{1}f\rg émoji \u{1F600}";
         let value = Json::Str(nasty.into());
         let text = write_json(&value);
         assert_eq!(parse_json(text.as_bytes()).expect("parses"), value);
+        // The public escaper is the same encoding: a cell error with a
+        // tab, a CR or any other control character stays one valid line.
+        assert_eq!(json_string(nasty), text);
+        assert!(text.chars().all(|c| c >= ' '), "raw control character");
     }
 
     #[test]

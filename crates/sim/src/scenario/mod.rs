@@ -1,31 +1,41 @@
 //! Declarative experiment descriptions: [`Scenario`] specs and their
-//! generic executor.
+//! one executor.
 //!
 //! A [`Scenario`] is data — a trace source ([`SourceSpec`]), a base
 //! [`SimConfig`], two sweep axes ([`AxisPoint`]s for figure *series* and
 //! *points*, each able to patch the config, switch the strategy, or even
-//! swap the trace source), and a [`ThreadPolicy`]. One executor
-//! ([`Scenario::execute`]) turns any such description into labelled
-//! [`RunOutcome`]s, which is how the paper's experiment harnesses in
-//! `cablevod::experiments` collapse into data plus one runner, and how
-//! the `cablevod-scenario` binary runs an experiment from a spec file
-//! end-to-end.
+//! swap the trace source), and a [`ThreadPolicy`]. One cell loop
+//! ([`exec`]) turns any such description into labelled results, which is
+//! how the paper's experiment harnesses in `cablevod::experiments`
+//! collapse into data plus one runner, and how the `cablevod-scenario`
+//! binary runs an experiment from a spec file end-to-end. The model and
+//! the config-key table live here; [`source`] holds workload
+//! descriptions, [`spec`] the `.scn` codec, [`checkpoint`] the journal.
 //!
 //! # Execution model
 //!
 //! The job list is the cross product `points × series` (point-major, so
-//! figure rows group naturally). With [`ThreadPolicy::Serial`] (the
-//! default) jobs run **in parallel across cores**, each on the serial
-//! engine — the classic sweep shape; with [`ThreadPolicy::Fixed`] /
-//! [`ThreadPolicy::Auto`] jobs run one after another, each sharded over
-//! the engine's worker pool. Either way results come back in job order
-//! and are bit-identical to running each job by hand.
+//! figure rows group naturally). Every cell — serial or sharded engine
+//! ([`ThreadPolicy`]) — is an independent job fanned out over up to
+//! [`Scenario::sweep_width`] workers of the shared pool; a sharded
+//! cell's own workers draw from the same process-wide ledger (see
+//! [`crate::runner`]), so small cells pack around a big sharded job.
+//! Either way results come back in job order and are bit-identical to
+//! running each job by hand.
 //!
 //! A point that carries its own [`AxisPoint::source`] materializes that
 //! source *inside its job* and drops it before the job returns — a sweep
 //! over differently-scaled traces ([`SourceSpec::Scaled`], the Fig 15–16
 //! shape) holds at most one scaled trace per in-flight job, never the
 //! whole grid.
+//!
+//! There is one executor; journal, retry, timeout, `keep_going` and a
+//! progress hook are its options. [`Scenario::execute_resilient`] takes
+//! them all and reports every cell's terminal state in a
+//! [`GridOutcome`]; [`Scenario::execute`] / [`Scenario::execute_on`]
+//! (and their `_with` registry variants) are the same loop with
+//! [`ResilienceOptions::default`], returning the completed cells or the
+//! first failed cell's error.
 //!
 //! # The spec-file format
 //!
@@ -48,11 +58,11 @@
 //! [config]
 //! strategy = lfu:7d           # StrategySpec::parse grammar (built-ins only here;
 //!                             # axis entries may use strategy=@name for registry entries)
-//! neighborhood_size = 100
+//! neighborhood_size = 100     # every other key: the config-key table, below
 //! per_peer_storage_gb = 2
 //! warmup_days = 1
-//! admission = enforcing       # counting (default) | enforcing; also an axis key
-//! retry = 3x30s               # <max_retries>x<base_backoff_secs>s; also an axis key
+//! admission = enforcing       # counting (default) | enforcing
+//! retry = 3x30s               # <max_retries>x<base_backoff_secs>s
 //!
 //! [faults]                    # optional degraded-plant plan (crate-level "Fault model" docs):
 //! outage = start=3600 end=5400 nbhd=2      # seconds; omit nbhd= for plant-wide
@@ -70,16 +80,27 @@
 //! 2GB = per_peer_storage_gb=2
 //! ```
 //!
-//! The `[config]` section covers the commonly swept knobs; fields it
-//! cannot express (a custom coax envelope, exotic synth-generator
-//! parameters) make [`Scenario::to_spec_string`] fail rather than
-//! silently drop them — such scenarios stay programmatic.
+//! Fields the format cannot express (a custom coax envelope, exotic
+//! synth-generator parameters) make [`Scenario::to_spec_string`] fail
+//! rather than silently drop them — such scenarios stay programmatic.
+//!
+//! # The config-key table
+//!
+//! The swept [`SimConfig`] fields are declared **once**, in the
+//! `config_keys!` invocation below: a row gives the [`ConfigPatch`] field
+//! and setter, the `SimConfig` setter and getter, and the `.scn` key
+//! with its parse and render. `[config]` and an axis entry are both a
+//! `ConfigPatch` parsed by one function (`[config]` applies its patch to
+//! [`SimConfig::paper_default`] and renders every row, an axis entry only
+//! the rows it sets), so **adding a swept field is adding one row**.
+//! `strategy` stays outside the table: `[config]` takes a built-in
+//! [`StrategySpec`], an axis entry a [`StrategyRef`].
 //!
 //! # Crash safety & resume
 //!
-//! [`Scenario::execute_resilient`] (the [`resilient`] submodule, driving
-//! the `cablevod-scenario` `--checkpoint`/`--resume` flags) makes a grid
-//! survive panics, stragglers, and hard kills:
+//! With a [`ResilienceOptions::checkpoint`] (the `cablevod-scenario`
+//! `--checkpoint`/`--resume` flags) a grid survives panics, stragglers,
+//! and hard kills:
 //!
 //! * **Cell-identity contract** — every job is one *cell* of the
 //!   point-major cross product, identified by a stable, hashable
@@ -101,13 +122,16 @@
 //!   dropped — never trusted — while corruption *before* a valid record
 //!   fails the whole load. Details in [`checkpoint`].
 //! * **Isolation, retry, timeout** — each cell runs under
-//!   `catch_unwind`, so one panicking job poisons only its own cell;
-//!   failed cells retry with bounded exponential backoff
-//!   ([`JobRetry`], the executor-level mirror of the plant-level
-//!   [`RetryPolicy`]); an optional per-attempt wall-clock timeout marks
-//!   stragglers as failed. Cells that exhaust retries are reported in
-//!   the [`GridOutcome`] (and as `failed_cells` by the binary) while the
-//!   rest of the grid completes.
+//!   `catch_unwind`, so one panicking job poisons only its own cell
+//!   (journal or not); failed cells retry with bounded exponential
+//!   backoff ([`JobRetry`], the executor-level mirror of the plant-level
+//!   [`RetryPolicy`]); an optional per-attempt wall-clock timeout runs
+//!   the cell on a watchdog thread and abandons a straggler there as
+//!   failed. A completed cell is journaled *before* it is reported. The
+//!   first cell to exhaust its retries stops the grid (cells in flight
+//!   finish, unscheduled ones report [`CellResult::Skipped`]); with
+//!   `keep_going` the rest of the grid completes and the failures are
+//!   listed in the [`GridOutcome`] (`failed_cells` in the binary).
 //!
 //! Because every report field is an exact integer, a resumed grid's
 //! final report is **byte-identical** to an uninterrupted run — replayed
@@ -115,41 +139,26 @@
 //! trace builds.
 
 pub mod checkpoint;
-pub mod resilient;
+pub mod exec;
+pub mod source;
+pub mod spec;
 
-use std::fmt::Write as _;
-use std::fs::File;
-use std::io::BufReader;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use cablevod_cache::{
-    FillPolicy, PlacementPolicy, StrategyFactory, StrategyRegistry, StrategySpec,
-};
-use cablevod_hfc::coax::CoaxSpec;
-use cablevod_hfc::fault::{FaultEvent, FaultKind, FaultPlan};
-use cablevod_hfc::ids::NeighborhoodId;
-use cablevod_hfc::units::{BitRate, DataSize, SimDuration, SimTime};
-use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
-use cablevod_trace::io as trace_io;
-use cablevod_trace::rechunk::{import_chunk_size, rechunk_multi_index};
-use cablevod_trace::record::Trace;
-use cablevod_trace::scale;
-use cablevod_trace::source::TraceSource;
-use cablevod_trace::synth::{generate, generate_to_disk, SynthConfig};
+use cablevod_cache::{FillPolicy, PlacementPolicy, StrategySpec};
+use cablevod_hfc::units::{DataSize, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AdmissionMode, RetryPolicy, SimConfig};
 use crate::error::SimError;
-use crate::runner::{default_threads, run_indexed};
-use crate::simulation::{RunOutcome, Simulation, ThreadPolicy};
+use crate::simulation::ThreadPolicy;
 
 pub use checkpoint::{
-    report_from_json_str, report_to_json_string, CellKey, CellRecord, CheckpointJournal,
-    JournalHeader,
+    json_string, report_from_json_str, report_to_json_string, CellKey, CellRecord,
+    CheckpointJournal, JournalHeader,
 };
-pub use resilient::{CellOutcome, CellResult, GridOutcome, JobRetry, ResilienceOptions};
+pub use exec::{
+    CellOutcome, CellResult, GridOutcome, JobRetry, ResilienceOptions, ScenarioOutcome,
+};
+pub use source::{OwnedSource, SourceSpec};
 
 /// A serializable description of a whole experiment (see module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -235,351 +244,225 @@ pub enum StrategyRef {
     /// A built-in [`StrategySpec`].
     Spec(StrategySpec),
     /// A name resolved against the executor's
-    /// [`StrategyRegistry`] (out-of-tree strategies).
+    /// [`StrategyRegistry`](cablevod_cache::StrategyRegistry)
+    /// (out-of-tree strategies).
     Named(String),
 }
 
-/// Optional overrides of the commonly swept [`SimConfig`] fields.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ConfigPatch {
-    /// Overrides [`SimConfig::neighborhood_size`].
-    pub neighborhood_size: Option<u32>,
-    /// Overrides [`SimConfig::per_peer_storage`].
-    pub per_peer_storage: Option<DataSize>,
-    /// Overrides [`SimConfig::stream_slots`].
-    pub stream_slots: Option<u8>,
-    /// Overrides [`SimConfig::segment_len`].
-    pub segment_len: Option<SimDuration>,
-    /// Overrides [`SimConfig::warmup_days`].
-    pub warmup_days: Option<u64>,
-    /// Overrides [`SimConfig::replication`].
-    pub replication: Option<u8>,
-    /// Overrides [`SimConfig::placement`].
-    pub placement: Option<PlacementPolicy>,
-    /// Overrides the fill policy ([`SimConfig::with_fill_override`]).
-    pub fill: Option<FillPolicy>,
-    /// Overrides [`SimConfig::admission`].
-    pub admission: Option<AdmissionMode>,
-    /// Overrides [`SimConfig::retry`].
-    pub retry: Option<RetryPolicy>,
-}
+/// Declares the swept [`SimConfig`] fields (module docs, "The config-key
+/// table"). `alias` is a second, parse-only spelling of a key; `unset` is
+/// how a row without a value reads in `[config]`.
+macro_rules! config_keys {
+    ($(
+        #[$doc:meta]
+        $field:ident: $ty:ty {
+            set: $setter:ident, config: $with:ident / $get:ident,
+            key: $key:literal, parse: $parse:expr, render: $render:expr
+            $(, alias: $alias:literal, parse: $alias_parse:expr)?
+            $(, unset: $unset:literal)?
+        }
+    )*) => {
+        /// Optional overrides of the commonly swept [`SimConfig`] fields.
+        #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+        pub struct ConfigPatch {
+            $(#[$doc] pub $field: Option<$ty>,)*
+        }
 
-macro_rules! patch_setters {
-    ($(#[$doc:meta] $name:ident: $field:ident, $ty:ty),* $(,)?) => {
         impl ConfigPatch {
             $(
-                #[$doc]
+                #[doc = concat!("Sets the `", stringify!($field), "` override.")]
                 #[must_use]
-                pub fn $name(mut self, value: $ty) -> Self {
+                pub fn $setter(mut self, value: $ty) -> Self {
                     self.$field = Some(value);
                     self
                 }
             )*
+
+            /// Applies the set fields on top of `base`.
+            pub fn apply(&self, mut base: SimConfig) -> SimConfig {
+                $(if let Some(v) = self.$field {
+                    base = base.$with(v);
+                })*
+                base
+            }
+
+            /// Every table field as `config` has it. (`Option::from` is
+            /// `Some` for the plain getters and the identity for the one
+            /// that is already optional.)
+            pub(crate) fn of(config: &SimConfig) -> Self {
+                ConfigPatch {
+                    $($field: Option::from(config.$get()),)*
+                }
+            }
+
+            /// Sets the field that the `.scn` pair `key = value` names.
+            pub(crate) fn set_key(&mut self, key: &str, value: &str) -> Result<(), SimError> {
+                let bad = || config_err(format!("bad value {key} = {value:?}"));
+                $(
+                    if key == $key {
+                        $(if value == $unset {
+                            self.$field = None;
+                            return Ok(());
+                        })?
+                        self.$field = Some($parse(value).ok_or_else(bad)?);
+                        return Ok(());
+                    }
+                    $(if key == $alias {
+                        self.$field = Some($alias_parse(value).ok_or_else(bad)?);
+                        return Ok(());
+                    })?
+                )*
+                Err(config_err(format!("unknown config key {key:?}")))
+            }
+
+            /// The `.scn` pairs of the set fields, in table order; with
+            /// `every_row`, also of unset fields that have an `unset`
+            /// spelling.
+            pub(crate) fn pairs(&self, every_row: bool) -> Vec<(String, String)> {
+                let mut out = Vec::new();
+                $(match self.$field {
+                    Some(v) => out.push(($key.to_string(), $render(v))),
+                    None => {$(
+                        if every_row {
+                            out.push(($key.to_string(), $unset.to_string()));
+                        }
+                    )?}
+                })*
+                out
+            }
         }
     };
 }
 
-patch_setters! {
-    /// Sets the neighborhood-size override.
-    with_neighborhood_size: neighborhood_size, u32,
-    /// Sets the per-peer-storage override.
-    with_per_peer_storage: per_peer_storage, DataSize,
-    /// Sets the stream-slots override.
-    with_stream_slots: stream_slots, u8,
-    /// Sets the segment-length override.
-    with_segment_len: segment_len, SimDuration,
-    /// Sets the warm-up-days override.
-    with_warmup_days: warmup_days, u64,
-    /// Sets the replication override.
-    with_replication: replication, u8,
-    /// Sets the placement override.
-    with_placement: placement, PlacementPolicy,
-    /// Sets the fill-policy override.
-    with_fill: fill, FillPolicy,
-    /// Sets the admission-mode override.
-    with_admission: admission, AdmissionMode,
-    /// Sets the retry-policy override.
-    with_retry: retry, RetryPolicy,
-}
-
-impl ConfigPatch {
-    /// Applies the set fields on top of `base`.
-    pub fn apply(&self, mut base: SimConfig) -> SimConfig {
-        if let Some(v) = self.neighborhood_size {
-            base = base.with_neighborhood_size(v);
-        }
-        if let Some(v) = self.per_peer_storage {
-            base = base.with_per_peer_storage(v);
-        }
-        if let Some(v) = self.stream_slots {
-            base = base.with_stream_slots(v);
-        }
-        if let Some(v) = self.segment_len {
-            base = base.with_segment_len(v);
-        }
-        if let Some(v) = self.warmup_days {
-            base = base.with_warmup_days(v);
-        }
-        if let Some(v) = self.replication {
-            base = base.with_replication(v);
-        }
-        if let Some(v) = self.placement {
-            base = base.with_placement(v);
-        }
-        if let Some(v) = self.fill {
-            base = base.with_fill_override(v);
-        }
-        if let Some(v) = self.admission {
-            base = base.with_admission(v);
-        }
-        if let Some(v) = self.retry {
-            base = base.with_retry(v);
-        }
-        base
+config_keys! {
+    /// Overrides [`SimConfig::neighborhood_size`].
+    neighborhood_size: u32 {
+        set: with_neighborhood_size, config: with_neighborhood_size / neighborhood_size,
+        key: "neighborhood_size", parse: number, render: (|v: u32| v.to_string())
+    }
+    /// Overrides [`SimConfig::per_peer_storage`].
+    per_peer_storage: DataSize {
+        set: with_per_peer_storage, config: with_per_peer_storage / per_peer_storage,
+        key: "per_peer_storage_bytes",
+        parse: (|v| number(v).map(DataSize::from_bytes)),
+        render: (|v: DataSize| v.as_bytes().to_string()),
+        alias: "per_peer_storage_gb", parse: (|v| number(v).map(DataSize::from_gigabytes))
+    }
+    /// Overrides [`SimConfig::stream_slots`].
+    stream_slots: u8 {
+        set: with_stream_slots, config: with_stream_slots / stream_slots,
+        key: "stream_slots", parse: number, render: (|v: u8| v.to_string())
+    }
+    /// Overrides [`SimConfig::segment_len`].
+    segment_len: SimDuration {
+        set: with_segment_len, config: with_segment_len / segment_len,
+        key: "segment_len_secs",
+        parse: (|v| number(v).map(SimDuration::from_secs)),
+        render: (|v: SimDuration| v.as_secs().to_string())
+    }
+    /// Overrides [`SimConfig::warmup_days`].
+    warmup_days: u64 {
+        set: with_warmup_days, config: with_warmup_days / warmup_days,
+        key: "warmup_days", parse: number, render: (|v: u64| v.to_string())
+    }
+    /// Overrides [`SimConfig::replication`].
+    replication: u8 {
+        set: with_replication, config: with_replication / replication,
+        key: "replication", parse: number, render: (|v: u8| v.to_string())
+    }
+    /// Overrides [`SimConfig::placement`].
+    placement: PlacementPolicy {
+        set: with_placement, config: with_placement / placement,
+        key: "placement", parse: parse_placement, render: placement_string
+    }
+    /// Overrides the fill policy ([`SimConfig::with_fill_override`]).
+    fill: FillPolicy {
+        set: with_fill, config: with_fill_override / fill_override,
+        key: "fill", parse: parse_fill, render: fill_string, unset: "default"
+    }
+    /// Overrides [`SimConfig::admission`].
+    admission: AdmissionMode {
+        set: with_admission, config: with_admission / admission,
+        key: "admission", parse: parse_admission, render: admission_string
+    }
+    /// Overrides [`SimConfig::retry`].
+    retry: RetryPolicy {
+        set: with_retry, config: with_retry / retry,
+        key: "retry", parse: parse_retry, render: retry_string
     }
 }
 
-/// Where a scenario's workload comes from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SourceSpec {
-    /// The caller supplies the source at execution time
-    /// ([`Scenario::execute_on`]); [`Scenario::execute`] rejects it.
-    Provided,
-    /// An in-memory synthetic workload.
-    Synth(SynthConfig),
-    /// A synthetic workload generated straight to a temporary columnar
-    /// file and replayed through the streaming engine (never resident).
-    /// The file lives in the process temp dir (honors `TMPDIR`) and is
-    /// removed when the materialized source drops.
-    SynthDisk {
-        /// Generator configuration.
-        synth: SynthConfig,
-        /// Records per columnar chunk.
-        chunk_records: u32,
-        /// Neighborhood sizes to re-chunk the generated file
-        /// neighborhood-major for (empty: replay time-major). Several
-        /// sizes produce one multi-index file whose per-size indexes let
-        /// a neighborhood-size sweep hit the decode-once fast path at
-        /// every listed size.
-        rechunk: Vec<u32>,
-    },
-    /// An existing columnar `.cvtc` file.
-    Columnar {
-        /// File path.
-        path: String,
-        /// Re-chunk neighborhood-major at these neighborhood sizes into
-        /// a temporary file before replay (import-time optimization for
-        /// sharded runs; empty: replay the file as-is). Several sizes
-        /// produce one multi-index file — the spec form is
-        /// `rechunk=60,100` — so a neighborhood-size sweep over exactly
-        /// those sizes streams the shared columns through the fast path
-        /// instead of the merge fallback.
-        rechunk: Vec<u32>,
-    },
-    /// CSV record + catalog files (the PowerInfo import shape).
-    Csv {
-        /// Records CSV path.
-        records: String,
-        /// Catalog CSV path.
-        catalog: String,
-    },
-    /// The enclosing scenario's trace scaled by the §V-A transforms —
-    /// only meaningful as a per-point override, and requires the base
-    /// source to be resident.
-    Scaled {
-        /// User-population factor.
-        population: u32,
-        /// Catalog factor.
-        catalog: u32,
-        /// Seed of the deterministic scaling transforms.
-        seed: u64,
-    },
+fn config_err(reason: String) -> SimError {
+    SimError::Config { reason }
 }
 
-/// A temporary file removed on drop.
-#[derive(Debug)]
-struct TempFile(PathBuf);
+fn number<T: std::str::FromStr>(text: &str) -> Option<T> {
+    text.parse().ok()
+}
 
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
+fn placement_string(policy: PlacementPolicy) -> String {
+    match policy {
+        PlacementPolicy::Balanced => "balanced".into(),
+        PlacementPolicy::FirstFit => "first-fit".into(),
+        PlacementPolicy::Random { seed } => format!("random:{seed}"),
     }
 }
 
-static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_path(tag: &str) -> PathBuf {
-    let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("cvsc_{tag}_{}_{n}.cvtc", std::process::id()))
-}
-
-/// Re-chunks `reader` neighborhood-major into a fresh temp file carrying
-/// one chunk index per size in `sizes` (see
-/// [`rechunk_multi_index`]). With the simulator's aligned placement the
-/// finest size has the most cells, so it drives the per-cell buffer
-/// budget.
-fn rechunk_to_temp(reader: &ColumnarReader, sizes: &[u32]) -> Result<TempFile, SimError> {
-    let nm = temp_path("rechunk");
-    let finest = sizes.iter().copied().min().unwrap_or(1);
-    let chunk = import_chunk_size(reader.user_count(), finest, DEFAULT_CHUNK_SIZE, 64 << 20);
-    rechunk_multi_index(reader, &nm, sizes, chunk)?;
-    Ok(TempFile(nm))
-}
-
-/// A materialized [`SourceSpec`]: owns the trace (or the open reader plus
-/// any temporary files) for exactly as long as its jobs need it —
-/// dropping it frees the workload and removes any temporary files.
-pub struct OwnedSource {
-    inner: OwnedInner,
-}
-
-enum OwnedInner {
-    /// A fully resident trace.
-    Resident(Trace),
-    /// An open columnar reader, optionally over temporary files removed
-    /// when this source drops.
-    Columnar {
-        reader: ColumnarReader,
-        #[allow(dead_code)] // held for its Drop
-        temp: Vec<TempFile>,
-    },
-}
-
-impl OwnedSource {
-    /// The trace-source view of this workload.
-    pub fn source(&self) -> &dyn TraceSource {
-        match &self.inner {
-            OwnedInner::Resident(trace) => trace,
-            OwnedInner::Columnar { reader, .. } => reader,
-        }
-    }
-
-    /// The resident trace, when this source is in memory.
-    pub fn resident(&self) -> Option<&Trace> {
-        match &self.inner {
-            OwnedInner::Resident(trace) => Some(trace),
-            OwnedInner::Columnar { .. } => None,
-        }
-    }
-
-    fn resident_from(trace: Trace) -> Self {
-        OwnedSource {
-            inner: OwnedInner::Resident(trace),
-        }
-    }
-
-    fn columnar(reader: ColumnarReader, temp: Vec<TempFile>) -> Self {
-        OwnedSource {
-            inner: OwnedInner::Columnar { reader, temp },
-        }
+fn parse_placement(text: &str) -> Option<PlacementPolicy> {
+    match text {
+        "balanced" => Some(PlacementPolicy::Balanced),
+        "first-fit" => Some(PlacementPolicy::FirstFit),
+        _ => Some(PlacementPolicy::Random {
+            seed: number(text.strip_prefix("random:")?)?,
+        }),
     }
 }
 
-fn open(path: &str) -> Result<BufReader<File>, SimError> {
-    File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| SimError::Config {
-            reason: format!("cannot open {path}: {e}"),
-        })
-}
-
-impl SourceSpec {
-    /// Materializes this spec into an owned workload. `base` is the
-    /// enclosing scenario's resident trace, needed only by
-    /// [`SourceSpec::Scaled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for [`SourceSpec::Provided`], for a
-    /// scaled spec without a resident base, and propagates generation and
-    /// I/O failures.
-    pub fn materialize(&self, base: Option<&Trace>) -> Result<OwnedSource, SimError> {
-        match self {
-            SourceSpec::Provided => Err(SimError::Config {
-                reason: "a `provided` source has no workload of its own: \
-                         run it through Scenario::execute_on"
-                    .into(),
-            }),
-            SourceSpec::Synth(config) => Ok(OwnedSource::resident_from(generate(config))),
-            SourceSpec::SynthDisk {
-                synth,
-                chunk_records,
-                rechunk,
-            } => {
-                let path = temp_path("synth");
-                generate_to_disk(synth, &path, *chunk_records)?;
-                let mut temp = vec![TempFile(path)];
-                if !rechunk.is_empty() {
-                    let reader = ColumnarReader::open(&temp[0].0)?;
-                    temp.push(rechunk_to_temp(&reader, rechunk)?);
-                }
-                let reader = ColumnarReader::open(&temp.last().expect("non-empty").0)?;
-                Ok(OwnedSource::columnar(reader, temp))
-            }
-            SourceSpec::Columnar { path, rechunk } if rechunk.is_empty() => Ok(
-                OwnedSource::columnar(ColumnarReader::open(Path::new(path))?, Vec::new()),
-            ),
-            SourceSpec::Columnar { path, rechunk } => {
-                let reader = ColumnarReader::open(Path::new(path))?;
-                let temp = vec![rechunk_to_temp(&reader, rechunk)?];
-                let reader = ColumnarReader::open(&temp[0].0)?;
-                Ok(OwnedSource::columnar(reader, temp))
-            }
-            SourceSpec::Csv { records, catalog } => {
-                let catalog = trace_io::read_catalog(open(catalog)?)?;
-                Ok(OwnedSource::resident_from(trace_io::read_records(
-                    open(records)?,
-                    catalog,
-                )?))
-            }
-            SourceSpec::Scaled {
-                population,
-                catalog,
-                seed,
-            } => {
-                let base = base.ok_or_else(|| SimError::Config {
-                    reason: "a `scaled` source needs a resident base trace \
-                             (scenario-level source must be resident)"
-                        .into(),
-                })?;
-                Ok(OwnedSource::resident_from(scale::scale(
-                    base,
-                    *population,
-                    *catalog,
-                    *seed,
-                )?))
-            }
-        }
+fn fill_string(fill: FillPolicy) -> String {
+    match fill {
+        FillPolicy::OnBroadcast => "on-broadcast".into(),
+        FillPolicy::Prefetch => "prefetch".into(),
     }
 }
 
-/// One labelled result of a scenario sweep.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// The series-axis label this job ran under.
-    pub series: String,
-    /// The point-axis label this job ran under.
-    pub point: String,
-    /// The run's report and telemetry.
-    pub outcome: RunOutcome,
-}
-
-impl ScenarioOutcome {
-    /// The job's simulation report.
-    pub fn report(&self) -> &crate::report::SimReport {
-        &self.outcome.report
+fn parse_fill(text: &str) -> Option<FillPolicy> {
+    match text {
+        "on-broadcast" => Some(FillPolicy::OnBroadcast),
+        "prefetch" => Some(FillPolicy::Prefetch),
+        _ => None,
     }
 }
 
-/// One resolved job of the cross product, tagged with its stable cell
-/// identity (see the module docs' cell-identity contract).
-pub(crate) struct Job {
-    pub(crate) cell: CellKey,
-    pub(crate) series: String,
-    pub(crate) point: String,
-    pub(crate) config: SimConfig,
-    pub(crate) factory: Arc<dyn StrategyFactory>,
-    pub(crate) source: Option<SourceSpec>,
+fn admission_string(mode: AdmissionMode) -> String {
+    match mode {
+        AdmissionMode::Counting => "counting".into(),
+        AdmissionMode::Enforcing => "enforcing".into(),
+    }
+}
+
+fn parse_admission(text: &str) -> Option<AdmissionMode> {
+    match text {
+        "counting" => Some(AdmissionMode::Counting),
+        "enforcing" => Some(AdmissionMode::Enforcing),
+        _ => None,
+    }
+}
+
+/// `3x30s` — three retries, 30-second base backoff.
+fn retry_string(retry: RetryPolicy) -> String {
+    format!(
+        "{}x{}s",
+        retry.max_retries(),
+        retry.base_backoff().as_secs()
+    )
+}
+
+fn parse_retry(text: &str) -> Option<RetryPolicy> {
+    let (max, backoff) = text.split_once('x')?;
+    Some(RetryPolicy::new(
+        number(max)?,
+        SimDuration::from_secs(number(backoff.strip_suffix('s')?)?),
+    ))
 }
 
 impl Scenario {
@@ -632,106 +515,6 @@ impl Scenario {
         self
     }
 
-    /// Executes the scenario's own source with the built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Fails for a [`SourceSpec::Provided`] scenario source when any job
-    /// actually needs it (a scenario whose every point carries its own
-    /// source runs fine), and propagates job failures (the first failing
-    /// job's error, jobs before it completing normally).
-    pub fn execute(&self) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_with(&StrategyRegistry::builtin())
-    }
-
-    /// [`Scenario::execute`] with an explicit strategy registry.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Scenario::execute`].
-    pub fn execute_with(
-        &self,
-        registry: &StrategyRegistry,
-    ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        if matches!(self.source, SourceSpec::Provided) {
-            // Legal as long as every job brings its own source.
-            return self.execute_inner(None, registry);
-        }
-        let owned = self.source.materialize(None)?;
-        self.execute_inner(Some((owned.source(), owned.resident())), registry)
-    }
-
-    /// Executes against a caller-provided resident trace (ignoring the
-    /// scenario's own [`SourceSpec`]) with the built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates job failures.
-    pub fn execute_on(&self, trace: &Trace) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_on_with(trace, &StrategyRegistry::builtin())
-    }
-
-    /// [`Scenario::execute_on`] with an explicit strategy registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates job failures.
-    pub fn execute_on_with(
-        &self,
-        trace: &Trace,
-        registry: &StrategyRegistry,
-    ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_inner(Some((trace, Some(trace))), registry)
-    }
-
-    /// Resolves the point-major cross product into concrete jobs — the
-    /// single source of truth for cell identity and ordering: job `i` is
-    /// cell `(i / series_len, i % series_len)`, shared by the plain and
-    /// the resilient executor so journaled cells always replay into the
-    /// same grid slot.
-    pub(crate) fn resolved_jobs(&self, registry: &StrategyRegistry) -> Result<Vec<Job>, SimError> {
-        let implicit_series = [AxisPoint::new(self.base.strategy().label())];
-        let implicit_point = [AxisPoint::new("default")];
-        let series: &[AxisPoint] = if self.series.is_empty() {
-            &implicit_series
-        } else {
-            &self.series
-        };
-        let points: &[AxisPoint] = if self.points.is_empty() {
-            &implicit_point
-        } else {
-            &self.points
-        };
-
-        let mut jobs = Vec::with_capacity(series.len() * points.len());
-        for (point_idx, point) in points.iter().enumerate() {
-            for (series_idx, entry) in series.iter().enumerate() {
-                let mut config = point.patch.apply(entry.patch.apply(self.base.clone()));
-                let strategy_ref = point.strategy.as_ref().or(entry.strategy.as_ref());
-                let factory = match strategy_ref {
-                    None => config.strategy().factory(),
-                    Some(StrategyRef::Spec(spec)) => {
-                        config = config.with_strategy(*spec);
-                        spec.factory()
-                    }
-                    Some(StrategyRef::Named(name)) => registry.resolve(name)?,
-                };
-                jobs.push(Job {
-                    cell: CellKey {
-                        point: point_idx as u32,
-                        series: series_idx as u32,
-                    },
-                    series: entry.label.clone(),
-                    point: point.label.clone(),
-                    config,
-                    factory,
-                    source: point.source.clone().or_else(|| entry.source.clone()),
-                });
-            }
-        }
-        Ok(jobs)
-    }
-
     /// The number of grid cells this scenario resolves to: `points x
     /// series`, with empty axes counting as one implicit entry.
     pub fn job_count(&self) -> usize {
@@ -750,838 +533,14 @@ impl Scenario {
             .unwrap_or_else(|_| format!("{self:?}"));
         cablevod_trace::checksum::crc32(text.as_bytes())
     }
-
-    fn execute_inner(
-        &self,
-        shared: Option<(&dyn TraceSource, Option<&Trace>)>,
-        registry: &StrategyRegistry,
-    ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        let jobs = self.resolved_jobs(registry)?;
-
-        let run_job = |job: &Job| -> Result<RunOutcome, SimError> {
-            let sim = |source: &dyn TraceSource| {
-                Simulation::over(source)
-                    .config(job.config.clone())
-                    .strategy_factory(job.factory.clone())
-                    .thread_policy(self.threads)
-                    .run()
-            };
-            match &job.source {
-                None => {
-                    let (source, _) = shared.ok_or_else(|| SimError::Config {
-                        reason: "a `provided` source has no workload of its own: \
-                                 run it through Scenario::execute_on, or give every \
-                                 axis point its own source"
-                            .into(),
-                    })?;
-                    sim(source)
-                }
-                // Materialized inside the job, dropped before it returns:
-                // a sweep holds at most one override source per worker.
-                Some(spec) => sim(spec
-                    .materialize(shared.and_then(|(_, base)| base))?
-                    .source()),
-            }
-        };
-
-        // Every cell — serial or sharded engine — is an independent job
-        // on the shared pool. A sharded cell's own workers draw from the
-        // same process-wide ledger as the sweep (see [`crate::runner`]),
-        // so small cells pack around a big sharded job instead of the
-        // sweep serializing behind it.
-        let width = self
-            .sweep_width
-            .unwrap_or_else(default_threads)
-            .clamp(1, jobs.len().max(1));
-        let results: Vec<Result<RunOutcome, SimError>> =
-            run_indexed(jobs.len(), width, |i| run_job(&jobs[i]));
-        let concurrent_shared = width > 1;
-
-        jobs.into_iter()
-            .zip(results)
-            .map(|(job, result)| {
-                let mut outcome = result?;
-                // Decode counters live on the source; concurrent jobs over
-                // the one shared source would each see the others' decode
-                // work in their before/after delta, so per-job attribution
-                // only exists when a job owns its source or ran alone —
-                // report zero (not a wrong number) otherwise.
-                if concurrent_shared && job.source.is_none() {
-                    outcome.telemetry.decode = Default::default();
-                }
-                Ok(ScenarioOutcome {
-                    series: job.series,
-                    point: job.point,
-                    outcome,
-                })
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Spec-file format
-// ---------------------------------------------------------------------
-
-/// A named synth-preset constructor.
-type SynthPreset = (&'static str, fn() -> SynthConfig);
-
-/// The synth presets the spec format can name.
-const SYNTH_PRESETS: [SynthPreset; 3] = [
-    ("powerinfo", SynthConfig::powerinfo),
-    ("experiment_default", SynthConfig::experiment_default),
-    ("smoke_test", SynthConfig::smoke_test),
-];
-
-fn config_err(reason: String) -> SimError {
-    SimError::Config { reason }
-}
-
-/// Rejects names/labels the line-based format cannot carry faithfully:
-/// `#` starts a comment, the first `=` ends an axis label, `|` separates
-/// an axis entry's source override, a leading `[` reads as a section
-/// header, and surrounding whitespace would be trimmed away on load.
-/// Erroring here keeps the "parses back to an equal value" contract
-/// loud instead of silently corrupting on round-trip.
-fn check_label(what: &str, text: &str) -> Result<(), SimError> {
-    if text.is_empty()
-        || text != text.trim()
-        || text.starts_with('[')
-        || text.contains(['#', '=', '|', '\n'])
-    {
-        return Err(config_err(format!(
-            "{what} {text:?} is not expressible in the spec format \
-             (no #, =, |, newlines, leading [, or surrounding whitespace)"
-        )));
-    }
-    Ok(())
-}
-
-fn fmt_duration_secs(d: SimDuration) -> String {
-    d.as_secs().to_string()
-}
-
-fn placement_string(policy: PlacementPolicy) -> String {
-    match policy {
-        PlacementPolicy::Balanced => "balanced".into(),
-        PlacementPolicy::FirstFit => "first-fit".into(),
-        PlacementPolicy::Random { seed } => format!("random:{seed}"),
-    }
-}
-
-fn parse_placement(text: &str) -> Result<PlacementPolicy, SimError> {
-    if let Some(seed) = text.strip_prefix("random:") {
-        let seed = seed
-            .parse()
-            .map_err(|_| config_err(format!("bad random-placement seed {seed:?}")))?;
-        return Ok(PlacementPolicy::Random { seed });
-    }
-    match text {
-        "balanced" => Ok(PlacementPolicy::Balanced),
-        "first-fit" => Ok(PlacementPolicy::FirstFit),
-        other => Err(config_err(format!("unknown placement {other:?}"))),
-    }
-}
-
-fn fill_string(fill: Option<FillPolicy>) -> &'static str {
-    match fill {
-        None => "default",
-        Some(FillPolicy::OnBroadcast) => "on-broadcast",
-        Some(FillPolicy::Prefetch) => "prefetch",
-    }
-}
-
-fn parse_fill(text: &str) -> Result<Option<FillPolicy>, SimError> {
-    match text {
-        "default" => Ok(None),
-        "on-broadcast" => Ok(Some(FillPolicy::OnBroadcast)),
-        "prefetch" => Ok(Some(FillPolicy::Prefetch)),
-        other => Err(config_err(format!("unknown fill policy {other:?}"))),
-    }
-}
-
-fn strategy_ref_string(strategy: &StrategyRef) -> String {
-    match strategy {
-        StrategyRef::Spec(spec) => spec.compact(),
-        StrategyRef::Named(name) => format!("@{name}"),
-    }
-}
-
-fn parse_strategy_ref(text: &str) -> Result<StrategyRef, SimError> {
-    if let Some(name) = text.strip_prefix('@') {
-        return Ok(StrategyRef::Named(name.into()));
-    }
-    Ok(StrategyRef::Spec(StrategySpec::parse(text)?))
-}
-
-/// Writes a synth config as `preset=<name>` plus the overridden fields,
-/// or errors when no preset + supported overrides reproduce it.
-fn synth_kv(config: &SynthConfig, out: &mut Vec<(String, String)>) -> Result<(), SimError> {
-    for (name, preset) in SYNTH_PRESETS {
-        let candidate = SynthConfig {
-            users: config.users,
-            programs: config.programs,
-            days: config.days,
-            seed: config.seed,
-            sessions_per_user_day: config.sessions_per_user_day,
-            ..preset()
-        };
-        if &candidate == config {
-            let base = preset();
-            out.push(("preset".into(), name.into()));
-            if config.users != base.users {
-                out.push(("users".into(), config.users.to_string()));
-            }
-            if config.programs != base.programs {
-                out.push(("programs".into(), config.programs.to_string()));
-            }
-            if config.days != base.days {
-                out.push(("days".into(), config.days.to_string()));
-            }
-            if config.seed != base.seed {
-                out.push(("seed".into(), config.seed.to_string()));
-            }
-            if config.sessions_per_user_day != base.sessions_per_user_day {
-                out.push((
-                    "sessions_per_user_day".into(),
-                    config.sessions_per_user_day.to_string(),
-                ));
-            }
-            return Ok(());
-        }
-    }
-    Err(config_err(
-        "synthetic source differs from every preset beyond the spec format's \
-         users/programs/days/seed/sessions_per_user_day overrides — keep it programmatic"
-            .into(),
-    ))
-}
-
-fn parse_synth(pairs: &[(String, String)]) -> Result<SynthConfig, SimError> {
-    let mut config = None;
-    for (key, value) in pairs {
-        if key == "preset" {
-            let preset = SYNTH_PRESETS
-                .iter()
-                .find(|(name, _)| name == value)
-                .ok_or_else(|| config_err(format!("unknown synth preset {value:?}")))?;
-            config = Some(preset.1());
-        }
-    }
-    let mut config = config.ok_or_else(|| config_err("synth source needs a preset".into()))?;
-    for (key, value) in pairs {
-        let bad = || config_err(format!("bad synth field {key} = {value:?}"));
-        match key.as_str() {
-            "preset" | "kind" | "chunk_records" | "rechunk" => {}
-            "users" => config.users = value.parse().map_err(|_| bad())?,
-            "programs" => config.programs = value.parse().map_err(|_| bad())?,
-            "days" => config.days = value.parse().map_err(|_| bad())?,
-            "seed" => config.seed = value.parse().map_err(|_| bad())?,
-            "sessions_per_user_day" => {
-                config.sessions_per_user_day = value.parse().map_err(|_| bad())?
-            }
-            _ => return Err(bad()),
-        }
-    }
-    Ok(config)
-}
-
-/// Serializes a source spec as `kind=... key=value ...` pairs.
-fn source_kv(source: &SourceSpec) -> Result<Vec<(String, String)>, SimError> {
-    let mut out = Vec::new();
-    match source {
-        SourceSpec::Provided => out.push(("kind".into(), "provided".into())),
-        SourceSpec::Synth(config) => {
-            out.push(("kind".into(), "synth".into()));
-            synth_kv(config, &mut out)?;
-        }
-        SourceSpec::SynthDisk {
-            synth,
-            chunk_records,
-            rechunk,
-        } => {
-            out.push(("kind".into(), "synth-disk".into()));
-            synth_kv(synth, &mut out)?;
-            out.push(("chunk_records".into(), chunk_records.to_string()));
-            if !rechunk.is_empty() {
-                out.push(("rechunk".into(), rechunk_value(rechunk)));
-            }
-        }
-        SourceSpec::Columnar { path, rechunk } => {
-            out.push(("kind".into(), "columnar".into()));
-            out.push(("path".into(), path.clone()));
-            if !rechunk.is_empty() {
-                out.push(("rechunk".into(), rechunk_value(rechunk)));
-            }
-        }
-        SourceSpec::Csv { records, catalog } => {
-            out.push(("kind".into(), "csv".into()));
-            out.push(("records".into(), records.clone()));
-            out.push(("catalog".into(), catalog.clone()));
-        }
-        SourceSpec::Scaled {
-            population,
-            catalog,
-            seed,
-        } => {
-            out.push(("kind".into(), "scaled".into()));
-            out.push(("population".into(), population.to_string()));
-            out.push(("catalog".into(), catalog.to_string()));
-            out.push(("seed".into(), seed.to_string()));
-        }
-    }
-    Ok(out)
-}
-
-/// Joins rechunk sizes into the spec form `60,100` — a single size
-/// serializes exactly as the old scalar field did, so pre-multi-index
-/// spec files and their fingerprints are unchanged.
-fn rechunk_value(sizes: &[u32]) -> String {
-    sizes
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Parses `60` or `60,100` into a rechunk size list.
-fn parse_rechunk(value: &str) -> Result<Vec<u32>, SimError> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|_| config_err(format!("bad rechunk size {v:?}")))
-        })
-        .collect()
-}
-
-fn parse_source(pairs: &[(String, String)]) -> Result<SourceSpec, SimError> {
-    let get = |key: &str| -> Option<&str> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    let require = |key: &str| {
-        get(key).ok_or_else(|| config_err(format!("source is missing the {key} field")))
-    };
-    let parse_u32 = |key: &str| -> Result<u32, SimError> {
-        require(key)?
-            .parse()
-            .map_err(|_| config_err(format!("bad source field {key}")))
-    };
-    match require("kind")? {
-        "provided" => Ok(SourceSpec::Provided),
-        "synth" => Ok(SourceSpec::Synth(parse_synth(pairs)?)),
-        "synth-disk" => Ok(SourceSpec::SynthDisk {
-            synth: parse_synth(pairs)?,
-            chunk_records: match get("chunk_records") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| config_err("bad chunk_records".into()))?,
-                None => DEFAULT_CHUNK_SIZE,
-            },
-            rechunk: get("rechunk")
-                .map(parse_rechunk)
-                .transpose()?
-                .unwrap_or_default(),
-        }),
-        "columnar" => Ok(SourceSpec::Columnar {
-            path: require("path")?.to_string(),
-            rechunk: get("rechunk")
-                .map(parse_rechunk)
-                .transpose()?
-                .unwrap_or_default(),
-        }),
-        "csv" => Ok(SourceSpec::Csv {
-            records: require("records")?.to_string(),
-            catalog: require("catalog")?.to_string(),
-        }),
-        "scaled" => Ok(SourceSpec::Scaled {
-            population: parse_u32("population")?,
-            catalog: parse_u32("catalog")?,
-            seed: require("seed")?
-                .parse()
-                .map_err(|_| config_err("bad scaled seed".into()))?,
-        }),
-        other => Err(config_err(format!("unknown source kind {other:?}"))),
-    }
-}
-
-/// Splits `k=v k=v ...` into pairs (whitespace-separated, values may not
-/// contain spaces).
-fn parse_kv_pairs(text: &str) -> Result<Vec<(String, String)>, SimError> {
-    text.split_whitespace()
-        .map(|pair| {
-            pair.split_once('=')
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .ok_or_else(|| config_err(format!("expected key=value, got {pair:?}")))
-        })
-        .collect()
-}
-
-fn kv_pairs_string(pairs: &[(String, String)]) -> String {
-    pairs
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Serializes an axis entry's right-hand side:
-/// `key=value ... [@ source key=value ...]`.
-fn axis_rhs(point: &AxisPoint) -> Result<String, SimError> {
-    let mut pairs: Vec<(String, String)> = Vec::new();
-    if let Some(strategy) = &point.strategy {
-        pairs.push(("strategy".into(), strategy_ref_string(strategy)));
-    }
-    let p = &point.patch;
-    if let Some(v) = p.neighborhood_size {
-        pairs.push(("neighborhood_size".into(), v.to_string()));
-    }
-    if let Some(v) = p.per_peer_storage {
-        pairs.push(("per_peer_storage_bytes".into(), v.as_bytes().to_string()));
-    }
-    if let Some(v) = p.stream_slots {
-        pairs.push(("stream_slots".into(), v.to_string()));
-    }
-    if let Some(v) = p.segment_len {
-        pairs.push(("segment_len_secs".into(), fmt_duration_secs(v)));
-    }
-    if let Some(v) = p.warmup_days {
-        pairs.push(("warmup_days".into(), v.to_string()));
-    }
-    if let Some(v) = p.replication {
-        pairs.push(("replication".into(), v.to_string()));
-    }
-    if let Some(v) = p.placement {
-        pairs.push(("placement".into(), placement_string(v)));
-    }
-    if let Some(v) = p.fill {
-        pairs.push(("fill".into(), fill_string(Some(v)).to_string()));
-    }
-    if let Some(v) = p.admission {
-        pairs.push(("admission".into(), admission_string(v).to_string()));
-    }
-    if let Some(v) = p.retry {
-        pairs.push(("retry".into(), retry_string(v)));
-    }
-    let mut rhs = kv_pairs_string(&pairs);
-    if let Some(source) = &point.source {
-        let source_pairs = source_kv(source)?;
-        if !rhs.is_empty() {
-            rhs.push(' ');
-        }
-        let _ = write!(rhs, "| {}", kv_pairs_string(&source_pairs));
-    }
-    Ok(rhs)
-}
-
-fn parse_axis_entry(label: &str, rhs: &str) -> Result<AxisPoint, SimError> {
-    let (patch_text, source_text) = match rhs.split_once('|') {
-        Some((left, right)) => (left.trim(), Some(right.trim())),
-        None => (rhs.trim(), None),
-    };
-    let mut point = AxisPoint::new(label);
-    for (key, value) in parse_kv_pairs(patch_text)? {
-        let bad = || config_err(format!("bad axis field {key} = {value:?}"));
-        match key.as_str() {
-            "strategy" => point.strategy = Some(parse_strategy_ref(&value)?),
-            "neighborhood_size" => {
-                point.patch.neighborhood_size = Some(value.parse().map_err(|_| bad())?)
-            }
-            "per_peer_storage_bytes" => {
-                point.patch.per_peer_storage =
-                    Some(DataSize::from_bytes(value.parse().map_err(|_| bad())?))
-            }
-            "per_peer_storage_gb" => {
-                point.patch.per_peer_storage =
-                    Some(DataSize::from_gigabytes(value.parse().map_err(|_| bad())?))
-            }
-            "stream_slots" => point.patch.stream_slots = Some(value.parse().map_err(|_| bad())?),
-            "segment_len_secs" => {
-                point.patch.segment_len =
-                    Some(SimDuration::from_secs(value.parse().map_err(|_| bad())?))
-            }
-            "warmup_days" => point.patch.warmup_days = Some(value.parse().map_err(|_| bad())?),
-            "replication" => point.patch.replication = Some(value.parse().map_err(|_| bad())?),
-            "placement" => point.patch.placement = Some(parse_placement(&value)?),
-            "fill" => point.patch.fill = parse_fill(&value)?,
-            "admission" => point.patch.admission = Some(parse_admission(&value)?),
-            "retry" => point.patch.retry = Some(parse_retry(&value)?),
-            _ => return Err(bad()),
-        }
-    }
-    if let Some(text) = source_text {
-        point.source = Some(parse_source(&parse_kv_pairs(text)?)?);
-    }
-    Ok(point)
-}
-
-fn admission_string(mode: AdmissionMode) -> &'static str {
-    match mode {
-        AdmissionMode::Counting => "counting",
-        AdmissionMode::Enforcing => "enforcing",
-    }
-}
-
-fn parse_admission(text: &str) -> Result<AdmissionMode, SimError> {
-    match text {
-        "counting" => Ok(AdmissionMode::Counting),
-        "enforcing" => Ok(AdmissionMode::Enforcing),
-        other => Err(config_err(format!("unknown admission mode {other:?}"))),
-    }
-}
-
-/// `3x30s` — three retries, 30-second base backoff.
-fn retry_string(retry: RetryPolicy) -> String {
-    format!(
-        "{}x{}s",
-        retry.max_retries(),
-        retry.base_backoff().as_secs()
-    )
-}
-
-fn parse_retry(text: &str) -> Result<RetryPolicy, SimError> {
-    let bad = || config_err(format!("bad retry policy {text:?} (expected e.g. 3x30s)"));
-    let (max, backoff) = text.split_once('x').ok_or_else(bad)?;
-    let secs = backoff.strip_suffix('s').ok_or_else(bad)?;
-    Ok(RetryPolicy::new(
-        max.parse().map_err(|_| bad())?,
-        SimDuration::from_secs(secs.parse().map_err(|_| bad())?),
-    ))
-}
-
-/// Renders one fault event as a `[faults]` line (sans trailing newline).
-fn fault_event_line(event: &FaultEvent) -> String {
-    let mut line = match event.kind {
-        FaultKind::Outage => format!(
-            "outage = start={} end={}",
-            event.start.as_secs(),
-            event.end.as_secs()
-        ),
-        FaultKind::Derate { permille } => format!(
-            "derate = start={} end={} permille={permille}",
-            event.start.as_secs(),
-            event.end.as_secs()
-        ),
-    };
-    if let Some(nbhd) = event.scope {
-        let _ = write!(line, " nbhd={}", nbhd.value());
-    }
-    line
-}
-
-/// Parses one `[faults]` line into explicit events (a `seeded` entry
-/// expands eagerly, so parsed plans are always plain timed events).
-fn parse_fault_entry(key: &str, value: &str) -> Result<Vec<FaultEvent>, SimError> {
-    let pairs = parse_kv_pairs(value)?;
-    let get = |name: &str| {
-        pairs
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let num = |name: &str| -> Result<u64, SimError> {
-        get(name)
-            .ok_or_else(|| config_err(format!("fault entry missing {name}=")))?
-            .parse()
-            .map_err(|_| config_err(format!("bad fault field {name}")))
-    };
-    match key {
-        "outage" | "derate" => {
-            let kind = if key == "outage" {
-                FaultKind::Outage
-            } else {
-                FaultKind::Derate {
-                    permille: num("permille")?
-                        .try_into()
-                        .map_err(|_| config_err("bad fault field permille".into()))?,
-                }
-            };
-            Ok(vec![FaultEvent {
-                scope: get("nbhd")
-                    .map(|v| {
-                        v.parse()
-                            .map(NeighborhoodId::new)
-                            .map_err(|_| config_err("bad fault field nbhd".into()))
-                    })
-                    .transpose()?,
-                start: SimTime::from_secs(num("start")?),
-                end: SimTime::from_secs(num("end")?),
-                kind,
-            }])
-        }
-        "seeded" => {
-            let neighborhoods = u32::try_from(num("neighborhoods")?)
-                .map_err(|_| config_err("bad fault field neighborhoods".into()))?;
-            let plan = FaultPlan::seeded(
-                num("seed")?,
-                neighborhoods,
-                SimDuration::from_days(num("horizon_days")?),
-                num("outages")? as u32,
-                num("derates")? as u32,
-            );
-            Ok(plan.events().to_vec())
-        }
-        other => Err(config_err(format!("unknown fault entry {other:?}"))),
-    }
-}
-
-fn threads_string(threads: ThreadPolicy) -> String {
-    match threads {
-        ThreadPolicy::Serial => "serial".into(),
-        ThreadPolicy::Auto => "auto".into(),
-        ThreadPolicy::Fixed(n) => format!("engine:{n}"),
-    }
-}
-
-fn parse_threads(text: &str) -> Result<ThreadPolicy, SimError> {
-    if let Some(n) = text.strip_prefix("engine:") {
-        let n = n
-            .parse()
-            .map_err(|_| config_err(format!("bad engine worker count {n:?}")))?;
-        return Ok(ThreadPolicy::Fixed(n));
-    }
-    match text {
-        "serial" => Ok(ThreadPolicy::Serial),
-        "auto" => Ok(ThreadPolicy::Auto),
-        other => Err(config_err(format!("unknown thread policy {other:?}"))),
-    }
-}
-
-impl Scenario {
-    /// Renders the scenario in the spec-file format (see the module
-    /// docs). [`Scenario::from_spec_str`] parses it back to an equal
-    /// value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] when the scenario uses knobs the
-    /// format cannot express (custom coax envelope, custom stream rate,
-    /// exotic synth parameters).
-    pub fn to_spec_string(&self) -> Result<String, SimError> {
-        if *self.base.coax_spec() != CoaxSpec::paper_default() {
-            return Err(config_err(
-                "spec format cannot express a custom coax envelope".into(),
-            ));
-        }
-        if self.base.stream_rate() != BitRate::STREAM_MPEG2_SD {
-            return Err(config_err(
-                "spec format cannot express a custom stream rate".into(),
-            ));
-        }
-        check_label("scenario name", &self.name)?;
-        for point in self.series.iter().chain(&self.points) {
-            check_label("axis label", &point.label)?;
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "# cablevod scenario spec (cablevod_sim::scenario)");
-        let _ = writeln!(out, "name = {}", self.name);
-        let _ = writeln!(out, "threads = {}", threads_string(self.threads));
-        if let Some(width) = self.sweep_width {
-            let _ = writeln!(out, "sweep_width = {width}");
-        }
-        let _ = writeln!(out, "\n[source]");
-        for (key, value) in source_kv(&self.source)? {
-            let _ = writeln!(out, "{key} = {value}");
-        }
-        let _ = writeln!(out, "\n[config]");
-        let c = &self.base;
-        let _ = writeln!(out, "strategy = {}", c.strategy().compact());
-        let _ = writeln!(out, "neighborhood_size = {}", c.neighborhood_size());
-        let _ = writeln!(
-            out,
-            "per_peer_storage_bytes = {}",
-            c.per_peer_storage().as_bytes()
-        );
-        let _ = writeln!(out, "stream_slots = {}", c.stream_slots());
-        let _ = writeln!(
-            out,
-            "segment_len_secs = {}",
-            fmt_duration_secs(c.segment_len())
-        );
-        let _ = writeln!(out, "warmup_days = {}", c.warmup_days());
-        let _ = writeln!(out, "replication = {}", c.replication());
-        let _ = writeln!(out, "placement = {}", placement_string(c.placement()));
-        let _ = writeln!(out, "fill = {}", fill_string(c.fill_override()));
-        let _ = writeln!(out, "admission = {}", admission_string(c.admission()));
-        let _ = writeln!(out, "retry = {}", retry_string(c.retry()));
-        if !c.faults().is_empty() {
-            let _ = writeln!(out, "\n[faults]");
-            for event in c.faults().events() {
-                let _ = writeln!(out, "{}", fault_event_line(event));
-            }
-        }
-        for (header, axis) in [("series", &self.series), ("points", &self.points)] {
-            if axis.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "\n[{header}]");
-            for point in axis {
-                let _ = writeln!(out, "{} = {}", point.label, axis_rhs(point)?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parses the spec-file format (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] with the offending line for any
-    /// malformed input.
-    pub fn from_spec_str(text: &str) -> Result<Scenario, SimError> {
-        let mut scenario = Scenario::new("", SourceSpec::Provided, SimConfig::paper_default());
-        let mut section = String::new();
-        let mut source_pairs: Vec<(String, String)> = Vec::new();
-        let mut fill = None;
-        let mut fault_events: Vec<FaultEvent> = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            // Every parse failure names the offending line — number AND
-            // text — so a typo deep in a fault plan or an axis override
-            // is a one-glance fix.
-            let err = |reason: String| {
-                config_err(format!(
-                    "spec line {}: {reason} (line: {:?})",
-                    lineno + 1,
-                    raw.trim()
-                ))
-            };
-            let at_line = |e: SimError| {
-                err(match e {
-                    SimError::Config { reason } => reason,
-                    other => other.to_string(),
-                })
-            };
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                if !["source", "config", "faults", "series", "points"].contains(&section.as_str()) {
-                    return Err(err(format!("unknown section [{section}]")));
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .map(|(k, v)| (k.trim(), v.trim()))
-                .ok_or_else(|| err("expected key = value".into()))?;
-            match section.as_str() {
-                "" => match key {
-                    "name" => scenario.name = value.to_string(),
-                    "threads" => scenario.threads = parse_threads(value).map_err(at_line)?,
-                    "sweep_width" => {
-                        scenario.sweep_width = Some(
-                            value
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&w| w >= 1)
-                                .ok_or_else(|| err(format!("bad sweep width {value:?}")))?,
-                        )
-                    }
-                    other => return Err(err(format!("unknown top-level key {other:?}"))),
-                },
-                "source" => source_pairs.push((key.to_string(), value.to_string())),
-                "config" => {
-                    let bad = || err(format!("bad config value {key} = {value:?}"));
-                    let c = &mut scenario.base;
-                    *c = match key {
-                        "strategy" => c.clone().with_strategy(
-                            StrategySpec::parse(value).map_err(|e| at_line(e.into()))?,
-                        ),
-                        "neighborhood_size" => c
-                            .clone()
-                            .with_neighborhood_size(value.parse().map_err(|_| bad())?),
-                        "per_peer_storage_bytes" => c.clone().with_per_peer_storage(
-                            DataSize::from_bytes(value.parse().map_err(|_| bad())?),
-                        ),
-                        "per_peer_storage_gb" => c.clone().with_per_peer_storage(
-                            DataSize::from_gigabytes(value.parse().map_err(|_| bad())?),
-                        ),
-                        "stream_slots" => c
-                            .clone()
-                            .with_stream_slots(value.parse().map_err(|_| bad())?),
-                        "segment_len_secs" => c.clone().with_segment_len(SimDuration::from_secs(
-                            value.parse().map_err(|_| bad())?,
-                        )),
-                        "warmup_days" => c
-                            .clone()
-                            .with_warmup_days(value.parse().map_err(|_| bad())?),
-                        "replication" => c
-                            .clone()
-                            .with_replication(value.parse().map_err(|_| bad())?),
-                        "placement" => c
-                            .clone()
-                            .with_placement(parse_placement(value).map_err(at_line)?),
-                        "fill" => {
-                            fill = parse_fill(value).map_err(at_line)?;
-                            c.clone()
-                        }
-                        "admission" => c
-                            .clone()
-                            .with_admission(parse_admission(value).map_err(at_line)?),
-                        "retry" => c.clone().with_retry(parse_retry(value).map_err(at_line)?),
-                        other => return Err(err(format!("unknown config key {other:?}"))),
-                    };
-                }
-                "faults" => fault_events.extend(parse_fault_entry(key, value).map_err(at_line)?),
-                "series" => scenario
-                    .series
-                    .push(parse_axis_entry(key, value).map_err(at_line)?),
-                "points" => scenario
-                    .points
-                    .push(parse_axis_entry(key, value).map_err(at_line)?),
-                _ => unreachable!("sections are validated on entry"),
-            }
-        }
-        if let Some(fill) = fill {
-            scenario.base = scenario.base.with_fill_override(fill);
-        }
-        if !fault_events.is_empty() {
-            scenario.base = scenario.base.with_faults(FaultPlan::new(fault_events)?);
-        }
-        if !source_pairs.is_empty() {
-            scenario.source = parse_source(&source_pairs)?;
-        }
-        if scenario.name.is_empty() {
-            return Err(config_err("spec is missing `name = ...`".into()));
-        }
-        Ok(scenario)
-    }
-
-    /// Reads a scenario from a spec file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and parse failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<Scenario, SimError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| config_err(format!("cannot read scenario {}: {e}", path.display())))?;
-        Scenario::from_spec_str(&text)
-    }
-
-    /// Writes the scenario to a spec file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates formatting ([`Scenario::to_spec_string`]) and I/O
-    /// failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SimError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_spec_string()?)
-            .map_err(|e| config_err(format!("cannot write scenario {}: {e}", path.display())))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cablevod_trace::synth::generate;
+    use cablevod_hfc::units::BitRate;
+    use cablevod_trace::scale;
+    use cablevod_trace::synth::{generate, SynthConfig};
 
     fn smoke_synth() -> SynthConfig {
         SynthConfig {
@@ -1636,18 +595,34 @@ mod tests {
     #[test]
     fn execute_matches_direct_runs_bit_for_bit() {
         let trace = generate(&smoke_synth());
-        let scenario = Scenario::provided("direct", base_config()).with_points(vec![
-            AxisPoint::new("lru").with_strategy(StrategySpec::Lru),
-            AxisPoint::new("oracle").with_strategy(StrategySpec::default_oracle()),
-        ]);
+        let one_gb = DataSize::from_gigabytes(1);
+        // Each point with the config a by-hand run of it uses: a strategy
+        // switch, and a strategy switch plus a config patch.
+        let points = [
+            (
+                AxisPoint::new("lru").with_strategy(StrategySpec::Lru),
+                base_config().with_strategy(StrategySpec::Lru),
+            ),
+            (
+                AxisPoint::new("oracle").with_strategy(StrategySpec::default_oracle()),
+                base_config().with_strategy(StrategySpec::default_oracle()),
+            ),
+            (
+                AxisPoint::new("lru-1gb")
+                    .with_strategy(StrategySpec::Lru)
+                    .with_patch(ConfigPatch::default().with_per_peer_storage(one_gb)),
+                base_config()
+                    .with_strategy(StrategySpec::Lru)
+                    .with_per_peer_storage(one_gb),
+            ),
+        ];
+        let scenario = Scenario::provided("direct", base_config())
+            .with_points(points.iter().map(|(point, _)| point.clone()).collect());
         let outcomes = scenario.execute_on(&trace).expect("runs");
-        for o in &outcomes {
-            let spec = match o.point.as_str() {
-                "lru" => StrategySpec::Lru,
-                _ => StrategySpec::default_oracle(),
-            };
-            let direct =
-                crate::engine::run(&trace, &base_config().with_strategy(spec)).expect("runs");
+        assert_eq!(outcomes.len(), points.len());
+        for (o, (point, config)) in outcomes.iter().zip(&points) {
+            assert_eq!(o.point, point.label);
+            let direct = crate::engine::run(&trace, config).expect("runs");
             assert_eq!(o.report(), &direct, "point {}", o.point);
         }
     }
@@ -1702,15 +677,51 @@ mod tests {
 
     #[test]
     fn bad_series_override_names_line_number_and_text() {
-        let spec = "name = broken\n\n[series]\nLFU = warmup_days=threeish\n";
-        let err = Scenario::from_spec_str(spec).expect_err("bad axis field");
-        let text = err.to_string();
-        assert!(text.contains("spec line 4"), "no line number in: {text}");
-        assert!(
-            text.contains("LFU = warmup_days=threeish"),
-            "no line text in: {text}"
-        );
-        assert!(text.contains("bad axis field"), "no cause in: {text}");
+        // One parser serves both sections, so a bad value reads the same
+        // on an axis and in `[config]`: line number, line text, key.
+        for (section, line) in [
+            ("series", "LFU = warmup_days=threeish"),
+            ("config", "warmup_days = threeish"),
+        ] {
+            let spec = format!("name = broken\n\n[{section}]\n{line}\n");
+            let err = Scenario::from_spec_str(&spec).expect_err("bad value");
+            let text = err.to_string();
+            assert!(text.contains("spec line 4"), "no line number in: {text}");
+            assert!(text.contains(line), "no line text in: {text}");
+            assert!(
+                text.contains("bad value warmup_days = \"threeish\""),
+                "no key in: {text}"
+            );
+        }
+    }
+
+    /// Every key of the table, and the `_gb` alias, parses in `[config]`
+    /// and on an axis to the same value.
+    #[test]
+    fn every_config_key_parses_the_same_in_config_and_on_an_axis() {
+        let mut every = ConfigPatch::of(
+            &base_config()
+                .with_placement(PlacementPolicy::Random { seed: 9 })
+                .with_fill_override(FillPolicy::Prefetch)
+                .with_admission(AdmissionMode::Enforcing)
+                .with_retry(RetryPolicy::new(2, SimDuration::from_secs(45))),
+        )
+        .pairs(true);
+        assert_eq!(every.len(), 10, "one pair per table row");
+        every.push(("per_peer_storage_gb".into(), "3".into()));
+        for (key, value) in every {
+            let spec = format!(
+                "name = parity\n\n[config]\n{key} = {value}\n\n[points]\nP = {key}={value}\n"
+            );
+            let scenario = Scenario::from_spec_str(&spec).expect("both sections parse");
+            let patch = &scenario.points[0].patch;
+            assert_eq!(patch.pairs(false).len(), 1, "{key} sets one field");
+            assert_eq!(
+                scenario.base,
+                patch.apply(SimConfig::paper_default()),
+                "{key} = {value}"
+            );
+        }
     }
 
     #[test]

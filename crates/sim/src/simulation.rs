@@ -22,8 +22,8 @@
 //!
 //! The builder is a zero-cost composition layer: it resolves the strategy
 //! factory and the thread policy, calls the same engine drivers the
-//! legacy [`run`](crate::run)/[`run_parallel`](crate::run_parallel) entry
-//! points use, and wraps the **bit-identical** [`SimReport`] together
+//! [`run`](crate::run)/[`run_parallel`](crate::run_parallel) shorthands
+//! use, and wraps the **bit-identical** [`SimReport`] together
 //! with the run telemetry ([`RunTelemetry`]: wall time, trace decode
 //! work, peak RSS) that callers previously scraped by hand.
 //!
@@ -107,8 +107,8 @@ pub struct RunTelemetry {
 /// A [`SimReport`] bundled with its [`RunTelemetry`].
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The measured simulation results (bit-identical to the legacy entry
-    /// points for the same inputs).
+    /// The measured simulation results (bit-identical to [`run`](crate::run)
+    /// / [`run_parallel`](crate::run_parallel) for the same inputs).
     pub report: SimReport,
     /// What the run itself cost.
     pub telemetry: RunTelemetry,
@@ -288,10 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_legacy_run_on_all_four_drivers() {
+    fn builder_matches_run_on_all_four_drivers() {
         let trace = smoke();
         let config = config();
-        let serial = crate::engine::run(&trace, &config).expect("legacy serial");
+        let serial = crate::engine::run(&trace, &config).expect("serial run");
         let built = Simulation::over(&trace)
             .config(config.clone())
             .run()

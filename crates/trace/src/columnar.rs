@@ -183,7 +183,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -193,6 +193,7 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 use crate::catalog::{ProgramCatalog, ProgramInfo};
 use crate::checksum::{crc32, Crc32};
 use crate::error::TraceError;
+use crate::fileio::{format_err, read_array, read_u32, read_u64, PositionedFile};
 use crate::record::{SessionRecord, Trace};
 use crate::source::{DecodeStats, NeighborhoodLayout, TraceSource};
 
@@ -212,12 +213,6 @@ const BYTES_PER_RECORD: usize = 24;
 const BYTES_PER_RECORD_INDEXED: usize = 32;
 /// Directory group tag of time-major chunks.
 const NO_GROUP: u32 = u32::MAX;
-
-fn format_err(reason: impl Into<String>) -> TraceError {
-    TraceError::Format {
-        reason: reason.into(),
-    }
-}
 
 /// How a file partitions records into chunks (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -875,9 +870,7 @@ enum Backing {
 /// engine's decode-work regression tests observe I/O amplification.
 #[derive(Debug)]
 pub struct ColumnarReader {
-    file: File,
-    #[cfg(not(unix))]
-    read_lock: std::sync::Mutex<()>,
+    file: PositionedFile,
     catalog: ProgramCatalog,
     user_count: u32,
     days: u64,
@@ -889,20 +882,6 @@ pub struct ColumnarReader {
     backing: Backing,
     chunks_decoded: AtomicU64,
     bytes_decoded: AtomicU64,
-}
-
-fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], TraceError> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, TraceError> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, TraceError> {
-    Ok(u64::from_le_bytes(read_array(r)?))
 }
 
 impl ColumnarReader {
@@ -1029,9 +1008,7 @@ impl ColumnarReader {
         };
 
         Ok(ColumnarReader {
-            file,
-            #[cfg(not(unix))]
-            read_lock: std::sync::Mutex::new(()),
+            file: PositionedFile::new(file),
             catalog,
             user_count,
             days,
@@ -1335,23 +1312,6 @@ impl ColumnarReader {
         &self.directory
     }
 
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), TraceError> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::Read as _;
-            let _guard = self.read_lock.lock().expect("reader lock poisoned");
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)?;
-        }
-        Ok(())
-    }
-
     /// Materializes the whole file as an in-memory [`Trace`] (round-trip
     /// tests and small-workload conversions; defeats the point for large
     /// files). Neighborhood-major files are reassembled into global order
@@ -1392,7 +1352,7 @@ impl ColumnarReader {
         let bytes = match &self.backing {
             Backing::Pread => {
                 let mut bytes = vec![0u8; len];
-                self.read_at(&mut bytes, meta.file_offset)?;
+                self.file.read_at(&mut bytes, meta.file_offset)?;
                 let computed = crc32(&bytes);
                 if computed != meta.crc {
                     return Err(checksum_err(computed));

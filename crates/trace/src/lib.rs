@@ -41,6 +41,7 @@ pub mod columnar;
 pub mod dist;
 pub mod ecdf;
 pub mod error;
+mod fileio;
 pub mod fingerprint;
 pub mod io;
 pub mod rechunk;

@@ -115,7 +115,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,6 +124,7 @@ use cablevod_hfc::units::SimTime;
 
 use crate::checksum::{crc32, Crc32};
 use crate::error::TraceError;
+use crate::fileio::{format_err, read_array, read_u32, read_u64, PositionedFile};
 use crate::source::DecodeStats;
 
 /// The four magic bytes opening every schedule sidecar file.
@@ -142,12 +143,6 @@ const BYTES_PER_EVENT: usize = 12;
 /// Writer buffers below this many events per chunk stop being worth a
 /// positioned read; [`events_per_chunk`] floors here.
 const MIN_EVENTS_PER_CHUNK: u32 = 256;
-
-fn format_err(reason: impl Into<String>) -> TraceError {
-    TraceError::Format {
-        reason: reason.into(),
-    }
-}
 
 /// A chunk size for [`ScheduleSidecarWriter`] that bounds the writer's
 /// resident set: the largest size at or below `preferred` whose per-
@@ -373,20 +368,6 @@ impl ScheduleSidecarWriter {
     }
 }
 
-fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], TraceError> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, TraceError> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, TraceError> {
-    Ok(u64::from_le_bytes(read_array(r)?))
-}
-
 /// Reader over a schedule sidecar: the header, cost table and chunk
 /// directory live in memory; event columns are read one chunk at a time
 /// with positioned reads, so one reader serves every neighborhood's
@@ -395,9 +376,7 @@ fn read_u64(r: &mut impl Read) -> Result<u64, TraceError> {
 /// the same accounting as trace decode work.
 #[derive(Debug)]
 pub struct ScheduleSidecarReader {
-    file: File,
-    #[cfg(not(unix))]
-    read_lock: std::sync::Mutex<()>,
+    file: PositionedFile,
     neighborhood_count: u32,
     chunk_size: u32,
     event_count: u64,
@@ -519,9 +498,7 @@ impl ScheduleSidecarReader {
         }
 
         Ok(ScheduleSidecarReader {
-            file,
-            #[cfg(not(unix))]
-            read_lock: std::sync::Mutex::new(()),
+            file: PositionedFile::new(file),
             neighborhood_count,
             chunk_size,
             event_count,
@@ -567,23 +544,6 @@ impl ScheduleSidecarReader {
             .map_or(&[], Vec::as_slice)
     }
 
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), TraceError> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::Read as _;
-            let _guard = self.read_lock.lock().expect("reader lock poisoned");
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)?;
-        }
-        Ok(())
-    }
-
     /// Reads chunk `chunk` into `out` (cleared first) as time-ordered
     /// `(time, program)` events, counting the decode.
     ///
@@ -603,7 +563,7 @@ impl ScheduleSidecarReader {
             .ok_or_else(|| format_err(format!("schedule chunk {chunk} out of range")))?;
         let n = meta.event_count as usize;
         let mut bytes = vec![0u8; n * BYTES_PER_EVENT];
-        self.read_at(&mut bytes, meta.file_offset)?;
+        self.file.read_at(&mut bytes, meta.file_offset)?;
         let computed = crc32(&bytes);
         if computed != meta.crc {
             return Err(format_err(format!(

@@ -1,7 +1,7 @@
 //! Front-door equivalence and extension properties: the [`Simulation`]
 //! builder must be a zero-behavior-change facade (bit-identical to the
-//! legacy `run` / `run_parallel` / `run_sweep` entry points across all
-//! five strategies × serial/sharded × resident/streaming), [`Scenario`]
+//! `run` / `run_parallel` shorthands across all five strategies ×
+//! serial/sharded × resident/streaming), [`Scenario`]
 //! specs must round-trip through the spec-file format, and an
 //! out-of-tree strategy registered through the [`StrategyFactory`]
 //! interface must run end-to-end without touching the cache crate's
@@ -18,9 +18,7 @@ use cablevod_cache::{
 };
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_sim::{
-    run, run_parallel, run_sweep, AxisPoint, Scenario, SimConfig, Simulation, SourceSpec,
-};
+use cablevod_sim::{run, run_parallel, AxisPoint, Scenario, SimConfig, Simulation, SourceSpec};
 use cablevod_tests::tiny_config;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
@@ -51,7 +49,7 @@ fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// `Simulation` output is bit-identical to the legacy entry points on
+    /// `Simulation` output is bit-identical to `run` / `run_parallel` on
     /// every driver: serial/sharded × resident/streaming, all five
     /// strategies.
     #[test]
@@ -65,16 +63,16 @@ proptest! {
         let trace = generate(&tiny_config(users, 30, 3, seed));
         let config = config_for(nbhd, gb, strategy(strategy_pick));
 
-        // Resident serial: legacy `run` vs builder.
-        let legacy = run(&trace, &config).expect("legacy run");
+        // Resident serial: `run` vs builder.
+        let legacy = run(&trace, &config).expect("run");
         let built = Simulation::over(&trace)
             .config(config.clone())
             .run()
             .expect("builder run");
         prop_assert_eq!(&built.report, &legacy);
 
-        // Resident sharded: legacy `run_parallel` vs builder.
-        let legacy_parallel = run_parallel(&trace, &config, 3).expect("legacy run_parallel");
+        // Resident sharded: `run_parallel` vs builder.
+        let legacy_parallel = run_parallel(&trace, &config, 3).expect("run_parallel");
         let built_parallel = Simulation::over(&trace)
             .config(config.clone())
             .threads(3)
@@ -96,49 +94,6 @@ proptest! {
             .run()
             .expect("builder streaming parallel run");
         prop_assert_eq!(&streamed_parallel.report, &legacy);
-    }
-
-    /// A `Scenario` point sweep equals the legacy `run_sweep` over the
-    /// same (label, config) jobs, job by job.
-    #[test]
-    fn scenario_sweep_equals_legacy_run_sweep(
-        users in 60u32..220,
-        nbhd in 25u32..120,
-        seed in 0u64..500,
-    ) {
-        let trace = generate(&tiny_config(users, 30, 3, seed));
-        let storages = [1u64, 2, 4];
-        let jobs: Vec<(u64, SimConfig)> = storages
-            .iter()
-            .map(|&gb| (gb, config_for(nbhd, gb, StrategySpec::default_lfu())))
-            .collect();
-        let legacy = run_sweep(&trace, &jobs);
-
-        let scenario = Scenario::provided(
-            "sweep",
-            config_for(nbhd, 1, StrategySpec::default_lfu()),
-        )
-        .with_points(
-            storages
-                .iter()
-                .map(|&gb| {
-                    AxisPoint::new(format!("{gb}")).with_patch(
-                        cablevod_sim::ConfigPatch::default()
-                            .with_per_peer_storage(DataSize::from_gigabytes(gb)),
-                    )
-                })
-                .collect(),
-        );
-        let outcomes = scenario.execute_on(&trace).expect("scenario runs");
-        prop_assert_eq!(outcomes.len(), legacy.len());
-        for ((label, legacy_report), outcome) in legacy.iter().zip(&outcomes) {
-            prop_assert_eq!(&outcome.point, &label.to_string());
-            prop_assert_eq!(
-                outcome.report(),
-                legacy_report.as_ref().expect("legacy job runs"),
-                "storage {} GB", label
-            );
-        }
     }
 }
 

@@ -287,6 +287,16 @@ fn panicking_cell_poisons_only_its_cell() {
         }
     }
     assert_eq!(grid.failed().count(), 2);
+
+    // The plain entry points are the same loop behind the same bulkhead:
+    // the panic comes back as an `Err` naming the lowest-index failed
+    // cell, not as an unwind through the pool.
+    let err = scenario
+        .execute_with(&registry)
+        .expect_err("a panicking cell is an error");
+    let text = err.to_string();
+    assert!(text.contains("boom"), "panic text survives: {text}");
+    assert!(text.contains("\"Boom\" x \"1GB\""), "no cell in: {text}");
 }
 
 /// Without `keep_going` the first exhausted cell stops the grid: later
@@ -515,4 +525,20 @@ fn progress_fires_once_per_cell() {
         .collect();
     expected.sort();
     assert_eq!(seen, expected);
+}
+
+/// The committed specs keep their fingerprints: the config-key table
+/// renders them byte-for-byte as before, so older journals still resume.
+#[test]
+fn committed_spec_fingerprints_are_pinned() {
+    for (spec, fingerprint) in [
+        ("smoke", 0x8584_a3af_u32),
+        ("degraded_plant", 0x3984_000f),
+        ("flash_crowd_outage", 0xeb15_850d),
+        ("strategy_zoo", 0x1eef_ef2a),
+        ("sweep_fastpath", 0x529f_a4f2),
+    ] {
+        let scenario = Scenario::load(format!("scenarios/{spec}.scn")).expect("spec loads");
+        assert_eq!(scenario.fingerprint(), fingerprint, "{spec}.scn");
+    }
 }
