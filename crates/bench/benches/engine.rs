@@ -189,8 +189,8 @@ fn engine_parallel_throughput(c: &mut Criterion) {
 
 /// The out-of-core pipeline: traces are generated straight to disk in the
 /// columnar chunked format at 10x and 50x the in-memory bench user count,
-/// then replayed through the streaming engine (serial and sharded) with
-/// resident memory bounded by chunk size plus session concurrency — the
+/// then replayed through the streaming engine (on one worker and on four)
+/// with resident memory bounded by chunk size plus session concurrency — the
 /// workloads this group runs never exist as an in-memory `Trace` at all.
 fn engine_streaming_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_streaming");
@@ -255,9 +255,12 @@ fn engine_streaming_throughput(c: &mut Criterion) {
             });
         }
         // The neighborhood-major replay of the same workload: re-chunked
-        // once at import, then each shard decodes only its own chunks —
-        // `parallel_disk_4` vs `parallel_nbhd_major_4` is the decode-work
-        // win in wall-clock terms.
+        // once at import, then each shard decodes only its own chunks and
+        // streams its neighborhood end to end. Both layouts decode each
+        // chunk once; `parallel_disk_4` vs `parallel_nbhd_major_4` is what
+        // is left between a block's worth of a neighborhood at a stretch
+        // (every shard's state live for the whole run) and all of it
+        // (a finished shard's state dropped).
         let mut nm_path = std::env::temp_dir();
         nm_path.push(format!(
             "cvtc_bench_nm_{}_{scale_label}.cvtc",

@@ -177,7 +177,9 @@ pub trait FeedProvider {
     /// The stride is the carrier's reclamation granule (sweeping more
     /// often cannot unlock more reclaim). Only bounded-retention
     /// carriers serving several consumers from one driver (the serial
-    /// streaming engine) return `Some`.
+    /// online engine) return `Some`; drivers serving one consumer each
+    /// sweep at their own pauses instead (streaming replay: at every
+    /// block's edge).
     fn idle_sync_stride(&self) -> Option<u64> {
         None
     }
@@ -234,9 +236,12 @@ pub struct SharedFeed<'a> {
 
 impl<'a> SharedFeed<'a> {
     /// A provider publishing as `producer_id` and syncing (and eventually
-    /// finishing) the consumers in `consumers`. The sharded engine passes
-    /// its own neighborhood for both; the serial streaming engine is
-    /// producer 0 answering for every neighborhood.
+    /// finishing) the consumers in `consumers`. A shard that decodes its
+    /// own chunks passes its own neighborhood for both; where publication
+    /// is central (the blocked streaming replay, the online engines)
+    /// everyone is producer 0 — the publisher answering for no consumer,
+    /// each shard for its own, a whole-plant driver for every
+    /// neighborhood.
     pub fn new(feed: &'a WatermarkFeed, producer_id: usize, consumers: Range<usize>) -> Self {
         SharedFeed {
             feed,
@@ -282,9 +287,9 @@ impl FeedProvider for SharedFeed<'_> {
 
     fn idle_sync_stride(&self) -> Option<u64> {
         // A provider answering for a single consumer (one shard) syncs it
-        // at every one of its sessions anyway; only the serial streaming
-        // driver, answering for every neighborhood at once, needs to keep
-        // the idle ones' cursors moving.
+        // at every one of its sessions anyway; only a whole-plant driver,
+        // answering for every neighborhood at once, needs to keep the
+        // idle ones' cursors moving from inside its event loop.
         (self.consumers.len() > 1).then(|| self.feed.segment_slots() as u64)
     }
 }

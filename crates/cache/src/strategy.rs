@@ -59,7 +59,7 @@
 //!
 //! For any access, feed windows published before it are delivered via
 //! `on_feed_window` before `prepare` and `on_access` run — this ordering
-//! contract is what makes the four drivers bit-identical.
+//! contract is what makes every driver bit-identical.
 //!
 //! # Delayed-hit accounting
 //!

@@ -5,22 +5,24 @@
 //! heap in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
 //! the cache and the plant. It is generic over three seams, and those
-//! seams — not copies of this loop — are what distinguish the four entry
+//! seams — not copies of this loop — are what distinguish the three entry
 //! drivers:
 //!
 //! * [`SegmentPlant`] — whose bytes get accounted: the whole
-//!   [`Topology`] (serial) or one neighborhood's
+//!   [`Topology`] (serial resident) or one neighborhood's
 //!   [`ShardPlant`](super::shard::ShardPlant);
 //! * [`FeedProvider`] — how the global popularity feed is published and
 //!   consumed: a precomputed carrier (resident) or the shared watermark
 //!   carrier (streaming);
-//! * [`RecordSupply`] — where sessions come from: a resident slice or a
-//!   merged chunk stream (see [`super::stream`]).
+//! * [`RecordSupply`] — where sessions come from: a resident slice, one
+//!   neighborhood's slice of each decoded block, or a merged chunk
+//!   stream (see [`super::stream`]).
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
-//! streaming sharded engine multiplexes many shards onto few workers and
-//! parks the ones waiting on the feed frontier.
+//! streaming engine carries every shard from one block of the source to
+//! the next (parked at the block's edge) and multiplexes many shards onto
+//! few workers (parked on the feed frontier).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -300,6 +302,16 @@ pub(super) trait RecordSupply<F: FeedProvider> {
     ///
     /// May panic if nothing is staged.
     fn take(&mut self) -> PendingSession;
+
+    /// With nothing staged: `Some(edge)` when the supply will stage more
+    /// sessions later, none of them starting before `edge` — the driver
+    /// then parks with [`Step::Horizon`] once its continuations reach
+    /// `edge` (a session sorts ahead of a continuation at the same
+    /// second, so one due exactly at `edge` has to wait for it). `None`,
+    /// the default, means exhausted for good.
+    fn resumes_at(&self) -> Option<SimTime> {
+        None
+    }
 }
 
 /// One slab entry: the session plus its admission bookkeeping.
@@ -393,11 +405,13 @@ pub(super) enum Step {
     /// whether any events were processed before blocking (workers yield
     /// the CPU only when a full round over their tasks made no progress).
     Blocked { progressed: bool },
-    /// Every event at or before the caller's horizon has been processed;
-    /// the driver is parked at the edge of simulated "now" (online
-    /// stepping — see [`super::online`]). Unlike [`Step::Done`] the feed
-    /// is **not** finished: more records may still be submitted.
-    /// `progressed` reports whether any events were processed.
+    /// Every event inside the horizon has been processed and the driver
+    /// is parked at its edge: the caller's simulated "now" (online
+    /// stepping — see [`super::online`]) or the edge of the block its
+    /// supply was last handed ([`RecordSupply::resumes_at`]). Unlike
+    /// [`Step::Done`] the feed is **not** finished: more records may
+    /// still arrive. `progressed` reports whether any events were
+    /// processed.
     Horizon { progressed: bool },
 }
 
@@ -431,8 +445,10 @@ pub(super) struct SessionDriver<'a, P, F, R> {
     /// the feed's reclamation floor — moving. The stride comes from the
     /// carrier itself (its reclamation granule — see
     /// [`FeedProvider::idle_sync_stride`]), so the sweep cadence and the
-    /// reclaim cadence cannot drift apart. Only the serial streaming
-    /// driver gets `Some`.
+    /// reclaim cadence cannot drift apart. Only a whole-plant driver
+    /// over the watermark carrier — the serial online engine — gets
+    /// `Some`; streaming replay sweeps per block instead
+    /// ([`sync_published`](Self::sync_published)).
     idle_sync: Option<u64>,
     /// Next global record index at which to run an idle sweep.
     next_idle_sync: u64,
@@ -489,7 +505,10 @@ where
     /// offline driver goes through this code path unchanged. A bounded
     /// driver whose supply and heap are both empty also parks (its live
     /// supply may be handed more sessions later), so only an unbounded
-    /// call can ever finish the feed.
+    /// call can ever finish the feed. A supply that is between blocks
+    /// ([`RecordSupply::resumes_at`]) bounds the same loop the same way,
+    /// exclusively: continuations run while they are strictly before
+    /// its edge.
     pub(super) fn step_until(&mut self, horizon: Option<SimTime>) -> Result<Step, SimError> {
         let mut progressed = false;
         loop {
@@ -503,7 +522,7 @@ where
             let staged = self.supply.peek(&mut self.feed)?;
             let take_record = match (staged, self.heap.peek()) {
                 (None, None) => {
-                    if horizon.is_some() {
+                    if horizon.is_some() || self.supply.resumes_at().is_some() {
                         return Ok(Step::Horizon { progressed });
                     }
                     if let Some(feed) = self.feed.as_mut() {
@@ -518,7 +537,9 @@ where
                     true
                 }
                 (None, Some(&Reverse((t, _, _, _)))) => {
-                    if horizon.is_some_and(|h| t > h) {
+                    if horizon.is_some_and(|h| t > h)
+                        || self.supply.resumes_at().is_some_and(|edge| t >= edge)
+                    {
                         return Ok(Step::Horizon { progressed });
                     }
                     false
@@ -583,8 +604,8 @@ where
     }
 
     /// Runs to completion. Only valid for drivers whose feed provider is
-    /// always ready (everything except the streaming sharded path, which
-    /// steps cooperatively instead).
+    /// always ready and whose supply never pauses (the resident drivers;
+    /// streaming shards step cooperatively instead).
     pub(super) fn run(&mut self) -> Result<(), SimError> {
         loop {
             match self.step()? {
@@ -603,6 +624,32 @@ where
     /// these between steps).
     pub(super) fn indexes(&self) -> &[IndexServer] {
         &self.indexes
+    }
+
+    /// The supply, for a caller that hands it work between steps (the
+    /// next block of a streaming replay).
+    pub(super) fn supply_mut(&mut self) -> &mut R {
+        &mut self.supply
+    }
+
+    /// The idle sweep at block granularity: syncs every index this
+    /// driver holds against the first `published` feed events, at time
+    /// `now`. Called when the driver is parked at a block's edge, where
+    /// `now` is that edge and every one of those events is published, so
+    /// — like the record-paced sweep in [`step_until`](Self::step_until)
+    /// — it consumes exactly what the neighborhood's next session would
+    /// consume first anyway, and a neighborhood with no session in the
+    /// block still moves its cursor and with it the feed's reclamation
+    /// floor.
+    pub(super) fn sync_published(&mut self, now: SimTime, published: u64) {
+        let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) else {
+            return;
+        };
+        let ready = feed.ready(seq);
+        debug_assert!(ready, "a block is published before its shards run");
+        for index in &mut self.indexes {
+            feed.sync(index, now, seq);
+        }
     }
 
     /// Handles one session start: admission, viewer slot accounting, feed

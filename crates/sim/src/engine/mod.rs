@@ -15,14 +15,14 @@
 //! segments can come from different peers, and a busy peer misses only the
 //! segments it actually hosts).
 //!
-//! # Architecture: one lifecycle, three seams, four thin drivers
+//! # Architecture: one lifecycle, three seams, three thin drivers
 //!
 //! There is exactly **one** session-lifecycle implementation —
 //! `lifecycle::SessionDriver` — and every entry point is a thin
 //! composition of pluggable pieces around it:
 //!
 //! ```text
-//!  run / run_parallel            (mod.rs, shard.rs — the four entry drivers)
+//!  run / run_parallel            (mod.rs, shard.rs — the three entry drivers)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose
 //!        ▼
@@ -31,8 +31,10 @@
 //!        │ is generic over
 //!        ├─► RecordSupply        (stream.rs — where sessions come from)
 //!        │     ResidentSupply      resident slice (+ optional shard subset)
-//!        │     StreamSupply        gidx-ordered merge over chunk runs
-//!        │                         (decode → ctx → filter → publish)
+//!        │     BlockSupply         one neighborhood's run of each decoded,
+//!        │                         demultiplexed block (time-major sources)
+//!        │     StreamSupply        gidx-ordered merge over a shard's own
+//!        │                         chunk runs (neighborhood-major sources)
 //!        ├─► FeedProvider        (feed.rs glue; cablevod_cache::feed — how
 //!        │     PrecomputedFeed     the global popularity feed is carried)
 //!        │     SharedFeed          over GlobalFeed / WatermarkFeed
@@ -52,46 +54,66 @@
 //!                                 bit-exact fold of meters and counters)
 //! ```
 //!
-//! The four drivers pick one of each:
+//! The three drivers pick one of each. The source decides between resident
+//! and streaming, and — for streaming — its chunk layout decides the
+//! supply; the worker count (`run` is one worker, `run_parallel(n)` is
+//! `n`) never picks an algorithm on a streaming source:
 //!
-//! | driver                | supply                      | feed            | plant      | scheduling                 |
-//! |-----------------------|-----------------------------|-----------------|------------|----------------------------|
-//! | serial resident       | `ResidentSupply` (all)      | `PrecomputedFeed` | `Topology`   | inline                     |
-//! | serial streaming      | `StreamSupply` (no filter)  | `SharedFeed`      | `Topology`   | inline                     |
-//! | sharded resident      | `ResidentSupply` (subset)   | `PrecomputedFeed` | `ShardPlant` | work-stealing pool         |
-//! | sharded streaming     | `StreamSupply` (per shard)  | `SharedFeed`      | `ShardPlant` | cooperative tasks, parking |
+//! | driver             | supply                          | feed              | plant        | scheduling                        |
+//! |--------------------|---------------------------------|-------------------|--------------|-----------------------------------|
+//! | serial resident    | `ResidentSupply` (all)          | `PrecomputedFeed` | `Topology`   | inline, one global event heap     |
+//! | sharded resident   | `ResidentSupply` (subset)       | `PrecomputedFeed` | `ShardPlant` | work-stealing pool                |
+//! | streaming          | `BlockSupply` (time-major)      | `SharedFeed`      | `ShardPlant` | cooperative tasks, parked at block edges |
+//! |                    | `StreamSupply` (neighborhood-major) | `SharedFeed`  | `ShardPlant` | cooperative tasks, parked on the feed frontier |
 //!
 //! # Trace layouts and decode work
 //!
-//! Chunked sources come in two layouts (see [`cablevod_trace::columnar`]).
-//! Time-major chunks partition the global order, so a sharded run's shards
-//! each rescan most chunks (~`shards × file` decode work, pruned only by a
-//! runtime chunk index). A **neighborhood-major** file (re-chunked at
-//! import, [`cablevod_trace::rechunk`]) groups each chunk under one
-//! neighborhood and carries a per-neighborhood chunk index plus per-record
-//! global sequence numbers: a sharded run whose neighborhood size matches
-//! hands each shard exactly its own chunks — each chunk is decoded **once**
-//! per run (a counter-based test enforces this), and for non-Oracle
-//! strategies no pre-pass scan is needed at all. Serial runs (and sharded
-//! runs at a *different* neighborhood size) replay neighborhood-major files
-//! through `stream::StreamSupply`'s sequence-number merge, so every
-//! layout stays replayable by every driver.
+//! Chunked sources come in two layouts (see [`cablevod_trace::columnar`]),
+//! and a streaming replay is sharded per neighborhood over either:
+//!
+//! * **Time-major** chunks partition the global order. The replay is
+//!   *neighborhood-blocked*: the caller's thread decodes each chunk
+//!   **once**, computes the records' contexts, publishes the block's feed
+//!   events and advances the watermark past the block, and sorts the
+//!   block's record positions by neighborhood; then every shard runs
+//!   through its own run of the block and on to — strictly before — the
+//!   block's last start time, and carries its continuation heap into the
+//!   next block (records sort ahead of continuations at an equal second,
+//!   and the next block may start at that very second). A neighborhood's
+//!   sessions are thus replayed a block's worth at a stretch against its
+//!   own working set, instead of one global heap hopping between all of
+//!   them, and decode work is one pass over the file at any worker count.
+//! * A **neighborhood-major** file (re-chunked at import,
+//!   [`cablevod_trace::rechunk`]) groups each chunk under one neighborhood
+//!   and carries a per-neighborhood chunk index plus per-record global
+//!   sequence numbers. When its neighborhood size matches, each shard is
+//!   handed exactly its own chunks and streams them end to end — each
+//!   chunk again decoded once per run, with no pre-pass scan for
+//!   non-Oracle strategies. At a *different* neighborhood size one
+//!   pre-pass prunes, per shard, the chunk runs holding its records, and
+//!   each shard replays those through `stream::StreamSupply`'s filtered
+//!   sequence-number merge, so every layout stays replayable at every
+//!   size.
+//!
+//! Counter-based tests enforce both decode-once claims.
 //!
 //! # Watermark-ordered global feeds
 //!
 //! Serial feed exactness: the serial engine publishes the feed one record
 //! at a time, so at record `r` a strategy can only ever see events
 //! `0..=r`. The resident drivers reproduce that bound against a feed
-//! precomputed in full; the streaming drivers publish into a shared
-//! [`WatermarkFeed`]: each shard publishes its own records' events as it
-//! stages them — chunk-at-a-time on single-run supplies, record-at-a-time
-//! on merges (see `stream.rs`) — and advances its watermark past
-//! everything it has staged (publication at scan time is safe because
-//! consumers bound themselves by their own record index, so an
-//! early-published event is never visible early). A shard about to start
-//! the session with global index `g` first waits until the cross-shard
-//! minimum watermark (the *frontier*) passes `g`, then consumes events
-//! `0..=g` exactly like the serial engine.
+//! precomputed in full; the streaming driver publishes into a shared
+//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bounds every
+//! consumer by its own record index, so an early-published event is never
+//! visible early. Who publishes follows the layout. The blocked replay
+//! has **one** producer — the decoding thread publishes a whole block and
+//! moves its watermark past it before any shard runs, so shards never
+//! wait on one another. Shards that decode their own chunk runs each
+//! publish their own records' events as they stage them — chunk-at-a-time
+//! on single-run supplies, record-at-a-time on merges (see `stream.rs`) —
+//! and a shard about to start the session with global index `g` first
+//! waits until the cross-shard minimum watermark (the *frontier*) passes
+//! `g`, then consumes events `0..=g` exactly like the serial engine.
 //!
 //! Frontier liveness: among parked shards, the one waiting at the globally
 //! smallest record index `g` needs every other shard's watermark above
@@ -104,16 +126,16 @@
 //! cursor back and the carrier reclaims fully consumed segments (see
 //! [`cablevod_cache::watermark`]).
 //!
-//! Idle-neighborhood retention: the serial streaming driver answers for
-//! every neighborhood's feed cursor at once, and a neighborhood between
-//! (or without) sessions never syncs on its own — its stalled cursor
-//! would floor the carrier's reclamation and pin the whole retained
-//! window. The driver therefore runs an **idle sweep** every
-//! reclamation-segment's worth of records: it syncs every index against
-//! the published prefix, which consumes exactly what each neighborhood's
-//! next session would consume first anyway (so results stay
-//! bit-identical) and keeps live feed slots O(sweep stride + visibility
-//! lag), not O(trace).
+//! Idle-neighborhood retention: a neighborhood between (or without)
+//! sessions never syncs on its own — its stalled cursor would floor the
+//! carrier's reclamation and pin the whole retained window. The blocked
+//! replay therefore runs an **idle sweep** at every block's end: each
+//! shard, parked at the edge, syncs its index against the published
+//! prefix, which consumes exactly what the neighborhood's next session
+//! would consume first anyway (so results stay bit-identical) and keeps
+//! live feed slots O(block + visibility lag), not O(trace). (The serial
+//! online engine, one driver answering for every neighborhood, paces the
+//! same sweep by records instead — see `lifecycle.rs`.)
 //!
 //! # Windowed Oracle schedules
 //!
@@ -149,8 +171,8 @@ mod tests;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    AccessSchedule, IndexServer, PlacementPolicy, ScheduleWindow, SharedFeed, SlotLedger,
-    StrategyContext, StrategyFactory, WatermarkFeed,
+    AccessSchedule, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext,
+    StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId};
 use cablevod_hfc::segment::Segmenter;
@@ -169,7 +191,7 @@ use feed::build_feed;
 use lifecycle::{session_ctx, SessionCtx, SessionDriver, UserMap};
 use report::assemble_serial_report;
 use schedule::{scan_runs, spill_from_scan, ScheduleSupply, SidecarSpill};
-use stream::{ResidentSupply, StreamSupply};
+use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
 /// returns the measured report.
@@ -181,12 +203,14 @@ use stream::{ResidentSupply, StreamSupply};
 /// that want only the report (the repo benchmark's reference runs, most
 /// tests) say it shorter this way.
 ///
-/// This is the serial reference path: one global event heap against the
-/// whole plant. A resident [`Trace`](cablevod_trace::record::Trace) takes
-/// the classic precomputed hot path; chunked sources (an on-disk
+/// This is the one-worker path. A resident
+/// [`Trace`](cablevod_trace::record::Trace) takes the serial reference
+/// driver — one global event heap against the whole plant, over the
+/// classic precomputed hot path. Chunked sources (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
-/// stream through the engine with bounded resident memory. All produce
+/// stream through the engine with bounded resident memory, sharded per
+/// neighborhood on the caller's thread (see the module docs). All produce
 /// bit-identical reports; [`run_parallel`] matches them too.
 ///
 /// Deterministic: identical inputs produce identical reports.
@@ -225,7 +249,7 @@ pub(crate) fn run_with<S: TraceSource + ?Sized>(
     check_record_count(source)?;
     match source.resident_records() {
         Some(records) => run_resident(records, source, config, strategy),
-        None => run_streaming(source, config, strategy),
+        None => shard::run_streaming(source, config, strategy, 1),
     }
 }
 
@@ -234,7 +258,9 @@ pub(crate) fn run_with<S: TraceSource + ?Sized>(
 /// as [`run`], for `Simulation::over(source).config(..).threads(threads)`.
 ///
 /// Correctness rests on the paper's own isolation structure — see the
-/// module docs; thread count affects wall-clock only, never results.
+/// module docs; thread count affects wall-clock only, never results (and,
+/// over a streaming source, not the replay plan either: `run` is this
+/// with one worker).
 ///
 /// # Errors
 ///
@@ -277,14 +303,14 @@ pub(crate) fn run_parallel_with<S: TraceSource + ?Sized>(
     check_record_count(source)?;
     match source.resident_records() {
         Some(records) => shard::run_parallel_resident(records, source, config, strategy, threads),
-        None => shard::run_parallel_streaming(source, config, strategy, threads),
+        None => shard::run_streaming(source, config, strategy, threads),
     }
 }
 
 /// The source's chunk-index layout for `config`'s neighborhood size, if
-/// it covers all `nbhd_count` groups — the **sweep fast path**: sharded
-/// streaming replays read each shard's cell runs straight from the index
-/// (no pre-pass scan, no filtering) and Oracle spills can skip the global
+/// it covers all `nbhd_count` groups — the **sweep fast path**: streaming
+/// replays read each shard's cell runs straight from the index (no
+/// pre-pass scan, no filtering) and Oracle spills can skip the global
 /// merge when every group is a single run.
 fn fastpath_layout<'s, S: TraceSource + ?Sized>(
     source: &'s S,
@@ -511,10 +537,11 @@ fn run_resident<S: TraceSource + ?Sized>(
     ))
 }
 
-/// The chunk runs a **serial** streaming replay merges: one run over all
-/// chunks for time-major sources, one run per placement cell for
-/// neighborhood-major sources (any group size — each cell run is
-/// gidx-ascending and the sequence-number merge restores global order).
+/// The chunk runs a whole-source scan visits (the Oracle schedule spill,
+/// the mismatched-layout pre-pass): one run over all chunks for
+/// time-major sources, one run per placement cell for neighborhood-major
+/// sources (any group size — each cell run is gidx-ascending and a
+/// sequence-number merge restores global order).
 fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
     match source.neighborhood_layout() {
         Some(layout) => layout.runs.iter().flatten().cloned().collect(),
@@ -522,96 +549,48 @@ fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
     }
 }
 
-/// The serial driver over a chunked source: same event order as
-/// [`run_resident`], with records staged chunk by chunk, contexts computed
-/// at ingestion, Oracle schedules spilled to a windowed on-disk sidecar
-/// (see [`schedule`]), and the feed carried by a single-producer watermark
-/// feed (bounded retention — see [`feed`]).
-fn run_streaming<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-) -> Result<SimReport, SimError> {
-    Ok(run_streaming_observed(source, config, strategy)?.0)
+/// How a streaming replay's shards get their records — decided by the
+/// source's chunk layout alone, never by the worker count.
+enum Replay {
+    /// Time-major source: each chunk is decoded once, centrally, and
+    /// demultiplexed into per-neighborhood runs (`stream::Block`).
+    Blocked,
+    /// Neighborhood-major source: shard `n` merges the gidx-sorted chunk
+    /// runs `runs[n]`, decoding them itself.
+    Runs {
+        runs: Vec<Vec<Vec<u32>>>,
+        /// Whether chunks can contain foreign records (false on the
+        /// matched fast path, where a chunk's records all belong to its
+        /// one shard).
+        filtered: bool,
+    },
 }
 
-/// [`run_streaming`] plus retention observability: also returns the
-/// watermark feed's peak live slot count (`None` when the strategy takes
-/// no feed), which the idle-neighborhood regression test asserts stays
-/// bounded.
-fn run_streaming_observed<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-) -> Result<(SimReport, Option<usize>), SimError> {
-    config.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-
-    let mut topo = build_topology(source, config)?;
-    let nbhd_count = topo.neighborhood_count();
-    let schedules = if strategy.needs_schedule() {
-        ScheduleSupply::Spilled(spill_from_scan(source, &topo, config, &segmenter)?)
-    } else {
-        ScheduleSupply::none(nbhd_count)
-    };
-    let indexes = build_indexes(&topo, config, &segmenter, &schedules, strategy)?;
-    let users = UserMap::from_topology(&topo);
-
-    let runs = serial_runs(source);
-    let wfeed = feed::wants_feed(strategy)
-        .then(|| WatermarkFeed::new(source.record_count(), 1, nbhd_count));
-    let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0, 0..nbhd_count));
-    let supply = StreamSupply::new(
-        source,
-        runs.iter().map(Vec::as_slice),
-        None,
-        users,
-        config,
-        segmenter,
-    );
-    let plant = FaultingPlant::new(&mut topo, config, 0, nbhd_count);
-    let mut driver =
-        SessionDriver::new(supply, provider, plant, indexes, 0, config, segmenter, None);
-    driver.run()?;
-    let (plant, indexes, counters) = driver.into_parts();
-    let (_, degradation) = plant.into_parts();
-    let peak_feed_slots = wfeed.as_ref().map(WatermarkFeed::peak_live_slots);
-
-    let days = source.days().max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    Ok((
-        assemble_serial_report(&topo, &indexes, counters, days, warmup, degradation),
-        peak_feed_slots,
-    ))
-}
-
-/// The per-shard streaming plan: which chunk runs each shard merges, the
-/// Oracle schedule supply (when needed), and whether supplies must filter
-/// records by neighborhood.
+/// The one streaming plan: how shards are supplied, and the Oracle
+/// schedule supply (when the strategy needs one).
 struct StreamPlan {
-    /// `shard_runs[n]` — the gidx-sorted chunk runs shard `n` merges.
-    shard_runs: Vec<Vec<Vec<u32>>>,
+    replay: Replay,
     schedules: ScheduleSupply,
-    /// Whether chunks can contain foreign records (false only on the
-    /// matched neighborhood-major fast path, where a chunk's records all
-    /// belong to its one shard).
-    filtered: bool,
 }
 
-/// Plans the streaming sharded replay.
+/// Plans a streaming replay.
 ///
+/// * **Time-major source**: the blocked replay — no pre-pass, no
+///   filtering, each chunk decoded once for the whole run.
 /// * **Matched neighborhood-major source** (its group size equals the
 ///   configured neighborhood size): each shard gets exactly its group's
-///   chunks straight from the file's chunk index — no pre-pass scan, no
+///   chunks straight from the file's chunk index — again no pre-pass, no
 ///   filtering, each chunk decoded once for the whole run.
-/// * Otherwise one streaming pre-pass builds, per shard, the pruned chunk
-///   runs holding at least one of its records (one run per source group,
-///   so each run stays gidx-sorted even when the source's grouping
-///   disagrees with the configured neighborhood size).
+/// * **Mismatched neighborhood-major source**: one streaming pre-pass
+///   builds, per shard, the pruned chunk runs holding at least one of
+///   its records (one run per source group, so each run stays
+///   gidx-sorted even though the source's grouping disagrees with the
+///   configured neighborhood size).
 ///
-/// Oracle schedules ride along on the same scan when the strategy needs
-/// them, spilled straight to the windowed on-disk sidecar (see
-/// [`schedule`]) — the pre-pass holds no per-record state in memory.
+/// Oracle schedules are spilled straight to the windowed on-disk sidecar
+/// (see [`schedule`]) by one counted scan — the mismatched pre-pass when
+/// there is one, a scan of their own otherwise; no scan holds per-record
+/// state in memory.
 fn shard_plans<S: TraceSource + ?Sized>(
     source: &S,
     topo: &Topology,
@@ -622,21 +601,25 @@ fn shard_plans<S: TraceSource + ?Sized>(
     let nbhd_count = topo.neighborhood_count();
     let needs_schedule = strategy.needs_schedule();
 
-    if let Some(layout) = fastpath_layout(source, config, nbhd_count) {
-        // Each shard merges its group's cell runs straight from the
-        // file's chunk index (a single-index file has one run per group;
-        // a multi-index file may have several, one per placement cell).
-        let shard_runs = layout.runs.clone();
+    let matched = fastpath_layout(source, config, nbhd_count);
+    if matched.is_some() || source.neighborhood_layout().is_none() {
+        let replay = match matched {
+            // Each shard merges its group's cell runs straight from the
+            // file's chunk index (a single-index file has one run per
+            // group; a multi-index file may have several, one per
+            // placement cell).
+            Some(layout) => Replay::Runs {
+                runs: layout.runs.clone(),
+                filtered: false,
+            },
+            None => Replay::Blocked,
+        };
         let schedules = if needs_schedule {
             ScheduleSupply::Spilled(spill_from_scan(source, topo, config, segmenter)?)
         } else {
             ScheduleSupply::none(nbhd_count)
         };
-        return Ok(StreamPlan {
-            shard_runs,
-            schedules,
-            filtered: false,
-        });
+        return Ok(StreamPlan { replay, schedules });
     }
 
     let group_lists = serial_runs(source);
@@ -677,8 +660,10 @@ fn shard_plans<S: TraceSource + ?Sized>(
         runs.retain(|run| !run.is_empty());
     }
     Ok(StreamPlan {
-        shard_runs,
+        replay: Replay::Runs {
+            runs: shard_runs,
+            filtered: true,
+        },
         schedules,
-        filtered: true,
     })
 }

@@ -1,5 +1,5 @@
 //! Per-neighborhood sharding: isolated plant slices, shard scheduling,
-//! and the two parallel entry drivers.
+//! and the two sharded entry drivers.
 //!
 //! The paper's unit of isolation is the neighborhood: per-event state
 //! (cache, boxes, coax) is neighborhood-local, the shared central-server
@@ -12,9 +12,14 @@
 //!
 //! * resident: shards are independent jobs on the work-stealing pool
 //!   ([`runner::run_indexed`]) — no shard ever waits on another;
-//! * streaming: shards are cooperative tasks multiplexed onto workers
-//!   ([`drive_worker`]), parked whenever the watermark frontier has not
-//!   reached the record they must start next, so any worker count is
+//! * streaming ([`run_streaming`] — every streaming replay, on one worker
+//!   or many): shards are cooperative tasks striped over the workers.
+//!   Over a time-major source they advance block by block, each parked at
+//!   the block's edge until the caller's thread has decoded and
+//!   demultiplexed the next one (`ShardEnv::drive_blocks`); over a
+//!   neighborhood-major source each decodes its own chunk runs and parks
+//!   whenever the watermark frontier has not reached the record it must
+//!   start next (`ShardEnv::drive_runs`), so any worker count is
 //!   deadlock-free (see the frontier-liveness note in [`super`]).
 //!
 //! Both drivers size their worker sets from the process-wide permit
@@ -24,6 +29,7 @@
 //! single-worker run).
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 use cablevod_cache::{IndexStats, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::coax::CoaxNetwork;
@@ -38,10 +44,15 @@ use cablevod_trace::source::TraceSource;
 
 use super::fault::FaultingPlant;
 use super::feed::build_feed;
-use super::lifecycle::{EngineCounters, SegmentPlant, SessionDriver, Step, UserMap, ABORTED};
+use super::lifecycle::{
+    EngineCounters, RecordSupply, SegmentPlant, SessionDriver, Step, UserMap, ABORTED,
+};
 use super::report::merge_outcomes;
-use super::stream::{ResidentSupply, StreamSupply};
-use super::{build_index, build_schedules, build_topology, precompute_sessions, shard_plans};
+use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
+use super::{
+    build_index, build_schedules, build_topology, precompute_sessions, shard_plans, Replay,
+    StreamPlan,
+};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::{DegradationReport, SimReport};
@@ -241,15 +252,29 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     merge_outcomes(outcomes, days, warmup, nbhd_count)
 }
 
-/// The streaming sharded driver: shards stream their chunk runs (see
-/// [`super::stream`]) and synchronize global-feed visibility through the
-/// watermark protocol, multiplexed as cooperative tasks.
-pub(super) fn run_parallel_streaming<S: TraceSource + ?Sized>(
+/// The streaming driver, at any worker count: shards are supplied as the
+/// source's layout dictates (see [`super::shard_plans`]) and striped over
+/// the workers. `threads` is how many run at once and nothing else —
+/// `1` is the plan on the caller's thread.
+pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
     threads: usize,
 ) -> Result<SimReport, SimError> {
+    Ok(run_streaming_observed(source, config, strategy, threads)?.0)
+}
+
+/// [`run_streaming`] plus retention observability: also returns the
+/// watermark feed's peak live slot count (`None` when the strategy takes
+/// no feed), which the idle-neighborhood regression test asserts stays
+/// bounded.
+pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
+    source: &S,
+    config: &SimConfig,
+    strategy: &dyn StrategyFactory,
+    threads: usize,
+) -> Result<(SimReport, Option<usize>), SimError> {
     config.validate()?;
     let total = source.record_count();
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
@@ -258,8 +283,12 @@ pub(super) fn run_parallel_streaming<S: TraceSource + ?Sized>(
 
     let plan = shard_plans(source, &topo, config, &segmenter, strategy)?;
     let users = UserMap::from_topology(&topo);
-    let feed = super::feed::wants_feed(strategy)
-        .then(|| WatermarkFeed::new(total, nbhd_count, nbhd_count));
+    // Blocked replay publishes centrally (one producer); shards that
+    // decode their own runs each publish their own records.
+    let blocked = matches!(plan.replay, Replay::Blocked);
+    let producers = if blocked { 1 } else { nbhd_count };
+    let feed =
+        super::feed::wants_feed(strategy).then(|| WatermarkFeed::new(total, producers, nbhd_count));
     let positions = topo.local_positions();
     let aborted = AtomicBool::new(false);
 
@@ -271,191 +300,328 @@ pub(super) fn run_parallel_streaming<S: TraceSource + ?Sized>(
     // split is fixed at entry; the caller always drives stripe 0.
     let permits = runner::take_permits(threads.clamp(1, nbhd_count) - 1);
     let workers = 1 + permits.len();
-    let mut collected: Vec<Option<Result<ShardOutcome, SimError>>> =
-        (0..nbhd_count).map(|_| None).collect();
-    let worker_results: Vec<Vec<(usize, Result<ShardOutcome, SimError>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = permits
-                .into_iter()
-                .zip(1..workers)
-                .map(|(permit, w)| {
-                    let topo = &topo;
-                    let plan = &plan;
-                    let users = &users;
-                    let positions = &positions;
-                    let feed = feed.as_ref();
-                    let aborted = &aborted;
-                    let segmenter = &segmenter;
-                    scope.spawn(move || {
-                        let results = drive_worker(
-                            w, workers, nbhd_count, source, topo, users, config, strategy,
-                            *segmenter, plan, positions, feed, aborted,
-                        );
-                        drop(permit);
-                        results
-                    })
+    let env = ShardEnv {
+        source,
+        topo: &topo,
+        users: &users,
+        config,
+        strategy,
+        segmenter,
+        plan: &plan,
+        positions: &positions,
+        feed: feed.as_ref(),
+        aborted: &aborted,
+        workers,
+        blocks: BlockExchange::new(workers),
+    };
+    let mut demux = blocked.then(|| {
+        Demux::new(
+            source,
+            users.clone(),
+            config,
+            segmenter,
+            nbhd_count,
+            feed.as_ref(),
+        )
+    });
+    let worker_results: Vec<ShardResults> = std::thread::scope(|scope| {
+        let handles: Vec<_> = permits
+            .into_iter()
+            .zip(1..workers)
+            .map(|(permit, w)| {
+                let env = &env;
+                scope.spawn(move || {
+                    let results = env.drive(w, None);
+                    drop(permit);
+                    results
                 })
-                .collect();
-            let mine = drive_worker(
-                0,
-                workers,
-                nbhd_count,
-                source,
-                &topo,
-                &users,
-                config,
-                strategy,
-                segmenter,
-                &plan,
-                &positions,
-                feed.as_ref(),
-                &aborted,
-            );
-            let mut all: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            all.push(mine);
-            all
-        });
-    for (nbhd, result) in worker_results.into_iter().flatten() {
-        collected[nbhd] = Some(result);
-    }
+            })
+            .collect();
+        let mine = env.drive(0, demux.as_mut());
+        let mut all: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect();
+        all.push(mine);
+        all
+    });
 
-    // Prefer a shard's real failure over the abort sentinel its siblings
-    // raised while bailing out.
+    let mut results: ShardResults = worker_results.into_iter().flatten().collect();
+
+    // Prefer the real failure — the decoder's, else a shard's — over the
+    // abort sentinel the other shards raised while bailing out.
     if aborted.load(Ordering::Relaxed) {
+        if let Some(e) = demux.and_then(Demux::into_failure) {
+            return Err(e);
+        }
         let mut sentinel = None;
-        for result in collected.iter_mut() {
-            match result.take() {
-                Some(Err(SimError::Config { reason })) if reason == ABORTED => {
+        for (_, result) in results {
+            match result {
+                Err(SimError::Config { reason }) if reason == ABORTED => {
                     sentinel = Some(SimError::Config { reason });
                 }
-                Some(Err(e)) => return Err(e),
-                _ => {}
+                Err(e) => return Err(e),
+                Ok(_) => {}
             }
         }
         return Err(sentinel.expect("abort flag implies at least one error"));
     }
 
+    debug_assert_eq!(
+        results.len(),
+        nbhd_count,
+        "every shard reports exactly once"
+    );
+    results.sort_unstable_by_key(|&(nbhd, _)| nbhd);
     let days = source.days().max(1);
     let warmup = config.warmup_days().min(days - 1);
-    merge_outcomes(
-        collected
-            .into_iter()
-            .map(|r| r.expect("every shard reports exactly once")),
+    let report = merge_outcomes(
+        results.into_iter().map(|(_, outcome)| outcome),
         days,
         warmup,
         nbhd_count,
-    )
+    )?;
+    Ok((report, feed.as_ref().map(WatermarkFeed::peak_live_slots)))
 }
 
-/// The shard drivers of the streaming sharded path.
-type ShardDriver<'a, S> =
-    SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, SharedFeed<'a>, StreamSupply<'a, S>>;
+/// A streaming shard's driver over supply `R`.
+type ShardDriver<'a, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, SharedFeed<'a>, R>;
 
-/// Drives the shard tasks assigned to worker `w` (neighborhoods `w`,
-/// `w + stride`, ...), round-robin, yielding the CPU only when every
-/// task is parked on the feed frontier.
-#[allow(clippy::too_many_arguments)]
-fn drive_worker<'a, S: TraceSource + ?Sized>(
-    w: usize,
-    stride: usize,
-    nbhd_count: usize,
+/// What one worker hands back: each of its shards' endings.
+type ShardResults = Vec<(usize, Result<ShardOutcome, SimError>)>;
+
+/// How the workers of a blocked replay pass each [`Block`] around: the
+/// caller's thread refills the one block in place while it is the only
+/// holder, a barrier opens it to every worker, and a second barrier —
+/// passed once every shard is parked at the block's edge and has let go
+/// of it — hands it back.
+struct BlockExchange {
+    block: Mutex<Arc<Block>>,
+    barrier: Barrier,
+}
+
+impl BlockExchange {
+    fn new(workers: usize) -> Self {
+        BlockExchange {
+            block: Mutex::new(Arc::default()),
+            barrier: Barrier::new(workers),
+        }
+    }
+
+    /// The next block; `demux` is `Some` on the caller's thread only.
+    fn next<S: TraceSource + ?Sized>(
+        &self,
+        demux: Option<&mut Demux<'_, S>>,
+        aborted: &AtomicBool,
+    ) -> Arc<Block> {
+        if let Some(demux) = demux {
+            let mut block = self.block.lock().expect("block exchange poisoned");
+            let block = Arc::get_mut(&mut block).expect("every shard let go of the last block");
+            demux.next_block(block, aborted);
+        }
+        self.barrier.wait();
+        Arc::clone(&self.block.lock().expect("block exchange poisoned"))
+    }
+
+    /// Called by every worker once its shards are through with `block`.
+    fn release(&self, block: Arc<Block>) {
+        drop(block);
+        self.barrier.wait();
+    }
+}
+
+/// Everything the workers of one streaming run share.
+struct ShardEnv<'a, S: TraceSource + ?Sized> {
     source: &'a S,
     topo: &'a Topology,
     users: &'a UserMap,
     config: &'a SimConfig,
     strategy: &'a dyn StrategyFactory,
     segmenter: Segmenter,
-    plan: &'a super::StreamPlan,
+    plan: &'a StreamPlan,
     positions: &'a [u32],
     feed: Option<&'a WatermarkFeed>,
     aborted: &'a AtomicBool,
-) -> Vec<(usize, Result<ShardOutcome, SimError>)> {
-    let mut results = Vec::new();
-    let mut tasks: Vec<(usize, ShardDriver<'a, S>)> = Vec::new();
-    for nbhd in (w..nbhd_count).step_by(stride) {
-        let built = (|| {
-            let index = build_index(
-                nbhd,
-                topo,
-                config,
-                &segmenter,
-                plan.schedules.window(nbhd)?,
-                strategy,
-            )?;
-            let plant = FaultingPlant::new(
-                ShardPlant::build(nbhd, topo, config, positions)?,
-                config,
-                nbhd as u32,
-                1,
-            );
-            let supply = StreamSupply::new(
-                source,
-                plan.shard_runs[nbhd].iter().map(Vec::as_slice),
-                plan.filtered.then_some(nbhd as u32),
-                users.clone(),
-                config,
-                segmenter,
-            );
-            let provider = feed.map(|f| SharedFeed::new(f, nbhd, nbhd..nbhd + 1));
-            Ok::<_, SimError>(SessionDriver::new(
-                supply,
-                provider,
-                plant,
-                vec![index],
-                nbhd as u32,
-                config,
-                segmenter,
-                Some(aborted),
-            ))
-        })();
-        match built {
-            Ok(driver) => tasks.push((nbhd, driver)),
-            Err(e) => {
-                // Do NOT finish this shard's feed watermark: its events were
-                // never published, and raising the mark would let siblings
-                // pass the frontier check into unpublished slots. The abort
-                // flag unparks them instead (checked at every step entry).
-                aborted.store(true, Ordering::Relaxed);
-                results.push((nbhd, Err(e)));
-            }
+    workers: usize,
+    blocks: BlockExchange,
+}
+
+impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
+    /// Drives worker `w`'s stripe of shards (neighborhoods `w`,
+    /// `w + workers`, ...) to their endings.
+    fn drive(&'a self, w: usize, demux: Option<&mut Demux<'_, S>>) -> ShardResults {
+        match &self.plan.replay {
+            Replay::Blocked => self.drive_blocks(w, demux),
+            Replay::Runs { runs, filtered } => self.drive_runs(w, runs, *filtered),
         }
     }
 
-    while !tasks.is_empty() {
-        let mut any_progress = false;
-        let mut i = 0;
-        while i < tasks.len() {
-            match tasks[i].1.step() {
-                Ok(Step::Done) => {
-                    let (nbhd, driver) = tasks.swap_remove(i);
-                    results.push((nbhd, Ok(ShardOutcome::from_driver(driver))));
-                    any_progress = true;
+    /// Builds the drivers of worker `w`'s stripe, each over the supply
+    /// `supply(nbhd)` and publishing — if its supply publishes at all —
+    /// as `producer(nbhd)`.
+    fn tasks<R: RecordSupply<SharedFeed<'a>>>(
+        &'a self,
+        w: usize,
+        producer: impl Fn(usize) -> usize,
+        supply: impl Fn(usize) -> R,
+        results: &mut ShardResults,
+    ) -> Vec<(usize, ShardDriver<'a, R>)> {
+        let mut tasks = Vec::new();
+        for nbhd in (w..self.topo.neighborhood_count()).step_by(self.workers) {
+            let built = (|| {
+                let index = build_index(
+                    nbhd,
+                    self.topo,
+                    self.config,
+                    &self.segmenter,
+                    self.plan.schedules.window(nbhd)?,
+                    self.strategy,
+                )?;
+                let plant = FaultingPlant::new(
+                    ShardPlant::build(nbhd, self.topo, self.config, self.positions)?,
+                    self.config,
+                    nbhd as u32,
+                    1,
+                );
+                let provider = self
+                    .feed
+                    .map(|f| SharedFeed::new(f, producer(nbhd), nbhd..nbhd + 1));
+                Ok::<_, SimError>(SessionDriver::new(
+                    supply(nbhd),
+                    provider,
+                    plant,
+                    vec![index],
+                    nbhd as u32,
+                    self.config,
+                    self.segmenter,
+                    Some(self.aborted),
+                ))
+            })();
+            match built {
+                Ok(driver) => tasks.push((nbhd, driver)),
+                Err(e) => {
+                    // Do NOT finish this shard's feed watermark: its events were
+                    // never published, and raising the mark would let siblings
+                    // pass the frontier check into unpublished slots. The abort
+                    // flag unparks them instead (checked at every step entry).
+                    self.aborted.store(true, Ordering::Relaxed);
+                    results.push((nbhd, Err(e)));
                 }
-                Ok(Step::Blocked { progressed }) => {
-                    any_progress |= progressed;
-                    i += 1;
-                }
-                Ok(Step::Horizon { .. }) => {
-                    unreachable!("offline shard steps never park on a horizon")
-                }
+            }
+        }
+        tasks
+    }
+
+    /// Files task `i`'s ending — its outcome, or the failure that also
+    /// aborts its siblings — and drops it from the stripe.
+    fn retire<R: RecordSupply<SharedFeed<'a>>>(
+        &self,
+        tasks: &mut Vec<(usize, ShardDriver<'a, R>)>,
+        i: usize,
+        ending: Result<Step, SimError>,
+        results: &mut ShardResults,
+    ) {
+        let (nbhd, driver) = tasks.swap_remove(i);
+        results.push((
+            nbhd,
+            match ending {
+                Ok(_) => Ok(ShardOutcome::from_driver(driver)),
                 Err(e) => {
                     // As at build failure: leave the watermark where honest
                     // publication got to, and rely on the abort flag — a
                     // finished mark over unpublished slots would turn this
                     // error into sibling panics on empty feed slots.
-                    aborted.store(true, Ordering::Relaxed);
-                    let (nbhd, _) = tasks.swap_remove(i);
-                    results.push((nbhd, Err(e)));
-                    any_progress = true;
+                    self.aborted.store(true, Ordering::Relaxed);
+                    Err(e)
+                }
+            },
+        ));
+    }
+
+    /// The blocked replay of a time-major source: block by block, every
+    /// shard of the stripe runs through its run of the block and on to —
+    /// strictly before — the block's edge, carrying its continuation heap
+    /// into the next block; the final block has no edge and runs every
+    /// shard out. Between blocks a shard syncs its index against the
+    /// published prefix (see [`SessionDriver::sync_published`]).
+    fn drive_blocks(&'a self, w: usize, mut demux: Option<&mut Demux<'_, S>>) -> ShardResults {
+        let mut results = Vec::new();
+        let supply = |nbhd| {
+            BlockSupply::new(
+                nbhd,
+                self.source.catalog(),
+                self.users.clone(),
+                &self.segmenter,
+            )
+        };
+        let mut tasks = self.tasks(w, |_| 0, supply, &mut results);
+        loop {
+            let block = self.blocks.next(demux.as_deref_mut(), self.aborted);
+            let mut i = 0;
+            while i < tasks.len() {
+                let driver = &mut tasks[i].1;
+                driver.supply_mut().attach(&block);
+                match driver.step() {
+                    Ok(Step::Horizon { .. }) => {
+                        if let Some((edge, published)) = block.edge() {
+                            driver.sync_published(edge, published);
+                        }
+                        i += 1;
+                    }
+                    Ok(Step::Blocked { .. }) => {
+                        unreachable!("a block is published before its shards run")
+                    }
+                    ending => self.retire(&mut tasks, i, ending, &mut results),
                 }
             }
-        }
-        if !any_progress {
-            std::thread::yield_now();
+            let last = block.edge().is_none();
+            self.blocks.release(block);
+            if last {
+                debug_assert!(tasks.is_empty(), "the final block runs every shard out");
+                return results;
+            }
         }
     }
-    results
+
+    /// Shards that decode their own chunk runs (a neighborhood-major
+    /// source — see [`super::stream`]), synchronizing global-feed
+    /// visibility through the watermark protocol: round-robin, yielding
+    /// the CPU only when every task is parked on the feed frontier.
+    fn drive_runs(&'a self, w: usize, runs: &'a [Vec<Vec<u32>>], filtered: bool) -> ShardResults {
+        let mut results = Vec::new();
+        let supply = |nbhd: usize| {
+            StreamSupply::new(
+                self.source,
+                runs[nbhd].iter().map(Vec::as_slice),
+                filtered.then_some(nbhd as u32),
+                self.users.clone(),
+                self.config,
+                self.segmenter,
+            )
+        };
+        let mut tasks = self.tasks(w, |nbhd| nbhd, supply, &mut results);
+        while !tasks.is_empty() {
+            let mut any_progress = false;
+            let mut i = 0;
+            while i < tasks.len() {
+                match tasks[i].1.step() {
+                    Ok(Step::Blocked { progressed }) => {
+                        any_progress |= progressed;
+                        i += 1;
+                    }
+                    Ok(Step::Horizon { .. }) => {
+                        unreachable!("a chunk-run supply never pauses between blocks")
+                    }
+                    ending => {
+                        self.retire(&mut tasks, i, ending, &mut results);
+                        any_progress = true;
+                    }
+                }
+            }
+            if !any_progress {
+                std::thread::yield_now();
+            }
+        }
+        results
+    }
 }

@@ -309,10 +309,11 @@ fn active_sessions_reuse_freed_slots() {
 }
 
 /// The ROADMAP "idle-neighborhood feed retention" item: a session-less
-/// neighborhood must not pin the serial streaming feed's retained window.
-/// The driver's idle sweep keeps every consumption cursor moving, so live
-/// feed slots stay O(sweep stride), not O(trace), on a 100k-event stream
-/// with one idle neighborhood.
+/// neighborhood must not pin the streaming feed's retained window. The
+/// blocked replay's idle sweep — every shard syncs at every block's edge —
+/// keeps every consumption cursor moving, so live feed slots stay
+/// O(block), not O(trace), on a 100k-event stream with one idle
+/// neighborhood.
 #[test]
 fn idle_neighborhood_does_not_pin_the_streaming_feed() {
     use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
@@ -358,13 +359,13 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
 
     let source = ChunkedTrace::new(&trace, 1_024);
     let factory = config.strategy().factory();
-    let (report, peak) =
-        run_streaming_observed(&source, &config, factory.as_ref()).expect("streaming runs");
+    let (report, peak) = shard::run_streaming_observed(&source, &config, factory.as_ref(), 1)
+        .expect("streaming runs");
     let peak = peak.expect("global LFU consumes the feed");
     // Without the idle sweep, neighborhood 1's cursor floors reclamation
-    // at zero and every one of the 100k slots stays live. With it, the
-    // floor trails the head by at most the sweep stride plus segment
-    // rounding.
+    // at zero and every one of the 100k slots stays live (checked by
+    // removing the `sync_published` call). With it, the floor trails the
+    // head by at most one 1,024-record block plus segment rounding.
     assert!(
         peak <= 8 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
         "idle neighborhood pinned the feed: {peak} live slots for a {total}-event stream"

@@ -50,18 +50,21 @@ use serde::{Deserialize, Serialize};
 /// How many engine workers a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ThreadPolicy {
-    /// The serial reference driver (one global event heap).
+    /// One worker, the caller's thread. Over a resident source this is
+    /// the serial reference driver (one global event heap against the
+    /// whole plant); a streaming source is replayed sharded per
+    /// neighborhood either way, here with every shard on that one worker.
     #[default]
     Serial,
-    /// The sharded driver with exactly this many workers.
+    /// Sharded per neighborhood over exactly this many workers.
     Fixed(usize),
-    /// The sharded driver with one worker per available core.
+    /// Sharded per neighborhood, one worker per available core.
     Auto,
 }
 
 impl ThreadPolicy {
-    /// The worker count to hand the sharded driver, or `None` for the
-    /// serial driver.
+    /// The worker count to hand the sharded drivers, or `None` for the
+    /// one-worker path ([`ThreadPolicy::Serial`]).
     pub fn worker_count(self) -> Option<usize> {
         match self {
             ThreadPolicy::Serial => None,
@@ -92,15 +95,16 @@ pub struct RunTelemetry {
     pub decode: DecodeStats,
     /// Process peak RSS after the run (see [`peak_rss_kb`]).
     pub peak_rss_kb: Option<u64>,
-    /// Resolved engine worker count (1 = the serial driver).
+    /// Resolved engine worker count (1 = [`ThreadPolicy::Serial`]).
     pub threads: usize,
     /// Resolved strategy name ([`StrategyFactory::name`]).
     pub strategy: String,
     /// Whether the source carried a per-neighborhood chunk index matching
     /// the configured neighborhood size — the sweep fast path, where
-    /// sharded streaming replays read each shard's chunks straight from
-    /// the index with no pre-pass scan or filtering. Always `false` for
-    /// resident sources (they decode no chunks).
+    /// streaming replays read each shard's chunks straight from the index
+    /// with no pre-pass scan or filtering. Always `false` for resident
+    /// sources (they decode no chunks) and for time-major ones (no index:
+    /// they replay block by block, also decoding each chunk once).
     pub fastpath: bool,
 }
 
@@ -145,8 +149,7 @@ pub struct Simulation<'a, S: TraceSource + ?Sized> {
 
 impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
     /// Starts a simulation over `source` with the paper's default
-    /// configuration, the serial driver, and the built-in strategy
-    /// registry.
+    /// configuration, one worker, and the built-in strategy registry.
     pub fn over(source: &'a S) -> Self {
         Simulation {
             source,
@@ -171,7 +174,10 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
         self
     }
 
-    /// Runs the serial reference driver (the default).
+    /// Runs on one worker, the caller's thread (the default): the serial
+    /// reference driver over a resident source, and over a streaming
+    /// source the same replay plan `threads(n)` runs, with every shard on
+    /// that one worker — see [`ThreadPolicy::Serial`].
     #[must_use]
     pub fn serial(mut self) -> Self {
         self.threads = ThreadPolicy::Serial;

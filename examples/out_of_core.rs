@@ -1,11 +1,16 @@
 //! Out-of-core replay scenario: a workload ~10x the Criterion bench
 //! default (15,000 users, ~200k sessions over 6 days) is generated
 //! **straight to disk** in the columnar chunked format — the record vector
-//! never exists in memory — then replayed through the streaming engine,
-//! serial and sharded, with resident memory bounded by chunk size plus
-//! session concurrency. The file is then re-chunked **neighborhood-major**
-//! and the sharded replay repeated, showing the decode-work win: each
-//! chunk decoded once instead of once per shard. A per-strategy section
+//! never exists in memory — then replayed through the streaming engine on
+//! one, two and four workers, with resident memory bounded by chunk size
+//! plus session concurrency. The time-major file replays
+//! *neighborhood-blocked*: each chunk is decoded once and demultiplexed,
+//! and every neighborhood's shard runs through its part of the block, so
+//! the decode counters read one pass over the file at any worker count.
+//! The file is then re-chunked **neighborhood-major** and the sharded
+//! replay repeated: still one decode per chunk, now by the shard that
+//! owns it, which streams its whole neighborhood end to end (and whose
+//! state is dropped as soon as it finishes). A per-strategy section
 //! replays the same file under LRU, LFU and the windowed Oracle — whose
 //! future schedule now spills to an on-disk sidecar, so its decode
 //! counters show the pre-pass (2x the file) and its peak RSS tracks the
@@ -80,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let serial = Simulation::over(&reader).config(config.clone()).run()?;
-    println!("streaming serial: {}", telemetry_line(&serial));
+    println!("streaming, 1 worker: {}", telemetry_line(&serial));
 
     for threads in [2usize, 4] {
         let sharded = Simulation::over(&reader)
@@ -92,13 +97,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "sharded replay must be bit-identical"
         );
         println!(
-            "streaming sharded x{threads}: {} (bit-identical)",
+            "streaming, {threads} workers: {} (bit-identical)",
             telemetry_line(&sharded)
         );
     }
 
-    // Re-chunk by neighborhood: the sharded replay then reads each chunk
-    // exactly once (the time-major runs above decode ~shards x file).
+    // Re-chunk by neighborhood: each shard then reads exactly its own
+    // chunks (the time-major runs above also decode each chunk once, and
+    // hand every shard its part of it).
     let mut nm_path = std::env::temp_dir();
     nm_path.push(format!("cvtc_out_of_core_nm_{}.cvtc", std::process::id()));
     let t0 = Instant::now();
@@ -132,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // row holding level with LRU/LFU is the point — its schedules spill to
     // a windowed sidecar instead of ballooning the pre-pass, and its
     // decode count shows the extra schedule scan (2x the file).
-    println!("\nstrategy replays (streaming serial):");
+    println!("\nstrategy replays (streaming, 1 worker):");
     for (label, spec) in [
         ("lru", StrategySpec::Lru),
         ("lfu", StrategySpec::default_lfu()),

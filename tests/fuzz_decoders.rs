@@ -261,3 +261,52 @@ fn schedule_payload_bit_flip_is_caught_by_checksum() {
         "error should name the chunk and the checksum: {message}"
     );
 }
+
+/// The same flip, met in the middle of a replay: one byte of a middle
+/// chunk of a time-major file, found only when the blocked replay gets
+/// there — chunks before it already demultiplexed and run by every shard.
+/// On one worker and on two the run must return the decoder's own error,
+/// naming the chunk: no panic, no hang on a block that never comes, no
+/// partial report, and not the abort sentinel the shards bail out with.
+#[test]
+fn mid_file_corruption_fails_a_streaming_run_closed() {
+    use cablevod_sim::{SimConfig, SimError, Simulation};
+
+    let trace = generate(&synth(7));
+    let path = TempFile(temp_path("cvtc_midfile"));
+    write_trace(&path.0, &trace, 128).expect("write valid trace");
+    let reader = ColumnarReader::open(&path.0).expect("open pristine");
+    let middle = reader.directory().len() / 2;
+    assert!(middle > 0 && middle + 1 < reader.directory().len());
+    let meta = reader.directory()[middle];
+    drop(reader);
+
+    let mut bytes = std::fs::read(&path.0).expect("read back");
+    bytes[meta.file_offset as usize + 16 * meta.record_count as usize] ^= 1;
+    std::fs::write(&path.0, &bytes).expect("write mutated");
+
+    let reader = ColumnarReader::open(&path.0).expect("directory still parses");
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(20)
+        .with_warmup_days(0);
+    for strategy in ["lfu", "global-lfu", "oracle"] {
+        for threads in [None, Some(2)] {
+            let sim = Simulation::over(&reader)
+                .config(config.clone())
+                .strategy_named(strategy);
+            let err = match threads {
+                None => sim.serial(),
+                Some(n) => sim.threads(n),
+            }
+            .run()
+            .expect_err("a corrupt chunk fails the run");
+            let message = err.to_string();
+            assert!(
+                matches!(err, SimError::Trace(_))
+                    && message.contains(&format!("chunk {middle}"))
+                    && message.contains("checksum"),
+                "{strategy}, threads {threads:?}: {message}"
+            );
+        }
+    }
+}

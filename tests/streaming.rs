@@ -3,16 +3,23 @@
 //! columnar file on disk, time-major or neighborhood-major — must be
 //! **bit-identical** to the classic resident engine, serial and sharded,
 //! for every strategy, chunk size, chunk layout and shard count. Plus
-//! decode-work bounds (a sharded neighborhood-major replay decodes each
-//! chunk once) and streaming edge cases (empty traces, one-record chunks,
-//! sessions straddling chunk boundaries).
+//! decode-work bounds (time-major and matched neighborhood-major replays
+//! decode each chunk once at any worker count), streaming edge cases
+//! (empty traces, one-record chunks, sessions straddling chunk
+//! boundaries, same-second ties across them) and failing closed when a
+//! shard fails mid-run.
 
 use proptest::prelude::*;
 
-use cablevod_cache::StrategySpec;
+use std::sync::Arc;
+
+use cablevod_cache::strategy::{CacheOp, StrategyContext, StrategyFactory};
+use cablevod_cache::{CacheError, CacheStrategy, StrategyRegistry, StrategySpec};
 use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_sim::{run, run_parallel, SimConfig, Simulation};
+use cablevod_sim::{
+    run, run_parallel, AdmissionMode, FaultPlan, RetryPolicy, SimConfig, SimError, Simulation,
+};
 use cablevod_tests::tiny_config;
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
@@ -58,11 +65,14 @@ fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
         .with_strategy(spec)
 }
 
-/// Chunk sizes the issue calls out: one record per chunk (maximal chunk
-/// churn), a small batch, and the whole trace in one chunk (streaming
-/// machinery with resident-like staging).
-fn chunk_sizes(trace_len: usize) -> [usize; 3] {
-    [1, 64, trace_len.max(1)]
+/// Chunk sizes the sweeps replay through: one record per chunk (a block
+/// edge after every record), three (edges that split same-second runs
+/// unevenly), a small batch, and the whole trace in one chunk (streaming
+/// machinery with resident-like staging). A `ChunkedTrace` is a
+/// time-major source, so serial and sharded runs over it are the blocked
+/// replay on one worker and on several.
+fn chunk_sizes(trace_len: usize) -> [usize; 4] {
+    [1, 3, 64, trace_len.max(1)]
 }
 
 proptest! {
@@ -211,10 +221,11 @@ fn neighborhood_major_replay_is_bit_identical() {
     std::fs::remove_file(&nm).ok();
 }
 
-/// The ROADMAP "per-shard chunk scans" item, fixed structurally: a sharded
-/// streaming run over a **matching** neighborhood-major file decodes each
-/// chunk exactly once (counter-based), while the same run over the
-/// time-major file pays ~`shards × file`.
+/// Decode-once is counted, not assumed: a sharded streaming run decodes
+/// each chunk exactly once over a **matching** neighborhood-major file
+/// (every shard reads its own chunks) and over the time-major file it was
+/// cut from (one decode feeds every shard) — and the layouts agree
+/// bit-for-bit.
 #[test]
 fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let trace: Trace = generate(&tiny_config(400, 40, 4, 13));
@@ -227,9 +238,9 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     rechunk_by_neighborhood(&tm_reader, &nm, 50, 64).expect("rechunk");
     let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
 
-    // LFU needs neither the feed nor Oracle schedules, so the matched
-    // fast path does no pre-pass at all: replay decode work is the whole
-    // story. 400 users / 50 = 8 shards.
+    // LFU needs neither the feed nor Oracle schedules, so neither layout
+    // does a pre-pass: replay decode work is the whole story. 400 users /
+    // 50 = 8 shards.
     let config = config_for(50, 2, StrategySpec::default_lfu());
 
     let before = nm_reader.decode_stats();
@@ -246,15 +257,47 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let tm_report = run_parallel(&tm_reader, &config, 4).expect("time-major sharded runs");
     let tm_decodes = tm_reader.decode_stats() - before;
     assert_eq!(tm_report, nm_report, "layouts agree bit-for-bit");
-    assert!(
-        tm_decodes.chunks > 2 * tm_reader.chunk_count() as u64,
-        "time-major shards rescan chunks ({} decodes of {} chunks); \
-         neighborhood-major removes exactly this amplification",
+    assert_eq!(
         tm_decodes.chunks,
-        tm_reader.chunk_count()
+        tm_reader.chunk_count() as u64,
+        "each time-major chunk decoded exactly once, not once per shard"
     );
     std::fs::remove_file(&tm).ok();
     std::fs::remove_file(&nm).ok();
+}
+
+/// The time-major twin, across worker counts: `.serial()`, `threads(1)`,
+/// `threads(2)` and `threads(4)` are one plan on more or fewer workers,
+/// so each decodes every chunk of a time-major file exactly once (the
+/// sharded ones used to rescan it per shard).
+#[test]
+fn time_major_run_decodes_each_chunk_once_at_any_worker_count() {
+    let trace: Trace = generate(&tiny_config(400, 40, 4, 13));
+    let mut path = std::env::temp_dir();
+    path.push(format!("cvtc_decode_once_tm_{}.cvtc", std::process::id()));
+    write_trace(&path, &trace, 64).expect("write time-major");
+    let reader = ColumnarReader::open(&path).expect("open time-major");
+    assert!(reader.chunk_count() > 8, "more chunks than shards");
+
+    let config = config_for(50, 2, StrategySpec::default_lfu());
+    let resident = run(&trace, &config).expect("resident runs");
+    for threads in [None, Some(1), Some(2), Some(4)] {
+        let sim = Simulation::over(&reader).config(config.clone());
+        let outcome = match threads {
+            None => sim.serial(),
+            Some(n) => sim.threads(n),
+        }
+        .run()
+        .expect("time-major replay runs");
+        assert_eq!(outcome.report, resident, "threads {threads:?}");
+        assert_eq!(
+            outcome.telemetry.decode.chunks,
+            reader.chunk_count() as u64,
+            "threads {threads:?}: each chunk decoded exactly once"
+        );
+        assert!(!outcome.telemetry.fastpath, "no chunk index to match");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Streaming Oracle decode accounting: the schedule pre-pass goes through
@@ -460,4 +503,187 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
         resident
     );
     std::fs::remove_file(&path).ok();
+
+    same_second_ties_replay_exactly_across_block_edges();
+}
+
+/// A trace built to put ties on block edges: every session starts on a
+/// multiple of the five-minute segment length and lasts a whole number of
+/// segments, five sessions a wave, so each wave's start second is also
+/// the second every earlier, still-running session of the neighborhood
+/// has a continuation due — and chunks of one, two or three records cut
+/// every wave in two. Records sort ahead of continuations at an equal
+/// second; a shard parked at a block's edge must hold such a continuation
+/// back for the records the next block may still bring. Six half-hour
+/// programs over caches that hold four keep admissions, evictions and
+/// hits frequent, so processing one tie in the wrong order changes the
+/// report (checked by flipping the edge comparison in `step_until`).
+fn same_second_trace() -> Trace {
+    let mut records = Vec::new();
+    let mut x = 0x2007_u64;
+    for wave in 0..24u64 {
+        for _ in 0..5 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let user = ((x >> 33) % 12) as u32;
+            let program = ((x >> 40) % 6) as u32;
+            let segments = 1 + (x >> 50) % 6;
+            records.push(rec(user, program, 900 + wave * 300, segments * 300));
+        }
+    }
+    let catalog = (0..6)
+        .map(|_| ProgramInfo {
+            length: SimDuration::from_minutes(30),
+            introduced_day: 0,
+        })
+        .collect();
+    Trace::new(records, catalog, 12, 1).expect("valid trace")
+}
+
+/// The tie-break at block edges, swept: chunk sizes 1, 2, 3 and 64, in
+/// memory and from a `.cvtc`, on one worker and on two, for every
+/// registry strategy under counting and enforcing admission over a
+/// seeded fault plan — each equal to the resident run.
+fn same_second_ties_replay_exactly_across_block_edges() {
+    let trace = same_second_trace();
+    let faults = FaultPlan::seeded(11, 3, SimDuration::from_secs(6_000), 3, 2);
+    let registry = StrategyRegistry::builtin();
+    for name in registry.names() {
+        for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
+            let config = SimConfig::paper_default()
+                .with_neighborhood_size(4)
+                .with_per_peer_storage(DataSize::from_gigabytes(1))
+                .with_warmup_days(0)
+                .with_faults(faults.clone())
+                .with_admission(admission)
+                .with_retry(RetryPolicy::paper_default());
+            let replay = |source: &dyn TraceSource, threads: Option<usize>| {
+                let sim = Simulation::over(source)
+                    .config(config.clone())
+                    .strategy_named(name);
+                match threads {
+                    None => sim.serial(),
+                    Some(n) => sim.threads(n),
+                }
+                .run()
+                .expect("replay runs")
+                .report
+            };
+            let resident = replay(&trace, None);
+            assert_eq!(resident.sessions, 120);
+            assert!(
+                name == "no-cache" || resident.cache.hits > 0,
+                "{name}: a replay with no hits cannot tell event orders apart"
+            );
+            for chunk in [1u32, 2, 3, 64] {
+                let mut path = std::env::temp_dir();
+                path.push(format!("cvtc_ties_{}_{chunk}.cvtc", std::process::id()));
+                write_trace(&path, &trace, chunk).expect("write time-major");
+                let reader = ColumnarReader::open(&path).expect("open");
+                let chunked = ChunkedTrace::new(&trace, chunk as usize);
+                for threads in [None, Some(2)] {
+                    let what = format!("{name}, {admission:?}, chunk {chunk}, {threads:?}");
+                    assert_eq!(replay(&chunked, threads), resident, "in memory: {what}");
+                    assert_eq!(replay(&reader, threads), resident, "from disk: {what}");
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+}
+
+/// An LRU whose neighborhood 1 fails at its `fail_at`-th access — a shard
+/// failing part-way through a run, on whichever block that access falls.
+#[derive(Debug)]
+struct FailingFactory {
+    inner: Arc<dyn StrategyFactory>,
+    fail_at: u32,
+}
+
+#[derive(Debug)]
+struct FailingStrategy {
+    inner: Box<dyn CacheStrategy>,
+    accesses_left: Option<u32>,
+}
+
+impl StrategyFactory for FailingFactory {
+    fn name(&self) -> &str {
+        "failing-lru"
+    }
+    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
+        let accesses_left = (ctx.home.index() == 1).then_some(self.fail_at);
+        Ok(Box::new(FailingStrategy {
+            inner: self.inner.build(ctx)?,
+            accesses_left,
+        }))
+    }
+}
+
+impl CacheStrategy for FailingStrategy {
+    fn name(&self) -> &'static str {
+        "failing-lru"
+    }
+    fn prepare(&mut self, _now: SimTime) -> Result<(), CacheError> {
+        match self.accesses_left.as_mut() {
+            Some(0) => Err(CacheError::Schedule {
+                reason: "neighborhood 1 fails here".into(),
+            }),
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
+    fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
+        self.inner.on_access(program, cost, now, ops);
+    }
+    fn contains(&self, program: ProgramId) -> bool {
+        self.inner.contains(program)
+    }
+    fn cost_of(&self, program: ProgramId) -> Option<u32> {
+        self.inner.cost_of(program)
+    }
+    fn used_slots(&self) -> u64 {
+        self.inner.used_slots()
+    }
+    fn capacity_slots(&self) -> u64 {
+        self.inner.capacity_slots()
+    }
+}
+
+/// A shard failing inside a block fails the run closed: its siblings —
+/// on its worker and on the others — bail out through the abort flag at
+/// their next step, the decoder stops feeding blocks, and the run
+/// returns the shard's own error rather than the siblings' abort
+/// sentinel. No panic, no hang, no partial report.
+#[test]
+fn a_shard_failing_inside_a_block_fails_the_run_closed() {
+    let trace: Trace = generate(&tiny_config(300, 40, 4, 23));
+    let config = config_for(60, 2, StrategySpec::Lru);
+    for fail_at in [0u32, 7, 90] {
+        for chunk in [1usize, 64] {
+            let source = ChunkedTrace::new(&trace, chunk);
+            for threads in [None, Some(2), Some(5)] {
+                let sim = Simulation::over(&source)
+                    .config(config.clone())
+                    .strategy_factory(Arc::new(FailingFactory {
+                        inner: StrategySpec::Lru.factory(),
+                        fail_at,
+                    }));
+                let err = match threads {
+                    None => sim.serial(),
+                    Some(n) => sim.threads(n),
+                }
+                .run()
+                .expect_err("the failing shard fails the run");
+                assert!(
+                    matches!(&err, SimError::Cache(CacheError::Schedule { reason })
+                        if reason == "neighborhood 1 fails here"),
+                    "fail_at {fail_at}, chunk {chunk}, threads {threads:?}: {err}"
+                );
+            }
+        }
+    }
 }
