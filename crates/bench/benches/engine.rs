@@ -335,9 +335,10 @@ fn chunk_decode_throughput(c: &mut Criterion) {
 /// multi-index file serves **every** swept size through its own chunk
 /// index (sharded fast path, each chunk decoded once per cell run), while
 /// the single-index file — rechunked for just one of the sizes, the
-/// pre-multi-index workflow — serves the foreign size through the pruned
-/// global merge. `sweep_fastpath` vs `sweep_merge` is the wall-clock win
-/// of carrying per-size indexes over shared columns.
+/// pre-multi-index workflow — serves the foreign size through the blocked
+/// replay, its runs merged back into global order by the central decoder.
+/// `sweep_fastpath` vs `sweep_merge` is the wall-clock win of carrying
+/// per-size indexes over shared columns.
 fn engine_sweep_throughput(c: &mut Criterion) {
     const SIZES: [u32; 2] = [300, 500];
     let mut path = std::env::temp_dir();

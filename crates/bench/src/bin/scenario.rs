@@ -109,7 +109,7 @@ fn completed_json(
         // `fastpath` rides in the nondeterministic tail: whether the
         // decode-once index matched is a property of the run setup, not
         // of the results, and checkpoint-mode output must stay byte-
-        // comparable between fast-path and merge-path runs.
+        // comparable between fast-path and blocked-replay runs.
         format!(
             "{head},\"wall_ms\":{},\"decoded_chunks\":{},\"decoded_bytes\":{},\
              \"peak_rss_kb\":{},\"fastpath\":{}}}",

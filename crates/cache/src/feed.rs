@@ -27,18 +27,18 @@
 //! # One provider seam for every engine path
 //!
 //! The simulation engine does not pick carriers directly: its single
-//! session-lifecycle implementation drives the feed through the
-//! [`FeedProvider`] trait — publication, watermark bookkeeping, the
-//! readiness gate, and strategy syncs — so resident and streaming runs
-//! differ only in which provider they construct:
+//! session-lifecycle implementation consumes the feed through the
+//! [`FeedProvider`] trait — strategy syncs, and retiring the consumers it
+//! answers for — so resident and streaming runs differ only in which
+//! provider they construct. Publication is not the lifecycle's business:
+//! whoever owns the records publishes them before any driver runs.
 //!
-//! * [`PrecomputedFeed`] wraps a fully built [`GlobalFeed`]: always ready,
-//!   publication is a no-op, syncs bound consumption by the session's own
-//!   record index;
+//! * [`PrecomputedFeed`] wraps a fully built [`GlobalFeed`]: syncs bound
+//!   consumption by the session's own record index;
 //! * [`SharedFeed`] wraps a [`WatermarkFeed`](crate::watermark::
-//!   WatermarkFeed): records publish as they are ingested, the readiness
-//!   gate waits on the cross-producer frontier, and every sync reports the
-//!   strategy's consumption cursor back so the carrier can reclaim.
+//!   WatermarkFeed) its run's one producer publishes into, ahead of every
+//!   consumer; every sync reports the strategy's consumption cursor back
+//!   so the carrier can reclaim.
 
 use std::ops::Range;
 
@@ -48,7 +48,7 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 use crate::index::IndexServer;
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy};
-use crate::watermark::{FeedProducer, WatermarkFeed};
+use crate::watermark::WatermarkFeed;
 
 /// One access published to the global feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,30 +144,18 @@ impl FeedEvents for GlobalFeed {
 /// How a session-lifecycle driver sees the global popularity feed.
 ///
 /// The engine's single event loop is generic over this trait; the
-/// concrete provider decides what publication, readiness and consumption
-/// mean for its carrier (see the module docs). All sequence numbers are
-/// global record indices.
+/// concrete provider decides what consumption means for its carrier (see
+/// the module docs). All sequence numbers are global record indices.
 pub trait FeedProvider {
-    /// Publishes the event for the record with global index `seq`.
-    /// Providers over already-built carriers ignore this.
-    fn publish(&mut self, seq: u64, event: FeedEvent);
-
-    /// Promises that this provider's producer will never publish an event
-    /// with a sequence number below `mark` again.
-    fn advance(&mut self, mark: u64);
-
-    /// Marks this provider's producer — and the consumers it answers for —
-    /// as done: everything it owns is published, nothing will be read.
-    fn finish(&mut self);
-
-    /// Whether events `0..=seq` are all published. `false` means the
-    /// driver must park until other producers catch up.
-    fn ready(&mut self, seq: u64) -> bool;
-
     /// Feeds `index`'s strategy every newly visible event up to and
-    /// including `seq`, at session-start time `now`. Call only after
-    /// [`ready`](FeedProvider::ready) returned `true` for `seq`.
+    /// including `seq`, at session-start time `now`. Events `0..=seq`
+    /// must be published — the run's producer works ahead of its
+    /// consumers, so for a driver about to start record `seq` they are.
     fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64);
+
+    /// Marks the consumers this provider answers for as done: nothing
+    /// more will be read.
+    fn finish(&mut self);
 
     /// When `Some(stride)`, the driver should
     /// [`sync`](FeedProvider::sync) **every** consumer this provider
@@ -187,8 +175,8 @@ pub trait FeedProvider {
 
 /// [`FeedProvider`] over a fully precomputed [`GlobalFeed`] — the resident
 /// engine paths, where one pass over the record slice built the whole feed
-/// up front. Always ready; consumption is bounded per session by the
-/// session's own record index, reproducing grow-as-you-go publication.
+/// up front. Consumption is bounded per session by the session's own
+/// record index, reproducing grow-as-you-go publication.
 #[derive(Debug, Clone, Copy)]
 pub struct PrecomputedFeed<'a> {
     feed: &'a GlobalFeed,
@@ -202,87 +190,46 @@ impl<'a> PrecomputedFeed<'a> {
 }
 
 impl FeedProvider for PrecomputedFeed<'_> {
-    fn publish(&mut self, _seq: u64, _event: FeedEvent) {}
-
-    fn advance(&mut self, _mark: u64) {}
-
-    fn finish(&mut self) {}
-
-    fn ready(&mut self, _seq: u64) -> bool {
-        true
-    }
-
     fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
         index.sync_feed(self.feed, now, seq as usize + 1);
     }
+
+    fn finish(&mut self) {}
 }
 
-/// [`FeedProvider`] over a shared
-/// [`WatermarkFeed`] — the streaming
-/// engine paths. One instance serves one producer (a shard, or the whole
-/// serial run) and the consumer range it syncs (its own neighborhood, or
-/// all of them).
+/// [`FeedProvider`] over a shared [`WatermarkFeed`] — the streaming and
+/// online engine paths. One instance serves the consumer range its driver
+/// syncs: a shard's own neighborhood, or all of them for a whole-plant
+/// driver.
 #[derive(Debug)]
 pub struct SharedFeed<'a> {
     feed: &'a WatermarkFeed,
-    producer: FeedProducer<'a>,
-    producer_id: usize,
     consumers: Range<usize>,
-    /// Last observed frontier — monotonic, so the cross-producer watermark
-    /// scan reruns only until the cached value passes the record about to
-    /// start, not on every session.
-    frontier_cache: u64,
 }
 
 impl<'a> SharedFeed<'a> {
-    /// A provider publishing as `producer_id` and syncing (and eventually
-    /// finishing) the consumers in `consumers`. A shard that decodes its
-    /// own chunks passes its own neighborhood for both; where publication
-    /// is central (the blocked streaming replay, the online engines)
-    /// everyone is producer 0 — the publisher answering for no consumer,
-    /// each shard for its own, a whole-plant driver for every
-    /// neighborhood.
-    pub fn new(feed: &'a WatermarkFeed, producer_id: usize, consumers: Range<usize>) -> Self {
-        SharedFeed {
-            feed,
-            producer: feed.producer_handle(),
-            producer_id,
-            consumers,
-            frontier_cache: 0,
-        }
+    /// A provider syncing (and eventually finishing) the consumers in
+    /// `consumers`.
+    pub fn new(feed: &'a WatermarkFeed, consumers: Range<usize>) -> Self {
+        SharedFeed { feed, consumers }
     }
 }
 
 impl FeedProvider for SharedFeed<'_> {
-    fn publish(&mut self, seq: u64, event: FeedEvent) {
-        self.producer.publish(seq, event);
-    }
-
-    fn advance(&mut self, mark: u64) {
-        self.feed.advance(self.producer_id, mark);
+    fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
+        let view = self.feed.view();
+        debug_assert!(
+            view.published() as u64 > seq,
+            "the producer publishes ahead of every consumer"
+        );
+        let cursor = index.sync_feed(&view, now, seq as usize + 1);
+        self.feed.note_consumed(index.home().index(), cursor);
     }
 
     fn finish(&mut self) {
-        self.feed.finish(self.producer_id);
         for consumer in self.consumers.clone() {
             self.feed.finish_consumer(consumer);
         }
-    }
-
-    fn ready(&mut self, seq: u64) -> bool {
-        // Serial prefix visibility: events 0..=seq must all be published
-        // before this session may consult the feed. The frontier only
-        // moves forward, so the scan reruns only until it passes seq once.
-        if self.frontier_cache <= seq {
-            self.frontier_cache = self.feed.frontier();
-        }
-        self.frontier_cache > seq
-    }
-
-    fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
-        let view = self.feed.view_at(self.frontier_cache);
-        let cursor = index.sync_feed(&view, now, seq as usize + 1);
-        self.feed.note_consumed(index.home().index(), cursor);
     }
 
     fn idle_sync_stride(&self) -> Option<u64> {
@@ -499,12 +446,13 @@ mod tests {
         // must leave a GlobalLfu with the same cursor.
         let events: Vec<FeedEvent> = (0..6).map(|i| ev(10 + i, 1, i as u32)).collect();
         let mut built = GlobalFeed::new();
-        let shared = WatermarkFeed::new(events.len() as u64, 1, 1);
+        let shared = WatermarkFeed::new(events.len() as u64, 1);
+        let mut producer = shared.producer_handle();
         for (seq, &e) in events.iter().enumerate() {
             built.publish(e);
-            shared.publish(seq as u64, e);
+            producer.publish(seq as u64, e);
         }
-        shared.finish(0);
+        producer.advance(events.len() as u64);
         let mut a = lfu(0);
         let mut b = lfu(0);
         for limit in [2usize, 6] {

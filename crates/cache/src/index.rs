@@ -300,7 +300,7 @@ impl IndexServer {
     /// so at record `r` only events `0..=r` exist) on any carrier: the
     /// resident sharded engine hands every shard the full precomputed
     /// [`GlobalFeed`](crate::feed::GlobalFeed), the streaming sharded engine a
-    /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) whose frontier
+    /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) whose watermark
     /// has passed `limit`.
     ///
     /// Returns the strategy's post-sync consumption cursor (see

@@ -2,14 +2,16 @@
 //!
 //! [`WatermarkFeed`] is the concurrent carrier of the global popularity
 //! feed (see [`crate::feed`]) for *streaming* runs, where no precomputed
-//! feed exists. Every shard is a **producer**: it publishes the events for
-//! its own records, tagged with their global sequence numbers, and
-//! advances a per-producer **watermark** — a promise that it will never
-//! again publish an event below that sequence number. A consumer about to
-//! process the record with global index `g` may consume events `0..=g`
-//! once the **frontier** (the minimum watermark across producers) has
-//! passed `g`, which reproduces the serial engine's grow-as-you-go prefix
-//! visibility bit-for-bit.
+//! feed exists. A run has **one producer** — the thread that decodes the
+//! trace, or the online ingress — which publishes every record's event
+//! under its global sequence number through a [`FeedProducer`] and
+//! advances the **watermark**: a promise that every event below that
+//! sequence number is published. Publication runs ahead of consumption by
+//! construction (a block is published before any shard replays it; an
+//! online session is published when it is submitted), so no consumer ever
+//! waits: the one starting the record with global index `g` consumes
+//! events `0..=g`, which reproduces the serial engine's grow-as-you-go
+//! prefix visibility bit-for-bit.
 //!
 //! # Bounded retention: a segment ring with epoch reclamation
 //!
@@ -19,30 +21,28 @@
 //! segment `k` owns sequence numbers `[k·S, (k+1)·S)`). Each consumer
 //! reports its consumption **cursor** — the sequence number below which it
 //! will never read again (for a global LFU this is its feed cursor, which
-//! can trail the frontier by the batching lag). Segments that fall
+//! can trail the watermark by the batching lag). Segments that fall
 //! entirely below the minimum cursor are popped off the front of the live
 //! window and recycled through a small pool — the ring. Live slots are
 //! therefore bounded by the span between the slowest consumer's cursor and
-//! the fastest producer's publication point: O(events in the LFU history
-//! window) for workloads where every neighborhood keeps syncing, rather
-//! than O(trace). (A neighborhood that goes idle for a long stretch pins
-//! its cursor and with it the window — those events genuinely must be
+//! the producer's publication point: O(events in the LFU history window)
+//! for workloads where every neighborhood keeps syncing, rather than
+//! O(trace). (A neighborhood that goes idle for a long stretch pins its
+//! cursor and with it the window — those events genuinely must be
 //! retained, because its next sync will consume the whole backlog.)
 //!
 //! Publication never blocks: if consumers lag, the live window grows by
-//! allocating fresh segments, so the protocol's deadlock-freedom argument
-//! (see `cablevod_sim::engine`) is untouched by retention.
+//! allocating fresh segments.
 //!
 //! # Memory ordering
 //!
-//! Every event slot is written at most once (each sequence number belongs
-//! to exactly one producer's records), so publication is a lock-free
-//! `OnceLock` store; watermarks are release-stored and the frontier
-//! acquire-loads, making every event below the frontier visible to every
-//! consumer. The segment directory is behind a mutex taken only on
-//! segment transitions (every `S` events per producer/consumer) and on
-//! reclamation, never per event on the hot path — [`FeedView`] and the
-//! producer side cache the current segment.
+//! Every event slot is written at most once, so publication is a
+//! lock-free `OnceLock` store; the watermark is release-stored by the
+//! producer and acquire-loaded by consumers, making every event below it
+//! visible to whoever observed it. The segment directory is behind a
+//! mutex taken only on segment transitions (every `S` events per
+//! producer/consumer) and on reclamation, never per event on the hot path
+//! — [`FeedView`] and [`FeedProducer`] cache the current segment.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -82,13 +82,14 @@ struct Directory {
     peak_live: usize,
 }
 
-/// The multi-producer, bounded-retention watermark feed (see the module
+/// The single-producer, bounded-retention watermark feed (see the module
 /// docs).
 #[derive(Debug)]
 pub struct WatermarkFeed {
     seg_slots: usize,
     capacity: u64,
-    marks: Vec<AtomicU64>,
+    /// Every event with a sequence number below this is published.
+    mark: AtomicU64,
     /// Per-consumer consumption cursors (sequence numbers below which that
     /// consumer will never read). Reclamation floor = the minimum.
     cursors: Vec<AtomicU64>,
@@ -96,28 +97,21 @@ pub struct WatermarkFeed {
 }
 
 impl WatermarkFeed {
-    /// A feed over `capacity` sequence numbers shared by `producers`
-    /// publishers and `consumers` readers. All watermarks and cursors
-    /// start at zero.
-    pub fn new(capacity: u64, producers: usize, consumers: usize) -> Self {
-        Self::with_segment_slots(capacity, producers, consumers, DEFAULT_SEGMENT_SLOTS)
+    /// A feed over `capacity` sequence numbers read by `consumers`
+    /// readers. The watermark and all cursors start at zero.
+    pub fn new(capacity: u64, consumers: usize) -> Self {
+        Self::with_segment_slots(capacity, consumers, DEFAULT_SEGMENT_SLOTS)
     }
 
     /// As [`WatermarkFeed::new`] with an explicit reclamation granule
     /// (retention tests use small segments to expose the window).
-    pub fn with_segment_slots(
-        capacity: u64,
-        producers: usize,
-        consumers: usize,
-        seg_slots: usize,
-    ) -> Self {
-        assert!(producers > 0, "a feed needs at least one producer");
+    pub fn with_segment_slots(capacity: u64, consumers: usize, seg_slots: usize) -> Self {
         assert!(consumers > 0, "a feed needs at least one consumer");
         assert!(seg_slots > 0, "segments need at least one slot");
         WatermarkFeed {
             seg_slots,
             capacity,
-            marks: (0..producers).map(|_| AtomicU64::new(0)).collect(),
+            mark: AtomicU64::new(0),
             cursors: (0..consumers).map(|_| AtomicU64::new(0)).collect(),
             dir: Mutex::new(Directory::default()),
         }
@@ -172,18 +166,10 @@ impl WatermarkFeed {
         Arc::clone(&dir.live[(epoch - dir.first_epoch) as usize])
     }
 
-    /// Publishes the event for sequence number `seq`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` was already published (each sequence number has
-    /// exactly one owning producer) or falls below the reclamation floor.
-    pub fn publish(&self, seq: u64, event: FeedEvent) {
-        self.producer_handle().publish(seq, event);
-    }
-
-    /// A producer-side handle that caches its current segment, touching
-    /// the directory mutex only on epoch transitions.
+    /// The run's publication handle. It caches its current segment,
+    /// touching the directory mutex only on epoch transitions. A feed has
+    /// one producer: the watermark is a single promise, so only one
+    /// handle may [`advance`](FeedProducer::advance) it.
     pub fn producer_handle(&self) -> FeedProducer<'_> {
         FeedProducer {
             feed: self,
@@ -191,33 +177,10 @@ impl WatermarkFeed {
         }
     }
 
-    /// Raises `producer`'s watermark to `mark`: a promise that every event
-    /// it owns with a sequence number below `mark` is published.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the watermark would move backwards.
-    pub fn advance(&self, producer: usize, mark: u64) {
-        debug_assert!(
-            self.marks[producer].load(Ordering::Relaxed) <= mark,
-            "watermarks must not regress"
-        );
-        self.marks[producer].store(mark, Ordering::Release);
-    }
-
-    /// Marks `producer` as finished: it will publish nothing more.
-    pub fn finish(&self, producer: usize) {
-        self.marks[producer].store(u64::MAX, Ordering::Release);
-    }
-
-    /// The frontier: the minimum watermark across producers. Every event
-    /// with a sequence number below it is published and safe to read.
-    pub fn frontier(&self) -> u64 {
-        self.marks
-            .iter()
-            .map(|m| m.load(Ordering::Acquire))
-            .min()
-            .expect("at least one producer")
+    /// The watermark: every event with a sequence number below it is
+    /// published and safe to read.
+    pub fn watermark(&self) -> u64 {
+        self.mark.load(Ordering::Acquire)
     }
 
     /// Records that `consumer` will never read below `cursor` again, and
@@ -279,15 +242,14 @@ impl WatermarkFeed {
         self.dir.lock().expect("feed directory poisoned").peak_live * self.seg_slots
     }
 
-    /// A read view pinned at a `frontier` value the consumer has already
-    /// observed. The frontier is monotonic, so a cached observation stays
-    /// valid forever — hot-path consumers read through a view (which also
-    /// caches the current segment) instead of rescanning every producer's
-    /// watermark on each sync.
-    pub fn view_at(&self, frontier: u64) -> FeedView<'_> {
+    /// A read view pinned at the watermark as it stands now. The
+    /// watermark is monotonic, so the observation stays valid for as long
+    /// as the view lives — hot-path consumers read through a view (which
+    /// also caches the current segment) instead of reloading it per event.
+    pub fn view(&self) -> FeedView<'_> {
         FeedView {
             feed: self,
-            frontier,
+            watermark: self.watermark(),
             cached: Cell::new(None),
         }
     }
@@ -295,7 +257,7 @@ impl WatermarkFeed {
     fn event_in(&self, seg: &Segment, seq: u64) -> FeedEvent {
         *seg.slots[(seq - seg.base) as usize]
             .get()
-            .expect("event read from below the frontier")
+            .expect("event read from below the watermark")
     }
 }
 
@@ -306,11 +268,11 @@ impl FeedEvents for WatermarkFeed {
     }
 
     fn published(&self) -> usize {
-        usize::try_from(self.frontier().min(self.capacity)).expect("capacity fits usize")
+        usize::try_from(self.watermark().min(self.capacity)).expect("capacity fits usize")
     }
 }
 
-/// A producer-side publication handle (see
+/// The producer-side publication handle (see
 /// [`WatermarkFeed::producer_handle`]).
 #[derive(Debug)]
 pub struct FeedProducer<'a> {
@@ -323,7 +285,8 @@ impl FeedProducer<'_> {
     ///
     /// # Panics
     ///
-    /// As [`WatermarkFeed::publish`].
+    /// Panics if `seq` was already published, lies at or beyond the
+    /// feed's capacity, or falls below the reclamation floor.
     pub fn publish(&mut self, seq: u64, event: FeedEvent) {
         let seg_slots = self.feed.seg_slots as u64;
         let seg = match &self.cached {
@@ -337,20 +300,34 @@ impl FeedProducer<'_> {
             .set(event)
             .expect("sequence number published twice");
     }
+
+    /// Raises the watermark to `mark`: a promise that every event with a
+    /// sequence number below `mark` is published.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the watermark would move backwards.
+    pub fn advance(&mut self, mark: u64) {
+        debug_assert!(
+            self.feed.mark.load(Ordering::Relaxed) <= mark,
+            "watermarks must not regress"
+        );
+        self.feed.mark.store(mark, Ordering::Release);
+    }
 }
 
-/// A [`WatermarkFeed`] read view carrying a frontier observed earlier plus
-/// a cached segment (see [`WatermarkFeed::view_at`]).
+/// A [`WatermarkFeed`] read view carrying the watermark it was opened at
+/// plus a cached segment (see [`WatermarkFeed::view`]).
 pub struct FeedView<'a> {
     feed: &'a WatermarkFeed,
-    frontier: u64,
+    watermark: u64,
     cached: Cell<Option<Arc<Segment>>>,
 }
 
 impl std::fmt::Debug for FeedView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FeedView")
-            .field("frontier", &self.frontier)
+            .field("watermark", &self.watermark)
             .finish_non_exhaustive()
     }
 }
@@ -369,7 +346,7 @@ impl FeedEvents for FeedView<'_> {
     }
 
     fn published(&self) -> usize {
-        usize::try_from(self.frontier.min(self.feed.capacity)).expect("capacity fits usize")
+        usize::try_from(self.watermark.min(self.feed.capacity)).expect("capacity fits usize")
     }
 }
 
@@ -400,28 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn frontier_is_minimum_across_producers() {
-        let feed = WatermarkFeed::new(10, 3, 1);
-        assert_eq!(feed.frontier(), 0);
-        feed.advance(0, 4);
-        feed.advance(1, 7);
-        assert_eq!(feed.frontier(), 0, "producer 2 still at zero");
-        feed.advance(2, 2);
-        assert_eq!(feed.frontier(), 2);
-        feed.finish(0);
-        assert_eq!(feed.frontier(), 2);
-        feed.finish(2);
-        assert_eq!(feed.frontier(), 7);
-        feed.finish(1);
-        assert_eq!(feed.frontier(), u64::MAX);
-        assert_eq!(feed.published(), 10, "clamped to capacity");
-    }
-
-    #[test]
     fn watermark_consumption_matches_global_feed() {
-        // Three "shards" publish interleaved sequence numbers; a GlobalLfu
-        // consuming through the watermark carrier must ingest exactly the
-        // sequence a serial GlobalFeed would feed it.
+        // Events published out of sequence order (the producer fills slots
+        // as its merge hands them over, then moves the watermark past
+        // them): a GlobalLfu consuming through the watermark carrier must
+        // ingest exactly the sequence a serial GlobalFeed would feed it.
         let events: Vec<FeedEvent> = (0..9)
             .map(|i| ev(10 + i, (i % 3) as u32 + 1, i as u32))
             .collect();
@@ -429,17 +389,21 @@ mod tests {
         for &e in &events {
             serial_feed.publish(e);
         }
-        let shared = WatermarkFeed::new(events.len() as u64, 3, 1);
-        // Publish out of producer order (shard 2 races ahead).
+        let shared = WatermarkFeed::new(events.len() as u64, 1);
+        let mut producer = shared.producer_handle();
         for (seq, &e) in events.iter().enumerate().rev() {
-            shared.publish(seq as u64, e);
-        }
-        for p in 0..3 {
-            shared.finish(p);
+            producer.publish(seq as u64, e);
         }
 
         let mut a = lfu(0);
         let mut b = lfu(0);
+        // Published but not yet promised: nothing above the watermark is
+        // consumable.
+        b.sync_global(&shared, SimTime::from_secs(100), 9);
+        assert_eq!(b.cursor(), 0);
+        producer.advance(events.len() as u64);
+        assert_eq!(shared.published(), 9);
+
         for (limit, now) in [(3usize, 12u64), (7, 17), (9, 30)] {
             a.sync_global(&serial_feed, SimTime::from_secs(now), limit);
             b.sync_global(&shared, SimTime::from_secs(now), limit);
@@ -453,35 +417,23 @@ mod tests {
     }
 
     #[test]
-    fn events_below_frontier_only() {
-        let feed = WatermarkFeed::new(4, 2, 1);
-        feed.publish(0, ev(5, 1, 7));
-        feed.advance(0, 1);
-        // Producer 1 has published nothing: nothing is consumable.
-        let mut s = lfu(0);
-        s.sync_global(&feed, SimTime::from_secs(100), 4);
-        assert_eq!(s.cursor(), 0);
-        feed.advance(1, 1);
-        s.sync_global(&feed, SimTime::from_secs(100), 4);
-        assert_eq!(s.cursor(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "published twice")]
     fn double_publish_panics() {
-        let feed = WatermarkFeed::new(2, 1, 1);
-        feed.publish(0, ev(1, 1, 1));
-        feed.publish(0, ev(1, 1, 1));
+        let feed = WatermarkFeed::new(2, 1);
+        let mut producer = feed.producer_handle();
+        producer.publish(0, ev(1, 1, 1));
+        producer.publish(0, ev(1, 1, 1));
     }
 
     #[test]
     fn view_reads_through_segment_boundaries() {
-        let feed = WatermarkFeed::with_segment_slots(100, 1, 1, 8);
+        let feed = WatermarkFeed::with_segment_slots(100, 1, 8);
+        let mut producer = feed.producer_handle();
         for seq in 0..40u64 {
-            feed.publish(seq, ev(seq, 1, seq as u32));
+            producer.publish(seq, ev(seq, 1, seq as u32));
         }
-        feed.advance(0, 40);
-        let view = feed.view_at(feed.frontier());
+        producer.advance(40);
+        let view = feed.view();
         assert_eq!(view.published(), 40);
         for seq in 0..40usize {
             assert_eq!(view.event_at(seq).program, ProgramId::new(seq as u32));
@@ -498,12 +450,12 @@ mod tests {
         let seg = 64usize;
         let total = 100_000u64;
         let lag = 100u64; // cursor trails publication by this many events
-        let feed = WatermarkFeed::with_segment_slots(total, 2, 2, seg);
-        let mut producers = [feed.producer_handle(), feed.producer_handle()];
+        let feed = WatermarkFeed::with_segment_slots(total, 2, seg);
+        let mut producer = feed.producer_handle();
         for seq in 0..total {
-            let p = (seq % 2) as usize;
-            producers[p].publish(seq, ev(seq, p as u32, (seq % 97) as u32));
-            feed.advance(p, seq + 1);
+            let nbhd = (seq % 2) as u32;
+            producer.publish(seq, ev(seq, nbhd, (seq % 97) as u32));
+            producer.advance(seq + 1);
             let cursor = seq.saturating_sub(lag);
             feed.note_consumed((seq % 2) as usize, cursor);
         }
@@ -514,9 +466,8 @@ mod tests {
             total
         );
         // The retained suffix is still readable.
-        let view = feed.view_at(feed.frontier());
         assert_eq!(
-            view.event_at((total - 1) as usize).time,
+            feed.view().event_at((total - 1) as usize).time,
             SimTime::from_secs(total - 1)
         );
     }
@@ -524,11 +475,11 @@ mod tests {
     #[test]
     fn reclaimed_segments_are_recycled_not_leaked() {
         let seg = 16usize;
-        let feed = WatermarkFeed::with_segment_slots(10_000, 1, 1, seg);
+        let feed = WatermarkFeed::with_segment_slots(10_000, 1, seg);
         let mut producer = feed.producer_handle();
         for seq in 0..2_000u64 {
             producer.publish(seq, ev(seq, 0, 1));
-            feed.advance(0, seq + 1);
+            producer.advance(seq + 1);
             feed.note_consumed(0, seq.saturating_sub(8));
         }
         assert!(feed.live_slots() <= 3 * seg, "{}", feed.live_slots());
@@ -538,9 +489,10 @@ mod tests {
 
     #[test]
     fn stale_cursor_reports_are_ignored() {
-        let feed = WatermarkFeed::with_segment_slots(100, 1, 2, 4);
-        feed.publish(0, ev(1, 0, 1));
-        feed.advance(0, 1);
+        let feed = WatermarkFeed::with_segment_slots(100, 2, 4);
+        let mut producer = feed.producer_handle();
+        producer.publish(0, ev(1, 0, 1));
+        producer.advance(1);
         feed.note_consumed(0, 50);
         feed.note_consumed(0, 10); // stale: must not regress the floor
         feed.note_consumed(1, 50);
@@ -551,12 +503,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "reclaimed feed segment")]
     fn reading_below_the_floor_panics() {
-        let feed = WatermarkFeed::with_segment_slots(100, 1, 1, 4);
+        let feed = WatermarkFeed::with_segment_slots(100, 1, 4);
         let mut producer = feed.producer_handle();
         for seq in 0..12u64 {
             producer.publish(seq, ev(seq, 0, 1));
         }
-        feed.advance(0, 12);
+        producer.advance(12);
         feed.note_consumed(0, 12);
         feed.event_at(0);
     }

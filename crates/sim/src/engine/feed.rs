@@ -1,22 +1,27 @@
 //! Feed glue: constructing the right [`FeedProvider`] carrier for each
 //! entry driver.
 //!
-//! The lifecycle core never touches a concrete feed type — it publishes,
-//! gates and syncs through [`FeedProvider`] (see
-//! [`cablevod_cache::feed`]). This module is the engine-side selection
-//! logic:
+//! The lifecycle core never touches a concrete feed type — it syncs
+//! through [`FeedProvider`] (see [`cablevod_cache::feed`]). This module is
+//! the engine-side selection logic:
 //!
 //! * **resident runs** precompute the whole [`GlobalFeed`] in one pass
 //!   over the record slice ([`build_feed`]) and hand every driver a
 //!   [`PrecomputedFeed`](cablevod_cache::PrecomputedFeed) over it —
 //!   consumption is bounded per session by its own record index, which
 //!   equals grow-as-you-go publication exactly;
-//! * **streaming runs** (serial and sharded alike) share one
-//!   [`WatermarkFeed`](cablevod_cache::WatermarkFeed) through
-//!   [`SharedFeed`](cablevod_cache::SharedFeed) handles: supplies publish
-//!   records as they stage them, the frontier gates consumption, and
-//!   every sync reports the strategy's cursor back so the carrier keeps
-//!   its memory O(unconsumed window) instead of O(trace).
+//! * **streaming and online runs** share one
+//!   [`WatermarkFeed`](cablevod_cache::WatermarkFeed): the run's one
+//!   producer — the blocked replay's decoder, the online ingress —
+//!   publishes through its
+//!   [`FeedProducer`](cablevod_cache::FeedProducer) ahead of every
+//!   driver, drivers consume through
+//!   [`SharedFeed`](cablevod_cache::SharedFeed) handles, and every sync
+//!   reports the strategy's cursor back so the carrier keeps its memory
+//!   O(unconsumed window) instead of O(trace). A streaming replay whose
+//!   strategy takes no feed ([`wants_feed`]) builds none.
+//!
+//! [`FeedProvider`]: cablevod_cache::FeedProvider
 
 use cablevod_cache::{GlobalFeed, StrategyFactory};
 use cablevod_hfc::segment::Segmenter;

@@ -11,18 +11,18 @@
 //! * [`SegmentPlant`] — whose bytes get accounted: the whole
 //!   [`Topology`] (serial resident) or one neighborhood's
 //!   [`ShardPlant`](super::shard::ShardPlant);
-//! * [`FeedProvider`] — how the global popularity feed is published and
-//!   consumed: a precomputed carrier (resident) or the shared watermark
-//!   carrier (streaming);
+//! * [`FeedProvider`] — how the global popularity feed is consumed: a
+//!   precomputed carrier (resident) or the shared watermark carrier
+//!   (streaming, online), published into before the driver runs;
 //! * [`RecordSupply`] — where sessions come from: a resident slice, one
 //!   neighborhood's slice of each decoded block, or a merged chunk
 //!   stream (see [`super::stream`]).
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
-//! streaming engine carries every shard from one block of the source to
-//! the next (parked at the block's edge) and multiplexes many shards onto
-//! few workers (parked on the feed frontier).
+//! blocked streaming replay carries every shard from one block of the
+//! source to the next (parked at the block's edge) and how the online
+//! engines stop at the live clock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -284,17 +284,15 @@ pub(super) struct PendingSession {
 
 /// Where a driver's sessions come from, in the order it must start them
 /// (ascending global index). Supplies own all staging concerns: chunk
-/// decoding, context computation, neighborhood filtering, and — via the
-/// [`FeedProvider`] they are handed — feed publication and watermark
-/// advancement for the records they accept.
-pub(super) trait RecordSupply<F: FeedProvider> {
+/// decoding and context computation.
+pub(super) trait RecordSupply {
     /// Stages (if necessary) and describes the next session as
     /// `(start time, global index)`; `None` when the supply is exhausted.
     ///
     /// # Errors
     ///
     /// Propagates source read and context computation failures.
-    fn peek(&mut self, feed: &mut Option<F>) -> Result<Option<(SimTime, u64)>, SimError>;
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError>;
 
     /// Consumes the session [`peek`](RecordSupply::peek) described.
     ///
@@ -401,16 +399,12 @@ impl ActiveSessions {
 pub(super) enum Step {
     /// The driver processed every one of its events.
     Done,
-    /// The driver must wait for the feed frontier; `progressed` reports
-    /// whether any events were processed before blocking (workers yield
-    /// the CPU only when a full round over their tasks made no progress).
-    Blocked { progressed: bool },
     /// Every event inside the horizon has been processed and the driver
     /// is parked at its edge: the caller's simulated "now" (online
     /// stepping — see [`super::online`]) or the edge of the block its
     /// supply was last handed ([`RecordSupply::resumes_at`]). Unlike
-    /// [`Step::Done`] the feed is **not** finished: more records may
-    /// still arrive. `progressed` reports whether any events were
+    /// [`Step::Done`] the feed's consumers are **not** finished: more
+    /// records may still arrive. `progressed` reports whether any events were
     /// processed.
     Horizon { progressed: bool },
 }
@@ -458,7 +452,7 @@ impl<'a, P, F, R> SessionDriver<'a, P, F, R>
 where
     P: SegmentPlant,
     F: FeedProvider,
-    R: RecordSupply<F>,
+    R: RecordSupply,
 {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
@@ -492,8 +486,8 @@ where
         }
     }
 
-    /// Processes events until the driver completes or must wait for the
-    /// feed frontier.
+    /// Processes events until the driver completes or its supply pauses
+    /// between blocks.
     pub(super) fn step(&mut self) -> Result<Step, SimError> {
         self.step_until(None)
     }
@@ -519,7 +513,7 @@ where
                     });
                 }
             }
-            let staged = self.supply.peek(&mut self.feed)?;
+            let staged = self.supply.peek()?;
             let take_record = match (staged, self.heap.peek()) {
                 (None, None) => {
                     if horizon.is_some() || self.supply.resumes_at().is_some() {
@@ -554,11 +548,6 @@ where
 
             if take_record {
                 let (start, gidx) = staged.expect("record chosen");
-                if let Some(feed) = self.feed.as_mut() {
-                    if !feed.ready(gidx) {
-                        return Ok(Step::Blocked { progressed });
-                    }
-                }
                 if let Some(stride) = self.idle_sync {
                     if gidx >= self.next_idle_sync {
                         // Idle sweep: sync every neighborhood — not just
@@ -603,19 +592,13 @@ where
         }
     }
 
-    /// Runs to completion. Only valid for drivers whose feed provider is
-    /// always ready and whose supply never pauses (the resident drivers;
-    /// streaming shards step cooperatively instead).
+    /// Runs to completion. Only valid for drivers whose supply never
+    /// pauses (resident slices, chunk runs, a live queue being drained;
+    /// the shards of a blocked replay step from block to block instead).
     pub(super) fn run(&mut self) -> Result<(), SimError> {
-        loop {
-            match self.step()? {
-                Step::Done => return Ok(()),
-                Step::Blocked { .. } => {
-                    debug_assert!(false, "a non-sharded feed provider never blocks");
-                    std::thread::yield_now();
-                }
-                Step::Horizon { .. } => unreachable!("unbounded steps never park on a horizon"),
-            }
+        match self.step()? {
+            Step::Done => Ok(()),
+            Step::Horizon { .. } => unreachable!("this supply never pauses between blocks"),
         }
     }
 
@@ -645,8 +628,6 @@ where
         let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) else {
             return;
         };
-        let ready = feed.ready(seq);
-        debug_assert!(ready, "a block is published before its shards run");
         for index in &mut self.indexes {
             feed.sync(index, now, seq);
         }

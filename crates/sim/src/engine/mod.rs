@@ -32,11 +32,11 @@
 //!        ├─► RecordSupply        (stream.rs — where sessions come from)
 //!        │     ResidentSupply      resident slice (+ optional shard subset)
 //!        │     BlockSupply         one neighborhood's run of each decoded,
-//!        │                         demultiplexed block (time-major sources)
+//!        │                         demultiplexed block (the blocked replay)
 //!        │     StreamSupply        gidx-ordered merge over a shard's own
-//!        │                         chunk runs (neighborhood-major sources)
+//!        │                         chunk runs (the sweep fast path)
 //!        ├─► FeedProvider        (feed.rs glue; cablevod_cache::feed — how
-//!        │     PrecomputedFeed     the global popularity feed is carried)
+//!        │     PrecomputedFeed     the global popularity feed is consumed)
 //!        │     SharedFeed          over GlobalFeed / WatermarkFeed
 //!        └─► SegmentPlant        (lifecycle.rs, shard.rs — whose bytes get
 //!              Topology            accounted: the whole plant, or)
@@ -55,76 +55,69 @@
 //! ```
 //!
 //! The three drivers pick one of each. The source decides between resident
-//! and streaming, and — for streaming — its chunk layout decides the
-//! supply; the worker count (`run` is one worker, `run_parallel(n)` is
-//! `n`) never picks an algorithm on a streaming source:
+//! and streaming, and — for streaming — what the engine can observe of the
+//! file and the strategy decides the supply (`shard_plans`); the
+//! worker count (`run` is one worker, `run_parallel(n)` is `n`) never
+//! picks an algorithm on a streaming source:
 //!
 //! | driver             | supply                          | feed              | plant        | scheduling                        |
 //! |--------------------|---------------------------------|-------------------|--------------|-----------------------------------|
 //! | serial resident    | `ResidentSupply` (all)          | `PrecomputedFeed` | `Topology`   | inline, one global event heap     |
 //! | sharded resident   | `ResidentSupply` (subset)       | `PrecomputedFeed` | `ShardPlant` | work-stealing pool                |
-//! | streaming          | `BlockSupply` (time-major)      | `SharedFeed`      | `ShardPlant` | cooperative tasks, parked at block edges |
-//! |                    | `StreamSupply` (neighborhood-major) | `SharedFeed`  | `ShardPlant` | cooperative tasks, parked on the feed frontier |
+//! | streaming          | `BlockSupply` (blocked replay)  | `SharedFeed`      | `ShardPlant` | cooperative tasks, parked at block edges |
+//! |                    | `StreamSupply` (sweep fast path) | none             | `ShardPlant` | work-stealing pool                |
 //!
 //! # Trace layouts and decode work
 //!
 //! Chunked sources come in two layouts (see [`cablevod_trace::columnar`]),
 //! and a streaming replay is sharded per neighborhood over either:
 //!
-//! * **Time-major** chunks partition the global order. The replay is
-//!   *neighborhood-blocked*: the caller's thread decodes each chunk
-//!   **once**, computes the records' contexts, publishes the block's feed
-//!   events and advances the watermark past the block, and sorts the
-//!   block's record positions by neighborhood; then every shard runs
-//!   through its own run of the block and on to — strictly before — the
-//!   block's last start time, and carries its continuation heap into the
-//!   next block (records sort ahead of continuations at an equal second,
-//!   and the next block may start at that very second). A neighborhood's
-//!   sessions are thus replayed a block's worth at a stretch against its
-//!   own working set, instead of one global heap hopping between all of
-//!   them, and decode work is one pass over the file at any worker count.
-//! * A **neighborhood-major** file (re-chunked at import,
-//!   [`cablevod_trace::rechunk`]) groups each chunk under one neighborhood
-//!   and carries a per-neighborhood chunk index plus per-record global
-//!   sequence numbers. When its neighborhood size matches, each shard is
-//!   handed exactly its own chunks and streams them end to end — each
-//!   chunk again decoded once per run, with no pre-pass scan for
-//!   non-Oracle strategies. At a *different* neighborhood size one
-//!   pre-pass prunes, per shard, the chunk runs holding its records, and
-//!   each shard replays those through `stream::StreamSupply`'s filtered
-//!   sequence-number merge, so every layout stays replayable at every
-//!   size.
+//! * The **blocked** replay is the general plan. The caller's thread walks
+//!   the records in global order, each chunk decoded **once** — a
+//!   **time-major** file's chunks partition that order, so each is a block
+//!   as it stands; a **neighborhood-major** file's cell runs are merged
+//!   back into it by their stored sequence numbers, a chunk's worth of
+//!   records a block. It computes the records' contexts, publishes the
+//!   block's feed events and advances the watermark past the block, and
+//!   sorts the block's record positions by neighborhood; then every shard
+//!   runs through its own run of the block and on to — strictly before —
+//!   the block's last start time, and carries its continuation heap into
+//!   the next block (records sort ahead of continuations at an equal
+//!   second, and the next block may start at that very second). A
+//!   neighborhood's sessions are thus replayed a block's worth at a
+//!   stretch against its own working set, instead of one global heap
+//!   hopping between all of them, and decode work is one pass over the
+//!   file at any worker count.
+//! * The **sweep fast path**: a neighborhood-major file (re-chunked at
+//!   import, [`cablevod_trace::rechunk`]) groups each chunk under one
+//!   neighborhood and carries a per-neighborhood chunk index. When the
+//!   index matches the configured neighborhood size *and* the strategy
+//!   takes no feed, nothing couples the shards: each is handed exactly
+//!   its own chunks and streams them end to end as an independent job —
+//!   each chunk again decoded once per run. At a different neighborhood
+//!   size, or under a strategy that takes the feed, the same file replays
+//!   blocked, so every layout stays replayable at every size under every
+//!   strategy.
 //!
-//! Counter-based tests enforce both decode-once claims.
+//! Counter-based tests enforce decode-once on every layout.
 //!
-//! # Watermark-ordered global feeds
+//! # One feed producer
 //!
 //! Serial feed exactness: the serial engine publishes the feed one record
 //! at a time, so at record `r` a strategy can only ever see events
 //! `0..=r`. The resident drivers reproduce that bound against a feed
-//! precomputed in full; the streaming driver publishes into a shared
-//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bounds every
+//! precomputed in full; streaming and online runs publish into a shared
+//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bound every
 //! consumer by its own record index, so an early-published event is never
-//! visible early. Who publishes follows the layout. The blocked replay
-//! has **one** producer — the decoding thread publishes a whole block and
-//! moves its watermark past it before any shard runs, so shards never
-//! wait on one another. Shards that decode their own chunk runs each
-//! publish their own records' events as they stage them — chunk-at-a-time
-//! on single-run supplies, record-at-a-time on merges (see `stream.rs`) —
-//! and a shard about to start the session with global index `g` first
-//! waits until the cross-shard minimum watermark (the *frontier*) passes
-//! `g`, then consumes events `0..=g` exactly like the serial engine.
-//!
-//! Frontier liveness: among parked shards, the one waiting at the globally
-//! smallest record index `g` needs every other shard's watermark above
-//! `g`; every other parked shard's watermark is past its own staged head,
-//! which is at a larger index, exhausted shards sit at `u64::MAX`, and
-//! running shards advance in bounded time — so some shard can always
-//! proceed, at any worker count (shards are cooperative tasks multiplexed
-//! onto workers, parked when blocked). Feed memory stays bounded by
-//! consumption, not trace length: every sync reports the strategy's
-//! cursor back and the carrier reclaims fully consumed segments (see
-//! [`cablevod_cache::watermark`]).
+//! visible early. Every run has **one** producer, working ahead of every
+//! consumer: the decoding thread publishes a whole block and moves the
+//! watermark past it before any shard runs; the online ingress publishes
+//! a session when it is submitted. So no driver ever waits on the feed,
+//! and a shard about to start the session with global index `g` consumes
+//! events `0..=g` exactly like the serial engine. Feed memory stays
+//! bounded by consumption, not trace length: every sync reports the
+//! strategy's cursor back and the carrier reclaims fully consumed
+//! segments (see [`cablevod_cache::watermark`]).
 //!
 //! Idle-neighborhood retention: a neighborhood between (or without)
 //! sessions never syncs on its own — its stalled cursor would floor the
@@ -142,9 +135,9 @@
 //! Oracle is inherently offline — it needs the whole future — but the
 //! future no longer needs to be resident. Streaming runs spill the
 //! per-neighborhood `(time, program)` schedules to an on-disk **schedule
-//! sidecar** ([`cablevod_trace::schedule`]) during the single pre-pass
-//! scan they already perform (matched neighborhood-major sources scan
-//! run by run; everything else merges to global time order), then replay
+//! sidecar** ([`cablevod_trace::schedule`]) during one pre-pass scan
+//! (matched neighborhood-major sources scan run by run; everything else
+//! merges to global time order), then replay
 //! them through [`ScheduleWindow`]s whose resident state is bounded by
 //! the look-ahead span plus one sidecar chunk. Resident runs keep
 //! zero-copy windows over in-memory [`AccessSchedule`]s — the hot path
@@ -187,10 +180,10 @@ use crate::error::SimError;
 use crate::report::SimReport;
 
 use fault::FaultingPlant;
-use feed::build_feed;
+use feed::{build_feed, wants_feed};
 use lifecycle::{session_ctx, SessionCtx, SessionDriver, UserMap};
 use report::assemble_serial_report;
-use schedule::{scan_runs, spill_from_scan, ScheduleSupply, SidecarSpill};
+use schedule::{spill_from_scan, ScheduleSupply};
 use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
@@ -235,21 +228,34 @@ use stream::ResidentSupply;
 /// # Ok::<(), cablevod_sim::SimError>(())
 /// ```
 pub fn run<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> Result<SimReport, SimError> {
-    run_with(source, config, config.strategy().factory().as_ref())
+    Ok(replay(source, config, config.strategy().factory().as_ref(), None)?.0)
 }
 
-/// [`run`] with an explicit strategy factory — the entry the
+/// The one way in: [`run`] (`workers = None`) and [`run_parallel`] with an
+/// explicit strategy factory — the entry the
 /// [`Simulation`](crate::Simulation) builder uses so registry-resolved
-/// (out-of-tree) strategies ride the same drivers as the built-ins.
-pub(crate) fn run_with<S: TraceSource + ?Sized>(
+/// (out-of-tree) strategies ride the same drivers as the built-ins. Beside
+/// the report it says whether the replay took the sweep fast path (see
+/// [`fastpath_layout`]), surfaced as
+/// [`RunTelemetry::fastpath`](crate::RunTelemetry).
+pub(crate) fn replay<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
-) -> Result<SimReport, SimError> {
+    workers: Option<usize>,
+) -> Result<(SimReport, bool), SimError> {
     check_record_count(source)?;
-    match source.resident_records() {
-        Some(records) => run_resident(records, source, config, strategy),
-        None => shard::run_streaming(source, config, strategy, 1),
+    match (source.resident_records(), workers) {
+        (Some(records), None) => Ok((run_resident(records, source, config, strategy)?, false)),
+        (Some(records), Some(n)) => {
+            let report = shard::run_parallel_resident(records, source, config, strategy, n)?;
+            Ok((report, false))
+        }
+        (None, _) => {
+            let (report, streamed) =
+                shard::run_streaming(source, config, strategy, workers.unwrap_or(1))?;
+            Ok((report, streamed.fastpath))
+        }
     }
 }
 
@@ -285,53 +291,26 @@ pub fn run_parallel<S: TraceSource + ?Sized>(
     config: &SimConfig,
     threads: usize,
 ) -> Result<SimReport, SimError> {
-    run_parallel_with(
-        source,
-        config,
-        config.strategy().factory().as_ref(),
-        threads,
-    )
+    let strategy = config.strategy().factory();
+    Ok(replay(source, config, strategy.as_ref(), Some(threads))?.0)
 }
 
-/// [`run_parallel`] with an explicit strategy factory (see [`run_with`]).
-pub(crate) fn run_parallel_with<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-    threads: usize,
-) -> Result<SimReport, SimError> {
-    check_record_count(source)?;
-    match source.resident_records() {
-        Some(records) => shard::run_parallel_resident(records, source, config, strategy, threads),
-        None => shard::run_streaming(source, config, strategy, threads),
-    }
-}
-
-/// The source's chunk-index layout for `config`'s neighborhood size, if
-/// it covers all `nbhd_count` groups — the **sweep fast path**: streaming
-/// replays read each shard's cell runs straight from the index (no
-/// pre-pass scan, no filtering) and Oracle spills can skip the global
-/// merge when every group is a single run.
+/// The source's chunk index for `config`'s neighborhood size, when shards
+/// can replay straight from it — the **sweep fast path**: the index covers
+/// all `nbhd_count` groups, so every chunk belongs to exactly one shard,
+/// and the strategy takes no feed, so shards share nothing and each can
+/// stream its own cell runs end to end (no central decode, no block
+/// edges). The one predicate behind the plan ([`shard_plans`]) and,
+/// through it, the `fastpath` telemetry flag.
 fn fastpath_layout<'s, S: TraceSource + ?Sized>(
     source: &'s S,
     config: &SimConfig,
     nbhd_count: usize,
+    strategy: &dyn StrategyFactory,
 ) -> Option<&'s cablevod_trace::source::NeighborhoodLayout> {
     source
         .neighborhood_layout_for(config.neighborhood_size())
-        .filter(|layout| layout.group_count() == nbhd_count)
-}
-
-/// Whether a streaming replay of `source` under `config` hits the sweep
-/// fast path (see [`fastpath_layout`]; the neighborhood count mirrors
-/// [`Topology::build`]'s `ceil(users / size)`). Surfaced by the
-/// [`Simulation`](crate::Simulation) builder as
-/// [`RunTelemetry::fastpath`](crate::RunTelemetry).
-pub(crate) fn streaming_fastpath<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> bool {
-    let nbhd_count = u64::from(source.user_count())
-        .div_ceil(u64::from(config.neighborhood_size().max(1)))
-        .max(1) as usize;
-    fastpath_layout(source, config, nbhd_count).is_some()
+        .filter(|layout| layout.group_count() == nbhd_count && !wants_feed(strategy))
 }
 
 /// Session indices ride in `u32` heap entries on every path (resident and
@@ -537,11 +516,11 @@ fn run_resident<S: TraceSource + ?Sized>(
     ))
 }
 
-/// The chunk runs a whole-source scan visits (the Oracle schedule spill,
-/// the mismatched-layout pre-pass): one run over all chunks for
-/// time-major sources, one run per placement cell for neighborhood-major
-/// sources (any group size — each cell run is gidx-ascending and a
-/// sequence-number merge restores global order).
+/// The chunk runs that together hold every record of the source, each
+/// gidx-ascending (what the blocked replay's decoder and the Oracle
+/// schedule spill read): one run over all chunks for time-major sources,
+/// one run per placement cell for neighborhood-major sources (any group
+/// size — a sequence-number merge restores global order).
 fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
     match source.neighborhood_layout() {
         Some(layout) => layout.runs.iter().flatten().cloned().collect(),
@@ -549,21 +528,17 @@ fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
     }
 }
 
-/// How a streaming replay's shards get their records — decided by the
-/// source's chunk layout alone, never by the worker count.
+/// How a streaming replay's shards get their records — decided by what
+/// the engine can observe (does the file's grouping match the plant, does
+/// the strategy take the feed), never by an option or the worker count.
 enum Replay {
-    /// Time-major source: each chunk is decoded once, centrally, and
-    /// demultiplexed into per-neighborhood runs (`stream::Block`).
-    Blocked,
-    /// Neighborhood-major source: shard `n` merges the gidx-sorted chunk
-    /// runs `runs[n]`, decoding them itself.
-    Runs {
-        runs: Vec<Vec<Vec<u32>>>,
-        /// Whether chunks can contain foreign records (false on the
-        /// matched fast path, where a chunk's records all belong to its
-        /// one shard).
-        filtered: bool,
-    },
+    /// The caller's thread decodes these runs ([`serial_runs`]) once, in
+    /// global order, publishes centrally and demultiplexes into
+    /// per-neighborhood runs (`stream::Block`).
+    Blocked(Vec<Vec<u32>>),
+    /// The sweep fast path ([`fastpath_layout`]): shard `n` merges the
+    /// gidx-sorted chunk runs listed for it, decoding them itself.
+    Runs(Vec<Vec<Vec<u32>>>),
 }
 
 /// The one streaming plan: how shards are supplied, and the Oracle
@@ -575,22 +550,17 @@ struct StreamPlan {
 
 /// Plans a streaming replay.
 ///
-/// * **Time-major source**: the blocked replay — no pre-pass, no
-///   filtering, each chunk decoded once for the whole run.
-/// * **Matched neighborhood-major source** (its group size equals the
-///   configured neighborhood size): each shard gets exactly its group's
-///   chunks straight from the file's chunk index — again no pre-pass, no
-///   filtering, each chunk decoded once for the whole run.
-/// * **Mismatched neighborhood-major source**: one streaming pre-pass
-///   builds, per shard, the pruned chunk runs holding at least one of
-///   its records (one run per source group, so each run stays
-///   gidx-sorted even though the source's grouping disagrees with the
-///   configured neighborhood size).
+/// * **Matched neighborhood-major source under a feed-less strategy**
+///   ([`fastpath_layout`]): each shard gets exactly its group's chunks
+///   straight from the file's chunk index and runs as an independent job.
+/// * **Everything else** — a time-major source, a neighborhood-major one
+///   whose grouping disagrees with the plant, or any file under a
+///   strategy that takes the feed: the blocked replay.
 ///
-/// Oracle schedules are spilled straight to the windowed on-disk sidecar
-/// (see [`schedule`]) by one counted scan — the mismatched pre-pass when
-/// there is one, a scan of their own otherwise; no scan holds per-record
-/// state in memory.
+/// Either way there is no pre-pass and no filtering, and each chunk is
+/// decoded once for the whole run. Oracle schedules are spilled straight
+/// to the windowed on-disk sidecar (see [`schedule`]) by one more counted
+/// scan that holds no per-record state in memory.
 fn shard_plans<S: TraceSource + ?Sized>(
     source: &S,
     topo: &Topology,
@@ -599,71 +569,22 @@ fn shard_plans<S: TraceSource + ?Sized>(
     strategy: &dyn StrategyFactory,
 ) -> Result<StreamPlan, SimError> {
     let nbhd_count = topo.neighborhood_count();
-    let needs_schedule = strategy.needs_schedule();
-
-    let matched = fastpath_layout(source, config, nbhd_count);
-    if matched.is_some() || source.neighborhood_layout().is_none() {
-        let replay = match matched {
-            // Each shard merges its group's cell runs straight from the
-            // file's chunk index (a single-index file has one run per
-            // group; a multi-index file may have several, one per
-            // placement cell).
-            Some(layout) => Replay::Runs {
-                runs: layout.runs.clone(),
-                filtered: false,
-            },
-            None => Replay::Blocked,
-        };
-        let schedules = if needs_schedule {
-            ScheduleSupply::Spilled(spill_from_scan(source, topo, config, segmenter)?)
-        } else {
-            ScheduleSupply::none(nbhd_count)
-        };
-        return Ok(StreamPlan { replay, schedules });
-    }
-
-    let group_lists = serial_runs(source);
-    let mut shard_runs: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); group_lists.len()]; nbhd_count];
-    let schedules = if needs_schedule {
-        // One merged-order scan builds the pruned chunk runs AND spills
-        // the schedules (the sidecar needs per-neighborhood time order,
-        // which only the merge provides when the source's grouping
-        // disagrees with the configured neighborhood size).
-        let costs = schedule_costs(source.catalog(), config, segmenter);
-        let mut spill = SidecarSpill::create(nbhd_count, costs)?;
-        scan_runs(source, &group_lists, true, |g, chunk, rec| {
-            let n = topo.neighborhood_of_user(rec.user)?.index();
-            if shard_runs[n][g].last() != Some(&chunk) {
-                shard_runs[n][g].push(chunk);
-            }
-            spill.push(n as u32, rec.start, rec.program)
-        })?;
-        ScheduleSupply::Spilled(spill.into_schedules()?)
+    let fastpath = fastpath_layout(source, config, nbhd_count, strategy);
+    let runs = serial_runs(source);
+    let schedules = if strategy.needs_schedule() {
+        // Each run is one whole neighborhood only on a fast-path source
+        // with one run per group; a multi-index source's groups can span
+        // several placement cells, whose runs interleave in time.
+        let run_by_run = fastpath.is_some_and(|layout| layout.single_run_per_group());
+        ScheduleSupply::Spilled(spill_from_scan(
+            source, topo, config, segmenter, &runs, run_by_run,
+        )?)
     } else {
-        let mut buf = Vec::new();
-        let mut seen = vec![u32::MAX; nbhd_count];
-        for (g, chunks) in group_lists.iter().enumerate() {
-            for &chunk in chunks {
-                source.read_chunk(chunk as usize, &mut buf)?;
-                for r in &buf {
-                    let n = topo.neighborhood_of_user(r.user)?.index();
-                    if seen[n] != chunk {
-                        seen[n] = chunk;
-                        shard_runs[n][g].push(chunk);
-                    }
-                }
-            }
-        }
         ScheduleSupply::none(nbhd_count)
     };
-    for runs in &mut shard_runs {
-        runs.retain(|run| !run.is_empty());
-    }
-    Ok(StreamPlan {
-        replay: Replay::Runs {
-            runs: shard_runs,
-            filtered: true,
-        },
-        schedules,
-    })
+    let replay = match fastpath {
+        Some(layout) => Replay::Runs(layout.runs.clone()),
+        None => Replay::Blocked(runs),
+    };
+    Ok(StreamPlan { replay, schedules })
 }

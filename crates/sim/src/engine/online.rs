@@ -11,10 +11,10 @@
 //! * **submit** — hand the engine one session request. The record's
 //!   context is computed at ingress (exactly `session_ctx`, like every
 //!   other supply), its feed event is published into a shared
-//!   [`WatermarkFeed`] and the producer watermark is advanced past it, so
-//!   the decision tier is never parked on the frontier. The session is
-//!   then staged on a `LiveSupply` — a `RecordSupply` over a queue
-//!   that is fed by the caller instead of a file scan.
+//!   [`WatermarkFeed`] and the watermark is advanced past it — the
+//!   ingress is the run's one feed producer, ahead of every driver. The
+//!   session is then staged on a `LiveSupply` — a `RecordSupply` over a
+//!   queue that is fed by the caller instead of a file scan.
 //! * **advance_to** — step the lifecycle cooperatively up to the live
 //!   clock's "now" (`SessionDriver::step_until`): every event at or
 //!   before the horizon is processed in exactly the order the offline
@@ -57,7 +57,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use cablevod_cache::{IndexServer, SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::units::SimTime;
@@ -72,8 +72,8 @@ use super::lifecycle::{
 };
 use super::report::{assemble_serial_report, merge_outcomes};
 use super::schedule::ScheduleSupply;
-use super::shard::{ShardOutcome, ShardPlant};
-use super::{build_index, build_indexes, build_schedules, build_topology_for};
+use super::shard::{ShardDriver, ShardOutcome, ShardParts};
+use super::{build_indexes, build_schedules, build_topology_for};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -211,8 +211,8 @@ pub fn serve_serial<T>(
     let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
     let indexes = build_indexes(&topo, config, &segmenter, &schedules, strategy)?;
 
-    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, 1, nbhd_count));
-    let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0, 0..nbhd_count));
+    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
+    let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0..nbhd_count));
     let queue = SharedQueue::default();
     let supply = LiveSupply {
         queue: Rc::clone(&queue),
@@ -227,7 +227,7 @@ pub fn serve_serial<T>(
     };
 
     let value = session(&mut engine)?;
-    engine.drain()?;
+    engine.driver.run()?;
 
     let SerialOnline { driver, .. } = engine;
     let (plant, indexes, counters) = driver.into_parts();
@@ -266,35 +266,24 @@ pub fn serve_sharded<T>(
     let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
     let positions = topo.local_positions();
 
-    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, 1, nbhd_count));
+    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
+    let parts = ShardParts {
+        topo: &topo,
+        config,
+        segmenter,
+        schedules: &schedules,
+        strategy,
+        positions: &positions,
+    };
     let mut tasks = Vec::with_capacity(nbhd_count);
     for n in 0..nbhd_count {
-        let index = build_index(n, &topo, config, &segmenter, schedules.window(n)?, strategy)?;
-        let plant = FaultingPlant::new(
-            ShardPlant::build(n, &topo, config, &positions)?,
-            config,
-            n as u32,
-            1,
-        );
         let queue = SharedQueue::default();
         let supply = LiveSupply {
             queue: Rc::clone(&queue),
         };
-        // Every shard reads producer 0's watermark — publication is
-        // central (at submit), so shards are never parked, and
-        // `WatermarkFeed::finish` is idempotent across their drains.
-        let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0, n..n + 1));
+        let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, n..n + 1));
         tasks.push(ShardTask {
-            driver: SessionDriver::new(
-                supply,
-                provider,
-                plant,
-                vec![index],
-                n as u32,
-                config,
-                segmenter,
-                None,
-            ),
+            driver: parts.driver(n, supply, provider, None)?,
             queue,
         });
     }
@@ -336,15 +325,14 @@ fn online_schedules(
 /// stepped cooperatively), hence `Rc<RefCell<..>>`.
 type SharedQueue = Rc<RefCell<VecDeque<PendingSession>>>;
 
-/// A [`RecordSupply`] over a caller-fed queue. Publication and watermark
-/// advancement happened at submit (see [`Ingress::admit`]), so peeking
-/// never touches the feed and the driver never parks on the frontier.
+/// A [`RecordSupply`] over a caller-fed queue (whose sessions were
+/// published at submit — see [`Ingress::admit`]).
 struct LiveSupply {
     queue: SharedQueue,
 }
 
-impl<F: cablevod_cache::FeedProvider> RecordSupply<F> for LiveSupply {
-    fn peek(&mut self, _feed: &mut Option<F>) -> Result<Option<(SimTime, u64)>, SimError> {
+impl RecordSupply for LiveSupply {
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self.queue.borrow().front().map(|p| (p.rec.start, p.gidx)))
     }
 
@@ -364,7 +352,7 @@ struct Ingress<'s> {
     config: &'s SimConfig,
     segmenter: Segmenter,
     seg_len: u64,
-    wfeed: Option<&'s WatermarkFeed>,
+    producer: Option<FeedProducer<'s>>,
     capacity: u64,
     next_gidx: u64,
     last_start: Option<SimTime>,
@@ -385,7 +373,7 @@ impl<'s> Ingress<'s> {
             config,
             segmenter,
             seg_len: segmenter.segment_len().as_secs(),
-            wfeed,
+            producer: wfeed.map(WatermarkFeed::producer_handle),
             capacity: spec.capacity,
             next_gidx: 0,
             last_start: None,
@@ -395,7 +383,7 @@ impl<'s> Ingress<'s> {
 
     /// Admits one submission: enforces the ordering contract, computes
     /// the session context, publishes its feed event and advances the
-    /// producer watermark past it.
+    /// watermark past it.
     fn admit(&mut self, rec: SessionRecord) -> Result<PendingSession, SimError> {
         if self.next_gidx >= self.capacity {
             return Err(SimError::Config {
@@ -419,9 +407,9 @@ impl<'s> Ingress<'s> {
         }
         let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)?;
         let gidx = self.next_gidx;
-        if let Some(feed) = self.wfeed {
+        if let Some(feed) = self.producer.as_mut() {
             feed.publish(gidx, feed_event(&rec, &ctx, self.config, &self.segmenter));
-            feed.advance(0, gidx + 1);
+            feed.advance(gidx + 1);
         }
         self.next_gidx += 1;
         self.last_start = Some(rec.start);
@@ -452,21 +440,6 @@ struct SerialOnline<'s> {
     epoch: u64,
 }
 
-impl SerialOnline<'_> {
-    fn drain(&mut self) -> Result<(), SimError> {
-        loop {
-            match self.driver.step_until(None)? {
-                Step::Done => return Ok(()),
-                Step::Blocked { .. } => {
-                    debug_assert!(false, "a live supply's frontier is advanced at submit");
-                    std::thread::yield_now();
-                }
-                Step::Horizon { .. } => unreachable!("unbounded steps never park on a horizon"),
-            }
-        }
-    }
-}
-
 impl OnlineEngine for SerialOnline<'_> {
     fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
         let pending = self.ingress.admit(rec)?;
@@ -478,7 +451,7 @@ impl OnlineEngine for SerialOnline<'_> {
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
         self.ingress.note_advance(now)?;
         match self.driver.step_until(Some(now))? {
-            Step::Horizon { progressed } | Step::Blocked { progressed } => {
+            Step::Horizon { progressed } => {
                 if progressed {
                     self.epoch += 1;
                 }
@@ -515,7 +488,7 @@ impl OnlineEngine for SerialOnline<'_> {
 /// One neighborhood's online shard: its driver and the queue its
 /// [`LiveSupply`] drains.
 struct ShardTask<'s> {
-    driver: SessionDriver<'s, FaultingPlant<ShardPlant<'s>>, SharedFeed<'s>, LiveSupply>,
+    driver: ShardDriver<'s, SharedFeed<'s>, LiveSupply>,
     queue: SharedQueue,
 }
 
@@ -531,18 +504,7 @@ impl ShardedOnline<'_> {
     fn drain_all(self) -> Result<Vec<ShardOutcome>, SimError> {
         let mut outcomes = Vec::with_capacity(self.tasks.len());
         for mut task in self.tasks {
-            loop {
-                match task.driver.step_until(None)? {
-                    Step::Done => break,
-                    Step::Blocked { .. } => {
-                        debug_assert!(false, "a live supply's frontier is advanced at submit");
-                        std::thread::yield_now();
-                    }
-                    Step::Horizon { .. } => {
-                        unreachable!("unbounded steps never park on a horizon")
-                    }
-                }
-            }
+            task.driver.run()?;
             outcomes.push(ShardOutcome::from_driver(task.driver));
         }
         Ok(outcomes)
@@ -565,7 +527,7 @@ impl OnlineEngine for ShardedOnline<'_> {
         let mut any = false;
         for task in &mut self.tasks {
             match task.driver.step_until(Some(now))? {
-                Step::Horizon { progressed } | Step::Blocked { progressed } => any |= progressed,
+                Step::Horizon { progressed } => any |= progressed,
                 Step::Done => unreachable!("bounded steps never finish the run"),
             }
         }

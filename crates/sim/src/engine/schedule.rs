@@ -38,13 +38,12 @@ use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::SimTime;
-use cablevod_trace::record::SessionRecord;
 use cablevod_trace::schedule::{
     events_per_chunk, ScheduleSidecarReader, ScheduleSidecarWriter, DEFAULT_EVENTS_PER_CHUNK,
 };
 use cablevod_trace::source::TraceSource;
 
-use super::stream::ChunkRun;
+use super::stream::RunMerge;
 use crate::config::SimConfig;
 use crate::error::SimError;
 
@@ -99,8 +98,8 @@ impl Drop for SpillFile {
 }
 
 /// An in-progress schedule spill: the sidecar writer plus the RAII guard
-/// for its temp file. Push events in per-neighborhood time order (the
-/// scan helpers below guarantee it), then
+/// for its temp file. Push events in per-neighborhood time order
+/// ([`spill_from_scan`] guarantees it), then
 /// [`into_schedules`](SidecarSpill::into_schedules).
 pub(super) struct SidecarSpill {
     // Field order matters: the writer's buffered file handle must drop
@@ -231,76 +230,31 @@ impl ScheduleReader for SidecarWindowReader {
     }
 }
 
-/// Visits every record of `runs` (gidx-ascending chunk lists) exactly
-/// once as `(run index, chunk id, record)`, decoding each chunk once
-/// through the source's counted chunk API. With `merge` the runs are
-/// interleaved by global sequence number — global time order, required
-/// whenever one neighborhood's records span several runs (mismatched
-/// neighborhood-major sources). Without it runs are scanned back to
-/// back, which is already per-neighborhood time order when each run is
-/// one neighborhood's chunk list (matched sources) or there is a single
-/// run (time-major sources).
-pub(super) fn scan_runs<S: TraceSource + ?Sized>(
-    source: &S,
-    runs: &[Vec<u32>],
-    merge: bool,
-    mut visit: impl FnMut(usize, u32, &SessionRecord) -> Result<(), SimError>,
-) -> Result<(), SimError> {
-    let mut cursors: Vec<ChunkRun<'_, S>> = runs
-        .iter()
-        .map(|chunks| ChunkRun::new(source, chunks))
-        .collect();
-    if merge && cursors.len() > 1 {
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, run) in cursors.iter_mut().enumerate() {
-                if let Some((gidx, _)) = run.head()? {
-                    if best.is_none_or(|(b, _)| gidx < b) {
-                        best = Some((gidx, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { return Ok(()) };
-            let (_, rec) = cursors[i].head()?.expect("head just observed");
-            let chunk = cursors[i].head_chunk();
-            cursors[i].pop_head();
-            visit(i, chunk, &rec)?;
-        }
-    }
-    for (i, run) in cursors.iter_mut().enumerate() {
-        while let Some((_, rec)) = run.head()? {
-            let chunk = run.head_chunk();
-            run.pop_head();
-            visit(i, chunk, &rec)?;
-        }
-    }
-    Ok(())
-}
-
 /// Spills the Oracle schedules of every neighborhood with **one**
-/// streaming scan over the source — the scan the resident pre-pass used
-/// to fill RAM with. Decode work goes through the source's counted chunk
-/// API, so schedule pre-passes show up in
-/// [`TraceSource::decode_stats`] accounting exactly like replay work.
+/// streaming scan over `runs`, which together hold every record of the
+/// source — the scan the resident pre-pass used to fill RAM with. The
+/// sidecar takes each neighborhood's events in time order: scanning
+/// `run_by_run`, back to back, gives that when every run is one whole
+/// neighborhood; otherwise the runs are merged to global order. Decode
+/// work goes through the source's counted chunk API, so schedule
+/// pre-passes show up in [`TraceSource::decode_stats`] accounting exactly
+/// like replay work.
 pub(super) fn spill_from_scan<S: TraceSource + ?Sized>(
     source: &S,
     topo: &Topology,
     config: &SimConfig,
     segmenter: &Segmenter,
+    runs: &[Vec<u32>],
+    run_by_run: bool,
 ) -> Result<SpilledSchedules, SimError> {
     let costs = super::schedule_costs(source.catalog(), config, segmenter);
     let mut spill = SidecarSpill::create(topo.neighborhood_count(), costs)?;
-    let runs = super::serial_runs(source);
-    // A matched neighborhood-major source with one run per group is
-    // already per-neighborhood time-ordered run by run; everything else —
-    // including matched multi-index sources whose groups span several
-    // placement cells, whose runs interleave in time — merges to global
-    // order.
-    let matched = super::fastpath_layout(source, config, topo.neighborhood_count())
-        .is_some_and(|layout| layout.single_run_per_group());
-    scan_runs(source, &runs, !matched, |_, _, rec| {
-        let nbhd = topo.neighborhood_of_user(rec.user)?;
-        spill.push(nbhd.index() as u32, rec.start, rec.program)
-    })?;
+    for together in runs.chunks(if run_by_run { 1 } else { runs.len().max(1) }) {
+        let mut records = RunMerge::new(source, together.iter().map(Vec::as_slice));
+        while let Some((_, rec)) = records.next()? {
+            let nbhd = topo.neighborhood_of_user(rec.user)?;
+            spill.push(nbhd.index() as u32, rec.start, rec.program)?;
+        }
+    }
     spill.into_schedules()
 }

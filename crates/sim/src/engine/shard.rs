@@ -4,34 +4,35 @@
 //! The paper's unit of isolation is the neighborhood: per-event state
 //! (cache, boxes, coax) is neighborhood-local, the shared central-server
 //! meter merges because bucket accounting is commutative
-//! ([`RateMeter::merge`]), and global-feed visibility is reproduced by the
-//! provider seam (precomputed bounds on resident runs, the watermark
-//! frontier on streaming runs). Each shard therefore runs the **same**
-//! [`SessionDriver`] lifecycle as the serial engine, against a
-//! [`ShardPlant`] instead of the whole topology:
+//! ([`RateMeter::merge`]), and the one thing that crosses neighborhoods —
+//! the global popularity feed — is always published from one place, ahead
+//! of every shard that reads it (precomputed on resident runs, by the
+//! decoding thread on streaming runs). Each shard therefore runs the
+//! **same** [`SessionDriver`] lifecycle as the serial engine, against a
+//! [`ShardPlant`] instead of the whole topology, and what a shard may
+//! read never depends on how far another has got:
 //!
-//! * resident: shards are independent jobs on the work-stealing pool
-//!   ([`runner::run_indexed`]) — no shard ever waits on another;
-//! * streaming ([`run_streaming`] — every streaming replay, on one worker
-//!   or many): shards are cooperative tasks striped over the workers.
-//!   Over a time-major source they advance block by block, each parked at
-//!   the block's edge until the caller's thread has decoded and
-//!   demultiplexed the next one (`ShardEnv::drive_blocks`); over a
-//!   neighborhood-major source each decodes its own chunk runs and parks
-//!   whenever the watermark frontier has not reached the record it must
-//!   start next (`ShardEnv::drive_runs`), so any worker count is
-//!   deadlock-free (see the frontier-liveness note in [`super`]).
+//! * resident, and streaming over a matched neighborhood-major file under
+//!   a feed-less strategy (each shard decodes its own chunk runs): shards
+//!   are independent jobs on the work-stealing pool
+//!   ([`runner::run_indexed`]), built when started and dropped when done;
+//! * every other streaming replay is **blocked** ([`run_blocked`]): shards
+//!   are cooperative tasks striped over the workers, advancing block by
+//!   block, each parked at the block's edge until the caller's thread has
+//!   decoded, published and demultiplexed the next one. The only
+//!   synchronization is the pair of barrier waits a block.
 //!
-//! Both drivers size their worker sets from the process-wide permit
-//! ledger in [`runner`], so a sharded run composes with a concurrently
-//! executing sweep instead of oversubscribing the machine (and the
-//! caller's own thread always drives, so a dry ledger just means a
-//! single-worker run).
+//! Both size their worker sets from the process-wide permit ledger in
+//! [`runner`], so a sharded run composes with a concurrently executing
+//! sweep instead of oversubscribing the machine (and the caller's own
+//! thread always drives, so a dry ledger just means a single-worker run).
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{IndexStats, SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{FeedProvider, IndexStats, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::coax::CoaxNetwork;
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::meter::RateMeter;
@@ -43,11 +44,12 @@ use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
 use super::fault::FaultingPlant;
-use super::feed::build_feed;
+use super::feed::{build_feed, wants_feed};
 use super::lifecycle::{
     EngineCounters, RecordSupply, SegmentPlant, SessionDriver, Step, UserMap, ABORTED,
 };
 use super::report::merge_outcomes;
+use super::schedule::ScheduleSupply;
 use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
 use super::{
     build_index, build_schedules, build_topology, precompute_sessions, shard_plans, Replay,
@@ -174,13 +176,9 @@ pub(super) struct ShardOutcome {
 }
 
 impl ShardOutcome {
-    pub(super) fn from_driver<F, R>(
-        driver: SessionDriver<'_, FaultingPlant<ShardPlant<'_>>, F, R>,
-    ) -> Self
-    where
-        F: cablevod_cache::FeedProvider,
-        R: super::lifecycle::RecordSupply<F>,
-    {
+    pub(super) fn from_driver<F: FeedProvider, R: RecordSupply>(
+        driver: ShardDriver<'_, F, R>,
+    ) -> Self {
         let (plant, indexes, counters) = driver.into_parts();
         let (plant, degradation) = plant.into_parts();
         ShardOutcome {
@@ -224,25 +222,18 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
         shard_records[ctx.nbhd as usize].push(i as u32);
     }
 
+    let parts = ShardParts {
+        topo: &topo,
+        config,
+        segmenter,
+        schedules: &schedules,
+        strategy,
+        positions: &positions,
+    };
     let outcomes = runner::run_indexed(nbhd_count, threads, |n| {
-        let index = build_index(n, &topo, config, &segmenter, schedules.window(n)?, strategy)?;
-        let plant = FaultingPlant::new(
-            ShardPlant::build(n, &topo, config, &positions)?,
-            config,
-            n as u32,
-            1,
-        );
         let supply = ResidentSupply::new(records, &ctxs, Some(&shard_records[n]));
-        let mut driver = SessionDriver::new(
-            supply,
-            feed.as_ref().map(cablevod_cache::PrecomputedFeed::new),
-            plant,
-            vec![index],
-            n as u32,
-            config,
-            segmenter,
-            None,
-        );
+        let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
+        let mut driver = parts.driver(n, supply, provider, None)?;
         driver.run()?;
         Ok(ShardOutcome::from_driver(driver))
     });
@@ -252,46 +243,143 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     merge_outcomes(outcomes, days, warmup, nbhd_count)
 }
 
+/// What a streaming run says about itself beside its report.
+pub(super) struct Streamed {
+    /// Whether the replay took the sweep fast path
+    /// ([`super::fastpath_layout`]).
+    pub(super) fastpath: bool,
+    /// The watermark feed's peak live slot count (`None` when the run
+    /// carried no feed), which the idle-neighborhood regression test
+    /// asserts stays bounded.
+    pub(super) peak_feed_slots: Option<usize>,
+}
+
 /// The streaming driver, at any worker count: shards are supplied as the
-/// source's layout dictates (see [`super::shard_plans`]) and striped over
-/// the workers. `threads` is how many run at once and nothing else —
-/// `1` is the plan on the caller's thread.
+/// source's layout and the strategy dictate (see [`super::shard_plans`]).
+/// `threads` is how many run at once and nothing else — `1` is the plan on
+/// the caller's thread.
 pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
     threads: usize,
-) -> Result<SimReport, SimError> {
-    Ok(run_streaming_observed(source, config, strategy, threads)?.0)
-}
-
-/// [`run_streaming`] plus retention observability: also returns the
-/// watermark feed's peak live slot count (`None` when the strategy takes
-/// no feed), which the idle-neighborhood regression test asserts stays
-/// bounded.
-pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-    threads: usize,
-) -> Result<(SimReport, Option<usize>), SimError> {
+) -> Result<(SimReport, Streamed), SimError> {
     config.validate()?;
-    let total = source.record_count();
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
     let topo = build_topology(source, config)?;
     let nbhd_count = topo.neighborhood_count();
 
-    let plan = shard_plans(source, &topo, config, &segmenter, strategy)?;
+    let StreamPlan { replay, schedules } =
+        shard_plans(source, &topo, config, &segmenter, strategy)?;
     let users = UserMap::from_topology(&topo);
-    // Blocked replay publishes centrally (one producer); shards that
-    // decode their own runs each publish their own records.
-    let blocked = matches!(plan.replay, Replay::Blocked);
-    let producers = if blocked { 1 } else { nbhd_count };
-    let feed =
-        super::feed::wants_feed(strategy).then(|| WatermarkFeed::new(total, producers, nbhd_count));
     let positions = topo.local_positions();
-    let aborted = AtomicBool::new(false);
+    let parts = ShardParts {
+        topo: &topo,
+        config,
+        segmenter,
+        schedules: &schedules,
+        strategy,
+        positions: &positions,
+    };
 
+    let mut streamed = Streamed {
+        fastpath: false,
+        peak_feed_slots: None,
+    };
+    let outcomes = match &replay {
+        Replay::Runs(runs) => {
+            streamed.fastpath = true;
+            runner::run_indexed(nbhd_count, threads, |n| {
+                let supply = StreamSupply::new(source, &runs[n], users.clone(), &segmenter);
+                let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
+                driver.run()?;
+                Ok(ShardOutcome::from_driver(driver))
+            })
+        }
+        Replay::Blocked(runs) => {
+            let feed =
+                wants_feed(strategy).then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
+            let outcomes = run_blocked(source, runs, &users, &parts, feed.as_ref(), threads)?;
+            streamed.peak_feed_slots = feed.as_ref().map(WatermarkFeed::peak_live_slots);
+            outcomes
+        }
+    };
+
+    let days = source.days().max(1);
+    let warmup = config.warmup_days().min(days - 1);
+    let report = merge_outcomes(outcomes, days, warmup, nbhd_count)?;
+    Ok((report, streamed))
+}
+
+/// What every shard driver of one run is built from: the plant (built
+/// once for membership, capacities and placement determinism, then only
+/// read — every shard owns fresh mutable state) and how a neighborhood's
+/// index server is configured on it.
+pub(super) struct ShardParts<'a> {
+    pub(super) topo: &'a Topology,
+    pub(super) config: &'a SimConfig,
+    pub(super) segmenter: Segmenter,
+    pub(super) schedules: &'a ScheduleSupply,
+    pub(super) strategy: &'a dyn StrategyFactory,
+    /// [`Topology::local_positions`] of `topo`.
+    pub(super) positions: &'a [u32],
+}
+
+/// One neighborhood's driver over supply `R`, consuming the feed through
+/// `F`.
+pub(super) type ShardDriver<'a, F, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, F, R>;
+
+impl<'a> ShardParts<'a> {
+    /// Builds neighborhood `n`'s driver: its own index server and
+    /// isolated plant slice around `supply` and `feed`.
+    pub(super) fn driver<F: FeedProvider, R: RecordSupply>(
+        &self,
+        n: usize,
+        supply: R,
+        feed: Option<F>,
+        abort: Option<&'a AtomicBool>,
+    ) -> Result<ShardDriver<'a, F, R>, SimError> {
+        let index = build_index(
+            n,
+            self.topo,
+            self.config,
+            &self.segmenter,
+            self.schedules.window(n)?,
+            self.strategy,
+        )?;
+        let plant = FaultingPlant::new(
+            ShardPlant::build(n, self.topo, self.config, self.positions)?,
+            self.config,
+            n as u32,
+            1,
+        );
+        Ok(SessionDriver::new(
+            supply,
+            feed,
+            plant,
+            vec![index],
+            n as u32,
+            self.config,
+            self.segmenter,
+            abort,
+        ))
+    }
+}
+
+/// The blocked replay (see the module docs): the caller's thread decodes
+/// `runs` — together every record of `source` — block by block, and
+/// `threads` workers, the caller among them, each carry a stripe of
+/// shards through every block. Returns every shard's outcome in
+/// neighborhood order, or the failure that ended the run.
+fn run_blocked<S: TraceSource + ?Sized>(
+    source: &S,
+    runs: &[Vec<u32>],
+    users: &UserMap,
+    parts: &ShardParts<'_>,
+    feed: Option<&WatermarkFeed>,
+    threads: usize,
+) -> Result<Vec<Result<ShardOutcome, SimError>>, SimError> {
+    let nbhd_count = parts.topo.neighborhood_count();
     // Workers beyond the caller come from the shared ledger
     // ([`runner::take_permits`]): a sharded job started while a sweep
     // holds the machine begins with fewer workers instead of
@@ -302,28 +390,23 @@ pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
     let workers = 1 + permits.len();
     let env = ShardEnv {
         source,
-        topo: &topo,
-        users: &users,
-        config,
-        strategy,
-        segmenter,
-        plan: &plan,
-        positions: &positions,
-        feed: feed.as_ref(),
-        aborted: &aborted,
+        users,
+        parts,
+        feed,
+        aborted: AtomicBool::new(false),
+        panicked: Mutex::new(None),
         workers,
         blocks: BlockExchange::new(workers),
     };
-    let mut demux = blocked.then(|| {
-        Demux::new(
-            source,
-            users.clone(),
-            config,
-            segmenter,
-            nbhd_count,
-            feed.as_ref(),
-        )
-    });
+    let mut demux = Demux::new(
+        source,
+        runs,
+        users.clone(),
+        parts.config,
+        parts.segmenter,
+        nbhd_count,
+        feed,
+    );
     let worker_results: Vec<ShardResults> = std::thread::scope(|scope| {
         let handles: Vec<_> = permits
             .into_iter()
@@ -337,7 +420,7 @@ pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
                 })
             })
             .collect();
-        let mine = env.drive(0, demux.as_mut());
+        let mine = env.drive(0, Some(&mut demux));
         let mut all: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
@@ -346,12 +429,21 @@ pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
         all
     });
 
+    let ShardEnv {
+        aborted, panicked, ..
+    } = env;
+    if let Some(payload) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
     let mut results: ShardResults = worker_results.into_iter().flatten().collect();
 
     // Prefer the real failure — the decoder's, else a shard's — over the
     // abort sentinel the other shards raised while bailing out.
-    if aborted.load(Ordering::Relaxed) {
-        if let Some(e) = demux.and_then(Demux::into_failure) {
+    if aborted.into_inner() {
+        if let Some(e) = demux.into_failure() {
             return Err(e);
         }
         let mut sentinel = None;
@@ -373,19 +465,11 @@ pub(super) fn run_streaming_observed<S: TraceSource + ?Sized>(
         "every shard reports exactly once"
     );
     results.sort_unstable_by_key(|&(nbhd, _)| nbhd);
-    let days = source.days().max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    let report = merge_outcomes(
-        results.into_iter().map(|(_, outcome)| outcome),
-        days,
-        warmup,
-        nbhd_count,
-    )?;
-    Ok((report, feed.as_ref().map(WatermarkFeed::peak_live_slots)))
+    Ok(results.into_iter().map(|(_, outcome)| outcome).collect())
 }
 
-/// A streaming shard's driver over supply `R`.
-type ShardDriver<'a, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, SharedFeed<'a>, R>;
+/// A shard of the blocked replay.
+type BlockDriver<'a> = ShardDriver<'a, SharedFeed<'a>, BlockSupply<'a>>;
 
 /// What one worker hands back: each of its shards' endings.
 type ShardResults = Vec<(usize, Result<ShardOutcome, SimError>)>;
@@ -408,17 +492,15 @@ impl BlockExchange {
         }
     }
 
-    /// The next block; `demux` is `Some` on the caller's thread only.
-    fn next<S: TraceSource + ?Sized>(
-        &self,
-        demux: Option<&mut Demux<'_, S>>,
-        aborted: &AtomicBool,
-    ) -> Arc<Block> {
-        if let Some(demux) = demux {
-            let mut block = self.block.lock().expect("block exchange poisoned");
-            let block = Arc::get_mut(&mut block).expect("every shard let go of the last block");
-            demux.next_block(block, aborted);
-        }
+    /// Refills the block through `fill`. The caller's thread only, while
+    /// every other worker waits in [`open`](Self::open).
+    fn refill(&self, fill: impl FnOnce(&mut Block)) {
+        let mut block = self.block.lock().expect("block exchange poisoned");
+        fill(Arc::get_mut(&mut block).expect("every shard let go of the last block"));
+    }
+
+    /// Waits for the next block to be filled.
+    fn open(&self) -> Arc<Block> {
         self.barrier.wait();
         Arc::clone(&self.block.lock().expect("block exchange poisoned"))
     }
@@ -430,80 +512,56 @@ impl BlockExchange {
     }
 }
 
-/// Everything the workers of one streaming run share.
+/// Everything the workers of one blocked replay share.
 struct ShardEnv<'a, S: TraceSource + ?Sized> {
     source: &'a S,
-    topo: &'a Topology,
     users: &'a UserMap,
-    config: &'a SimConfig,
-    strategy: &'a dyn StrategyFactory,
-    segmenter: Segmenter,
-    plan: &'a StreamPlan,
-    positions: &'a [u32],
+    parts: &'a ShardParts<'a>,
     feed: Option<&'a WatermarkFeed>,
-    aborted: &'a AtomicBool,
+    /// Raised by whoever fails first — a shard, the decoder, a panicking
+    /// worker; every driver checks it at step entry and the decoder
+    /// answers it with an empty, final block.
+    aborted: AtomicBool,
+    /// The first panic a worker caught (see [`turn`](Self::turn)).
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
     workers: usize,
     blocks: BlockExchange,
 }
 
 impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
-    /// Drives worker `w`'s stripe of shards (neighborhoods `w`,
-    /// `w + workers`, ...) to their endings.
-    fn drive(&'a self, w: usize, demux: Option<&mut Demux<'_, S>>) -> ShardResults {
-        match &self.plan.replay {
-            Replay::Blocked => self.drive_blocks(w, demux),
-            Replay::Runs { runs, filtered } => self.drive_runs(w, runs, *filtered),
-        }
+    /// Runs one stretch of a worker's work between two barrier waits. A
+    /// panic in it must not keep the worker from the next barrier — its
+    /// siblings, and with them the caller's `thread::scope`, would wait
+    /// there forever — so it is caught, turned into an abort, and kept
+    /// for the caller's thread to resume once every worker is out.
+    /// `false` when `work` panicked.
+    fn turn(&self, work: impl FnOnce()) -> bool {
+        let Err(payload) = catch_unwind(AssertUnwindSafe(work)) else {
+            return true;
+        };
+        self.aborted.store(true, Ordering::Relaxed);
+        self.panicked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(payload);
+        false
     }
 
-    /// Builds the drivers of worker `w`'s stripe, each over the supply
-    /// `supply(nbhd)` and publishing — if its supply publishes at all —
-    /// as `producer(nbhd)`.
-    fn tasks<R: RecordSupply<SharedFeed<'a>>>(
-        &'a self,
-        w: usize,
-        producer: impl Fn(usize) -> usize,
-        supply: impl Fn(usize) -> R,
-        results: &mut ShardResults,
-    ) -> Vec<(usize, ShardDriver<'a, R>)> {
+    /// Builds the drivers of worker `w`'s stripe (neighborhoods `w`,
+    /// `w + workers`, ...).
+    fn tasks(&'a self, w: usize, results: &mut ShardResults) -> Vec<(usize, BlockDriver<'a>)> {
         let mut tasks = Vec::new();
-        for nbhd in (w..self.topo.neighborhood_count()).step_by(self.workers) {
-            let built = (|| {
-                let index = build_index(
-                    nbhd,
-                    self.topo,
-                    self.config,
-                    &self.segmenter,
-                    self.plan.schedules.window(nbhd)?,
-                    self.strategy,
-                )?;
-                let plant = FaultingPlant::new(
-                    ShardPlant::build(nbhd, self.topo, self.config, self.positions)?,
-                    self.config,
-                    nbhd as u32,
-                    1,
-                );
-                let provider = self
-                    .feed
-                    .map(|f| SharedFeed::new(f, producer(nbhd), nbhd..nbhd + 1));
-                Ok::<_, SimError>(SessionDriver::new(
-                    supply(nbhd),
-                    provider,
-                    plant,
-                    vec![index],
-                    nbhd as u32,
-                    self.config,
-                    self.segmenter,
-                    Some(self.aborted),
-                ))
-            })();
-            match built {
+        for nbhd in (w..self.parts.topo.neighborhood_count()).step_by(self.workers) {
+            let supply = BlockSupply::new(
+                nbhd,
+                self.source.catalog(),
+                self.users.clone(),
+                &self.parts.segmenter,
+            );
+            let feed = self.feed.map(|f| SharedFeed::new(f, nbhd..nbhd + 1));
+            match self.parts.driver(nbhd, supply, feed, Some(&self.aborted)) {
                 Ok(driver) => tasks.push((nbhd, driver)),
                 Err(e) => {
-                    // Do NOT finish this shard's feed watermark: its events were
-                    // never published, and raising the mark would let siblings
-                    // pass the frontier check into unpublished slots. The abort
-                    // flag unparks them instead (checked at every step entry).
                     self.aborted.store(true, Ordering::Relaxed);
                     results.push((nbhd, Err(e)));
                 }
@@ -512,67 +570,30 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
         tasks
     }
 
-    /// Files task `i`'s ending — its outcome, or the failure that also
-    /// aborts its siblings — and drops it from the stripe.
-    fn retire<R: RecordSupply<SharedFeed<'a>>>(
-        &self,
-        tasks: &mut Vec<(usize, ShardDriver<'a, R>)>,
-        i: usize,
-        ending: Result<Step, SimError>,
-        results: &mut ShardResults,
-    ) {
-        let (nbhd, driver) = tasks.swap_remove(i);
-        results.push((
-            nbhd,
-            match ending {
-                Ok(_) => Ok(ShardOutcome::from_driver(driver)),
-                Err(e) => {
-                    // As at build failure: leave the watermark where honest
-                    // publication got to, and rely on the abort flag — a
-                    // finished mark over unpublished slots would turn this
-                    // error into sibling panics on empty feed slots.
-                    self.aborted.store(true, Ordering::Relaxed);
-                    Err(e)
-                }
-            },
-        ));
-    }
-
-    /// The blocked replay of a time-major source: block by block, every
-    /// shard of the stripe runs through its run of the block and on to —
+    /// Carries worker `w`'s stripe of shards to their endings: block by
+    /// block, every shard runs through its run of the block and on to —
     /// strictly before — the block's edge, carrying its continuation heap
     /// into the next block; the final block has no edge and runs every
-    /// shard out. Between blocks a shard syncs its index against the
-    /// published prefix (see [`SessionDriver::sync_published`]).
-    fn drive_blocks(&'a self, w: usize, mut demux: Option<&mut Demux<'_, S>>) -> ShardResults {
+    /// shard out. `demux` is `Some` on the caller's thread, which decodes
+    /// the next block while the others wait for it.
+    fn drive(&'a self, w: usize, mut demux: Option<&mut Demux<'_, S>>) -> ShardResults {
+        let nbhd_count = self.parts.topo.neighborhood_count();
         let mut results = Vec::new();
-        let supply = |nbhd| {
-            BlockSupply::new(
-                nbhd,
-                self.source.catalog(),
-                self.users.clone(),
-                &self.segmenter,
-            )
-        };
-        let mut tasks = self.tasks(w, |_| 0, supply, &mut results);
+        let mut tasks = Vec::new();
+        self.turn(|| tasks = self.tasks(w, &mut results));
         loop {
-            let block = self.blocks.next(demux.as_deref_mut(), self.aborted);
-            let mut i = 0;
-            while i < tasks.len() {
-                let driver = &mut tasks[i].1;
-                driver.supply_mut().attach(&block);
-                match driver.step() {
-                    Ok(Step::Horizon { .. }) => {
-                        if let Some((edge, published)) = block.edge() {
-                            driver.sync_published(edge, published);
-                        }
-                        i += 1;
+            if let Some(demux) = demux.as_deref_mut() {
+                self.blocks.refill(|block| {
+                    if !self.turn(|| demux.next_block(block, &self.aborted)) {
+                        block.reset(nbhd_count);
                     }
-                    Ok(Step::Blocked { .. }) => {
-                        unreachable!("a block is published before its shards run")
-                    }
-                    ending => self.retire(&mut tasks, i, ending, &mut results),
-                }
+                });
+            }
+            let block = self.blocks.open();
+            if !self.turn(|| self.run_block(&mut tasks, &block, &mut results)) {
+                // The decoder must own the block again to close the run:
+                // drop the drivers and whatever hold they have on it.
+                tasks.clear();
             }
             let last = block.edge().is_none();
             self.blocks.release(block);
@@ -583,45 +604,42 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
         }
     }
 
-    /// Shards that decode their own chunk runs (a neighborhood-major
-    /// source — see [`super::stream`]), synchronizing global-feed
-    /// visibility through the watermark protocol: round-robin, yielding
-    /// the CPU only when every task is parked on the feed frontier.
-    fn drive_runs(&'a self, w: usize, runs: &'a [Vec<Vec<u32>>], filtered: bool) -> ShardResults {
-        let mut results = Vec::new();
-        let supply = |nbhd: usize| {
-            StreamSupply::new(
-                self.source,
-                runs[nbhd].iter().map(Vec::as_slice),
-                filtered.then_some(nbhd as u32),
-                self.users.clone(),
-                self.config,
-                self.segmenter,
-            )
-        };
-        let mut tasks = self.tasks(w, |nbhd| nbhd, supply, &mut results);
-        while !tasks.is_empty() {
-            let mut any_progress = false;
-            let mut i = 0;
-            while i < tasks.len() {
-                match tasks[i].1.step() {
-                    Ok(Step::Blocked { progressed }) => {
-                        any_progress |= progressed;
-                        i += 1;
+    /// Steps every shard of a stripe through `block`. One parked at the
+    /// block's edge syncs its index against the published prefix (see
+    /// [`SessionDriver::sync_published`]); one that is through — with its
+    /// outcome, or with the failure that also aborts its siblings — is
+    /// filed and dropped from the stripe.
+    fn run_block(
+        &self,
+        tasks: &mut Vec<(usize, BlockDriver<'a>)>,
+        block: &Arc<Block>,
+        results: &mut ShardResults,
+    ) {
+        let mut i = 0;
+        while i < tasks.len() {
+            let driver = &mut tasks[i].1;
+            driver.supply_mut().attach(block);
+            match driver.step() {
+                Ok(Step::Horizon { .. }) => {
+                    if let Some((edge, published)) = block.edge() {
+                        driver.sync_published(edge, published);
                     }
-                    Ok(Step::Horizon { .. }) => {
-                        unreachable!("a chunk-run supply never pauses between blocks")
-                    }
-                    ending => {
-                        self.retire(&mut tasks, i, ending, &mut results);
-                        any_progress = true;
-                    }
+                    i += 1;
+                }
+                ending => {
+                    let (nbhd, driver) = tasks.swap_remove(i);
+                    results.push((
+                        nbhd,
+                        match ending {
+                            Ok(_) => Ok(ShardOutcome::from_driver(driver)),
+                            Err(e) => {
+                                self.aborted.store(true, Ordering::Relaxed);
+                                Err(e)
+                            }
+                        },
+                    ));
                 }
             }
-            if !any_progress {
-                std::thread::yield_now();
-            }
         }
-        results
     }
 }

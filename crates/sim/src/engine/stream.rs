@@ -3,58 +3,57 @@
 //!
 //! * [`ResidentSupply`] — a fully resident record slice with precomputed
 //!   contexts, optionally restricted to one shard's record subset. Zero
-//!   staging cost; feed events were precomputed, so it publishes nothing.
+//!   staging cost.
 //! * [`BlockSupply`] — one neighborhood's slice of the current
-//!   [`Block`]: the streaming supply of a **time-major** source. A
-//!   [`Demux`] on the caller's thread decodes each chunk once into the
-//!   shared block, computes contexts, publishes the block's feed events
-//!   and advances the watermark past it, then sorts the block's record
-//!   *positions* by neighborhood (a counting sort — the records stay
-//!   where they were decoded); every shard's supply walks its run of
-//!   positions and, once it is through, reports the block's edge so its
-//!   driver parks there until the next block is attached.
-//! * [`StreamSupply`] — the per-shard supply of a **neighborhood-major**
-//!   source: a gidx-ordered merge over one or more [`ChunkRun`]s
-//!   (sequential cursors over gidx-sorted chunk lists), decoding one
-//!   chunk per run at a time. It computes contexts at ingestion,
-//!   optionally filters to its neighborhood, and publishes each accepted
-//!   record's feed event. Publication timing never affects results
-//!   (consumers bound themselves by their own record index), so each
-//!   path picks the cheapest watermark granularity: a **single-run**
-//!   supply stages whole chunks, publishing at scan time and advancing
-//!   its watermark straight past each chunk (shards stay a chunk apart on
-//!   the frontier, never in per-record lock-step), while a **multi-run**
-//!   merge stages record by record and advances just past each merged
-//!   head.
+//!   [`Block`]: the supply of the **blocked** replay. A [`Demux`] on the
+//!   caller's thread decodes each chunk once into the shared block —
+//!   a time-major file's next chunk in place, a neighborhood-major file's
+//!   cell runs merged back into global order — computes contexts,
+//!   publishes the block's feed events and advances the watermark past
+//!   it, then sorts the block's record *positions* by neighborhood (a
+//!   counting sort — the records stay where they were decoded); every
+//!   shard's supply walks its run of positions and, once it is through,
+//!   reports the block's edge so its driver parks there until the next
+//!   block is attached.
+//! * [`StreamSupply`] — a shard that decodes its own chunk runs: the
+//!   supply of a neighborhood-major file whose grouping **matches** the
+//!   plant, under a strategy that takes no feed, where shards share
+//!   nothing. It computes contexts at ingestion and publishes nothing.
 //!
-//! Every streaming replay is sharded per neighborhood; the source's
-//! layout picks the supply, the worker count never does:
+//! Every streaming replay is sharded per neighborhood; what the engine
+//! can observe of the source and the strategy picks the supply, the
+//! worker count never does:
 //!
-//! | source                           | supply         | chunk decodes       | filter |
-//! |----------------------------------|----------------|---------------------|--------|
-//! | time-major                       | `BlockSupply`  | each once, centrally | —      |
-//! | matching neighborhood-major      | `StreamSupply` | each once, by its shard (its group's cells, ≥ 1 run) | no |
-//! | mismatched neighborhood-major    | `StreamSupply` | pre-pass + 1 run per cell, pruned, per shard | yes |
+//! | source                        | strategy   | supply         | chunk decodes                |
+//! |-------------------------------|------------|----------------|------------------------------|
+//! | time-major                    | any        | `BlockSupply`  | each once, centrally         |
+//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      |
+//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged |
+//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged |
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
-//! file has one cell per group). A shard whose group is exactly one cell
-//! runs the single-run fast path; a group spanning several cells merges
-//! just those cells' runs. A single-run supply degenerates to plain
-//! sequential streaming with no merge overhead; the multi-run merge does
-//! a linear min-scan over run heads per record (run counts are cell
-//! counts — tens to a few hundred — and only the merge paths pay it).
+//! file has one cell per group) — and each cell's chunks form one
+//! sequence-ascending [`ChunkRun`]. Wherever records of several runs must
+//! come out in global order — a group spanning several cells, the
+//! decoder reading a whole neighborhood-major file, the Oracle schedule
+//! spill — the one [`RunMerge`] cursor does it: a binary heap of run
+//! heads (run counts are cell counts, tens to a few hundred), which over
+//! a single run is plain sequential streaming.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cablevod_cache::{FeedProvider, SharedFeed, WatermarkFeed};
+use cablevod_cache::{FeedProducer, WatermarkFeed};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::units::SimTime;
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
+use cablevod_trace::TraceError;
 
 use super::lifecycle::{
     feed_event, session_ctx, PendingSession, RecordSupply, SessionCtx, UserMap,
@@ -95,8 +94,8 @@ impl<'a> ResidentSupply<'a> {
     }
 }
 
-impl<F: FeedProvider> RecordSupply<F> for ResidentSupply<'_> {
-    fn peek(&mut self, _feed: &mut Option<F>) -> Result<Option<(SimTime, u64)>, SimError> {
+impl RecordSupply for ResidentSupply<'_> {
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self
             .current()
             .map(|gidx| (self.records[gidx as usize].start, gidx)))
@@ -113,7 +112,7 @@ impl<F: FeedProvider> RecordSupply<F> for ResidentSupply<'_> {
     }
 }
 
-/// One decoded chunk of a time-major source, demultiplexed by
+/// One stretch of the global record order, demultiplexed by
 /// neighborhood: the unit of work of the blocked streaming replay. Filled
 /// in place by the [`Demux`], read by every shard's [`BlockSupply`].
 #[derive(Debug, Default)]
@@ -139,7 +138,7 @@ impl Block {
 
     /// Empties the block. Left like this — no records, no edge — it is
     /// the final block of a run.
-    fn reset(&mut self, nbhd_count: usize) {
+    pub(super) fn reset(&mut self, nbhd_count: usize) {
         self.records.clear();
         self.order.clear();
         self.starts.clear();
@@ -148,18 +147,23 @@ impl Block {
     }
 }
 
-/// The decoding side of the blocked replay: walks a time-major source's
-/// chunks in order, each decoded **once**, and turns each into the next
-/// [`Block`]. Lives on the caller's thread; it is the run's only feed
-/// producer.
+/// The decoding side of the blocked replay: walks the source's records
+/// in global order, each chunk decoded **once**, and turns each stretch
+/// into the next [`Block`]. Lives on the caller's thread; it is the run's
+/// only feed producer.
 pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
-    source: &'a S,
+    merge: RunMerge<'a, S>,
+    catalog: &'a ProgramCatalog,
     users: UserMap,
     config: &'a SimConfig,
     segmenter: Segmenter,
     nbhd_count: usize,
-    feed: Option<SharedFeed<'a>>,
-    next_chunk: usize,
+    /// Records per merged block: the file's mean chunk size, so a block
+    /// is a chunk's worth of work in either layout.
+    block_records: usize,
+    feed: Option<FeedProducer<'a>>,
+    /// Records handed out so far, which is the global index due next.
+    published: u64,
     last_start: SimTime,
     /// Scratch: the neighborhood of each record of the block being
     /// filled.
@@ -168,33 +172,37 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
 }
 
 impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
+    /// A decoder over `runs`, which together hold every record of
+    /// `source` (see [`super::serial_runs`]).
     pub(super) fn new(
         source: &'a S,
+        runs: &'a [Vec<u32>],
         users: UserMap,
         config: &'a SimConfig,
         segmenter: Segmenter,
         nbhd_count: usize,
         feed: Option<&'a WatermarkFeed>,
     ) -> Self {
+        let chunks = source.chunk_count().max(1) as u64;
         Demux {
-            source,
+            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
+            catalog: source.catalog(),
             users,
             config,
             segmenter,
             nbhd_count,
-            // Producer 0, answering for no consumer: shards sync and
-            // finish their own.
-            feed: feed.map(|f| SharedFeed::new(f, 0, 0..0)),
-            next_chunk: 0,
+            block_records: source.record_count().div_ceil(chunks).max(1) as usize,
+            feed: feed.map(WatermarkFeed::producer_handle),
+            published: 0,
             last_start: SimTime::EPOCH,
             nbhds: Vec::new(),
             failure: None,
         }
     }
 
-    /// Fills `block` with the source's next chunk. A decode or context
-    /// failure — or a shard's, seen through `aborted` — ends the run
-    /// instead: the flag is raised, the block is empty and final, and
+    /// Fills `block` with the next stretch of records. A decode or
+    /// context failure — or a shard's, seen through `aborted` — ends the
+    /// run instead: the flag is raised, the block is empty and final, and
     /// the failure is kept for [`into_failure`](Demux::into_failure).
     pub(super) fn next_block(&mut self, block: &mut Block, aborted: &AtomicBool) {
         if !aborted.load(Ordering::Relaxed) {
@@ -216,13 +224,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
 
     fn fill(&mut self, block: &mut Block) -> Result<(), SimError> {
         block.reset(self.nbhd_count);
-        let chunks = self.source.chunk_count();
-        if self.next_chunk < chunks {
-            self.source
-                .read_chunk_indexed(self.next_chunk, &mut block.records)?;
-            self.next_chunk += 1;
-        }
-        let catalog = self.source.catalog();
+        self.merge.refill(&mut block.records, self.block_records)?;
         let seg_len = self.segmenter.segment_len().as_secs();
         // Every record's context is computed here — it validates the
         // record, names its neighborhood and sizes its feed event — but
@@ -235,7 +237,21 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         // is, at the beginning of `n + 1`'s.
         self.nbhds.clear();
         for (gidx, rec) in &block.records {
-            let ctx = session_ctx(rec, catalog, &self.users, seg_len)?;
+            // The feed is addressed by global index and every consumer
+            // trusts that `0..=g` is published once `g` was handed out,
+            // so a file whose runs do not merge back into the dense
+            // global sequence is rejected, not replayed.
+            if *gidx != self.published {
+                return Err(SimError::Trace(TraceError::Format {
+                    reason: format!(
+                        "record {gidx} arrived where record {} was due: the file's \
+                         sequence numbers are not a permutation of its records",
+                        self.published
+                    ),
+                }));
+            }
+            self.published += 1;
+            let ctx = session_ctx(rec, self.catalog, &self.users, seg_len)?;
             if let Some(feed) = self.feed.as_mut() {
                 feed.publish(*gidx, feed_event(rec, &ctx, self.config, &self.segmenter));
             }
@@ -254,14 +270,11 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         if let Some((_, rec)) = block.records.last() {
             self.last_start = rec.start;
         }
-        if self.next_chunk < chunks {
-            let published = self.source.chunk_first_index(self.next_chunk);
-            if let Some(feed) = self.feed.as_mut() {
-                feed.advance(published);
-            }
-            block.edge = Some((self.last_start, published));
-        } else if let Some(feed) = self.feed.as_mut() {
-            feed.finish();
+        if let Some(feed) = self.feed.as_mut() {
+            feed.advance(self.published);
+        }
+        if self.merge.has_more() {
+            block.edge = Some((self.last_start, self.published));
         }
         Ok(())
     }
@@ -316,8 +329,8 @@ impl<'a> BlockSupply<'a> {
     }
 }
 
-impl<F: FeedProvider> RecordSupply<F> for BlockSupply<'_> {
-    fn peek(&mut self, _feed: &mut Option<F>) -> Result<Option<(SimTime, u64)>, SimError> {
+impl RecordSupply for BlockSupply<'_> {
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self.block.as_ref().map(|block| {
             let (gidx, rec) = &block.records[block.order[self.pos] as usize];
             (rec.start, *gidx)
@@ -343,211 +356,167 @@ impl<F: FeedProvider> RecordSupply<F> for BlockSupply<'_> {
 
 /// A sequential cursor over a gidx-ascending list of chunk ids, holding
 /// one decoded chunk at a time.
-pub(super) struct ChunkRun<'a, S: TraceSource + ?Sized> {
+struct ChunkRun<'a, S: TraceSource + ?Sized> {
     source: &'a S,
     chunks: &'a [u32],
+    /// Position in `chunks` of the next one to decode.
     next: usize,
     buf: Vec<(u64, SessionRecord)>,
     pos: usize,
 }
 
-impl<'a, S: TraceSource + ?Sized> ChunkRun<'a, S> {
-    pub(super) fn new(source: &'a S, chunks: &'a [u32]) -> Self {
-        ChunkRun {
+impl<S: TraceSource + ?Sized> ChunkRun<'_, S> {
+    /// Decodes the run's next chunk into `out`, cleared first; at the end
+    /// of the run `out` stays empty.
+    fn decode_next(&mut self, out: &mut Vec<(u64, SessionRecord)>) -> Result<(), SimError> {
+        out.clear();
+        if let Some(&chunk) = self.chunks.get(self.next) {
+            self.source.read_chunk_indexed(chunk as usize, out)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    /// The run's head record, decoding forward as needed; `None` at end.
+    fn head(&mut self) -> Result<Option<(u64, SessionRecord)>, SimError> {
+        while self.pos == self.buf.len() {
+            if self.next == self.chunks.len() {
+                return Ok(None);
+            }
+            let mut buf = std::mem::take(&mut self.buf);
+            self.decode_next(&mut buf)?;
+            (self.buf, self.pos) = (buf, 0);
+        }
+        Ok(Some(self.buf[self.pos]))
+    }
+}
+
+/// The one sequence-number merge (see the module docs): a cursor handing
+/// out the records of its [`ChunkRun`]s in global order, holding one
+/// decoded chunk per run.
+pub(super) struct RunMerge<'a, S: TraceSource + ?Sized> {
+    runs: Vec<ChunkRun<'a, S>>,
+    /// One `(key, run)` entry per run not yet found exhausted, smallest
+    /// key first. A key is the global index at the run's head or, while
+    /// the chunk holding that head is still undecoded, a lower bound on
+    /// it.
+    heads: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl<'a, S: TraceSource + ?Sized> RunMerge<'a, S> {
+    /// A cursor over `runs`, each a gidx-ascending chunk list of `source`.
+    pub(super) fn new(source: &'a S, runs: impl IntoIterator<Item = &'a [u32]>) -> Self {
+        let run = |chunks| ChunkRun {
             source,
             chunks,
             next: 0,
             buf: Vec::new(),
             pos: 0,
+        };
+        let runs: Vec<_> = runs.into_iter().map(run).collect();
+        RunMerge {
+            heads: (0..runs.len()).map(|i| Reverse((0, i))).collect(),
+            runs,
         }
     }
 
-    /// The run's head record, decoding forward as needed; `None` at end.
-    pub(super) fn head(&mut self) -> Result<Option<(u64, SessionRecord)>, SimError> {
-        while self.pos == self.buf.len() {
-            if self.decode_next()?.is_none() {
-                return Ok(None);
+    /// The globally next record — the minimum head across runs — or
+    /// `None` once every run is exhausted.
+    pub(super) fn next(&mut self) -> Result<Option<(u64, SessionRecord)>, SimError> {
+        while let Some(mut top) = self.heads.peek_mut() {
+            let Reverse((key, i)) = *top;
+            let run = &mut self.runs[i];
+            let Some((gidx, rec)) = run.head()? else {
+                PeekMut::pop(top);
+                continue;
+            };
+            if key < gidx {
+                // Only a bound until now: refile the run under its real
+                // head, which another run's may precede.
+                *top = Reverse((gidx, i));
+                continue;
+            }
+            run.pos += 1;
+            // Across a chunk boundary the next head is not decoded until
+            // it is its turn; until then, what it cannot be below.
+            let next = run.buf.get(run.pos).map_or(gidx + 1, |&(next, _)| next);
+            *top = Reverse((next, i));
+            return Ok(Some((gidx, rec)));
+        }
+        Ok(None)
+    }
+
+    /// Refills `out` with the next stretch of the global order: up to
+    /// `limit` merged records — or, from a lone run (a time-major source),
+    /// its next chunk whole, decoded in place with no per-record copy.
+    pub(super) fn refill(
+        &mut self,
+        out: &mut Vec<(u64, SessionRecord)>,
+        limit: usize,
+    ) -> Result<(), SimError> {
+        if let [run] = &mut self.runs[..] {
+            if run.pos == run.buf.len() {
+                return run.decode_next(out);
             }
         }
-        Ok(Some(self.buf[self.pos]))
+        out.clear();
+        while out.len() < limit {
+            let Some(record) = self.next()? else { break };
+            out.push(record);
+        }
+        Ok(())
     }
 
-    pub(super) fn pop_head(&mut self) {
-        self.pos += 1;
-    }
-
-    /// The chunk id the current head was decoded from. Only valid after
-    /// [`head`](ChunkRun::head) returned `Some`.
-    pub(super) fn head_chunk(&self) -> u32 {
-        self.chunks[self.next - 1]
-    }
-
-    /// Decodes the run's next chunk into the internal buffer (batch
-    /// consumption); `None` at end of run.
-    fn decode_next(&mut self) -> Result<Option<&[(u64, SessionRecord)]>, SimError> {
-        let Some(&chunk) = self.chunks.get(self.next) else {
-            return Ok(None);
-        };
-        self.source
-            .read_chunk_indexed(chunk as usize, &mut self.buf)?;
-        self.pos = 0;
-        self.next += 1;
-        Ok(Some(&self.buf))
-    }
-
-    /// Lower bound on the global index of the run's next *undecoded*
-    /// record: the next chunk's first index, or `u64::MAX` at end of run.
-    fn next_chunk_first_index(&self) -> u64 {
-        self.chunks
-            .get(self.next)
-            .map_or(u64::MAX, |&c| self.source.chunk_first_index(c as usize))
+    /// Whether a buffered record or an undecoded chunk remains. (A file
+    /// may end in empty chunks; then the stretch after the last record is
+    /// simply empty.)
+    pub(super) fn has_more(&self) -> bool {
+        self.runs
+            .iter()
+            .any(|run| run.pos < run.buf.len() || run.next < run.chunks.len())
     }
 }
 
-/// The streaming supply (see the module docs).
+/// The supply of a shard that decodes its own chunk runs (see the module
+/// docs): its group's cell runs merged by global index, one record staged
+/// at a time.
 pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
-    runs: Vec<ChunkRun<'a, S>>,
-    /// Keep only records of this neighborhood (foreign records are
-    /// discarded unpublished: their owning shard publishes them).
-    filter: Option<u32>,
-    users: UserMap,
+    merge: RunMerge<'a, S>,
     catalog: &'a ProgramCatalog,
-    config: &'a SimConfig,
-    segmenter: Segmenter,
+    users: UserMap,
     seg_len: u64,
-    /// Staged sessions: up to a whole chunk's worth on the single-run
-    /// batch path, at most one on the multi-run merge path.
-    pending: VecDeque<PendingSession>,
+    staged: Option<PendingSession>,
 }
 
 impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
     pub(super) fn new(
         source: &'a S,
-        run_chunks: impl IntoIterator<Item = &'a [u32]>,
-        filter: Option<u32>,
+        runs: &'a [Vec<u32>],
         users: UserMap,
-        config: &'a SimConfig,
-        segmenter: Segmenter,
+        segmenter: &Segmenter,
     ) -> Self {
         StreamSupply {
-            runs: run_chunks
-                .into_iter()
-                .map(|chunks| ChunkRun::new(source, chunks))
-                .collect(),
-            filter,
-            users,
+            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
             catalog: source.catalog(),
-            config,
-            segmenter,
+            users,
             seg_len: segmenter.segment_len().as_secs(),
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Accepts one decoded record: filter, context, feed publication
-    /// (filtered-out foreign records are discarded unpublished — their
-    /// owning shard publishes them).
-    fn accept<F: FeedProvider>(
-        &mut self,
-        gidx: u64,
-        rec: &SessionRecord,
-        feed: &mut Option<F>,
-    ) -> Result<(), SimError> {
-        if let Some(keep) = self.filter {
-            if self.users.neighborhood_of_user(rec.user)?.index() as u32 != keep {
-                return Ok(());
-            }
-        }
-        let ctx = session_ctx(rec, self.catalog, &self.users, self.seg_len)?;
-        if let Some(feed) = feed.as_mut() {
-            feed.publish(gidx, feed_event(rec, &ctx, self.config, &self.segmenter));
-        }
-        self.pending.push_back(PendingSession {
-            gidx,
-            rec: *rec,
-            ctx,
-        });
-        Ok(())
-    }
-
-    /// Single-run staging: decode whole chunks, publishing every accepted
-    /// record's feed event at scan time (safe — consumers bound themselves
-    /// by their own record index, so an early-published event is never
-    /// visible early) and advancing the watermark straight past each
-    /// decoded chunk. Chunk-granular watermarks keep shards far apart on
-    /// the feed frontier instead of in per-record lock-step.
-    fn stage_batch<F: FeedProvider>(&mut self, feed: &mut Option<F>) -> Result<(), SimError> {
-        while self.pending.is_empty() {
-            if self.runs[0].decode_next()?.is_none() {
-                return Ok(()); // exhausted
-            }
-            // Consume the decoded chunk wholesale (the buffer is loaned
-            // out and handed back so its allocation is reused).
-            let records = std::mem::take(&mut self.runs[0].buf);
-            for &(gidx, ref rec) in &records {
-                self.accept(gidx, rec, feed)?;
-            }
-            self.runs[0].pos = records.len();
-            self.runs[0].buf = records;
-            if let Some(feed) = feed.as_mut() {
-                // Everything before the run's next chunk is published (our
-                // accepted records above) or foreign.
-                feed.advance(self.runs[0].next_chunk_first_index());
-            }
-        }
-        Ok(())
-    }
-
-    /// Multi-run staging: merge the runs by global index, one record at a
-    /// time, advancing the watermark just past each staged record.
-    fn stage_merge<F: FeedProvider>(&mut self, feed: &mut Option<F>) -> Result<(), SimError> {
-        while self.pending.is_empty() {
-            // The run holding the globally next record: minimum head gidx.
-            let mut best: Option<(u64, usize)> = None;
-            for i in 0..self.runs.len() {
-                if let Some((gidx, _)) = self.runs[i].head()? {
-                    if best.is_none_or(|(b, _)| gidx < b) {
-                        best = Some((gidx, i));
-                    }
-                }
-            }
-            let Some((gidx, run)) = best else {
-                return Ok(()); // exhausted
-            };
-            let (_, rec) = self.runs[run].head()?.expect("head just observed");
-            self.runs[run].pop_head();
-            self.accept(gidx, &rec, feed)?;
-            if let Some(feed) = feed.as_mut() {
-                // Everything below this record is published (our earlier
-                // records, in gidx order) or foreign — discards advance
-                // the watermark too, so filtered merges never stall the
-                // frontier on records they will never own.
-                feed.advance(gidx + 1);
-            }
-        }
-        Ok(())
-    }
-
-    fn stage<F: FeedProvider>(&mut self, feed: &mut Option<F>) -> Result<(), SimError> {
-        if self.runs.len() == 1 {
-            self.stage_batch(feed)
-        } else if !self.runs.is_empty() {
-            self.stage_merge(feed)
-        } else {
-            Ok(())
+            staged: None,
         }
     }
 }
 
-impl<S: TraceSource + ?Sized, F: FeedProvider> RecordSupply<F> for StreamSupply<'_, S> {
-    fn peek(&mut self, feed: &mut Option<F>) -> Result<Option<(SimTime, u64)>, SimError> {
-        if self.pending.is_empty() {
-            self.stage(feed)?;
+impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
+        if self.staged.is_none() {
+            if let Some((gidx, rec)) = self.merge.next()? {
+                let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)?;
+                self.staged = Some(PendingSession { gidx, rec, ctx });
+            }
         }
-        Ok(self.pending.front().map(|p| (p.rec.start, p.gidx)))
+        Ok(self.staged.as_ref().map(|p| (p.rec.start, p.gidx)))
     }
 
     fn take(&mut self) -> PendingSession {
-        self.pending.pop_front().expect("a record is staged")
+        self.staged.take().expect("a record is staged")
     }
 }

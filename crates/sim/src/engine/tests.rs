@@ -313,11 +313,13 @@ fn active_sessions_reuse_freed_slots() {
 /// blocked replay's idle sweep — every shard syncs at every block's edge —
 /// keeps every consumption cursor moving, so live feed slots stay
 /// O(block), not O(trace), on a 100k-event stream with one idle
-/// neighborhood.
+/// neighborhood — whether the blocks are a time-major source's chunks or
+/// merged back out of a neighborhood-major file.
 #[test]
 fn idle_neighborhood_does_not_pin_the_streaming_feed() {
     use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
-    use cablevod_trace::rechunk::neighborhood_groups;
+    use cablevod_trace::columnar::{write_trace, ColumnarReader};
+    use cablevod_trace::rechunk::{neighborhood_groups, rechunk_by_neighborhood};
     use cablevod_trace::record::SessionRecord;
 
     let users = 150u32;
@@ -357,21 +359,89 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
             lag: SimDuration::ZERO,
         });
 
-    let source = ChunkedTrace::new(&trace, 1_024);
+    let mut tm = std::env::temp_dir();
+    tm.push(format!("cvtc_idle_tm_{}.cvtc", std::process::id()));
+    let mut nm = std::env::temp_dir();
+    nm.push(format!("cvtc_idle_nm_{}.cvtc", std::process::id()));
+    write_trace(&tm, &trace, 1_024).expect("write time-major");
+    let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+    rechunk_by_neighborhood(&tm_reader, &nm, nbhd_size, 1_024).expect("rechunk");
+    let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    assert!(nm_reader.neighborhood_layout().is_some());
+
+    let resident = run(&trace, &config).expect("resident runs");
     let factory = config.strategy().factory();
-    let (report, peak) = shard::run_streaming_observed(&source, &config, factory.as_ref(), 1)
-        .expect("streaming runs");
-    let peak = peak.expect("global LFU consumes the feed");
-    // Without the idle sweep, neighborhood 1's cursor floors reclamation
-    // at zero and every one of the 100k slots stays live (checked by
-    // removing the `sync_published` call). With it, the floor trails the
-    // head by at most one 1,024-record block plus segment rounding.
-    assert!(
-        peak <= 8 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
-        "idle neighborhood pinned the feed: {peak} live slots for a {total}-event stream"
+    let chunked = ChunkedTrace::new(&trace, 1_024);
+    let sources: [(&str, &dyn TraceSource); 2] =
+        [("time-major", &chunked), ("neighborhood-major", &nm_reader)];
+    for (layout, source) in sources {
+        let (report, streamed) =
+            shard::run_streaming(source, &config, factory.as_ref(), 1).expect("streaming runs");
+        let peak = streamed
+            .peak_feed_slots
+            .expect("global LFU consumes the feed");
+        // Without the idle sweep, neighborhood 1's cursor floors
+        // reclamation at zero and every one of the 100k slots stays live
+        // (checked by removing the `sync_published` call). With it, the
+        // floor trails the head by at most one 1,024-record block plus
+        // segment rounding.
+        assert!(
+            peak <= 8 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
+            "{layout}: idle neighborhood pinned the feed: {peak} live slots for a \
+             {total}-event stream"
+        );
+        // The sweep must not change results.
+        assert_eq!(report, resident, "{layout}");
+    }
+    std::fs::remove_file(&tm).ok();
+    std::fs::remove_file(&nm).ok();
+}
+
+/// The one merge cursor: runs dealt round-robin out of a chunked trace —
+/// uneven in length, one of them empty — come back as the dense global
+/// sequence, in stretches or record by record, and stay exhausted.
+#[test]
+fn run_merge_restores_global_order_across_uneven_runs() {
+    use super::stream::RunMerge;
+
+    let trace = small_trace();
+    let source = ChunkedTrace::new(&trace, 7);
+    let chunks = source.chunk_count() as u32;
+    let mut runs: Vec<Vec<u32>> = vec![Vec::new(); 4];
+    for chunk in 0..chunks {
+        // Run 2 stays empty; run 3 gets every other chunk of the rest.
+        runs[[0, 1, 3, 0, 3][chunk as usize % 5]].push(chunk);
+    }
+    assert!(runs[2].is_empty() && runs[0].len() != runs[1].len());
+
+    let mut cursor = RunMerge::new(&source, runs.iter().map(Vec::as_slice));
+    let mut stretch = Vec::new();
+    let mut seen = 0u64;
+    while cursor.has_more() {
+        cursor.refill(&mut stretch, 10).expect("refill");
+        assert!(stretch.len() <= 10);
+        for (gidx, rec) in &stretch {
+            assert_eq!(*gidx, seen, "sequence numbers ascend without a gap");
+            assert_eq!(*rec, trace.records()[seen as usize]);
+            seen += 1;
+        }
+    }
+    assert_eq!(
+        seen,
+        trace.len() as u64,
+        "every record came out exactly once"
     );
-    // The sweep must not change results.
-    assert_eq!(report, run(&trace, &config).expect("resident runs"));
+    for _ in 0..2 {
+        assert_eq!(cursor.next().expect("next"), None, "exhausted for good");
+    }
+
+    // Record by record, over the three non-empty runs alone.
+    let mut cursor = RunMerge::new(&source, [&runs[3][..], &runs[0][..], &runs[1][..]]);
+    for want in 0..trace.len() as u64 {
+        let (gidx, _) = cursor.next().expect("next").expect("a record remains");
+        assert_eq!(gidx, want);
+    }
+    assert!(!cursor.has_more());
 }
 
 /// Spilled schedule lifecycle: the sidecar exists while windows read it,

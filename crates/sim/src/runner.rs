@@ -21,10 +21,12 @@
 //!   and vice versa, small grid cells pack around a big sharded job
 //!   instead of idling behind it.
 //!
-//! The streaming shard driver ([`crate::engine`]'s cooperative tasks)
+//! The blocked streaming replay ([`crate::engine`]'s cooperative tasks)
 //! sizes its worker set from the same ledger at entry; its shard tasks
 //! cannot migrate between workers mid-run, so it does not recruit, but
-//! its permits still free early as workers finish.
+//! its permits still free early as workers finish. (Streaming shards that
+//! decode their own chunks are `run_indexed` jobs like the resident
+//! ones.)
 //!
 //! Scheduling never changes results: `run_indexed` returns results in
 //! index order no matter which worker ran which job, and every engine

@@ -52,7 +52,7 @@ pub enum SourceSpec {
         /// produce one multi-index file — the spec form is
         /// `rechunk=60,100` — so a neighborhood-size sweep over exactly
         /// those sizes streams the shared columns through the fast path
-        /// instead of the merge fallback.
+        /// instead of the central decoder's merge.
         rechunk: Vec<u32>,
     },
     /// CSV record + catalog files (the PowerInfo import shape).

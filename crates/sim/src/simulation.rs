@@ -53,10 +53,12 @@ pub enum ThreadPolicy {
     /// One worker, the caller's thread. Over a resident source this is
     /// the serial reference driver (one global event heap against the
     /// whole plant); a streaming source is replayed sharded per
-    /// neighborhood either way, here with every shard on that one worker.
+    /// neighborhood either way — the plan follows the file and the
+    /// strategy, never the worker count — here with every shard on that
+    /// one worker.
     #[default]
     Serial,
-    /// Sharded per neighborhood over exactly this many workers.
+    /// Sharded per neighborhood over at most this many workers.
     Fixed(usize),
     /// Sharded per neighborhood, one worker per available core.
     Auto,
@@ -99,12 +101,15 @@ pub struct RunTelemetry {
     pub threads: usize,
     /// Resolved strategy name ([`StrategyFactory::name`]).
     pub strategy: String,
-    /// Whether the source carried a per-neighborhood chunk index matching
-    /// the configured neighborhood size — the sweep fast path, where
-    /// streaming replays read each shard's chunks straight from the index
-    /// with no pre-pass scan or filtering. Always `false` for resident
-    /// sources (they decode no chunks) and for time-major ones (no index:
-    /// they replay block by block, also decoding each chunk once).
+    /// Whether the replay took the sweep fast path: the source carried a
+    /// per-neighborhood chunk index matching the configured neighborhood
+    /// size and the strategy takes no global feed, so every shard
+    /// streamed its own chunks straight from the index as an independent
+    /// job. Read off the plan the run actually used. `false` for resident
+    /// sources (they decode no chunks) and for every other streaming
+    /// replay — a time-major file, a mismatched index, a feed-carrying
+    /// strategy — which is decoded centrally, block by block (each chunk
+    /// once there too).
     pub fastpath: bool,
 }
 
@@ -167,7 +172,8 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
         self
     }
 
-    /// Runs sharded over exactly `threads` workers.
+    /// Runs sharded over at most `threads` workers (fewer when the plant
+    /// has fewer neighborhoods or the process-wide worker ledger is dry).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = ThreadPolicy::Fixed(threads);
@@ -249,13 +255,9 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
         let workers = self.threads.worker_count();
         let decode_before = self.source.decode_stats();
         let started = Instant::now();
-        let report = match workers {
-            None => engine::run_with(self.source, &self.config, factory.as_ref())?,
-            Some(n) => engine::run_parallel_with(self.source, &self.config, factory.as_ref(), n)?,
-        };
+        let (report, fastpath) =
+            engine::replay(self.source, &self.config, factory.as_ref(), workers)?;
         let wall = started.elapsed();
-        let fastpath = self.source.resident_records().is_none()
-            && engine::streaming_fastpath(self.source, &self.config);
         Ok(RunOutcome {
             report,
             telemetry: RunTelemetry {

@@ -310,3 +310,66 @@ fn mid_file_corruption_fails_a_streaming_run_closed() {
         }
     }
 }
+
+/// Sequence numbers no checksum can vouch for: a neighborhood-major file
+/// whose every cell ascends, as the reader checks, but where one number
+/// appears in two cells and its neighbour in none. The blocked replay
+/// publishes the feed under those numbers and starts every session on
+/// the promise that all earlier ones are published, so its decoder must
+/// refuse the file with a named error, not publish a slot twice.
+#[test]
+fn colliding_sequence_numbers_fail_a_streaming_run_closed() {
+    use cablevod_sim::{SimConfig, SimError, Simulation};
+    use cablevod_trace::columnar::ColumnarWriter;
+    use cablevod_trace::rechunk::neighborhood_groups;
+
+    let trace = generate(&synth(7));
+    let groups = neighborhood_groups(trace.user_count(), 20).expect("groups");
+    let group_of = |at: usize| groups[trace.records()[at].user.index()];
+    let lie = (1..trace.len())
+        .find(|&at| group_of(at) != group_of(at - 1))
+        .expect("two groups interleave");
+
+    let path = TempFile(temp_path("cvtc_collide"));
+    let mut writer = ColumnarWriter::create_neighborhood_major(
+        &path.0,
+        trace.catalog(),
+        trace.user_count(),
+        trace.days(),
+        16,
+        20,
+        groups.clone(),
+    )
+    .expect("create");
+    for (at, rec) in trace.records().iter().enumerate() {
+        let gseq = if at == lie { at - 1 } else { at };
+        writer.push_indexed(gseq as u64, rec).expect("push");
+    }
+    writer.finish().expect("finish");
+
+    let reader = ColumnarReader::open(&path.0).expect("every cell ascends");
+    // Both ways into the central decoder: the file's own neighborhood
+    // size under a strategy that takes the feed, and a foreign size.
+    for (strategy, size) in [("global-lfu", 20), ("lfu", 30)] {
+        let config = SimConfig::paper_default()
+            .with_neighborhood_size(size)
+            .with_warmup_days(0);
+        for threads in [None, Some(2)] {
+            let sim = Simulation::over(&reader)
+                .config(config.clone())
+                .strategy_named(strategy);
+            let err = match threads {
+                None => sim.serial(),
+                Some(n) => sim.threads(n),
+            }
+            .run()
+            .expect_err("colliding sequence numbers fail the run");
+            let message = err.to_string();
+            assert!(
+                matches!(err, SimError::Trace(_))
+                    && message.contains(&format!("record {} was due", lie)),
+                "{strategy}, threads {threads:?}: {message}"
+            );
+        }
+    }
+}

@@ -7,18 +7,21 @@
 //! decode each chunk once at any worker count), streaming edge cases
 //! (empty traces, one-record chunks, sessions straddling chunk
 //! boundaries, same-second ties across them) and failing closed when a
-//! shard fails mid-run.
+//! shard fails — or panics — mid-run.
 
 use proptest::prelude::*;
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use cablevod_cache::strategy::{CacheOp, StrategyContext, StrategyFactory};
 use cablevod_cache::{CacheError, CacheStrategy, StrategyRegistry, StrategySpec};
 use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
-    run, run_parallel, AdmissionMode, FaultPlan, RetryPolicy, SimConfig, SimError, Simulation,
+    run, run_parallel, AdmissionMode, AxisPoint, CellResult, FaultPlan, ResilienceOptions,
+    RetryPolicy, Scenario, SimConfig, SimError, Simulation, SourceSpec, ThreadPolicy,
 };
 use cablevod_tests::tiny_config;
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
@@ -29,8 +32,8 @@ use cablevod_trace::source::{ChunkedTrace, TraceSource};
 use cablevod_trace::synth::generate;
 
 /// The strategy matrix the equivalence properties sweep: the paper's five
-/// (Global LFU's feed consumption exercises the sharded streaming
-/// watermark protocol) plus the literature four — ARC, TLRU, the
+/// (Global LFU's feed consumption exercises the watermark feed the
+/// blocked replay's decoder publishes) plus the literature four — ARC, TLRU, the
 /// prior-storing server (prefetch hook, feed-carried) and the
 /// delayed-hits-aware LFU (fetch-model accounting, merged counters).
 fn strategy(pick: usize) -> StrategySpec {
@@ -208,8 +211,9 @@ fn neighborhood_major_replay_is_bit_identical() {
         }
 
         // Mismatched neighborhood size: the file's grouping disagrees with
-        // the simulation's shuffle, so the engine falls back to pruned
-        // per-group merges — results must not change.
+        // the simulation's shuffle, so the decoder merges the file's runs
+        // back into global order and replays blocked — results must not
+        // change.
         let config = config_for(45, 2, strategy(pick));
         let resident = run(&trace, &config).expect("resident runs");
         let serial = run(&reader, &config).expect("mismatched serial runs");
@@ -225,7 +229,10 @@ fn neighborhood_major_replay_is_bit_identical() {
 /// each chunk exactly once over a **matching** neighborhood-major file
 /// (every shard reads its own chunks) and over the time-major file it was
 /// cut from (one decode feeds every shard) — and the layouts agree
-/// bit-for-bit.
+/// bit-for-bit. So does every replay the central decoder merges out of
+/// the neighborhood-major file: at a neighborhood size the file was not
+/// grouped for, and at its own size under a strategy that takes the feed,
+/// on one worker or several.
 #[test]
 fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let trace: Trace = generate(&tiny_config(400, 40, 4, 13));
@@ -262,6 +269,28 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
         tm_reader.chunk_count() as u64,
         "each time-major chunk decoded exactly once, not once per shard"
     );
+
+    for (what, config) in [
+        ("mismatched", config_for(45, 2, StrategySpec::default_lfu())),
+        ("matched, feed", config_for(50, 2, strategy(4))),
+    ] {
+        let resident = run(&trace, &config).expect("resident runs");
+        for threads in [None, Some(2), Some(4)] {
+            let sim = Simulation::over(&nm_reader).config(config.clone());
+            let outcome = match threads {
+                None => sim.serial(),
+                Some(n) => sim.threads(n),
+            }
+            .run()
+            .expect("merged blocked replay runs");
+            assert_eq!(outcome.report, resident, "{what}, threads {threads:?}");
+            assert_eq!(
+                outcome.telemetry.decode.chunks,
+                nm_reader.chunk_count() as u64,
+                "{what}, threads {threads:?}: each chunk decoded exactly once"
+            );
+        }
+    }
     std::fs::remove_file(&tm).ok();
     std::fs::remove_file(&nm).ok();
 }
@@ -350,9 +379,10 @@ fn oracle_streaming_decode_counts_include_the_schedule_pre_pass() {
 
 /// Multi-index sweep bit-identity: a neighborhood-size sweep served by
 /// one multi-index file through the decode-once fast path produces
-/// reports byte-identical to the single-index merge/fallback path and to
-/// the resident engine — serial and sharded alike — and the telemetry
-/// flag confirms the fast path actually engaged at every indexed size.
+/// reports byte-identical to the single-index file (matched at one size,
+/// blocked replay at the other) and to the resident engine — serial and
+/// sharded alike — and the telemetry flag confirms the fast path engaged
+/// at every indexed size for a feed-less strategy, and only for one.
 #[test]
 fn multi_index_sweep_fast_path_is_bit_identical() {
     let trace: Trace = generate(&tiny_config(300, 40, 4, 19));
@@ -364,9 +394,10 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
     multi.push(format!("cvtc_multi_mi_{}.cvtc", std::process::id()));
     write_trace(&tm, &trace, 128).expect("write time-major");
     let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
-    // The merge-path reference: a single-index file at one of the sweep's
-    // sizes (matched at 60, mismatched-merge at 100). The fast path: one
-    // multi-index file carrying both sizes over the same shared columns.
+    // The reference: a single-index file at one of the sweep's sizes
+    // (matched at 60, mismatched — hence blocked — at 100). The fast path:
+    // one multi-index file carrying both sizes over the same shared
+    // columns.
     rechunk_by_neighborhood(&tm_reader, &nm, 60, 64).expect("single-index rechunk");
     rechunk_multi_index(&tm_reader, &multi, &[60, 100], 64).expect("multi-index rechunk");
     let nm_reader = ColumnarReader::open(&nm).expect("open single-index");
@@ -422,6 +453,18 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
             merge.telemetry.fastpath,
             size == 60,
             "single-index replay matches only its own size"
+        );
+        // The flag reads the plan, and the plan reads the strategy: the
+        // same matched file under a strategy that takes the feed is
+        // decoded centrally, block by block.
+        let coupled = Simulation::over(&multi_reader)
+            .config(config_for(size, 2, strategy(4)))
+            .run()
+            .expect("feed-carrying telemetry run");
+        assert_eq!(coupled.telemetry.strategy, "Global LFU");
+        assert!(
+            !coupled.telemetry.fastpath,
+            "a global feed couples the shards at size {size}"
         );
         assert_eq!(fast.report, merge.report, "telemetry runs agree too");
     }
@@ -593,18 +636,21 @@ fn same_second_ties_replay_exactly_across_block_edges() {
     }
 }
 
-/// An LRU whose neighborhood 1 fails at its `fail_at`-th access — a shard
-/// failing part-way through a run, on whichever block that access falls.
+/// An LRU whose neighborhood 1 fails — with an error, or with a panic —
+/// at its `fail_at`-th access: a shard failing part-way through a run,
+/// on whichever block that access falls.
 #[derive(Debug)]
 struct FailingFactory {
     inner: Arc<dyn StrategyFactory>,
     fail_at: u32,
+    panics: bool,
 }
 
 #[derive(Debug)]
 struct FailingStrategy {
     inner: Box<dyn CacheStrategy>,
     accesses_left: Option<u32>,
+    panics: bool,
 }
 
 impl StrategyFactory for FailingFactory {
@@ -616,6 +662,7 @@ impl StrategyFactory for FailingFactory {
         Ok(Box::new(FailingStrategy {
             inner: self.inner.build(ctx)?,
             accesses_left,
+            panics: self.panics,
         }))
     }
 }
@@ -626,6 +673,7 @@ impl CacheStrategy for FailingStrategy {
     }
     fn prepare(&mut self, _now: SimTime) -> Result<(), CacheError> {
         match self.accesses_left.as_mut() {
+            Some(0) if self.panics => panic!("neighborhood 1 panics here"),
             Some(0) => Err(CacheError::Schedule {
                 reason: "neighborhood 1 fails here".into(),
             }),
@@ -671,6 +719,7 @@ fn a_shard_failing_inside_a_block_fails_the_run_closed() {
                     .strategy_factory(Arc::new(FailingFactory {
                         inner: StrategySpec::Lru.factory(),
                         fail_at,
+                        panics: false,
                     }));
                 let err = match threads {
                     None => sim.serial(),
@@ -686,4 +735,91 @@ fn a_shard_failing_inside_a_block_fails_the_run_closed() {
             }
         }
     }
+}
+
+/// A shard *panicking* inside a block fails the run too, instead of
+/// hanging it: the worker that caught the unwind keeps meeting its
+/// siblings at the block barriers until the decoder has closed the run,
+/// and the panic resumes on the caller's thread — where the scenario
+/// layer's bulkhead turns it into that one cell's `job panicked`. Driven
+/// from a second thread so that a worker left waiting at a barrier fails
+/// this test on a timeout rather than hanging the suite.
+#[test]
+fn a_shard_panicking_inside_a_block_fails_the_run_instead_of_hanging_it() {
+    let (done, watchdog) = mpsc::channel();
+    std::thread::spawn(move || {
+        let trace: Trace = generate(&tiny_config(300, 40, 4, 23));
+        let config = config_for(60, 2, StrategySpec::Lru);
+        let panicking = |fail_at| {
+            Arc::new(FailingFactory {
+                inner: StrategySpec::Lru.factory(),
+                fail_at,
+                panics: true,
+            })
+        };
+        for fail_at in [0u32, 7, 90] {
+            for chunk in [1usize, 64] {
+                let source = ChunkedTrace::new(&trace, chunk);
+                for threads in [None, Some(2), Some(5)] {
+                    let sim = Simulation::over(&source)
+                        .config(config.clone())
+                        .strategy_factory(panicking(fail_at));
+                    let sim = match threads {
+                        None => sim.serial(),
+                        Some(n) => sim.threads(n),
+                    };
+                    let payload = catch_unwind(AssertUnwindSafe(|| sim.run()))
+                        .expect_err("the shard's panic reaches the caller");
+                    assert_eq!(
+                        payload.downcast_ref::<&str>(),
+                        Some(&"neighborhood 1 panics here"),
+                        "fail_at {fail_at}, chunk {chunk}, threads {threads:?}"
+                    );
+                }
+            }
+        }
+
+        // The same through a grid on two engine workers: the panicking
+        // series' cell fails alone, its sibling completes.
+        let mut registry = StrategyRegistry::builtin();
+        registry.register("panicking-lru", panicking(7));
+        let scenario = Scenario::new(
+            "panicking-shard",
+            SourceSpec::SynthDisk {
+                synth: tiny_config(300, 40, 4, 23),
+                chunk_records: 64,
+                rechunk: Vec::new(),
+            },
+            config,
+        )
+        .with_threads(ThreadPolicy::Fixed(2))
+        .with_series(vec![
+            AxisPoint::new("Panics").with_strategy_named("panicking-lru"),
+            AxisPoint::new("LRU").with_strategy(StrategySpec::Lru),
+        ]);
+        let options = ResilienceOptions {
+            keep_going: true,
+            ..ResilienceOptions::default()
+        };
+        let grid = scenario
+            .execute_resilient(&registry, &options, &|_| {})
+            .expect("the grid survives a panicking cell");
+        match &grid.cells[0].result {
+            CellResult::Failed { error, .. } => assert_eq!(
+                error, "job panicked: neighborhood 1 panics here",
+                "the bulkhead names the panic"
+            ),
+            other => panic!("the panicking cell did not fail: {other:?}"),
+        }
+        assert!(
+            matches!(&grid.cells[1].result, CellResult::Completed { outcome, .. }
+                if outcome.report.sessions > 0),
+            "the sibling cell completes: {:?}",
+            grid.cells[1].result
+        );
+        done.send(()).expect("the watchdog is still listening");
+    });
+    watchdog
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a panicking shard hung the run (timeout) or an assertion above failed");
 }
