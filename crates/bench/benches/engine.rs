@@ -2,11 +2,7 @@
 //! strategy (serial, sharded-parallel, and out-of-core streaming from a
 //! columnar disk trace), plus workload generation and trace scaling.
 //!
-//! Rows run through the [`Simulation`] builder — the public front door —
-//! and the `engine` group carries a `direct_run` / `builder_overhead`
-//! pair on identical inputs: the two rows agreeing is the standing proof
-//! that the facade adds no measurable per-run cost over calling
-//! `engine::run` directly.
+//! Rows run through the [`Simulation`] builder — the public front door.
 //!
 //! Set `BENCH_JSON=BENCH_engine.json` to append one JSON line per
 //! measurement — CI uses this to track the serial-vs-parallel throughput
@@ -28,7 +24,7 @@ use cablevod_serve::clock::AcceleratedClock;
 use cablevod_serve::replay::{replay_trace, DecisionTier};
 use cablevod_serve::server::{Server, ServerConfig};
 use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
-use cablevod_sim::{run, SimConfig, Simulation};
+use cablevod_sim::{SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::{
     import_chunk_size, neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index,
@@ -62,48 +58,6 @@ fn engine_throughput(c: &mut Criterion) {
             })
         });
     }
-    // The facade-overhead pair: identical workload and config, one row
-    // through the raw engine entry point, one through the builder
-    // (including its telemetry probes). The smoke gate requires the
-    // builder row; the two agreeing is the no-overhead proof.
-    let config = base.clone();
-    group.bench_function("direct_run", |b| {
-        b.iter(|| run(trace, &config).expect("runs"))
-    });
-    group.bench_function("builder_overhead", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .run()
-                .expect("runs")
-        })
-    });
-    // The registry-dispatch pair: the same LFU workload selected as a
-    // config spec (`registry_builtin`) and resolved by name through the
-    // plugin-aware registry (`registry_dispatch`, the path every
-    // `cablevod-scenario` cell takes). Resolution is a once-per-run
-    // BTreeMap lookup returning the same factory object, so the two rows
-    // agreeing is the proof that out-of-tree pluggability costs nothing.
-    group.bench_function("registry_builtin", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .strategy(StrategySpec::default_lfu())
-                .run()
-                .expect("runs")
-        })
-    });
-    let registry = cablevod_cache::StrategyRegistry::with_plugins();
-    group.bench_function("registry_dispatch", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .registry(registry.clone())
-                .strategy_named("lfu")
-                .run()
-                .expect("runs")
-        })
-    });
     group.finish();
 }
 
@@ -161,9 +115,10 @@ fn lfu_on_access(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sharded engine over worker-pool sizes, on the same workload and
-/// config as the serial `engine` group so `engine/lfu` vs
-/// `engine_parallel/threads/N` is a direct serial-vs-parallel comparison.
+/// The sharded engine on the same workload and config as the serial
+/// `engine` group, so `engine/lfu` vs `engine_parallel/threads/1` is what
+/// sharding alone costs or buys (ROADMAP item 4(b)) and `threads/2` adds
+/// the host's second core; wider pools are flat by construction here.
 fn engine_parallel_throughput(c: &mut Criterion) {
     let trace = bench_trace();
     let mut group = c.benchmark_group("engine_parallel");
@@ -173,7 +128,7 @@ fn engine_parallel_throughput(c: &mut Criterion) {
         .with_neighborhood_size(500)
         .with_per_peer_storage(DataSize::from_gigabytes(2))
         .with_warmup_days(3);
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [1usize, 2] {
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
             b.iter(|| {
                 Simulation::over(trace)
@@ -239,8 +194,8 @@ fn engine_streaming_throughput(c: &mut Criterion) {
             })
         });
         // The windowed Oracle from disk: each iteration pays the honest
-        // full cost of a streaming Oracle run — schedule pre-pass spilled
-        // to the on-disk sidecar, then replay through bounded
+        // full cost of a streaming Oracle run — the look-ahead cursor's
+        // pass over the file beside the replay's, through bounded
         // ScheduleWindows. 10x scale only; the CI smoke gate requires
         // this row.
         if scale_label == "10x" {

@@ -179,7 +179,7 @@ fn list_strategies(registry: &StrategyRegistry) {
         if factory.needs_feed() {
             caps.push("feed");
         }
-        if factory.needs_schedule() {
+        if factory.schedule_lookahead().is_some() {
             caps.push("schedule");
         }
         if factory.needs_prefetch() {

@@ -36,8 +36,8 @@ pub enum CacheError {
     /// A strategy requiring an access schedule (Oracle) was built without
     /// one.
     MissingSchedule,
-    /// A windowed schedule's backing store failed or returned corrupt
-    /// data (see [`crate::schedule`]).
+    /// A windowed schedule was handed events out of time order, or less
+    /// than an access needs (see [`crate::schedule`]).
     Schedule {
         /// What went wrong.
         reason: String,
@@ -75,7 +75,7 @@ impl fmt::Display for CacheError {
                 write!(f, "oracle strategy requires a future access schedule")
             }
             CacheError::Schedule { reason } => {
-                write!(f, "schedule source failure: {reason}")
+                write!(f, "access schedule failure: {reason}")
             }
             CacheError::DuplicatePlacement { segment } => {
                 write!(f, "segment {segment} placed twice")

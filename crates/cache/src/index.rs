@@ -316,6 +316,20 @@ impl IndexServer {
         self.strategy.sync_global(feed, now, limit)
     }
 
+    /// Hands the strategy the next stretch of this neighborhood's future
+    /// accesses (see [`CacheStrategy::extend_schedule`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the strategy's rejection of out-of-order events.
+    pub fn extend_schedule(
+        &mut self,
+        events: &[(SimTime, ProgramId)],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.strategy.extend_schedule(events, covered)
+    }
+
     /// Observes a program access (session start): updates the strategy and
     /// executes any admissions/evictions it decides on, mutating peer
     /// storage through `topo`.
@@ -332,8 +346,8 @@ impl IndexServer {
         stbs: &mut S,
     ) -> Result<(), CacheError> {
         let cost = u32::from(self.segmenter.segment_count(length)) * u32::from(self.replication);
-        // Fallible staging first (a windowed Oracle fetches its schedule
-        // here), then the infallible access hook.
+        // The fallible check first (a windowed Oracle's look-ahead
+        // coverage), then the infallible access hook.
         self.strategy.prepare(now)?;
         let mut ops = std::mem::take(&mut self.ops);
         ops.clear();

@@ -78,7 +78,7 @@ pub use oracle::{AccessSchedule, Oracle};
 pub use placement::{PlacementPolicy, SlotLedger};
 pub use prior::PriorStoring;
 pub use registry::{register_plugin, StrategyRegistry};
-pub use schedule::{ResidentSchedules, ScheduleReader, ScheduleSource, ScheduleWindow};
+pub use schedule::{ResidentSchedules, ScheduleWindow};
 pub use strategy::{
     ArcFactory, CacheOp, CacheStrategy, DelayedLfuFactory, FillPolicy, GlobalLfuFactory,
     LfuFactory, LruFactory, NoCacheFactory, OracleFactory, PriorStoringFactory, StrategyContext,

@@ -14,8 +14,9 @@
 //! The future itself is consumed through a
 //! [`ScheduleWindow`]: a fully resident
 //! [`AccessSchedule`] walked zero-copy with two cursors, or a streaming
-//! window over an on-disk schedule whose resident state is bounded by
-//! the look-ahead span (see [`crate::schedule`]). Either carrier feeds
+//! window the replay's record supply feeds as it reads ahead
+//! ([`CacheStrategy::extend_schedule`]), whose resident state is bounded
+//! by the look-ahead span (see [`crate::schedule`]). Either kind shows
 //! the Oracle the identical event sequence, so decisions are
 //! bit-identical.
 
@@ -176,10 +177,10 @@ impl Oracle {
     }
 
     /// Slides the window to `[now, now + lookahead)`. Streaming windows
-    /// must have been prefetched through the horizon
-    /// ([`CacheStrategy::prepare`] does this).
+    /// must be covered through the horizon ([`CacheStrategy::prepare`]
+    /// checks this).
     fn advance(&mut self, now: SimTime) {
-        let horizon = now + self.lookahead;
+        let horizon = now.saturating_add(self.lookahead);
         while let Some(p) = self.window.next_entering(horizon) {
             self.bump(p, 1);
         }
@@ -208,9 +209,19 @@ impl CacheStrategy for Oracle {
     }
 
     fn prepare(&mut self, now: SimTime) -> Result<(), CacheError> {
-        // Stage the schedule through the access's horizon so advancing in
-        // `on_access` is I/O-free (a no-op for resident windows).
-        self.window.prefetch(now + self.lookahead)
+        // An under-fed streaming window fails here, so advancing in
+        // `on_access` never sees a short one (resident windows hold
+        // everything).
+        self.window
+            .ensure_covered(now.saturating_add(self.lookahead))
+    }
+
+    fn extend_schedule(
+        &mut self,
+        events: &[(SimTime, ProgramId)],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.window.extend(events, covered)
     }
 
     fn on_access(&mut self, _program: ProgramId, _cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
@@ -244,6 +255,7 @@ impl CacheStrategy for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::testing::Feeder;
     use std::sync::Arc;
 
     fn p(i: u32) -> ProgramId {
@@ -372,16 +384,6 @@ mod tests {
         assert_eq!(sched.cost_count(), 10);
     }
 
-    /// A window over the shared mock reader (the streaming-window shape
-    /// the engine's sidecar reader has — see
-    /// [`crate::schedule::testing`]).
-    fn streaming(events: &[(u64, u32)], costs: Vec<u32>, batch: usize) -> ScheduleWindow {
-        ScheduleWindow::streaming(
-            Box::new(crate::schedule::testing::BatchReader::over(events, batch)),
-            costs.into(),
-        )
-    }
-
     #[test]
     fn streaming_window_decides_identically_to_resident() {
         let events: Vec<(u64, u32)> = (0..3_000u64)
@@ -397,12 +399,20 @@ mod tests {
             let mut windowed = Oracle::new(
                 25,
                 SimDuration::from_days(3),
-                streaming(&events, costs.clone(), batch),
+                ScheduleWindow::streaming(costs.clone().into()),
             );
+            let unfed = windowed.prepare(t(0)).unwrap_err();
+            assert!(matches!(unfed, CacheError::Schedule { .. }), "{unfed}");
+            let mut feeder = Feeder::over(&events, batch);
             for i in 0..150u64 {
                 let now = t(i * 8_000);
                 let mut ops_a = Vec::new();
                 let mut ops_b = Vec::new();
+                feeder
+                    .cover(now + windowed.lookahead(), |events, covered| {
+                        windowed.extend_schedule(events, covered)
+                    })
+                    .expect("extend");
                 resident.prepare(now).expect("resident prepare");
                 windowed.prepare(now).expect("windowed prepare");
                 resident.on_access(p(0), 1, now, &mut ops_a);
@@ -413,7 +423,7 @@ mod tests {
             // The streaming window never held more than the look-ahead span
             // (3 days at 400 s spacing = 648 events) plus one batch plus
             // one access step's backlog (8,000 s / 400 s = 20 events — the
-            // peak is sampled at prefetch, before the trailing edge pops).
+            // peak is sampled at hand-over, before the trailing edge pops).
             assert!(
                 windowed.schedule_window().peak_resident_events() <= 648 + 20 + batch,
                 "batch {batch}: peak {}",

@@ -203,7 +203,7 @@ mod tests {
         ] {
             let factory = registry.resolve(name).expect("built-in resolves");
             assert_eq!(factory.name(), label);
-            if !factory.needs_schedule() {
+            if factory.schedule_lookahead().is_none() {
                 let strategy = factory
                     .build(StrategyContext {
                         capacity_slots: 10,

@@ -1,45 +1,38 @@
-//! The windowed schedule seam: how the Oracle sees its future.
+//! The windowed schedule: how the Oracle sees its future.
 //!
 //! The Oracle (§VI-A) needs the neighborhood's *future* accesses — one
 //! `(time, program)` event per session record. Holding that future fully
 //! resident ([`AccessSchedule`]) is fine when the trace itself is
 //! resident, but it is the one piece of auxiliary state that would grow
-//! with trace length on the out-of-core replay paths. This module is the
-//! seam that makes the carrier pluggable, exactly as
-//! [`FeedProvider`](crate::feed::FeedProvider) did for the popularity
-//! feed:
+//! with trace length on the out-of-core replay paths. So the
+//! [`Oracle`](crate::oracle::Oracle) consumes it through a
+//! [`ScheduleWindow`]: a two-edged cursor over one neighborhood's
+//! time-ordered future events, in one of two kinds.
 //!
-//! * [`ScheduleSource`] — per-run supplier of per-neighborhood windowed
-//!   schedules. [`ResidentSchedules`] wraps prebuilt [`AccessSchedule`]s
-//!   (the resident engine paths); the simulation engine provides an
-//!   on-disk implementation over its schedule sidecar files.
-//! * [`ScheduleWindow`] — what the [`Oracle`](crate::oracle::Oracle)
-//!   actually consumes: a two-edged cursor over one neighborhood's
-//!   time-ordered future events. The **resident** window walks a shared
-//!   [`AccessSchedule`] with two indices (zero copies, the classic hot
-//!   path, untouched). The **streaming** window pulls time-ordered
-//!   batches from a [`ScheduleReader`] and retains only the events
-//!   between the window's trailing edge (`now`) and its leading edge
-//!   (`now + lookahead`): events are buffered when they enter the
-//!   horizon and dropped the moment they fall behind `now`, so resident
-//!   state is O(events inside the look-ahead window + one reader batch),
-//!   never O(trace).
-//! * [`ScheduleReader`] — the pull side of the streaming window: a
-//!   sequential, time-ordered batch iterator over one neighborhood's
-//!   future events (one batch per on-disk sidecar chunk, for the
-//!   engine's implementation).
+//! * The **resident** window walks a shared [`AccessSchedule`] with two
+//!   indices (zero copies, the classic hot path, untouched);
+//!   [`ResidentSchedules`] hands one out per neighborhood.
+//! * The **streaming** window is a bounded buffer its owner feeds: the
+//!   engine's record supply reads the same records `lookahead` further
+//!   along and hands each stretch over with
+//!   [`extend`](ScheduleWindow::extend), together with the instant the
+//!   hand-overs now cover. Events are buffered when they are handed over
+//!   and dropped the moment they fall behind `now`, so resident state is
+//!   O(events inside the look-ahead window + one hand-over), never
+//!   O(trace).
 //!
 //! # Fallibility: `prepare`, then infallible advancing
 //!
-//! Streaming windows do I/O, and the strategy access hook
+//! The strategy access hook
 //! ([`CacheStrategy::on_access`](crate::strategy::CacheStrategy::on_access))
-//! is infallible by design. The split:
+//! is infallible by design, and a streaming window that was fed too
+//! little must not pass for a short schedule. The split:
 //! [`CacheStrategy::prepare`](crate::strategy::CacheStrategy::prepare) —
-//! called by the index server before every access — stages everything the
-//! access will need via [`ScheduleWindow::prefetch`] (the only fallible
-//! step), after which [`next_entering`](ScheduleWindow::next_entering) /
-//! [`next_leaving`](ScheduleWindow::next_leaving) operate on buffered
-//! data only.
+//! called by the index server before every access — checks through
+//! [`ScheduleWindow::ensure_covered`] (the only fallible step) that the
+//! hand-overs reach the access's horizon, after which
+//! [`next_entering`](ScheduleWindow::next_entering) /
+//! [`next_leaving`](ScheduleWindow::next_leaving) cannot come up short.
 //!
 //! Both window kinds replay the **same event sequence in the same
 //! order**, so a strategy driven through either produces bit-identical
@@ -56,25 +49,7 @@ use cablevod_hfc::units::SimTime;
 use crate::error::CacheError;
 use crate::oracle::AccessSchedule;
 
-/// A sequential reader over one neighborhood's future accesses, in
-/// non-decreasing time order.
-///
-/// Implementations deliver events in batches (typically one on-disk
-/// chunk per call) and must make progress: a successful call either
-/// appends at least one event or reports exhaustion.
-pub trait ScheduleReader: fmt::Debug + Send {
-    /// Overwrites `out` with the next time-ordered batch of events.
-    /// Returns `Ok(false)` when the reader is exhausted (`out` is left
-    /// empty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::Schedule`] for storage failures or corrupt
-    /// schedule data.
-    fn next_batch(&mut self, out: &mut Vec<(SimTime, ProgramId)>) -> Result<bool, CacheError>;
-}
-
-/// The two window carriers (see the module docs).
+/// The two window kinds (see the module docs).
 enum WindowState {
     /// Two indices over a shared, fully resident schedule:
     /// `events[left..right]` is the current look-ahead window.
@@ -83,21 +58,18 @@ enum WindowState {
         left: usize,
         right: usize,
     },
-    /// A bounded buffer over a streaming reader: `buf[..entered]` is the
-    /// current look-ahead window, `buf[entered..]` is fetched read-ahead
-    /// (the tail of the last batch) that has not crossed the leading
-    /// edge yet.
+    /// A bounded buffer of handed-over events: `buf[..entered]` is the
+    /// current look-ahead window, `buf[entered..]` the rest of the last
+    /// hand-overs, not across the leading edge yet.
     Streaming {
-        reader: Box<dyn ScheduleReader>,
         costs: Arc<[u32]>,
         buf: VecDeque<(SimTime, ProgramId)>,
         entered: usize,
-        /// Largest event time fetched so far: once it reaches the
-        /// horizon, every unfetched event is at or beyond it.
-        fetched_tail: SimTime,
-        exhausted: bool,
-        /// Scratch batch buffer, reused across fetches.
-        batch: Vec<(SimTime, ProgramId)>,
+        /// No event still to come may be earlier: the last one handed
+        /// over or the last instant covered, whichever is later.
+        floor: SimTime,
+        /// Every event before this instant has been handed over.
+        covered: SimTime,
         /// High-water mark of `buf.len()` — what the retention tests
         /// assert stays bounded by the look-ahead window.
         peak_resident: usize,
@@ -115,13 +87,13 @@ impl fmt::Debug for WindowState {
             WindowState::Streaming {
                 entered,
                 buf,
-                exhausted,
+                covered,
                 ..
             } => f
                 .debug_struct("Streaming")
                 .field("entered", entered)
                 .field("resident", &buf.len())
-                .field("exhausted", exhausted)
+                .field("covered", covered)
                 .finish_non_exhaustive(),
         }
     }
@@ -147,72 +119,94 @@ impl ScheduleWindow {
         }
     }
 
-    /// A bounded window over a streaming reader. `costs[p]` is program
-    /// `p`'s size in slots (the whole catalog — the Oracle is asked for
-    /// costs of programs it has never seen scheduled).
-    pub fn streaming(reader: Box<dyn ScheduleReader>, costs: Arc<[u32]>) -> Self {
+    /// An empty bounded window, to be fed through
+    /// [`extend`](ScheduleWindow::extend). `costs[p]` is program `p`'s
+    /// size in slots (the whole catalog — the Oracle is asked for costs
+    /// of programs it has never seen scheduled).
+    pub fn streaming(costs: Arc<[u32]>) -> Self {
         ScheduleWindow {
             state: WindowState::Streaming {
-                reader,
                 costs,
                 buf: VecDeque::new(),
                 entered: 0,
-                fetched_tail: SimTime::EPOCH,
-                exhausted: false,
-                batch: Vec::new(),
+                floor: SimTime::EPOCH,
+                covered: SimTime::EPOCH,
                 peak_resident: 0,
             },
         }
     }
 
-    /// Stages every event with time below `horizon` into the window's
-    /// buffer (the only fallible step; a no-op on resident windows).
-    /// After it returns, [`next_entering`](ScheduleWindow::next_entering)
-    /// up to the same `horizon` needs no I/O.
+    /// Hands a streaming window the next stretch of its future:
+    /// `events`, in time order, none earlier than anything handed over
+    /// or covered before, after which every event before `covered` has
+    /// been handed over. (A resident window holds its whole future
+    /// already and takes nothing.)
     ///
     /// # Errors
     ///
-    /// Propagates reader failures and rejects readers that violate the
-    /// time-ordering contract.
-    pub fn prefetch(&mut self, horizon: SimTime) -> Result<(), CacheError> {
+    /// Rejects events that break the time order.
+    pub fn extend(
+        &mut self,
+        events: &[(SimTime, ProgramId)],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
         let WindowState::Streaming {
-            reader,
             buf,
-            fetched_tail,
-            exhausted,
-            batch,
+            floor,
+            covered: reach,
             peak_resident,
             ..
         } = &mut self.state
         else {
             return Ok(());
         };
-        while !*exhausted && *fetched_tail < horizon {
-            if !reader.next_batch(batch)? {
-                *exhausted = true;
-                break;
+        for &(t, p) in events {
+            if t < *floor {
+                return Err(CacheError::Schedule {
+                    reason: format!(
+                        "schedule hand-over broke time order: {}s after {}s",
+                        t.as_secs(),
+                        floor.as_secs()
+                    ),
+                });
             }
-            for &(t, p) in batch.iter() {
-                if t < *fetched_tail {
-                    return Err(CacheError::Schedule {
-                        reason: format!(
-                            "schedule reader broke time order: {}s after {}s",
-                            t.as_secs(),
-                            fetched_tail.as_secs()
-                        ),
-                    });
-                }
-                *fetched_tail = t;
-                buf.push_back((t, p));
-            }
-            *peak_resident = (*peak_resident).max(buf.len());
+            *floor = t;
+            buf.push_back((t, p));
         }
+        *floor = (*floor).max(covered);
+        *reach = covered;
+        *peak_resident = (*peak_resident).max(buf.len());
         Ok(())
     }
 
+    /// Checks that every event with time below `horizon` is in the
+    /// window's reach (the only fallible step; always true of a resident
+    /// window). After it returns,
+    /// [`next_entering`](ScheduleWindow::next_entering) up to the same
+    /// `horizon` yields the whole window, never a short one.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Schedule`] when a streaming window has been handed
+    /// less than `horizon` asks for.
+    pub fn ensure_covered(&self, horizon: SimTime) -> Result<(), CacheError> {
+        match &self.state {
+            WindowState::Streaming { covered, .. } if *covered < horizon => {
+                Err(CacheError::Schedule {
+                    reason: format!(
+                        "the look-ahead was fed up to {}s, an access needs it up to {}s",
+                        covered.as_secs(),
+                        horizon.as_secs()
+                    ),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The next event crossing the window's leading edge (time below
-    /// `horizon`), or `None` when no staged event qualifies. Streaming
-    /// windows must have [`prefetch`](ScheduleWindow::prefetch)ed through
+    /// `horizon`), or `None` when no event qualifies. Streaming windows
+    /// must be [covered](ScheduleWindow::ensure_covered) through
     /// `horizon` first.
     pub fn next_entering(&mut self, horizon: SimTime) -> Option<ProgramId> {
         match &mut self.state {
@@ -228,8 +222,7 @@ impl ScheduleWindow {
             WindowState::Streaming {
                 buf,
                 entered,
-                exhausted,
-                fetched_tail,
+                covered,
                 ..
             } => match buf.get(*entered) {
                 Some(&(t, p)) if t < horizon => {
@@ -239,8 +232,8 @@ impl ScheduleWindow {
                 Some(_) => None,
                 None => {
                     debug_assert!(
-                        *exhausted || *fetched_tail >= horizon,
-                        "next_entering past the prefetched horizon"
+                        *covered >= horizon,
+                        "next_entering past the covered instant"
                     );
                     None
                 }
@@ -320,24 +313,9 @@ impl ScheduleWindow {
     }
 }
 
-/// A per-run supplier of windowed schedules, one per neighborhood.
-///
-/// `window` is `&self` and must be callable concurrently — sharded
-/// engines build their neighborhoods' windows from worker threads.
-pub trait ScheduleSource: Sync {
-    /// Builds the windowed schedule for `nbhd`, or `None` when this
-    /// source carries no schedule for it (strategies that need one fail
-    /// construction with [`CacheError::MissingSchedule`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures from on-disk sources.
-    fn window(&self, nbhd: NeighborhoodId) -> Result<Option<ScheduleWindow>, CacheError>;
-}
-
-/// [`ScheduleSource`] over prebuilt resident [`AccessSchedule`]s — the
-/// resident engine paths. Windows are zero-copy cursor pairs over the
-/// shared schedules.
+/// Prebuilt resident [`AccessSchedule`]s, one per neighborhood — what the
+/// resident engine paths build their index servers from. Windows are
+/// zero-copy cursor pairs over the shared schedules.
 #[derive(Debug, Clone, Default)]
 pub struct ResidentSchedules {
     schedules: Vec<Option<Arc<AccessSchedule>>>,
@@ -350,76 +328,79 @@ impl ResidentSchedules {
         ResidentSchedules { schedules }
     }
 
-    /// A source with no schedule for any of `neighborhoods` — what
-    /// strategies that never consult a schedule run with.
+    /// No schedule for any of `neighborhoods` — what strategies that
+    /// never consult a schedule run with.
     pub fn none(neighborhoods: usize) -> Self {
         ResidentSchedules {
             schedules: vec![None; neighborhoods],
         }
     }
-}
 
-impl ScheduleSource for ResidentSchedules {
-    fn window(&self, nbhd: NeighborhoodId) -> Result<Option<ScheduleWindow>, CacheError> {
-        Ok(self
-            .schedules
+    /// The windowed schedule for `nbhd`, or `None` when there is none for
+    /// it (strategies that need one fail construction with
+    /// [`CacheError::MissingSchedule`]).
+    pub fn window(&self, nbhd: NeighborhoodId) -> Option<ScheduleWindow> {
+        self.schedules
             .get(nbhd.index())
             .and_then(Clone::clone)
-            .map(ScheduleWindow::resident))
+            .map(ScheduleWindow::resident)
     }
 }
 
 /// Test support shared by this crate's window-consuming test suites
-/// (here and in [`crate::oracle`]): one mock reader, so the
-/// [`ScheduleReader`] contract is exercised identically everywhere.
+/// (here and in [`crate::oracle`]): one feeder, so streaming windows are
+/// fed identically everywhere.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
 
-    /// A reader over pre-chunked in-memory batches, for driving
-    /// streaming windows deterministically.
+    /// Feeds a streaming window the way a record supply does: `batch`
+    /// events a hand-over, as far ahead as the next access needs.
     #[derive(Debug)]
-    pub(crate) struct BatchReader {
-        batches: Vec<Vec<(SimTime, ProgramId)>>,
+    pub(crate) struct Feeder {
+        events: Vec<(SimTime, ProgramId)>,
         next: usize,
+        batch: usize,
     }
 
-    impl BatchReader {
-        /// Chunks `events` (`(secs, program id)` pairs) into
-        /// `batch`-sized time-ordered batches.
+    impl Feeder {
+        /// A feeder over time-ordered `(secs, program id)` pairs.
         pub(crate) fn over(events: &[(u64, u32)], batch: usize) -> Self {
-            BatchReader {
-                batches: events
-                    .chunks(batch.max(1))
-                    .map(|c| {
-                        c.iter()
-                            .map(|&(s, q)| (SimTime::from_secs(s), ProgramId::new(q)))
-                            .collect()
-                    })
+            Feeder {
+                events: events
+                    .iter()
+                    .map(|&(s, q)| (SimTime::from_secs(s), ProgramId::new(q)))
                     .collect(),
                 next: 0,
+                batch: batch.max(1),
             }
         }
-    }
 
-    impl ScheduleReader for BatchReader {
-        fn next_batch(&mut self, out: &mut Vec<(SimTime, ProgramId)>) -> Result<bool, CacheError> {
-            out.clear();
-            match self.batches.get(self.next) {
-                Some(batch) => {
-                    out.extend_from_slice(batch);
-                    self.next += 1;
-                    Ok(true)
-                }
-                None => Ok(false),
+        /// What the hand-overs so far cover: the first event still held
+        /// back is the earliest one missing.
+        fn reach(&self) -> SimTime {
+            self.events.get(self.next).map_or(SimTime::MAX, |&(t, _)| t)
+        }
+
+        /// Hands `extend` whole batches until `horizon` is covered.
+        pub(crate) fn cover(
+            &mut self,
+            horizon: SimTime,
+            mut extend: impl FnMut(&[(SimTime, ProgramId)], SimTime) -> Result<(), CacheError>,
+        ) -> Result<(), CacheError> {
+            while self.reach() < horizon {
+                let end = (self.next + self.batch).min(self.events.len());
+                let from = std::mem::replace(&mut self.next, end);
+                extend(&self.events[from..end], self.reach())?;
             }
+            extend(&[], self.reach())
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testing::BatchReader;
+    use super::testing::Feeder;
     use super::*;
     use cablevod_hfc::units::SimDuration;
 
@@ -431,14 +412,12 @@ mod tests {
         ProgramId::new(i)
     }
 
-    fn windows_for(events: &[(u64, u32)], costs: Vec<u32>, batch: usize) -> [ScheduleWindow; 2] {
+    fn windows_for(events: &[(u64, u32)], costs: Vec<u32>) -> [ScheduleWindow; 2] {
         let resident = ScheduleWindow::resident(Arc::new(AccessSchedule::from_events(
             events.iter().map(|&(s, q)| (t(s), p(q))).collect(),
             costs.clone(),
         )));
-        let streaming =
-            ScheduleWindow::streaming(Box::new(BatchReader::over(events, batch)), costs.into());
-        [resident, streaming]
+        [resident, ScheduleWindow::streaming(costs.into())]
     }
 
     #[test]
@@ -446,12 +425,16 @@ mod tests {
         let events: Vec<(u64, u32)> = (0..500).map(|i| (i * 10, (i % 13) as u32)).collect();
         let costs: Vec<u32> = (0..13).map(|c| 1 + c % 4).collect();
         for batch in [1usize, 7, 64, 1_000] {
-            let [mut resident, mut streaming] = windows_for(&events, costs.clone(), batch);
+            let [mut resident, mut streaming] = windows_for(&events, costs.clone());
+            let mut feeder = Feeder::over(&events, batch);
             // Walk both edges forward in lockstep through a sweep of nows.
             for step in 0..60u64 {
                 let now = t(step * 100);
                 let horizon = now + SimDuration::from_secs(1_000);
-                streaming.prefetch(horizon).expect("prefetch");
+                feeder
+                    .cover(horizon, |events, covered| streaming.extend(events, covered))
+                    .expect("extend");
+                streaming.ensure_covered(horizon).expect("covered");
                 loop {
                     let a = resident.next_entering(horizon);
                     let b = streaming.next_entering(horizon);
@@ -478,22 +461,22 @@ mod tests {
     fn streaming_window_residency_is_bounded_by_the_lookahead() {
         // 30 "days" of events, 100 per day, against a 3-day look-ahead:
         // the streaming window must never hold more than the events
-        // inside the look-ahead span plus one read-ahead batch.
+        // inside the look-ahead span plus one hand-over.
         let day = 86_400u64;
         let per_day = 100u64;
         let events: Vec<(u64, u32)> = (0..30 * per_day)
             .map(|i| (i * (day / per_day), (i % 31) as u32))
             .collect();
         let batch = 64usize;
-        let mut window = ScheduleWindow::streaming(
-            Box::new(BatchReader::over(&events, batch)),
-            vec![1u32; 31].into(),
-        );
+        let mut window = ScheduleWindow::streaming(vec![1u32; 31].into());
+        let mut feeder = Feeder::over(&events, batch);
         let lookahead = SimDuration::from_days(3);
         for step in 0..300u64 {
             let now = t(step * (day / 10));
             let horizon = now + lookahead;
-            window.prefetch(horizon).expect("prefetch");
+            feeder
+                .cover(horizon, |events, covered| window.extend(events, covered))
+                .expect("extend");
             while window.next_entering(horizon).is_some() {}
             while window.next_leaving(now).is_some() {}
             assert!(
@@ -502,9 +485,9 @@ mod tests {
                 window.resident_events()
             );
         }
-        // The peak is sampled at prefetch time, before the trailing edge
-        // pops the step's backlog, so it carries one step's events (10) on
-        // top of the window span.
+        // The peak is sampled at hand-over, before the trailing edge pops
+        // the step's backlog, so it carries one step's events (10) on top
+        // of the window span.
         assert!(window.peak_resident_events() <= 3 * per_day as usize + batch + 10);
         assert!(
             window.peak_resident_events() < events.len() / 2,
@@ -516,8 +499,10 @@ mod tests {
 
     #[test]
     fn resident_window_buffers_nothing() {
-        let [mut resident, _] = windows_for(&[(0, 0), (10, 1)], vec![1, 1], 8);
-        resident.prefetch(t(100)).expect("no-op");
+        let [mut resident, _] = windows_for(&[(0, 0), (10, 1)], vec![1, 1]);
+        resident
+            .ensure_covered(SimTime::MAX)
+            .expect("holds everything");
         while resident.next_entering(t(100)).is_some() {}
         assert_eq!(resident.resident_events(), 0);
         assert_eq!(resident.peak_resident_events(), 0);
@@ -525,39 +510,64 @@ mod tests {
 
     #[test]
     fn out_of_order_readers_are_rejected() {
-        #[derive(Debug)]
-        struct Backwards(usize);
-        impl ScheduleReader for Backwards {
-            fn next_batch(
-                &mut self,
-                out: &mut Vec<(SimTime, ProgramId)>,
-            ) -> Result<bool, CacheError> {
-                out.clear();
-                out.push((t(100 - 50 * self.0 as u64), p(0)));
-                self.0 += 1;
-                Ok(true)
-            }
-        }
-        let mut window = ScheduleWindow::streaming(Box::new(Backwards(0)), vec![1].into());
-        let err = window.prefetch(t(10_000)).unwrap_err();
+        let fresh = || ScheduleWindow::streaming(vec![1].into());
+        // Inside one hand-over, across two, and behind an instant an
+        // earlier hand-over declared covered.
+        let mut window = fresh();
+        let err = window
+            .extend(&[(t(100), p(0)), (t(50), p(0))], t(200))
+            .unwrap_err();
         assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
+        let mut window = fresh();
+        window.extend(&[(t(100), p(0))], t(100)).expect("in order");
+        window.extend(&[(t(100), p(0))], t(100)).expect("a tie");
+        let err = window.extend(&[(t(99), p(0))], t(200)).unwrap_err();
+        assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
+        let mut window = fresh();
+        window.extend(&[], t(200)).expect("nothing before 200s");
+        let err = window.extend(&[(t(150), p(0))], t(300)).unwrap_err();
+        assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
+    }
+
+    /// An under-fed streaming window is an error at the one fallible
+    /// step, never a window that silently holds less than its span.
+    #[test]
+    fn a_horizon_past_the_covered_instant_fails_closed() {
+        let mut window = ScheduleWindow::streaming(vec![1].into());
+        let err = window.ensure_covered(t(1)).unwrap_err();
+        assert!(matches!(err, CacheError::Schedule { .. }), "unfed: {err}");
+        window.ensure_covered(t(0)).expect("nothing precedes 0s");
+
+        window
+            .extend(&[(t(10), p(0)), (t(90), p(0))], t(100))
+            .expect("extend");
+        window.ensure_covered(t(100)).expect("covered to 100s");
+        let err = window.ensure_covered(t(101)).unwrap_err();
+        assert!(
+            matches!(&err, CacheError::Schedule { reason }
+                if reason.contains("100s") && reason.contains("101s")),
+            "{err}"
+        );
+        window
+            .extend(&[], SimTime::MAX)
+            .expect("the supply ran out");
+        window
+            .ensure_covered(SimTime::MAX)
+            .expect("covered for good");
     }
 
     #[test]
     fn resident_source_hands_out_per_neighborhood_windows() {
         let sched = Arc::new(AccessSchedule::from_events(vec![(t(5), p(1))], vec![2, 3]));
         let source = ResidentSchedules::new(vec![None, Some(sched)]);
-        assert!(source.window(NeighborhoodId::new(0)).expect("ok").is_none());
-        let mut w = source
-            .window(NeighborhoodId::new(1))
-            .expect("ok")
-            .expect("present");
+        assert!(source.window(NeighborhoodId::new(0)).is_none());
+        let mut w = source.window(NeighborhoodId::new(1)).expect("present");
         assert_eq!(w.cost(p(1)), 3);
         assert_eq!(w.next_entering(t(10)), Some(p(1)));
         // Out-of-range neighborhoods have no schedule rather than panicking.
-        assert!(source.window(NeighborhoodId::new(9)).expect("ok").is_none());
+        assert!(source.window(NeighborhoodId::new(9)).is_none());
         // The no-schedule source never yields a window.
         let none = ResidentSchedules::none(3);
-        assert!(none.window(NeighborhoodId::new(2)).expect("ok").is_none());
+        assert!(none.window(NeighborhoodId::new(2)).is_none());
     }
 }

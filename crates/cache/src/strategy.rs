@@ -16,9 +16,10 @@
 //!
 //! Strategies are *instantiated* through the [`StrategyFactory`] trait:
 //! the engine hands each neighborhood's [`StrategyContext`] (its slot
-//! capacity, identity, and — when the factory declares
-//! [`needs_schedule`](StrategyFactory::needs_schedule) — its future access
-//! schedule) to a factory and gets a boxed [`CacheStrategy`] back. The
+//! capacity, identity, and — when the factory declares a
+//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) — its
+//! future access schedule) to a factory and gets a boxed
+//! [`CacheStrategy`] back. The
 //! paper's strategies ship as built-in factories ([`NoCacheFactory`],
 //! [`LruFactory`], [`LfuFactory`], [`GlobalLfuFactory`],
 //! [`OracleFactory`]), the literature strategies as [`ArcFactory`],
@@ -28,12 +29,12 @@
 //! factory. Out-of-tree strategies implement [`StrategyFactory`] and
 //! register by name in a
 //! [`StrategyRegistry`](crate::registry::StrategyRegistry): the replay
-//! engine never needs to know the strategy's type, only the capability
-//! bits ([`needs_feed`](StrategyFactory::needs_feed) /
-//! [`needs_schedule`](StrategyFactory::needs_schedule) /
+//! engine never needs to know the strategy's type, only the capabilities
+//! ([`needs_feed`](StrategyFactory::needs_feed) /
+//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) /
 //! [`needs_prefetch`](StrategyFactory::needs_prefetch)) and the optional
 //! [`fetch_model`](StrategyFactory::fetch_model) that decide whether the
-//! global popularity feed, the Oracle schedule pipeline, the feed-driven
+//! global popularity feed, the Oracle's access schedule, the feed-driven
 //! prefetch hook, and delayed-hit accounting are wired up for the run.
 //!
 //! # Strategy lifecycle
@@ -50,8 +51,11 @@
 //!    state here; feed windows are delivered at-least-once with
 //!    non-decreasing `limit` bounds, so implementations keep an internal
 //!    cursor and must be idempotent.
-//! 2. **`prepare`** — the one fallible access-path hook; out-of-core
-//!    staging (the windowed Oracle's schedule I/O) happens here.
+//! 2. **`prepare`** — the one fallible access-path hook; the windowed
+//!    Oracle checks here that the look-ahead it was handed
+//!    ([`extend_schedule`](CacheStrategy::extend_schedule), by the
+//!    streaming replay's record supply, ahead of the access) reaches the
+//!    access's horizon.
 //! 3. **`on_access`** — the access itself; all admissions and evictions
 //!    materialize through the returned [`CacheOp`]s, including those a
 //!    prefetch hook decided on earlier (the ops channel is the only way
@@ -120,17 +124,36 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// Short human-readable name ("LRU", "LFU", ...).
     fn name(&self) -> &'static str;
 
-    /// Stages everything an access at `now` will need — the one fallible
-    /// hook in the access path. The index server calls it immediately
-    /// before [`on_access`](CacheStrategy::on_access); strategies with
-    /// out-of-core auxiliary state (the windowed Oracle's on-disk
-    /// schedule) do their I/O here so the access hook itself stays
-    /// infallible. The default is a no-op.
+    /// Checks that everything an access at `now` will need is in hand —
+    /// the one fallible hook in the access path. The index server calls
+    /// it immediately before [`on_access`](CacheStrategy::on_access);
+    /// strategies whose auxiliary state is fed from outside (the windowed
+    /// Oracle's look-ahead) check coverage here so the access hook itself
+    /// stays infallible. The default is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates storage failures from out-of-core auxiliary state.
+    /// [`CacheError::Schedule`] when the state handed over falls short of
+    /// what the access needs.
     fn prepare(&mut self, _now: SimTime) -> Result<(), CacheError> {
+        Ok(())
+    }
+
+    /// Takes the next stretch of this neighborhood's future accesses, in
+    /// time order, after which every access before `covered` has been
+    /// handed over. A streaming replay's record supply calls it as it
+    /// reads ahead, when the factory declares a
+    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead). The
+    /// default ignores the events.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Schedule`] for events that break the time order.
+    fn extend_schedule(
+        &mut self,
+        _events: &[(SimTime, ProgramId)],
+        _covered: SimTime,
+    ) -> Result<(), CacheError> {
         Ok(())
     }
 
@@ -340,9 +363,7 @@ impl StrategySpec {
     /// Instantiates the strategy for a neighborhood with
     /// `capacity_slots` total slots. Oracle strategies need the
     /// neighborhood's future accesses as a
-    /// [`ScheduleWindow`] — resident or
-    /// streaming, obtained from a
-    /// [`ScheduleSource`](crate::schedule::ScheduleSource).
+    /// [`ScheduleWindow`] — resident or streaming.
     ///
     /// This is a convenience over [`StrategySpec::factory`] — the closed
     /// per-variant construction lives in the built-in factories, behind
@@ -391,9 +412,13 @@ impl StrategySpec {
         matches!(self, StrategySpec::GlobalLfu { .. })
     }
 
-    /// Whether this strategy needs a future access schedule.
-    pub fn needs_schedule(&self) -> bool {
-        matches!(self, StrategySpec::Oracle { .. })
+    /// How far into the future this strategy's access schedule must
+    /// reach; `None` when it needs no schedule.
+    pub fn schedule_lookahead(&self) -> Option<SimDuration> {
+        match *self {
+            StrategySpec::Oracle { lookahead } => Some(lookahead),
+            _ => None,
+        }
     }
 
     /// Whether this strategy consumes the feed-driven prefetch hook
@@ -532,13 +557,14 @@ fn parse_duration(text: &str) -> Option<SimDuration> {
         _ => (text, "s"),
     };
     let n: u64 = digits.parse().ok()?;
-    Some(match unit {
-        "d" => SimDuration::from_days(n),
-        "h" => SimDuration::from_hours(n),
-        "m" => SimDuration::from_minutes(n),
-        "s" => SimDuration::from_secs(n),
+    let secs = match unit {
+        "d" => 86_400,
+        "h" => 3_600,
+        "m" => 60,
+        "s" => 1,
         _ => return None,
-    })
+    };
+    n.checked_mul(secs).map(SimDuration::from_secs)
 }
 
 /// Formats a millisecond latency as its largest exact unit (`2s`,
@@ -571,8 +597,8 @@ pub struct StrategyContext {
     /// The neighborhood this strategy instance serves.
     pub home: NeighborhoodId,
     /// The neighborhood's future access schedule. The engine supplies it
-    /// only when the factory declares
-    /// [`needs_schedule`](StrategyFactory::needs_schedule).
+    /// only when the factory declares a
+    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead).
     pub schedule: Option<ScheduleWindow>,
 }
 
@@ -595,12 +621,14 @@ pub trait StrategyFactory: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Whether built strategies need a future access schedule. When
-    /// `true` the engine computes (or spills, on streaming runs) the
-    /// per-neighborhood schedules and passes each as
-    /// [`StrategyContext::schedule`].
-    fn needs_schedule(&self) -> bool {
-        false
+    /// How far into the future built strategies look in an access
+    /// schedule; `None` (the default) when they need none. With
+    /// `Some(lookahead)` the engine passes each neighborhood's schedule
+    /// as [`StrategyContext::schedule`] — prebuilt on resident runs; on
+    /// streaming runs a window the record supply keeps `lookahead` ahead
+    /// of the replay ([`CacheStrategy::extend_schedule`]).
+    fn schedule_lookahead(&self) -> Option<SimDuration> {
+        None
     }
 
     /// Whether built strategies consume the feed-driven prefetch hook
@@ -707,8 +735,8 @@ impl StrategyFactory for OracleFactory {
     fn name(&self) -> &str {
         "Oracle"
     }
-    fn needs_schedule(&self) -> bool {
-        true
+    fn schedule_lookahead(&self) -> Option<SimDuration> {
+        Some(self.lookahead)
     }
     fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
         let schedule = ctx.schedule.ok_or(CacheError::MissingSchedule)?;
@@ -867,7 +895,7 @@ mod tests {
             let factory = spec.factory();
             assert_eq!(factory.name(), spec.label());
             assert_eq!(factory.needs_feed(), spec.needs_feed());
-            assert_eq!(factory.needs_schedule(), spec.needs_schedule());
+            assert_eq!(factory.schedule_lookahead(), spec.schedule_lookahead());
             assert_eq!(factory.needs_prefetch(), spec.needs_prefetch());
             assert_eq!(
                 factory.fetch_model().is_some(),
@@ -940,6 +968,21 @@ mod tests {
         assert!(StrategySpec::parse("arc:lots").is_err());
         assert!(StrategySpec::parse("delayed-lfu:3d:fast").is_err());
         assert!(StrategySpec::parse("tlru:30m:extra").is_err());
+        // A literal beyond what seconds can hold is an error naming the
+        // text, not a wrapped (or, in a debug build, panicking) product.
+        let err = StrategySpec::parse("oracle:300000000000000d").unwrap_err();
+        assert!(
+            matches!(&err, CacheError::UnknownStrategy { name }
+                if name == "oracle:300000000000000d"),
+            "{err}"
+        );
+        assert!(StrategySpec::parse("lfu:18446744073709551615h").is_err());
+        assert_eq!(
+            StrategySpec::parse("oracle:18446744073709551615s").expect("fits"),
+            StrategySpec::Oracle {
+                lookahead: SimDuration::from_secs(u64::MAX)
+            }
+        );
     }
 
     #[test]

@@ -84,9 +84,11 @@ impl CacheStrategy for Tlru {
             // Hit: refresh both recency and TTU, no ops.
             self.seq += 1;
             let seq = self.seq;
-            self.entries.insert(program, (seq, now + self.ttl, cost));
+            self.entries
+                .insert(program, (seq, now.saturating_add(self.ttl), cost));
             self.queue.insert((seq, program));
-            self.expiries.insert((now + self.ttl, program));
+            self.expiries
+                .insert((now.saturating_add(self.ttl), program));
             self.used += u64::from(cost);
             return;
         }
@@ -105,9 +107,11 @@ impl CacheStrategy for Tlru {
         }
         self.seq += 1;
         let seq = self.seq;
-        self.entries.insert(program, (seq, now + self.ttl, cost));
+        self.entries
+            .insert(program, (seq, now.saturating_add(self.ttl), cost));
         self.queue.insert((seq, program));
-        self.expiries.insert((now + self.ttl, program));
+        self.expiries
+            .insert((now.saturating_add(self.ttl), program));
         self.used += u64::from(cost);
         ops.push(CacheOp::Admit(program));
     }
@@ -163,6 +167,11 @@ mod tests {
         assert_eq!(ops, vec![CacheOp::Evict(p(0)), CacheOp::Admit(p(1))]);
         assert!(!tlru.contains(p(0)));
         assert_eq!(tlru.used_slots(), 4);
+        // A TTU longer than time itself saturates: the entry never
+        // expires, instead of expiring at a wrapped instant.
+        let mut tlru = Tlru::new(10, SimDuration::from_secs(u64::MAX));
+        access(&mut tlru, 0, 4, 50);
+        assert!(access(&mut tlru, 0, 4, 1_000_000).is_empty(), "a hit");
     }
 
     #[test]

@@ -339,6 +339,10 @@ impl SimTime {
     /// The trace epoch.
     pub const EPOCH: SimTime = SimTime(0);
 
+    /// The last representable second: no event is later, so "until
+    /// `MAX`" reads as "forever".
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates a time from raw seconds since the epoch.
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs)
@@ -383,6 +387,13 @@ impl SimTime {
     #[must_use]
     pub fn saturating_sub(self, dur: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(dur.0))
+    }
+
+    /// Saturating addition of a duration, clamping at the last
+    /// representable second.
+    #[must_use]
+    pub fn saturating_add(self, dur: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(dur.0))
     }
 }
 
@@ -570,6 +581,10 @@ mod tests {
         let late = SimTime::from_secs(400);
         assert_eq!(late.since(early).as_secs(), 300);
         assert_eq!(early.since(late), SimDuration::ZERO);
+        assert_eq!(early.saturating_sub(late.since(early)), SimTime::EPOCH);
+        let forever = SimDuration::from_secs(u64::MAX);
+        assert_eq!(late.saturating_add(forever), SimTime::MAX);
+        assert_eq!(early.saturating_add(late.since(early)), late);
     }
 
     #[test]

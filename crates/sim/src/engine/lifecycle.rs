@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cablevod_cache::{FeedEvent, FeedProvider, IndexServer, Resolution};
-use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId, UserId};
+use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId, UserId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::stb::StbStore;
 use cablevod_hfc::topology::Topology;
@@ -310,6 +310,26 @@ pub(super) trait RecordSupply {
     fn resumes_at(&self) -> Option<SimTime> {
         None
     }
+
+    /// Called after every [`peek`](RecordSupply::peek). A supply that
+    /// reads ahead of its sessions for a strategy that looks into the
+    /// future (see [`super::stream::LookAhead`]) hands `sink` what it has
+    /// passed since the last call: the neighborhood, its `(start,
+    /// program)` pairs in time order, and the instant before which every
+    /// one of its accesses has now been handed over — at least
+    /// `lookahead` past the staged session's start. The default, for
+    /// supplies over records whose future is resident (or unknowable),
+    /// hands over nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `sink`'s failure.
+    fn read_ahead(
+        &mut self,
+        _sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        Ok(())
+    }
 }
 
 /// One slab entry: the session plus its admission bookkeeping.
@@ -514,6 +534,10 @@ where
                 }
             }
             let staged = self.supply.peek()?;
+            let (indexes, base) = (&mut self.indexes, self.index_base);
+            self.supply.read_ahead(|nbhd, events, covered| {
+                Ok(indexes[(nbhd - base) as usize].extend_schedule(events, covered)?)
+            })?;
             let take_record = match (staged, self.heap.peek()) {
                 (None, None) => {
                     if horizon.is_some() || self.supply.resumes_at().is_some() {

@@ -41,12 +41,12 @@
 //!        └─► SegmentPlant        (lifecycle.rs, shard.rs — whose bytes get
 //!              Topology            accounted: the whole plant, or)
 //!              ShardPlant          (one neighborhood's isolated slice)
-//!        │ its index servers are built from
+//!        │ its index servers are built over
 //!        ▼
-//!  ScheduleSource                (schedule.rs glue; cablevod_cache::schedule
-//!        ResidentSchedules        — how the Oracle sees its future: resident
-//!        SpilledSchedules           zero-copy windows, or bounded windows
-//!                                   over the on-disk schedule sidecar)
+//!  ScheduleWindow                (schedule.rs glue; cablevod_cache::schedule
+//!        resident                 — how the Oracle sees its future: zero-copy
+//!        streaming                  over resident schedules, or a bounded
+//!                                   buffer the record supply keeps fed)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ results flow into
 //!        ▼
@@ -130,19 +130,22 @@
 //! online engine, one driver answering for every neighborhood, paces the
 //! same sweep by records instead — see `lifecycle.rs`.)
 //!
-//! # Windowed Oracle schedules
+//! # The Oracle's look-ahead
 //!
-//! Oracle is inherently offline — it needs the whole future — but the
-//! future no longer needs to be resident. Streaming runs spill the
-//! per-neighborhood `(time, program)` schedules to an on-disk **schedule
-//! sidecar** ([`cablevod_trace::schedule`]) during one pre-pass scan
-//! (matched neighborhood-major sources scan run by run; everything else
-//! merges to global time order), then replay
-//! them through [`ScheduleWindow`]s whose resident state is bounded by
-//! the look-ahead span plus one sidecar chunk. Resident runs keep
-//! zero-copy windows over in-memory [`AccessSchedule`]s — the hot path
-//! is untouched. Either carrier feeds the Oracle the identical event
-//! sequence, so reports stay bit-identical (see the `schedule` submodule).
+//! Oracle is inherently offline — it needs the future — but only the next
+//! `lookahead` of it, and that is further along the very records being
+//! replayed. On a streaming run the place that stages a neighborhood's
+//! records in order — the blocked replay's decoder, or the shard's own
+//! supply on the sweep fast path — keeps a second cursor over the same
+//! chunk runs `lookahead` ahead of the replay and hands each
+//! neighborhood's `(time, program)` pairs to its index server before the
+//! access that needs them (see `stream.rs`): no pre-pass, no second file,
+//! each chunk decoded twice, and a [`ScheduleWindow`] whose resident
+//! state is bounded by the look-ahead span plus one hand-over. Resident
+//! runs keep zero-copy windows over in-memory [`AccessSchedule`]s — the
+//! hot path is untouched. Either kind of window shows the Oracle the
+//! identical event sequence, so reports stay bit-identical (see the
+//! `schedule` submodule).
 //!
 //! Whichever path runs, the report is **bit-identical** — property tests
 //! enforce `run == run_parallel == streaming run == streaming
@@ -183,7 +186,7 @@ use fault::FaultingPlant;
 use feed::{build_feed, wants_feed};
 use lifecycle::{session_ctx, SessionCtx, SessionDriver, UserMap};
 use report::assemble_serial_report;
-use schedule::{spill_from_scan, ScheduleSupply};
+use schedule::ScheduleSupply;
 use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
@@ -399,7 +402,7 @@ fn build_schedules(
     segmenter: &Segmenter,
     strategy: &dyn StrategyFactory,
 ) -> Result<ScheduleSupply, SimError> {
-    if !strategy.needs_schedule() {
+    if strategy.schedule_lookahead().is_none() {
         return Ok(ScheduleSupply::none(topo.neighborhood_count()));
     }
     let mut per_nbhd: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); topo.neighborhood_count()];
@@ -471,7 +474,7 @@ fn build_indexes(
     strategy: &dyn StrategyFactory,
 ) -> Result<Vec<IndexServer>, SimError> {
     (0..topo.neighborhood_count())
-        .map(|n| build_index(n, topo, config, segmenter, schedules.window(n)?, strategy))
+        .map(|n| build_index(n, topo, config, segmenter, schedules.window(n), strategy))
         .collect()
 }
 
@@ -517,8 +520,8 @@ fn run_resident<S: TraceSource + ?Sized>(
 }
 
 /// The chunk runs that together hold every record of the source, each
-/// gidx-ascending (what the blocked replay's decoder and the Oracle
-/// schedule spill read): one run over all chunks for time-major sources,
+/// gidx-ascending (what the blocked replay's decoder and its look-ahead
+/// read): one run over all chunks for time-major sources,
 /// one run per placement cell for neighborhood-major sources (any group
 /// size — a sequence-number merge restores global order).
 fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
@@ -541,13 +544,6 @@ enum Replay {
     Runs(Vec<Vec<Vec<u32>>>),
 }
 
-/// The one streaming plan: how shards are supplied, and the Oracle
-/// schedule supply (when the strategy needs one).
-struct StreamPlan {
-    replay: Replay,
-    schedules: ScheduleSupply,
-}
-
 /// Plans a streaming replay.
 ///
 /// * **Matched neighborhood-major source under a feed-less strategy**
@@ -558,33 +554,16 @@ struct StreamPlan {
 ///   strategy that takes the feed: the blocked replay.
 ///
 /// Either way there is no pre-pass and no filtering, and each chunk is
-/// decoded once for the whole run. Oracle schedules are spilled straight
-/// to the windowed on-disk sidecar (see [`schedule`]) by one more counted
-/// scan that holds no per-record state in memory.
+/// decoded once for the whole run — twice under a strategy that looks
+/// ahead, whose future is read off the same runs by a second cursor.
 fn shard_plans<S: TraceSource + ?Sized>(
     source: &S,
-    topo: &Topology,
     config: &SimConfig,
-    segmenter: &Segmenter,
+    nbhd_count: usize,
     strategy: &dyn StrategyFactory,
-) -> Result<StreamPlan, SimError> {
-    let nbhd_count = topo.neighborhood_count();
-    let fastpath = fastpath_layout(source, config, nbhd_count, strategy);
-    let runs = serial_runs(source);
-    let schedules = if strategy.needs_schedule() {
-        // Each run is one whole neighborhood only on a fast-path source
-        // with one run per group; a multi-index source's groups can span
-        // several placement cells, whose runs interleave in time.
-        let run_by_run = fastpath.is_some_and(|layout| layout.single_run_per_group());
-        ScheduleSupply::Spilled(spill_from_scan(
-            source, topo, config, segmenter, &runs, run_by_run,
-        )?)
-    } else {
-        ScheduleSupply::none(nbhd_count)
-    };
-    let replay = match fastpath {
+) -> Replay {
+    match fastpath_layout(source, config, nbhd_count, strategy) {
         Some(layout) => Replay::Runs(layout.runs.clone()),
-        None => Replay::Blocked(runs),
-    };
-    Ok(StreamPlan { replay, schedules })
+        None => Replay::Blocked(serial_runs(source)),
+    }
 }

@@ -311,7 +311,7 @@ fn online_schedules(
 ) -> Result<ScheduleSupply, SimError> {
     match spec.schedule_records {
         Some(records) => build_schedules(records, spec.catalog, topo, config, segmenter, strategy),
-        None if strategy.needs_schedule() => Err(SimError::Config {
+        None if strategy.schedule_lookahead().is_some() => Err(SimError::Config {
             reason: "this strategy needs an offline access schedule; \
                      serve it from a replayed trace, not a live ingress"
                 .into(),

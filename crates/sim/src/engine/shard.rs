@@ -52,8 +52,8 @@ use super::report::merge_outcomes;
 use super::schedule::ScheduleSupply;
 use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
 use super::{
-    build_index, build_schedules, build_topology, precompute_sessions, shard_plans, Replay,
-    StreamPlan,
+    build_index, build_schedules, build_topology, precompute_sessions, schedule_costs, shard_plans,
+    Replay,
 };
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -269,8 +269,14 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     let topo = build_topology(source, config)?;
     let nbhd_count = topo.neighborhood_count();
 
-    let StreamPlan { replay, schedules } =
-        shard_plans(source, &topo, config, &segmenter, strategy)?;
+    let replay = shard_plans(source, config, nbhd_count, strategy);
+    // A strategy that looks ahead is fed its future by whoever supplies
+    // its neighborhood's records, as the replay goes.
+    let lookahead = strategy.schedule_lookahead();
+    let schedules = match lookahead {
+        Some(_) => ScheduleSupply::Fed(schedule_costs(source.catalog(), config, &segmenter).into()),
+        None => ScheduleSupply::none(nbhd_count),
+    };
     let users = UserMap::from_topology(&topo);
     let positions = topo.local_positions();
     let parts = ShardParts {
@@ -290,7 +296,8 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
         Replay::Runs(runs) => {
             streamed.fastpath = true;
             runner::run_indexed(nbhd_count, threads, |n| {
-                let supply = StreamSupply::new(source, &runs[n], users.clone(), &segmenter);
+                let supply =
+                    StreamSupply::new(source, n, &runs[n], users.clone(), &segmenter, lookahead);
                 let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
                 driver.run()?;
                 Ok(ShardOutcome::from_driver(driver))
@@ -344,7 +351,7 @@ impl<'a> ShardParts<'a> {
             self.topo,
             self.config,
             &self.segmenter,
-            self.schedules.window(n)?,
+            self.schedules.window(n),
             self.strategy,
         )?;
         let plant = FaultingPlant::new(
@@ -406,6 +413,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
         parts.segmenter,
         nbhd_count,
         feed,
+        parts.strategy.schedule_lookahead(),
     );
     let worker_results: Vec<ShardResults> = std::thread::scope(|scope| {
         let handles: Vec<_> = permits

@@ -24,20 +24,31 @@
 //! can observe of the source and the strategy picks the supply, the
 //! worker count never does:
 //!
-//! | source                        | strategy   | supply         | chunk decodes                |
-//! |-------------------------------|------------|----------------|------------------------------|
-//! | time-major                    | any        | `BlockSupply`  | each once, centrally         |
-//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      |
-//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged |
-//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged |
+//! | source                        | strategy   | supply         | chunk decodes                | reads ahead  |
+//! |-------------------------------|------------|----------------|------------------------------|--------------|
+//! | time-major                    | any        | `BlockSupply`  | each once, centrally         | the `Demux`  |
+//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      | every supply |
+//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged | the `Demux`  |
+//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged | the `Demux`  |
+//!
+//! Under a strategy that looks into the future (the Oracle), whoever
+//! stages a neighborhood's records in order also reads the same records
+//! `lookahead` further along — a [`LookAhead`], one more cursor over the
+//! same chunk runs, so such a run decodes each chunk twice — and hands
+//! the `(start, program)` pairs it passes to the neighborhood's index
+//! server ahead of the access that needs them
+//! ([`RecordSupply::read_ahead`]): the `Demux` per block, grouped by
+//! neighborhood beside the block's records, so the barrier that orders
+//! records and feed orders this too; a `StreamSupply` whenever it stages
+//! a record.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
 //! file has one cell per group) — and each cell's chunks form one
 //! sequence-ascending [`ChunkRun`]. Wherever records of several runs must
 //! come out in global order — a group spanning several cells, the
-//! decoder reading a whole neighborhood-major file, the Oracle schedule
-//! spill — the one [`RunMerge`] cursor does it: a binary heap of run
+//! decoder reading a whole neighborhood-major file, either one's
+//! look-ahead — the one [`RunMerge`] cursor does it: a binary heap of run
 //! heads (run counts are cell counts, tens to a few hundred), which over
 //! a single run is plain sequential streaming.
 
@@ -48,8 +59,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cablevod_cache::{FeedProducer, WatermarkFeed};
+use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::segment::Segmenter;
-use cablevod_hfc::units::SimTime;
+use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
@@ -128,6 +140,11 @@ pub(super) struct Block {
     /// no later session starts before it — and how many records are
     /// published. `None` on the final block.
     edge: Option<(SimTime, u64)>,
+    /// Under a strategy that looks ahead: `ahead[n]` is what entered
+    /// neighborhood `n`'s look-ahead with this block, after which every
+    /// access before `covered` has been handed over.
+    ahead: Vec<Vec<(SimTime, ProgramId)>>,
+    covered: Option<SimTime>,
 }
 
 impl Block {
@@ -144,6 +161,8 @@ impl Block {
         self.starts.clear();
         self.starts.resize(nbhd_count + 2, 0);
         self.edge = None;
+        self.ahead.iter_mut().for_each(Vec::clear);
+        self.covered = None;
     }
 }
 
@@ -162,6 +181,8 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     /// is a chunk's worth of work in either layout.
     block_records: usize,
     feed: Option<FeedProducer<'a>>,
+    /// Under a strategy that looks ahead: the second cursor over `runs`.
+    ahead: Option<LookAhead<'a, S>>,
     /// Records handed out so far, which is the global index due next.
     published: u64,
     last_start: SimTime,
@@ -173,7 +194,9 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
 
 impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
     /// A decoder over `runs`, which together hold every record of
-    /// `source` (see [`super::serial_runs`]).
+    /// `source` (see [`super::serial_runs`]), reading `lookahead` ahead
+    /// for a strategy that asks for it.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         source: &'a S,
         runs: &'a [Vec<u32>],
@@ -182,6 +205,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         segmenter: Segmenter,
         nbhd_count: usize,
         feed: Option<&'a WatermarkFeed>,
+        lookahead: Option<SimDuration>,
     ) -> Self {
         let chunks = source.chunk_count().max(1) as u64;
         Demux {
@@ -193,6 +217,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             nbhd_count,
             block_records: source.record_count().div_ceil(chunks).max(1) as usize,
             feed: feed.map(WatermarkFeed::producer_handle),
+            ahead: lookahead.map(|lookahead| LookAhead::new(source, runs, lookahead)),
             published: 0,
             last_start: SimTime::EPOCH,
             nbhds: Vec::new(),
@@ -273,8 +298,21 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         if let Some(feed) = self.feed.as_mut() {
             feed.advance(self.published);
         }
-        if self.merge.has_more() {
+        let more = self.merge.has_more();
+        if more {
             block.edge = Some((self.last_start, self.published));
+        }
+        if let Some(ahead) = self.ahead.as_mut() {
+            // Until the next block is attached no shard starts a session
+            // after `last_start`, so that is the `now` the look-ahead has
+            // to be ahead of; the last block takes whatever is left.
+            block.ahead.resize_with(self.nbhd_count, Vec::new);
+            ahead.advance(more.then_some(self.last_start), |rec| {
+                let nbhd = self.users.neighborhood_of_user(rec.user)?;
+                block.ahead[nbhd.index()].push((rec.start, rec.program));
+                Ok(())
+            })?;
+            block.covered = Some(ahead.covered());
         }
         Ok(())
     }
@@ -293,6 +331,9 @@ pub(super) struct BlockSupply<'a> {
     /// [`RecordSupply::resumes_at`]); `None` once the final block is
     /// attached.
     resumes: Option<SimTime>,
+    /// The last attached block and its `covered`, until its look-ahead
+    /// slice is handed over.
+    ahead: Option<(Arc<Block>, SimTime)>,
     catalog: &'a ProgramCatalog,
     users: UserMap,
     seg_len: u64,
@@ -311,6 +352,7 @@ impl<'a> BlockSupply<'a> {
             pos: 0,
             end: 0,
             resumes: Some(SimTime::EPOCH),
+            ahead: None,
             catalog,
             users,
             seg_len: segmenter.segment_len().as_secs(),
@@ -321,6 +363,7 @@ impl<'a> BlockSupply<'a> {
     pub(super) fn attach(&mut self, block: &Arc<Block>) {
         debug_assert!(self.block.is_none(), "the previous run was not drained");
         self.resumes = block.edge.map(|(edge, _)| edge);
+        self.ahead = block.covered.map(|covered| (Arc::clone(block), covered));
         self.pos = block.starts[self.nbhd] as usize;
         self.end = block.starts[self.nbhd + 1] as usize;
         if self.pos < self.end {
@@ -351,6 +394,16 @@ impl RecordSupply for BlockSupply<'_> {
 
     fn resumes_at(&self) -> Option<SimTime> {
         self.resumes
+    }
+
+    fn read_ahead(
+        &mut self,
+        sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        match self.ahead.take() {
+            Some((block, covered)) => sink(self.nbhd as u32, &block.ahead[self.nbhd], covered),
+            None => Ok(()),
+        }
     }
 }
 
@@ -477,6 +530,75 @@ impl<'a, S: TraceSource + ?Sized> RunMerge<'a, S> {
     }
 }
 
+/// The read-ahead of a strategy that looks into the future (see the
+/// module docs): a second cursor over the chunk runs a replay reads, kept
+/// `lookahead` ahead of it.
+pub(super) struct LookAhead<'a, S: TraceSource + ?Sized> {
+    merge: RunMerge<'a, S>,
+    lookahead: SimDuration,
+    /// Read already, but at or past every horizon so far.
+    held: Option<SessionRecord>,
+    covered: SimTime,
+}
+
+impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
+    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>], lookahead: SimDuration) -> Self {
+        LookAhead {
+            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
+            lookahead,
+            held: None,
+            covered: SimTime::EPOCH,
+        }
+    }
+
+    /// The instant before which every record has been passed on:
+    /// [`SimTime::MAX`] once the runs are exhausted.
+    pub(super) fn covered(&self) -> SimTime {
+        self.covered
+    }
+
+    /// Reads on to `lookahead` past `now` — to the end of the runs when
+    /// the replay has no record left to name a `now` — passing `sink`
+    /// every record on the way, in global order. Returns whether
+    /// [`covered`](Self::covered) moved.
+    pub(super) fn advance(
+        &mut self,
+        now: Option<SimTime>,
+        mut sink: impl FnMut(&SessionRecord) -> Result<(), SimError>,
+    ) -> Result<bool, SimError> {
+        let horizon = now.map_or(SimTime::MAX, |now| now.saturating_add(self.lookahead));
+        if horizon <= self.covered {
+            return Ok(false);
+        }
+        loop {
+            let next = match self.held.take() {
+                Some(rec) => Some(rec),
+                None => self.merge.next()?.map(|(_, rec)| rec),
+            };
+            match next {
+                Some(rec) if rec.start < horizon => sink(&rec)?,
+                Some(rec) => {
+                    self.held = Some(rec);
+                    self.covered = horizon;
+                    return Ok(true);
+                }
+                None => {
+                    self.covered = SimTime::MAX;
+                    return Ok(true);
+                }
+            }
+        }
+    }
+}
+
+/// A [`StreamSupply`]'s read-ahead: the cursor, the neighborhood whose
+/// records the supply's runs hold, and scratch for one hand-over.
+struct ReadAhead<'a, S: TraceSource + ?Sized> {
+    cursor: LookAhead<'a, S>,
+    nbhd: u32,
+    events: Vec<(SimTime, ProgramId)>,
+}
+
 /// The supply of a shard that decodes its own chunk runs (see the module
 /// docs): its group's cell runs merged by global index, one record staged
 /// at a time.
@@ -486,14 +608,19 @@ pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
     users: UserMap,
     seg_len: u64,
     staged: Option<PendingSession>,
+    ahead: Option<ReadAhead<'a, S>>,
 }
 
 impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
+    /// The supply of neighborhood `nbhd` over its own `runs`, reading
+    /// `lookahead` ahead for a strategy that asks for it.
     pub(super) fn new(
         source: &'a S,
+        nbhd: usize,
         runs: &'a [Vec<u32>],
         users: UserMap,
         segmenter: &Segmenter,
+        lookahead: Option<SimDuration>,
     ) -> Self {
         StreamSupply {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
@@ -501,6 +628,11 @@ impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
             users,
             seg_len: segmenter.segment_len().as_secs(),
             staged: None,
+            ahead: lookahead.map(|lookahead| ReadAhead {
+                cursor: LookAhead::new(source, runs, lookahead),
+                nbhd: nbhd as u32,
+                events: Vec::new(),
+            }),
         }
     }
 }
@@ -518,5 +650,26 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
 
     fn take(&mut self) -> PendingSession {
         self.staged.take().expect("a record is staged")
+    }
+
+    fn read_ahead(
+        &mut self,
+        sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let Some(ahead) = self.ahead.as_mut() else {
+            return Ok(());
+        };
+        // The staged record is the latest access there can be until the
+        // next one is staged.
+        let now = self.staged.as_ref().map(|staged| staged.rec.start);
+        ahead.events.clear();
+        let moved = ahead.cursor.advance(now, |rec| {
+            ahead.events.push((rec.start, rec.program));
+            Ok(())
+        })?;
+        if moved {
+            sink(ahead.nbhd, &ahead.events, ahead.cursor.covered())?;
+        }
+        Ok(())
     }
 }

@@ -444,54 +444,147 @@ fn run_merge_restores_global_order_across_uneven_runs() {
     assert!(!cursor.has_more());
 }
 
-/// Spilled schedule lifecycle: the sidecar exists while windows read it,
-/// feeds them the spilled events, and is removed when the last reference
-/// drops.
+/// The look-ahead cursor on both of its producers, under `oracle:1d` over
+/// 30 days in 64-record chunks: the blocked replay's decoder, handing
+/// every block's slices to the shards' supplies, and a supply reading
+/// ahead over its own runs of the neighborhood-major form of the same
+/// trace. Per neighborhood the hand-overs, end to end, are the resident
+/// schedule's events exactly — none twice, none skipped, same-second
+/// order kept; each holds only events before the instant it declares
+/// covered, which never moves back, is a day past every session by the
+/// time that session is staged, and ends at "forever".
 #[test]
-fn schedule_spill_cleans_up_its_sidecar() {
-    use super::schedule::SidecarSpill;
-    use cablevod_cache::ScheduleSource;
-    use cablevod_hfc::ids::NeighborhoodId;
+fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
+    use super::lifecycle::RecordSupply;
+    use super::stream::{Block, BlockSupply, Demux, StreamSupply};
+    use cablevod_trace::columnar::{write_trace, ColumnarReader};
+    use cablevod_trace::rechunk::rechunk_by_neighborhood;
+    use std::sync::atomic::AtomicBool;
 
-    let mut spill = SidecarSpill::create(2, vec![3, 5]).expect("create");
-    for i in 0..10u64 {
-        spill
-            .push(
-                (i % 2) as u32,
-                SimTime::from_secs(i * 10),
-                ProgramId::new((i % 2) as u32),
-            )
-            .expect("push");
+    let trace = generate(&SynthConfig {
+        users: 600,
+        programs: 150,
+        days: 30,
+        ..SynthConfig::smoke_test()
+    });
+    let config = base_config();
+    let lookahead = SimDuration::from_days(1);
+    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
+    let topo = build_topology(&trace, &config).expect("topology");
+    let users = UserMap::from_topology(&topo);
+    let nbhd_count = topo.neighborhood_count();
+    let mut resident = vec![Vec::new(); nbhd_count];
+    for rec in trace.records() {
+        let nbhd = users.neighborhood_of_user(rec.user).expect("known user");
+        resident[nbhd.index()].push((rec.start, rec.program));
     }
-    let schedules = spill.into_schedules().expect("finish");
-    let path = schedules.spill_path();
-    assert!(path.exists(), "sidecar exists while schedules are live");
 
-    let mut window = schedules
-        .window(NeighborhoodId::new(0))
-        .expect("window")
-        .expect("spilled sources always carry a schedule");
-    window
-        .prefetch(SimTime::from_secs(1_000))
-        .expect("prefetch");
-    let mut seen = 0;
-    while window.next_entering(SimTime::from_secs(1_000)).is_some() {
-        seen += 1;
+    /// What one neighborhood has been handed so far.
+    struct Fed {
+        events: Vec<(SimTime, ProgramId)>,
+        covered: SimTime,
     }
-    assert_eq!(seen, 5, "neighborhood 0 reads exactly its events");
-    assert_eq!(
-        window.cost(ProgramId::new(1)),
-        5,
-        "costs ride in the sidecar"
-    );
-    assert!(
-        schedules.decode_stats().chunks > 0,
-        "sidecar reads are counted"
-    );
+    /// Runs `supply` dry (a block's worth, or all of it) the way the
+    /// driver does: peek, take the hand-over, take the record.
+    fn drain<R: RecordSupply>(supply: &mut R, n: usize, lookahead: SimDuration, fed: &mut Fed) {
+        loop {
+            let staged = supply.peek().expect("peek");
+            supply
+                .read_ahead(|nbhd, events, covered| {
+                    assert_eq!(nbhd as usize, n);
+                    assert!(covered >= fed.covered, "covered moved back");
+                    assert!(events.iter().all(|&(t, _)| t < covered));
+                    fed.events.extend_from_slice(events);
+                    fed.covered = covered;
+                    Ok(())
+                })
+                .expect("hand-over");
+            let Some((start, _)) = staged else { break };
+            assert!(
+                start + lookahead <= fed.covered,
+                "staged ahead of its look-ahead"
+            );
+            supply.take();
+        }
+    }
+    let unfed = || -> Vec<Fed> {
+        (0..nbhd_count)
+            .map(|_| Fed {
+                events: Vec::new(),
+                covered: SimTime::EPOCH,
+            })
+            .collect()
+    };
+    let check = |what: &str, fed: Vec<Fed>| {
+        for (n, fed) in fed.into_iter().enumerate() {
+            assert_eq!(fed.events, resident[n], "{what}, neighborhood {n}");
+            assert_eq!(fed.covered, SimTime::MAX, "{what}, neighborhood {n}");
+        }
+    };
 
-    drop(window);
-    drop(schedules);
-    assert!(!path.exists(), "sidecar removed with the last reference");
+    // The decoder, block by block, through every shard's supply.
+    let source = ChunkedTrace::new(&trace, 64);
+    let runs = serial_runs(&source);
+    let mut demux = Demux::new(
+        &source,
+        &runs,
+        users.clone(),
+        &config,
+        segmenter,
+        nbhd_count,
+        None,
+        Some(lookahead),
+    );
+    let mut supplies: Vec<_> = (0..nbhd_count)
+        .map(|n| BlockSupply::new(n, trace.catalog(), users.clone(), &segmenter))
+        .collect();
+    let mut fed = unfed();
+    let mut block = Arc::new(Block::default());
+    let aborted = AtomicBool::new(false);
+    let mut blocks = 0;
+    loop {
+        let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
+        demux.next_block(filling, &aborted);
+        blocks += 1;
+        for (n, supply) in supplies.iter_mut().enumerate() {
+            supply.attach(&block);
+            drain(supply, n, lookahead, &mut fed[n]);
+        }
+        if block.edge().is_none() {
+            break;
+        }
+    }
+    assert!(demux.into_failure().is_none());
+    assert!(blocks > 30, "a day spans many blocks: {blocks}");
+    check("blocked", fed);
+
+    // Every shard's own supply, over its own runs.
+    let mut tm = std::env::temp_dir();
+    tm.push(format!("cvtc_ahead_tm_{}.cvtc", std::process::id()));
+    let mut nm = std::env::temp_dir();
+    nm.push(format!("cvtc_ahead_nm_{}.cvtc", std::process::id()));
+    write_trace(&tm, &trace, 64).expect("write time-major");
+    let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+    rechunk_by_neighborhood(&tm_reader, &nm, config.neighborhood_size(), 64).expect("rechunk");
+    let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    let layout = nm_reader
+        .neighborhood_layout_for(config.neighborhood_size())
+        .expect("indexed at this size");
+    let mut fed = unfed();
+    for (n, fed) in fed.iter_mut().enumerate() {
+        let mut supply = StreamSupply::new(
+            &nm_reader,
+            n,
+            &layout.runs[n],
+            users.clone(),
+            &segmenter,
+            Some(lookahead),
+        );
+        drain(&mut supply, n, lookahead, fed);
+    }
+    check("fast path", fed);
+    std::fs::remove_file(&tm).ok();
+    std::fs::remove_file(&nm).ok();
 }
 
 #[test]

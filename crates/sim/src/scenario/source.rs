@@ -89,7 +89,7 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn temp_path(tag: &str) -> PathBuf {
     let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("cvsc_{tag}_{}_{n}.cvtc", std::process::id()))
+    std::env::temp_dir().join(format!("cvtc_scn_{tag}_{}_{n}.cvtc", std::process::id()))
 }
 
 /// Re-chunks `reader` neighborhood-major into a fresh temp file carrying

@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3, the zlib/gzip polynomial) over chunk payloads.
 //!
-//! Every `.cvtc` / `.cvsc` directory entry stores the checksum of its
-//! chunk's encoded column bytes; decoders recompute it before trusting
-//! any decoded value, so a flipped bit fails loudly as
+//! Every `.cvtc` directory entry stores the checksum of its chunk's
+//! encoded column bytes; the decoder recomputes it before trusting any
+//! decoded value, so a flipped bit fails loudly as
 //! [`TraceError::Format`](crate::error::TraceError::Format) naming the
 //! chunk instead of surfacing as a silently wrong simulation input.
 

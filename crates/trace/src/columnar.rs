@@ -80,7 +80,7 @@
 //! |     44 |    4 | layout            | `u32`: 0 = time-major, 1 = neighborhood-major |
 //! |     48 |    4 | neighborhood_size | `u32` primary group parameter (0 for time-major) |
 //! |     52 |    4 | index_count       | `u32` extra index tables after the directory (0 for time-major) |
-//! |
+//!
 //! ## Index tables
 //!
 //! Only neighborhood-major files carry them, directly after the
@@ -1707,7 +1707,7 @@ mod tests {
         let groups = neighborhood_groups(trace.user_count(), 60).expect("groups");
         let layout = nm.neighborhood_layout().expect("layout").clone();
         assert_eq!(layout.neighborhood_size, 60);
-        assert!(layout.single_run_per_group());
+        assert!(layout.runs.iter().all(|runs| runs.len() <= 1));
         let mut seen = 0usize;
         let mut buf = Vec::new();
         for (g, runs) in layout.runs.iter().enumerate() {

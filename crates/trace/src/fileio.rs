@@ -1,6 +1,6 @@
 //! Format errors, little-endian header reads and positioned chunk reads —
-//! the file plumbing the two on-disk formats ([`columnar`](crate::columnar),
-//! [`schedule`](crate::schedule)) share.
+//! the file plumbing under the on-disk format
+//! ([`columnar`](crate::columnar)).
 
 use std::fs::File;
 use std::io::Read;

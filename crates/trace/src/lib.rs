@@ -47,7 +47,6 @@ pub mod io;
 pub mod rechunk;
 pub mod record;
 pub mod scale;
-pub mod schedule;
 pub mod source;
 pub mod synth;
 
@@ -58,6 +57,5 @@ pub use error::TraceError;
 pub use fingerprint::WorkloadFingerprint;
 pub use rechunk::rechunk_by_neighborhood;
 pub use record::{SessionRecord, Trace};
-pub use schedule::{ScheduleSidecarReader, ScheduleSidecarWriter};
 pub use source::{ChunkedTrace, DecodeStats, NeighborhoodLayout, TraceSource};
 pub use synth::{generate, SynthConfig};

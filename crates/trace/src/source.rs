@@ -80,13 +80,6 @@ impl NeighborhoodLayout {
     pub fn group_count(&self) -> usize {
         self.runs.len()
     }
-
-    /// Whether every group is served by a single chunk run (always true
-    /// for single-index files; for multi-index files only when every
-    /// group spans one placement cell).
-    pub fn single_run_per_group(&self) -> bool {
-        self.runs.iter().all(|runs| runs.len() <= 1)
-    }
 }
 
 /// Chunked, possibly out-of-core access to a session-record workload.

@@ -12,9 +12,9 @@
 //! owns it, which streams its whole neighborhood end to end (and whose
 //! state is dropped as soon as it finishes). A per-strategy section
 //! replays the same file under LRU, LFU and the windowed Oracle — whose
-//! future schedule now spills to an on-disk sidecar, so its decode
-//! counters show the pre-pass (2x the file) and its peak RSS tracks the
-//! look-ahead window instead of the trace length.
+//! future is read off the same file by a second cursor three days ahead
+//! of the replay, so its decode counters show 2x the file and its peak
+//! RSS tracks the look-ahead window instead of the trace length.
 //!
 //! Every replay goes through the [`Simulation`] front door: sessions/sec,
 //! chunk-decode counts, decoded bytes and the process peak RSS (`VmHWM`)
@@ -135,9 +135,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-strategy streaming replays of the same file. VmHWM is a
     // process-lifetime high-water mark (monotone across rows); the Oracle
-    // row holding level with LRU/LFU is the point — its schedules spill to
-    // a windowed sidecar instead of ballooning the pre-pass, and its
-    // decode count shows the extra schedule scan (2x the file).
+    // row holding near LRU/LFU is the point — it holds the look-ahead's
+    // worth of its future, not the trace's, and its decode count shows
+    // the look-ahead cursor's pass (2x the file).
     println!("\nstrategy replays (streaming, 1 worker):");
     for (label, spec) in [
         ("lru", StrategySpec::Lru),

@@ -228,7 +228,7 @@ fn scenario_spec_file_round_trips_and_reruns() {
     ]);
 
     let mut path = std::env::temp_dir();
-    path.push(format!("cvsc_roundtrip_{}.scn", std::process::id()));
+    path.push(format!("scn_roundtrip_{}.scn", std::process::id()));
     scenario.save(&path).expect("saves");
     let loaded = Scenario::load(&path).expect("loads");
     std::fs::remove_file(&path).ok();

@@ -101,12 +101,16 @@ proptest! {
         }
     }
 
-    /// The streaming-Oracle parity property: the windowed on-disk
-    /// schedule path (sidecar spill + bounded `ScheduleWindow`s) is
-    /// bit-identical to the resident Oracle across serial/parallel,
-    /// chunk sizes and shard counts. Oracle is pinned — the general
-    /// sweeps above only sample it — because it is the one strategy
-    /// whose auxiliary state takes a different carrier when streaming.
+    /// The streaming-Oracle parity property: the windowed schedule path
+    /// (the record supply's look-ahead feeding bounded `ScheduleWindow`s)
+    /// is bit-identical to the resident Oracle across serial/parallel,
+    /// chunk sizes, shard counts and look-ahead lengths — none, inside a
+    /// block, the paper's, past the end of the trace, and past the end of
+    /// time (the largest literal a `.scn` can spell, which saturates
+    /// instead of wrapping and so reads like any other look-ahead longer
+    /// than the trace). Oracle is pinned — the general sweeps above only
+    /// sample it — because it is the one strategy whose auxiliary state
+    /// takes a different carrier when streaming.
     #[test]
     fn oracle_windowed_replay_equals_resident_oracle(
         users in 60u32..220,
@@ -115,19 +119,27 @@ proptest! {
         seed in 0u64..500,
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
-        let config = config_for(nbhd, gb, StrategySpec::default_oracle());
-        let resident = run(&trace, &config).expect("resident oracle runs");
         let neighborhoods = users.div_ceil(nbhd) as usize;
-        for chunk in chunk_sizes(trace.len()) {
-            let source = ChunkedTrace::new(&trace, chunk);
-            let streamed = run(&source, &config).expect("windowed serial oracle runs");
-            prop_assert_eq!(&streamed, &resident, "serial, chunk {}", chunk);
-            for threads in [1, 2, neighborhoods] {
-                let sharded =
-                    run_parallel(&source, &config, threads).expect("windowed sharded oracle runs");
-                prop_assert_eq!(&sharded, &resident, "chunk {}, threads {}", chunk, threads);
+        let whole_trace = format!("oracle:{}d", trace.days() + 1);
+        let mut residents = Vec::new();
+        for text in ["oracle:0s", "oracle:1h", "oracle:3d", &whole_trace, "oracle:18446744073709551615s"] {
+            let config = config_for(nbhd, gb, StrategySpec::parse(text).expect("parses"));
+            let resident = run(&trace, &config).expect("resident oracle runs");
+            for chunk in chunk_sizes(trace.len()) {
+                let source = ChunkedTrace::new(&trace, chunk);
+                let streamed = run(&source, &config).expect("windowed serial oracle runs");
+                prop_assert_eq!(&streamed, &resident, "{}, serial, chunk {}", text, chunk);
+                for threads in [1, 2, neighborhoods] {
+                    let sharded = run_parallel(&source, &config, threads)
+                        .expect("windowed sharded oracle runs");
+                    prop_assert_eq!(
+                        &sharded, &resident, "{}, chunk {}, threads {}", text, chunk, threads
+                    );
+                }
             }
+            residents.push(resident);
         }
+        prop_assert_eq!(&residents[4], &residents[3], "every second there is: the whole trace");
     }
 
     /// Sharded streaming replay (watermark-ordered feed included) equals
@@ -245,9 +257,8 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     rechunk_by_neighborhood(&tm_reader, &nm, 50, 64).expect("rechunk");
     let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
 
-    // LFU needs neither the feed nor Oracle schedules, so neither layout
-    // does a pre-pass: replay decode work is the whole story. 400 users /
-    // 50 = 8 shards.
+    // LFU needs neither the feed nor a look-ahead, so replay decode work
+    // is the whole story. 400 users / 50 = 8 shards.
     let config = config_for(50, 2, StrategySpec::default_lfu());
 
     let before = nm_reader.decode_stats();
@@ -329,11 +340,15 @@ fn time_major_run_decodes_each_chunk_once_at_any_worker_count() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Streaming Oracle decode accounting: the schedule pre-pass goes through
-/// the source's counted chunk API, so `decode_stats` reports pre-pass +
-/// replay — an Oracle run reads the file exactly twice, serial time-major
-/// and matched-sharded neighborhood-major alike. (Guards against the
-/// pre-pass silently under-reporting in the out_of_core example's decode
+/// Streaming Oracle decode accounting: the look-ahead is a second cursor
+/// over the chunks the replay reads, through the source's counted chunk
+/// API, so `decode_stats` reports look-ahead + replay — an Oracle run
+/// decodes every chunk exactly twice, on every layout at every worker
+/// count: time-major and mismatched neighborhood-major (the decoder's
+/// cursor), matched single- and multi-index (each shard's own). The
+/// look-ahead length does not enter: whatever is left past the last
+/// session's horizon is read out at the end. (Guards against the second
+/// cursor silently under-reporting in the out_of_core example's decode
 /// counters.)
 #[test]
 fn oracle_streaming_decode_counts_include_the_schedule_pre_pass() {
@@ -342,39 +357,48 @@ fn oracle_streaming_decode_counts_include_the_schedule_pre_pass() {
     tm.push(format!("cvtc_oracle_decode_tm_{}.cvtc", std::process::id()));
     let mut nm = std::env::temp_dir();
     nm.push(format!("cvtc_oracle_decode_nm_{}.cvtc", std::process::id()));
+    let mut multi = std::env::temp_dir();
+    multi.push(format!("cvtc_oracle_decode_mi_{}.cvtc", std::process::id()));
     write_trace(&tm, &trace, 64).expect("write time-major");
     let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
     rechunk_by_neighborhood(&tm_reader, &nm, 50, 64).expect("rechunk");
     let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    rechunk_multi_index(&tm_reader, &multi, &[50, 75], 64).expect("multi-index rechunk");
+    let multi_reader = ColumnarReader::open(&multi).expect("open multi-index");
 
-    let config = config_for(50, 2, StrategySpec::default_oracle());
-    let resident = run(&trace, &config).expect("resident oracle runs");
-
-    // Serial time-major: one pre-pass scan + one replay scan.
-    let before = tm_reader.decode_stats();
-    let report = run(&tm_reader, &config).expect("serial oracle replay");
-    assert_eq!(report, resident);
-    let delta = tm_reader.decode_stats() - before;
-    assert_eq!(
-        delta.chunks,
-        2 * tm_reader.chunk_count() as u64,
-        "schedule pre-pass + replay must both be counted"
-    );
-
-    // Matched-sharded neighborhood-major: the pre-pass spills run by run
-    // (each chunk once) and the replay hands each shard its own chunks
-    // (each chunk once) — 2x the file, same as serial.
-    let before = nm_reader.decode_stats();
-    let report = run_parallel(&nm_reader, &config, 3).expect("matched sharded oracle replay");
-    assert_eq!(report, resident);
-    let delta = nm_reader.decode_stats() - before;
-    assert_eq!(
-        delta.chunks,
-        2 * nm_reader.chunk_count() as u64,
-        "matched sharded oracle reads the file exactly twice"
-    );
+    for (size, lookahead) in [(50u32, "oracle:3d"), (75, "oracle:1h")] {
+        let spec = StrategySpec::parse(lookahead).expect("parses");
+        let config = config_for(size, 2, spec);
+        let resident = run(&trace, &config).expect("resident oracle runs");
+        // The single-index file matches the plant at 50 only; the
+        // multi-index one at both sizes, a group spanning several cells.
+        for (layout, reader, fastpath) in [
+            ("time-major", &tm_reader, false),
+            ("single-index", &nm_reader, size == 50),
+            ("multi-index", &multi_reader, true),
+        ] {
+            for threads in [None, Some(1), Some(3)] {
+                let sim = Simulation::over(reader).config(config.clone());
+                let outcome = match threads {
+                    None => sim.serial(),
+                    Some(n) => sim.threads(n),
+                }
+                .run()
+                .expect("streaming oracle replay");
+                let what = format!("{layout}, size {size}, threads {threads:?}");
+                assert_eq!(outcome.report, resident, "{what}");
+                assert_eq!(outcome.telemetry.fastpath, fastpath, "{what}");
+                assert_eq!(
+                    outcome.telemetry.decode.chunks,
+                    2 * reader.chunk_count() as u64,
+                    "{what}: look-ahead + replay, each chunk once"
+                );
+            }
+        }
+    }
     std::fs::remove_file(&tm).ok();
     std::fs::remove_file(&nm).ok();
+    std::fs::remove_file(&multi).ok();
 }
 
 /// Multi-index sweep bit-identity: a neighborhood-size sweep served by

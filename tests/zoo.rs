@@ -127,8 +127,8 @@ impl StrategyFactory for WithFetchModel {
     fn needs_feed(&self) -> bool {
         self.inner.needs_feed()
     }
-    fn needs_schedule(&self) -> bool {
-        self.inner.needs_schedule()
+    fn schedule_lookahead(&self) -> Option<SimDuration> {
+        self.inner.schedule_lookahead()
     }
     fn needs_prefetch(&self) -> bool {
         self.inner.needs_prefetch()
