@@ -182,9 +182,6 @@ fn list_strategies(registry: &StrategyRegistry) {
         if factory.schedule_lookahead().is_some() {
             caps.push("schedule");
         }
-        if factory.needs_prefetch() {
-            caps.push("prefetch");
-        }
         if factory.fetch_model().is_some() {
             caps.push("fetch-model");
         }

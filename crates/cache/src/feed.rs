@@ -164,8 +164,8 @@ pub trait FeedProvider {
     /// cursors (and with them the carrier's reclamation floor) moving.
     /// The stride is the carrier's reclamation granule (sweeping more
     /// often cannot unlock more reclaim). Only bounded-retention
-    /// carriers serving several consumers from one driver (the serial
-    /// online engine) return `Some`; drivers serving one consumer each
+    /// carriers serving several consumers from one driver (the online
+    /// engine) return `Some`; drivers serving one consumer each
     /// sweep at their own pauses instead (streaming replay: at every
     /// block's edge).
     fn idle_sync_stride(&self) -> Option<u64> {

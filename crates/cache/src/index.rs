@@ -306,13 +306,7 @@ impl IndexServer {
     /// Returns the strategy's post-sync consumption cursor (see
     /// [`CacheStrategy::sync_global`]) so bounded feed carriers can
     /// reclaim fully consumed slots.
-    ///
-    /// The prefetch hook ([`CacheStrategy::on_feed_window`]) fires first,
-    /// so prior-storing strategies see the window before the
-    /// visibility-gated ingestion runs — the lifecycle ordering contract
-    /// documented in [`crate::strategy`].
     pub fn sync_feed(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
-        self.strategy.on_feed_window(feed, now, limit);
         self.strategy.sync_global(feed, now, limit)
     }
 
@@ -346,8 +340,8 @@ impl IndexServer {
         stbs: &mut S,
     ) -> Result<(), CacheError> {
         let cost = u32::from(self.segmenter.segment_count(length)) * u32::from(self.replication);
-        // The fallible check first (a windowed Oracle's look-ahead
-        // coverage), then the infallible access hook.
+        // The fallible check first (the Oracle's look-ahead coverage),
+        // then the infallible access hook.
         self.strategy.prepare(now)?;
         let mut ops = std::mem::take(&mut self.ops);
         ops.clear();
@@ -740,9 +734,6 @@ mod tests {
 
     #[test]
     fn oracle_prefetch_materializes_instantly() {
-        use crate::oracle::AccessSchedule;
-        use std::sync::Arc;
-
         let topo = Topology::build(
             TopologyConfig::new(PEERS, PEERS).with_per_peer_storage(three_segment_storage()),
         )
@@ -763,15 +754,17 @@ mod tests {
             })
             .collect();
         let ledger = SlotLedger::new(members, PlacementPolicy::Balanced);
-        let schedule =
-            crate::schedule::ScheduleWindow::resident(Arc::new(AccessSchedule::from_events(
-                vec![(t(0), ProgramId::new(0)), (t(10), ProgramId::new(0))],
-                vec![2],
-            )));
+        let schedule = crate::schedule::ScheduleWindow::new(vec![2].into());
         let strategy = StrategySpec::default_oracle()
             .build(ledger.total_slots(), home, Some(schedule))
             .expect("oracle");
         let mut index = IndexServer::new(home, strategy, segmenter, ledger);
+        index
+            .extend_schedule(
+                &[(t(0), ProgramId::new(0)), (t(10), ProgramId::new(0))],
+                SimTime::MAX,
+            )
+            .expect("in order");
         index
             .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
             .expect("admit");

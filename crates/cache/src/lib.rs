@@ -10,9 +10,9 @@
 //! * [`placement`] — load-balanced (or random / first-fit) slot placement;
 //! * [`strategy`] — the [`strategy::CacheStrategy`] abstraction, the open
 //!   [`strategy::StrategyFactory`] construction seam, the declarative
-//!   [`strategy::StrategySpec`] selection of the built-ins, and the
-//!   **strategy lifecycle** contract (hook ordering
-//!   `on_feed_window` → `prepare` → `on_access`, documented there);
+//!   [`strategy::StrategySpec`] selection of the built-ins (each variant
+//!   its own factory), and the **strategy lifecycle** contract (hook
+//!   ordering `sync_global` → `prepare` → `on_access`, documented there);
 //! * [`registry`] — the by-name [`registry::StrategyRegistry`] through
 //!   which out-of-tree strategies join the simulator, and the
 //!   process-wide [`registry::register_plugin`] hook that makes them
@@ -21,8 +21,8 @@
 //! * [`lru`], [`lfu`], [`oracle`], [`feed`] — the paper's LRU, windowed
 //!   LFU, Oracle, and global-popularity LFU variants;
 //! * [`arc`], [`tlru`], [`prior`], [`delayed`] — the literature
-//!   strategies: ARC, time-aware LRU, the prior-storing server
-//!   (prefetch-hook consumer), and the delayed-hits-aware LFU
+//!   strategies: ARC, time-aware LRU, the prior-storing server (a feed
+//!   consumer, like the global LFU), and the delayed-hits-aware LFU
 //!   (fetch-model consumer).
 //!
 //! # Examples
@@ -74,15 +74,13 @@ pub use fetch::FetchModel;
 pub use index::{IndexServer, IndexStats, MissReason, Resolution};
 pub use lfu::WindowedLfu;
 pub use lru::Lru;
-pub use oracle::{AccessSchedule, Oracle};
+pub use oracle::Oracle;
 pub use placement::{PlacementPolicy, SlotLedger};
 pub use prior::PriorStoring;
 pub use registry::{register_plugin, StrategyRegistry};
-pub use schedule::{ResidentSchedules, ScheduleWindow};
+pub use schedule::ScheduleWindow;
 pub use strategy::{
-    ArcFactory, CacheOp, CacheStrategy, DelayedLfuFactory, FillPolicy, GlobalLfuFactory,
-    LfuFactory, LruFactory, NoCacheFactory, OracleFactory, PriorStoringFactory, StrategyContext,
-    StrategyFactory, StrategySpec, TlruFactory,
+    CacheOp, CacheStrategy, FillPolicy, StrategyContext, StrategyFactory, StrategySpec,
 };
 pub use tlru::Tlru;
 pub use watermark::{FeedProducer, FeedView, WatermarkFeed};

@@ -11,14 +11,12 @@
 //! moment it is admitted ([`FillPolicy::Prefetch`]) — it is an upper
 //! bound, not an implementable policy.
 //!
-//! The future itself is consumed through a
-//! [`ScheduleWindow`]: a fully resident
-//! [`AccessSchedule`] walked zero-copy with two cursors, or a streaming
-//! window the replay's record supply feeds as it reads ahead
-//! ([`CacheStrategy::extend_schedule`]), whose resident state is bounded
-//! by the look-ahead span (see [`crate::schedule`]). Either kind shows
-//! the Oracle the identical event sequence, so decisions are
-//! bit-identical.
+//! The future itself is consumed through a [`ScheduleWindow`], fed
+//! through [`CacheStrategy::extend_schedule`]: in one piece by a resident
+//! run, by the record supply as it reads ahead on a streaming one, where
+//! the window's state is bounded by the look-ahead span (see
+//! [`crate::schedule`]). Either way the Oracle sees the identical event
+//! sequence, so decisions are bit-identical.
 
 use std::collections::HashMap;
 
@@ -29,54 +27,6 @@ use crate::error::CacheError;
 use crate::schedule::ScheduleWindow;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
 use crate::waterline::{Score, Tenants, Waterline};
-
-/// The future accesses of one neighborhood, sorted by time, plus the slot
-/// cost of every catalog program (the Oracle admits programs it has never
-/// seen accessed, so it needs costs for the whole catalog).
-#[derive(Debug, Clone, Default)]
-pub struct AccessSchedule {
-    events: Vec<(SimTime, ProgramId)>,
-    costs: Vec<u32>,
-}
-
-impl AccessSchedule {
-    /// Builds a schedule. `costs[p]` is program `p`'s size in slots.
-    ///
-    /// Events arriving already time-ordered (the common case — the
-    /// engine's schedule pre-pass scans the trace chronologically) are
-    /// kept as-is; only genuinely unsorted input pays the sort.
-    pub fn from_events(mut events: Vec<(SimTime, ProgramId)>, costs: Vec<u32>) -> Self {
-        if !events.is_sorted() {
-            events.sort_unstable();
-        }
-        AccessSchedule { events, costs }
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Slot cost of `program` (0 for ids beyond the catalog).
-    pub fn cost(&self, program: ProgramId) -> u32 {
-        self.costs.get(program.index()).copied().unwrap_or(0)
-    }
-
-    /// Number of programs the cost table covers.
-    pub fn cost_count(&self) -> usize {
-        self.costs.len()
-    }
-
-    /// The sorted events.
-    pub fn events(&self) -> &[(SimTime, ProgramId)] {
-        &self.events
-    }
-}
 
 /// The clairvoyant cache strategy.
 ///
@@ -176,9 +126,8 @@ impl Oracle {
         }
     }
 
-    /// Slides the window to `[now, now + lookahead)`. Streaming windows
-    /// must be covered through the horizon ([`CacheStrategy::prepare`]
-    /// checks this).
+    /// Slides the window to `[now, now + lookahead)`. It must be covered
+    /// through the horizon ([`CacheStrategy::prepare`] checks this).
     fn advance(&mut self, now: SimTime) {
         let horizon = now.saturating_add(self.lookahead);
         while let Some(p) = self.window.next_entering(horizon) {
@@ -209,9 +158,8 @@ impl CacheStrategy for Oracle {
     }
 
     fn prepare(&mut self, now: SimTime) -> Result<(), CacheError> {
-        // An under-fed streaming window fails here, so advancing in
-        // `on_access` never sees a short one (resident windows hold
-        // everything).
+        // An under-fed window fails here, so advancing in `on_access`
+        // never sees a short one.
         self.window
             .ensure_covered(now.saturating_add(self.lookahead))
     }
@@ -256,7 +204,6 @@ impl CacheStrategy for Oracle {
 mod tests {
     use super::*;
     use crate::schedule::testing::Feeder;
-    use std::sync::Arc;
 
     fn p(i: u32) -> ProgramId {
         ProgramId::new(i)
@@ -266,11 +213,12 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A window handed its whole future up front, as a resident run's is.
     fn schedule(events: &[(u64, u32)], costs: Vec<u32>) -> ScheduleWindow {
-        ScheduleWindow::resident(Arc::new(AccessSchedule::from_events(
-            events.iter().map(|&(s, q)| (t(s), p(q))).collect(),
-            costs,
-        )))
+        let events: Vec<_> = events.iter().map(|&(s, q)| (t(s), p(q))).collect();
+        let mut window = ScheduleWindow::new(costs.into());
+        window.extend(&events, SimTime::MAX).expect("in order");
+        window
     }
 
     fn day() -> u64 {
@@ -368,23 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn from_events_skips_the_sort_for_ordered_input() {
-        // Already sorted (including a duplicate-time run): the exact input
-        // order must be preserved, not re-sorted.
-        let sorted = vec![(t(1), p(9)), (t(5), p(2)), (t(5), p(7)), (t(9), p(0))];
-        let sched = AccessSchedule::from_events(sorted.clone(), vec![1; 10]);
-        assert_eq!(sched.events(), &sorted[..]);
-
-        // Unsorted input still gets sorted.
-        let unsorted = vec![(t(9), p(0)), (t(1), p(9)), (t(5), p(2))];
-        let sched = AccessSchedule::from_events(unsorted.clone(), vec![1; 10]);
-        let mut expected = unsorted;
-        expected.sort_unstable();
-        assert_eq!(sched.events(), &expected[..]);
-        assert_eq!(sched.cost_count(), 10);
-    }
-
-    #[test]
     fn streaming_window_decides_identically_to_resident() {
         let events: Vec<(u64, u32)> = (0..3_000u64)
             .map(|i| (i * 400, (i * 6101 % 29) as u32))
@@ -399,7 +330,7 @@ mod tests {
             let mut windowed = Oracle::new(
                 25,
                 SimDuration::from_days(3),
-                ScheduleWindow::streaming(costs.clone().into()),
+                ScheduleWindow::new(costs.clone().into()),
             );
             let unfed = windowed.prepare(t(0)).unwrap_err();
             assert!(matches!(unfed, CacheError::Schedule { .. }), "{unfed}");
@@ -420,7 +351,7 @@ mod tests {
                 assert_eq!(ops_a, ops_b, "batch {batch}, step {i}");
                 assert_eq!(resident.used_slots(), windowed.used_slots());
             }
-            // The streaming window never held more than the look-ahead span
+            // The window fed as it went never held more than the look-ahead span
             // (3 days at 400 s spacing = 648 events) plus one batch plus
             // one access step's backlog (8,000 s / 400 s = 20 events — the
             // peak is sampled at hand-over, before the trailing edge pops).

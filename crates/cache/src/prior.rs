@@ -3,12 +3,12 @@
 //!
 //! Where [`GlobalLfu`](crate::feed::GlobalLfu) ingests remote accesses
 //! only once their batch boundary has passed, a prior-storing server
-//! consumes the published schedule window the moment the feed carries it
-//! — the [`CacheStrategy::on_feed_window`] prefetch hook — and pushes
-//! content for the programs it predicts will be popular (prefetch fill,
-//! so pushed segments are servable without a capture step). Popularity
-//! prediction is the windowed-LFU count over the prediction horizon;
-//! admissions still materialize through the ordinary
+//! consumes every published access the moment the feed carries it — the
+//! same [`CacheStrategy::sync_global`] hook, without the visibility gate —
+//! and pushes content for the programs it predicts will be popular
+//! (prefetch fill, so pushed segments are servable without a capture
+//! step). Popularity prediction is the windowed-LFU count over the
+//! prediction horizon; admissions still materialize through the ordinary
 //! [`on_access`](CacheStrategy::on_access) ops channel, where placement
 //! can actually happen.
 
@@ -78,12 +78,13 @@ impl CacheStrategy for PriorStoring {
         FillPolicy::Prefetch
     }
 
-    /// The prefetch hook: consumes the published window immediately (no
-    /// batching lag — prediction acts on the schedule as soon as it is
-    /// public), skipping home events, which arrive through
+    /// Consumes the published prefix immediately (no batching lag —
+    /// prediction acts on an access as soon as it is public), skipping
+    /// home events, which arrive through
     /// [`on_access`](CacheStrategy::on_access). Idempotent via the
-    /// cursor: re-delivered windows are skipped.
-    fn on_feed_window(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) {
+    /// cursor, which it returns: everything below it has been consumed
+    /// and will never be read again.
+    fn sync_global(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
         let limit = limit.min(feed.published());
         while self.cursor < limit {
             let ev = feed.event_at(self.cursor);
@@ -94,12 +95,6 @@ impl CacheStrategy for PriorStoring {
             self.core.record(ev.program, ev.cost, ev.time);
         }
         self.core.expire(now);
-    }
-
-    /// Everything below the prefetch cursor has been consumed and will
-    /// never be read again; the window itself was ingested by
-    /// [`on_feed_window`](CacheStrategy::on_feed_window).
-    fn sync_global(&mut self, _feed: &dyn FeedEvents, _now: SimTime, _limit: usize) -> u64 {
         self.cursor as u64
     }
 }
@@ -127,7 +122,7 @@ mod tests {
         let mut feed = GlobalFeed::new();
         feed.publish(ev(100, 1, 7));
         let mut s = prior();
-        s.on_feed_window(&feed, SimTime::from_secs(100), feed.len());
+        s.sync_global(&feed, SimTime::from_secs(100), feed.len());
         assert_eq!(s.cursor(), 1);
         // The predicted program is admitted alongside the local one at
         // the next access — through the ordinary ops channel.
@@ -147,7 +142,7 @@ mod tests {
         feed.publish(ev(10, 1, 7));
         let mut s = prior();
         for _ in 0..3 {
-            s.on_feed_window(&feed, SimTime::from_secs(20), feed.len());
+            s.sync_global(&feed, SimTime::from_secs(20), feed.len());
         }
         assert_eq!(s.cursor(), 1, "event consumed exactly once");
         assert_eq!(s.core.count_of(ProgramId::new(7)), 1);
@@ -159,7 +154,7 @@ mod tests {
         feed.publish(ev(10, 0, 7)); // home neighborhood
         feed.publish(ev(11, 2, 8));
         let mut s = prior();
-        s.on_feed_window(&feed, SimTime::from_secs(20), feed.len());
+        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
         assert_eq!(s.cursor(), 2);
         assert_eq!(s.core.count_of(ProgramId::new(7)), 0);
         assert_eq!(s.core.count_of(ProgramId::new(8)), 1);
@@ -171,9 +166,9 @@ mod tests {
         feed.publish(ev(10, 1, 7));
         feed.publish(ev(10, 2, 8));
         let mut s = prior();
-        s.on_feed_window(&feed, SimTime::from_secs(10), 1);
+        s.sync_global(&feed, SimTime::from_secs(10), 1);
         assert_eq!(s.cursor(), 1);
-        s.on_feed_window(&feed, SimTime::from_secs(10), 99);
+        s.sync_global(&feed, SimTime::from_secs(10), 99);
         assert_eq!(s.cursor(), 2, "clamped to published");
     }
 
@@ -182,7 +177,7 @@ mod tests {
         let mut feed = GlobalFeed::new();
         feed.publish(ev(10, 1, 7));
         let mut s = prior();
-        s.on_feed_window(&feed, SimTime::from_secs(10), feed.len());
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(10), feed.len()), 1);
         assert_eq!(s.sync_global(&feed, SimTime::from_secs(10), feed.len()), 1);
     }
 
@@ -191,7 +186,7 @@ mod tests {
         let mut feed = GlobalFeed::new();
         feed.publish(ev(10, 1, 7));
         let mut s = PriorStoring::new(4, SimDuration::from_hours(1), NeighborhoodId::new(0));
-        s.on_feed_window(&feed, SimTime::from_secs(20), feed.len());
+        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
         // Two hours later the prediction is stale: only the fresh local
         // program is admitted.
         let mut ops = Vec::new();

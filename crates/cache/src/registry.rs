@@ -29,12 +29,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cablevod_cache::{LruFactory, StrategyRegistry};
+//! use cablevod_cache::{StrategyRegistry, StrategySpec};
 //!
 //! let mut registry = StrategyRegistry::builtin();
 //! // An out-of-tree admission policy registers its own factory here;
-//! // the built-in LRU factory stands in for the example.
-//! registry.register("my-admission-policy", Arc::new(LruFactory));
+//! // the built-in LRU (a spec is its own factory) stands in for the
+//! // example.
+//! registry.register("my-admission-policy", Arc::new(StrategySpec::Lru));
 //! assert!(registry.resolve("my-admission-policy").is_ok());
 //! assert!(registry.resolve("lfu:3d").is_ok()); // spec grammar fallback
 //! assert!(registry.resolve("prior-storing").is_ok()); // built-in
@@ -132,8 +133,8 @@ impl StrategyRegistry {
         self.factories.insert(name.into(), factory)
     }
 
-    /// Registers the built-in factory of `spec` under `name` — a
-    /// convenience for giving a parameterized built-in a stable alias.
+    /// Registers the built-in `spec` under `name` — a convenience for
+    /// giving a parameterized built-in a stable alias.
     pub fn register_spec(
         &mut self,
         name: impl Into<String>,
@@ -184,7 +185,7 @@ impl fmt::Debug for StrategyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{LruFactory, StrategyContext};
+    use crate::strategy::StrategyContext;
     use cablevod_hfc::ids::NeighborhoodId;
 
     #[test]
@@ -234,7 +235,7 @@ mod tests {
         // Unique names: the hook list is process-global and shared
         // across tests.
         crate::registry::register_plugin(|r| {
-            r.register("plugin-order-probe", Arc::new(LruFactory));
+            r.register("plugin-order-probe", Arc::new(StrategySpec::Lru));
         });
         crate::registry::register_plugin(|r| {
             r.register_spec("plugin-order-probe", StrategySpec::default_lfu());
@@ -259,7 +260,9 @@ mod tests {
     #[test]
     fn registration_shadows_and_reports_replacement() {
         let mut registry = StrategyRegistry::empty();
-        assert!(registry.register("mine", Arc::new(LruFactory)).is_none());
+        assert!(registry
+            .register("mine", Arc::new(StrategySpec::Lru))
+            .is_none());
         assert!(registry
             .register_spec("mine", StrategySpec::default_lfu())
             .is_some());

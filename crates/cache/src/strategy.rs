@@ -17,64 +17,60 @@
 //! Strategies are *instantiated* through the [`StrategyFactory`] trait:
 //! the engine hands each neighborhood's [`StrategyContext`] (its slot
 //! capacity, identity, and — when the factory declares a
-//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) — its
-//! future access schedule) to a factory and gets a boxed
-//! [`CacheStrategy`] back. The
-//! paper's strategies ship as built-in factories ([`NoCacheFactory`],
-//! [`LruFactory`], [`LfuFactory`], [`GlobalLfuFactory`],
-//! [`OracleFactory`]), the literature strategies as [`ArcFactory`],
-//! [`TlruFactory`], [`PriorStoringFactory`], and [`DelayedLfuFactory`];
-//! [`StrategySpec`] is the declarative, serializable selection of those
-//! built-ins, and [`StrategySpec::factory`] maps each variant onto its
-//! factory. Out-of-tree strategies implement [`StrategyFactory`] and
-//! register by name in a
+//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) — the
+//! window its future access schedule arrives through) to a factory and
+//! gets a boxed [`CacheStrategy`] back. [`StrategySpec`] is the
+//! declarative, serializable selection of the nine built-ins — the
+//! paper's five and the literature four — and is itself their factory:
+//! each variant's name, capabilities and construction are declared once,
+//! in its [`StrategyFactory`] implementation. Out-of-tree strategies
+//! implement [`StrategyFactory`] and register by name in a
 //! [`StrategyRegistry`](crate::registry::StrategyRegistry): the replay
 //! engine never needs to know the strategy's type, only the capabilities
 //! ([`needs_feed`](StrategyFactory::needs_feed) /
-//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) /
-//! [`needs_prefetch`](StrategyFactory::needs_prefetch)) and the optional
-//! [`fetch_model`](StrategyFactory::fetch_model) that decide whether the
-//! global popularity feed, the Oracle's access schedule, the feed-driven
-//! prefetch hook, and delayed-hit accounting are wired up for the run.
+//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead)) and the
+//! optional [`fetch_model`](StrategyFactory::fetch_model) that decide
+//! whether the global popularity feed, the Oracle's access schedule and
+//! delayed-hit accounting are wired up for the run.
 //!
 //! # Strategy lifecycle
 //!
 //! The index server drives every strategy through the same hook
 //! sequence, on every driver combination (serial/sharded ×
-//! resident/streaming):
+//! resident/streaming, offline and online):
 //!
-//! 1. **`on_feed_window`** — when the global feed publishes events that
-//!    became visible before an access (and the factory declared
-//!    [`needs_feed`](StrategyFactory::needs_feed) or
-//!    [`needs_prefetch`](StrategyFactory::needs_prefetch)), the strategy
-//!    sees them first. Prefetch-hook consumers build their prediction
-//!    state here; feed windows are delivered at-least-once with
+//! 1. **`sync_global`** — when the global feed has published events
+//!    before an access (and the factory declared
+//!    [`needs_feed`](StrategyFactory::needs_feed)), the strategy sees
+//!    them first: the global LFU ingests those its batching lag makes
+//!    visible, the prior-storing server builds its prediction state from
+//!    all of them. The published prefix is delivered at-least-once with
 //!    non-decreasing `limit` bounds, so implementations keep an internal
 //!    cursor and must be idempotent.
-//! 2. **`prepare`** — the one fallible access-path hook; the windowed
-//!    Oracle checks here that the look-ahead it was handed
-//!    ([`extend_schedule`](CacheStrategy::extend_schedule), by the
-//!    streaming replay's record supply, ahead of the access) reaches the
-//!    access's horizon.
+//! 2. **`prepare`** — the one fallible access-path hook; the Oracle
+//!    checks here that the look-ahead it was handed
+//!    ([`extend_schedule`](CacheStrategy::extend_schedule): all at once
+//!    when a resident run builds its index, by the record supply as it
+//!    reads ahead on a streaming run) reaches the access's horizon.
 //! 3. **`on_access`** — the access itself; all admissions and evictions
-//!    materialize through the returned [`CacheOp`]s, including those a
-//!    prefetch hook decided on earlier (the ops channel is the only way
-//!    content moves).
+//!    materialize through the returned [`CacheOp`]s, including those the
+//!    feed decided on earlier (the ops channel is the only way content
+//!    moves).
 //!
-//! For any access, feed windows published before it are delivered via
-//! `on_feed_window` before `prepare` and `on_access` run — this ordering
+//! For any access, feed events published before it are delivered via
+//! `sync_global` before `prepare` and `on_access` run — this ordering
 //! contract is what makes every driver bit-identical.
 //!
 //! # Delayed-hit accounting
 //!
-//! When a factory supplies a [`FetchModel`](crate::fetch::FetchModel)
-//! with nonzero latency, the index server tracks misses in flight: a
-//! miss on a program whose fetch (started by an earlier miss) is still
-//! within the model's latency window is counted as a *delayed hit*
-//! rather than a second full-cost miss, and first misses are counted as
-//! *in-flight misses*. The accounting is observational — request
-//! resolution and cache trajectories are unchanged, so a zero-latency
-//! model is byte-identical to no model at all.
+//! When a factory supplies a [`FetchModel`] with nonzero latency, the
+//! index server tracks misses in flight: a miss on a program whose fetch
+//! (started by an earlier miss) is still within the model's latency
+//! window is counted as a *delayed hit* rather than a second full-cost
+//! miss, and first misses are counted as *in-flight misses*. The
+//! accounting is observational — request resolution and cache
+//! trajectories are unchanged, so a zero-latency model is byte-identical
+//! to no model at all.
 
 use std::fmt;
 use std::sync::Arc;
@@ -83,12 +79,17 @@ use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::units::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::arc::ArcCache;
+use crate::delayed::DelayedLfu;
 use crate::error::CacheError;
 use crate::feed::{FeedEvents, GlobalLfu};
+use crate::fetch::FetchModel;
 use crate::lfu::WindowedLfu;
 use crate::lru::Lru;
 use crate::oracle::Oracle;
+use crate::prior::PriorStoring;
 use crate::schedule::ScheduleWindow;
+use crate::tlru::Tlru;
 
 /// An admission/eviction decision emitted by a strategy.
 ///
@@ -127,9 +128,9 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// Checks that everything an access at `now` will need is in hand —
     /// the one fallible hook in the access path. The index server calls
     /// it immediately before [`on_access`](CacheStrategy::on_access);
-    /// strategies whose auxiliary state is fed from outside (the windowed
-    /// Oracle's look-ahead) check coverage here so the access hook itself
-    /// stays infallible. The default is a no-op.
+    /// strategies whose auxiliary state is fed from outside (the Oracle's
+    /// look-ahead) check coverage here so the access hook itself stays
+    /// infallible. The default is a no-op.
     ///
     /// # Errors
     ///
@@ -141,10 +142,11 @@ pub trait CacheStrategy: fmt::Debug + Send {
 
     /// Takes the next stretch of this neighborhood's future accesses, in
     /// time order, after which every access before `covered` has been
-    /// handed over. A streaming replay's record supply calls it as it
-    /// reads ahead, when the factory declares a
-    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead). The
-    /// default ignores the events.
+    /// handed over. Called when the factory declares a
+    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead): once,
+    /// with the whole future, when a resident run builds the index; by a
+    /// streaming replay's record supply as it reads ahead. The default
+    /// ignores the events.
     ///
     /// # Errors
     ///
@@ -182,16 +184,23 @@ pub trait CacheStrategy: fmt::Debug + Send {
         FillPolicy::OnBroadcast
     }
 
-    /// Ingests remote-neighborhood accesses from the global feed (only the
-    /// global-LFU variants use this; the default is a no-op).
+    /// Observes the system-wide accesses published before the access
+    /// about to happen — the one feed hook (see the module-level
+    /// lifecycle docs). Called only when the factory declares
+    /// [`needs_feed`](StrategyFactory::needs_feed): the global LFU
+    /// ingests the events its batching lag makes visible at `now`, the
+    /// prior-storing server all of them; admissions still materialize
+    /// through the [`on_access`](CacheStrategy::on_access) ops channel.
+    /// The default is a no-op.
     ///
-    /// Only events below sequence number `limit` may be consumed, on top
-    /// of the usual time-visibility rule. The engine sets `limit` to the
-    /// number of events published when the triggering access happened,
-    /// which reproduces the serial engine's grow-as-you-go visibility
-    /// exactly whether the carrier is a precomputed
-    /// [`GlobalFeed`](crate::feed::GlobalFeed) or a
+    /// Only events below sequence number `limit` may be consumed. The
+    /// engine sets `limit` to the number of events published when the
+    /// triggering access happened, which reproduces the serial engine's
+    /// grow-as-you-go visibility exactly whether the carrier is a
+    /// precomputed [`GlobalFeed`](crate::feed::GlobalFeed) or a
     /// streaming [`WatermarkFeed`](crate::watermark::WatermarkFeed).
+    /// The prefix is delivered at-least-once with non-decreasing
+    /// `limit`s; implementations keep a cursor and must be idempotent.
     ///
     /// Returns the strategy's consumption cursor after the sync: the
     /// sequence number below which it will never read the feed again.
@@ -201,21 +210,6 @@ pub trait CacheStrategy: fmt::Debug + Send {
     fn sync_global(&mut self, _feed: &dyn FeedEvents, _now: SimTime, limit: usize) -> u64 {
         limit as u64
     }
-
-    /// Observes the feed window `0..limit` *before* the visibility-gated
-    /// ingestion of [`sync_global`](CacheStrategy::sync_global) runs —
-    /// the feed-driven prefetch hook (see the module-level lifecycle
-    /// docs). Prior-storing strategies build their prediction state here
-    /// from upcoming-schedule events; admissions still materialize
-    /// through the [`on_access`](CacheStrategy::on_access) ops channel.
-    ///
-    /// Called only when the factory declares
-    /// [`needs_feed`](StrategyFactory::needs_feed) or
-    /// [`needs_prefetch`](StrategyFactory::needs_prefetch). Windows are
-    /// delivered at-least-once with non-decreasing `limit`s;
-    /// implementations keep a cursor and must be idempotent. The default
-    /// is a no-op.
-    fn on_feed_window(&mut self, _feed: &dyn FeedEvents, _now: SimTime, _limit: usize) {}
 }
 
 /// A strategy that never caches anything — the paper's no-cache baseline
@@ -362,12 +356,11 @@ impl StrategySpec {
 
     /// Instantiates the strategy for a neighborhood with
     /// `capacity_slots` total slots. Oracle strategies need the
-    /// neighborhood's future accesses as a
-    /// [`ScheduleWindow`] — resident or streaming.
+    /// [`ScheduleWindow`] the neighborhood's future accesses arrive
+    /// through.
     ///
-    /// This is a convenience over [`StrategySpec::factory`] — the closed
-    /// per-variant construction lives in the built-in factories, behind
-    /// the same [`StrategyFactory`] interface out-of-tree strategies use.
+    /// A convenience over this spec's own [`StrategyFactory::build`] —
+    /// the interface out-of-tree strategies implement.
     ///
     /// # Errors
     ///
@@ -379,52 +372,20 @@ impl StrategySpec {
         home: NeighborhoodId,
         schedule: Option<ScheduleWindow>,
     ) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        self.factory().build(StrategyContext {
-            capacity_slots,
-            home,
-            schedule,
-        })
+        StrategyFactory::build(
+            self,
+            StrategyContext {
+                capacity_slots,
+                home,
+                schedule,
+            },
+        )
     }
 
-    /// The built-in factory for this spec's variant.
+    /// This spec as a shareable factory (the spec is its own — see its
+    /// [`StrategyFactory`] implementation).
     pub fn factory(&self) -> Arc<dyn StrategyFactory> {
-        match *self {
-            StrategySpec::NoCache => Arc::new(NoCacheFactory),
-            StrategySpec::Lru => Arc::new(LruFactory),
-            StrategySpec::Lfu { history } => Arc::new(LfuFactory { history }),
-            StrategySpec::GlobalLfu { history, lag } => Arc::new(GlobalLfuFactory { history, lag }),
-            StrategySpec::Oracle { lookahead } => Arc::new(OracleFactory { lookahead }),
-            StrategySpec::Arc { ghost } => Arc::new(ArcFactory { ghost }),
-            StrategySpec::Tlru { ttl } => Arc::new(TlruFactory { ttl }),
-            StrategySpec::PriorStoring { horizon } => Arc::new(PriorStoringFactory { horizon }),
-            StrategySpec::DelayedLfu {
-                history,
-                latency_ms,
-            } => Arc::new(DelayedLfuFactory {
-                history,
-                latency_ms,
-            }),
-        }
-    }
-
-    /// Whether this strategy consumes the system-wide access feed.
-    pub fn needs_feed(&self) -> bool {
-        matches!(self, StrategySpec::GlobalLfu { .. })
-    }
-
-    /// How far into the future this strategy's access schedule must
-    /// reach; `None` when it needs no schedule.
-    pub fn schedule_lookahead(&self) -> Option<SimDuration> {
-        match *self {
-            StrategySpec::Oracle { lookahead } => Some(lookahead),
-            _ => None,
-        }
-    }
-
-    /// Whether this strategy consumes the feed-driven prefetch hook
-    /// ([`CacheStrategy::on_feed_window`]).
-    pub fn needs_prefetch(&self) -> bool {
-        matches!(self, StrategySpec::PriorStoring { .. })
+        Arc::new(*self)
     }
 
     /// Display label used in reports and figure legends.
@@ -582,7 +543,7 @@ fn parse_latency(text: &str) -> Option<u64> {
     if let Some(digits) = text.strip_suffix("ms") {
         digits.parse().ok()
     } else if let Some(digits) = text.strip_suffix('s') {
-        digits.parse::<u64>().ok().map(|n| n * 1_000)
+        digits.parse::<u64>().ok()?.checked_mul(1_000)
     } else {
         text.parse().ok()
     }
@@ -596,8 +557,8 @@ pub struct StrategyContext {
     pub capacity_slots: u64,
     /// The neighborhood this strategy instance serves.
     pub home: NeighborhoodId,
-    /// The neighborhood's future access schedule. The engine supplies it
-    /// only when the factory declares a
+    /// The window the neighborhood's future access schedule arrives
+    /// through. The engine supplies it only when the factory declares a
     /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead).
     pub schedule: Option<ScheduleWindow>,
 }
@@ -623,26 +584,19 @@ pub trait StrategyFactory: fmt::Debug + Send + Sync {
 
     /// How far into the future built strategies look in an access
     /// schedule; `None` (the default) when they need none. With
-    /// `Some(lookahead)` the engine passes each neighborhood's schedule
-    /// as [`StrategyContext::schedule`] — prebuilt on resident runs; on
-    /// streaming runs a window the record supply keeps `lookahead` ahead
-    /// of the replay ([`CacheStrategy::extend_schedule`]).
+    /// `Some(lookahead)` the engine passes each neighborhood an empty
+    /// window as [`StrategyContext::schedule`] and feeds it through
+    /// [`CacheStrategy::extend_schedule`] — the whole future at once on
+    /// resident runs; on streaming runs the record supply keeps it
+    /// `lookahead` ahead of the replay.
     fn schedule_lookahead(&self) -> Option<SimDuration> {
         None
-    }
-
-    /// Whether built strategies consume the feed-driven prefetch hook
-    /// ([`CacheStrategy::on_feed_window`]). When `true` the engine wires
-    /// up the global feed carrier even if
-    /// [`needs_feed`](StrategyFactory::needs_feed) is `false`.
-    fn needs_prefetch(&self) -> bool {
-        false
     }
 
     /// The fetch-latency model built strategies' index servers should
     /// account delayed hits under; `None` (the default) means instant
     /// fetches and no in-flight tracking.
-    fn fetch_model(&self) -> Option<crate::fetch::FetchModel> {
+    fn fetch_model(&self) -> Option<FetchModel> {
         None
     }
 
@@ -656,181 +610,59 @@ pub trait StrategyFactory: fmt::Debug + Send + Sync {
     fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError>;
 }
 
-/// Built-in factory for [`StrategySpec::NoCache`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCacheFactory;
-
-impl StrategyFactory for NoCacheFactory {
+/// The one declaration of every built-in: its name, what the engine must
+/// wire up for it, and how it is built.
+impl StrategyFactory for StrategySpec {
     fn name(&self) -> &str {
-        "No cache"
+        self.label()
     }
-    fn build(&self, _ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(NoCache))
-    }
-}
 
-/// Built-in factory for [`StrategySpec::Lru`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LruFactory;
-
-impl StrategyFactory for LruFactory {
-    fn name(&self) -> &str {
-        "LRU"
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(Lru::new(ctx.capacity_slots)))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::Lfu`].
-#[derive(Debug, Clone, Copy)]
-pub struct LfuFactory {
-    /// History window N.
-    pub history: SimDuration,
-}
-
-impl StrategyFactory for LfuFactory {
-    fn name(&self) -> &str {
-        "LFU"
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(WindowedLfu::new(ctx.capacity_slots, self.history)))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::GlobalLfu`].
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalLfuFactory {
-    /// History window N.
-    pub history: SimDuration,
-    /// Batching delay for remote accesses.
-    pub lag: SimDuration,
-}
-
-impl StrategyFactory for GlobalLfuFactory {
-    fn name(&self) -> &str {
-        "Global LFU"
-    }
     fn needs_feed(&self) -> bool {
-        true
+        matches!(
+            self,
+            StrategySpec::GlobalLfu { .. } | StrategySpec::PriorStoring { .. }
+        )
     }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(GlobalLfu::new(
-            ctx.capacity_slots,
-            self.history,
-            self.lag,
-            ctx.home,
-        )))
-    }
-}
 
-/// Built-in factory for [`StrategySpec::Oracle`].
-#[derive(Debug, Clone, Copy)]
-pub struct OracleFactory {
-    /// Future window.
-    pub lookahead: SimDuration,
-}
-
-impl StrategyFactory for OracleFactory {
-    fn name(&self) -> &str {
-        "Oracle"
-    }
     fn schedule_lookahead(&self) -> Option<SimDuration> {
-        Some(self.lookahead)
+        match *self {
+            StrategySpec::Oracle { lookahead } => Some(lookahead),
+            _ => None,
+        }
     }
+
+    fn fetch_model(&self) -> Option<FetchModel> {
+        match *self {
+            StrategySpec::DelayedLfu { latency_ms, .. } => {
+                Some(FetchModel::with_latency_ms(latency_ms))
+            }
+            _ => None,
+        }
+    }
+
     fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        let schedule = ctx.schedule.ok_or(CacheError::MissingSchedule)?;
-        Ok(Box::new(Oracle::new(
-            ctx.capacity_slots,
-            self.lookahead,
-            schedule,
-        )))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::Arc`].
-#[derive(Debug, Clone, Copy)]
-pub struct ArcFactory {
-    /// Ghost-list bound (entry count); `0` derives it from capacity.
-    pub ghost: u32,
-}
-
-impl StrategyFactory for ArcFactory {
-    fn name(&self) -> &str {
-        "ARC"
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(crate::arc::ArcCache::new(
-            ctx.capacity_slots,
-            self.ghost,
-        )))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::Tlru`].
-#[derive(Debug, Clone, Copy)]
-pub struct TlruFactory {
-    /// Time-to-use after which an unrefreshed entry expires.
-    pub ttl: SimDuration,
-}
-
-impl StrategyFactory for TlruFactory {
-    fn name(&self) -> &str {
-        "TLRU"
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(crate::tlru::Tlru::new(
-            ctx.capacity_slots,
-            self.ttl,
-        )))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::PriorStoring`].
-#[derive(Debug, Clone, Copy)]
-pub struct PriorStoringFactory {
-    /// Popularity-prediction history window.
-    pub horizon: SimDuration,
-}
-
-impl StrategyFactory for PriorStoringFactory {
-    fn name(&self) -> &str {
-        "Prior storing"
-    }
-    fn needs_prefetch(&self) -> bool {
-        true
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(crate::prior::PriorStoring::new(
-            ctx.capacity_slots,
-            self.horizon,
-            ctx.home,
-        )))
-    }
-}
-
-/// Built-in factory for [`StrategySpec::DelayedLfu`].
-#[derive(Debug, Clone, Copy)]
-pub struct DelayedLfuFactory {
-    /// History window N.
-    pub history: SimDuration,
-    /// Modeled central-server fetch latency in milliseconds.
-    pub latency_ms: u64,
-}
-
-impl StrategyFactory for DelayedLfuFactory {
-    fn name(&self) -> &str {
-        "Delayed LFU"
-    }
-    fn fetch_model(&self) -> Option<crate::fetch::FetchModel> {
-        Some(crate::fetch::FetchModel::with_latency_ms(self.latency_ms))
-    }
-    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
-        Ok(Box::new(crate::delayed::DelayedLfu::new(
-            ctx.capacity_slots,
-            self.history,
-            self.latency_ms,
-        )))
+        let slots = ctx.capacity_slots;
+        Ok(match *self {
+            StrategySpec::NoCache => Box::new(NoCache),
+            StrategySpec::Lru => Box::new(Lru::new(slots)),
+            StrategySpec::Lfu { history } => Box::new(WindowedLfu::new(slots, history)),
+            StrategySpec::GlobalLfu { history, lag } => {
+                Box::new(GlobalLfu::new(slots, history, lag, ctx.home))
+            }
+            StrategySpec::Oracle { lookahead } => {
+                let schedule = ctx.schedule.ok_or(CacheError::MissingSchedule)?;
+                Box::new(Oracle::new(slots, lookahead, schedule))
+            }
+            StrategySpec::Arc { ghost } => Box::new(ArcCache::new(slots, ghost)),
+            StrategySpec::Tlru { ttl } => Box::new(Tlru::new(slots, ttl)),
+            StrategySpec::PriorStoring { horizon } => {
+                Box::new(PriorStoring::new(slots, horizon, ctx.home))
+            }
+            StrategySpec::DelayedLfu {
+                history,
+                latency_ms,
+            } => Box::new(DelayedLfu::new(slots, history, latency_ms)),
+        })
     }
 }
 
@@ -876,30 +708,31 @@ mod tests {
         }
     }
 
+    /// What the engine wires up for each built-in, variant by variant
+    /// (the table `cablevod-scenario --list-strategies` prints).
     #[test]
-    fn factories_mirror_spec_capabilities() {
-        for spec in [
-            StrategySpec::NoCache,
-            StrategySpec::Lru,
-            StrategySpec::default_lfu(),
-            StrategySpec::GlobalLfu {
-                history: SimDuration::from_days(3),
-                lag: SimDuration::from_minutes(30),
-            },
-            StrategySpec::default_oracle(),
-            StrategySpec::default_arc(),
-            StrategySpec::default_tlru(),
-            StrategySpec::default_prior_storing(),
-            StrategySpec::default_delayed_lfu(),
+    fn capabilities_by_variant() {
+        let day = SimDuration::from_days(1);
+        for (text, feed, lookahead, fetch_ms) in [
+            ("no-cache", false, None, None),
+            ("lru", false, None, None),
+            ("lfu:7d", false, None, None),
+            ("global-lfu:3d:30m", true, None, None),
+            ("oracle:1d", false, Some(day), None),
+            ("arc", false, None, None),
+            ("tlru", false, None, None),
+            ("prior-storing", true, None, None),
+            ("delayed-lfu:7d:350ms", false, None, Some(350)),
         ] {
+            let spec = StrategySpec::parse(text).expect("parses");
             let factory = spec.factory();
-            assert_eq!(factory.name(), spec.label());
-            assert_eq!(factory.needs_feed(), spec.needs_feed());
-            assert_eq!(factory.schedule_lookahead(), spec.schedule_lookahead());
-            assert_eq!(factory.needs_prefetch(), spec.needs_prefetch());
+            assert_eq!(factory.name(), spec.label(), "{text}");
+            assert_eq!(factory.needs_feed(), feed, "{text}");
+            assert_eq!(factory.schedule_lookahead(), lookahead, "{text}");
             assert_eq!(
-                factory.fetch_model().is_some(),
-                matches!(spec, StrategySpec::DelayedLfu { .. })
+                factory.fetch_model(),
+                fetch_ms.map(FetchModel::with_latency_ms),
+                "{text}"
             );
         }
     }
@@ -983,6 +816,21 @@ mod tests {
                 lookahead: SimDuration::from_secs(u64::MAX)
             }
         );
+        // Likewise a latency beyond what milliseconds can hold; the
+        // largest that fits still parses.
+        let err = StrategySpec::parse("delayed-lfu:7d:18446744073709552s").unwrap_err();
+        assert!(
+            matches!(&err, CacheError::UnknownStrategy { name }
+                if name == "delayed-lfu:7d:18446744073709552s"),
+            "{err}"
+        );
+        assert_eq!(
+            StrategySpec::parse("delayed-lfu:7d:18446744073709551s").expect("fits"),
+            StrategySpec::DelayedLfu {
+                history: SimDuration::from_days(7),
+                latency_ms: 18_446_744_073_709_551_000,
+            }
+        );
     }
 
     #[test]
@@ -992,9 +840,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CacheError::MissingSchedule));
 
-        let schedule = ScheduleWindow::resident(Arc::new(
-            crate::oracle::AccessSchedule::from_events(Vec::new(), Vec::new()),
-        ));
+        let schedule = ScheduleWindow::new(Arc::new([]));
         let s = StrategySpec::default_oracle()
             .build(10, NeighborhoodId::new(0), Some(schedule))
             .expect("schedule provided");

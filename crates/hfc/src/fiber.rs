@@ -3,12 +3,11 @@
 //! The cable operator's central media servers feed headends over a switched
 //! fiber network. The evaluation's primary metric — "the amount of VoD video
 //! data that must be served by centralized media servers" (§V) — is the
-//! aggregate rate recorded by [`CentralServer`]; per-headend fiber links are
-//! also metered so feasibility of the fiber tier can be checked.
+//! aggregate rate recorded by [`CentralServer`]. Per-headend fiber links are
+//! not metered: no report reads them.
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::NeighborhoodId;
 use crate::meter::{RateMeter, RateStats};
 use crate::units::{DataSize, SimTime};
 
@@ -65,51 +64,6 @@ impl Default for CentralServer {
     }
 }
 
-/// The fiber link from the operator to one headend.
-///
-/// Carries exactly the traffic the central server sends into that headend's
-/// neighborhood (misses), never peer-served traffic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FiberLink {
-    neighborhood: NeighborhoodId,
-    meter: RateMeter,
-}
-
-impl FiberLink {
-    /// Creates the link feeding `neighborhood`.
-    pub fn new(neighborhood: NeighborhoodId) -> Self {
-        FiberLink {
-            neighborhood,
-            meter: RateMeter::hourly(),
-        }
-    }
-
-    /// The neighborhood this link feeds.
-    pub fn neighborhood(&self) -> NeighborhoodId {
-        self.neighborhood
-    }
-
-    /// Records `size` bytes carried over `[start, end)`.
-    pub fn record(&mut self, start: SimTime, end: SimTime, size: DataSize) {
-        self.meter.record(start, end, size);
-    }
-
-    /// Total data carried.
-    pub fn total(&self) -> DataSize {
-        self.meter.total()
-    }
-
-    /// The underlying meter.
-    pub fn meter(&self) -> &RateMeter {
-        &self.meter
-    }
-
-    /// Peak-window statistics for this link.
-    pub fn peak_stats(&self, first_day: u64, last_day: u64) -> RateStats {
-        self.meter.peak_stats(first_day, last_day)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +78,5 @@ mod tests {
         assert_eq!(server.requests(), 1);
         assert_eq!(server.total(), seg);
         assert!(server.peak_stats(0, 1).mean.as_bps() > 0);
-    }
-
-    #[test]
-    fn fiber_link_is_tied_to_neighborhood() {
-        let mut link = FiberLink::new(NeighborhoodId::new(4));
-        assert_eq!(link.neighborhood(), NeighborhoodId::new(4));
-        let t = SimTime::EPOCH;
-        link.record(
-            t,
-            t + SimDuration::from_minutes(5),
-            DataSize::from_bytes(100),
-        );
-        assert_eq!(link.total(), DataSize::from_bytes(100));
     }
 }

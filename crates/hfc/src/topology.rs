@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::coax::{CoaxNetwork, CoaxSpec};
 use crate::error::HfcError;
-use crate::fiber::{CentralServer, FiberLink};
+use crate::fiber::CentralServer;
 use crate::ids::{NeighborhoodId, PeerId, UserId};
 use crate::stb::{SetTopBox, StbStore, DEFAULT_CONTRIBUTION, DEFAULT_STREAM_SLOTS};
 use crate::units::DataSize;
@@ -132,7 +132,6 @@ pub struct Neighborhood {
     id: NeighborhoodId,
     members: Vec<PeerId>,
     coax: CoaxNetwork,
-    fiber: FiberLink,
 }
 
 impl Neighborhood {
@@ -160,22 +159,12 @@ impl Neighborhood {
     pub fn coax_mut(&mut self) -> &mut CoaxNetwork {
         &mut self.coax
     }
-
-    /// The fiber link feeding this neighborhood's headend.
-    pub fn fiber(&self) -> &FiberLink {
-        &self.fiber
-    }
-
-    /// Mutable access to the fiber link.
-    pub fn fiber_mut(&mut self) -> &mut FiberLink {
-        &mut self.fiber
-    }
 }
 
 /// The full simulated cable plant.
 ///
-/// Owns every set-top box, the neighborhoods with their coax/fiber meters,
-/// and the central server. The simulator and index servers mutate it through
+/// Owns every set-top box, the neighborhoods with their coax meters, and
+/// the central server. The simulator and index servers mutate it through
 /// id-based accessors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
@@ -242,7 +231,6 @@ impl Topology {
                 id,
                 members,
                 coax: CoaxNetwork::new(config.coax_spec),
-                fiber: FiberLink::new(id),
             });
         }
 

@@ -16,8 +16,8 @@
 //! * **Decision tier** (`cablevod_sim::engine::online`) — the one
 //!   `SessionDriver` lifecycle stepped cooperatively against the live
 //!   clock. All nine registry strategies, fault plans, and enforcing
-//!   admission/retry run unchanged; the serial and sharded engines both
-//!   produce reports byte-identical to the offline replay.
+//!   admission/retry run unchanged; the final report is byte-identical
+//!   to the offline replay's.
 //! * **Front tier** ([`cache`], [`hist`]) — a repeat-lookup
 //!   [`ResponseCache`] with epoch-based invalidation and per-request
 //!   [`LatencyHistogram`]s (p50/p99/p999), plus a drain-on-SIGTERM path

@@ -11,20 +11,21 @@
 use std::time::Instant;
 
 use cablevod_cache::StrategyFactory;
-use cablevod_sim::engine::online::{serve_serial, serve_sharded, OnlineEngine, OnlineSpec};
+use cablevod_sim::engine::online::{serve_serial, OnlineEngine, OnlineSpec};
 use cablevod_sim::{SimConfig, SimError, SimReport};
 use cablevod_trace::record::Trace;
 
 use crate::clock::ClockSource;
 use crate::hist::LatencyHistogram;
 
-/// Which online engine the replay steps.
+/// Which online engine the replay steps. There is one; the type and
+/// [`replay_trace`]'s `tier` parameter remain only because the frozen
+/// repo benchmark (`benchmark/src/serve.rs`) names them, and go with the
+/// benchmark refresh that can change both sides (ROADMAP, standing notes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionTier {
     /// One driver over the whole plant.
     Serial,
-    /// Per-neighborhood shard drivers, stepped round-robin and merged.
-    Sharded,
 }
 
 /// What a clocked replay produced.
@@ -61,12 +62,11 @@ pub fn replay_trace(
     tier: DecisionTier,
     clock: &mut dyn ClockSource,
 ) -> Result<ReplayOutcome, SimError> {
+    let DecisionTier::Serial = tier;
     let spec = OnlineSpec::from_source(trace);
-    let session = |engine: &mut dyn OnlineEngine| drive(trace, engine, clock);
-    let ((latency, submitted, epoch), report) = match tier {
-        DecisionTier::Serial => serve_serial(&spec, config, strategy, session)?,
-        DecisionTier::Sharded => serve_sharded(&spec, config, strategy, session)?,
-    };
+    let ((latency, submitted, epoch), report) = serve_serial(&spec, config, strategy, |engine| {
+        drive(trace, engine, clock)
+    })?;
     Ok(ReplayOutcome {
         report,
         latency,

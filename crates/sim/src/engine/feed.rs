@@ -18,8 +18,8 @@
 //!   driver, drivers consume through
 //!   [`SharedFeed`](cablevod_cache::SharedFeed) handles, and every sync
 //!   reports the strategy's cursor back so the carrier keeps its memory
-//!   O(unconsumed window) instead of O(trace). A streaming replay whose
-//!   strategy takes no feed ([`wants_feed`]) builds none.
+//!   O(unconsumed window) instead of O(trace). A run whose strategy takes
+//!   no feed ([`StrategyFactory::needs_feed`]) builds none.
 //!
 //! [`FeedProvider`]: cablevod_cache::FeedProvider
 
@@ -29,15 +29,6 @@ use cablevod_trace::record::SessionRecord;
 
 use super::lifecycle::{feed_event, SessionCtx};
 use crate::config::SimConfig;
-
-/// Whether the strategy consumes the global feed through either hook —
-/// visibility-gated ingestion ([`needs_feed`](StrategyFactory::needs_feed))
-/// or the feed-driven prefetch window
-/// ([`needs_prefetch`](StrategyFactory::needs_prefetch)). Both ride the
-/// same carrier, so one gate decides whether a run wires the feed up.
-pub(super) fn wants_feed(strategy: &dyn StrategyFactory) -> bool {
-    strategy.needs_feed() || strategy.needs_prefetch()
-}
 
 /// Builds the full global feed from a resident record slice (a pure
 /// function of the trace — see the module docs of [`super`]), or `None`
@@ -49,7 +40,7 @@ pub(super) fn build_feed(
     segmenter: &Segmenter,
     strategy: &dyn StrategyFactory,
 ) -> Option<GlobalFeed> {
-    wants_feed(strategy).then(|| {
+    strategy.needs_feed().then(|| {
         let mut feed = GlobalFeed::new();
         for (rec, ctx) in records.iter().zip(ctxs) {
             feed.publish(feed_event(rec, ctx, config, segmenter));

@@ -22,7 +22,7 @@
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
 //! blocked streaming replay carries every shard from one block of the
 //! source to the next (parked at the block's edge) and how the online
-//! engines stop at the live clock.
+//! engine stops at the live clock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -247,15 +247,12 @@ impl SegmentPlant for Topology {
 
     fn record_miss(
         &mut self,
-        nbhd: NeighborhoodId,
+        _nbhd: NeighborhoodId,
         start: SimTime,
         end: SimTime,
         size: cablevod_hfc::units::DataSize,
     ) -> Result<(), SimError> {
         self.server_mut().record_service(start, end, size);
-        self.neighborhood_mut(nbhd)?
-            .fiber_mut()
-            .record(start, end, size);
         Ok(())
     }
 
@@ -317,9 +314,9 @@ pub(super) trait RecordSupply {
     /// passed since the last call: the neighborhood, its `(start,
     /// program)` pairs in time order, and the instant before which every
     /// one of its accesses has now been handed over — at least
-    /// `lookahead` past the staged session's start. The default, for
-    /// supplies over records whose future is resident (or unknowable),
-    /// hands over nothing.
+    /// `lookahead` past the staged session's start. The default hands
+    /// over nothing: a resident run's index servers were handed their
+    /// whole future when they were built, a live ingress has none.
     ///
     /// # Errors
     ///
@@ -460,7 +457,7 @@ pub(super) struct SessionDriver<'a, P, F, R> {
     /// carrier itself (its reclamation granule — see
     /// [`FeedProvider::idle_sync_stride`]), so the sweep cadence and the
     /// reclaim cadence cannot drift apart. Only a whole-plant driver
-    /// over the watermark carrier — the serial online engine — gets
+    /// over the watermark carrier — the online engine — gets
     /// `Some`; streaming replay sweeps per block instead
     /// ([`sync_published`](Self::sync_published)).
     idle_sync: Option<u64>,
@@ -631,6 +628,12 @@ where
     /// these between steps).
     pub(super) fn indexes(&self) -> &[IndexServer] {
         &self.indexes
+    }
+
+    /// The same, mutably: a resident shard's driver is handed its whole
+    /// look-ahead ([`IndexServer::extend_schedule`]) before it runs.
+    pub(super) fn indexes_mut(&mut self) -> &mut [IndexServer] {
+        &mut self.indexes
     }
 
     /// The supply, for a caller that hands it work between steps (the

@@ -43,10 +43,10 @@
 //!              ShardPlant          (one neighborhood's isolated slice)
 //!        │ its index servers are built over
 //!        ▼
-//!  ScheduleWindow                (schedule.rs glue; cablevod_cache::schedule
-//!        resident                 — how the Oracle sees its future: zero-copy
-//!        streaming                  over resident schedules, or a bounded
-//!                                   buffer the record supply keeps fed)
+//!  ScheduleWindow                (cablevod_cache::schedule — how the Oracle
+//!                                 sees its future: a buffer fed the whole of
+//!                                 it when a resident run builds the index,
+//!                                 or kept fed by the record supply)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ results flow into
 //!        ▼
@@ -126,9 +126,9 @@
 //! shard, parked at the edge, syncs its index against the published
 //! prefix, which consumes exactly what the neighborhood's next session
 //! would consume first anyway (so results stay bit-identical) and keeps
-//! live feed slots O(block + visibility lag), not O(trace). (The serial
-//! online engine, one driver answering for every neighborhood, paces the
-//! same sweep by records instead — see `lifecycle.rs`.)
+//! live feed slots O(block + visibility lag), not O(trace). (The online
+//! engine, one driver answering for every neighborhood, paces the same
+//! sweep by records instead — see `lifecycle.rs`.)
 //!
 //! # The Oracle's look-ahead
 //!
@@ -141,11 +141,11 @@
 //! neighborhood's `(time, program)` pairs to its index server before the
 //! access that needs them (see `stream.rs`): no pre-pass, no second file,
 //! each chunk decoded twice, and a [`ScheduleWindow`] whose resident
-//! state is bounded by the look-ahead span plus one hand-over. Resident
-//! runs keep zero-copy windows over in-memory [`AccessSchedule`]s — the
-//! hot path is untouched. Either kind of window shows the Oracle the
-//! identical event sequence, so reports stay bit-identical (see the
-//! `schedule` submodule).
+//! state is bounded by the look-ahead span plus one hand-over. A resident
+//! run has the whole future in memory already and hands each
+//! neighborhood's to its window in one piece, when the index server is
+//! built — nothing on its hot loop. Either way the window shows the
+//! Oracle the identical event sequence, so reports stay bit-identical.
 //!
 //! Whichever path runs, the report is **bit-identical** — property tests
 //! enforce `run == run_parallel == streaming run == streaming
@@ -157,7 +157,6 @@ mod feed;
 mod lifecycle;
 pub mod online;
 mod report;
-mod schedule;
 mod shard;
 mod stream;
 
@@ -167,8 +166,7 @@ mod tests;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    AccessSchedule, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext,
-    StrategyFactory,
+    IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext, StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId};
 use cablevod_hfc::segment::Segmenter;
@@ -183,10 +181,9 @@ use crate::error::SimError;
 use crate::report::SimReport;
 
 use fault::FaultingPlant;
-use feed::{build_feed, wants_feed};
+use feed::build_feed;
 use lifecycle::{session_ctx, SessionCtx, SessionDriver, UserMap};
 use report::assemble_serial_report;
-use schedule::ScheduleSupply;
 use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
@@ -313,7 +310,7 @@ fn fastpath_layout<'s, S: TraceSource + ?Sized>(
 ) -> Option<&'s cablevod_trace::source::NeighborhoodLayout> {
     source
         .neighborhood_layout_for(config.neighborhood_size())
-        .filter(|layout| layout.group_count() == nbhd_count && !wants_feed(strategy))
+        .filter(|layout| layout.group_count() == nbhd_count && !strategy.needs_feed())
 }
 
 /// Session indices ride in `u32` heap entries on every path (resident and
@@ -362,69 +359,37 @@ fn precompute_sessions(
         .collect()
 }
 
-/// Program slot costs, indexed by program — what Oracle schedules charge.
-fn schedule_costs(catalog: &ProgramCatalog, config: &SimConfig, segmenter: &Segmenter) -> Vec<u32> {
-    catalog
-        .iter()
-        .map(|(_, info)| {
-            u32::from(segmenter.segment_count(info.length)) * u32::from(config.replication())
-        })
-        .collect()
-}
-
-/// Builds the per-neighborhood Oracle schedules from per-neighborhood
-/// event lists.
-fn schedules_from_events(
-    per_nbhd: Vec<Vec<(SimTime, ProgramId)>>,
-    costs: &[u32],
-) -> Vec<Option<Arc<AccessSchedule>>> {
-    per_nbhd
-        .into_iter()
-        .map(|events| {
-            Some(Arc::new(AccessSchedule::from_events(
-                events,
-                costs.to_vec(),
-            )))
-        })
-        .collect()
-}
-
-/// Builds the per-neighborhood Oracle schedules from a resident record
-/// slice (a no-schedule supply for strategies that do not need them).
-/// The scan walks the records in trace order, so each neighborhood's
-/// event list arrives pre-sorted and
-/// [`AccessSchedule::from_events`] skips its sort.
-fn build_schedules(
-    records: &[SessionRecord],
+/// Program slot costs, indexed by program — the one table every
+/// [`ScheduleWindow`] of a run shares — or `None` under a strategy that
+/// never looks ahead, whose index servers get no window.
+fn schedule_costs(
     catalog: &ProgramCatalog,
-    topo: &Topology,
     config: &SimConfig,
     segmenter: &Segmenter,
     strategy: &dyn StrategyFactory,
-) -> Result<ScheduleSupply, SimError> {
-    if strategy.schedule_lookahead().is_none() {
-        return Ok(ScheduleSupply::none(topo.neighborhood_count()));
-    }
-    let mut per_nbhd: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); topo.neighborhood_count()];
-    for r in records {
-        let nbhd = topo.neighborhood_of_user(r.user)?;
-        per_nbhd[nbhd.index()].push((r.start, r.program));
-    }
-    let costs = schedule_costs(catalog, config, segmenter);
-    Ok(ScheduleSupply::Resident(
-        cablevod_cache::ResidentSchedules::new(schedules_from_events(per_nbhd, &costs)),
-    ))
+) -> Option<Arc<[u32]>> {
+    strategy.schedule_lookahead()?;
+    Some(
+        catalog
+            .iter()
+            .map(|(_, info)| {
+                u32::from(segmenter.segment_count(info.length)) * u32::from(config.replication())
+            })
+            .collect(),
+    )
 }
 
 /// Builds the index server for neighborhood `n`. Shared by every driver so
 /// shard-local caches are configured exactly like serial ones (including
-/// the per-neighborhood placement RNG stream).
+/// the per-neighborhood placement RNG stream). With `costs`
+/// ([`schedule_costs`]) its strategy gets an empty [`ScheduleWindow`] over
+/// them, for the driver to feed.
 fn build_index(
     n: usize,
     topo: &Topology,
     config: &SimConfig,
     segmenter: &Segmenter,
-    schedule: Option<ScheduleWindow>,
+    costs: Option<&Arc<[u32]>>,
     strategy: &dyn StrategyFactory,
 ) -> Result<IndexServer, SimError> {
     let nominal = config.stream_rate() * config.segment_len();
@@ -452,7 +417,7 @@ fn build_index(
     let strategy = strategy.build(StrategyContext {
         capacity_slots: ledger.total_slots(),
         home: id,
-        schedule,
+        schedule: costs.map(|costs| ScheduleWindow::new(Arc::clone(costs))),
     })?;
     let mut index =
         IndexServer::with_replication(id, strategy, *segmenter, ledger, config.replication());
@@ -465,21 +430,40 @@ fn build_index(
     Ok(index)
 }
 
-/// Builds every neighborhood's index server from a schedule supply.
+/// Builds every neighborhood's index server for a whole-plant driver
+/// whose sessions are (or, online, replay) the resident `records`. Under
+/// a strategy that looks ahead each index is handed the whole of its
+/// neighborhood's future here, in one piece, before the replay starts (a
+/// streaming run's record supply hands the same events over as it reads
+/// ahead — see `stream.rs`).
 fn build_indexes(
     topo: &Topology,
     config: &SimConfig,
     segmenter: &Segmenter,
-    schedules: &ScheduleSupply,
+    catalog: &ProgramCatalog,
+    records: &[SessionRecord],
     strategy: &dyn StrategyFactory,
 ) -> Result<Vec<IndexServer>, SimError> {
-    (0..topo.neighborhood_count())
-        .map(|n| build_index(n, topo, config, segmenter, schedules.window(n), strategy))
-        .collect()
+    let costs = schedule_costs(catalog, config, segmenter, strategy);
+    let mut indexes = (0..topo.neighborhood_count())
+        .map(|n| build_index(n, topo, config, segmenter, costs.as_ref(), strategy))
+        .collect::<Result<Vec<_>, _>>()?;
+    if costs.is_some() {
+        // Trace order is time order, so each list arrives sorted.
+        let mut per_nbhd: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); indexes.len()];
+        for r in records {
+            per_nbhd[topo.neighborhood_of_user(r.user)?.index()].push((r.start, r.program));
+        }
+        for (index, events) in indexes.iter_mut().zip(per_nbhd) {
+            index.extend_schedule(&events, SimTime::MAX)?;
+        }
+    }
+    Ok(indexes)
 }
 
 /// The classic serial driver over a fully resident record slice:
-/// precomputed contexts, schedules and feed; whole-plant accounting.
+/// precomputed contexts and feed, the whole look-ahead handed over up
+/// front; whole-plant accounting.
 fn run_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,
@@ -493,9 +477,8 @@ fn run_resident<S: TraceSource + ?Sized>(
     let mut topo = build_topology(source, config)?;
     let users = UserMap::from_topology(&topo);
     let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
-    let schedules = build_schedules(records, catalog, &topo, config, &segmenter, strategy)?;
     let feed = build_feed(records, &ctxs, config, &segmenter, strategy);
-    let indexes = build_indexes(&topo, config, &segmenter, &schedules, strategy)?;
+    let indexes = build_indexes(&topo, config, &segmenter, catalog, records, strategy)?;
 
     let supply = ResidentSupply::new(records, &ctxs, None);
     let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);

@@ -25,14 +25,11 @@
 //!
 //! Every strategy in the registry, fault plans, and enforcing
 //! admission/retry work unchanged — they live below the seams this
-//! module plugs into. Two engines are offered: [`serve_serial`] (one
-//! driver, the whole plant — the online analogue of [`run`](super::run))
-//! and [`serve_sharded`] (per-neighborhood `ShardPlant` drivers stepped
-//! round-robin and merged with the same fold as
-//! [`run_parallel`](super::run_parallel)). Both produce a final
-//! [`SimReport`] **byte-identical** to the offline replay of the same
-//! session sequence — the loopback equivalence tests pin this per
-//! strategy for both tiers.
+//! module plugs into. There is one engine, [`serve_serial`]: one driver
+//! over the whole plant, the online analogue of [`run`](super::run). Its
+//! final [`SimReport`] is **byte-identical** to the offline replay of the
+//! same session sequence — the loopback equivalence tests pin this per
+//! strategy.
 //!
 //! # Ordering contract
 //!
@@ -66,14 +63,11 @@ use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
 use super::fault::FaultingPlant;
-use super::feed::wants_feed;
 use super::lifecycle::{
     feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step, UserMap,
 };
-use super::report::{assemble_serial_report, merge_outcomes};
-use super::schedule::ScheduleSupply;
-use super::shard::{ShardDriver, ShardOutcome, ShardParts};
-use super::{build_indexes, build_schedules, build_topology_for};
+use super::report::assemble_serial_report;
+use super::{build_indexes, build_topology_for};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -183,9 +177,9 @@ pub trait OnlineEngine {
     fn neighborhoods(&self) -> usize;
 }
 
-/// Runs the serial online engine (one driver, the whole plant) for the
-/// duration of `session`, then drains every remaining event and returns
-/// the callback's value together with the final report.
+/// Runs the online engine (one driver, the whole plant) for the duration
+/// of `session`, then drains every remaining event and returns the
+/// callback's value together with the final report.
 ///
 /// The report is byte-identical to [`run`](super::run) over the same
 /// session sequence.
@@ -202,16 +196,45 @@ pub fn serve_serial<T>(
     strategy: &dyn StrategyFactory,
     session: impl FnOnce(&mut dyn OnlineEngine) -> Result<T, SimError>,
 ) -> Result<(T, SimReport), SimError> {
+    let (value, report, _) = serve(spec, config, strategy, session)?;
+    Ok((value, report))
+}
+
+/// [`serve_serial`], saying beside the report how many slots the
+/// watermark feed held live at its peak (`None` when the run carried no
+/// feed) — what the idle-neighborhood regression test asserts stays
+/// bounded.
+pub(super) fn serve<T>(
+    spec: &OnlineSpec<'_>,
+    config: &SimConfig,
+    strategy: &dyn StrategyFactory,
+    session: impl FnOnce(&mut dyn OnlineEngine) -> Result<T, SimError>,
+) -> Result<(T, SimReport, Option<usize>), SimError> {
     config.validate()?;
     spec.validate()?;
+    if spec.schedule_records.is_none() && strategy.schedule_lookahead().is_some() {
+        return Err(SimError::Config {
+            reason: "this strategy needs an offline access schedule; \
+                     serve it from a replayed trace, not a live ingress"
+                .into(),
+        });
+    }
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
     let mut topo = build_topology_for(spec.user_count, config)?;
     let nbhd_count = topo.neighborhood_count();
     let users = UserMap::from_topology(&topo);
-    let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
-    let indexes = build_indexes(&topo, config, &segmenter, &schedules, strategy)?;
+    let indexes = build_indexes(
+        &topo,
+        config,
+        &segmenter,
+        spec.catalog,
+        spec.schedule_records.unwrap_or_default(),
+        strategy,
+    )?;
 
-    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
+    let wfeed = strategy
+        .needs_feed()
+        .then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
     let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0..nbhd_count));
     let queue = SharedQueue::default();
     let supply = LiveSupply {
@@ -234,90 +257,12 @@ pub fn serve_serial<T>(
     let (_, degradation) = plant.into_parts();
     let days = spec.days.max(1);
     let warmup = config.warmup_days().min(days - 1);
+    let report = assemble_serial_report(&topo, &indexes, counters, days, warmup, degradation);
     Ok((
         value,
-        assemble_serial_report(&topo, &indexes, counters, days, warmup, degradation),
+        report,
+        wfeed.as_ref().map(WatermarkFeed::peak_live_slots),
     ))
-}
-
-/// Runs the sharded online engine: per-neighborhood `ShardPlant`
-/// drivers stepped round-robin in the calling thread (cooperative and
-/// deterministic — the sharding buys isolation, not threads), merged
-/// with the same fold as [`run_parallel`](super::run_parallel).
-///
-/// The report is byte-identical to [`serve_serial`]'s (and hence to the
-/// offline replay's).
-///
-/// # Errors
-///
-/// As for [`serve_serial`].
-pub fn serve_sharded<T>(
-    spec: &OnlineSpec<'_>,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-    session: impl FnOnce(&mut dyn OnlineEngine) -> Result<T, SimError>,
-) -> Result<(T, SimReport), SimError> {
-    config.validate()?;
-    spec.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let topo = build_topology_for(spec.user_count, config)?;
-    let nbhd_count = topo.neighborhood_count();
-    let users = UserMap::from_topology(&topo);
-    let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
-    let positions = topo.local_positions();
-
-    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
-    let parts = ShardParts {
-        topo: &topo,
-        config,
-        segmenter,
-        schedules: &schedules,
-        strategy,
-        positions: &positions,
-    };
-    let mut tasks = Vec::with_capacity(nbhd_count);
-    for n in 0..nbhd_count {
-        let queue = SharedQueue::default();
-        let supply = LiveSupply {
-            queue: Rc::clone(&queue),
-        };
-        let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, n..n + 1));
-        tasks.push(ShardTask {
-            driver: parts.driver(n, supply, provider, None)?,
-            queue,
-        });
-    }
-    let mut engine = ShardedOnline {
-        tasks,
-        ingress: Ingress::new(users, spec, config, segmenter, wfeed.as_ref()),
-        epoch: 0,
-    };
-
-    let value = session(&mut engine)?;
-    let outcomes = engine.drain_all()?;
-
-    let days = spec.days.max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    let report = merge_outcomes(outcomes.into_iter().map(Ok), days, warmup, nbhd_count)?;
-    Ok((value, report))
-}
-
-fn online_schedules(
-    spec: &OnlineSpec<'_>,
-    topo: &cablevod_hfc::topology::Topology,
-    config: &SimConfig,
-    segmenter: &Segmenter,
-    strategy: &dyn StrategyFactory,
-) -> Result<ScheduleSupply, SimError> {
-    match spec.schedule_records {
-        Some(records) => build_schedules(records, spec.catalog, topo, config, segmenter, strategy),
-        None if strategy.schedule_lookahead().is_some() => Err(SimError::Config {
-            reason: "this strategy needs an offline access schedule; \
-                     serve it from a replayed trace, not a live ingress"
-                .into(),
-        }),
-        None => Ok(ScheduleSupply::none(topo.neighborhood_count())),
-    }
 }
 
 /// The staging queue a [`LiveSupply`] drains: the ingress pushes, the
@@ -344,8 +289,8 @@ impl RecordSupply for LiveSupply {
     }
 }
 
-/// Shared ingress bookkeeping: context computation, feed publication,
-/// capacity and monotonicity enforcement.
+/// Ingress bookkeeping: context computation, feed publication, capacity
+/// and monotonicity enforcement.
 struct Ingress<'s> {
     users: UserMap,
     catalog: &'s ProgramCatalog,
@@ -427,7 +372,7 @@ impl<'s> Ingress<'s> {
     }
 }
 
-/// The serial online engine: one [`SessionDriver`] over the whole plant.
+/// The online engine: one [`SessionDriver`] over the whole plant.
 struct SerialOnline<'s> {
     driver: SessionDriver<
         's,
@@ -482,80 +427,5 @@ impl OnlineEngine for SerialOnline<'_> {
 
     fn neighborhoods(&self) -> usize {
         self.driver.indexes().len()
-    }
-}
-
-/// One neighborhood's online shard: its driver and the queue its
-/// [`LiveSupply`] drains.
-struct ShardTask<'s> {
-    driver: ShardDriver<'s, SharedFeed<'s>, LiveSupply>,
-    queue: SharedQueue,
-}
-
-/// The sharded online engine: per-neighborhood drivers stepped
-/// round-robin, merged after drain.
-struct ShardedOnline<'s> {
-    tasks: Vec<ShardTask<'s>>,
-    ingress: Ingress<'s>,
-    epoch: u64,
-}
-
-impl ShardedOnline<'_> {
-    fn drain_all(self) -> Result<Vec<ShardOutcome>, SimError> {
-        let mut outcomes = Vec::with_capacity(self.tasks.len());
-        for mut task in self.tasks {
-            task.driver.run()?;
-            outcomes.push(ShardOutcome::from_driver(task.driver));
-        }
-        Ok(outcomes)
-    }
-}
-
-impl OnlineEngine for ShardedOnline<'_> {
-    fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
-        let pending = self.ingress.admit(rec)?;
-        let gidx = pending.gidx;
-        self.tasks[pending.ctx.nbhd as usize]
-            .queue
-            .borrow_mut()
-            .push_back(pending);
-        Ok(gidx)
-    }
-
-    fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
-        self.ingress.note_advance(now)?;
-        let mut any = false;
-        for task in &mut self.tasks {
-            match task.driver.step_until(Some(now))? {
-                Step::Horizon { progressed } => any |= progressed,
-                Step::Done => unreachable!("bounded steps never finish the run"),
-            }
-        }
-        if any {
-            self.epoch += 1;
-        }
-        Ok(any)
-    }
-
-    fn lookup(&self, nbhd: u32, program: ProgramId) -> Result<OnlinePlacement, SimError> {
-        let task = self
-            .tasks
-            .get(nbhd as usize)
-            .ok_or_else(|| SimError::Config {
-                reason: format!("unknown neighborhood {nbhd}"),
-            })?;
-        Ok(OnlinePlacement::read(&task.driver.indexes()[0], program))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn submitted(&self) -> u64 {
-        self.ingress.next_gidx
-    }
-
-    fn neighborhoods(&self) -> usize {
-        self.tasks.len()
     }
 }

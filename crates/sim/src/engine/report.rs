@@ -10,6 +10,38 @@ use super::shard::ShardOutcome;
 use crate::error::SimError;
 use crate::report::{DegradationReport, NeighborhoodDegradation, SimReport};
 
+/// The conservation laws a report can be held to without its trace,
+/// asserted on every report a debug build assembles — so every test
+/// checks them on every driver, strategy and fault plan. Release builds
+/// compile this away.
+fn debug_assert_conserved(report: SimReport) -> SimReport {
+    let cache = &report.cache;
+    debug_assert_eq!(
+        cache.requests(),
+        report.segment_requests,
+        "every segment request resolves to exactly one hit or miss"
+    );
+    debug_assert!(
+        cache.evictions <= cache.admissions,
+        "{} evictions of {} admissions",
+        cache.evictions,
+        cache.admissions
+    );
+    debug_assert!(
+        cache.delayed_hits + cache.inflight_misses <= cache.misses(),
+        "modeled fetches ({} delayed + {} in flight) exceed {} misses",
+        cache.delayed_hits,
+        cache.inflight_misses,
+        cache.misses()
+    );
+    debug_assert_eq!(
+        report.server_total.as_bits() == 0,
+        cache.misses() == 0,
+        "the central server serves bytes exactly when something misses"
+    );
+    report
+}
+
 /// Assembles the serial report from the whole-plant topology and indexes.
 pub(super) fn assemble_serial_report(
     topo: &Topology,
@@ -37,7 +69,7 @@ pub(super) fn assemble_serial_report(
     for index in indexes {
         cache += *index.stats();
     }
-    SimReport {
+    debug_assert_conserved(SimReport {
         server_peak,
         server_total: topo.server().total(),
         server_hourly,
@@ -50,7 +82,7 @@ pub(super) fn assemble_serial_report(
         degradation,
         measured_from_day: warmup,
         measured_to_day: days,
-    }
+    })
 }
 
 /// Merges shard outcomes, in neighborhood order, into the report the
@@ -96,7 +128,7 @@ pub(super) fn merge_outcomes(
         cache += shard.stats;
         counters.absorb(shard.counters);
     }
-    Ok(SimReport {
+    Ok(debug_assert_conserved(SimReport {
         server_peak: server.peak_stats(warmup, days),
         server_total: server.total(),
         server_hourly: server.hourly_profile(),
@@ -109,5 +141,5 @@ pub(super) fn merge_outcomes(
         degradation: degradation.map(|(nbhds, hist)| DegradationReport::from_parts(nbhds, hist)),
         measured_from_day: warmup,
         measured_to_day: days,
-    })
+    }))
 }

@@ -44,16 +44,14 @@ use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
 use super::fault::FaultingPlant;
-use super::feed::{build_feed, wants_feed};
+use super::feed::build_feed;
 use super::lifecycle::{
     EngineCounters, RecordSupply, SegmentPlant, SessionDriver, Step, UserMap, ABORTED,
 };
 use super::report::merge_outcomes;
-use super::schedule::ScheduleSupply;
 use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
 use super::{
-    build_index, build_schedules, build_topology, precompute_sessions, schedule_costs, shard_plans,
-    Replay,
+    build_index, build_topology, precompute_sessions, schedule_costs, shard_plans, Replay,
 };
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -89,9 +87,7 @@ impl StbStore for ShardStbs<'_> {
 
 /// One neighborhood's isolated slice of the plant: its boxes, its coax
 /// meter, and a private central-server meter that is merged into the
-/// shared one after the shard completes. (No fiber meter: [`SimReport`]
-/// never reads fiber data, so shards skip that bucket-split work; the
-/// serial path keeps it only because its [`Topology`] owns the links.)
+/// shared one after the shard completes.
 pub(super) struct ShardPlant<'a> {
     id: NeighborhoodId,
     stbs: ShardStbs<'a>,
@@ -176,9 +172,7 @@ pub(super) struct ShardOutcome {
 }
 
 impl ShardOutcome {
-    pub(super) fn from_driver<F: FeedProvider, R: RecordSupply>(
-        driver: ShardDriver<'_, F, R>,
-    ) -> Self {
+    fn from_driver<F: FeedProvider, R: RecordSupply>(driver: ShardDriver<'_, F, R>) -> Self {
         let (plant, indexes, counters) = driver.into_parts();
         let (plant, degradation) = plant.into_parts();
         ShardOutcome {
@@ -212,7 +206,7 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     let users = UserMap::from_topology(&topo);
 
     let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
-    let schedules = build_schedules(records, catalog, &topo, config, &segmenter, strategy)?;
+    let costs = schedule_costs(catalog, config, &segmenter, strategy);
     let feed = build_feed(records, &ctxs, config, &segmenter, strategy);
     let positions = topo.local_positions();
 
@@ -226,7 +220,7 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
         topo: &topo,
         config,
         segmenter,
-        schedules: &schedules,
+        costs,
         strategy,
         positions: &positions,
     };
@@ -234,6 +228,15 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
         let supply = ResidentSupply::new(records, &ctxs, Some(&shard_records[n]));
         let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
         let mut driver = parts.driver(n, supply, provider, None)?;
+        if parts.costs.is_some() {
+            // A strategy that looks ahead: the shard's records are its
+            // whole future, handed over in one piece before it runs.
+            let events: Vec<_> = shard_records[n]
+                .iter()
+                .map(|&i| (records[i as usize].start, records[i as usize].program))
+                .collect();
+            driver.indexes_mut()[0].extend_schedule(&events, SimTime::MAX)?;
+        }
         driver.run()?;
         Ok(ShardOutcome::from_driver(driver))
     });
@@ -273,17 +276,13 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     // A strategy that looks ahead is fed its future by whoever supplies
     // its neighborhood's records, as the replay goes.
     let lookahead = strategy.schedule_lookahead();
-    let schedules = match lookahead {
-        Some(_) => ScheduleSupply::Fed(schedule_costs(source.catalog(), config, &segmenter).into()),
-        None => ScheduleSupply::none(nbhd_count),
-    };
     let users = UserMap::from_topology(&topo);
     let positions = topo.local_positions();
     let parts = ShardParts {
         topo: &topo,
         config,
         segmenter,
-        schedules: &schedules,
+        costs: schedule_costs(source.catalog(), config, &segmenter, strategy),
         strategy,
         positions: &positions,
     };
@@ -304,8 +303,9 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
             })
         }
         Replay::Blocked(runs) => {
-            let feed =
-                wants_feed(strategy).then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
+            let feed = strategy
+                .needs_feed()
+                .then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
             let outcomes = run_blocked(source, runs, &users, &parts, feed.as_ref(), threads)?;
             streamed.peak_feed_slots = feed.as_ref().map(WatermarkFeed::peak_live_slots);
             outcomes
@@ -322,24 +322,26 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
 /// once for membership, capacities and placement determinism, then only
 /// read — every shard owns fresh mutable state) and how a neighborhood's
 /// index server is configured on it.
-pub(super) struct ShardParts<'a> {
-    pub(super) topo: &'a Topology,
-    pub(super) config: &'a SimConfig,
-    pub(super) segmenter: Segmenter,
-    pub(super) schedules: &'a ScheduleSupply,
-    pub(super) strategy: &'a dyn StrategyFactory,
+struct ShardParts<'a> {
+    topo: &'a Topology,
+    config: &'a SimConfig,
+    segmenter: Segmenter,
+    /// [`schedule_costs`] of the run: every index server's schedule
+    /// window is built over them.
+    costs: Option<Arc<[u32]>>,
+    strategy: &'a dyn StrategyFactory,
     /// [`Topology::local_positions`] of `topo`.
-    pub(super) positions: &'a [u32],
+    positions: &'a [u32],
 }
 
 /// One neighborhood's driver over supply `R`, consuming the feed through
 /// `F`.
-pub(super) type ShardDriver<'a, F, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, F, R>;
+type ShardDriver<'a, F, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, F, R>;
 
 impl<'a> ShardParts<'a> {
     /// Builds neighborhood `n`'s driver: its own index server and
     /// isolated plant slice around `supply` and `feed`.
-    pub(super) fn driver<F: FeedProvider, R: RecordSupply>(
+    fn driver<F: FeedProvider, R: RecordSupply>(
         &self,
         n: usize,
         supply: R,
@@ -351,7 +353,7 @@ impl<'a> ShardParts<'a> {
             self.topo,
             self.config,
             &self.segmenter,
-            self.schedules.window(n),
+            self.costs.as_ref(),
             self.strategy,
         )?;
         let plant = FaultingPlant::new(

@@ -110,7 +110,7 @@ pub mod simulation;
 
 pub use cablevod_hfc::fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use config::{AdmissionMode, RetryPolicy, SimConfig};
-pub use engine::online::{serve_serial, serve_sharded, OnlineEngine, OnlinePlacement, OnlineSpec};
+pub use engine::online::{serve_serial, OnlineEngine, OnlinePlacement, OnlineSpec};
 pub use engine::{run, run_parallel};
 pub use error::SimError;
 pub use multicast::MulticastStats;

@@ -1,5 +1,5 @@
 //! Online-serve acceptance tests: loopback equivalence between the
-//! clocked online engines and the offline replay, explicit overload
+//! clocked online engine and the offline replay, explicit overload
 //! shedding at the socket ingress, a serve loop that waits on its sockets
 //! and its clock (not on a timer), and epoch-correctness of the front
 //! tier's response cache.
@@ -50,12 +50,12 @@ fn zoo() -> Vec<(&'static str, StrategySpec)> {
                 lookahead: SimDuration::from_days(2),
             },
         ),
+        ("prior_storing", StrategySpec::default_prior_storing()),
     ]
 }
 
 /// An accelerated-clock serve run over a committed trace produces a
-/// final report byte-identical to the offline replay — per strategy,
-/// for both the serial and the sharded decision tier.
+/// final report byte-identical to the offline replay — per strategy.
 #[test]
 fn loopback_matches_offline_replay() {
     let trace = generate(&tiny_config(300, 60, 4, 7));
@@ -64,30 +64,29 @@ fn loopback_matches_offline_replay() {
         let offline = run(&trace, &config).expect("offline replay");
         let offline_bytes = report_to_json_string(&offline);
 
-        for tier in [DecisionTier::Serial, DecisionTier::Sharded] {
-            let mut clock = AcceleratedClock::default();
-            let outcome = replay_trace(&trace, &config, spec.factory().as_ref(), tier, &mut clock)
-                .unwrap_or_else(|e| panic!("{name} {tier:?} serve run: {e}"));
-            assert_eq!(
-                outcome.report, offline,
-                "{name} {tier:?}: online report diverged from offline"
-            );
-            assert_eq!(
-                report_to_json_string(&outcome.report),
-                offline_bytes,
-                "{name} {tier:?}: canonical JSON bytes diverged"
-            );
-            assert_eq!(outcome.submitted, trace.len() as u64, "{name} {tier:?}");
-            assert!(
-                outcome.latency.count() == trace.len() as u64,
-                "{name} {tier:?}: one latency sample per session"
-            );
-        }
+        let tier = DecisionTier::Serial;
+        let mut clock = AcceleratedClock::default();
+        let outcome = replay_trace(&trace, &config, spec.factory().as_ref(), tier, &mut clock)
+            .unwrap_or_else(|e| panic!("{name} {tier:?} serve run: {e}"));
+        assert_eq!(
+            outcome.report, offline,
+            "{name} {tier:?}: online report diverged from offline"
+        );
+        assert_eq!(
+            report_to_json_string(&outcome.report),
+            offline_bytes,
+            "{name} {tier:?}: canonical JSON bytes diverged"
+        );
+        assert_eq!(outcome.submitted, trace.len() as u64, "{name} {tier:?}");
+        assert!(
+            outcome.latency.count() == trace.len() as u64,
+            "{name} {tier:?}: one latency sample per session"
+        );
     }
 }
 
 /// Fault plans and enforcing admission/retry ride through the online
-/// tiers unchanged.
+/// tier unchanged.
 #[test]
 fn loopback_matches_offline_under_faults() {
     let trace = generate(&tiny_config(240, 30, 3, 11));
@@ -106,18 +105,17 @@ fn loopback_matches_offline_under_faults() {
     let offline = run(&trace, &config).expect("offline replay");
     assert!(offline.degradation.is_some(), "fault plan must engage");
 
-    for tier in [DecisionTier::Serial, DecisionTier::Sharded] {
-        let mut clock = AcceleratedClock::default();
-        let outcome = replay_trace(
-            &trace,
-            &config,
-            config.strategy().factory().as_ref(),
-            tier,
-            &mut clock,
-        )
-        .expect("online serve run");
-        assert_eq!(outcome.report, offline, "{tier:?} under faults");
-    }
+    let tier = DecisionTier::Serial;
+    let mut clock = AcceleratedClock::default();
+    let outcome = replay_trace(
+        &trace,
+        &config,
+        config.strategy().factory().as_ref(),
+        tier,
+        &mut clock,
+    )
+    .expect("online serve run");
+    assert_eq!(outcome.report, offline, "{tier:?} under faults");
 }
 
 /// The canonical report encoding round-trips (the serve bin's final

@@ -34,7 +34,7 @@ use cablevod_trace::synth::generate;
 /// The strategy matrix the equivalence properties sweep: the paper's five
 /// (Global LFU's feed consumption exercises the watermark feed the
 /// blocked replay's decoder publishes) plus the literature four — ARC, TLRU, the
-/// prior-storing server (prefetch hook, feed-carried) and the
+/// prior-storing server (a second feed consumer) and the
 /// delayed-hits-aware LFU (fetch-model accounting, merged counters).
 fn strategy(pick: usize) -> StrategySpec {
     [

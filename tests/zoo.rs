@@ -130,9 +130,6 @@ impl StrategyFactory for WithFetchModel {
     fn schedule_lookahead(&self) -> Option<SimDuration> {
         self.inner.schedule_lookahead()
     }
-    fn needs_prefetch(&self) -> bool {
-        self.inner.needs_prefetch()
-    }
     fn fetch_model(&self) -> Option<FetchModel> {
         Some(self.fetch)
     }
