@@ -1,5 +1,6 @@
-//! Ablation benches (DESIGN.md §4, A1–A5) plus the architectural
-//! comparisons of §IV-A (multicast) and §VI-B (headend cache).
+//! Ablation benches (A1–A5, `cablevod::experiments::ablations`) plus the
+//! architectural comparisons of §IV-A (multicast) and §VI-B (headend
+//! cache).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -1,6 +1,7 @@
 //! One Criterion bench per evaluation figure/table: each regenerates its
-//! figure on the shared bench workload (DESIGN.md §4 maps ids to paper
-//! figures). Run `reproduce` for paper-scale numbers.
+//! figure on the shared bench workload (a bench id starts with its
+//! harness's name in `cablevod::experiments`, which is the paper's figure
+//! number). Run `reproduce` for paper-scale numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

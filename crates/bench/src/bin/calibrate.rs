@@ -1,5 +1,5 @@
-// Calibration sweep over workload knobs (kept as a maintenance tool; see
-// DESIGN.md §3 for the targets).
+// Calibration sweep over workload knobs (kept as a maintenance tool; the
+// targets are in the `SynthConfig` field docs, `cablevod_trace::synth`).
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
 use cablevod_sim::{baseline, SimConfig, Simulation};

@@ -47,7 +47,7 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 
 use crate::index::IndexServer;
 use crate::lfu::WindowedLfu;
-use crate::strategy::{CacheOp, CacheStrategy};
+use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
 use crate::watermark::WatermarkFeed;
 
 /// One access published to the global feed.
@@ -247,12 +247,17 @@ impl FeedProvider for SharedFeed<'_> {
 /// with lag `L > 0` is visible once `floor(now / L) > floor(t / L)`; with
 /// `L = 0` it is visible immediately. Local accesses are always counted
 /// immediately (they arrive through [`CacheStrategy::on_access`]).
+///
+/// The [prior-storing server](crate::prior) is this strategy at lag zero
+/// with prefetch fill ([`GlobalLfu::prior_storing`]).
 #[derive(Debug)]
 pub struct GlobalLfu {
-    core: WindowedLfu,
+    pub(crate) core: WindowedLfu,
     home: NeighborhoodId,
     lag: SimDuration,
     cursor: usize,
+    name: &'static str,
+    fill: FillPolicy,
 }
 
 impl GlobalLfu {
@@ -268,6 +273,21 @@ impl GlobalLfu {
             home,
             lag,
             cursor: 0,
+            name: "Global LFU",
+            fill: FillPolicy::OnBroadcast,
+        }
+    }
+
+    /// Creates a [prior-storing server](crate::prior) for neighborhood
+    /// `home` with prediction horizon `horizon`: every published access
+    /// counts the moment the feed carries it (no batching lag), and
+    /// pushed content is present the moment it is admitted — the whole
+    /// point of storing prior to first access.
+    pub fn prior_storing(capacity_slots: u64, horizon: SimDuration, home: NeighborhoodId) -> Self {
+        GlobalLfu {
+            name: "Prior storing",
+            fill: FillPolicy::Prefetch,
+            ..GlobalLfu::new(capacity_slots, horizon, SimDuration::ZERO, home)
         }
     }
 
@@ -292,7 +312,7 @@ impl GlobalLfu {
 
 impl CacheStrategy for GlobalLfu {
     fn name(&self) -> &'static str {
-        "Global LFU"
+        self.name
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
@@ -316,6 +336,10 @@ impl CacheStrategy for GlobalLfu {
 
     fn capacity_slots(&self) -> u64 {
         self.core.capacity_slots()
+    }
+
+    fn fill_policy(&self) -> FillPolicy {
+        self.fill
     }
 
     /// Ingests newly visible remote accesses. Counts only — rebalancing

@@ -14,8 +14,8 @@
 //!   broadcast into its cache).
 
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId};
+use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
-use cablevod_hfc::stb::StbStore;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -137,8 +137,8 @@ struct CachedProgram {
 /// Program ids are dense catalog indices (see `cablevod_hfc::ids`), so all
 /// per-program bookkeeping lives in a `Vec` indexed by
 /// `ProgramId::index()` — the hot path does no hashing. Peer mutation goes
-/// through [`StbStore`], so the same index server drives both the serial
-/// whole-plant engine and the sharded per-neighborhood engine.
+/// through the [`Plant`] holding this neighborhood's boxes — the whole
+/// plant or one shard's range of it, the same type either way.
 #[derive(Debug)]
 pub struct IndexServer {
     home: NeighborhoodId,
@@ -326,18 +326,18 @@ impl IndexServer {
 
     /// Observes a program access (session start): updates the strategy and
     /// executes any admissions/evictions it decides on, mutating peer
-    /// storage through `topo`.
+    /// storage through `plant`.
     ///
     /// # Errors
     ///
     /// Propagates placement/storage failures; these indicate broken
     /// invariants, not recoverable conditions.
-    pub fn on_program_access<S: StbStore + ?Sized>(
+    pub fn on_program_access(
         &mut self,
         program: ProgramId,
         length: SimDuration,
         now: SimTime,
-        stbs: &mut S,
+        plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
         let cost = u32::from(self.segmenter.segment_count(length)) * u32::from(self.replication);
         // The fallible check first (the Oracle's look-ahead coverage),
@@ -346,23 +346,23 @@ impl IndexServer {
         let mut ops = std::mem::take(&mut self.ops);
         ops.clear();
         self.strategy.on_access(program, cost, now, &mut ops);
-        let executed = self.execute_ops(&ops, program, length, now, stbs);
+        let executed = self.execute_ops(&ops, program, length, now, plant);
         self.ops = ops; // the buffer survives a failed execution too
         executed
     }
 
     /// Executes the strategy's decisions for an access to `program`.
-    fn execute_ops<S: StbStore + ?Sized>(
+    fn execute_ops(
         &mut self,
         ops: &[CacheOp],
         program: ProgramId,
         length: SimDuration,
         now: SimTime,
-        stbs: &mut S,
+        plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
         for op in ops {
             match *op {
-                CacheOp::Evict(p) => self.execute_evict(p, stbs)?,
+                CacheOp::Evict(p) => self.execute_evict(p, plant)?,
                 CacheOp::Admit(p) => {
                     // The strategy may admit programs other than the one
                     // being accessed (global feeds, Oracle prefetch); their
@@ -374,7 +374,7 @@ impl IndexServer {
                     } else {
                         self.length_from_cost(p)?
                     };
-                    self.execute_admit(p, len, now, stbs)?;
+                    self.execute_admit(p, len, now, plant)?;
                 }
             }
         }
@@ -395,15 +395,15 @@ impl IndexServer {
     ///
     /// # Errors
     ///
-    /// Propagates unknown-peer failures from the topology (broken
+    /// Propagates unknown-peer failures from the plant (broken
     /// invariants).
-    pub fn resolve_segment<S: StbStore + ?Sized>(
+    pub fn resolve_segment(
         &mut self,
         segment: SegmentId,
         session_start: SimTime,
         now: SimTime,
         end: SimTime,
-        stbs: &mut S,
+        plant: &mut Plant<'_>,
     ) -> Result<Resolution, CacheError> {
         let program = segment.program();
         let Some(entry) = self
@@ -446,7 +446,7 @@ impl IndexServer {
                     reason: format!("admitted segment {sid} has no location"),
                 }
             })?;
-            if stbs.stb_mut(peer)?.try_start_stream(now, end) {
+            if plant.stb_mut(peer)?.try_start_stream(now, end) {
                 self.stats.hits += 1;
                 return Ok(Resolution::PeerHit(peer));
             }
@@ -473,12 +473,12 @@ impl IndexServer {
         }
     }
 
-    fn execute_admit<S: StbStore + ?Sized>(
+    fn execute_admit(
         &mut self,
         program: ProgramId,
         length: SimDuration,
         now: SimTime,
-        stbs: &mut S,
+        plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
         let idx = program.index();
         if idx >= self.programs.len() {
@@ -500,7 +500,7 @@ impl IndexServer {
             .collect();
         for (i, &(peer, _)) in copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
-            stbs.stb_mut(peer)?.store(segment, self.nominal_segment)?;
+            plant.stb_mut(peer)?.store(segment, self.nominal_segment)?;
         }
         self.programs[idx] = Some(CachedProgram {
             length,
@@ -512,10 +512,10 @@ impl IndexServer {
         Ok(())
     }
 
-    fn execute_evict<S: StbStore + ?Sized>(
+    fn execute_evict(
         &mut self,
         program: ProgramId,
-        stbs: &mut S,
+        plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
         let Some(entry) = self
             .programs
@@ -528,7 +528,7 @@ impl IndexServer {
         };
         for (i, &(peer, _)) in entry.copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
-            stbs.stb_mut(peer)?.delete(segment, self.nominal_segment)?;
+            plant.stb_mut(peer)?.delete(segment, self.nominal_segment)?;
             self.ledger.release(peer)?;
         }
         self.cached_count -= 1;
@@ -558,6 +558,7 @@ mod tests {
     use crate::strategy::StrategySpec;
     use cablevod_hfc::topology::{Topology, TopologyConfig};
     use cablevod_hfc::units::BitRate;
+    use std::sync::OnceLock;
 
     const PEERS: u32 = 6;
 
@@ -567,30 +568,47 @@ mod tests {
         nominal * 3
     }
 
-    fn build(spec: StrategySpec) -> (IndexServer, Topology) {
-        let topo = Topology::build(
-            TopologyConfig::new(PEERS, PEERS).with_per_peer_storage(three_segment_storage()),
-        )
-        .expect("valid topology");
-        let segmenter = Segmenter::paper_default();
-        let nominal = segmenter.stream_rate() * segmenter.segment_len();
-        let home = NeighborhoodId::new(0);
+    /// The one neighborhood every test places on: six peers of three
+    /// slots each. Immutable, so shared; each test mutates a [`Plant`] of
+    /// its own.
+    fn topo() -> &'static Topology {
+        static TOPO: OnceLock<Topology> = OnceLock::new();
+        TOPO.get_or_init(|| {
+            Topology::build(
+                TopologyConfig::new(PEERS, PEERS).with_per_peer_storage(three_segment_storage()),
+            )
+            .expect("valid topology")
+        })
+    }
+
+    /// A fresh plant and a balanced ledger over its peers' slots.
+    fn plant_and_ledger() -> (Plant<'static>, SlotLedger) {
+        let topo = topo();
+        let nominal = BitRate::STREAM_MPEG2_SD * SimDuration::from_minutes(5);
+        let slots = (topo.config().per_peer_storage().as_bits() / nominal.as_bits()) as u32;
         let members = topo
-            .neighborhood(home)
+            .neighborhood(NeighborhoodId::new(0))
             .expect("exists")
             .members()
             .iter()
-            .map(|&p| {
-                let slots =
-                    (topo.stb(p).expect("exists").capacity().as_bits() / nominal.as_bits()) as u32;
-                (p, slots)
-            })
+            .map(|&p| (p, slots))
             .collect::<Vec<_>>();
-        let ledger = SlotLedger::new(members, PlacementPolicy::Balanced);
+        (
+            Plant::over(topo, 0..1).expect("whole plant"),
+            SlotLedger::new(members, PlacementPolicy::Balanced),
+        )
+    }
+
+    fn build(spec: StrategySpec) -> (IndexServer, Plant<'static>) {
+        let (plant, ledger) = plant_and_ledger();
+        let home = NeighborhoodId::new(0);
         let strategy = spec
             .build(ledger.total_slots(), home, None)
             .expect("buildable");
-        (IndexServer::new(home, strategy, segmenter, ledger), topo)
+        (
+            IndexServer::new(home, strategy, Segmenter::paper_default(), ledger),
+            plant,
+        )
     }
 
     fn ten_minutes() -> SimDuration {
@@ -607,9 +625,9 @@ mod tests {
 
     #[test]
     fn admission_places_all_segments() {
-        let (mut index, mut topo) = build(StrategySpec::Lru);
+        let (mut index, mut plant) = build(StrategySpec::Lru);
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         assert_eq!(index.cached_programs(), 1);
         assert!(index.location_of(seg(0, 0)).is_some());
@@ -621,7 +639,8 @@ mod tests {
         // Peer storage reflects the placement.
         let stored: usize = (0..PEERS)
             .map(|i| {
-                topo.stb(PeerId::new(i))
+                plant
+                    .stb(PeerId::new(i))
                     .expect("exists")
                     .stored_segment_count()
             })
@@ -631,19 +650,19 @@ mod tests {
 
     #[test]
     fn cold_miss_captures_then_hits() {
-        let (mut index, mut topo) = build(StrategySpec::Lru);
+        let (mut index, mut plant) = build(StrategySpec::Lru);
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         let end = t(300);
         let r = index
-            .resolve_segment(seg(0, 0), t(0), t(0), end, &mut topo)
+            .resolve_segment(seg(0, 0), t(0), t(0), end, &mut plant)
             .expect("resolve");
         assert_eq!(r, Resolution::Miss(MissReason::NotMaterialized));
         assert!(index.is_materialized(seg(0, 0)), "broadcast captured");
         // Second request: now a peer hit.
         let r = index
-            .resolve_segment(seg(0, 0), t(400), t(400), t(700), &mut topo)
+            .resolve_segment(seg(0, 0), t(400), t(400), t(700), &mut plant)
             .expect("resolve");
         assert!(r.is_hit(), "{r:?}");
         assert_eq!(index.stats().hits, 1);
@@ -653,9 +672,9 @@ mod tests {
 
     #[test]
     fn unknown_program_misses_uncached() {
-        let (mut index, mut topo) = build(StrategySpec::Lru);
+        let (mut index, mut plant) = build(StrategySpec::Lru);
         let r = index
-            .resolve_segment(seg(9, 0), t(0), t(0), t(300), &mut topo)
+            .resolve_segment(seg(9, 0), t(0), t(0), t(300), &mut plant)
             .expect("resolve");
         assert_eq!(r, Resolution::Miss(MissReason::Uncached));
         assert_eq!(index.stats().miss_uncached, 1);
@@ -663,39 +682,39 @@ mod tests {
 
     #[test]
     fn busy_peer_triggers_miss() {
-        let (mut index, mut topo) = build(StrategySpec::Lru);
+        let (mut index, mut plant) = build(StrategySpec::Lru);
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         // Materialize.
         index
-            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut topo)
+            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut plant)
             .expect("capture");
         // Two concurrent hits saturate the peer's two slots.
         let end = t(1_000);
         assert!(index
-            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut topo)
+            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut plant)
             .expect("hit")
             .is_hit());
         assert!(index
-            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut topo)
+            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut plant)
             .expect("hit")
             .is_hit());
         let r = index
-            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut topo)
+            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut plant)
             .expect("resolve");
         assert_eq!(r, Resolution::Miss(MissReason::PeerBusy));
         assert_eq!(index.stats().miss_peer_busy, 1);
         // After the streams end the peer serves again.
         assert!(index
-            .resolve_segment(seg(0, 0), t(1_001), t(1_001), t(1_300), &mut topo)
+            .resolve_segment(seg(0, 0), t(1_001), t(1_001), t(1_300), &mut plant)
             .expect("hit")
             .is_hit());
     }
 
     #[test]
     fn eviction_frees_peer_storage() {
-        let (mut index, mut topo) = build(StrategySpec::Lru);
+        let (mut index, mut plant) = build(StrategySpec::Lru);
         // Capacity: 6 peers x 3 slots = 18 slots; a 10-minute program costs
         // 2. Ten programs (20 slots) forces evictions.
         for p in 0..10u32 {
@@ -704,14 +723,15 @@ mod tests {
                     ProgramId::new(p),
                     ten_minutes(),
                     t(u64::from(p) * 100),
-                    &mut topo,
+                    &mut plant,
                 )
                 .expect("access");
         }
         assert!(index.stats().evictions >= 1);
         let stored: usize = (0..PEERS)
             .map(|i| {
-                topo.stb(PeerId::new(i))
+                plant
+                    .stb(PeerId::new(i))
                     .expect("exists")
                     .stored_segment_count()
             })
@@ -726,7 +746,7 @@ mod tests {
         // resolve to peers.
         assert_eq!(
             index
-                .resolve_segment(seg(0, 0), t(5_000), t(5_000), t(5_300), &mut topo)
+                .resolve_segment(seg(0, 0), t(5_000), t(5_000), t(5_300), &mut plant)
                 .expect("resolve"),
             Resolution::Miss(MissReason::Uncached)
         );
@@ -734,26 +754,9 @@ mod tests {
 
     #[test]
     fn oracle_prefetch_materializes_instantly() {
-        let topo = Topology::build(
-            TopologyConfig::new(PEERS, PEERS).with_per_peer_storage(three_segment_storage()),
-        )
-        .expect("valid topology");
-        let mut topo = topo;
+        let (mut plant, ledger) = plant_and_ledger();
         let segmenter = Segmenter::paper_default();
-        let nominal = segmenter.stream_rate() * segmenter.segment_len();
         let home = NeighborhoodId::new(0);
-        let members: Vec<_> = topo
-            .neighborhood(home)
-            .expect("exists")
-            .members()
-            .iter()
-            .map(|&p| {
-                let slots =
-                    (topo.stb(p).expect("exists").capacity().as_bits() / nominal.as_bits()) as u32;
-                (p, slots)
-            })
-            .collect();
-        let ledger = SlotLedger::new(members, PlacementPolicy::Balanced);
         let schedule = crate::schedule::ScheduleWindow::new(vec![2].into());
         let strategy = StrategySpec::default_oracle()
             .build(ledger.total_slots(), home, Some(schedule))
@@ -766,20 +769,20 @@ mod tests {
             )
             .expect("in order");
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         assert!(index.is_materialized(seg(0, 0)), "oracle prefetches");
         // Causality: the access that triggered the admission cannot be
         // served by the just-pushed content...
         assert_eq!(
             index
-                .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut topo)
+                .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut plant)
                 .expect("resolve"),
             Resolution::Miss(MissReason::NotMaterialized)
         );
         // ...but any later access hits without a capture step.
         assert!(index
-            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut topo)
+            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut plant)
             .expect("hit")
             .is_hit());
         assert_eq!(index.stats().capture_fills, 0, "prefetch needs no capture");
@@ -787,37 +790,21 @@ mod tests {
 
     #[test]
     fn replication_places_copies_and_survives_busy_peers() {
-        let topo = Topology::build(
-            TopologyConfig::new(PEERS, PEERS).with_per_peer_storage(three_segment_storage()),
-        )
-        .expect("valid topology");
-        let mut topo = topo;
+        let (mut plant, ledger) = plant_and_ledger();
         let segmenter = Segmenter::paper_default();
-        let nominal = segmenter.stream_rate() * segmenter.segment_len();
         let home = NeighborhoodId::new(0);
-        let members: Vec<_> = topo
-            .neighborhood(home)
-            .expect("exists")
-            .members()
-            .iter()
-            .map(|&p| {
-                let slots =
-                    (topo.stb(p).expect("exists").capacity().as_bits() / nominal.as_bits()) as u32;
-                (p, slots)
-            })
-            .collect();
-        let ledger = SlotLedger::new(members, PlacementPolicy::Balanced);
         let strategy = StrategySpec::Lru
             .build(ledger.total_slots(), home, None)
             .expect("lru");
         let mut index = IndexServer::with_replication(home, strategy, segmenter, ledger, 2);
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         // 2 segments x 2 replicas = 4 slots placed.
         let stored: usize = (0..PEERS)
             .map(|i| {
-                topo.stb(PeerId::new(i))
+                plant
+                    .stb(PeerId::new(i))
                     .expect("exists")
                     .stored_segment_count()
             })
@@ -826,12 +813,12 @@ mod tests {
         // Materialize segment 0, then saturate the first replica's peer:
         // the second replica still serves.
         index
-            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut topo)
+            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut plant)
             .expect("capture");
         let mut hits = 0;
         for _ in 0..4 {
             if index
-                .resolve_segment(seg(0, 0), t(500), t(500), t(900), &mut topo)
+                .resolve_segment(seg(0, 0), t(500), t(500), t(900), &mut plant)
                 .expect("resolve")
                 .is_hit()
             {
@@ -844,7 +831,7 @@ mod tests {
         );
         assert_eq!(
             index
-                .resolve_segment(seg(0, 0), t(500), t(500), t(900), &mut topo)
+                .resolve_segment(seg(0, 0), t(500), t(500), t(900), &mut plant)
                 .expect("resolve"),
             Resolution::Miss(MissReason::PeerBusy)
         );
@@ -855,13 +842,14 @@ mod tests {
                     ProgramId::new(p),
                     ten_minutes(),
                     t(1_000 + u64::from(p)),
-                    &mut topo,
+                    &mut plant,
                 )
                 .expect("access");
         }
         let stored: usize = (0..PEERS)
             .map(|i| {
-                topo.stb(PeerId::new(i))
+                plant
+                    .stb(PeerId::new(i))
                     .expect("exists")
                     .stored_segment_count()
             })
@@ -871,39 +859,39 @@ mod tests {
 
     #[test]
     fn modeled_fetch_coalesces_same_window_misses() {
-        let (index, mut topo) = build(StrategySpec::NoCache);
+        let (index, mut plant) = build(StrategySpec::NoCache);
         let mut index = index.with_fetch_model(crate::fetch::FetchModel::with_latency_ms(200));
         // Two misses in the same second: the second coalesces onto the
         // first's in-flight fetch.
         index
-            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut topo)
+            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut plant)
             .expect("miss");
         index
-            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut topo)
+            .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut plant)
             .expect("miss");
         assert_eq!(index.stats().inflight_misses, 1);
         assert_eq!(index.stats().delayed_hits, 1);
         assert_eq!(index.stats().miss_uncached, 2, "resolution unchanged");
         // A second later the 200 ms fetch has landed: a fresh fetch.
         index
-            .resolve_segment(seg(0, 0), t(11), t(11), t(311), &mut topo)
+            .resolve_segment(seg(0, 0), t(11), t(11), t(311), &mut plant)
             .expect("miss");
         assert_eq!(index.stats().inflight_misses, 2);
         assert_eq!(index.stats().delayed_hits, 1);
         // A different program never coalesces.
         index
-            .resolve_segment(seg(1, 0), t(11), t(11), t(311), &mut topo)
+            .resolve_segment(seg(1, 0), t(11), t(11), t(311), &mut plant)
             .expect("miss");
         assert_eq!(index.stats().inflight_misses, 3);
     }
 
     #[test]
     fn instant_fetch_model_counts_nothing() {
-        let (mut index, mut topo) = build(StrategySpec::NoCache);
+        let (mut index, mut plant) = build(StrategySpec::NoCache);
         assert!(index.fetch_model().is_instant());
         for _ in 0..3 {
             index
-                .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut topo)
+                .resolve_segment(seg(0, 0), t(10), t(10), t(310), &mut plant)
                 .expect("miss");
         }
         assert_eq!(index.stats().inflight_misses, 0);
@@ -913,25 +901,25 @@ mod tests {
 
     #[test]
     fn busy_peer_misses_skip_fetch_accounting() {
-        let (index, mut topo) = build(StrategySpec::Lru);
+        let (index, mut plant) = build(StrategySpec::Lru);
         let mut index = index.with_fetch_model(crate::fetch::FetchModel::with_latency_ms(500));
         index
-            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut topo)
+            .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         index
-            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut topo)
+            .resolve_segment(seg(0, 0), t(0), t(0), t(300), &mut plant)
             .expect("capture");
         assert_eq!(index.stats().inflight_misses, 1, "cold miss fetched");
         // Saturate the hosting peer's two slots, then miss busy.
         let end = t(1_000);
         for _ in 0..2 {
             assert!(index
-                .resolve_segment(seg(0, 0), t(500), t(500), end, &mut topo)
+                .resolve_segment(seg(0, 0), t(500), t(500), end, &mut plant)
                 .expect("hit")
                 .is_hit());
         }
         let r = index
-            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut topo)
+            .resolve_segment(seg(0, 0), t(500), t(500), end, &mut plant)
             .expect("resolve");
         assert_eq!(r, Resolution::Miss(MissReason::PeerBusy));
         assert_eq!(
@@ -944,7 +932,6 @@ mod tests {
 
     #[test]
     fn capacity_mismatch_panics() {
-        let (_, topo) = build(StrategySpec::Lru);
         let segmenter = Segmenter::paper_default();
         let ledger = SlotLedger::new(vec![(PeerId::new(0), 3)], PlacementPolicy::Balanced);
         let strategy = StrategySpec::Lru
@@ -954,6 +941,5 @@ mod tests {
             IndexServer::new(NeighborhoodId::new(0), strategy, segmenter, ledger)
         }));
         assert!(result.is_err(), "mismatched capacities must panic");
-        drop(topo);
     }
 }

@@ -76,7 +76,6 @@ pub use lfu::WindowedLfu;
 pub use lru::Lru;
 pub use oracle::Oracle;
 pub use placement::{PlacementPolicy, SlotLedger};
-pub use prior::PriorStoring;
 pub use registry::{register_plugin, StrategyRegistry};
 pub use schedule::ScheduleWindow;
 pub use strategy::{

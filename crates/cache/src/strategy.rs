@@ -9,8 +9,9 @@
 //! Capacity is accounted in **slots**: one slot holds one segment at the
 //! nominal segment size. Fixed-extent allocation keeps strategy accounting
 //! and physical placement exactly consistent (no fragmentation), at the
-//! cost of charging a program's final runt segment as a full one
-//! (`DESIGN.md §5`).
+//! cost of charging a program's final runt segment as a full one (so a
+//! cost converts back to a segment count exactly — see
+//! `IndexServer::length_from_cost`).
 //!
 //! # The open factory interface
 //!
@@ -87,7 +88,6 @@ use crate::fetch::FetchModel;
 use crate::lfu::WindowedLfu;
 use crate::lru::Lru;
 use crate::oracle::Oracle;
-use crate::prior::PriorStoring;
 use crate::schedule::ScheduleWindow;
 use crate::tlru::Tlru;
 
@@ -656,7 +656,7 @@ impl StrategyFactory for StrategySpec {
             StrategySpec::Arc { ghost } => Box::new(ArcCache::new(slots, ghost)),
             StrategySpec::Tlru { ttl } => Box::new(Tlru::new(slots, ttl)),
             StrategySpec::PriorStoring { horizon } => {
-                Box::new(PriorStoring::new(slots, horizon, ctx.home))
+                Box::new(GlobalLfu::prior_storing(slots, horizon, ctx.home))
             }
             StrategySpec::DelayedLfu {
                 history,

@@ -1,4 +1,5 @@
-//! Ablations of the design choices `DESIGN.md §4` calls out (A1–A5).
+//! Ablations A1–A5 of the system's design choices: fill mode, stream
+//! slots, segment length, placement, replication.
 //!
 //! These go beyond the paper: each isolates one mechanism of the system
 //! and quantifies its contribution on the default workload. Every

@@ -1,4 +1,6 @@
-//! One harness per paper figure/table (see `DESIGN.md §4` for the index).
+//! One harness per paper figure/table, named after it (`fig02` … `fig16c`,
+//! `table16a`; the re-exports below are the index), plus the ablations
+//! A1–A5 and the two architectural baselines that go beyond the paper.
 //!
 //! Each function takes the workload (and whatever parameters the paper
 //! sweeps), describes the sweep as a declarative

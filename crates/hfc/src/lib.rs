@@ -4,17 +4,19 @@
 //! Services on Cable Networks"* (Allen, Zhao, Wolski — ICDCS 2007):
 //!
 //! * the three-tier hierarchy **cable operator → headends → coax
-//!   neighborhoods** ([`topology`]);
+//!   neighborhoods** — who lives where ([`topology`]);
 //! * the **broadcast, rate-limited coaxial** last mile ([`coax`]);
-//! * the switched **fiber** network and central media servers ([`fiber`]);
 //! * always-on **set-top boxes** with bounded storage and two stream slots
 //!   ([`stb`]);
+//! * the boxes, coax networks and central-server meter of a range of
+//!   neighborhoods — what a run mutates ([`plant`]);
 //! * 5-minute **program segmentation** ([`segment`]);
 //! * strongly-typed **units** and **ids** ([`units`], [`ids`]) and
 //!   hour-of-day **bandwidth meters** ([`meter`]).
 //!
-//! Higher layers (`cablevod-cache`, `cablevod-sim`) mutate a [`topology::Topology`]
-//! through id-based accessors; this crate owns all physical state.
+//! Higher layers (`cablevod-cache`, `cablevod-sim`) read an immutable
+//! [`topology::Topology`] and mutate a [`plant::Plant`] built over it through
+//! id-based accessors; this crate owns all physical state.
 //!
 //! # Examples
 //!
@@ -24,7 +26,7 @@
 //! use cablevod_hfc::ids::UserId;
 //!
 //! # fn main() -> Result<(), cablevod_hfc::error::HfcError> {
-//! let mut topo = Topology::build(TopologyConfig::new(3_000, 1_000))?;
+//! let topo = Topology::build(TopologyConfig::new(3_000, 1_000))?;
 //! let nbhd = topo.neighborhood_of_user(UserId::new(42))?;
 //! assert_eq!(topo.neighborhood_cache_capacity(nbhd)?, DataSize::from_terabytes(10));
 //! # Ok(())
@@ -38,9 +40,9 @@ pub mod channels;
 pub mod coax;
 pub mod error;
 pub mod fault;
-pub mod fiber;
 pub mod ids;
 pub mod meter;
+pub mod plant;
 pub mod segment;
 pub mod stb;
 pub mod topology;
@@ -51,7 +53,8 @@ pub use error::HfcError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use ids::{NeighborhoodId, PeerId, ProgramId, SegmentId, UserId};
 pub use meter::{RateMeter, RateStats};
+pub use plant::Plant;
 pub use segment::Segmenter;
-pub use stb::{SetTopBox, StbStore};
+pub use stb::SetTopBox;
 pub use topology::{Neighborhood, Topology, TopologyConfig};
 pub use units::{BitRate, DataSize, SimDuration, SimTime};

@@ -10,29 +10,14 @@
 //! [`SetTopBox`] tracks both resources. Stream slots are modelled as the
 //! end times of the in-flight streams, kept in the box itself: acquiring a
 //! slot at time `t` first releases any stream that has already finished by
-//! `t`.
+//! `t`. The boxes of a run live in its [`Plant`](crate::plant::Plant),
+//! which is how the cooperative cache reaches them.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::HfcError;
 use crate::ids::{PeerId, SegmentId};
 use crate::units::{DataSize, SimTime};
-
-/// Mutable access to a collection of set-top boxes addressed by [`PeerId`].
-///
-/// The cooperative cache mutates peer state (storage, stream slots) through
-/// this trait rather than through a concrete plant type, so the same index
-/// server drives both the serial engine (whole-plant
-/// [`Topology`](crate::topology::Topology)) and the sharded parallel engine
-/// (one neighborhood's boxes per worker).
-pub trait StbStore {
-    /// Mutable access to `peer`'s set-top box.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HfcError::UnknownPeer`] for peers outside this store.
-    fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError>;
-}
 
 /// Default storage contribution per peer (§V-C): 10 GB.
 pub const DEFAULT_CONTRIBUTION: DataSize = DataSize::from_gigabytes(10);
@@ -76,7 +61,6 @@ pub struct SetTopBox {
     /// In-flight streams, lazily pruned.
     #[serde(skip)]
     active: ActiveStreams,
-    streams_refused: u64,
 }
 
 /// End times of a box's in-flight streams, in no particular order.
@@ -140,7 +124,6 @@ impl SetTopBox {
             stored: Vec::new(),
             slot_limit,
             active: ActiveStreams::default(),
-            streams_refused: 0,
         }
     }
 
@@ -236,13 +219,12 @@ impl SetTopBox {
 
     /// Attempts to occupy one stream slot from `now` until `end`.
     ///
-    /// Returns `false` — and counts a refusal — when all slots are busy;
+    /// Returns `false` when all slots are busy;
     /// §V-C: "The cache will trigger a miss if a segment is requested from a
     /// peer that has more than two active streams in either direction."
     pub fn try_start_stream(&mut self, now: SimTime, end: SimTime) -> bool {
         self.active.release_finished(now);
         if self.active.len() >= usize::from(self.slot_limit) {
-            self.streams_refused += 1;
             return false;
         }
         self.active.push(end.max(now));
@@ -263,17 +245,11 @@ impl SetTopBox {
         self.active_streams(now) > usize::from(self.slot_limit)
     }
 
-    /// How many stream requests this peer has refused so far.
-    pub fn streams_refused(&self) -> u64 {
-        self.streams_refused
-    }
-
     /// Clears cached content and stream state, keeping configuration.
     pub fn reset(&mut self) {
         self.used = DataSize::ZERO;
         self.stored.clear();
         self.active.clear();
-        self.streams_refused = 0;
     }
 }
 
@@ -328,7 +304,6 @@ mod tests {
             !stb.try_start_stream(t, end),
             "third concurrent stream refused"
         );
-        assert_eq!(stb.streams_refused(), 1);
         // After both streams end the slots free up.
         let later = end + SimDuration::from_secs(1);
         assert_eq!(stb.active_streams(later), 0);

@@ -1,4 +1,4 @@
-//! The simulated cable plant: operator → headends → coax neighborhoods.
+//! Who lives where: operator → headends → coax neighborhoods.
 //!
 //! [`Topology::build`] realizes §V-B of the paper:
 //!
@@ -11,18 +11,27 @@
 //! Every subscriber owns one set-top box, so users, subscribers and peers
 //! are in one-to-one correspondence; the types stay distinct to keep request
 //! flow (users) separate from storage/serving (peers).
+//!
+//! A [`Topology`] is that membership and nothing else — a pure function of
+//! `(subscribers, neighborhood size)`, immutable once built, a few bytes a
+//! subscriber. What the boxes hold and the wires carry during a run is a
+//! [`Plant`](crate::plant::Plant) built over it.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::coax::{CoaxNetwork, CoaxSpec};
+use crate::coax::CoaxSpec;
 use crate::error::HfcError;
-use crate::fiber::CentralServer;
 use crate::ids::{NeighborhoodId, PeerId, UserId};
-use crate::stb::{SetTopBox, StbStore, DEFAULT_CONTRIBUTION, DEFAULT_STREAM_SLOTS};
+use crate::stb::{DEFAULT_CONTRIBUTION, DEFAULT_STREAM_SLOTS};
 use crate::units::DataSize;
+
+/// Seed of the one subscriber permutation every neighborhood size slices
+/// into consecutive runs. A constant: §V-B fixes placement per size, and
+/// neighborhood-major trace files are grouped under it.
+const PLACEMENT_SEED: u64 = 0xCAB1E_CAB1E;
 
 /// Parameters defining a cable plant.
 ///
@@ -48,7 +57,6 @@ pub struct TopologyConfig {
     per_peer_storage: DataSize,
     stream_slots: u8,
     coax_spec: CoaxSpec,
-    placement_seed: u64,
 }
 
 impl TopologyConfig {
@@ -62,7 +70,6 @@ impl TopologyConfig {
             per_peer_storage: DEFAULT_CONTRIBUTION,
             stream_slots: DEFAULT_STREAM_SLOTS,
             coax_spec: CoaxSpec::paper_default(),
-            placement_seed: 0xCAB1E_CAB1E,
         }
     }
 
@@ -84,18 +91,6 @@ impl TopologyConfig {
     #[must_use]
     pub fn with_coax_spec(mut self, spec: CoaxSpec) -> Self {
         self.coax_spec = spec;
-        self
-    }
-
-    /// Overrides the base placement seed. The seed alone determines one
-    /// shared subscriber permutation; every neighborhood size slices that
-    /// same permutation into consecutive runs, so placement stays a pure
-    /// function of `(base seed, neighborhood size)` as §V-B requires while
-    /// partitions at different sizes nest along one global order (the
-    /// property multi-index trace files rely on).
-    #[must_use]
-    pub fn with_placement_seed(mut self, seed: u64) -> Self {
-        self.placement_seed = seed;
         self
     }
 
@@ -131,7 +126,6 @@ impl TopologyConfig {
 pub struct Neighborhood {
     id: NeighborhoodId,
     members: Vec<PeerId>,
-    coax: CoaxNetwork,
 }
 
 impl Neighborhood {
@@ -140,7 +134,7 @@ impl Neighborhood {
         self.id
     }
 
-    /// The peers on this coax segment.
+    /// The peers on this coax segment, in placement order.
     pub fn members(&self) -> &[PeerId] {
         &self.members
     }
@@ -149,37 +143,26 @@ impl Neighborhood {
     pub fn size(&self) -> usize {
         self.members.len()
     }
-
-    /// The neighborhood's coaxial network (shared broadcast medium).
-    pub fn coax(&self) -> &CoaxNetwork {
-        &self.coax
-    }
-
-    /// Mutable access to the coax network for recording broadcasts.
-    pub fn coax_mut(&mut self) -> &mut CoaxNetwork {
-        &mut self.coax
-    }
 }
 
-/// The full simulated cable plant.
-///
-/// Owns every set-top box, the neighborhoods with their coax meters, and
-/// the central server. The simulator and index servers mutate it through
-/// id-based accessors.
+/// Who lives where in the simulated cable plant (see the module docs):
+/// the §V-B subscriber permutation, sliced into neighborhoods. Holds no
+/// box, no meter and nothing mutable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
     config: TopologyConfig,
-    stbs: Vec<SetTopBox>,
     peer_neighborhood: Vec<NeighborhoodId>,
+    /// Each peer's position in the subscriber permutation; neighborhood
+    /// `n` is ranks `[n * size, (n + 1) * size)`, in member order.
+    rank: Vec<u32>,
     neighborhoods: Vec<Neighborhood>,
-    server: CentralServer,
 }
 
 impl Topology {
-    /// Builds the plant: one STB per subscriber, subscribers shuffled
-    /// uniformly at random into neighborhoods of the configured size.
+    /// Shuffles the subscribers uniformly at random into neighborhoods of
+    /// the configured size.
     ///
-    /// The shuffle depends only on the configured base seed — every
+    /// The shuffle depends on nothing but the subscriber count — every
     /// neighborhood size slices the *same* subscriber permutation into
     /// consecutive runs. Two simulations with the same neighborhood size see
     /// identical placements regardless of other parameters (§V-B), and
@@ -205,20 +188,14 @@ impl Topology {
             });
         }
 
-        let n = config.subscribers as usize;
-        let stbs: Vec<SetTopBox> = (0..n)
-            .map(|i| {
-                SetTopBox::new(
-                    PeerId::new(i as u32),
-                    config.per_peer_storage,
-                    config.stream_slots,
-                )
-            })
-            .collect();
-
         let mut order: Vec<u32> = (0..config.subscribers).collect();
-        order.shuffle(&mut StdRng::seed_from_u64(config.placement_seed));
+        order.shuffle(&mut StdRng::seed_from_u64(PLACEMENT_SEED));
 
+        let n = config.subscribers as usize;
+        let mut rank = vec![0u32; n];
+        for (at, &peer) in order.iter().enumerate() {
+            rank[peer as usize] = at as u32;
+        }
         let mut neighborhoods = Vec::new();
         let mut peer_neighborhood = vec![NeighborhoodId::new(0); n];
         for (idx, chunk) in order.chunks(config.neighborhood_size as usize).enumerate() {
@@ -227,19 +204,14 @@ impl Topology {
             for &m in &members {
                 peer_neighborhood[m.index()] = id;
             }
-            neighborhoods.push(Neighborhood {
-                id,
-                members,
-                coax: CoaxNetwork::new(config.coax_spec),
-            });
+            neighborhoods.push(Neighborhood { id, members });
         }
 
         Ok(Topology {
             config,
-            stbs,
             peer_neighborhood,
+            rank,
             neighborhoods,
-            server: CentralServer::new(),
         })
     }
 
@@ -264,7 +236,7 @@ impl Topology {
     ///
     /// Returns [`HfcError::UnknownUser`] for out-of-range ids.
     pub fn home_peer(&self, user: UserId) -> Result<PeerId, HfcError> {
-        if user.index() < self.stbs.len() {
+        if user.value() < self.config.subscribers {
             Ok(PeerId::new(user.value()))
         } else {
             Err(HfcError::UnknownUser { user })
@@ -289,9 +261,10 @@ impl Topology {
     ///
     /// Returns [`HfcError::UnknownUser`] for out-of-range ids.
     pub fn neighborhood_of_user(&self, user: UserId) -> Result<NeighborhoodId, HfcError> {
-        let peer = self.home_peer(user)?;
-        self.neighborhood_of_peer(peer)
-            .map_err(|_| HfcError::UnknownUser { user })
+        self.peer_neighborhood
+            .get(user.index())
+            .copied()
+            .ok_or(HfcError::UnknownUser { user })
     }
 
     /// Shared access to a neighborhood.
@@ -305,42 +278,9 @@ impl Topology {
             .ok_or(HfcError::UnknownNeighborhood { neighborhood: id })
     }
 
-    /// Mutable access to a neighborhood.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HfcError::UnknownNeighborhood`] for out-of-range ids.
-    pub fn neighborhood_mut(&mut self, id: NeighborhoodId) -> Result<&mut Neighborhood, HfcError> {
-        self.neighborhoods
-            .get_mut(id.index())
-            .ok_or(HfcError::UnknownNeighborhood { neighborhood: id })
-    }
-
     /// Iterates over all neighborhoods.
     pub fn neighborhoods(&self) -> impl Iterator<Item = &Neighborhood> {
         self.neighborhoods.iter()
-    }
-
-    /// Shared access to a set-top box.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HfcError::UnknownPeer`] for out-of-range ids.
-    pub fn stb(&self, peer: PeerId) -> Result<&SetTopBox, HfcError> {
-        self.stbs
-            .get(peer.index())
-            .ok_or(HfcError::UnknownPeer { peer })
-    }
-
-    /// Mutable access to a set-top box.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HfcError::UnknownPeer`] for out-of-range ids.
-    pub fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError> {
-        self.stbs
-            .get_mut(peer.index())
-            .ok_or(HfcError::UnknownPeer { peer })
     }
 
     /// Total cooperative-cache capacity contributed by a neighborhood's
@@ -352,52 +292,21 @@ impl Topology {
     /// Returns [`HfcError::UnknownNeighborhood`] for out-of-range ids.
     pub fn neighborhood_cache_capacity(&self, id: NeighborhoodId) -> Result<DataSize, HfcError> {
         let nbhd = self.neighborhood(id)?;
-        Ok(nbhd
-            .members
-            .iter()
-            .map(|&p| self.stbs[p.index()].capacity())
-            .sum())
+        Ok(self.config.per_peer_storage * nbhd.size() as u64)
     }
 
     /// The neighborhood of every peer, as a dense table indexed by
     /// `PeerId::index()` — the borrow-free counterpart of
-    /// [`Topology::neighborhood_of_peer`] for hot paths and for shard
-    /// workers that hold no `Topology`.
+    /// [`Topology::neighborhood_of_peer`].
     pub fn peer_neighborhoods(&self) -> &[NeighborhoodId] {
         &self.peer_neighborhood
     }
 
-    /// For every peer, its position within its neighborhood's member list.
-    ///
-    /// The sharded engine uses this table to translate global [`PeerId`]s
-    /// into dense per-shard indices: shard workers hold their
-    /// neighborhood's boxes in member order and resolve
-    /// `stbs[local_positions[peer]]` without hashing. Positions are only
-    /// meaningful relative to the peer's own neighborhood.
-    pub fn local_positions(&self) -> Vec<u32> {
-        let mut positions = vec![0u32; self.stbs.len()];
-        for nbhd in &self.neighborhoods {
-            for (pos, &peer) in nbhd.members.iter().enumerate() {
-                positions[peer.index()] = pos as u32;
-            }
-        }
-        positions
-    }
-
-    /// The central media server farm.
-    pub fn server(&self) -> &CentralServer {
-        &self.server
-    }
-
-    /// Mutable access to the central server.
-    pub fn server_mut(&mut self) -> &mut CentralServer {
-        &mut self.server
-    }
-}
-
-impl StbStore for Topology {
-    fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError> {
-        Topology::stb_mut(self, peer)
+    /// Every peer's rank in the subscriber permutation, indexed by
+    /// `PeerId::index()` (see the `rank` field): where a
+    /// [`Plant`](crate::plant::Plant) keeps the peer's box.
+    pub(crate) fn ranks(&self) -> &[u32] {
+        &self.rank
     }
 }
 
@@ -425,10 +334,41 @@ mod tests {
     fn membership_tables_agree() {
         let topo = small();
         for nbhd in topo.neighborhoods() {
-            for &peer in nbhd.members() {
+            for (pos, &peer) in nbhd.members().iter().enumerate() {
                 assert_eq!(topo.neighborhood_of_peer(peer).unwrap(), nbhd.id());
+                assert_eq!(
+                    topo.ranks()[peer.index()] as usize,
+                    nbhd.id().index() * 1_000 + pos
+                );
             }
         }
+    }
+
+    /// `Topology` is membership only: no per-subscriber box or meter. The
+    /// destructuring is exhaustive on purpose — a new field does not
+    /// compile until it is accounted for here.
+    #[test]
+    fn membership_costs_a_few_bytes_a_subscriber() {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let subscribers = 100_000;
+        let topo = Topology::build(TopologyConfig::new(subscribers, 500)).unwrap();
+        let Topology {
+            config: _,
+            peer_neighborhood,
+            rank,
+            neighborhoods,
+        } = &topo;
+        let members: usize = neighborhoods
+            .iter()
+            .map(|Neighborhood { id: _, members }| heap(members))
+            .sum();
+        let bytes = heap(peer_neighborhood) + heap(rank) + heap(neighborhoods) + members;
+        assert!(
+            bytes <= 16 * subscribers as usize,
+            "{bytes} B for {subscribers} subscribers"
+        );
     }
 
     #[test]
@@ -502,7 +442,7 @@ mod tests {
     fn unknown_ids_error() {
         let topo = small();
         assert!(topo.home_peer(UserId::new(9_999)).is_err());
-        assert!(topo.stb(PeerId::new(9_999)).is_err());
+        assert!(topo.neighborhood_of_user(UserId::new(9_999)).is_err());
         assert!(topo.neighborhood(NeighborhoodId::new(99)).is_err());
     }
 }

@@ -1,23 +1,19 @@
-//! Fault overlay for the engine: the [`FaultingPlant`] wrapper and its
-//! [`AdmissionControl`].
+//! Fault overlay for the engine: the [`AdmissionControl`] a driver
+//! consults at session starts, retries, and segment continuations.
 //!
-//! Every driver wraps its plant — the whole [`Topology`]
-//! (serial) or one neighborhood's `ShardPlant` (sharded) — in a
-//! [`FaultingPlant`], so all four driver combinations consult the same
-//! degraded-plant state machine. The wrapper delegates the
-//! [`SegmentPlant`] byte accounting untouched; what it adds is an
-//! [`AdmissionControl`] the lifecycle consults at session starts,
-//! retries, and segment continuations.
+//! Every driver builds one for the neighborhood range it owns — all of
+//! them (whole-plant) or exactly one (a shard) — so every driver
+//! combination consults the same degraded-plant state machine. It never
+//! touches byte accounting.
 //!
 //! Determinism: all admission state (fault timelines, channel occupancy,
 //! retry tallies) is **strictly per-neighborhood**, matching the engine's
-//! unit of isolation, so the serial and sharded drivers make identical
+//! unit of isolation, so the whole-plant and sharded drivers make identical
 //! decisions in identical per-neighborhood event order. When the control
 //! is inactive ([`AdmissionMode::Counting`] with an empty
-//! [`FaultPlan`] — the default) the wrapper exposes no control at all and
-//! the lifecycle takes its original path, byte for byte.
-//!
-//! [`Topology`]: cablevod_hfc::topology::Topology
+//! [`FaultPlan`](cablevod_hfc::fault::FaultPlan) — the default) the driver
+//! holds no control at all and the lifecycle takes its original path, byte
+//! for byte.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -25,12 +21,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use cablevod_hfc::channels::ChannelPlan;
 use cablevod_hfc::fault::{FaultTimeline, FULL_CAPACITY_PERMILLE};
 use cablevod_hfc::ids::NeighborhoodId;
-use cablevod_hfc::stb::StbStore;
 use cablevod_hfc::units::SimTime;
 
-use super::lifecycle::SegmentPlant;
 use crate::config::{AdmissionMode, RetryPolicy, SimConfig};
-use crate::error::SimError;
 use crate::report::{DegradationReport, NeighborhoodDegradation};
 
 /// What the admission control decides about one session attempt.
@@ -239,60 +232,6 @@ impl AdmissionControl {
             })
             .collect();
         DegradationReport::from_parts(per_neighborhood, histogram)
-    }
-}
-
-/// A [`SegmentPlant`] that overlays an [`AdmissionControl`] on an inner
-/// plant. Byte accounting is pure delegation; the lifecycle reaches the
-/// control through [`SegmentPlant::admission`].
-pub(super) struct FaultingPlant<P> {
-    inner: P,
-    ctl: Option<AdmissionControl>,
-}
-
-impl<P: SegmentPlant> FaultingPlant<P> {
-    /// Wraps `inner` for neighborhoods `base..base + count`.
-    pub(super) fn new(inner: P, config: &SimConfig, base: u32, count: usize) -> Self {
-        FaultingPlant {
-            inner,
-            ctl: AdmissionControl::build(config, base, count),
-        }
-    }
-
-    /// Unwraps into the inner plant and the degradation section (if the
-    /// overlay was active).
-    pub(super) fn into_parts(self) -> (P, Option<DegradationReport>) {
-        (self.inner, self.ctl.map(AdmissionControl::into_report))
-    }
-}
-
-impl<P: SegmentPlant> SegmentPlant for FaultingPlant<P> {
-    fn stbs(&mut self) -> &mut dyn StbStore {
-        self.inner.stbs()
-    }
-
-    fn record_miss(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        self.inner.record_miss(nbhd, start, end, size)
-    }
-
-    fn record_broadcast(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        self.inner.record_broadcast(nbhd, start, end, size)
-    }
-
-    fn admission(&mut self) -> Option<&mut AdmissionControl> {
-        self.ctl.as_mut()
     }
 }
 

@@ -4,19 +4,20 @@
 //! point runs: interleave the next trace record with the continuation
 //! heap in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
-//! the cache and the plant. It is generic over three seams, and those
-//! seams — not copies of this loop — are what distinguish the three entry
-//! drivers:
+//! the cache and the plant. One driver owns a contiguous range of
+//! neighborhoods — all of them (the serial resident driver, the online
+//! engine) or exactly one (a shard) — as that range's index servers, its
+//! [`Plant`] and its [`AdmissionControl`], all built in one place
+//! ([`DriverParts::driver`](super::DriverParts::driver)). It is generic
+//! over two seams, and those seams — not copies of this loop — are what
+//! distinguish the entry drivers:
 //!
-//! * [`SegmentPlant`] — whose bytes get accounted: the whole
-//!   [`Topology`] (serial resident) or one neighborhood's
-//!   [`ShardPlant`](super::shard::ShardPlant);
 //! * [`FeedProvider`] — how the global popularity feed is consumed: a
 //!   precomputed carrier (resident) or the shared watermark carrier
 //!   (streaming, online), published into before the driver runs;
 //! * [`RecordSupply`] — where sessions come from: a resident slice, one
-//!   neighborhood's slice of each decoded block, or a merged chunk
-//!   stream (see [`super::stream`]).
+//!   neighborhood's slice of each decoded block, a merged chunk stream
+//!   (see [`super::stream`]) or a live queue (see [`super::online`]).
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
@@ -27,12 +28,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-use cablevod_cache::{FeedEvent, FeedProvider, IndexServer, Resolution};
-use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId, UserId};
+use cablevod_cache::{FeedEvent, FeedProvider, IndexServer, IndexStats, Resolution};
+use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId};
+use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
-use cablevod_hfc::stb::StbStore;
 use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
@@ -42,6 +42,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 
 use super::fault::{AdmissionControl, Verdict};
+use super::report::RangeOutcome;
 
 /// Error reason used when a shard bails out because a sibling failed; the
 /// merge prefers the sibling's real error over this sentinel.
@@ -54,45 +55,6 @@ pub(super) const ABORTED: &str = "aborted after a failure in another shard";
 /// both the serial and the sharded heap, so retry ordering is
 /// deterministic across drivers.
 pub(super) const RETRY_SEG: u16 = u16::MAX;
-
-/// The immutable user → plant mapping sessions are contextualized
-/// against: who lives where. An owned snapshot of
-/// [`Topology::peer_neighborhoods`] (shared via `Arc`, so clones are
-/// cheap), which lets supplies resolve users while a serial driver holds
-/// the topology itself mutably as its plant.
-#[derive(Debug, Clone)]
-pub(super) struct UserMap {
-    nbhd_of: Arc<[NeighborhoodId]>,
-}
-
-impl UserMap {
-    pub(super) fn from_topology(topo: &Topology) -> Self {
-        UserMap {
-            nbhd_of: topo.peer_neighborhoods().into(),
-        }
-    }
-
-    /// The neighborhood serving `user` (mirrors
-    /// [`Topology::neighborhood_of_user`]).
-    pub(super) fn neighborhood_of_user(&self, user: UserId) -> Result<NeighborhoodId, SimError> {
-        self.nbhd_of
-            .get(user.index())
-            .copied()
-            .ok_or_else(|| SimError::from(cablevod_hfc::error::HfcError::UnknownUser { user }))
-    }
-
-    /// The home peer of `user` (mirrors [`Topology::home_peer`]: users and
-    /// peers are in one-to-one correspondence).
-    fn home_peer(&self, user: UserId) -> Result<PeerId, SimError> {
-        if user.index() < self.nbhd_of.len() {
-            Ok(PeerId::new(user.value()))
-        } else {
-            Err(SimError::from(cablevod_hfc::error::HfcError::UnknownUser {
-                user,
-            }))
-        }
-    }
-}
 
 /// Everything the hot loop needs about one session, precomputed (resident
 /// path) or computed at ingestion (streaming paths) so the event loop
@@ -114,12 +76,12 @@ pub(super) struct SessionCtx {
 }
 
 /// Computes one session's context (pure function of record, catalog and
-/// user map — every engine path shares it, so contexts are identical no
+/// topology — every engine path shares it, so contexts are identical no
 /// matter when they are computed).
 pub(super) fn session_ctx(
     rec: &SessionRecord,
     catalog: &ProgramCatalog,
-    users: &UserMap,
+    topo: &Topology,
     seg_len: u64,
 ) -> Result<SessionCtx, SimError> {
     let length = catalog.length(rec.program).ok_or(SimError::Trace(
@@ -127,8 +89,8 @@ pub(super) fn session_ctx(
             program: rec.program,
         },
     ))?;
-    let nbhd = users.neighborhood_of_user(rec.user)?;
-    let home = users.home_peer(rec.user)?;
+    let nbhd = topo.neighborhood_of_user(rec.user)?;
+    let home = topo.home_peer(rec.user)?;
     let offset = rec.offset.min(length).as_secs();
     Ok(SessionCtx {
         nbhd: nbhd.index() as u32,
@@ -169,104 +131,6 @@ impl EngineCounters {
         self.sessions += other.sessions;
         self.segment_requests += other.segment_requests;
         self.viewer_overcommits += other.viewer_overcommits;
-    }
-}
-
-/// The slice of the plant one event touches. The serial drivers implement
-/// it on the whole [`Topology`]; the sharded drivers on a per-neighborhood
-/// [`ShardPlant`](super::shard::ShardPlant). Keeping the lifecycle generic
-/// over this trait guarantees every path accounts bytes identically.
-pub(super) trait SegmentPlant {
-    /// The set-top boxes requests resolve against.
-    fn stbs(&mut self) -> &mut dyn StbStore;
-
-    /// A cache miss: central server -> fiber -> headend rebroadcast
-    /// (Fig 4).
-    fn record_miss(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError>;
-
-    /// The broadcast every segment makes over the coax regardless of who
-    /// serves it (§VI-B).
-    fn record_broadcast(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError>;
-
-    /// The plant's admission control, when a fault plan or enforcing
-    /// admission is active. The default — a bare plant — exposes none,
-    /// and the lifecycle takes its original (pre-fault, byte-identical)
-    /// path. Overridden by [`FaultingPlant`](super::fault::FaultingPlant),
-    /// which every entry driver wraps its plant in.
-    fn admission(&mut self) -> Option<&mut AdmissionControl> {
-        None
-    }
-}
-
-impl<P: SegmentPlant + ?Sized> SegmentPlant for &mut P {
-    fn stbs(&mut self) -> &mut dyn StbStore {
-        (**self).stbs()
-    }
-
-    fn admission(&mut self) -> Option<&mut AdmissionControl> {
-        (**self).admission()
-    }
-
-    fn record_miss(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        (**self).record_miss(nbhd, start, end, size)
-    }
-
-    fn record_broadcast(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        (**self).record_broadcast(nbhd, start, end, size)
-    }
-}
-
-impl SegmentPlant for Topology {
-    fn stbs(&mut self) -> &mut dyn StbStore {
-        self
-    }
-
-    fn record_miss(
-        &mut self,
-        _nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        self.server_mut().record_service(start, end, size);
-        Ok(())
-    }
-
-    fn record_broadcast(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        self.neighborhood_mut(nbhd)?
-            .coax_mut()
-            .record_broadcast(start, end, size);
-        Ok(())
     }
 }
 
@@ -316,7 +180,9 @@ pub(super) trait RecordSupply {
     /// one of its accesses has now been handed over — at least
     /// `lookahead` past the staged session's start. The default hands
     /// over nothing: a resident run's index servers were handed their
-    /// whole future when they were built, a live ingress has none.
+    /// whole future when they were built
+    /// ([`resident_future`](RecordSupply::resident_future)), a live
+    /// ingress has none.
     ///
     /// # Errors
     ///
@@ -326,6 +192,17 @@ pub(super) trait RecordSupply {
         _sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         Ok(())
+    }
+
+    /// Every record this supply will ever stage, in order, when all of
+    /// them are resident already: under a strategy that looks ahead the
+    /// driver's constructor hands each index server the whole of its
+    /// neighborhood's future from here, once, and nothing rides the hot
+    /// loop. `None`, the default, for a supply that reads its records as
+    /// it goes and keeps its index servers fed through
+    /// [`read_ahead`](RecordSupply::read_ahead).
+    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
+        None
     }
 }
 
@@ -427,15 +304,19 @@ pub(super) enum Step {
 }
 
 /// The single discrete-event loop (see the module docs). One instance
-/// drives one plant: the whole topology for serial runs, one
-/// neighborhood's shard for sharded runs.
-pub(super) struct SessionDriver<'a, P, F, R> {
+/// drives one contiguous range of neighborhoods: all of them for the
+/// whole-plant drivers, exactly one for a shard.
+pub(super) struct SessionDriver<'a, F, R> {
     supply: R,
     feed: Option<F>,
-    plant: P,
-    /// The index servers this driver routes events to;
-    /// `indexes[ctx.nbhd - index_base]`. Serial drivers hold every
-    /// neighborhood (base 0); shard drivers hold exactly their own.
+    /// The boxes and meters of this driver's neighborhoods.
+    plant: Plant<'a>,
+    /// Their admission control, when a fault plan or enforcing admission
+    /// is active; `None` otherwise, and the lifecycle takes its original
+    /// (pre-fault, byte-identical) path.
+    admission: Option<AdmissionControl>,
+    /// Their index servers, in neighborhood order:
+    /// `indexes[ctx.nbhd - index_base]`.
     indexes: Vec<IndexServer>,
     index_base: u32,
     active: ActiveSessions,
@@ -465,19 +346,18 @@ pub(super) struct SessionDriver<'a, P, F, R> {
     next_idle_sync: u64,
 }
 
-impl<'a, P, F, R> SessionDriver<'a, P, F, R>
+impl<'a, F, R> SessionDriver<'a, F, R>
 where
-    P: SegmentPlant,
     F: FeedProvider,
     R: RecordSupply,
 {
-    #[allow(clippy::too_many_arguments)]
+    /// A driver for `plant`'s neighborhoods, `indexes` being their index
+    /// servers in order.
     pub(super) fn new(
         supply: R,
         feed: Option<F>,
-        plant: P,
+        plant: Plant<'a>,
         indexes: Vec<IndexServer>,
-        index_base: u32,
         config: &'a SimConfig,
         segmenter: Segmenter,
         abort: Option<&'a AtomicBool>,
@@ -486,10 +366,13 @@ where
             .as_ref()
             .and_then(FeedProvider::idle_sync_stride)
             .filter(|_| indexes.len() > 1);
+        let index_base = plant.neighborhoods().start as u32;
+        debug_assert_eq!(plant.neighborhoods().len(), indexes.len());
         SessionDriver {
             supply,
             feed,
             plant,
+            admission: AdmissionControl::build(config, index_base, indexes.len()),
             indexes,
             index_base,
             active: ActiveSessions::default(),
@@ -630,12 +513,6 @@ where
         &self.indexes
     }
 
-    /// The same, mutably: a resident shard's driver is handed its whole
-    /// look-ahead ([`IndexServer::extend_schedule`]) before it runs.
-    pub(super) fn indexes_mut(&mut self) -> &mut [IndexServer] {
-        &mut self.indexes
-    }
-
     /// The supply, for a caller that hands it work between steps (the
     /// next block of a streaming replay).
     pub(super) fn supply_mut(&mut self) -> &mut R {
@@ -665,7 +542,7 @@ where
     fn start_session(&mut self, session: &PendingSession) -> Result<(), SimError> {
         let PendingSession { gidx, rec, ctx } = session;
         self.counters.sessions += 1;
-        let verdict = match self.plant.admission() {
+        let verdict = match self.admission.as_mut() {
             Some(ctl) => ctl.try_admit(ctx.nbhd, rec.start, rec.start + ctx.watched, 0),
             None => Verdict::Admit,
         };
@@ -695,8 +572,8 @@ where
     ) -> Result<(), SimError> {
         // The viewer's own playback occupies one of its slots for the
         // whole session; playback is never blocked, overcommit is counted
-        // (DESIGN.md §5).
-        let stb = self.plant.stbs().stb_mut(ctx.home)?;
+        // (`viewer_overcommits`, see `crate::report`).
+        let stb = self.plant.stb_mut(ctx.home)?;
         stb.start_stream_unchecked(rec.start, rec.start + ctx.watched);
         if stb.is_overcommitted(rec.start) {
             self.counters.viewer_overcommits += 1;
@@ -735,7 +612,7 @@ where
             rec.program,
             ctx.length,
             rec.start,
-            self.plant.stbs(),
+            &mut self.plant,
         )?;
         Ok(())
     }
@@ -748,14 +625,14 @@ where
         let (_, ctx) = self.active.get(slot);
         let retries = self.active.retries(slot);
         let ctl = self
-            .plant
-            .admission()
+            .admission
+            .as_mut()
             .expect("retry events exist only under admission control");
         match ctl.try_admit(ctx.nbhd, at, at + ctx.watched, retries) {
             Verdict::Admit => {
                 self.active.shift_start(slot, at);
                 let (rec, ctx) = self.active.get(slot);
-                let stb = self.plant.stbs().stb_mut(ctx.home)?;
+                let stb = self.plant.stb_mut(ctx.home)?;
                 stb.start_stream_unchecked(rec.start, rec.start + ctx.watched);
                 if stb.is_overcommitted(rec.start) {
                     self.counters.viewer_overcommits += 1;
@@ -793,7 +670,7 @@ where
     /// both are pruned lazily by end time, a deliberate simplification
     /// documented in the crate's fault model.
     fn interrupt(&mut self, nbhd: u32, at: SimTime, slot: u32) -> bool {
-        let Some(ctl) = self.plant.admission() else {
+        let Some(ctl) = self.admission.as_mut() else {
             return false;
         };
         if !ctl.outage_now(nbhd, at) {
@@ -842,12 +719,12 @@ where
             rec.start,
             start,
             end,
-            self.plant.stbs(),
+            &mut self.plant,
         )?;
         let nbhd = self.indexes[index_at].home();
         if let Resolution::Miss(_) = resolution {
             // Fig 4: central server -> fiber -> headend rebroadcast.
-            self.plant.record_miss(nbhd, start, end, size)?;
+            self.plant.record_miss(start, end, size);
         }
         // Broadcast medium: the segment crosses the coax either way
         // (§VI-B).
@@ -862,8 +739,20 @@ where
         }))
     }
 
-    /// Decomposes the driver after a completed run.
-    pub(super) fn into_parts(self) -> (P, Vec<IndexServer>, EngineCounters) {
-        (self.plant, self.indexes, self.counters)
+    /// Ends a completed run: what the report fold reads of it (the boxes
+    /// and the strategy state are dropped here).
+    pub(super) fn into_outcome(self) -> RangeOutcome {
+        let (coax, server) = self.plant.into_meters();
+        let mut stats = IndexStats::default();
+        for index in &self.indexes {
+            stats += *index.stats();
+        }
+        RangeOutcome {
+            coax,
+            server,
+            stats,
+            counters: self.counters,
+            degradation: self.admission.map(AdmissionControl::into_report),
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! segments can come from different peers, and a busy peer misses only the
 //! segments it actually hosts).
 //!
-//! # Architecture: one lifecycle, three seams, three thin drivers
+//! # Architecture: one lifecycle, two seams, three thin drivers
 //!
 //! There is exactly **one** session-lifecycle implementation —
 //! `lifecycle::SessionDriver` — and every entry point is a thin
@@ -24,8 +24,8 @@
 //! ```text
 //!  run / run_parallel            (mod.rs, shard.rs — the three entry drivers)
 //!  ───────────────────────────────────────────────────────────────────────
-//!        │ compose
-//!        ▼
+//!        │ compose, through DriverParts::driver (mod.rs — the one place a
+//!        ▼ driver is built, for a contiguous range of neighborhoods)
 //!  SessionDriver                 (lifecycle.rs — THE event loop: record/heap
 //!        │                        interleave, session start, segment resolve)
 //!        │ is generic over
@@ -38,10 +38,12 @@
 //!        ├─► FeedProvider        (feed.rs glue; cablevod_cache::feed — how
 //!        │     PrecomputedFeed     the global popularity feed is consumed)
 //!        │     SharedFeed          over GlobalFeed / WatermarkFeed
-//!        └─► SegmentPlant        (lifecycle.rs, shard.rs — whose bytes get
-//!              Topology            accounted: the whole plant, or)
-//!              ShardPlant          (one neighborhood's isolated slice)
-//!        │ its index servers are built over
+//!        │ and owns, for its neighborhoods `a..b` of the one Topology,
+//!        ├── Plant                (cablevod_hfc::plant — the range's boxes,
+//!        │                         coax networks and server meter: `0..N`
+//!        │                         is the whole plant, `n..n + 1` a shard)
+//!        ├── AdmissionControl     (fault.rs — the range's fault overlay)
+//!        └── IndexServer × (b−a)  each built over a
 //!        ▼
 //!  ScheduleWindow                (cablevod_cache::schedule — how the Oracle
 //!                                 sees its future: a buffer fed the whole of
@@ -50,8 +52,9 @@
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ results flow into
 //!        ▼
-//!  report.rs                     (assemble_serial_report / merge_outcomes —
-//!                                 bit-exact fold of meters and counters)
+//!  report.rs                     (merge_outcomes — the one bit-exact fold of
+//!                                 every range's meters and counters; the
+//!                                 whole-plant run is its one-element case)
 //! ```
 //!
 //! The three drivers pick one of each. The source decides between resident
@@ -60,12 +63,12 @@
 //! worker count (`run` is one worker, `run_parallel(n)` is `n`) never
 //! picks an algorithm on a streaming source:
 //!
-//! | driver             | supply                          | feed              | plant        | scheduling                        |
-//! |--------------------|---------------------------------|-------------------|--------------|-----------------------------------|
-//! | serial resident    | `ResidentSupply` (all)          | `PrecomputedFeed` | `Topology`   | inline, one global event heap     |
-//! | sharded resident   | `ResidentSupply` (subset)       | `PrecomputedFeed` | `ShardPlant` | work-stealing pool                |
-//! | streaming          | `BlockSupply` (blocked replay)  | `SharedFeed`      | `ShardPlant` | cooperative tasks, parked at block edges |
-//! |                    | `StreamSupply` (sweep fast path) | none             | `ShardPlant` | work-stealing pool                |
+//! | driver             | supply                          | feed              | range     | scheduling                        |
+//! |--------------------|---------------------------------|-------------------|-----------|-----------------------------------|
+//! | serial resident    | `ResidentSupply` (all)          | `PrecomputedFeed` | `0..N`    | inline, one global event heap     |
+//! | sharded resident   | `ResidentSupply` (subset)       | `PrecomputedFeed` | `n..n+1`  | work-stealing pool                |
+//! | streaming          | `BlockSupply` (blocked replay)  | `SharedFeed`      | `n..n+1`  | cooperative tasks, parked at block edges |
+//! |                    | `StreamSupply` (sweep fast path) | none             | `n..n+1`  | work-stealing pool                |
 //!
 //! # Trace layouts and decode work
 //!
@@ -163,12 +166,16 @@ mod stream;
 #[cfg(test)]
 mod tests;
 
+use std::ops::Range;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext, StrategyFactory,
+    FeedProvider, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext,
+    StrategyFactory,
 };
-use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId};
+use cablevod_hfc::ids::{NeighborhoodId, PeerId};
+use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::{Topology, TopologyConfig};
 use cablevod_hfc::units::SimTime;
@@ -180,10 +187,9 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
 
-use fault::FaultingPlant;
 use feed::build_feed;
-use lifecycle::{session_ctx, SessionCtx, SessionDriver, UserMap};
-use report::assemble_serial_report;
+use lifecycle::{session_ctx, RecordSupply, SessionCtx, SessionDriver};
+use report::merge_outcomes;
 use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
@@ -332,9 +338,9 @@ fn build_topology<S: TraceSource + ?Sized>(
     build_topology_for(source.user_count(), config)
 }
 
-/// Builds the plant for a subscriber count with no trace in hand (the
-/// online tier knows its population from an [`online::OnlineSpec`], not
-/// a source).
+/// Places a subscriber count with no trace in hand (the online tier
+/// knows its population from an [`online::OnlineSpec`], not a source),
+/// and notes on the topology how `config` equips every box and wire.
 fn build_topology_for(users: u32, config: &SimConfig) -> Result<Topology, SimError> {
     Ok(Topology::build(
         TopologyConfig::new(users, config.neighborhood_size())
@@ -349,121 +355,151 @@ fn build_topology_for(users: u32, config: &SimConfig) -> Result<Topology, SimErr
 fn precompute_sessions(
     records: &[SessionRecord],
     catalog: &ProgramCatalog,
-    users: &UserMap,
+    topo: &Topology,
     segmenter: &Segmenter,
 ) -> Result<Vec<SessionCtx>, SimError> {
     let seg_len = segmenter.segment_len().as_secs();
     records
         .iter()
-        .map(|rec| session_ctx(rec, catalog, users, seg_len))
+        .map(|rec| session_ctx(rec, catalog, topo, seg_len))
         .collect()
 }
 
-/// Program slot costs, indexed by program — the one table every
-/// [`ScheduleWindow`] of a run shares — or `None` under a strategy that
-/// never looks ahead, whose index servers get no window.
-fn schedule_costs(
-    catalog: &ProgramCatalog,
-    config: &SimConfig,
-    segmenter: &Segmenter,
-    strategy: &dyn StrategyFactory,
-) -> Option<Arc<[u32]>> {
-    strategy.schedule_lookahead()?;
-    Some(
-        catalog
+/// What every driver of one run is built from: who lives where, and how a
+/// neighborhood's index server is configured on it. Box and coax
+/// parameters are the topology's ([`build_topology_for`] copied them there),
+/// read from that one place by the [`Plant`] and the slot ledgers alike.
+struct DriverParts<'a> {
+    topo: &'a Topology,
+    config: &'a SimConfig,
+    segmenter: Segmenter,
+    /// Program slot costs, indexed by program — the one table every
+    /// [`ScheduleWindow`] of the run shares — or `None` under a strategy
+    /// that never looks ahead, whose index servers get no window.
+    costs: Option<Arc<[u32]>>,
+    strategy: &'a dyn StrategyFactory,
+}
+
+impl<'a> DriverParts<'a> {
+    fn new(
+        topo: &'a Topology,
+        catalog: &ProgramCatalog,
+        config: &'a SimConfig,
+        strategy: &'a dyn StrategyFactory,
+    ) -> Self {
+        let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
+        let costs = strategy.schedule_lookahead().map(|_| {
+            catalog
+                .iter()
+                .map(|(_, info)| {
+                    u32::from(segmenter.segment_count(info.length))
+                        * u32::from(config.replication())
+                })
+                .collect()
+        });
+        DriverParts {
+            topo,
+            config,
+            segmenter,
+            costs,
+            strategy,
+        }
+    }
+
+    /// Builds the index server for neighborhood `n`, configured the same
+    /// whichever driver asks (including the per-neighborhood placement RNG
+    /// stream). Under a strategy that looks ahead it gets an empty
+    /// [`ScheduleWindow`] over `costs`, for the driver to feed.
+    fn index(&self, n: usize) -> Result<IndexServer, SimError> {
+        let config = self.config;
+        let nominal = config.stream_rate() * config.segment_len();
+        let id = NeighborhoodId::new(n as u32);
+        let slots = (self.topo.config().per_peer_storage().as_bits() / nominal.as_bits()) as u32;
+        let members: Vec<(PeerId, u32)> = self
+            .topo
+            .neighborhood(id)?
+            .members()
             .iter()
-            .map(|(_, info)| {
-                u32::from(segmenter.segment_count(info.length)) * u32::from(config.replication())
-            })
-            .collect(),
-    )
-}
-
-/// Builds the index server for neighborhood `n`. Shared by every driver so
-/// shard-local caches are configured exactly like serial ones (including
-/// the per-neighborhood placement RNG stream). With `costs`
-/// ([`schedule_costs`]) its strategy gets an empty [`ScheduleWindow`] over
-/// them, for the driver to feed.
-fn build_index(
-    n: usize,
-    topo: &Topology,
-    config: &SimConfig,
-    segmenter: &Segmenter,
-    costs: Option<&Arc<[u32]>>,
-    strategy: &dyn StrategyFactory,
-) -> Result<IndexServer, SimError> {
-    let nominal = config.stream_rate() * config.segment_len();
-    let id = NeighborhoodId::new(n as u32);
-    let members: Vec<(PeerId, u32)> = topo
-        .neighborhood(id)?
-        .members()
-        .iter()
-        .map(|&p| {
-            Ok::<_, SimError>((
-                p,
-                (topo.stb(p)?.capacity().as_bits() / nominal.as_bits()) as u32,
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-    // Give each neighborhood's random placement its own stream.
-    let placement = match config.placement() {
-        PlacementPolicy::Random { seed } => PlacementPolicy::Random {
-            seed: seed ^ ((n as u64) << 32),
-        },
-        other => other,
-    };
-    let ledger = SlotLedger::new(members, placement);
-    let fetch = strategy.fetch_model();
-    let strategy = strategy.build(StrategyContext {
-        capacity_slots: ledger.total_slots(),
-        home: id,
-        schedule: costs.map(|costs| ScheduleWindow::new(Arc::clone(costs))),
-    })?;
-    let mut index =
-        IndexServer::with_replication(id, strategy, *segmenter, ledger, config.replication());
-    if let Some(fetch) = fetch {
-        index = index.with_fetch_model(fetch);
-    }
-    if let Some(fill) = config.fill_override() {
-        index.set_fill_policy(fill);
-    }
-    Ok(index)
-}
-
-/// Builds every neighborhood's index server for a whole-plant driver
-/// whose sessions are (or, online, replay) the resident `records`. Under
-/// a strategy that looks ahead each index is handed the whole of its
-/// neighborhood's future here, in one piece, before the replay starts (a
-/// streaming run's record supply hands the same events over as it reads
-/// ahead — see `stream.rs`).
-fn build_indexes(
-    topo: &Topology,
-    config: &SimConfig,
-    segmenter: &Segmenter,
-    catalog: &ProgramCatalog,
-    records: &[SessionRecord],
-    strategy: &dyn StrategyFactory,
-) -> Result<Vec<IndexServer>, SimError> {
-    let costs = schedule_costs(catalog, config, segmenter, strategy);
-    let mut indexes = (0..topo.neighborhood_count())
-        .map(|n| build_index(n, topo, config, segmenter, costs.as_ref(), strategy))
-        .collect::<Result<Vec<_>, _>>()?;
-    if costs.is_some() {
-        // Trace order is time order, so each list arrives sorted.
-        let mut per_nbhd: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); indexes.len()];
-        for r in records {
-            per_nbhd[topo.neighborhood_of_user(r.user)?.index()].push((r.start, r.program));
+            .map(|&p| (p, slots))
+            .collect();
+        // Give each neighborhood's random placement its own stream.
+        let placement = match config.placement() {
+            PlacementPolicy::Random { seed } => PlacementPolicy::Random {
+                seed: seed ^ ((n as u64) << 32),
+            },
+            other => other,
+        };
+        let ledger = SlotLedger::new(members, placement);
+        let fetch = self.strategy.fetch_model();
+        let strategy = self.strategy.build(StrategyContext {
+            capacity_slots: ledger.total_slots(),
+            home: id,
+            schedule: self
+                .costs
+                .as_ref()
+                .map(|costs| ScheduleWindow::new(Arc::clone(costs))),
+        })?;
+        let mut index = IndexServer::with_replication(
+            id,
+            strategy,
+            self.segmenter,
+            ledger,
+            config.replication(),
+        );
+        if let Some(fetch) = fetch {
+            index = index.with_fetch_model(fetch);
         }
-        for (index, events) in indexes.iter_mut().zip(per_nbhd) {
-            index.extend_schedule(&events, SimTime::MAX)?;
+        if let Some(fill) = config.fill_override() {
+            index.set_fill_policy(fill);
         }
+        Ok(index)
     }
-    Ok(indexes)
+
+    /// The one place a [`SessionDriver`] is built: the driver owning
+    /// neighborhoods `nbhds` — their index servers, their [`Plant`] and
+    /// (inside [`SessionDriver::new`]) their admission control — around
+    /// `supply` and `feed`. Under a strategy that looks ahead, a supply
+    /// whose records are resident hands each index the whole of its
+    /// neighborhood's future here, in one piece, before the replay starts
+    /// (a streaming supply hands the same events over as it reads ahead —
+    /// see `stream.rs`).
+    fn driver<F: FeedProvider, R: RecordSupply>(
+        &self,
+        nbhds: Range<usize>,
+        supply: R,
+        feed: Option<F>,
+        abort: Option<&'a AtomicBool>,
+    ) -> Result<SessionDriver<'a, F, R>, SimError> {
+        let mut indexes = nbhds
+            .clone()
+            .map(|n| self.index(n))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let (Some(_), Some(future)) = (&self.costs, supply.resident_future()) {
+            // Trace order is time order, so each list arrives sorted.
+            let mut per_nbhd = vec![Vec::new(); indexes.len()];
+            for r in future {
+                let n = self.topo.neighborhood_of_user(r.user)?.index();
+                per_nbhd[n - nbhds.start].push((r.start, r.program));
+            }
+            for (index, events) in indexes.iter_mut().zip(per_nbhd) {
+                index.extend_schedule(&events, SimTime::MAX)?;
+            }
+        }
+        Ok(SessionDriver::new(
+            supply,
+            feed,
+            Plant::over(self.topo, nbhds)?,
+            indexes,
+            self.config,
+            self.segmenter,
+            abort,
+        ))
+    }
 }
 
 /// The classic serial driver over a fully resident record slice:
 /// precomputed contexts and feed, the whole look-ahead handed over up
-/// front; whole-plant accounting.
+/// front; one driver, one global event heap, the whole plant.
 fn run_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,
@@ -471,35 +507,16 @@ fn run_resident<S: TraceSource + ?Sized>(
     strategy: &dyn StrategyFactory,
 ) -> Result<SimReport, SimError> {
     config.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let catalog = source.catalog();
-
-    let mut topo = build_topology(source, config)?;
-    let users = UserMap::from_topology(&topo);
-    let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
-    let feed = build_feed(records, &ctxs, config, &segmenter, strategy);
-    let indexes = build_indexes(&topo, config, &segmenter, catalog, records, strategy)?;
+    let topo = build_topology(source, config)?;
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
+    let ctxs = precompute_sessions(records, source.catalog(), &topo, &parts.segmenter)?;
+    let feed = build_feed(records, &ctxs, config, &parts.segmenter, strategy);
 
     let supply = ResidentSupply::new(records, &ctxs, None);
     let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-    let nbhd_count = topo.neighborhood_count();
-    let plant = FaultingPlant::new(&mut topo, config, 0, nbhd_count);
-    let mut driver =
-        SessionDriver::new(supply, provider, plant, indexes, 0, config, segmenter, None);
+    let mut driver = parts.driver(0..topo.neighborhood_count(), supply, provider, None)?;
     driver.run()?;
-    let (plant, indexes, counters) = driver.into_parts();
-    let (_, degradation) = plant.into_parts();
-
-    let days = source.days().max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    Ok(assemble_serial_report(
-        &topo,
-        &indexes,
-        counters,
-        days,
-        warmup,
-        degradation,
-    ))
+    merge_outcomes([Ok(driver.into_outcome())], source.days(), config)
 }
 
 /// The chunk runs that together hold every record of the source, each

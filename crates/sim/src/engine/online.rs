@@ -14,7 +14,9 @@
 //!   [`WatermarkFeed`] and the watermark is advanced past it — the
 //!   ingress is the run's one feed producer, ahead of every driver. The
 //!   session is then staged on a `LiveSupply` — a `RecordSupply` over a
-//!   queue that is fed by the caller instead of a file scan.
+//!   queue that is fed by the caller instead of a file scan (and which,
+//!   when the caller replays a resident trace, knows those records as its
+//!   whole future, like any resident supply).
 //! * **advance_to** — step the lifecycle cooperatively up to the live
 //!   clock's "now" (`SessionDriver::step_until`): every event at or
 //!   before the horizon is processed in exactly the order the offline
@@ -26,7 +28,9 @@
 //! Every strategy in the registry, fault plans, and enforcing
 //! admission/retry work unchanged — they live below the seams this
 //! module plugs into. There is one engine, [`serve_serial`]: one driver
-//! over the whole plant, the online analogue of [`run`](super::run). Its
+//! over the whole plant (the neighborhood range `0..N`, built by the same
+//! constructor as every offline driver), the online analogue of
+//! [`run`](super::run). Its
 //! final [`SimReport`] is **byte-identical** to the offline replay of the
 //! same session sequence — the loopback equivalence tests pin this per
 //! strategy.
@@ -57,17 +61,17 @@ use std::rc::Rc;
 use cablevod_cache::{FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
+use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::SimTime;
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
-use super::fault::FaultingPlant;
 use super::lifecycle::{
-    feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step, UserMap,
+    feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step,
 };
-use super::report::assemble_serial_report;
-use super::{build_indexes, build_topology_for};
+use super::report::merge_outcomes;
+use super::{build_topology_for, DriverParts};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -219,18 +223,9 @@ pub(super) fn serve<T>(
                 .into(),
         });
     }
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let mut topo = build_topology_for(spec.user_count, config)?;
+    let topo = build_topology_for(spec.user_count, config)?;
     let nbhd_count = topo.neighborhood_count();
-    let users = UserMap::from_topology(&topo);
-    let indexes = build_indexes(
-        &topo,
-        config,
-        &segmenter,
-        spec.catalog,
-        spec.schedule_records.unwrap_or_default(),
-        strategy,
-    )?;
+    let parts = DriverParts::new(&topo, spec.catalog, config, strategy);
 
     let wfeed = strategy
         .needs_feed()
@@ -239,25 +234,20 @@ pub(super) fn serve<T>(
     let queue = SharedQueue::default();
     let supply = LiveSupply {
         queue: Rc::clone(&queue),
+        future: spec.schedule_records,
     };
-    let plant = FaultingPlant::new(&mut topo, config, 0, nbhd_count);
-    let driver = SessionDriver::new(supply, provider, plant, indexes, 0, config, segmenter, None);
     let mut engine = SerialOnline {
-        driver,
+        driver: parts.driver(0..nbhd_count, supply, provider, None)?,
         queue,
-        ingress: Ingress::new(users, spec, config, segmenter, wfeed.as_ref()),
+        ingress: Ingress::new(&topo, spec, config, parts.segmenter, wfeed.as_ref()),
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
     engine.driver.run()?;
 
-    let SerialOnline { driver, .. } = engine;
-    let (plant, indexes, counters) = driver.into_parts();
-    let (_, degradation) = plant.into_parts();
-    let days = spec.days.max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    let report = assemble_serial_report(&topo, &indexes, counters, days, warmup, degradation);
+    let outcome = engine.driver.into_outcome();
+    let report = merge_outcomes([Ok(outcome)], spec.days, config)?;
     Ok((
         value,
         report,
@@ -272,11 +262,14 @@ type SharedQueue = Rc<RefCell<VecDeque<PendingSession>>>;
 
 /// A [`RecordSupply`] over a caller-fed queue (whose sessions were
 /// published at submit — see [`Ingress::admit`]).
-struct LiveSupply {
+struct LiveSupply<'s> {
     queue: SharedQueue,
+    /// [`OnlineSpec::schedule_records`]: the resident trace the caller
+    /// says it will submit, if it does.
+    future: Option<&'s [SessionRecord]>,
 }
 
-impl RecordSupply for LiveSupply {
+impl RecordSupply for LiveSupply<'_> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self.queue.borrow().front().map(|p| (p.rec.start, p.gidx)))
     }
@@ -287,12 +280,17 @@ impl RecordSupply for LiveSupply {
             .pop_front()
             .expect("a session is staged")
     }
+
+    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
+        let future = self.future?;
+        Some(Box::new(future.iter()))
+    }
 }
 
 /// Ingress bookkeeping: context computation, feed publication, capacity
 /// and monotonicity enforcement.
 struct Ingress<'s> {
-    users: UserMap,
+    topo: &'s Topology,
     catalog: &'s ProgramCatalog,
     config: &'s SimConfig,
     segmenter: Segmenter,
@@ -306,14 +304,14 @@ struct Ingress<'s> {
 
 impl<'s> Ingress<'s> {
     fn new(
-        users: UserMap,
+        topo: &'s Topology,
         spec: &OnlineSpec<'s>,
         config: &'s SimConfig,
         segmenter: Segmenter,
         wfeed: Option<&'s WatermarkFeed>,
     ) -> Self {
         Ingress {
-            users,
+            topo,
             catalog: spec.catalog,
             config,
             segmenter,
@@ -350,7 +348,7 @@ impl<'s> Ingress<'s> {
                     .into(),
             });
         }
-        let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)?;
+        let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
         let gidx = self.next_gidx;
         if let Some(feed) = self.producer.as_mut() {
             feed.publish(gidx, feed_event(&rec, &ctx, self.config, &self.segmenter));
@@ -374,12 +372,7 @@ impl<'s> Ingress<'s> {
 
 /// The online engine: one [`SessionDriver`] over the whole plant.
 struct SerialOnline<'s> {
-    driver: SessionDriver<
-        's,
-        FaultingPlant<&'s mut cablevod_hfc::topology::Topology>,
-        SharedFeed<'s>,
-        LiveSupply,
-    >,
+    driver: SessionDriver<'s, SharedFeed<'s>, LiveSupply<'s>>,
     queue: SharedQueue,
     ingress: Ingress<'s>,
     epoch: u64,

@@ -1,20 +1,38 @@
-//! Report assembly: turning a completed run's meters and counters into a
-//! [`SimReport`], identically whichever driver produced them.
+//! Report assembly: folding what every driver of a run hands back — its
+//! neighborhood range's meters and counters — into a [`SimReport`],
+//! identically whichever drivers produced them.
 
-use cablevod_cache::{IndexServer, IndexStats};
+use cablevod_cache::IndexStats;
+use cablevod_hfc::coax::CoaxNetwork;
 use cablevod_hfc::meter::{RateMeter, RateStats, PEAK_END_HOUR, PEAK_START_HOUR};
-use cablevod_hfc::topology::Topology;
 
 use super::lifecycle::EngineCounters;
-use super::shard::ShardOutcome;
+use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::{DegradationReport, NeighborhoodDegradation, SimReport};
 
-/// The conservation laws a report can be held to without its trace,
-/// asserted on every report a debug build assembles — so every test
-/// checks them on every driver, strategy and fault plan. Release builds
-/// compile this away.
-fn debug_assert_conserved(report: SimReport) -> SimReport {
+/// What one driver hands back for the deterministic fold: the end state
+/// of its neighborhood range.
+pub(super) struct RangeOutcome {
+    /// The range's coax networks, in neighborhood order.
+    pub(super) coax: Vec<CoaxNetwork>,
+    /// What the central server streamed to the range.
+    pub(super) server: RateMeter,
+    /// The range's index servers' counters, summed.
+    pub(super) stats: IndexStats,
+    pub(super) counters: EngineCounters,
+    /// The range's degradation section, `None` exactly when admission
+    /// control was inactive (default counting admission over an empty
+    /// fault plan).
+    pub(super) degradation: Option<DegradationReport>,
+}
+
+/// The conservation laws a run can be held to without its trace, asserted
+/// on every report a debug build assembles — so every test checks them on
+/// every driver, strategy and fault plan. `broadcasts` and `coax_bits` are
+/// the plant's own tallies over every coax network. Release builds compile
+/// this away.
+fn debug_assert_conserved(report: &SimReport, broadcasts: u64, coax_bits: u64) {
     let cache = &report.cache;
     debug_assert_eq!(
         cache.requests(),
@@ -39,75 +57,44 @@ fn debug_assert_conserved(report: SimReport) -> SimReport {
         cache.misses() == 0,
         "the central server serves bytes exactly when something misses"
     );
-    report
+    debug_assert_eq!(
+        broadcasts, report.segment_requests,
+        "the segment crosses the coax either way (§VI-B)"
+    );
+    debug_assert!(
+        report.server_total.as_bits() <= coax_bits,
+        "the server streamed {} bits, the coax carried {coax_bits}: every miss is also a broadcast",
+        report.server_total.as_bits()
+    );
 }
 
-/// Assembles the serial report from the whole-plant topology and indexes.
-pub(super) fn assemble_serial_report(
-    topo: &Topology,
-    indexes: &[IndexServer],
-    counters: EngineCounters,
-    days: u64,
-    warmup: u64,
-    degradation: Option<DegradationReport>,
-) -> SimReport {
-    let server_peak = topo.server().peak_stats(warmup, days);
-    let server_hourly = topo.server().meter().hourly_profile();
-    let mut coax_samples = Vec::new();
-    let mut coax_per_neighborhood = Vec::with_capacity(topo.neighborhood_count());
-    for nbhd in topo.neighborhoods() {
-        let stats = nbhd.coax().peak_stats(warmup, days);
-        coax_per_neighborhood.push(stats.mean);
-        coax_samples.extend(nbhd.coax().meter().window_samples(
-            warmup,
-            days,
-            PEAK_START_HOUR,
-            PEAK_END_HOUR,
-        ));
-    }
-    let mut cache = IndexStats::default();
-    for index in indexes {
-        cache += *index.stats();
-    }
-    debug_assert_conserved(SimReport {
-        server_peak,
-        server_total: topo.server().total(),
-        server_hourly,
-        coax_peak: RateStats::from_samples(&coax_samples),
-        coax_per_neighborhood,
-        cache,
-        sessions: counters.sessions,
-        segment_requests: counters.segment_requests,
-        viewer_overcommits: counters.viewer_overcommits,
-        degradation,
-        measured_from_day: warmup,
-        measured_to_day: days,
-    })
-}
-
-/// Merges shard outcomes, in neighborhood order, into the report the
-/// serial engine would produce. Bit-exact: the server meter folds with
-/// [`RateMeter::merge`] (commutative bucket accounting), cache counters
-/// fold with `IndexStats + IndexStats`, and coax statistics are collected
-/// in neighborhood order.
+/// Folds the outcomes of a run's drivers, in neighborhood order and
+/// together covering every neighborhood — one whole-plant outcome, or one
+/// per shard — into the run's report. Bit-exact whichever it is: the
+/// server meter folds with [`RateMeter::merge`] (commutative bucket
+/// accounting), cache counters fold with `IndexStats + IndexStats`, and
+/// coax statistics are collected in neighborhood order. `days` is the
+/// source's accounting horizon.
 pub(super) fn merge_outcomes(
-    outcomes: impl IntoIterator<Item = Result<ShardOutcome, SimError>>,
+    outcomes: impl IntoIterator<Item = Result<RangeOutcome, SimError>>,
     days: u64,
-    warmup: u64,
-    nbhd_count: usize,
+    config: &SimConfig,
 ) -> Result<SimReport, SimError> {
+    let days = days.max(1);
+    let warmup = config.warmup_days().min(days - 1);
     let mut server = RateMeter::hourly();
     let mut coax_samples = Vec::new();
-    let mut coax_per_neighborhood = Vec::with_capacity(nbhd_count);
+    let mut coax_per_neighborhood = Vec::new();
+    let (mut broadcasts, mut coax_bits) = (0, 0);
     let mut cache = IndexStats::default();
     let mut counters = EngineCounters::default();
-    // Shards agree on whether admission control ran (it is a pure function
-    // of the shared config), so this is `Some` for all shards or none.
+    // Drivers agree on whether admission control ran (it is a pure function
+    // of the shared config), so this is `Some` for all of them or none.
     let mut degradation: Option<(Vec<NeighborhoodDegradation>, Vec<u64>)> = None;
     for outcome in outcomes {
-        let shard = outcome?;
-        server.merge(&shard.server);
-        if let Some(deg) = shard.degradation {
+        let range = outcome?;
+        server.merge(&range.server);
+        if let Some(deg) = range.degradation {
             let (nbhds, hist) = degradation.get_or_insert_with(|| (Vec::new(), Vec::new()));
             nbhds.extend(deg.per_neighborhood);
             if hist.len() < deg.retry_histogram.len() {
@@ -117,18 +104,21 @@ pub(super) fn merge_outcomes(
                 *slot += count;
             }
         }
-        let stats = shard.coax.peak_stats(warmup, days);
-        coax_per_neighborhood.push(stats.mean);
-        coax_samples.extend(shard.coax.meter().window_samples(
-            warmup,
-            days,
-            PEAK_START_HOUR,
-            PEAK_END_HOUR,
-        ));
-        cache += shard.stats;
-        counters.absorb(shard.counters);
+        for coax in &range.coax {
+            coax_per_neighborhood.push(coax.peak_stats(warmup, days).mean);
+            coax_samples.extend(coax.meter().window_samples(
+                warmup,
+                days,
+                PEAK_START_HOUR,
+                PEAK_END_HOUR,
+            ));
+            broadcasts += coax.broadcasts();
+            coax_bits += coax.total().as_bits();
+        }
+        cache += range.stats;
+        counters.absorb(range.counters);
     }
-    Ok(debug_assert_conserved(SimReport {
+    let report = SimReport {
         server_peak: server.peak_stats(warmup, days),
         server_total: server.total(),
         server_hourly: server.hourly_profile(),
@@ -141,5 +131,7 @@ pub(super) fn merge_outcomes(
         degradation: degradation.map(|(nbhds, hist)| DegradationReport::from_parts(nbhds, hist)),
         measured_from_day: warmup,
         measured_to_day: days,
-    }))
+    };
+    debug_assert_conserved(&report, broadcasts, coax_bits);
+    Ok(report)
 }

@@ -1,16 +1,17 @@
-//! Per-neighborhood sharding: isolated plant slices, shard scheduling,
-//! and the two sharded entry drivers.
+//! Per-neighborhood sharding: shard scheduling and the two sharded entry
+//! drivers.
 //!
 //! The paper's unit of isolation is the neighborhood: per-event state
 //! (cache, boxes, coax) is neighborhood-local, the shared central-server
 //! meter merges because bucket accounting is commutative
-//! ([`RateMeter::merge`]), and the one thing that crosses neighborhoods —
-//! the global popularity feed — is always published from one place, ahead
-//! of every shard that reads it (precomputed on resident runs, by the
-//! decoding thread on streaming runs). Each shard therefore runs the
-//! **same** [`SessionDriver`] lifecycle as the serial engine, against a
-//! [`ShardPlant`] instead of the whole topology, and what a shard may
-//! read never depends on how far another has got:
+//! ([`RateMeter::merge`](cablevod_hfc::meter::RateMeter::merge)), and the
+//! one thing that crosses neighborhoods — the global popularity feed — is
+//! always published from one place, ahead of every shard that reads it
+//! (precomputed on resident runs, by the decoding thread on streaming
+//! runs). Each shard therefore runs the **same** [`SessionDriver`]
+//! lifecycle as the serial engine, built by the same constructor over the
+//! one-neighborhood range `n..n + 1` instead of the whole plant, and what
+//! a shard may read never depends on how far another has got:
 //!
 //! * resident, and streaming over a matched neighborhood-major file under
 //!   a feed-less strategy (each shard decodes its own chunk runs): shards
@@ -32,158 +33,19 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{FeedProvider, IndexStats, SharedFeed, StrategyFactory, WatermarkFeed};
-use cablevod_hfc::coax::CoaxNetwork;
-use cablevod_hfc::ids::{NeighborhoodId, PeerId};
-use cablevod_hfc::meter::RateMeter;
-use cablevod_hfc::segment::Segmenter;
-use cablevod_hfc::stb::{SetTopBox, StbStore};
-use cablevod_hfc::topology::Topology;
-use cablevod_hfc::units::SimTime;
+use cablevod_cache::{SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
-use super::fault::FaultingPlant;
 use super::feed::build_feed;
-use super::lifecycle::{
-    EngineCounters, RecordSupply, SegmentPlant, SessionDriver, Step, UserMap, ABORTED,
-};
-use super::report::merge_outcomes;
+use super::lifecycle::{SessionDriver, Step, ABORTED};
+use super::report::{merge_outcomes, RangeOutcome};
 use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
-use super::{
-    build_index, build_topology, precompute_sessions, schedule_costs, shard_plans, Replay,
-};
+use super::{build_topology, precompute_sessions, shard_plans, DriverParts, Replay};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::report::{DegradationReport, SimReport};
+use crate::report::SimReport;
 use crate::runner;
-
-/// One neighborhood's set-top boxes, addressed by global [`PeerId`]
-/// through a shared peer-to-local-position table (no hashing).
-pub(super) struct ShardStbs<'a> {
-    /// The neighborhood whose members these boxes are.
-    id: NeighborhoodId,
-    stbs: Vec<SetTopBox>,
-    /// `positions[peer.index()]` is the peer's slot in `stbs`; only
-    /// meaningful for this shard's members, so membership is checked
-    /// against `nbhd_of` first.
-    positions: &'a [u32],
-    /// Every peer's neighborhood ([`Topology::peer_neighborhoods`]):
-    /// upholds the [`StbStore`] contract that a foreign peer is
-    /// `UnknownPeer`, never silently another member's box.
-    nbhd_of: &'a [NeighborhoodId],
-}
-
-impl StbStore for ShardStbs<'_> {
-    fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, cablevod_hfc::error::HfcError> {
-        if self.nbhd_of.get(peer.index()) != Some(&self.id) {
-            return Err(cablevod_hfc::error::HfcError::UnknownPeer { peer });
-        }
-        self.stbs
-            .get_mut(self.positions[peer.index()] as usize)
-            .ok_or(cablevod_hfc::error::HfcError::UnknownPeer { peer })
-    }
-}
-
-/// One neighborhood's isolated slice of the plant: its boxes, its coax
-/// meter, and a private central-server meter that is merged into the
-/// shared one after the shard completes.
-pub(super) struct ShardPlant<'a> {
-    id: NeighborhoodId,
-    stbs: ShardStbs<'a>,
-    pub(super) coax: CoaxNetwork,
-    pub(super) server: RateMeter,
-}
-
-impl<'a> ShardPlant<'a> {
-    pub(super) fn build(
-        n: usize,
-        topo: &'a Topology,
-        config: &SimConfig,
-        positions: &'a [u32],
-    ) -> Result<Self, SimError> {
-        let id = NeighborhoodId::new(n as u32);
-        let stbs: Vec<SetTopBox> = topo
-            .neighborhood(id)?
-            .members()
-            .iter()
-            .map(|&p| SetTopBox::new(p, config.per_peer_storage(), config.stream_slots()))
-            .collect();
-        Ok(ShardPlant {
-            id,
-            stbs: ShardStbs {
-                id,
-                stbs,
-                positions,
-                nbhd_of: topo.peer_neighborhoods(),
-            },
-            coax: CoaxNetwork::new(*config.coax_spec()),
-            server: RateMeter::hourly(),
-        })
-    }
-}
-
-impl SegmentPlant for ShardPlant<'_> {
-    fn stbs(&mut self) -> &mut dyn StbStore {
-        &mut self.stbs
-    }
-
-    fn record_miss(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        debug_assert_eq!(
-            nbhd, self.id,
-            "shard received a foreign neighborhood's miss"
-        );
-        self.server.record(start, end, size);
-        Ok(())
-    }
-
-    fn record_broadcast(
-        &mut self,
-        nbhd: NeighborhoodId,
-        start: SimTime,
-        end: SimTime,
-        size: cablevod_hfc::units::DataSize,
-    ) -> Result<(), SimError> {
-        debug_assert_eq!(
-            nbhd, self.id,
-            "shard received a foreign neighborhood's broadcast"
-        );
-        self.coax.record_broadcast(start, end, size);
-        Ok(())
-    }
-}
-
-/// What one shard hands back for the deterministic merge.
-pub(super) struct ShardOutcome {
-    pub(super) coax: CoaxNetwork,
-    pub(super) server: RateMeter,
-    pub(super) stats: IndexStats,
-    pub(super) counters: EngineCounters,
-    /// This shard's one-neighborhood degradation section, `None` exactly
-    /// when the serial engine's would be (default counting admission over
-    /// an empty fault plan).
-    pub(super) degradation: Option<DegradationReport>,
-}
-
-impl ShardOutcome {
-    fn from_driver<F: FeedProvider, R: RecordSupply>(driver: ShardDriver<'_, F, R>) -> Self {
-        let (plant, indexes, counters) = driver.into_parts();
-        let (plant, degradation) = plant.into_parts();
-        ShardOutcome {
-            coax: plant.coax,
-            server: plant.server,
-            stats: *indexes[0].stats(),
-            counters,
-            degradation,
-        }
-    }
-}
 
 /// The resident sharded driver: every shard replays its own record subset
 /// (in trace order, interleaved with its continuation heap — exactly the
@@ -197,18 +59,10 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     threads: usize,
 ) -> Result<SimReport, SimError> {
     config.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let catalog = source.catalog();
-
-    // The topology is built once for membership, capacities and placement
-    // determinism, then only read; every shard owns fresh mutable state.
     let topo = build_topology(source, config)?;
-    let users = UserMap::from_topology(&topo);
-
-    let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
-    let costs = schedule_costs(catalog, config, &segmenter, strategy);
-    let feed = build_feed(records, &ctxs, config, &segmenter, strategy);
-    let positions = topo.local_positions();
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
+    let ctxs = precompute_sessions(records, source.catalog(), &topo, &parts.segmenter)?;
+    let feed = build_feed(records, &ctxs, config, &parts.segmenter, strategy);
 
     let nbhd_count = topo.neighborhood_count();
     let mut shard_records: Vec<Vec<u32>> = vec![Vec::new(); nbhd_count];
@@ -216,34 +70,14 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
         shard_records[ctx.nbhd as usize].push(i as u32);
     }
 
-    let parts = ShardParts {
-        topo: &topo,
-        config,
-        segmenter,
-        costs,
-        strategy,
-        positions: &positions,
-    };
     let outcomes = runner::run_indexed(nbhd_count, threads, |n| {
         let supply = ResidentSupply::new(records, &ctxs, Some(&shard_records[n]));
         let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-        let mut driver = parts.driver(n, supply, provider, None)?;
-        if parts.costs.is_some() {
-            // A strategy that looks ahead: the shard's records are its
-            // whole future, handed over in one piece before it runs.
-            let events: Vec<_> = shard_records[n]
-                .iter()
-                .map(|&i| (records[i as usize].start, records[i as usize].program))
-                .collect();
-            driver.indexes_mut()[0].extend_schedule(&events, SimTime::MAX)?;
-        }
+        let mut driver = parts.driver(n..n + 1, supply, provider, None)?;
         driver.run()?;
-        Ok(ShardOutcome::from_driver(driver))
+        Ok(driver.into_outcome())
     });
-
-    let days = source.days().max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    merge_outcomes(outcomes, days, warmup, nbhd_count)
+    merge_outcomes(outcomes, source.days(), config)
 }
 
 /// What a streaming run says about itself beside its report.
@@ -268,7 +102,6 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     threads: usize,
 ) -> Result<(SimReport, Streamed), SimError> {
     config.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
     let topo = build_topology(source, config)?;
     let nbhd_count = topo.neighborhood_count();
 
@@ -276,16 +109,7 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     // A strategy that looks ahead is fed its future by whoever supplies
     // its neighborhood's records, as the replay goes.
     let lookahead = strategy.schedule_lookahead();
-    let users = UserMap::from_topology(&topo);
-    let positions = topo.local_positions();
-    let parts = ShardParts {
-        topo: &topo,
-        config,
-        segmenter,
-        costs: schedule_costs(source.catalog(), config, &segmenter, strategy),
-        strategy,
-        positions: &positions,
-    };
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
 
     let mut streamed = Streamed {
         fastpath: false,
@@ -296,83 +120,24 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
             streamed.fastpath = true;
             runner::run_indexed(nbhd_count, threads, |n| {
                 let supply =
-                    StreamSupply::new(source, n, &runs[n], users.clone(), &segmenter, lookahead);
-                let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
+                    StreamSupply::new(source, n, &runs[n], &topo, &parts.segmenter, lookahead);
+                let mut driver = parts.driver(n..n + 1, supply, None::<SharedFeed<'_>>, None)?;
                 driver.run()?;
-                Ok(ShardOutcome::from_driver(driver))
+                Ok(driver.into_outcome())
             })
         }
         Replay::Blocked(runs) => {
             let feed = strategy
                 .needs_feed()
                 .then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
-            let outcomes = run_blocked(source, runs, &users, &parts, feed.as_ref(), threads)?;
+            let outcomes = run_blocked(source, runs, &parts, feed.as_ref(), threads)?;
             streamed.peak_feed_slots = feed.as_ref().map(WatermarkFeed::peak_live_slots);
             outcomes
         }
     };
 
-    let days = source.days().max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    let report = merge_outcomes(outcomes, days, warmup, nbhd_count)?;
+    let report = merge_outcomes(outcomes, source.days(), config)?;
     Ok((report, streamed))
-}
-
-/// What every shard driver of one run is built from: the plant (built
-/// once for membership, capacities and placement determinism, then only
-/// read — every shard owns fresh mutable state) and how a neighborhood's
-/// index server is configured on it.
-struct ShardParts<'a> {
-    topo: &'a Topology,
-    config: &'a SimConfig,
-    segmenter: Segmenter,
-    /// [`schedule_costs`] of the run: every index server's schedule
-    /// window is built over them.
-    costs: Option<Arc<[u32]>>,
-    strategy: &'a dyn StrategyFactory,
-    /// [`Topology::local_positions`] of `topo`.
-    positions: &'a [u32],
-}
-
-/// One neighborhood's driver over supply `R`, consuming the feed through
-/// `F`.
-type ShardDriver<'a, F, R> = SessionDriver<'a, FaultingPlant<ShardPlant<'a>>, F, R>;
-
-impl<'a> ShardParts<'a> {
-    /// Builds neighborhood `n`'s driver: its own index server and
-    /// isolated plant slice around `supply` and `feed`.
-    fn driver<F: FeedProvider, R: RecordSupply>(
-        &self,
-        n: usize,
-        supply: R,
-        feed: Option<F>,
-        abort: Option<&'a AtomicBool>,
-    ) -> Result<ShardDriver<'a, F, R>, SimError> {
-        let index = build_index(
-            n,
-            self.topo,
-            self.config,
-            &self.segmenter,
-            self.costs.as_ref(),
-            self.strategy,
-        )?;
-        let plant = FaultingPlant::new(
-            ShardPlant::build(n, self.topo, self.config, self.positions)?,
-            self.config,
-            n as u32,
-            1,
-        );
-        Ok(SessionDriver::new(
-            supply,
-            feed,
-            plant,
-            vec![index],
-            n as u32,
-            self.config,
-            self.segmenter,
-            abort,
-        ))
-    }
 }
 
 /// The blocked replay (see the module docs): the caller's thread decodes
@@ -383,11 +148,10 @@ impl<'a> ShardParts<'a> {
 fn run_blocked<S: TraceSource + ?Sized>(
     source: &S,
     runs: &[Vec<u32>],
-    users: &UserMap,
-    parts: &ShardParts<'_>,
+    parts: &DriverParts<'_>,
     feed: Option<&WatermarkFeed>,
     threads: usize,
-) -> Result<Vec<Result<ShardOutcome, SimError>>, SimError> {
+) -> Result<Vec<Result<RangeOutcome, SimError>>, SimError> {
     let nbhd_count = parts.topo.neighborhood_count();
     // Workers beyond the caller come from the shared ledger
     // ([`runner::take_permits`]): a sharded job started while a sweep
@@ -399,7 +163,6 @@ fn run_blocked<S: TraceSource + ?Sized>(
     let workers = 1 + permits.len();
     let env = ShardEnv {
         source,
-        users,
         parts,
         feed,
         aborted: AtomicBool::new(false),
@@ -410,10 +173,9 @@ fn run_blocked<S: TraceSource + ?Sized>(
     let mut demux = Demux::new(
         source,
         runs,
-        users.clone(),
+        parts.topo,
         parts.config,
         parts.segmenter,
-        nbhd_count,
         feed,
         parts.strategy.schedule_lookahead(),
     );
@@ -479,10 +241,10 @@ fn run_blocked<S: TraceSource + ?Sized>(
 }
 
 /// A shard of the blocked replay.
-type BlockDriver<'a> = ShardDriver<'a, SharedFeed<'a>, BlockSupply<'a>>;
+type BlockDriver<'a> = SessionDriver<'a, SharedFeed<'a>, BlockSupply<'a>>;
 
 /// What one worker hands back: each of its shards' endings.
-type ShardResults = Vec<(usize, Result<ShardOutcome, SimError>)>;
+type ShardResults = Vec<(usize, Result<RangeOutcome, SimError>)>;
 
 /// How the workers of a blocked replay pass each [`Block`] around: the
 /// caller's thread refills the one block in place while it is the only
@@ -525,8 +287,7 @@ impl BlockExchange {
 /// Everything the workers of one blocked replay share.
 struct ShardEnv<'a, S: TraceSource + ?Sized> {
     source: &'a S,
-    users: &'a UserMap,
-    parts: &'a ShardParts<'a>,
+    parts: &'a DriverParts<'a>,
     feed: Option<&'a WatermarkFeed>,
     /// Raised by whoever fails first — a shard, the decoder, a panicking
     /// worker; every driver checks it at step entry and the decoder
@@ -565,11 +326,14 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
             let supply = BlockSupply::new(
                 nbhd,
                 self.source.catalog(),
-                self.users.clone(),
+                self.parts.topo,
                 &self.parts.segmenter,
             );
             let feed = self.feed.map(|f| SharedFeed::new(f, nbhd..nbhd + 1));
-            match self.parts.driver(nbhd, supply, feed, Some(&self.aborted)) {
+            let driver = self
+                .parts
+                .driver(nbhd..nbhd + 1, supply, feed, Some(&self.aborted));
+            match driver {
                 Ok(driver) => tasks.push((nbhd, driver)),
                 Err(e) => {
                     self.aborted.store(true, Ordering::Relaxed);
@@ -641,7 +405,7 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
                     results.push((
                         nbhd,
                         match ending {
-                            Ok(_) => Ok(ShardOutcome::from_driver(driver)),
+                            Ok(_) => Ok(driver.into_outcome()),
                             Err(e) => {
                                 self.aborted.store(true, Ordering::Relaxed);
                                 Err(e)

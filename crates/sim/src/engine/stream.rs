@@ -61,15 +61,14 @@ use std::sync::Arc;
 use cablevod_cache::{FeedProducer, WatermarkFeed};
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::segment::Segmenter;
+use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::TraceError;
 
-use super::lifecycle::{
-    feed_event, session_ctx, PendingSession, RecordSupply, SessionCtx, UserMap,
-};
+use super::lifecycle::{feed_event, session_ctx, PendingSession, RecordSupply, SessionCtx};
 use crate::config::SimConfig;
 use crate::error::SimError;
 
@@ -122,6 +121,13 @@ impl RecordSupply for ResidentSupply<'_> {
             ctx: self.ctxs[gidx as usize],
         }
     }
+
+    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
+        Some(match self.subset {
+            Some(subset) => Box::new(subset.iter().map(|&i| &self.records[i as usize])),
+            None => Box::new(self.records.iter()),
+        })
+    }
 }
 
 /// One stretch of the global record order, demultiplexed by
@@ -173,7 +179,7 @@ impl Block {
 pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     merge: RunMerge<'a, S>,
     catalog: &'a ProgramCatalog,
-    users: UserMap,
+    topo: &'a Topology,
     config: &'a SimConfig,
     segmenter: Segmenter,
     nbhd_count: usize,
@@ -196,14 +202,12 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
     /// A decoder over `runs`, which together hold every record of
     /// `source` (see [`super::serial_runs`]), reading `lookahead` ahead
     /// for a strategy that asks for it.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         source: &'a S,
         runs: &'a [Vec<u32>],
-        users: UserMap,
+        topo: &'a Topology,
         config: &'a SimConfig,
         segmenter: Segmenter,
-        nbhd_count: usize,
         feed: Option<&'a WatermarkFeed>,
         lookahead: Option<SimDuration>,
     ) -> Self {
@@ -211,10 +215,10 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         Demux {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
             catalog: source.catalog(),
-            users,
+            topo,
             config,
             segmenter,
-            nbhd_count,
+            nbhd_count: topo.neighborhood_count(),
             block_records: source.record_count().div_ceil(chunks).max(1) as usize,
             feed: feed.map(WatermarkFeed::producer_handle),
             ahead: lookahead.map(|lookahead| LookAhead::new(source, runs, lookahead)),
@@ -276,7 +280,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
                 }));
             }
             self.published += 1;
-            let ctx = session_ctx(rec, self.catalog, &self.users, seg_len)?;
+            let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
             if let Some(feed) = self.feed.as_mut() {
                 feed.publish(*gidx, feed_event(rec, &ctx, self.config, &self.segmenter));
             }
@@ -308,7 +312,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             // to be ahead of; the last block takes whatever is left.
             block.ahead.resize_with(self.nbhd_count, Vec::new);
             ahead.advance(more.then_some(self.last_start), |rec| {
-                let nbhd = self.users.neighborhood_of_user(rec.user)?;
+                let nbhd = self.topo.neighborhood_of_user(rec.user)?;
                 block.ahead[nbhd.index()].push((rec.start, rec.program));
                 Ok(())
             })?;
@@ -335,7 +339,7 @@ pub(super) struct BlockSupply<'a> {
     /// slice is handed over.
     ahead: Option<(Arc<Block>, SimTime)>,
     catalog: &'a ProgramCatalog,
-    users: UserMap,
+    topo: &'a Topology,
     seg_len: u64,
 }
 
@@ -343,7 +347,7 @@ impl<'a> BlockSupply<'a> {
     pub(super) fn new(
         nbhd: usize,
         catalog: &'a ProgramCatalog,
-        users: UserMap,
+        topo: &'a Topology,
         segmenter: &Segmenter,
     ) -> Self {
         BlockSupply {
@@ -354,7 +358,7 @@ impl<'a> BlockSupply<'a> {
             resumes: Some(SimTime::EPOCH),
             ahead: None,
             catalog,
-            users,
+            topo,
             seg_len: segmenter.segment_len().as_secs(),
         }
     }
@@ -383,7 +387,7 @@ impl RecordSupply for BlockSupply<'_> {
     fn take(&mut self) -> PendingSession {
         let block = self.block.as_ref().expect("a record is staged");
         let (gidx, rec) = block.records[block.order[self.pos] as usize];
-        let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)
+        let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)
             .expect("the demultiplexer computed this context once already");
         self.pos += 1;
         if self.pos == self.end {
@@ -605,7 +609,7 @@ struct ReadAhead<'a, S: TraceSource + ?Sized> {
 pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
     merge: RunMerge<'a, S>,
     catalog: &'a ProgramCatalog,
-    users: UserMap,
+    topo: &'a Topology,
     seg_len: u64,
     staged: Option<PendingSession>,
     ahead: Option<ReadAhead<'a, S>>,
@@ -618,14 +622,14 @@ impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
         source: &'a S,
         nbhd: usize,
         runs: &'a [Vec<u32>],
-        users: UserMap,
+        topo: &'a Topology,
         segmenter: &Segmenter,
         lookahead: Option<SimDuration>,
     ) -> Self {
         StreamSupply {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
             catalog: source.catalog(),
-            users,
+            topo,
             seg_len: segmenter.segment_len().as_secs(),
             staged: None,
             ahead: lookahead.map(|lookahead| ReadAhead {
@@ -641,7 +645,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         if self.staged.is_none() {
             if let Some((gidx, rec)) = self.merge.next()? {
-                let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)?;
+                let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
                 self.staged = Some(PendingSession { gidx, rec, ctx });
             }
         }

@@ -515,11 +515,10 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let lookahead = SimDuration::from_days(1);
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
     let topo = build_topology(&trace, &config).expect("topology");
-    let users = UserMap::from_topology(&topo);
     let nbhd_count = topo.neighborhood_count();
     let mut resident = vec![Vec::new(); nbhd_count];
     for rec in trace.records() {
-        let nbhd = users.neighborhood_of_user(rec.user).expect("known user");
+        let nbhd = topo.neighborhood_of_user(rec.user).expect("known user");
         resident[nbhd.index()].push((rec.start, rec.program));
     }
 
@@ -572,15 +571,14 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let mut demux = Demux::new(
         &source,
         &runs,
-        users.clone(),
+        &topo,
         &config,
         segmenter,
-        nbhd_count,
         None,
         Some(lookahead),
     );
     let mut supplies: Vec<_> = (0..nbhd_count)
-        .map(|n| BlockSupply::new(n, trace.catalog(), users.clone(), &segmenter))
+        .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
         .collect();
     let mut fed = unfed();
     let mut block = Arc::new(Block::default());
@@ -620,7 +618,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             &nm_reader,
             n,
             &layout.runs[n],
-            users.clone(),
+            &topo,
             &segmenter,
             Some(lookahead),
         );

@@ -38,8 +38,8 @@ pub struct SimReport {
     /// [`AdmissionMode`](crate::config::AdmissionMode)): under the
     /// default **counting** mode, over-limit starts — this counter, and
     /// likewise coax traffic beyond the channel budget — are counted,
-    /// never blocked (DESIGN.md §5), which preserves the paper's
-    /// perfect-plant figures bit for bit. Under **enforcing** mode,
+    /// never blocked, which preserves the paper's perfect-plant figures
+    /// bit for bit. Under **enforcing** mode,
     /// plant-level admission (outages, channel budget) blocks or
     /// interrupts sessions instead, and the consequences land in
     /// [`SimReport::degradation`].

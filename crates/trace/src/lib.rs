@@ -8,7 +8,7 @@
 //! * the trace **schema** ([`record`]) and program **catalog** ([`catalog`]);
 //! * a **synthetic generator** ([`synth`]) calibrated to every published
 //!   property of PowerInfo (skewed and decaying popularity, short sessions
-//!   with a completion atom, the Fig 7 diurnal curve — see `DESIGN.md §3`);
+//!   with a completion atom, the Fig 7 diurnal curve — see [`synth`]);
 //! * the paper's trace **scaling** transforms ([`scale`]);
 //! * **analytics** reproducing the workload figures ([`analyze`], [`ecdf`]);
 //! * CSV **persistence** ([`io`]) so a real PowerInfo-schema trace can be

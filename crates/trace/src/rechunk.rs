@@ -14,10 +14,11 @@
 //! workload is replayed under.
 //!
 //! The grouping is the simulator's own deterministic §V-B shuffle
-//! ([`cablevod_hfc::topology::Topology::build`] with the default
-//! placement seed): a pure function of `(user count, neighborhood size)`,
-//! so the writer, the reader and the engine always agree on which group a
-//! user belongs to.
+//! ([`cablevod_hfc::topology::Topology::build`], whose placement seed is a
+//! constant): a pure function of `(user count, neighborhood size)`, so the
+//! writer, the reader and the engine always agree on which group a user
+//! belongs to. A `Topology` is membership tables and nothing else — no
+//! set-top box or meter is built to group users.
 //!
 //! Memory: the re-chunker streams the source one chunk at a time but
 //! keeps one in-progress output chunk **per group** — bound the resident

@@ -7,8 +7,8 @@ use crate::synth::diurnal::DiurnalProfile;
 /// All knobs of the synthetic workload generator.
 ///
 /// Defaults are calibrated against every quantitative property of the
-/// PowerInfo trace the paper publishes; see the field docs and
-/// `DESIGN.md §3`. The three presets are:
+/// PowerInfo trace the paper publishes; each field's doc names its
+/// target. The three presets are:
 ///
 /// * [`SynthConfig::powerinfo`] — full scale (41,698 users, 8,278 programs,
 ///   214 days ≈ May–December 2004, ≈ 21 M sessions);
@@ -42,7 +42,7 @@ pub struct SynthConfig {
     /// Residual popularity of an old program relative to its day-0 value
     /// (the long flat tail of Fig 12). Calibrated so a cache holding 36 %
     /// of catalog bytes can capture ≈ 88 % of watched bytes, the paper's
-    /// 10 TB operating point (see `DESIGN.md §3`).
+    /// 10 TB operating point.
     pub decay_floor: f64,
     /// Popularity on day 7 relative to day 0. The paper: "A week after
     /// introduction, programs are accessed 80 % less often than the first

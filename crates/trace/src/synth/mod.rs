@@ -1,9 +1,11 @@
 //! Synthetic PowerInfo-like workload generation.
 //!
 //! The PowerInfo trace itself is proprietary; this module generates traces
-//! with the same schema and the same statistical fingerprint (see
-//! `DESIGN.md §3` for the substitution argument and the calibration
-//! targets). Entry point: [`generate`] with a [`SynthConfig`].
+//! with the same schema and the same statistical fingerprint: every
+//! quantitative property of PowerInfo the paper publishes is a calibration
+//! target, named in the doc of the [`SynthConfig`] field that sets it (the
+//! `cablevod-calibrate` bin sweeps those knobs against the targets). Entry
+//! point: [`generate`] with a [`SynthConfig`].
 
 mod config;
 mod diurnal;

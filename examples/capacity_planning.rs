@@ -7,7 +7,7 @@
 //! 14.
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin capacity_planning
+//! cargo run --release --example capacity_planning
 //! ```
 
 use cablevod::VodSystem;

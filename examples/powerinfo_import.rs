@@ -7,7 +7,7 @@
 //! to reproduce the paper on the authentic workload.
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin powerinfo_import [sessions.csv catalog.csv]
+//! cargo run --release --example powerinfo_import [sessions.csv catalog.csv]
 //! ```
 
 use cablevod::VodSystem;

@@ -2,7 +2,7 @@
 //! server-load savings.
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use cablevod::VodSystem;

@@ -2,7 +2,7 @@
 //! both grow (the paper's Figs 15–16 and Table 16(a), reduced scale).
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin scaling_study
+//! cargo run --release --example scaling_study
 //! ```
 
 use cablevod::experiments::scaling::scaling_grid;

@@ -2,7 +2,7 @@
 //! clairvoyant Oracle, plus the two fill accountings.
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin strategy_comparison
+//! cargo run --release --example strategy_comparison
 //! ```
 
 use cablevod::VodSystem;

@@ -4,7 +4,7 @@
 //! against ground truth, which the paper could not do).
 //!
 //! ```text
-//! cargo run --release -p cablevod-examples --bin trace_analytics
+//! cargo run --release --example trace_analytics
 //! ```
 
 use cablevod::experiments;
