@@ -40,10 +40,12 @@ fn lfu_access(c: &mut Criterion) {
             );
             let mut placed = Vec::new();
             for p in 0..1_500u32 {
-                placed.extend(ledger.place(ProgramId::new(p), 12).expect("fits"));
+                ledger
+                    .place(ProgramId::new(p), 12, |slot| placed.push(slot))
+                    .expect("fits");
                 if p % 2 == 0 {
-                    for peer in placed.drain(..) {
-                        ledger.release(peer).expect("placed");
+                    for slot in placed.drain(..) {
+                        ledger.release(slot).expect("placed");
                     }
                 }
             }

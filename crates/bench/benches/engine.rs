@@ -16,9 +16,13 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cablevod_bench::bench_trace;
-use cablevod_cache::{CacheStrategy, StrategySpec, WindowedLfu};
-use cablevod_hfc::ids::ProgramId;
+use cablevod_cache::{
+    CacheStrategy, IndexServer, PlacementPolicy, SlotLedger, StrategySpec, WindowedLfu,
+};
+use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
+use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
+use cablevod_hfc::topology::{Topology, TopologyConfig};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_serve::clock::AcceleratedClock;
 use cablevod_serve::replay::{replay_trace, DecisionTier};
@@ -112,6 +116,60 @@ fn lfu_on_access(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// What an admission and an eviction cost below the strategy: the slot
+/// ledger's place / release and the boxes' store / delete. One
+/// neighborhood's accesses from the bench trace through an [`IndexServer`]
+/// under `tlru:30m`, whose half-hour time-to-use keeps the cache mostly
+/// empty and churning — the run the ledger's bookkeeping has to stay fixed
+/// under. Elements are the admissions and evictions executed, so the row
+/// reads as ops per second; the strategy's own bookkeeping rides along.
+fn admit_evict_churn(c: &mut Criterion) {
+    let trace = bench_trace();
+    let home = NeighborhoodId::new(0);
+    let topo = Topology::build(
+        TopologyConfig::new(trace.user_count(), 500)
+            .with_per_peer_storage(DataSize::from_gigabytes(2)),
+    )
+    .expect("valid topology");
+    let segmenter = Segmenter::paper_default();
+    let nominal = segmenter.stream_rate() * segmenter.segment_len();
+    let slots = (topo.config().per_peer_storage().as_bits() / nominal.as_bits()) as u32;
+    let members = topo.neighborhood(home).expect("exists").members();
+    let accesses: Vec<(SimTime, ProgramId, SimDuration)> = trace
+        .records()
+        .iter()
+        .filter(|rec| topo.neighborhood_of_user(rec.user).expect("a subscriber") == home)
+        .map(|rec| {
+            let length = trace.catalog().length(rec.program).expect("cataloged");
+            (rec.start, rec.program, length)
+        })
+        .collect();
+    let replay = || {
+        let ledger = SlotLedger::new(
+            members.iter().map(|&p| (p, slots)),
+            PlacementPolicy::Balanced,
+        );
+        let strategy = StrategySpec::parse("tlru:30m")
+            .expect("a built-in")
+            .build(ledger.total_slots(), home, None)
+            .expect("needs no schedule");
+        let mut index = IndexServer::new(home, strategy, segmenter, ledger);
+        let mut plant = Plant::over(&topo, 0..1).expect("in range");
+        for &(now, program, length) in &accesses {
+            index
+                .on_program_access(program, length, now, &mut plant)
+                .expect("placement holds");
+        }
+        index.stats().admissions + index.stats().evictions
+    };
+
+    let mut group = c.benchmark_group("cache");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(replay()));
+    group.bench_function("admit_evict_churn", |b| b.iter(|| black_box(replay())));
     group.finish();
 }
 
@@ -463,6 +521,7 @@ criterion_group!(
     benches,
     engine_throughput,
     lfu_on_access,
+    admit_evict_churn,
     engine_parallel_throughput,
     engine_streaming_throughput,
     chunk_decode_throughput,

@@ -301,11 +301,11 @@ impl GlobalLfu {
         self.cursor
     }
 
-    fn visible(&self, event_time: SimTime, now: SimTime) -> bool {
-        if self.lag.as_secs() == 0 {
+    fn visible(lag: SimDuration, event_time: SimTime, now: SimTime) -> bool {
+        if lag.as_secs() == 0 {
             event_time <= now
         } else {
-            event_time.as_secs() / self.lag.as_secs() < now.as_secs() / self.lag.as_secs()
+            event_time.as_secs() / lag.as_secs() < now.as_secs() / lag.as_secs()
         }
     }
 }
@@ -342,23 +342,28 @@ impl CacheStrategy for GlobalLfu {
         self.fill
     }
 
-    /// Ingests newly visible remote accesses. Counts only — rebalancing
-    /// happens at the next local access, when admissions can actually be
-    /// placed. Returns the post-sync cursor: everything below it has been
-    /// consumed and will never be read again.
+    /// Ingests newly visible remote accesses — the feed is in time order,
+    /// so they reach the window as one sorted run. Counts only —
+    /// rebalancing happens at the next local access, when admissions can
+    /// actually be placed. Returns the post-sync cursor: everything below
+    /// it has been consumed and will never be read again.
     fn sync_global(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
         let limit = limit.min(feed.published());
-        while self.cursor < limit {
-            let ev = feed.event_at(self.cursor);
-            if !self.visible(ev.time, now) {
-                break;
+        let (home, lag) = (self.home, self.lag);
+        let cursor = &mut self.cursor;
+        self.core.record_run(std::iter::from_fn(|| {
+            while *cursor < limit {
+                let ev = feed.event_at(*cursor);
+                if !Self::visible(lag, ev.time, now) {
+                    break;
+                }
+                *cursor += 1;
+                if ev.neighborhood != home {
+                    return Some((ev.program, ev.cost, ev.time));
+                } // else: counted locally at access time
             }
-            self.cursor += 1;
-            if ev.neighborhood == self.home {
-                continue; // counted locally at access time
-            }
-            self.core.record(ev.program, ev.cost, ev.time);
-        }
+            None
+        }));
         self.core.expire(now);
         self.cursor as u64
     }

@@ -19,8 +19,6 @@ use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use std::collections::HashMap;
-
 use crate::error::CacheError;
 use crate::feed::FeedEvents;
 use crate::fetch::FetchModel;
@@ -122,14 +120,17 @@ impl IndexStats {
 /// Placement and fill state of one admitted program.
 ///
 /// `copies[k]` is synthetic segment index `k` (replica `j` of real
-/// segment `i` lives at `k = i + j * count`): the peer hosting it and
-/// whether that copy's bytes are actually present. One vector of length
-/// `count * replication`, so a hit reads both facts from one place.
+/// segment `i` lives at `k = i + j * count`): the hosting peer's *ledger
+/// index* — what [`SlotLedger::place`] handed out and
+/// [`SlotLedger::release`] takes back, so neither an eviction nor a hit
+/// hashes a peer id — and whether that copy's bytes are actually present.
+/// One vector of length `count * replication`, so a hit reads both facts
+/// from one place.
 #[derive(Debug, Clone)]
 struct CachedProgram {
     length: SimDuration,
     admitted_at: SimTime,
-    copies: Vec<(PeerId, bool)>,
+    copies: Vec<(u32, bool)>,
 }
 
 /// The per-neighborhood cache orchestrator.
@@ -159,10 +160,11 @@ pub struct IndexServer {
     /// Modeled central-server fetch latency; instant unless the strategy
     /// factory supplied one.
     fetch: FetchModel,
-    /// Start time of the newest modeled fetch per program. Only
-    /// populated under a nonzero-latency model; stale entries are
-    /// overwritten when a later miss starts a new fetch.
-    inflight: HashMap<ProgramId, SimTime>,
+    /// Start time of the newest modeled fetch per program, dense like
+    /// `programs` and lazily grown; `None` = never fetched. Only populated
+    /// under a nonzero-latency model; stale entries are overwritten when a
+    /// later miss starts a new fetch.
+    inflight: Vec<Option<SimTime>>,
 }
 
 impl IndexServer {
@@ -220,7 +222,7 @@ impl IndexServer {
             stats: IndexStats::default(),
             ops: Vec::new(),
             fetch: FetchModel::instant(),
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
         }
     }
 
@@ -277,7 +279,7 @@ impl IndexServer {
     pub fn location_of(&self, segment: SegmentId) -> Option<PeerId> {
         self.entry(segment.program())
             .and_then(|e| e.copies.get(usize::from(segment.index())))
-            .map(|&(peer, _)| peer)
+            .map(|&(slot, _)| self.ledger.peer(slot))
     }
 
     /// Whether `segment`'s content is actually present on its peer.
@@ -440,12 +442,13 @@ impl IndexServer {
         let count = self.segmenter.segment_count(entry.length);
         for replica in 0..self.replication {
             let pos = seg_pos + usize::from(replica) * usize::from(count);
-            let &(peer, _) = entry.copies.get(pos).ok_or_else(|| {
+            let &(slot, _) = entry.copies.get(pos).ok_or_else(|| {
                 let sid = SegmentId::new(program, segment.index() + u16::from(replica) * count);
                 CacheError::InconsistentState {
                     reason: format!("admitted segment {sid} has no location"),
                 }
             })?;
+            let peer = self.ledger.peer(slot);
             if plant.stb_mut(peer)?.try_start_stream(now, end) {
                 self.stats.hits += 1;
                 return Ok(Resolution::PeerHit(peer));
@@ -464,10 +467,14 @@ impl IndexServer {
         if self.fetch.is_instant() {
             return;
         }
-        match self.inflight.get(&program) {
-            Some(&start) if self.fetch.covers(start, now) => self.stats.delayed_hits += 1,
+        let idx = program.index();
+        if idx >= self.inflight.len() {
+            self.inflight.resize(idx + 1, None);
+        }
+        match self.inflight[idx] {
+            Some(start) if self.fetch.covers(start, now) => self.stats.delayed_hits += 1,
             _ => {
-                self.inflight.insert(program, now);
+                self.inflight[idx] = Some(now);
                 self.stats.inflight_misses += 1;
             }
         }
@@ -492,15 +499,14 @@ impl IndexServer {
         let count = self.segmenter.segment_count(length);
         let total = count * u16::from(self.replication);
         let prefetch = self.fill == FillPolicy::Prefetch;
-        let copies: Vec<(PeerId, bool)> = self
-            .ledger
-            .place(program, total)?
-            .into_iter()
-            .map(|peer| (peer, prefetch))
-            .collect();
-        for (i, &(peer, _)) in copies.iter().enumerate() {
+        let mut copies = Vec::with_capacity(usize::from(total));
+        self.ledger
+            .place(program, total, |slot| copies.push((slot, prefetch)))?;
+        for (i, &(slot, _)) in copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
-            plant.stb_mut(peer)?.store(segment, self.nominal_segment)?;
+            plant
+                .stb_mut(self.ledger.peer(slot))?
+                .store(segment, self.nominal_segment)?;
         }
         self.programs[idx] = Some(CachedProgram {
             length,
@@ -526,10 +532,12 @@ impl IndexServer {
                 reason: format!("evict of unadmitted {program}"),
             });
         };
-        for (i, &(peer, _)) in entry.copies.iter().enumerate() {
+        for (i, &(slot, _)) in entry.copies.iter().enumerate() {
             let segment = SegmentId::new(program, i as u16);
-            plant.stb_mut(peer)?.delete(segment, self.nominal_segment)?;
-            self.ledger.release(peer)?;
+            plant
+                .stb_mut(self.ledger.peer(slot))?
+                .delete(segment, self.nominal_segment)?;
+            self.ledger.release(slot)?;
         }
         self.cached_count -= 1;
         self.stats.evictions += 1;

@@ -97,10 +97,20 @@ impl Entry {
 /// Program ids are dense catalog indices, so per-program state lives in a
 /// lazily-grown `Vec` (`entries`) rather than a hash map, and the event
 /// window is a monotonic `VecDeque` ring rather than an ordered map: the
-/// engine feeds each neighborhood's accesses in nondecreasing time order,
-/// so expiry pops from the front. The rare out-of-order insert (global-feed
-/// events whose batch boundary passed after newer local accesses were
-/// recorded) binary-searches its slot near the back, keeping expiry exact.
+/// engine feeds each neighborhood's accesses in nondecreasing time order
+/// (`record` pushes at the back), so expiry pops from the front.
+/// Global-feed events become visible a batch at a time, after newer local
+/// accesses were recorded; such a run arrives in one piece (`record_run`)
+/// and is merged into the ring's tail in one pass, keeping expiry exact.
+///
+/// The ring is sorted by event time, arrival order on ties. It carries no
+/// sequence number to say so: an arriving event is the newest there is, so
+/// it belongs behind every event not later than it, which is where both
+/// entry points put it. Nor would a different order among equal-time
+/// events show: `expire` compares times only, so such events leave in the
+/// same call, each program's bookkeeping is touched by its own events
+/// alone, and nothing reads the state between two pops
+/// (`equal_time_events_may_leave_in_any_order` permutes them).
 #[derive(Debug)]
 pub struct WindowedLfu {
     window: SimDuration,
@@ -111,9 +121,12 @@ pub struct WindowedLfu {
     /// paper leaves admission damping unspecified; see module docs).
     swap_margin: u32,
     seq: u64,
-    /// Events in the window as `(event time, insertion seq, program)`,
-    /// sorted ascending by `(time, seq)`.
-    history: VecDeque<(SimTime, u64, ProgramId)>,
+    /// Events in the window as `(event time, program)`, sorted ascending
+    /// by time, in arrival order within one time.
+    history: VecDeque<(SimTime, ProgramId)>,
+    /// Scratch for the tail events a run is merged with, kept for its
+    /// allocation.
+    displaced: Vec<(SimTime, ProgramId)>,
     /// Dense per-program table indexed by `ProgramId::index()`.
     entries: Vec<Entry>,
     line: Waterline,
@@ -172,6 +185,7 @@ impl WindowedLfu {
             swap_margin: Self::DEFAULT_SWAP_MARGIN,
             seq: 0,
             history: VecDeque::new(),
+            displaced: Vec::new(),
             entries: Vec::new(),
             line: Waterline::new(capacity_slots),
         }
@@ -206,16 +220,65 @@ impl WindowedLfu {
         self.window
     }
 
-    /// Records an access without rebalancing — used both for local accesses
-    /// and for remote events ingested by the global variants (which may
-    /// carry timestamps older than already-recorded local events; the
-    /// time-keyed history keeps expiry exact regardless).
+    /// Records a local access without rebalancing. Local accesses arrive
+    /// in nondecreasing time — the index server's contract — and nothing a
+    /// feed has made visible is newer, so the event goes to the ring's
+    /// back.
+    pub(crate) fn record(&mut self, program: ProgramId, cost: u32, at: SimTime) {
+        debug_assert!(
+            self.history.back().is_none_or(|&(t, _)| t <= at),
+            "local accesses are recorded in time order"
+        );
+        self.count(program, cost);
+        self.history.push_back((at, program));
+    }
+
+    /// Records a run of `(program, cost, event time)` accesses, sorted by
+    /// time, without rebalancing — the remote events a global feed has
+    /// just made visible, which may all be older than local events
+    /// already recorded. The ring's tail from the run's first instant on
+    /// is lifted out and merged back with the run in one pass, an old
+    /// event ahead of a run event of the same time, so expiry stays exact
+    /// and the cost is the run plus the few tail events it interleaves
+    /// with, not a search and a shift per event.
+    pub(crate) fn record_run(&mut self, run: impl IntoIterator<Item = (ProgramId, u32, SimTime)>) {
+        let mut run = run.into_iter().peekable();
+        let Some(&(_, _, first)) = run.peek() else {
+            return;
+        };
+        let late = self
+            .history
+            .iter()
+            .rev()
+            .take_while(|&&(t, _)| t > first)
+            .count();
+        let mut displaced = std::mem::take(&mut self.displaced);
+        displaced.clear();
+        displaced.extend(self.history.drain(self.history.len() - late..));
+        let mut old = displaced.iter().copied().peekable();
+        for (program, cost, at) in run {
+            while let Some(event) = old.next_if(|&(t, _)| t <= at) {
+                self.history.push_back(event);
+            }
+            debug_assert!(
+                self.history.back().is_none_or(|&(t, _)| t <= at),
+                "a run is sorted by time"
+            );
+            self.count(program, cost);
+            self.history.push_back((at, program));
+        }
+        self.history.extend(old);
+        self.displaced = displaced;
+    }
+
+    /// Counts one access of `program`: its score rises and it becomes the
+    /// most recent of its count.
     ///
     /// A hit on a cached program only *raises* its score, and the cached
     /// set is only ever read from its weak end, so the set keeps the
     /// stale lower key (`Entry::filed`) and the rebalance repairs it if
     /// it ever surfaces there.
-    pub(crate) fn record(&mut self, program: ProgramId, cost: u32, at: SimTime) {
+    fn count(&mut self, program: ProgramId, cost: u32) {
         self.seq += 1;
         let seq = self.seq;
         self.line.note_cost(cost);
@@ -232,22 +295,6 @@ impl WindowedLfu {
             self.line.candidates.remove(&old); // no-op for brand-new entries
             self.line.candidates.insert(new);
         }
-        // Ring insert: local accesses arrive in nondecreasing time, so the
-        // overwhelmingly common case is a push at the back. Remote
-        // global-feed events can carry older timestamps; they settle into
-        // place by binary search so front-to-back expiry stays exact.
-        if self
-            .history
-            .back()
-            .is_none_or(|&(t, s, _)| (t, s) <= (at, seq))
-        {
-            self.history.push_back((at, seq, program));
-        } else {
-            let pos = self
-                .history
-                .partition_point(|&(t, s, _)| (t, s) <= (at, seq));
-            self.history.insert(pos, (at, seq, program));
-        }
     }
 
     /// Drops events older than the window and decrements their counts.
@@ -257,7 +304,7 @@ impl WindowedLfu {
         };
         // Everything with event time <= cutoff leaves the window: pop the
         // sorted ring from the front.
-        while let Some(&(t, _, program)) = self.history.front() {
+        while let Some(&(t, program)) = self.history.front() {
             if t.as_secs() > cutoff {
                 break;
             }
@@ -595,12 +642,12 @@ mod tests {
     #[test]
     fn out_of_order_remote_events_keep_expiry_exact() {
         // Global variants record remote events with timestamps older than
-        // already-recorded local ones; the ring's binary-search insert
-        // must keep front-to-back expiry exact.
+        // already-recorded local ones; the ring's tail merge must keep
+        // front-to-back expiry exact.
         let mut lfu = WindowedLfu::new(16, SimDuration::from_secs(100));
         lfu.record(p(0), 2, SimTime::from_secs(80)); // local, newer
-        lfu.record(p(1), 2, SimTime::from_secs(30)); // remote, older
-        lfu.record(p(2), 2, SimTime::from_secs(55)); // remote, middle
+        lfu.record_run([(p(1), 2, SimTime::from_secs(30))]); // remote, older
+        lfu.record_run([(p(2), 2, SimTime::from_secs(55))]); // remote, middle
         assert_eq!(
             (lfu.count_of(p(0)), lfu.count_of(p(1)), lfu.count_of(p(2))),
             (1, 1, 1)
@@ -619,6 +666,84 @@ mod tests {
         );
         lfu.expire(SimTime::from_secs(180));
         assert_eq!(lfu.count_of(p(0)), 0);
+    }
+
+    #[test]
+    fn a_run_merges_into_the_tail_behind_equal_times() {
+        let t = SimTime::from_secs;
+        let mut lfu = WindowedLfu::new(16, SimDuration::from_secs(100));
+        for (program, secs) in [(0, 10), (1, 20), (2, 20), (3, 40), (4, 50)] {
+            lfu.record(p(program), 1, t(secs));
+        }
+        // Older than the whole tail, level with part of it, inside it,
+        // level with its end and past it.
+        lfu.record_run([(5, 20), (6, 30), (7, 40), (8, 50), (9, 60)].map(|(q, s)| (p(q), 1, t(s))));
+        let ring: Vec<(u64, u32)> = lfu
+            .history
+            .iter()
+            .map(|&(at, q)| (at.as_secs(), q.value()))
+            .collect();
+        assert_eq!(
+            ring,
+            [
+                (10, 0),
+                (20, 1),
+                (20, 2),
+                (20, 5),
+                (30, 6),
+                (40, 3),
+                (40, 7),
+                (50, 4),
+                (50, 8),
+                (60, 9)
+            ]
+        );
+        // An empty run, and one that only appends, leave the rest alone.
+        lfu.record_run([]);
+        lfu.record_run([(p(1), 1, t(60))]);
+        assert_eq!(lfu.history.len(), 11);
+        assert_eq!(lfu.history.back(), Some(&(t(60), p(1))));
+        assert_eq!(lfu.count_of(p(1)), 2);
+    }
+
+    /// The ring's order among events of one time is not observable (see
+    /// the type docs): reversing every equal-time group before an expiry
+    /// leaves the same counts, the same sets and the same ops afterwards.
+    #[test]
+    fn equal_time_events_may_leave_in_any_order() {
+        let build = || {
+            let mut lfu = WindowedLfu::new(9, SimDuration::from_secs(100));
+            for i in 0..400u64 {
+                // Bursts of up to five programs a second, some cached.
+                let program = (i * 7 % 11) as u32;
+                access(&mut lfu, program, 1 + program % 3, i / 5);
+            }
+            lfu
+        };
+        let (mut as_arrived, mut reversed) = (build(), build());
+        let ring = reversed.history.make_contiguous();
+        for group in ring.chunk_by_mut(|a, b| a.0 == b.0) {
+            group.reverse();
+        }
+        assert_ne!(as_arrived.history, reversed.history);
+        for now in [110, 125, 140, 179, 180, 500] {
+            as_arrived.expire(SimTime::from_secs(now));
+            reversed.expire(SimTime::from_secs(now));
+            assert_eq!(as_arrived.line.cached, reversed.line.cached, "at {now}");
+            assert_eq!(
+                as_arrived.line.candidates, reversed.line.candidates,
+                "at {now}"
+            );
+            for q in 0..11 {
+                assert_eq!(as_arrived.count_of(p(q)), reversed.count_of(p(q)));
+                assert_eq!(as_arrived.contains(p(q)), reversed.contains(p(q)));
+            }
+            let (ops_a, ops_b) = (
+                access(&mut as_arrived, 3, 1, now),
+                access(&mut reversed, 3, 1, now),
+            );
+            assert_eq!(ops_a, ops_b, "at {now}");
+        }
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! fresh victim list per round — exactly as it stood before the waterline
 //! learned to stop early and to file cached scores lazily. The property
 //! below holds the production strategy to it op for op.
+//!
+//! Its `record` is also the per-event ring insert as it stood before remote
+//! runs were merged into the tail in one piece: every event keyed
+//! `(time, seq)` and filed by binary search. The second property holds a
+//! [`GlobalLfu`] to a reference fed the same feed one event at a time.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -10,6 +15,9 @@ use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+use cablevod_hfc::ids::NeighborhoodId;
+
+use crate::feed::{FeedEvent, FeedEvents, GlobalFeed, GlobalLfu};
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy};
 
@@ -261,6 +269,33 @@ impl ReferenceLfu {
     }
 }
 
+/// `GlobalLfu::sync_global` as it stood while each remote event was
+/// recorded on its own.
+fn reference_sync(
+    reference: &mut ReferenceLfu,
+    cursor: &mut usize,
+    feed: &GlobalFeed,
+    (home, lag): (NeighborhoodId, u64),
+    now: SimTime,
+    limit: usize,
+) {
+    while *cursor < limit.min(feed.len()) {
+        let ev = feed.event_at(*cursor);
+        let visible = match lag {
+            0 => ev.time <= now,
+            lag => ev.time.as_secs() / lag < now.as_secs() / lag,
+        };
+        if !visible {
+            break;
+        }
+        *cursor += 1;
+        if ev.neighborhood != home {
+            reference.record(ev.program, ev.cost, ev.time);
+        }
+    }
+    reference.expire(now);
+}
+
 const PROGRAMS: u32 = 12;
 
 proptest! {
@@ -291,7 +326,7 @@ proptest! {
             let (program, cost) = (ProgramId::new(p), cost_of(p));
             if age % 4 == 0 {
                 let at = SimTime::from_secs(now.saturating_sub(age));
-                lfu.record(program, cost, at);
+                lfu.record_run([(program, cost, at)]);
                 reference.record(program, cost, at);
                 lfu.expire(SimTime::from_secs(now));
                 reference.expire(SimTime::from_secs(now));
@@ -307,6 +342,62 @@ proptest! {
                 prop_assert_eq!(lfu.count_of(q), reference.count_of(q), "count of {} at step {}", q, step);
                 prop_assert_eq!(lfu.contains(q), reference.contains(q), "{} cached at step {}", q, step);
             }
+        }
+    }
+
+    /// A system-wide feed over four neighborhoods as neighborhood 0's
+    /// index server meets it: a sync bounded by the record's own index and
+    /// then the access at each of its own records, a bare sync (the idle
+    /// sweep) at some of the others'. Remote events turn visible a lag
+    /// batch at a time, behind local events already recorded, in runs the
+    /// production strategy merges in one piece and the reference files one
+    /// by one.
+    #[test]
+    fn global_lfu_ingests_runs_as_the_per_event_reference_does(
+        events in prop::collection::vec((0u64..900, 0u32..4, 0u32..PROGRAMS), 1..500),
+        shape in (2u64..14, 0usize..3, 0usize..5),
+        costs in prop::collection::vec(1u32..6, PROGRAMS as usize),
+    ) {
+        let (capacity, lag, window) = shape;
+        let lag = [0, 1_800, 7_200][lag];
+        // Shorter than either lag, between them, and longer than both.
+        let window = SimDuration::from_secs([600, 3_600, 5_400, 14_400, 86_400][window]);
+        let home = NeighborhoodId::new(0);
+        let mut feed = GlobalFeed::new();
+        let mut now = 0u64;
+        for &(dt, nbhd, p) in &events {
+            now += dt;
+            feed.publish(FeedEvent {
+                time: SimTime::from_secs(now),
+                neighborhood: NeighborhoodId::new(nbhd),
+                program: ProgramId::new(p),
+                cost: costs[p as usize],
+            });
+        }
+
+        let mut lfu = GlobalLfu::new(capacity, window, SimDuration::from_secs(lag), home);
+        let mut reference = ReferenceLfu::new(capacity, window);
+        let mut cursor = 0usize;
+        let (mut ops, mut expected) = (Vec::new(), Vec::new());
+        for (seq, ev) in feed.events().iter().enumerate() {
+            if ev.neighborhood != home && seq % 5 != 0 {
+                continue;
+            }
+            let consumed = lfu.sync_global(&feed, ev.time, seq + 1);
+            reference_sync(&mut reference, &mut cursor, &feed, (home, lag), ev.time, seq + 1);
+            prop_assert_eq!(consumed, cursor as u64, "cursor at record {}", seq);
+            if ev.neighborhood == home {
+                ops.clear();
+                expected.clear();
+                lfu.on_access(ev.program, ev.cost, ev.time, &mut ops);
+                reference.on_access(ev.program, ev.cost, ev.time, &mut expected);
+                prop_assert_eq!(&ops, &expected, "ops diverge at record {}", seq);
+            }
+            prop_assert_eq!(lfu.used_slots(), reference.used, "used at record {}", seq);
+        }
+        for q in (0..PROGRAMS).map(ProgramId::new) {
+            prop_assert_eq!(lfu.core.count_of(q), reference.count_of(q), "count of {}", q);
+            prop_assert_eq!(lfu.contains(q), reference.contains(q), "{} cached", q);
         }
     }
 }

@@ -60,6 +60,8 @@ pub mod prior;
 pub mod registry;
 pub mod schedule;
 pub mod strategy;
+#[cfg(test)]
+mod strategy_references;
 pub mod tlru;
 mod waterline;
 pub mod watermark;

@@ -5,24 +5,132 @@
 //! > updated, and moved to the front. If it is not in the cache already, it
 //! > is added immediately. When the cache is full the program at the end of
 //! > the queue is discarded."
-
-use std::collections::{BTreeSet, HashMap};
+//!
+//! The queue is a `RecencyList`: program ids are dense catalog indices,
+//! so the links live in a table indexed by `ProgramId::index()` and an
+//! access neither hashes nor walks a tree. The time-aware LRU
+//! ([`crate::tlru`]) keeps the same list.
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::SimTime;
 
 use crate::strategy::{CacheOp, CacheStrategy};
 
+/// "No program" in a [`RecencyList`] link.
+const NIL: u32 = u32::MAX;
+
+/// One program's place in a [`RecencyList`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The next older program, [`NIL`] for the oldest.
+    older: u32,
+    /// The next newer program, [`NIL`] for the newest.
+    newer: u32,
+    cost: u32,
+    linked: bool,
+}
+
+/// The programs of a cache in recency order, each with its slot cost: a
+/// doubly linked list whose links are program indexes into one dense,
+/// lazily grown table.
+#[derive(Debug)]
+pub(crate) struct RecencyList {
+    nodes: Vec<Node>,
+    oldest: u32,
+    newest: u32,
+}
+
+impl RecencyList {
+    pub(crate) fn new() -> Self {
+        RecencyList {
+            nodes: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
+
+    /// The slot cost `program` was listed with, if it is listed.
+    pub(crate) fn cost_of(&self, program: ProgramId) -> Option<u32> {
+        self.nodes
+            .get(program.index())
+            .filter(|node| node.linked)
+            .map(|node| node.cost)
+    }
+
+    /// The least recently listed or touched program.
+    pub(crate) fn oldest(&self) -> Option<ProgramId> {
+        (self.oldest != NIL).then(|| ProgramId::new(self.oldest))
+    }
+
+    /// Lists `program`, which must not be listed, as the most recent.
+    pub(crate) fn push_newest(&mut self, program: ProgramId, cost: u32) {
+        let idx = program.index();
+        if idx >= self.nodes.len() {
+            let unlisted = Node {
+                older: NIL,
+                newer: NIL,
+                cost: 0,
+                linked: false,
+            };
+            self.nodes.resize(idx + 1, unlisted);
+        }
+        debug_assert!(!self.nodes[idx].linked, "{program} is listed already");
+        self.nodes[idx] = Node {
+            older: self.newest,
+            newer: NIL,
+            cost,
+            linked: true,
+        };
+        match self.newest {
+            NIL => self.oldest = program.value(),
+            newest => self.nodes[newest as usize].newer = program.value(),
+        }
+        self.newest = program.value();
+    }
+
+    /// Takes `program`, which must be listed, off the list; returns its
+    /// cost.
+    pub(crate) fn unlink(&mut self, program: ProgramId) -> u32 {
+        let node = &mut self.nodes[program.index()];
+        debug_assert!(node.linked, "{program} is not listed");
+        node.linked = false;
+        let Node {
+            older, newer, cost, ..
+        } = *node;
+        match older {
+            NIL => self.oldest = newer,
+            older => self.nodes[older as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            newer => self.nodes[newer as usize].older = older,
+        }
+        cost
+    }
+
+    /// Takes the least recent program off the list; returns it and its
+    /// cost.
+    pub(crate) fn pop_oldest(&mut self) -> Option<(ProgramId, u32)> {
+        let program = self.oldest()?;
+        Some((program, self.unlink(program)))
+    }
+
+    /// Makes `program`, which must be listed, the most recent.
+    pub(crate) fn touch(&mut self, program: ProgramId) {
+        if self.newest != program.value() {
+            let cost = self.unlink(program);
+            self.push_newest(program, cost);
+        }
+    }
+}
+
 /// LRU over programs, capacity-accounted in slots.
 #[derive(Debug)]
 pub struct Lru {
     capacity: u64,
     used: u64,
-    seq: u64,
-    /// program -> (recency sequence, cost in slots)
-    entries: HashMap<ProgramId, (u64, u32)>,
-    /// (recency sequence, program), oldest first
-    queue: BTreeSet<(u64, ProgramId)>,
+    /// The cached programs, least recently accessed first.
+    queue: RecencyList,
 }
 
 impl Lru {
@@ -31,37 +139,8 @@ impl Lru {
         Lru {
             capacity: capacity_slots,
             used: 0,
-            seq: 0,
-            entries: HashMap::new(),
-            queue: BTreeSet::new(),
+            queue: RecencyList::new(),
         }
-    }
-
-    fn touch(&mut self, program: ProgramId) {
-        self.seq += 1;
-        let entry = self
-            .entries
-            .get_mut(&program)
-            .expect("touch of cached program");
-        let removed = self.queue.remove(&(entry.0, program));
-        debug_assert!(removed, "queue and entries must agree");
-        entry.0 = self.seq;
-        self.queue.insert((self.seq, program));
-    }
-
-    fn evict_oldest(&mut self, ops: &mut Vec<CacheOp>) {
-        let &(seq, victim) = self
-            .queue
-            .iter()
-            .next()
-            .expect("evict from non-empty queue");
-        self.queue.remove(&(seq, victim));
-        let (_, cost) = self
-            .entries
-            .remove(&victim)
-            .expect("queued program has entry");
-        self.used -= u64::from(cost);
-        ops.push(CacheOp::Evict(victim));
     }
 }
 
@@ -71,29 +150,29 @@ impl CacheStrategy for Lru {
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, _now: SimTime, ops: &mut Vec<CacheOp>) {
-        if self.entries.contains_key(&program) {
-            self.touch(program);
+        if self.contains(program) {
+            self.queue.touch(program);
             return;
         }
         if u64::from(cost) > self.capacity {
             return; // can never fit
         }
         while self.used + u64::from(cost) > self.capacity {
-            self.evict_oldest(ops);
+            let (victim, freed) = self.queue.pop_oldest().expect("evict from non-empty queue");
+            self.used -= u64::from(freed);
+            ops.push(CacheOp::Evict(victim));
         }
-        self.seq += 1;
-        self.entries.insert(program, (self.seq, cost));
-        self.queue.insert((self.seq, program));
+        self.queue.push_newest(program, cost);
         self.used += u64::from(cost);
         ops.push(CacheOp::Admit(program));
     }
 
     fn contains(&self, program: ProgramId) -> bool {
-        self.entries.contains_key(&program)
+        self.queue.cost_of(program).is_some()
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {
-        self.entries.get(&program).map(|&(_, cost)| cost)
+        self.queue.cost_of(program)
     }
 
     fn used_slots(&self) -> u64 {

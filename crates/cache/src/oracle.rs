@@ -17,8 +17,18 @@
 //! the window's state is bounded by the look-ahead span (see
 //! [`crate::schedule`]). Either way the Oracle sees the identical event
 //! sequence, so decisions are bit-identical.
-
-use std::collections::HashMap;
+//!
+//! # What a window step costs
+//!
+//! Program ids are dense catalog indices and the window's cost table names
+//! the catalog, so the per-program state — future count, cached flag,
+//! filed key — is one `Vec` sized from it: no hashing. Cached scores are
+//! filed lazily, exactly as the LFU files its own (`lfu.rs`): the cached
+//! set is only ever read from its weak end, so an event *entering* the
+//! window for a cached program touches no set at all, and one *leaving*
+//! moves the program's key only when its count dips under the key it is
+//! filed under. The rebalance repairs a stale key if it surfaces
+//! (`Tenants::refile` in `waterline.rs`).
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -27,6 +37,17 @@ use crate::error::CacheError;
 use crate::schedule::ScheduleWindow;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
 use crate::waterline::{Score, Tenants, Waterline};
+
+/// Per-program state, indexed by `ProgramId::index()`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Accesses inside the current window.
+    future: u32,
+    cached: bool,
+    /// While cached: the count this program is filed under in the cached
+    /// set, at or below `future`.
+    filed: u32,
+}
 
 /// The clairvoyant cache strategy.
 ///
@@ -37,17 +58,18 @@ use crate::waterline::{Score, Tenants, Waterline};
 pub struct Oracle {
     lookahead: SimDuration,
     window: ScheduleWindow,
-    /// future count per program with count > 0 or cached
-    future: HashMap<ProgramId, u32>,
-    cached_set: HashMap<ProgramId, ()>,
+    /// Dense per-program table, one slot per entry of the window's cost
+    /// table (grown for an id scheduled from beyond it, which is
+    /// unplaceable but still counted).
+    programs: Vec<Slot>,
     line: Waterline,
 }
 
-/// The schedule's costs and the cached set as the waterline rebalance
+/// The schedule's costs and the program table as the waterline rebalance
 /// sees them.
 struct Catalog<'a> {
     window: &'a ScheduleWindow,
-    cached_set: &'a mut HashMap<ProgramId, ()>,
+    programs: &'a mut [Slot],
 }
 
 impl Tenants for Catalog<'_> {
@@ -61,12 +83,20 @@ impl Tenants for Catalog<'_> {
         victim < candidate
     }
 
+    fn refile(&mut self, filed: Score) -> Score {
+        let slot = &mut self.programs[filed.2.index()];
+        slot.filed = slot.future;
+        (slot.future, 0, filed.2)
+    }
+
     fn admitted(&mut self, score: Score) {
-        self.cached_set.insert(score.2, ());
+        let slot = &mut self.programs[score.2.index()];
+        slot.cached = true;
+        slot.filed = score.0;
     }
 
     fn evicted(&mut self, score: Score) -> bool {
-        self.cached_set.remove(&score.2);
+        self.programs[score.2.index()].cached = false;
         score.0 > 0
     }
 }
@@ -83,9 +113,8 @@ impl Oracle {
             .for_each(|cost| line.note_cost(cost));
         Oracle {
             lookahead,
+            programs: vec![Slot::default(); window.cost_count()],
             window,
-            future: HashMap::new(),
-            cached_set: HashMap::new(),
             line,
         }
     }
@@ -101,26 +130,33 @@ impl Oracle {
         &self.window
     }
 
-    fn score_of(&self, program: ProgramId) -> Score {
-        (self.future_count(program), 0, program)
-    }
-
-    fn bump(&mut self, program: ProgramId, delta: i64) {
-        let old = self.score_of(program);
-        let count = (i64::from(old.0) + delta).max(0) as u32;
-        let is_cached = self.cached_set.contains_key(&program);
-        if count == 0 {
-            self.future.remove(&program);
-        } else {
-            self.future.insert(program, count);
+    /// Moves `program`'s future count by one event crossing a window
+    /// edge: `entering` the leading one or leaving by the trailing one.
+    fn bump(&mut self, program: ProgramId, entering: bool) {
+        let idx = program.index();
+        if idx >= self.programs.len() {
+            self.programs.resize(idx + 1, Slot::default());
         }
-        let new = (count, 0, program);
-        if is_cached {
-            self.line.cached.remove(&old);
-            self.line.cached.insert(new);
+        let slot = &mut self.programs[idx];
+        let old = (slot.future, 0, program);
+        slot.future = if entering {
+            slot.future + 1
+        } else {
+            slot.future.saturating_sub(1)
+        };
+        let new = (slot.future, 0, program);
+        if slot.cached {
+            // The filed key may lag below the score but never sit above
+            // it: a raised score is left alone, a lowered one refiled as
+            // soon as it dips under its key.
+            if new.0 < slot.filed {
+                self.line.cached.remove(&(slot.filed, 0, program));
+                self.line.cached.insert(new);
+                slot.filed = new.0;
+            }
         } else {
             self.line.candidates.remove(&old);
-            if count > 0 {
+            if new.0 > 0 {
                 self.line.candidates.insert(new);
             }
         }
@@ -131,24 +167,26 @@ impl Oracle {
     fn advance(&mut self, now: SimTime) {
         let horizon = now.saturating_add(self.lookahead);
         while let Some(p) = self.window.next_entering(horizon) {
-            self.bump(p, 1);
+            self.bump(p, true);
         }
         while let Some(p) = self.window.next_leaving(now) {
-            self.bump(p, -1);
+            self.bump(p, false);
         }
     }
 
     fn rebalance(&mut self, ops: &mut Vec<CacheOp>) {
         let mut catalog = Catalog {
             window: &self.window,
-            cached_set: &mut self.cached_set,
+            programs: &mut self.programs,
         };
         self.line.rebalance(&mut catalog, ops);
     }
 
     /// Future access count of `program` within the current window.
     pub fn future_count(&self, program: ProgramId) -> u32 {
-        self.future.get(&program).copied().unwrap_or(0)
+        self.programs
+            .get(program.index())
+            .map_or(0, |slot| slot.future)
     }
 }
 
@@ -180,7 +218,9 @@ impl CacheStrategy for Oracle {
     }
 
     fn contains(&self, program: ProgramId) -> bool {
-        self.cached_set.contains_key(&program)
+        self.programs
+            .get(program.index())
+            .is_some_and(|slot| slot.cached)
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {

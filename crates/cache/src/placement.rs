@@ -8,9 +8,30 @@
 //! slot), so the ledger's arithmetic matches the strategies' capacity
 //! accounting exactly. The paper's balanced policy is the default; random
 //! and first-fit exist for the placement ablation.
+//!
+//! # The balanced structure
+//!
+//! Balanced placement takes the peer with the most free slots, the lowest
+//! ledger index on ties. The ledger keeps one bit-set of peer indexes per
+//! free-slot count (`FreeBuckets`): a peer with `f > 0` free slots has
+//! exactly one bit, in bucket `f`, and a full peer has none. Placing is
+//! "the first set bit of the highest non-empty bucket", and both placing
+//! and releasing move that one bit to the neighbouring bucket. Every bit
+//! is the truth about its peer at every moment, so there is nothing to
+//! validate when it is read and nothing superseded to skip over or
+//! collect: the bookkeeping is `peers × (largest initial slot count)` bits,
+//! allocated once, however long the run and however hard it churns. A
+//! descending `top` hint remembers the highest bucket that may be
+//! non-empty; a release raises it, a place walks it down past empty
+//! buckets.
+//!
+//! Peers are addressed by their **ledger index** (their position in the
+//! member list the ledger was built from): [`SlotLedger::place`] hands
+//! indexes out and [`SlotLedger::release`] takes them back, so neither
+//! hashes a peer id. [`SlotLedger::index_of`] is the one hashed lookup, for
+//! callers that start from a [`PeerId`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -38,6 +59,64 @@ pub enum PlacementPolicy {
     FirstFit,
 }
 
+/// The balanced policy's order: one bit-set of ledger indexes per free-slot
+/// count (see the module docs). Empty — no buckets at all — under the
+/// other policies.
+#[derive(Debug)]
+struct FreeBuckets {
+    /// Words per bucket: enough bits for every peer.
+    words: usize,
+    /// Bucket `f` (for `f >= 1`) is `bits[(f - 1) * words..][..words]`.
+    bits: Vec<u64>,
+    /// No bucket above `top` holds a bit.
+    top: u32,
+}
+
+impl FreeBuckets {
+    fn new(free: &[u32]) -> Self {
+        let words = free.len().div_ceil(64);
+        let deepest = free.iter().copied().max().unwrap_or(0);
+        let mut buckets = FreeBuckets {
+            words,
+            bits: vec![0; words * deepest as usize],
+            top: 0,
+        };
+        for (idx, &f) in free.iter().enumerate() {
+            buckets.set(f, idx);
+        }
+        buckets
+    }
+
+    /// Files peer `idx` under `f` free slots (nowhere when it has none).
+    fn set(&mut self, f: u32, idx: usize) {
+        if f > 0 {
+            self.bits[(f as usize - 1) * self.words + idx / 64] |= 1 << (idx % 64);
+            self.top = self.top.max(f);
+        }
+    }
+
+    /// Moves peer `idx`, filed under `from` free slots, to bucket `to`.
+    fn refile(&mut self, idx: usize, from: u32, to: u32) {
+        if from > 0 {
+            self.bits[(from as usize - 1) * self.words + idx / 64] &= !(1 << (idx % 64));
+        }
+        self.set(to, idx);
+    }
+
+    /// The lowest-indexed peer among those with the most free slots. Some
+    /// peer must have a free slot.
+    fn most_free(&mut self) -> usize {
+        loop {
+            assert!(self.top > 0, "a peer with a free slot is filed");
+            let bucket = &self.bits[(self.top as usize - 1) * self.words..][..self.words];
+            if let Some(word) = bucket.iter().position(|&w| w != 0) {
+                return word * 64 + bucket[word].trailing_zeros() as usize;
+            }
+            self.top -= 1;
+        }
+    }
+}
+
 /// Tracks free storage slots for every peer of one neighborhood and picks
 /// peers for new segments.
 #[derive(Debug)]
@@ -46,18 +125,17 @@ pub struct SlotLedger {
     free: Vec<u32>,
     /// Original slot count per peer (the release upper bound).
     initial: Vec<u32>,
-    index_of: HashMap<PeerId, usize>,
+    index_of: HashMap<PeerId, u32>,
     total_free: u64,
     total_slots: u64,
     policy: PlacementPolicy,
-    /// Lazy max-heap of (free, idx) for the balanced policy; entries are
-    /// validated against `free` when popped.
-    heap: BinaryHeap<(u32, Reverse<usize>)>,
+    buckets: FreeBuckets,
     rng: StdRng,
 }
 
 impl SlotLedger {
-    /// Creates a ledger from `(peer, slots)` pairs.
+    /// Creates a ledger from `(peer, slots)` pairs; a peer's position in
+    /// `members` is its ledger index.
     ///
     /// # Panics
     ///
@@ -68,22 +146,17 @@ impl SlotLedger {
         let mut index_of = HashMap::new();
         for (peer, slots) in members {
             assert!(
-                index_of.insert(peer, peers.len()).is_none(),
+                index_of.insert(peer, peers.len() as u32).is_none(),
                 "peer {peer} listed twice in ledger"
             );
             peers.push(peer);
             free.push(slots);
         }
         let total_free: u64 = free.iter().map(|&f| u64::from(f)).sum();
-        let mut heap = BinaryHeap::with_capacity(peers.len());
-        for (i, &f) in free.iter().enumerate() {
-            if f > 0 {
-                heap.push((f, Reverse(i)));
-            }
-        }
-        let seed = match policy {
-            PlacementPolicy::Random { seed } => seed,
-            _ => 0,
+        let (buckets, seed) = match policy {
+            PlacementPolicy::Balanced => (FreeBuckets::new(&free), 0),
+            PlacementPolicy::Random { seed } => (FreeBuckets::new(&[]), seed),
+            PlacementPolicy::FirstFit => (FreeBuckets::new(&[]), 0),
         };
         SlotLedger {
             peers,
@@ -93,7 +166,7 @@ impl SlotLedger {
             total_free,
             total_slots: total_free,
             policy,
-            heap,
+            buckets,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -110,7 +183,7 @@ impl SlotLedger {
 
     /// Free slots on `peer`, if known.
     pub fn free_of(&self, peer: PeerId) -> Option<u32> {
-        self.index_of.get(&peer).map(|&i| self.free[i])
+        self.index_of.get(&peer).map(|&i| self.free[i as usize])
     }
 
     /// Number of member peers.
@@ -118,16 +191,43 @@ impl SlotLedger {
         self.peers.len()
     }
 
-    /// Picks `count` slots for the segments of `program` (a peer may host
-    /// several segments of one program). Returns one peer per segment, in
-    /// segment order.
+    /// The ledger index of `peer` — the one lookup that hashes.
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::PlacementOverflow`] if fewer than `count`
-    /// slots are free — callers uphold the strategy capacity invariant, so
-    /// this indicates a bug.
-    pub fn place(&mut self, program: ProgramId, count: u16) -> Result<Vec<PeerId>, CacheError> {
+    /// Returns [`CacheError::UnknownPeer`] for peers outside the
+    /// neighborhood.
+    pub fn index_of(&self, peer: PeerId) -> Result<u32, CacheError> {
+        self.index_of
+            .get(&peer)
+            .copied()
+            .ok_or(CacheError::UnknownPeer { peer })
+    }
+
+    /// The peer at ledger index `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an index [`place`](Self::place) never handed out.
+    pub fn peer(&self, index: u32) -> PeerId {
+        self.peers[index as usize]
+    }
+
+    /// Picks `count` slots for the segments of `program` (a peer may host
+    /// several segments of one program) and hands the chosen peers' ledger
+    /// indexes to `placed`, one per segment, in segment order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::PlacementOverflow`], with nothing placed, if
+    /// fewer than `count` slots are free — callers uphold the strategy
+    /// capacity invariant, so this indicates a bug.
+    pub fn place(
+        &mut self,
+        program: ProgramId,
+        count: u16,
+        mut placed: impl FnMut(u32),
+    ) -> Result<(), CacheError> {
         if u64::from(count) > self.total_free {
             return Err(CacheError::PlacementOverflow {
                 program,
@@ -135,68 +235,54 @@ impl SlotLedger {
                 free: self.total_free,
             });
         }
-        let mut out = Vec::with_capacity(usize::from(count));
         for _ in 0..count {
             let idx = match self.policy {
-                PlacementPolicy::Balanced => self.pop_most_free(),
+                PlacementPolicy::Balanced => {
+                    let idx = self.buckets.most_free();
+                    self.buckets.refile(idx, self.free[idx], self.free[idx] - 1);
+                    idx
+                }
                 PlacementPolicy::Random { .. } => self.pick_random(),
                 PlacementPolicy::FirstFit => self.pick_first_fit(),
             };
             self.free[idx] -= 1;
             self.total_free -= 1;
-            if matches!(self.policy, PlacementPolicy::Balanced) && self.free[idx] > 0 {
-                self.heap.push((self.free[idx], Reverse(idx)));
-            }
-            out.push(self.peers[idx]);
-        }
-        Ok(out)
-    }
-
-    /// Returns one slot on `peer` to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownPeer`] for peers outside the
-    /// neighborhood and [`CacheError::InconsistentState`] if the peer has
-    /// no outstanding slot.
-    pub fn release(&mut self, peer: PeerId) -> Result<(), CacheError> {
-        let &idx = self
-            .index_of
-            .get(&peer)
-            .ok_or(CacheError::UnknownPeer { peer })?;
-        let limit = self.slot_limit(idx);
-        if self.free[idx] >= limit {
-            return Err(CacheError::InconsistentState {
-                reason: format!("release of unplaced slot on {peer}"),
-            });
-        }
-        self.free[idx] += 1;
-        self.total_free += 1;
-        if matches!(self.policy, PlacementPolicy::Balanced) {
-            self.heap.push((self.free[idx], Reverse(idx)));
+            placed(idx as u32);
         }
         Ok(())
     }
 
-    fn slot_limit(&self, idx: usize) -> u32 {
-        self.initial[idx]
+    /// Returns one slot on the peer at ledger index `index` to the free
+    /// pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InconsistentState`] if the peer has no
+    /// outstanding slot, or the index names no peer of this ledger.
+    pub fn release(&mut self, index: u32) -> Result<(), CacheError> {
+        let idx = index as usize;
+        let Some(&free) = self.free.get(idx) else {
+            return Err(CacheError::InconsistentState {
+                reason: format!("release on ledger index {index}, which names no peer"),
+            });
+        };
+        if free >= self.initial[idx] {
+            return Err(CacheError::InconsistentState {
+                reason: format!("release of unplaced slot on {}", self.peers[idx]),
+            });
+        }
+        if matches!(self.policy, PlacementPolicy::Balanced) {
+            self.buckets.refile(idx, free, free + 1);
+        }
+        self.free[idx] += 1;
+        self.total_free += 1;
+        Ok(())
     }
 
-    fn pop_most_free(&mut self) -> usize {
-        loop {
-            let (f, Reverse(idx)) = self
-                .heap
-                .pop()
-                .expect("total_free > 0 guarantees a heap entry");
-            if self.free[idx] == f && f > 0 {
-                return idx;
-            }
-            // Stale entry; if the peer still has capacity re-push its
-            // current truth so it is not lost.
-            if self.free[idx] > 0 && self.free[idx] != f {
-                self.heap.push((self.free[idx], Reverse(idx)));
-            }
-        }
+    /// Words of balanced-order bookkeeping held — fixed at construction.
+    #[cfg(test)]
+    fn bookkeeping_len(&self) -> usize {
+        self.buckets.bits.len()
     }
 
     fn pick_random(&mut self) -> usize {
@@ -229,6 +315,7 @@ impl SlotLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn peers(n: u32, slots: u32) -> Vec<(PeerId, u32)> {
         (0..n).map(|i| (PeerId::new(i), slots)).collect()
@@ -238,10 +325,22 @@ mod tests {
         ProgramId::new(0)
     }
 
+    /// Places `count` slots and names the chosen peers.
+    fn place(ledger: &mut SlotLedger, count: u16) -> Result<Vec<PeerId>, CacheError> {
+        let mut out = Vec::new();
+        ledger.place(prog(), count, |idx| out.push(idx))?;
+        Ok(out.into_iter().map(|idx| ledger.peer(idx)).collect())
+    }
+
+    /// Releases one slot on `peer`, found by id.
+    fn release(ledger: &mut SlotLedger, peer: PeerId) -> Result<(), CacheError> {
+        ledger.release(ledger.index_of(peer)?)
+    }
+
     #[test]
     fn balanced_spreads_across_peers() {
         let mut ledger = SlotLedger::new(peers(10, 4), PlacementPolicy::Balanced);
-        let placed = ledger.place(prog(), 10).expect("fits");
+        let placed = place(&mut ledger, 10).expect("fits");
         // Ten segments over ten equally-free peers: every peer gets one.
         let mut unique: Vec<_> = placed.iter().map(|p| p.value()).collect();
         unique.sort_unstable();
@@ -260,7 +359,7 @@ mod tests {
             vec![(PeerId::new(0), 1), (PeerId::new(1), 5)],
             PlacementPolicy::Balanced,
         );
-        let placed = ledger.place(prog(), 3).expect("fits");
+        let placed = place(&mut ledger, 3).expect("fits");
         assert_eq!(
             placed.iter().filter(|p| p.value() == 1).count(),
             3,
@@ -271,7 +370,7 @@ mod tests {
     #[test]
     fn first_fit_concentrates() {
         let mut ledger = SlotLedger::new(peers(5, 4), PlacementPolicy::FirstFit);
-        let placed = ledger.place(prog(), 6).expect("fits");
+        let placed = place(&mut ledger, 6).expect("fits");
         assert_eq!(placed.iter().filter(|p| p.value() == 0).count(), 4);
         assert_eq!(placed.iter().filter(|p| p.value() == 1).count(), 2);
     }
@@ -279,7 +378,7 @@ mod tests {
     #[test]
     fn random_uses_only_free_peers() {
         let mut ledger = SlotLedger::new(peers(4, 2), PlacementPolicy::Random { seed: 42 });
-        let placed = ledger.place(prog(), 8).expect("fits exactly");
+        let placed = place(&mut ledger, 8).expect("fits exactly");
         assert_eq!(ledger.total_free(), 0);
         let mut counts = [0u32; 4];
         for p in placed {
@@ -291,7 +390,7 @@ mod tests {
     #[test]
     fn overflow_is_reported_not_partial() {
         let mut ledger = SlotLedger::new(peers(2, 2), PlacementPolicy::Balanced);
-        let err = ledger.place(prog(), 5).unwrap_err();
+        let err = place(&mut ledger, 5).unwrap_err();
         assert!(matches!(
             err,
             CacheError::PlacementOverflow {
@@ -307,14 +406,14 @@ mod tests {
     #[test]
     fn release_round_trips() {
         let mut ledger = SlotLedger::new(peers(2, 2), PlacementPolicy::Balanced);
-        let placed = ledger.place(prog(), 4).expect("fits");
+        let placed = place(&mut ledger, 4).expect("fits");
         for p in placed {
-            ledger.release(p).expect("placed slot releases");
+            release(&mut ledger, p).expect("placed slot releases");
         }
         assert_eq!(ledger.total_free(), 4);
         // Over-release is caught.
         assert!(matches!(
-            ledger.release(PeerId::new(0)),
+            release(&mut ledger, PeerId::new(0)),
             Err(CacheError::InconsistentState { .. })
         ));
     }
@@ -323,17 +422,186 @@ mod tests {
     fn release_of_unknown_peer_errors() {
         let mut ledger = SlotLedger::new(peers(2, 2), PlacementPolicy::Balanced);
         assert!(matches!(
-            ledger.release(PeerId::new(99)),
+            release(&mut ledger, PeerId::new(99)),
             Err(CacheError::UnknownPeer { .. })
         ));
+        // An index no placement handed out names no peer either.
+        assert!(matches!(
+            ledger.release(2),
+            Err(CacheError::InconsistentState { .. })
+        ));
+        assert_eq!(ledger.total_free(), 4);
     }
 
     #[test]
     fn placement_after_release_reuses_slots() {
         let mut ledger = SlotLedger::new(peers(3, 1), PlacementPolicy::Balanced);
-        let placed = ledger.place(prog(), 3).expect("fits");
-        ledger.release(placed[1]).expect("release");
-        let again = ledger.place(prog(), 1).expect("fits after release");
+        let placed = place(&mut ledger, 3).expect("fits");
+        release(&mut ledger, placed[1]).expect("release");
+        let again = place(&mut ledger, 1).expect("fits after release");
         assert_eq!(again[0], placed[1]);
+    }
+
+    /// The balanced bookkeeping is fixed for the run. The lazy heap this
+    /// structure replaced gained one entry per released slot that it only
+    /// dropped on reaching the top, and in a mostly empty cache they never
+    /// did: it ended this loop about 1.6 M entries long.
+    #[test]
+    fn churn_leaves_the_balanced_bookkeeping_as_it_was() {
+        let mut ledger = SlotLedger::new(peers(500, 33), PlacementPolicy::Balanced);
+        let mut placed = Vec::new();
+        let mut cycle = |ledger: &mut SlotLedger| {
+            placed.clear();
+            ledger
+                .place(prog(), 8, |idx| placed.push(idx))
+                .expect("fits");
+            for &idx in &placed {
+                ledger.release(idx).expect("placed");
+            }
+        };
+        cycle(&mut ledger);
+        let after_first = ledger.bookkeeping_len();
+        for _ in 1..200_000 {
+            cycle(&mut ledger);
+        }
+        assert_eq!(ledger.bookkeeping_len(), after_first);
+        assert_eq!(ledger.total_free(), 500 * 33);
+    }
+
+    /// The sequences the ablation policies produced before the balanced
+    /// structure changed, on one pinned case each: they share the ledger's
+    /// `place` / `release` and must not have moved.
+    #[test]
+    fn ablation_policies_keep_their_sequences() {
+        let members = || (0..7u32).map(|i| (PeerId::new(10 + i), 1 + i % 3));
+        let run = |policy| {
+            let mut ledger = SlotLedger::new(members(), policy);
+            let mut seq = Vec::new();
+            ledger.place(prog(), 6, |idx| seq.push(idx)).expect("fits");
+            for &idx in &[seq[1], seq[4]] {
+                ledger.release(idx).expect("placed");
+            }
+            ledger.place(prog(), 5, |idx| seq.push(idx)).expect("fits");
+            seq
+        };
+        assert_eq!(
+            run(PlacementPolicy::FirstFit),
+            [0, 1, 1, 2, 2, 2, 1, 2, 3, 4, 4]
+        );
+        assert_eq!(
+            run(PlacementPolicy::Random { seed: 7 }),
+            [0, 6, 4, 5, 5, 5, 5, 4, 1, 1, 2]
+        );
+    }
+
+    /// The balanced rule with nothing to make it fast: scan for the most
+    /// free peer, the lowest index on ties.
+    struct NaiveBalanced {
+        free: Vec<u32>,
+        initial: Vec<u32>,
+    }
+
+    impl NaiveBalanced {
+        fn place(&mut self, count: u16) -> Result<Vec<u32>, String> {
+            let total: u64 = self.free.iter().map(|&f| u64::from(f)).sum();
+            if u64::from(count) > total {
+                return Err(format!("overflow: requested {count}, free {total}"));
+            }
+            Ok((0..count)
+                .map(|_| {
+                    let most = *self.free.iter().max().expect("a peer");
+                    let idx = self.free.iter().position(|&f| f == most).expect("found");
+                    self.free[idx] -= 1;
+                    idx as u32
+                })
+                .collect())
+        }
+
+        fn release(&mut self, idx: usize) -> Result<(), String> {
+            match self.free.get(idx) {
+                None => Err("unknown".into()),
+                Some(&f) if f >= self.initial[idx] => Err("unplaced".into()),
+                Some(_) => {
+                    self.free[idx] += 1;
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// What the model's error strings call the ledger's errors.
+    fn error_kind(err: &CacheError) -> String {
+        match err {
+            CacheError::PlacementOverflow {
+                requested, free, ..
+            } => format!("overflow: requested {requested}, free {free}"),
+            CacheError::UnknownPeer { .. } => "unknown".into(),
+            CacheError::InconsistentState { .. } => "unplaced".into(),
+            other => format!("unexpected: {other}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Random place / release sequences over unequal initial slots
+        /// (zero-slot peers included), with over-release, foreign peers and
+        /// overflow: the ledger and the naive scan agree peer for peer and
+        /// error for error.
+        #[test]
+        fn balanced_ledger_matches_the_naive_scan(
+            slots in prop::collection::vec(0u32..6, 1..80),
+            steps in prop::collection::vec((0u32..3, 0u16..40, 0usize..100), 1..300),
+        ) {
+            // Peer ids are sparse and out of ledger order on purpose.
+            let id = |idx: usize| PeerId::new(1_000 - 3 * idx as u32);
+            let mut ledger = SlotLedger::new(
+                slots.iter().enumerate().map(|(i, &s)| (id(i), s)),
+                PlacementPolicy::Balanced,
+            );
+            let mut model = NaiveBalanced { free: slots.clone(), initial: slots.clone() };
+            let mut held: Vec<u32> = Vec::new();
+            let mut out = Vec::new();
+            for (step, &(kind, count, pick)) in steps.iter().enumerate() {
+                match kind {
+                    0 => {
+                        out.clear();
+                        let got = ledger.place(prog(), count, |idx| out.push(idx)).map(|()| out.clone());
+                        prop_assert_eq!(
+                            got.map_err(|e| error_kind(&e)), model.place(count),
+                            "place at step {}", step
+                        );
+                        held.extend(&out);
+                    }
+                    // A slot some placement handed out, while any is held.
+                    1 if !held.is_empty() => {
+                        let idx = held.swap_remove(pick % held.len());
+                        prop_assert!(ledger.release(idx).is_ok(), "release at step {}", step);
+                        prop_assert!(model.release(idx as usize).is_ok());
+                    }
+                    // Any peer by id — placed on or not, member or not
+                    // (`pick` reaches past the member list).
+                    _ => {
+                        let got = ledger.index_of(id(pick)).and_then(|idx| ledger.release(idx));
+                        let released = got.is_ok();
+                        prop_assert_eq!(
+                            got.map_err(|e| error_kind(&e)), model.release(pick),
+                            "release by id at step {}", step
+                        );
+                        if released {
+                            let at = held.iter().position(|&h| h as usize == pick);
+                            held.swap_remove(at.expect("a released slot was held"));
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    ledger.total_free(),
+                    model.free.iter().map(|&f| u64::from(f)).sum::<u64>()
+                );
+                for (i, &f) in model.free.iter().enumerate() {
+                    prop_assert_eq!(ledger.free_of(id(i)), Some(f), "free of {} at step {}", i, step);
+                }
+            }
+        }
     }
 }

@@ -7,30 +7,48 @@
 //! catalogs where rights windows or freshness bound how long a cached
 //! program stays servable.
 //!
-//! Determinism: expiry and recency orders both break ties on
-//! `ProgramId`, so identical access sequences produce identical op
-//! streams on every driver combination.
-
-use std::collections::{BTreeSet, HashMap};
+//! # One list
+//!
+//! There is one time-to-use, and the index server hands every strategy a
+//! non-decreasing `now`, so an entry refreshed later never expires sooner:
+//! the expiry order *is* the recency order. Both are the one
+//! `RecencyList` plain LRU keeps, with an expiry column beside it;
+//! capacity evictions and expiries both leave from its old end, and an
+//! access neither hashes nor walks a tree.
+//!
+//! Determinism: entries that expire at the same instant (several
+//! programs accessed within one second, or a saturated TTU) are reaped in
+//! `ProgramId` order whatever order they were accessed in, so identical
+//! access sequences produce identical op streams on every driver
+//! combination.
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
+use crate::lru::RecencyList;
 use crate::strategy::{CacheOp, CacheStrategy};
 
 /// The TLRU strategy (see the module docs).
+///
+/// `now` must not decrease from one access to the next — the contract the
+/// index server keeps for every strategy (the windowed LFU's ring rests on
+/// it too). Here it is what lets one list stand for both orders, so it is
+/// checked in debug builds.
 #[derive(Debug)]
 pub struct Tlru {
     capacity: u64,
     used: u64,
     ttl: SimDuration,
-    seq: u64,
-    /// program -> (recency sequence, expiry, cost in slots)
-    entries: HashMap<ProgramId, (u64, SimTime, u32)>,
-    /// (recency sequence, program), oldest first
-    queue: BTreeSet<(u64, ProgramId)>,
-    /// (expiry, program), soonest first
-    expiries: BTreeSet<(SimTime, ProgramId)>,
+    /// The cached programs, least recently accessed — and so soonest to
+    /// expire — first.
+    queue: RecencyList,
+    /// When each listed program's TTU runs out, by `ProgramId::index()`.
+    expiry: Vec<SimTime>,
+    /// Scratch for one group of entries expiring together, kept for its
+    /// allocation.
+    reaped: Vec<ProgramId>,
+    /// The latest access seen.
+    latest: SimTime,
 }
 
 impl Tlru {
@@ -41,10 +59,10 @@ impl Tlru {
             capacity: capacity_slots,
             used: 0,
             ttl,
-            seq: 0,
-            entries: HashMap::new(),
-            queue: BTreeSet::new(),
-            expiries: BTreeSet::new(),
+            queue: RecencyList::new(),
+            expiry: Vec::new(),
+            reaped: Vec::new(),
+            latest: SimTime::EPOCH,
         }
     }
 
@@ -53,23 +71,33 @@ impl Tlru {
         self.ttl
     }
 
-    fn remove(&mut self, program: ProgramId) -> Option<(u64, SimTime, u32)> {
-        let (seq, expiry, cost) = self.entries.remove(&program)?;
-        self.queue.remove(&(seq, program));
-        self.expiries.remove(&(expiry, program));
-        self.used -= u64::from(cost);
-        Some((seq, expiry, cost))
+    /// Reaps every entry whose TTU elapsed at or before `now`, soonest
+    /// first and in `ProgramId` order within one expiry instant.
+    fn expire(&mut self, now: SimTime, ops: &mut Vec<CacheOp>) {
+        while let Some(due) = self.next_expiry().filter(|&due| due <= now) {
+            self.reaped.clear();
+            while self.next_expiry() == Some(due) {
+                let (program, freed) = self.queue.pop_oldest().expect("an entry is due");
+                self.used -= u64::from(freed);
+                self.reaped.push(program);
+            }
+            self.reaped.sort_unstable();
+            ops.extend(self.reaped.iter().map(|&p| CacheOp::Evict(p)));
+        }
     }
 
-    /// Reaps every entry whose TTU elapsed at or before `now`.
-    fn expire(&mut self, now: SimTime, ops: &mut Vec<CacheOp>) {
-        while let Some(&(expiry, program)) = self.expiries.iter().next() {
-            if expiry > now {
-                break;
-            }
-            self.remove(program);
-            ops.push(CacheOp::Evict(program));
+    /// The expiry of the entry at the list's old end — the soonest.
+    fn next_expiry(&self) -> Option<SimTime> {
+        self.queue.oldest().map(|p| self.expiry[p.index()])
+    }
+
+    /// Starts `program`'s TTU afresh.
+    fn refresh(&mut self, program: ProgramId, now: SimTime) {
+        let idx = program.index();
+        if idx >= self.expiry.len() {
+            self.expiry.resize(idx + 1, SimTime::EPOCH);
         }
+        self.expiry[idx] = now.saturating_add(self.ttl);
     }
 }
 
@@ -79,49 +107,35 @@ impl CacheStrategy for Tlru {
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
+        debug_assert!(now >= self.latest, "accesses arrive in time order");
+        self.latest = now;
         self.expire(now, ops);
-        if let Some((_, _, cost)) = self.remove(program) {
+        if self.contains(program) {
             // Hit: refresh both recency and TTU, no ops.
-            self.seq += 1;
-            let seq = self.seq;
-            self.entries
-                .insert(program, (seq, now.saturating_add(self.ttl), cost));
-            self.queue.insert((seq, program));
-            self.expiries
-                .insert((now.saturating_add(self.ttl), program));
-            self.used += u64::from(cost);
+            self.queue.touch(program);
+            self.refresh(program, now);
             return;
         }
         if u64::from(cost) > self.capacity {
             return; // can never fit
         }
         while self.used + u64::from(cost) > self.capacity {
-            let &(seq, victim) = self
-                .queue
-                .iter()
-                .next()
-                .expect("evict from non-empty queue");
-            debug_assert!(seq <= self.seq);
-            self.remove(victim);
+            let (victim, freed) = self.queue.pop_oldest().expect("evict from non-empty queue");
+            self.used -= u64::from(freed);
             ops.push(CacheOp::Evict(victim));
         }
-        self.seq += 1;
-        let seq = self.seq;
-        self.entries
-            .insert(program, (seq, now.saturating_add(self.ttl), cost));
-        self.queue.insert((seq, program));
-        self.expiries
-            .insert((now.saturating_add(self.ttl), program));
+        self.queue.push_newest(program, cost);
+        self.refresh(program, now);
         self.used += u64::from(cost);
         ops.push(CacheOp::Admit(program));
     }
 
     fn contains(&self, program: ProgramId) -> bool {
-        self.entries.contains_key(&program)
+        self.queue.cost_of(program).is_some()
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {
-        self.entries.get(&program).map(|&(_, _, cost)| cost)
+        self.queue.cost_of(program)
     }
 
     fn used_slots(&self) -> u64 {

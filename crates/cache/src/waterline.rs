@@ -36,6 +36,23 @@
 //! lower-ranked, smaller candidate may still fit the free space, and the
 //! literal loop admits it (see the
 //! `smaller_candidate_fills_free_space_behind_a_blocked_one` test).
+//!
+//! With room to spare, then, a rebalance steps over candidate after
+//! candidate. Nothing moves while it does — only an entrant changes either
+//! set — so the stretch between two entrants is one backward pass of an
+//! iterator over `candidates`, not a search per candidate, and once one
+//! candidate has displaced not even the weakest cached program the rest of
+//! the pass asks only whether a candidate fits the free space
+//! (monotonicity again: none of them has a victim either).
+//!
+//! # Lazy filing
+//!
+//! Both strategies file cached scores lazily: a program whose score rises
+//! while it is cached keeps the lower key it was filed under, and a score
+//! that falls is refiled only when it dips below that key. The cached set
+//! is only ever read from its weak end, here, where [`Tenants::refile`]
+//! repairs a stale key before it is trusted — so a hit (LFU) or an event
+//! entering the look-ahead (Oracle) on a cached program touches no set.
 
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -60,11 +77,11 @@ pub(crate) trait Tenants {
     fn displaces(&self, candidate: Score, victim: Score) -> bool;
 
     /// The current score of the cached program filed under `filed`, which
-    /// is recorded as its new filed key. Strategies that reposition
-    /// cached scores eagerly keep the default.
-    fn refile(&mut self, filed: Score) -> Score {
-        filed
-    }
+    /// is recorded as its new filed key. Both strategies file cached
+    /// scores lazily (a raised score keeps its stale lower key), so there
+    /// is no default: a strategy that repositions every cached score
+    /// eagerly would answer `filed` itself.
+    fn refile(&mut self, filed: Score) -> Score;
 
     /// `score`'s program entered the cache.
     fn admitted(&mut self, score: Score);
@@ -134,73 +151,91 @@ impl Waterline {
     /// candidate admitted, or nothing changes. See the module docs for
     /// the visiting order and the exits.
     pub(crate) fn rebalance<T: Tenants>(&mut self, tenants: &mut T, ops: &mut Vec<CacheOp>) {
-        // Exclusive upper bound on candidates after a failed attempt.
-        let mut bound: Option<Score> = None;
-        for _ in 0..Self::MAX_ROUNDS {
-            let candidate = match bound {
-                None => self.candidates.last(),
-                Some(b) => self.candidates.range(..b).next_back(),
-            };
-            let Some(&candidate) = candidate else { break };
+        let mut rounds = 0;
+        // An entrant moves both sets, so the walk for the next one starts
+        // over from the best candidate.
+        while let Some((candidate, cost)) = self.next_entrant(&mut rounds, tenants) {
+            let mut victims = std::mem::take(&mut self.victims);
+            for victim in victims.drain(..) {
+                self.evict(victim, tenants, ops);
+            }
+            self.victims = victims;
+            self.admit(candidate, cost, tenants, ops);
+        }
+    }
+
+    /// Walks the candidates best first for the next one that can enter
+    /// the cache, and returns it with its cost, its victims (none when it
+    /// fits the free space) left in `self.victims`. `None` on any of the
+    /// three exits. Nothing but stale filed keys changes during a walk,
+    /// so it is one pass of an iterator, not a search per candidate.
+    fn next_entrant<T: Tenants>(
+        &mut self,
+        rounds: &mut u32,
+        tenants: &mut T,
+    ) -> Option<(Score, u64)> {
+        // Set once a candidate displaced not even the weakest cached
+        // program: `displaces` is monotone, so no later candidate of this
+        // walk has a victim either.
+        let mut floor_holds = false;
+        for &candidate in self.candidates.iter().rev() {
+            if *rounds == Self::MAX_ROUNDS {
+                return None; // exit 2
+            }
+            *rounds += 1;
             self.probes += 1;
             let placeable = tenants.cost(candidate.2).map(u64::from);
             let Some(cost) = placeable.filter(|&c| c <= self.capacity) else {
                 // Can never fit at any occupancy; step over it but keep
                 // it tracked (count reporting must stay exact).
-                bound = Some(candidate);
                 continue;
             };
+            self.victims.clear();
             if self.used + cost <= self.capacity {
-                self.admit(candidate, cost, tenants, ops);
-                bound = None;
-                continue;
+                return Some((candidate, cost));
+            }
+            if floor_holds {
+                continue; // no victims, as for the candidate before
             }
             // Gather displaced victims, weakest first, until the
             // candidate fits.
-            let mut victims = std::mem::take(&mut self.victims);
-            victims.clear();
             let mut freed = 0u64;
-            let mut weakest = self.weakest_above(None, tenants);
+            let mut weakest = Self::weakest_above(&mut self.cached, None, tenants);
             while let Some(victim) = weakest {
                 if !tenants.displaces(candidate, victim) {
                     break;
                 }
                 freed += Self::cached_cost(victim, tenants);
-                victims.push(victim);
+                self.victims.push(victim);
                 if self.used + cost - freed <= self.capacity {
-                    break;
+                    return Some((candidate, cost));
                 }
-                weakest = self.weakest_above(Some(victim), tenants);
+                weakest = Self::weakest_above(&mut self.cached, Some(victim), tenants);
             }
-            let blocked = victims.is_empty();
-            if !blocked && self.used + cost - freed <= self.capacity {
-                for &victim in &victims {
-                    self.evict(victim, tenants, ops);
+            if self.victims.is_empty() {
+                if self.capacity - self.used < self.min_cost {
+                    return None; // exit 3: nothing further can change the cache
                 }
-                self.admit(candidate, cost, tenants, ops);
-                bound = None;
-            } else {
-                bound = Some(candidate); // try the next-best candidate
+                floor_holds = true;
             }
-            self.victims = victims;
-            if blocked && self.capacity - self.used < self.min_cost {
-                break; // exit 3: nothing further can change the cache
-            }
+            // Otherwise the dominated victims free too little: try the
+            // next-best candidate.
         }
+        None // exit 1
     }
 
-    /// The weakest cached score above `after` (the weakest of all for
+    /// The weakest score in `cached` above `after` (the weakest of all for
     /// `None`), repairing stale filed keys on the way so the answer is
     /// exact.
     fn weakest_above<T: Tenants>(
-        &mut self,
+        cached: &mut BTreeSet<Score>,
         after: Option<Score>,
         tenants: &mut T,
     ) -> Option<Score> {
         loop {
             let filed = match after {
-                None => self.cached.first(),
-                Some(a) => self.cached.range((Excluded(a), Unbounded)).next(),
+                None => cached.first(),
+                Some(a) => cached.range((Excluded(a), Unbounded)).next(),
             };
             let filed = *filed?;
             let current = tenants.refile(filed);
@@ -209,8 +244,8 @@ impl Waterline {
             }
             // Keys only ever lag below the truth, so the repaired key
             // moves up and everything at or below `after` stays put.
-            self.cached.remove(&filed);
-            self.cached.insert(current);
+            cached.remove(&filed);
+            cached.insert(current);
         }
     }
 
