@@ -1,12 +1,18 @@
 //! Engine throughput benches: simulated sessions per second for each
-//! strategy (serial, sharded-parallel, and out-of-core streaming from a
-//! columnar disk trace), plus workload generation and trace scaling.
+//! strategy (on one worker, sharded-parallel, and out-of-core streaming
+//! from a columnar disk trace), plus workload generation and trace
+//! scaling.
 //!
-//! Rows run through the [`Simulation`] builder — the public front door.
+//! Rows run through the [`Simulation`] builder — the public front door —
+//! which replays per neighborhood at every worker count, so
+//! `engine/{no_cache,lru,lfu,oracle}` are the one-worker rows of
+//! `engine_parallel/threads/N`; `engine/lfu_whole_plant` is the other
+//! side of that gap, the whole-plant reference driver behind
+//! [`cablevod_sim::run`].
 //!
 //! Set `BENCH_JSON=BENCH_engine.json` to append one JSON line per
-//! measurement — CI uses this to track the serial-vs-parallel throughput
-//! trajectory.
+//! measurement — CI uses this to track the whole-plant / one-worker /
+//! parallel throughput trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -62,6 +68,11 @@ fn engine_throughput(c: &mut Criterion) {
             })
         });
     }
+    // `base` is lfu: the same run as `engine/lfu`, by the driver every
+    // per-neighborhood plan is checked against.
+    group.bench_function("lfu_whole_plant", |b| {
+        b.iter(|| cablevod_sim::run(trace, &base).expect("runs"))
+    });
     group.finish();
 }
 
@@ -186,17 +197,16 @@ fn engine_parallel_throughput(c: &mut Criterion) {
         .with_neighborhood_size(500)
         .with_per_peer_storage(DataSize::from_gigabytes(2))
         .with_warmup_days(3);
-    for threads in [1usize, 2] {
-        group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| {
-                Simulation::over(trace)
-                    .config(config.clone())
-                    .threads(threads)
-                    .run()
-                    .expect("runs")
-            })
-        });
-    }
+    // One worker is `engine/lfu`.
+    group.bench_function(BenchmarkId::new("threads", 2), |b| {
+        b.iter(|| {
+            Simulation::over(trace)
+                .config(config.clone())
+                .threads(2)
+                .run()
+                .expect("runs")
+        })
+    });
     group.finish();
 }
 

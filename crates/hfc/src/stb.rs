@@ -103,7 +103,9 @@ impl ActiveStreams {
             }
         }
         self.inline_len = kept as u8;
-        self.spill.retain(|&end| end > now);
+        if !self.spill.is_empty() {
+            self.spill.retain(|&end| end > now);
+        }
     }
 
     fn clear(&mut self) {
@@ -231,12 +233,18 @@ impl SetTopBox {
         true
     }
 
-    /// Unconditionally occupies a slot (used for the viewer's own playback,
-    /// which is never blocked — overcommit is surfaced via
-    /// [`SetTopBox::is_overcommitted`]).
-    pub fn start_stream_unchecked(&mut self, now: SimTime, end: SimTime) {
+    /// Unconditionally occupies a slot from `now` until `end` (used for
+    /// the viewer's own playback, which is never blocked) and returns
+    /// whether the peer now exceeds its slot limit — what
+    /// [`SetTopBox::is_overcommitted`] would answer at `now`, without
+    /// pruning the box a second time. A stream that is over as it starts
+    /// (`end <= now`) occupies nothing.
+    pub fn start_stream_unchecked(&mut self, now: SimTime, end: SimTime) -> bool {
         self.active.release_finished(now);
-        self.active.push(end.max(now));
+        if end > now {
+            self.active.push(end);
+        }
+        self.active.len() > usize::from(self.slot_limit)
     }
 
     /// Whether the peer currently exceeds its slot limit (possible only via
@@ -325,11 +333,17 @@ mod tests {
         let mut stb = SetTopBox::with_paper_defaults(PeerId::new(0));
         let t = SimTime::EPOCH;
         let end = t + SimDuration::from_minutes(5);
-        for _ in 0..3 {
-            stb.start_stream_unchecked(t, end);
+        for started in 1..=3 {
+            let over = stb.start_stream_unchecked(t, end);
+            assert_eq!(over, started > 2, "stream {started}");
+            assert_eq!(over, stb.is_overcommitted(t), "stream {started}");
         }
-        assert!(stb.is_overcommitted(t));
+        // A stream over as it starts occupies nothing, at any load.
+        assert!(stb.start_stream_unchecked(t, t));
+        assert_eq!(stb.active_streams(t), 3);
         assert!(!stb.is_overcommitted(end));
+        assert!(!stb.start_stream_unchecked(end, end));
+        assert_eq!(stb.active_streams(end), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! heap in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
 //! the cache and the plant. One driver owns a contiguous range of
-//! neighborhoods — all of them (the serial resident driver, the online
-//! engine) or exactly one (a shard) — as that range's index servers, its
+//! neighborhoods — all of them (the whole-plant reference driver, the
+//! online engine) or exactly one (a shard) — as that range's index servers, its
 //! [`Plant`] and its [`AdmissionControl`], all built in one place
 //! ([`DriverParts::driver`](super::DriverParts::driver)). It is generic
 //! over two seams, and those seams — not copies of this loop — are what
@@ -16,8 +16,9 @@
 //!   precomputed carrier (resident) or the shared watermark carrier
 //!   (streaming, online), published into before the driver runs;
 //! * [`RecordSupply`] — where sessions come from: a resident slice, one
-//!   neighborhood's slice of each decoded block, a merged chunk stream
-//!   (see [`super::stream`]) or a live queue (see [`super::online`]).
+//!   neighborhood's records gathered out of it, one neighborhood's slice
+//!   of each decoded block, a merged chunk stream (see [`super::stream`])
+//!   or a live queue (see [`super::online`]).
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
@@ -59,7 +60,7 @@ pub(super) const RETRY_SEG: u16 = u16::MAX;
 /// Everything the hot loop needs about one session, precomputed (resident
 /// path) or computed at ingestion (streaming paths) so the event loop
 /// never re-queries the catalog or the topology during event processing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct SessionCtx {
     /// Dense neighborhood index of the session's user.
     pub nbhd: u32,
@@ -344,6 +345,11 @@ pub(super) struct SessionDriver<'a, F, R> {
     idle_sync: Option<u64>,
     /// Next global record index at which to run an idle sweep.
     next_idle_sync: u64,
+    /// Debug builds only (zero otherwise): the bits every segment request
+    /// so far offered the plant, held against what the range's coax
+    /// meters carried when the run ends
+    /// ([`into_outcome`](Self::into_outcome)).
+    offered_bits: u64,
 }
 
 impl<'a, F, R> SessionDriver<'a, F, R>
@@ -383,6 +389,7 @@ where
             abort,
             idle_sync,
             next_idle_sync: idle_sync.unwrap_or(0),
+            offered_bits: 0,
         }
     }
 
@@ -562,6 +569,22 @@ where
         }
     }
 
+    /// The viewer's own playback occupies one of its box's slots for the
+    /// whole session; playback is never blocked, overcommit is counted
+    /// (`viewer_overcommits`, see `crate::report`). One prune of the box
+    /// per session start.
+    fn occupy_viewer_slot(
+        &mut self,
+        rec: &SessionRecord,
+        ctx: &SessionCtx,
+    ) -> Result<(), SimError> {
+        let stb = self.plant.stb_mut(ctx.home)?;
+        if stb.start_stream_unchecked(rec.start, rec.start + ctx.watched) {
+            self.counters.viewer_overcommits += 1;
+        }
+        Ok(())
+    }
+
     /// The admitted-session path: the whole pre-fault lifecycle, byte
     /// for byte.
     fn admit_session(
@@ -570,15 +593,7 @@ where
         rec: &SessionRecord,
         ctx: &SessionCtx,
     ) -> Result<(), SimError> {
-        // The viewer's own playback occupies one of its slots for the
-        // whole session; playback is never blocked, overcommit is counted
-        // (`viewer_overcommits`, see `crate::report`).
-        let stb = self.plant.stb_mut(ctx.home)?;
-        stb.start_stream_unchecked(rec.start, rec.start + ctx.watched);
-        if stb.is_overcommitted(rec.start) {
-            self.counters.viewer_overcommits += 1;
-        }
-
+        self.occupy_viewer_slot(rec, ctx)?;
         self.publish_access(gidx, rec, ctx)?;
 
         if ctx.watched.as_secs() > 0 {
@@ -632,11 +647,7 @@ where
             Verdict::Admit => {
                 self.active.shift_start(slot, at);
                 let (rec, ctx) = self.active.get(slot);
-                let stb = self.plant.stb_mut(ctx.home)?;
-                stb.start_stream_unchecked(rec.start, rec.start + ctx.watched);
-                if stb.is_overcommitted(rec.start) {
-                    self.counters.viewer_overcommits += 1;
-                }
+                self.occupy_viewer_slot(&rec, &ctx)?;
                 // No publish_access here: the request already drove the
                 // feed and popularity at its original time.
                 let cont = if ctx.watched.as_secs() > 0 {
@@ -714,6 +725,9 @@ where
         let index_at = (ctx.nbhd - self.index_base) as usize;
 
         self.counters.segment_requests += 1;
+        if cfg!(debug_assertions) {
+            self.offered_bits += size.as_bits();
+        }
         let resolution = self.indexes[index_at].resolve_segment(
             segment,
             rec.start,
@@ -743,6 +757,16 @@ where
     /// and the strategy state are dropped here).
     pub(super) fn into_outcome(self) -> RangeOutcome {
         let (coax, server) = self.plant.into_meters();
+        // Conservation: offered bits = server + peer bits, and both cross
+        // the coax (§VI-B) — so this range's coax meters carry exactly
+        // what its segment requests offered, on every driver, whatever
+        // was admitted, refused or interrupted on the way.
+        debug_assert_eq!(
+            coax.iter().map(|c| c.total().as_bits()).sum::<u64>(),
+            self.offered_bits,
+            "neighborhoods {:?}: the coax did not carry the offered load",
+            self.index_base as usize..self.index_base as usize + coax.len()
+        );
         let mut stats = IndexStats::default();
         for index in &self.indexes {
             stats += *index.stats();

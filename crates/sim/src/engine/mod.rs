@@ -30,14 +30,18 @@
 //!        │                        interleave, session start, segment resolve)
 //!        │ is generic over
 //!        ├─► RecordSupply        (stream.rs — where sessions come from)
-//!        │     ResidentSupply      resident slice (+ optional shard subset)
-//!        │     BlockSupply         one neighborhood's run of each decoded,
-//!        │                         demultiplexed block (the blocked replay)
+//!        │     ResidentSupply      the whole resident slice + context table
+//!        │                         (the whole-plant reference driver only)
+//!        │     GatheredSupply      one neighborhood's records of a resident
+//!        │                         trace, gathered into one contiguous run
+//!        │     BlockSupply         one neighborhood's contiguous run of each
+//!        │                         decoded, grouped block (the blocked replay)
 //!        │     StreamSupply        gidx-ordered merge over a shard's own
 //!        │                         chunk runs (the sweep fast path)
-//!        ├─► FeedProvider        (feed.rs glue; cablevod_cache::feed — how
-//!        │     PrecomputedFeed     the global popularity feed is consumed)
-//!        │     SharedFeed          over GlobalFeed / WatermarkFeed
+//!        ├─► FeedProvider        (cablevod_cache::feed — how the global
+//!        │     PrecomputedFeed     popularity feed is consumed: precomputed
+//!        │     SharedFeed          in full by a resident run's survey, or
+//!        │                         published into a WatermarkFeed as decoded)
 //!        │ and owns, for its neighborhoods `a..b` of the one Topology,
 //!        ├── Plant                (cablevod_hfc::plant — the range's boxes,
 //!        │                         coax networks and server meter: `0..N`
@@ -57,18 +61,29 @@
 //!                                 whole-plant run is its one-element case)
 //! ```
 //!
-//! The three drivers pick one of each. The source decides between resident
-//! and streaming, and — for streaming — what the engine can observe of the
-//! file and the strategy decides the supply (`shard_plans`); the
-//! worker count (`run` is one worker, `run_parallel(n)` is `n`) never
-//! picks an algorithm on a streaming source:
+//! The three drivers pick one of each. **The plan follows the data,
+//! never the worker count**: the source decides between resident and
+//! streaming, and — for streaming — what the engine can observe of the
+//! file and the strategy decides the supply (`shard_plans`). Every replay
+//! a [`Simulation`](crate::Simulation) composes is sharded per
+//! neighborhood — `serial()` and `threads(n)` say how many shards run at
+//! once and nothing else — and every shard walks one contiguous run of
+//! records in ascending global index. The whole-plant driver is reached
+//! only through the [`run`] shorthand over a resident source, as the
+//! reference the others are checked against (see `run_resident`):
 //!
-//! | driver             | supply                          | feed              | range     | scheduling                        |
-//! |--------------------|---------------------------------|-------------------|-----------|-----------------------------------|
-//! | serial resident    | `ResidentSupply` (all)          | `PrecomputedFeed` | `0..N`    | inline, one global event heap     |
-//! | sharded resident   | `ResidentSupply` (subset)       | `PrecomputedFeed` | `n..n+1`  | work-stealing pool                |
-//! | streaming          | `BlockSupply` (blocked replay)  | `SharedFeed`      | `n..n+1`  | cooperative tasks, parked at block edges |
-//! |                    | `StreamSupply` (sweep fast path) | none             | `n..n+1`  | work-stealing pool                |
+//! | driver               | entry                                     | supply                           | feed              | range    | scheduling                               |
+//! |----------------------|-------------------------------------------|----------------------------------|-------------------|----------|------------------------------------------|
+//! | whole-plant resident | `run` over a resident source              | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one global event heap            |
+//! | sharded resident     | `Simulation` (any policy), `run_parallel` | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming            | any, over a chunked source                | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
+//! |                      |                                           | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
+//!
+//! A resident shard is faster than its share of the whole-plant driver
+//! even on one thread, and it is the contiguous run that makes it so:
+//! sharding alone, reaching each record through a per-shard index, read
+//! flat against the whole-plant driver; gathering each shard's records
+//! into one buffer first read +40 % (PR 22, `resident_lfu`).
 //!
 //! # Trace layouts and decode work
 //!
@@ -82,9 +97,10 @@
 //!   back into it by their stored sequence numbers, a chunk's worth of
 //!   records a block. It computes the records' contexts, publishes the
 //!   block's feed events and advances the watermark past the block, and
-//!   sorts the block's record positions by neighborhood; then every shard
-//!   runs through its own run of the block and on to — strictly before —
-//!   the block's last start time, and carries its continuation heap into
+//!   moves the block's records into neighborhood-grouped order, in place;
+//!   then every shard runs through its own contiguous run of the block
+//!   and on to — strictly before — the start of the last record the block
+//!   decoded, and carries its continuation heap into
 //!   the next block (records sort ahead of continuations at an equal
 //!   second, and the next block may start at that very second). A
 //!   neighborhood's sessions are thus replayed a block's worth at a
@@ -109,7 +125,11 @@
 //! Serial feed exactness: the serial engine publishes the feed one record
 //! at a time, so at record `r` a strategy can only ever see events
 //! `0..=r`. The resident drivers reproduce that bound against a feed
-//! precomputed in full; streaming and online runs publish into a shared
+//! precomputed in full — a pure function of the trace, built by the one
+//! pass that validates the records (`DriverParts::survey`) and read by
+//! every driver through a `PrecomputedFeed`, which bounds consumption
+//! per session by its own record index, which equals grow-as-you-go
+//! publication exactly; streaming and online runs publish into a shared
 //! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bound every
 //! consumer by its own record index, so an early-published event is never
 //! visible early. Every run has **one** producer, working ahead of every
@@ -151,12 +171,12 @@
 //! Oracle the identical event sequence, so reports stay bit-identical.
 //!
 //! Whichever path runs, the report is **bit-identical** — property tests
-//! enforce `run == run_parallel == streaming run == streaming
-//! run_parallel` across strategies, chunk sizes, chunk layouts and shard
-//! counts.
+//! enforce whole-plant `run` == `Simulation` on one worker == on several
+//! == streaming on one == streaming on several, across strategies,
+//! admission modes, fault plans, chunk sizes, chunk layouts and shard
+//! counts (`tests/builder.rs`, `engine/tests.rs`, `tests/streaming.rs`).
 
 mod fault;
-mod feed;
 mod lifecycle;
 pub mod online;
 mod report;
@@ -171,8 +191,8 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    FeedProvider, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext,
-    StrategyFactory,
+    FeedProvider, GlobalFeed, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger,
+    StrategyContext, StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::plant::Plant;
@@ -187,28 +207,29 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
 
-use feed::build_feed;
-use lifecycle::{session_ctx, RecordSupply, SessionCtx, SessionDriver};
+use lifecycle::{feed_event, session_ctx, RecordSupply, SessionCtx, SessionDriver};
 use report::merge_outcomes;
 use stream::ResidentSupply;
 
 /// Runs one simulation of the workload in `source` under `config` and
-/// returns the measured report.
+/// returns the measured report: the config's own strategy, one worker,
+/// no telemetry. Public because callers that want only the report (the
+/// repo benchmark's reference runs, most tests) say it shorter this way.
 ///
-/// A two-line shorthand: it hands the config's own strategy factory to
-/// the driver the [`Simulation`](crate::Simulation) builder composes, so
-/// `Simulation::over(source).config(config.clone()).run()?.report` is
-/// the same report, with telemetry beside it. Public because callers
-/// that want only the report (the repo benchmark's reference runs, most
-/// tests) say it shorter this way.
-///
-/// This is the one-worker path. A resident
-/// [`Trace`](cablevod_trace::record::Trace) takes the serial reference
-/// driver — one global event heap against the whole plant, over the
-/// classic precomputed hot path. Chunked sources (an on-disk
+/// Over a resident [`Trace`](cablevod_trace::record::Trace) this is the
+/// **whole-plant reference driver** — one driver, one global event heap
+/// against the whole plant, over a precomputed context table — and the
+/// only way to it: the [`Simulation`](crate::Simulation) builder, serial
+/// or not, replays a resident source per neighborhood. It is kept
+/// because it is what everything else is compared against (the repo
+/// benchmark's reference CRCs, the parity tests in `tests/builder.rs` and
+/// `engine/tests.rs`) and because the same whole-plant composition is the
+/// online engine. Chunked sources (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
-/// stream through the engine with bounded resident memory, sharded per
+/// have no whole-plant driver: over one, this is
+/// `Simulation::over(source).config(config.clone()).run()?.report` —
+/// streamed through the engine with bounded resident memory, sharded per
 /// neighborhood on the caller's thread (see the module docs). All produce
 /// bit-identical reports; [`run_parallel`] matches them too.
 ///
@@ -234,45 +255,51 @@ use stream::ResidentSupply;
 /// # Ok::<(), cablevod_sim::SimError>(())
 /// ```
 pub fn run<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> Result<SimReport, SimError> {
-    Ok(replay(source, config, config.strategy().factory().as_ref(), None)?.0)
+    let strategy = config.strategy().factory();
+    match source.resident_records() {
+        Some(records) => run_resident(records, source, config, strategy.as_ref()),
+        None => Ok(replay(source, config, strategy.as_ref(), 1)?.0),
+    }
 }
 
-/// The one way in: [`run`] (`workers = None`) and [`run_parallel`] with an
-/// explicit strategy factory — the entry the
-/// [`Simulation`](crate::Simulation) builder uses so registry-resolved
-/// (out-of-tree) strategies ride the same drivers as the built-ins. Beside
-/// the report it says whether the replay took the sweep fast path (see
+/// The one way in to the per-neighborhood plans, with an explicit
+/// strategy factory and worker count: [`run_parallel`], [`run`] over a
+/// streaming source, and the entry the [`Simulation`](crate::Simulation)
+/// builder uses so registry-resolved (out-of-tree) strategies ride the
+/// same drivers as the built-ins. The plan follows the data — resident
+/// or streamed, and for a streamed source its layout and the strategy —
+/// never `workers`, which is how many shards run at once (`1`: all of
+/// them on the caller's thread, one after the other). Beside the report
+/// it says whether the replay took the sweep fast path (see
 /// [`fastpath_layout`]), surfaced as
 /// [`RunTelemetry::fastpath`](crate::RunTelemetry).
 pub(crate) fn replay<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
-    workers: Option<usize>,
+    workers: usize,
 ) -> Result<(SimReport, bool), SimError> {
     check_record_count(source)?;
-    match (source.resident_records(), workers) {
-        (Some(records), None) => Ok((run_resident(records, source, config, strategy)?, false)),
-        (Some(records), Some(n)) => {
-            let report = shard::run_parallel_resident(records, source, config, strategy, n)?;
+    match source.resident_records() {
+        Some(records) => {
+            let report = shard::run_parallel_resident(records, source, config, strategy, workers)?;
             Ok((report, false))
         }
-        (None, _) => {
-            let (report, streamed) =
-                shard::run_streaming(source, config, strategy, workers.unwrap_or(1))?;
+        None => {
+            let (report, streamed) = shard::run_streaming(source, config, strategy, workers)?;
             Ok((report, streamed.fastpath))
         }
     }
 }
 
 /// Runs one simulation sharded per neighborhood over `threads` workers,
-/// producing a report **bit-identical** to [`run`]'s — the same shorthand
-/// as [`run`], for `Simulation::over(source).config(..).threads(threads)`.
+/// producing a report **bit-identical** to [`run`]'s — a two-line
+/// shorthand for `Simulation::over(source).config(..).threads(threads)`.
 ///
 /// Correctness rests on the paper's own isolation structure — see the
-/// module docs; thread count affects wall-clock only, never results (and,
-/// over a streaming source, not the replay plan either: `run` is this
-/// with one worker).
+/// module docs; thread count affects wall-clock only, never results, and
+/// not the replay plan either: `Simulation::serial()` is this with one
+/// worker, and so is [`run`] over a streaming source.
 ///
 /// # Errors
 ///
@@ -298,7 +325,7 @@ pub fn run_parallel<S: TraceSource + ?Sized>(
     threads: usize,
 ) -> Result<SimReport, SimError> {
     let strategy = config.strategy().factory();
-    Ok(replay(source, config, strategy.as_ref(), Some(threads))?.0)
+    Ok(replay(source, config, strategy.as_ref(), threads)?.0)
 }
 
 /// The source's chunk index for `config`'s neighborhood size, when shards
@@ -350,27 +377,13 @@ fn build_topology_for(users: u32, config: &SimConfig) -> Result<Topology, SimErr
     )?)
 }
 
-/// Precomputes the per-session context table (one pass; resident paths
-/// only — streaming paths compute contexts at ingestion).
-fn precompute_sessions(
-    records: &[SessionRecord],
-    catalog: &ProgramCatalog,
-    topo: &Topology,
-    segmenter: &Segmenter,
-) -> Result<Vec<SessionCtx>, SimError> {
-    let seg_len = segmenter.segment_len().as_secs();
-    records
-        .iter()
-        .map(|rec| session_ctx(rec, catalog, topo, seg_len))
-        .collect()
-}
-
 /// What every driver of one run is built from: who lives where, and how a
 /// neighborhood's index server is configured on it. Box and coax
 /// parameters are the topology's ([`build_topology_for`] copied them there),
 /// read from that one place by the [`Plant`] and the slot ledgers alike.
 struct DriverParts<'a> {
     topo: &'a Topology,
+    catalog: &'a ProgramCatalog,
     config: &'a SimConfig,
     segmenter: Segmenter,
     /// Program slot costs, indexed by program — the one table every
@@ -383,7 +396,7 @@ struct DriverParts<'a> {
 impl<'a> DriverParts<'a> {
     fn new(
         topo: &'a Topology,
-        catalog: &ProgramCatalog,
+        catalog: &'a ProgramCatalog,
         config: &'a SimConfig,
         strategy: &'a dyn StrategyFactory,
     ) -> Self {
@@ -399,11 +412,38 @@ impl<'a> DriverParts<'a> {
         });
         DriverParts {
             topo,
+            catalog,
             config,
             segmenter,
             costs,
             strategy,
         }
+    }
+
+    /// The one pass a resident run makes over its records before any
+    /// driver is built. It computes every record's context — which is
+    /// what rejects a dangling program or an unknown user, with the same
+    /// error on either resident plan, before anything runs — and hands it
+    /// to `keep` (the whole-plant driver keeps the table, the
+    /// per-neighborhood plan only where each record lives); under a
+    /// strategy that takes the feed it also publishes every record's
+    /// event into the run's precomputed [`GlobalFeed`] (a pure function
+    /// of the trace — see the module docs).
+    fn survey(
+        &self,
+        records: &[SessionRecord],
+        mut keep: impl FnMut(SessionCtx),
+    ) -> Result<Option<GlobalFeed>, SimError> {
+        let seg_len = self.segmenter.segment_len().as_secs();
+        let mut feed = self.strategy.needs_feed().then(GlobalFeed::new);
+        for rec in records {
+            let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
+            if let Some(feed) = feed.as_mut() {
+                feed.publish(feed_event(rec, &ctx, self.config, &self.segmenter));
+            }
+            keep(ctx);
+        }
+        Ok(feed)
     }
 
     /// Builds the index server for neighborhood `n`, configured the same
@@ -497,22 +537,30 @@ impl<'a> DriverParts<'a> {
     }
 }
 
-/// The classic serial driver over a fully resident record slice:
+/// The whole-plant reference driver over a fully resident record slice:
 /// precomputed contexts and feed, the whole look-ahead handed over up
-/// front; one driver, one global event heap, the whole plant.
+/// front; one driver, one global event heap, the whole plant. Only
+/// [`run`] comes here: a resident source is otherwise replayed by
+/// `shard::run_parallel_resident` at every worker count (faster on one
+/// thread already, by locality). This driver stays because a reference
+/// has to be something other than the thing it checks — the benchmark's
+/// reference CRCs and the parity tests compare every per-neighborhood
+/// plan against this one — and because this very composition, one
+/// driver answering for every neighborhood, is the online engine.
 fn run_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
 ) -> Result<SimReport, SimError> {
+    check_record_count(source)?;
     config.validate()?;
     let topo = build_topology(source, config)?;
     let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
-    let ctxs = precompute_sessions(records, source.catalog(), &topo, &parts.segmenter)?;
-    let feed = build_feed(records, &ctxs, config, &parts.segmenter, strategy);
+    let mut ctxs = Vec::with_capacity(records.len());
+    let feed = parts.survey(records, |ctx| ctxs.push(ctx))?;
 
-    let supply = ResidentSupply::new(records, &ctxs, None);
+    let supply = ResidentSupply::new(records, &ctxs);
     let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
     let mut driver = parts.driver(0..topo.neighborhood_count(), supply, provider, None)?;
     driver.run()?;

@@ -1,5 +1,6 @@
 //! Per-neighborhood sharding: shard scheduling and the two sharded entry
-//! drivers.
+//! drivers — every replay the `Simulation` builder composes, at every
+//! worker count, one included.
 //!
 //! The paper's unit of isolation is the neighborhood: per-event state
 //! (cache, boxes, coax) is neighborhood-local, the shared central-server
@@ -11,16 +12,24 @@
 //! runs). Each shard therefore runs the **same** [`SessionDriver`]
 //! lifecycle as the serial engine, built by the same constructor over the
 //! one-neighborhood range `n..n + 1` instead of the whole plant, and what
-//! a shard may read never depends on how far another has got:
+//! a shard may read never depends on how far another has got. What a
+//! shard reads is always one contiguous run of `(global index, record)`
+//! pairs, front to back, in ascending global index:
 //!
-//! * resident, and streaming over a matched neighborhood-major file under
-//!   a feed-less strategy (each shard decodes its own chunk runs): shards
-//!   are independent jobs on the work-stealing pool
-//!   ([`runner::run_indexed`]), built when started and dropped when done;
+//! * resident ([`run_parallel_resident`]): one pass over the records
+//!   validates them and lists each neighborhood's record indices; a shard
+//!   copies its own records out through that list once, when it starts,
+//!   and replays the copy. Streaming over a matched neighborhood-major
+//!   file under a feed-less strategy: a shard decodes its own chunk runs.
+//!   Either way shards are independent jobs on the work-stealing pool
+//!   ([`runner::run_indexed`]), built when started and dropped when done
+//!   — on one worker, inline on the caller's thread, so one
+//!   neighborhood's plant, index and records are alive at a time;
 //! * every other streaming replay is **blocked** ([`run_blocked`]): shards
 //!   are cooperative tasks striped over the workers, advancing block by
 //!   block, each parked at the block's edge until the caller's thread has
-//!   decoded, published and demultiplexed the next one. The only
+//!   decoded and published the next one and grouped its records by
+//!   neighborhood — a shard's run is its slice of the block. The only
 //!   synchronization is the pair of barrier waits a block.
 //!
 //! Both size their worker sets from the process-wide permit ledger in
@@ -33,24 +42,29 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{GlobalFeed, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
-use super::feed::build_feed;
 use super::lifecycle::{SessionDriver, Step, ABORTED};
 use super::report::{merge_outcomes, RangeOutcome};
-use super::stream::{Block, BlockSupply, Demux, ResidentSupply, StreamSupply};
-use super::{build_topology, precompute_sessions, shard_plans, DriverParts, Replay};
+use super::stream::{Block, BlockSupply, Demux, GatheredSupply, StreamSupply};
+use super::{build_topology, shard_plans, DriverParts, Replay};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
 use crate::runner;
 
-/// The resident sharded driver: every shard replays its own record subset
-/// (in trace order, interleaved with its continuation heap — exactly the
-/// relative order the serial engine would process them in) over the
-/// work-stealing pool, with the precomputed global feed shared read-only.
+/// The resident per-neighborhood plan, at any worker count: one pass
+/// over the records validates them, builds the feed if the strategy takes
+/// one and lists each neighborhood's record indices; then every shard is
+/// a job on the work-stealing pool that gathers its own records into one
+/// contiguous run ([`GatheredSupply`]), replays it front to back
+/// interleaved with its continuation heap — exactly the relative order
+/// the whole-plant driver would process them in — with the precomputed
+/// feed shared read-only, and is dropped, plant and all, when done. With
+/// `threads == 1` the jobs run inline on the caller's thread, one
+/// neighborhood's working set alive at a time.
 pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,
@@ -61,23 +75,40 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
     config.validate()?;
     let topo = build_topology(source, config)?;
     let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
-    let ctxs = precompute_sessions(records, source.catalog(), &topo, &parts.segmenter)?;
-    let feed = build_feed(records, &ctxs, config, &parts.segmenter, strategy);
 
-    let nbhd_count = topo.neighborhood_count();
-    let mut shard_records: Vec<Vec<u32>> = vec![Vec::new(); nbhd_count];
-    for (i, ctx) in ctxs.iter().enumerate() {
-        shard_records[ctx.nbhd as usize].push(i as u32);
-    }
+    let (members, feed) = resident_members(&parts, records)?;
 
-    let outcomes = runner::run_indexed(nbhd_count, threads, |n| {
-        let supply = ResidentSupply::new(records, &ctxs, Some(&shard_records[n]));
+    let outcomes = runner::run_indexed(members.len(), threads, |n| {
+        let supply = GatheredSupply::gather(
+            records,
+            &members[n],
+            parts.catalog,
+            parts.topo,
+            &parts.segmenter,
+        );
         let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
         let mut driver = parts.driver(n..n + 1, supply, provider, None)?;
         driver.run()?;
         Ok(driver.into_outcome())
     });
     merge_outcomes(outcomes, source.days(), config)
+}
+
+/// The survey of a resident run that is about to be sharded: each
+/// neighborhood's record indices, ascending — what its shard gathers, not
+/// something the replay follows — and the precomputed feed, or the
+/// failure of the first record that names no program or no subscriber.
+pub(super) fn resident_members(
+    parts: &DriverParts<'_>,
+    records: &[SessionRecord],
+) -> Result<(Vec<Vec<u32>>, Option<GlobalFeed>), SimError> {
+    let mut members = vec![Vec::new(); parts.topo.neighborhood_count()];
+    let mut gidx = 0u32;
+    let feed = parts.survey(records, |ctx| {
+        members[ctx.nbhd as usize].push(gidx);
+        gidx += 1;
+    })?;
+    Ok((members, feed))
 }
 
 /// What a streaming run says about itself beside its report.

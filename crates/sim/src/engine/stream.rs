@@ -1,24 +1,34 @@
 //! Record supplies: where a [`SessionDriver`](super::lifecycle::
 //! SessionDriver) gets its sessions from.
 //!
-//! * [`ResidentSupply`] — a fully resident record slice with precomputed
-//!   contexts, optionally restricted to one shard's record subset. Zero
-//!   staging cost.
+//! * [`ResidentSupply`] — the whole resident record slice beside its
+//!   precomputed context table, in trace order: the supply of the
+//!   whole-plant reference driver and nothing else. Zero staging cost.
+//! * [`GatheredSupply`] — one neighborhood's records of a resident trace,
+//!   copied out of the slice into one contiguous `(gidx, record)` run
+//!   when the shard starts and walked front to back: the supply of the
+//!   per-neighborhood resident plan. It keeps no context table — the
+//!   context of the session about to start is two table lookups, computed
+//!   when it is taken.
 //! * [`BlockSupply`] — one neighborhood's slice of the current
 //!   [`Block`]: the supply of the **blocked** replay. A [`Demux`] on the
 //!   caller's thread decodes each chunk once into the shared block —
 //!   a time-major file's next chunk in place, a neighborhood-major file's
-//!   cell runs merged back into global order — computes contexts,
+//!   cell runs merged back into global order — validates every record,
 //!   publishes the block's feed events and advances the watermark past
-//!   it, then sorts the block's record *positions* by neighborhood (a
-//!   counting sort — the records stay where they were decoded); every
-//!   shard's supply walks its run of positions and, once it is through,
-//!   reports the block's edge so its driver parks there until the next
-//!   block is attached.
+//!   it, then moves the block's *records* into neighborhood-grouped order
+//!   (a stable counting sort, applied in place); every shard's supply
+//!   walks its own contiguous run of the block front to back and, once it
+//!   is through, reports the block's edge so its driver parks there until
+//!   the next block is attached.
 //! * [`StreamSupply`] — a shard that decodes its own chunk runs: the
 //!   supply of a neighborhood-major file whose grouping **matches** the
 //!   plant, under a strategy that takes no feed, where shards share
 //!   nothing. It computes contexts at ingestion and publishes nothing.
+//!
+//! No sharded supply reaches a record through an index: each walks
+//! records laid out contiguously in the order it replays them —
+//! gathered, grouped, or as its chunks decode.
 //!
 //! Every streaming replay is sharded per neighborhood; what the engine
 //! can observe of the source and the strategy picks the supply, the
@@ -72,35 +82,20 @@ use super::lifecycle::{feed_event, session_ctx, PendingSession, RecordSupply, Se
 use crate::config::SimConfig;
 use crate::error::SimError;
 
-/// Resident record slice with precomputed contexts, served in trace order
-/// (or the order of an explicit index subset).
+/// The whole resident record slice with its precomputed contexts, served
+/// in trace order (the whole-plant reference driver's supply).
 pub(super) struct ResidentSupply<'a> {
     records: &'a [SessionRecord],
     ctxs: &'a [SessionCtx],
-    /// When present, the (ascending) record indices this supply serves —
-    /// one shard's records. Otherwise every record.
-    subset: Option<&'a [u32]>,
     pos: usize,
 }
 
 impl<'a> ResidentSupply<'a> {
-    pub(super) fn new(
-        records: &'a [SessionRecord],
-        ctxs: &'a [SessionCtx],
-        subset: Option<&'a [u32]>,
-    ) -> Self {
+    pub(super) fn new(records: &'a [SessionRecord], ctxs: &'a [SessionCtx]) -> Self {
         ResidentSupply {
             records,
             ctxs,
-            subset,
             pos: 0,
-        }
-    }
-
-    fn current(&self) -> Option<u64> {
-        match self.subset {
-            Some(subset) => subset.get(self.pos).map(|&i| u64::from(i)),
-            None => (self.pos < self.records.len()).then_some(self.pos as u64),
         }
     }
 }
@@ -108,25 +103,76 @@ impl<'a> ResidentSupply<'a> {
 impl RecordSupply for ResidentSupply<'_> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self
-            .current()
-            .map(|gidx| (self.records[gidx as usize].start, gidx)))
+            .records
+            .get(self.pos)
+            .map(|rec| (rec.start, self.pos as u64)))
     }
 
     fn take(&mut self) -> PendingSession {
-        let gidx = self.current().expect("a record is staged");
+        let at = self.pos;
         self.pos += 1;
         PendingSession {
-            gidx,
-            rec: self.records[gidx as usize],
-            ctx: self.ctxs[gidx as usize],
+            gidx: at as u64,
+            rec: self.records[at],
+            ctx: self.ctxs[at],
         }
     }
 
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        Some(match self.subset {
-            Some(subset) => Box::new(subset.iter().map(|&i| &self.records[i as usize])),
-            None => Box::new(self.records.iter()),
-        })
+        Some(Box::new(self.records.iter()))
+    }
+}
+
+/// One neighborhood's records of a resident trace as one contiguous run
+/// (see the module docs): gathered once, when the shard starts, and
+/// dropped with it.
+pub(super) struct GatheredSupply<'a> {
+    run: Vec<(u64, SessionRecord)>,
+    pos: usize,
+    catalog: &'a ProgramCatalog,
+    topo: &'a Topology,
+    seg_len: u64,
+}
+
+impl<'a> GatheredSupply<'a> {
+    /// Copies `records[i]` for every `i` of `members` — one neighborhood's
+    /// record indices, ascending — into the run. Every record was
+    /// validated by the pass that listed it (`DriverParts::survey`).
+    pub(super) fn gather(
+        records: &[SessionRecord],
+        members: &[u32],
+        catalog: &'a ProgramCatalog,
+        topo: &'a Topology,
+        segmenter: &Segmenter,
+    ) -> Self {
+        GatheredSupply {
+            run: members
+                .iter()
+                .map(|&i| (u64::from(i), records[i as usize]))
+                .collect(),
+            pos: 0,
+            catalog,
+            topo,
+            seg_len: segmenter.segment_len().as_secs(),
+        }
+    }
+}
+
+impl RecordSupply for GatheredSupply<'_> {
+    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
+        Ok(self.run.get(self.pos).map(|(gidx, rec)| (rec.start, *gidx)))
+    }
+
+    fn take(&mut self) -> PendingSession {
+        let (gidx, rec) = self.run[self.pos];
+        self.pos += 1;
+        let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)
+            .expect("the survey computed this context once already");
+        PendingSession { gidx, rec, ctx }
+    }
+
+    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
+        Some(Box::new(self.run.iter().map(|(_, rec)| rec)))
     }
 }
 
@@ -135,15 +181,15 @@ impl RecordSupply for ResidentSupply<'_> {
 /// in place by the [`Demux`], read by every shard's [`BlockSupply`].
 #[derive(Debug, Default)]
 pub(super) struct Block {
+    /// The stretch's records, grouped by neighborhood and ascending in
+    /// global index within each group (a stable counting sort), so a
+    /// group is one contiguous run in global order.
     records: Vec<(u64, SessionRecord)>,
-    /// Positions into `records`, grouped by neighborhood and ascending
-    /// within each group (a stable counting sort), so a group is walked
-    /// in global order.
-    order: Vec<u32>,
-    /// `order[starts[n]..starts[n + 1]]` is neighborhood `n`'s run.
+    /// `records[starts[n]..starts[n + 1]]` is neighborhood `n`'s run.
     starts: Vec<u32>,
     /// While more blocks follow: the latest start time decoded so far —
-    /// no later session starts before it — and how many records are
+    /// the last record *decoded*, wherever the grouping then put it; no
+    /// later session starts before it — and how many records are
     /// published. `None` on the final block.
     edge: Option<(SimTime, u64)>,
     /// Under a strategy that looks ahead: `ahead[n]` is what entered
@@ -163,7 +209,6 @@ impl Block {
     /// the final block of a run.
     pub(super) fn reset(&mut self, nbhd_count: usize) {
         self.records.clear();
-        self.order.clear();
         self.starts.clear();
         self.starts.resize(nbhd_count + 2, 0);
         self.edge = None;
@@ -192,9 +237,9 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     /// Records handed out so far, which is the global index due next.
     published: u64,
     last_start: SimTime,
-    /// Scratch: the neighborhood of each record of the block being
-    /// filled.
-    nbhds: Vec<u32>,
+    /// Scratch, an entry per record of the block being filled: its
+    /// neighborhood, then where the grouping puts it.
+    dest: Vec<u32>,
     failure: Option<SimError>,
 }
 
@@ -224,7 +269,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             ahead: lookahead.map(|lookahead| LookAhead::new(source, runs, lookahead)),
             published: 0,
             last_start: SimTime::EPOCH,
-            nbhds: Vec::new(),
+            dest: Vec::new(),
             failure: None,
         }
     }
@@ -260,11 +305,12 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         // not kept: a shard recomputes the one it is about to start
         // (`BlockSupply::take`), which costs two table lookups and saves
         // a context-sized column per block. What is kept is the counting
-        // sort of positions by neighborhood: tally into `starts[n + 2]`,
+        // sort of the records by neighborhood: tally into `starts[n + 2]`,
         // prefix-sum so `starts[n + 1]` is where `n`'s run begins, then
-        // scatter through it — which leaves it at the run's end, that
-        // is, at the beginning of `n + 1`'s.
-        self.nbhds.clear();
+        // number every record's place through it — which leaves it at
+        // the run's end, that is, at the beginning of `n + 1`'s — and
+        // move the records there.
+        self.dest.clear();
         for (gidx, rec) in &block.records {
             // The feed is addressed by global index and every consumer
             // trusts that `0..=g` is published once `g` was handed out,
@@ -285,19 +331,30 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
                 feed.publish(*gidx, feed_event(rec, &ctx, self.config, &self.segmenter));
             }
             block.starts[ctx.nbhd as usize + 2] += 1;
-            self.nbhds.push(ctx.nbhd);
+            self.dest.push(ctx.nbhd);
+        }
+        // The edge is the last record decoded: read it before the
+        // grouping moves another neighborhood's tail there.
+        if let Some((_, rec)) = block.records.last() {
+            self.last_start = rec.start;
         }
         for n in 1..block.starts.len() {
             block.starts[n] += block.starts[n - 1];
         }
-        block.order.resize(block.records.len(), 0);
-        for (at, &nbhd) in self.nbhds.iter().enumerate() {
-            let slot = &mut block.starts[nbhd as usize + 1];
-            block.order[*slot as usize] = at as u32;
+        for dest in &mut self.dest {
+            let slot = &mut block.starts[*dest as usize + 1];
+            *dest = *slot;
             *slot += 1;
         }
-        if let Some((_, rec)) = block.records.last() {
-            self.last_start = rec.start;
+        // Apply the permutation in place, cycle by cycle: every swap puts
+        // one record where it belongs for good — at most one swap a
+        // record, and no second block-sized buffer.
+        for at in 0..self.dest.len() {
+            while self.dest[at] as usize != at {
+                let to = self.dest[at] as usize;
+                block.records.swap(at, to);
+                self.dest.swap(at, to);
+            }
         }
         if let Some(feed) = self.feed.as_mut() {
             feed.advance(self.published);
@@ -379,14 +436,14 @@ impl<'a> BlockSupply<'a> {
 impl RecordSupply for BlockSupply<'_> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self.block.as_ref().map(|block| {
-            let (gidx, rec) = &block.records[block.order[self.pos] as usize];
+            let (gidx, rec) = &block.records[self.pos];
             (rec.start, *gidx)
         }))
     }
 
     fn take(&mut self) -> PendingSession {
         let block = self.block.as_ref().expect("a record is staged");
-        let (gidx, rec) = block.records[block.order[self.pos] as usize];
+        let (gidx, rec) = block.records[self.pos];
         let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)
             .expect("the demultiplexer computed this context once already");
         self.pos += 1;

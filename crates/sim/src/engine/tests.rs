@@ -1,6 +1,7 @@
-//! Engine unit tests: physics invariants of the serial reference path,
-//! equivalence of the sharded and streaming drivers, and lifecycle
-//! internals (the active-session slab).
+//! Engine unit tests: physics invariants of the whole-plant reference
+//! driver (`run` over a resident trace), equivalence of the sharded and
+//! streaming drivers to it, what each sharded supply reads and in what
+//! order, and lifecycle internals (the active-session slab).
 
 use super::lifecycle::ActiveSessions;
 use super::*;
@@ -625,6 +626,261 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         drain(&mut supply, n, lookahead, fed);
     }
     check("fast path", fed);
+    std::fs::remove_file(&tm).ok();
+    std::fs::remove_file(&nm).ok();
+}
+
+/// 4,000 sessions a minute apart over three 50-subscriber neighborhoods
+/// of very unequal load — neighborhood 0 starts four sessions for every
+/// one of neighborhood 2, neighborhood 1 never starts any — with seeks and
+/// lengths that make every field of a context vary: what the two
+/// contiguous-run tests below replay.
+fn uneven_workload() -> (Trace, SimConfig) {
+    use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
+    use cablevod_trace::rechunk::neighborhood_groups;
+    use cablevod_trace::record::SessionRecord;
+
+    let (users, nbhd_size, programs) = (150u32, 50u32, 30u32);
+    let groups = neighborhood_groups(users, nbhd_size).expect("groups");
+    let of = |n: u32| -> Vec<u32> { (0..users).filter(|&u| groups[u as usize] == n).collect() };
+    let (busy, quiet) = (of(0), of(2));
+    let catalog: ProgramCatalog = (0..programs)
+        .map(|p| ProgramInfo {
+            length: SimDuration::from_minutes(20 + 7 * u64::from(p)),
+            introduced_day: 0,
+        })
+        .collect();
+    let records: Vec<SessionRecord> = (0..4_000u64)
+        .map(|i| {
+            let pool = if i % 5 == 3 { &quiet } else { &busy };
+            let mut rec = SessionRecord::new(
+                UserId::new(pool[(i * 7) as usize % pool.len()]),
+                ProgramId::new((i * 11 % u64::from(programs)) as u32),
+                SimTime::from_secs(60 * i),
+                SimDuration::from_minutes(1 + i % 90),
+            );
+            rec.offset = SimDuration::from_minutes(i % 4 * 9);
+            rec
+        })
+        .collect();
+    let trace = Trace::new(records, catalog, users, 3).expect("valid trace");
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(nbhd_size)
+        .with_per_peer_storage(DataSize::from_gigabytes(1))
+        .with_warmup_days(0);
+    (trace, config)
+}
+
+/// `trace` with some of its records replaced: a resident source whose
+/// records [`Trace::new`] never vetted.
+struct Tampered<'a> {
+    trace: &'a Trace,
+    records: Vec<cablevod_trace::record::SessionRecord>,
+}
+
+impl TraceSource for Tampered<'_> {
+    fn catalog(&self) -> &cablevod_trace::catalog::ProgramCatalog {
+        self.trace.catalog()
+    }
+    fn user_count(&self) -> u32 {
+        self.trace.user_count()
+    }
+    fn days(&self) -> u64 {
+        self.trace.days()
+    }
+    fn record_count(&self) -> u64 {
+        self.records.len() as u64
+    }
+    fn chunk_count(&self) -> usize {
+        1
+    }
+    fn chunk_first_index(&self, _chunk: usize) -> u64 {
+        0
+    }
+    fn read_chunk(
+        &self,
+        _chunk: usize,
+        out: &mut Vec<cablevod_trace::record::SessionRecord>,
+    ) -> Result<(), cablevod_trace::TraceError> {
+        out.clone_from(&self.records);
+        Ok(())
+    }
+    fn resident_records(&self) -> Option<&[cablevod_trace::record::SessionRecord]> {
+        Some(&self.records)
+    }
+}
+
+/// The resident per-neighborhood plan reads what the index walk it
+/// replaced read: every shard's gathered run is, session for session —
+/// global index, record, context — its neighborhood's records in trace
+/// order, on neighborhoods of unequal size, one of them empty; and a
+/// record that names no program or no subscriber fails the run exactly
+/// as it fails the whole-plant driver, before any shard is built.
+#[test]
+fn gathered_runs_are_the_index_walk_session_for_session() {
+    use super::lifecycle::RecordSupply;
+    use super::stream::GatheredSupply;
+
+    let (trace, config) = uneven_workload();
+    let strategy = config.strategy().factory();
+    let topo = build_topology(&trace, &config).expect("topology");
+    let parts = DriverParts::new(&topo, trace.catalog(), &config, strategy.as_ref());
+    let seg_len = parts.segmenter.segment_len().as_secs();
+    let records = trace.records();
+
+    let (members, feed) = shard::resident_members(&parts, records).expect("survey");
+    assert!(feed.is_none(), "lfu takes no feed");
+    let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
+    assert_eq!(sizes.len(), 3);
+    assert!(
+        sizes[1] == 0 && sizes[2] > 0 && sizes[0] > 3 * sizes[2],
+        "{sizes:?}"
+    );
+    for (n, members) in members.iter().enumerate() {
+        let walk: Vec<_> = records
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rec)| {
+                let ctx = session_ctx(rec, trace.catalog(), &topo, seg_len).expect("valid");
+                (ctx.nbhd as usize == n).then_some((i as u64, *rec, ctx))
+            })
+            .collect();
+        let mut supply =
+            GatheredSupply::gather(records, members, trace.catalog(), &topo, &parts.segmenter);
+        let future: Vec<_> = supply
+            .resident_future()
+            .expect("resident")
+            .copied()
+            .collect();
+        assert!(future.iter().eq(walk.iter().map(|(_, rec, _)| rec)));
+        let mut gathered = Vec::new();
+        while let Some((start, gidx)) = supply.peek().expect("peek") {
+            let session = supply.take();
+            assert_eq!((start, gidx), (session.rec.start, session.gidx));
+            gathered.push((session.gidx, session.rec, session.ctx));
+        }
+        assert_eq!(gathered, walk, "neighborhood {n}");
+    }
+
+    // Under a feed strategy the same pass publishes every record's event,
+    // in trace order.
+    let global = StrategySpec::GlobalLfu {
+        history: SimDuration::from_days(1),
+        lag: SimDuration::ZERO,
+    }
+    .factory();
+    let feeding = DriverParts::new(&topo, trace.catalog(), &config, global.as_ref());
+    let (_, feed) = shard::resident_members(&feeding, records).expect("survey");
+    assert_eq!(
+        feed.expect("global lfu takes the feed").len(),
+        records.len()
+    );
+
+    // The same failure from both resident plans, whichever worker count.
+    let mut dangling = records.to_vec();
+    dangling[2_500].program = ProgramId::new(30);
+    let mut stranger = records.to_vec();
+    stranger[17].user = UserId::new(150);
+    for (records, expect) in [(dangling, "prog30 not present"), (stranger, "unknown user")] {
+        let source = Tampered {
+            trace: &trace,
+            records,
+        };
+        let reference = run(&source, &config).expect_err(expect).to_string();
+        assert!(reference.contains(expect), "{reference}");
+        for threads in [1, 3] {
+            let err = replay(&source, &config, strategy.as_ref(), threads).expect_err(expect);
+            assert_eq!(err.to_string(), reference, "{threads} workers");
+        }
+    }
+}
+
+/// The blocked replay's demultiplexer moves records, and moves them
+/// right: over a time-major and a neighborhood-major form of the same
+/// trace, every block's neighborhood runs are each ascending in global
+/// index and made of that neighborhood's records, together they are
+/// exactly the stretch of the global order the block decoded, and the
+/// block's edge is the start of the last record *decoded* — which, more
+/// often than not, the grouping has moved away from the block's tail.
+#[test]
+fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
+    use super::lifecycle::RecordSupply;
+    use super::stream::{Block, BlockSupply, Demux};
+    use cablevod_trace::columnar::{write_trace, ColumnarReader};
+    use cablevod_trace::rechunk::rechunk_by_neighborhood;
+    use std::sync::atomic::AtomicBool;
+
+    let (trace, config) = uneven_workload();
+    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
+    let topo = build_topology(&trace, &config).expect("topology");
+    let nbhd_count = topo.neighborhood_count();
+    let records = trace.records();
+
+    let mut tm = std::env::temp_dir();
+    tm.push(format!("cvtc_demux_tm_{}.cvtc", std::process::id()));
+    let mut nm = std::env::temp_dir();
+    nm.push(format!("cvtc_demux_nm_{}.cvtc", std::process::id()));
+    write_trace(&tm, &trace, 97).expect("write time-major");
+    let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+    // A grouping the plant does not share: the decoder merges the runs.
+    rechunk_by_neighborhood(&tm_reader, &nm, 30, 97).expect("rechunk");
+    let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    let chunked = ChunkedTrace::new(&trace, 97);
+    let sources: [(&str, &dyn TraceSource); 2] =
+        [("time-major", &chunked), ("neighborhood-major", &nm_reader)];
+
+    for (layout, source) in sources {
+        let runs = serial_runs(source);
+        let mut demux = Demux::new(source, &runs, &topo, &config, segmenter, None, None);
+        let mut supplies: Vec<_> = (0..nbhd_count)
+            .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
+            .collect();
+        let mut block = Arc::new(Block::default());
+        let aborted = AtomicBool::new(false);
+        let (mut published, mut blocks, mut edge_moved) = (0u64, 0, 0);
+        loop {
+            let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
+            demux.next_block(filling, &aborted);
+            blocks += 1;
+            let mut seen = Vec::new();
+            let mut tail = None;
+            for (n, supply) in supplies.iter_mut().enumerate() {
+                supply.attach(&block);
+                let mut last = None;
+                while let Some((start, gidx)) = supply.peek().expect("peek") {
+                    let session = supply.take();
+                    assert_eq!((start, gidx), (session.rec.start, session.gidx));
+                    assert_eq!(session.ctx.nbhd as usize, n, "{layout}, record {gidx}");
+                    assert_eq!(session.rec, records[gidx as usize], "{layout}");
+                    assert!(last < Some(gidx), "{layout}: {gidx} after {last:?} in {n}");
+                    last = Some(gidx);
+                    seen.push(gidx);
+                }
+                tail = last.or(tail);
+            }
+            let decoded = published + seen.len() as u64;
+            seen.sort_unstable();
+            assert!(
+                seen.iter().copied().eq(published..decoded),
+                "{layout}, block {blocks}: not a permutation of records {published}..{decoded}"
+            );
+            published = decoded;
+            let Some(edge) = block.edge() else { break };
+            assert_eq!(
+                edge,
+                (records[decoded as usize - 1].start, decoded),
+                "{layout}, block {blocks}"
+            );
+            edge_moved += usize::from(tail != Some(decoded - 1));
+        }
+        assert!(demux.into_failure().is_none(), "{layout}");
+        assert_eq!(published, records.len() as u64, "{layout}");
+        assert!(blocks > 30, "{layout}: {blocks} blocks");
+        assert!(
+            edge_moved * 2 > blocks,
+            "{layout}: the grouped tail was the decoded tail in all but {edge_moved} of {blocks}"
+        );
+    }
     std::fs::remove_file(&tm).ok();
     std::fs::remove_file(&nm).ok();
 }

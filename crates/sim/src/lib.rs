@@ -25,9 +25,11 @@
 //!   [`scenario`] module's "Crash safety & resume" section);
 //! * [`engine`] — the discrete-event core behind the facade: session
 //!   records drive segment-granularity requests against per-neighborhood
-//!   cooperative caches with exact byte accounting; [`engine::run`] /
-//!   [`engine::run_parallel`] are two-line shorthands for a builder run
-//!   that wants only the report (**bit-identical**, property-tested);
+//!   cooperative caches with exact byte accounting; every builder run
+//!   is sharded per neighborhood, [`engine::run_parallel`] is the
+//!   shorthand for one that wants only the report, and [`engine::run`]
+//!   over a resident trace is the whole-plant reference driver they are
+//!   all held to (**bit-identical**, property-tested);
 //! * [`config`] / [`report`] — the swept parameters and measured results;
 //! * [`baseline`] — the no-cache centralized service and the
 //!   headend-cache equivalence transform;

@@ -1,8 +1,8 @@
 //! The front door: the [`Simulation`] builder and its [`RunOutcome`].
 //!
-//! Every way of running one simulation — serial or sharded, over a
-//! resident [`Trace`](cablevod_trace::record::Trace) or streaming from an
-//! on-disk columnar file — goes through one facade:
+//! Every way of running one simulation — on one worker or several, over
+//! a resident [`Trace`](cablevod_trace::record::Trace) or streaming from
+//! an on-disk columnar file — goes through one facade:
 //!
 //! ```
 //! use cablevod_sim::{Simulation, SimConfig};
@@ -21,11 +21,13 @@
 //! ```
 //!
 //! The builder is a zero-cost composition layer: it resolves the strategy
-//! factory and the thread policy, calls the same engine drivers the
-//! [`run`](crate::run)/[`run_parallel`](crate::run_parallel) shorthands
-//! use, and wraps the **bit-identical** [`SimReport`] together
-//! with the run telemetry ([`RunTelemetry`]: wall time, trace decode
-//! work, peak RSS) that callers previously scraped by hand.
+//! factory and the thread policy, calls the per-neighborhood engine
+//! drivers the [`run_parallel`](crate::run_parallel) shorthand uses —
+//! the replay plan follows the data, never the worker count — and wraps
+//! the [`SimReport`], **bit-identical** to the whole-plant reference
+//! driver behind [`run`](crate::run), together with the run telemetry
+//! ([`RunTelemetry`]: wall time, trace decode work, peak RSS) that
+//! callers previously scraped by hand.
 //!
 //! Out-of-tree strategies enter here too: [`Simulation::register`] puts a
 //! [`StrategyFactory`] into the builder's
@@ -50,12 +52,15 @@ use serde::{Deserialize, Serialize};
 /// How many engine workers a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ThreadPolicy {
-    /// One worker, the caller's thread. Over a resident source this is
-    /// the serial reference driver (one global event heap against the
-    /// whole plant); a streaming source is replayed sharded per
-    /// neighborhood either way — the plan follows the file and the
-    /// strategy, never the worker count — here with every shard on that
-    /// one worker.
+    /// One worker, the caller's thread. The replay is sharded per
+    /// neighborhood all the same — the plan follows the data (resident or
+    /// streamed, the file's layout, the strategy), never the worker count
+    /// — with every shard on that one worker: over a resident source one
+    /// neighborhood after the other, each built when started and dropped
+    /// when done; over a streaming source block by block. (The whole-plant
+    /// driver — one event heap for every neighborhood — is
+    /// [`run`](crate::run) over a resident source: the reference, not a
+    /// policy.)
     #[default]
     Serial,
     /// Sharded per neighborhood over at most this many workers.
@@ -65,8 +70,8 @@ pub enum ThreadPolicy {
 }
 
 impl ThreadPolicy {
-    /// The worker count to hand the sharded drivers, or `None` for the
-    /// one-worker path ([`ThreadPolicy::Serial`]).
+    /// The worker count to hand the sharded drivers; `None`
+    /// ([`ThreadPolicy::Serial`]) is one, the caller's thread.
     pub fn worker_count(self) -> Option<usize> {
         match self {
             ThreadPolicy::Serial => None,
@@ -180,10 +185,10 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
         self
     }
 
-    /// Runs on one worker, the caller's thread (the default): the serial
-    /// reference driver over a resident source, and over a streaming
-    /// source the same replay plan `threads(n)` runs, with every shard on
-    /// that one worker — see [`ThreadPolicy::Serial`].
+    /// Runs on one worker, the caller's thread (the default): the same
+    /// per-neighborhood replay plan `threads(n)` runs, over a resident
+    /// source and a streaming one alike, with every shard on that one
+    /// worker — see [`ThreadPolicy::Serial`].
     #[must_use]
     pub fn serial(mut self) -> Self {
         self.threads = ThreadPolicy::Serial;
@@ -252,7 +257,7 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
             StrategyChoice::Named(name) => self.registry.resolve(name)?,
             StrategyChoice::Factory(factory) => factory.clone(),
         };
-        let workers = self.threads.worker_count();
+        let workers = self.threads.worker_count().unwrap_or(1);
         let decode_before = self.source.decode_stats();
         let started = Instant::now();
         let (report, fastpath) =
@@ -264,7 +269,7 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
                 wall,
                 decode: self.source.decode_stats() - decode_before,
                 peak_rss_kb: peak_rss_kb(),
-                threads: workers.unwrap_or(1),
+                threads: workers,
                 strategy: factory.name().to_string(),
                 fastpath,
             },

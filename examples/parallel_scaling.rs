@@ -1,13 +1,16 @@
 //! Sharded-engine scaling scenario: the Criterion bench workload scaled to
-//! 10x its user count (15,000 users, ~200k sessions), simulated serially
-//! and with the per-neighborhood sharded engine at several worker counts,
-//! all through the [`Simulation`] front door — wall time, throughput and
-//! peak RSS come from the built-in [`RunOutcome`] telemetry instead of
-//! hand-rolled timers.
+//! 10x its user count (15,000 users, ~200k sessions), simulated by the
+//! whole-plant reference driver (`cablevod_sim::run`) and by the
+//! per-neighborhood sharded engine at several worker counts through the
+//! [`Simulation`] front door — whose wall time, throughput and peak RSS
+//! come from the built-in [`RunOutcome`] telemetry instead of hand-rolled
+//! timers.
 //!
 //! The sharded path must produce a bit-identical report — this example
 //! asserts it — while shard memory stays bounded by the largest
-//! neighborhood, not the whole plant.
+//! neighborhood, not the whole plant. It is ahead of the whole-plant
+//! driver on one worker already: a shard walks its own contiguous run of
+//! records against its own working set.
 //!
 //! ```text
 //! cargo run --release --example parallel_scaling
@@ -37,14 +40,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.neighborhood_size(),
     );
 
-    let serial = Simulation::over(&trace).config(config.clone()).run()?;
+    let started = std::time::Instant::now();
+    let reference = cablevod_sim::run(&trace, &config)?;
+    let whole_plant = started.elapsed();
     println!(
-        "serial reference: {:?} ({:.0} sessions/s)",
-        serial.telemetry.wall,
-        serial.sessions_per_sec()
+        "whole-plant reference: {whole_plant:?} ({:.0} sessions/s)",
+        reference.sessions as f64 / whole_plant.as_secs_f64()
     );
 
-    for threads in [1usize, 2, 4, 8] {
+    let serial = Simulation::over(&trace).config(config.clone()).run()?;
+    assert_eq!(
+        serial.report, reference,
+        "per-neighborhood report must be bit-identical"
+    );
+    println!(
+        "serial (sharded, one worker): {:?} ({:.0} sessions/s, {:.2}x vs whole-plant)",
+        serial.telemetry.wall,
+        serial.sessions_per_sec(),
+        whole_plant.as_secs_f64() / serial.telemetry.wall.as_secs_f64()
+    );
+
+    for threads in [2usize, 4, 8] {
         let parallel = Simulation::over(&trace)
             .config(config.clone())
             .threads(threads)

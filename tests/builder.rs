@@ -1,13 +1,15 @@
-//! Front-door equivalence and extension properties: the [`Simulation`]
-//! builder must be a zero-behavior-change facade (bit-identical to the
-//! `run` / `run_parallel` shorthands across all five strategies ×
-//! serial/sharded × resident/streaming), [`Scenario`]
+//! Front-door equivalence and extension properties: every way through
+//! the [`Simulation`] builder — one worker or several, resident or
+//! streamed — must be bit-identical to the whole-plant reference driver
+//! behind `cablevod_sim::run`, a different driver since resident runs
+//! replay per neighborhood (all nine registered strategies × counting /
+//! enforcing admission over a seeded fault plan); [`Scenario`]
 //! specs must round-trip through the spec-file format, and an
 //! out-of-tree strategy registered through the [`StrategyFactory`]
 //! interface must run end-to-end without touching the cache crate's
 //! [`StrategySpec`] enum.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -18,14 +20,19 @@ use cablevod_cache::{
 };
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_sim::{run, run_parallel, AxisPoint, Scenario, SimConfig, Simulation, SourceSpec};
+use cablevod_sim::{
+    run, run_parallel, AdmissionMode, AxisPoint, FaultPlan, RetryPolicy, Scenario, SimConfig,
+    Simulation, SourceSpec,
+};
 use cablevod_tests::tiny_config;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
 
-/// The same strategy matrix as `tests/streaming.rs`: the paper's four
-/// plus Global LFU (the feed-consuming path).
-fn strategy(pick: usize) -> StrategySpec {
+/// One spec per registered strategy, with the parameters `tests/zoo.rs`
+/// and `tests/streaming.rs` use to make each one's distinctive machinery
+/// engage on a three-day trace (a history shorter than the trace, a feed
+/// lag, a TTU that expires, a fetch latency coarse enough to coalesce).
+fn all_strategies() -> [StrategySpec; 9] {
     [
         StrategySpec::NoCache,
         StrategySpec::Lru,
@@ -35,7 +42,18 @@ fn strategy(pick: usize) -> StrategySpec {
             history: SimDuration::from_days(3),
             lag: SimDuration::from_minutes(30),
         },
-    ][pick]
+        StrategySpec::Arc { ghost: 0 },
+        StrategySpec::Tlru {
+            ttl: SimDuration::from_minutes(30),
+        },
+        StrategySpec::PriorStoring {
+            horizon: SimDuration::from_days(1),
+        },
+        StrategySpec::DelayedLfu {
+            history: SimDuration::from_days(3),
+            latency_ms: 10_000,
+        },
+    ]
 }
 
 fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
@@ -46,54 +64,92 @@ fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
         .with_strategy(spec)
 }
 
+/// The matrix below is the registry: a strategy registered later must be
+/// added to it.
+#[test]
+fn the_parity_matrix_covers_every_registered_strategy() {
+    let matrix: BTreeSet<String> = all_strategies()
+        .iter()
+        .map(|spec| spec.compact().split(':').next().unwrap_or("").to_string())
+        .collect();
+    let registry = StrategyRegistry::builtin();
+    let registered: BTreeSet<String> = registry.names().map(str::to_string).collect();
+    assert_eq!(matrix, registered);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// `Simulation` output is bit-identical to `run` / `run_parallel` on
-    /// every driver: serial/sharded × resident/streaming, all five
-    /// strategies.
+    /// `run` over a resident trace is the whole-plant driver — one event
+    /// heap, every neighborhood — and everything the builder composes is
+    /// a per-neighborhood plan: resident on one worker (`serial()`, the
+    /// default) and on three, streamed on one and on two. All of them,
+    /// and the `run_parallel` shorthand, reproduce the reference bit for
+    /// bit under every registered strategy, counting and enforcing
+    /// admission, over a seeded fault plan.
     #[test]
     fn builder_is_bit_identical_to_legacy_entry_points(
         users in 60u32..220,
         nbhd in 25u32..120,
         gb in 1u64..5,
-        strategy_pick in 0usize..5,
         seed in 0u64..500,
+        plan_seed in 0u64..200,
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
-        let config = config_for(nbhd, gb, strategy(strategy_pick));
-
-        // Resident serial: `run` vs builder.
-        let legacy = run(&trace, &config).expect("run");
-        let built = Simulation::over(&trace)
-            .config(config.clone())
-            .run()
-            .expect("builder run");
-        prop_assert_eq!(&built.report, &legacy);
-
-        // Resident sharded: `run_parallel` vs builder.
-        let legacy_parallel = run_parallel(&trace, &config, 3).expect("run_parallel");
-        let built_parallel = Simulation::over(&trace)
-            .config(config.clone())
-            .threads(3)
-            .run()
-            .expect("builder parallel run");
-        prop_assert_eq!(&built_parallel.report, &legacy_parallel);
-        prop_assert_eq!(&built_parallel.report, &legacy);
-
-        // Streaming serial + sharded through the builder.
         let chunked = ChunkedTrace::new(&trace, 64);
-        let streamed = Simulation::over(&chunked)
-            .config(config.clone())
-            .run()
-            .expect("builder streaming run");
-        prop_assert_eq!(&streamed.report, &legacy);
-        let streamed_parallel = Simulation::over(&chunked)
-            .config(config.clone())
-            .threads(2)
-            .run()
-            .expect("builder streaming parallel run");
-        prop_assert_eq!(&streamed_parallel.report, &legacy);
+        let faults = FaultPlan::seeded(
+            plan_seed,
+            users.div_ceil(nbhd),
+            SimDuration::from_days(3),
+            4,
+            2,
+        );
+        for spec in all_strategies() {
+            for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
+                let config = config_for(nbhd, gb, spec)
+                    .with_faults(faults.clone())
+                    .with_admission(admission)
+                    .with_retry(RetryPolicy::paper_default());
+                let what = format!("{} under {admission:?}", spec.compact());
+
+                let reference = run(&trace, &config).expect("whole-plant run");
+                prop_assert!(reference.degradation.is_some(), "{}", &what);
+
+                let serial = Simulation::over(&trace)
+                    .config(config.clone())
+                    .serial()
+                    .run()
+                    .expect("builder, one worker");
+                prop_assert_eq!(&serial.report, &reference, "serial, {}", &what);
+                prop_assert_eq!(serial.telemetry.threads, 1);
+
+                let sharded = Simulation::over(&trace)
+                    .config(config.clone())
+                    .threads(3)
+                    .run()
+                    .expect("builder, three workers");
+                prop_assert_eq!(&sharded.report, &reference, "threads(3), {}", &what);
+                let shorthand = run_parallel(&trace, &config, 3).expect("run_parallel");
+                prop_assert_eq!(&shorthand, &reference, "run_parallel, {}", &what);
+
+                let streamed = Simulation::over(&chunked)
+                    .config(config.clone())
+                    .run()
+                    .expect("builder, streaming");
+                prop_assert_eq!(&streamed.report, &reference, "streamed, {}", &what);
+                let streamed_parallel = Simulation::over(&chunked)
+                    .config(config)
+                    .threads(2)
+                    .run()
+                    .expect("builder, streaming on two workers");
+                prop_assert_eq!(
+                    &streamed_parallel.report,
+                    &reference,
+                    "streamed threads(2), {}",
+                    &what
+                );
+            }
+        }
     }
 }
 
