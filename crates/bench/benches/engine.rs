@@ -20,6 +20,7 @@ use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use cablevod_bench::bench_trace;
 use cablevod_cache::{
@@ -30,7 +31,7 @@ use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::{Topology, TopologyConfig};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_serve::clock::AcceleratedClock;
+use cablevod_serve::clock::{AcceleratedClock, ClockSource};
 use cablevod_serve::replay::{replay_trace, DecisionTier};
 use cablevod_serve::server::{Server, ServerConfig};
 use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
@@ -441,14 +442,82 @@ fn workload_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One millisecond of wall time is one simulated second: the decision
+/// tier advances a thousand times a second, as in the repo benchmark.
+struct MillisClock(Instant);
+
+impl ClockSource for MillisClock {
+    fn now(&mut self) -> SimTime {
+        SimTime::from_secs(u64::try_from(self.0.elapsed().as_millis()).unwrap_or(u64::MAX))
+    }
+
+    fn wait_until(&mut self, t: SimTime) {
+        while self.now() < t {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+}
+
+/// Times one request/reply ping-pong, `request(i)` on the `i`-th call,
+/// against an otherwise idle [`Server`] on a Unix socket paced by
+/// `clock`.
+fn socket_roundtrip(
+    c: &mut Criterion,
+    bench: &str,
+    config: &SimConfig,
+    mut clock: impl ClockSource + Send,
+    request: impl Fn(u32) -> String,
+) {
+    let trace = bench_trace();
+    let path = std::env::temp_dir().join(format!(
+        "cablevod-bench-{bench}-{}.sock",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let server = Server::unix(&path).expect("bind unix socket");
+    let term = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let term = &term;
+        let served = scope.spawn(move || {
+            serve_serial(
+                &OnlineSpec::from_source(trace),
+                config,
+                config.strategy().factory().as_ref(),
+                |engine| server.run(engine, &mut clock, term, &ServerConfig::default()),
+            )
+        });
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut reply = String::new();
+        let mut sent = 0;
+        let mut group = c.benchmark_group("serve");
+        group.sample_size(1000);
+        group.throughput(Throughput::Elements(1));
+        group.bench_function(bench, |b| {
+            b.iter(|| {
+                stream.write_all(request(sent).as_bytes()).expect("send");
+                sent += 1;
+                reply.clear();
+                reader.read_line(&mut reply).expect("reply")
+            })
+        });
+        group.finish();
+        term.store(true, Ordering::SeqCst);
+        served.join().expect("server thread").expect("serve run");
+    });
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The online tier under an accelerated clock: sustained requests/sec
 /// through the full serve path (ingress stamping, feed publication,
 /// cooperative stepping), plus the per-session decision-latency p99 from
 /// one instrumented replay — the two rows ROADMAP item 2 trends next to
-/// offline sessions/sec — and `socket_roundtrip`, the one row that goes
-/// through the socket: a `LOOKUP` ping-pong with an idle [`Server`] on a
-/// Unix socket, ns a round trip (two wake-ups, framing, the response
-/// cache, the reply flush).
+/// offline sessions/sec — and the two rows that go through the socket,
+/// ns a round trip with an idle [`Server`] (two wake-ups, framing, the
+/// reply flush): `socket_roundtrip`, a `LOOKUP` through the response
+/// cache, and `session_roundtrip`, a `SESSION` through `submit` under a
+/// clock that ticks every millisecond — the row that shows whether a
+/// session start waits for the tick.
 fn serve_online(c: &mut Criterion) {
     let trace = bench_trace();
     let config = SimConfig::paper_default()
@@ -492,39 +561,21 @@ fn serve_online(c: &mut Criterion) {
         None,
     );
 
-    let path = std::env::temp_dir().join(format!("cablevod-bench-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let server = Server::unix(&path).expect("bind unix socket");
-    let term = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let (config, term) = (&config, &term);
-        let served = scope.spawn(move || {
-            let mut clock = AcceleratedClock::default();
-            serve_serial(
-                &OnlineSpec::from_source(trace),
-                config,
-                config.strategy().factory().as_ref(),
-                |engine| server.run(engine, &mut clock, term, &ServerConfig::default()),
-            )
-        });
-        let mut stream = UnixStream::connect(&path).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut reply = String::new();
-        let mut group = c.benchmark_group("serve");
-        group.sample_size(1000);
-        group.throughput(Throughput::Elements(1));
-        group.bench_function("socket_roundtrip", |b| {
-            b.iter(|| {
-                stream.write_all(b"LOOKUP 0 1\n").expect("send");
-                reply.clear();
-                reader.read_line(&mut reply).expect("reply")
-            })
-        });
-        group.finish();
-        term.store(true, Ordering::SeqCst);
-        served.join().expect("server thread").expect("serve run");
-    });
-    let _ = std::fs::remove_file(&path);
+    socket_roundtrip(
+        c,
+        "socket_roundtrip",
+        &config,
+        AcceleratedClock::default(),
+        |_| "LOOKUP 0 1\n".into(),
+    );
+    let (users, programs) = (trace.user_count(), trace.catalog().len() as u32);
+    socket_roundtrip(
+        c,
+        "session_roundtrip",
+        &config,
+        MillisClock(Instant::now()),
+        |i| format!("SESSION {} {} 600\n", i % users, i % programs),
+    );
 }
 
 criterion_group!(

@@ -7,12 +7,13 @@
 //! whole plant *in real time*? — by standing the same engine up as a
 //! persistent service with three tiers:
 //!
-//! * **Ingress tier** ([`clock`], [`server::IngressQueue`]) — a
-//!   [`ClockSource`] seam ([`WallClock`] for production pacing,
-//!   [`AcceleratedClock`] for tests and benches) plus a bounded admission
-//!   queue with explicit overload shedding. Sessions arrive either by
-//!   replaying a `.cvtc` trace against the clock ([`replay`]) or as
-//!   newline-framed requests over a TCP/Unix socket ([`server`]).
+//! * **Ingress tier** ([`clock`], [`server`]) — a [`ClockSource`] seam
+//!   ([`WallClock`] for production pacing, [`AcceleratedClock`] for tests
+//!   and benches) plus a bound on the sessions staged between two
+//!   advances of the decision tier, with explicit overload shedding.
+//!   Sessions arrive either by replaying a `.cvtc` trace against the
+//!   clock ([`replay`]) or as newline-framed requests over a TCP/Unix
+//!   socket ([`server`]).
 //! * **Decision tier** (`cablevod_sim::engine::online`) — the one
 //!   `SessionDriver` lifecycle stepped cooperatively against the live
 //!   clock. All nine registry strategies, fault plans, and enforcing
@@ -28,7 +29,8 @@
 //!
 //! The socket protocol is line-oriented UTF-8: one request per line
 //! (terminated by `\n`), one reply line per request, in order, per
-//! connection. Fields are space-separated decimal integers.
+//! connection. Fields are decimal integers separated by ASCII white
+//! space.
 //!
 //! ## Requests
 //!
@@ -42,8 +44,8 @@
 //!
 //! | Reply | Meaning |
 //! |---|---|
-//! | `ADMITTED <gidx>` | The session was queued for the decision tier with global index `gidx`. |
-//! | `OVERLOADED` | The admission queue was full; the request was **shed** — counted, never silently dropped, never blocked. |
+//! | `ADMITTED <gidx>` | The decision tier holds the session, with global index `gidx` — sent **on arrival**: the line is stamped and submitted when it is read, and indexes follow the order lines were read in, across connections. The session starts at the next advance. |
+//! | `OVERLOADED` | As many sessions as the server allows were already staged for the next advance; the request was **shed** — counted, never silently dropped, never blocked. |
 //! | `PLACED <epoch> <peer>` | The program's first segment is cached on `peer`; answer valid as of placement `epoch`. |
 //! | `ABSENT <epoch>` | The program is not currently placed in that neighborhood, as of `epoch`. |
 //! | `STATS <json>` | One JSON object of service counters. |
@@ -60,41 +62,62 @@
 //! are re-filled. The property test in `tests/serve.rs` pins this under
 //! randomized interleavings.
 //!
+//! Only an advance changes placement, and the server advances the
+//! decision tier at most once per simulated second. So an admission's
+//! placement effects are visible from the epoch of the **next tick's
+//! advance**: a `LOOKUP` sent right behind a `SESSION` is answered behind
+//! its `ADMITTED`, in order, at the epoch that held before it.
+//!
 //! ## Shed and drain behavior
 //!
-//! `SESSION` requests beyond the ingress queue's capacity are answered
-//! `OVERLOADED` immediately (back-pressure is explicit; the accept loop
-//! never blocks on the decision tier) and counted in the final stats as
-//! `shed`. On SIGTERM/SIGINT the server stops accepting work, drains the
-//! admission queue through the decision tier, answers every in-flight
-//! request, and writes one final JSON line
+//! `queue_cap` ([`ServerConfig`]) bounds how many sessions may be staged
+//! between two advances of the decision tier — what one simulated second
+//! may admit. `SESSION` requests beyond it are answered `OVERLOADED`
+//! immediately (back-pressure is explicit; the serve loop never blocks on
+//! the decision tier) and counted in the final stats as `shed`. On
+//! SIGTERM/SIGINT the server stops accepting work (a `SESSION` read from
+//! then on is answered `ERR draining`), advances the decision tier over
+//! what is staged, writes the replies it still owes — for at most
+//! [`server::DRAIN_DEADLINE`]; what no socket took by then is dropped and
+//! counted — and writes one final JSON line
 //! `{"serve": {...counters...}, "report": {...}}` where `report` is the
 //! canonical `SimReport` encoding (`cablevod_sim::report_to_json_string`)
-//! — byte-comparable with offline runs.
+//! — byte-comparable with offline runs. The server checks its own books
+//! as it drains: `admitted + shed + session_errors == sessions_seen`, and
+//! the decision tier holds exactly what was admitted.
 //!
-//! ## What the loop waits on, and the two caps
+//! ## What the loop waits on, the two caps and the two deadlines
 //!
-//! The serve loop sleeps on nothing but its work: when a pass finds
-//! nothing to do it blocks in one `poll(2)` over the listener and the
-//! open connections (input always; output only while reply bytes are
-//! waiting for a socket), for as long as the [`ClockSource`] says it is
-//! until its next second ([`ClockSource::until_next_tick`]; one
-//! millisecond for a clock that cannot say). A request, a writable
-//! socket, a signal or the tick wakes it; a request that arrives on an
-//! idle server is read at once. `term` raised by another thread is seen
+//! The serve loop sleeps on nothing but its work: every pass begins with
+//! one `poll(2)` over the listener and the open connections (input
+//! always; output only after a write that would have blocked), for as
+//! long as the [`ClockSource`] says it is until its next second
+//! ([`ClockSource::until_next_tick`]; one millisecond for a clock that
+//! cannot say), and then does what `poll` reported and nothing else: an
+//! idle pass makes no other system call. A request, a writable socket, a
+//! signal or the tick wakes it; a request that arrives on an idle server
+//! is read and answered at once. `term` raised by another thread is seen
 //! at the next wake-up — the next tick at the latest.
 //!
-//! The socket fails closed, with two constants of [`server`]:
+//! The socket fails closed, in space and in time, with four constants of
+//! [`server`]:
 //!
 //! * a request line longer than [`server::MAX_LINE`] (4 KiB; wire lines
 //!   are under 64 bytes) is answered `ERR line too long` and the
 //!   connection is closed;
-//! * a connection owed more than [`server::MAX_OWED`] (64 Ki: reply
-//!   bytes its socket has not taken plus replies not yet rendered) is
-//!   not read until its client has read some — back-pressure through the
-//!   client's own socket buffer, so a client that pipelines without
-//!   reading costs the server a bounded amount of memory and is never
-//!   answered out of order.
+//! * a connection owed more than [`server::MAX_OWED`] (64 KiB of reply
+//!   bytes its socket has not taken) is not read until its client has
+//!   read some — back-pressure through the client's own socket buffer, so
+//!   a client that pipelines without reading costs the server a bounded
+//!   amount of memory and is never answered out of order;
+//! * such a connection whose socket takes nothing for
+//!   [`server::SLOW_READER_DEADLINE`] is closed;
+//! * a drain returns [`server::DRAIN_DEADLINE`] after it began at the
+//!   latest.
+//!
+//! Replies dropped at either deadline, or because their client was gone,
+//! are counted (`dropped_replies` in the final line). A client that says
+//! nothing holds a descriptor and nothing else, and never a drain.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,32 +1,40 @@
 //! The socket front end: newline-framed requests over a TCP or Unix
-//! socket, a bounded ingress queue with explicit shedding, an
-//! epoch-invalidated response cache, and a drain-on-shutdown path.
+//! socket, answered as they are read, with explicit shedding, an
+//! epoch-invalidated response cache, and a drain-on-shutdown path that
+//! ends in bounded time.
 //!
 //! The wire protocol is specified in the [crate docs](crate). The serve
-//! loop is single-threaded and its sockets are non-blocking: each pass
-//! accepts new connections, reads and frames request lines, answers
-//! `LOOKUP`/`STATS` immediately (through the response cache), and
-//! batches `SESSION` admissions through the decision tier **at most once
-//! per simulated second** — the engine's native granularity. Within a
-//! second the bounded [`IngressQueue`] absorbs arrivals; when it is full,
-//! further sessions are shed with an explicit `OVERLOADED` reply. Nothing
-//! ever blocks on the decision tier and nothing is silently dropped.
+//! loop is single-threaded and its sockets are non-blocking. Every reply
+//! is known when its line is read, so every line is answered on arrival:
+//! `LOOKUP`/`STATS` through the response cache, and a `SESSION` by being
+//! stamped and handed to the decision tier's `submit` at once — its
+//! `ADMITTED <gidx>` is rendered straight into the connection's reply
+//! bytes. What is batched is the **advance**: `advance_to` runs at most
+//! once per simulated second — the engine's native granularity — and no
+//! reply carries anything it computes. Between two advances at most
+//! `queue_cap` sessions are staged; further ones are shed with an
+//! explicit `OVERLOADED` reply. Nothing ever blocks on the decision tier
+//! and nothing is silently dropped.
 //!
 //! # What the loop blocks on
 //!
-//! A pass that found nothing to do ends in one `poll(2)` over the
-//! listener (`POLLIN`) and every open connection (`POLLIN`, plus
-//! `POLLOUT` only while reply bytes are waiting for the socket), so a
-//! request is read when it arrives, not when a timer fires. What wakes
-//! the loop: a readable or writable descriptor, a signal (`EINTR` — how
-//! the bin's SIGTERM gets in), or the timeout, which is how long the
+//! Every pass begins with one `poll(2)` over the listener (`POLLIN`) and
+//! every open connection (`POLLIN`, plus `POLLOUT` only after a write
+//! that would have blocked), and then acts on what `poll` reported: one
+//! `accept` if the listener was readable, one read — straight into the
+//! connection's input buffer — on each readable connection, one write of
+//! the replies that read produced. So a request is read when it arrives,
+//! not when a timer fires, and an idle pass makes no system call but the
+//! `poll`. What wakes the loop: a ready descriptor, a signal (`EINTR` —
+//! how the bin's SIGTERM gets in), or the timeout, which is how long the
 //! [`ClockSource`] says it is until its next second
 //! ([`ClockSource::until_next_tick`]) and one millisecond for a clock
-//! that cannot say. So the tick, the `term` flag and `max_sessions` are
-//! looked at once a second under a [`WallClock`](crate::WallClock) and
-//! every millisecond under a clock somebody else moves. A `term` raised
-//! by another thread, or by a signal that lands between the check and
-//! the wait, is seen at the next wake-up.
+//! that cannot say — cut short by the nearest of the two deadlines below.
+//! So the tick, the `term` flag and `max_sessions` are looked at once a
+//! second under a [`WallClock`](crate::WallClock) and every millisecond
+//! under a clock somebody else moves. A `term` raised by another thread,
+//! or by a signal that lands between the check and the wait, is seen at
+//! the next wake-up.
 //!
 //! Three things stay out of the poll set, because each would turn the
 //! wait into a spin: a connection whose read side has ended (end of file
@@ -41,14 +49,19 @@
 //! * A request line longer than [`MAX_LINE`] bytes is answered
 //!   `ERR line too long` and the connection is closed: what follows an
 //!   unframed line cannot be framed.
-//! * A connection owed more than [`MAX_OWED`] (reply bytes not yet taken
-//!   by its socket plus replies not yet rendered) is neither polled for
-//!   input nor read until the client has read some: the client's writes
-//!   block in its own socket buffer, and a client that never reads costs
-//!   the server a bounded amount of memory. What is read ahead of framing
-//!   is bounded the same way, per connection and pass.
+//! * A connection owed more than [`MAX_OWED`] reply bytes its socket has
+//!   not taken is neither polled for input nor read until the client has
+//!   read some: the client's writes block in its own socket buffer, and a
+//!   client that never reads costs the server a bounded amount of memory.
+//!   What is read ahead of framing is bounded by the input buffer.
+//! * A connection over [`MAX_OWED`] whose socket has taken nothing for
+//!   [`SLOW_READER_DEADLINE`] is closed and what it was owed dropped.
+//! * A drain that still owes replies [`DRAIN_DEADLINE`] after it began
+//!   drops them and returns. Both deadlines are measured on
+//!   [`Instant`], not on the [`ClockSource`], and every dropped reply is
+//!   counted ([`ServeStats::dropped_replies`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::raw::c_short;
@@ -58,7 +71,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use cablevod_hfc::ids::{ProgramId, UserId};
+use cablevod_hfc::ids::{PeerId, ProgramId, UserId};
 use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_sim::engine::online::{OnlineEngine, OnlinePlacement};
 use cablevod_sim::SimError;
@@ -74,11 +87,19 @@ use crate::hist::LatencyHistogram;
 pub const MAX_LINE: usize = 4096;
 
 /// Back-pressure threshold per connection: reply bytes its socket has not
-/// taken yet plus replies not yet rendered. Above it the connection is
-/// not read until the client has read some.
+/// taken yet. Above it the connection is not read until the client has
+/// read some.
 pub const MAX_OWED: usize = 64 * 1024;
 
-/// How much of a connection's input is read ahead of framing, per pass.
+/// How long a connection over [`MAX_OWED`] may go without its socket
+/// taking a byte before it is closed and what it is owed dropped.
+pub const SLOW_READER_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long a drain waits for sockets to take the replies they are owed
+/// before it drops them and returns.
+pub const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A connection's input buffer: how much is read ahead of framing.
 const READ_AHEAD: usize = 16 * MAX_LINE;
 
 /// The longest wait under a clock that cannot say when it next ticks.
@@ -110,12 +131,27 @@ mod poll {
     }
 
     impl PollFd {
+        /// An entry waiting for `events` on `fd`; one that waits for
+        /// nothing holds descriptor -1, which `poll` skips (it reports a
+        /// hang-up on a real one whatever was asked for).
         pub(super) fn new(fd: RawFd, events: c_short) -> Self {
             PollFd {
-                fd,
+                fd: if events == 0 { -1 } else { fd },
                 events,
                 revents: 0,
             }
+        }
+
+        /// Whether the last wait found something to read here: input, end
+        /// of file, a hang-up or an error (a read tells which).
+        pub(super) fn readable(&self) -> bool {
+            self.revents & !POLLOUT != 0
+        }
+
+        /// Whether the last wait found room to write here, or a hang-up
+        /// or an error (a write tells which).
+        pub(super) fn writable(&self) -> bool {
+            self.revents & !POLLIN != 0
         }
 
         #[cfg(test)]
@@ -131,9 +167,8 @@ mod poll {
     /// Blocks until a descriptor in `fds` is ready for what it asks, a
     /// signal arrives, or `timeout` (rounded up to a millisecond, at
     /// least one) has passed; returns how many are ready. A timeout,
-    /// `EINTR` and any other error all read 0: every return is only a
-    /// wake-up, and the caller finds out what happened from its
-    /// non-blocking sockets.
+    /// `EINTR` and any other error all read 0 (and leave every entry
+    /// "not ready"): every return is only a wake-up.
     pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) -> usize {
         let millis = c_int::try_from(timeout.as_micros().div_ceil(1000))
             .unwrap_or(c_int::MAX)
@@ -147,24 +182,25 @@ mod poll {
     }
 }
 
-/// Admission verdict from the ingress queue.
+/// Admission verdict from an [`IngressQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
-    /// The session was queued; it will reach the decision tier at the
-    /// next batch.
+    /// The session was queued.
     Queued,
-    /// The queue was full; the session was shed (and counted).
+    /// The queue was full; the session was shed.
     Shed,
 }
 
-/// The bounded admission queue between the socket and the decision
-/// tier. Overflow is shed explicitly — the caller gets [`Admit::Shed`]
-/// back immediately and the shed counter feeds the final report.
+/// A bounded queue of sessions tagged with a reply ticket. The server no
+/// longer holds one — a session goes to the decision tier as it is read
+/// and `queue_cap` bounds what is staged between two advances — and the
+/// type remains only because the frozen repo benchmark
+/// (`benchmark/src/layers.rs`) times it; it goes with the benchmark
+/// refresh that can change both sides (ROADMAP item 3).
 #[derive(Debug)]
 pub struct IngressQueue {
     cap: usize,
     queue: VecDeque<(u64, SessionRecord)>,
-    shed: u64,
 }
 
 impl IngressQueue {
@@ -174,14 +210,12 @@ impl IngressQueue {
         IngressQueue {
             cap: cap.max(1),
             queue: VecDeque::new(),
-            shed: 0,
         }
     }
 
     /// Offers one session (tagged with a reply ticket); sheds when full.
     pub fn offer(&mut self, ticket: u64, rec: SessionRecord) -> Admit {
         if self.queue.len() >= self.cap {
-            self.shed += 1;
             Admit::Shed
         } else {
             self.queue.push_back((ticket, rec));
@@ -193,30 +227,13 @@ impl IngressQueue {
     pub fn pop(&mut self) -> Option<(u64, SessionRecord)> {
         self.queue.pop_front()
     }
-
-    /// Pending sessions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether nothing is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Sessions shed so far.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
 }
 
 /// Tunables for [`Server::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Ingress queue capacity (sessions pending decision).
+    /// How many sessions may be staged between two advances of the
+    /// decision tier; further ones are shed.
     pub queue_cap: usize,
     /// Begin draining once this many sessions have been admitted
     /// (`None` = run until signalled).
@@ -233,13 +250,19 @@ impl Default for ServerConfig {
 }
 
 /// Final service counters, flushed as the `"serve"` half of the shutdown
-/// JSON line.
-#[derive(Debug)]
+/// JSON line. The server holds itself to two laws when it drains
+/// (`debug_assert!`): `admitted + shed + session_errors == sessions_seen`,
+/// and the decision tier was handed exactly `admitted` sessions.
+#[derive(Debug, Default)]
 pub struct ServeStats {
+    /// `SESSION` lines read.
+    pub sessions_seen: u64,
     /// Sessions admitted through the decision tier.
     pub admitted: u64,
-    /// Sessions shed at the ingress queue.
+    /// Sessions shed because `queue_cap` were already staged.
     pub shed: u64,
+    /// `SESSION` lines answered `ERR`.
+    pub session_errors: u64,
     /// `LOOKUP` requests served.
     pub lookups: u64,
     /// Lookups answered by the response cache at the current epoch.
@@ -248,7 +271,24 @@ pub struct ServeStats {
     pub cache_stale: u64,
     /// The placement epoch at shutdown.
     pub epoch: u64,
-    /// Decision latency (submit + advance per session batch).
+    /// Replies rendered and never delivered: the peer was gone, or one of
+    /// the two deadlines passed.
+    pub dropped_replies: u64,
+    /// Connections closed at [`SLOW_READER_DEADLINE`].
+    pub slow_readers_closed: u64,
+    /// Connections accepted.
+    pub connections: u64,
+    /// Passes of the serve loop: one `poll` each.
+    pub passes: u64,
+    /// `accept` calls: one per pass that found the listener readable.
+    pub accept_calls: u64,
+    /// Socket reads: one per readable connection and pass.
+    pub read_calls: u64,
+    /// Socket writes.
+    pub write_calls: u64,
+    /// Engine time per admitted session: per advance, the time spent in
+    /// `submit` since the last one plus the `advance_to`, divided among
+    /// the sessions it staged.
     pub decision: LatencyHistogram,
     /// Lookup latency (cache hit or decision-tier read).
     pub lookup: LatencyHistogram,
@@ -256,20 +296,31 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// The counters as one JSON object (the `"serve"` value of the final
-    /// output line and the `STATS` reply payload).
+    /// output line).
     #[must_use]
     pub fn json(&self) -> String {
         format!(
-            "{{\"admitted\":{},\"shed\":{},\"lookups\":{},\"cache_hits\":{},\
-             \"cache_stale\":{},\"epoch\":{},\
+            "{{\"sessions_seen\":{},\"admitted\":{},\"shed\":{},\"session_errors\":{},\
+             \"lookups\":{},\"cache_hits\":{},\"cache_stale\":{},\"epoch\":{},\
+             \"dropped_replies\":{},\"slow_readers_closed\":{},\"connections\":{},\
+             \"passes\":{},\"accept_calls\":{},\"read_calls\":{},\"write_calls\":{},\
              \"decision_p50_ns\":{},\"decision_p99_ns\":{},\"decision_p999_ns\":{},\
              \"lookup_p50_ns\":{},\"lookup_p99_ns\":{},\"lookup_p999_ns\":{}}}",
+            self.sessions_seen,
             self.admitted,
             self.shed,
+            self.session_errors,
             self.lookups,
             self.cache_hits,
             self.cache_stale,
             self.epoch,
+            self.dropped_replies,
+            self.slow_readers_closed,
+            self.connections,
+            self.passes,
+            self.accept_calls,
+            self.read_calls,
+            self.write_calls,
             self.decision.p50_ns(),
             self.decision.p99_ns(),
             self.decision.p999_ns(),
@@ -333,20 +384,20 @@ impl Write for Stream {
     }
 }
 
-/// A reply owed to a connection, in request order.
-enum Reply {
-    /// Computed synchronously; ready to flush.
-    Ready(String),
-    /// A queued `SESSION` awaiting its decision-tier verdict; resolved
-    /// by ticket when the batch is submitted.
-    Await(u64),
-}
-
 struct Conn {
     stream: Stream,
+    /// Input not yet framed: `inbuf[..filled]`. Allocated ([`READ_AHEAD`]
+    /// bytes) at the first read and never resized, so a read lands
+    /// straight in it.
     inbuf: Vec<u8>,
-    pending: VecDeque<Reply>,
+    filled: usize,
+    /// Replies in request order; `out[sent..]` is what the socket has not
+    /// taken yet.
     out: Vec<u8>,
+    sent: usize,
+    /// Since when the socket has refused every byte offered. While set,
+    /// nothing is written until `poll` reports room.
+    blocked_since: Option<Instant>,
     /// The read side has ended (end of file, an error, an oversize line);
     /// the connection lives on until what it is owed has been written.
     closed: bool,
@@ -357,39 +408,354 @@ impl Conn {
         Conn {
             stream,
             inbuf: Vec::new(),
-            pending: VecDeque::new(),
+            filled: 0,
             out: Vec::new(),
+            sent: 0,
+            blocked_since: None,
             closed: false,
         }
     }
 
     /// Whether more input is wanted: the read side is open and the
-    /// client is not over [`MAX_OWED`]. The poll set and [`read_conn`]
+    /// client is not over [`MAX_OWED`]. The poll set and [`Conn::fill`]
     /// both ask here, so a connection is never read while it is not
     /// polled, nor polled while it would not be read.
     fn wants_read(&self) -> bool {
         !self.closed && self.owed() <= MAX_OWED
     }
 
-    /// Reply bytes the socket has not taken plus replies not yet
-    /// rendered: what [`MAX_OWED`] bounds.
+    /// Reply bytes the socket has not taken: what [`MAX_OWED`] bounds.
     fn owed(&self) -> usize {
-        self.out.len() + self.pending.len()
+        self.out.len() - self.sent
     }
 
     /// The `poll` events this connection waits on; 0 keeps it out of the
-    /// set (`poll` reports a hang-up whatever was asked for, so a
-    /// descriptor with nothing to wait for must not be in it).
+    /// set.
     fn interest(&self) -> c_short {
         let mut events = 0;
         if self.wants_read() {
             events |= poll::POLLIN;
         }
-        if !self.out.is_empty() {
+        if self.blocked_since.is_some() {
             events |= poll::POLLOUT;
         }
         events
     }
+
+    /// One read of what the socket holds, into the free part of the
+    /// input buffer, unless the connection does not want input. A short
+    /// read has emptied the socket; after a full one it stays readable
+    /// and the next pass reads on.
+    fn fill(&mut self, stats: &mut ServeStats) {
+        if self.inbuf.is_empty() {
+            self.inbuf = vec![0; READ_AHEAD];
+        }
+        while self.wants_read() && self.filled < self.inbuf.len() {
+            stats.read_calls += 1;
+            match self.stream.read(&mut self.inbuf[self.filled..]) {
+                Ok(0) => self.closed = true,
+                Ok(n) => {
+                    self.filled += n;
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.closed = true,
+            }
+        }
+    }
+
+    /// Answers every complete line of the input buffer, in order, into
+    /// `out`, and drops what it consumed. Returns whether it stopped for
+    /// back-pressure — lines may be left — and not for want of a line.
+    fn frame(&mut self, service: &mut Service<'_>) -> bool {
+        let mut head = 0;
+        let backed_up = loop {
+            if self.owed() > MAX_OWED {
+                break true;
+            }
+            match next_frame(&self.inbuf[head..self.filled]) {
+                Frame::Line(len) => {
+                    service.answer(&self.inbuf[head..head + len], &mut self.out);
+                    head += len + 1;
+                }
+                Frame::Partial => break false,
+                Frame::TooLong => {
+                    self.closed = true;
+                    head = self.filled;
+                    self.out.extend_from_slice(b"ERR line too long\n");
+                }
+            }
+        };
+        self.inbuf.copy_within(head..self.filled, 0);
+        self.filled -= head;
+        backed_up
+    }
+
+    /// Writes owed bytes until the socket has them all or would block.
+    fn flush(&mut self, stats: &mut ServeStats) {
+        while self.sent < self.out.len() {
+            stats.write_calls += 1;
+            match self.stream.write(&self.out[self.sent..]) {
+                Ok(n) if n > 0 => {
+                    self.sent += n;
+                    self.blocked_since = None;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.blocked_since.get_or_insert_with(Instant::now);
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // The peer is gone.
+                Ok(_) | Err(_) => self.abandon(stats),
+            }
+        }
+        // The cursor moves per write; the bytes behind it are dropped
+        // once the socket has everything, or once per MAX_OWED sent.
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
+        } else if self.sent >= MAX_OWED {
+            self.out.drain(..self.sent);
+            self.sent = 0;
+        }
+    }
+
+    /// Serves the connection for one pass: reads if `poll` said there is
+    /// something to read, answers what is framed, and writes the answers
+    /// unless the socket is known to be full.
+    fn serve(&mut self, readable: bool, writable: bool, service: &mut Service<'_>) {
+        if readable {
+            self.fill(&mut service.stats);
+        }
+        loop {
+            let backed_up = self.frame(service);
+            if self.blocked_since.is_none() || writable {
+                self.flush(&mut service.stats);
+            }
+            if !backed_up || self.owed() > MAX_OWED {
+                break;
+            }
+        }
+    }
+
+    /// How long until [`SLOW_READER_DEADLINE`] closes this connection,
+    /// if it is on its way there: over [`MAX_OWED`] and blocked.
+    fn deadline_in(&self) -> Option<Duration> {
+        let since = self.blocked_since.filter(|_| self.owed() > MAX_OWED)?;
+        Some(SLOW_READER_DEADLINE.saturating_sub(since.elapsed()))
+    }
+
+    /// Closes the connection and drops, counted, what it is owed.
+    fn abandon(&mut self, stats: &mut ServeStats) {
+        let lost = self.out[self.sent..].iter().filter(|&&b| b == b'\n');
+        stats.dropped_replies += lost.count() as u64;
+        self.out.clear();
+        self.sent = 0;
+        self.blocked_since = None;
+        self.closed = true;
+    }
+}
+
+/// What a request line is answered from: the decision tier, the clock
+/// that stamps arrivals, the response cache and the books.
+struct Service<'a> {
+    engine: &'a mut dyn OnlineEngine,
+    clock: &'a mut dyn ClockSource,
+    cache: ResponseCache<(u32, u32), OnlinePlacement>,
+    queue_cap: u64,
+    /// Arrival stamps are monotone and strictly after the last advanced
+    /// horizon (the decision tier's ordering contract).
+    next_stamp: SimTime,
+    last_horizon: Option<SimTime>,
+    /// Sessions submitted since the last advance, and the time `submit`
+    /// took for them.
+    staged: u64,
+    submit_ns: u64,
+    /// Since when the server is draining, once it is.
+    draining_since: Option<Instant>,
+    stats: ServeStats,
+}
+
+impl Service<'_> {
+    /// Answers one request line into `out`. Words are separated by ASCII
+    /// white space.
+    fn answer(&mut self, line: &[u8], out: &mut Vec<u8>) {
+        let mut words = line
+            .split(|b| matches!(b, b'\t'..=b'\r' | b' '))
+            .filter(|word| !word.is_empty());
+        // Writing to a `Vec` cannot fail.
+        let _ = match words.next() {
+            Some(b"SESSION") => {
+                self.stats.sessions_seen += 1;
+                match self.session(&mut words) {
+                    Ok(Some(gidx)) => writeln!(out, "ADMITTED {gidx}"),
+                    Ok(None) => {
+                        self.stats.shed += 1;
+                        writeln!(out, "OVERLOADED")
+                    }
+                    Err(reason) => {
+                        self.stats.session_errors += 1;
+                        writeln!(out, "ERR {reason}")
+                    }
+                }
+            }
+            Some(b"LOOKUP") => match self.lookup(&mut words) {
+                Ok((epoch, Some(peer))) => writeln!(out, "PLACED {epoch} {}", peer.value()),
+                Ok((epoch, None)) => writeln!(out, "ABSENT {epoch}"),
+                Err(reason) => writeln!(out, "ERR {reason}"),
+            },
+            Some(b"STATS") => writeln!(
+                out,
+                "STATS {{\"sessions_seen\":{},\"admitted\":{},\"queued\":{},\"shed\":{},\
+                 \"session_errors\":{},\"lookups\":{},\"cache_hits\":{},\"epoch\":{}}}",
+                self.stats.sessions_seen,
+                self.stats.admitted,
+                self.staged,
+                self.stats.shed,
+                self.stats.session_errors,
+                self.stats.lookups,
+                self.cache.hits(),
+                self.engine.epoch(),
+            ),
+            // The word is echoed as text, so it ends where text does.
+            _ => match String::from_utf8_lossy(line).split_whitespace().next() {
+                Some(other) => writeln!(out, "ERR unknown request {other}"),
+                None => writeln!(out, "ERR empty request"),
+            },
+        };
+    }
+
+    /// The one place a session is submitted: stamped, shed if `queue_cap`
+    /// are staged already (`None`), otherwise handed to the decision tier
+    /// at once, which names its global index or says why not.
+    fn session<'l>(
+        &mut self,
+        args: &mut impl Iterator<Item = &'l [u8]>,
+    ) -> Result<Option<u64>, String> {
+        if self.draining_since.is_some() {
+            return Err("draining".into());
+        }
+        let (Some(user), Some(program), Some(duration)) = (
+            number(args.next()),
+            number(args.next()),
+            number(args.next()),
+        ) else {
+            return Err("usage: SESSION <user> <program> <duration_secs> [<offset_secs>]".into());
+        };
+        let offset = number(args.next()).unwrap_or(0);
+        if self.staged >= self.queue_cap {
+            return Ok(None);
+        }
+        // Stamp strictly after the last advanced horizon, never
+        // regressing (the decision tier's ordering contract).
+        let floor = self.last_horizon.map_or(0, |h| h.as_secs() + 1);
+        let stamp = SimTime::from_secs(self.clock.now().as_secs().max(floor)).max(self.next_stamp);
+        self.next_stamp = stamp;
+        let mut rec = SessionRecord::new(
+            UserId::new(user),
+            ProgramId::new(program),
+            stamp,
+            SimDuration::from_secs(duration),
+        );
+        rec.offset = SimDuration::from_secs(offset);
+        let t0 = Instant::now();
+        let verdict = self.engine.submit(rec);
+        self.submit_ns += nanos_since(t0);
+        match verdict {
+            Ok(gidx) => {
+                self.staged += 1;
+                self.stats.admitted += 1;
+                Ok(Some(gidx))
+            }
+            // `submit` rejects before it changes anything (a user or
+            // program the plant does not have), so the request fails,
+            // not the service.
+            Err(SimError::Config { reason }) => Err(reason),
+            Err(rejected) => Err(rejected.to_string()),
+        }
+    }
+
+    /// A placement, through the response cache, and the epoch it holds
+    /// at.
+    fn lookup<'l>(
+        &mut self,
+        args: &mut impl Iterator<Item = &'l [u8]>,
+    ) -> Result<(u64, Option<PeerId>), String> {
+        let (Some(nbhd), Some(program)) = (number(args.next()), number(args.next())) else {
+            return Err("usage: LOOKUP <nbhd> <program>".into());
+        };
+        let t0 = Instant::now();
+        self.stats.lookups += 1;
+        let placement = match self.cache.get(&(nbhd, program)) {
+            Some(hit) => hit,
+            None => match self.engine.lookup(nbhd, ProgramId::new(program)) {
+                Ok(fresh) => {
+                    self.cache.insert((nbhd, program), fresh);
+                    fresh
+                }
+                Err(SimError::Config { reason }) => return Err(reason),
+                Err(_) => return Err("lookup failed".into()),
+            },
+        };
+        self.stats.lookup.record(nanos_since(t0));
+        Ok((self.cache.epoch(), placement.location))
+    }
+
+    /// The one place the engine is advanced: at most once per simulated
+    /// second (an empty second still moves the horizon along, so timed
+    /// faults and expiries fire on schedule), and once more for what a
+    /// drain finds staged.
+    fn tick(&mut self) -> Result<(), SimError> {
+        let now = self.clock.now();
+        let due = self.last_horizon.is_none_or(|h| now > h);
+        if !(due || self.draining_since.is_some() && self.staged > 0) {
+            return Ok(());
+        }
+        let horizon = self.next_stamp.max(now);
+        let t0 = Instant::now();
+        if self.engine.advance_to(horizon)? {
+            self.cache.advance_epoch(self.engine.epoch());
+        }
+        self.last_horizon = Some(horizon);
+        if let Some(per_session) = (self.submit_ns + nanos_since(t0)).checked_div(self.staged) {
+            for _ in 0..self.staged {
+                self.stats.decision.record(per_session);
+            }
+        }
+        self.staged = 0;
+        self.submit_ns = 0;
+        Ok(())
+    }
+
+    /// Closes the books: checks the two laws and fills in what the cache
+    /// and the engine counted.
+    fn finish(mut self, submitted_before: u64) -> ServeStats {
+        let stats = &mut self.stats;
+        debug_assert_eq!(
+            stats.admitted + stats.shed + stats.session_errors,
+            stats.sessions_seen,
+            "every SESSION line is admitted, shed or refused"
+        );
+        debug_assert_eq!(
+            self.engine.submitted() - submitted_before,
+            stats.admitted,
+            "the decision tier holds what was admitted"
+        );
+        stats.cache_hits = self.cache.hits();
+        stats.cache_stale = self.cache.stale();
+        stats.epoch = self.engine.epoch();
+        self.stats
+    }
+}
+
+fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A decimal field of a request line.
+fn number<T: std::str::FromStr>(word: Option<&[u8]>) -> Option<T> {
+    std::str::from_utf8(word?).ok()?.parse().ok()
 }
 
 /// The socket server: accepts connections, frames requests, and runs the
@@ -399,7 +765,8 @@ pub struct Server {
     conns: Vec<Conn>,
     /// The last `accept` failed for a reason other than "none waiting".
     accept_stalled: bool,
-    /// The poll set, rebuilt for every wait and kept for its allocation.
+    /// The poll set, rebuilt for every wait and kept for its allocation:
+    /// the listener, then one entry per connection, in order.
     fds: Vec<poll::PollFd>,
 }
 
@@ -437,15 +804,16 @@ impl Server {
 
     /// Runs the serve loop until `term` is raised (SIGTERM/SIGINT in the
     /// bin) or `config.max_sessions` is reached, then drains: stops
-    /// accepting work, pushes every queued session through the decision
-    /// tier, answers every owed reply, and returns the final counters.
+    /// accepting work, advances the decision tier over every staged
+    /// session, writes every owed reply it can within
+    /// [`DRAIN_DEADLINE`], and returns the final counters.
     ///
     /// # Errors
     ///
     /// Propagates `advance_to` failures, which indicate a broken engine
     /// (what `submit` rejects — unknown users and programs, capacity
-    /// exhaustion — is answered on the wire as `ERR`, and a full queue
-    /// as `OVERLOADED`, instead).
+    /// exhaustion — is answered on the wire as `ERR`, and a session
+    /// beyond `queue_cap` as `OVERLOADED`, instead).
     pub fn run(
         mut self,
         engine: &mut dyn OnlineEngine,
@@ -453,254 +821,110 @@ impl Server {
         term: &AtomicBool,
         config: &ServerConfig,
     ) -> Result<ServeStats, SimError> {
-        let mut queue = IngressQueue::new(config.queue_cap);
-        let mut cache: ResponseCache<(u32, u32), OnlinePlacement> = ResponseCache::new();
-        let mut decision = LatencyHistogram::new();
-        let mut lookup_hist = LatencyHistogram::new();
-        let mut lookups: u64 = 0;
-        let mut admitted: u64 = 0;
-        let mut next_ticket: u64 = 0;
-        let mut resolved: HashMap<u64, String> = HashMap::new();
-        // Arrival stamps are monotone and strictly after the last
-        // advanced horizon (the decision tier's ordering contract).
-        let mut next_stamp = SimTime::from_secs(0);
-        let mut last_horizon: Option<SimTime> = None;
-        let mut draining = false;
+        let submitted_before = engine.submitted();
+        let mut service = Service {
+            engine,
+            clock,
+            cache: ResponseCache::new(),
+            queue_cap: config.queue_cap.max(1) as u64,
+            next_stamp: SimTime::from_secs(0),
+            last_horizon: None,
+            staged: 0,
+            submit_ns: 0,
+            draining_since: None,
+            stats: ServeStats::default(),
+        };
 
         loop {
-            let mut worked = false;
-            if !draining {
-                worked |= self.accept();
-                if term.load(Ordering::SeqCst) || config.max_sessions.is_some_and(|m| admitted >= m)
-                {
-                    draining = true;
+            service.stats.passes += 1;
+            let tick = service.clock.until_next_tick();
+            self.wait(tick.unwrap_or(UNKNOWN_TICK_WAIT), service.draining_since);
+
+            let draining = service.draining_since.is_some();
+            if !draining && (self.fds[0].readable() || self.accept_stalled) {
+                self.accept(&mut service.stats);
+            }
+            // A connection accepted in this pass was not polled in it.
+            for (conn, fd) in self.conns.iter_mut().zip(&self.fds[1..]) {
+                if fd.readable() || fd.writable() {
+                    conn.serve(fd.readable(), fd.writable(), &mut service);
                 }
             }
 
-            // Read and answer what can be answered synchronously.
+            let full = config
+                .max_sessions
+                .is_some_and(|m| service.stats.admitted >= m);
+            if !draining && (full || term.load(Ordering::SeqCst)) {
+                service.draining_since = Some(Instant::now());
+            }
+            service.tick()?;
+
+            let expired = service
+                .draining_since
+                .is_some_and(|since| since.elapsed() >= DRAIN_DEADLINE);
             for conn in &mut self.conns {
-                worked |= read_conn(conn);
-                // Frame in place: lines are borrowed from `inbuf` behind
-                // a cursor and the consumed prefix is dropped once.
-                let mut cursor = 0;
-                while conn.owed() <= MAX_OWED {
-                    let reply = match next_frame(&conn.inbuf[cursor..]) {
-                        Frame::Line(len) => {
-                            let text = String::from_utf8_lossy(&conn.inbuf[cursor..cursor + len]);
-                            cursor += len + 1;
-                            handle_line(
-                                text.trim_end_matches('\r'),
-                                draining,
-                                engine,
-                                clock,
-                                &mut queue,
-                                &mut cache,
-                                &mut lookup_hist,
-                                &mut lookups,
-                                &mut next_ticket,
-                                &mut next_stamp,
-                                last_horizon,
-                            )
-                        }
-                        Frame::Partial => break,
-                        Frame::TooLong => {
-                            conn.closed = true;
-                            cursor = conn.inbuf.len();
-                            Reply::Ready("ERR line too long".into())
-                        }
-                    };
-                    conn.pending.push_back(reply);
-                    worked = true;
+                let slow = conn.deadline_in() == Some(Duration::ZERO);
+                if slow || expired {
+                    service.stats.slow_readers_closed += u64::from(slow);
+                    conn.abandon(&mut service.stats);
                 }
-                conn.inbuf.drain(..cursor);
             }
-
-            // Batch admissions through the decision tier at most once
-            // per simulated second (always while draining).
-            let now = clock.now();
-            let due = last_horizon.is_none_or(|h| now > h);
-            if (due || draining) && !queue.is_empty() {
-                let horizon = next_stamp.max(now);
-                let t0 = Instant::now();
-                let mut batch: u64 = 0;
-                while let Some((ticket, rec)) = queue.pop() {
-                    match engine.submit(rec) {
-                        Ok(gidx) => {
-                            admitted += 1;
-                            batch += 1;
-                            resolved.insert(ticket, format!("ADMITTED {gidx}"));
-                        }
-                        Err(SimError::Config { reason }) => {
-                            resolved.insert(ticket, format!("ERR {reason}"));
-                        }
-                        // `submit` rejects before it changes anything
-                        // (a user or program the plant does not have),
-                        // so the request fails, not the service.
-                        Err(rejected) => {
-                            resolved.insert(ticket, format!("ERR {rejected}"));
-                        }
-                    }
-                }
-                if engine.advance_to(horizon)? {
-                    cache.advance_epoch(engine.epoch());
-                }
-                last_horizon = Some(horizon);
-                if batch > 0 {
-                    let per_session = u64::try_from(t0.elapsed().as_nanos() / u128::from(batch))
-                        .unwrap_or(u64::MAX);
-                    for _ in 0..batch {
-                        decision.record(per_session);
-                    }
-                }
-                worked = true;
-            } else if due && !draining {
-                // An empty second still moves the engine's horizon along
-                // so timed faults and expiries fire on schedule.
-                if engine.advance_to(now)? {
-                    cache.advance_epoch(engine.epoch());
-                }
-                last_horizon = Some(now);
-            }
-
-            worked |= self.flush(&mut resolved);
-            self.conns
-                .retain(|c| !(c.closed && c.pending.is_empty() && c.out.is_empty()));
-
-            if draining && queue.is_empty() && self.conns.iter().all(|c| c.pending.is_empty()) {
+            self.conns.retain(|c| !(c.closed && c.owed() == 0));
+            if service.draining_since.is_some() && self.conns.iter().all(|c| c.owed() == 0) {
                 break;
             }
-            if !worked {
-                let timeout = clock.until_next_tick().unwrap_or(UNKNOWN_TICK_WAIT);
-                poll::wait(self.poll_set(draining), timeout);
-            }
         }
-
-        Ok(ServeStats {
-            admitted,
-            shed: queue.shed(),
-            lookups,
-            cache_hits: cache.hits(),
-            cache_stale: cache.stale(),
-            epoch: engine.epoch(),
-            decision,
-            lookup: lookup_hist,
-        })
+        Ok(service.finish(submitted_before))
     }
 
-    fn accept(&mut self) -> bool {
-        let mut accepted = false;
-        loop {
-            let stream = match &self.listener {
-                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            };
-            match stream {
-                Ok(stream) => {
-                    let ok = match &stream {
-                        Stream::Unix(s) => s.set_nonblocking(true).is_ok(),
-                        Stream::Tcp(s) => s.set_nonblocking(true).is_ok(),
-                    };
-                    if ok {
-                        self.conns.push(Conn::new(stream));
-                        accepted = true;
-                    }
+    /// One `accept`: the listener stays readable while more are waiting.
+    fn accept(&mut self, stats: &mut ServeStats) {
+        stats.accept_calls += 1;
+        let stream = match &self.listener {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+        };
+        self.accept_stalled = match stream {
+            Ok(stream) => {
+                let ok = match &stream {
+                    Stream::Unix(s) => s.set_nonblocking(true).is_ok(),
+                    Stream::Tcp(s) => s.set_nonblocking(true).is_ok(),
+                };
+                if ok {
+                    stats.connections += 1;
+                    self.conns.push(Conn::new(stream));
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
-                    ) => {}
-                Err(e) => {
-                    self.accept_stalled = e.kind() != ErrorKind::WouldBlock;
-                    break;
-                }
+                false
             }
-        }
-        accepted
+            Err(e) => !matches!(
+                e.kind(),
+                ErrorKind::WouldBlock | ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+            ),
+        };
     }
 
-    /// Rebuilds the poll set (see the module docs for who is in it).
-    fn poll_set(&mut self, draining: bool) -> &mut [poll::PollFd] {
+    /// Rebuilds the poll set (see the module docs for who is in it) and
+    /// waits on it: for `tick` at most, less if a deadline is nearer.
+    fn wait(&mut self, tick: Duration, draining_since: Option<Instant>) {
+        let mut timeout = tick;
+        if let Some(since) = draining_since {
+            timeout = timeout.min(DRAIN_DEADLINE.saturating_sub(since.elapsed()));
+        }
         self.fds.clear();
-        if !draining && !self.accept_stalled {
-            self.fds
-                .push(poll::PollFd::new(self.listener.as_raw_fd(), poll::POLLIN));
-        }
+        let listening = draining_since.is_none() && !self.accept_stalled;
+        self.fds.push(poll::PollFd::new(
+            self.listener.as_raw_fd(),
+            if listening { poll::POLLIN } else { 0 },
+        ));
         for conn in &self.conns {
-            let events = conn.interest();
-            if events != 0 {
-                self.fds
-                    .push(poll::PollFd::new(conn.stream.as_raw_fd(), events));
+            self.fds
+                .push(poll::PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
+            if let Some(left) = conn.deadline_in() {
+                timeout = timeout.min(left);
             }
         }
-        &mut self.fds
+        poll::wait(&mut self.fds, timeout);
     }
-
-    /// Flushes owed replies in request order, stopping at the first
-    /// still-unresolved ticket, then drains each connection's write
-    /// buffer as far as the socket allows.
-    fn flush(&mut self, resolved: &mut HashMap<u64, String>) -> bool {
-        let mut worked = false;
-        for conn in &mut self.conns {
-            loop {
-                match conn.pending.front() {
-                    Some(Reply::Ready(_)) => {
-                        if let Some(Reply::Ready(text)) = conn.pending.pop_front() {
-                            conn.out.extend_from_slice(text.as_bytes());
-                            conn.out.push(b'\n');
-                        }
-                    }
-                    Some(Reply::Await(ticket)) => match resolved.remove(ticket) {
-                        Some(text) => {
-                            conn.pending.pop_front();
-                            conn.out.extend_from_slice(text.as_bytes());
-                            conn.out.push(b'\n');
-                        }
-                        None => break,
-                    },
-                    None => break,
-                }
-            }
-            while !conn.out.is_empty() {
-                match conn.stream.write(&conn.out) {
-                    Ok(n) if n > 0 => {
-                        conn.out.drain(..n);
-                        worked = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    // The peer is gone: what it was owed is dropped,
-                    // which may lift its back-pressure, so look again.
-                    Ok(_) | Err(_) => {
-                        conn.closed = true;
-                        conn.out.clear();
-                        worked = true;
-                    }
-                }
-            }
-        }
-        worked
-    }
-}
-
-/// Reads what the socket holds, up to [`READ_AHEAD`] buffered bytes,
-/// unless the connection does not want input.
-fn read_conn(conn: &mut Conn) -> bool {
-    let mut any = false;
-    let mut tmp = [0u8; 4096];
-    while conn.wants_read() && conn.inbuf.len() < READ_AHEAD {
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => conn.closed = true,
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&tmp[..n]);
-                any = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => conn.closed = true,
-        }
-    }
-    any
 }
 
 /// What the unframed bytes of a connection start with.
@@ -723,105 +947,6 @@ fn next_frame(rest: &[u8]) -> Frame {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_line(
-    line: &str,
-    draining: bool,
-    engine: &mut dyn OnlineEngine,
-    clock: &mut dyn ClockSource,
-    queue: &mut IngressQueue,
-    cache: &mut ResponseCache<(u32, u32), OnlinePlacement>,
-    lookup_hist: &mut LatencyHistogram,
-    lookups: &mut u64,
-    next_ticket: &mut u64,
-    next_stamp: &mut SimTime,
-    last_horizon: Option<SimTime>,
-) -> Reply {
-    let mut parts = line.split_whitespace();
-    match parts.next() {
-        Some("SESSION") => {
-            if draining {
-                return Reply::Ready("ERR draining".into());
-            }
-            let (Some(user), Some(program), Some(duration)) = (
-                parse_u32(parts.next()),
-                parse_u32(parts.next()),
-                parse_u64(parts.next()),
-            ) else {
-                return Reply::Ready(
-                    "ERR usage: SESSION <user> <program> <duration_secs> [<offset_secs>]".into(),
-                );
-            };
-            let offset = parse_u64(parts.next()).unwrap_or(0);
-            // Stamp strictly after the last advanced horizon, never
-            // regressing (the decision tier's ordering contract).
-            let floor = last_horizon.map_or(0, |h| h.as_secs() + 1);
-            let stamp = SimTime::from_secs(clock.now().as_secs().max(floor)).max(*next_stamp);
-            *next_stamp = stamp;
-            let mut rec = SessionRecord::new(
-                UserId::new(user),
-                ProgramId::new(program),
-                stamp,
-                SimDuration::from_secs(duration),
-            );
-            rec.offset = SimDuration::from_secs(offset);
-            let ticket = *next_ticket;
-            *next_ticket += 1;
-            match queue.offer(ticket, rec) {
-                Admit::Queued => Reply::Await(ticket),
-                Admit::Shed => Reply::Ready("OVERLOADED".into()),
-            }
-        }
-        Some("LOOKUP") => {
-            let (Some(nbhd), Some(program)) = (parse_u32(parts.next()), parse_u32(parts.next()))
-            else {
-                return Reply::Ready("ERR usage: LOOKUP <nbhd> <program>".into());
-            };
-            let t0 = Instant::now();
-            *lookups += 1;
-            let placement = match cache.get(&(nbhd, program)) {
-                Some(hit) => hit,
-                None => match engine.lookup(nbhd, ProgramId::new(program)) {
-                    Ok(fresh) => {
-                        cache.insert((nbhd, program), fresh);
-                        fresh
-                    }
-                    Err(SimError::Config { reason }) => {
-                        return Reply::Ready(format!("ERR {reason}"));
-                    }
-                    Err(_) => return Reply::Ready("ERR lookup failed".into()),
-                },
-            };
-            let reply = match placement.location {
-                Some(peer) => format!("PLACED {} {}", cache.epoch(), peer.value()),
-                None => format!("ABSENT {}", cache.epoch()),
-            };
-            lookup_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            Reply::Ready(reply)
-        }
-        Some("STATS") => Reply::Ready(format!(
-            "STATS {{\"admitted\":{},\"queued\":{},\"shed\":{},\"lookups\":{},\
-             \"cache_hits\":{},\"epoch\":{}}}",
-            engine.submitted(),
-            queue.len(),
-            queue.shed(),
-            *lookups,
-            cache.hits(),
-            engine.epoch(),
-        )),
-        Some(other) => Reply::Ready(format!("ERR unknown request {other}")),
-        None => Reply::Ready("ERR empty request".into()),
-    }
-}
-
-fn parse_u32(token: Option<&str>) -> Option<u32> {
-    token.and_then(|t| t.parse().ok())
-}
-
-fn parse_u64(token: Option<&str>) -> Option<u64> {
-    token.and_then(|t| t.parse().ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,10 +957,24 @@ mod tests {
         (Conn::new(Stream::Unix(ours)), theirs)
     }
 
-    fn over_the_cap(conn: &mut Conn) {
-        for ticket in 0..=MAX_OWED as u64 {
-            conn.pending.push_back(Reply::Await(ticket));
+    /// The client reads some of what its socket holds; returns how much.
+    fn take(peer: &mut UnixStream) -> usize {
+        let n = peer.read(&mut [0u8; 16 * 1024]).expect("the client reads");
+        assert!(n > 0, "the server hung up");
+        n
+    }
+
+    /// Offers the socket reply bytes until it refuses them, then owes it
+    /// `more` beyond that.
+    fn block(conn: &mut Conn, more: usize) {
+        let mut stats = ServeStats::default();
+        while conn.blocked_since.is_none() {
+            conn.out.extend_from_slice(&[b'x'; 4096]);
+            conn.flush(&mut stats);
         }
+        let owed = conn.owed();
+        conn.out
+            .resize(conn.out.len() + more.saturating_sub(owed), b'x');
     }
 
     #[test]
@@ -858,54 +997,118 @@ mod tests {
 
     #[test]
     fn pollout_is_asked_for_only_while_bytes_are_owed() {
-        let (mut conn, _peer) = pair();
+        let (mut conn, mut peer) = pair();
+        let mut stats = ServeStats::default();
         assert_eq!(conn.interest(), poll::POLLIN);
+        // Owed bytes the socket has not been offered yet are written, not
+        // waited for; and a socket that took them is not waited for.
         conn.out.extend_from_slice(b"ABSENT 0\n");
-        assert_eq!(conn.interest(), poll::POLLIN | poll::POLLOUT);
-        // A reply still waiting for its verdict is not bytes to write.
-        conn.out.clear();
-        conn.pending.push_back(Reply::Await(0));
         assert_eq!(conn.interest(), poll::POLLIN);
+        conn.flush(&mut stats);
+        assert_eq!((conn.owed(), stats.write_calls), (0, 1));
+        assert_eq!(conn.interest(), poll::POLLIN);
+        // Only a write that would have blocked asks for POLLOUT, until
+        // the socket takes a byte again.
+        block(&mut conn, 0);
+        assert_eq!(conn.interest(), poll::POLLIN | poll::POLLOUT);
+        while conn.owed() > 0 {
+            take(&mut peer);
+            conn.flush(&mut stats);
+        }
+        assert_eq!(conn.interest(), poll::POLLIN);
+    }
+
+    #[test]
+    fn the_flush_cursor_moves_per_write_and_the_buffer_stays_bounded() {
+        let (mut conn, mut peer) = pair();
+        let mut stats = ServeStats::default();
+        block(&mut conn, MAX_OWED);
+        let mut read = 0;
+        // A client that reads a little at a time, for ever owed more:
+        // what is behind the cursor is dropped once per MAX_OWED, so the
+        // buffer holds at most what is owed and that.
+        for _ in 0..200 {
+            read += take(&mut peer);
+            conn.flush(&mut stats);
+            let owed = conn.owed();
+            conn.out
+                .resize(conn.out.len() + MAX_OWED.saturating_sub(owed), b'x');
+            assert!(conn.sent < MAX_OWED && conn.out.len() <= 2 * MAX_OWED);
+        }
+        assert!(read > 2 * MAX_OWED, "the cursor wrapped at least twice");
+        assert_eq!(stats.dropped_replies, 0);
     }
 
     #[test]
     fn a_closed_connection_is_never_polled_for_input() {
         let (mut conn, peer) = pair();
+        let mut stats = ServeStats::default();
         drop(peer);
-        assert!(!read_conn(&mut conn));
+        conn.fill(&mut stats);
         assert!(conn.closed, "end of file ends the read side");
-        // Still owed a verdict: kept, but with nothing to wait for it
-        // stays out of the set (end of file is always readable).
-        conn.pending.push_back(Reply::Await(0));
+        assert_eq!((conn.filled, stats.read_calls), (0, 1));
+        // With nothing to wait for it stays out of the set (end of file
+        // is always readable): descriptor -1, which `poll` skips.
         assert_eq!(conn.interest(), 0);
+        let fd = poll::PollFd::new(conn.stream.as_raw_fd(), conn.interest());
+        assert_eq!(fd.interest(), (-1, 0));
+        // Owed a reply, it is written to, not waited for; the peer is
+        // gone, so the reply is dropped, and counted.
         conn.out.extend_from_slice(b"ADMITTED 0\n");
-        assert_eq!(conn.interest(), poll::POLLOUT);
+        assert_eq!(conn.interest(), 0);
+        conn.flush(&mut stats);
+        assert_eq!((conn.owed(), stats.dropped_replies), (0, 1));
     }
 
     #[test]
     fn a_back_pressured_connection_is_neither_polled_nor_read() {
         let (mut conn, mut peer) = pair();
+        let mut stats = ServeStats::default();
         peer.write_all(b"STATS\n").expect("send");
-        over_the_cap(&mut conn);
+        block(&mut conn, MAX_OWED + 1);
         assert!(!conn.wants_read());
-        assert_eq!(conn.interest(), 0);
-        assert!(!read_conn(&mut conn));
-        assert!(conn.inbuf.is_empty(), "left in the socket for later");
-        // Reply bytes count against the same cap, and keep POLLOUT on.
-        conn.pending.clear();
-        conn.out.resize(MAX_OWED + 1, b'x');
         assert_eq!(conn.interest(), poll::POLLOUT);
-        assert!(!read_conn(&mut conn));
+        conn.fill(&mut stats);
+        assert_eq!((conn.filled, stats.read_calls), (0, 0));
         // Once the client has read some, the request is picked up.
-        conn.out.truncate(MAX_OWED);
-        assert_eq!(conn.interest(), poll::POLLIN | poll::POLLOUT);
-        assert!(read_conn(&mut conn));
-        assert_eq!(conn.inbuf, b"STATS\n");
+        while conn.owed() > MAX_OWED {
+            take(&mut peer);
+            conn.flush(&mut stats);
+        }
+        assert_ne!(conn.interest() & poll::POLLIN, 0);
+        conn.fill(&mut stats);
+        assert_eq!(&conn.inbuf[..conn.filled], b"STATS\n");
+        assert_eq!(stats.read_calls, 1);
+    }
+
+    #[test]
+    fn a_slow_reader_is_closed_at_the_deadline_and_what_it_is_owed_counted() {
+        let (mut conn, _peer) = pair();
+        let mut stats = ServeStats::default();
+        // Blocked but under the cap: an idle client, no deadline runs.
+        block(&mut conn, 0);
+        if conn.owed() <= MAX_OWED {
+            assert_eq!(conn.deadline_in(), None);
+        }
+        // Over the cap: the deadline runs from when the socket last took
+        // a byte, and falls to zero.
+        block(&mut conn, MAX_OWED + 1);
+        let left = conn.deadline_in().expect("on its way to the deadline");
+        assert!(left > SLOW_READER_DEADLINE / 2 && left <= SLOW_READER_DEADLINE);
+        let long_ago = Instant::now().checked_sub(SLOW_READER_DEADLINE);
+        conn.blocked_since = Some(long_ago.expect("the host has been up for five seconds"));
+        assert_eq!(conn.deadline_in(), Some(Duration::ZERO));
+        conn.out.extend_from_slice(b"ADMITTED 1\nADMITTED 2\nADMIT");
+        conn.abandon(&mut stats);
+        assert!(conn.closed);
+        assert_eq!((conn.owed(), conn.interest()), (0, 0));
+        assert_eq!(stats.dropped_replies, 2, "whole replies, by their newlines");
     }
 
     #[test]
     fn reading_ahead_of_framing_is_bounded() {
         let (mut conn, mut peer) = pair();
+        let mut stats = ServeStats::default();
         peer.set_nonblocking(true).expect("non-blocking");
         let burst = vec![b'x'; 4 * READ_AHEAD];
         let mut sent = 0;
@@ -916,11 +1119,15 @@ mod tests {
                 Err(e) => panic!("send: {e}"),
             }
         }
-        assert!(read_conn(&mut conn));
-        // Everything the socket took (its buffer may be the smaller), up
-        // to the bound and the one chunk that crosses it.
-        assert!(conn.inbuf.len() >= sent.min(READ_AHEAD));
-        assert!(conn.inbuf.len() < READ_AHEAD + 4096);
+        // One read takes everything the socket holds (its buffer may be
+        // the smaller), up to the input buffer; a full buffer is not read
+        // into again.
+        conn.fill(&mut stats);
+        assert_eq!(conn.filled, sent.min(READ_AHEAD));
+        conn.fill(&mut stats);
+        assert_eq!(conn.inbuf.len(), READ_AHEAD);
+        assert!(conn.filled <= READ_AHEAD);
+        assert!(stats.read_calls <= 2);
     }
 
     #[test]
@@ -929,34 +1136,49 @@ mod tests {
             std::env::temp_dir().join(format!("cablevod-pollset-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut server = Server::unix(&path).expect("bind");
+        let mut stats = ServeStats::default();
         let listener = server.listener.as_raw_fd();
         let (open, _open_peer) = pair();
-        let (mut owing, _owing_peer) = pair();
-        owing.out.extend_from_slice(b"ABSENT 0\n");
+        let (mut blocked, _blocked_peer) = pair();
+        block(&mut blocked, 0);
         let (mut parked, _parked_peer) = pair();
         parked.closed = true;
-        parked.pending.push_back(Reply::Await(0));
-        let (open_fd, owing_fd) = (open.stream.as_raw_fd(), owing.stream.as_raw_fd());
-        server.conns.extend([open, owing, parked]);
+        let (open_fd, blocked_fd) = (open.stream.as_raw_fd(), blocked.stream.as_raw_fd());
+        server.conns.extend([open, blocked, parked]);
 
-        let set = |server: &mut Server, draining: bool| -> Vec<(RawFd, c_short)> {
-            let fds = server.poll_set(draining);
-            fds.iter().map(poll::PollFd::interest).collect()
+        // One entry per connection, in order, behind the listener's; who
+        // waits for nothing holds descriptor -1.
+        let set = |server: &mut Server, draining: Option<Instant>| -> Vec<(RawFd, c_short)> {
+            server.wait(Duration::from_millis(1), draining);
+            server.fds.iter().map(poll::PollFd::interest).collect()
         };
         let conns = [
             (open_fd, poll::POLLIN),
-            (owing_fd, poll::POLLIN | poll::POLLOUT),
+            (blocked_fd, poll::POLLIN | poll::POLLOUT),
+            (-1, 0),
         ];
         let mut with_listener = vec![(listener, poll::POLLIN)];
         with_listener.extend(conns);
-        assert_eq!(set(&mut server, false), with_listener);
+        let mut without_listener = vec![(-1, 0)];
+        without_listener.extend(conns);
+        assert_eq!(set(&mut server, None), with_listener);
+        assert!(server.fds.iter().all(|fd| !fd.readable() && !fd.writable()));
         // No accepting while draining, nor right after a failed accept.
-        assert_eq!(set(&mut server, true), conns);
+        assert_eq!(set(&mut server, Some(Instant::now())), without_listener);
         server.accept_stalled = true;
-        assert_eq!(set(&mut server, false), conns);
+        assert_eq!(set(&mut server, None), without_listener);
         // The next accept that finds nobody waiting lifts the stall.
-        assert!(!server.accept());
-        assert_eq!(set(&mut server, false), with_listener);
+        server.accept(&mut stats);
+        assert_eq!((stats.accept_calls, stats.connections), (1, 0));
+        assert_eq!(set(&mut server, None), with_listener);
+        // A connection is what makes the listener readable, once.
+        let _client = UnixStream::connect(&path).expect("connect");
+        server.wait(Duration::from_secs(30), None);
+        assert!(server.fds[0].readable());
+        server.accept(&mut stats);
+        assert_eq!((stats.accept_calls, stats.connections), (2, 1));
+        server.wait(Duration::from_millis(1), None);
+        assert!(!server.fds[0].readable());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -974,12 +1196,21 @@ mod tests {
         // Writable at once; readable as soon as the peer has written.
         let mut fds = [poll::PollFd::new(fd, poll::POLLOUT)];
         assert_eq!(poll::wait(&mut fds, Duration::from_secs(30)), 1);
+        assert!(fds[0].writable() && !fds[0].readable());
         peer.write_all(b"STATS\n").expect("send");
         let t0 = Instant::now();
         let mut fds = [poll::PollFd::new(fd, poll::POLLIN)];
         assert_eq!(poll::wait(&mut fds, Duration::from_secs(30)), 1);
+        assert!(fds[0].readable() && !fds[0].writable());
         assert!(t0.elapsed() < Duration::from_secs(10));
-        // An empty set is a plain timed wait.
+        // A hang-up reads as both: a read or a write tells which.
+        drop(peer);
+        let mut fds = [poll::PollFd::new(fd, poll::POLLIN)];
+        assert_eq!(poll::wait(&mut fds, Duration::from_secs(30)), 1);
+        assert!(fds[0].readable());
+        // An empty set, or one of skipped entries, is a plain timed wait.
         assert_eq!(poll::wait(&mut [], Duration::from_micros(1)), 0);
+        let mut fds = [poll::PollFd::new(fd, 0)];
+        assert_eq!(poll::wait(&mut fds, Duration::from_micros(1)), 0);
     }
 }

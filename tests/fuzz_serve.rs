@@ -1,10 +1,11 @@
 //! Wire-protocol hardening corpus (the `tests/fuzz_decoders.rs`
 //! treatment for the serve socket): connections are fed garbage and
 //! non-UTF-8 bytes, NULs, CRLF, lines cut across writes, an oversize
-//! line, a burst that is never read back and mid-line disconnects,
-//! several connections at once. The server must never panic or hang,
-//! must answer every complete line exactly once and in order, and must
-//! keep `admitted + shed + ERR == SESSION sent`.
+//! line, a burst that is never read back, mid-line disconnects, a client
+//! that stalls through a drain and one that says half a line and no
+//! more, several connections at once. The server must never panic or
+//! hang, must answer every complete line exactly once and in order, and
+//! must keep `admitted + shed + ERR == SESSION sent`.
 
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -17,7 +18,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use cablevod_hfc::units::SimTime;
-use cablevod_serve::server::{ServerConfig, MAX_LINE};
+use cablevod_serve::server::{ServerConfig, DRAIN_DEADLINE, MAX_LINE, SLOW_READER_DEADLINE};
 use cablevod_serve::{ClockSource, ServeStats};
 use cablevod_sim::SimReport;
 use cablevod_tests::{connect_with_retry, spawn_serve};
@@ -152,6 +153,32 @@ fn read_replies(stream: &mut UnixStream, want: usize) -> Vec<Vec<u8>> {
         .map(<[u8]>::to_vec)
         .take(want.min(lines))
         .collect()
+}
+
+/// Writes `burst` to a non-blocking `stream` until the server has taken
+/// nothing for 300 ms (it has stopped reading) or all of it is sent;
+/// returns how much was.
+fn write_until_stuck(stream: &mut UnixStream, burst: &[u8]) -> usize {
+    stream.set_nonblocking(true).expect("non-blocking");
+    let mut sent = 0;
+    let mut stuck_since = None;
+    while sent < burst.len() {
+        match stream.write(&burst[sent..]) {
+            Ok(n) => {
+                sent += n;
+                stuck_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let since = *stuck_since.get_or_insert_with(Instant::now);
+                if since.elapsed() > Duration::from_millis(300) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("send: {e}"),
+        }
+    }
+    sent
 }
 
 /// What the clients of one test saw, for the conservation law.
@@ -336,29 +363,11 @@ fn a_client_that_never_reads_is_back_pressured_not_buffered() {
     let term = Arc::new(AtomicBool::new(false));
     let (path, server) = spawn("fuzz-burst", &term);
 
-    // STATS: 6 bytes in, about 100 out — a megabyte of them is owed
-    // some 17 MiB of replies.
+    // STATS: 6 bytes in, about 115 out — a megabyte of them is owed
+    // some 20 MiB of replies.
     let mut greedy = connect_with_retry(&path);
-    greedy.set_nonblocking(true).expect("non-blocking");
     let burst = b"STATS\n".repeat(BURST / 6);
-    let mut sent = 0;
-    let mut stuck_since = None;
-    while sent < burst.len() {
-        match greedy.write(&burst[sent..]) {
-            Ok(n) => {
-                sent += n;
-                stuck_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let since = *stuck_since.get_or_insert_with(Instant::now);
-                if since.elapsed() > Duration::from_millis(300) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("send: {e}"),
-        }
-    }
+    let sent = write_until_stuck(&mut greedy, &burst);
     assert!(
         sent < burst.len(),
         "the server read all {sent} bytes of a client that reads nothing"
@@ -407,5 +416,106 @@ fn mid_line_disconnects_are_not_requests() {
     // ...so the 21 complete sessions are in, and no half line is.
     assert_eq!((stats.admitted, stats.shed), (21, 0));
     assert_eq!(report.sessions, 21);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A client that pipelines, reads nothing and never hangs up cannot hold
+/// a drain: `DRAIN_DEADLINE` after `term` the server drops what that
+/// client is still owed, counts it, and returns with its books balanced.
+#[test]
+fn a_stalled_client_cannot_hold_a_drain_past_its_deadline() {
+    let term = Arc::new(AtomicBool::new(false));
+    let (path, server) = spawn("fuzz-stall", &term);
+
+    // Sessions (11 bytes back each) and STATS (some 115): written until
+    // the server has stopped reading, so it owes more than the socket
+    // will ever take.
+    let mut stalled = connect_with_retry(&path);
+    let burst: Vec<u8> = (0..1 << 16)
+        .flat_map(|i| format!("SESSION {} {} 60\nSTATS\n", i % 130, i % 22).into_bytes())
+        .collect();
+    let sent = write_until_stuck(&mut stalled, &burst);
+    assert!(sent < burst.len(), "the server read all {sent} bytes");
+
+    term.store(true, Ordering::SeqCst);
+    let draining = Instant::now();
+    let (stats, report) = server.join().expect("server thread");
+    let drained_in = draining.elapsed();
+    assert!(
+        drained_in >= DRAIN_DEADLINE / 2 && drained_in < DRAIN_DEADLINE + Duration::from_secs(2),
+        "drained in {drained_in:?}"
+    );
+    assert!(stats.dropped_replies > 0, "what it was owed is counted");
+    assert!(stats.sessions_seen > 0 && stats.admitted > 0);
+    assert_eq!(
+        stats.admitted + stats.shed + stats.session_errors,
+        stats.sessions_seen
+    );
+    assert_eq!(report.sessions, stats.admitted);
+    // It never hung up: the connection is still open on its side.
+    drop(stalled);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A client that connects and says nothing, and one that says half a
+/// line and no more, hold nothing up: other connections are served, the
+/// half line is never run, and with nothing owed a drain does not wait.
+#[test]
+fn a_silent_client_holds_nothing_up() {
+    let term = Arc::new(AtomicBool::new(false));
+    let (path, server) = spawn("fuzz-silent", &term);
+
+    let mute = connect_with_retry(&path);
+    let mut half = connect_with_retry(&path);
+    half.write_all(b"SESSION 1 1").expect("send");
+    let mut polite = connect_with_retry(&path);
+    polite.write_all(b"SESSION 2 1 60\nSTATS\n").expect("send");
+    let replies = read_replies(&mut polite, 2);
+    assert_eq!(replies[0], b"ADMITTED 0");
+    assert!(replies[1].starts_with(b"STATS {"));
+
+    term.store(true, Ordering::SeqCst);
+    let draining = Instant::now();
+    let (stats, report) = server.join().expect("server thread");
+    assert!(draining.elapsed() < DRAIN_DEADLINE / 2);
+    assert_eq!((stats.connections, stats.sessions_seen), (3, 1));
+    assert_eq!((stats.admitted, stats.dropped_replies), (1, 0));
+    assert_eq!(report.sessions, 1);
+    drop((mute, half));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A client over the cap whose socket takes nothing is not kept for
+/// ever, drain or no drain: `SLOW_READER_DEADLINE` after its socket last
+/// took a byte the server closes it and counts what it was owed.
+#[test]
+fn a_client_that_never_reads_is_closed_at_the_slow_reader_deadline() {
+    let term = Arc::new(AtomicBool::new(false));
+    let (path, server) = spawn("fuzz-slow", &term);
+
+    let mut slow = connect_with_retry(&path);
+    let sent = write_until_stuck(&mut slow, &b"STATS\n".repeat(1 << 17));
+    assert!(sent < 6 << 17, "the server read all {sent} bytes");
+    let stuck = Instant::now();
+
+    // Closed by the server, not by us: after what the socket held comes
+    // the end of the stream (a reset, if requests of ours went unread).
+    slow.set_nonblocking(false).expect("blocking");
+    let mut chunk = [0u8; 1 << 16];
+    std::thread::sleep(SLOW_READER_DEADLINE);
+    loop {
+        match slow.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the connection was not closed: {e}"),
+        }
+    }
+    assert!(stuck.elapsed() < SLOW_READER_DEADLINE + Duration::from_secs(3));
+
+    term.store(true, Ordering::SeqCst);
+    let (stats, _) = server.join().expect("server thread");
+    assert_eq!(stats.slow_readers_closed, 1);
+    assert!(stats.dropped_replies > 0);
     let _ = std::fs::remove_file(&path);
 }
