@@ -36,6 +36,7 @@ use cablevod_serve::replay::{replay_trace, DecisionTier};
 use cablevod_serve::server::{Server, ServerConfig};
 use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
 use cablevod_sim::{SimConfig, Simulation};
+use cablevod_trace::checksum::crc32;
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::{
     import_chunk_size, neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index,
@@ -313,13 +314,36 @@ fn engine_streaming_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CRC-32 kernel alone over one 1 MiB buffer — the checksum every
+/// chunk write and every first (mmap) or every (pread) chunk fetch pays.
+/// Throughput is bytes.
+fn checksum_throughput(c: &mut Criterion) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let bytes: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 56) as u8
+        })
+        .collect();
+    let mut group = c.benchmark_group("checksum");
+    group.sample_size(50);
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("crc32_1mib", |b| b.iter(|| crc32(black_box(&bytes))));
+    group.finish();
+}
+
 /// The chunk-decode layer in isolation, on a 50x-class on-disk workload:
 /// every chunk of the file fetched and column-decoded through each
 /// backing. `mmap_decode` borrows column bytes straight out of the
-/// mapping and validates each chunk's CRC once (the per-chunk memo);
-/// `pread_decode` is the portable fallback — a buffered positioned read
-/// plus CRC per fetch. The pair is the zero-copy win with no simulation
-/// work in the numerator.
+/// mapping and validates each chunk's CRC once (the per-chunk memo), so
+/// after its first iteration it times decode alone; `mmap_first_fetch`
+/// opens a fresh reader every iteration and so pays every chunk's CRC
+/// once, as a one-shot replay does; `pread_decode` is the portable
+/// fallback — a buffered positioned read plus CRC per fetch. The pairs are
+/// the zero-copy win and the verification cost with no simulation work
+/// in the numerator.
 fn chunk_decode_throughput(c: &mut Criterion) {
     let mut path = std::env::temp_dir();
     path.push(format!("cvtc_bench_decode_{}.cvtc", std::process::id()));
@@ -349,6 +373,9 @@ fn chunk_decode_throughput(c: &mut Criterion) {
     let mmap_reader = ColumnarReader::open(&path).expect("mmap-backed open");
     group.throughput(Throughput::Elements(mmap_reader.record_count()));
     group.bench_function("mmap_decode", |b| b.iter(|| sweep(&mmap_reader)));
+    group.bench_function("mmap_first_fetch", |b| {
+        b.iter(|| sweep(&ColumnarReader::open(&path).expect("mmap-backed open")))
+    });
     let pread_reader = ColumnarReader::open_pread(&path).expect("pread-backed open");
     group.bench_function("pread_decode", |b| b.iter(|| sweep(&pread_reader)));
     group.finish();
@@ -432,6 +459,28 @@ fn workload_generation(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(config.expected_sessions() as u64));
     group.bench_function("synthesize_trace", |b| b.iter(|| generate(&config)));
+    // The import path: the same trace generated straight to a time-major
+    // file (generation plus encode, checksum and write), and that file
+    // rechunked neighborhood-major (decode and verify, then encode,
+    // checksum and write again).
+    let dir = std::env::temp_dir();
+    let time_major = dir.join(format!("cvtc_bench_gen_{}.cvtc", std::process::id()));
+    let nbhd_major = dir.join(format!("cvtc_bench_gen_nm_{}.cvtc", std::process::id()));
+    group.bench_function("to_disk", |b| {
+        b.iter(|| generate_to_disk(&config, &time_major, DEFAULT_CHUNK_SIZE).expect("writes"))
+    });
+    let reader = ColumnarReader::open(&time_major).expect("generated file opens");
+    let import_chunk = import_chunk_size(config.users, 500, DEFAULT_CHUNK_SIZE, 64 << 20);
+    group.throughput(Throughput::Elements(reader.record_count()));
+    group.bench_function("rechunk", |b| {
+        b.iter(|| {
+            rechunk_by_neighborhood(&reader, &nbhd_major, 500, import_chunk).expect("rechunks")
+        })
+    });
+    drop(reader);
+    std::fs::remove_file(&time_major).ok();
+    std::fs::remove_file(&nbhd_major).ok();
+    group.throughput(Throughput::Elements(config.expected_sessions() as u64));
     let trace = bench_trace();
     group.bench_function("scale_users_x3", |b| {
         b.iter(|| scale::scale_users(trace, 3, 1).expect("valid factor"))
@@ -585,6 +634,7 @@ criterion_group!(
     admit_evict_churn,
     engine_parallel_throughput,
     engine_streaming_throughput,
+    checksum_throughput,
     chunk_decode_throughput,
     engine_sweep_throughput,
     workload_generation,

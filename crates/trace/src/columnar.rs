@@ -161,7 +161,24 @@
 //! paths; on the mmap path each chunk's verification result is memoized
 //! (a once-per-chunk bitmap), so re-fetching a chunk skips the CRC scan
 //! but a corrupt chunk keeps failing with the same checksum error on
-//! every fetch. Caveat: the mapping reflects the file at open time the
+//! every fetch.
+//!
+//! What verification costs: one pass of the slicing-by-16 kernel
+//! ([`crate::checksum`], about 0.4 ns a byte on the 2-vCPU dev host) over
+//! the chunk's column bytes — 24 B a time-major record, 32 B a
+//! neighborhood-major one, so about 9–13 ns a record, against ~12 ns to
+//! decode it. On the mmap path that is paid **once per chunk per
+//! reader**: on the first fetch of every chunk in a fresh reader, which is
+//! what a one-shot replay pays, and never again while the reader lives.
+//! Criterion `decode/mmap_first_fetch` (a fresh reader each iteration)
+//! reads 28–30 ms against `decode/mmap_decode`'s 13–18 ms over the same
+//! 1.06 M records: the CRC plus the fresh mapping's page faults. On the
+//! pread path it is paid on **every** fetch, beside the `pread` copy:
+//! `decode/pread_decode` reads 1.9–2.4x `decode/mmap_decode`. While the
+//! checksum ran a byte at a time (2.7–2.9 ns a byte, 70–93 ns a record) it
+//! was most of that path's 6–7x.
+//!
+//! Caveat: the mapping reflects the file at open time the
 //! same way a held file descriptor does, but an external writer
 //! *truncating* the file mid-run turns page access into `SIGBUS` rather
 //! than a read error — the same class of externally-induced failure as
@@ -264,7 +281,14 @@ pub struct ChunkMeta {
     pub crc: u32,
 }
 
+/// Bytes of the writer's one encode buffer: a chunk's columns reach the
+/// checksum and the output in runs of at most this many bytes.
+const ENCODE_SCRATCH_BYTES: usize = 32 << 10;
+
 /// One in-progress chunk's column buffers plus per-group ordering state.
+/// The columns grow by doubling but never past the file's chunk size
+/// (see [`ChunkBuf::reserve_one`]), so a buffer holds at most
+/// `chunk_size × record bytes`.
 #[derive(Debug, Default)]
 struct ChunkBuf {
     users: Vec<u32>,
@@ -282,6 +306,54 @@ struct ChunkBuf {
     any: bool,
 }
 
+impl ChunkBuf {
+    /// Makes room for one more record: a full buffer doubles its columns,
+    /// capped at `chunk_size` records — the buffer is flushed when it
+    /// reaches that size, so any capacity beyond it would never be used.
+    fn reserve_one(&mut self, chunk_size: usize, indexed: bool) {
+        let len = self.users.len();
+        if len < self.users.capacity() {
+            return;
+        }
+        let extra = (2 * len).max(4).min(chunk_size) - len;
+        self.users.reserve_exact(extra);
+        self.programs.reserve_exact(extra);
+        self.starts.reserve_exact(extra);
+        self.durations.reserve_exact(extra);
+        self.offsets.reserve_exact(extra);
+        if indexed {
+            self.gseqs.reserve_exact(extra);
+        }
+    }
+}
+
+/// Encodes one chunk's columns through the writer's scratch buffer: each
+/// run of values becomes little-endian bytes in `scratch`, then one
+/// update of the chunk's checksum and one write.
+struct Encoder<'a> {
+    scratch: &'a mut [u8],
+    crc: Crc32,
+    out: &'a mut BufWriter<File>,
+}
+
+impl Encoder<'_> {
+    fn encode<T: Copy, const W: usize>(
+        &mut self,
+        values: &[T],
+        le_bytes: impl Fn(T) -> [u8; W],
+    ) -> Result<(), TraceError> {
+        for run in values.chunks(self.scratch.len() / W) {
+            let bytes = &mut self.scratch[..run.len() * W];
+            for (dst, &value) in bytes.chunks_exact_mut(W).zip(run) {
+                dst.copy_from_slice(&le_bytes(value));
+            }
+            self.crc.update(bytes);
+            self.out.write_all(bytes)?;
+        }
+        Ok(())
+    }
+}
+
 /// Neighborhood-major writer setup computed by
 /// [`ColumnarWriter::create_multi_index`].
 #[derive(Debug)]
@@ -294,7 +366,15 @@ struct NmSetup {
 
 /// Streaming writer: records go to disk chunk by chunk; nothing but the
 /// in-progress chunk buffers (one per placement cell for the
-/// neighborhood-major layout) and the (small) directory is ever resident.
+/// neighborhood-major layout, each at most `chunk_size` records of
+/// columns), one fixed encode buffer and the (small) directory is ever
+/// resident.
+///
+/// A full chunk is encoded **a run at a time**: each column's values are
+/// converted to little-endian bytes in runs through the one reused
+/// `ENCODE_SCRATCH_BYTES` (32 KiB) buffer, and each run is checksummed and
+/// written as one slice — so the CRC kernel and the `BufWriter` see 32 KiB
+/// slices, not one 4- or 8-byte call per element.
 ///
 /// Call [`ColumnarWriter::push`] for every record in global order — or
 /// [`ColumnarWriter::push_indexed`] with explicit global sequence numbers
@@ -320,6 +400,8 @@ pub struct ColumnarWriter {
     /// entry, one tag per extra size).
     extra_tags: Vec<Vec<u32>>,
     bufs: Vec<ChunkBuf>,
+    /// The encode buffer `flush_cell` runs every column through.
+    scratch: Box<[u8]>,
     directory: Vec<ChunkMeta>,
     next_offset: u64,
     record_count: u64,
@@ -514,6 +596,7 @@ impl ColumnarWriter {
             extra_sizes,
             extra_tags: Vec::new(),
             bufs: (0..cell_count).map(|_| ChunkBuf::default()).collect(),
+            scratch: vec![0; ENCODE_SCRATCH_BYTES].into_boxed_slice(),
             directory: Vec::new(),
             next_offset,
             record_count: 0,
@@ -588,6 +671,7 @@ impl ColumnarWriter {
         if buf.users.is_empty() {
             buf.first_gseq = gseq;
         }
+        buf.reserve_one(self.chunk_size as usize, indexed);
         buf.users.push(rec.user.value());
         buf.programs.push(rec.program.value());
         buf.starts.push(start);
@@ -635,34 +719,19 @@ impl ColumnarWriter {
         }
         let indexed = matches!(self.layout, ChunkLayout::NeighborhoodMajor { .. });
         // The checksum runs over the exact byte sequence the chunk puts on
-        // disk: columns in write order, little-endian.
-        let mut crc = Crc32::new();
-        for &u in &buf.users {
-            crc.update(&u.to_le_bytes());
-            self.out.write_all(&u.to_le_bytes())?;
-        }
-        for &p in &buf.programs {
-            crc.update(&p.to_le_bytes());
-            self.out.write_all(&p.to_le_bytes())?;
-        }
-        for &s in &buf.starts {
-            crc.update(&s.to_le_bytes());
-            self.out.write_all(&s.to_le_bytes())?;
-        }
-        for &d in &buf.durations {
-            crc.update(&d.to_le_bytes());
-            self.out.write_all(&d.to_le_bytes())?;
-        }
-        for &o in &buf.offsets {
-            crc.update(&o.to_le_bytes());
-            self.out.write_all(&o.to_le_bytes())?;
-        }
-        if indexed {
-            for &g in &buf.gseqs {
-                crc.update(&g.to_le_bytes());
-                self.out.write_all(&g.to_le_bytes())?;
-            }
-        }
+        // disk: columns in write order, little-endian, a run at a time.
+        let mut column = Encoder {
+            scratch: &mut self.scratch,
+            crc: Crc32::new(),
+            out: &mut self.out,
+        };
+        column.encode(&buf.users, u32::to_le_bytes)?;
+        column.encode(&buf.programs, u32::to_le_bytes)?;
+        column.encode(&buf.starts, u64::to_le_bytes)?;
+        column.encode(&buf.durations, u32::to_le_bytes)?;
+        column.encode(&buf.offsets, u32::to_le_bytes)?;
+        column.encode(&buf.gseqs, u64::to_le_bytes)?; // empty unless indexed
+        let crc = column.crc.finish();
         self.directory.push(ChunkMeta {
             file_offset: self.next_offset,
             record_count: n as u32,
@@ -670,7 +739,7 @@ impl ColumnarWriter {
             first_start: SimTime::from_secs(buf.starts[0]),
             watermark: SimTime::from_secs(buf.starts[n - 1]),
             group: indexed.then(|| self.cell_tags[cell][0]),
-            crc: crc.finish(),
+            crc,
         });
         if indexed {
             self.extra_tags.push(self.cell_tags[cell][1..].to_vec());
@@ -1825,6 +1894,57 @@ mod tests {
         // The memo bitmap never latches a failed check: the error repeats.
         let again = mapped.read_chunk(0, &mut buf).unwrap_err().to_string();
         assert_eq!(again, mmap_err);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn column_buffers_never_outgrow_the_chunk_size() {
+        // One group holding every user, so all records land in one cell
+        // and fill it to one short of a 1 000-record chunk: doubling alone
+        // would have grown every column to 1 024.
+        let trace = small();
+        assert!(trace.len() >= 999, "the trace fills the cell");
+        let path = tmp_path("capacity_cap");
+        let mut w = ColumnarWriter::create_neighborhood_major(
+            &path,
+            trace.catalog(),
+            trace.user_count(),
+            3,
+            1_000,
+            trace.user_count(),
+            vec![0; trace.user_count() as usize],
+        )
+        .expect("create");
+        for (gseq, rec) in trace.records()[..999].iter().enumerate() {
+            w.push_indexed(gseq as u64, rec).expect("push");
+        }
+        let buf = &w.bufs[0];
+        assert_eq!(buf.users.len(), 999, "nothing flushed yet");
+        let capacities = [
+            buf.users.capacity(),
+            buf.programs.capacity(),
+            buf.starts.capacity(),
+            buf.durations.capacity(),
+            buf.offsets.capacity(),
+            buf.gseqs.capacity(),
+        ];
+        assert!(capacities.iter().all(|&c| c <= 1_000), "{capacities:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chunks_wider_than_the_encode_buffer_round_trip() {
+        // One chunk of every record, encoded through a 1 000-byte buffer:
+        // every column crosses several runs, one of them short.
+        let trace = small();
+        let path = tmp_path("wide_chunks");
+        let mut w = ColumnarWriter::create(&path, trace.catalog(), trace.user_count(), 3, 2_000)
+            .expect("create");
+        w.scratch = vec![0; 1_000].into_boxed_slice();
+        w.push_all(trace.records()).expect("push");
+        w.finish().expect("finish");
+        let reader = ColumnarReader::open(&path).expect("checksums verify");
+        assert_eq!(reader.read_trace().expect("read"), trace);
         std::fs::remove_file(&path).ok();
     }
 

@@ -21,9 +21,16 @@
 //! set-top box or meter is built to group users.
 //!
 //! Memory: the re-chunker streams the source one chunk at a time but
-//! keeps one in-progress output chunk **per group** — bound the resident
-//! set by choosing `chunk_size ≲ budget / (groups × 32 B)` when importing
-//! huge populations.
+//! keeps one in-progress output chunk **per group** (per placement cell
+//! for a multi-index file). Each of those column buffers grows by
+//! doubling but is capped at `chunk_size` records, so the output side
+//! holds at most `groups × chunk_size × 32 B`, plus the writer's fixed
+//! 32 KiB encode buffer and 64 KiB `BufWriter`; the input side holds one
+//! decoded source chunk (40 B a record). Bound the resident set by
+//! choosing `chunk_size` with [`import_chunk_size`] when importing huge
+//! populations. (Before the cap, a buffer filled toward a chunk size that
+//! is not a power of two could hold up to ~1.9x its share: 34 952-record
+//! chunks grew columns of 65 536.)
 //!
 //! # Examples
 //!
@@ -71,9 +78,10 @@ pub fn neighborhood_groups(
 
 /// A chunk size for [`rechunk_by_neighborhood`] that bounds the
 /// re-chunker's resident set: the largest size at or below `preferred`
-/// whose per-group buffers (`groups × chunk_size × 32 B`) fit in
-/// `budget_bytes`, floored at 1,024 records so chunks stay worth a
-/// positioned read.
+/// whose per-group buffers (`groups × chunk_size × 32 B` — the writer
+/// caps every column buffer at `chunk_size` records, so this is the
+/// bound, not an estimate) fit in `budget_bytes`, floored at 1,024
+/// records so chunks stay worth a positioned read.
 ///
 /// Large populations make the bound bite: at 1M users in 500-sized
 /// neighborhoods (2,000 groups), the default 64 Ki-record chunks would

@@ -122,6 +122,53 @@ proptest! {
     }
 }
 
+/// The `.cvtc` bytes themselves, pinned: one fixed synthetic trace written
+/// the three ways the import path writes files — time-major over several
+/// chunks straight from the generator, neighborhood-major, and two-size
+/// multi-index — must come out the same length with the same CRC-32 of the
+/// whole file as when these constants were recorded (at PR 23, before the
+/// writer encoded columns a run at a time and the CRC-32 went sixteen
+/// bytes a step).
+#[test]
+fn cvtc_bytes_are_pinned() {
+    use cablevod_trace::checksum::crc32;
+    use cablevod_trace::rechunk::{rechunk_by_neighborhood, rechunk_multi_index};
+    use cablevod_trace::synth::generate_to_disk;
+
+    let config = SynthConfig {
+        users: 600,
+        programs: 40,
+        days: 6,
+        seed: 25,
+        ..SynthConfig::smoke_test()
+    };
+    let time_major = TempFile(temp_path("pin_tm"));
+    let nbhd_major = TempFile(temp_path("pin_nm"));
+    let multi = TempFile(temp_path("pin_mi"));
+    generate_to_disk(&config, &time_major.0, 3_000).expect("generate to disk");
+    let source = ColumnarReader::open(&time_major.0).expect("open time-major");
+    assert!(source.directory().len() > 2, "several time-major chunks");
+    rechunk_by_neighborhood(&source, &nbhd_major.0, 100, 1_000).expect("rechunk");
+    rechunk_multi_index(&source, &multi.0, &[100, 60], 1_000).expect("multi-index");
+
+    let observed: Vec<(usize, u32)> = [&time_major, &nbhd_major, &multi]
+        .iter()
+        .map(|file| {
+            let bytes = std::fs::read(&file.0).expect("read back");
+            (bytes.len(), crc32(&bytes))
+        })
+        .collect();
+    // (length, CRC-32): time-major, neighborhood-major, multi-index.
+    assert_eq!(
+        observed,
+        [
+            (205_432, 0xDB56_C1B4),
+            (274_028, 0xF4C7_8281),
+            (274_272, 0xCCA9_A022)
+        ]
+    );
+}
+
 /// A targeted (non-random) case: one flipped payload bit in an otherwise
 /// pristine file must fail checksum verification naming the chunk — this
 /// is the regression the CRC column exists for, since every header and
