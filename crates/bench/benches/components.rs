@@ -7,7 +7,7 @@ use cablevod_cache::strategy::CacheStrategy;
 use cablevod_cache::{PlacementPolicy, SlotLedger, WindowedLfu};
 use cablevod_hfc::ids::{PeerId, ProgramId};
 use cablevod_hfc::meter::RateMeter;
-use cablevod_hfc::units::{BitRate, DataSize, SimDuration, SimTime};
+use cablevod_hfc::units::{BitRate, SimDuration, SimTime};
 use cablevod_trace::ecdf::Ecdf;
 
 fn lfu_access(c: &mut Criterion) {
@@ -77,13 +77,19 @@ fn lfu_access(c: &mut Criterion) {
     });
 
     group.bench_function("stb_stream_slots", |b| {
-        use cablevod_hfc::stb::SetTopBox;
+        use cablevod_hfc::plant::Plant;
+        use cablevod_hfc::topology::{Topology, TopologyConfig};
+        let topo = Topology::build(TopologyConfig::new(1, 1)).expect("one box");
+        let peer = PeerId::new(0);
         b.iter(|| {
-            let mut stb = SetTopBox::new(PeerId::new(0), DataSize::from_gigabytes(10), 2);
+            let mut plant = Plant::over(&topo, 0..1).expect("the one neighborhood");
             let mut granted = 0u32;
             for i in 0..N {
                 let t = SimTime::from_secs(i * 61);
-                if stb.try_start_stream(t, t + SimDuration::from_minutes(5)) {
+                if plant
+                    .try_start_stream(peer, t, t + SimDuration::from_minutes(5))
+                    .expect("a member")
+                {
                     granted += 1;
                 }
             }

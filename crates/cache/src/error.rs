@@ -3,7 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
+use cablevod_hfc::ids::ProgramId;
+use cablevod_hfc::units::SimTime;
 use cablevod_hfc::HfcError;
 
 /// Errors raised by index-server and placement operations.
@@ -26,11 +27,6 @@ pub enum CacheError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
-    /// A slot release referenced an unknown peer.
-    UnknownPeer {
-        /// The offending peer id.
-        peer: PeerId,
-    },
     /// A segment operation disagreed with the underlying set-top box.
     Stb(HfcError),
     /// A strategy requiring an access schedule (Oracle) was built without
@@ -42,10 +38,14 @@ pub enum CacheError {
         /// What went wrong.
         reason: String,
     },
-    /// A duplicate placement was attempted.
-    DuplicatePlacement {
-        /// The segment already placed.
-        segment: SegmentId,
+    /// An access at or past the second an [`AccessEvent`] can carry
+    /// ([`AccessEvent::HORIZON`]), refused rather than truncated.
+    ///
+    /// [`AccessEvent`]: crate::event::AccessEvent
+    /// [`AccessEvent::HORIZON`]: crate::event::AccessEvent::HORIZON
+    BeyondHorizon {
+        /// When the refused access happened.
+        at: SimTime,
     },
     /// A strategy name resolved against neither the registry nor the
     /// built-in spec grammar (see [`crate::registry`]).
@@ -69,7 +69,6 @@ impl fmt::Display for CacheError {
             CacheError::InconsistentState { reason } => {
                 write!(f, "index server state inconsistent: {reason}")
             }
-            CacheError::UnknownPeer { peer } => write!(f, "unknown peer {peer} in ledger"),
             CacheError::Stb(e) => write!(f, "set-top box refused operation: {e}"),
             CacheError::MissingSchedule => {
                 write!(f, "oracle strategy requires a future access schedule")
@@ -77,9 +76,12 @@ impl fmt::Display for CacheError {
             CacheError::Schedule { reason } => {
                 write!(f, "access schedule failure: {reason}")
             }
-            CacheError::DuplicatePlacement { segment } => {
-                write!(f, "segment {segment} placed twice")
-            }
+            CacheError::BeyondHorizon { at } => write!(
+                f,
+                "an access at {}s is past the last second an access event can carry ({}s)",
+                at.as_secs(),
+                u64::from(u32::MAX)
+            ),
             CacheError::UnknownStrategy { name } => {
                 write!(
                     f,
@@ -123,7 +125,7 @@ mod tests {
     #[test]
     fn stb_errors_chain() {
         let inner = HfcError::UnknownPeer {
-            peer: PeerId::new(1),
+            peer: cablevod_hfc::ids::PeerId::new(1),
         };
         let err = CacheError::from(inner);
         assert!(err.source().is_some());

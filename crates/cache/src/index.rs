@@ -12,6 +12,21 @@
 //!   to broadcast) or the miss flow of Fig 4 (fetch from the central
 //!   server, broadcast, and optionally let a placed peer capture the
 //!   broadcast into its cache).
+//!
+//! # The one placement record
+//!
+//! Which copy of which segment sits on which peer is recorded here and
+//! nowhere else: per admitted program, one 4-byte entry per copy holding
+//! the hosting peer's ledger index and whether the copy's bytes are
+//! present yet (`CachedProgram`). The peers' boxes keep only the bytes
+//! they hold. The two are held to a conservation law, checked in O(1) a
+//! copy whenever content moves: a peer holds exactly the nominal segment
+//! size times the slots the ledger has placed on it
+//! ([`SlotLedger::placed`]). A broken law is
+//! [`CacheError::InconsistentState`], in release builds too, so an
+//! admission of a program already admitted, an eviction of one that is
+//! not, a release of an unplaced slot and a box whose bytes drifted from
+//! its placements are each refused where they happen.
 
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId};
 use cablevod_hfc::plant::Plant;
@@ -20,6 +35,7 @@ use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CacheError;
+use crate::event::AccessEvent;
 use crate::feed::FeedEvents;
 use crate::fetch::FetchModel;
 use crate::placement::SlotLedger;
@@ -120,17 +136,46 @@ impl IndexStats {
 /// Placement and fill state of one admitted program.
 ///
 /// `copies[k]` is synthetic segment index `k` (replica `j` of real
-/// segment `i` lives at `k = i + j * count`): the hosting peer's *ledger
-/// index* — what [`SlotLedger::place`] handed out and
-/// [`SlotLedger::release`] takes back, so neither an eviction nor a hit
-/// hashes a peer id — and whether that copy's bytes are actually present.
-/// One vector of length `count * replication`, so a hit reads both facts
-/// from one place.
+/// segment `i` lives at `k = i + j * count`). One vector of length
+/// `count * replication`, so a hit reads everything it needs about a copy
+/// from one 4-byte [`Placed`].
 #[derive(Debug, Clone)]
 struct CachedProgram {
     length: SimDuration,
     admitted_at: SimTime,
-    copies: Vec<(u32, bool)>,
+    copies: Vec<Placed>,
+}
+
+/// One placed copy of a segment: the hosting peer's *ledger index* — what
+/// [`SlotLedger::place`] handed out and [`SlotLedger::release`] takes
+/// back, so neither an eviction nor a hit hashes a peer id — in the low 31
+/// bits, and in the top bit whether the copy's bytes are actually present.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Placed(u32);
+
+impl Placed {
+    const PRESENT: u32 = 1 << 31;
+
+    /// Ledger indexes this layout can name: every one below `PRESENT`.
+    const INDEXES: usize = Self::PRESENT as usize;
+
+    fn new(slot: u32, present: bool) -> Self {
+        Placed(if present { slot | Self::PRESENT } else { slot })
+    }
+
+    /// The hosting peer's ledger index.
+    fn slot(self) -> u32 {
+        self.0 & !Self::PRESENT
+    }
+
+    /// Whether the copy's bytes are on the peer.
+    fn present(self) -> bool {
+        self.0 & Self::PRESENT != 0
+    }
+
+    fn materialize(&mut self) {
+        self.0 |= Self::PRESENT;
+    }
 }
 
 /// The per-neighborhood cache orchestrator.
@@ -192,7 +237,8 @@ impl IndexServer {
     ///
     /// # Panics
     ///
-    /// Panics if the capacities disagree or `replication` is zero.
+    /// Panics if the capacities disagree, `replication` is zero, or the
+    /// ledger has more peers than a copy can name (2^31).
     pub fn with_replication(
         home: NeighborhoodId,
         strategy: Box<dyn CacheStrategy>,
@@ -201,6 +247,11 @@ impl IndexServer {
         replication: u8,
     ) -> Self {
         assert!(replication >= 1, "replication factor must be at least 1");
+        assert!(
+            ledger.peer_count() <= Placed::INDEXES,
+            "a ledger of {} peers is more than a copy can name",
+            ledger.peer_count()
+        );
         assert!(
             strategy.capacity_slots() <= ledger.total_slots(),
             "strategy capacity ({}) must not exceed ledger slots ({})",
@@ -270,6 +321,18 @@ impl IndexServer {
         self.cached_count
     }
 
+    /// Slots this neighborhood's ledger has placed and not released —
+    /// what its boxes hold, in nominal segments.
+    pub fn placed_slots(&self) -> u64 {
+        self.ledger.total_slots() - self.ledger.total_free()
+    }
+
+    /// The bytes one placed slot occupies on its peer: the nominal
+    /// segment.
+    pub fn nominal_segment(&self) -> DataSize {
+        self.nominal_segment
+    }
+
     /// When `program` was admitted, if it is currently cached.
     pub fn admitted_at(&self, program: ProgramId) -> Option<SimTime> {
         self.entry(program).map(|e| e.admitted_at)
@@ -279,14 +342,14 @@ impl IndexServer {
     pub fn location_of(&self, segment: SegmentId) -> Option<PeerId> {
         self.entry(segment.program())
             .and_then(|e| e.copies.get(usize::from(segment.index())))
-            .map(|&(slot, _)| self.ledger.peer(slot))
+            .map(|copy| self.ledger.peer(copy.slot()))
     }
 
     /// Whether `segment`'s content is actually present on its peer.
     pub fn is_materialized(&self, segment: SegmentId) -> bool {
         self.entry(segment.program())
             .and_then(|e| e.copies.get(usize::from(segment.index())))
-            .is_some_and(|&(_, materialized)| materialized)
+            .is_some_and(|copy| copy.present())
     }
 
     fn entry(&self, program: ProgramId) -> Option<&CachedProgram> {
@@ -320,7 +383,7 @@ impl IndexServer {
     /// Propagates the strategy's rejection of out-of-order events.
     pub fn extend_schedule(
         &mut self,
-        events: &[(SimTime, ProgramId)],
+        events: &[AccessEvent],
         covered: SimTime,
     ) -> Result<(), CacheError> {
         self.strategy.extend_schedule(events, covered)
@@ -332,7 +395,9 @@ impl IndexServer {
     ///
     /// # Errors
     ///
-    /// Propagates placement/storage failures; these indicate broken
+    /// [`CacheError::BeyondHorizon`], before the strategy sees anything,
+    /// for an access at or past [`AccessEvent::HORIZON`]. Otherwise
+    /// propagates placement/storage failures; these indicate broken
     /// invariants, not recoverable conditions.
     pub fn on_program_access(
         &mut self,
@@ -341,9 +406,10 @@ impl IndexServer {
         now: SimTime,
         plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
+        AccessEvent::secs(now)?;
         let cost = u32::from(self.segmenter.segment_count(length)) * u32::from(self.replication);
-        // The fallible check first (the Oracle's look-ahead coverage),
-        // then the infallible access hook.
+        // The fallible checks first (the event horizon above, the
+        // Oracle's look-ahead coverage), then the infallible access hook.
         self.strategy.prepare(now)?;
         let mut ops = std::mem::take(&mut self.ops);
         ops.clear();
@@ -426,11 +492,11 @@ impl IndexServer {
             return Ok(Resolution::Miss(MissReason::NotMaterialized));
         }
         let seg_pos = usize::from(segment.index());
-        if !entry.copies.get(seg_pos).is_some_and(|&(_, there)| there) {
+        if !entry.copies.get(seg_pos).is_some_and(|copy| copy.present()) {
             // Fig 4, step 4: the assigned peer(s) read the miss broadcast.
             if self.fill == FillPolicy::OnBroadcast {
-                if let Some((_, there)) = entry.copies.get_mut(seg_pos) {
-                    *there = true;
+                if let Some(copy) = entry.copies.get_mut(seg_pos) {
+                    copy.materialize();
                     self.stats.capture_fills += 1;
                 }
             }
@@ -442,14 +508,14 @@ impl IndexServer {
         let count = self.segmenter.segment_count(entry.length);
         for replica in 0..self.replication {
             let pos = seg_pos + usize::from(replica) * usize::from(count);
-            let &(slot, _) = entry.copies.get(pos).ok_or_else(|| {
+            let copy = entry.copies.get(pos).ok_or_else(|| {
                 let sid = SegmentId::new(program, segment.index() + u16::from(replica) * count);
                 CacheError::InconsistentState {
                     reason: format!("admitted segment {sid} has no location"),
                 }
             })?;
-            let peer = self.ledger.peer(slot);
-            if plant.stb_mut(peer)?.try_start_stream(now, end) {
+            let peer = self.ledger.peer(copy.slot());
+            if plant.try_start_stream(peer, now, end)? {
                 self.stats.hits += 1;
                 return Ok(Resolution::PeerHit(peer));
             }
@@ -500,13 +566,17 @@ impl IndexServer {
         let total = count * u16::from(self.replication);
         let prefetch = self.fill == FillPolicy::Prefetch;
         let mut copies = Vec::with_capacity(usize::from(total));
-        self.ledger
-            .place(program, total, |slot| copies.push((slot, prefetch)))?;
-        for (i, &(slot, _)) in copies.iter().enumerate() {
-            let segment = SegmentId::new(program, i as u16);
-            plant
-                .stb_mut(self.ledger.peer(slot))?
-                .store(segment, self.nominal_segment)?;
+        self.ledger.place(program, total, |slot| {
+            copies.push(Placed::new(slot, prefetch))
+        })?;
+        for copy in &copies {
+            plant.store(self.ledger.peer(copy.slot()), self.nominal_segment)?;
+        }
+        // Checked once every copy is stored: a peer given several copies of
+        // the program agrees with its ledger only after the last of them.
+        for copy in &copies {
+            let peer = self.ledger.peer(copy.slot());
+            self.check_books(copy.slot(), plant.stb(peer)?.used())?;
         }
         self.programs[idx] = Some(CachedProgram {
             length,
@@ -532,16 +602,32 @@ impl IndexServer {
                 reason: format!("evict of unadmitted {program}"),
             });
         };
-        for (i, &(slot, _)) in entry.copies.iter().enumerate() {
-            let segment = SegmentId::new(program, i as u16);
-            plant
-                .stb_mut(self.ledger.peer(slot))?
-                .delete(segment, self.nominal_segment)?;
-            self.ledger.release(slot)?;
+        for copy in &entry.copies {
+            self.ledger.release(copy.slot())?;
+            let used = plant.delete(self.ledger.peer(copy.slot()), self.nominal_segment)?;
+            self.check_books(copy.slot(), used)?;
         }
         self.cached_count -= 1;
         self.stats.evictions += 1;
         Ok(())
+    }
+
+    /// The conservation law between the one placement record and the
+    /// boxes (see the module docs): the peer at ledger index `slot`, now
+    /// holding `used` bytes, holds one nominal segment per slot the ledger
+    /// has placed there.
+    fn check_books(&self, slot: u32, used: DataSize) -> Result<(), CacheError> {
+        let placed = self.ledger.placed(slot);
+        if used == self.nominal_segment * u64::from(placed) {
+            return Ok(());
+        }
+        Err(CacheError::InconsistentState {
+            reason: format!(
+                "{} holds {used} for {placed} placed segments of {}",
+                self.ledger.peer(slot),
+                self.nominal_segment
+            ),
+        })
     }
 
     /// Reconstructs a program length from the slot cost the strategy
@@ -631,6 +717,14 @@ mod tests {
         SegmentId::new(ProgramId::new(p), i)
     }
 
+    /// Segments placed, counted on the ledger's side, after checking the
+    /// boxes hold exactly their bytes.
+    fn placed(index: &IndexServer, plant: &Plant<'_>) -> u64 {
+        let slots = index.placed_slots();
+        assert_eq!(plant.stored(), index.nominal_segment() * slots);
+        slots
+    }
+
     #[test]
     fn admission_places_all_segments() {
         let (mut index, mut plant) = build(StrategySpec::Lru);
@@ -645,14 +739,7 @@ mod tests {
             "fill-on-broadcast starts cold"
         );
         // Peer storage reflects the placement.
-        let stored: usize = (0..PEERS)
-            .map(|i| {
-                plant
-                    .stb(PeerId::new(i))
-                    .expect("exists")
-                    .stored_segment_count()
-            })
-            .sum();
+        let stored = placed(&index, &plant);
         assert_eq!(stored, 2);
     }
 
@@ -736,17 +823,10 @@ mod tests {
                 .expect("access");
         }
         assert!(index.stats().evictions >= 1);
-        let stored: usize = (0..PEERS)
-            .map(|i| {
-                plant
-                    .stb(PeerId::new(i))
-                    .expect("exists")
-                    .stored_segment_count()
-            })
-            .sum();
+        let stored = placed(&index, &plant);
         assert_eq!(
             stored,
-            index.cached_programs() * 2,
+            index.cached_programs() as u64 * 2,
             "stb storage mirrors admissions"
         );
         assert!(stored <= 18);
@@ -772,7 +852,10 @@ mod tests {
         let mut index = IndexServer::new(home, strategy, segmenter, ledger);
         index
             .extend_schedule(
-                &[(t(0), ProgramId::new(0)), (t(10), ProgramId::new(0))],
+                &[
+                    AccessEvent::new(t(0), ProgramId::new(0)).unwrap(),
+                    AccessEvent::new(t(10), ProgramId::new(0)).unwrap(),
+                ],
                 SimTime::MAX,
             )
             .expect("in order");
@@ -809,14 +892,7 @@ mod tests {
             .on_program_access(ProgramId::new(0), ten_minutes(), t(0), &mut plant)
             .expect("admit");
         // 2 segments x 2 replicas = 4 slots placed.
-        let stored: usize = (0..PEERS)
-            .map(|i| {
-                plant
-                    .stb(PeerId::new(i))
-                    .expect("exists")
-                    .stored_segment_count()
-            })
-            .sum();
+        let stored = placed(&index, &plant);
         assert_eq!(stored, 4);
         // Materialize segment 0, then saturate the first replica's peer:
         // the second replica still serves.
@@ -854,15 +930,8 @@ mod tests {
                 )
                 .expect("access");
         }
-        let stored: usize = (0..PEERS)
-            .map(|i| {
-                plant
-                    .stb(PeerId::new(i))
-                    .expect("exists")
-                    .stored_segment_count()
-            })
-            .sum();
-        assert_eq!(stored, index.cached_programs() * 4);
+        let stored = placed(&index, &plant);
+        assert_eq!(stored, index.cached_programs() as u64 * 4);
     }
 
     #[test]
@@ -936,6 +1005,169 @@ mod tests {
             "busy-peer miss never reaches the central server"
         );
         assert_eq!(index.stats().delayed_hits, 0);
+    }
+
+    #[test]
+    fn a_placed_copy_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<Placed>(), 4);
+        let last = Placed::PRESENT - 1;
+        let mut copy = Placed::new(last, false);
+        assert_eq!((copy.slot(), copy.present()), (last, false));
+        copy.materialize();
+        assert_eq!((copy.slot(), copy.present()), (last, true));
+        assert_eq!(copy, Placed::new(last, true));
+    }
+
+    /// The boxes keep bytes and the index the placements; bytes put on or
+    /// taken off a box behind the index's back break the law between them,
+    /// and the next move on that box is refused.
+    #[test]
+    fn a_box_whose_bytes_drift_from_its_placements_is_refused() {
+        let access = |index: &mut IndexServer, plant: &mut Plant<'_>, p: u32| {
+            index.on_program_access(ProgramId::new(p), ten_minutes(), t(u64::from(p)), plant)
+        };
+        // A stray byte on a host: the next admission that lands there (six
+        // peers of three slots, two-slot programs, balanced placement —
+        // program 3 comes back to the first peer) finds it.
+        let (mut index, mut plant) = build(StrategySpec::Lru);
+        access(&mut index, &mut plant, 0).expect("admit");
+        let host = index.location_of(seg(0, 0)).expect("placed");
+        plant.store(host, DataSize::from_bytes(1)).expect("fits");
+        let err = (1..4)
+            .find_map(|p| access(&mut index, &mut plant, p).err())
+            .expect("an admission onto the host is refused");
+        assert!(
+            matches!(&err, CacheError::InconsistentState { reason } if reason.contains(&host.to_string())),
+            "{err}"
+        );
+
+        // A segment's bytes taken off its host: found the same way.
+        let (mut index, mut plant) = build(StrategySpec::Lru);
+        access(&mut index, &mut plant, 0).expect("admit");
+        let host = index.location_of(seg(0, 0)).expect("placed");
+        plant.delete(host, index.nominal_segment()).expect("held");
+        let err = (1..4)
+            .find_map(|p| access(&mut index, &mut plant, p).err())
+            .expect("an admission onto the host is refused");
+        assert!(
+            matches!(&err, CacheError::InconsistentState { reason } if reason.contains(&host.to_string())),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_access_past_the_event_horizon_is_refused_before_the_strategy_sees_it() {
+        let (mut index, mut plant) = build(StrategySpec::default_lfu());
+        let program = ProgramId::new(0);
+        let err = index
+            .on_program_access(program, ten_minutes(), AccessEvent::HORIZON, &mut plant)
+            .unwrap_err();
+        assert!(matches!(err, CacheError::BeyondHorizon { .. }), "{err}");
+        assert!(!index.strategy().contains(program));
+        assert_eq!(index.cached_programs(), 0);
+        let last = SimTime::from_secs(u64::from(u32::MAX));
+        index
+            .on_program_access(program, ten_minutes(), last, &mut plant)
+            .expect("the last second an event carries");
+        assert_eq!(index.cached_programs(), 1);
+    }
+
+    /// Heap and inline bytes of one index server, from capacities: its
+    /// tables, its ledger and its strategy.
+    fn index_bytes(index: &IndexServer) -> usize {
+        use std::mem::size_of;
+        let IndexServer {
+            home: _,
+            strategy,
+            segmenter: _,
+            nominal_segment: _,
+            ledger,
+            fill: _,
+            replication: _,
+            programs,
+            cached_count: _,
+            stats: _,
+            ops,
+            fetch: _,
+            inflight,
+        } = index;
+        let copies: usize = programs
+            .iter()
+            .flatten()
+            .map(|program| program.copies.capacity() * size_of::<Placed>())
+            .sum();
+        size_of::<IndexServer>()
+            + programs.capacity() * size_of::<Option<CachedProgram>>()
+            + copies
+            + ops.capacity() * size_of::<CacheOp>()
+            + inflight.capacity() * size_of::<Option<SimTime>>()
+            + ledger.heap_bytes()
+            + std::mem::size_of_val(&**strategy)
+            + strategy.heap_bytes()
+    }
+
+    /// What the plant and the index servers hold per subscriber after an
+    /// `lfu` replay at the shape of the repo benchmark's streamed trace
+    /// (500-peer neighborhoods, 2 GB a peer, a 400-program catalog, 2.4
+    /// sessions a subscriber-day over six days, all inside the week-long
+    /// history), counted from capacities so
+    /// the figure is deterministic: the boxes at their size — heap-free
+    /// here, as no viewer stream overcommits a box — and each index
+    /// server's tables, ledger and strategy, its history ring the largest.
+    /// The plant's coax and server meters are per neighborhood, not per
+    /// subscriber, and are left out.
+    #[test]
+    fn plant_and_index_cost_a_few_hundred_bytes_a_subscriber() {
+        use cablevod_hfc::stb::SetTopBox;
+        const NBHD: u32 = 500;
+        const NBHDS: u32 = 4;
+        const DAYS: u64 = 6;
+        let users = NBHD * NBHDS;
+        let topo = Topology::build(
+            TopologyConfig::new(users, NBHD).with_per_peer_storage(DataSize::from_gigabytes(2)),
+        )
+        .expect("valid");
+        let mut plant = Plant::over(&topo, 0..NBHDS as usize).expect("whole plant");
+        let segmenter = Segmenter::paper_default();
+        let nominal = segmenter.stream_rate() * segmenter.segment_len();
+        let slots = (topo.config().per_peer_storage().as_bits() / nominal.as_bits()) as u32;
+        let mut indexes: Vec<IndexServer> = (0..NBHDS)
+            .map(|n| {
+                let home = NeighborhoodId::new(n);
+                let members = topo.neighborhood(home).expect("exists").members();
+                let ledger = SlotLedger::new(
+                    members.iter().map(|&p| (p, slots)),
+                    PlacementPolicy::Balanced,
+                );
+                let strategy = StrategySpec::default_lfu()
+                    .build(ledger.total_slots(), home, None)
+                    .expect("buildable");
+                IndexServer::new(home, strategy, segmenter, ledger)
+            })
+            .collect();
+        // Programs skewed toward low ids, 30 to 120 minutes long;
+        // neighborhoods drawn uniformly.
+        let sessions = u64::from(users) * DAYS * 24 / 10;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..sessions {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let program = (400.0 * u * u * u) as u32;
+            let length = SimDuration::from_minutes(30 * (1 + u64::from(program % 4)));
+            let now = t(i * DAYS * 86_400 / sessions);
+            indexes[(x % u64::from(NBHDS)) as usize]
+                .on_program_access(ProgramId::new(program), length, now, &mut plant)
+                .expect("placement holds");
+        }
+        let boxes = users as usize * std::mem::size_of::<SetTopBox>();
+        let servers: usize = indexes.iter().map(index_bytes).sum();
+        let per_subscriber = (boxes + servers) / users as usize;
+        assert!(
+            per_subscriber <= 320,
+            "{per_subscriber} B a subscriber: {boxes} B of boxes, {servers} B of index servers"
+        );
     }
 
     #[test]

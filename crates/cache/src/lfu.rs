@@ -54,6 +54,7 @@ use std::collections::VecDeque;
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
+use crate::event::AccessEvent;
 use crate::strategy::{CacheOp, CacheStrategy};
 use crate::waterline::{Score, Tenants, Waterline};
 
@@ -103,6 +104,13 @@ impl Entry {
 /// accesses were recorded; such a run arrives in one piece (`record_run`)
 /// and is merged into the ring's tail in one pass, keeping expiry exact.
 ///
+/// The ring holds one 8-byte [`AccessEvent`] per access in the window
+/// (half a `(SimTime, ProgramId)` pair), and it is the largest thing an
+/// LFU index keeps: thousands of events a neighborhood, held for the
+/// whole run. An event's seconds are a `u32`, so the ring carries times
+/// below [`AccessEvent::HORIZON`] only; the index server refuses a later
+/// access before it reaches the strategy (see [`crate::event`]).
+///
 /// The ring is sorted by event time, arrival order on ties. It carries no
 /// sequence number to say so: an arriving event is the newest there is, so
 /// it belongs behind every event not later than it, which is where both
@@ -121,12 +129,12 @@ pub struct WindowedLfu {
     /// paper leaves admission damping unspecified; see module docs).
     swap_margin: u32,
     seq: u64,
-    /// Events in the window as `(event time, program)`, sorted ascending
-    /// by time, in arrival order within one time.
-    history: VecDeque<(SimTime, ProgramId)>,
+    /// Events in the window, sorted ascending by time, in arrival order
+    /// within one time.
+    history: VecDeque<AccessEvent>,
     /// Scratch for the tail events a run is merged with, kept for its
     /// allocation.
-    displaced: Vec<(SimTime, ProgramId)>,
+    displaced: Vec<AccessEvent>,
     /// Dense per-program table indexed by `ProgramId::index()`.
     entries: Vec<Entry>,
     line: Waterline,
@@ -224,13 +232,27 @@ impl WindowedLfu {
     /// in nondecreasing time — the index server's contract — and nothing a
     /// feed has made visible is newer, so the event goes to the ring's
     /// back.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an access at or past [`AccessEvent::HORIZON`], which the
+    /// index server refuses before any strategy sees it.
     pub(crate) fn record(&mut self, program: ProgramId, cost: u32, at: SimTime) {
+        let event = Self::event(at, program);
         debug_assert!(
-            self.history.back().is_none_or(|&(t, _)| t <= at),
+            self.history.back().is_none_or(|e| e.at() <= at),
             "local accesses are recorded in time order"
         );
         self.count(program, cost);
-        self.history.push_back((at, program));
+        self.history.push_back(event);
+    }
+
+    /// The ring entry for an access. Every access a strategy is handed
+    /// lies below the horizon: the index server refuses any other before
+    /// it reaches one, and feed events are published from accesses the
+    /// engine admitted.
+    fn event(at: SimTime, program: ProgramId) -> AccessEvent {
+        AccessEvent::new(at, program).expect("accesses reach a strategy below the event horizon")
     }
 
     /// Records a run of `(program, cost, event time)` accesses, sorted by
@@ -250,22 +272,23 @@ impl WindowedLfu {
             .history
             .iter()
             .rev()
-            .take_while(|&&(t, _)| t > first)
+            .take_while(|e| e.at() > first)
             .count();
         let mut displaced = std::mem::take(&mut self.displaced);
         displaced.clear();
         displaced.extend(self.history.drain(self.history.len() - late..));
         let mut old = displaced.iter().copied().peekable();
         for (program, cost, at) in run {
-            while let Some(event) = old.next_if(|&(t, _)| t <= at) {
-                self.history.push_back(event);
+            let event = Self::event(at, program);
+            while let Some(old_event) = old.next_if(|e| e.at() <= at) {
+                self.history.push_back(old_event);
             }
             debug_assert!(
-                self.history.back().is_none_or(|&(t, _)| t <= at),
+                self.history.back().is_none_or(|e| e.at() <= at),
                 "a run is sorted by time"
             );
             self.count(program, cost);
-            self.history.push_back((at, program));
+            self.history.push_back(event);
         }
         self.history.extend(old);
         self.displaced = displaced;
@@ -304,11 +327,12 @@ impl WindowedLfu {
         };
         // Everything with event time <= cutoff leaves the window: pop the
         // sorted ring from the front.
-        while let Some(&(t, program)) = self.history.front() {
-            if t.as_secs() > cutoff {
+        while let Some(&event) = self.history.front() {
+            if event.at().as_secs() > cutoff {
                 break;
             }
             self.history.pop_front();
+            let program = event.program();
             let entry = &mut self.entries[program.index()];
             debug_assert!(entry.live, "history refers to live entry");
             let old = (entry.count, entry.last_seq, program);
@@ -396,6 +420,22 @@ impl CacheStrategy for WindowedLfu {
 
     fn capacity_slots(&self) -> u64 {
         self.line.capacity()
+    }
+
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let WindowedLfu {
+            window: _,
+            swap_margin: _,
+            seq: _,
+            history,
+            displaced,
+            entries,
+            line,
+        } = self;
+        (history.capacity() + displaced.capacity()) * std::mem::size_of::<AccessEvent>()
+            + entries.capacity() * std::mem::size_of::<Entry>()
+            + line.heap_bytes()
     }
 }
 
@@ -681,7 +721,7 @@ mod tests {
         let ring: Vec<(u64, u32)> = lfu
             .history
             .iter()
-            .map(|&(at, q)| (at.as_secs(), q.value()))
+            .map(|e| (e.at().as_secs(), e.program().value()))
             .collect();
         assert_eq!(
             ring,
@@ -702,7 +742,10 @@ mod tests {
         lfu.record_run([]);
         lfu.record_run([(p(1), 1, t(60))]);
         assert_eq!(lfu.history.len(), 11);
-        assert_eq!(lfu.history.back(), Some(&(t(60), p(1))));
+        assert_eq!(
+            lfu.history.back(),
+            Some(&AccessEvent::new(t(60), p(1)).unwrap())
+        );
         assert_eq!(lfu.count_of(p(1)), 2);
     }
 
@@ -722,7 +765,7 @@ mod tests {
         };
         let (mut as_arrived, mut reversed) = (build(), build());
         let ring = reversed.history.make_contiguous();
-        for group in ring.chunk_by_mut(|a, b| a.0 == b.0) {
+        for group in ring.chunk_by_mut(|a, b| a.at() == b.at()) {
             group.reverse();
         }
         assert_ne!(as_arrived.history, reversed.history);

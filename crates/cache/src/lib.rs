@@ -8,6 +8,8 @@
 //!   Figs 4–5), placement bookkeeping, capture-on-broadcast fill, and
 //!   delayed-hit accounting under a [`fetch::FetchModel`];
 //! * [`placement`] — load-balanced (or random / first-fit) slot placement;
+//! * [`event`] — the 8-byte access event the windowed LFU's history and
+//!   the Oracle's look-ahead hold, and the time horizon it sets;
 //! * [`strategy`] — the [`strategy::CacheStrategy`] abstraction, the open
 //!   [`strategy::StrategyFactory`] construction seam, the declarative
 //!   [`strategy::StrategySpec`] selection of the built-ins (each variant
@@ -47,6 +49,7 @@
 pub mod arc;
 pub mod delayed;
 pub mod error;
+pub mod event;
 pub mod feed;
 pub mod fetch;
 pub mod index;
@@ -69,6 +72,7 @@ pub mod watermark;
 pub use self::arc::ArcCache;
 pub use delayed::DelayedLfu;
 pub use error::CacheError;
+pub use event::AccessEvent;
 pub use feed::{
     FeedEvent, FeedEvents, FeedProvider, GlobalFeed, GlobalLfu, PrecomputedFeed, SharedFeed,
 };

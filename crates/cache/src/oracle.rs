@@ -34,6 +34,7 @@ use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
 use crate::error::CacheError;
+use crate::event::AccessEvent;
 use crate::schedule::ScheduleWindow;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
 use crate::waterline::{Score, Tenants, Waterline};
@@ -204,7 +205,7 @@ impl CacheStrategy for Oracle {
 
     fn extend_schedule(
         &mut self,
-        events: &[(SimTime, ProgramId)],
+        events: &[AccessEvent],
         covered: SimTime,
     ) -> Result<(), CacheError> {
         self.window.extend(events, covered)
@@ -243,7 +244,7 @@ impl CacheStrategy for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::testing::Feeder;
+    use crate::schedule::testing::{event, Feeder};
 
     fn p(i: u32) -> ProgramId {
         ProgramId::new(i)
@@ -255,7 +256,7 @@ mod tests {
 
     /// A window handed its whole future up front, as a resident run's is.
     fn schedule(events: &[(u64, u32)], costs: Vec<u32>) -> ScheduleWindow {
-        let events: Vec<_> = events.iter().map(|&(s, q)| (t(s), p(q))).collect();
+        let events: Vec<_> = events.iter().map(|&(s, q)| event(s, q)).collect();
         let mut window = ScheduleWindow::new(costs.into());
         window.extend(&events, SimTime::MAX).expect("in order");
         window

@@ -25,13 +25,15 @@
 //! non-empty; a release raises it, a place walks it down past empty
 //! buckets.
 //!
-//! Peers are addressed by their **ledger index** (their position in the
-//! member list the ledger was built from): [`SlotLedger::place`] hands
-//! indexes out and [`SlotLedger::release`] takes them back, so neither
-//! hashes a peer id. [`SlotLedger::index_of`] is the one hashed lookup, for
-//! callers that start from a [`PeerId`].
-
-use std::collections::HashMap;
+//! Peers are addressed by their **ledger index**, their position in the
+//! member list the ledger was built from — the neighborhood's member
+//! list, so a ledger index is a member position: [`SlotLedger::place`]
+//! hands indexes out, [`SlotLedger::release`] takes them back and
+//! [`SlotLedger::peer`] names the peer, and nothing hashes a peer id. The
+//! index server records each placed copy as the ledger index it was given,
+//! and that record is the only one of which segment sits on which peer:
+//! the boxes keep the bytes, and [`SlotLedger::placed`] is what their
+//! bytes are checked against.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -125,7 +127,6 @@ pub struct SlotLedger {
     free: Vec<u32>,
     /// Original slot count per peer (the release upper bound).
     initial: Vec<u32>,
-    index_of: HashMap<PeerId, u32>,
     total_free: u64,
     total_slots: u64,
     policy: PlacementPolicy,
@@ -141,16 +142,11 @@ impl SlotLedger {
     ///
     /// Panics if a peer appears twice.
     pub fn new(members: impl IntoIterator<Item = (PeerId, u32)>, policy: PlacementPolicy) -> Self {
-        let mut peers = Vec::new();
-        let mut free = Vec::new();
-        let mut index_of = HashMap::new();
-        for (peer, slots) in members {
-            assert!(
-                index_of.insert(peer, peers.len() as u32).is_none(),
-                "peer {peer} listed twice in ledger"
-            );
-            peers.push(peer);
-            free.push(slots);
+        let (peers, free): (Vec<PeerId>, Vec<u32>) = members.into_iter().unzip();
+        let mut sorted = peers.clone();
+        sorted.sort_unstable();
+        if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            panic!("peer {} listed twice in ledger", twice[0]);
         }
         let total_free: u64 = free.iter().map(|&f| u64::from(f)).sum();
         let (buckets, seed) = match policy {
@@ -162,7 +158,6 @@ impl SlotLedger {
             peers,
             initial: free.clone(),
             free,
-            index_of,
             total_free,
             total_slots: total_free,
             policy,
@@ -181,27 +176,9 @@ impl SlotLedger {
         self.total_free
     }
 
-    /// Free slots on `peer`, if known.
-    pub fn free_of(&self, peer: PeerId) -> Option<u32> {
-        self.index_of.get(&peer).map(|&i| self.free[i as usize])
-    }
-
     /// Number of member peers.
     pub fn peer_count(&self) -> usize {
         self.peers.len()
-    }
-
-    /// The ledger index of `peer` — the one lookup that hashes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownPeer`] for peers outside the
-    /// neighborhood.
-    pub fn index_of(&self, peer: PeerId) -> Result<u32, CacheError> {
-        self.index_of
-            .get(&peer)
-            .copied()
-            .ok_or(CacheError::UnknownPeer { peer })
     }
 
     /// The peer at ledger index `index`.
@@ -211,6 +188,17 @@ impl SlotLedger {
     /// Panics for an index [`place`](Self::place) never handed out.
     pub fn peer(&self, index: u32) -> PeerId {
         self.peers[index as usize]
+    }
+
+    /// Slots placed on the peer at ledger index `index` and not yet
+    /// released.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an index [`place`](Self::place) never handed out.
+    pub fn placed(&self, index: u32) -> u32 {
+        let idx = index as usize;
+        self.initial[idx] - self.free[idx]
     }
 
     /// Picks `count` slots for the segments of `program` (a peer may host
@@ -279,6 +267,24 @@ impl SlotLedger {
         Ok(())
     }
 
+    /// Heap bytes held, from capacities.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let SlotLedger {
+            peers,
+            free,
+            initial,
+            total_free: _,
+            total_slots: _,
+            policy: _,
+            buckets,
+            rng: _,
+        } = self;
+        peers.capacity() * std::mem::size_of::<PeerId>()
+            + (free.capacity() + initial.capacity()) * std::mem::size_of::<u32>()
+            + buckets.bits.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Words of balanced-order bookkeeping held — fixed at construction.
     #[cfg(test)]
     fn bookkeeping_len(&self) -> usize {
@@ -332,9 +338,14 @@ mod tests {
         Ok(out.into_iter().map(|idx| ledger.peer(idx)).collect())
     }
 
-    /// Releases one slot on `peer`, found by id.
+    /// The ledger index of `peer`: its position in the member list.
+    fn index_of(ledger: &SlotLedger, peer: PeerId) -> Option<u32> {
+        (0..ledger.peer_count() as u32).find(|&idx| ledger.peer(idx) == peer)
+    }
+
+    /// Releases one slot on `peer`, a member, found by id.
     fn release(ledger: &mut SlotLedger, peer: PeerId) -> Result<(), CacheError> {
-        ledger.release(ledger.index_of(peer)?)
+        ledger.release(index_of(ledger, peer).expect("a member"))
     }
 
     #[test]
@@ -421,16 +432,35 @@ mod tests {
     #[test]
     fn release_of_unknown_peer_errors() {
         let mut ledger = SlotLedger::new(peers(2, 2), PlacementPolicy::Balanced);
-        assert!(matches!(
-            release(&mut ledger, PeerId::new(99)),
-            Err(CacheError::UnknownPeer { .. })
-        ));
-        // An index no placement handed out names no peer either.
+        assert_eq!(index_of(&ledger, PeerId::new(99)), None, "not a member");
+        // An index no placement handed out names no peer.
         assert!(matches!(
             ledger.release(2),
             Err(CacheError::InconsistentState { .. })
         ));
         assert_eq!(ledger.total_free(), 4);
+    }
+
+    #[test]
+    fn placed_counts_what_is_out_per_peer() {
+        let mut ledger = SlotLedger::new(peers(3, 2), PlacementPolicy::Balanced);
+        let mut out = Vec::new();
+        ledger.place(prog(), 4, |idx| out.push(idx)).expect("fits");
+        assert_eq!(out, [0, 1, 2, 0]);
+        assert_eq!([0, 1, 2].map(|idx| ledger.placed(idx)), [2, 1, 1]);
+        ledger.release(0).expect("placed");
+        assert_eq!(ledger.placed(0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn a_peer_listed_twice_is_refused() {
+        let members = [
+            (PeerId::new(4), 1),
+            (PeerId::new(2), 1),
+            (PeerId::new(4), 3),
+        ];
+        SlotLedger::new(members, PlacementPolicy::Balanced);
     }
 
     #[test]
@@ -535,7 +565,6 @@ mod tests {
             CacheError::PlacementOverflow {
                 requested, free, ..
             } => format!("overflow: requested {requested}, free {free}"),
-            CacheError::UnknownPeer { .. } => "unknown".into(),
             CacheError::InconsistentState { .. } => "unplaced".into(),
             other => format!("unexpected: {other}"),
         }
@@ -582,12 +611,12 @@ mod tests {
                     // Any peer by id — placed on or not, member or not
                     // (`pick` reaches past the member list).
                     _ => {
-                        let got = ledger.index_of(id(pick)).and_then(|idx| ledger.release(idx));
+                        let got = match index_of(&ledger, id(pick)) {
+                            Some(idx) => ledger.release(idx).map_err(|e| error_kind(&e)),
+                            None => Err("unknown".to_string()),
+                        };
                         let released = got.is_ok();
-                        prop_assert_eq!(
-                            got.map_err(|e| error_kind(&e)), model.release(pick),
-                            "release by id at step {}", step
-                        );
+                        prop_assert_eq!(got, model.release(pick), "release by id at step {}", step);
                         if released {
                             let at = held.iter().position(|&h| h as usize == pick);
                             held.swap_remove(at.expect("a released slot was held"));
@@ -599,7 +628,7 @@ mod tests {
                     model.free.iter().map(|&f| u64::from(f)).sum::<u64>()
                 );
                 for (i, &f) in model.free.iter().enumerate() {
-                    prop_assert_eq!(ledger.free_of(id(i)), Some(f), "free of {} at step {}", i, step);
+                    prop_assert_eq!(ledger.placed(i as u32), slots[i] - f, "placed on {} at step {}", i, step);
                 }
             }
         }

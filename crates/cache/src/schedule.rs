@@ -1,8 +1,9 @@
 //! The schedule window: how the Oracle sees its future.
 //!
 //! The Oracle (§VI-A) needs the neighborhood's *future* accesses — one
-//! `(time, program)` event per session record — but only the next
-//! `lookahead` of them at a time. It consumes them through a
+//! [`AccessEvent`] per session record, 8 bytes, so a window holds only
+//! times below [`AccessEvent::HORIZON`] — but only the next `lookahead`
+//! of them at a time. It consumes them through a
 //! [`ScheduleWindow`]: a two-edged cursor over one neighborhood's
 //! time-ordered future events, held in a buffer its owner feeds with
 //! [`extend`](ScheduleWindow::extend), each hand-over naming the instant
@@ -39,6 +40,7 @@ use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::SimTime;
 
 use crate::error::CacheError;
+use crate::event::AccessEvent;
 
 /// A two-edged cursor over one neighborhood's time-ordered future
 /// accesses (see the module docs). The Oracle slides it forward with
@@ -48,7 +50,7 @@ pub struct ScheduleWindow {
     costs: Arc<[u32]>,
     /// `buf[..entered]` is the current look-ahead window, `buf[entered..]`
     /// what has been handed over but is not across the leading edge yet.
-    buf: VecDeque<(SimTime, ProgramId)>,
+    buf: VecDeque<AccessEvent>,
     entered: usize,
     /// No event still to come may be earlier: the last one handed over or
     /// the last instant covered, whichever is later.
@@ -85,13 +87,10 @@ impl ScheduleWindow {
     /// # Errors
     ///
     /// Rejects events that break the time order.
-    pub fn extend(
-        &mut self,
-        events: &[(SimTime, ProgramId)],
-        covered: SimTime,
-    ) -> Result<(), CacheError> {
+    pub fn extend(&mut self, events: &[AccessEvent], covered: SimTime) -> Result<(), CacheError> {
         self.buf.reserve(events.len());
-        for &(t, p) in events {
+        for &event in events {
+            let t = event.at();
             if t < self.floor {
                 return Err(CacheError::Schedule {
                     reason: format!(
@@ -102,7 +101,7 @@ impl ScheduleWindow {
                 });
             }
             self.floor = t;
-            self.buf.push_back((t, p));
+            self.buf.push_back(event);
         }
         self.floor = self.floor.max(covered);
         self.covered = covered;
@@ -137,9 +136,9 @@ impl ScheduleWindow {
     /// [covered](ScheduleWindow::ensure_covered) through `horizon` first.
     pub fn next_entering(&mut self, horizon: SimTime) -> Option<ProgramId> {
         match self.buf.get(self.entered) {
-            Some(&(t, p)) if t < horizon => {
+            Some(event) if event.at() < horizon => {
                 self.entered += 1;
-                Some(p)
+                Some(event.program())
             }
             Some(_) => None,
             None => {
@@ -157,11 +156,11 @@ impl ScheduleWindow {
     /// this is what keeps a window fed as the replay goes bounded.
     pub fn next_leaving(&mut self, now: SimTime) -> Option<ProgramId> {
         if self.entered > 0 {
-            if let Some(&(t, p)) = self.buf.front() {
-                if t < now {
+            if let Some(&event) = self.buf.front() {
+                if event.at() < now {
                     self.buf.pop_front();
                     self.entered -= 1;
-                    return Some(p);
+                    return Some(event.program());
                 }
             }
         }
@@ -197,11 +196,16 @@ impl ScheduleWindow {
 pub(crate) mod testing {
     use super::*;
 
+    /// The access to program `q` at `secs`.
+    pub(crate) fn event(secs: u64, q: u32) -> AccessEvent {
+        AccessEvent::new(SimTime::from_secs(secs), ProgramId::new(q)).expect("below the horizon")
+    }
+
     /// Feeds a window the way a streaming record supply does: `batch`
     /// events a hand-over, as far ahead as the next access needs.
     #[derive(Debug)]
     pub(crate) struct Feeder {
-        events: Vec<(SimTime, ProgramId)>,
+        events: Vec<AccessEvent>,
         next: usize,
         batch: usize,
     }
@@ -210,10 +214,7 @@ pub(crate) mod testing {
         /// A feeder over time-ordered `(secs, program id)` pairs.
         pub(crate) fn over(events: &[(u64, u32)], batch: usize) -> Self {
             Feeder {
-                events: events
-                    .iter()
-                    .map(|&(s, q)| (SimTime::from_secs(s), ProgramId::new(q)))
-                    .collect(),
+                events: events.iter().map(|&(s, q)| event(s, q)).collect(),
                 next: 0,
                 batch: batch.max(1),
             }
@@ -222,14 +223,14 @@ pub(crate) mod testing {
         /// What the hand-overs so far cover: the first event still held
         /// back is the earliest one missing.
         fn reach(&self) -> SimTime {
-            self.events.get(self.next).map_or(SimTime::MAX, |&(t, _)| t)
+            self.events.get(self.next).map_or(SimTime::MAX, |e| e.at())
         }
 
         /// Hands `extend` whole batches until `horizon` is covered.
         pub(crate) fn cover(
             &mut self,
             horizon: SimTime,
-            mut extend: impl FnMut(&[(SimTime, ProgramId)], SimTime) -> Result<(), CacheError>,
+            mut extend: impl FnMut(&[AccessEvent], SimTime) -> Result<(), CacheError>,
         ) -> Result<(), CacheError> {
             while self.reach() < horizon {
                 let end = (self.next + self.batch).min(self.events.len());
@@ -243,7 +244,7 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::Feeder;
+    use super::testing::{event, Feeder};
     use super::*;
     use cablevod_hfc::units::SimDuration;
 
@@ -262,7 +263,7 @@ mod tests {
     fn both_window_kinds_replay_the_same_events() {
         let events: Vec<(u64, u32)> = (0..500).map(|i| (i * 10, (i % 13) as u32)).collect();
         let costs: Arc<[u32]> = (0..13).map(|c| 1 + c % 4).collect();
-        let whole: Vec<(SimTime, ProgramId)> = events.iter().map(|&(s, q)| (t(s), p(q))).collect();
+        let whole: Vec<AccessEvent> = events.iter().map(|&(s, q)| event(s, q)).collect();
         for batch in [1usize, 7, 64, 1_000] {
             let mut resident = ScheduleWindow::new(Arc::clone(&costs));
             resident.extend(&whole, SimTime::MAX).expect("in order");
@@ -344,7 +345,7 @@ mod tests {
     /// falls behind `now`.
     #[test]
     fn a_window_handed_everything_lets_go_of_what_leaves() {
-        let events: Vec<_> = (0..100u64).map(|i| (t(i * 10), p(0))).collect();
+        let events: Vec<_> = (0..100u64).map(|i| event(i * 10, 0)).collect();
         let mut window = ScheduleWindow::new(vec![1].into());
         window.extend(&events, SimTime::MAX).expect("in order");
         window
@@ -362,9 +363,7 @@ mod tests {
         }
         assert_eq!(window.peak_resident_events(), 100);
         // Nothing may follow the end of the future.
-        let err = window
-            .extend(&[(t(2_000), p(0))], SimTime::MAX)
-            .unwrap_err();
+        let err = window.extend(&[event(2_000, 0)], SimTime::MAX).unwrap_err();
         assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
     }
 
@@ -375,17 +374,17 @@ mod tests {
         // earlier hand-over declared covered.
         let mut window = fresh();
         let err = window
-            .extend(&[(t(100), p(0)), (t(50), p(0))], t(200))
+            .extend(&[event(100, 0), event(50, 0)], t(200))
             .unwrap_err();
         assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
         let mut window = fresh();
-        window.extend(&[(t(100), p(0))], t(100)).expect("in order");
-        window.extend(&[(t(100), p(0))], t(100)).expect("a tie");
-        let err = window.extend(&[(t(99), p(0))], t(200)).unwrap_err();
+        window.extend(&[event(100, 0)], t(100)).expect("in order");
+        window.extend(&[event(100, 0)], t(100)).expect("a tie");
+        let err = window.extend(&[event(99, 0)], t(200)).unwrap_err();
         assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
         let mut window = fresh();
         window.extend(&[], t(200)).expect("nothing before 200s");
-        let err = window.extend(&[(t(150), p(0))], t(300)).unwrap_err();
+        let err = window.extend(&[event(150, 0)], t(300)).unwrap_err();
         assert!(matches!(err, CacheError::Schedule { .. }), "{err}");
     }
 
@@ -399,7 +398,7 @@ mod tests {
         window.ensure_covered(t(0)).expect("nothing precedes 0s");
 
         window
-            .extend(&[(t(10), p(0)), (t(90), p(0))], t(100))
+            .extend(&[event(10, 0), event(90, 0)], t(100))
             .expect("extend");
         window.ensure_covered(t(100)).expect("covered to 100s");
         let err = window.ensure_covered(t(101)).unwrap_err();

@@ -83,6 +83,7 @@ use serde::{Deserialize, Serialize};
 use crate::arc::ArcCache;
 use crate::delayed::DelayedLfu;
 use crate::error::CacheError;
+use crate::event::AccessEvent;
 use crate::feed::{FeedEvents, GlobalLfu};
 use crate::fetch::FetchModel;
 use crate::lfu::WindowedLfu;
@@ -153,7 +154,7 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// [`CacheError::Schedule`] for events that break the time order.
     fn extend_schedule(
         &mut self,
-        _events: &[(SimTime, ProgramId)],
+        _events: &[AccessEvent],
         _covered: SimTime,
     ) -> Result<(), CacheError> {
         Ok(())
@@ -209,6 +210,14 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// (they will never read anything).
     fn sync_global(&mut self, _feed: &dyn FeedEvents, _now: SimTime, limit: usize) -> u64 {
         limit as u64
+    }
+
+    /// Heap bytes the strategy holds, from its collections' capacities
+    /// (an ordered set at its keys' size). Test builds only: what the
+    /// per-subscriber memory pin in `index.rs` reads.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        unimplemented!("{} does not account its bytes", self.name())
     }
 }
 

@@ -110,6 +110,14 @@ pub(crate) struct Waterline {
 }
 
 impl Waterline {
+    /// Heap bytes held: both sets at their keys' size (node slack not
+    /// counted) and the victims scratch.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.cached.len() + self.candidates.len() + self.victims.capacity())
+            * std::mem::size_of::<Score>()
+    }
+
     /// Bound on candidates visited per rebalance (exit 2 of the module
     /// docs — report-visible behaviour, not a tuning knob).
     const MAX_ROUNDS: u32 = 16;

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{NeighborhoodId, PeerId, SegmentId, UserId};
+use crate::ids::{NeighborhoodId, PeerId, UserId};
 use crate::units::DataSize;
 
 /// Errors raised by cable-plant operations.
@@ -22,19 +22,15 @@ pub enum HfcError {
         /// Free space remaining on the peer.
         free: DataSize,
     },
-    /// A segment was stored twice on the same peer.
-    DuplicateSegment {
+    /// A peer was asked to give back more bytes than it holds: whoever
+    /// placed the segments and the box disagree about what is on it.
+    OverRelease {
         /// The peer involved.
         peer: PeerId,
-        /// The duplicate segment.
-        segment: SegmentId,
-    },
-    /// A delete named a segment the peer does not hold.
-    SegmentNotStored {
-        /// The peer involved.
-        peer: PeerId,
-        /// The missing segment.
-        segment: SegmentId,
+        /// Bytes the release asked for.
+        requested: DataSize,
+        /// Bytes the peer held.
+        used: DataSize,
     },
     /// A lookup used an unknown user id.
     UnknownUser {
@@ -78,11 +74,12 @@ impl fmt::Display for HfcError {
                     "storage full on {peer}: requested {requested}, free {free}"
                 )
             }
-            HfcError::DuplicateSegment { peer, segment } => {
-                write!(f, "segment {segment} already stored on {peer}")
-            }
-            HfcError::SegmentNotStored { peer, segment } => {
-                write!(f, "segment {segment} not stored on {peer}")
+            HfcError::OverRelease {
+                peer,
+                requested,
+                used,
+            } => {
+                write!(f, "release of {requested} from {peer}, which holds {used}")
             }
             HfcError::UnknownUser { user } => write!(f, "unknown user id {user}"),
             HfcError::UnknownPeer { peer } => write!(f, "unknown peer id {peer}"),
@@ -100,7 +97,6 @@ impl Error for HfcError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ProgramId;
 
     #[test]
     fn messages_are_lowercase_and_contextual() {
@@ -112,11 +108,13 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.starts_with("storage full on peer3"));
 
-        let err = HfcError::SegmentNotStored {
+        let err = HfcError::OverRelease {
             peer: PeerId::new(1),
-            segment: SegmentId::new(ProgramId::new(2), 4),
+            requested: DataSize::from_bytes(8),
+            used: DataSize::from_bytes(4),
         };
-        assert_eq!(err.to_string(), "segment prog2[4] not stored on peer1");
+        assert!(err.to_string().starts_with("release of "), "{err}");
+        assert!(err.to_string().contains("from peer1"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,18 @@
 //! permutation), so a neighborhood's boxes are contiguous and a global
 //! [`PeerId`] resolves with one table load and one bounds check, which is
 //! also what makes a peer outside the range [`HfcError::UnknownPeer`].
+//!
+//! A box holds only what differs from box to box — the bytes its cache
+//! holds and its in-flight streams ([`SetTopBox`], 40 bytes). Its id is its
+//! position, and the storage contribution and stream-slot limit are one
+//! `TopologyConfig`'s, so the plant keeps those once and every box
+//! operation ([`store`](Plant::store), [`delete`](Plant::delete),
+//! [`try_start_stream`](Plant::try_start_stream),
+//! [`start_stream_unchecked`](Plant::start_stream_unchecked)) goes through
+//! it. Which segment sits on which box is not the plant's to know: the
+//! neighborhood's index server places every copy and keeps the one record
+//! of where, and the box keeps the bytes those copies occupy, so the two
+//! are checked against each other rather than kept twice.
 
 use std::ops::Range;
 
@@ -33,13 +45,22 @@ use crate::units::{DataSize, SimTime};
 /// use cablevod_hfc::plant::Plant;
 /// use cablevod_hfc::topology::{Topology, TopologyConfig};
 /// use cablevod_hfc::ids::NeighborhoodId;
+/// use cablevod_hfc::units::{DataSize, SimTime};
 ///
 /// let topo = Topology::build(TopologyConfig::new(3_000, 1_000))?;
 /// let mut shard = Plant::over(&topo, 1..2)?;
 /// let member = topo.neighborhood(NeighborhoodId::new(1))?.members()[0];
 /// let stranger = topo.neighborhood(NeighborhoodId::new(2))?.members()[0];
-/// assert_eq!(shard.stb_mut(member)?.id(), member);
-/// assert!(shard.stb_mut(stranger).is_err());
+/// let segment = DataSize::from_bytes(300_000_000);
+/// assert_eq!(shard.store(member, segment)?, segment);
+/// assert!(shard.store(stranger, segment).is_err());
+///
+/// // Two streams fit on the paper's box; a third is refused until one ends.
+/// let (t0, t1) = (SimTime::EPOCH, SimTime::from_secs(300));
+/// assert!(shard.try_start_stream(member, t0, t1)?);
+/// assert!(shard.try_start_stream(member, t0, t1)?);
+/// assert!(!shard.try_start_stream(member, t0, t1)?);
+/// assert!(shard.try_start_stream(member, t1, SimTime::from_secs(600))?);
 /// # Ok::<(), cablevod_hfc::error::HfcError>(())
 /// ```
 #[derive(Debug)]
@@ -50,6 +71,10 @@ pub struct Plant<'t> {
     /// size.
     first_rank: u32,
     boxes: Vec<SetTopBox>,
+    /// Every box's storage contribution.
+    box_capacity: DataSize,
+    /// Every box's concurrent-stream limit.
+    slot_limit: u8,
     /// The first neighborhood of the range; `coax[i]` is neighborhood
     /// `first + i`'s.
     first: usize,
@@ -68,22 +93,16 @@ impl<'t> Plant<'t> {
     /// the topology's last neighborhood.
     pub fn over(topo: &'t Topology, neighborhoods: Range<usize>) -> Result<Self, HfcError> {
         let config = topo.config();
-        let nbhds = neighborhoods
-            .clone()
-            .map(|n| topo.neighborhood(NeighborhoodId::new(n as u32)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut boxes = Vec::with_capacity(nbhds.iter().map(|nbhd| nbhd.size()).sum());
-        for nbhd in nbhds {
-            boxes.extend(
-                nbhd.members()
-                    .iter()
-                    .map(|&p| SetTopBox::new(p, config.per_peer_storage(), config.stream_slots())),
-            );
+        let mut peers = 0;
+        for n in neighborhoods.clone() {
+            peers += topo.neighborhood(NeighborhoodId::new(n as u32))?.size();
         }
         Ok(Plant {
             ranks: topo.ranks(),
             first_rank: neighborhoods.start as u32 * config.neighborhood_size(),
-            boxes,
+            boxes: vec![SetTopBox::default(); peers],
+            box_capacity: config.per_peer_storage(),
+            slot_limit: config.stream_slots(),
             first: neighborhoods.start,
             coax: vec![CoaxNetwork::new(*config.coax_spec()); neighborhoods.len()],
             server: RateMeter::hourly(),
@@ -116,15 +135,76 @@ impl<'t> Plant<'t> {
             .ok_or(HfcError::UnknownPeer { peer })
     }
 
-    /// Mutable access to a set-top box.
+    fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError> {
+        let at = self.slot(peer);
+        self.boxes.get_mut(at).ok_or(HfcError::UnknownPeer { peer })
+    }
+
+    /// Stores `size` more bytes on `peer`'s box and returns the bytes it
+    /// now holds.
     ///
     /// # Errors
     ///
-    /// Returns [`HfcError::UnknownPeer`] for peers outside this plant's
-    /// neighborhoods.
-    pub fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError> {
-        let at = self.slot(peer);
-        self.boxes.get_mut(at).ok_or(HfcError::UnknownPeer { peer })
+    /// [`HfcError::StorageFull`] if they do not fit, and
+    /// [`HfcError::UnknownPeer`] for a peer outside this plant.
+    pub fn store(&mut self, peer: PeerId, size: DataSize) -> Result<DataSize, HfcError> {
+        let capacity = self.box_capacity;
+        self.stb_mut(peer)?.store(peer, size, capacity)
+    }
+
+    /// Deletes `size` bytes from `peer`'s box (the caller tracks what is
+    /// where — the index server knows every placement it made) and
+    /// returns the bytes it still holds.
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::OverRelease`] if the box holds fewer than `size` bytes,
+    /// and [`HfcError::UnknownPeer`] for a peer outside this plant.
+    pub fn delete(&mut self, peer: PeerId, size: DataSize) -> Result<DataSize, HfcError> {
+        self.stb_mut(peer)?.delete(peer, size)
+    }
+
+    /// Attempts to occupy one of `peer`'s stream slots from `now` until
+    /// `end`; `false` when all are busy (§V-C: "The cache will trigger a
+    /// miss if a segment is requested from a peer that has more than two
+    /// active streams in either direction").
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::UnknownPeer`] for a peer outside this plant.
+    pub fn try_start_stream(
+        &mut self,
+        peer: PeerId,
+        now: SimTime,
+        end: SimTime,
+    ) -> Result<bool, HfcError> {
+        let limit = self.slot_limit;
+        Ok(self.stb_mut(peer)?.try_start_stream(now, end, limit))
+    }
+
+    /// Unconditionally occupies one of `peer`'s slots from `now` until
+    /// `end` — the viewer's own playback, which is never blocked — and
+    /// returns whether the box now runs more streams than its limit. A
+    /// stream that is over as it starts (`end <= now`) occupies nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::UnknownPeer`] for a peer outside this plant.
+    pub fn start_stream_unchecked(
+        &mut self,
+        peer: PeerId,
+        now: SimTime,
+        end: SimTime,
+    ) -> Result<bool, HfcError> {
+        let limit = self.slot_limit;
+        Ok(self.stb_mut(peer)?.start_stream_unchecked(now, end, limit))
+    }
+
+    /// Bytes cached across every box of the range.
+    pub fn stored(&self) -> DataSize {
+        self.boxes
+            .iter()
+            .fold(DataSize::ZERO, |sum, stb| sum + stb.used())
     }
 
     /// A cache miss: the central server streams `size` bytes over
@@ -187,6 +267,7 @@ mod tests {
     #[test]
     fn a_range_resolves_its_members_and_nobody_else() {
         let topo = topo();
+        let byte = DataSize::from_bytes(1);
         for range in [0..1, 1..2, 2..3, 0..2, 1..3, 0..3] {
             let mut plant = Plant::over(&topo, range.clone()).expect("in range");
             assert_eq!(plant.neighborhoods(), range);
@@ -194,33 +275,38 @@ mod tests {
             for n in 0..3 {
                 for &peer in members(&topo, n) {
                     if range.contains(&n) {
-                        let stb = plant.stb_mut(peer).expect("a member");
-                        assert_eq!(stb.id(), peer);
+                        let stb = plant.stb(peer).expect("a member");
                         assert!(seen.insert(stb as *const SetTopBox), "a box of its own");
+                        assert_eq!(plant.store(peer, byte), Ok(byte), "and it starts empty");
                     } else {
                         // The neighborhoods on either side included.
-                        assert_eq!(
-                            plant.stb_mut(peer).unwrap_err(),
-                            HfcError::UnknownPeer { peer }
-                        );
+                        let unknown = Err(HfcError::UnknownPeer { peer });
+                        assert_eq!(plant.stb(peer).map(|_| ()), unknown);
+                        assert_eq!(plant.store(peer, byte).map(|_| ()), unknown);
                     }
                 }
             }
             assert_eq!(seen.len(), plant.boxes.len());
+            assert_eq!(plant.stored(), byte * seen.len() as u64);
         }
     }
 
+    /// A box's position in the whole plant is its position in its shard,
+    /// behind every box of the shards before it.
     #[test]
     fn the_whole_plant_is_its_shards_end_to_end() {
         let topo = topo();
         let whole = Plant::over(&topo, 0..3).expect("whole plant");
-        let shards: Vec<PeerId> = (0..3)
-            .flat_map(|n| Plant::over(&topo, n..n + 1).expect("shard").boxes)
-            .map(|stb| stb.id())
-            .collect();
-        let ids: Vec<PeerId> = whole.boxes.iter().map(SetTopBox::id).collect();
-        assert_eq!(ids, shards);
-        assert_eq!(ids.len(), 2_500);
+        let mut before = 0;
+        for n in 0..3 {
+            let shard = Plant::over(&topo, n..n + 1).expect("shard");
+            for &peer in members(&topo, n) {
+                assert_eq!(whole.slot(peer), before + shard.slot(peer));
+            }
+            before += shard.boxes.len();
+        }
+        assert_eq!(before, 2_500);
+        assert_eq!(whole.boxes.len(), 2_500);
     }
 
     #[test]
@@ -230,10 +316,28 @@ mod tests {
             .with_stream_slots(1);
         let topo = Topology::build(config).expect("valid config");
         let mut plant = Plant::over(&topo, 0..2).expect("whole plant");
-        let stb = plant.stb_mut(PeerId::new(7)).expect("a member");
-        assert_eq!(stb.capacity(), DataSize::from_gigabytes(3));
-        assert!(stb.try_start_stream(SimTime::EPOCH, SimTime::from_secs(10)));
-        assert!(!stb.try_start_stream(SimTime::EPOCH, SimTime::from_secs(10)));
+        let peer = PeerId::new(7);
+        assert_eq!(plant.box_capacity, DataSize::from_gigabytes(3));
+        assert_eq!(plant.slot_limit, 1);
+        let (t0, t1) = (SimTime::EPOCH, SimTime::from_secs(10));
+        assert_eq!(plant.try_start_stream(peer, t0, t1), Ok(true));
+        assert_eq!(plant.try_start_stream(peer, t0, t1), Ok(false));
+        assert_eq!(plant.start_stream_unchecked(peer, t0, t1), Ok(true));
+        plant
+            .store(peer, DataSize::from_gigabytes(3))
+            .expect("fits");
+        assert!(matches!(
+            plant.store(peer, DataSize::from_bytes(1)),
+            Err(HfcError::StorageFull { .. })
+        ));
+        assert_eq!(
+            plant.delete(peer, DataSize::from_gigabytes(3)),
+            Ok(DataSize::ZERO)
+        );
+        assert!(matches!(
+            plant.delete(peer, DataSize::from_bytes(1)),
+            Err(HfcError::OverRelease { .. })
+        ));
         assert_eq!(plant.coax[1].spec(), topo.config().coax_spec());
     }
 
@@ -260,8 +364,12 @@ mod tests {
     fn unknown_ids_error() {
         let topo = topo();
         let mut plant = Plant::over(&topo, 0..3).expect("whole plant");
-        assert!(plant.stb(PeerId::new(9_999)).is_err());
-        assert!(plant.stb_mut(PeerId::new(9_999)).is_err());
+        let stranger = PeerId::new(9_999);
+        assert!(plant.stb(stranger).is_err());
+        assert!(plant.delete(stranger, DataSize::ZERO).is_err());
+        assert!(plant
+            .try_start_stream(stranger, SimTime::EPOCH, SimTime::EPOCH)
+            .is_err());
         assert!(plant
             .record_broadcast(
                 NeighborhoodId::new(3),

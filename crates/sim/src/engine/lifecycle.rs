@@ -30,12 +30,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cablevod_cache::{FeedEvent, FeedProvider, IndexServer, IndexStats, Resolution};
-use cablevod_hfc::ids::{NeighborhoodId, PeerId, ProgramId, SegmentId};
+use cablevod_cache::{AccessEvent, FeedEvent, FeedProvider, IndexServer, IndexStats, Resolution};
+use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId};
 use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
-use cablevod_hfc::units::{SimDuration, SimTime};
+use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 
@@ -79,12 +79,21 @@ pub(super) struct SessionCtx {
 /// Computes one session's context (pure function of record, catalog and
 /// topology — every engine path shares it, so contexts are identical no
 /// matter when they are computed).
+///
+/// It is also where every record enters the engine — each supply, the
+/// resident survey and the online ingress call it before anything else
+/// sees the record — so it is where a record is refused: a dangling
+/// program, an unknown user, and a start at or past the second an
+/// [`AccessEvent`] can carry ([`AccessEvent::HORIZON`], 2^32 s), which is
+/// [`CacheError::BeyondHorizon`](cablevod_cache::CacheError::BeyondHorizon)
+/// rather than a strategy history holding a truncated time.
 pub(super) fn session_ctx(
     rec: &SessionRecord,
     catalog: &ProgramCatalog,
     topo: &Topology,
     seg_len: u64,
 ) -> Result<SessionCtx, SimError> {
+    AccessEvent::secs(rec.start)?;
     let length = catalog.length(rec.program).ok_or(SimError::Trace(
         cablevod_trace::TraceError::DanglingProgram {
             program: rec.program,
@@ -176,9 +185,9 @@ pub(super) trait RecordSupply {
     /// Called after every [`peek`](RecordSupply::peek). A supply that
     /// reads ahead of its sessions for a strategy that looks into the
     /// future (see [`super::stream::LookAhead`]) hands `sink` what it has
-    /// passed since the last call: the neighborhood, its `(start,
-    /// program)` pairs in time order, and the instant before which every
-    /// one of its accesses has now been handed over — at least
+    /// passed since the last call: the neighborhood, its accesses in time
+    /// order, and the instant before which every one of its accesses has
+    /// now been handed over — at least
     /// `lookahead` past the staged session's start. The default hands
     /// over nothing: a resident run's index servers were handed their
     /// whole future when they were built
@@ -190,7 +199,7 @@ pub(super) trait RecordSupply {
     /// Propagates `sink`'s failure.
     fn read_ahead(
         &mut self,
-        _sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+        _sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         Ok(())
     }
@@ -578,8 +587,11 @@ where
         rec: &SessionRecord,
         ctx: &SessionCtx,
     ) -> Result<(), SimError> {
-        let stb = self.plant.stb_mut(ctx.home)?;
-        if stb.start_stream_unchecked(rec.start, rec.start + ctx.watched) {
+        let end = rec.start + ctx.watched;
+        if self
+            .plant
+            .start_stream_unchecked(ctx.home, rec.start, end)?
+        {
             self.counters.viewer_overcommits += 1;
         }
         Ok(())
@@ -756,6 +768,18 @@ where
     /// Ends a completed run: what the report fold reads of it (the boxes
     /// and the strategy state are dropped here).
     pub(super) fn into_outcome(self) -> RangeOutcome {
+        // Conservation: the boxes of the range hold exactly the slots
+        // their index servers' ledgers have placed — the placement record
+        // lives only in the ledgers, the boxes keep bytes (see
+        // `cablevod_cache::index`), and every admission and eviction
+        // checked its own peers against it on the way.
+        debug_assert_eq!(
+            self.plant.stored(),
+            self.indexes.iter().fold(DataSize::ZERO, |sum, index| sum
+                + index.nominal_segment() * index.placed_slots()),
+            "neighborhoods {:?}: the boxes and the ledgers disagree",
+            self.plant.neighborhoods()
+        );
         let (coax, server) = self.plant.into_meters();
         // Conservation: offered bits = server + peer bits, and both cross
         // the coax (§VI-B) — so this range's coax meters carry exactly

@@ -191,8 +191,8 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    FeedProvider, GlobalFeed, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger,
-    StrategyContext, StrategyFactory,
+    AccessEvent, FeedProvider, GlobalFeed, IndexServer, PlacementPolicy, ScheduleWindow,
+    SlotLedger, StrategyContext, StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::plant::Plant;
@@ -519,7 +519,7 @@ impl<'a> DriverParts<'a> {
             let mut per_nbhd = vec![Vec::new(); indexes.len()];
             for r in future {
                 let n = self.topo.neighborhood_of_user(r.user)?.index();
-                per_nbhd[n - nbhds.start].push((r.start, r.program));
+                per_nbhd[n - nbhds.start].push(AccessEvent::new(r.start, r.program)?);
             }
             for (index, events) in indexes.iter_mut().zip(per_nbhd) {
                 index.extend_schedule(&events, SimTime::MAX)?;

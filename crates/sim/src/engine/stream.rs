@@ -45,7 +45,7 @@
 //! stages a neighborhood's records in order also reads the same records
 //! `lookahead` further along — a [`LookAhead`], one more cursor over the
 //! same chunk runs, so such a run decodes each chunk twice — and hands
-//! the `(start, program)` pairs it passes to the neighborhood's index
+//! the accesses it passes, as [`AccessEvent`]s, to the neighborhood's index
 //! server ahead of the access that needs them
 //! ([`RecordSupply::read_ahead`]): the `Demux` per block, grouped by
 //! neighborhood beside the block's records, so the barrier that orders
@@ -68,8 +68,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cablevod_cache::{FeedProducer, WatermarkFeed};
-use cablevod_hfc::ids::ProgramId;
+use cablevod_cache::{AccessEvent, FeedProducer, WatermarkFeed};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -195,7 +194,7 @@ pub(super) struct Block {
     /// Under a strategy that looks ahead: `ahead[n]` is what entered
     /// neighborhood `n`'s look-ahead with this block, after which every
     /// access before `covered` has been handed over.
-    ahead: Vec<Vec<(SimTime, ProgramId)>>,
+    ahead: Vec<Vec<AccessEvent>>,
     covered: Option<SimTime>,
 }
 
@@ -370,7 +369,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             block.ahead.resize_with(self.nbhd_count, Vec::new);
             ahead.advance(more.then_some(self.last_start), |rec| {
                 let nbhd = self.topo.neighborhood_of_user(rec.user)?;
-                block.ahead[nbhd.index()].push((rec.start, rec.program));
+                block.ahead[nbhd.index()].push(AccessEvent::new(rec.start, rec.program)?);
                 Ok(())
             })?;
             block.covered = Some(ahead.covered());
@@ -459,7 +458,7 @@ impl RecordSupply for BlockSupply<'_> {
 
     fn read_ahead(
         &mut self,
-        sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+        sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         match self.ahead.take() {
             Some((block, covered)) => sink(self.nbhd as u32, &block.ahead[self.nbhd], covered),
@@ -657,7 +656,7 @@ impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
 struct ReadAhead<'a, S: TraceSource + ?Sized> {
     cursor: LookAhead<'a, S>,
     nbhd: u32,
-    events: Vec<(SimTime, ProgramId)>,
+    events: Vec<AccessEvent>,
 }
 
 /// The supply of a shard that decodes its own chunk runs (see the module
@@ -715,7 +714,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
 
     fn read_ahead(
         &mut self,
-        sink: impl FnOnce(u32, &[(SimTime, ProgramId)], SimTime) -> Result<(), SimError>,
+        sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         let Some(ahead) = self.ahead.as_mut() else {
             return Ok(());
@@ -725,7 +724,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
         let now = self.staged.as_ref().map(|staged| staged.rec.start);
         ahead.events.clear();
         let moved = ahead.cursor.advance(now, |rec| {
-            ahead.events.push((rec.start, rec.program));
+            ahead.events.push(AccessEvent::new(rec.start, rec.program)?);
             Ok(())
         })?;
         if moved {

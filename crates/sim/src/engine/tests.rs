@@ -520,12 +520,12 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let mut resident = vec![Vec::new(); nbhd_count];
     for rec in trace.records() {
         let nbhd = topo.neighborhood_of_user(rec.user).expect("known user");
-        resident[nbhd.index()].push((rec.start, rec.program));
+        resident[nbhd.index()].push(AccessEvent::new(rec.start, rec.program).expect("in range"));
     }
 
     /// What one neighborhood has been handed so far.
     struct Fed {
-        events: Vec<(SimTime, ProgramId)>,
+        events: Vec<AccessEvent>,
         covered: SimTime,
     }
     /// Runs `supply` dry (a block's worth, or all of it) the way the
@@ -537,7 +537,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
                 .read_ahead(|nbhd, events, covered| {
                     assert_eq!(nbhd as usize, n);
                     assert!(covered >= fed.covered, "covered moved back");
-                    assert!(events.iter().all(|&(t, _)| t < covered));
+                    assert!(events.iter().all(|e| e.at() < covered));
                     fed.events.extend_from_slice(events);
                     fed.covered = covered;
                     Ok(())

@@ -16,12 +16,13 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cablevod_cache::strategy::{CacheOp, StrategyContext, StrategyFactory};
-use cablevod_cache::{CacheError, CacheStrategy, StrategyRegistry, StrategySpec};
+use cablevod_cache::{AccessEvent, CacheError, CacheStrategy, StrategyRegistry, StrategySpec};
 use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
-    run, run_parallel, AdmissionMode, AxisPoint, CellResult, FaultPlan, ResilienceOptions,
-    RetryPolicy, Scenario, SimConfig, SimError, Simulation, SourceSpec, ThreadPolicy,
+    run, run_parallel, serve_serial, AdmissionMode, AxisPoint, CellResult, FaultPlan, OnlineSpec,
+    ResilienceOptions, RetryPolicy, Scenario, SimConfig, SimError, Simulation, SourceSpec,
+    ThreadPolicy,
 };
 use cablevod_tests::tiny_config;
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
@@ -572,6 +573,82 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
     std::fs::remove_file(&path).ok();
 
     same_second_ties_replay_exactly_across_block_edges();
+}
+
+/// A start at 2^32 s, the first second an access event cannot carry, is
+/// refused with the one named error wherever a record enters the engine —
+/// the reference run, a resident `Simulation`, a streamed `.cvtc` of
+/// either layout on one worker and on two, and the online ingress —
+/// under a strategy that keeps no events, one with a history ring and
+/// one with a look-ahead. Never a panic, never a replay over a truncated
+/// time; the last second below the horizon replays.
+#[test]
+fn a_start_past_the_event_horizon_fails_closed_on_every_path() {
+    let horizon = AccessEvent::HORIZON.as_secs();
+    let trace_at = |last: u64| {
+        let records = vec![
+            rec(0, 0, 1_000, 600),
+            rec(1, 1, 2_000, 600),
+            rec(2, 2, last, 600),
+        ];
+        Trace::new(records, hour_catalog(3), 4, 1).expect("valid trace")
+    };
+    let trace = trace_at(horizon);
+    let refused = |what: &str, result: Result<(), SimError>| match result {
+        Err(SimError::Cache(CacheError::BeyondHorizon { at })) => {
+            assert_eq!(at.as_secs(), horizon, "{what}")
+        }
+        other => panic!("{what}: {other:?}"),
+    };
+    let dir = std::env::temp_dir();
+    let tm = dir.join(format!("cvtc_horizon_tm_{}.cvtc", std::process::id()));
+    let nm = dir.join(format!("cvtc_horizon_nm_{}.cvtc", std::process::id()));
+    write_trace(&tm, &trace, 2).expect("a u64 start column carries it");
+    let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+    rechunk_by_neighborhood(&tm_reader, &nm, 2, 2).expect("rechunk");
+    let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    for spec in [
+        StrategySpec::NoCache,
+        StrategySpec::default_lfu(),
+        StrategySpec::default_oracle(),
+    ] {
+        let config = config_for(2, 1, spec).with_warmup_days(0);
+        refused("reference", run(&trace, &config).map(drop));
+        for source in [&trace as &dyn TraceSource, &tm_reader, &nm_reader] {
+            for threads in [1, 2] {
+                let replay = Simulation::over(source)
+                    .config(config.clone())
+                    .threads(threads);
+                refused(&format!("{spec:?} on {threads}"), replay.run().map(drop));
+            }
+        }
+        let spec_online = OnlineSpec::from_source(&trace);
+        let online = serve_serial(&spec_online, &config, spec.factory().as_ref(), |engine| {
+            for &rec in trace.records() {
+                match engine.submit(rec) {
+                    Ok(_) => {}
+                    Err(err) => refused(&format!("{spec:?} online"), Err(err)),
+                }
+            }
+            Ok(engine.submitted())
+        });
+        match online {
+            // Only the two records below the horizon were taken.
+            Ok((submitted, report)) => {
+                assert_eq!((submitted, report.sessions), (2, 2), "{spec:?} online")
+            }
+            // The Oracle is handed the whole schedule when it is built.
+            Err(err) => refused(&format!("{spec:?} online schedule"), Err(err)),
+        }
+        let last = trace_at(horizon - 1);
+        assert_eq!(
+            run(&last, &config).expect("in range").sessions,
+            3,
+            "{spec:?}"
+        );
+    }
+    std::fs::remove_file(&tm).ok();
+    std::fs::remove_file(&nm).ok();
 }
 
 /// A trace built to put ties on block edges: every session starts on a
