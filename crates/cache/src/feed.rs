@@ -40,8 +40,6 @@
 //!   consumer; every sync reports the strategy's consumption cursor back
 //!   so the carrier can reclaim.
 
-use std::ops::Range;
-
 use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::units::{SimDuration, SimTime};
 
@@ -156,21 +154,6 @@ pub trait FeedProvider {
     /// Marks the consumers this provider answers for as done: nothing
     /// more will be read.
     fn finish(&mut self);
-
-    /// When `Some(stride)`, the driver should
-    /// [`sync`](FeedProvider::sync) **every** consumer this provider
-    /// answers for — not just the one whose session is starting — every
-    /// `stride` records, so idle consumers keep their consumption
-    /// cursors (and with them the carrier's reclamation floor) moving.
-    /// The stride is the carrier's reclamation granule (sweeping more
-    /// often cannot unlock more reclaim). Only bounded-retention
-    /// carriers serving several consumers from one driver (the online
-    /// engine) return `Some`; drivers serving one consumer each
-    /// sweep at their own pauses instead (streaming replay: at every
-    /// block's edge).
-    fn idle_sync_stride(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// [`FeedProvider`] over a fully precomputed [`GlobalFeed`] — the resident
@@ -198,20 +181,18 @@ impl FeedProvider for PrecomputedFeed<'_> {
 }
 
 /// [`FeedProvider`] over a shared [`WatermarkFeed`] — the streaming and
-/// online engine paths. One instance serves the consumer range its driver
-/// syncs: a shard's own neighborhood, or all of them for a whole-plant
-/// driver.
+/// online engine paths. One instance serves the one consumer its driver
+/// syncs: the driver's own neighborhood.
 #[derive(Debug)]
 pub struct SharedFeed<'a> {
     feed: &'a WatermarkFeed,
-    consumers: Range<usize>,
+    consumer: usize,
 }
 
 impl<'a> SharedFeed<'a> {
-    /// A provider syncing (and eventually finishing) the consumers in
-    /// `consumers`.
-    pub fn new(feed: &'a WatermarkFeed, consumers: Range<usize>) -> Self {
-        SharedFeed { feed, consumers }
+    /// A provider syncing (and eventually finishing) `consumer`.
+    pub fn new(feed: &'a WatermarkFeed, consumer: usize) -> Self {
+        SharedFeed { feed, consumer }
     }
 }
 
@@ -227,17 +208,7 @@ impl FeedProvider for SharedFeed<'_> {
     }
 
     fn finish(&mut self) {
-        for consumer in self.consumers.clone() {
-            self.feed.finish_consumer(consumer);
-        }
-    }
-
-    fn idle_sync_stride(&self) -> Option<u64> {
-        // A provider answering for a single consumer (one shard) syncs it
-        // at every one of its sessions anyway; only a whole-plant driver,
-        // answering for every neighborhood at once, needs to keep the
-        // idle ones' cursors moving from inside its event loop.
-        (self.consumers.len() > 1).then(|| self.feed.segment_slots() as u64)
+        self.feed.finish_consumer(self.consumer);
     }
 }
 

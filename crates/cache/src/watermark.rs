@@ -27,9 +27,10 @@
 //! therefore bounded by the span between the slowest consumer's cursor and
 //! the producer's publication point: O(events in the LFU history window)
 //! for workloads where every neighborhood keeps syncing, rather than
-//! O(trace). (A neighborhood that goes idle for a long stretch pins its
-//! cursor and with it the window — those events genuinely must be
-//! retained, because its next sync will consume the whole backlog.)
+//! O(trace). (A consumer that stops syncing pins its cursor and with it
+//! the window — its next sync will consume the whole backlog — so the
+//! engine syncs every neighborhood each time its driver pauses, whether
+//! or not a session started there.)
 //!
 //! Publication never blocks: if consumers lag, the live window grows by
 //! allocating fresh segments.
@@ -120,13 +121,6 @@ impl WatermarkFeed {
     /// Total sequence-number capacity.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Sequence numbers per segment — the reclamation granule. Consumers
-    /// that pace periodic cursor updates (the engine's idle sweep) derive
-    /// their stride from this, so the two granules cannot drift apart.
-    pub fn segment_slots(&self) -> usize {
-        self.seg_slots
     }
 
     /// The segment the slot for `seq` lives in, extending the live window

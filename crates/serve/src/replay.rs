@@ -24,7 +24,8 @@ use crate::hist::LatencyHistogram;
 /// benchmark refresh that can change both sides (ROADMAP, standing notes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionTier {
-    /// One driver over the whole plant.
+    /// One driver per neighborhood, stepped in turn on the caller's
+    /// thread.
     Serial,
 }
 

@@ -5,8 +5,9 @@
 //! heap in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
 //! the cache and the plant. One driver owns a contiguous range of
-//! neighborhoods — all of them (the whole-plant reference driver, the
-//! online engine) or exactly one (a shard) — as that range's index servers, its
+//! neighborhoods — all of them (the whole-plant reference driver) or
+//! exactly one (a shard, a neighborhood of the online engine) — as that
+//! range's index servers, its
 //! [`Plant`] and its [`AdmissionControl`], all built in one place
 //! ([`DriverParts::driver`](super::DriverParts::driver)). It is generic
 //! over two seams, and those seams — not copies of this loop — are what
@@ -23,8 +24,10 @@
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
 //! blocked streaming replay carries every shard from one block of the
-//! source to the next (parked at the block's edge) and how the online
-//! engine stops at the live clock.
+//! source to the next and how the online engine stops at the live clock.
+//! Either way the supply alone says where the driver parks
+//! ([`RecordSupply::resumes_at`]): at a block's edge, or just past the
+//! live clock's "now".
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -158,7 +161,9 @@ pub(super) struct PendingSession {
 /// decoding and context computation.
 pub(super) trait RecordSupply {
     /// Stages (if necessary) and describes the next session as
-    /// `(start time, global index)`; `None` when the supply is exhausted.
+    /// `(start time, global index)`; `None` when the supply has nothing
+    /// to stage, for now or for good (see
+    /// [`resumes_at`](RecordSupply::resumes_at)).
     ///
     /// # Errors
     ///
@@ -303,19 +308,19 @@ impl ActiveSessions {
 pub(super) enum Step {
     /// The driver processed every one of its events.
     Done,
-    /// Every event inside the horizon has been processed and the driver
-    /// is parked at its edge: the caller's simulated "now" (online
-    /// stepping — see [`super::online`]) or the edge of the block its
-    /// supply was last handed ([`RecordSupply::resumes_at`]). Unlike
-    /// [`Step::Done`] the feed's consumers are **not** finished: more
-    /// records may still arrive. `progressed` reports whether any events were
-    /// processed.
+    /// Every event before its supply's edge
+    /// ([`RecordSupply::resumes_at`]) has been processed and the driver
+    /// is parked there: at the edge of the block the supply was last
+    /// handed, or just past the live clock's "now" (see
+    /// [`super::online`]). Unlike [`Step::Done`] the feed's consumer is
+    /// **not** finished: more records may still arrive. `progressed`
+    /// reports whether any events were processed.
     Horizon { progressed: bool },
 }
 
 /// The single discrete-event loop (see the module docs). One instance
 /// drives one contiguous range of neighborhoods: all of them for the
-/// whole-plant drivers, exactly one for a shard.
+/// whole-plant reference driver, exactly one for every other.
 pub(super) struct SessionDriver<'a, F, R> {
     supply: R,
     feed: Option<F>,
@@ -341,19 +346,6 @@ pub(super) struct SessionDriver<'a, F, R> {
     /// Set when any sibling shard failed; checked at every step entry so
     /// parked shards unblock into an orderly bail-out.
     abort: Option<&'a AtomicBool>,
-    /// When `Some(stride)`, this driver periodically syncs **every**
-    /// index it holds against the feed, so neighborhoods between (or
-    /// without) sessions keep their consumption cursors — and with them
-    /// the feed's reclamation floor — moving. The stride comes from the
-    /// carrier itself (its reclamation granule — see
-    /// [`FeedProvider::idle_sync_stride`]), so the sweep cadence and the
-    /// reclaim cadence cannot drift apart. Only a whole-plant driver
-    /// over the watermark carrier — the online engine — gets
-    /// `Some`; streaming replay sweeps per block instead
-    /// ([`sync_published`](Self::sync_published)).
-    idle_sync: Option<u64>,
-    /// Next global record index at which to run an idle sweep.
-    next_idle_sync: u64,
     /// Debug builds only (zero otherwise): the bits every segment request
     /// so far offered the plant, held against what the range's coax
     /// meters carried when the run ends
@@ -377,10 +369,6 @@ where
         segmenter: Segmenter,
         abort: Option<&'a AtomicBool>,
     ) -> Self {
-        let idle_sync = feed
-            .as_ref()
-            .and_then(FeedProvider::idle_sync_stride)
-            .filter(|_| indexes.len() > 1);
         let index_base = plant.neighborhoods().start as u32;
         debug_assert_eq!(plant.neighborhoods().len(), indexes.len());
         SessionDriver {
@@ -396,30 +384,18 @@ where
             config,
             segmenter,
             abort,
-            idle_sync,
-            next_idle_sync: idle_sync.unwrap_or(0),
             offered_bits: 0,
         }
     }
 
-    /// Processes events until the driver completes or its supply pauses
-    /// between blocks.
+    /// Processes events until the driver completes or its supply pauses.
+    /// The supply is the one pacing rule: it stages only the sessions it
+    /// has released, and while it will release more
+    /// ([`RecordSupply::resumes_at`]) continuations run strictly before
+    /// its edge and the driver then parks with [`Step::Horizon`] instead
+    /// of finishing — so only a supply that is through for good lets the
+    /// driver finish its feed.
     pub(super) fn step(&mut self) -> Result<Step, SimError> {
-        self.step_until(None)
-    }
-
-    /// [`step`](SessionDriver::step) bounded by a horizon: processes every
-    /// event whose time is at or before `horizon`, then parks with
-    /// [`Step::Horizon`] instead of finishing. With `horizon = None` the
-    /// bound is vacuous and the behavior is exactly [`step`] — every
-    /// offline driver goes through this code path unchanged. A bounded
-    /// driver whose supply and heap are both empty also parks (its live
-    /// supply may be handed more sessions later), so only an unbounded
-    /// call can ever finish the feed. A supply that is between blocks
-    /// ([`RecordSupply::resumes_at`]) bounds the same loop the same way,
-    /// exclusively: continuations run while they are strictly before
-    /// its edge.
-    pub(super) fn step_until(&mut self, horizon: Option<SimTime>) -> Result<Step, SimError> {
         let mut progressed = false;
         loop {
             if let Some(abort) = self.abort {
@@ -436,7 +412,7 @@ where
             })?;
             let take_record = match (staged, self.heap.peek()) {
                 (None, None) => {
-                    if horizon.is_some() || self.supply.resumes_at().is_some() {
+                    if self.supply.resumes_at().is_some() {
                         return Ok(Step::Horizon { progressed });
                     }
                     if let Some(feed) = self.feed.as_mut() {
@@ -444,50 +420,17 @@ where
                     }
                     return Ok(Step::Done);
                 }
-                (Some((start, _)), None) => {
-                    if horizon.is_some_and(|h| start > h) {
-                        return Ok(Step::Horizon { progressed });
-                    }
-                    true
-                }
+                (Some(_), None) => true,
                 (None, Some(&Reverse((t, _, _, _)))) => {
-                    if horizon.is_some_and(|h| t > h)
-                        || self.supply.resumes_at().is_some_and(|edge| t >= edge)
-                    {
+                    if self.supply.resumes_at().is_some_and(|edge| t >= edge) {
                         return Ok(Step::Horizon { progressed });
                     }
                     false
                 }
-                (Some((start, _)), Some(&Reverse((t, _, _, _)))) => {
-                    if horizon.is_some_and(|h| start.min(t) > h) {
-                        return Ok(Step::Horizon { progressed });
-                    }
-                    start <= t
-                }
+                (Some((start, _)), Some(&Reverse((t, _, _, _)))) => start <= t,
             };
 
             if take_record {
-                let (start, gidx) = staged.expect("record chosen");
-                if let Some(stride) = self.idle_sync {
-                    if gidx >= self.next_idle_sync {
-                        // Idle sweep: sync every neighborhood — not just
-                        // the one starting a session — against the
-                        // published prefix. A neighborhood with no record
-                        // before `gidx` would otherwise hold its
-                        // consumption cursor (and the feed's reclamation
-                        // floor) at its last session, or at zero forever
-                        // if it has none; an eager sync consumes exactly
-                        // the prefix its own next session would consume
-                        // first anyway, so results are bit-identical (the
-                        // streaming-parity property tests pin this) while
-                        // live feed slots stay O(stride), not O(trace).
-                        self.next_idle_sync = gidx + stride;
-                        let feed = self.feed.as_mut().expect("idle sync implies a feed");
-                        for index in &mut self.indexes {
-                            feed.sync(index, start, gidx);
-                        }
-                    }
-                }
                 let session = self.supply.take();
                 self.start_session(&session)?;
             } else {
@@ -512,9 +455,10 @@ where
         }
     }
 
-    /// Runs to completion. Only valid for drivers whose supply never
-    /// pauses (resident slices, chunk runs, a live queue being drained;
-    /// the shards of a blocked replay step from block to block instead).
+    /// Runs to completion. Only valid for drivers whose supply no longer
+    /// pauses (resident slices, chunk runs, a closed live supply being
+    /// drained; the shards of a blocked replay step from block to block
+    /// instead).
     pub(super) fn run(&mut self) -> Result<(), SimError> {
         match self.step()? {
             Step::Done => Ok(()),
@@ -530,20 +474,19 @@ where
     }
 
     /// The supply, for a caller that hands it work between steps (the
-    /// next block of a streaming replay).
+    /// next block of a streaming replay, the next live sessions).
     pub(super) fn supply_mut(&mut self) -> &mut R {
         &mut self.supply
     }
 
-    /// The idle sweep at block granularity: syncs every index this
-    /// driver holds against the first `published` feed events, at time
-    /// `now`. Called when the driver is parked at a block's edge, where
-    /// `now` is that edge and every one of those events is published, so
-    /// — like the record-paced sweep in [`step_until`](Self::step_until)
-    /// — it consumes exactly what the neighborhood's next session would
-    /// consume first anyway, and a neighborhood with no session in the
-    /// block still moves its cursor and with it the feed's reclamation
-    /// floor.
+    /// The idle sweep: syncs every index this driver holds against the
+    /// first `published` feed events, at time `now`. Called when the
+    /// driver is parked — at a block's edge, or at the live clock's
+    /// "now" — where every one of those events is published and no
+    /// session still to start begins before `now`, so it consumes
+    /// exactly what the neighborhood's next session would consume first
+    /// anyway, and a neighborhood with no session since the last pause
+    /// still moves its cursor and with it the feed's reclamation floor.
     pub(super) fn sync_published(&mut self, now: SimTime, published: u64) {
         let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) else {
             return;

@@ -15,14 +15,15 @@
 //! segments can come from different peers, and a busy peer misses only the
 //! segments it actually hosts).
 //!
-//! # Architecture: one lifecycle, two seams, three thin drivers
+//! # Architecture: one lifecycle, two seams, thin drivers
 //!
 //! There is exactly **one** session-lifecycle implementation —
 //! `lifecycle::SessionDriver` — and every entry point is a thin
 //! composition of pluggable pieces around it:
 //!
 //! ```text
-//!  run / run_parallel            (mod.rs, shard.rs — the three entry drivers)
+//!  run / run_parallel /          (mod.rs, shard.rs, online.rs — the entry
+//!  online::serve_serial           drivers)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose, through DriverParts::driver (mod.rs — the one place a
 //!        ▼ driver is built, for a contiguous range of neighborhoods)
@@ -38,6 +39,8 @@
 //!        │                         decoded, grouped block (the blocked replay)
 //!        │     StreamSupply        gidx-ordered merge over a shard's own
 //!        │                         chunk runs (the sweep fast path)
+//!        │     LiveSupply          one neighborhood's submitted sessions,
+//!        │                         released up to the live clock (online.rs)
 //!        ├─► FeedProvider        (cablevod_cache::feed — how the global
 //!        │     PrecomputedFeed     popularity feed is consumed: precomputed
 //!        │     SharedFeed          in full by a resident run's survey, or
@@ -61,7 +64,7 @@
 //!                                 whole-plant run is its one-element case)
 //! ```
 //!
-//! The three drivers pick one of each. **The plan follows the data,
+//! The drivers pick one of each. **The plan follows the data,
 //! never the worker count**: the source decides between resident and
 //! streaming, and — for streaming — what the engine can observe of the
 //! file and the strategy decides the supply (`shard_plans`). Every replay
@@ -78,6 +81,7 @@
 //! | sharded resident     | `Simulation` (any policy), `run_parallel` | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
 //! | streaming            | any, over a chunked source                | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
 //! |                      |                                           | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
+//! | online               | `online::serve_serial`                    | `LiveSupply`                     | `SharedFeed`      | `n..n+1` | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! A resident shard is faster than its share of the whole-plant driver
 //! even on one thread, and it is the contiguous run that makes it so:
@@ -149,9 +153,8 @@
 //! shard, parked at the edge, syncs its index against the published
 //! prefix, which consumes exactly what the neighborhood's next session
 //! would consume first anyway (so results stay bit-identical) and keeps
-//! live feed slots O(block + visibility lag), not O(trace). (The online
-//! engine, one driver answering for every neighborhood, paces the same
-//! sweep by records instead — see `lifecycle.rs`.)
+//! live feed slots O(block + visibility lag), not O(trace). The online
+//! engine runs the same sweep at every advance of its clock.
 //!
 //! # The Oracle's look-ahead
 //!
@@ -223,8 +226,7 @@ use stream::ResidentSupply;
 /// or not, replays a resident source per neighborhood. It is kept
 /// because it is what everything else is compared against (the repo
 /// benchmark's reference CRCs, the parity tests in `tests/builder.rs` and
-/// `engine/tests.rs`) and because the same whole-plant composition is the
-/// online engine. Chunked sources (an on-disk
+/// `engine/tests.rs`). Chunked sources (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
 /// have no whole-plant driver: over one, this is
@@ -502,7 +504,8 @@ impl<'a> DriverParts<'a> {
     /// whose records are resident hands each index the whole of its
     /// neighborhood's future here, in one piece, before the replay starts
     /// (a streaming supply hands the same events over as it reads ahead —
-    /// see `stream.rs`).
+    /// see `stream.rs`). A supply's resident future holds only records of
+    /// the neighborhoods it supplies.
     fn driver<F: FeedProvider, R: RecordSupply>(
         &self,
         nbhds: Range<usize>,
@@ -519,6 +522,10 @@ impl<'a> DriverParts<'a> {
             let mut per_nbhd = vec![Vec::new(); indexes.len()];
             for r in future {
                 let n = self.topo.neighborhood_of_user(r.user)?.index();
+                debug_assert!(
+                    nbhds.contains(&n),
+                    "a supply's resident future holds only its own neighborhoods' records"
+                );
                 per_nbhd[n - nbhds.start].push(AccessEvent::new(r.start, r.program)?);
             }
             for (index, events) in indexes.iter_mut().zip(per_nbhd) {
@@ -545,8 +552,7 @@ impl<'a> DriverParts<'a> {
 /// thread already, by locality). This driver stays because a reference
 /// has to be something other than the thing it checks — the benchmark's
 /// reference CRCs and the parity tests compare every per-neighborhood
-/// plan against this one — and because this very composition, one
-/// driver answering for every neighborhood, is the online engine.
+/// plan against this one.
 fn run_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,

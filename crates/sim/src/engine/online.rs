@@ -1,11 +1,15 @@
 //! The **online** decision tier: the engine as a long-running
-//! admission/placement service (ROADMAP item 2).
+//! admission/placement service.
 //!
 //! Offline, a run is a closed computation: the supply scans a finished
 //! trace and the driver burns through every event. Online, sessions
 //! arrive over time — from a paced trace replay or a socket — and the
-//! engine must answer *between* events. This module turns the very same
-//! `SessionDriver` lifecycle into a resumable service with three public
+//! engine must answer *between* events. The online engine is the blocked
+//! streaming replay with the caller as its decoder: one `SessionDriver`
+//! per neighborhood, built by the same constructor as every shard
+//! (`DriverParts::driver` over `n..n + 1`), each over a `LiveSupply` —
+//! a `RecordSupply` fed by the caller instead of a file scan — and
+//! stepped from one advance of the live clock to the next. Three public
 //! seams:
 //!
 //! * **submit** — hand the engine one session request. The record's
@@ -13,27 +17,24 @@
 //!   other supply), its feed event is published into a shared
 //!   [`WatermarkFeed`] and the watermark is advanced past it — the
 //!   ingress is the run's one feed producer, ahead of every driver. The
-//!   session is then staged on a `LiveSupply` — a `RecordSupply` over a
-//!   queue that is fed by the caller instead of a file scan (and which,
-//!   when the caller replays a resident trace, knows those records as its
-//!   whole future, like any resident supply).
-//! * **advance_to** — step the lifecycle cooperatively up to the live
-//!   clock's "now" (`SessionDriver::step_until`): every event at or
-//!   before the horizon is processed in exactly the order the offline
-//!   engine would process it, then the driver parks at the edge of
-//!   simulated time instead of finishing.
+//!   session is then staged on its neighborhood's supply (which, when
+//!   the caller replays a resident trace, knows that neighborhood's
+//!   records as its whole future, like any resident supply).
+//! * **advance_to** — a block edge at the live clock's "now": every
+//!   supply releases the sessions that start at or before it, every
+//!   driver processes every event at or before it in exactly the order
+//!   the offline engine would and parks just past it, then syncs its
+//!   index against the published feed (the blocked replay's idle sweep).
 //! * **lookup** — read a neighborhood's current placement for a program
-//!   straight from its [`IndexServer`], without disturbing the lifecycle.
+//!   straight from its driver's [`IndexServer`], without disturbing the
+//!   lifecycle.
 //!
 //! Every strategy in the registry, fault plans, and enforcing
 //! admission/retry work unchanged — they live below the seams this
-//! module plugs into. There is one engine, [`serve_serial`]: one driver
-//! over the whole plant (the neighborhood range `0..N`, built by the same
-//! constructor as every offline driver), the online analogue of
-//! [`run`](super::run). Its
-//! final [`SimReport`] is **byte-identical** to the offline replay of the
-//! same session sequence — the loopback equivalence tests pin this per
-//! strategy.
+//! module plugs into. There is one engine, [`serve_serial`]. Its final
+//! [`SimReport`], the drivers' outcomes folded in neighborhood order, is
+//! **byte-identical** to the offline replay of the same session sequence
+//! — the loopback equivalence tests pin this per strategy.
 //!
 //! # Ordering contract
 //!
@@ -49,20 +50,18 @@
 //!    submission "in the past" can no longer be interleaved correctly).
 //!
 //! The epoch counter increments whenever an `advance_to` processed at
-//! least one event — a conservative over-approximation of "placement
+//! least one event, in any neighborhood — a conservative over-approximation of "placement
 //! state changed" that is always safe for front-tier response caches
 //! (they may re-ask the decision tier needlessly, but can never serve a
 //! stale placement as fresh).
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use cablevod_cache::{FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
-use cablevod_hfc::units::SimTime;
+use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
@@ -181,7 +180,7 @@ pub trait OnlineEngine {
     fn neighborhoods(&self) -> usize;
 }
 
-/// Runs the online engine (one driver, the whole plant) for the duration
+/// Runs the online engine (one driver per neighborhood) for the duration
 /// of `session`, then drains every remaining event and returns the
 /// callback's value together with the final report.
 ///
@@ -230,24 +229,41 @@ pub(super) fn serve<T>(
     let wfeed = strategy
         .needs_feed()
         .then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
-    let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0..nbhd_count));
-    let queue = SharedQueue::default();
-    let supply = LiveSupply {
-        queue: Rc::clone(&queue),
-        future: spec.schedule_records,
-    };
+    // Under a strategy that looks ahead, each driver's future is its own
+    // neighborhood's records of the schedule, gathered in one pass.
+    let ahead = spec
+        .schedule_records
+        .filter(|_| strategy.schedule_lookahead().is_some());
+    let mut futures = vec![Vec::new(); nbhd_count];
+    for rec in ahead.unwrap_or_default() {
+        futures[topo.neighborhood_of_user(rec.user)?.index()].push(rec);
+    }
+    let drivers = futures
+        .into_iter()
+        .enumerate()
+        .map(|(n, future)| {
+            let supply = LiveSupply {
+                staged: VecDeque::new(),
+                edge: Some(SimTime::EPOCH),
+                future: ahead.map(|_| future),
+            };
+            let feed = wfeed.as_ref().map(|f| SharedFeed::new(f, n));
+            parts.driver(n..n + 1, supply, feed, None)
+        })
+        .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {
-        driver: parts.driver(0..nbhd_count, supply, provider, None)?,
-        queue,
+        drivers,
         ingress: Ingress::new(&topo, spec, config, parts.segmenter, wfeed.as_ref()),
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
-    engine.driver.run()?;
-
-    let outcome = engine.driver.into_outcome();
-    let report = merge_outcomes([Ok(outcome)], spec.days, config)?;
+    let outcomes = engine.drivers.into_iter().map(|mut driver| {
+        driver.supply_mut().edge = None;
+        driver.run()?;
+        Ok(driver.into_outcome())
+    });
+    let report = merge_outcomes(outcomes, spec.days, config)?;
     Ok((
         value,
         report,
@@ -255,35 +271,42 @@ pub(super) fn serve<T>(
     ))
 }
 
-/// The staging queue a [`LiveSupply`] drains: the ingress pushes, the
-/// lifecycle pops. Single-threaded by construction (the decision tier is
-/// stepped cooperatively), hence `Rc<RefCell<..>>`.
-type SharedQueue = Rc<RefCell<VecDeque<PendingSession>>>;
-
-/// A [`RecordSupply`] over a caller-fed queue (whose sessions were
-/// published at submit — see [`Ingress::admit`]).
+/// One neighborhood's [`RecordSupply`]: the sessions the ingress routed
+/// to it (published at submit — see [`Ingress::admit`]), released up to
+/// the horizon the engine last advanced to.
 struct LiveSupply<'s> {
-    queue: SharedQueue,
-    /// [`OnlineSpec::schedule_records`]: the resident trace the caller
-    /// says it will submit, if it does.
-    future: Option<&'s [SessionRecord]>,
+    staged: VecDeque<PendingSession>,
+    /// The second after the last advanced horizon: sessions starting
+    /// before it are released and continuations run while they are
+    /// before it (see [`RecordSupply::resumes_at`]). `None` once the
+    /// engine drains: everything is released, and the supply is through
+    /// once it is empty.
+    edge: Option<SimTime>,
+    /// The neighborhood's records of [`OnlineSpec::schedule_records`],
+    /// under a strategy that looks ahead.
+    future: Option<Vec<&'s SessionRecord>>,
 }
 
 impl RecordSupply for LiveSupply<'_> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
-        Ok(self.queue.borrow().front().map(|p| (p.rec.start, p.gidx)))
+        Ok(self
+            .staged
+            .front()
+            .filter(|p| self.edge.is_none_or(|edge| p.rec.start < edge))
+            .map(|p| (p.rec.start, p.gidx)))
     }
 
     fn take(&mut self) -> PendingSession {
-        self.queue
-            .borrow_mut()
-            .pop_front()
-            .expect("a session is staged")
+        self.staged.pop_front().expect("a session is staged")
+    }
+
+    fn resumes_at(&self) -> Option<SimTime> {
+        self.edge
     }
 
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        let future = self.future?;
-        Some(Box::new(future.iter()))
+        let future = self.future.as_ref()?;
+        Some(Box::new(future.iter().copied()))
     }
 }
 
@@ -370,10 +393,10 @@ impl<'s> Ingress<'s> {
     }
 }
 
-/// The online engine: one [`SessionDriver`] over the whole plant.
+/// The online engine: one [`SessionDriver`] per neighborhood, in
+/// neighborhood order.
 struct SerialOnline<'s> {
-    driver: SessionDriver<'s, SharedFeed<'s>, LiveSupply<'s>>,
-    queue: SharedQueue,
+    drivers: Vec<SessionDriver<'s, SharedFeed<'s>, LiveSupply<'s>>>,
     ingress: Ingress<'s>,
     epoch: u64,
 }
@@ -381,33 +404,35 @@ struct SerialOnline<'s> {
 impl OnlineEngine for SerialOnline<'_> {
     fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
         let pending = self.ingress.admit(rec)?;
-        let gidx = pending.gidx;
-        self.queue.borrow_mut().push_back(pending);
-        Ok(gidx)
+        let driver = &mut self.drivers[pending.ctx.nbhd as usize];
+        driver.supply_mut().staged.push_back(pending);
+        Ok(pending.gidx)
     }
 
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
         self.ingress.note_advance(now)?;
-        match self.driver.step_until(Some(now))? {
-            Step::Horizon { progressed } => {
-                if progressed {
-                    self.epoch += 1;
-                }
-                Ok(progressed)
-            }
-            Step::Done => unreachable!("bounded steps never finish the run"),
+        let edge = now.saturating_add(SimDuration::from_secs(1));
+        let mut progressed = false;
+        for driver in &mut self.drivers {
+            driver.supply_mut().edge = Some(edge);
+            // An open supply always resumes, so the driver parks.
+            progressed |= matches!(driver.step()?, Step::Horizon { progressed: true });
+            driver.sync_published(now, self.ingress.next_gidx);
         }
+        if progressed {
+            self.epoch += 1;
+        }
+        Ok(progressed)
     }
 
     fn lookup(&self, nbhd: u32, program: ProgramId) -> Result<OnlinePlacement, SimError> {
-        let index = self
-            .driver
-            .indexes()
+        let driver = self
+            .drivers
             .get(nbhd as usize)
             .ok_or_else(|| SimError::Config {
                 reason: format!("unknown neighborhood {nbhd}"),
             })?;
-        Ok(OnlinePlacement::read(index, program))
+        Ok(OnlinePlacement::read(&driver.indexes()[0], program))
     }
 
     fn epoch(&self) -> u64 {
@@ -419,6 +444,6 @@ impl OnlineEngine for SerialOnline<'_> {
     }
 
     fn neighborhoods(&self) -> usize {
-        self.driver.indexes().len()
+        self.drivers.len()
     }
 }

@@ -360,7 +360,7 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
                 self.parts.topo,
                 &self.parts.segmenter,
             );
-            let feed = self.feed.map(|f| SharedFeed::new(f, nbhd..nbhd + 1));
+            let feed = self.feed.map(|f| SharedFeed::new(f, nbhd));
             let driver = self
                 .parts
                 .driver(nbhd..nbhd + 1, supply, feed, Some(&self.aborted));

@@ -410,11 +410,11 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
     std::fs::remove_file(&nm).ok();
 }
 
-/// The same law for the one idle sweep left online: the engine's single
-/// driver answers for every neighborhood, so it paces the sweep by
-/// records (`SessionDriver::step_until`, every reclamation granule of the
-/// carrier). Over the same workload, submitted a session at a time, live
-/// feed slots stay O(granule), not O(sessions submitted).
+/// The same law online: every `advance_to` is a block edge, and each
+/// neighborhood's driver, parked there, runs the blocked replay's idle
+/// sweep (`SessionDriver::sync_published`). Over the same workload,
+/// submitted a session at a time, live feed slots stay O(granule), not
+/// O(sessions submitted).
 #[test]
 fn idle_neighborhood_does_not_pin_the_online_feed() {
     let (trace, config) = idle_neighborhood_workload();
@@ -431,8 +431,9 @@ fn idle_neighborhood_does_not_pin_the_online_feed() {
     let peak = peak.expect("global LFU consumes the feed");
     // Without the sweep, neighborhood 1's cursor floors reclamation at
     // zero and every one of the 100k slots stays live (checked by
-    // commenting the `idle_sync` block out). With it, the floor trails
-    // the head by at most one stride plus segment rounding.
+    // removing the `sync_published` call from `advance_to`). With it,
+    // the floor trails the head by at most one advance plus segment
+    // rounding.
     assert!(
         peak <= 4 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
         "idle neighborhood pinned the feed: {peak} live slots for {} sessions",

@@ -1,9 +1,11 @@
 //! Conservation invariants: bytes must balance exactly across the plant.
 
-use cablevod_cache::{FillPolicy, StrategySpec};
+use cablevod_cache::{FillPolicy, StrategyRegistry, StrategySpec};
 use cablevod_hfc::units::{BitRate, DataSize};
-use cablevod_sim::{run, SimConfig};
-use cablevod_tests::medium_trace;
+use cablevod_sim::{run, SimConfig, Simulation};
+use cablevod_tests::{medium_trace, serve_trace, tiny_config};
+use cablevod_trace::source::ChunkedTrace;
+use cablevod_trace::synth::generate;
 
 /// Total watched bytes in the trace at the stream rate — the offered load.
 fn offered_bits(trace: &cablevod_trace::record::Trace) -> u64 {
@@ -108,4 +110,53 @@ fn stats_identities_hold() {
     assert!(s.capture_fills <= s.miss_not_materialized + s.miss_peer_busy + s.hits + 1);
     let rate = s.hit_rate();
     assert!((0.0..=1.0).contains(&rate));
+}
+
+/// A metamorphic relation (degenerate caches collapse to the baseline):
+/// with no storage on any box nothing can be served from a peer, so under
+/// every registry strategy the central server carries exactly
+/// `no-cache`'s bytes — in total, in every peak window and in every hour
+/// of the day — and the coax exactly its rates, through the reference
+/// `run`, a streamed `Simulation` on two workers and the online engine.
+#[test]
+fn zero_storage_collapses_every_strategy_to_no_cache() {
+    let trace = generate(&tiny_config(600, 120, 4, 29));
+    let chunked = ChunkedTrace::new(&trace, 256);
+    let base = config()
+        .with_neighborhood_size(200)
+        .with_per_peer_storage(DataSize::ZERO)
+        .with_warmup_days(1);
+    let no_cache = run(&trace, &base.clone().with_strategy(StrategySpec::NoCache)).expect("runs");
+    assert!(no_cache.server_total.as_bits() > 0);
+    for name in StrategyRegistry::builtin().names() {
+        let spec = StrategySpec::parse(name).expect("a registry name parses");
+        let config = base.clone().with_strategy(spec);
+        let paths = [
+            ("run", run(&trace, &config)),
+            (
+                "streamed on 2",
+                Simulation::over(&chunked)
+                    .config(config.clone())
+                    .threads(2)
+                    .run()
+                    .map(|outcome| outcome.report),
+            ),
+            (
+                "online",
+                serve_trace(&trace, &config, spec.factory().as_ref()),
+            ),
+        ];
+        for (path, report) in paths {
+            let report = report.unwrap_or_else(|e| panic!("{name} through {path}: {e}"));
+            let what = format!("{name} through {path}");
+            assert_eq!(report.server_total, no_cache.server_total, "{what}");
+            assert_eq!(report.server_peak, no_cache.server_peak, "{what}");
+            assert_eq!(report.server_hourly, no_cache.server_hourly, "{what}");
+            assert_eq!(report.coax_peak, no_cache.coax_peak, "{what}");
+            assert_eq!(
+                report.coax_per_neighborhood, no_cache.coax_per_neighborhood,
+                "{what}"
+            );
+        }
+    }
 }

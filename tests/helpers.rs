@@ -7,10 +7,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cablevod_cache::StrategySpec;
+use cablevod_cache::{StrategyFactory, StrategySpec};
+use cablevod_hfc::units::SimDuration;
 use cablevod_serve::{ClockSource, ServeStats, Server, ServerConfig};
 use cablevod_sim::engine::online::serve_serial;
-use cablevod_sim::{OnlineSpec, SimConfig, SimReport};
+use cablevod_sim::{OnlineSpec, SimConfig, SimError, SimReport};
 use cablevod_trace::record::Trace;
 use cablevod_trace::synth::{generate, SynthConfig};
 
@@ -67,6 +68,30 @@ pub fn spawn_serve(
         .expect("serve run")
     });
     (path, thread)
+}
+
+/// Replays `trace` through the online engine under `strategy` — advanced
+/// to the second before each new second's first session, so a
+/// continuation due at that second waits at the horizon for the
+/// sessions that start then — and returns the drained report.
+pub fn serve_trace(
+    trace: &Trace,
+    config: &SimConfig,
+    strategy: &dyn StrategyFactory,
+) -> Result<SimReport, SimError> {
+    let spec = OnlineSpec::from_source(trace);
+    let ((), report) = serve_serial(&spec, config, strategy, |engine| {
+        let mut second = None;
+        for &rec in trace.records() {
+            if second != Some(rec.start) {
+                second = Some(rec.start);
+                engine.advance_to(rec.start.saturating_sub(SimDuration::from_secs(1)))?;
+            }
+            engine.submit(rec)?;
+        }
+        Ok(())
+    })?;
+    Ok(report)
 }
 
 /// Connects to a server that may still be binding, with a 30 s read

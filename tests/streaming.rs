@@ -24,7 +24,7 @@ use cablevod_sim::{
     ResilienceOptions, RetryPolicy, Scenario, SimConfig, SimError, Simulation, SourceSpec,
     ThreadPolicy,
 };
-use cablevod_tests::tiny_config;
+use cablevod_tests::{serve_trace, tiny_config};
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::rechunk::{rechunk_by_neighborhood, rechunk_multi_index};
@@ -661,7 +661,8 @@ fn a_start_past_the_event_horizon_fails_closed_on_every_path() {
 /// back for the records the next block may still bring. Six half-hour
 /// programs over caches that hold four keep admissions, evictions and
 /// hits frequent, so processing one tie in the wrong order changes the
-/// report (checked by flipping the edge comparison in `step_until`).
+/// report (checked by flipping the edge comparison in
+/// `SessionDriver::step`).
 fn same_second_trace() -> Trace {
     let mut records = Vec::new();
     let mut x = 0x2007_u64;
@@ -686,14 +687,17 @@ fn same_second_trace() -> Trace {
 }
 
 /// The tie-break at block edges, swept: chunk sizes 1, 2, 3 and 64, in
-/// memory and from a `.cvtc`, on one worker and on two, for every
-/// registry strategy under counting and enforcing admission over a
-/// seeded fault plan — each equal to the resident run.
+/// memory and from a `.cvtc`, on one worker and on two, and online —
+/// advanced to the second before each new second's first submission, so
+/// every wave's continuations wait at an advanced horizon for the wave's
+/// sessions — for every registry strategy under counting and enforcing
+/// admission over a seeded fault plan, each equal to the resident run.
 fn same_second_ties_replay_exactly_across_block_edges() {
     let trace = same_second_trace();
     let faults = FaultPlan::seeded(11, 3, SimDuration::from_secs(6_000), 3, 2);
     let registry = StrategyRegistry::builtin();
     for name in registry.names() {
+        let factory = registry.resolve(name).expect("a registry strategy");
         for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
             let config = SimConfig::paper_default()
                 .with_neighborhood_size(4)
@@ -720,6 +724,9 @@ fn same_second_ties_replay_exactly_across_block_edges() {
                 name == "no-cache" || resident.cache.hits > 0,
                 "{name}: a replay with no hits cannot tell event orders apart"
             );
+            let online =
+                serve_trace(&trace, &config, factory.as_ref()).expect("online replay runs");
+            assert_eq!(online, resident, "online: {name}, {admission:?}");
             for chunk in [1u32, 2, 3, 64] {
                 let mut path = std::env::temp_dir();
                 path.push(format!("cvtc_ties_{}_{chunk}.cvtc", std::process::id()));
