@@ -95,7 +95,7 @@ fn lfu_on_access(c: &mut Criterion) {
     let costs: Vec<u32> = trace
         .catalog()
         .iter()
-        .map(|(_, info)| u32::from(segmenter.segment_count(info.length)))
+        .map(|(_, info)| segmenter.segment_count(info.length))
         .collect();
     let nbhds = groups.iter().copied().max().map_or(0, |g| g as usize + 1);
     let mut accesses: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); nbhds];

@@ -407,7 +407,10 @@ impl IndexServer {
         plant: &mut Plant<'_>,
     ) -> Result<(), CacheError> {
         AccessEvent::secs(now)?;
-        let cost = u32::from(self.segmenter.segment_count(length)) * u32::from(self.replication);
+        let cost = self
+            .segmenter
+            .segment_count(length)
+            .saturating_mul(u32::from(self.replication));
         // The fallible checks first (the event horizon above, the
         // Oracle's look-ahead coverage), then the infallible access hook.
         self.strategy.prepare(now)?;
@@ -465,6 +468,7 @@ impl IndexServer {
     ///
     /// Propagates unknown-peer failures from the plant (broken
     /// invariants).
+    #[inline]
     pub fn resolve_segment(
         &mut self,
         segment: SegmentId,
@@ -492,7 +496,7 @@ impl IndexServer {
             return Ok(Resolution::Miss(MissReason::NotMaterialized));
         }
         let seg_pos = usize::from(segment.index());
-        if !entry.copies.get(seg_pos).is_some_and(|copy| copy.present()) {
+        let Some(mut copy) = entry.copies.get(seg_pos).copied().filter(|c| c.present()) else {
             // Fig 4, step 4: the assigned peer(s) read the miss broadcast.
             if self.fill == FillPolicy::OnBroadcast {
                 if let Some(copy) = entry.copies.get_mut(seg_pos) {
@@ -503,17 +507,23 @@ impl IndexServer {
             self.note_modeled_fetch(program, now);
             self.stats.miss_not_materialized += 1;
             return Ok(Resolution::Miss(MissReason::NotMaterialized));
-        }
+        };
         // Try each replica in placement order until one has a free slot.
-        let count = self.segmenter.segment_count(entry.length);
+        // The first is the copy just read; only the others need the
+        // program's segment count to be found.
         for replica in 0..self.replication {
-            let pos = seg_pos + usize::from(replica) * usize::from(count);
-            let copy = entry.copies.get(pos).ok_or_else(|| {
-                let sid = SegmentId::new(program, segment.index() + u16::from(replica) * count);
-                CacheError::InconsistentState {
-                    reason: format!("admitted segment {sid} has no location"),
-                }
-            })?;
+            if replica > 0 {
+                let count = self.segmenter.segment_count(entry.length) as usize;
+                let pos = seg_pos + usize::from(replica) * count;
+                copy = *entry
+                    .copies
+                    .get(pos)
+                    .ok_or_else(|| CacheError::InconsistentState {
+                        reason: format!(
+                            "admitted segment {segment} has no location for replica {replica}"
+                        ),
+                    })?;
+            }
             let peer = self.ledger.peer(copy.slot());
             if plant.try_start_stream(peer, now, end)? {
                 self.stats.hits += 1;
@@ -563,7 +573,15 @@ impl IndexServer {
             });
         }
         let count = self.segmenter.segment_count(length);
-        let total = count * u16::from(self.replication);
+        let total = count
+            .checked_mul(u32::from(self.replication))
+            .and_then(|total| u16::try_from(total).ok())
+            .ok_or_else(|| CacheError::InconsistentState {
+                reason: format!(
+                    "admit of {program}: {count} segments x {} copies is more than an index counts",
+                    self.replication
+                ),
+            })?;
         let prefetch = self.fill == FillPolicy::Prefetch;
         let mut copies = Vec::with_capacity(usize::from(total));
         self.ledger.place(program, total, |slot| {

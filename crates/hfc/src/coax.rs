@@ -93,6 +93,7 @@ impl CoaxNetwork {
     }
 
     /// Records one segment broadcast over `[start, end)` of `size` bytes.
+    #[inline]
     pub fn record_broadcast(&mut self, start: SimTime, end: SimTime, size: DataSize) {
         self.broadcasts += 1;
         self.meter.record(start, end, size);

@@ -39,6 +39,18 @@ pub struct RateMeter {
     bits: Vec<u64>,
     total: DataSize,
     transfers: u64,
+    /// The bucket the last [`record`](Self::record) put its final share
+    /// into.
+    recent: RecentBucket,
+}
+
+/// A bucket of `bits` and its bounds in seconds, `[start, end)`; empty
+/// (`end == 0`) until the first transfer is recorded.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecentBucket {
+    index: usize,
+    start: u64,
+    end: u64,
 }
 
 impl RateMeter {
@@ -54,6 +66,7 @@ impl RateMeter {
             bits: Vec::new(),
             total: DataSize::ZERO,
             transfers: 0,
+            recent: RecentBucket::default(),
         }
     }
 
@@ -97,39 +110,72 @@ impl RateMeter {
     /// Records a transfer of `size` spread uniformly over `[start, end)`.
     /// A zero-length transfer is attributed entirely to `start`'s bucket.
     ///
+    /// The meter remembers the bucket the last transfer ended in, with its
+    /// bounds. A transfer that lies wholly inside that bucket is added to
+    /// it without a division: the split would put every one of its bits
+    /// there, so the bucket gets the same bits either way. Drivers record
+    /// in time order and a segment is shorter than a bucket, so most
+    /// transfers take that path — inlined into the caller, while the
+    /// split stays out of line.
+    ///
     /// # Panics
     ///
     /// Panics if `end < start`.
+    #[inline]
     pub fn record(&mut self, start: SimTime, end: SimTime, size: DataSize) {
         assert!(end >= start, "transfer must not end before it starts");
         self.total += size;
         self.transfers += 1;
         let bits = size.as_bits();
+        let (start, end) = (start.as_secs(), end.as_secs());
+        let recent = self.recent;
+        if recent.start <= start && start < recent.end && end <= recent.end {
+            self.bits[recent.index] += bits;
+            return;
+        }
+        self.split(start, end, bits);
+    }
+
+    /// [`record`](Self::record)'s proportional split of `bits` over
+    /// `[start, end)`, in seconds.
+    fn split(&mut self, start: u64, end: u64, bits: u64) {
         if bits == 0 {
             return;
         }
-        let dur = end.as_secs() - start.as_secs();
+        let blen = self.bucket_len.as_secs();
+        let first = start / blen;
+        let dur = end - start;
         if dur == 0 {
-            let b = self.bucket_of(start);
-            self.grow_to(b + 1);
-            self.bits[b] += bits;
+            self.add_to_last(first, bits);
             return;
         }
-        let blen = self.bucket_len.as_secs();
-        let first = start.as_secs() / blen;
-        let last = (end.as_secs() - 1) / blen;
+        let last = (end - 1) / blen;
         self.grow_to(last as usize + 1);
         let mut assigned = 0u64;
         for bucket in first..last {
             let bucket_end = (bucket + 1) * blen;
-            let overlap = bucket_end - start.as_secs().max(bucket * blen);
+            let overlap = bucket_end - start.max(bucket * blen);
             let share = bits * overlap / dur;
             self.bits[bucket as usize] += share;
             assigned += share;
         }
         // Remainder (including rounding residue) lands in the final bucket
         // so that recorded bits always sum exactly to `size`.
-        self.bits[last as usize] += bits - assigned;
+        self.add_to_last(last, bits - assigned);
+    }
+
+    /// Adds `bits` to `bucket`, the last one a transfer touches, and
+    /// remembers it for the next [`record`](Self::record).
+    fn add_to_last(&mut self, bucket: u64, bits: u64) {
+        let index = bucket as usize;
+        self.grow_to(index + 1);
+        self.bits[index] += bits;
+        let blen = self.bucket_len.as_secs();
+        self.recent = RecentBucket {
+            index,
+            start: bucket * blen,
+            end: (bucket + 1).saturating_mul(blen),
+        };
     }
 
     /// Average rate in bucket `bucket` (zero for untouched buckets).
@@ -476,6 +522,52 @@ mod tests {
             assert_eq!(
                 merged.bucket_size(bucket),
                 serial.bucket_size(bucket),
+                "bucket {bucket}"
+            );
+        }
+    }
+
+    /// The remembered bucket is a shortcut, not a second rule: a meter
+    /// recording a stream of transfers — mostly inside one bucket after
+    /// another, some straddling, some zero-length or empty, some jumping
+    /// back in time — holds exactly the bits of the merge of one fresh
+    /// meter per transfer, each of which splits without a memory.
+    #[test]
+    fn remembered_bucket_matches_a_fresh_split() {
+        let mut state = 0x5EED_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut meter = RateMeter::quarter_hourly();
+        let mut fresh = RateMeter::quarter_hourly();
+        let mut now = 0u64;
+        for _ in 0..5_000 {
+            now = match next(20) {
+                0 => now.saturating_sub(next(4_000)),
+                _ => now + next(400),
+            };
+            let len = [0, 1, 299, 300, 2_000][next(5) as usize];
+            let bits = [0, 1, 7, 2_418_000_000][next(4) as usize];
+            let (start, end, size) = (
+                SimTime::from_secs(now),
+                SimTime::from_secs(now + len),
+                DataSize::from_bits(bits),
+            );
+            meter.record(start, end, size);
+            let mut single = RateMeter::quarter_hourly();
+            single.record(start, end, size);
+            fresh.merge(&single);
+        }
+        assert_eq!(meter.total(), fresh.total());
+        assert_eq!(meter.transfers(), fresh.transfers());
+        assert_eq!(meter.bucket_count(), fresh.bucket_count());
+        for bucket in 0..meter.bucket_count() {
+            assert_eq!(
+                meter.bucket_size(bucket),
+                fresh.bucket_size(bucket),
                 "bucket {bucket}"
             );
         }

@@ -172,6 +172,7 @@ impl<'t> Plant<'t> {
     /// # Errors
     ///
     /// [`HfcError::UnknownPeer`] for a peer outside this plant.
+    #[inline]
     pub fn try_start_stream(
         &mut self,
         peer: PeerId,
@@ -190,6 +191,7 @@ impl<'t> Plant<'t> {
     /// # Errors
     ///
     /// [`HfcError::UnknownPeer`] for a peer outside this plant.
+    #[inline]
     pub fn start_stream_unchecked(
         &mut self,
         peer: PeerId,
@@ -211,6 +213,7 @@ impl<'t> Plant<'t> {
     /// `[start, end)` (Fig 4). The headend's rebroadcast is recorded
     /// separately, like any other segment's
     /// ([`record_broadcast`](Self::record_broadcast)).
+    #[inline]
     pub fn record_miss(&mut self, start: SimTime, end: SimTime, size: DataSize) {
         self.server.record(start, end, size);
     }
@@ -222,6 +225,7 @@ impl<'t> Plant<'t> {
     ///
     /// Returns [`HfcError::UnknownNeighborhood`] for a neighborhood outside
     /// this plant.
+    #[inline]
     pub fn record_broadcast(
         &mut self,
         nbhd: NeighborhoodId,

@@ -62,9 +62,13 @@ impl Segmenter {
     }
 
     /// Number of segments a program of length `len` is divided into.
-    /// A zero-length program has zero segments.
-    pub fn segment_count(&self, len: SimDuration) -> u16 {
-        len.as_secs().div_ceil(self.segment_len.as_secs()) as u16
+    /// A zero-length program has zero segments. Never truncated: a count
+    /// past `u32::MAX` reads as `u32::MAX`, which is still more than any
+    /// index counts (segment indexes are `u16`), so a caller that checks
+    /// the count against that bound refuses it.
+    pub fn segment_count(&self, len: SimDuration) -> u32 {
+        let count = len.as_secs().div_ceil(self.segment_len.as_secs());
+        u32::try_from(count).unwrap_or(u32::MAX)
     }
 
     /// Play length of segment `index` of a program of length `len` — the
@@ -76,7 +80,7 @@ impl Segmenter {
     pub fn segment_play_len(&self, len: SimDuration, index: u16) -> SimDuration {
         let count = self.segment_count(len);
         assert!(
-            index < count,
+            u32::from(index) < count,
             "segment index {index} out of range (program has {count})"
         );
         let start = self.segment_len.as_secs() * u64::from(index);
@@ -94,21 +98,24 @@ impl Segmenter {
     }
 
     /// The segment playing at offset `offset` into the program, or `None`
-    /// past the end.
+    /// past the end — or past the segments a `u16` index names.
     pub fn segment_at(&self, len: SimDuration, offset: SimDuration) -> Option<u16> {
         if offset >= len {
             return None;
         }
-        Some((offset.as_secs() / self.segment_len.as_secs()) as u16)
+        u16::try_from(offset.as_secs() / self.segment_len.as_secs()).ok()
     }
 
-    /// Iterator over the segment ids of `program` with length `len`.
+    /// Iterator over the segment ids of `program` with length `len`, up
+    /// to the last a `u16` index names.
     pub fn segments_of(
         &self,
         program: ProgramId,
         len: SimDuration,
     ) -> impl Iterator<Item = SegmentId> + use<> {
-        (0..self.segment_count(len)).map(move |i| SegmentId::new(program, i))
+        (0..self.segment_count(len))
+            .map_while(|i| u16::try_from(i).ok())
+            .map(move |i| SegmentId::new(program, i))
     }
 }
 
@@ -143,7 +150,7 @@ mod tests {
         let s = Segmenter::paper_default();
         for minutes in [1, 22, 45, 47, 100, 118] {
             let len = SimDuration::from_minutes(minutes);
-            let total: DataSize = (0..s.segment_count(len))
+            let total: DataSize = (0..s.segment_count(len) as u16)
                 .map(|i| s.segment_size(len, i))
                 .sum();
             assert_eq!(total, s.program_size(len), "length {minutes} min");
@@ -175,6 +182,24 @@ mod tests {
     fn out_of_range_segment_panics() {
         let s = Segmenter::paper_default();
         let _ = s.segment_play_len(SimDuration::from_minutes(10), 2);
+    }
+
+    /// One-second segments of a 20-hour program: 72 000 of them, more
+    /// than a `u16` counts. The count says so instead of wrapping to
+    /// 6 464, and no segment past the last a `u16` names is handed out.
+    #[test]
+    fn counts_past_a_u16_are_not_truncated() {
+        let s = Segmenter::new(SimDuration::from_secs(1), BitRate::STREAM_MPEG2_SD);
+        let len = SimDuration::from_hours(20);
+        assert_eq!(s.segment_count(len), 72_000);
+        assert_eq!(
+            s.segment_at(len, SimDuration::from_secs(65_535)),
+            Some(65_535)
+        );
+        assert_eq!(s.segment_at(len, SimDuration::from_secs(65_536)), None);
+        assert_eq!(s.segments_of(ProgramId::new(0), len).count(), 65_536);
+        let forever = SimDuration::from_secs(u64::MAX);
+        assert_eq!(s.segment_count(forever), u32::MAX);
     }
 
     #[test]

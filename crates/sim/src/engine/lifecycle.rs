@@ -2,7 +2,7 @@
 //!
 //! [`SessionDriver`] owns the discrete-event loop every engine entry
 //! point runs: interleave the next trace record with the continuation
-//! heap in time order, start sessions (viewer slot accounting, feed sync,
+//! queue in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
 //! the cache and the plant. One driver owns a contiguous range of
 //! neighborhoods — all of them (the whole-plant reference driver) or
@@ -28,9 +28,23 @@
 //! Either way the supply alone says where the driver parks
 //! ([`RecordSupply::resumes_at`]): at a block's edge, or just past the
 //! live clock's "now".
+//!
+//! # Continuations in arrival order
+//!
+//! A session's pending segment request (or backoff retry) waits in a
+//! [`ContinuationQueue`] keyed `(time, global index, segment)`, which pops
+//! in exactly the order a binary heap over those keys would: the key is
+//! unique, because a session has at most one continuation outstanding, so
+//! any structure that always pops the least key leaves no tie to break.
+//! What makes the queue cheap is the paper's own schedule: requests fall
+//! one segment apart (§IV-B.1) and events are handled in time order, so
+//! almost every continuation is pushed in key order and costs a deque
+//! append. A continuation pushed at the same second as a session start
+//! is inserted a few places from the back; a backoff retry or a first
+//! segment cut short by an unaligned seek offset may fall back to a heap.
+//! The fallback changes what a push costs, never the order of pops (see
+//! [`super::queue`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cablevod_cache::{AccessEvent, FeedEvent, FeedProvider, IndexServer, IndexStats, Resolution};
@@ -46,18 +60,20 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 
 use super::fault::{AdmissionControl, Verdict};
+use super::queue::ContinuationQueue;
 use super::report::RangeOutcome;
 
 /// Error reason used when a shard bails out because a sibling failed; the
 /// merge prefers the sibling's real error over this sentinel.
 pub(super) const ABORTED: &str = "aborted after a failure in another shard";
 
-/// Sentinel segment index marking a retry event on the continuation heap
+/// Sentinel segment index marking a retry event on the continuation queue
 /// (a refused session's backoff re-attempt, not a segment request). Real
-/// segment indices never reach it — a program would need 2^16 segments —
-/// and it sorts after every real segment at the same `(time, gidx)`, in
-/// both the serial and the sharded heap, so retry ordering is
-/// deterministic across drivers.
+/// segment indices never reach it — every run refuses, before any driver
+/// exists, a catalog with a program of more copies than a `u16` counts
+/// (`DriverParts::new`), so a real index is below `u16::MAX` — and it
+/// sorts after every real segment at the same `(time, gidx)`, on every
+/// driver, so retry ordering is deterministic across drivers.
 pub(super) const RETRY_SEG: u16 = u16::MAX;
 
 /// Everything the hot loop needs about one session, precomputed (resident
@@ -111,7 +127,10 @@ pub(super) fn session_ctx(
         length,
         watched: rec.watched(length),
         offset,
-        first_seg: (offset / seg_len) as u16,
+        // The offset is clamped to the program, and every run's catalog
+        // check (`DriverParts::new`) bounds the program's segments.
+        first_seg: u16::try_from(offset / seg_len)
+            .expect("the catalog check bounds every segment index"),
     })
 }
 
@@ -127,7 +146,7 @@ pub(super) fn feed_event(
         time: rec.start,
         neighborhood: NeighborhoodId::new(ctx.nbhd),
         program: rec.program,
-        cost: u32::from(segmenter.segment_count(ctx.length)) * u32::from(config.replication()),
+        cost: segmenter.segment_count(ctx.length) * u32::from(config.replication()),
     }
 }
 
@@ -234,9 +253,9 @@ struct ActiveSlot {
 }
 
 /// Slab of in-flight sessions: the driver retains only records whose
-/// continuation events are still in the heap, keyed by a reusable slot id
-/// carried alongside the heap entry (the slot never participates in event
-/// ordering — heap keys stay `(time, global index, segment)`).
+/// continuation events are still queued, keyed by a reusable slot id
+/// carried alongside the queue entry (the slot never participates in event
+/// ordering — keys stay `(time, global index, segment)`).
 #[derive(Debug, Default)]
 pub(super) struct ActiveSessions {
     slots: Vec<ActiveSlot>,
@@ -338,8 +357,10 @@ pub(super) struct SessionDriver<'a, F, R> {
     /// Continuation events: (segment start, global record index, segment
     /// index, active-session slot). The slot is payload, not key — ties on
     /// it are impossible because a session has at most one outstanding
-    /// continuation.
-    heap: BinaryHeap<Reverse<(SimTime, u32, u16, u32)>>,
+    /// continuation. Popped least first, exactly as a heap would pop
+    /// them; a push costs a deque append when it arrives in key order, as
+    /// all but retries and cut-short seeks do (see the module docs).
+    queue: ContinuationQueue<(SimTime, u32, u16, u32)>,
     counters: EngineCounters,
     config: &'a SimConfig,
     segmenter: Segmenter,
@@ -379,7 +400,7 @@ where
             indexes,
             index_base,
             active: ActiveSessions::default(),
-            heap: BinaryHeap::new(),
+            queue: ContinuationQueue::default(),
             counters: EngineCounters::default(),
             config,
             segmenter,
@@ -410,7 +431,7 @@ where
             self.supply.read_ahead(|nbhd, events, covered| {
                 Ok(indexes[(nbhd - base) as usize].extend_schedule(events, covered)?)
             })?;
-            let take_record = match (staged, self.heap.peek()) {
+            let take_record = match (staged, self.queue.peek()) {
                 (None, None) => {
                     if self.supply.resumes_at().is_some() {
                         return Ok(Step::Horizon { progressed });
@@ -421,21 +442,20 @@ where
                     return Ok(Step::Done);
                 }
                 (Some(_), None) => true,
-                (None, Some(&Reverse((t, _, _, _)))) => {
+                (None, Some(&(t, _, _, _))) => {
                     if self.supply.resumes_at().is_some_and(|edge| t >= edge) {
                         return Ok(Step::Horizon { progressed });
                     }
                     false
                 }
-                (Some((start, _)), Some(&Reverse((t, _, _, _)))) => start <= t,
+                (Some((start, _)), Some(&(t, _, _, _))) => start <= t,
             };
 
             if take_record {
                 let session = self.supply.take();
                 self.start_session(&session)?;
             } else {
-                let Reverse((at, gidx, seg_idx, slot)) =
-                    self.heap.pop().expect("peeked entry exists");
+                let (at, gidx, seg_idx, slot) = self.queue.pop().expect("peeked entry exists");
                 if seg_idx == RETRY_SEG {
                     self.retry_session(at, gidx, slot)?;
                 } else {
@@ -445,7 +465,7 @@ where
                     } else {
                         let cont = self.process_segment(&rec, &ctx, seg_idx)?;
                         match cont {
-                            Some((t, seg)) => self.heap.push(Reverse((t, gidx, seg, slot))),
+                            Some((t, seg)) => self.queue.push((t, gidx, seg, slot)),
                             None => self.active.remove(slot),
                         }
                     }
@@ -471,6 +491,13 @@ where
     /// these between steps).
     pub(super) fn indexes(&self) -> &[IndexServer] {
         &self.indexes
+    }
+
+    /// The continuation queue's pushes so far, and how many of them fell
+    /// back to its heap.
+    #[cfg(test)]
+    pub(super) fn queue_counts(&self) -> (u64, u64) {
+        (self.queue.pushed(), self.queue.spilled())
     }
 
     /// The supply, for a caller that hands it work between steps (the
@@ -514,7 +541,7 @@ where
                 self.publish_access(*gidx, rec, ctx)?;
                 let slot = self.active.insert(*rec, *ctx);
                 self.active.bump_retries(slot);
-                self.heap.push(Reverse((at, *gidx as u32, RETRY_SEG, slot)));
+                self.queue.push((at, *gidx as u32, RETRY_SEG, slot));
                 Ok(())
             }
             Verdict::Blocked => self.publish_access(*gidx, rec, ctx),
@@ -554,7 +581,7 @@ where
         if ctx.watched.as_secs() > 0 {
             if let Some((t, seg)) = self.process_segment(rec, ctx, ctx.first_seg)? {
                 let slot = self.active.insert(*rec, *ctx);
-                self.heap.push(Reverse((t, gidx as u32, seg, slot)));
+                self.queue.push((t, gidx as u32, seg, slot));
             }
         }
         Ok(())
@@ -611,14 +638,14 @@ where
                     None
                 };
                 match cont {
-                    Some((t, seg)) => self.heap.push(Reverse((t, gidx, seg, slot))),
+                    Some((t, seg)) => self.queue.push((t, gidx, seg, slot)),
                     None => self.active.remove(slot),
                 }
                 Ok(())
             }
             Verdict::Retry { at } => {
                 self.active.bump_retries(slot);
-                self.heap.push(Reverse((at, gidx, RETRY_SEG, slot)));
+                self.queue.push((at, gidx, RETRY_SEG, slot));
                 Ok(())
             }
             Verdict::Blocked => {

@@ -27,7 +27,7 @@
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose, through DriverParts::driver (mod.rs — the one place a
 //!        ▼ driver is built, for a contiguous range of neighborhoods)
-//!  SessionDriver                 (lifecycle.rs — THE event loop: record/heap
+//!  SessionDriver                 (lifecycle.rs — THE event loop: record/queue
 //!        │                        interleave, session start, segment resolve)
 //!        │ is generic over
 //!        ├─► RecordSupply        (stream.rs — where sessions come from)
@@ -77,11 +77,17 @@
 //!
 //! | driver               | entry                                     | supply                           | feed              | range    | scheduling                               |
 //! |----------------------|-------------------------------------------|----------------------------------|-------------------|----------|------------------------------------------|
-//! | whole-plant resident | `run` over a resident source              | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one global event heap            |
+//! | whole-plant resident | `run` over a resident source              | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one queue for the whole plant    |
 //! | sharded resident     | `Simulation` (any policy), `run_parallel` | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
 //! | streaming            | any, over a chunked source                | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
 //! |                      |                                           | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
 //! | online               | `online::serve_serial`                    | `LiveSupply`                     | `SharedFeed`      | `n..n+1` | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//!
+//! Every driver keeps its pending segment requests and retries in one
+//! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
+//! in exactly a heap's order, and a push that arrives in key order, or a
+//! few places short of it, costs a deque operation — on the benchmark's
+//! traces every push does, at every range.
 //!
 //! A resident shard is faster than its share of the whole-plant driver
 //! even on one thread, and it is the contiguous run that makes it so:
@@ -104,11 +110,11 @@
 //!   moves the block's records into neighborhood-grouped order, in place;
 //!   then every shard runs through its own contiguous run of the block
 //!   and on to — strictly before — the start of the last record the block
-//!   decoded, and carries its continuation heap into
+//!   decoded, and carries its continuation queue into
 //!   the next block (records sort ahead of continuations at an equal
 //!   second, and the next block may start at that very second). A
 //!   neighborhood's sessions are thus replayed a block's worth at a
-//!   stretch against its own working set, instead of one global heap
+//!   stretch against its own working set, instead of one global queue
 //!   hopping between all of them, and decode work is one pass over the
 //!   file at any worker count.
 //! * The **sweep fast path**: a neighborhood-major file (re-chunked at
@@ -182,6 +188,7 @@
 mod fault;
 mod lifecycle;
 pub mod online;
+mod queue;
 mod report;
 mod shard;
 mod stream;
@@ -220,7 +227,7 @@ use stream::ResidentSupply;
 /// repo benchmark's reference runs, most tests) say it shorter this way.
 ///
 /// Over a resident [`Trace`](cablevod_trace::record::Trace) this is the
-/// **whole-plant reference driver** — one driver, one global event heap
+/// **whole-plant reference driver** — one driver, one continuation queue
 /// against the whole plant, over a precomputed context table — and the
 /// only way to it: the [`Simulation`](crate::Simulation) builder, serial
 /// or not, replays a resident source per neighborhood. It is kept
@@ -348,9 +355,9 @@ fn fastpath_layout<'s, S: TraceSource + ?Sized>(
         .filter(|layout| layout.group_count() == nbhd_count && !strategy.needs_feed())
 }
 
-/// Session indices ride in `u32` heap entries on every path (resident and
-/// streaming), so traces beyond 2^32 records are rejected up front rather
-/// than silently wrapping.
+/// Session indices ride in `u32` continuation keys on every path
+/// (resident and streaming), so traces beyond 2^32 records are rejected
+/// up front rather than silently wrapping.
 fn check_record_count<S: TraceSource + ?Sized>(source: &S) -> Result<(), SimError> {
     if source.record_count() > u64::from(u32::MAX) {
         return Err(SimError::Config {
@@ -379,6 +386,35 @@ fn build_topology_for(users: u32, config: &SimConfig) -> Result<Topology, SimErr
     )?)
 }
 
+/// Refuses a catalog with a program whose copies an index server cannot
+/// count. A program's `count` segments are stored as `count × replication`
+/// copies, each named by a `u16` segment index (replica `j` of segment `i`
+/// is `i + j × count`, see `cablevod_cache::index`), and the lifecycle
+/// keeps `u16::MAX` for its retry sentinel; so at most `u16::MAX` copies a
+/// program fit, and one more would wrap an index into another segment's —
+/// or into a retry.
+fn check_catalog(
+    catalog: &ProgramCatalog,
+    segmenter: &Segmenter,
+    replication: u8,
+) -> Result<(), SimError> {
+    for (program, info) in catalog.iter() {
+        let count = segmenter.segment_count(info.length);
+        let copies = u64::from(count) * u64::from(replication);
+        if copies > u64::from(u16::MAX) {
+            return Err(SimError::Config {
+                reason: format!(
+                    "{program} has {count} segments of {} s; at replication {replication} \
+                     that is {copies} copies, more than the {} an index counts",
+                    segmenter.segment_len().as_secs(),
+                    u16::MAX
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// What every driver of one run is built from: who lives where, and how a
 /// neighborhood's index server is configured on it. Box and coax
 /// parameters are the topology's ([`build_topology_for`] copied them there),
@@ -396,30 +432,33 @@ struct DriverParts<'a> {
 }
 
 impl<'a> DriverParts<'a> {
+    /// The parts of one run, after [`check_catalog`] has refused a catalog
+    /// the index servers cannot carry — on every plan, before any driver
+    /// exists.
     fn new(
         topo: &'a Topology,
         catalog: &'a ProgramCatalog,
         config: &'a SimConfig,
         strategy: &'a dyn StrategyFactory,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
         let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
+        check_catalog(catalog, &segmenter, config.replication())?;
         let costs = strategy.schedule_lookahead().map(|_| {
             catalog
                 .iter()
                 .map(|(_, info)| {
-                    u32::from(segmenter.segment_count(info.length))
-                        * u32::from(config.replication())
+                    segmenter.segment_count(info.length) * u32::from(config.replication())
                 })
                 .collect()
         });
-        DriverParts {
+        Ok(DriverParts {
             topo,
             catalog,
             config,
             segmenter,
             costs,
             strategy,
-        }
+        })
     }
 
     /// The one pass a resident run makes over its records before any
@@ -546,7 +585,7 @@ impl<'a> DriverParts<'a> {
 
 /// The whole-plant reference driver over a fully resident record slice:
 /// precomputed contexts and feed, the whole look-ahead handed over up
-/// front; one driver, one global event heap, the whole plant. Only
+/// front; one driver, one continuation queue, the whole plant. Only
 /// [`run`] comes here: a resident source is otherwise replayed by
 /// `shard::run_parallel_resident` at every worker count (faster on one
 /// thread already, by locality). This driver stays because a reference
@@ -562,7 +601,7 @@ fn run_resident<S: TraceSource + ?Sized>(
     check_record_count(source)?;
     config.validate()?;
     let topo = build_topology(source, config)?;
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
     let mut ctxs = Vec::with_capacity(records.len());
     let feed = parts.survey(records, |ctx| ctxs.push(ctx))?;
 

@@ -224,7 +224,7 @@ pub(super) fn serve<T>(
     }
     let topo = build_topology_for(spec.user_count, config)?;
     let nbhd_count = topo.neighborhood_count();
-    let parts = DriverParts::new(&topo, spec.catalog, config, strategy);
+    let parts = DriverParts::new(&topo, spec.catalog, config, strategy)?;
 
     let wfeed = strategy
         .needs_feed()

@@ -60,7 +60,7 @@ use crate::runner;
 /// one and lists each neighborhood's record indices; then every shard is
 /// a job on the work-stealing pool that gathers its own records into one
 /// contiguous run ([`GatheredSupply`]), replays it front to back
-/// interleaved with its continuation heap — exactly the relative order
+/// interleaved with its continuation queue — exactly the relative order
 /// the whole-plant driver would process them in — with the precomputed
 /// feed shared read-only, and is dropped, plant and all, when done. With
 /// `threads == 1` the jobs run inline on the caller's thread, one
@@ -74,7 +74,7 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
 ) -> Result<SimReport, SimError> {
     config.validate()?;
     let topo = build_topology(source, config)?;
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
 
     let (members, feed) = resident_members(&parts, records)?;
 
@@ -140,7 +140,7 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     // A strategy that looks ahead is fed its future by whoever supplies
     // its neighborhood's records, as the replay goes.
     let lookahead = strategy.schedule_lookahead();
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy);
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
 
     let mut streamed = Streamed {
         fastpath: false,
@@ -377,7 +377,7 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
 
     /// Carries worker `w`'s stripe of shards to their endings: block by
     /// block, every shard runs through its run of the block and on to —
-    /// strictly before — the block's edge, carrying its continuation heap
+    /// strictly before — the block's edge, carrying its continuation queue
     /// into the next block; the final block has no edge and runs every
     /// shard out. `demux` is `Some` on the caller's thread, which decodes
     /// the next block while the others wait for it.

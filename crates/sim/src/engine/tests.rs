@@ -725,7 +725,8 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     let (trace, config) = uneven_workload();
     let strategy = config.strategy().factory();
     let topo = build_topology(&trace, &config).expect("topology");
-    let parts = DriverParts::new(&topo, trace.catalog(), &config, strategy.as_ref());
+    let parts =
+        DriverParts::new(&topo, trace.catalog(), &config, strategy.as_ref()).expect("parts");
     let seg_len = parts.segmenter.segment_len().as_secs();
     let records = trace.records();
 
@@ -770,7 +771,8 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         lag: SimDuration::ZERO,
     }
     .factory();
-    let feeding = DriverParts::new(&topo, trace.catalog(), &config, global.as_ref());
+    let feeding =
+        DriverParts::new(&topo, trace.catalog(), &config, global.as_ref()).expect("parts");
     let (_, feed) = shard::resident_members(&feeding, records).expect("survey");
     assert_eq!(
         feed.expect("global lfu takes the feed").len(),
@@ -907,4 +909,84 @@ fn active_sessions_bound_allocation_by_concurrency() {
         "slab grew to {} slots for 4-concurrent sessions",
         slab.allocated()
     );
+}
+
+/// The continuation queue's (pushes, spills) over a replay of `trace`:
+/// on the whole-plant driver, and summed over the per-neighborhood
+/// drivers of the resident plan.
+fn queue_counts(trace: &Trace, config: &SimConfig) -> [(u64, u64); 2] {
+    use super::stream::GatheredSupply;
+
+    let strategy = config.strategy().factory();
+    let topo = build_topology(trace, config).expect("topology");
+    let parts = DriverParts::new(&topo, trace.catalog(), config, strategy.as_ref()).expect("parts");
+    let records = trace.records();
+    let mut ctxs = Vec::new();
+    let feed = parts.survey(records, |ctx| ctxs.push(ctx)).expect("survey");
+    let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
+    let supply = ResidentSupply::new(records, &ctxs);
+    let mut whole = parts
+        .driver(0..topo.neighborhood_count(), supply, provider, None)
+        .expect("whole-plant driver");
+    whole.run().expect("whole-plant replay");
+
+    let (members, feed) = shard::resident_members(&parts, records).expect("survey");
+    let mut sharded = (0, 0);
+    for (n, members) in members.iter().enumerate() {
+        let supply =
+            GatheredSupply::gather(records, members, trace.catalog(), &topo, &parts.segmenter);
+        let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
+        let mut driver = parts
+            .driver(n..n + 1, supply, provider, None)
+            .expect("shard driver");
+        driver.run().expect("shard replay");
+        let (pushed, spilled) = driver.queue_counts();
+        sharded = (sharded.0 + pushed, sharded.1 + spilled);
+    }
+    [whole.queue_counts(), sharded]
+}
+
+/// What the continuation queue's cheap path rests on, counted: on a trace
+/// whose seeks all sit on segment boundaries every continuation is
+/// appended or inserted within reach, on the whole-plant driver and on
+/// every shard — nothing falls back to the heap. Unaligned seeks and the
+/// retries of enforcing admission under a fault plan do fall back, on
+/// both shapes, and replay exactly all the same
+/// (`tests/streaming.rs::unaligned_seeks_and_retries_replay_exactly_on_every_path`).
+#[test]
+fn only_unaligned_seeks_and_retries_leave_arrival_order() {
+    use crate::config::{AdmissionMode, RetryPolicy};
+    use cablevod_hfc::fault::FaultPlan;
+
+    let aligned = SynthConfig {
+        seek_prob: 0.3,
+        ..SynthConfig::smoke_test()
+    };
+    let trace = generate(&SynthConfig {
+        users: 600,
+        programs: 150,
+        days: 6,
+        ..aligned.clone()
+    });
+    for counts in queue_counts(&trace, &base_config()) {
+        assert!(counts.0 > 10_000, "{counts:?}");
+        assert_eq!(counts.1, 0, "an aligned replay spills nothing: {counts:?}");
+    }
+
+    let unaligned = generate(&SynthConfig {
+        users: 600,
+        programs: 150,
+        days: 6,
+        seek_boundary_secs: 120,
+        ..aligned
+    });
+    let faulty = base_config()
+        .with_faults(FaultPlan::seeded(13, 3, SimDuration::from_days(6), 12, 4))
+        .with_admission(AdmissionMode::Enforcing)
+        .with_retry(RetryPolicy::paper_default());
+    for config in [base_config(), faulty] {
+        for counts in queue_counts(&unaligned, &config) {
+            assert!(counts.1 > 0, "{counts:?}");
+        }
+    }
 }

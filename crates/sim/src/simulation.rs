@@ -58,7 +58,7 @@ pub enum ThreadPolicy {
     /// — with every shard on that one worker: over a resident source one
     /// neighborhood after the other, each built when started and dropped
     /// when done; over a streaming source block by block. (The whole-plant
-    /// driver — one event heap for every neighborhood — is
+    /// driver — one continuation queue for every neighborhood — is
     /// [`run`](crate::run) over a resident source: the reference, not a
     /// policy.)
     #[default]

@@ -1,11 +1,15 @@
 //! Conservation invariants: bytes must balance exactly across the plant.
 
+use std::collections::HashSet;
+
 use cablevod_cache::{FillPolicy, StrategyRegistry, StrategySpec};
-use cablevod_hfc::units::{BitRate, DataSize};
+use cablevod_hfc::topology::{Topology, TopologyConfig};
+use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
 use cablevod_sim::{run, SimConfig, Simulation};
 use cablevod_tests::{medium_trace, serve_trace, tiny_config};
+use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
-use cablevod_trace::synth::generate;
+use cablevod_trace::synth::{generate, SynthConfig};
 
 /// Total watched bytes in the trace at the stream rate — the offered load.
 fn offered_bits(trace: &cablevod_trace::record::Trace) -> u64 {
@@ -157,6 +161,116 @@ fn zero_storage_collapses_every_strategy_to_no_cache() {
                 report.coax_per_neighborhood, no_cache.coax_per_neighborhood,
                 "{what}"
             );
+        }
+    }
+}
+
+/// The bits of the compulsory misses of a replay of `trace` under
+/// `config`: every segment request the trace implies — a session
+/// watches `[offset, offset + watched)` of its program, one request per
+/// segment it overlaps, at the second playback reaches it — ordered as
+/// the paper's event loop orders them (time; at one second, session
+/// starts before continuations; then record index), and of those the
+/// first to each (neighborhood, program, segment), counted at the bits
+/// it streams. Written from the records, the public `Topology` and
+/// segment arithmetic alone.
+fn compulsory_miss_bits(trace: &Trace, config: &SimConfig) -> u64 {
+    let topo = Topology::build(TopologyConfig::new(
+        trace.user_count(),
+        config.neighborhood_size(),
+    ))
+    .expect("topology");
+    let seg = config.segment_len().as_secs();
+    let bps = config.stream_rate().as_bps();
+    let mut requests = Vec::new();
+    for (gidx, rec) in trace.iter().enumerate() {
+        let length = trace.catalog().length(rec.program).expect("valid program");
+        let nbhd = topo.neighborhood_of_user(rec.user).expect("placed").index();
+        let offset = rec.offset.min(length).as_secs();
+        let end = offset + rec.watched(length).as_secs();
+        let mut pos = offset;
+        while pos < end {
+            let k = pos / seg;
+            let upto = ((k + 1) * seg).min(end);
+            let at = rec.start.as_secs() + (pos - offset);
+            let continuation = pos != offset;
+            requests.push((
+                at,
+                continuation,
+                gidx,
+                (nbhd, rec.program, k),
+                (upto - pos) * bps,
+            ));
+            pos = upto;
+        }
+    }
+    requests.sort_unstable();
+    let mut seen = HashSet::new();
+    requests
+        .into_iter()
+        .filter(|&(_, _, _, segment, _)| seen.insert(segment))
+        .map(|(.., bits)| bits)
+        .sum()
+}
+
+/// A metamorphic relation (compulsory misses): with storage for the
+/// whole catalog in every neighborhood and the stream-slot limit lifted
+/// (255), a strategy that admits what is accessed and never evicts with
+/// room to spare fetches each segment from the central server exactly
+/// once per neighborhood — at its first request, whose bits are what that
+/// request streams (a seek or an early stop streams part of a segment) —
+/// and serves every later request from the peer that captured it. So
+/// `server_total` equals [`compulsory_miss_bits`], computed without the
+/// engine, on a trace that seeks to jump points two minutes apart.
+///
+/// It holds for `lfu`, `lru`, `arc`, `delayed-lfu` (its fetch model
+/// moves no bytes) and `global-lfu` (feed admissions of programs watched
+/// elsewhere are captured off the first local broadcast, like any
+/// other), through the reference `run` and a `Simulation` on two
+/// workers. It does not hold, by design, for the other four: `no-cache`
+/// serves everything from the server; `oracle` and `prior-storing` push
+/// content before its first local request, so the server carries less;
+/// `tlru` expires content that is then fetched again, so it carries more.
+#[test]
+fn full_storage_fetches_each_segment_once_per_neighborhood() {
+    let trace = generate(&SynthConfig {
+        seek_prob: 0.3,
+        seek_boundary_secs: 120,
+        ..tiny_config(600, 120, 4, 31)
+    });
+    let nominal = BitRate::STREAM_MPEG2_SD * SimDuration::from_minutes(5);
+    let catalog_slots: u64 = trace
+        .catalog()
+        .iter()
+        .map(|(_, info)| info.length.as_secs().div_ceil(300))
+        .sum();
+    // 200 subscribers a neighborhood, the last one 200 too: each peer's
+    // share of the catalog, rounded up.
+    let base = config()
+        .with_neighborhood_size(200)
+        .with_per_peer_storage(nominal * catalog_slots.div_ceil(200))
+        .with_stream_slots(255)
+        .with_warmup_days(0);
+    let compulsory = compulsory_miss_bits(&trace, &base);
+    for name in StrategyRegistry::builtin().names() {
+        let config = base
+            .clone()
+            .with_strategy(StrategySpec::parse(name).expect("a registry name parses"));
+        let reference = run(&trace, &config).expect("runs");
+        let sharded = Simulation::over(&trace)
+            .config(config.clone())
+            .threads(2)
+            .run()
+            .expect("runs")
+            .report;
+        for (path, report) in [("run", reference), ("2 workers", sharded)] {
+            let server = report.server_total.as_bits();
+            let what = format!("{name} through {path}: server {server}, compulsory {compulsory}");
+            match name {
+                "no-cache" | "tlru" => assert!(server > compulsory, "{what}"),
+                "oracle" | "prior-storing" => assert!(server < compulsory, "{what}"),
+                _ => assert_eq!(server, compulsory, "{what}"),
+            }
         }
     }
 }

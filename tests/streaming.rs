@@ -21,8 +21,8 @@ use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
     run, run_parallel, serve_serial, AdmissionMode, AxisPoint, CellResult, FaultPlan, OnlineSpec,
-    ResilienceOptions, RetryPolicy, Scenario, SimConfig, SimError, Simulation, SourceSpec,
-    ThreadPolicy,
+    ResilienceOptions, RetryPolicy, Scenario, SimConfig, SimError, SimReport, Simulation,
+    SourceSpec, ThreadPolicy,
 };
 use cablevod_tests::{serve_trace, tiny_config};
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
@@ -30,7 +30,7 @@ use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::rechunk::{rechunk_by_neighborhood, rechunk_multi_index};
 use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::{ChunkedTrace, TraceSource};
-use cablevod_trace::synth::generate;
+use cablevod_trace::synth::{generate, SynthConfig};
 
 /// The strategy matrix the equivalence properties sweep: the paper's five
 /// (Global LFU's feed consumption exercises the watermark feed the
@@ -651,6 +651,133 @@ fn a_start_past_the_event_horizon_fails_closed_on_every_path() {
     std::fs::remove_file(&nm).ok();
 }
 
+/// Every path a run can take: the reference run, a resident and a
+/// streamed `Simulation` on one worker and on two, and the online engine.
+fn every_path(trace: &Trace, config: &SimConfig) -> Vec<(String, Result<SimReport, SimError>)> {
+    let mut outcomes = vec![("reference".to_string(), run(trace, config))];
+    let chunked = ChunkedTrace::new(trace, 5);
+    for (source, how) in [
+        (trace as &dyn TraceSource, "resident"),
+        (&chunked, "streamed"),
+    ] {
+        for threads in [1, 2] {
+            let replay = Simulation::over(source)
+                .config(config.clone())
+                .threads(threads)
+                .run();
+            outcomes.push((format!("{how} on {threads}"), replay.map(|o| o.report)));
+        }
+    }
+    let online = serve_trace(trace, config, config.strategy().factory().as_ref());
+    outcomes.push(("online".to_string(), online));
+    outcomes
+}
+
+/// A program's copies are named by `u16` segment indexes, so a catalog
+/// program of more than `u16::MAX` copies (segments × replication) is
+/// refused by name before any driver exists, on every path — never a
+/// wrapped index, a "broken invariant" or an overflow panic. The repro:
+/// one-second segments ten times over, which the synthetic catalog's
+/// two-hour programs need 72 000 copies for; through a `.scn` spec the
+/// cell fails with the same error and its sibling completes. The exact
+/// edge, at replication 5 and at 1: a program of `u16::MAX` copies is
+/// placed whole and replays alike on every path; one segment more is
+/// refused.
+#[test]
+fn a_program_with_more_copies_than_an_index_counts_fails_closed_on_every_path() {
+    let refused =
+        |what: &str, outcome: Result<SimReport, SimError>, segments: &str, r: u8| match outcome {
+            Err(SimError::Config { reason }) => assert!(
+                reason.contains(&format!("has {segments} segments of 1 s"))
+                    && reason.contains(&format!("at replication {r}"))
+                    && reason.contains("more than the 65535 an index counts"),
+                "{what}: {reason}"
+            ),
+            other => panic!("{what}: {other:?}"),
+        };
+    let trace = generate(&tiny_config(300, 40, 2, 7));
+    let config = config_for(100, 2, StrategySpec::default_lfu())
+        .with_segment_len(SimDuration::from_secs(1))
+        .with_replication(10);
+    let segments = trace
+        .catalog()
+        .iter()
+        .map(|(_, info)| info.length.as_secs())
+        .find(|&secs| secs * 10 > 65_535)
+        .expect("a program too long")
+        .to_string();
+    for (what, outcome) in every_path(&trace, &config) {
+        refused(&what, outcome, &segments, 10);
+    }
+
+    let spec = "name = overflow\nthreads = serial\n\n\
+                [source]\nkind = synth\npreset = smoke_test\nusers = 300\nprograms = 40\n\
+                days = 2\nseed = 7\n\n\
+                [config]\nstrategy = lfu\nneighborhood_size = 100\nsegment_len_secs = 1\n\n\
+                [series]\nTen = replication=10\nOne = replication=1\n";
+    let scenario = Scenario::from_spec_str(spec).expect("the spec parses");
+    let options = ResilienceOptions {
+        keep_going: true,
+        ..ResilienceOptions::default()
+    };
+    let grid = scenario
+        .execute_resilient(&StrategyRegistry::builtin(), &options, &|_| {})
+        .expect("the grid survives the refused cell");
+    match &grid.cells[0].result {
+        CellResult::Failed { error, .. } => refused(
+            ".scn",
+            Err(SimError::Config {
+                reason: error.clone(),
+            }),
+            &segments,
+            10,
+        ),
+        other => panic!("the overflowing cell did not fail: {other:?}"),
+    }
+    assert!(
+        matches!(&grid.cells[1].result, CellResult::Completed { .. }),
+        "{:?}",
+        grid.cells[1].result
+    );
+
+    for (replication, fits) in [(5u8, 13_107u64), (1, 65_535)] {
+        let trace_of = |secs: u64| {
+            let catalog = [ProgramInfo {
+                length: SimDuration::from_secs(secs),
+                introduced_day: 0,
+            }]
+            .into_iter()
+            .collect();
+            let records = vec![
+                rec(0, 0, 1_000, 900),
+                rec(1, 0, 1_200, 600),
+                rec(2, 0, 1_450, 12_000),
+                rec(3, 0, 5_000, 300),
+            ];
+            Trace::new(records, catalog, 4, 1).expect("valid trace")
+        };
+        let config = config_for(4, 20, StrategySpec::default_lfu())
+            .with_warmup_days(0)
+            .with_segment_len(SimDuration::from_secs(1))
+            .with_replication(replication);
+        let edge = trace_of(fits);
+        let reference = run(&edge, &config).expect("the largest program that fits replays");
+        assert_eq!(reference.cache.admissions, 1, "replication {replication}");
+        assert!(reference.cache.hits > 0, "replication {replication}");
+        for (what, outcome) in every_path(&edge, &config) {
+            assert_eq!(
+                outcome.expect(&what),
+                reference,
+                "{what}, replication {replication}"
+            );
+        }
+        let past = (fits + 1).to_string();
+        for (what, outcome) in every_path(&trace_of(fits + 1), &config) {
+            refused(&what, outcome, &past, replication);
+        }
+    }
+}
+
 /// A trace built to put ties on block edges: every session starts on a
 /// multiple of the five-minute segment length and lasts a whole number of
 /// segments, five sessions a wave, so each wave's start second is also
@@ -742,6 +869,47 @@ fn same_second_ties_replay_exactly_across_block_edges() {
             }
         }
     }
+}
+
+/// The lifecycle's continuation queue appends a push that arrives in key
+/// order and falls back to a heap for the rest. This trace makes the rest
+/// common: three sessions in ten seek to a jump point two minutes apart,
+/// so a first segment is often cut short and its continuation falls due
+/// ahead of ones already queued, and a seeded fault plan's outages make
+/// enforcing admission schedule backoff retries. Under every registry
+/// strategy and both admission modes, the reference run, a resident and a
+/// streamed `Simulation` on one worker and on two, and the online engine
+/// all agree.
+#[test]
+fn unaligned_seeks_and_retries_replay_exactly_on_every_path() {
+    let trace = generate(&SynthConfig {
+        seek_prob: 0.3,
+        seek_boundary_secs: 120,
+        ..tiny_config(600, 20, 1, 29)
+    });
+    assert!(trace
+        .records()
+        .iter()
+        .any(|r| r.offset.as_secs() % 300 != 0));
+    let faults = FaultPlan::seeded(13, 2, SimDuration::from_days(1), 10, 4);
+    let mut retries = 0;
+    for pick in 0..9 {
+        for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
+            let config = config_for(300, 1, strategy(pick))
+                .with_warmup_days(0)
+                .with_faults(faults.clone())
+                .with_admission(admission)
+                .with_retry(RetryPolicy::paper_default());
+            let reference = run(&trace, &config).expect("reference runs");
+            assert_eq!(reference.sessions, trace.len() as u64);
+            retries += reference.degradation.as_ref().map_or(0, |d| d.retries);
+            for (what, outcome) in every_path(&trace, &config) {
+                let what = format!("{what}: {:?}, {admission:?}", strategy(pick));
+                assert_eq!(outcome.expect(&what), reference, "{what}");
+            }
+        }
+    }
+    assert!(retries > 0, "enforcing admission scheduled no retry");
 }
 
 /// An LRU whose neighborhood 1 fails — with an error, or with a panic —
