@@ -20,16 +20,26 @@
 //! ```text
 //! {"scenario":"smoke","series":"LFU","point":"1GB","strategy":"LFU","threads":1,
 //!  "sessions":1234,"segment_requests":5678,"peak_gbps":1.234,"q05_gbps":...,
-//!  "q95_gbps":...,"hit_rate":0.42,"wall_ms":12,"decoded_chunks":0,
+//!  "q95_gbps":...,"hit_rate":0.42,...,"coax_mbps":48.2,"coax_q05_mbps":...,
+//!  "coax_q95_mbps":...,"busy_misses":17,"wall_ms":12,"decoded_chunks":0,
 //!  "decoded_bytes":0,"peak_rss_kb":53600,"fastpath":false}
 //! {"scenario":"smoke","done":true,"jobs":6}
 //! ```
+//!
+//! `peak_gbps` is the peak-hour central-server rate (mean, with
+//! `q05_gbps` / `q95_gbps` bars) every caching figure plots; `coax_mbps`
+//! the peak-hour coax rate of Fig 14 (same bars); `busy_misses` the
+//! requests whose peer had no free stream slot (the ablations' second
+//! row).
 //!
 //! One human-readable status line per finished cell goes to stderr
 //! (`[3/6] LFU x 1GB: ok (5807 sessions/s)` — with `, fastpath`
 //! appended when a streaming cell replayed through a matching
 //! neighborhood index), so long grids show per-cell progress and
-//! throughput without polluting the machine-readable stream.
+//! throughput without polluting the machine-readable stream. After the
+//! last one, stderr gets the grid as a markdown table, series x point,
+//! of the server peak in Gb/s and the coax peak in Mb/s, each as
+//! mean [q05, q95] ([`Figure::peak_pivot`]).
 //!
 //! * `--out FILE` additionally writes the same lines to `FILE`;
 //! * `--print-spec` parses the file, prints its canonical re-rendered
@@ -61,6 +71,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use cablevod::Figure;
 use cablevod_cache::StrategyRegistry;
 use cablevod_sim::{
     json_string, CellOutcome, CellResult, JobRetry, ResilienceOptions, RunOutcome, Scenario,
@@ -85,7 +96,8 @@ fn completed_json(
          \"threads\":{},\"sessions\":{},\"segment_requests\":{},\"peak_gbps\":{:.6},\
          \"q05_gbps\":{:.6},\"q95_gbps\":{:.6},\"hit_rate\":{:.6},\
          \"blocked_sessions\":{},\"interrupted_sessions\":{},\"retries\":{},\
-         \"delayed_hits\":{},\"inflight_misses\":{}",
+         \"delayed_hits\":{},\"inflight_misses\":{},\"coax_mbps\":{:.6},\
+         \"coax_q05_mbps\":{:.6},\"coax_q95_mbps\":{:.6},\"busy_misses\":{}",
         json_string(scenario),
         json_string(&cell.series),
         json_string(&cell.point),
@@ -102,6 +114,10 @@ fn completed_json(
         deg.map_or(0, |d| d.retries),
         report.cache.delayed_hits,
         report.cache.inflight_misses,
+        report.coax_peak.mean.as_mbps(),
+        report.coax_peak.q05.as_mbps(),
+        report.coax_peak.q95.as_mbps(),
+        report.cache.miss_peer_busy,
     );
     if deterministic {
         format!("{head}}}")
@@ -294,6 +310,12 @@ fn main() {
     let grid = scenario
         .execute_resilient(&registry, &options, &progress)
         .unwrap_or_else(|e| fail(e));
+    let pivot = Figure::peak_pivot(
+        scenario.name.as_str(),
+        grid.completed()
+            .map(|(cell, o)| (cell.series.as_str(), cell.point.as_str(), &o.report)),
+    );
+    eprint!("\n{}", pivot.to_markdown());
 
     let mut lines: Vec<String> = grid
         .cells

@@ -1,8 +1,7 @@
-//! Shared helpers for the Criterion benches.
-//!
-//! Benches regenerate every figure on a deliberately small workload so the
-//! whole suite finishes in minutes; the `reproduce` binary runs the same
-//! harnesses at paper scale.
+//! Shared helpers for the Criterion benches: one deliberately small
+//! workload, so the whole suite finishes in minutes. The paper-scale
+//! sweeps are spec files (`scenarios/paper/`) that the
+//! `cablevod-scenario` bin runs.
 
 use std::sync::OnceLock;
 
@@ -17,19 +16,6 @@ pub fn bench_trace() -> &'static Trace {
         generate(&SynthConfig {
             users: 1_500,
             programs: 400,
-            days: 6,
-            ..SynthConfig::powerinfo()
-        })
-    })
-}
-
-/// A second, smaller workload for the scaling benches (they multiply it).
-pub fn small_trace() -> &'static Trace {
-    static TRACE: OnceLock<Trace> = OnceLock::new();
-    TRACE.get_or_init(|| {
-        generate(&SynthConfig {
-            users: 600,
-            programs: 200,
             days: 6,
             ..SynthConfig::powerinfo()
         })

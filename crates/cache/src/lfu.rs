@@ -47,7 +47,7 @@
 //! first, not whether an equal-count newcomer displaces an incumbent.
 //! The paper's own "history 0 is simply an LRU strategy" is realized by
 //! substituting the real LRU strategy at history 0 (see
-//! `cablevod::experiments::fig11`), matching §VI-A.
+//! `scenarios/paper/fig11.scn`), matching §VI-A.
 
 use std::collections::VecDeque;
 

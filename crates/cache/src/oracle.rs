@@ -29,6 +29,18 @@
 //! moves the program's key only when its count dips under the key it is
 //! filed under. The rebalance repairs a stale key if it surfaces
 //! (`Tenants::refile` in `waterline.rs`).
+//!
+//! # Ties
+//!
+//! A program is filed under its future count alone — its score's
+//! recency field is always 0 — so two programs with equal future counts
+//! are ordered by program id: of those, the higher id is admitted first
+//! and the lower id evicted first. This is part of the semantics: the
+//! Oracle's choices, and so its report, depend on how the catalogue is
+//! numbered. It is the one registry strategy whose report moves when
+//! the program ids are relabelled (`tests/conservation.rs`,
+//! `reversing_program_ids_changes_no_report`); the LFU files each
+//! program's last-access sequence number between its count and its id.
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};

@@ -1,5 +1,6 @@
-//! Architectural comparisons: §IV-A quantified (multicast) and §VI-B's
-//! centralization argument (headend cache).
+//! Architectural comparison: §IV-A quantified (multicast). §VI-B's
+//! centralization argument (headend cache) is a sweep:
+//! `scenarios/paper/headend.scn`.
 
 use cablevod_cache::FillPolicy;
 use cablevod_hfc::units::{BitRate, SimDuration};
@@ -104,54 +105,6 @@ pub fn multicast_comparison(trace: &Trace) -> Result<Figure, SimError> {
     Ok(fig)
 }
 
-/// E-M2 — §VI-B's centralization claim: a headend proxy cache of equal
-/// total capacity (modelled as the peer cache without per-STB stream-slot
-/// limits) against the peer-to-peer cache. Coax load is identical by the
-/// broadcast argument; the delta in server load is the entire cost of the
-/// 2-streams-per-STB constraint.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn headend_comparison(trace: &Trace) -> Result<Figure, SimError> {
-    let mut fig = Figure::new(
-        "headend",
-        "Peer-to-peer cache vs headend cache of equal capacity",
-        "Architecture",
-        "Average server rate, peak hours (Gb/s)",
-    );
-    let peer_config = SimConfig::paper_default()
-        .with_warmup_days(default_warmup(trace))
-        .with_fill_override(FillPolicy::Prefetch);
-    let peer = run(trace, &peer_config)?;
-    let headend = run(trace, &baseline::headend_config(&peer_config))?;
-
-    fig.push(FigureRow::with_bars(
-        "server load",
-        "peer-to-peer (2 slots/STB)",
-        peer.server_peak.mean.as_gbps(),
-        peer.server_peak.q05.as_gbps(),
-        peer.server_peak.q95.as_gbps(),
-    ));
-    fig.push(FigureRow::with_bars(
-        "server load",
-        "headend cache (no slot limit)",
-        headend.server_peak.mean.as_gbps(),
-        headend.server_peak.q05.as_gbps(),
-        headend.server_peak.q95.as_gbps(),
-    ));
-    let busy_share = peer.cache.miss_peer_busy as f64 / peer.cache.requests().max(1) as f64;
-    fig.note(format!(
-        "slot-limit cost: {:.2}% of requests missed on busy peers; coax load identical \
-         ({} vs {})",
-        busy_share * 100.0,
-        peer.coax_peak.mean,
-        headend.coax_peak.mean
-    ));
-    fig.note("paper §VI-B: 'this usage would not improve with a more centralized approach'");
-    Ok(fig)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,17 +136,5 @@ mod tests {
             batched <= unicast + 1e-9,
             "batching must not exceed unicast"
         );
-    }
-
-    #[test]
-    fn headend_never_loses() {
-        let fig = headend_comparison(&smoke()).expect("runs");
-        let peer = fig
-            .value_of("server load", "peer-to-peer (2 slots/STB)")
-            .expect("row");
-        let headend = fig
-            .value_of("server load", "headend cache (no slot limit)")
-            .expect("row");
-        assert!(headend <= peer + 1e-9, "peer {peer} vs headend {headend}");
     }
 }

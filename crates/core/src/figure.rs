@@ -1,10 +1,12 @@
 //! Figure and table containers for reproduced experiments.
 //!
-//! Every experiment harness returns a [`Figure`]: labeled series of
-//! `(x, value, error-bar)` rows plus free-form notes recording the paper's
-//! published expectations. Figures render to markdown for `EXPERIMENTS.md`
-//! and to aligned text for terminals.
+//! A [`Figure`] is labeled series of `(x, value, error-bar)` rows plus
+//! free-form notes recording the paper's published expectations. The
+//! non-sweep experiments of [`crate::experiments`] return one, and
+//! [`Figure::peak_pivot`] builds one from a scenario grid (the table the
+//! `cablevod-scenario` bin prints). Figures render to markdown.
 
+use cablevod_sim::SimReport;
 use serde::{Deserialize, Serialize};
 
 /// One bar/point of a reproduced figure.
@@ -85,6 +87,40 @@ impl Figure {
             rows: Vec::new(),
             notes: Vec::new(),
         }
+    }
+
+    /// The pivot of a scenario grid: one row per point and, per series,
+    /// two columns — the peak-hour server rate in Gb/s and the peak-hour
+    /// coax rate in Mb/s, each a mean with its 5 %/95 % bars. `cells`
+    /// are `(series, point, report)` in grid order.
+    pub fn peak_pivot<'a>(
+        id: impl Into<String>,
+        cells: impl IntoIterator<Item = (&'a str, &'a str, &'a SimReport)>,
+    ) -> Self {
+        let mut fig = Figure::new(
+            id,
+            "Peak-hour server and coax rates",
+            "Point",
+            "server Gb/s and coax Mb/s, mean [q05, q95]",
+        );
+        for (series, point, report) in cells {
+            let (server, coax) = (&report.server_peak, &report.coax_peak);
+            fig.push(FigureRow::with_bars(
+                format!("{series} server Gb/s"),
+                point,
+                server.mean.as_gbps(),
+                server.q05.as_gbps(),
+                server.q95.as_gbps(),
+            ));
+            fig.push(FigureRow::with_bars(
+                format!("{series} coax Mb/s"),
+                point,
+                coax.mean.as_mbps(),
+                coax.q05.as_mbps(),
+                coax.q95.as_mbps(),
+            ));
+        }
+        fig
     }
 
     /// Appends a row.
@@ -206,6 +242,44 @@ mod tests {
         assert!(md.contains("| 1 TB |"));
         assert!(md.contains("10.00 [7.90, 12.50]"));
         assert!(md.contains("- paper: 1 TB"));
+    }
+
+    #[test]
+    fn peak_pivot_has_a_server_and_a_coax_column_per_series() {
+        use cablevod_cache::StrategySpec;
+        use cablevod_sim::{run, SimConfig};
+        use cablevod_trace::synth::{generate, SynthConfig};
+
+        let trace = generate(&SynthConfig {
+            users: 200,
+            programs: 40,
+            days: 2,
+            ..SynthConfig::smoke_test()
+        });
+        let config = SimConfig::paper_default()
+            .with_neighborhood_size(100)
+            .with_warmup_days(1);
+        let lru = run(&trace, &config.clone().with_strategy(StrategySpec::Lru)).expect("runs");
+        let lfu = run(&trace, &config).expect("runs");
+        let fig = Figure::peak_pivot("grid", [("LRU", "10GB", &lru), ("LFU", "10GB", &lfu)]);
+        assert_eq!(
+            fig.series_names(),
+            [
+                "LRU server Gb/s",
+                "LRU coax Mb/s",
+                "LFU server Gb/s",
+                "LFU coax Mb/s"
+            ]
+        );
+        assert_eq!(
+            fig.value_of("LFU server Gb/s", "10GB"),
+            Some(lfu.server_peak.mean.as_gbps())
+        );
+        assert_eq!(
+            fig.value_of("LRU coax Mb/s", "10GB"),
+            Some(lru.coax_peak.mean.as_mbps())
+        );
+        assert!(fig.to_markdown().contains("| 10GB |"));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! | `cablevod-trace` | workload: synthetic PowerInfo model, scaling, analytics |
 //! | `cablevod-cache` | cooperative cache: index server, LRU/LFU/Oracle/global LFU |
 //! | `cablevod-sim` | discrete-event engine, baselines, parallel sweeps |
-//! | `cablevod` (this crate) | public façade ([`VodSystem`]) + experiment harness ([`experiments`]) |
+//! | `cablevod` (this crate) | public façade ([`VodSystem`]), the non-sweep figures ([`experiments`]) and [`Figure`] |
+//! | `cablevod-bench` | the `cablevod-scenario` bin that runs every sweep, Criterion benches |
 //!
 //! ## Quickstart
 //!
@@ -43,9 +44,24 @@
 //!
 //! ## Reproducing the paper
 //!
-//! Every figure and table of the evaluation has a harness in
-//! [`experiments`]; the `reproduce` binary (in `cablevod-bench`) runs them
-//! all and emits `EXPERIMENTS.md`.
+//! Every figure of the evaluation that is a sweep — Figs 8–11 and 13–16,
+//! Table 16(a), the ablations A1–A5 and the headend comparison — is a
+//! spec file under `scenarios/paper/`, with the paper's published values
+//! in its header comment. The `cablevod-scenario` bin (in
+//! `cablevod-bench`) runs one, prints a JSON line per cell and, on
+//! stderr, the grid as a markdown table ([`Figure::peak_pivot`]):
+//!
+//! ```text
+//! cargo run --release -p cablevod-bench --bin cablevod-scenario -- scenarios/paper/fig08.scn
+//! ```
+//!
+//! The specs run at the paper's full population over 21 days. A
+//! different scale is a `[source]` edit (the users, days or preset
+//! lines, with `warmup_days` in `[config]` to match), the way CI edits
+//! the `threads` line. The figures that are not sweeps — the trace
+//! analytics of Figs 2, 3, 6, 7 and 12 and the multicast comparison —
+//! are functions in [`experiments`]; `examples/trace_analytics.rs`
+//! prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

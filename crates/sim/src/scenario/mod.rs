@@ -6,9 +6,9 @@
 //! *points*, each able to patch the config, switch the strategy, or even
 //! swap the trace source), and a [`ThreadPolicy`]. One cell loop
 //! ([`exec`]) turns any such description into labelled results, which is
-//! how the paper's experiment harnesses in `cablevod::experiments`
-//! collapse into data plus one runner, and how the `cablevod-scenario`
-//! binary runs an experiment from a spec file end-to-end. The model and
+//! how the paper's sweeps are spec files (`scenarios/paper/*.scn`) and
+//! how the `cablevod-scenario` binary runs any experiment from a spec
+//! file end-to-end. The model and
 //! the config-key table live here; [`source`] holds workload
 //! descriptions, [`spec`] the `.scn` codec, [`checkpoint`] the journal.
 //!
@@ -480,8 +480,7 @@ impl Scenario {
     }
 
     /// A scenario whose workload is supplied at execution time
-    /// ([`Scenario::execute_on`]) — the shape the experiment harnesses
-    /// use.
+    /// ([`Scenario::execute_on`]).
     pub fn provided(name: impl Into<String>, base: SimConfig) -> Self {
         Scenario::new(name, SourceSpec::Provided, base)
     }
@@ -829,7 +828,8 @@ mod tests {
     fn sweep_width_one_bounds_in_flight_override_sources() {
         // Behavioral floor: width 1 must produce the same results as the
         // default parallel sweep, in order (the memory bound itself is
-        // what scaling_grid relies on).
+        // what the scaling specs, `scenarios/paper/fig15.scn` and kin,
+        // rely on).
         let trace = generate(&smoke_synth());
         let points = vec![
             AxisPoint::new("x1").with_source(SourceSpec::Scaled {

@@ -83,8 +83,7 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
-    /// Full PowerInfo scale: the configuration behind `EXPERIMENTS.md`
-    /// "--full" runs.
+    /// Full PowerInfo scale: the whole 214-day, 41,698-user trace.
     pub fn powerinfo() -> Self {
         SynthConfig {
             users: 41_698,

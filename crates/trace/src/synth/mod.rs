@@ -3,9 +3,8 @@
 //! The PowerInfo trace itself is proprietary; this module generates traces
 //! with the same schema and the same statistical fingerprint: every
 //! quantitative property of PowerInfo the paper publishes is a calibration
-//! target, named in the doc of the [`SynthConfig`] field that sets it (the
-//! `cablevod-calibrate` bin sweeps those knobs against the targets). Entry
-//! point: [`generate`] with a [`SynthConfig`].
+//! target, named in the doc of the [`SynthConfig`] field that sets it.
+//! Entry point: [`generate`] with a [`SynthConfig`].
 
 mod config;
 mod diurnal;

@@ -1,7 +1,9 @@
 //! Workload analytics: reproduce the paper's §V-A trace methodology —
 //! popularity skew, session-length ECDFs, hour-of-day demand, popularity
 //! decay, and the program-length deduction from ECDF jumps (validated
-//! against ground truth, which the paper could not do).
+//! against ground truth, which the paper could not do) — and §IV-A's
+//! multicast comparison, the paper's figures that are not sweeps (the
+//! sweeps are `scenarios/paper/*.scn`).
 //!
 //! ```text
 //! cargo run --release --example trace_analytics
@@ -12,7 +14,7 @@ use cablevod_hfc::units::BitRate;
 use cablevod_trace::analyze;
 use cablevod_trace::synth::{generate, SynthConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = generate(&SynthConfig {
         users: 8_000,
         programs: 2_000,
@@ -51,4 +53,12 @@ fn main() {
 
     // Fig 12 — popularity decay after introduction.
     print!("{}", experiments::fig12(&trace).to_markdown());
+    println!();
+
+    // §IV-A — why not multicast: analytic bounds beside one cache run.
+    print!(
+        "{}",
+        experiments::multicast_comparison(&trace)?.to_markdown()
+    );
+    Ok(())
 }

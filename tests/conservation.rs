@@ -3,11 +3,13 @@
 use std::collections::HashSet;
 
 use cablevod_cache::{FillPolicy, StrategyRegistry, StrategySpec};
+use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::topology::{Topology, TopologyConfig};
 use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
 use cablevod_sim::{run, SimConfig, Simulation};
 use cablevod_tests::{medium_trace, serve_trace, tiny_config};
-use cablevod_trace::record::Trace;
+use cablevod_trace::catalog::ProgramCatalog;
+use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::{generate, SynthConfig};
 
@@ -270,6 +272,78 @@ fn full_storage_fetches_each_segment_once_per_neighborhood() {
                 "no-cache" | "tlru" => assert!(server > compulsory, "{what}"),
                 "oracle" | "prior-storing" => assert!(server < compulsory, "{what}"),
                 _ => assert_eq!(server, compulsory, "{what}"),
+            }
+        }
+    }
+}
+
+/// `trace` with program `p` renamed `n - 1 - p` (of `n` programs), each
+/// catalogue entry moving with its id: every order between two ids flips,
+/// so any decision that breaks a tie by program id decides the other way.
+fn reverse_program_ids(trace: &Trace) -> Trace {
+    let n = trace.catalog().len() as u32;
+    let relabel = |p: ProgramId| ProgramId::new(n - 1 - p.value());
+    let catalog: ProgramCatalog = (0..n)
+        .rev()
+        .map(|p| *trace.catalog().get(ProgramId::new(p)).expect("in catalog"))
+        .collect();
+    let records = trace
+        .iter()
+        .map(|r| SessionRecord {
+            program: relabel(r.program),
+            ..*r
+        })
+        .collect();
+    Trace::new(records, catalog, trace.user_count(), trace.days()).expect("relabelled trace")
+}
+
+/// A metamorphic relation (relabelling changes nothing): no report field
+/// is keyed by program, so renaming the programs — with their catalogue
+/// entries — must leave every report equal, under every registry
+/// strategy, through the reference `run` and a `Simulation` on two
+/// workers.
+///
+/// It holds exactly for eight of the nine strategies. `oracle` files a
+/// program under its future count alone, so two programs with equal
+/// future counts are ordered by id (`oracle.rs`, "Ties"): reversing the
+/// ids reverses its choice between them and moves its server bytes. For
+/// it only what no cache decision touches — sessions, segment requests
+/// and the coax, which carries every watched segment once whoever sends
+/// it — must be equal.
+#[test]
+fn reversing_program_ids_changes_no_report() {
+    let trace = generate(&SynthConfig {
+        seek_prob: 0.3,
+        ..tiny_config(600, 120, 4, 37)
+    });
+    let relabelled = reverse_program_ids(&trace);
+    let base = config()
+        .with_neighborhood_size(200)
+        .with_per_peer_storage(DataSize::from_gigabytes(1))
+        .with_warmup_days(1);
+    for name in StrategyRegistry::builtin().names() {
+        let config = base
+            .clone()
+            .with_strategy(StrategySpec::parse(name).expect("a registry name parses"));
+        let both = |trace: &Trace| {
+            let reference = run(trace, &config).expect("runs");
+            let sharded = Simulation::over(trace)
+                .config(config.clone())
+                .threads(2)
+                .run()
+                .expect("runs")
+                .report;
+            [("run", reference), ("2 workers", sharded)]
+        };
+        for ((path, a), (_, b)) in both(&trace).into_iter().zip(both(&relabelled)) {
+            let what = format!("{name} through {path}");
+            if name == "oracle" {
+                assert_eq!(a.sessions, b.sessions, "{what}");
+                assert_eq!(a.segment_requests, b.segment_requests, "{what}");
+                assert_eq!(a.coax_peak, b.coax_peak, "{what}");
+                assert_eq!(a.coax_per_neighborhood, b.coax_per_neighborhood, "{what}");
+            } else {
+                assert_eq!(a, b, "{what}");
             }
         }
     }
