@@ -20,9 +20,9 @@ use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use cablevod_bench::bench_trace;
 use cablevod_cache::{
     CacheStrategy, IndexServer, PlacementPolicy, SlotLedger, StrategySpec, WindowedLfu,
 };
@@ -41,9 +41,26 @@ use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::{
     import_chunk_size, neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index,
 };
+use cablevod_trace::record::Trace;
 use cablevod_trace::scale;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::synth::{generate, generate_to_disk, SynthConfig};
+
+/// The shared bench workload: ~1,500 users over 6 days — large enough for
+/// caches and quantiles to be meaningful, small enough for Criterion.
+/// The paper-scale sweeps are spec files (`scenarios/paper/`) that the
+/// `cablevod-scenario` bin runs.
+fn bench_trace() -> &'static Trace {
+    static TRACE: OnceLock<Trace> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        generate(&SynthConfig {
+            users: 1_500,
+            programs: 400,
+            days: 6,
+            ..SynthConfig::powerinfo()
+        })
+    })
+}
 
 fn engine_throughput(c: &mut Criterion) {
     let trace = bench_trace();
@@ -519,7 +536,7 @@ fn socket_roundtrip(
 ) {
     let trace = bench_trace();
     let path = std::env::temp_dir().join(format!(
-        "cablevod-bench-{bench}-{}.sock",
+        "cablevod-engine-{bench}-{}.sock",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);

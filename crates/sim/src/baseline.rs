@@ -1,6 +1,6 @@
 //! Non-cooperative baselines.
 //!
-//! * [`no_cache_peak`] / [`no_cache_hourly`] — the centralized service the
+//! * [`no_cache_peak`] — the centralized service the
 //!   paper draws as the 17 Gb/s reference line in Fig 15: every session is
 //!   served by the central server. Computed analytically from the trace
 //!   (no simulation needed — there is no contention to model).
@@ -16,26 +16,17 @@ use cablevod_trace::record::Trace;
 
 use crate::config::SimConfig;
 
-/// Offered load per hour of day when every session is served centrally.
-pub fn no_cache_hourly(trace: &Trace, rate: BitRate) -> [BitRate; 24] {
-    demand_meter(trace, rate).hourly_profile()
-}
-
 /// Peak-window (7–11 PM) statistics of the no-cache server load over the
 /// measured day range — the paper's "with no cache, central servers must
 /// support 17 Gb/s".
 pub fn no_cache_peak(trace: &Trace, rate: BitRate, from_day: u64, to_day: u64) -> RateStats {
-    demand_meter(trace, rate).peak_stats(from_day, to_day)
-}
-
-fn demand_meter(trace: &Trace, rate: BitRate) -> RateMeter {
     let mut meter = RateMeter::hourly();
     for r in trace.iter() {
         let length = trace.catalog().length(r.program).unwrap_or(r.duration);
         let watched = r.watched(length);
         meter.record(r.start, r.start + watched, rate * watched);
     }
-    meter
+    meter.peak_stats(from_day, to_day)
 }
 
 /// Transforms a peer-cache configuration into its headend-cache
@@ -77,16 +68,6 @@ mod tests {
         let simulated = run(&trace, &config).expect("runs");
         assert_eq!(analytic.mean, simulated.server_peak.mean);
         assert_eq!(analytic.q95, simulated.server_peak.q95);
-    }
-
-    #[test]
-    fn hourly_demand_peaks_in_evening() {
-        let trace = small_trace();
-        let profile = no_cache_hourly(&trace, BitRate::STREAM_MPEG2_SD);
-        let peak_hour = (0..24)
-            .max_by_key(|&h| profile[h].as_bps())
-            .expect("24 hours");
-        assert!((18..=22).contains(&peak_hour), "peak at {peak_hour}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! composition of pluggable pieces around it:
 //!
 //! ```text
-//!  run / run_parallel /          (mod.rs, shard.rs, online.rs — the entry
+//!  run / replay /                (mod.rs, shard.rs, online.rs — the entry
 //!  online::serve_serial           drivers)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose, through DriverParts::driver (mod.rs — the one place a
@@ -75,13 +75,13 @@
 //! only through the [`run`] shorthand over a resident source, as the
 //! reference the others are checked against (see `run_resident`):
 //!
-//! | driver               | entry                                     | supply                           | feed              | range    | scheduling                               |
-//! |----------------------|-------------------------------------------|----------------------------------|-------------------|----------|------------------------------------------|
-//! | whole-plant resident | `run` over a resident source              | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one queue for the whole plant    |
-//! | sharded resident     | `Simulation` (any policy), `run_parallel` | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming            | any, over a chunked source                | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
-//! |                      |                                           | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
-//! | online               | `online::serve_serial`                    | `LiveSupply`                     | `SharedFeed`      | `n..n+1` | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | driver               | entry                          | supply                           | feed              | range    | scheduling                               |
+//! |----------------------|--------------------------------|----------------------------------|-------------------|----------|------------------------------------------|
+//! | whole-plant resident | `run` over a resident source   | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one queue for the whole plant    |
+//! | sharded resident     | `Simulation` (any policy)      | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming            | any, over a chunked source     | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
+//! |                      |                                | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
+//! | online               | `online::serve_serial`         | `LiveSupply`                     | `SharedFeed`      | `n..n+1` | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
@@ -240,7 +240,7 @@ use stream::ResidentSupply;
 /// `Simulation::over(source).config(config.clone()).run()?.report` —
 /// streamed through the engine with bounded resident memory, sharded per
 /// neighborhood on the caller's thread (see the module docs). All produce
-/// bit-identical reports; [`run_parallel`] matches them too.
+/// bit-identical reports, and so does the builder at any worker count.
 ///
 /// Deterministic: identical inputs produce identical reports.
 ///
@@ -272,10 +272,10 @@ pub fn run<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> Result<Si
 }
 
 /// The one way in to the per-neighborhood plans, with an explicit
-/// strategy factory and worker count: [`run_parallel`], [`run`] over a
-/// streaming source, and the entry the [`Simulation`](crate::Simulation)
-/// builder uses so registry-resolved (out-of-tree) strategies ride the
-/// same drivers as the built-ins. The plan follows the data — resident
+/// strategy factory and worker count: [`run`] over a streaming source,
+/// and the entry the [`Simulation`](crate::Simulation) builder uses so
+/// registry-resolved (out-of-tree) strategies ride the same drivers as
+/// the built-ins. The plan follows the data — resident
 /// or streamed, and for a streamed source its layout and the strategy —
 /// never `workers`, which is how many shards run at once (`1`: all of
 /// them on the caller's thread, one after the other). Beside the report
@@ -291,7 +291,7 @@ pub(crate) fn replay<S: TraceSource + ?Sized>(
     check_record_count(source)?;
     match source.resident_records() {
         Some(records) => {
-            let report = shard::run_parallel_resident(records, source, config, strategy, workers)?;
+            let report = shard::run_sharded_resident(records, source, config, strategy, workers)?;
             Ok((report, false))
         }
         None => {
@@ -299,42 +299,6 @@ pub(crate) fn replay<S: TraceSource + ?Sized>(
             Ok((report, streamed.fastpath))
         }
     }
-}
-
-/// Runs one simulation sharded per neighborhood over `threads` workers,
-/// producing a report **bit-identical** to [`run`]'s — a two-line
-/// shorthand for `Simulation::over(source).config(..).threads(threads)`.
-///
-/// Correctness rests on the paper's own isolation structure — see the
-/// module docs; thread count affects wall-clock only, never results, and
-/// not the replay plan either: `Simulation::serial()` is this with one
-/// worker, and so is [`run`] over a streaming source.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] for invalid configurations, and
-/// propagates trace-source failures and broken-invariant failures from
-/// the cache and plant layers.
-///
-/// # Examples
-///
-/// ```
-/// use cablevod_sim::{run, run_parallel, SimConfig};
-/// use cablevod_trace::synth::{generate, SynthConfig};
-///
-/// let trace = generate(&SynthConfig { users: 300, programs: 60, days: 3,
-///     ..SynthConfig::smoke_test() });
-/// let config = SimConfig::paper_default().with_neighborhood_size(100).with_warmup_days(1);
-/// assert_eq!(run_parallel(&trace, &config, 4)?, run(&trace, &config)?);
-/// # Ok::<(), cablevod_sim::SimError>(())
-/// ```
-pub fn run_parallel<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    threads: usize,
-) -> Result<SimReport, SimError> {
-    let strategy = config.strategy().factory();
-    Ok(replay(source, config, strategy.as_ref(), threads)?.0)
 }
 
 /// The source's chunk index for `config`'s neighborhood size, when shards
@@ -587,7 +551,7 @@ impl<'a> DriverParts<'a> {
 /// precomputed contexts and feed, the whole look-ahead handed over up
 /// front; one driver, one continuation queue, the whole plant. Only
 /// [`run`] comes here: a resident source is otherwise replayed by
-/// `shard::run_parallel_resident` at every worker count (faster on one
+/// `shard::run_sharded_resident` at every worker count (faster on one
 /// thread already, by locality). This driver stays because a reference
 /// has to be something other than the thing it checks — the benchmark's
 /// reference CRCs and the parity tests compare every per-neighborhood

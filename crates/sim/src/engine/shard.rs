@@ -16,7 +16,7 @@
 //! shard reads is always one contiguous run of `(global index, record)`
 //! pairs, front to back, in ascending global index:
 //!
-//! * resident ([`run_parallel_resident`]): one pass over the records
+//! * resident ([`run_sharded_resident`]): one pass over the records
 //!   validates them and lists each neighborhood's record indices; a shard
 //!   copies its own records out through that list once, when it starts,
 //!   and replays the copy. Streaming over a matched neighborhood-major
@@ -65,7 +65,7 @@ use crate::runner;
 /// feed shared read-only, and is dropped, plant and all, when done. With
 /// `threads == 1` the jobs run inline on the caller's thread, one
 /// neighborhood's working set alive at a time.
-pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
+pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
     source: &S,
     config: &SimConfig,

@@ -5,6 +5,7 @@
 
 use super::lifecycle::ActiveSessions;
 use super::*;
+use crate::Simulation;
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
@@ -186,8 +187,15 @@ fn parallel_matches_serial_on_every_strategy() {
         let config = base_config().with_strategy(spec);
         let serial = run(&trace, &config).expect("serial runs");
         for threads in [1, 2, 8] {
-            let parallel = run_parallel(&trace, &config, threads).expect("parallel runs");
-            assert_eq!(parallel, serial, "strategy {spec:?}, threads {threads}");
+            let parallel = Simulation::over(&trace)
+                .config(config.clone())
+                .threads(threads)
+                .run()
+                .expect("parallel runs");
+            assert_eq!(
+                parallel.report, serial,
+                "strategy {spec:?}, threads {threads}"
+            );
         }
     }
 }
@@ -203,8 +211,12 @@ fn parallel_matches_serial_with_seeks_and_replication() {
     });
     let config = base_config().with_replication(2);
     let serial = run(&trace, &config).expect("serial runs");
-    let parallel = run_parallel(&trace, &config, 3).expect("parallel runs");
-    assert_eq!(parallel, serial);
+    let parallel = Simulation::over(&trace)
+        .config(config)
+        .threads(3)
+        .run()
+        .expect("parallel runs");
+    assert_eq!(parallel.report, serial);
 }
 
 #[test]
@@ -212,15 +224,23 @@ fn parallel_matches_serial_under_random_placement() {
     let trace = small_trace();
     let config = base_config().with_placement(PlacementPolicy::Random { seed: 7 });
     let serial = run(&trace, &config).expect("serial runs");
-    let parallel = run_parallel(&trace, &config, 4).expect("parallel runs");
-    assert_eq!(parallel, serial);
+    let parallel = Simulation::over(&trace)
+        .config(config)
+        .threads(4)
+        .run()
+        .expect("parallel runs");
+    assert_eq!(parallel.report, serial);
 }
 
 #[test]
 fn parallel_rejects_invalid_configs_like_serial() {
     let trace = small_trace();
     let config = base_config().with_neighborhood_size(0);
-    assert!(run_parallel(&trace, &config, 2).is_err());
+    assert!(Simulation::over(&trace)
+        .config(config)
+        .threads(2)
+        .run()
+        .is_err());
 }
 
 #[test]
@@ -255,8 +275,12 @@ fn streaming_parallel_matches_serial_with_watermark_feed() {
     let serial = run(&trace, &config).expect("serial runs");
     for (chunk, threads) in [(1usize, 2usize), (64, 1), (64, 3), (trace.len(), 2)] {
         let source = ChunkedTrace::new(&trace, chunk);
-        let streamed = run_parallel(&source, &config, threads).expect("streaming runs");
-        assert_eq!(streamed, serial, "chunk {chunk}, threads {threads}");
+        let streamed = Simulation::over(&source)
+            .config(config.clone())
+            .threads(threads)
+            .run()
+            .expect("streaming runs");
+        assert_eq!(streamed.report, serial, "chunk {chunk}, threads {threads}");
     }
 }
 
@@ -266,7 +290,11 @@ fn streaming_rejects_invalid_configs() {
     let source = ChunkedTrace::new(&trace, 64);
     let config = base_config().with_neighborhood_size(0);
     assert!(run(&source, &config).is_err());
-    assert!(run_parallel(&source, &config, 2).is_err());
+    assert!(Simulation::over(&source)
+        .config(config)
+        .threads(2)
+        .run()
+        .is_err());
 }
 
 fn slab_entry(i: u32) -> (cablevod_trace::record::SessionRecord, SessionCtx) {

@@ -26,10 +26,9 @@
 //! * [`engine`] — the discrete-event core behind the facade: session
 //!   records drive segment-granularity requests against per-neighborhood
 //!   cooperative caches with exact byte accounting; every builder run
-//!   is sharded per neighborhood, [`engine::run_parallel`] is the
-//!   shorthand for one that wants only the report, and [`engine::run`]
-//!   over a resident trace is the whole-plant reference driver they are
-//!   all held to (**bit-identical**, property-tested);
+//!   is sharded per neighborhood, and [`engine::run`] over a resident
+//!   trace is the whole-plant reference driver they are all held to
+//!   (**bit-identical**, property-tested);
 //! * [`config`] / [`report`] — the swept parameters and measured results;
 //! * [`baseline`] — the no-cache centralized service and the
 //!   headend-cache equivalence transform;
@@ -113,7 +112,7 @@ pub mod simulation;
 pub use cablevod_hfc::fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use config::{AdmissionMode, RetryPolicy, SimConfig};
 pub use engine::online::{serve_serial, OnlineEngine, OnlinePlacement, OnlineSpec};
-pub use engine::{run, run_parallel};
+pub use engine::run;
 pub use error::SimError;
 pub use multicast::MulticastStats;
 pub use report::{DegradationReport, NeighborhoodDegradation, SimReport};

@@ -3,7 +3,7 @@
 //! Two layers of parallelism used to own separate pools — the
 //! [`Scenario`](crate::Scenario) cell loop scheduled *independent
 //! simulation runs* (one per grid cell), while
-//! [`crate::engine::run_parallel`] sharded *one simulation* per
+//! the [`Simulation`](crate::Simulation) builder sharded *one simulation* per
 //! neighborhood — and a sweep containing one big sharded cell serialized
 //! behind it. Both layers now draw workers from one process-wide
 //! **permit ledger** sized to `default_threads`:

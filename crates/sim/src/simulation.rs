@@ -22,8 +22,8 @@
 //!
 //! The builder is a zero-cost composition layer: it resolves the strategy
 //! factory and the thread policy, calls the per-neighborhood engine
-//! drivers the [`run_parallel`](crate::run_parallel) shorthand uses —
-//! the replay plan follows the data, never the worker count — and wraps
+//! drivers — the replay plan follows the data, never the worker count —
+//! and wraps
 //! the [`SimReport`], **bit-identical** to the whole-plant reference
 //! driver behind [`run`](crate::run), together with the run telemetry
 //! ([`RunTelemetry`]: wall time, trace decode work, peak RSS) that
@@ -122,7 +122,7 @@ pub struct RunTelemetry {
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The measured simulation results (bit-identical to [`run`](crate::run)
-    /// / [`run_parallel`](crate::run_parallel) for the same inputs).
+    /// for the same inputs).
     pub report: SimReport,
     /// What the run itself cost.
     pub telemetry: RunTelemetry,

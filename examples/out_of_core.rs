@@ -52,7 +52,7 @@ fn telemetry_line(outcome: &RunOutcome) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 10x the bench workload's 1,500 users (see crates/bench/src/lib.rs).
+    // 10x the bench workload's 1,500 users (`bench_trace` in benches/engine.rs).
     let synth = SynthConfig {
         users: 15_000,
         programs: 400,

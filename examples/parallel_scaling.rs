@@ -21,7 +21,7 @@ use cablevod_sim::{SimConfig, Simulation};
 use cablevod_trace::synth::{generate, SynthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 10x the bench workload's 1,500 users (see crates/bench/src/lib.rs).
+    // 10x the bench workload's 1,500 users (`bench_trace` in benches/engine.rs).
     let trace = generate(&SynthConfig {
         users: 15_000,
         programs: 400,

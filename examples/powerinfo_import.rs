@@ -10,8 +10,8 @@
 //! cargo run --release --example powerinfo_import [sessions.csv catalog.csv]
 //! ```
 
-use cablevod::VodSystem;
 use cablevod_hfc::units::BitRate;
+use cablevod_sim::{baseline, SimConfig, Simulation};
 use cablevod_trace::fingerprint::WorkloadFingerprint;
 use cablevod_trace::synth::{generate, SynthConfig};
 use cablevod_trace::{io, record::Trace};
@@ -66,14 +66,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Simulate the paper's deployment on it.
-    let outcome = VodSystem::paper_default()
-        .with_warmup_days(trace.days() / 2)
-        .evaluate(&trace)?;
+    let config = SimConfig::paper_default().with_warmup_days(trace.days() / 2);
+    let report = Simulation::over(&trace)
+        .config(config.clone())
+        .run()?
+        .report;
+    let no_cache = baseline::no_cache_peak(
+        &trace,
+        config.stream_rate(),
+        report.measured_from_day,
+        report.measured_to_day,
+    );
     println!(
         "\npaper deployment on this workload: peak server {} (no cache {}), savings {:.0}%",
-        outcome.report.server_peak.mean,
-        outcome.baseline_peak,
-        outcome.savings * 100.0
+        report.server_peak.mean,
+        no_cache.mean,
+        report.savings_vs(no_cache.mean) * 100.0
     );
     Ok(())
 }

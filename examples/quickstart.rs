@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cablevod::VodSystem;
+use cablevod_sim::{baseline, SimConfig, Simulation};
 use cablevod_trace::synth::{generate, SynthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,23 +30,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The paper's deployment: coax neighborhoods of set-top boxes, each
     //    contributing 10 GB and two stream slots to a cooperative cache run
     //    by the headend's index server.
-    let system = VodSystem::paper_default().with_warmup_days(7);
+    let config = SimConfig::paper_default().with_warmup_days(7);
 
-    // 3. Simulate and compare against the no-cache centralized service.
-    let outcome = system.evaluate(&trace)?;
+    // 3. Simulate and compare against the no-cache centralized service
+    //    over the same measured days.
+    let report = Simulation::over(&trace)
+        .config(config.clone())
+        .run()?
+        .report;
+    let no_cache = baseline::no_cache_peak(
+        &trace,
+        config.stream_rate(),
+        report.measured_from_day,
+        report.measured_to_day,
+    );
     println!(
         "no cache:        {} at the central servers (7-11 PM)",
-        outcome.baseline_peak
+        no_cache.mean
     );
     println!(
         "cooperative:     {} (hit rate {:.1}%)",
-        outcome.report.server_peak.mean,
-        outcome.report.hit_rate() * 100.0
+        report.server_peak.mean,
+        report.hit_rate() * 100.0
     );
-    println!("savings:         {:.1}%", outcome.savings * 100.0);
+    println!(
+        "savings:         {:.1}%",
+        report.savings_vs(no_cache.mean) * 100.0
+    );
     println!(
         "coax usage:      {} mean / {} in poor cases",
-        outcome.report.coax_peak.mean, outcome.report.coax_peak.q95
+        report.coax_peak.mean, report.coax_peak.q95
     );
     Ok(())
 }

@@ -11,7 +11,6 @@
 
 use cablevod::experiments;
 use cablevod_hfc::units::BitRate;
-use cablevod_trace::analyze;
 use cablevod_trace::synth::{generate, SynthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,14 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", experiments::fig06(&trace).to_markdown());
     println!();
 
-    // Fig 7 — diurnal demand, as a terminal sparkline.
-    let profile = analyze::hourly_demand(&trace, BitRate::STREAM_MPEG2_SD);
-    let max = profile.iter().map(|r| r.as_bps()).max().unwrap_or(1).max(1);
-    println!("### fig07 — demand by hour of day");
-    for (hour, rate) in profile.iter().enumerate() {
-        let bar = "#".repeat((rate.as_bps() * 50 / max) as usize);
-        println!("{hour:02}h {:>12} {bar}", rate.to_string());
-    }
+    // Fig 7 — diurnal demand.
+    print!(
+        "{}",
+        experiments::fig07(&trace, BitRate::STREAM_MPEG2_SD).to_markdown()
+    );
     println!();
 
     // Fig 12 — popularity decay after introduction.

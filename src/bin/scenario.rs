@@ -175,6 +175,18 @@ fn parse_job_retry(text: &str) -> Result<JobRetry, String> {
     Ok(JobRetry::new(count, base))
 }
 
+/// Parses `--job-timeout`'s whole seconds. Zero is refused: every attempt
+/// would time out at once, and each would leave its cell computing on an
+/// abandoned thread.
+fn parse_job_timeout(text: &str) -> Result<Duration, String> {
+    match text.parse() {
+        Ok(secs) if secs > 0 => Ok(Duration::from_secs(secs)),
+        _ => Err(format!(
+            "--job-timeout wants a whole number of seconds above 0, got {text:?}"
+        )),
+    }
+}
+
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("cablevod-scenario: {message}");
     std::process::exit(1);
@@ -243,10 +255,7 @@ fn main() {
                 let value = args
                     .next()
                     .unwrap_or_else(|| fail("--job-timeout needs seconds"));
-                let secs: u64 = value.parse().unwrap_or_else(|_| {
-                    fail(format!("--job-timeout wants seconds, got {value:?}"))
-                });
-                options.timeout = Some(Duration::from_secs(secs));
+                options.timeout = Some(parse_job_timeout(&value).unwrap_or_else(|e| fail(e)));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -388,5 +397,16 @@ mod tests {
             line.ends_with(r#""error":"open\t/tmp/x\r: \u0001"}"#),
             "{line}"
         );
+    }
+
+    /// `--job-timeout 0` would time out every attempt at once; it, and
+    /// anything that is not whole seconds, is refused naming the flag.
+    #[test]
+    fn job_timeout_refuses_zero_and_non_numbers_by_name() {
+        assert_eq!(parse_job_timeout("30"), Ok(Duration::from_secs(30)));
+        for bad in ["0", "", "-1", "1.5", "5s", "ten"] {
+            let err = parse_job_timeout(bad).expect_err(bad);
+            assert!(err.starts_with("--job-timeout "), "{bad:?}: {err}");
+        }
     }
 }

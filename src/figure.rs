@@ -7,10 +7,9 @@
 //! `cablevod-scenario` bin prints). Figures render to markdown.
 
 use cablevod_sim::SimReport;
-use serde::{Deserialize, Serialize};
 
 /// One bar/point of a reproduced figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureRow {
     /// Series name (e.g. "LFU", "Oracle").
     pub series: String,
@@ -55,7 +54,7 @@ impl FigureRow {
 }
 
 /// A reproduced figure or table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Experiment id ("fig08", "t16a", "ablation_fill", ...).
     pub id: String,

@@ -13,14 +13,18 @@
 //! | `cablevod-hfc` | cable plant: topology, set-top boxes, coax/fiber, units |
 //! | `cablevod-trace` | workload: synthetic PowerInfo model, scaling, analytics |
 //! | `cablevod-cache` | cooperative cache: index server, LRU/LFU/Oracle/global LFU |
-//! | `cablevod-sim` | discrete-event engine, baselines, parallel sweeps |
-//! | `cablevod` (this crate) | public façade ([`VodSystem`]), the non-sweep figures ([`experiments`]) and [`Figure`] |
-//! | `cablevod-bench` | the `cablevod-scenario` bin that runs every sweep, Criterion benches |
+//! | `cablevod-sim` | discrete-event engine ([`Simulation`](cablevod_sim::Simulation)), baselines, scenario grids |
+//! | `cablevod-serve` | the online tier: the `cablevod-serve` bin on a socket |
+//! | `cablevod` (this crate) | the non-sweep figures ([`experiments`]), [`Figure`], the `cablevod-scenario` bin that runs every sweep, examples, Criterion benches |
 //!
 //! ## Quickstart
 //!
+//! One run goes through [`Simulation`](cablevod_sim::Simulation); what
+//! the cache saves is its peak against the no-cache baseline over the
+//! same measured days:
+//!
 //! ```
-//! use cablevod::VodSystem;
+//! use cablevod_sim::{baseline, SimConfig, Simulation};
 //! use cablevod_trace::synth::{generate, SynthConfig};
 //!
 //! // A small synthetic workload with the PowerInfo fingerprint.
@@ -29,15 +33,21 @@
 //!
 //! // The paper's deployment: 1,000-peer neighborhoods, 10 GB per set-top
 //! // box, two stream slots, LFU caching.
-//! let system = VodSystem::paper_default()
+//! let config = SimConfig::paper_default()
 //!     .with_neighborhood_size(100)
 //!     .with_warmup_days(1);
-//! let outcome = system.evaluate(&trace)?;
+//! let report = Simulation::over(&trace).config(config.clone()).run()?.report;
+//! let no_cache = baseline::no_cache_peak(
+//!     &trace,
+//!     config.stream_rate(),
+//!     report.measured_from_day,
+//!     report.measured_to_day,
+//! );
 //! println!(
 //!     "peak server load {} (no cache: {}), savings {:.0}%",
-//!     outcome.report.server_peak.mean,
-//!     outcome.baseline_peak,
-//!     outcome.savings * 100.0,
+//!     report.server_peak.mean,
+//!     no_cache.mean,
+//!     report.savings_vs(no_cache.mean) * 100.0,
 //! );
 //! # Ok::<(), cablevod_sim::SimError>(())
 //! ```
@@ -47,12 +57,12 @@
 //! Every figure of the evaluation that is a sweep — Figs 8–11 and 13–16,
 //! Table 16(a), the ablations A1–A5 and the headend comparison — is a
 //! spec file under `scenarios/paper/`, with the paper's published values
-//! in its header comment. The `cablevod-scenario` bin (in
-//! `cablevod-bench`) runs one, prints a JSON line per cell and, on
-//! stderr, the grid as a markdown table ([`Figure::peak_pivot`]):
+//! in its header comment. This crate's `cablevod-scenario` bin runs one,
+//! prints a JSON line per cell and, on stderr, the grid as a markdown
+//! table ([`Figure::peak_pivot`]):
 //!
 //! ```text
-//! cargo run --release -p cablevod-bench --bin cablevod-scenario -- scenarios/paper/fig08.scn
+//! cargo run --release -p cablevod --bin cablevod-scenario -- scenarios/paper/fig08.scn
 //! ```
 //!
 //! The specs run at the paper's full population over 21 days. A
@@ -68,13 +78,5 @@
 
 pub mod experiments;
 pub mod figure;
-pub mod system;
 
 pub use figure::{Figure, FigureRow};
-pub use system::{Evaluation, VodSystem};
-
-// Re-export the layered crates so `cablevod` is a one-stop dependency.
-pub use cablevod_cache as cache;
-pub use cablevod_hfc as hfc;
-pub use cablevod_sim as sim;
-pub use cablevod_trace as trace;

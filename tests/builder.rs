@@ -9,6 +9,8 @@
 //! interface must run end-to-end without touching the cache crate's
 //! [`StrategySpec`] enum.
 
+mod helpers;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -21,12 +23,12 @@ use cablevod_cache::{
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
-    run, run_parallel, AdmissionMode, AxisPoint, FaultPlan, RetryPolicy, Scenario, SimConfig,
-    Simulation, SourceSpec,
+    run, AdmissionMode, AxisPoint, FaultPlan, RetryPolicy, Scenario, SimConfig, Simulation,
+    SourceSpec,
 };
-use cablevod_tests::tiny_config;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
+use helpers::tiny_config;
 
 /// One spec per registered strategy, with the parameters `tests/zoo.rs`
 /// and `tests/streaming.rs` use to make each one's distinctive machinery
@@ -83,10 +85,10 @@ proptest! {
     /// `run` over a resident trace is the whole-plant driver — one event
     /// heap, every neighborhood — and everything the builder composes is
     /// a per-neighborhood plan: resident on one worker (`serial()`, the
-    /// default) and on three, streamed on one and on two. All of them,
-    /// and the `run_parallel` shorthand, reproduce the reference bit for
-    /// bit under every registered strategy, counting and enforcing
-    /// admission, over a seeded fault plan.
+    /// default) and on three, streamed on one and on two. All of them
+    /// reproduce the reference bit for bit under every registered
+    /// strategy, counting and enforcing admission, over a seeded fault
+    /// plan.
     #[test]
     fn builder_is_bit_identical_to_legacy_entry_points(
         users in 60u32..220,
@@ -129,8 +131,6 @@ proptest! {
                     .run()
                     .expect("builder, three workers");
                 prop_assert_eq!(&sharded.report, &reference, "threads(3), {}", &what);
-                let shorthand = run_parallel(&trace, &config, 3).expect("run_parallel");
-                prop_assert_eq!(&shorthand, &reference, "run_parallel, {}", &what);
 
                 let streamed = Simulation::over(&chunked)
                     .config(config.clone())

@@ -4,6 +4,8 @@
 //! panicking cell to itself, time out stragglers, retry flaky cells, and
 //! refuse a checkpoint written by a different scenario.
 
+mod helpers;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -17,7 +19,7 @@ use cablevod_sim::{
     AxisPoint, CellOutcome, CellResult, CheckpointJournal, ConfigPatch, JobRetry,
     ResilienceOptions, Scenario, SimConfig, SimReport, SourceSpec,
 };
-use cablevod_tests::tiny_config;
+use helpers::tiny_config;
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 

@@ -1,5 +1,7 @@
 //! Conservation invariants: bytes must balance exactly across the plant.
 
+mod helpers;
+
 use std::collections::HashSet;
 
 use cablevod_cache::{FillPolicy, StrategyRegistry, StrategySpec};
@@ -7,11 +9,11 @@ use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::topology::{Topology, TopologyConfig};
 use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
 use cablevod_sim::{run, SimConfig, Simulation};
-use cablevod_tests::{medium_trace, serve_trace, tiny_config};
-use cablevod_trace::catalog::ProgramCatalog;
+use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
 use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::{generate, SynthConfig};
+use helpers::{medium_trace, serve_trace, tiny_config};
 
 /// Total watched bytes in the trace at the stream rate — the offered load.
 fn offered_bits(trace: &cablevod_trace::record::Trace) -> u64 {
@@ -344,6 +346,81 @@ fn reversing_program_ids_changes_no_report() {
                 assert_eq!(a.coax_per_neighborhood, b.coax_per_neighborhood, "{what}");
             } else {
                 assert_eq!(a, b, "{what}");
+            }
+        }
+    }
+}
+
+/// `trace` moved `weeks` whole weeks later: every start, every catalogue
+/// entry's introduction day and the trace's length, so each session keeps
+/// its hour of the day, its day of the week and its program's age.
+fn shift_by_weeks(trace: &Trace, weeks: u64) -> Trace {
+    let days = 7 * weeks;
+    let catalog: ProgramCatalog = trace
+        .catalog()
+        .iter()
+        .map(|(_, info)| ProgramInfo {
+            introduced_day: info.introduced_day + days as i64,
+            ..*info
+        })
+        .collect();
+    let records = trace
+        .iter()
+        .map(|r| SessionRecord {
+            start: r.start + SimDuration::from_days(days),
+            ..*r
+        })
+        .collect();
+    Trace::new(records, catalog, trace.user_count(), trace.days() + days).expect("shifted trace")
+}
+
+/// A metamorphic relation (time shift): a trace moved one or two whole
+/// weeks later, with the warm-up moved with it, must report what the
+/// unshifted trace reports, under every registry strategy, through the
+/// reference `run` and a `Simulation` on two workers — the measured days
+/// moved by exactly the shift. Anything else that moves depends on
+/// absolute time.
+///
+/// One field is left out by construction: `server_hourly` averages each
+/// hour of the day over every day from day 0, so the shifted trace's
+/// leading empty weeks dilute it.
+#[test]
+fn shifting_by_whole_weeks_changes_no_report() {
+    let trace = generate(&SynthConfig {
+        seek_prob: 0.3,
+        ..tiny_config(600, 120, 4, 41)
+    });
+    let base = config()
+        .with_neighborhood_size(200)
+        .with_per_peer_storage(DataSize::from_gigabytes(1));
+    for name in StrategyRegistry::builtin().names() {
+        let spec = StrategySpec::parse(name).expect("a registry name parses");
+        let both = |trace: &Trace, warmup_days: u64| {
+            let config = base
+                .clone()
+                .with_strategy(spec)
+                .with_warmup_days(warmup_days);
+            let reference = run(trace, &config).expect("runs");
+            let sharded = Simulation::over(trace)
+                .config(config)
+                .threads(2)
+                .run()
+                .expect("runs")
+                .report;
+            [("run", reference), ("2 workers", sharded)]
+        };
+        let unshifted = both(&trace, 1);
+        for weeks in [1, 2] {
+            let days = 7 * weeks;
+            let shifted = both(&shift_by_weeks(&trace, weeks), 1 + days);
+            for ((path, a), (_, mut b)) in unshifted.iter().zip(shifted) {
+                let what = format!("{name} through {path}, {weeks} week(s) later");
+                assert_eq!(b.measured_from_day, a.measured_from_day + days, "{what}");
+                assert_eq!(b.measured_to_day, a.measured_to_day + days, "{what}");
+                b.measured_from_day = a.measured_from_day;
+                b.measured_to_day = a.measured_to_day;
+                b.server_hourly = a.server_hourly;
+                assert_eq!(&b, a, "{what}");
             }
         }
     }

@@ -5,17 +5,19 @@
 //! the default counting mode over a healthy plant must stay byte-
 //! identical to a run that never heard of faults.
 
+mod helpers;
+
 use proptest::prelude::*;
 
 use cablevod_hfc::ids::NeighborhoodId;
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
-    run, run_parallel, AdmissionMode, FaultEvent, FaultKind, FaultPlan, RetryPolicy, Scenario,
-    SimConfig, Simulation, SourceSpec,
+    run, AdmissionMode, FaultEvent, FaultKind, FaultPlan, RetryPolicy, Scenario, SimConfig,
+    Simulation, SourceSpec,
 };
-use cablevod_tests::tiny_config;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
+use helpers::tiny_config;
 
 fn base_config() -> SimConfig {
     SimConfig::paper_default()
@@ -51,8 +53,12 @@ proptest! {
         let serial = run(&trace, &config).expect("serial resident");
         prop_assert!(serial.degradation.is_some(), "fault plan must produce a section");
 
-        let sharded = run_parallel(&trace, &config, 3).expect("sharded resident");
-        prop_assert_eq!(&sharded, &serial);
+        let sharded = Simulation::over(&trace)
+            .config(config.clone())
+            .threads(3)
+            .run()
+            .expect("sharded resident");
+        prop_assert_eq!(&sharded.report, &serial);
 
         let chunked = ChunkedTrace::new(&trace, 64);
         let streamed = Simulation::over(&chunked)
@@ -224,8 +230,12 @@ fn retry_exhaustion_counts_blocked_once_and_drains_the_heap() {
 
     // Heap hygiene is driver-independent: sharded and streaming drivers
     // drain the same retry heap to the same report, bit for bit.
-    let sharded = run_parallel(&trace, &config, 3).expect("sharded run");
-    assert_eq!(sharded, report);
+    let sharded = Simulation::over(&trace)
+        .config(config)
+        .threads(3)
+        .run()
+        .expect("sharded run");
+    assert_eq!(sharded.report, report);
 }
 
 /// An outage extending past the end of the trace: sessions near the end
@@ -273,8 +283,12 @@ fn outage_past_trace_end_still_drains_pending_retries() {
         deg.blocked_sessions * u64::from(retry.max_retries()) + admitted_retries,
         "pending sentinels past the horizon still resolve exactly once"
     );
-    let sharded = run_parallel(&trace, &config, 3).expect("sharded run");
-    assert_eq!(sharded, report);
+    let sharded = Simulation::over(&trace)
+        .config(config)
+        .threads(3)
+        .run()
+        .expect("sharded run");
+    assert_eq!(sharded.report, report);
 }
 
 /// The default configuration (counting mode, empty plan) produces no

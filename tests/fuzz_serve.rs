@@ -7,6 +7,8 @@
 //! hang, must answer every complete line exactly once and in order, and
 //! must keep `admitted + shed + ERR == SESSION sent`.
 
+mod helpers;
+
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -21,7 +23,7 @@ use cablevod_hfc::units::SimTime;
 use cablevod_serve::server::{ServerConfig, DRAIN_DEADLINE, MAX_LINE, SLOW_READER_DEADLINE};
 use cablevod_serve::{ClockSource, ServeStats};
 use cablevod_sim::SimReport;
-use cablevod_tests::{connect_with_retry, spawn_serve};
+use helpers::{connect_with_retry, spawn_serve};
 
 /// One millisecond of wall time is one simulated second, so queued
 /// sessions get their verdict within a millisecond or two.

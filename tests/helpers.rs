@@ -1,4 +1,8 @@
-//! Shared helpers for the cross-crate integration tests.
+//! Shared helpers for the cross-crate integration tests, a `mod helpers;`
+//! in each test that uses them.
+
+// Each test crate compiles every helper and calls only some.
+#![allow(dead_code)]
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};

@@ -1,14 +1,16 @@
 //! Property-based tests over the public API: generator, scaling and
 //! simulation invariants under randomized parameters.
 
+mod helpers;
+
 use proptest::prelude::*;
 
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::units::DataSize;
-use cablevod_sim::{run, run_parallel, SimConfig};
-use cablevod_tests::tiny_config;
+use cablevod_sim::{run, SimConfig, Simulation};
 use cablevod_trace::scale;
 use cablevod_trace::synth::generate;
+use helpers::tiny_config;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
@@ -149,9 +151,12 @@ proptest! {
         let serial = run(&trace, &config).expect("serial engine runs");
         let neighborhoods = users.div_ceil(nbhd) as usize;
         for threads in [1, 2, neighborhoods] {
-            let parallel =
-                run_parallel(&trace, &config, threads).expect("parallel engine runs");
-            prop_assert_eq!(&parallel, &serial, "threads = {}", threads);
+            let parallel = Simulation::over(&trace)
+                .config(config.clone())
+                .threads(threads)
+                .run()
+                .expect("parallel engine runs");
+            prop_assert_eq!(&parallel.report, &serial, "threads = {}", threads);
         }
     }
 }

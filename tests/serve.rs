@@ -6,6 +6,8 @@
 //! `poll` asked for, and epoch-correctness of the front tier's response
 //! cache.
 
+mod helpers;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,9 +27,9 @@ use cablevod_sim::{
     report_from_json_str, report_to_json_string, run, AdmissionMode, FaultPlan, RetryPolicy,
     SimConfig,
 };
-use cablevod_tests::{connect_with_retry, spawn_serve, tiny_config};
 use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::synth::generate;
+use helpers::{connect_with_retry, spawn_serve, tiny_config};
 
 /// Every strategy family the decision tier can serve online without a
 /// future schedule, plus Oracle (replay mode carries the records).

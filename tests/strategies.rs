@@ -1,9 +1,11 @@
 //! Cross-strategy orderings the paper's evaluation relies on.
 
+mod helpers;
+
 use cablevod_cache::{FillPolicy, StrategySpec};
 use cablevod_hfc::units::{DataSize, SimDuration};
 use cablevod_sim::{baseline, run, SimConfig};
-use cablevod_tests::medium_trace;
+use helpers::medium_trace;
 
 fn config(gb: u64) -> SimConfig {
     SimConfig::paper_default()

@@ -9,6 +9,8 @@
 //! boundaries, same-second ties across them) and failing closed when a
 //! shard fails — or panics — mid-run.
 
+mod helpers;
+
 use proptest::prelude::*;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,17 +22,17 @@ use cablevod_cache::{AccessEvent, CacheError, CacheStrategy, StrategyRegistry, S
 use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
 use cablevod_sim::{
-    run, run_parallel, serve_serial, AdmissionMode, AxisPoint, CellResult, FaultPlan, OnlineSpec,
+    run, serve_serial, AdmissionMode, AxisPoint, CellResult, FaultPlan, OnlineSpec,
     ResilienceOptions, RetryPolicy, Scenario, SimConfig, SimError, SimReport, Simulation,
     SourceSpec, ThreadPolicy,
 };
-use cablevod_tests::{serve_trace, tiny_config};
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::rechunk::{rechunk_by_neighborhood, rechunk_multi_index};
 use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::{ChunkedTrace, TraceSource};
 use cablevod_trace::synth::{generate, SynthConfig};
+use helpers::{serve_trace, tiny_config};
 
 /// The strategy matrix the equivalence properties sweep: the paper's five
 /// (Global LFU's feed consumption exercises the watermark feed the
@@ -131,10 +133,13 @@ proptest! {
                 let streamed = run(&source, &config).expect("windowed serial oracle runs");
                 prop_assert_eq!(&streamed, &resident, "{}, serial, chunk {}", text, chunk);
                 for threads in [1, 2, neighborhoods] {
-                    let sharded = run_parallel(&source, &config, threads)
+                    let sharded = Simulation::over(&source)
+                        .config(config.clone())
+                        .threads(threads)
+                        .run()
                         .expect("windowed sharded oracle runs");
                     prop_assert_eq!(
-                        &sharded, &resident, "{}, chunk {}, threads {}", text, chunk, threads
+                        &sharded.report, &resident, "{}, chunk {}, threads {}", text, chunk, threads
                     );
                 }
             }
@@ -147,7 +152,7 @@ proptest! {
     /// the serial resident engine across strategies, chunk sizes and
     /// shard-pool sizes.
     #[test]
-    fn streaming_run_parallel_equals_serial_run(
+    fn streaming_sharded_run_equals_serial_run(
         users in 60u32..220,
         nbhd in 25u32..120,
         gb in 1u64..5,
@@ -161,9 +166,12 @@ proptest! {
         for chunk in chunk_sizes(trace.len()) {
             let source = ChunkedTrace::new(&trace, chunk);
             for threads in [1, 2, neighborhoods] {
-                let sharded =
-                    run_parallel(&source, &config, threads).expect("sharded engine runs");
-                prop_assert_eq!(&sharded, &serial, "chunk {}, threads {}", chunk, threads);
+                let sharded = Simulation::over(&source)
+                    .config(config.clone())
+                    .threads(threads)
+                    .run()
+                    .expect("sharded engine runs");
+                prop_assert_eq!(&sharded.report, &serial, "chunk {}, threads {}", chunk, threads);
             }
         }
     }
@@ -185,8 +193,12 @@ fn columnar_file_replay_is_bit_identical() {
         let resident = run(&trace, &config).expect("resident runs");
         let from_disk = run(&reader, &config).expect("disk replay runs");
         assert_eq!(from_disk, resident, "serial, strategy {pick}");
-        let sharded = run_parallel(&reader, &config, 3).expect("sharded disk replay runs");
-        assert_eq!(sharded, resident, "sharded, strategy {pick}");
+        let sharded = Simulation::over(&reader)
+            .config(config)
+            .threads(3)
+            .run()
+            .expect("sharded disk replay runs");
+        assert_eq!(sharded.report, resident, "sharded, strategy {pick}");
     }
     std::fs::remove_file(&path).ok();
 }
@@ -219,8 +231,12 @@ fn neighborhood_major_replay_is_bit_identical() {
         let serial = run(&reader, &config).expect("serial merge replay runs");
         assert_eq!(serial, resident, "serial merge, strategy {pick}");
         for threads in [1usize, 3] {
-            let sharded = run_parallel(&reader, &config, threads).expect("matched sharded runs");
-            assert_eq!(sharded, resident, "matched sharded, strategy {pick}");
+            let sharded = Simulation::over(&reader)
+                .config(config.clone())
+                .threads(threads)
+                .run()
+                .expect("matched sharded runs");
+            assert_eq!(sharded.report, resident, "matched sharded, strategy {pick}");
         }
 
         // Mismatched neighborhood size: the file's grouping disagrees with
@@ -231,8 +247,15 @@ fn neighborhood_major_replay_is_bit_identical() {
         let resident = run(&trace, &config).expect("resident runs");
         let serial = run(&reader, &config).expect("mismatched serial runs");
         assert_eq!(serial, resident, "mismatched serial, strategy {pick}");
-        let sharded = run_parallel(&reader, &config, 2).expect("mismatched sharded runs");
-        assert_eq!(sharded, resident, "mismatched sharded, strategy {pick}");
+        let sharded = Simulation::over(&reader)
+            .config(config)
+            .threads(2)
+            .run()
+            .expect("mismatched sharded runs");
+        assert_eq!(
+            sharded.report, resident,
+            "mismatched sharded, strategy {pick}"
+        );
     }
     std::fs::remove_file(&tm).ok();
     std::fs::remove_file(&nm).ok();
@@ -263,7 +286,12 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let config = config_for(50, 2, StrategySpec::default_lfu());
 
     let before = nm_reader.decode_stats();
-    let nm_report = run_parallel(&nm_reader, &config, 4).expect("matched sharded runs");
+    let nm_report = Simulation::over(&nm_reader)
+        .config(config.clone())
+        .threads(4)
+        .run()
+        .expect("matched sharded runs")
+        .report;
     let nm_decodes = nm_reader.decode_stats() - before;
     assert_eq!(
         nm_decodes.chunks,
@@ -273,7 +301,12 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     assert!(nm_decodes.bytes > 0, "decode bytes are tracked");
 
     let before = tm_reader.decode_stats();
-    let tm_report = run_parallel(&tm_reader, &config, 4).expect("time-major sharded runs");
+    let tm_report = Simulation::over(&tm_reader)
+        .config(config)
+        .threads(4)
+        .run()
+        .expect("time-major sharded runs")
+        .report;
     let tm_decodes = tm_reader.decode_stats() - before;
     assert_eq!(tm_report, nm_report, "layouts agree bit-for-bit");
     assert_eq!(
@@ -433,7 +466,12 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
             let config = config_for(size, 2, strategy(pick));
             let resident = run(&trace, &config).expect("resident runs");
             assert_eq!(
-                run_parallel(&trace, &config, threads).expect("resident sharded runs"),
+                Simulation::over(&trace)
+                    .config(config.clone())
+                    .threads(threads)
+                    .run()
+                    .expect("resident sharded runs")
+                    .report,
                 resident,
                 "resident sharded, size {size}, strategy {pick}"
             );
@@ -443,7 +481,12 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
                 "merge serial, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run_parallel(&nm_reader, &config, threads).expect("merge-path sharded runs"),
+                Simulation::over(&nm_reader)
+                    .config(config.clone())
+                    .threads(threads)
+                    .run()
+                    .expect("merge-path sharded runs")
+                    .report,
                 resident,
                 "merge sharded, size {size}, strategy {pick}"
             );
@@ -453,7 +496,12 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
                 "fast serial, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run_parallel(&multi_reader, &config, threads).expect("fast-path sharded runs"),
+                Simulation::over(&multi_reader)
+                    .config(config)
+                    .threads(threads)
+                    .run()
+                    .expect("fast-path sharded runs")
+                    .report,
                 resident,
                 "fast sharded, size {size}, strategy {pick}"
             );
@@ -527,9 +575,12 @@ fn empty_trace_streams_to_an_empty_report() {
     assert_eq!(resident.segment_requests, 0);
     let streamed = run(&ChunkedTrace::new(&trace, 8), &config).expect("streaming empty run");
     assert_eq!(streamed, resident);
-    let sharded =
-        run_parallel(&ChunkedTrace::new(&trace, 8), &config, 2).expect("sharded empty run");
-    assert_eq!(sharded, resident);
+    let sharded = Simulation::over(&ChunkedTrace::new(&trace, 8))
+        .config(config)
+        .threads(2)
+        .run()
+        .expect("sharded empty run");
+    assert_eq!(sharded.report, resident);
 }
 
 /// Sessions whose continuation events outlive their chunk — including a
@@ -556,8 +607,12 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
     assert_eq!(single.chunk_count(), 5);
     let streamed = run(&single, &config).expect("single-record chunks run");
     assert_eq!(streamed, resident);
-    let sharded = run_parallel(&single, &config, 2).expect("sharded single-record chunks run");
-    assert_eq!(sharded, resident);
+    let sharded = Simulation::over(&single)
+        .config(config.clone())
+        .threads(2)
+        .run()
+        .expect("sharded single-record chunks run");
+    assert_eq!(sharded.report, resident);
 
     // Same from disk, chunk size 1.
     let mut path = std::env::temp_dir();
@@ -567,7 +622,12 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
     assert_eq!(reader.chunk_count(), 5);
     assert_eq!(run(&reader, &config).expect("disk replay"), resident);
     assert_eq!(
-        run_parallel(&reader, &config, 2).expect("sharded disk replay"),
+        Simulation::over(&reader)
+            .config(config)
+            .threads(2)
+            .run()
+            .expect("sharded disk replay")
+            .report,
         resident
     );
     std::fs::remove_file(&path).ok();

@@ -8,6 +8,8 @@
 //! `scenarios/strategy_zoo.scn` matrix loads, round-trips, and names
 //! every cell CI races head-to-head.
 
+mod helpers;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -15,11 +17,11 @@ use proptest::prelude::*;
 use cablevod_cache::strategy::{StrategyContext, StrategyFactory};
 use cablevod_cache::{CacheError, CacheStrategy, FetchModel, StrategySpec};
 use cablevod_hfc::units::{DataSize, SimDuration};
-use cablevod_sim::{run, run_parallel, Scenario, SimConfig, Simulation};
-use cablevod_tests::tiny_config;
+use cablevod_sim::{run, Scenario, SimConfig, Simulation};
 use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
+use helpers::tiny_config;
 
 /// The four literature strategies this PR adds, with parameters that
 /// exercise their distinctive machinery on a small trace: a tight TTU so
@@ -74,9 +76,13 @@ fn new_strategies_are_bit_identical_on_all_four_drivers() {
         let config = config_for(60, 2, spec);
         let resident = run(&trace, &config).expect("resident serial runs");
         for threads in [1, 2, 5] {
-            let sharded = run_parallel(&trace, &config, threads).expect("resident sharded runs");
+            let sharded = Simulation::over(&trace)
+                .config(config.clone())
+                .threads(threads)
+                .run()
+                .expect("resident sharded runs");
             assert_eq!(
-                sharded, resident,
+                sharded.report, resident,
                 "resident sharded, {spec:?}, {threads} threads"
             );
         }
@@ -88,10 +94,13 @@ fn new_strategies_are_bit_identical_on_all_four_drivers() {
                 "streaming serial, {spec:?}, chunk {chunk}"
             );
             for threads in [1, 2, 5] {
-                let sharded =
-                    run_parallel(&source, &config, threads).expect("streaming sharded runs");
+                let sharded = Simulation::over(&source)
+                    .config(config.clone())
+                    .threads(threads)
+                    .run()
+                    .expect("streaming sharded runs");
                 assert_eq!(
-                    sharded, resident,
+                    sharded.report, resident,
                     "streaming sharded, {spec:?}, chunk {chunk}, {threads} threads"
                 );
             }
