@@ -82,7 +82,8 @@ fn lfu_access(c: &mut Criterion) {
         let topo = Topology::build(TopologyConfig::new(1, 1)).expect("one box");
         let peer = PeerId::new(0);
         b.iter(|| {
-            let mut plant = Plant::over(&topo, 0..1).expect("the one neighborhood");
+            let mut plant = Plant::over(&topo, cablevod_hfc::ids::NeighborhoodId::new(0))
+                .expect("the one neighborhood");
             let mut granted = 0u32;
             for i in 0..N {
                 let t = SimTime::from_secs(i * 61);

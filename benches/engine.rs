@@ -6,13 +6,11 @@
 //! Rows run through the [`Simulation`] builder — the public front door —
 //! which replays per neighborhood at every worker count, so
 //! `engine/{no_cache,lru,lfu,oracle}` are the one-worker rows of
-//! `engine_parallel/threads/N`; `engine/lfu_whole_plant` is the other
-//! side of that gap, the whole-plant reference driver behind
-//! [`cablevod_sim::run`].
+//! `engine_parallel/threads/N`.
 //!
 //! Set `BENCH_JSON=BENCH_engine.json` to append one JSON line per
-//! measurement — CI uses this to track the whole-plant / one-worker /
-//! parallel throughput trajectory.
+//! measurement — CI uses this to track the one-worker / parallel /
+//! streaming throughput trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -87,11 +85,6 @@ fn engine_throughput(c: &mut Criterion) {
             })
         });
     }
-    // `base` is lfu: the same run as `engine/lfu`, by the driver every
-    // per-neighborhood plan is checked against.
-    group.bench_function("lfu_whole_plant", |b| {
-        b.iter(|| cablevod_sim::run(trace, &base).expect("runs"))
-    });
     group.finish();
 }
 
@@ -187,7 +180,7 @@ fn admit_evict_churn(c: &mut Criterion) {
             .build(ledger.total_slots(), home, None)
             .expect("needs no schedule");
         let mut index = IndexServer::new(home, strategy, segmenter, ledger);
-        let mut plant = Plant::over(&topo, 0..1).expect("in range");
+        let mut plant = Plant::over(&topo, home).expect("in range");
         for &(now, program, length) in &accesses {
             index
                 .on_program_access(program, length, now, &mut plant)

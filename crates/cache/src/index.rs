@@ -183,8 +183,7 @@ impl Placed {
 /// Program ids are dense catalog indices (see `cablevod_hfc::ids`), so all
 /// per-program bookkeeping lives in a `Vec` indexed by
 /// `ProgramId::index()` — the hot path does no hashing. Peer mutation goes
-/// through the [`Plant`] holding this neighborhood's boxes — the whole
-/// plant or one shard's range of it, the same type either way.
+/// through the [`Plant`] holding this neighborhood's boxes.
 #[derive(Debug)]
 pub struct IndexServer {
     home: NeighborhoodId,
@@ -706,7 +705,7 @@ mod tests {
             .map(|&p| (p, slots))
             .collect::<Vec<_>>();
         (
-            Plant::over(topo, 0..1).expect("whole plant"),
+            Plant::over(topo, NeighborhoodId::new(0)).expect("the one neighborhood"),
             SlotLedger::new(members, PlacementPolicy::Balanced),
         )
     }
@@ -1145,7 +1144,9 @@ mod tests {
             TopologyConfig::new(users, NBHD).with_per_peer_storage(DataSize::from_gigabytes(2)),
         )
         .expect("valid");
-        let mut plant = Plant::over(&topo, 0..NBHDS as usize).expect("whole plant");
+        let mut plants: Vec<Plant<'_>> = (0..NBHDS)
+            .map(|n| Plant::over(&topo, NeighborhoodId::new(n)).expect("exists"))
+            .collect();
         let segmenter = Segmenter::paper_default();
         let nominal = segmenter.stream_rate() * segmenter.segment_len();
         let slots = (topo.config().per_peer_storage().as_bits() / nominal.as_bits()) as u32;
@@ -1175,8 +1176,9 @@ mod tests {
             let program = (400.0 * u * u * u) as u32;
             let length = SimDuration::from_minutes(30 * (1 + u64::from(program % 4)));
             let now = t(i * DAYS * 86_400 / sessions);
-            indexes[(x % u64::from(NBHDS)) as usize]
-                .on_program_access(ProgramId::new(program), length, now, &mut plant)
+            let n = (x % u64::from(NBHDS)) as usize;
+            indexes[n]
+                .on_program_access(ProgramId::new(program), length, now, &mut plants[n])
                 .expect("placement holds");
         }
         let boxes = users as usize * std::mem::size_of::<SetTopBox>();

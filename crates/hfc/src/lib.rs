@@ -8,15 +8,16 @@
 //! * the **broadcast, rate-limited coaxial** last mile ([`coax`]);
 //! * always-on **set-top boxes** with bounded storage and two stream slots
 //!   ([`stb`]);
-//! * the boxes, coax networks and central-server meter of a range of
-//!   neighborhoods — what a run mutates ([`plant`]);
+//! * the boxes, coax network and central-server meter of one
+//!   neighborhood — what a run mutates ([`plant`]);
 //! * 5-minute **program segmentation** ([`segment`]);
 //! * strongly-typed **units** and **ids** ([`units`], [`ids`]) and
 //!   hour-of-day **bandwidth meters** ([`meter`]).
 //!
 //! Higher layers (`cablevod-cache`, `cablevod-sim`) read an immutable
-//! [`topology::Topology`] and mutate a [`plant::Plant`] built over it through
-//! id-based accessors; this crate owns all physical state.
+//! [`topology::Topology`] and mutate one [`plant::Plant`] per neighborhood,
+//! built over it, through id-based accessors; this crate owns all physical
+//! state.
 //!
 //! # Examples
 //!

@@ -44,11 +44,11 @@ pub const DEFAULT_STREAM_SLOTS: u8 = 2;
 /// ```
 /// use cablevod_hfc::plant::Plant;
 /// use cablevod_hfc::topology::{Topology, TopologyConfig};
-/// use cablevod_hfc::ids::PeerId;
+/// use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 /// use cablevod_hfc::units::DataSize;
 ///
 /// let topo = Topology::build(TopologyConfig::new(10, 10))?;
-/// let mut plant = Plant::over(&topo, 0..1)?;
+/// let mut plant = Plant::over(&topo, NeighborhoodId::new(0))?;
 /// let peer = PeerId::new(3);
 /// let segment = DataSize::from_bytes(302_250_000);
 /// plant.store(peer, segment)?;

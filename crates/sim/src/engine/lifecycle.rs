@@ -4,22 +4,21 @@
 //! point runs: interleave the next trace record with the continuation
 //! queue in time order, start sessions (viewer slot accounting, feed sync,
 //! strategy update, first segment), and resolve segment requests against
-//! the cache and the plant. One driver owns a contiguous range of
-//! neighborhoods — all of them (the whole-plant reference driver) or
-//! exactly one (a shard, a neighborhood of the online engine) — as that
-//! range's index servers, its
-//! [`Plant`] and its [`AdmissionControl`], all built in one place
-//! ([`DriverParts::driver`](super::DriverParts::driver)). It is generic
+//! the cache and the plant. One driver owns exactly one neighborhood — a
+//! shard of an offline replay, or a neighborhood of the online engine —
+//! as its [`IndexServer`], its [`Plant`] and its [`AdmissionControl`], all
+//! built in one place ([`DriverParts::driver`](super::DriverParts::driver)).
+//! It is generic
 //! over two seams, and those seams — not copies of this loop — are what
 //! distinguish the entry drivers:
 //!
 //! * [`FeedProvider`] — how the global popularity feed is consumed: a
 //!   precomputed carrier (resident) or the shared watermark carrier
 //!   (streaming, online), published into before the driver runs;
-//! * [`RecordSupply`] — where sessions come from: a resident slice, one
-//!   neighborhood's records gathered out of it, one neighborhood's slice
-//!   of each decoded block, a merged chunk stream (see [`super::stream`])
-//!   or a live queue (see [`super::online`]).
+//! * [`RecordSupply`] — where sessions come from: the neighborhood's
+//!   records gathered out of a resident trace, its slice of each decoded
+//!   block, a merged chunk stream (see [`super::stream`]) or a live queue
+//!   (see [`super::online`]).
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
@@ -47,12 +46,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cablevod_cache::{AccessEvent, FeedEvent, FeedProvider, IndexServer, IndexStats, Resolution};
+use cablevod_cache::{AccessEvent, FeedEvent, FeedProvider, IndexServer, Resolution};
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId};
 use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
-use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
+use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 
@@ -61,7 +60,7 @@ use crate::error::SimError;
 
 use super::fault::{AdmissionControl, Verdict};
 use super::queue::ContinuationQueue;
-use super::report::RangeOutcome;
+use super::report::NeighborhoodOutcome;
 
 /// Error reason used when a shard bails out because a sibling failed; the
 /// merge prefers the sibling's real error over this sentinel.
@@ -76,9 +75,9 @@ pub(super) const ABORTED: &str = "aborted after a failure in another shard";
 /// driver, so retry ordering is deterministic across drivers.
 pub(super) const RETRY_SEG: u16 = u16::MAX;
 
-/// Everything the hot loop needs about one session, precomputed (resident
-/// path) or computed at ingestion (streaming paths) so the event loop
-/// never re-queries the catalog or the topology during event processing.
+/// Everything the hot loop needs about one session, computed once when
+/// its supply stages it, so the event loop never re-queries the catalog or
+/// the topology during event processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct SessionCtx {
     /// Dense neighborhood index of the session's user.
@@ -209,12 +208,11 @@ pub(super) trait RecordSupply {
     /// Called after every [`peek`](RecordSupply::peek). A supply that
     /// reads ahead of its sessions for a strategy that looks into the
     /// future (see [`super::stream::LookAhead`]) hands `sink` what it has
-    /// passed since the last call: the neighborhood, its accesses in time
-    /// order, and the instant before which every one of its accesses has
-    /// now been handed over — at least
-    /// `lookahead` past the staged session's start. The default hands
-    /// over nothing: a resident run's index servers were handed their
-    /// whole future when they were built
+    /// passed since the last call: the neighborhood's accesses in time
+    /// order, and the instant before which every one of them has now been
+    /// handed over — at least `lookahead` past the staged session's start.
+    /// The default hands over nothing: a resident run's index server was
+    /// handed its whole future when it was built
     /// ([`resident_future`](RecordSupply::resident_future)), a live
     /// ingress has none.
     ///
@@ -223,17 +221,17 @@ pub(super) trait RecordSupply {
     /// Propagates `sink`'s failure.
     fn read_ahead(
         &mut self,
-        _sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
+        _sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         Ok(())
     }
 
     /// Every record this supply will ever stage, in order, when all of
     /// them are resident already: under a strategy that looks ahead the
-    /// driver's constructor hands each index server the whole of its
+    /// driver's constructor hands the index server the whole of its
     /// neighborhood's future from here, once, and nothing rides the hot
     /// loop. `None`, the default, for a supply that reads its records as
-    /// it goes and keeps its index servers fed through
+    /// it goes and keeps its index server fed through
     /// [`read_ahead`](RecordSupply::read_ahead).
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
         None
@@ -338,21 +336,18 @@ pub(super) enum Step {
 }
 
 /// The single discrete-event loop (see the module docs). One instance
-/// drives one contiguous range of neighborhoods: all of them for the
-/// whole-plant reference driver, exactly one for every other.
+/// drives one neighborhood.
 pub(super) struct SessionDriver<'a, F, R> {
     supply: R,
     feed: Option<F>,
-    /// The boxes and meters of this driver's neighborhoods.
+    /// The boxes and meters of this driver's neighborhood.
     plant: Plant<'a>,
-    /// Their admission control, when a fault plan or enforcing admission
+    /// Its admission control, when a fault plan or enforcing admission
     /// is active; `None` otherwise, and the lifecycle takes its original
     /// (pre-fault, byte-identical) path.
     admission: Option<AdmissionControl>,
-    /// Their index servers, in neighborhood order:
-    /// `indexes[ctx.nbhd - index_base]`.
-    indexes: Vec<IndexServer>,
-    index_base: u32,
+    /// Its index server.
+    index: IndexServer,
     active: ActiveSessions,
     /// Continuation events: (segment start, global record index, segment
     /// index, active-session slot). The slot is payload, not key — ties on
@@ -368,8 +363,8 @@ pub(super) struct SessionDriver<'a, F, R> {
     /// parked shards unblock into an orderly bail-out.
     abort: Option<&'a AtomicBool>,
     /// Debug builds only (zero otherwise): the bits every segment request
-    /// so far offered the plant, held against what the range's coax
-    /// meters carried when the run ends
+    /// so far offered the plant, held against what the neighborhood's coax
+    /// carried when the run ends
     /// ([`into_outcome`](Self::into_outcome)).
     offered_bits: u64,
 }
@@ -379,26 +374,23 @@ where
     F: FeedProvider,
     R: RecordSupply,
 {
-    /// A driver for `plant`'s neighborhoods, `indexes` being their index
-    /// servers in order.
+    /// A driver for `index`'s neighborhood, `plant` being its boxes and
+    /// meters.
     pub(super) fn new(
         supply: R,
         feed: Option<F>,
         plant: Plant<'a>,
-        indexes: Vec<IndexServer>,
+        index: IndexServer,
         config: &'a SimConfig,
         segmenter: Segmenter,
         abort: Option<&'a AtomicBool>,
     ) -> Self {
-        let index_base = plant.neighborhoods().start as u32;
-        debug_assert_eq!(plant.neighborhoods().len(), indexes.len());
         SessionDriver {
             supply,
             feed,
+            admission: AdmissionControl::build(config, index.home()),
             plant,
-            admission: AdmissionControl::build(config, index_base, indexes.len()),
-            indexes,
-            index_base,
+            index,
             active: ActiveSessions::default(),
             queue: ContinuationQueue::default(),
             counters: EngineCounters::default(),
@@ -427,10 +419,9 @@ where
                 }
             }
             let staged = self.supply.peek()?;
-            let (indexes, base) = (&mut self.indexes, self.index_base);
-            self.supply.read_ahead(|nbhd, events, covered| {
-                Ok(indexes[(nbhd - base) as usize].extend_schedule(events, covered)?)
-            })?;
+            let index = &mut self.index;
+            self.supply
+                .read_ahead(|events, covered| Ok(index.extend_schedule(events, covered)?))?;
             let take_record = match (staged, self.queue.peek()) {
                 (None, None) => {
                     if self.supply.resumes_at().is_some() {
@@ -460,7 +451,7 @@ where
                     self.retry_session(at, gidx, slot)?;
                 } else {
                     let (rec, ctx) = self.active.get(slot);
-                    if self.interrupt(ctx.nbhd, at, slot) {
+                    if self.interrupt(at, slot) {
                         self.active.remove(slot);
                     } else {
                         let cont = self.process_segment(&rec, &ctx, seg_idx)?;
@@ -486,11 +477,10 @@ where
         }
     }
 
-    /// The index servers this driver routes events to, in neighborhood
-    /// order from `index_base` (online lookups read placement through
-    /// these between steps).
-    pub(super) fn indexes(&self) -> &[IndexServer] {
-        &self.indexes
+    /// The neighborhood's index server (online lookups read placement
+    /// through it between steps).
+    pub(super) fn index(&self) -> &IndexServer {
+        &self.index
     }
 
     /// The continuation queue's pushes so far, and how many of them fell
@@ -506,8 +496,8 @@ where
         &mut self.supply
     }
 
-    /// The idle sweep: syncs every index this driver holds against the
-    /// first `published` feed events, at time `now`. Called when the
+    /// The idle sweep: syncs the driver's index against the first
+    /// `published` feed events, at time `now`. Called when the
     /// driver is parked — at a block's edge, or at the live clock's
     /// "now" — where every one of those events is published and no
     /// session still to start begins before `now`, so it consumes
@@ -515,11 +505,8 @@ where
     /// anyway, and a neighborhood with no session since the last pause
     /// still moves its cursor and with it the feed's reclamation floor.
     pub(super) fn sync_published(&mut self, now: SimTime, published: u64) {
-        let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) else {
-            return;
-        };
-        for index in &mut self.indexes {
-            feed.sync(index, now, seq);
+        if let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) {
+            feed.sync(&mut self.index, now, seq);
         }
     }
 
@@ -527,9 +514,14 @@ where
     /// sync, strategy update, and the first segment request.
     fn start_session(&mut self, session: &PendingSession) -> Result<(), SimError> {
         let PendingSession { gidx, rec, ctx } = session;
+        debug_assert_eq!(
+            ctx.nbhd,
+            self.index.home().value(),
+            "a session of another neighborhood"
+        );
         self.counters.sessions += 1;
         let verdict = match self.admission.as_mut() {
-            Some(ctl) => ctl.try_admit(ctx.nbhd, rec.start, rec.start + ctx.watched, 0),
+            Some(ctl) => ctl.try_admit(rec.start, rec.start + ctx.watched, 0),
             None => Verdict::Admit,
         };
         match verdict {
@@ -598,19 +590,14 @@ where
         rec: &SessionRecord,
         ctx: &SessionCtx,
     ) -> Result<(), SimError> {
-        let index_at = (ctx.nbhd - self.index_base) as usize;
         if let Some(feed) = self.feed.as_mut() {
             // Events up to and including this record are published (see
             // the module docs on feed exactness); the provider bounds
             // consumption accordingly.
-            feed.sync(&mut self.indexes[index_at], rec.start, gidx);
+            feed.sync(&mut self.index, rec.start, gidx);
         }
-        self.indexes[index_at].on_program_access(
-            rec.program,
-            ctx.length,
-            rec.start,
-            &mut self.plant,
-        )?;
+        self.index
+            .on_program_access(rec.program, ctx.length, rec.start, &mut self.plant)?;
         Ok(())
     }
 
@@ -625,7 +612,7 @@ where
             .admission
             .as_mut()
             .expect("retry events exist only under admission control");
-        match ctl.try_admit(ctx.nbhd, at, at + ctx.watched, retries) {
+        match ctl.try_admit(at, at + ctx.watched, retries) {
             Verdict::Admit => {
                 self.active.shift_start(slot, at);
                 let (rec, ctx) = self.active.get(slot);
@@ -662,19 +649,19 @@ where
     /// viewer-STB slot and channel occupancy until their nominal end —
     /// both are pruned lazily by end time, a deliberate simplification
     /// documented in the crate's fault model.
-    fn interrupt(&mut self, nbhd: u32, at: SimTime, slot: u32) -> bool {
+    fn interrupt(&mut self, at: SimTime, slot: u32) -> bool {
         let Some(ctl) = self.admission.as_mut() else {
             return false;
         };
-        if !ctl.outage_now(nbhd, at) {
+        if !ctl.outage_now(at) {
             return false;
         }
         if ctl.enforcing() {
-            ctl.tally_interrupt(nbhd);
+            ctl.tally_interrupt();
             true
         } else {
             if self.active.note_outage(slot) {
-                ctl.tally_interrupt(nbhd);
+                ctl.tally_interrupt();
             }
             false
         }
@@ -704,27 +691,21 @@ where
         let end = start + SimDuration::from_secs(watched);
         let size = self.config.stream_rate() * SimDuration::from_secs(watched);
         let segment = SegmentId::new(rec.program, seg_idx);
-        let index_at = (ctx.nbhd - self.index_base) as usize;
 
         self.counters.segment_requests += 1;
         if cfg!(debug_assertions) {
             self.offered_bits += size.as_bits();
         }
-        let resolution = self.indexes[index_at].resolve_segment(
-            segment,
-            rec.start,
-            start,
-            end,
-            &mut self.plant,
-        )?;
-        let nbhd = self.indexes[index_at].home();
+        let resolution =
+            self.index
+                .resolve_segment(segment, rec.start, start, end, &mut self.plant)?;
         if let Resolution::Miss(_) = resolution {
             // Fig 4: central server -> fiber -> headend rebroadcast.
             self.plant.record_miss(start, end, size);
         }
         // Broadcast medium: the segment crosses the coax either way
         // (§VI-B).
-        self.plant.record_broadcast(nbhd, start, end, size)?;
+        self.plant.record_broadcast(start, end, size);
 
         let next_pos = (k + 1) * seg_len;
         Ok((next_pos < span_end).then(|| {
@@ -737,38 +718,32 @@ where
 
     /// Ends a completed run: what the report fold reads of it (the boxes
     /// and the strategy state are dropped here).
-    pub(super) fn into_outcome(self) -> RangeOutcome {
-        // Conservation: the boxes of the range hold exactly the slots
-        // their index servers' ledgers have placed — the placement record
-        // lives only in the ledgers, the boxes keep bytes (see
-        // `cablevod_cache::index`), and every admission and eviction
-        // checked its own peers against it on the way.
+    pub(super) fn into_outcome(self) -> NeighborhoodOutcome {
+        let nbhd = self.index.home();
+        // Conservation: the boxes hold exactly the slots the index
+        // server's ledger has placed — the placement record lives only in
+        // the ledger, the boxes keep bytes (see `cablevod_cache::index`),
+        // and every admission and eviction checked its own peers against
+        // it on the way.
         debug_assert_eq!(
             self.plant.stored(),
-            self.indexes.iter().fold(DataSize::ZERO, |sum, index| sum
-                + index.nominal_segment() * index.placed_slots()),
-            "neighborhoods {:?}: the boxes and the ledgers disagree",
-            self.plant.neighborhoods()
+            self.index.nominal_segment() * self.index.placed_slots(),
+            "{nbhd}: the boxes and the ledger disagree"
         );
         let (coax, server) = self.plant.into_meters();
         // Conservation: offered bits = server + peer bits, and both cross
-        // the coax (§VI-B) — so this range's coax meters carry exactly
-        // what its segment requests offered, on every driver, whatever
-        // was admitted, refused or interrupted on the way.
+        // the coax (§VI-B) — so the coax carries exactly what the segment
+        // requests offered, on every plan, whatever was admitted, refused
+        // or interrupted on the way.
         debug_assert_eq!(
-            coax.iter().map(|c| c.total().as_bits()).sum::<u64>(),
+            coax.total().as_bits(),
             self.offered_bits,
-            "neighborhoods {:?}: the coax did not carry the offered load",
-            self.index_base as usize..self.index_base as usize + coax.len()
+            "{nbhd}: the coax did not carry the offered load"
         );
-        let mut stats = IndexStats::default();
-        for index in &self.indexes {
-            stats += *index.stats();
-        }
-        RangeOutcome {
+        NeighborhoodOutcome {
             coax,
             server,
-            stats,
+            stats: *self.index.stats(),
             counters: self.counters,
             degradation: self.admission.map(AdmissionControl::into_report),
         }

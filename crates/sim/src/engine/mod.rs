@@ -18,39 +18,37 @@
 //! # Architecture: one lifecycle, two seams, thin drivers
 //!
 //! There is exactly **one** session-lifecycle implementation —
-//! `lifecycle::SessionDriver` — and every entry point is a thin
-//! composition of pluggable pieces around it:
+//! `lifecycle::SessionDriver` — and it owns exactly one neighborhood, the
+//! paper's unit of isolation. Every entry point is a thin composition of
+//! pluggable pieces around one driver per neighborhood:
 //!
 //! ```text
 //!  run / replay /                (mod.rs, shard.rs, online.rs — the entry
 //!  online::serve_serial           drivers)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose, through DriverParts::driver (mod.rs — the one place a
-//!        ▼ driver is built, for a contiguous range of neighborhoods)
+//!        ▼ driver is built, for one neighborhood)
 //!  SessionDriver                 (lifecycle.rs — THE event loop: record/queue
 //!        │                        interleave, session start, segment resolve)
 //!        │ is generic over
 //!        ├─► RecordSupply        (stream.rs — where sessions come from)
-//!        │     ResidentSupply      the whole resident slice + context table
-//!        │                         (the whole-plant reference driver only)
-//!        │     GatheredSupply      one neighborhood's records of a resident
+//!        │     GatheredSupply      the neighborhood's records of a resident
 //!        │                         trace, gathered into one contiguous run
-//!        │     BlockSupply         one neighborhood's contiguous run of each
+//!        │     BlockSupply         the neighborhood's contiguous run of each
 //!        │                         decoded, grouped block (the blocked replay)
-//!        │     StreamSupply        gidx-ordered merge over a shard's own
+//!        │     StreamSupply        gidx-ordered merge over the shard's own
 //!        │                         chunk runs (the sweep fast path)
-//!        │     LiveSupply          one neighborhood's submitted sessions,
+//!        │     LiveSupply          the neighborhood's submitted sessions,
 //!        │                         released up to the live clock (online.rs)
 //!        ├─► FeedProvider        (cablevod_cache::feed — how the global
 //!        │     PrecomputedFeed     popularity feed is consumed: precomputed
 //!        │     SharedFeed          in full by a resident run's survey, or
 //!        │                         published into a WatermarkFeed as decoded)
-//!        │ and owns, for its neighborhoods `a..b` of the one Topology,
-//!        ├── Plant                (cablevod_hfc::plant — the range's boxes,
-//!        │                         coax networks and server meter: `0..N`
-//!        │                         is the whole plant, `n..n + 1` a shard)
-//!        ├── AdmissionControl     (fault.rs — the range's fault overlay)
-//!        └── IndexServer × (b−a)  each built over a
+//!        │ and owns, for its neighborhood of the one Topology,
+//!        ├── Plant                (cablevod_hfc::plant — its boxes, coax
+//!        │                         network and server meter)
+//!        ├── AdmissionControl     (fault.rs — its fault overlay)
+//!        └── IndexServer          built over a
 //!        ▼
 //!  ScheduleWindow                (cablevod_cache::schedule — how the Oracle
 //!                                 sees its future: a buffer fed the whole of
@@ -60,40 +58,36 @@
 //!        │ results flow into
 //!        ▼
 //!  report.rs                     (merge_outcomes — the one bit-exact fold of
-//!                                 every range's meters and counters; the
-//!                                 whole-plant run is its one-element case)
+//!                                 every neighborhood's meters and counters)
 //! ```
 //!
 //! The drivers pick one of each. **The plan follows the data,
 //! never the worker count**: the source decides between resident and
 //! streaming, and — for streaming — what the engine can observe of the
 //! file and the strategy decides the supply (`shard_plans`). Every replay
-//! a [`Simulation`](crate::Simulation) composes is sharded per
-//! neighborhood — `serial()` and `threads(n)` say how many shards run at
-//! once and nothing else — and every shard walks one contiguous run of
-//! records in ascending global index. The whole-plant driver is reached
-//! only through the [`run`] shorthand over a resident source, as the
-//! reference the others are checked against (see `run_resident`):
+//! — [`run`], a [`Simulation`](crate::Simulation) at any worker count, the
+//! online engine — is one driver per neighborhood; `serial()` and
+//! `threads(n)` say how many shards run at once and nothing else, and
+//! every shard walks one contiguous run of records in ascending global
+//! index:
 //!
-//! | driver               | entry                          | supply                           | feed              | range    | scheduling                               |
-//! |----------------------|--------------------------------|----------------------------------|-------------------|----------|------------------------------------------|
-//! | whole-plant resident | `run` over a resident source   | `ResidentSupply`                 | `PrecomputedFeed` | `0..N`   | inline, one queue for the whole plant    |
-//! | sharded resident     | `Simulation` (any policy)      | `GatheredSupply`                 | `PrecomputedFeed` | `n..n+1` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming            | any, over a chunked source     | `BlockSupply` (blocked replay)   | `SharedFeed`      | `n..n+1` | cooperative tasks, parked at block edges |
-//! |                      |                                | `StreamSupply` (sweep fast path) | none              | `n..n+1` | work-stealing pool                       |
-//! | online               | `online::serve_serial`         | `LiveSupply`                     | `SharedFeed`      | `n..n+1` | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | plan      | entry                              | supply                           | feed              | scheduling                               |
+//! |-----------|------------------------------------|----------------------------------|-------------------|------------------------------------------|
+//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | `PrecomputedFeed` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | `SharedFeed`      | cooperative tasks, parked at block edges |
+//! |           |                                    | `StreamSupply` (sweep fast path) | none              | work-stealing pool                       |
+//! | online    | `online::serve_serial`             | `LiveSupply`                     | `SharedFeed`      | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
 //! in exactly a heap's order, and a push that arrives in key order, or a
 //! few places short of it, costs a deque operation — on the benchmark's
-//! traces every push does, at every range.
+//! traces every push does.
 //!
-//! A resident shard is faster than its share of the whole-plant driver
-//! even on one thread, and it is the contiguous run that makes it so:
-//! sharding alone, reaching each record through a per-shard index, read
-//! flat against the whole-plant driver; gathering each shard's records
-//! into one buffer first read +40 % (PR 22, `resident_lfu`).
+//! A resident shard reads its records as one contiguous run, gathered out
+//! of the trace when it starts: reaching each record through a
+//! per-neighborhood index instead read about 30 % slower on the
+//! `resident_lfu` benchmark workload.
 //!
 //! # Trace layouts and decode work
 //!
@@ -132,12 +126,12 @@
 //!
 //! # One feed producer
 //!
-//! Serial feed exactness: the serial engine publishes the feed one record
-//! at a time, so at record `r` a strategy can only ever see events
-//! `0..=r`. The resident drivers reproduce that bound against a feed
+//! Serial feed exactness: a serial replay of the whole trace would publish
+//! the feed one record at a time, so at record `r` a strategy can only
+//! ever see events `0..=r`. The resident plan reproduces that bound against a feed
 //! precomputed in full — a pure function of the trace, built by the one
 //! pass that validates the records (`DriverParts::survey`) and read by
-//! every driver through a `PrecomputedFeed`, which bounds consumption
+//! every shard through a `PrecomputedFeed`, which bounds consumption
 //! per session by its own record index, which equals grow-as-you-go
 //! publication exactly; streaming and online runs publish into a shared
 //! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bound every
@@ -179,11 +173,16 @@
 //! built — nothing on its hot loop. Either way the window shows the
 //! Oracle the identical event sequence, so reports stay bit-identical.
 //!
-//! Whichever path runs, the report is **bit-identical** — property tests
-//! enforce whole-plant `run` == `Simulation` on one worker == on several
-//! == streaming on one == streaming on several, across strategies,
-//! admission modes, fault plans, chunk sizes, chunk layouts and shard
-//! counts (`tests/builder.rs`, `engine/tests.rs`, `tests/streaming.rs`).
+//! Whichever path runs, the report is **bit-identical**, and what it is
+//! held to is not another plan: a deliberately naive whole-plant
+//! simulator in `tests/reference/` — one loop over the trace, one event
+//! map for every neighborhood, none of this module's machinery — must
+//! produce the same report as `Simulation` on one worker, on several, and
+//! streamed on one and on several, across every registered strategy,
+//! admission modes, fault plans, placements and replication
+//! (`tests/builder.rs`). Chunk sizes, chunk layouts and shard counts are
+//! swept against one another in `engine/tests.rs` and
+//! `tests/streaming.rs`.
 
 mod fault;
 mod lifecycle;
@@ -196,7 +195,6 @@ mod stream;
 #[cfg(test)]
 mod tests;
 
-use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -217,30 +215,21 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
 
-use lifecycle::{feed_event, session_ctx, RecordSupply, SessionCtx, SessionDriver};
-use report::merge_outcomes;
-use stream::ResidentSupply;
+use lifecycle::{feed_event, session_ctx, RecordSupply, SessionDriver};
 
 /// Runs one simulation of the workload in `source` under `config` and
 /// returns the measured report: the config's own strategy, one worker,
 /// no telemetry. Public because callers that want only the report (the
 /// repo benchmark's reference runs, most tests) say it shorter this way.
 ///
-/// Over a resident [`Trace`](cablevod_trace::record::Trace) this is the
-/// **whole-plant reference driver** — one driver, one continuation queue
-/// against the whole plant, over a precomputed context table — and the
-/// only way to it: the [`Simulation`](crate::Simulation) builder, serial
-/// or not, replays a resident source per neighborhood. It is kept
-/// because it is what everything else is compared against (the repo
-/// benchmark's reference CRCs, the parity tests in `tests/builder.rs` and
-/// `engine/tests.rs`). Chunked sources (an on-disk
+/// It is `Simulation::over(source).config(config.clone()).run()?.report`:
+/// one driver per neighborhood, on the caller's thread, whatever the
+/// source — a resident [`Trace`](cablevod_trace::record::Trace) replayed
+/// one neighborhood after the other, or a chunked source (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
-/// have no whole-plant driver: over one, this is
-/// `Simulation::over(source).config(config.clone()).run()?.report` —
-/// streamed through the engine with bounded resident memory, sharded per
-/// neighborhood on the caller's thread (see the module docs). All produce
-/// bit-identical reports, and so does the builder at any worker count.
+/// streamed with bounded resident memory (see the module docs). The
+/// builder produces bit-identical reports at any worker count.
 ///
 /// Deterministic: identical inputs produce identical reports.
 ///
@@ -265,15 +254,12 @@ use stream::ResidentSupply;
 /// ```
 pub fn run<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> Result<SimReport, SimError> {
     let strategy = config.strategy().factory();
-    match source.resident_records() {
-        Some(records) => run_resident(records, source, config, strategy.as_ref()),
-        None => Ok(replay(source, config, strategy.as_ref(), 1)?.0),
-    }
+    Ok(replay(source, config, strategy.as_ref(), 1)?.0)
 }
 
 /// The one way in to the per-neighborhood plans, with an explicit
-/// strategy factory and worker count: [`run`] over a streaming source,
-/// and the entry the [`Simulation`](crate::Simulation) builder uses so
+/// strategy factory and worker count: [`run`] on one worker, and the
+/// entry the [`Simulation`](crate::Simulation) builder uses so
 /// registry-resolved (out-of-tree) strategies ride the same drivers as
 /// the built-ins. The plan follows the data — resident
 /// or streamed, and for a streamed source its layout and the strategy —
@@ -427,28 +413,27 @@ impl<'a> DriverParts<'a> {
 
     /// The one pass a resident run makes over its records before any
     /// driver is built. It computes every record's context — which is
-    /// what rejects a dangling program or an unknown user, with the same
-    /// error on either resident plan, before anything runs — and hands it
-    /// to `keep` (the whole-plant driver keeps the table, the
-    /// per-neighborhood plan only where each record lives); under a
+    /// what rejects a dangling program or an unknown user before anything
+    /// runs — and lists each neighborhood's record indices, ascending:
+    /// what its shard gathers, not something the replay follows. Under a
     /// strategy that takes the feed it also publishes every record's
     /// event into the run's precomputed [`GlobalFeed`] (a pure function
     /// of the trace — see the module docs).
     fn survey(
         &self,
         records: &[SessionRecord],
-        mut keep: impl FnMut(SessionCtx),
-    ) -> Result<Option<GlobalFeed>, SimError> {
+    ) -> Result<(Vec<Vec<u32>>, Option<GlobalFeed>), SimError> {
         let seg_len = self.segmenter.segment_len().as_secs();
+        let mut members = vec![Vec::new(); self.topo.neighborhood_count()];
         let mut feed = self.strategy.needs_feed().then(GlobalFeed::new);
-        for rec in records {
+        for (gidx, rec) in (0u32..).zip(records) {
             let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
             if let Some(feed) = feed.as_mut() {
                 feed.publish(feed_event(rec, &ctx, self.config, &self.segmenter));
             }
-            keep(ctx);
+            members[ctx.nbhd as usize].push(gidx);
         }
-        Ok(feed)
+        Ok((members, feed))
     }
 
     /// Builds the index server for neighborhood `n`, configured the same
@@ -501,79 +486,38 @@ impl<'a> DriverParts<'a> {
     }
 
     /// The one place a [`SessionDriver`] is built: the driver owning
-    /// neighborhoods `nbhds` — their index servers, their [`Plant`] and
-    /// (inside [`SessionDriver::new`]) their admission control — around
-    /// `supply` and `feed`. Under a strategy that looks ahead, a supply
-    /// whose records are resident hands each index the whole of its
+    /// neighborhood `n` — its index server, its [`Plant`] and (inside
+    /// [`SessionDriver::new`]) its admission control — around `supply`
+    /// and `feed`. Under a strategy that looks ahead, a supply whose
+    /// records are resident hands the index the whole of the
     /// neighborhood's future here, in one piece, before the replay starts
     /// (a streaming supply hands the same events over as it reads ahead —
-    /// see `stream.rs`). A supply's resident future holds only records of
-    /// the neighborhoods it supplies.
+    /// see `stream.rs`).
     fn driver<F: FeedProvider, R: RecordSupply>(
         &self,
-        nbhds: Range<usize>,
+        n: usize,
         supply: R,
         feed: Option<F>,
         abort: Option<&'a AtomicBool>,
     ) -> Result<SessionDriver<'a, F, R>, SimError> {
-        let mut indexes = nbhds
-            .clone()
-            .map(|n| self.index(n))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut index = self.index(n)?;
         if let (Some(_), Some(future)) = (&self.costs, supply.resident_future()) {
-            // Trace order is time order, so each list arrives sorted.
-            let mut per_nbhd = vec![Vec::new(); indexes.len()];
-            for r in future {
-                let n = self.topo.neighborhood_of_user(r.user)?.index();
-                debug_assert!(
-                    nbhds.contains(&n),
-                    "a supply's resident future holds only its own neighborhoods' records"
-                );
-                per_nbhd[n - nbhds.start].push(AccessEvent::new(r.start, r.program)?);
-            }
-            for (index, events) in indexes.iter_mut().zip(per_nbhd) {
-                index.extend_schedule(&events, SimTime::MAX)?;
-            }
+            // Trace order is time order, so the list arrives sorted.
+            let events = future
+                .map(|r| AccessEvent::new(r.start, r.program))
+                .collect::<Result<Vec<_>, _>>()?;
+            index.extend_schedule(&events, SimTime::MAX)?;
         }
         Ok(SessionDriver::new(
             supply,
             feed,
-            Plant::over(self.topo, nbhds)?,
-            indexes,
+            Plant::over(self.topo, NeighborhoodId::new(n as u32))?,
+            index,
             self.config,
             self.segmenter,
             abort,
         ))
     }
-}
-
-/// The whole-plant reference driver over a fully resident record slice:
-/// precomputed contexts and feed, the whole look-ahead handed over up
-/// front; one driver, one continuation queue, the whole plant. Only
-/// [`run`] comes here: a resident source is otherwise replayed by
-/// `shard::run_sharded_resident` at every worker count (faster on one
-/// thread already, by locality). This driver stays because a reference
-/// has to be something other than the thing it checks — the benchmark's
-/// reference CRCs and the parity tests compare every per-neighborhood
-/// plan against this one.
-fn run_resident<S: TraceSource + ?Sized>(
-    records: &[SessionRecord],
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-) -> Result<SimReport, SimError> {
-    check_record_count(source)?;
-    config.validate()?;
-    let topo = build_topology(source, config)?;
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
-    let mut ctxs = Vec::with_capacity(records.len());
-    let feed = parts.survey(records, |ctx| ctxs.push(ctx))?;
-
-    let supply = ResidentSupply::new(records, &ctxs);
-    let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-    let mut driver = parts.driver(0..topo.neighborhood_count(), supply, provider, None)?;
-    driver.run()?;
-    merge_outcomes([Ok(driver.into_outcome())], source.days(), config)
 }
 
 /// The chunk runs that together hold every record of the source, each

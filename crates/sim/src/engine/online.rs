@@ -7,7 +7,7 @@
 //! engine must answer *between* events. The online engine is the blocked
 //! streaming replay with the caller as its decoder: one `SessionDriver`
 //! per neighborhood, built by the same constructor as every shard
-//! (`DriverParts::driver` over `n..n + 1`), each over a `LiveSupply` —
+//! (`DriverParts::driver`), each over a `LiveSupply` —
 //! a `RecordSupply` fed by the caller instead of a file scan — and
 //! stepped from one advance of the live clock to the next. Three public
 //! seams:
@@ -248,7 +248,7 @@ pub(super) fn serve<T>(
                 future: ahead.map(|_| future),
             };
             let feed = wfeed.as_ref().map(|f| SharedFeed::new(f, n));
-            parts.driver(n..n + 1, supply, feed, None)
+            parts.driver(n, supply, feed, None)
         })
         .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {
@@ -432,7 +432,7 @@ impl OnlineEngine for SerialOnline<'_> {
             .ok_or_else(|| SimError::Config {
                 reason: format!("unknown neighborhood {nbhd}"),
             })?;
-        Ok(OnlinePlacement::read(&driver.indexes()[0], program))
+        Ok(OnlinePlacement::read(driver.index(), program))
     }
 
     fn epoch(&self) -> u64 {

@@ -1,6 +1,7 @@
 //! The lifecycle's continuation queue: a min-queue that pops in exactly
 //! the order a binary heap would, at the cost of a deque operation for
-//! every push that arrives in order.
+//! every push that arrives in order. Each driver keeps one, for its one
+//! neighborhood's pending segment requests and retries.
 //!
 //! # Why arrival order is almost key order
 //!
@@ -41,9 +42,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// How many places from the back of the arrival lane a push that sorts
 /// below the back may still be inserted; past that it spills. A
 /// same-second interleave goes behind that second's session starts, and a
-/// neighborhood (or, on the whole-plant driver, the plant) rarely starts
-/// more than a handful of sessions in one second: on the benchmark's traces
-/// eight places leave nothing to spill.
+/// neighborhood rarely starts more than a handful of sessions in one
+/// second: on the benchmark's traces eight places leave nothing to spill.
 pub(super) const INSERT_REACH: usize = 8;
 
 /// A min-queue over `T` (see the module docs).

@@ -9,10 +9,9 @@
 //! one thing that crosses neighborhoods — the global popularity feed — is
 //! always published from one place, ahead of every shard that reads it
 //! (precomputed on resident runs, by the decoding thread on streaming
-//! runs). Each shard therefore runs the **same** [`SessionDriver`]
-//! lifecycle as the serial engine, built by the same constructor over the
-//! one-neighborhood range `n..n + 1` instead of the whole plant, and what
-//! a shard may read never depends on how far another has got. What a
+//! runs). Each shard is therefore one [`SessionDriver`] over its own
+//! neighborhood, built by the one constructor every driver comes from,
+//! and what a shard may read never depends on how far another has got. What a
 //! shard reads is always one contiguous run of `(global index, record)`
 //! pairs, front to back, in ascending global index:
 //!
@@ -42,12 +41,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{GlobalFeed, SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{SharedFeed, StrategyFactory, WatermarkFeed};
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
 use super::lifecycle::{SessionDriver, Step, ABORTED};
-use super::report::{merge_outcomes, RangeOutcome};
+use super::report::{merge_outcomes, NeighborhoodOutcome};
 use super::stream::{Block, BlockSupply, Demux, GatheredSupply, StreamSupply};
 use super::{build_topology, shard_plans, DriverParts, Replay};
 use crate::config::SimConfig;
@@ -60,9 +59,8 @@ use crate::runner;
 /// one and lists each neighborhood's record indices; then every shard is
 /// a job on the work-stealing pool that gathers its own records into one
 /// contiguous run ([`GatheredSupply`]), replays it front to back
-/// interleaved with its continuation queue — exactly the relative order
-/// the whole-plant driver would process them in — with the precomputed
-/// feed shared read-only, and is dropped, plant and all, when done. With
+/// interleaved with its continuation queue, with the precomputed feed
+/// shared read-only, and is dropped, plant and all, when done. With
 /// `threads == 1` the jobs run inline on the caller's thread, one
 /// neighborhood's working set alive at a time.
 pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
@@ -76,7 +74,7 @@ pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
     let topo = build_topology(source, config)?;
     let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
 
-    let (members, feed) = resident_members(&parts, records)?;
+    let (members, feed) = parts.survey(records)?;
 
     let outcomes = runner::run_indexed(members.len(), threads, |n| {
         let supply = GatheredSupply::gather(
@@ -87,28 +85,11 @@ pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
             &parts.segmenter,
         );
         let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-        let mut driver = parts.driver(n..n + 1, supply, provider, None)?;
+        let mut driver = parts.driver(n, supply, provider, None)?;
         driver.run()?;
         Ok(driver.into_outcome())
     });
     merge_outcomes(outcomes, source.days(), config)
-}
-
-/// The survey of a resident run that is about to be sharded: each
-/// neighborhood's record indices, ascending — what its shard gathers, not
-/// something the replay follows — and the precomputed feed, or the
-/// failure of the first record that names no program or no subscriber.
-pub(super) fn resident_members(
-    parts: &DriverParts<'_>,
-    records: &[SessionRecord],
-) -> Result<(Vec<Vec<u32>>, Option<GlobalFeed>), SimError> {
-    let mut members = vec![Vec::new(); parts.topo.neighborhood_count()];
-    let mut gidx = 0u32;
-    let feed = parts.survey(records, |ctx| {
-        members[ctx.nbhd as usize].push(gidx);
-        gidx += 1;
-    })?;
-    Ok((members, feed))
 }
 
 /// What a streaming run says about itself beside its report.
@@ -151,8 +132,8 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
             streamed.fastpath = true;
             runner::run_indexed(nbhd_count, threads, |n| {
                 let supply =
-                    StreamSupply::new(source, n, &runs[n], &topo, &parts.segmenter, lookahead);
-                let mut driver = parts.driver(n..n + 1, supply, None::<SharedFeed<'_>>, None)?;
+                    StreamSupply::new(source, &runs[n], &topo, &parts.segmenter, lookahead);
+                let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
                 driver.run()?;
                 Ok(driver.into_outcome())
             })
@@ -182,7 +163,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
     parts: &DriverParts<'_>,
     feed: Option<&WatermarkFeed>,
     threads: usize,
-) -> Result<Vec<Result<RangeOutcome, SimError>>, SimError> {
+) -> Result<Vec<Result<NeighborhoodOutcome, SimError>>, SimError> {
     let nbhd_count = parts.topo.neighborhood_count();
     // Workers beyond the caller come from the shared ledger
     // ([`runner::take_permits`]): a sharded job started while a sweep
@@ -275,7 +256,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
 type BlockDriver<'a> = SessionDriver<'a, SharedFeed<'a>, BlockSupply<'a>>;
 
 /// What one worker hands back: each of its shards' endings.
-type ShardResults = Vec<(usize, Result<RangeOutcome, SimError>)>;
+type ShardResults = Vec<(usize, Result<NeighborhoodOutcome, SimError>)>;
 
 /// How the workers of a blocked replay pass each [`Block`] around: the
 /// caller's thread refills the one block in place while it is the only
@@ -361,9 +342,7 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
                 &self.parts.segmenter,
             );
             let feed = self.feed.map(|f| SharedFeed::new(f, nbhd));
-            let driver = self
-                .parts
-                .driver(nbhd..nbhd + 1, supply, feed, Some(&self.aborted));
+            let driver = self.parts.driver(nbhd, supply, feed, Some(&self.aborted));
             match driver {
                 Ok(driver) => tasks.push((nbhd, driver)),
                 Err(e) => {

@@ -1,9 +1,6 @@
 //! Record supplies: where a [`SessionDriver`](super::lifecycle::
 //! SessionDriver) gets its sessions from.
 //!
-//! * [`ResidentSupply`] — the whole resident record slice beside its
-//!   precomputed context table, in trace order: the supply of the
-//!   whole-plant reference driver and nothing else. Zero staging cost.
 //! * [`GatheredSupply`] — one neighborhood's records of a resident trace,
 //!   copied out of the slice into one contiguous `(gidx, record)` run
 //!   when the shard starts and walked front to back: the supply of the
@@ -26,7 +23,7 @@
 //!   plant, under a strategy that takes no feed, where shards share
 //!   nothing. It computes contexts at ingestion and publishes nothing.
 //!
-//! No sharded supply reaches a record through an index: each walks
+//! No supply reaches a record through an index: each walks
 //! records laid out contiguously in the order it replays them —
 //! gathered, grouped, or as its chunks decode.
 //!
@@ -77,50 +74,9 @@ use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::TraceError;
 
-use super::lifecycle::{feed_event, session_ctx, PendingSession, RecordSupply, SessionCtx};
+use super::lifecycle::{feed_event, session_ctx, PendingSession, RecordSupply};
 use crate::config::SimConfig;
 use crate::error::SimError;
-
-/// The whole resident record slice with its precomputed contexts, served
-/// in trace order (the whole-plant reference driver's supply).
-pub(super) struct ResidentSupply<'a> {
-    records: &'a [SessionRecord],
-    ctxs: &'a [SessionCtx],
-    pos: usize,
-}
-
-impl<'a> ResidentSupply<'a> {
-    pub(super) fn new(records: &'a [SessionRecord], ctxs: &'a [SessionCtx]) -> Self {
-        ResidentSupply {
-            records,
-            ctxs,
-            pos: 0,
-        }
-    }
-}
-
-impl RecordSupply for ResidentSupply<'_> {
-    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
-        Ok(self
-            .records
-            .get(self.pos)
-            .map(|rec| (rec.start, self.pos as u64)))
-    }
-
-    fn take(&mut self) -> PendingSession {
-        let at = self.pos;
-        self.pos += 1;
-        PendingSession {
-            gidx: at as u64,
-            rec: self.records[at],
-            ctx: self.ctxs[at],
-        }
-    }
-
-    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        Some(Box::new(self.records.iter()))
-    }
-}
 
 /// One neighborhood's records of a resident trace as one contiguous run
 /// (see the module docs): gathered once, when the shard starts, and
@@ -458,10 +414,10 @@ impl RecordSupply for BlockSupply<'_> {
 
     fn read_ahead(
         &mut self,
-        sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         match self.ahead.take() {
-            Some((block, covered)) => sink(self.nbhd as u32, &block.ahead[self.nbhd], covered),
+            Some((block, covered)) => sink(&block.ahead[self.nbhd], covered),
             None => Ok(()),
         }
     }
@@ -651,11 +607,10 @@ impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
     }
 }
 
-/// A [`StreamSupply`]'s read-ahead: the cursor, the neighborhood whose
-/// records the supply's runs hold, and scratch for one hand-over.
+/// A [`StreamSupply`]'s read-ahead: the cursor, and scratch for one
+/// hand-over.
 struct ReadAhead<'a, S: TraceSource + ?Sized> {
     cursor: LookAhead<'a, S>,
-    nbhd: u32,
     events: Vec<AccessEvent>,
 }
 
@@ -672,11 +627,10 @@ pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
 }
 
 impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
-    /// The supply of neighborhood `nbhd` over its own `runs`, reading
+    /// The supply of a neighborhood over its own `runs`, reading
     /// `lookahead` ahead for a strategy that asks for it.
     pub(super) fn new(
         source: &'a S,
-        nbhd: usize,
         runs: &'a [Vec<u32>],
         topo: &'a Topology,
         segmenter: &Segmenter,
@@ -690,7 +644,6 @@ impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
             staged: None,
             ahead: lookahead.map(|lookahead| ReadAhead {
                 cursor: LookAhead::new(source, runs, lookahead),
-                nbhd: nbhd as u32,
                 events: Vec::new(),
             }),
         }
@@ -714,7 +667,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
 
     fn read_ahead(
         &mut self,
-        sink: impl FnOnce(u32, &[AccessEvent], SimTime) -> Result<(), SimError>,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         let Some(ahead) = self.ahead.as_mut() else {
             return Ok(());
@@ -728,7 +681,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
             Ok(())
         })?;
         if moved {
-            sink(ahead.nbhd, &ahead.events, ahead.cursor.covered())?;
+            sink(&ahead.events, ahead.cursor.covered())?;
         }
         Ok(())
     }

@@ -1,9 +1,10 @@
-//! Engine unit tests: physics invariants of the whole-plant reference
-//! driver (`run` over a resident trace), equivalence of the sharded and
-//! streaming drivers to it, what each sharded supply reads and in what
-//! order, and lifecycle internals (the active-session slab).
+//! Engine unit tests: physics invariants of a replay (`run`, one worker),
+//! agreement of the same plans at other worker counts, chunkings and
+//! layouts, what each supply reads and in what order, and lifecycle
+//! internals (the active-session slab). What the plans are held to — a
+//! naive reference model — lives in `tests/builder.rs`.
 
-use super::lifecycle::ActiveSessions;
+use super::lifecycle::{ActiveSessions, SessionCtx};
 use super::*;
 use crate::Simulation;
 use cablevod_cache::StrategySpec;
@@ -171,6 +172,8 @@ fn replication_two_runs() {
     assert!(report.cache.hits > 0);
 }
 
+/// The resident plan on one worker (`run`) and on several: the same
+/// per-neighborhood drivers, scheduled differently.
 #[test]
 fn parallel_matches_serial_on_every_strategy() {
     let trace = small_trace();
@@ -200,6 +203,7 @@ fn parallel_matches_serial_on_every_strategy() {
     }
 }
 
+/// As above, with seeks and two replicas of every segment.
 #[test]
 fn parallel_matches_serial_with_seeks_and_replication() {
     let trace = generate(&SynthConfig {
@@ -219,6 +223,8 @@ fn parallel_matches_serial_with_seeks_and_replication() {
     assert_eq!(parallel.report, serial);
 }
 
+/// As above, under random placement: each neighborhood draws from its own
+/// stream, whichever worker runs it.
 #[test]
 fn parallel_matches_serial_under_random_placement() {
     let trace = small_trace();
@@ -559,12 +565,11 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     }
     /// Runs `supply` dry (a block's worth, or all of it) the way the
     /// driver does: peek, take the hand-over, take the record.
-    fn drain<R: RecordSupply>(supply: &mut R, n: usize, lookahead: SimDuration, fed: &mut Fed) {
+    fn drain<R: RecordSupply>(supply: &mut R, lookahead: SimDuration, fed: &mut Fed) {
         loop {
             let staged = supply.peek().expect("peek");
             supply
-                .read_ahead(|nbhd, events, covered| {
-                    assert_eq!(nbhd as usize, n);
+                .read_ahead(|events, covered| {
                     assert!(covered >= fed.covered, "covered moved back");
                     assert!(events.iter().all(|e| e.at() < covered));
                     fed.events.extend_from_slice(events);
@@ -620,7 +625,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         blocks += 1;
         for (n, supply) in supplies.iter_mut().enumerate() {
             supply.attach(&block);
-            drain(supply, n, lookahead, &mut fed[n]);
+            drain(supply, lookahead, &mut fed[n]);
         }
         if block.edge().is_none() {
             break;
@@ -646,13 +651,12 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     for (n, fed) in fed.iter_mut().enumerate() {
         let mut supply = StreamSupply::new(
             &nm_reader,
-            n,
             &layout.runs[n],
             &topo,
             &segmenter,
             Some(lookahead),
         );
-        drain(&mut supply, n, lookahead, fed);
+        drain(&mut supply, lookahead, fed);
     }
     check("fast path", fed);
     std::fs::remove_file(&tm).ok();
@@ -743,8 +747,8 @@ impl TraceSource for Tampered<'_> {
 /// replaced read: every shard's gathered run is, session for session —
 /// global index, record, context — its neighborhood's records in trace
 /// order, on neighborhoods of unequal size, one of them empty; and a
-/// record that names no program or no subscriber fails the run exactly
-/// as it fails the whole-plant driver, before any shard is built.
+/// record that names no program or no subscriber fails the run with the
+/// same error at any worker count, before any shard is built.
 #[test]
 fn gathered_runs_are_the_index_walk_session_for_session() {
     use super::lifecycle::RecordSupply;
@@ -758,7 +762,7 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     let seg_len = parts.segmenter.segment_len().as_secs();
     let records = trace.records();
 
-    let (members, feed) = shard::resident_members(&parts, records).expect("survey");
+    let (members, feed) = parts.survey(records).expect("survey");
     assert!(feed.is_none(), "lfu takes no feed");
     let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
     assert_eq!(sizes.len(), 3);
@@ -801,13 +805,13 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     .factory();
     let feeding =
         DriverParts::new(&topo, trace.catalog(), &config, global.as_ref()).expect("parts");
-    let (_, feed) = shard::resident_members(&feeding, records).expect("survey");
+    let (_, feed) = feeding.survey(records).expect("survey");
     assert_eq!(
         feed.expect("global lfu takes the feed").len(),
         records.len()
     );
 
-    // The same failure from both resident plans, whichever worker count.
+    // The same failure whichever worker count.
     let mut dangling = records.to_vec();
     dangling[2_500].program = ProgramId::new(30);
     let mut stranger = records.to_vec();
@@ -939,47 +943,36 @@ fn active_sessions_bound_allocation_by_concurrency() {
     );
 }
 
-/// The continuation queue's (pushes, spills) over a replay of `trace`:
-/// on the whole-plant driver, and summed over the per-neighborhood
-/// drivers of the resident plan.
-fn queue_counts(trace: &Trace, config: &SimConfig) -> [(u64, u64); 2] {
+/// The continuation queue's (pushes, spills) over a replay of `trace`,
+/// summed over the per-neighborhood drivers of the resident plan.
+fn queue_counts(trace: &Trace, config: &SimConfig) -> (u64, u64) {
     use super::stream::GatheredSupply;
 
     let strategy = config.strategy().factory();
     let topo = build_topology(trace, config).expect("topology");
     let parts = DriverParts::new(&topo, trace.catalog(), config, strategy.as_ref()).expect("parts");
     let records = trace.records();
-    let mut ctxs = Vec::new();
-    let feed = parts.survey(records, |ctx| ctxs.push(ctx)).expect("survey");
-    let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-    let supply = ResidentSupply::new(records, &ctxs);
-    let mut whole = parts
-        .driver(0..topo.neighborhood_count(), supply, provider, None)
-        .expect("whole-plant driver");
-    whole.run().expect("whole-plant replay");
-
-    let (members, feed) = shard::resident_members(&parts, records).expect("survey");
-    let mut sharded = (0, 0);
+    let (members, feed) = parts.survey(records).expect("survey");
+    let mut counts = (0, 0);
     for (n, members) in members.iter().enumerate() {
         let supply =
             GatheredSupply::gather(records, members, trace.catalog(), &topo, &parts.segmenter);
         let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
         let mut driver = parts
-            .driver(n..n + 1, supply, provider, None)
+            .driver(n, supply, provider, None)
             .expect("shard driver");
         driver.run().expect("shard replay");
         let (pushed, spilled) = driver.queue_counts();
-        sharded = (sharded.0 + pushed, sharded.1 + spilled);
+        counts = (counts.0 + pushed, counts.1 + spilled);
     }
-    [whole.queue_counts(), sharded]
+    counts
 }
 
 /// What the continuation queue's cheap path rests on, counted: on a trace
 /// whose seeks all sit on segment boundaries every continuation is
-/// appended or inserted within reach, on the whole-plant driver and on
-/// every shard — nothing falls back to the heap. Unaligned seeks and the
-/// retries of enforcing admission under a fault plan do fall back, on
-/// both shapes, and replay exactly all the same
+/// appended or inserted within reach, on every shard — nothing falls back
+/// to the heap. Unaligned seeks and the retries of enforcing admission
+/// under a fault plan do fall back, and replay exactly all the same
 /// (`tests/streaming.rs::unaligned_seeks_and_retries_replay_exactly_on_every_path`).
 #[test]
 fn only_unaligned_seeks_and_retries_leave_arrival_order() {
@@ -996,10 +989,9 @@ fn only_unaligned_seeks_and_retries_leave_arrival_order() {
         days: 6,
         ..aligned.clone()
     });
-    for counts in queue_counts(&trace, &base_config()) {
-        assert!(counts.0 > 10_000, "{counts:?}");
-        assert_eq!(counts.1, 0, "an aligned replay spills nothing: {counts:?}");
-    }
+    let counts = queue_counts(&trace, &base_config());
+    assert!(counts.0 > 10_000, "{counts:?}");
+    assert_eq!(counts.1, 0, "an aligned replay spills nothing: {counts:?}");
 
     let unaligned = generate(&SynthConfig {
         users: 600,
@@ -1013,8 +1005,7 @@ fn only_unaligned_seeks_and_retries_leave_arrival_order() {
         .with_admission(AdmissionMode::Enforcing)
         .with_retry(RetryPolicy::paper_default());
     for config in [base_config(), faulty] {
-        for counts in queue_counts(&unaligned, &config) {
-            assert!(counts.1 > 0, "{counts:?}");
-        }
+        let counts = queue_counts(&unaligned, &config);
+        assert!(counts.1 > 0, "{counts:?}");
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`Simulation`] — the builder every run goes through:
 //!   `Simulation::over(source).config(cfg).threads(n).run()` composes the
-//!   serial or sharded driver over a resident or streaming
+//!   per-neighborhood drivers over a resident or streaming
 //!   [`TraceSource`](cablevod_trace::source::TraceSource) and returns a
 //!   [`RunOutcome`] — the measured [`SimReport`] plus [`simulation::
 //!   RunTelemetry`] (wall time, trace decode work, peak RSS). Out-of-tree
@@ -25,10 +25,11 @@
 //!   [`scenario`] module's "Crash safety & resume" section);
 //! * [`engine`] — the discrete-event core behind the facade: session
 //!   records drive segment-granularity requests against per-neighborhood
-//!   cooperative caches with exact byte accounting; every builder run
-//!   is sharded per neighborhood, and [`engine::run`] over a resident
-//!   trace is the whole-plant reference driver they are all held to
-//!   (**bit-identical**, property-tested);
+//!   cooperative caches with exact byte accounting; every run — the
+//!   builder's at any worker count, [`engine::run`], the online engine —
+//!   is one driver per neighborhood, and all of them are held to a naive
+//!   whole-plant reference model in the repo's tests (**bit-identical**,
+//!   property-tested);
 //! * [`config`] / [`report`] — the swept parameters and measured results;
 //! * [`baseline`] — the no-cache centralized service and the
 //!   headend-cache equivalence transform;

@@ -23,11 +23,10 @@
 //! The builder is a zero-cost composition layer: it resolves the strategy
 //! factory and the thread policy, calls the per-neighborhood engine
 //! drivers — the replay plan follows the data, never the worker count —
-//! and wraps
-//! the [`SimReport`], **bit-identical** to the whole-plant reference
-//! driver behind [`run`](crate::run), together with the run telemetry
-//! ([`RunTelemetry`]: wall time, trace decode work, peak RSS) that
-//! callers previously scraped by hand.
+//! and wraps the [`SimReport`], **bit-identical** at every worker count
+//! (and to [`run`](crate::run), its one-worker shorthand), together with
+//! the run telemetry ([`RunTelemetry`]: wall time, trace decode work, peak
+//! RSS) that callers previously scraped by hand.
 //!
 //! Out-of-tree strategies enter here too: [`Simulation::register`] puts a
 //! [`StrategyFactory`] into the builder's
@@ -57,10 +56,7 @@ pub enum ThreadPolicy {
     /// streamed, the file's layout, the strategy), never the worker count
     /// — with every shard on that one worker: over a resident source one
     /// neighborhood after the other, each built when started and dropped
-    /// when done; over a streaming source block by block. (The whole-plant
-    /// driver — one continuation queue for every neighborhood — is
-    /// [`run`](crate::run) over a resident source: the reference, not a
-    /// policy.)
+    /// when done; over a streaming source block by block.
     #[default]
     Serial,
     /// Sharded per neighborhood over at most this many workers.

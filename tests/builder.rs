@@ -1,15 +1,15 @@
-//! Front-door equivalence and extension properties: every way through
-//! the [`Simulation`] builder — one worker or several, resident or
-//! streamed — must be bit-identical to the whole-plant reference driver
-//! behind `cablevod_sim::run`, a different driver since resident runs
-//! replay per neighborhood (all nine registered strategies × counting /
-//! enforcing admission over a seeded fault plan); [`Scenario`]
-//! specs must round-trip through the spec-file format, and an
-//! out-of-tree strategy registered through the [`StrategyFactory`]
-//! interface must run end-to-end without touching the cache crate's
-//! [`StrategySpec`] enum.
+//! Front-door properties. Every way through the [`Simulation`] builder —
+//! one worker or several, resident or streamed — must reproduce, report
+//! for report, the naive whole-plant reference model in `reference/`
+//! (all nine registered strategies × counting / enforcing admission ×
+//! healthy / seeded fault plans × balanced / first-fit placement × one or
+//! two replicas). [`Scenario`] specs must round-trip through the
+//! spec-file format, and an out-of-tree strategy registered through the
+//! [`StrategyFactory`] interface must run end-to-end without touching the
+//! cache crate's [`StrategySpec`] enum.
 
 mod helpers;
+mod reference;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -17,24 +17,30 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cablevod_cache::{
-    CacheError, CacheOp, CacheStrategy, StrategyContext, StrategyFactory, StrategyRegistry,
-    StrategySpec,
+    CacheError, CacheOp, CacheStrategy, FillPolicy, PlacementPolicy, StrategyContext,
+    StrategyFactory, StrategyRegistry, StrategySpec,
 };
+use cablevod_hfc::channels::QAM256_CHANNEL_RATE;
+use cablevod_hfc::coax::CoaxSpec;
 use cablevod_hfc::ids::ProgramId;
-use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
+use cablevod_hfc::units::{BitRate, DataSize, SimDuration, SimTime};
 use cablevod_sim::{
     run, AdmissionMode, AxisPoint, FaultPlan, RetryPolicy, Scenario, SimConfig, Simulation,
     SourceSpec,
 };
+use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
-use cablevod_trace::synth::generate;
+use cablevod_trace::synth::{generate, SynthConfig};
 use helpers::tiny_config;
 
 /// One spec per registered strategy, with the parameters `tests/zoo.rs`
 /// and `tests/streaming.rs` use to make each one's distinctive machinery
-/// engage on a three-day trace (a history shorter than the trace, a feed
-/// lag, a TTU that expires, a fetch latency coarse enough to coalesce).
-fn all_strategies() -> [StrategySpec; 9] {
+/// engage on a three-day trace (a history shorter than the trace, a TTU
+/// that expires), the global LFU's feed `lag` — zero shows it an access in
+/// the very second it happens, so only the record-index bound keeps a
+/// later record's access of the same second out of sight — and the
+/// delayed LFU's fetch `latency_ms`, coarse enough to coalesce.
+fn all_strategies(lag: SimDuration, latency_ms: u64) -> [StrategySpec; 9] {
     [
         StrategySpec::NoCache,
         StrategySpec::Lru,
@@ -42,7 +48,7 @@ fn all_strategies() -> [StrategySpec; 9] {
         StrategySpec::default_oracle(),
         StrategySpec::GlobalLfu {
             history: SimDuration::from_days(3),
-            lag: SimDuration::from_minutes(30),
+            lag,
         },
         StrategySpec::Arc { ghost: 0 },
         StrategySpec::Tlru {
@@ -53,7 +59,7 @@ fn all_strategies() -> [StrategySpec; 9] {
         },
         StrategySpec::DelayedLfu {
             history: SimDuration::from_days(3),
-            latency_ms: 10_000,
+            latency_ms,
         },
     ]
 }
@@ -70,7 +76,7 @@ fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
 /// added to it.
 #[test]
 fn the_parity_matrix_covers_every_registered_strategy() {
-    let matrix: BTreeSet<String> = all_strategies()
+    let matrix: BTreeSet<String> = all_strategies(SimDuration::ZERO, 0)
         .iter()
         .map(|spec| spec.compact().split(':').next().unwrap_or("").to_string())
         .collect();
@@ -80,77 +86,109 @@ fn the_parity_matrix_covers_every_registered_strategy() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// `run` over a resident trace is the whole-plant driver — one event
-    /// heap, every neighborhood — and everything the builder composes is
-    /// a per-neighborhood plan: resident on one worker (`serial()`, the
-    /// default) and on three, streamed on one and on two. All of them
-    /// reproduce the reference bit for bit under every registered
-    /// strategy, counting and enforcing admission, over a seeded fault
-    /// plan.
+    /// The reference model against everything the builder composes: the
+    /// resident plan on one worker (`serial()`, the default) and on
+    /// three, and the streamed plan on one and on two — every one a
+    /// driver per neighborhood, every one held to the model bit for bit
+    /// across the whole matrix (see the module docs). Each case draws a
+    /// small trace with seeks on or off segment boundaries, its start
+    /// times to the second or rounded down to 5 minutes or an hour (so
+    /// sessions start together and continuations fall on their second),
+    /// and, for the run, a fill override, the coax (the paper's, or two
+    /// channels for video on demand — eight streams, which small traces
+    /// overrun), the global LFU's lag, the delayed LFU's fetch latency (10
+    /// seconds, or a segment's 300, which a coarse clock's misses land
+    /// exactly on) and the warm-up.
     #[test]
-    fn builder_is_bit_identical_to_legacy_entry_points(
+    fn builder_is_bit_identical_to_the_reference_model(
         users in 60u32..220,
         nbhd in 25u32..120,
         gb in 1u64..5,
         seed in 0u64..500,
         plan_seed in 0u64..200,
+        shape in (0usize..3, 0usize..3),
+        knobs in (0usize..3, 0usize..2, 0usize..2, 0usize..2, 0u64..4),
     ) {
-        let trace = generate(&tiny_config(users, 30, 3, seed));
+        let (boundary, granule) = shape;
+        let (fill, narrow, lag, latency, warmup) = knobs;
+        let trace = coarse(
+            generate(&SynthConfig {
+                seek_prob: 0.3,
+                seek_boundary_secs: [60, 120, 300][boundary],
+                ..tiny_config(users, 30, 3, seed)
+            }),
+            [1, 300, 3_600][granule],
+        );
         let chunked = ChunkedTrace::new(&trace, 64);
-        let faults = FaultPlan::seeded(
+        let seeded = FaultPlan::seeded(
             plan_seed,
             users.div_ceil(nbhd),
             SimDuration::from_days(3),
             4,
             2,
         );
-        for spec in all_strategies() {
+        let fill = [None, Some(FillPolicy::OnBroadcast), Some(FillPolicy::Prefetch)][fill];
+        let coax = [
+            CoaxSpec::paper_default(),
+            CoaxSpec {
+                // 88 QAM channels, 86 of them television.
+                downstream: BitRate::from_bps(88 * QAM256_CHANNEL_RATE.as_bps()),
+                ..CoaxSpec::paper_default()
+            },
+        ][narrow];
+        let lag = [SimDuration::ZERO, SimDuration::from_minutes(30)][lag];
+        for spec in all_strategies(lag, [10_000, 300_000][latency]) {
             for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
-                let config = config_for(nbhd, gb, spec)
-                    .with_faults(faults.clone())
-                    .with_admission(admission)
-                    .with_retry(RetryPolicy::paper_default());
-                let what = format!("{} under {admission:?}", spec.compact());
-
-                let reference = run(&trace, &config).expect("whole-plant run");
-                prop_assert!(reference.degradation.is_some(), "{}", &what);
-
-                let serial = Simulation::over(&trace)
-                    .config(config.clone())
-                    .serial()
-                    .run()
-                    .expect("builder, one worker");
-                prop_assert_eq!(&serial.report, &reference, "serial, {}", &what);
-                prop_assert_eq!(serial.telemetry.threads, 1);
-
-                let sharded = Simulation::over(&trace)
-                    .config(config.clone())
-                    .threads(3)
-                    .run()
-                    .expect("builder, three workers");
-                prop_assert_eq!(&sharded.report, &reference, "threads(3), {}", &what);
-
-                let streamed = Simulation::over(&chunked)
-                    .config(config.clone())
-                    .run()
-                    .expect("builder, streaming");
-                prop_assert_eq!(&streamed.report, &reference, "streamed, {}", &what);
-                let streamed_parallel = Simulation::over(&chunked)
-                    .config(config)
-                    .threads(2)
-                    .run()
-                    .expect("builder, streaming on two workers");
-                prop_assert_eq!(
-                    &streamed_parallel.report,
-                    &reference,
-                    "streamed threads(2), {}",
-                    &what
-                );
+                for faults in [FaultPlan::empty(), seeded.clone()] {
+                    for placement in [PlacementPolicy::Balanced, PlacementPolicy::FirstFit] {
+                        for replication in [1, 2] {
+                            let mut config = config_for(nbhd, gb, spec)
+                                .with_warmup_days(warmup)
+                                .with_faults(faults.clone())
+                                .with_admission(admission)
+                                .with_retry(RetryPolicy::paper_default())
+                                .with_placement(placement)
+                                .with_replication(replication)
+                                .with_coax_spec(coax);
+                            if let Some(fill) = fill {
+                                config = config.with_fill_override(fill);
+                            }
+                            let what = format!(
+                                "{} under {admission:?}, {} fault events, {placement:?}, \
+                                 replication {replication}, fill {fill:?}, {coax:?}",
+                                spec.compact(),
+                                faults.events().len()
+                            );
+                            let model = reference::simulate(&trace, &config);
+                            let resident = || Simulation::over(&trace).config(config.clone());
+                            let streamed = || Simulation::over(&chunked).config(config.clone());
+                            for (how, outcome) in [
+                                ("serial", resident().serial().run()),
+                                ("threads(3)", resident().threads(3).run()),
+                                ("streamed", streamed().run()),
+                                ("streamed threads(2)", streamed().threads(2).run()),
+                            ] {
+                                let outcome = outcome.expect("the engine runs");
+                                prop_assert_eq!(&outcome.report, &model, "{}, {}", how, &what);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
+}
+
+/// `trace` with every start rounded down to a multiple of `granule`
+/// seconds (the order stays time order).
+fn coarse(trace: Trace, granule: u64) -> Trace {
+    let (mut records, catalog, users, days) = trace.into_parts();
+    for rec in &mut records {
+        rec.start = SimTime::from_secs(rec.start.as_secs() / granule * granule);
+    }
+    Trace::new(records, catalog, users, days).expect("still a trace")
 }
 
 /// A minimal out-of-tree strategy: admits programs first-come

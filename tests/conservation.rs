@@ -124,8 +124,8 @@ fn stats_identities_hold() {
 /// with no storage on any box nothing can be served from a peer, so under
 /// every registry strategy the central server carries exactly
 /// `no-cache`'s bytes — in total, in every peak window and in every hour
-/// of the day — and the coax exactly its rates, through the reference
-/// `run`, a streamed `Simulation` on two workers and the online engine.
+/// of the day — and the coax exactly its rates, through `run`, a
+/// streamed `Simulation` on two workers and the online engine.
 #[test]
 fn zero_storage_collapses_every_strategy_to_no_cache() {
     let trace = generate(&tiny_config(600, 120, 4, 29));
@@ -230,10 +230,10 @@ fn compulsory_miss_bits(trace: &Trace, config: &SimConfig) -> u64 {
 /// It holds for `lfu`, `lru`, `arc`, `delayed-lfu` (its fetch model
 /// moves no bytes) and `global-lfu` (feed admissions of programs watched
 /// elsewhere are captured off the first local broadcast, like any
-/// other), through the reference `run` and a `Simulation` on two
-/// workers. It does not hold, by design, for the other four: `no-cache`
-/// serves everything from the server; `oracle` and `prior-storing` push
-/// content before its first local request, so the server carries less;
+/// other), through `run` and a `Simulation` on two workers. It does not
+/// hold, by design, for the other four: `no-cache` serves everything from
+/// the server; `oracle` and `prior-storing` push content before its first
+/// local request, so the server carries less;
 /// `tlru` expires content that is then fetched again, so it carries more.
 #[test]
 fn full_storage_fetches_each_segment_once_per_neighborhood() {
@@ -302,8 +302,7 @@ fn reverse_program_ids(trace: &Trace) -> Trace {
 /// A metamorphic relation (relabelling changes nothing): no report field
 /// is keyed by program, so renaming the programs — with their catalogue
 /// entries — must leave every report equal, under every registry
-/// strategy, through the reference `run` and a `Simulation` on two
-/// workers.
+/// strategy, through `run` and a `Simulation` on two workers.
 ///
 /// It holds exactly for eight of the nine strategies. `oracle` files a
 /// program under its future count alone, so two programs with equal

@@ -637,7 +637,7 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
 
 /// A start at 2^32 s, the first second an access event cannot carry, is
 /// refused with the one named error wherever a record enters the engine —
-/// the reference run, a resident `Simulation`, a streamed `.cvtc` of
+/// `run`, a resident `Simulation`, a streamed `.cvtc` of
 /// either layout on one worker and on two, and the online ingress —
 /// under a strategy that keeps no events, one with a history ring and
 /// one with a look-ahead. Never a panic, never a replay over a truncated
@@ -711,8 +711,8 @@ fn a_start_past_the_event_horizon_fails_closed_on_every_path() {
     std::fs::remove_file(&nm).ok();
 }
 
-/// Every path a run can take: the reference run, a resident and a
-/// streamed `Simulation` on one worker and on two, and the online engine.
+/// Every path a run can take: `run`, a resident and a streamed
+/// `Simulation` on one worker and on two, and the online engine.
 fn every_path(trace: &Trace, config: &SimConfig) -> Vec<(String, Result<SimReport, SimError>)> {
     let mut outcomes = vec![("reference".to_string(), run(trace, config))];
     let chunked = ChunkedTrace::new(trace, 5);
@@ -937,9 +937,9 @@ fn same_second_ties_replay_exactly_across_block_edges() {
 /// so a first segment is often cut short and its continuation falls due
 /// ahead of ones already queued, and a seeded fault plan's outages make
 /// enforcing admission schedule backoff retries. Under every registry
-/// strategy and both admission modes, the reference run, a resident and a
-/// streamed `Simulation` on one worker and on two, and the online engine
-/// all agree.
+/// strategy and both admission modes, `run`, a resident and a streamed
+/// `Simulation` on one worker and on two, and the online engine all
+/// agree.
 #[test]
 fn unaligned_seeks_and_retries_replay_exactly_on_every_path() {
     let trace = generate(&SynthConfig {
