@@ -156,6 +156,22 @@ impl AdmissionControl {
         self.tally.interrupted_sessions += 1;
     }
 
+    /// Sessions admitted so far, after any number of retries: the ones
+    /// that started playback.
+    pub(super) fn admitted(&self) -> u64 {
+        self.admitted_after.iter().sum()
+    }
+
+    /// Sessions dropped mid-stream: the interrupted ones under enforcing
+    /// admission (a counting run only tallies them, and they play on).
+    pub(super) fn dropped(&self) -> u64 {
+        if self.enforcing() {
+            self.tally.interrupted_sessions
+        } else {
+            0
+        }
+    }
+
     /// Ends the run: the neighborhood's degradation tallies, and its
     /// retry histogram (`[k]`: sessions admitted after exactly `k`
     /// retries).

@@ -308,6 +308,11 @@ impl ActiveSessions {
         !std::mem::replace(&mut entry.outage_noted, true)
     }
 
+    /// Sessions holding a slot: playing, or waiting out a retry backoff.
+    pub(super) fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
     /// Slots ever allocated (high-water mark of concurrent sessions).
     #[cfg(test)]
     pub(super) fn allocated(&self) -> usize {
@@ -367,6 +372,11 @@ pub(super) struct SessionDriver<'a, F, R> {
     /// carried when the run ends
     /// ([`into_outcome`](Self::into_outcome)).
     offered_bits: u64,
+    /// Debug builds only (zero otherwise): the sessions that ran out of
+    /// segments, zero-length ones included, held against the sessions
+    /// that started playback when the run ends
+    /// ([`into_outcome`](Self::into_outcome)).
+    completed: u64,
 }
 
 impl<'a, F, R> SessionDriver<'a, F, R>
@@ -398,6 +408,7 @@ where
             segmenter,
             abort,
             offered_bits: 0,
+            completed: 0,
         }
     }
 
@@ -455,10 +466,7 @@ where
                         self.active.remove(slot);
                     } else {
                         let cont = self.process_segment(&rec, &ctx, seg_idx)?;
-                        match cont {
-                            Some((t, seg)) => self.queue.push((t, gidx, seg, slot)),
-                            None => self.active.remove(slot),
-                        }
+                        self.resume_or_complete(cont, gidx, slot);
                     }
                 }
             }
@@ -570,13 +578,38 @@ where
         self.occupy_viewer_slot(rec, ctx)?;
         self.publish_access(gidx, rec, ctx)?;
 
-        if ctx.watched.as_secs() > 0 {
-            if let Some((t, seg)) = self.process_segment(rec, ctx, ctx.first_seg)? {
+        let cont = if ctx.watched.as_secs() > 0 {
+            self.process_segment(rec, ctx, ctx.first_seg)?
+        } else {
+            None
+        };
+        match cont {
+            Some((t, seg)) => {
                 let slot = self.active.insert(*rec, *ctx);
                 self.queue.push((t, gidx as u32, seg, slot));
             }
+            None => self.note_completed(),
         }
         Ok(())
+    }
+
+    /// Queues a playing session's next segment, or retires its slot when
+    /// it has run out of segments.
+    fn resume_or_complete(&mut self, cont: Option<(SimTime, u16)>, gidx: u32, slot: u32) {
+        match cont {
+            Some((t, seg)) => self.queue.push((t, gidx, seg, slot)),
+            None => {
+                self.active.remove(slot);
+                self.note_completed();
+            }
+        }
+    }
+
+    /// Counts one session that ran out of segments (debug builds only).
+    fn note_completed(&mut self) {
+        if cfg!(debug_assertions) {
+            self.completed += 1;
+        }
     }
 
     /// Publishes one access: feed consumption up to the record and the
@@ -624,10 +657,7 @@ where
                 } else {
                     None
                 };
-                match cont {
-                    Some((t, seg)) => self.queue.push((t, gidx, seg, slot)),
-                    None => self.active.remove(slot),
-                }
+                self.resume_or_complete(cont, gidx, slot);
                 Ok(())
             }
             Verdict::Retry { at } => {
@@ -739,6 +769,24 @@ where
             coax.total().as_bits(),
             self.offered_bits,
             "{nbhd}: the coax did not carry the offered load"
+        );
+        // Conservation: every session that started playback ran out of
+        // segments, was dropped by an enforcing outage, or is still in the
+        // slab — and a finished driver's slab is empty (a session waiting
+        // out a retry backoff holds a slot but has not started).
+        let (started, dropped) = match &self.admission {
+            Some(ctl) => (ctl.admitted(), ctl.dropped()),
+            None => (self.counters.sessions, 0),
+        };
+        debug_assert_eq!(
+            self.active.len(),
+            0,
+            "{nbhd}: a finished driver holds sessions"
+        );
+        debug_assert_eq!(
+            started,
+            self.completed + dropped + self.active.len() as u64,
+            "{nbhd}: a session that started playback went missing"
         );
         NeighborhoodOutcome {
             coax,

@@ -124,6 +124,11 @@
 //!
 //! Counter-based tests enforce decode-once on every layout.
 //!
+//! What a streaming run holds of the file is the chunks being decoded:
+//! a mapped reader releases each chunk's pages once the chunk is decoded
+//! (`cablevod_trace::columnar`, "Chunk fetch"), so the resident set is
+//! bounded by chunk size plus session concurrency, not by trace length.
+//!
 //! # One feed producer
 //!
 //! Serial feed exactness: a serial replay of the whole trace would publish
@@ -228,7 +233,9 @@ use lifecycle::{feed_event, session_ctx, RecordSupply, SessionDriver};
 /// one neighborhood after the other, or a chunked source (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
-/// streamed with bounded resident memory (see the module docs). The
+/// streamed with bounded resident memory: the chunks being decoded plus
+/// session concurrency, never the file, whose mapped pages leave the
+/// process chunk by chunk as they are decoded (see the module docs). The
 /// builder produces bit-identical reports at any worker count.
 ///
 /// Deterministic: identical inputs produce identical reports.

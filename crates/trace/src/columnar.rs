@@ -163,6 +163,24 @@
 //! but a corrupt chunk keeps failing with the same checksum error on
 //! every fetch.
 //!
+//! What stays resident: a mapped chunk is handed out as a guard, and
+//! when the guard drops — the chunk decoded, or its fetch failed — the
+//! whole pages lying strictly inside its byte range leave the process
+//! (`madvise(MADV_DONTNEED)`). A page a chunk shares with a neighbour is
+//! left alone, so a release never takes a page from under another
+//! thread's decode. A reader's mapping therefore holds the chunks being
+//! decoded, not the file: every decode path — the blocked replay's
+//! decoder, the fast-path shards, the Oracle's look-ahead cursor,
+//! [`rechunk_by_neighborhood`](crate::rechunk::rechunk_by_neighborhood)
+//! and [`ColumnarReader::read_trace`] — holds at most the chunks it is
+//! decoding, error returns included. What a re-fetch costs: its pages
+//! fault back in from the page cache (the CRC memo still spares it the
+//! scan). A one-shot replay re-fetches no chunk outside the Oracle's
+//! second cursor; a reader reused across runs pays the faults once a
+//! run. Criterion `decode/mmap_decode`, which re-fetches every chunk of
+//! one reader each pass, read 16–20 ms with the release against
+//! 13–17 ms without it (1.06 M records, 2-vCPU dev host).
+//!
 //! What verification costs: one pass of the slicing-by-16 kernel
 //! ([`crate::checksum`], about 0.4 ns a byte on the 2-vCPU dev host) over
 //! the chunk's column bytes — 24 B a time-major record, 32 B a
@@ -171,10 +189,10 @@
 //! reader**: on the first fetch of every chunk in a fresh reader, which is
 //! what a one-shot replay pays, and never again while the reader lives.
 //! Criterion `decode/mmap_first_fetch` (a fresh reader each iteration)
-//! reads 28–30 ms against `decode/mmap_decode`'s 13–18 ms over the same
-//! 1.06 M records: the CRC plus the fresh mapping's page faults. On the
+//! reads 28–30 ms against `decode/mmap_decode`'s 16–20 ms over the same
+//! 1.06 M records: the CRC on top of the page faults both pay. On the
 //! pread path it is paid on **every** fetch, beside the `pread` copy:
-//! `decode/pread_decode` reads 1.9–2.4x `decode/mmap_decode`. While the
+//! `decode/pread_decode` reads 1.6–2.4x `decode/mmap_decode`. While the
 //! checksum ran a byte at a time (2.7–2.9 ns a byte, 70–93 ns a record) it
 //! was most of that path's 6–7x.
 //!
@@ -184,7 +202,11 @@
 //! than a read error — the same class of externally-induced failure as
 //! unlinking a file mid-`pread`, and out of scope for the format's
 //! corruption guarantees (which cover *content*, via the CRC, on both
-//! paths).
+//! paths). Releasing decoded pages adds no exposure to it: the mapping
+//! is `PROT_READ` and never written, so a released page of this private
+//! *file* mapping is refilled from the file, not zero-filled, and two
+//! threads borrowing one chunk re-fault the same bytes under the same
+//! "nobody rewrites the file mid-run" precondition as above.
 //!
 //! # Examples
 //!
@@ -820,7 +842,7 @@ pub fn write_trace(
 }
 
 /// Read-only whole-file memory mapping, kept dependency-free by
-/// declaring the two libc entry points directly (the build environment
+/// declaring the libc entry points directly (the build environment
 /// vendors stand-ins and cannot grow a `libc`/`memmap` dependency).
 #[cfg(unix)]
 #[allow(unsafe_code)]
@@ -829,9 +851,12 @@ mod mmap {
     use std::fs::File;
     use std::os::raw::c_int;
     use std::os::unix::io::AsRawFd;
+    use std::sync::OnceLock;
 
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
+    /// The same value on Linux, the BSDs and macOS.
+    const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         fn mmap(
@@ -843,6 +868,15 @@ mod mmap {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        fn getpagesize() -> c_int;
+    }
+
+    /// The host's page size, queried once.
+    pub(super) fn page_size() -> usize {
+        static PAGE: OnceLock<usize> = OnceLock::new();
+        // SAFETY: `getpagesize` takes nothing and reads a constant.
+        *PAGE.get_or_init(|| unsafe { getpagesize() } as usize)
     }
 
     /// An owned `PROT_READ`/`MAP_PRIVATE` mapping of a whole file,
@@ -886,6 +920,12 @@ mod mmap {
             // in drop, and nothing writes through it (PROT_READ).
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
+
+        /// Borrows `range` of the mapping; its pages leave the resident
+        /// set when the borrow drops.
+        pub(super) fn pages(&self, range: std::ops::Range<usize>) -> Pages<'_> {
+            Pages(&self.bytes()[range])
+        }
     }
 
     impl Drop for Mmap {
@@ -893,12 +933,52 @@ mod mmap {
             unsafe { munmap(self.ptr, self.len) };
         }
     }
+
+    /// A borrowed range of a [`Mmap`] that, when dropped, releases the
+    /// whole pages lying strictly inside it (`MADV_DONTNEED`). A page it
+    /// shares with the bytes on either side stays mapped, so a borrow
+    /// never takes a page from under a neighbouring chunk's decode.
+    pub(super) struct Pages<'a>(&'a [u8]);
+
+    impl std::ops::Deref for Pages<'_> {
+        type Target = [u8];
+
+        fn deref(&self) -> &[u8] {
+            self.0
+        }
+    }
+
+    impl Drop for Pages<'_> {
+        fn drop(&mut self) {
+            let page = page_size();
+            let start = self.0.as_ptr() as usize;
+            let first = start.next_multiple_of(page);
+            let end = (start + self.0.len()) / page * page;
+            if first < end {
+                // SAFETY: `[first, end)` is page-aligned and lies inside
+                // the live `PROT_READ` file mapping this borrow came
+                // from; a dropped page of a private file mapping that was
+                // never written is refilled from the file on the next
+                // touch, so every other borrow of these bytes reads the
+                // same values. The return value is ignored: a refusal
+                // leaves the mapping valid.
+                unsafe { madvise(first as *mut c_void, end - first, MADV_DONTNEED) };
+            }
+        }
+    }
+}
+
+/// Off Unix there is no mapping, and no chunk is ever borrowed from one.
+#[cfg(not(unix))]
+mod mmap {
+    pub(super) type Pages<'a> = &'a [u8];
 }
 
 /// One chunk's raw column bytes: borrowed straight from the mapping on
-/// the mmap path, an owned scratch buffer on the pread path.
+/// the mmap path (its pages released once the chunk is decoded), an
+/// owned scratch buffer on the pread path.
 enum ChunkData<'a> {
-    Borrowed(&'a [u8]),
+    Mapped(mmap::Pages<'a>),
     Owned(Vec<u8>),
 }
 
@@ -907,7 +987,7 @@ impl std::ops::Deref for ChunkData<'_> {
 
     fn deref(&self) -> &[u8] {
         match self {
-            ChunkData::Borrowed(b) => b,
+            ChunkData::Mapped(pages) => pages,
             ChunkData::Owned(v) => v,
         }
     }
@@ -1433,18 +1513,20 @@ impl ColumnarReader {
                 // Safe slice: the directory validation bounded every
                 // chunk's extent by directory_offset <= file_len, which
                 // is the mapping's length.
+                // The borrow is taken before the check, so a failed
+                // check releases the pages it touched too.
                 let start = meta.file_offset as usize;
-                let bytes = &map.bytes()[start..start + len];
+                let bytes = map.pages(start..start + len);
                 let word = &verified[chunk / 64];
                 let bit = 1u64 << (chunk % 64);
                 if word.load(Ordering::Acquire) & bit == 0 {
-                    let computed = crc32(bytes);
+                    let computed = crc32(&bytes);
                     if computed != meta.crc {
                         return Err(checksum_err(computed));
                     }
                     word.fetch_or(bit, Ordering::Release);
                 }
-                ChunkData::Borrowed(bytes)
+                ChunkData::Mapped(bytes)
             }
         };
         self.chunks_decoded.fetch_add(1, Ordering::Relaxed);
@@ -1982,5 +2064,127 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, TraceError::Format { .. }), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The `Rss:` of the `/proc/self/smaps` block whose address range
+    /// holds `addr`, in bytes.
+    #[cfg(target_os = "linux")]
+    fn mapping_rss(addr: usize) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read smaps");
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split_once(' ').and_then(|(range, _)| {
+                let (lo, hi) = range.split_once('-')?;
+                Some(usize::from_str_radix(lo, 16).ok()?..usize::from_str_radix(hi, 16).ok()?)
+            });
+            if let Some(range) = range {
+                inside = range.contains(&addr);
+            } else if let Some(kb) = line.strip_prefix("Rss:").filter(|_| inside) {
+                let kb = kb.trim().trim_end_matches("kB").trim();
+                return kb.parse::<usize>().expect("an Rss figure") * 1024;
+            }
+        }
+        panic!("no mapping holds {addr:#x}");
+    }
+
+    /// A decoded chunk leaves the resident set: after every chunk of a
+    /// file has been decoded, in either layout, the reader's mapping
+    /// holds at most the header and directory pages plus the two pages
+    /// each chunk may share with its neighbours — not the file. A
+    /// released chunk decodes the same records when fetched again, and a
+    /// corrupt one (whose failed check releases its pages too) keeps
+    /// failing with the same checksum error.
+    ///
+    /// Chunks span dozens of pages: the kernel maps a window of pages
+    /// around each fault (64 KiB by default), which can reach back into a
+    /// chunk already released, and on chunks of a few pages those remaps
+    /// alone would outgrow two pages a chunk.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn decoded_chunks_leave_the_resident_set() {
+        use std::os::unix::fs::FileExt;
+
+        let trace = generate(&SynthConfig {
+            users: 2_000,
+            programs: 200,
+            days: 16,
+            ..SynthConfig::smoke_test()
+        });
+        let tm = tmp_path("resident_tm");
+        let nm = tmp_path("resident_nm");
+        write_trace(&tm, &trace, 8_192).expect("write");
+        let source = ColumnarReader::open(&tm).expect("open");
+        rechunk_by_neighborhood(&source, &nm, 1_000, 8_192).expect("rechunk");
+        drop(source);
+        let page = mmap::page_size();
+        for path in [&tm, &nm] {
+            let corrupt = 3;
+            let offset = ColumnarReader::open_pread(path).expect("open").directory()[corrupt]
+                .file_offset
+                + 100;
+            let file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(path)
+                .expect("open for writing");
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, offset).expect("read byte");
+            file.write_all_at(&[byte[0] ^ 0x40], offset)
+                .expect("flip byte");
+            let file_len = file.metadata().expect("metadata").len() as usize;
+
+            let reader = ColumnarReader::open(path).expect("open");
+            let Backing::Mmap { map, .. } = &reader.backing else {
+                panic!("the reader maps the file");
+            };
+            let addr = map.bytes().as_ptr() as usize;
+            let chunks = reader.chunk_count();
+            assert!(chunks >= 8, "{chunks} chunks");
+            let decode_all = || {
+                (0..chunks)
+                    .map(|c| {
+                        let mut out = Vec::new();
+                        reader
+                            .read_chunk_indexed(c, &mut out)
+                            .map(|()| out)
+                            .map_err(|e| e.to_string())
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let first = decode_all();
+
+            let dir = &reader.directory;
+            let record_bytes = reader.layout.record_bytes();
+            let chunks_from = dir.iter().map(|m| m.file_offset).min().expect("chunks") as usize;
+            let chunks_to = dir
+                .iter()
+                .map(|m| m.file_offset as usize + m.record_count as usize * record_bytes)
+                .max()
+                .expect("chunks");
+            let edges = chunks_from.div_ceil(page) + (file_len - chunks_to).div_ceil(page) + 1;
+            let bound = (edges + 2 * chunks) * page;
+            let rss = mapping_rss(addr);
+            assert!(
+                rss <= bound,
+                "{}: {rss} B resident after decoding {chunks} chunks of a {} B file \
+                 (bound {bound} B)",
+                path.display(),
+                file_len
+            );
+
+            let again = decode_all();
+            assert_eq!(again, first, "{}", path.display());
+            for (c, decoded) in first.iter().enumerate() {
+                match decoded {
+                    Err(e) => {
+                        assert_eq!(c, corrupt, "{e}");
+                        assert!(e.contains("checksum"), "{e}");
+                    }
+                    Ok(records) => assert!(!records.is_empty()),
+                }
+            }
+            assert!(first[corrupt].is_err());
+            std::fs::remove_file(path).ok();
+        }
     }
 }

@@ -26,7 +26,10 @@
 //! doubling but is capped at `chunk_size` records, so the output side
 //! holds at most `groups × chunk_size × 32 B`, plus the writer's fixed
 //! 32 KiB encode buffer and 64 KiB `BufWriter`; the input side holds one
-//! decoded source chunk (40 B a record). Bound the resident set by
+//! decoded source chunk (40 B a record) — and, from a mapped
+//! [`ColumnarReader`](crate::columnar::ColumnarReader), none of the
+//! source file, whose chunk pages leave the process once decoded (see
+//! the columnar module's "Chunk fetch"). Bound the resident set by
 //! choosing `chunk_size` with [`import_chunk_size`] when importing huge
 //! populations. (Before the cap, a buffer filled toward a chunk size that
 //! is not a power of two could hold up to ~1.9x its share: 34 952-record

@@ -3,7 +3,9 @@
 //! **straight to disk** in the columnar chunked format — the record vector
 //! never exists in memory — then replayed through the streaming engine on
 //! one, two and four workers, with resident memory bounded by chunk size
-//! plus session concurrency. The time-major file replays
+//! plus session concurrency: the reader maps the file, and each chunk's
+//! pages leave the process once the chunk is decoded, so the mapping
+//! holds the chunks being decoded, not the file. The time-major file replays
 //! *neighborhood-blocked*: each chunk is decoded once and demultiplexed,
 //! and every neighborhood's shard runs through its part of the block, so
 //! the decode counters read one pass over the file at any worker count.
@@ -157,8 +159,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     match cablevod_sim::peak_rss_kb() {
         Some(kb) => println!(
-            "peak RSS: {:.1} MiB for a {:.1} MiB trace file (bounded by chunk + session \
-             concurrency, not trace length)",
+            "peak RSS: {:.1} MiB for a {:.1} MiB trace file (the mapping holds the chunks \
+             being decoded, not the file: bounded by chunk + session concurrency, not trace \
+             length)",
             kb as f64 / 1024.0,
             file_bytes as f64 / (1024.0 * 1024.0),
         ),
