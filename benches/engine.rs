@@ -36,9 +36,7 @@ use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
 use cablevod_sim::{SimConfig, Simulation};
 use cablevod_trace::checksum::crc32;
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
-use cablevod_trace::rechunk::{
-    import_chunk_size, neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index,
-};
+use cablevod_trace::rechunk::{neighborhood_groups, rechunk_by_neighborhood, rechunk_multi_index};
 use cablevod_trace::record::Trace;
 use cablevod_trace::scale;
 use cablevod_trace::source::TraceSource;
@@ -301,9 +299,7 @@ fn engine_streaming_throughput(c: &mut Criterion) {
             "cvtc_bench_nm_{}_{scale_label}.cvtc",
             std::process::id()
         ));
-        let import_chunk =
-            import_chunk_size(reader.user_count(), 500, DEFAULT_CHUNK_SIZE, 64 << 20);
-        rechunk_by_neighborhood(&reader, &nm_path, 500, import_chunk)
+        rechunk_by_neighborhood(&reader, &nm_path, 500, DEFAULT_CHUNK_SIZE)
             .expect("neighborhood-major rechunk");
         let nm_reader = ColumnarReader::open(&nm_path).expect("rechunked file opens");
         group.bench_function(
@@ -416,14 +412,13 @@ fn engine_sweep_throughput(c: &mut Criterion) {
     )
     .expect("disk workload generated");
     let reader = ColumnarReader::open(&path).expect("columnar file opens");
-    let import_chunk =
-        import_chunk_size(reader.user_count(), SIZES[0], DEFAULT_CHUNK_SIZE, 64 << 20);
     let mut multi_path = std::env::temp_dir();
     multi_path.push(format!("cvtc_bench_sweep_mi_{}.cvtc", std::process::id()));
-    rechunk_multi_index(&reader, &multi_path, &SIZES, import_chunk).expect("multi-index rechunk");
+    rechunk_multi_index(&reader, &multi_path, &SIZES, DEFAULT_CHUNK_SIZE)
+        .expect("multi-index rechunk");
     let mut single_path = std::env::temp_dir();
     single_path.push(format!("cvtc_bench_sweep_si_{}.cvtc", std::process::id()));
-    rechunk_by_neighborhood(&reader, &single_path, SIZES[1], import_chunk)
+    rechunk_by_neighborhood(&reader, &single_path, SIZES[1], DEFAULT_CHUNK_SIZE)
         .expect("single-index rechunk");
     let multi_reader = ColumnarReader::open(&multi_path).expect("multi-index opens");
     let single_reader = ColumnarReader::open(&single_path).expect("single-index opens");
@@ -480,11 +475,11 @@ fn workload_generation(c: &mut Criterion) {
         b.iter(|| generate_to_disk(&config, &time_major, DEFAULT_CHUNK_SIZE).expect("writes"))
     });
     let reader = ColumnarReader::open(&time_major).expect("generated file opens");
-    let import_chunk = import_chunk_size(config.users, 500, DEFAULT_CHUNK_SIZE, 64 << 20);
     group.throughput(Throughput::Elements(reader.record_count()));
     group.bench_function("rechunk", |b| {
         b.iter(|| {
-            rechunk_by_neighborhood(&reader, &nbhd_major, 500, import_chunk).expect("rechunks")
+            rechunk_by_neighborhood(&reader, &nbhd_major, 500, DEFAULT_CHUNK_SIZE)
+                .expect("rechunks")
         })
     });
     drop(reader);

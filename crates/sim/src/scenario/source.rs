@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::io as trace_io;
-use cablevod_trace::rechunk::{import_chunk_size, rechunk_multi_index};
+use cablevod_trace::rechunk::rechunk_multi_index;
 use cablevod_trace::record::Trace;
 use cablevod_trace::scale;
 use cablevod_trace::source::TraceSource;
@@ -93,15 +93,12 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// Re-chunks `reader` neighborhood-major into a fresh temp file carrying
-/// one chunk index per size in `sizes` (see
-/// [`rechunk_multi_index`]). With the simulator's aligned placement the
-/// finest size has the most cells, so it drives the per-cell buffer
-/// budget.
+/// one chunk index per size in `sizes` (see [`rechunk_multi_index`],
+/// whose import spills by cell: its memory does not depend on the chunk
+/// size).
 fn rechunk_to_temp(reader: &ColumnarReader, sizes: &[u32]) -> Result<TempFile, SimError> {
     let nm = temp_path("rechunk");
-    let finest = sizes.iter().copied().min().unwrap_or(1);
-    let chunk = import_chunk_size(reader.user_count(), finest, DEFAULT_CHUNK_SIZE, 64 << 20);
-    rechunk_multi_index(reader, &nm, sizes, chunk)?;
+    rechunk_multi_index(reader, &nm, sizes, DEFAULT_CHUNK_SIZE)?;
     Ok(TempFile(nm))
 }
 

@@ -173,7 +173,13 @@
 //! decoder, the fast-path shards, the Oracle's look-ahead cursor,
 //! [`rechunk_by_neighborhood`](crate::rechunk::rechunk_by_neighborhood)
 //! and [`ColumnarReader::read_trace`] — holds at most the chunks it is
-//! decoding, error returns included. What a re-fetch costs: its pages
+//! decoding, error returns included. What each path keeps of the
+//! *decoded* records is its own affair: `read_trace` keeps the whole
+//! trace, by definition, and the re-chunker keeps one decoded chunk,
+//! because it spills every record to its placement cell's block in a
+//! scratch file as it goes (see [`crate::rechunk`]'s "Memory"). So an
+//! import from a mapped file holds the same few MiB whatever the
+//! file's length. What a re-fetch costs: its pages
 //! fault back in from the page cache (the CRC memo still spares it the
 //! scan). A one-shot replay re-fetches no chunk outside the Oracle's
 //! second cursor; a reader reused across runs pays the faults once a
@@ -221,6 +227,7 @@
 //! # Ok::<(), cablevod_trace::TraceError>(())
 //! ```
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -307,12 +314,21 @@ pub struct ChunkMeta {
 /// checksum and the output in runs of at most this many bytes.
 const ENCODE_SCRATCH_BYTES: usize = 32 << 10;
 
-/// One in-progress chunk's column buffers plus per-group ordering state.
-/// The columns grow by doubling but never past the file's chunk size
-/// (see [`ChunkBuf::reserve_one`]), so a buffer holds at most
-/// `chunk_size × record bytes`.
+/// One record's column values, as a chunk stores them: what
+/// [`ColumnarWriter::admit`] returns for a record it accepts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Packed {
+    pub(crate) user: u32,
+    pub(crate) program: u32,
+    pub(crate) start: u64,
+    pub(crate) duration: u32,
+    pub(crate) offset: u32,
+    pub(crate) gseq: u64,
+}
+
+/// One chunk's column buffers.
 #[derive(Debug, Default)]
-struct ChunkBuf {
+pub(crate) struct ChunkBuf {
     users: Vec<u32>,
     programs: Vec<u32>,
     starts: Vec<u64>,
@@ -323,21 +339,24 @@ struct ChunkBuf {
     gseqs: Vec<u64>,
     /// Sequence number of the buffer's first record.
     first_gseq: u64,
-    last_start: u64,
-    last_gseq: u64,
-    any: bool,
 }
 
 impl ChunkBuf {
     /// Makes room for one more record: a full buffer doubles its columns,
-    /// capped at `chunk_size` records — the buffer is flushed when it
-    /// reaches that size, so any capacity beyond it would never be used.
+    /// capped at `chunk_size` records — the writer flushes a buffer when
+    /// it reaches that size, so any capacity beyond it would never be
+    /// used.
     fn reserve_one(&mut self, chunk_size: usize, indexed: bool) {
         let len = self.users.len();
         if len < self.users.capacity() {
             return;
         }
         let extra = (2 * len).max(4).min(chunk_size) - len;
+        self.reserve_exact(extra, indexed);
+    }
+
+    /// Makes room for `extra` more records, and no more.
+    pub(crate) fn reserve_exact(&mut self, extra: usize, indexed: bool) {
         self.users.reserve_exact(extra);
         self.programs.reserve_exact(extra);
         self.starts.reserve_exact(extra);
@@ -347,6 +366,66 @@ impl ChunkBuf {
             self.gseqs.reserve_exact(extra);
         }
     }
+
+    /// Appends one record; `indexed` stores its sequence number too.
+    fn push(&mut self, rec: Packed, indexed: bool) {
+        if self.users.is_empty() {
+            self.first_gseq = rec.gseq;
+        }
+        self.users.push(rec.user);
+        self.programs.push(rec.program);
+        self.starts.push(rec.start);
+        self.durations.push(rec.duration);
+        self.offsets.push(rec.offset);
+        if indexed {
+            self.gseqs.push(rec.gseq);
+        }
+    }
+
+    /// Appends a run of records a column at a time: one tight pass over
+    /// `recs` per column, a fraction of the cost of a `push` a record
+    /// when a run is read back in bulk.
+    pub(crate) fn extend<I>(&mut self, recs: I, indexed: bool)
+    where
+        I: Iterator<Item = Packed> + Clone,
+    {
+        if self.users.is_empty() {
+            if let Some(first) = recs.clone().next() {
+                self.first_gseq = first.gseq;
+            }
+        }
+        self.users.extend(recs.clone().map(|r| r.user));
+        self.programs.extend(recs.clone().map(|r| r.program));
+        self.starts.extend(recs.clone().map(|r| r.start));
+        self.durations.extend(recs.clone().map(|r| r.duration));
+        self.offsets.extend(recs.clone().map(|r| r.offset));
+        if indexed {
+            self.gseqs.extend(recs.map(|r| r.gseq));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// Empties the columns, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.users.clear();
+        self.programs.clear();
+        self.starts.clear();
+        self.durations.clear();
+        self.offsets.clear();
+        self.gseqs.clear();
+    }
+}
+
+/// The ordering state of one cell: the start and sequence number of the
+/// last record admitted to it.
+#[derive(Debug, Default, Clone, Copy)]
+struct CellOrder {
+    last_start: u64,
+    last_gseq: u64,
+    any: bool,
 }
 
 /// Encodes one chunk's columns through the writer's scratch buffer: each
@@ -392,6 +471,14 @@ struct NmSetup {
 /// columns), one fixed encode buffer and the (small) directory is ever
 /// resident.
 ///
+/// That is one chunk per cell, filled in whatever order the records
+/// arrive — the price of accepting them one at a time. The
+/// neighborhood re-chunker does not pay it: it validates each record
+/// with the same checks `push_indexed` makes, keeps the records in a
+/// spill file, and hands the writer one whole chunk at a time, so its
+/// writer holds no cell buffer at all (see [`crate::rechunk`]'s
+/// "Memory").
+///
 /// A full chunk is encoded **a run at a time**: each column's values are
 /// converted to little-endian bytes in runs through the one reused
 /// `ENCODE_SCRATCH_BYTES` (32 KiB) buffer, and each run is checksummed and
@@ -421,8 +508,10 @@ pub struct ColumnarWriter {
     /// Per-chunk group tags for the extra indexes (one row per directory
     /// entry, one tag per extra size).
     extra_tags: Vec<Vec<u32>>,
+    /// Each cell's ordering state, checked by `admit`.
+    order: Vec<CellOrder>,
     bufs: Vec<ChunkBuf>,
-    /// The encode buffer `flush_cell` runs every column through.
+    /// The encode buffer `write_chunk` runs every column through.
     scratch: Box<[u8]>,
     directory: Vec<ChunkMeta>,
     next_offset: u64,
@@ -525,19 +614,25 @@ impl ColumnarWriter {
                 )));
             }
         }
-        // Partition users into cells: one per distinct group tuple.
-        let mut cell_ids: std::collections::HashMap<Vec<u32>, u32> =
-            std::collections::HashMap::new();
+        // Partition users into cells: one per distinct group tuple,
+        // numbered in first-seen order over user ids (the order `finish`
+        // flushes tail chunks in). Level `i` maps (cell over the first `i`
+        // indexes, group at index `i`) to the cell over the first `i + 1`,
+        // so a user's lookups allocate nothing.
+        let mut levels: Vec<HashMap<(u32, u32), u32>> =
+            indexes.iter().map(|_| HashMap::new()).collect();
         let mut cell_tags: Vec<Vec<u32>> = Vec::new();
         let mut cell_of_user = Vec::with_capacity(user_count as usize);
         for u in 0..user_count as usize {
-            let key: Vec<u32> = indexes.iter().map(|(_, table)| table[u]).collect();
-            let next = cell_tags.len() as u32;
-            let id = *cell_ids.entry(key.clone()).or_insert_with(|| {
-                cell_tags.push(key);
-                next
-            });
-            cell_of_user.push(id);
+            let mut cell = 0;
+            for (level, (_, table)) in levels.iter_mut().zip(&indexes) {
+                let next = level.len() as u32;
+                cell = *level.entry((cell, table[u])).or_insert(next);
+            }
+            if cell as usize == cell_tags.len() {
+                cell_tags.push(indexes.iter().map(|(_, table)| table[u]).collect());
+            }
+            cell_of_user.push(cell);
         }
         let primary_size = indexes[0].0;
         let extra_sizes: Vec<u32> = indexes[1..].iter().map(|(size, _)| *size).collect();
@@ -617,6 +712,7 @@ impl ColumnarWriter {
             cell_tags,
             extra_sizes,
             extra_tags: Vec::new(),
+            order: vec![CellOrder::default(); cell_count],
             bufs: (0..cell_count).map(|_| ChunkBuf::default()).collect(),
             scratch: vec![0; ENCODE_SCRATCH_BYTES].into_boxed_slice(),
             directory: Vec::new(),
@@ -648,6 +744,29 @@ impl ColumnarWriter {
     /// the 32-bit columns, the `Dangling*` variants for out-of-range
     /// references, and propagates I/O failures.
     pub fn push_indexed(&mut self, gseq: u64, rec: &SessionRecord) -> Result<(), TraceError> {
+        let (cell, packed) = self.admit(gseq, rec)?;
+        let chunk_size = self.chunk_size as usize;
+        let indexed = self.indexed();
+        let buf = &mut self.bufs[cell];
+        buf.reserve_one(chunk_size, indexed);
+        buf.push(packed, indexed);
+        if buf.len() == chunk_size {
+            self.flush_cell(cell)?;
+        }
+        Ok(())
+    }
+
+    /// Checks `rec` exactly as [`push_indexed`](ColumnarWriter::push_indexed)
+    /// does, counts it and advances its cell's ordering state — everything
+    /// `push_indexed` does but buffer it. Returns the record's cell and
+    /// column values, for a caller that buffers records itself and writes
+    /// them with [`write_chunk`](ColumnarWriter::write_chunk).
+    #[inline]
+    pub(crate) fn admit(
+        &mut self,
+        gseq: u64,
+        rec: &SessionRecord,
+    ) -> Result<(usize, Packed), TraceError> {
         if rec.program.value() >= self.program_count {
             return Err(TraceError::DanglingProgram {
                 program: rec.program,
@@ -670,48 +789,39 @@ impl ColumnarWriter {
             ChunkLayout::NeighborhoodMajor { .. } => self.cell_of_user[rec.user.index()] as usize,
         };
         let start = rec.start.as_secs();
-        let buf = &mut self.bufs[cell];
-        if buf.any && start < buf.last_start {
+        let order = &mut self.order[cell];
+        if order.any && start < order.last_start {
             return Err(format_err(format!(
                 "records must be written in start order within a group: {start}s after {}s",
-                buf.last_start
+                order.last_start
             )));
         }
-        if buf.any && gseq <= buf.last_gseq {
+        if order.any && gseq <= order.last_gseq {
             return Err(format_err(format!(
                 "sequence numbers must ascend within a group: {gseq} after {}",
-                buf.last_gseq
+                order.last_gseq
             )));
         }
         let duration = u32::try_from(rec.duration.as_secs())
             .map_err(|_| format_err("session duration overflows the 32-bit column"))?;
         let offset = u32::try_from(rec.offset.as_secs())
             .map_err(|_| format_err("seek offset overflows the 32-bit column"))?;
-
-        let indexed = matches!(self.layout, ChunkLayout::NeighborhoodMajor { .. });
-        let buf = &mut self.bufs[cell];
-        if buf.users.is_empty() {
-            buf.first_gseq = gseq;
-        }
-        buf.reserve_one(self.chunk_size as usize, indexed);
-        buf.users.push(rec.user.value());
-        buf.programs.push(rec.program.value());
-        buf.starts.push(start);
-        buf.durations.push(duration);
-        buf.offsets.push(offset);
-        if indexed {
-            buf.gseqs.push(gseq);
-        }
-        buf.last_start = start;
-        buf.last_gseq = gseq;
-        buf.any = true;
+        *order = CellOrder {
+            last_start: start,
+            last_gseq: gseq,
+            any: true,
+        };
         self.record_count += 1;
         self.next_gseq = self.next_gseq.max(gseq + 1);
-
-        if self.bufs[cell].users.len() == self.chunk_size as usize {
-            self.flush_cell(cell)?;
-        }
-        Ok(())
+        let packed = Packed {
+            user: rec.user.value(),
+            program: rec.program.value(),
+            start,
+            duration,
+            offset,
+            gseq,
+        };
+        Ok((cell, packed))
     }
 
     /// Appends every record of `batch` (a convenience over [`push`]).
@@ -733,13 +843,32 @@ impl ColumnarWriter {
         self.record_count
     }
 
+    /// Placement cells of this file (1 for time-major).
+    pub(crate) fn cell_count(&self) -> usize {
+        self.bufs.len()
+    }
+
+    fn indexed(&self) -> bool {
+        matches!(self.layout, ChunkLayout::NeighborhoodMajor { .. })
+    }
+
     fn flush_cell(&mut self, cell: usize) -> Result<(), TraceError> {
-        let buf = &mut self.bufs[cell];
-        let n = buf.users.len();
+        let mut buf = std::mem::take(&mut self.bufs[cell]);
+        self.write_chunk(cell, &buf)?;
+        buf.clear();
+        self.bufs[cell] = buf;
+        Ok(())
+    }
+
+    /// Writes `chunk`'s records (admitted by [`admit`](ColumnarWriter::admit),
+    /// in order) as the next chunk of the file, tagged with `cell`'s groups.
+    /// An empty chunk writes nothing.
+    pub(crate) fn write_chunk(&mut self, cell: usize, chunk: &ChunkBuf) -> Result<(), TraceError> {
+        let n = chunk.len();
         if n == 0 {
             return Ok(());
         }
-        let indexed = matches!(self.layout, ChunkLayout::NeighborhoodMajor { .. });
+        let indexed = self.indexed();
         // The checksum runs over the exact byte sequence the chunk puts on
         // disk: columns in write order, little-endian, a run at a time.
         let mut column = Encoder {
@@ -747,19 +876,19 @@ impl ColumnarWriter {
             crc: Crc32::new(),
             out: &mut self.out,
         };
-        column.encode(&buf.users, u32::to_le_bytes)?;
-        column.encode(&buf.programs, u32::to_le_bytes)?;
-        column.encode(&buf.starts, u64::to_le_bytes)?;
-        column.encode(&buf.durations, u32::to_le_bytes)?;
-        column.encode(&buf.offsets, u32::to_le_bytes)?;
-        column.encode(&buf.gseqs, u64::to_le_bytes)?; // empty unless indexed
+        column.encode(&chunk.users, u32::to_le_bytes)?;
+        column.encode(&chunk.programs, u32::to_le_bytes)?;
+        column.encode(&chunk.starts, u64::to_le_bytes)?;
+        column.encode(&chunk.durations, u32::to_le_bytes)?;
+        column.encode(&chunk.offsets, u32::to_le_bytes)?;
+        column.encode(&chunk.gseqs, u64::to_le_bytes)?; // empty unless indexed
         let crc = column.crc.finish();
         self.directory.push(ChunkMeta {
             file_offset: self.next_offset,
             record_count: n as u32,
-            first_index: buf.first_gseq,
-            first_start: SimTime::from_secs(buf.starts[0]),
-            watermark: SimTime::from_secs(buf.starts[n - 1]),
+            first_index: chunk.first_gseq,
+            first_start: SimTime::from_secs(chunk.starts[0]),
+            watermark: SimTime::from_secs(chunk.starts[n - 1]),
             group: indexed.then(|| self.cell_tags[cell][0]),
             crc,
         });
@@ -767,12 +896,6 @@ impl ColumnarWriter {
             self.extra_tags.push(self.cell_tags[cell][1..].to_vec());
         }
         self.next_offset += (n * self.layout.record_bytes()) as u64;
-        buf.users.clear();
-        buf.programs.clear();
-        buf.starts.clear();
-        buf.durations.clear();
-        buf.offsets.clear();
-        buf.gseqs.clear();
         Ok(())
     }
 

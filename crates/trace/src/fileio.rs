@@ -1,6 +1,7 @@
-//! Format errors, little-endian header reads and positioned chunk reads —
-//! the file plumbing under the on-disk format
-//! ([`columnar`](crate::columnar)).
+//! Format errors, little-endian header reads and positioned chunk reads
+//! and writes — the file plumbing under the on-disk format
+//! ([`columnar`](crate::columnar)) and the re-chunker's spill file
+//! ([`rechunk`](crate::rechunk)).
 
 use std::fs::File;
 use std::io::Read;
@@ -28,13 +29,14 @@ pub(crate) fn read_u64(r: &mut impl Read) -> Result<u64, TraceError> {
     Ok(u64::from_le_bytes(read_array(r)?))
 }
 
-/// A file many threads read at explicit offsets through a shared
-/// reference: `pread` on Unix, seek-then-read under a lock elsewhere.
+/// A file many threads read (or write) at explicit offsets through a
+/// shared reference: `pread`/`pwrite` on Unix, seek-then-read (or write)
+/// under a lock elsewhere.
 #[derive(Debug)]
 pub(crate) struct PositionedFile {
     file: File,
     #[cfg(not(unix))]
-    read_lock: std::sync::Mutex<()>,
+    seek_lock: std::sync::Mutex<()>,
 }
 
 impl PositionedFile {
@@ -42,7 +44,7 @@ impl PositionedFile {
         PositionedFile {
             file,
             #[cfg(not(unix))]
-            read_lock: std::sync::Mutex::new(()),
+            seek_lock: std::sync::Mutex::new(()),
         }
     }
 
@@ -56,10 +58,28 @@ impl PositionedFile {
         #[cfg(not(unix))]
         {
             use std::io::{Seek, SeekFrom};
-            let _guard = self.read_lock.lock().expect("reader lock poisoned");
+            let _guard = self.seek_lock.lock().expect("file lock poisoned");
             let mut f = &self.file;
             f.seek(SeekFrom::Start(offset))?;
             f.read_exact(buf)?;
+        }
+        Ok(())
+    }
+
+    /// Writes all of `buf` at `offset`.
+    pub(crate) fn write_at(&self, buf: &[u8], offset: u64) -> Result<(), TraceError> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            self.file.write_all_at(buf, offset)?;
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Seek, SeekFrom, Write};
+            let _guard = self.seek_lock.lock().expect("file lock poisoned");
+            let mut f = &self.file;
+            f.seek(SeekFrom::Start(offset))?;
+            f.write_all(buf)?;
         }
         Ok(())
     }

@@ -21,7 +21,10 @@
 //! Every replay goes through the [`Simulation`] front door: sessions/sec,
 //! chunk-decode counts, decoded bytes and the process peak RSS (`VmHWM`)
 //! all come from the built-in [`RunOutcome`] telemetry — this example
-//! consumes the numbers, it no longer implements the probes.
+//! consumes the numbers, it no longer implements the probes. The one
+//! reading of its own is the re-chunk's peak: on Linux `VmHWM` is reset
+//! (`/proc/self/clear_refs`) just before the import, and the closing
+//! `re-chunk peak RSS:` line reports the import alone ("n/a" elsewhere).
 //!
 //! ```text
 //! cargo run --release --example out_of_core
@@ -33,7 +36,7 @@ use cablevod_cache::StrategySpec;
 use cablevod_hfc::units::DataSize;
 use cablevod_sim::{RunOutcome, SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
-use cablevod_trace::rechunk::{import_chunk_size, rechunk_by_neighborhood};
+use cablevod_trace::rechunk::rechunk_by_neighborhood;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::synth::{generate_to_disk, SynthConfig};
 
@@ -51,6 +54,13 @@ fn telemetry_line(outcome: &RunOutcome) -> String {
         t.decode.chunks,
         t.decode.bytes as f64 / (1024.0 * 1024.0),
     )
+}
+
+/// Resets this process's `VmHWM` to its current resident set (Linux:
+/// writing 5 to `/proc/self/clear_refs`); `false` where that is not
+/// possible.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -109,15 +119,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // hand every shard its part of it).
     let mut nm_path = std::env::temp_dir();
     nm_path.push(format!("cvtc_out_of_core_nm_{}.cvtc", std::process::id()));
+    // The import's own peak: reset the high-water mark first (keeping
+    // the runs' peak so far for the closing line), so the reading after
+    // it is the re-chunk's alone.
+    let runs_peak_kb = cablevod_sim::peak_rss_kb();
+    let reset = reset_peak_rss();
     let t0 = Instant::now();
-    // Cap the import chunk size so the re-chunker's per-group buffers stay
-    // inside a fixed budget — the peak-RSS telemetry covers this pass too.
-    let import_chunk = import_chunk_size(reader.user_count(), 500, DEFAULT_CHUNK_SIZE, 64 << 20);
-    rechunk_by_neighborhood(&reader, &nm_path, 500, import_chunk)?;
+    rechunk_by_neighborhood(&reader, &nm_path, 500, DEFAULT_CHUNK_SIZE)?;
     println!(
         "re-chunked neighborhood-major (size 500) in {:?}",
         t0.elapsed()
     );
+    let rechunk_peak_kb = cablevod_sim::peak_rss_kb().filter(|_| reset);
     let nm_reader = ColumnarReader::open(&nm_path)?;
     for threads in [2usize, 4] {
         let sharded = Simulation::over(&nm_reader)
@@ -136,7 +149,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::remove_file(&nm_path).ok();
 
     // Per-strategy streaming replays of the same file. VmHWM is a
-    // process-lifetime high-water mark (monotone across rows); the Oracle
+    // high-water mark since the reset before the re-chunk (monotone
+    // across rows); the Oracle
     // row holding near LRU/LFU is the point — it holds the look-ahead's
     // worth of its future, not the trace's, and its decode count shows
     // the look-ahead cursor's pass (2x the file).
@@ -157,7 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    match cablevod_sim::peak_rss_kb() {
+    match cablevod_sim::peak_rss_kb().max(runs_peak_kb) {
         Some(kb) => println!(
             "peak RSS: {:.1} MiB for a {:.1} MiB trace file (the mapping holds the chunks \
              being decoded, not the file: bounded by chunk + session concurrency, not trace \
@@ -167,6 +181,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         None => println!("peak RSS: unavailable (no /proc/self/status)"),
     }
+    // The re-chunk spills by cell, so its peak is one source chunk, one
+    // block per cell and one output chunk, not the trace.
+    println!(
+        "re-chunk peak RSS: {}",
+        rechunk_peak_kb
+            .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
+            .unwrap_or_else(|| "n/a".into())
+    );
 
     println!("\n{}", serial.report);
     std::fs::remove_file(&path).ok();
