@@ -13,92 +13,97 @@
 //! bounded (content-free ids), by the configured bound or the slot
 //! capacity when the bound is zero.
 //!
-//! Determinism: every ordering is `(monotonic sequence, ProgramId)`, so
-//! identical access sequences produce identical op streams on every
-//! driver combination.
-
-use std::collections::{BTreeSet, HashMap};
+//! Each of the four lists is the one `RecencyList` LRU keeps: every
+//! insertion lands at a list's new end, so its order is insertion order,
+//! an access neither hashes nor walks a tree, and identical access
+//! sequences produce identical op streams on every driver combination.
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::SimTime;
 
+use crate::lru::RecencyList;
 use crate::strategy::{CacheOp, CacheStrategy};
 
 /// One resident list (`T1` or `T2`): recency-ordered, slot-accounted.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Resident {
-    /// program -> (recency sequence, cost in slots)
-    entries: HashMap<ProgramId, (u64, u32)>,
-    /// (recency sequence, program), oldest first
-    queue: BTreeSet<(u64, ProgramId)>,
+    list: RecencyList,
+    len: usize,
     used: u64,
 }
 
 impl Resident {
-    fn contains(&self, program: ProgramId) -> bool {
-        self.entries.contains_key(&program)
+    fn new() -> Self {
+        Resident {
+            list: RecencyList::new(),
+            len: 0,
+            used: 0,
+        }
     }
 
-    fn insert(&mut self, program: ProgramId, seq: u64, cost: u32) {
-        let prev = self.entries.insert(program, (seq, cost));
-        debug_assert!(prev.is_none(), "double insert into resident list");
-        self.queue.insert((seq, program));
+    fn cost_of(&self, program: ProgramId) -> Option<u32> {
+        self.list.cost_of(program)
+    }
+
+    fn insert(&mut self, program: ProgramId, cost: u32) {
+        self.list.push_newest(program, cost);
+        self.len += 1;
         self.used += u64::from(cost);
     }
 
     fn remove(&mut self, program: ProgramId) -> Option<u32> {
-        let (seq, cost) = self.entries.remove(&program)?;
-        self.queue.remove(&(seq, program));
+        self.list.cost_of(program)?;
+        let cost = self.list.unlink(program);
+        self.len -= 1;
         self.used -= u64::from(cost);
         Some(cost)
     }
 
     fn lru(&self) -> Option<ProgramId> {
-        self.queue.iter().next().map(|&(_, p)| p)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+        self.list.oldest()
     }
 }
 
 /// One ghost list (`B1` or `B2`): recently evicted ids, no content.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Ghost {
-    /// program -> recency sequence
-    entries: HashMap<ProgramId, u64>,
-    /// (recency sequence, program), oldest first
-    queue: BTreeSet<(u64, ProgramId)>,
+    list: RecencyList,
+    len: usize,
 }
 
 impl Ghost {
-    fn insert(&mut self, program: ProgramId, seq: u64) {
-        if let Some(old) = self.entries.insert(program, seq) {
-            self.queue.remove(&(old, program));
+    fn new() -> Self {
+        Ghost {
+            list: RecencyList::new(),
+            len: 0,
         }
-        self.queue.insert((seq, program));
+    }
+
+    /// Lists `program` as the newest ghost, moving it if it is listed.
+    fn insert(&mut self, program: ProgramId) {
+        self.remove(program);
+        self.list.push_newest(program, 0);
+        self.len += 1;
     }
 
     fn remove(&mut self, program: ProgramId) -> bool {
-        match self.entries.remove(&program) {
-            Some(seq) => {
-                self.queue.remove(&(seq, program));
-                true
-            }
-            None => false,
+        let listed = self.list.cost_of(program).is_some();
+        if listed {
+            self.list.unlink(program);
+            self.len -= 1;
         }
+        listed
     }
 
     fn trim(&mut self, bound: usize) {
-        while self.entries.len() > bound {
-            let &(seq, victim) = self.queue.iter().next().expect("non-empty ghost list");
-            self.queue.remove(&(seq, victim));
-            self.entries.remove(&victim);
+        while self.len > bound {
+            self.list.pop_oldest().expect("non-empty ghost list");
+            self.len -= 1;
         }
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 }
 
@@ -110,7 +115,6 @@ pub struct ArcCache {
     ghost_bound: usize,
     /// Adaptive slot target for `T1`, in `[0, capacity]`.
     p: u64,
-    seq: u64,
     t1: Resident,
     t2: Resident,
     b1: Ghost,
@@ -131,11 +135,10 @@ impl ArcCache {
             capacity: capacity_slots,
             ghost_bound,
             p: 0,
-            seq: 0,
-            t1: Resident::default(),
-            t2: Resident::default(),
-            b1: Ghost::default(),
-            b2: Ghost::default(),
+            t1: Resident::new(),
+            t2: Resident::new(),
+            b1: Ghost::new(),
+            b2: Ghost::new(),
         }
     }
 
@@ -150,22 +153,21 @@ impl ArcCache {
     /// become ghosts on the matching side.
     fn replace(&mut self, cost: u32, in_b2: bool, ops: &mut Vec<CacheOp>) {
         while self.t1.used + self.t2.used + u64::from(cost) > self.capacity {
-            let from_t1 = if self.t1.len() == 0 {
+            let from_t1 = if self.t1.len == 0 {
                 false
-            } else if self.t2.len() == 0 {
+            } else if self.t2.len == 0 {
                 true
             } else {
                 self.t1.used > self.p || (in_b2 && self.t1.used == self.p)
             };
-            self.seq += 1;
             if from_t1 {
                 let victim = self.t1.lru().expect("T1 non-empty");
                 self.t1.remove(victim);
-                self.b1.insert(victim, self.seq);
+                self.b1.insert(victim);
                 ops.push(CacheOp::Evict(victim));
             } else if let Some(victim) = self.t2.lru() {
                 self.t2.remove(victim);
-                self.b2.insert(victim, self.seq);
+                self.b2.insert(victim);
                 ops.push(CacheOp::Evict(victim));
             } else {
                 break; // both empty: cost fits by the oversize guard
@@ -180,17 +182,15 @@ impl CacheStrategy for ArcCache {
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, _now: SimTime, ops: &mut Vec<CacheOp>) {
-        self.seq += 1;
-        let seq = self.seq;
         // Case I: resident hit. T1 hits promote to the frequency side;
         // T2 hits refresh recency. The stored cost is kept — it is what
         // placement accounted.
         if let Some(cost) = self.t1.remove(program) {
-            self.t2.insert(program, seq, cost);
+            self.t2.insert(program, cost);
             return;
         }
         if let Some(cost) = self.t2.remove(program) {
-            self.t2.insert(program, seq, cost);
+            self.t2.insert(program, cost);
             return;
         }
         if u64::from(cost) > self.capacity {
@@ -215,9 +215,9 @@ impl CacheStrategy for ArcCache {
         // Case IV insert: revived ghosts carry frequency evidence and
         // land in T2; cold programs start on the recency side.
         if in_b1 || in_b2 {
-            self.t2.insert(program, seq, cost);
+            self.t2.insert(program, cost);
         } else {
-            self.t1.insert(program, seq, cost);
+            self.t1.insert(program, cost);
         }
         ops.push(CacheOp::Admit(program));
         self.b1.trim(self.ghost_bound);
@@ -225,15 +225,13 @@ impl CacheStrategy for ArcCache {
     }
 
     fn contains(&self, program: ProgramId) -> bool {
-        self.t1.contains(program) || self.t2.contains(program)
+        self.cost_of(program).is_some()
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {
         self.t1
-            .entries
-            .get(&program)
-            .or_else(|| self.t2.entries.get(&program))
-            .map(|&(_, cost)| cost)
+            .cost_of(program)
+            .or_else(|| self.t2.cost_of(program))
     }
 
     fn used_slots(&self) -> u64 {

@@ -12,8 +12,6 @@
 //! delayed-hit/in-flight-miss counters — comes from the factory's
 //! [`FetchModel`] capability.
 
-use std::collections::HashMap;
-
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
@@ -26,10 +24,11 @@ use crate::strategy::{CacheOp, CacheStrategy};
 pub struct DelayedLfu {
     core: WindowedLfu,
     fetch: FetchModel,
-    /// Start time of the newest modeled fetch per program (the
-    /// strategy's own view; the index server tracks its twin for the
-    /// report counters).
-    fetches: HashMap<ProgramId, SimTime>,
+    /// Start time of the newest modeled fetch per program, by
+    /// `ProgramId::index()`, grown on first use (the strategy's own view;
+    /// the index server tracks its twin, `inflight`, for the report
+    /// counters).
+    fetches: Vec<Option<SimTime>>,
 }
 
 impl DelayedLfu {
@@ -39,7 +38,7 @@ impl DelayedLfu {
         DelayedLfu {
             core: WindowedLfu::new(capacity_slots, history),
             fetch: FetchModel::with_latency_ms(latency_ms),
-            fetches: HashMap::new(),
+            fetches: Vec::new(),
         }
     }
 
@@ -58,15 +57,17 @@ impl CacheStrategy for DelayedLfu {
         let miss = !self.core.contains(program);
         self.core.record(program, cost, now);
         if miss && !self.fetch.is_instant() {
-            match self.fetches.get(&program) {
-                Some(&start) if self.fetch.covers(start, now) => {
+            let idx = program.index();
+            if idx >= self.fetches.len() {
+                self.fetches.resize(idx + 1, None);
+            }
+            match self.fetches[idx] {
+                Some(start) if self.fetch.covers(start, now) => {
                     // Coalesced onto the outstanding fetch: double
                     // weight, not an independent fetch.
                     self.core.record(program, cost, now);
                 }
-                _ => {
-                    self.fetches.insert(program, now);
-                }
+                _ => self.fetches[idx] = Some(now),
             }
         }
         self.core.expire(now);

@@ -9,7 +9,8 @@
 //! The queue is a `RecencyList`: program ids are dense catalog indices,
 //! so the links live in a table indexed by `ProgramId::index()` and an
 //! access neither hashes nor walks a tree. The time-aware LRU
-//! ([`crate::tlru`]) keeps the same list.
+//! ([`crate::tlru`]) and all four of ARC's lists ([`crate::arc`]) keep
+//! the same list.
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::SimTime;

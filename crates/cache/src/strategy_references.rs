@@ -1,7 +1,8 @@
-//! Test-only references for [`Lru`], [`Tlru`] and [`Oracle`]: their bodies
-//! exactly as they stood before the three were rewritten over dense
-//! tables — a SipHash map and one (`Lru`) or two (`Tlru`) ordered sets for
-//! the orders a linked list now holds, hash maps and eagerly repositioned
+//! Test-only references for [`Lru`], [`Tlru`], [`ArcCache`] and [`Oracle`]:
+//! their bodies exactly as they stood before the four were rewritten over
+//! dense tables — a SipHash map and one (`Lru`), two (`Tlru`) or four
+//! (`ArcCache`, a map and an ordered set a list) ordered sets for the
+//! orders a linked list now holds, hash maps and eagerly repositioned
 //! cached scores in the Oracle (its rebalance written out, where the
 //! production Oracle shares the waterline's). The properties below hold
 //! the production strategies to them op for op, `lfu_reference.rs`' way.
@@ -12,6 +13,7 @@ use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+use crate::arc::ArcCache;
 use crate::lru::Lru;
 use crate::oracle::Oracle;
 use crate::schedule::testing::Feeder;
@@ -182,6 +184,204 @@ impl ReferenceTlru {
 
 /// The Oracle's score: `(future count, 0, id)`.
 type Score = (u32, u64, ProgramId);
+
+/// One resident list (`T1` or `T2`): recency-ordered, slot-accounted.
+#[derive(Debug, Default)]
+struct ReferenceResident {
+    /// program -> (recency sequence, cost in slots)
+    entries: HashMap<ProgramId, (u64, u32)>,
+    /// (recency sequence, program), oldest first
+    queue: BTreeSet<(u64, ProgramId)>,
+    used: u64,
+}
+
+impl ReferenceResident {
+    fn contains(&self, program: ProgramId) -> bool {
+        self.entries.contains_key(&program)
+    }
+
+    fn insert(&mut self, program: ProgramId, seq: u64, cost: u32) {
+        let prev = self.entries.insert(program, (seq, cost));
+        debug_assert!(prev.is_none(), "double insert into resident list");
+        self.queue.insert((seq, program));
+        self.used += u64::from(cost);
+    }
+
+    fn remove(&mut self, program: ProgramId) -> Option<u32> {
+        let (seq, cost) = self.entries.remove(&program)?;
+        self.queue.remove(&(seq, program));
+        self.used -= u64::from(cost);
+        Some(cost)
+    }
+
+    fn lru(&self) -> Option<ProgramId> {
+        self.queue.iter().next().map(|&(_, p)| p)
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// One ghost list (`B1` or `B2`): recently evicted ids, no content.
+#[derive(Debug, Default)]
+struct ReferenceGhost {
+    /// program -> recency sequence
+    entries: HashMap<ProgramId, u64>,
+    /// (recency sequence, program), oldest first
+    queue: BTreeSet<(u64, ProgramId)>,
+}
+
+impl ReferenceGhost {
+    fn insert(&mut self, program: ProgramId, seq: u64) {
+        if let Some(old) = self.entries.insert(program, seq) {
+            self.queue.remove(&(old, program));
+        }
+        self.queue.insert((seq, program));
+    }
+
+    fn remove(&mut self, program: ProgramId) -> bool {
+        match self.entries.remove(&program) {
+            Some(seq) => {
+                self.queue.remove(&(seq, program));
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn trim(&mut self, bound: usize) {
+        while self.entries.len() > bound {
+            let &(seq, victim) = self.queue.iter().next().expect("non-empty ghost list");
+            self.queue.remove(&(seq, victim));
+            self.entries.remove(&victim);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+#[derive(Debug)]
+struct ReferenceArc {
+    capacity: u64,
+    /// Ghost-list entry bound (per list).
+    ghost_bound: usize,
+    /// Adaptive slot target for `T1`, in `[0, capacity]`.
+    p: u64,
+    seq: u64,
+    t1: ReferenceResident,
+    t2: ReferenceResident,
+    b1: ReferenceGhost,
+    b2: ReferenceGhost,
+}
+
+impl ReferenceArc {
+    fn new(capacity_slots: u64, ghost: u32) -> Self {
+        let ghost_bound = if ghost == 0 {
+            usize::try_from(capacity_slots).unwrap_or(usize::MAX)
+        } else {
+            ghost as usize
+        };
+        ReferenceArc {
+            capacity: capacity_slots,
+            ghost_bound,
+            p: 0,
+            seq: 0,
+            t1: ReferenceResident::default(),
+            t2: ReferenceResident::default(),
+            b1: ReferenceGhost::default(),
+            b2: ReferenceGhost::default(),
+        }
+    }
+
+    /// Evicts until `cost` more slots fit, steering victims by the
+    /// adaptive target: `T1` gives way while it holds more than `p`
+    /// slots (or exactly `p` on a `B2` revival), `T2` otherwise. Victims
+    /// become ghosts on the matching side.
+    fn replace(&mut self, cost: u32, in_b2: bool, ops: &mut Vec<CacheOp>) {
+        while self.t1.used + self.t2.used + u64::from(cost) > self.capacity {
+            let from_t1 = if self.t1.len() == 0 {
+                false
+            } else if self.t2.len() == 0 {
+                true
+            } else {
+                self.t1.used > self.p || (in_b2 && self.t1.used == self.p)
+            };
+            self.seq += 1;
+            if from_t1 {
+                let victim = self.t1.lru().expect("T1 non-empty");
+                self.t1.remove(victim);
+                self.b1.insert(victim, self.seq);
+                ops.push(CacheOp::Evict(victim));
+            } else if let Some(victim) = self.t2.lru() {
+                self.t2.remove(victim);
+                self.b2.insert(victim, self.seq);
+                ops.push(CacheOp::Evict(victim));
+            } else {
+                break; // both empty: cost fits by the oversize guard
+            }
+        }
+    }
+
+    fn on_access(&mut self, program: ProgramId, cost: u32, ops: &mut Vec<CacheOp>) {
+        self.seq += 1;
+        let seq = self.seq;
+        // Case I: resident hit. T1 hits promote to the frequency side;
+        // T2 hits refresh recency. The stored cost is kept — it is what
+        // placement accounted.
+        if let Some(cost) = self.t1.remove(program) {
+            self.t2.insert(program, seq, cost);
+            return;
+        }
+        if let Some(cost) = self.t2.remove(program) {
+            self.t2.insert(program, seq, cost);
+            return;
+        }
+        if u64::from(cost) > self.capacity {
+            // Can never fit: forget any ghost trace so an unfittable
+            // program cannot keep steering the target.
+            self.b1.remove(program);
+            self.b2.remove(program);
+            return;
+        }
+        // Cases II/III: ghost revival adapts the target before the
+        // admission — B1 evidence grows the recency side, B2 shrinks it.
+        let in_b1 = self.b1.remove(program);
+        let in_b2 = self.b2.remove(program);
+        if in_b1 {
+            let delta = (self.b2.len() / self.b1.len().max(1)).max(1) as u64;
+            self.p = (self.p + delta).min(self.capacity);
+        } else if in_b2 {
+            let delta = (self.b1.len() / self.b2.len().max(1)).max(1) as u64;
+            self.p = self.p.saturating_sub(delta);
+        }
+        self.replace(cost, in_b2, ops);
+        // Case IV insert: revived ghosts carry frequency evidence and
+        // land in T2; cold programs start on the recency side.
+        if in_b1 || in_b2 {
+            self.t2.insert(program, seq, cost);
+        } else {
+            self.t1.insert(program, seq, cost);
+        }
+        ops.push(CacheOp::Admit(program));
+        self.b1.trim(self.ghost_bound);
+        self.b2.trim(self.ghost_bound);
+    }
+
+    fn contains(&self, program: ProgramId) -> bool {
+        self.t1.contains(program) || self.t2.contains(program)
+    }
+
+    fn cost_of(&self, program: ProgramId) -> Option<u32> {
+        self.t1
+            .entries
+            .get(&program)
+            .or_else(|| self.t2.entries.get(&program))
+            .map(|&(_, cost)| cost)
+    }
+}
 
 /// The Oracle with the waterline rebalance spelled out as the literal
 /// loop (every round walked, each candidate searched for afresh, as
@@ -378,6 +578,33 @@ proptest! {
             for q in (0..PROGRAMS).map(ProgramId::new) {
                 prop_assert_eq!(tlru.cost_of(q), reference.cost_of(q), "cost of {} at step {}", q, step);
                 prop_assert_eq!(tlru.contains(q), reference.cost_of(q).is_some());
+            }
+        }
+    }
+
+    /// Ghost bounds from one entry to the slot capacity, so revivals from
+    /// both ghost lists steer the target both ways, and costs past the
+    /// capacity that must forget their ghosts.
+    #[test]
+    fn arc_emits_the_reference_ops(
+        steps in prop::collection::vec((0u32..PROGRAMS, 0u32..9), 1..400),
+        shape in (0u64..16, 0u32..4),
+    ) {
+        let (capacity, ghost) = shape;
+        let mut arc = ArcCache::new(capacity, ghost);
+        let mut reference = ReferenceArc::new(capacity, ghost);
+        let (mut ops, mut expected) = (Vec::new(), Vec::new());
+        for (step, &(p, cost)) in steps.iter().enumerate() {
+            ops.clear();
+            expected.clear();
+            arc.on_access(ProgramId::new(p), cost, SimTime::from_secs(step as u64), &mut ops);
+            reference.on_access(ProgramId::new(p), cost, &mut expected);
+            prop_assert_eq!(&ops, &expected, "ops diverge at step {}", step);
+            prop_assert_eq!(arc.used_slots(), reference.t1.used + reference.t2.used, "used at step {}", step);
+            prop_assert_eq!(arc.recency_target(), reference.p, "target at step {}", step);
+            for q in (0..PROGRAMS).map(ProgramId::new) {
+                prop_assert_eq!(arc.cost_of(q), reference.cost_of(q), "cost of {} at step {}", q, step);
+                prop_assert_eq!(arc.contains(q), reference.contains(q), "{} cached at step {}", q, step);
             }
         }
     }

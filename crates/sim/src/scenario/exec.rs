@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cablevod_cache::{StrategyFactory, StrategyRegistry};
 use cablevod_trace::record::Trace;
@@ -159,12 +159,20 @@ pub struct CellOutcome {
     pub result: CellResult,
 }
 
+/// Each cell's outcome in job order, a failed cell's paired with its
+/// typed error.
+type CellRuns = Vec<(CellOutcome, Option<SimError>)>;
+
 /// Every cell of a resilient grid run, in job (point-major) order.
 #[derive(Debug, Clone)]
 pub struct GridOutcome {
     /// Per-cell outcomes, index `i` = cell
     /// `(i / series_len, i % series_len)`.
     pub cells: Vec<CellOutcome>,
+    /// The shared source's record count and the wall time materializing
+    /// it took (generation, import, re-chunk); `None` when no live cell
+    /// needed it, as in a fully journaled resume.
+    pub source: Option<(u64, Duration)>,
 }
 
 impl GridOutcome {
@@ -280,6 +288,7 @@ impl Scenario {
         registry: &StrategyRegistry,
     ) -> Result<Vec<ScenarioOutcome>, SimError> {
         self.run_grid(provided, registry, &ResilienceOptions::default(), &|_| {})?
+            .0
             .into_iter()
             .filter_map(|(cell, error)| match cell.result {
                 CellResult::Completed { outcome, .. } => Some(Ok(ScenarioOutcome {
@@ -365,14 +374,16 @@ impl Scenario {
         options: &ResilienceOptions,
         progress: &(dyn Fn(&CellOutcome) + Sync),
     ) -> Result<GridOutcome, SimError> {
-        let cells = self.run_grid(None, registry, options, progress)?;
+        let (cells, source) = self.run_grid(None, registry, options, progress)?;
         Ok(GridOutcome {
             cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+            source,
         })
     }
 
     /// The one cell loop behind every `execute*` entry point: each cell's
-    /// outcome in job order, a failed cell's paired with its typed error.
+    /// outcome in job order, a failed cell's paired with its typed error,
+    /// and what materializing the shared source cost, if it was.
     /// `provided` replaces the scenario's own source (and is only ever
     /// passed with default options).
     fn run_grid(
@@ -381,7 +392,7 @@ impl Scenario {
         registry: &StrategyRegistry,
         options: &ResilienceOptions,
         progress: &(dyn Fn(&CellOutcome) + Sync),
-    ) -> Result<Vec<(CellOutcome, Option<SimError>)>, SimError> {
+    ) -> Result<(CellRuns, Option<(u64, Duration)>), SimError> {
         if options.resume && options.checkpoint.is_none() {
             return Err(config_err(
                 "resume needs a checkpoint path (set ResilienceOptions::checkpoint)".into(),
@@ -442,6 +453,7 @@ impl Scenario {
             Some(path) => Some(CheckpointJournal::create(path, header())?),
         };
 
+        let mut materialized = None;
         let shared = match provided {
             Some(trace) => Shared::Provided(trace),
             None => {
@@ -464,7 +476,10 @@ impl Scenario {
                                 .into(),
                         ));
                     }
-                    Some(Arc::new(self.source.materialize(None)?))
+                    let started = Instant::now();
+                    let source = self.source.materialize(None)?;
+                    materialized = Some((source.source().record_count(), started.elapsed()));
+                    Some(Arc::new(source))
                 } else {
                     None
                 };
@@ -508,7 +523,7 @@ impl Scenario {
             progress(&outcome);
             (outcome, error)
         };
-        Ok(run_indexed(jobs.len(), width, run_cell))
+        Ok((run_indexed(jobs.len(), width, run_cell), materialized))
     }
 }
 

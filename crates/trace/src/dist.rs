@@ -36,28 +36,7 @@ pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 ///
 /// Panics if `shape` is not strictly positive and finite.
 pub fn gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
-    assert!(
-        shape.is_finite() && shape > 0.0,
-        "gamma shape must be positive"
-    );
-    if shape < 1.0 {
-        // G(a) = G(a + 1) * U^(1/a)
-        let u: f64 = (1.0 - rng.random::<f64>()).max(f64::MIN_POSITIVE);
-        return gamma(rng, shape + 1.0) * u.powf(1.0 / shape);
-    }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = standard_normal(rng);
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = (1.0 - rng.random::<f64>()).max(f64::MIN_POSITIVE);
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-            return d * v;
-        }
-    }
+    Gamma::new(shape).sample(rng)
 }
 
 /// Samples `Beta(alpha, beta)` as `Ga / (Ga + Gb)`.
@@ -66,12 +45,89 @@ pub fn gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
 ///
 /// Panics if either parameter is not strictly positive and finite.
 pub fn beta<R: Rng + ?Sized>(rng: &mut R, alpha: f64, b: f64) -> f64 {
-    let x = gamma(rng, alpha);
-    let y = gamma(rng, b);
-    if x + y == 0.0 {
-        0.5
-    } else {
-        x / (x + y)
+    Beta::new(alpha, b).sample(rng)
+}
+
+/// A `Gamma(shape, 1)` sampler with its Marsaglia-Tsang constants
+/// computed once: [`gamma`] and every Beta draw of the session-length
+/// model go through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Gamma {
+    /// `1 / shape` when `shape < 1` (the `U^(1/shape)` boost, whose
+    /// uniform is drawn before the inner `Gamma(shape + 1)`), else `None`.
+    boost: Option<f64>,
+    d: f64,
+    c: f64,
+}
+
+impl Gamma {
+    /// # Panics
+    ///
+    /// Panics if `shape` is not strictly positive and finite.
+    pub(crate) fn new(shape: f64) -> Self {
+        assert!(
+            shape.is_finite() && shape > 0.0,
+            "gamma shape must be positive"
+        );
+        // G(a) = G(a + 1) * U^(1/a)
+        let (boost, inner) = if shape < 1.0 {
+            (Some(1.0 / shape), shape + 1.0)
+        } else {
+            (None, shape)
+        };
+        let d = inner - 1.0 / 3.0;
+        let c = 1.0 / (9.0 * d).sqrt();
+        Gamma { boost, d, c }
+    }
+
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let boost = self.boost.map(|exponent| {
+            (1.0 - rng.random::<f64>())
+                .max(f64::MIN_POSITIVE)
+                .powf(exponent)
+        });
+        let (d, c) = (self.d, self.c);
+        let g = loop {
+            let x = standard_normal(rng);
+            let v = (1.0 + c * x).powi(3);
+            if v <= 0.0 {
+                continue;
+            }
+            let u: f64 = (1.0 - rng.random::<f64>()).max(f64::MIN_POSITIVE);
+            if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
+                break d * v;
+            }
+        };
+        boost.map_or(g, |b| g * b)
+    }
+}
+
+/// A `Beta(alpha, beta)` sampler over two precomputed [`Gamma`]s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Beta {
+    a: Gamma,
+    b: Gamma,
+}
+
+impl Beta {
+    /// # Panics
+    ///
+    /// Panics if either parameter is not strictly positive and finite.
+    pub(crate) fn new(alpha: f64, b: f64) -> Self {
+        Beta {
+            a: Gamma::new(alpha),
+            b: Gamma::new(b),
+        }
+    }
+
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let x = self.a.sample(rng);
+        let y = self.b.sample(rng);
+        if x + y == 0.0 {
+            0.5
+        } else {
+            x / (x + y)
+        }
     }
 }
 
@@ -124,7 +180,17 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     (1..=n).map(|rank| 1.0 / (rank as f64).powf(s)).collect()
 }
 
-/// A cumulative-weight table for O(log n) weighted sampling of indices.
+/// A cumulative-weight table for weighted sampling of indices in O(1)
+/// expected time.
+///
+/// A draw `x` in `[0, total)` picks the first index whose cumulative
+/// weight exceeds `x` — exactly `partition_point(|c| c <= x)` over the
+/// cumulative weights, clamped to the last index — so zero-weight indices
+/// are never drawn. A guide table (Chen and Asau's indexed search) holds,
+/// for each of `len()` equal slices of `[0, total)`, the first index
+/// whose cumulative weight falls in that slice or a later one: the
+/// search starts there and walks forward over the few indices that share
+/// `x`'s slice. It costs 4 bytes a weight and is built in one pass.
 ///
 /// # Examples
 ///
@@ -140,6 +206,11 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedIndex {
     cumulative: Vec<f64>,
+    /// `guide[k]`: the first index whose cumulative weight maps to slice
+    /// `k` or later under [`WeightedIndex::slice`].
+    guide: Vec<u32>,
+    /// Slices per unit of weight: `len() / total`.
+    scale: f64,
 }
 
 impl WeightedIndex {
@@ -161,10 +232,26 @@ impl WeightedIndex {
             cumulative.push(sum);
         }
         if sum <= 0.0 || cumulative.is_empty() {
-            None
-        } else {
-            Some(WeightedIndex { cumulative })
+            return None;
         }
+        let slices = cumulative.len();
+        let mut table = WeightedIndex {
+            guide: Vec::with_capacity(slices),
+            scale: slices as f64 / sum,
+            cumulative,
+        };
+        // `slice` is monotone in its argument, so a slice's first index is
+        // a lower bound on the answer for every draw in that slice.
+        let mut i = 0;
+        for k in 0..slices {
+            while i < slices && table.slice(table.cumulative[i]) < k {
+                i += 1;
+            }
+            table
+                .guide
+                .push(u32::try_from(i).expect("a weight table indexes with u32"));
+        }
+        Some(table)
     }
 
     /// Number of weights in the table.
@@ -184,18 +271,107 @@ impl WeightedIndex {
 
     /// Samples an index proportionally to its weight.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let x = rng.random::<f64>() * self.total();
-        // partition_point: first index with cumulative > x. Using `<= x`
-        // keeps zero-weight indices unreachable.
+        self.index_at(self.point(rng))
+    }
+
+    /// The draw [`WeightedIndex::sample`] resolves: a point in `[0, total]`.
+    fn point<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        rng.random::<f64>() * self.total()
+    }
+
+    /// The guide slice `x` falls in (a NaN `x` maps to slice 0).
+    fn slice(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.cumulative.len() - 1)
+    }
+
+    /// The index [`WeightedIndex::sample`] returns for the point `x`: the
+    /// first whose cumulative weight exceeds `x`, clamped to the last, by
+    /// a forward walk from `x`'s slice's guide entry.
+    fn index_at(&self, x: f64) -> usize {
+        let n = self.cumulative.len();
+        let mut i = self.guide[self.slice(x)] as usize;
+        while i < n && self.cumulative[i] <= x {
+            i += 1;
+        }
+        let index = i.min(n - 1);
+        debug_assert_eq!(index, self.binary_search(x), "guided search at {x}");
+        index
+    }
+
+    /// What [`WeightedIndex::index_at`] must return: `partition_point`
+    /// (`<= x` keeps zero-weight indices unreachable).
+    fn binary_search(&self, x: f64) -> usize {
         self.cumulative
             .partition_point(|&c| c <= x)
             .min(self.cumulative.len() - 1)
     }
 }
 
+/// Samples from one [`WeightedIndex`] drawn now and resolved later, all
+/// at once: each draw takes the random number [`WeightedIndex::sample`]
+/// would, in the same place in the stream, and resolves to the index it
+/// would return. Resolving in ascending order of the 512-slice region a
+/// draw falls in sweeps a table larger than the cache instead of probing
+/// it at random, which is what a million-user table needs.
+#[derive(Debug, Default)]
+pub(crate) struct DeferredDraws {
+    points: Vec<f64>,
+    /// Draw numbers by region, after [`DeferredDraws::resolve`]'s counting
+    /// sort.
+    order: Vec<u32>,
+    /// Each region's first slot in `order`, advanced to its end by the
+    /// scatter.
+    starts: Vec<usize>,
+}
+
+impl DeferredDraws {
+    const REGION_SHIFT: u32 = 9;
+
+    /// Forgets every draw; the next one is draw 0.
+    pub(crate) fn clear(&mut self) {
+        self.points.clear();
+    }
+
+    /// Takes the next draw from `rng`.
+    pub(crate) fn draw<R: Rng + ?Sized>(&mut self, table: &WeightedIndex, rng: &mut R) {
+        self.points.push(table.point(rng));
+    }
+
+    /// Calls `resolved(draw number, index)` for every draw since the last
+    /// [`DeferredDraws::clear`], in region order.
+    pub(crate) fn resolve(
+        &mut self,
+        table: &WeightedIndex,
+        mut resolved: impl FnMut(usize, usize),
+    ) {
+        let region = |x: f64| table.slice(x) >> Self::REGION_SHIFT;
+        self.starts.clear();
+        self.starts
+            .resize(((table.len() - 1) >> Self::REGION_SHIFT) + 2, 0);
+        for &x in &self.points {
+            self.starts[region(x) + 1] += 1;
+        }
+        for r in 1..self.starts.len() {
+            self.starts[r] += self.starts[r - 1];
+        }
+        self.order.clear();
+        self.order.resize(self.points.len(), 0);
+        for (draw, &x) in self.points.iter().enumerate() {
+            let slot = &mut self.starts[region(x)];
+            self.order[*slot] = u32::try_from(draw).expect("a batch counts draws with u32");
+            *slot += 1;
+        }
+        for &draw in &self.order {
+            let draw = draw as usize;
+            resolved(draw, table.index_at(self.points[draw]));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -291,6 +467,94 @@ mod tests {
         let mut r = rng();
         for _ in 0..1_000 {
             assert_eq!(table.sample(&mut r), 1);
+        }
+    }
+
+    #[test]
+    fn deferred_draws_resolve_to_the_samples() {
+        // Zero runs across several 512-slice regions.
+        let weights = (0..5_000u32).map(|i| if i % 7 < 3 { 0.0 } else { f64::from(i % 13) });
+        let table = WeightedIndex::new(weights).expect("valid");
+        let (mut direct, mut deferred) = (rng(), rng());
+        let expected: Vec<usize> = (0..3_000).map(|_| table.sample(&mut direct)).collect();
+        let mut draws = DeferredDraws::default();
+        draws.draw(&table, &mut rng());
+        draws.clear();
+        for _ in 0..3_000 {
+            draws.draw(&table, &mut deferred);
+        }
+        let mut got = vec![usize::MAX; 3_000];
+        draws.resolve(&table, |draw, index| got[draw] = index);
+        assert_eq!(got, expected);
+        assert_eq!(
+            direct.random::<u64>(),
+            deferred.random::<u64>(),
+            "the same stream"
+        );
+    }
+
+    /// Weights from `(kind, exponent)` draws: kind 0 is a zero weight,
+    /// any other a power of ten from 1e-300 to 1e300, wrapped in runs of
+    /// leading and trailing zeros. `single` keeps only the first positive
+    /// weight; a table needs one, so an all-zero draw gets one at its end.
+    fn weights(draws: &[(u32, i32)], lead: usize, trail: usize, single: bool) -> Vec<f64> {
+        let mut weights = vec![0.0; lead];
+        weights.extend(draws.iter().map(|&(kind, exponent)| {
+            if kind == 0 {
+                0.0
+            } else {
+                10f64.powi(exponent - 300)
+            }
+        }));
+        if single {
+            let mut seen = false;
+            for w in weights.iter_mut().filter(|w| **w > 0.0) {
+                if seen {
+                    *w = 0.0;
+                }
+                seen = true;
+            }
+        }
+        if !weights.iter().any(|&w| w > 0.0) {
+            weights.push(1.0);
+        }
+        weights.extend(std::iter::repeat_n(0.0, trail));
+        weights
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The guided search is the binary search at zero, just below and
+        /// at the total, on and beside every slice edge and every
+        /// cumulative weight, and at random draws through `sample`.
+        #[test]
+        fn guided_search_is_the_binary_search(
+            draws in prop::collection::vec((0u32..4, 0i32..601), 1..48),
+            shape in (0usize..5, 0usize..5, 0u32..4),
+            seed in 0u64..1_000,
+        ) {
+            let (lead, trail, single) = shape;
+            let table = WeightedIndex::new(weights(&draws, lead, trail, single == 0))
+                .expect("a positive weight");
+            let total = table.total();
+            let n = table.len();
+            let mut points = vec![0.0, total.next_down(), total];
+            for k in 0..=n {
+                let edge = k as f64 / table.scale;
+                points.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            for &c in &table.cumulative {
+                points.extend([c.next_down(), c, c.next_up()]);
+            }
+            for x in points.into_iter().filter(|&x| (0.0..=total).contains(&x)) {
+                prop_assert_eq!(table.index_at(x), table.binary_search(x), "x = {}", x);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let x = rng.clone().random::<f64>() * total;
+                prop_assert_eq!(table.sample(&mut rng), table.binary_search(x), "x = {}", x);
+            }
         }
     }
 }

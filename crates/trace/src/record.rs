@@ -49,6 +49,11 @@ impl SessionRecord {
         }
     }
 
+    /// The key a trace's records are stably sorted by.
+    pub(crate) fn order_key(&self) -> (SimTime, UserId, ProgramId) {
+        (self.start, self.user, self.program)
+    }
+
     /// The instant the session ends.
     pub fn end(&self) -> SimTime {
         self.start + self.duration
@@ -68,6 +73,24 @@ impl SessionRecord {
             program_len.as_secs() - offset.as_secs(),
         ))
     }
+}
+
+/// Fails on the first record, in the given order, that points outside the
+/// catalog or the user range.
+fn check_references(
+    records: &[SessionRecord],
+    catalog: &ProgramCatalog,
+    user_count: u32,
+) -> Result<(), TraceError> {
+    for r in records {
+        if r.program.index() >= catalog.len() {
+            return Err(TraceError::DanglingProgram { program: r.program });
+        }
+        if r.user.value() >= user_count {
+            return Err(TraceError::DanglingUser { user: r.user });
+        }
+    }
+    Ok(())
 }
 
 /// A complete workload: time-ordered session records plus the catalog.
@@ -104,15 +127,27 @@ impl Trace {
         user_count: u32,
         days: u64,
     ) -> Result<Self, TraceError> {
-        for r in &records {
-            if r.program.index() >= catalog.len() {
-                return Err(TraceError::DanglingProgram { program: r.program });
-            }
-            if r.user.value() >= user_count {
-                return Err(TraceError::DanglingUser { user: r.user });
-            }
-        }
-        records.sort_by_key(|r| (r.start, r.user, r.program));
+        check_references(&records, &catalog, user_count)?;
+        records.sort_by_key(SessionRecord::order_key);
+        Ok(Trace {
+            records,
+            catalog,
+            user_count,
+            days,
+        })
+    }
+
+    /// [`Trace::new`] for records already in `(start, user, program)`
+    /// order, as the generator emits them: the references are checked,
+    /// the order only in debug builds.
+    pub(crate) fn from_sorted(
+        records: Vec<SessionRecord>,
+        catalog: ProgramCatalog,
+        user_count: u32,
+        days: u64,
+    ) -> Result<Self, TraceError> {
+        check_references(&records, &catalog, user_count)?;
+        debug_assert!(records.is_sorted_by_key(SessionRecord::order_key));
         Ok(Trace {
             records,
             catalog,

@@ -15,7 +15,7 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 
 use crate::catalog::{ProgramCatalog, ProgramInfo};
 use crate::columnar::ColumnarWriter;
-use crate::dist::{log_normal, poisson, WeightedIndex};
+use crate::dist::{log_normal, poisson, DeferredDraws, WeightedIndex};
 use crate::error::TraceError;
 use crate::record::{SessionRecord, Trace};
 use crate::synth::config::SynthConfig;
@@ -56,21 +56,79 @@ pub fn build_catalog<R: Rng + ?Sized>(config: &SynthConfig, rng: &mut R) -> Prog
     catalog
 }
 
-/// Drives the generative model, handing each hour's records — **stably
-/// sorted** by `(start, user, program)` — to `sink`.
+/// Seconds in an hour: the buckets of [`HourOrder`]'s counting sort.
+const HOUR_SECS: usize = 3_600;
+
+/// Puts one hour's records in `(start, user, program)` order, stably —
+/// the key and the tie rule `Trace::new` sorts a whole record vector by —
+/// in O(n): a counting sort by start second, which keeps generation order
+/// within a second, then a stable sort of each second's few records by
+/// `(user, program)`. It orders indexes, not records, and reuses its
+/// buffers hour after hour.
+struct HourOrder {
+    /// After [`HourOrder::sort`]'s scatter, `ends[s]` is where second
+    /// `s`'s records end in `order`.
+    ends: Vec<usize>,
+    order: Vec<u32>,
+}
+
+impl HourOrder {
+    fn new() -> Self {
+        HourOrder {
+            ends: vec![0; HOUR_SECS + 1],
+            order: Vec::new(),
+        }
+    }
+
+    /// Indexes into `batch` in trace order. Every record of `batch` starts
+    /// in `[hour_start, hour_start + 3600)` seconds.
+    fn sort(&mut self, batch: &[SessionRecord], hour_start: u64) -> &[u32] {
+        let second = |r: &SessionRecord| (r.start.as_secs() - hour_start) as usize;
+        // Count into `ends[s + 1]`; the prefix sum turns `ends[s]` into
+        // second `s`'s first slot, and the scatter advances it to its end.
+        self.ends.fill(0);
+        for r in batch {
+            self.ends[second(r) + 1] += 1;
+        }
+        for s in 1..=HOUR_SECS {
+            self.ends[s] += self.ends[s - 1];
+        }
+        self.order.clear();
+        self.order.resize(batch.len(), 0);
+        for (i, r) in batch.iter().enumerate() {
+            let slot = &mut self.ends[second(r)];
+            self.order[*slot] = u32::try_from(i).expect("an hour counts records with u32");
+            *slot += 1;
+        }
+        let mut begin = 0;
+        for &end in &self.ends[..HOUR_SECS] {
+            if end - begin > 1 {
+                self.order[begin..end].sort_by_key(|&i| {
+                    let r = &batch[i as usize];
+                    (r.user, r.program)
+                });
+            }
+            begin = end;
+        }
+        &self.order
+    }
+}
+
+/// Drives the generative model, handing every record to `emit` in
+/// `(start, user, program)` order, ties in generation order.
 ///
-/// This is the shared core of [`generate`] (sink appends to a `Vec`) and
-/// [`generate_to_disk`] (sink appends to a
+/// This is the shared core of [`generate`] (`emit` appends to a `Vec`)
+/// and [`generate_to_disk`] (`emit` appends to a
 /// [`ColumnarWriter`](crate::columnar::ColumnarWriter)): hour batches
-/// partition the start-time axis, so the concatenation of stably sorted
-/// batches equals one global stable sort — the two paths emit
-/// byte-identical record sequences while the streaming one never holds
-/// more than an hour of records.
+/// partition the start-time axis, so ordering each hour gives the trace's
+/// one global stable order — the two paths emit byte-identical record
+/// sequences while the streaming one never holds more than an hour of
+/// records.
 fn generate_hours<E>(
     config: &SynthConfig,
     catalog: &ProgramCatalog,
     rng: &mut StdRng,
-    mut sink: impl FnMut(&[SessionRecord]) -> Result<(), E>,
+    mut emit: impl FnMut(&SessionRecord) -> Result<(), E>,
 ) -> Result<(), E> {
     let popularity = PopularityModel::new(
         catalog,
@@ -102,6 +160,10 @@ fn generate_hours<E>(
     let weekend_factor = config.weekend_boost / mean_boost;
 
     let mut batch: Vec<SessionRecord> = Vec::new();
+    // An hour's user draws are taken in place and resolved together: no
+    // other draw depends on the user, and a batch sweeps the user table.
+    let mut users = DeferredDraws::default();
+    let mut hour_order = HourOrder::new();
     for day in 0..config.days {
         let Some(program_table) = popularity.day_table(day) else {
             continue; // no program introduced yet
@@ -116,12 +178,13 @@ fn generate_hours<E>(
         for hour in 0..24u64 {
             let lambda = daily_rate * config.diurnal.share(hour);
             let n = poisson(rng, lambda);
+            let hour_start = day * 86_400 + hour * 3_600;
             batch.clear();
             batch.reserve(n as usize);
+            users.clear();
             for _ in 0..n {
-                let start =
-                    SimTime::from_secs(day * 86_400 + hour * 3_600 + rng.random_range(0..3_600));
-                let user = UserId::new(user_table.sample(rng) as u32);
+                let start = SimTime::from_secs(hour_start + rng.random_range(0..3_600));
+                users.draw(&user_table, rng);
                 let program = ProgramId::new(program_table.sample(rng) as u32);
                 let length = catalog.length(program).expect("program from table exists");
                 // Fast-forward jumps land on segment boundaries (§IV-B.1):
@@ -142,18 +205,19 @@ fn generate_hours<E>(
                 let remaining = SimDuration::from_secs(length.as_secs() - offset.as_secs());
                 let duration = sessions.sample(rng, remaining);
                 batch.push(SessionRecord {
-                    user,
+                    user: UserId::new(0), // resolved with the hour's other draws
                     program,
                     start,
                     duration,
                     offset,
                 });
             }
-            // The same stable key `Trace::new` sorts the whole record
-            // vector by — hour batches partition the time axis, so
-            // per-batch sorting reproduces the global order exactly.
-            batch.sort_by_key(|r| (r.start, r.user, r.program));
-            sink(&batch)?;
+            users.resolve(&user_table, |draw, user| {
+                batch[draw].user = UserId::new(user as u32);
+            });
+            for &i in hour_order.sort(&batch, hour_start) {
+                emit(&batch[i as usize])?;
+            }
         }
     }
     Ok(())
@@ -181,13 +245,13 @@ pub fn generate(config: &SynthConfig) -> Trace {
     let catalog = build_catalog(config, &mut rng);
 
     let mut records = Vec::with_capacity((config.expected_sessions() * 1.05) as usize);
-    generate_hours(config, &catalog, &mut rng, |batch| {
-        records.extend_from_slice(batch);
+    generate_hours(config, &catalog, &mut rng, |record| {
+        records.push(*record);
         Ok::<(), std::convert::Infallible>(())
     })
     .expect("infallible sink");
 
-    Trace::new(records, catalog, config.users, config.days)
+    Trace::from_sorted(records, catalog, config.users, config.days)
         .expect("generator emits only valid references")
 }
 
@@ -217,7 +281,7 @@ pub fn generate_to_disk(
     let catalog = build_catalog(config, &mut rng);
 
     let mut writer = ColumnarWriter::create(path, &catalog, config.users, config.days, chunk_size)?;
-    generate_hours(config, &catalog, &mut rng, |batch| writer.push_all(batch))?;
+    generate_hours(config, &catalog, &mut rng, |record| writer.push(record))?;
     writer.finish()
 }
 

@@ -14,14 +14,14 @@ use rand::Rng;
 
 use cablevod_hfc::units::SimDuration;
 
-use crate::dist::beta;
+use crate::dist::Beta;
 
 /// Samples session lengths for a program of known length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionLengthModel {
     complete_view_prob: f64,
-    alpha: f64,
-    beta: f64,
+    /// The partial-viewing fraction, its Gamma constants computed once.
+    partial: Beta,
     min_secs: u64,
 }
 
@@ -31,7 +31,7 @@ impl SessionLengthModel {
     /// # Panics
     ///
     /// Panics if `complete_view_prob` is outside `[0, 1]` or a Beta shape
-    /// is non-positive.
+    /// is non-positive or not finite.
     pub fn new(complete_view_prob: f64, alpha: f64, b: f64, min_secs: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&complete_view_prob),
@@ -40,8 +40,7 @@ impl SessionLengthModel {
         assert!(alpha > 0.0 && b > 0.0, "beta shapes must be positive");
         SessionLengthModel {
             complete_view_prob,
-            alpha,
-            beta: b,
+            partial: Beta::new(alpha, b),
             min_secs,
         }
     }
@@ -64,7 +63,7 @@ impl SessionLengthModel {
         if rng.random::<f64>() < self.complete_view_prob {
             return program_len;
         }
-        let frac = beta(rng, self.alpha, self.beta);
+        let frac = self.partial.sample(rng);
         let secs = ((frac * len as f64) as u64).clamp(self.min_secs.min(len), len);
         SimDuration::from_secs(secs)
     }

@@ -319,6 +319,13 @@ fn main() {
     let grid = scenario
         .execute_resilient(&registry, &options, &progress)
         .unwrap_or_else(|e| fail(e));
+    if let Some((records, wall)) = grid.source {
+        eprintln!(
+            "source: {records} records in {:.1} ms ({:.0} ns/record)",
+            wall.as_secs_f64() * 1e3,
+            wall.as_secs_f64() * 1e9 / records.max(1) as f64
+        );
+    }
     let pivot = Figure::peak_pivot(
         scenario.name.as_str(),
         grid.completed()

@@ -218,6 +218,8 @@ fn resume_replays_without_rerunning_jobs() {
     assert!(live.is_complete());
     let live_builds = builds.load(Ordering::SeqCst);
     assert!(live_builds >= 2, "each live cell builds its strategy");
+    let (records, _) = live.source.expect("a live run materializes its source");
+    assert!(records > 0);
 
     let resumed = scenario
         .execute_resilient(
@@ -241,6 +243,7 @@ fn resume_replays_without_rerunning_jobs() {
         live_builds,
         "a fully journaled resume must not build anything"
     );
+    assert_eq!(resumed.source, None, "nor materialize its source");
     assert_eq!(reports(&resumed), reports(&live));
 }
 
