@@ -15,14 +15,17 @@
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
+use crate::error::CacheError;
+use crate::event::AccessEvent;
 use crate::fetch::FetchModel;
+use crate::history::HistoryWindow;
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy};
 
 /// The delayed-hits-aware LFU (see the module docs).
 #[derive(Debug)]
 pub struct DelayedLfu {
-    core: WindowedLfu,
+    pub(crate) core: WindowedLfu,
     fetch: FetchModel,
     /// Start time of the newest modeled fetch per program, by
     /// `ProgramId::index()`, grown on first use (the strategy's own view;
@@ -42,6 +45,14 @@ impl DelayedLfu {
         }
     }
 
+    /// Has the neighborhood's own accesses handed back through `history`
+    /// (see [`WindowedLfu::fed_by`]); the double-weight extras stay in the
+    /// strategy's ring, as no supply can hand them back.
+    pub fn fed_by(mut self, history: Option<HistoryWindow>) -> Self {
+        self.core = self.core.fed_by(history);
+        self
+    }
+
     /// The modeled fetch latency.
     pub fn fetch_model(&self) -> FetchModel {
         self.fetch
@@ -51,6 +62,18 @@ impl DelayedLfu {
 impl CacheStrategy for DelayedLfu {
     fn name(&self) -> &'static str {
         "Delayed LFU"
+    }
+
+    fn prepare(&mut self, now: SimTime) -> Result<(), CacheError> {
+        self.core.check_history(now)
+    }
+
+    fn extend_history(
+        &mut self,
+        events: &[AccessEvent],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.core.hand_back(events, covered)
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
@@ -65,7 +88,7 @@ impl CacheStrategy for DelayedLfu {
                 Some(start) if self.fetch.covers(start, now) => {
                     // Coalesced onto the outstanding fetch: double
                     // weight, not an independent fetch.
-                    self.core.record(program, cost, now);
+                    self.core.record_extra(program, cost, now);
                 }
                 _ => self.fetches[idx] = Some(now),
             }

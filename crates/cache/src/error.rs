@@ -38,6 +38,12 @@ pub enum CacheError {
         /// What went wrong.
         reason: String,
     },
+    /// A history window was handed accesses out of time order, or fewer
+    /// than an expiry needs (see [`crate::history`]).
+    History {
+        /// What went wrong.
+        reason: String,
+    },
     /// An access at or past the second an [`AccessEvent`] can carry
     /// ([`AccessEvent::HORIZON`]), refused rather than truncated.
     ///
@@ -75,6 +81,9 @@ impl fmt::Display for CacheError {
             }
             CacheError::Schedule { reason } => {
                 write!(f, "access schedule failure: {reason}")
+            }
+            CacheError::History { reason } => {
+                write!(f, "access history failure: {reason}")
             }
             CacheError::BeyondHorizon { at } => write!(
                 f,

@@ -43,6 +43,9 @@
 use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::units::{SimDuration, SimTime};
 
+use crate::error::CacheError;
+use crate::event::AccessEvent;
+use crate::history::HistoryWindow;
 use crate::index::IndexServer;
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
@@ -262,6 +265,15 @@ impl GlobalLfu {
         }
     }
 
+    /// Has the neighborhood's own accesses handed back through `history`
+    /// (see [`WindowedLfu::fed_by`]); the remote events the feed makes
+    /// visible stay in the strategy's ring, as no supply of this
+    /// neighborhood can hand them back.
+    pub fn fed_by(mut self, history: Option<HistoryWindow>) -> Self {
+        self.core = self.core.fed_by(history);
+        self
+    }
+
     /// The batching lag.
     pub fn lag(&self) -> SimDuration {
         self.lag
@@ -272,11 +284,14 @@ impl GlobalLfu {
         self.cursor
     }
 
-    fn visible(lag: SimDuration, event_time: SimTime, now: SimTime) -> bool {
-        if lag.as_secs() == 0 {
-            event_time <= now
-        } else {
-            event_time.as_secs() / lag.as_secs() < now.as_secs() / lag.as_secs()
+    /// The instant before which every remote event is visible at `now`:
+    /// with lag `L > 0` an event at `t` is visible once `⌊now/L⌋ > ⌊t/L⌋`,
+    /// that is once `t < ⌊now/L⌋·L`; with `L = 0` once `t <= now`. One
+    /// bound a sync, compared against every event it reads.
+    fn visible_before(lag: SimDuration, now: SimTime) -> SimTime {
+        match lag.as_secs() {
+            0 => now.saturating_add(SimDuration::from_secs(1)),
+            lag => SimTime::from_secs(now.as_secs() / lag * lag),
         }
     }
 }
@@ -284,6 +299,18 @@ impl GlobalLfu {
 impl CacheStrategy for GlobalLfu {
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn prepare(&mut self, now: SimTime) -> Result<(), CacheError> {
+        self.core.check_history(now)
+    }
+
+    fn extend_history(
+        &mut self,
+        events: &[AccessEvent],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.core.hand_back(events, covered)
     }
 
     fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
@@ -320,12 +347,13 @@ impl CacheStrategy for GlobalLfu {
     /// it has been consumed and will never be read again.
     fn sync_global(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
         let limit = limit.min(feed.published());
-        let (home, lag) = (self.home, self.lag);
+        let home = self.home;
+        let visible_before = Self::visible_before(self.lag, now);
         let cursor = &mut self.cursor;
         self.core.record_run(std::iter::from_fn(|| {
             while *cursor < limit {
                 let ev = feed.event_at(*cursor);
-                if !Self::visible(lag, ev.time, now) {
+                if ev.time >= visible_before {
                     break;
                 }
                 *cursor += 1;

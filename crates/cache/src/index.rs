@@ -388,6 +388,21 @@ impl IndexServer {
         self.strategy.extend_schedule(events, covered)
     }
 
+    /// Hands the strategy the next stretch of this neighborhood's past
+    /// accesses as they leave its history window (see
+    /// [`CacheStrategy::extend_history`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the strategy's rejection of out-of-order events.
+    pub fn extend_history(
+        &mut self,
+        events: &[AccessEvent],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.strategy.extend_history(events, covered)
+    }
+
     /// Observes a program access (session start): updates the strategy and
     /// executes any admissions/evictions it decides on, mutating peer
     /// storage through `plant`.

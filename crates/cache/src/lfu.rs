@@ -54,7 +54,9 @@ use std::collections::VecDeque;
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::{SimDuration, SimTime};
 
+use crate::error::CacheError;
 use crate::event::AccessEvent;
+use crate::history::HistoryWindow;
 use crate::strategy::{CacheOp, CacheStrategy};
 use crate::waterline::{Score, Tenants, Waterline};
 
@@ -96,20 +98,39 @@ impl Entry {
 /// The windowed-LFU cache strategy.
 ///
 /// Program ids are dense catalog indices, so per-program state lives in a
-/// lazily-grown `Vec` (`entries`) rather than a hash map, and the event
-/// window is a monotonic `VecDeque` ring rather than an ordered map: the
-/// engine feeds each neighborhood's accesses in nondecreasing time order
-/// (`record` pushes at the back), so expiry pops from the front.
-/// Global-feed events become visible a batch at a time, after newer local
-/// accesses were recorded; such a run arrives in one piece (`record_run`)
-/// and is merged into the ring's tail in one pass, keeping expiry exact.
+/// lazily-grown `Vec` (`entries`) rather than a hash map.
 ///
-/// The ring holds one 8-byte [`AccessEvent`] per access in the window
-/// (half a `(SimTime, ProgramId)` pair), and it is the largest thing an
-/// LFU index keeps: thousands of events a neighborhood, held for the
-/// whole run. An event's seconds are a `u32`, so the ring carries times
-/// below [`AccessEvent::HORIZON`] only; the index server refuses a later
-/// access before it reaches the strategy (see [`crate::event`]).
+/// # Who remembers the window
+///
+/// Every access in the window has to be taken back out of its count when
+/// it expires, so it has to be found again. The neighborhood's own
+/// accesses are found where the replay already holds them: built with a
+/// [`HistoryWindow`] ([`fed_by`](WindowedLfu::fed_by), which the engine
+/// does whenever the factory declares a history window), the strategy
+/// keeps none of them and its record supply hands each one back as it
+/// leaves (see [`crate::history`]). What no supply can hand back stays
+/// in the strategy's own ring: the remote events a global feed makes
+/// visible and the delayed-hits LFU's double-weight extras. Built without
+/// one — a unit test, the reference model, a registry plugin — the
+/// strategy appends its own accesses to the same ring, exactly as if they
+/// were handed back. There is one expiry: it retires whatever is due from
+/// both, and the only difference between the two builds is who appends
+/// the neighborhood's own accesses.
+///
+/// The ring is a monotonic `VecDeque` rather than an ordered map: local
+/// accesses arrive in nondecreasing time order (`record` pushes at the
+/// back), so expiry pops from the front. Global-feed events become
+/// visible a batch at a time, after newer local accesses were recorded;
+/// such a run arrives in one piece (`record_run`) and is merged into the
+/// ring's tail in one pass, keeping expiry exact.
+///
+/// The ring holds one 8-byte [`AccessEvent`] per event it keeps (half a
+/// `(SimTime, ProgramId)` pair); a self-fed ring keeps every access in
+/// the window, thousands of events a neighborhood, for the whole run, and
+/// was once the largest thing an LFU index kept. An event's seconds are a
+/// `u32`, so the ring carries times below [`AccessEvent::HORIZON`] only;
+/// the index server refuses a later access before it reaches the strategy
+/// (see [`crate::event`]).
 ///
 /// The ring is sorted by event time, arrival order on ties. It carries no
 /// sequence number to say so: an arriving event is the newest there is, so
@@ -118,7 +139,9 @@ impl Entry {
 /// events show: `expire` compares times only, so such events leave in the
 /// same call, each program's bookkeeping is touched by its own events
 /// alone, and nothing reads the state between two pops
-/// (`equal_time_events_may_leave_in_any_order` permutes them).
+/// (`equal_time_events_may_leave_in_any_order` permutes them). The same
+/// argument lets one expiry retire the handed-back events and the ring's
+/// in either order.
 #[derive(Debug)]
 pub struct WindowedLfu {
     window: SimDuration,
@@ -129,9 +152,13 @@ pub struct WindowedLfu {
     /// paper leaves admission damping unspecified; see module docs).
     swap_margin: u32,
     seq: u64,
-    /// Events in the window, sorted ascending by time, in arrival order
-    /// within one time.
+    /// Events in the window that no supply hands back (every event, when
+    /// self-fed), sorted ascending by time, in arrival order within one
+    /// time.
     history: VecDeque<AccessEvent>,
+    /// Where the neighborhood's own accesses are handed back; `None` when
+    /// the strategy keeps them in `history` itself.
+    fed: Option<HistoryWindow>,
     /// Scratch for the tail events a run is merged with, kept for its
     /// allocation.
     displaced: Vec<AccessEvent>,
@@ -193,10 +220,18 @@ impl WindowedLfu {
             swap_margin: Self::DEFAULT_SWAP_MARGIN,
             seq: 0,
             history: VecDeque::new(),
+            fed: None,
             displaced: Vec::new(),
             entries: Vec::new(),
             line: Waterline::new(capacity_slots),
         }
+    }
+
+    /// Has the neighborhood's own accesses handed back through `history`
+    /// instead of keeping them (see the type docs); `None` keeps them.
+    pub fn fed_by(mut self, history: Option<HistoryWindow>) -> Self {
+        self.fed = history;
+        self
     }
 
     /// The dense-table slot for `program`, growing the table on demand.
@@ -228,16 +263,35 @@ impl WindowedLfu {
         self.window
     }
 
-    /// Records a local access without rebalancing. Local accesses arrive
-    /// in nondecreasing time — the index server's contract — and nothing a
-    /// feed has made visible is newer, so the event goes to the ring's
-    /// back.
+    /// Records a local access without rebalancing. Fed by a
+    /// [`HistoryWindow`], the strategy only counts it: the record supply
+    /// hands it back when it leaves. Otherwise it is kept like an
+    /// [extra](Self::record_extra).
     ///
     /// # Panics
     ///
     /// Panics for an access at or past [`AccessEvent::HORIZON`], which the
     /// index server refuses before any strategy sees it.
     pub(crate) fn record(&mut self, program: ProgramId, cost: u32, at: SimTime) {
+        match self.fed.as_mut() {
+            Some(fed) => {
+                fed.note_access();
+                self.count(program, cost);
+            }
+            None => self.record_extra(program, cost, at),
+        }
+    }
+
+    /// Records an access no supply will hand back — the delayed-hits
+    /// LFU's double weight — in the ring. Local accesses arrive in
+    /// nondecreasing time — the index server's contract — and nothing a
+    /// feed has made visible is newer, so the event goes to the ring's
+    /// back.
+    ///
+    /// # Panics
+    ///
+    /// As [`record`](Self::record).
+    pub(crate) fn record_extra(&mut self, program: ProgramId, cost: u32, at: SimTime) {
         let event = Self::event(at, program);
         debug_assert!(
             self.history.back().is_none_or(|e| e.at() <= at),
@@ -320,18 +374,61 @@ impl WindowedLfu {
         }
     }
 
+    /// The window's trailing edge at `now`: events at or before it have
+    /// left. `None` while the window still reaches back past the epoch.
+    fn cutoff(&self, now: SimTime) -> Option<SimTime> {
+        now.checked_sub(self.window)
+    }
+
+    /// Checks that every access leaving the window at `now` has been
+    /// handed back (a no-op when self-fed).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::error::CacheError::History`] when the hand-backs fall
+    /// short.
+    pub(crate) fn check_history(&self, now: SimTime) -> Result<(), CacheError> {
+        match (&self.fed, self.cutoff(now)) {
+            (Some(fed), Some(cutoff)) => fed.ensure_covered(cutoff),
+            _ => Ok(()),
+        }
+    }
+
+    /// Hands the strategy accesses leaving the window (ignored when
+    /// self-fed: it keeps its own).
+    pub(crate) fn hand_back(
+        &mut self,
+        events: &[AccessEvent],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        match self.fed.as_mut() {
+            Some(fed) => fed.extend(events, covered),
+            None => Ok(()),
+        }
+    }
+
     /// Drops events older than the window and decrements their counts.
     pub(crate) fn expire(&mut self, now: SimTime) {
-        let Some(cutoff) = now.as_secs().checked_sub(self.window.as_secs()) else {
+        let Some(cutoff) = self.cutoff(now) else {
             return;
         };
-        // Everything with event time <= cutoff leaves the window: pop the
-        // sorted ring from the front.
-        while let Some(&event) = self.history.front() {
-            if event.at().as_secs() > cutoff {
-                break;
-            }
-            self.history.pop_front();
+        debug_assert!(
+            self.check_history(now).is_ok(),
+            "expiring past what was handed back"
+        );
+        // Everything with event time <= cutoff leaves the window: what was
+        // handed back, then the sorted ring from the front.
+        loop {
+            let event = match self.fed.as_mut().and_then(|fed| fed.next_leaving(cutoff)) {
+                Some(event) => event,
+                None => match self.history.front() {
+                    Some(&event) if event.at() <= cutoff => {
+                        self.history.pop_front();
+                        event
+                    }
+                    _ => break,
+                },
+            };
             let program = event.program();
             let entry = &mut self.entries[program.index()];
             debug_assert!(entry.live, "history refers to live entry");
@@ -399,6 +496,18 @@ impl CacheStrategy for WindowedLfu {
         "LFU"
     }
 
+    fn prepare(&mut self, now: SimTime) -> Result<(), CacheError> {
+        self.check_history(now)
+    }
+
+    fn extend_history(
+        &mut self,
+        events: &[AccessEvent],
+        covered: SimTime,
+    ) -> Result<(), CacheError> {
+        self.hand_back(events, covered)
+    }
+
     fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
         self.record(program, cost, now);
         self.expire(now);
@@ -429,11 +538,13 @@ impl CacheStrategy for WindowedLfu {
             swap_margin: _,
             seq: _,
             history,
+            fed,
             displaced,
             entries,
             line,
         } = self;
         (history.capacity() + displaced.capacity()) * std::mem::size_of::<AccessEvent>()
+            + fed.as_ref().map_or(0, HistoryWindow::heap_bytes)
             + entries.capacity() * std::mem::size_of::<Entry>()
             + line.heap_bytes()
     }

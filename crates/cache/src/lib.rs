@@ -10,6 +10,10 @@
 //! * [`placement`] — load-balanced (or random / first-fit) slot placement;
 //! * [`event`] — the 8-byte access event the windowed LFU's history and
 //!   the Oracle's look-ahead hold, and the time horizon it sets;
+//! * [`history`] — the [`history::HistoryWindow`] through which the
+//!   engine hands a windowed LFU its neighborhood's accesses back as they
+//!   leave its history, the trailing twin of the Oracle's
+//!   [`schedule::ScheduleWindow`];
 //! * [`strategy`] — the [`strategy::CacheStrategy`] abstraction, the open
 //!   [`strategy::StrategyFactory`] construction seam, the declarative
 //!   [`strategy::StrategySpec`] selection of the built-ins (each variant
@@ -52,6 +56,7 @@ pub mod error;
 pub mod event;
 pub mod feed;
 pub mod fetch;
+pub mod history;
 pub mod index;
 pub mod lfu;
 #[cfg(test)]
@@ -77,6 +82,7 @@ pub use feed::{
     FeedEvent, FeedEvents, FeedProvider, GlobalFeed, GlobalLfu, PrecomputedFeed, SharedFeed,
 };
 pub use fetch::FetchModel;
+pub use history::HistoryWindow;
 pub use index::{IndexServer, IndexStats, MissReason, Resolution};
 pub use lfu::WindowedLfu;
 pub use lru::Lru;

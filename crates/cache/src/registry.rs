@@ -185,6 +185,7 @@ impl fmt::Debug for StrategyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::HistoryWindow;
     use crate::strategy::StrategyContext;
     use cablevod_hfc::ids::NeighborhoodId;
 
@@ -210,6 +211,7 @@ mod tests {
                         capacity_slots: 10,
                         home: NeighborhoodId::new(0),
                         schedule: None,
+                        history: factory.history_window().map(|_| HistoryWindow::new()),
                     })
                     .expect("builds");
                 assert_eq!(strategy.name(), label);

@@ -86,6 +86,7 @@ use crate::error::CacheError;
 use crate::event::AccessEvent;
 use crate::feed::{FeedEvents, GlobalLfu};
 use crate::fetch::FetchModel;
+use crate::history::HistoryWindow;
 use crate::lfu::WindowedLfu;
 use crate::lru::Lru;
 use crate::oracle::Oracle;
@@ -153,6 +154,26 @@ pub trait CacheStrategy: fmt::Debug + Send {
     ///
     /// [`CacheError::Schedule`] for events that break the time order.
     fn extend_schedule(
+        &mut self,
+        _events: &[AccessEvent],
+        _covered: SimTime,
+    ) -> Result<(), CacheError> {
+        Ok(())
+    }
+
+    /// Takes the next stretch of this neighborhood's past accesses as they
+    /// leave the strategy's history window, in time order, after which
+    /// every access before `covered` has been handed back. Called when the
+    /// factory declares a
+    /// [`history_window`](StrategyFactory::history_window), by the record
+    /// supply as it reads behind the replay (see [`crate::history`]). The
+    /// default ignores the events: a strategy built without a
+    /// [`HistoryWindow`] keeps its own accesses.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::History`] for events that break the time order.
+    fn extend_history(
         &mut self,
         _events: &[AccessEvent],
         _covered: SimTime,
@@ -387,6 +408,7 @@ impl StrategySpec {
                 capacity_slots,
                 home,
                 schedule,
+                history: None,
             },
         )
     }
@@ -570,6 +592,12 @@ pub struct StrategyContext {
     /// through. The engine supplies it only when the factory declares a
     /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead).
     pub schedule: Option<ScheduleWindow>,
+    /// The window the neighborhood's own accesses are handed back through
+    /// as they leave the strategy's history. The engine supplies it only
+    /// when the factory declares a
+    /// [`history_window`](StrategyFactory::history_window); without it a
+    /// windowed strategy keeps its own accesses.
+    pub history: Option<HistoryWindow>,
 }
 
 /// An open constructor of [`CacheStrategy`] instances — the seam that
@@ -599,6 +627,17 @@ pub trait StrategyFactory: fmt::Debug + Send + Sync {
     /// resident runs; on streaming runs the record supply keeps it
     /// `lookahead` ahead of the replay.
     fn schedule_lookahead(&self) -> Option<SimDuration> {
+        None
+    }
+
+    /// How far into the past built strategies remember their
+    /// neighborhood's accesses; `None` (the default) when they keep no
+    /// such history. With `Some(window)` the engine passes each
+    /// neighborhood an empty [`HistoryWindow`] as
+    /// [`StrategyContext::history`] and hands every access back through
+    /// [`CacheStrategy::extend_history`] by the time it is `window` old,
+    /// so the strategy need not copy its own accesses.
+    fn history_window(&self) -> Option<SimDuration> {
         None
     }
 
@@ -640,6 +679,16 @@ impl StrategyFactory for StrategySpec {
         }
     }
 
+    fn history_window(&self) -> Option<SimDuration> {
+        match *self {
+            StrategySpec::Lfu { history }
+            | StrategySpec::GlobalLfu { history, .. }
+            | StrategySpec::PriorStoring { horizon: history }
+            | StrategySpec::DelayedLfu { history, .. } => Some(history),
+            _ => None,
+        }
+    }
+
     fn fetch_model(&self) -> Option<FetchModel> {
         match *self {
             StrategySpec::DelayedLfu { latency_ms, .. } => {
@@ -651,13 +700,17 @@ impl StrategyFactory for StrategySpec {
 
     fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
         let slots = ctx.capacity_slots;
+        let history = ctx.history;
         Ok(match *self {
             StrategySpec::NoCache => Box::new(NoCache),
             StrategySpec::Lru => Box::new(Lru::new(slots)),
-            StrategySpec::Lfu { history } => Box::new(WindowedLfu::new(slots, history)),
-            StrategySpec::GlobalLfu { history, lag } => {
-                Box::new(GlobalLfu::new(slots, history, lag, ctx.home))
+            StrategySpec::Lfu { history: window } => {
+                Box::new(WindowedLfu::new(slots, window).fed_by(history))
             }
+            StrategySpec::GlobalLfu {
+                history: window,
+                lag,
+            } => Box::new(GlobalLfu::new(slots, window, lag, ctx.home).fed_by(history)),
             StrategySpec::Oracle { lookahead } => {
                 let schedule = ctx.schedule.ok_or(CacheError::MissingSchedule)?;
                 Box::new(Oracle::new(slots, lookahead, schedule))
@@ -665,12 +718,12 @@ impl StrategyFactory for StrategySpec {
             StrategySpec::Arc { ghost } => Box::new(ArcCache::new(slots, ghost)),
             StrategySpec::Tlru { ttl } => Box::new(Tlru::new(slots, ttl)),
             StrategySpec::PriorStoring { horizon } => {
-                Box::new(GlobalLfu::prior_storing(slots, horizon, ctx.home))
+                Box::new(GlobalLfu::prior_storing(slots, horizon, ctx.home).fed_by(history))
             }
             StrategySpec::DelayedLfu {
-                history,
+                history: window,
                 latency_ms,
-            } => Box::new(DelayedLfu::new(slots, history, latency_ms)),
+            } => Box::new(DelayedLfu::new(slots, window, latency_ms).fed_by(history)),
         })
     }
 }

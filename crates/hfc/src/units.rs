@@ -389,6 +389,12 @@ impl SimTime {
         SimTime(self.0.saturating_sub(dur.0))
     }
 
+    /// Subtraction of a duration; `None` before the epoch.
+    #[must_use]
+    pub fn checked_sub(self, dur: SimDuration) -> Option<SimTime> {
+        self.0.checked_sub(dur.0).map(SimTime)
+    }
+
     /// Saturating addition of a duration, clamping at the last
     /// representable second.
     #[must_use]

@@ -226,6 +226,28 @@ pub(super) trait RecordSupply {
         Ok(())
     }
 
+    /// Called before every access the driver publishes and every idle
+    /// sweep, under a strategy that remembers its past (see
+    /// [`super::stream::ReadBehind`]): hands `sink` the neighborhood's
+    /// accesses starting at or before `until` — the trailing edge of the
+    /// strategy's history window — that it has not handed back yet, in
+    /// time order, and the instant before which every one of them has now
+    /// been handed back, past `until`. It may hand back accesses the
+    /// driver has yet to make (a zero window's same-second burst); the
+    /// strategy retires each only once it has counted it. The default
+    /// hands back nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `sink`'s failure.
+    fn read_behind(
+        &mut self,
+        _until: SimTime,
+        _sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        Ok(())
+    }
+
     /// Every record this supply will ever stage, in order, when all of
     /// them are resident already: under a strategy that looks ahead the
     /// driver's constructor hands the index server the whole of its
@@ -353,6 +375,9 @@ pub(super) struct SessionDriver<'a, F, R> {
     admission: Option<AdmissionControl>,
     /// Its index server.
     index: IndexServer,
+    /// The strategy's history window, when it remembers its past: how
+    /// far behind each access the supply hands accesses back.
+    history: Option<SimDuration>,
     active: ActiveSessions,
     /// Continuation events: (segment start, global record index, segment
     /// index, active-session slot). The slot is payload, not key — ties on
@@ -385,12 +410,15 @@ where
     R: RecordSupply,
 {
     /// A driver for `index`'s neighborhood, `plant` being its boxes and
-    /// meters.
+    /// meters, handing accesses back `history` behind the replay for a
+    /// strategy that remembers its past.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         supply: R,
         feed: Option<F>,
         plant: Plant<'a>,
         index: IndexServer,
+        history: Option<SimDuration>,
         config: &'a SimConfig,
         segmenter: Segmenter,
         abort: Option<&'a AtomicBool>,
@@ -401,6 +429,7 @@ where
             admission: AdmissionControl::build(config, index.home()),
             plant,
             index,
+            history,
             active: ActiveSessions::default(),
             queue: ContinuationQueue::default(),
             counters: EngineCounters::default(),
@@ -512,10 +541,30 @@ where
     /// exactly what the neighborhood's next session would consume first
     /// anyway, and a neighborhood with no session since the last pause
     /// still moves its cursor and with it the feed's reclamation floor.
-    pub(super) fn sync_published(&mut self, now: SimTime, published: u64) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed history hand-back.
+    pub(super) fn sync_published(&mut self, now: SimTime, published: u64) -> Result<(), SimError> {
+        self.read_behind(now)?;
         if let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) {
             feed.sync(&mut self.index, now, seq);
         }
+        Ok(())
+    }
+
+    /// Has the supply hand the index every access that leaves the
+    /// strategy's history window by `now` (see
+    /// [`RecordSupply::read_behind`]) — nothing while the window still
+    /// reaches back past the epoch, or when the strategy keeps no history.
+    fn read_behind(&mut self, now: SimTime) -> Result<(), SimError> {
+        let Some(until) = self.history.and_then(|window| now.checked_sub(window)) else {
+            return Ok(());
+        };
+        let index = &mut self.index;
+        self.supply.read_behind(until, |events, covered| {
+            Ok(index.extend_history(events, covered)?)
+        })
     }
 
     /// Handles one session start: admission, viewer slot accounting, feed
@@ -623,6 +672,7 @@ where
         rec: &SessionRecord,
         ctx: &SessionCtx,
     ) -> Result<(), SimError> {
+        self.read_behind(rec.start)?;
         if let Some(feed) = self.feed.as_mut() {
             // Events up to and including this record are published (see
             // the module docs on feed exactness); the provider bounds

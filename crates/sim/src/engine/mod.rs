@@ -204,8 +204,8 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    AccessEvent, FeedProvider, GlobalFeed, IndexServer, PlacementPolicy, ScheduleWindow,
-    SlotLedger, StrategyContext, StrategyFactory,
+    AccessEvent, FeedProvider, GlobalFeed, HistoryWindow, IndexServer, PlacementPolicy,
+    ScheduleWindow, SlotLedger, StrategyContext, StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::plant::Plant;
@@ -475,6 +475,7 @@ impl<'a> DriverParts<'a> {
                 .costs
                 .as_ref()
                 .map(|costs| ScheduleWindow::new(Arc::clone(costs))),
+            history: self.strategy.history_window().map(|_| HistoryWindow::new()),
         })?;
         let mut index = IndexServer::with_replication(
             id,
@@ -520,6 +521,7 @@ impl<'a> DriverParts<'a> {
             feed,
             Plant::over(self.topo, NeighborhoodId::new(n as u32))?,
             index,
+            self.strategy.history_window(),
             self.config,
             self.segmenter,
             abort,

@@ -57,7 +57,9 @@
 
 use std::collections::VecDeque;
 
-use cablevod_cache::{FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{
+    AccessEvent, FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed,
+};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
@@ -246,6 +248,9 @@ pub(super) fn serve<T>(
                 staged: VecDeque::new(),
                 edge: Some(SimTime::EPOCH),
                 future: ahead.map(|_| future),
+                past: strategy.history_window().map(|_| VecDeque::new()),
+                handed: 0,
+                leaving: Vec::new(),
             };
             let feed = wfeed.as_ref().map(|f| SharedFeed::new(f, n));
             parts.driver(n, supply, feed, None)
@@ -285,6 +290,15 @@ struct LiveSupply<'s> {
     /// The neighborhood's records of [`OnlineSpec::schedule_records`],
     /// under a strategy that looks ahead.
     future: Option<Vec<&'s SessionRecord>>,
+    /// Under a strategy that remembers its past: the sessions taken and
+    /// not yet handed back, as access events — the history no index keeps
+    /// a copy of.
+    past: Option<VecDeque<AccessEvent>>,
+    /// How many of `staged`'s front sessions were handed back before they
+    /// were taken (a zero window's same-second burst).
+    handed: usize,
+    /// Scratch for one hand-back.
+    leaving: Vec<AccessEvent>,
 }
 
 impl RecordSupply for LiveSupply<'_> {
@@ -297,11 +311,50 @@ impl RecordSupply for LiveSupply<'_> {
     }
 
     fn take(&mut self) -> PendingSession {
-        self.staged.pop_front().expect("a session is staged")
+        let session = self.staged.pop_front().expect("a session is staged");
+        if self.handed > 0 {
+            self.handed -= 1;
+        } else if let Some(past) = self.past.as_mut() {
+            let rec = &session.rec;
+            past.push_back(
+                AccessEvent::new(rec.start, rec.program)
+                    .expect("the ingress computed this session's context"),
+            );
+        }
+        session
     }
 
     fn resumes_at(&self) -> Option<SimTime> {
         self.edge
+    }
+
+    fn read_behind(
+        &mut self,
+        until: SimTime,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let Some(past) = self.past.as_mut() else {
+            return Ok(());
+        };
+        self.leaving.clear();
+        while let Some(&event) = past.front().filter(|e| e.at() <= until) {
+            self.leaving.push(event);
+            past.pop_front();
+        }
+        // Released sessions not taken yet can leave too, under a zero
+        // window: the rest of the second being replayed.
+        for session in self.staged.iter().skip(self.handed) {
+            if session.rec.start > until {
+                break;
+            }
+            self.leaving
+                .push(AccessEvent::new(session.rec.start, session.rec.program)?);
+            self.handed += 1;
+        }
+        sink(
+            &self.leaving,
+            until.saturating_add(SimDuration::from_secs(1)),
+        )
     }
 
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
@@ -417,7 +470,7 @@ impl OnlineEngine for SerialOnline<'_> {
             driver.supply_mut().edge = Some(edge);
             // An open supply always resumes, so the driver parks.
             progressed |= matches!(driver.step()?, Step::Horizon { progressed: true });
-            driver.sync_published(now, self.ingress.next_gidx);
+            driver.sync_published(now, self.ingress.next_gidx)?;
         }
         if progressed {
             self.epoch += 1;

@@ -121,6 +121,7 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     // A strategy that looks ahead is fed its future by whoever supplies
     // its neighborhood's records, as the replay goes.
     let lookahead = strategy.schedule_lookahead();
+    let history = strategy.history_window();
     let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
 
     let mut streamed = Streamed {
@@ -131,8 +132,14 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
         Replay::Runs(runs) => {
             streamed.fastpath = true;
             runner::run_indexed(nbhd_count, threads, |n| {
-                let supply =
-                    StreamSupply::new(source, &runs[n], &topo, &parts.segmenter, lookahead);
+                let supply = StreamSupply::new(
+                    source,
+                    &runs[n],
+                    &topo,
+                    &parts.segmenter,
+                    lookahead,
+                    history,
+                );
                 let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
                 driver.run()?;
                 Ok(driver.into_outcome())
@@ -190,6 +197,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
         parts.segmenter,
         feed,
         parts.strategy.schedule_lookahead(),
+        parts.strategy.history_window(),
     );
     let worker_results: Vec<ShardResults> = std::thread::scope(|scope| {
         let handles: Vec<_> = permits
@@ -403,13 +411,14 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
         while i < tasks.len() {
             let driver = &mut tasks[i].1;
             driver.supply_mut().attach(block);
-            match driver.step() {
-                Ok(Step::Horizon { .. }) => {
-                    if let Some((edge, published)) = block.edge() {
-                        driver.sync_published(edge, published);
-                    }
-                    i += 1;
+            let ending = driver.step().and_then(|step| {
+                if let (Step::Horizon { .. }, Some((edge, published))) = (&step, block.edge()) {
+                    driver.sync_published(edge, published)?;
                 }
+                Ok(step)
+            });
+            match ending {
+                Ok(Step::Horizon { .. }) => i += 1,
                 ending => {
                     let (nbhd, driver) = tasks.swap_remove(i);
                     results.push((

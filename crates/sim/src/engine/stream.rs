@@ -84,6 +84,10 @@ use crate::error::SimError;
 pub(super) struct GatheredSupply<'a> {
     run: Vec<(u64, SessionRecord)>,
     pos: usize,
+    /// The read-behind: `run[..behind]` has been handed back.
+    behind: usize,
+    /// Scratch for one hand-back.
+    leaving: Vec<AccessEvent>,
     catalog: &'a ProgramCatalog,
     topo: &'a Topology,
     seg_len: u64,
@@ -106,6 +110,8 @@ impl<'a> GatheredSupply<'a> {
                 .map(|&i| (u64::from(i), records[i as usize]))
                 .collect(),
             pos: 0,
+            behind: 0,
+            leaving: Vec::new(),
             catalog,
             topo,
             seg_len: segmenter.segment_len().as_secs(),
@@ -126,9 +132,28 @@ impl RecordSupply for GatheredSupply<'_> {
         PendingSession { gidx, rec, ctx }
     }
 
+    fn read_behind(
+        &mut self,
+        until: SimTime,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        self.leaving.clear();
+        while let Some((_, rec)) = self.run.get(self.behind).filter(|(_, r)| r.start <= until) {
+            self.leaving.push(AccessEvent::new(rec.start, rec.program)?);
+            self.behind += 1;
+        }
+        sink(&self.leaving, past(until))
+    }
+
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
         Some(Box::new(self.run.iter().map(|(_, rec)| rec)))
     }
+}
+
+/// The instant just past `until`: what a hand-back of every access at or
+/// before `until` covers.
+fn past(until: SimTime) -> SimTime {
+    until.saturating_add(SimDuration::from_secs(1))
 }
 
 /// One stretch of the global record order, demultiplexed by
@@ -152,6 +177,11 @@ pub(super) struct Block {
     /// access before `covered` has been handed over.
     ahead: Vec<Vec<AccessEvent>>,
     covered: Option<SimTime>,
+    /// Under a strategy that remembers its past: `behind[n]` is what left
+    /// neighborhood `n`'s history window with this block, after which
+    /// every access before `behind_covered` has been handed back.
+    behind: Vec<Vec<AccessEvent>>,
+    behind_covered: Option<SimTime>,
 }
 
 impl Block {
@@ -169,6 +199,8 @@ impl Block {
         self.edge = None;
         self.ahead.iter_mut().for_each(Vec::clear);
         self.covered = None;
+        self.behind.iter_mut().for_each(Vec::clear);
+        self.behind_covered = None;
     }
 }
 
@@ -189,6 +221,9 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     feed: Option<FeedProducer<'a>>,
     /// Under a strategy that looks ahead: the second cursor over `runs`.
     ahead: Option<LookAhead<'a, S>>,
+    /// Under a strategy that remembers its past: the trailing cursor over
+    /// `runs`, and how far behind the block's edge it trails.
+    behind: Option<(ReadBehind<'a, S>, SimDuration)>,
     /// Records handed out so far, which is the global index due next.
     published: u64,
     last_start: SimTime,
@@ -201,7 +236,8 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
 impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
     /// A decoder over `runs`, which together hold every record of
     /// `source` (see [`super::serial_runs`]), reading `lookahead` ahead
-    /// for a strategy that asks for it.
+    /// and `history` behind for a strategy that asks for it.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         source: &'a S,
         runs: &'a [Vec<u32>],
@@ -210,6 +246,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         segmenter: Segmenter,
         feed: Option<&'a WatermarkFeed>,
         lookahead: Option<SimDuration>,
+        history: Option<SimDuration>,
     ) -> Self {
         let chunks = source.chunk_count().max(1) as u64;
         Demux {
@@ -222,6 +259,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             block_records: source.record_count().div_ceil(chunks).max(1) as usize,
             feed: feed.map(WatermarkFeed::producer_handle),
             ahead: lookahead.map(|lookahead| LookAhead::new(source, runs, lookahead)),
+            behind: history.map(|window| (ReadBehind::new(source, runs), window)),
             published: 0,
             last_start: SimTime::EPOCH,
             dest: Vec::new(),
@@ -254,6 +292,9 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
     fn fill(&mut self, block: &mut Block) -> Result<(), SimError> {
         block.reset(self.nbhd_count);
         self.merge.refill(&mut block.records, self.block_records)?;
+        if let (Some((behind, _)), Some((_, rec))) = (self.behind.as_mut(), block.records.first()) {
+            behind.note_first(rec.start);
+        }
         let seg_len = self.segmenter.segment_len().as_secs();
         // Every record's context is computed here — it validates the
         // record, names its neighborhood and sizes its feed event — but
@@ -330,6 +371,21 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             })?;
             block.covered = Some(ahead.covered());
         }
+        if let Some((behind, window)) = self.behind.as_mut() {
+            // Until the next block is attached no shard's `now` passes
+            // `last_start` — the final block's included — so that is what
+            // the history has to be handed back for; what the cursor
+            // reads past it waits for the next block.
+            block.behind.resize_with(self.nbhd_count, Vec::new);
+            if let Some(until) = self.last_start.checked_sub(*window) {
+                behind.advance(until, |rec| {
+                    let nbhd = self.topo.neighborhood_of_user(rec.user)?;
+                    block.behind[nbhd.index()].push(AccessEvent::new(rec.start, rec.program)?);
+                    Ok(())
+                })?;
+                block.behind_covered = Some(past(until));
+            }
+        }
         Ok(())
     }
 }
@@ -350,6 +406,9 @@ pub(super) struct BlockSupply<'a> {
     /// The last attached block and its `covered`, until its look-ahead
     /// slice is handed over.
     ahead: Option<(Arc<Block>, SimTime)>,
+    /// The last attached block and its `behind_covered`, until its
+    /// read-behind slice is handed back.
+    behind: Option<(Arc<Block>, SimTime)>,
     catalog: &'a ProgramCatalog,
     topo: &'a Topology,
     seg_len: u64,
@@ -369,6 +428,7 @@ impl<'a> BlockSupply<'a> {
             end: 0,
             resumes: Some(SimTime::EPOCH),
             ahead: None,
+            behind: None,
             catalog,
             topo,
             seg_len: segmenter.segment_len().as_secs(),
@@ -380,6 +440,13 @@ impl<'a> BlockSupply<'a> {
         debug_assert!(self.block.is_none(), "the previous run was not drained");
         self.resumes = block.edge.map(|(edge, _)| edge);
         self.ahead = block.covered.map(|covered| (Arc::clone(block), covered));
+        debug_assert!(
+            self.behind.is_none(),
+            "the last read-behind was not handed back"
+        );
+        self.behind = block
+            .behind_covered
+            .map(|covered| (Arc::clone(block), covered));
         self.pos = block.starts[self.nbhd] as usize;
         self.end = block.starts[self.nbhd + 1] as usize;
         if self.pos < self.end {
@@ -418,6 +485,23 @@ impl RecordSupply for BlockSupply<'_> {
     ) -> Result<(), SimError> {
         match self.ahead.take() {
             Some((block, covered)) => sink(&block.ahead[self.nbhd], covered),
+            None => Ok(()),
+        }
+    }
+
+    /// Hands back the attached block's slice at the first call after
+    /// [`attach`](BlockSupply::attach): it covers every `until` a driver
+    /// reaches before the block's edge.
+    fn read_behind(
+        &mut self,
+        until: SimTime,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        match self.behind.take() {
+            Some((block, covered)) => {
+                debug_assert!(until < covered, "a block hands back through its edge");
+                sink(&block.behind[self.nbhd], covered)
+            }
             None => Ok(()),
         }
     }
@@ -607,6 +691,61 @@ impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
     }
 }
 
+/// The read-behind of a strategy that remembers its past (see the module
+/// docs): a second cursor over the chunk runs a replay reads, trailing it
+/// by the history window — the mirror of [`LookAhead`].
+pub(super) struct ReadBehind<'a, S: TraceSource + ?Sized> {
+    merge: RunMerge<'a, S>,
+    /// Read already, but not leaving yet.
+    held: Option<SessionRecord>,
+    /// Before anything is read: the start of the first record the replay
+    /// staged, which no record precedes (`None` while it has staged none)
+    /// — so a window that never reaches back that far decodes nothing.
+    first: Option<SimTime>,
+}
+
+impl<'a, S: TraceSource + ?Sized> ReadBehind<'a, S> {
+    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>]) -> Self {
+        ReadBehind {
+            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
+            held: None,
+            first: None,
+        }
+    }
+
+    /// Notes the start of the first record the replay staged (once; later
+    /// calls change nothing).
+    pub(super) fn note_first(&mut self, start: SimTime) {
+        self.first.get_or_insert(start);
+    }
+
+    /// Passes `sink` every record starting at or before `until` that it
+    /// has not passed yet, in global order.
+    pub(super) fn advance(
+        &mut self,
+        until: SimTime,
+        mut sink: impl FnMut(&SessionRecord) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        if self.held.is_none() && self.first.is_none_or(|first| until < first) {
+            return Ok(());
+        }
+        loop {
+            let next = match self.held.take() {
+                Some(rec) => Some(rec),
+                None => self.merge.next()?.map(|(_, rec)| rec),
+            };
+            match next {
+                Some(rec) if rec.start <= until => sink(&rec)?,
+                Some(rec) => {
+                    self.held = Some(rec);
+                    return Ok(());
+                }
+                None => return Ok(()),
+            }
+        }
+    }
+}
+
 /// A [`StreamSupply`]'s read-ahead: the cursor, and scratch for one
 /// hand-over.
 struct ReadAhead<'a, S: TraceSource + ?Sized> {
@@ -624,17 +763,22 @@ pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
     seg_len: u64,
     staged: Option<PendingSession>,
     ahead: Option<ReadAhead<'a, S>>,
+    /// Under a strategy that remembers its past: the trailing cursor, and
+    /// scratch for one hand-back.
+    behind: Option<(ReadBehind<'a, S>, Vec<AccessEvent>)>,
 }
 
 impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
     /// The supply of a neighborhood over its own `runs`, reading
-    /// `lookahead` ahead for a strategy that asks for it.
+    /// `lookahead` ahead for a strategy that asks for it, and behind for
+    /// one that keeps a `history` window.
     pub(super) fn new(
         source: &'a S,
         runs: &'a [Vec<u32>],
         topo: &'a Topology,
         segmenter: &Segmenter,
         lookahead: Option<SimDuration>,
+        history: Option<SimDuration>,
     ) -> Self {
         StreamSupply {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
@@ -646,6 +790,7 @@ impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
                 cursor: LookAhead::new(source, runs, lookahead),
                 events: Vec::new(),
             }),
+            behind: history.map(|_| (ReadBehind::new(source, runs), Vec::new())),
         }
     }
 }
@@ -656,6 +801,9 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
             if let Some((gidx, rec)) = self.merge.next()? {
                 let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
                 self.staged = Some(PendingSession { gidx, rec, ctx });
+                if let Some((behind, _)) = self.behind.as_mut() {
+                    behind.note_first(rec.start);
+                }
             }
         }
         Ok(self.staged.as_ref().map(|p| (p.rec.start, p.gidx)))
@@ -684,5 +832,21 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
             sink(&ahead.events, ahead.cursor.covered())?;
         }
         Ok(())
+    }
+
+    fn read_behind(
+        &mut self,
+        until: SimTime,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let Some((cursor, events)) = self.behind.as_mut() else {
+            return Ok(());
+        };
+        events.clear();
+        cursor.advance(until, |rec| {
+            events.push(AccessEvent::new(rec.start, rec.program)?);
+            Ok(())
+        })?;
+        sink(events, past(until))
     }
 }

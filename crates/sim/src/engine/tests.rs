@@ -611,6 +611,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         segmenter,
         None,
         Some(lookahead),
+        None,
     );
     let mut supplies: Vec<_> = (0..nbhd_count)
         .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
@@ -655,6 +656,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             &topo,
             &segmenter,
             Some(lookahead),
+            None,
         );
         drain(&mut supply, lookahead, fed);
     }
@@ -866,7 +868,7 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
 
     for (layout, source) in sources {
         let runs = serial_runs(source);
-        let mut demux = Demux::new(source, &runs, &topo, &config, segmenter, None, None);
+        let mut demux = Demux::new(source, &runs, &topo, &config, segmenter, None, None, None);
         let mut supplies: Vec<_> = (0..nbhd_count)
             .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
             .collect();

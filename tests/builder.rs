@@ -39,12 +39,18 @@ use helpers::tiny_config;
 /// that expires), the global LFU's feed `lag` — zero shows it an access in
 /// the very second it happens, so only the record-index bound keeps a
 /// later record's access of the same second out of sight — and the
-/// delayed LFU's fetch `latency_ms`, coarse enough to coalesce.
-fn all_strategies(lag: SimDuration, latency_ms: u64) -> [StrategySpec; 9] {
+/// delayed LFU's fetch `latency_ms`, coarse enough to coalesce. Plain LFU
+/// comes twice: at its week-long default, which never lets an access go
+/// on a three-day trace, and with a day's history, so that the engine
+/// hands its accesses back as they leave (the model's LFU keeps its own).
+fn all_strategies(lag: SimDuration, latency_ms: u64) -> [StrategySpec; 10] {
     [
         StrategySpec::NoCache,
         StrategySpec::Lru,
         StrategySpec::default_lfu(),
+        StrategySpec::Lfu {
+            history: SimDuration::from_days(1),
+        },
         StrategySpec::default_oracle(),
         StrategySpec::GlobalLfu {
             history: SimDuration::from_days(3),

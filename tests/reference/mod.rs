@@ -193,6 +193,7 @@ impl<'a> Model<'a> {
                         capacity_slots: capacity,
                         home: id,
                         schedule: costs.clone().map(ScheduleWindow::new),
+                        history: None,
                     })
                     .expect("the strategy builds");
                 if costs.is_some() {

@@ -268,7 +268,10 @@ fn neighborhood_major_replay_is_bit_identical() {
 /// bit-for-bit. So does every replay the central decoder merges out of
 /// the neighborhood-major file: at a neighborhood size the file was not
 /// grouped for, and at its own size under a strategy that takes the feed,
-/// on one worker or several.
+/// on one worker or several. Every history here is a week, longer than the
+/// four-day trace, so no access ever leaves one and the read-behind never
+/// decodes (a shorter history is
+/// `a_history_window_decodes_what_leaves_it_a_second_time`).
 #[test]
 fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let trace: Trace = generate(&tiny_config(400, 40, 4, 13));
@@ -315,9 +318,13 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
         "each time-major chunk decoded exactly once, not once per shard"
     );
 
+    let feed = StrategySpec::GlobalLfu {
+        history: SimDuration::from_days(7),
+        lag: SimDuration::from_minutes(30),
+    };
     for (what, config) in [
         ("mismatched", config_for(45, 2, StrategySpec::default_lfu())),
-        ("matched, feed", config_for(50, 2, strategy(4))),
+        ("matched, feed", config_for(50, 2, feed)),
     ] {
         let resident = run(&trace, &config).expect("resident runs");
         for threads in [None, Some(2), Some(4)] {
@@ -372,6 +379,118 @@ fn time_major_run_decodes_each_chunk_once_at_any_worker_count() {
         assert!(!outcome.telemetry.fastpath, "no chunk index to match");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A built-in whose factory keeps its history window to itself: the
+/// engine hands nothing back and the strategy keeps its own accesses, as
+/// the reference model's strategies do.
+#[derive(Debug)]
+struct SelfFed(StrategySpec);
+
+impl StrategyFactory for SelfFed {
+    fn name(&self) -> &str {
+        self.0.label()
+    }
+    fn needs_feed(&self) -> bool {
+        self.0.needs_feed()
+    }
+    fn fetch_model(&self) -> Option<cablevod_cache::FetchModel> {
+        self.0.fetch_model()
+    }
+    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
+        assert!(
+            ctx.history.is_none(),
+            "the engine hands back only when asked"
+        );
+        StrategyFactory::build(&self.0, ctx)
+    }
+}
+
+/// The read-behind's decode accounting, on both layouts and the sweep
+/// fast path, against the strategy keeping its own history. A history
+/// longer than the four-day trace lets nothing go, so the trailing cursor
+/// never reads and every chunk is decoded once. A zero history lets every
+/// access go as it happens, so the cursor reads the whole file behind the
+/// replay: twice. A day's history decodes a second time exactly the
+/// chunks the cursor reached — on a time-major file every chunk up to the
+/// one holding the first access still inside the window when the last
+/// session starts. Every run reports what the self-kept history does, on
+/// every plan and online.
+#[test]
+fn a_history_window_decodes_what_leaves_it_a_second_time() {
+    let trace: Trace = generate(&tiny_config(400, 40, 4, 13));
+    let mut tm = std::env::temp_dir();
+    tm.push(format!("cvtc_behind_tm_{}.cvtc", std::process::id()));
+    let mut nm = std::env::temp_dir();
+    nm.push(format!("cvtc_behind_nm_{}.cvtc", std::process::id()));
+    write_trace(&tm, &trace, 64).expect("write time-major");
+    let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+    rechunk_by_neighborhood(&tm_reader, &nm, 50, 64).expect("rechunk");
+    let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
+    let chunks = tm_reader.chunk_count() as u64;
+    let last = trace.records().last().expect("records").start;
+
+    for (text, window) in [("lfu:7d", None), ("lfu:1d", Some(1)), ("lfu:0s", Some(0))] {
+        let spec = StrategySpec::parse(text).expect("parses");
+        let config = config_for(50, 2, spec);
+        let self_fed = Simulation::over(&trace)
+            .config(config.clone())
+            .strategy_factory(Arc::new(SelfFed(spec)))
+            .run()
+            .expect("self-fed runs")
+            .report;
+        assert_eq!(run(&trace, &config).expect("resident"), self_fed, "{text}");
+        let online = serve_trace(&trace, &config, &spec).expect("online runs");
+        assert_eq!(online, self_fed, "{text}, online");
+        // Chunks the trailing cursor decodes on the time-major file: up to
+        // the one holding the first access after the last `until`.
+        let behind_tm = window.map_or(0, |days| {
+            let until = last.saturating_sub(SimDuration::from_days(days));
+            trace
+                .records()
+                .iter()
+                .position(|rec| rec.start > until)
+                .map_or(chunks, |at| at as u64 / 64 + 1)
+        });
+        if window == Some(1) {
+            assert!(
+                0 < behind_tm && behind_tm < chunks,
+                "{behind_tm} of {chunks}"
+            );
+        }
+        for (layout, reader, fastpath) in [
+            ("time-major", &tm_reader, false),
+            ("neighborhood-major", &nm_reader, true),
+        ] {
+            let chunks = reader.chunk_count() as u64;
+            for threads in [None, Some(3)] {
+                let sim = Simulation::over(reader).config(config.clone());
+                let outcome = match threads {
+                    None => sim.serial(),
+                    Some(n) => sim.threads(n),
+                }
+                .run()
+                .expect("streamed replay runs");
+                let what = format!("{text}, {layout}, threads {threads:?}");
+                assert_eq!(outcome.report, self_fed, "{what}");
+                assert_eq!(outcome.telemetry.fastpath, fastpath, "{what}");
+                let decodes = outcome.telemetry.decode.chunks;
+                match window {
+                    None => assert_eq!(decodes, chunks, "{what}: nothing leaves"),
+                    Some(0) => assert_eq!(decodes, 2 * chunks, "{what}: everything leaves"),
+                    Some(_) if !fastpath => {
+                        assert_eq!(decodes, chunks + behind_tm, "{what}: what left, again");
+                    }
+                    Some(_) => assert!(
+                        chunks < decodes && decodes <= 2 * chunks,
+                        "{what}: {decodes} decodes of {chunks} chunks"
+                    ),
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&tm).ok();
+    std::fs::remove_file(&nm).ok();
 }
 
 /// Streaming Oracle decode accounting: the look-ahead is a second cursor
