@@ -148,8 +148,11 @@ struct CachedProgram {
 
 /// One placed copy of a segment: the hosting peer's *ledger index* — what
 /// [`SlotLedger::place`] handed out and [`SlotLedger::release`] takes
-/// back, so neither an eviction nor a hit hashes a peer id — in the low 31
-/// bits, and in the top bit whether the copy's bytes are actually present.
+/// back, and, the ledger numbering the members in member order (checked
+/// once, [`IndexServer::check_plant`]), its box's position in the
+/// [`Plant`], so neither an eviction nor a hit looks a peer id up — in the
+/// low 31 bits, and in the top bit whether the copy's bytes are actually
+/// present.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Placed(u32);
 
@@ -355,6 +358,31 @@ impl IndexServer {
         self.programs.get(program.index()).and_then(Option::as_ref)
     }
 
+    /// Checks that every ledger index is its peer's box position in
+    /// `plant` — the ledger numbers the neighborhood's members in member
+    /// order — so that hits, admissions and evictions reach a copy's box
+    /// by its ledger index ([`Plant::try_start_stream_at`] and its twins).
+    /// Called once, when a driver puts the two together.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::InconsistentState`] naming the first peer whose box
+    /// sits elsewhere, or in no box of `plant`.
+    pub fn check_plant(&self, plant: &Plant<'_>) -> Result<(), CacheError> {
+        for index in 0..self.ledger.peer_count() as u32 {
+            let peer = self.ledger.peer(index);
+            if plant.position(peer) != Some(index) {
+                return Err(CacheError::InconsistentState {
+                    reason: format!(
+                        "{peer} is ledger index {index} but sits at box position {:?}",
+                        plant.position(peer)
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Ingests global-feed events that are newly visible at `now` **and**
     /// published at or before global record index `limit` (exclusive).
     /// No-op for local strategies.
@@ -538,10 +566,9 @@ impl IndexServer {
                         ),
                     })?;
             }
-            let peer = self.ledger.peer(copy.slot());
-            if plant.try_start_stream(peer, now, end)? {
+            if plant.try_start_stream_at(copy.slot(), now, end)? {
                 self.stats.hits += 1;
-                return Ok(Resolution::PeerHit(peer));
+                return Ok(Resolution::PeerHit(self.ledger.peer(copy.slot())));
             }
         }
         self.stats.miss_peer_busy += 1;
@@ -602,13 +629,12 @@ impl IndexServer {
             copies.push(Placed::new(slot, prefetch))
         })?;
         for copy in &copies {
-            plant.store(self.ledger.peer(copy.slot()), self.nominal_segment)?;
+            plant.store_at(copy.slot(), self.nominal_segment)?;
         }
         // Checked once every copy is stored: a peer given several copies of
         // the program agrees with its ledger only after the last of them.
         for copy in &copies {
-            let peer = self.ledger.peer(copy.slot());
-            self.check_books(copy.slot(), plant.stb(peer)?.used())?;
+            self.check_books(copy.slot(), plant.stb_at(copy.slot())?.used())?;
         }
         self.programs[idx] = Some(CachedProgram {
             length,
@@ -636,7 +662,7 @@ impl IndexServer {
         };
         for copy in &entry.copies {
             self.ledger.release(copy.slot())?;
-            let used = plant.delete(self.ledger.peer(copy.slot()), self.nominal_segment)?;
+            let used = plant.delete_at(copy.slot(), self.nominal_segment)?;
             self.check_books(copy.slot(), used)?;
         }
         self.cached_count -= 1;
@@ -1140,16 +1166,19 @@ mod tests {
 
     /// What the plant and the index servers hold per subscriber after an
     /// `lfu` replay at the shape of the repo benchmark's streamed trace
-    /// (500-peer neighborhoods, 2 GB a peer, a 400-program catalog, 2.4
-    /// sessions a subscriber-day over six days, all inside the week-long
-    /// history), counted from capacities so
-    /// the figure is deterministic: the boxes at their size — heap-free
-    /// here, as no viewer stream overcommits a box — and each index
-    /// server's tables, ledger and strategy, its history ring the largest.
-    /// The plant's coax and server meters are per neighborhood, not per
-    /// subscriber, and are left out.
-    #[test]
-    fn plant_and_index_cost_a_few_hundred_bytes_a_subscriber() {
+    /// (500-peer neighborhoods, 2 GB a peer, a 400-program catalog,
+    /// `tenths` tenths of a session a subscriber-day over six days, all
+    /// inside the week-long history), counted from capacities so the
+    /// figure is deterministic: the boxes at their size — heap-free here,
+    /// as no viewer stream overcommits a box — and each index server's
+    /// tables, ledger and strategy. A strategy built with a history window
+    /// (`fed`) keeps none of its accesses; one built without keeps them
+    /// all in its ring. Returns the subscribers, the boxes' bytes and the
+    /// index servers'. The plant's coax and server meters are per
+    /// neighborhood, not per subscriber, and are left out.
+    fn plant_and_index_bytes(tenths: u64, fed: bool) -> (usize, usize, usize) {
+        use crate::history::HistoryWindow;
+        use crate::strategy::{StrategyContext, StrategyFactory};
         use cablevod_hfc::stb::SetTopBox;
         const NBHD: u32 = 500;
         const NBHDS: u32 = 4;
@@ -1173,15 +1202,22 @@ mod tests {
                     members.iter().map(|&p| (p, slots)),
                     PlacementPolicy::Balanced,
                 );
-                let strategy = StrategySpec::default_lfu()
-                    .build(ledger.total_slots(), home, None)
-                    .expect("buildable");
+                let strategy = StrategyFactory::build(
+                    &StrategySpec::default_lfu(),
+                    StrategyContext {
+                        capacity_slots: ledger.total_slots(),
+                        home,
+                        schedule: None,
+                        history: fed.then(HistoryWindow::new),
+                    },
+                )
+                .expect("buildable");
                 IndexServer::new(home, strategy, segmenter, ledger)
             })
             .collect();
         // Programs skewed toward low ids, 30 to 120 minutes long;
         // neighborhoods drawn uniformly.
-        let sessions = u64::from(users) * DAYS * 24 / 10;
+        let sessions = u64::from(users) * DAYS * tenths / 10;
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for i in 0..sessions {
             x ^= x << 13;
@@ -1198,11 +1234,76 @@ mod tests {
         }
         let boxes = users as usize * std::mem::size_of::<SetTopBox>();
         let servers: usize = indexes.iter().map(index_bytes).sum();
-        let per_subscriber = (boxes + servers) / users as usize;
+        (users as usize, boxes, servers)
+    }
+
+    /// The benchmark trace's 2.4 sessions a subscriber-day, every access
+    /// kept in the strategy's own ring, its largest term.
+    #[test]
+    fn plant_and_index_cost_a_few_hundred_bytes_a_subscriber() {
+        let (users, boxes, servers) = plant_and_index_bytes(24, false);
+        let per_subscriber = (boxes + servers) / users;
         assert!(
             per_subscriber <= 320,
             "{per_subscriber} B a subscriber: {boxes} B of boxes, {servers} B of index servers"
         );
+    }
+
+    /// An index whose accesses the record supply hands back keeps no term
+    /// per access: at the same shape it costs well under the ring's
+    /// bound, and the same subscribers making twice the sessions leave its
+    /// bytes where they were — its tables are by program and peer.
+    #[test]
+    fn an_engine_fed_lfu_index_keeps_nothing_per_access() {
+        let (users, boxes, servers) = plant_and_index_bytes(24, true);
+        let per_subscriber = (boxes + servers) / users;
+        assert!(
+            per_subscriber <= 180,
+            "{per_subscriber} B a subscriber: {boxes} B of boxes, {servers} B of index servers"
+        );
+        let (_, _, doubled) = plant_and_index_bytes(48, true);
+        assert_eq!(
+            doubled, servers,
+            "twice the accesses moved the index servers' bytes"
+        );
+    }
+
+    /// A ledger numbering the members in another order than the plant's
+    /// boxes is refused before any copy reaches a box by its index.
+    #[test]
+    fn a_ledger_out_of_member_order_is_refused() {
+        let (plant, ledger) = plant_and_ledger();
+        let index = IndexServer::new(
+            NeighborhoodId::new(0),
+            StrategySpec::Lru
+                .build(ledger.total_slots(), NeighborhoodId::new(0), None)
+                .expect("builds"),
+            Segmenter::paper_default(),
+            ledger,
+        );
+        index.check_plant(&plant).expect("member order");
+        let members = topo()
+            .neighborhood(NeighborhoodId::new(0))
+            .expect("exists")
+            .members();
+        let slots = |peers: &mut dyn Iterator<Item = &PeerId>| -> SlotLedger {
+            SlotLedger::new(peers.map(|&p| (p, 3)), PlacementPolicy::Balanced)
+        };
+        for ledger in [
+            slots(&mut members.iter().rev()),
+            slots(&mut members.iter().skip(1)),
+        ] {
+            let index = IndexServer::new(
+                NeighborhoodId::new(0),
+                StrategySpec::Lru
+                    .build(ledger.total_slots(), NeighborhoodId::new(0), None)
+                    .expect("builds"),
+                Segmenter::paper_default(),
+                ledger,
+            );
+            let err = index.check_plant(&plant).unwrap_err();
+            assert!(matches!(err, CacheError::InconsistentState { .. }), "{err}");
+        }
     }
 
     #[test]

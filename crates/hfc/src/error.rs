@@ -42,6 +42,11 @@ pub enum HfcError {
         /// The offending id.
         peer: PeerId,
     },
+    /// A box position past a plant's last member.
+    UnknownPosition {
+        /// The offending position.
+        position: u32,
+    },
     /// A lookup used an unknown neighborhood id.
     UnknownNeighborhood {
         /// The offending id.
@@ -83,6 +88,9 @@ impl fmt::Display for HfcError {
             }
             HfcError::UnknownUser { user } => write!(f, "unknown user id {user}"),
             HfcError::UnknownPeer { peer } => write!(f, "unknown peer id {peer}"),
+            HfcError::UnknownPosition { position } => {
+                write!(f, "no box at member position {position}")
+            }
             HfcError::UnknownNeighborhood { neighborhood } => {
                 write!(f, "unknown neighborhood id {neighborhood}")
             }

@@ -12,6 +12,11 @@
 //! permutation), so a neighborhood's boxes are contiguous and a global
 //! [`PeerId`] resolves with one table load and one bounds check, which is
 //! also what makes a peer of another neighborhood [`HfcError::UnknownPeer`].
+//! Placement order is member order, so a box's position is its peer's
+//! index in [`Neighborhood::members`](crate::topology::Neighborhood::members):
+//! a caller that numbers the members the same way (the index server's
+//! ledger does) reaches a box by [`position`](Plant::position) with no
+//! table load at all — the `*_at` twins of the box operations.
 //!
 //! A box holds only what differs from box to box — the bytes its cache
 //! holds and its in-flight streams ([`SetTopBox`], 40 bytes). Its id is its
@@ -63,6 +68,8 @@ use crate::units::{DataSize, SimTime};
 pub struct Plant<'t> {
     /// [`Topology::ranks`] of the topology this plant stands on.
     ranks: &'t [u32],
+    /// The neighborhood's members: `members[i]` owns `boxes[i]`.
+    members: &'t [PeerId],
     /// Rank of `boxes[0]`: the neighborhood's index times the
     /// neighborhood size.
     first_rank: u32,
@@ -86,11 +93,12 @@ impl<'t> Plant<'t> {
     /// topology does not have.
     pub fn over(topo: &'t Topology, neighborhood: NeighborhoodId) -> Result<Self, HfcError> {
         let config = topo.config();
-        let peers = topo.neighborhood(neighborhood)?.size();
+        let members = topo.neighborhood(neighborhood)?.members();
         Ok(Plant {
             ranks: topo.ranks(),
+            members,
             first_rank: neighborhood.value() * config.neighborhood_size(),
-            boxes: vec![SetTopBox::default(); peers],
+            boxes: vec![SetTopBox::default(); members.len()],
             box_capacity: config.per_peer_storage(),
             slot_limit: config.stream_slots(),
             coax: CoaxNetwork::new(*config.coax_spec()),
@@ -107,6 +115,17 @@ impl<'t> Plant<'t> {
         })
     }
 
+    /// The position of `peer`'s box: its index among the neighborhood's
+    /// members, or `None` for a peer of another neighborhood.
+    pub fn position(&self, peer: PeerId) -> Option<u32> {
+        let at = self.slot(peer);
+        (at < self.boxes.len()).then_some(at as u32)
+    }
+
+    fn at(&self, peer: PeerId) -> Result<u32, HfcError> {
+        self.position(peer).ok_or(HfcError::UnknownPeer { peer })
+    }
+
     /// Shared access to a set-top box.
     ///
     /// # Errors
@@ -114,14 +133,29 @@ impl<'t> Plant<'t> {
     /// Returns [`HfcError::UnknownPeer`] for peers outside this plant's
     /// neighborhood.
     pub fn stb(&self, peer: PeerId) -> Result<&SetTopBox, HfcError> {
-        self.boxes
-            .get(self.slot(peer))
-            .ok_or(HfcError::UnknownPeer { peer })
+        self.stb_at(self.at(peer)?)
     }
 
-    fn stb_mut(&mut self, peer: PeerId) -> Result<&mut SetTopBox, HfcError> {
-        let at = self.slot(peer);
-        self.boxes.get_mut(at).ok_or(HfcError::UnknownPeer { peer })
+    /// Shared access to the box at `position` (see [`position`](Self::position)).
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::UnknownPosition`] past the last member.
+    pub fn stb_at(&self, position: u32) -> Result<&SetTopBox, HfcError> {
+        self.boxes
+            .get(position as usize)
+            .ok_or(HfcError::UnknownPosition { position })
+    }
+
+    /// The box at `position` and its peer.
+    fn member_at(&mut self, position: u32) -> Result<(PeerId, &mut SetTopBox), HfcError> {
+        match (
+            self.members.get(position as usize),
+            self.boxes.get_mut(position as usize),
+        ) {
+            (Some(&peer), Some(stb)) => Ok((peer, stb)),
+            _ => Err(HfcError::UnknownPosition { position }),
+        }
     }
 
     /// Stores `size` more bytes on `peer`'s box and returns the bytes it
@@ -132,8 +166,19 @@ impl<'t> Plant<'t> {
     /// [`HfcError::StorageFull`] if they do not fit, and
     /// [`HfcError::UnknownPeer`] for a peer outside this plant.
     pub fn store(&mut self, peer: PeerId, size: DataSize) -> Result<DataSize, HfcError> {
+        self.store_at(self.at(peer)?, size)
+    }
+
+    /// [`store`](Self::store) on the box at `position`.
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::StorageFull`] if the bytes do not fit, and
+    /// [`HfcError::UnknownPosition`] past the last member.
+    pub fn store_at(&mut self, position: u32, size: DataSize) -> Result<DataSize, HfcError> {
         let capacity = self.box_capacity;
-        self.stb_mut(peer)?.store(peer, size, capacity)
+        let (peer, stb) = self.member_at(position)?;
+        stb.store(peer, size, capacity)
     }
 
     /// Deletes `size` bytes from `peer`'s box (the caller tracks what is
@@ -145,7 +190,18 @@ impl<'t> Plant<'t> {
     /// [`HfcError::OverRelease`] if the box holds fewer than `size` bytes,
     /// and [`HfcError::UnknownPeer`] for a peer outside this plant.
     pub fn delete(&mut self, peer: PeerId, size: DataSize) -> Result<DataSize, HfcError> {
-        self.stb_mut(peer)?.delete(peer, size)
+        self.delete_at(self.at(peer)?, size)
+    }
+
+    /// [`delete`](Self::delete) on the box at `position`.
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::OverRelease`] if the box holds fewer than `size` bytes,
+    /// and [`HfcError::UnknownPosition`] past the last member.
+    pub fn delete_at(&mut self, position: u32, size: DataSize) -> Result<DataSize, HfcError> {
+        let (peer, stb) = self.member_at(position)?;
+        stb.delete(peer, size)
     }
 
     /// Attempts to occupy one of `peer`'s stream slots from `now` until
@@ -163,8 +219,28 @@ impl<'t> Plant<'t> {
         now: SimTime,
         end: SimTime,
     ) -> Result<bool, HfcError> {
+        self.try_start_stream_at(self.at(peer)?, now, end)
+    }
+
+    /// [`try_start_stream`](Self::try_start_stream) on the box at
+    /// `position`: a hit's one touch of the plant.
+    ///
+    /// # Errors
+    ///
+    /// [`HfcError::UnknownPosition`] past the last member.
+    #[inline]
+    pub fn try_start_stream_at(
+        &mut self,
+        position: u32,
+        now: SimTime,
+        end: SimTime,
+    ) -> Result<bool, HfcError> {
         let limit = self.slot_limit;
-        Ok(self.stb_mut(peer)?.try_start_stream(now, end, limit))
+        let stb = self
+            .boxes
+            .get_mut(position as usize)
+            .ok_or(HfcError::UnknownPosition { position })?;
+        Ok(stb.try_start_stream(now, end, limit))
     }
 
     /// Unconditionally occupies one of `peer`'s slots from `now` until
@@ -183,7 +259,8 @@ impl<'t> Plant<'t> {
         end: SimTime,
     ) -> Result<bool, HfcError> {
         let limit = self.slot_limit;
-        Ok(self.stb_mut(peer)?.start_stream_unchecked(now, end, limit))
+        let at = self.at(peer)?;
+        Ok(self.boxes[at as usize].start_stream_unchecked(now, end, limit))
     }
 
     /// Bytes cached across every box of the neighborhood.
@@ -313,6 +390,37 @@ mod tests {
         assert!(server.peak_stats(0, 1).mean.as_bps() > 0);
         assert_eq!(coax.broadcasts(), 2);
         assert_eq!(coax.total(), seg * 2);
+    }
+
+    /// A box's position is its peer's index among the members, and the
+    /// `*_at` twins reach the box the peer names.
+    #[test]
+    fn a_members_index_is_its_box_position() {
+        let topo = topo();
+        let byte = DataSize::from_bytes(1);
+        let mut plant = Plant::over(&topo, NeighborhoodId::new(1)).expect("exists");
+        let (t0, t1) = (SimTime::EPOCH, SimTime::from_secs(60));
+        for (i, &peer) in members(&topo, 1).iter().enumerate() {
+            let at = i as u32;
+            assert_eq!(plant.position(peer), Some(at));
+            assert_eq!(plant.store_at(at, byte), Ok(byte));
+            assert_eq!(plant.stb(peer).map(SetTopBox::used), Ok(byte));
+            assert_eq!(plant.try_start_stream_at(at, t0, t1), Ok(true));
+            assert_eq!(plant.try_start_stream(peer, t0, t1), Ok(true));
+            assert_eq!(
+                plant.try_start_stream_at(at, t0, t1),
+                Ok(false),
+                "two slots"
+            );
+            assert_eq!(plant.delete_at(at, byte), Ok(DataSize::ZERO));
+        }
+        assert_eq!(plant.position(members(&topo, 0)[0]), None);
+        let past = plant.boxes.len() as u32;
+        let unknown = Err(HfcError::UnknownPosition { position: past });
+        assert_eq!(plant.stb_at(past).map(|_| ()), unknown);
+        assert_eq!(plant.store_at(past, byte).map(|_| ()), unknown);
+        assert_eq!(plant.delete_at(past, byte).map(|_| ()), unknown);
+        assert_eq!(plant.try_start_stream_at(past, t0, t1).map(|_| ()), unknown);
     }
 
     #[test]

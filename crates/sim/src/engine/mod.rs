@@ -516,10 +516,12 @@ impl<'a> DriverParts<'a> {
                 .collect::<Result<Vec<_>, _>>()?;
             index.extend_schedule(&events, SimTime::MAX)?;
         }
+        let plant = Plant::over(self.topo, NeighborhoodId::new(n as u32))?;
+        index.check_plant(&plant)?;
         Ok(SessionDriver::new(
             supply,
             feed,
-            Plant::over(self.topo, NeighborhoodId::new(n as u32))?,
+            plant,
             index,
             self.strategy.history_window(),
             self.config,

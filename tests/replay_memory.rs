@@ -1,0 +1,152 @@
+//! The blocked replay's peak live heap, counted by a global allocator of
+//! this binary's own (a `/proc` reading would also count whatever else the
+//! process does).
+//!
+//! Every driver of a blocked replay stays alive from the first block to
+//! the last, so whatever an index keeps per access is multiplied by the
+//! accesses in its history window and again by the neighborhoods. An LFU
+//! index keeps none: its neighborhood's accesses are handed back by the
+//! record supply as they leave the window (`cablevod_cache::history`).
+//! So what an LFU replay holds beyond an LRU replay of the same file —
+//! counts and score sets, by program — must not grow when the same
+//! subscribers make twice the sessions in the same week. An index copying
+//! its accesses into a ring of its own fails that: its ring is the window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+use cablevod_cache::StrategySpec;
+use cablevod_hfc::units::DataSize;
+use cablevod_sim::{SimConfig, Simulation};
+use cablevod_trace::columnar::ColumnarReader;
+use cablevod_trace::source::TraceSource;
+use cablevod_trace::synth::{generate_to_disk, SynthConfig};
+
+struct Counting;
+
+thread_local! {
+    /// Counting covers the measuring thread only: the test harness's
+    /// own threads allocate too.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+// Statistics only, read after the counted work on the same thread.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn note(delta: i64) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as i64);
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as i64);
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as i64 - layout.size() as i64);
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as i64));
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The peak live heap `work` adds on this thread, in bytes.
+fn peak_heap(work: impl FnOnce()) -> u64 {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    COUNTING.with(|on| on.set(true));
+    work();
+    COUNTING.with(|on| on.set(false));
+    PEAK.load(Ordering::Relaxed) as u64
+}
+
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A week of 3 000 subscribers in six neighborhoods, `rate` sessions a
+/// subscriber-day, written time-major, then replayed serially (the
+/// blocked replay, every driver on this thread) under `lru` and under a
+/// week-long `lfu`, which no access leaves. Returns the records and the
+/// two replays' peak heaps.
+fn replay(dir: &Path, rate: f64) -> (u64, u64, u64) {
+    let synth = SynthConfig {
+        users: 3_000,
+        programs: 400,
+        days: 6,
+        seed: 38,
+        sessions_per_user_day: rate,
+        ..SynthConfig::powerinfo()
+    };
+    let path = dir.join(format!("tm{rate}.cvtc"));
+    generate_to_disk(&synth, &path, 4_096).expect("generate");
+    let reader = ColumnarReader::open(&path).expect("open");
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(500)
+        .with_per_peer_storage(DataSize::from_gigabytes(2))
+        .with_warmup_days(3);
+    let [lru, lfu] = [StrategySpec::Lru, StrategySpec::default_lfu()].map(|spec| {
+        peak_heap(|| {
+            let outcome = Simulation::over(&reader)
+                .config(config.clone())
+                .strategy(spec)
+                .serial()
+                .run()
+                .expect("replays");
+            assert_eq!(outcome.telemetry.decode.chunks, reader.chunk_count() as u64);
+        })
+    });
+    (reader.record_count(), lru, lfu)
+}
+
+#[test]
+fn lfu_drivers_heap_does_not_grow_with_the_events_in_the_window() {
+    let dir =
+        TempDir(std::env::temp_dir().join(format!("cvtc_replay_memory_{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).expect("create test dir");
+
+    let (records, lru, lfu) = replay(&dir.0, 2.39);
+    let (records2, lru2, lfu2) = replay(&dir.0, 4.78);
+    assert!(
+        records2 >= 2 * records - records / 20,
+        "{records} -> {records2}"
+    );
+    let (extra, extra2) = (lfu.saturating_sub(lru), lfu2.saturating_sub(lru2));
+    // A ring of 8-byte events would add at least `8 × records` bytes when
+    // the records double; what the LFU adds is by program, and the
+    // catalog is the same.
+    assert!(
+        extra2 <= extra + records / 8,
+        "{records} -> {records2} records moved the LFU's heap over LRU from {extra} B to \
+         {extra2} B (LRU {lru} -> {lru2} B, LFU {lfu} -> {lfu2} B)"
+    );
+}
