@@ -1,15 +1,18 @@
 //! The one access event a strategy keeps.
 //!
-//! Two strategies hold the neighborhood's accesses themselves rather than
-//! counts of them: the windowed LFU keeps every event inside its history
-//! window, to take each one back out when it expires (`lfu.rs`), and the
-//! Oracle's [`ScheduleWindow`](crate::schedule::ScheduleWindow) buffers
-//! the look-ahead span of the future. Both keep an [`AccessEvent`]: the
-//! access's start in whole seconds as a `u32` and the program — 8 bytes,
-//! half of a `(SimTime, ProgramId)` pair. Such a ring is held per
-//! neighborhood for the whole run, so its width is multiplied by the
-//! number of events in the window and again by the number of
-//! neighborhoods.
+//! Two strategies hold accesses themselves rather than counts of them:
+//! the windowed LFU keeps the events inside its history window that no
+//! record supply hands back to it — remote feed events, double-weight
+//! extras, or, built without a
+//! [`HistoryWindow`](crate::history::HistoryWindow), every access — to
+//! take each one back out when it expires (`lfu.rs`), and the Oracle's
+//! [`ScheduleWindow`](crate::schedule::ScheduleWindow) buffers the
+//! look-ahead span of the future. Both keep an [`AccessEvent`], and so do
+//! the hand-overs that feed them: the access's start in whole seconds as
+//! a `u32` and the program — 8 bytes, half of a `(SimTime, ProgramId)`
+//! pair. Such a ring is held per neighborhood for the whole run, so its
+//! width is multiplied by the number of events in the window and again by
+//! the number of neighborhoods.
 //!
 //! The narrowing sets a **horizon**: an event can name any second below
 //! [`AccessEvent::HORIZON`] (2^32 s, about 136 years after the trace

@@ -132,7 +132,8 @@ impl HistoryWindow {
     }
 
     /// Events handed back and not yet retired.
-    pub fn resident_events(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_events(&self) -> usize {
         self.leaving.len()
     }
 

@@ -126,11 +126,11 @@ impl Entry {
 ///
 /// The ring holds one 8-byte [`AccessEvent`] per event it keeps (half a
 /// `(SimTime, ProgramId)` pair); a self-fed ring keeps every access in
-/// the window, thousands of events a neighborhood, for the whole run, and
-/// was once the largest thing an LFU index kept. An event's seconds are a
-/// `u32`, so the ring carries times below [`AccessEvent::HORIZON`] only;
-/// the index server refuses a later access before it reaches the strategy
-/// (see [`crate::event`]).
+/// the window — thousands of events a neighborhood, for the whole run,
+/// more than the rest of the index — which is why the engine hands them
+/// back instead. An event's seconds are a `u32`, so the ring carries
+/// times below [`AccessEvent::HORIZON`] only; the index server refuses a
+/// later access before it reaches the strategy (see [`crate::event`]).
 ///
 /// The ring is sorted by event time, arrival order on ties. It carries no
 /// sequence number to say so: an arriving event is the newest there is, so

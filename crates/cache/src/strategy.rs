@@ -29,10 +29,12 @@
 //! [`StrategyRegistry`](crate::registry::StrategyRegistry): the replay
 //! engine never needs to know the strategy's type, only the capabilities
 //! ([`needs_feed`](StrategyFactory::needs_feed) /
-//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead)) and the
+//! [`schedule_lookahead`](StrategyFactory::schedule_lookahead) /
+//! [`history_window`](StrategyFactory::history_window)) and the
 //! optional [`fetch_model`](StrategyFactory::fetch_model) that decide
-//! whether the global popularity feed, the Oracle's access schedule and
-//! delayed-hit accounting are wired up for the run.
+//! whether the global popularity feed, the Oracle's access schedule, the
+//! hand-back of the windowed LFU's past accesses and delayed-hit
+//! accounting are wired up for the run.
 //!
 //! # Strategy lifecycle
 //!
@@ -52,7 +54,10 @@
 //!    checks here that the look-ahead it was handed
 //!    ([`extend_schedule`](CacheStrategy::extend_schedule): all at once
 //!    when a resident run builds its index, by the record supply as it
-//!    reads ahead on a streaming run) reaches the access's horizon.
+//!    reads ahead on a streaming run) reaches the access's horizon, and a
+//!    windowed LFU that the accesses leaving its history were handed back
+//!    ([`extend_history`](CacheStrategy::extend_history), by the record
+//!    supply as it reads behind, before the feed sync).
 //! 3. **`on_access`** — the access itself; all admissions and evictions
 //!    materialize through the returned [`CacheOp`]s, including those the
 //!    feed decided on earlier (the ops channel is the only way content

@@ -54,6 +54,9 @@
 //!                                 sees its future: a buffer fed the whole of
 //!                                 it when a resident run builds the index,
 //!                                 or kept fed by the record supply)
+//!  HistoryWindow                 (cablevod_cache::history — how a windowed
+//!                                 LFU lets go of its past: the record supply
+//!                                 hands each access back as it leaves)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ results flow into
 //!        ▼
@@ -71,12 +74,12 @@
 //! every shard walks one contiguous run of records in ascending global
 //! index:
 //!
-//! | plan      | entry                              | supply                           | feed              | scheduling                               |
-//! |-----------|------------------------------------|----------------------------------|-------------------|------------------------------------------|
-//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | `PrecomputedFeed` | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | `SharedFeed`      | cooperative tasks, parked at block edges |
-//! |           |                                    | `StreamSupply` (sweep fast path) | none              | work-stealing pool                       |
-//! | online    | `online::serve_serial`             | `LiveSupply`                     | `SharedFeed`      | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | plan      | entry                              | supply                           | feed              | history hand-back                  | scheduling                               |
+//! |-----------|------------------------------------|----------------------------------|-------------------|------------------------------------|------------------------------------------|
+//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | `PrecomputedFeed` | an index into the gathered run     | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | `SharedFeed`      | the decoder's trailing cursor, per block | cooperative tasks, parked at block edges |
+//! |           |                                    | `StreamSupply` (sweep fast path) | none              | the shard's own trailing cursor    | work-stealing pool                       |
+//! | online    | `online::serve_serial`             | `LiveSupply`                     | `SharedFeed`      | released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
@@ -177,6 +180,35 @@
 //! neighborhood's to its window in one piece, when the index server is
 //! built — nothing on its hot loop. Either way the window shows the
 //! Oracle the identical event sequence, so reports stay bit-identical.
+//!
+//! # The history's trailing cursor
+//!
+//! The windowed LFU family (§IV-B.2's "history of all events that occur
+//! within the last N hours") has to take each of its neighborhood's
+//! accesses back out of its counts when it is N hours old — and those
+//! accesses are the very records being replayed, N hours further back.
+//! So the look-ahead has a mirror image: under a strategy that declares a
+//! history window, every supply hands its neighborhood's accesses back
+//! to the index server as they leave the window
+//! (`RecordSupply::read_behind`, which the
+//! driver calls before every access it publishes and every idle sweep),
+//! into a [`HistoryWindow`] that buffers one hand-back, and the strategy
+//! keeps a copy only of what no supply can hand back (remote feed events,
+//! the delayed-hits LFU's double weight). A resident run's supply keeps an
+//! index into the run it gathered; the blocked replay's decoder keeps a
+//! trailing cursor over the chunk runs, `window` behind each block's edge,
+//! and groups what it passes by neighborhood beside the block's records,
+//! the look-ahead's slice; a fast-path shard keeps one over its own runs;
+//! the online supply keeps its released sessions until they leave. The
+//! trailing cursor reads nothing until the window's edge reaches the first
+//! record, so a window that covers the whole run decodes every chunk once;
+//! a shorter one decodes a second time every chunk its edge has passed —
+//! the whole file, for a zero window — while holding one decoded chunk a
+//! run instead of every neighborhood's copy of its window. The events and
+//! the instant at which each leaves are the ones the strategy's own copy
+//! would give, so reports stay bit-identical; the reference model's
+//! strategies keep their own copies, which holds the hand-back to an
+//! independent history.
 //!
 //! Whichever path runs, the report is **bit-identical**, and what it is
 //! held to is not another plan: a deliberately naive whole-plant
@@ -446,7 +478,8 @@ impl<'a> DriverParts<'a> {
     /// Builds the index server for neighborhood `n`, configured the same
     /// whichever driver asks (including the per-neighborhood placement RNG
     /// stream). Under a strategy that looks ahead it gets an empty
-    /// [`ScheduleWindow`] over `costs`, for the driver to feed.
+    /// [`ScheduleWindow`] over `costs`, and under one that remembers its
+    /// past an empty [`HistoryWindow`], for the driver to feed.
     fn index(&self, n: usize) -> Result<IndexServer, SimError> {
         let config = self.config;
         let nominal = config.stream_rate() * config.segment_len();
@@ -500,7 +533,9 @@ impl<'a> DriverParts<'a> {
     /// records are resident hands the index the whole of the
     /// neighborhood's future here, in one piece, before the replay starts
     /// (a streaming supply hands the same events over as it reads ahead —
-    /// see `stream.rs`).
+    /// see `stream.rs`). Here too the index's ledger is checked against
+    /// the plant's boxes once, so that every copy reaches its box by its
+    /// ledger index ([`IndexServer::check_plant`]).
     fn driver<F: FeedProvider, R: RecordSupply>(
         &self,
         n: usize,
@@ -567,7 +602,9 @@ enum Replay {
 ///
 /// Either way there is no pre-pass and no filtering, and each chunk is
 /// decoded once for the whole run — twice under a strategy that looks
-/// ahead, whose future is read off the same runs by a second cursor.
+/// ahead, whose future is read off the same runs by a second cursor, and
+/// a second time, as far as the history window's edge has come, under one
+/// that remembers its past.
 fn shard_plans<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,

@@ -72,6 +72,7 @@ use super::lifecycle::{
     feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step,
 };
 use super::report::merge_outcomes;
+use super::stream::past;
 use super::{build_topology_for, DriverParts};
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -333,13 +334,13 @@ impl RecordSupply for LiveSupply<'_> {
         until: SimTime,
         sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        let Some(past) = self.past.as_mut() else {
+        let Some(kept) = self.past.as_mut() else {
             return Ok(());
         };
         self.leaving.clear();
-        while let Some(&event) = past.front().filter(|e| e.at() <= until) {
+        while let Some(&event) = kept.front().filter(|e| e.at() <= until) {
             self.leaving.push(event);
-            past.pop_front();
+            kept.pop_front();
         }
         // Released sessions not taken yet can leave too, under a zero
         // window: the rest of the second being replayed.
@@ -351,10 +352,7 @@ impl RecordSupply for LiveSupply<'_> {
                 .push(AccessEvent::new(session.rec.start, session.rec.program)?);
             self.handed += 1;
         }
-        sink(
-            &self.leaving,
-            until.saturating_add(SimDuration::from_secs(1)),
-        )
+        sink(&self.leaving, past(until))
     }
 
     fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {

@@ -31,12 +31,12 @@
 //! can observe of the source and the strategy picks the supply, the
 //! worker count never does:
 //!
-//! | source                        | strategy   | supply         | chunk decodes                | reads ahead  |
-//! |-------------------------------|------------|----------------|------------------------------|--------------|
-//! | time-major                    | any        | `BlockSupply`  | each once, centrally         | the `Demux`  |
-//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      | every supply |
-//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged | the `Demux`  |
-//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged | the `Demux`  |
+//! | source                        | strategy   | supply         | chunk decodes                | reads ahead  | reads behind |
+//! |-------------------------------|------------|----------------|------------------------------|--------------|--------------|
+//! | time-major                    | any        | `BlockSupply`  | each once, centrally         | the `Demux`  | the `Demux`  |
+//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      | every supply | every supply |
+//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged | the `Demux`  | the `Demux`  |
+//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged | the `Demux`  | the `Demux`  |
 //!
 //! Under a strategy that looks into the future (the Oracle), whoever
 //! stages a neighborhood's records in order also reads the same records
@@ -48,6 +48,19 @@
 //! neighborhood beside the block's records, so the barrier that orders
 //! records and feed orders this too; a `StreamSupply` whenever it stages
 //! a record.
+//!
+//! Under a strategy that remembers its past (the windowed LFU family) the
+//! same staging reads the records a second time `window` *behind* the
+//! replay — a [`ReadBehind`], the look-ahead's mirror — and hands each
+//! access back to its index server as it leaves the history window
+//! ([`RecordSupply::read_behind`]): the `Demux` per block, `window` behind
+//! the block's edge, its slice grouped beside the look-ahead's; a
+//! `StreamSupply` before every access; a [`GatheredSupply`] by an index
+//! into its run, with nothing to decode. The cursor reads nothing until
+//! the window's edge reaches the replay's first record, so a window
+//! longer than the run decodes nothing twice; a shorter one decodes again
+//! the chunks its edge has passed, holding one decoded chunk a run where
+//! every index used to keep a copy of its window.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
@@ -152,7 +165,7 @@ impl RecordSupply for GatheredSupply<'_> {
 
 /// The instant just past `until`: what a hand-back of every access at or
 /// before `until` covers.
-fn past(until: SimTime) -> SimTime {
+pub(super) fn past(until: SimTime) -> SimTime {
     until.saturating_add(SimDuration::from_secs(1))
 }
 

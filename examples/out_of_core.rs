@@ -16,7 +16,11 @@
 //! replays the same file under LRU, LFU and the windowed Oracle — whose
 //! future is read off the same file by a second cursor three days ahead
 //! of the replay, so its decode counters show 2x the file and its peak
-//! RSS tracks the look-ahead window instead of the trace length.
+//! RSS tracks the look-ahead window instead of the trace length — and
+//! under a one-day LFU, whose past is handed back to each index by a
+//! cursor a day behind the replay: it decodes again every chunk that
+//! cursor passes, which the week-long LFU's, on a six-day file, never
+//! does.
 //!
 //! Every replay goes through the [`Simulation`] front door: sessions/sec,
 //! chunk-decode counts, decoded bytes and the process peak RSS (`VmHWM`)
@@ -33,25 +37,28 @@
 use std::time::Instant;
 
 use cablevod_cache::StrategySpec;
-use cablevod_hfc::units::DataSize;
+use cablevod_hfc::units::{DataSize, SimDuration};
 use cablevod_sim::{RunOutcome, SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::rechunk_by_neighborhood;
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::synth::{generate_to_disk, SynthConfig};
 
-/// Renders one outcome's telemetry: throughput, decode work, peak RSS.
-fn telemetry_line(outcome: &RunOutcome) -> String {
+/// Renders one outcome's telemetry: throughput, decode work (also as
+/// passes over the file's `chunks`), peak RSS.
+fn telemetry_line(outcome: &RunOutcome, chunks: usize) -> String {
     let t = &outcome.telemetry;
     let rss = t
         .peak_rss_kb
         .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
         .unwrap_or_else(|| "n/a".into());
     format!(
-        "{:?} ({:.0} sessions/s; {} chunk decodes, {:.1} MiB decoded; peak RSS {rss})",
+        "{:?} ({:.0} sessions/s; {} chunk decodes = {:.2}x the file, {:.1} MiB decoded; \
+         peak RSS {rss})",
         t.wall,
         outcome.sessions_per_sec(),
         t.decode.chunks,
+        t.decode.chunks as f64 / chunks as f64,
         t.decode.bytes as f64 / (1024.0 * 1024.0),
     )
 }
@@ -97,7 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let serial = Simulation::over(&reader).config(config.clone()).run()?;
-    println!("streaming, 1 worker: {}", telemetry_line(&serial));
+    let chunks = reader.chunk_count();
+    println!("streaming, 1 worker: {}", telemetry_line(&serial, chunks));
 
     for threads in [2usize, 4] {
         let sharded = Simulation::over(&reader)
@@ -110,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "streaming, {threads} workers: {} (bit-identical)",
-            telemetry_line(&sharded)
+            telemetry_line(&sharded, chunks)
         );
     }
 
@@ -143,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "nbhd-major sharded x{threads}: {} (bit-identical)",
-            telemetry_line(&sharded)
+            telemetry_line(&sharded, nm_reader.chunk_count())
         );
     }
     std::fs::remove_file(&nm_path).ok();
@@ -153,20 +161,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // across rows); the Oracle
     // row holding near LRU/LFU is the point — it holds the look-ahead's
     // worth of its future, not the trace's, and its decode count shows
-    // the look-ahead cursor's pass (2x the file).
+    // the look-ahead cursor's pass (2x the file). The week-long LFU lets
+    // no access of the six-day file go, so its trailing cursor never
+    // reads; the one-day LFU's reads the file again up to a day before
+    // the last session.
     println!("\nstrategy replays (streaming, 1 worker):");
+    let day_lfu = StrategySpec::Lfu {
+        history: SimDuration::from_days(1),
+    };
     for (label, spec) in [
         ("lru", StrategySpec::Lru),
         ("lfu", StrategySpec::default_lfu()),
+        ("lfu-1d", day_lfu),
         ("oracle", StrategySpec::default_oracle()),
     ] {
         let outcome = Simulation::over(&reader)
             .config(config.clone())
             .strategy(spec)
             .run()?;
+        let decodes = outcome.telemetry.decode.chunks;
+        let file = chunks as u64;
+        match label {
+            "lfu-1d" => assert!(
+                file < decodes && decodes < 2 * file,
+                "the day's cursor decodes part of the file again: {decodes} of {file}"
+            ),
+            "oracle" => assert_eq!(decodes, 2 * file, "look-ahead + replay"),
+            _ => assert_eq!(decodes, file, "one pass"),
+        }
         println!(
             "  {label:>6}: {}; hit rate {:.1}%",
-            telemetry_line(&outcome),
+            telemetry_line(&outcome, chunks),
             outcome.report.hit_rate() * 100.0,
         );
     }
