@@ -385,8 +385,7 @@ impl WindowedLfu {
     ///
     /// # Errors
     ///
-    /// [`crate::error::CacheError::History`] when the hand-backs fall
-    /// short.
+    /// [`CacheError::History`] when the hand-backs fall short.
     pub(crate) fn check_history(&self, now: SimTime) -> Result<(), CacheError> {
         match (&self.fed, self.cutoff(now)) {
             (Some(fed), Some(cutoff)) => fed.ensure_covered(cutoff),

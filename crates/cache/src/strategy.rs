@@ -780,22 +780,30 @@ mod tests {
     #[test]
     fn capabilities_by_variant() {
         let day = SimDuration::from_days(1);
-        for (text, feed, lookahead, fetch_ms) in [
-            ("no-cache", false, None, None),
-            ("lru", false, None, None),
-            ("lfu:7d", false, None, None),
-            ("global-lfu:3d:30m", true, None, None),
-            ("oracle:1d", false, Some(day), None),
-            ("arc", false, None, None),
-            ("tlru", false, None, None),
-            ("prior-storing", true, None, None),
-            ("delayed-lfu:7d:350ms", false, None, Some(350)),
+        let days = SimDuration::from_days;
+        for (text, feed, lookahead, history, fetch_ms) in [
+            ("no-cache", false, None, None, None),
+            ("lru", false, None, None, None),
+            ("lfu:7d", false, None, Some(days(7)), None),
+            ("global-lfu:3d:30m", true, None, Some(days(3)), None),
+            ("oracle:1d", false, Some(day), None, None),
+            ("arc", false, None, None, None),
+            ("tlru", false, None, None, None),
+            ("prior-storing", true, None, Some(day), None),
+            (
+                "delayed-lfu:7d:350ms",
+                false,
+                None,
+                Some(days(7)),
+                Some(350),
+            ),
         ] {
             let spec = StrategySpec::parse(text).expect("parses");
             let factory = spec.factory();
             assert_eq!(factory.name(), spec.label(), "{text}");
             assert_eq!(factory.needs_feed(), feed, "{text}");
             assert_eq!(factory.schedule_lookahead(), lookahead, "{text}");
+            assert_eq!(factory.history_window(), history, "{text}");
             assert_eq!(
                 factory.fetch_model(),
                 fetch_ms.map(FetchModel::with_latency_ms),

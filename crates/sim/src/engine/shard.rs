@@ -196,8 +196,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
         parts.config,
         parts.segmenter,
         feed,
-        parts.strategy.schedule_lookahead(),
-        parts.strategy.history_window(),
+        parts.strategy,
     );
     let worker_results: Vec<ShardResults> = std::thread::scope(|scope| {
         let handles: Vec<_> = permits

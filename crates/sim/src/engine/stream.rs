@@ -59,8 +59,8 @@
 //! into its run, with nothing to decode. The cursor reads nothing until
 //! the window's edge reaches the replay's first record, so a window
 //! longer than the run decodes nothing twice; a shorter one decodes again
-//! the chunks its edge has passed, holding one decoded chunk a run where
-//! every index used to keep a copy of its window.
+//! the chunks its edge has passed, holding one decoded chunk a run
+//! instead of a copy of the window in every index.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
@@ -78,7 +78,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cablevod_cache::{AccessEvent, FeedProducer, WatermarkFeed};
+use cablevod_cache::{AccessEvent, FeedProducer, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -248,9 +248,8 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
 
 impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
     /// A decoder over `runs`, which together hold every record of
-    /// `source` (see [`super::serial_runs`]), reading `lookahead` ahead
-    /// and `history` behind for a strategy that asks for it.
-    #[allow(clippy::too_many_arguments)]
+    /// `source` (see [`super::serial_runs`]), reading ahead and behind as
+    /// far as `strategy` looks into its future and remembers its past.
     pub(super) fn new(
         source: &'a S,
         runs: &'a [Vec<u32>],
@@ -258,8 +257,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         config: &'a SimConfig,
         segmenter: Segmenter,
         feed: Option<&'a WatermarkFeed>,
-        lookahead: Option<SimDuration>,
-        history: Option<SimDuration>,
+        strategy: &dyn StrategyFactory,
     ) -> Self {
         let chunks = source.chunk_count().max(1) as u64;
         Demux {
@@ -271,8 +269,12 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             nbhd_count: topo.neighborhood_count(),
             block_records: source.record_count().div_ceil(chunks).max(1) as usize,
             feed: feed.map(WatermarkFeed::producer_handle),
-            ahead: lookahead.map(|lookahead| LookAhead::new(source, runs, lookahead)),
-            behind: history.map(|window| (ReadBehind::new(source, runs), window)),
+            ahead: strategy
+                .schedule_lookahead()
+                .map(|lookahead| LookAhead::new(source, runs, lookahead)),
+            behind: strategy
+                .history_window()
+                .map(|window| (ReadBehind::new(source, runs), window)),
             published: 0,
             last_start: SimTime::EPOCH,
             dest: Vec::new(),

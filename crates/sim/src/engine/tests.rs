@@ -610,8 +610,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         &config,
         segmenter,
         None,
-        Some(lookahead),
-        None,
+        &StrategySpec::Oracle { lookahead },
     );
     let mut supplies: Vec<_> = (0..nbhd_count)
         .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
@@ -868,7 +867,15 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
 
     for (layout, source) in sources {
         let runs = serial_runs(source);
-        let mut demux = Demux::new(source, &runs, &topo, &config, segmenter, None, None, None);
+        let mut demux = Demux::new(
+            source,
+            &runs,
+            &topo,
+            &config,
+            segmenter,
+            None,
+            &StrategySpec::Lru,
+        );
         let mut supplies: Vec<_> = (0..nbhd_count)
             .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
             .collect();

@@ -406,8 +406,11 @@ impl StrategyFactory for SelfFed {
     }
 }
 
-/// The read-behind's decode accounting, on both layouts and the sweep
-/// fast path, against the strategy keeping its own history. A history
+/// The read-behind's decode accounting, on both layouts — the
+/// neighborhood-major one merged by the decoder and on the sweep fast
+/// path — against the strategy keeping its own history, for plain LFU
+/// and, at a day, the feed's (whose remote events stay in its own ring)
+/// and the delayed-hits one (whose double weight does). A history
 /// longer than the four-day trace lets nothing go, so the trailing cursor
 /// never reads and every chunk is decoded once. A zero history lets every
 /// access go as it happens, so the cursor reads the whole file behind the
@@ -430,9 +433,18 @@ fn a_history_window_decodes_what_leaves_it_a_second_time() {
     let chunks = tm_reader.chunk_count() as u64;
     let last = trace.records().last().expect("records").start;
 
-    for (text, window) in [("lfu:7d", None), ("lfu:1d", Some(1)), ("lfu:0s", Some(0))] {
+    let windows = [
+        ("lfu:7d", None),
+        ("lfu:1d", Some(1)),
+        ("lfu:0s", Some(0)),
+        ("global-lfu:1d:30m", Some(1)),
+        ("delayed-lfu:1d:10s", Some(1)),
+    ];
+    // At 50 the neighborhood-major file matches the plant (the fast path);
+    // at 45 the decoder merges its runs (the blocked replay).
+    for (size, (text, window)) in [50, 45].into_iter().flat_map(|n| windows.map(|w| (n, w))) {
         let spec = StrategySpec::parse(text).expect("parses");
-        let config = config_for(50, 2, spec);
+        let config = config_for(size, 2, spec);
         let self_fed = Simulation::over(&trace)
             .config(config.clone())
             .strategy_factory(Arc::new(SelfFed(spec)))
@@ -458,10 +470,11 @@ fn a_history_window_decodes_what_leaves_it_a_second_time() {
                 "{behind_tm} of {chunks}"
             );
         }
-        for (layout, reader, fastpath) in [
-            ("time-major", &tm_reader, false),
-            ("neighborhood-major", &nm_reader, true),
+        for (layout, reader) in [
+            ("time-major", &tm_reader),
+            ("neighborhood-major", &nm_reader),
         ] {
+            let fastpath = layout == "neighborhood-major" && size == 50 && !spec.needs_feed();
             let chunks = reader.chunk_count() as u64;
             for threads in [None, Some(3)] {
                 let sim = Simulation::over(reader).config(config.clone());
@@ -471,14 +484,14 @@ fn a_history_window_decodes_what_leaves_it_a_second_time() {
                 }
                 .run()
                 .expect("streamed replay runs");
-                let what = format!("{text}, {layout}, threads {threads:?}");
+                let what = format!("{text}, {layout} at {size}, threads {threads:?}");
                 assert_eq!(outcome.report, self_fed, "{what}");
                 assert_eq!(outcome.telemetry.fastpath, fastpath, "{what}");
                 let decodes = outcome.telemetry.decode.chunks;
                 match window {
                     None => assert_eq!(decodes, chunks, "{what}: nothing leaves"),
                     Some(0) => assert_eq!(decodes, 2 * chunks, "{what}: everything leaves"),
-                    Some(_) if !fastpath => {
+                    Some(_) if layout == "time-major" => {
                         assert_eq!(decodes, chunks + behind_tm, "{what}: what left, again");
                     }
                     Some(_) => assert!(
