@@ -14,10 +14,10 @@
 //! events out one by one as they fall due
 //! ([`next_leaving`](HistoryWindow::next_leaving)).
 //!
-//! What it buffers is one hand-over's worth of events that are handed
-//! back but not yet due — a block's stretch on a blocked replay, an
-//! access or so otherwise — never the window: a week-long history on a
-//! six-day trace is never handed anything.
+//! Every supply hands back, before an access, just what leaves the window
+//! at it, so the window holds at most what has been handed back and not
+//! yet counted (below) — never the window itself: a week-long history on
+//! a six-day trace is never handed anything.
 //!
 //! # Handed back, then counted
 //!

@@ -192,13 +192,14 @@
 //! to the index server as they leave the window
 //! (`RecordSupply::read_behind`, which the
 //! driver calls before every access it publishes and every idle sweep),
-//! into a [`HistoryWindow`] that buffers one hand-back, and the strategy
+//! through a [`HistoryWindow`], and the strategy
 //! keeps a copy only of what no supply can hand back (remote feed events,
 //! the delayed-hits LFU's double weight). A resident run's supply keeps an
 //! index into the run it gathered; the blocked replay's decoder keeps a
 //! trailing cursor over the chunk runs, `window` behind each block's edge,
 //! and groups what it passes by neighborhood beside the block's records,
-//! the look-ahead's slice; a fast-path shard keeps one over its own runs;
+//! like the look-ahead's slice, for each shard to hand back access by
+//! access; a fast-path shard keeps one over its own runs;
 //! the online supply keeps its released sessions until they leave. The
 //! trailing cursor reads nothing until the window's edge reaches the first
 //! record, so a window that covers the whole run decodes every chunk once;

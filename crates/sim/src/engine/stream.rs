@@ -54,9 +54,10 @@
 //! replay — a [`ReadBehind`], the look-ahead's mirror — and hands each
 //! access back to its index server as it leaves the history window
 //! ([`RecordSupply::read_behind`]): the `Demux` per block, `window` behind
-//! the block's edge, its slice grouped beside the look-ahead's; a
-//! `StreamSupply` before every access; a [`GatheredSupply`] by an index
-//! into its run, with nothing to decode. The cursor reads nothing until
+//! the block's edge, its slice grouped beside the look-ahead's and handed
+//! back by the `BlockSupply` access by access; a `StreamSupply` before
+//! every access; a [`GatheredSupply`] by an index into its run, with
+//! nothing to decode. The cursor reads nothing until
 //! the window's edge reaches the replay's first record, so a window
 //! longer than the run decodes nothing twice; a shorter one decodes again
 //! the chunks its edge has passed, holding one decoded chunk a run
@@ -421,9 +422,9 @@ pub(super) struct BlockSupply<'a> {
     /// The last attached block and its `covered`, until its look-ahead
     /// slice is handed over.
     ahead: Option<(Arc<Block>, SimTime)>,
-    /// The last attached block and its `behind_covered`, until its
-    /// read-behind slice is handed back.
-    behind: Option<(Arc<Block>, SimTime)>,
+    /// The last attached block, until its read-behind slice is handed
+    /// back, and how much of the slice has been.
+    behind: Option<(Arc<Block>, usize)>,
     catalog: &'a ProgramCatalog,
     topo: &'a Topology,
     seg_len: u64,
@@ -459,9 +460,7 @@ impl<'a> BlockSupply<'a> {
             self.behind.is_none(),
             "the last read-behind was not handed back"
         );
-        self.behind = block
-            .behind_covered
-            .map(|covered| (Arc::clone(block), covered));
+        self.behind = block.behind_covered.map(|_| (Arc::clone(block), 0));
         self.pos = block.starts[self.nbhd] as usize;
         self.end = block.starts[self.nbhd + 1] as usize;
         if self.pos < self.end {
@@ -504,21 +503,29 @@ impl RecordSupply for BlockSupply<'_> {
         }
     }
 
-    /// Hands back the attached block's slice at the first call after
-    /// [`attach`](BlockSupply::attach): it covers every `until` a driver
-    /// reaches before the block's edge.
+    /// Hands back the attached block's slice as far as `until`; the idle
+    /// sweep at the block's edge hands back the rest and lets go of the
+    /// block.
     fn read_behind(
         &mut self,
         until: SimTime,
         sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        match self.behind.take() {
-            Some((block, covered)) => {
-                debug_assert!(until < covered, "a block hands back through its edge");
-                sink(&block.behind[self.nbhd], covered)
-            }
-            None => Ok(()),
+        let Some((block, from)) = self.behind.take() else {
+            return Ok(());
+        };
+        let rest = &block.behind[self.nbhd][from..];
+        let leaving = rest.partition_point(|e| e.at() <= until);
+        if leaving == rest.len() {
+            let covered = block
+                .behind_covered
+                .expect("a slice comes with its instant");
+            debug_assert!(until < covered, "a block hands back through its edge");
+            return sink(rest, covered);
         }
+        let handed = sink(&rest[..leaving], past(until));
+        self.behind = Some((block, from + leaving));
+        handed
     }
 }
 
