@@ -20,6 +20,7 @@ use crate::event::AccessEvent;
 use crate::fetch::FetchModel;
 use crate::history::HistoryWindow;
 use crate::lfu::WindowedLfu;
+use crate::slots::ProgramSlots;
 use crate::strategy::{CacheOp, CacheStrategy};
 
 /// The delayed-hits-aware LFU (see the module docs).
@@ -27,11 +28,10 @@ use crate::strategy::{CacheOp, CacheStrategy};
 pub struct DelayedLfu {
     pub(crate) core: WindowedLfu,
     fetch: FetchModel,
-    /// Start time of the newest modeled fetch per program, by
-    /// `ProgramId::index()`, grown on first use (the strategy's own view;
-    /// the index server tracks its twin, `inflight`, for the report
-    /// counters).
-    fetches: Vec<Option<SimTime>>,
+    /// Start time of the newest modeled fetch, for every program ever
+    /// fetched (the strategy's own view; the index server tracks its twin,
+    /// `inflight`, for the report counters).
+    fetches: ProgramSlots<SimTime>,
 }
 
 impl DelayedLfu {
@@ -41,7 +41,7 @@ impl DelayedLfu {
         DelayedLfu {
             core: WindowedLfu::new(capacity_slots, history),
             fetch: FetchModel::with_latency_ms(latency_ms),
-            fetches: Vec::new(),
+            fetches: ProgramSlots::default(),
         }
     }
 
@@ -80,17 +80,13 @@ impl CacheStrategy for DelayedLfu {
         let miss = !self.core.contains(program);
         self.core.record(program, cost, now);
         if miss && !self.fetch.is_instant() {
-            let idx = program.index();
-            if idx >= self.fetches.len() {
-                self.fetches.resize(idx + 1, None);
-            }
-            match self.fetches[idx] {
+            match self.fetches.get(program).copied() {
                 Some(start) if self.fetch.covers(start, now) => {
                     // Coalesced onto the outstanding fetch: double
                     // weight, not an independent fetch.
                     self.core.record_extra(program, cost, now);
                 }
-                _ => self.fetches[idx] = Some(now),
+                _ => *self.fetches.get_or_insert(program) = now,
             }
         }
         self.core.expire(now);

@@ -57,48 +57,52 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 use crate::error::CacheError;
 use crate::event::AccessEvent;
 use crate::history::HistoryWindow;
+use crate::slots::ProgramSlots;
 use crate::strategy::{CacheOp, CacheStrategy};
 use crate::waterline::{Score, Tenants, Waterline};
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
+/// What the strategy keeps about one live program: one counted in the
+/// window, or a candidate, or cached. Twenty bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
     count: u32,
-    last_seq: u64,
     cost: u32,
-    cached: bool,
-    /// Whether this dense-table slot holds a tracked program. Dead slots
-    /// are skipped by every query; reviving one resets its fields.
-    live: bool,
+    /// Recency: the sequence number of the program's latest access (see
+    /// [`WindowedLfu::next_seq`]).
+    last_seq: u32,
     /// While cached: the `(count, last_seq)` this program is filed under
     /// in the cached set, at or below its current score (see
-    /// [`WindowedLfu::record`]).
-    filed: (u32, u64),
+    /// [`WindowedLfu::count`]). `filed_seq` is 0 while it is not cached:
+    /// sequence numbers start at 1.
+    filed_count: u32,
+    filed_seq: u32,
 }
 
-impl Entry {
-    const DEAD: Entry = Entry {
-        count: 0,
-        last_seq: 0,
-        cost: 0,
-        cached: false,
-        live: false,
-        filed: (0, 0),
-    };
+impl Record {
+    fn cached(&self) -> bool {
+        self.filed_seq != 0
+    }
 
-    fn fresh(last_seq: u64, cost: u32) -> Entry {
-        Entry {
-            last_seq,
-            cost,
-            live: true,
-            ..Entry::DEAD
-        }
+    fn score(&self, program: ProgramId) -> Score {
+        (self.count, self.last_seq, program)
+    }
+
+    fn filed(&self, program: ProgramId) -> Score {
+        (self.filed_count, self.filed_seq, program)
+    }
+
+    fn file(&mut self, (count, seq, _): Score) {
+        (self.filed_count, self.filed_seq) = (count, seq);
     }
 }
 
 /// The windowed-LFU cache strategy.
 ///
-/// Program ids are dense catalog indices, so per-program state lives in a
-/// lazily-grown `Vec` (`entries`) rather than a hash map.
+/// Per-program state is a `ProgramSlots` map (`slots.rs`): a 4-byte slot
+/// per program id in front of a 20-byte record per *live* program — one
+/// counted in the window, a candidate or cached. A program whose last
+/// access left the window and that is not cached dies, and its record is
+/// recycled.
 ///
 /// # Who remembers the window
 ///
@@ -142,6 +146,22 @@ impl Entry {
 /// (`equal_time_events_may_leave_in_any_order` permutes them). The same
 /// argument lets one expiry retire the handed-back events and the ring's
 /// in either order.
+///
+/// # Sequence numbers
+///
+/// Recency is a sequence number, stepped once for every access counted.
+/// Nothing bounds how many accesses one index counts — a global feed
+/// hands every index the whole plant's — so a 32-bit number would run out
+/// on a long enough run. It never wraps: when it reaches `u32::MAX`, every
+/// number still held (each live record's `last_seq`, and `filed_seq` for
+/// the cached) is replaced by its rank among them, in one pass, and the
+/// count goes on from the highest rank. Only the order of sequence
+/// numbers is ever read — both score sets compare them, nothing does
+/// arithmetic on them — and ranking keeps the order, so renumbering
+/// changes no decision (`renumbering_changes_no_decision` runs an LFU
+/// through it beside one that never reaches it). After it, at most two
+/// numbers a live program are in use, so it frees room for at least half
+/// the 32-bit range while fewer than 2^30 programs are live.
 #[derive(Debug)]
 pub struct WindowedLfu {
     window: SimDuration,
@@ -151,7 +171,8 @@ pub struct WindowedLfu {
     /// oscillation that otherwise wipes materialized segments weekly (the
     /// paper leaves admission damping unspecified; see module docs).
     swap_margin: u32,
-    seq: u64,
+    /// The latest sequence number handed out (see the type docs).
+    seq: u32,
     /// Events in the window that no supply hands back (every event, when
     /// self-fed), sorted ascending by time, in arrival order within one
     /// time.
@@ -162,20 +183,29 @@ pub struct WindowedLfu {
     /// Scratch for the tail events a run is merged with, kept for its
     /// allocation.
     displaced: Vec<AccessEvent>,
-    /// Dense per-program table indexed by `ProgramId::index()`.
-    entries: Vec<Entry>,
+    /// The live programs' records.
+    records: ProgramSlots<Record>,
     line: Waterline,
 }
 
 /// The program table as the waterline rebalance sees it.
 struct Table<'a> {
-    entries: &'a mut [Entry],
+    records: &'a mut ProgramSlots<Record>,
     swap_margin: u32,
+}
+
+impl Table<'_> {
+    fn record(&mut self, program: ProgramId) -> &mut Record {
+        self.records
+            .get_mut(program)
+            .expect("a scored program is live")
+    }
 }
 
 impl Tenants for Table<'_> {
     fn cost(&self, program: ProgramId) -> Option<u32> {
-        Some(self.entries[program.index()].cost)
+        let record = self.records.get(program).expect("a scored program is live");
+        Some(record.cost)
     }
 
     /// Strict count dominance by the swap margin: equal-count incumbents
@@ -185,26 +215,27 @@ impl Tenants for Table<'_> {
     }
 
     fn refile(&mut self, filed: Score) -> Score {
-        let entry = &mut self.entries[filed.2.index()];
-        entry.filed = (entry.count, entry.last_seq);
-        (entry.count, entry.last_seq, filed.2)
+        let record = self.record(filed.2);
+        let current = record.score(filed.2);
+        record.file(current);
+        current
     }
 
     fn admitted(&mut self, score: Score) {
-        let entry = &mut self.entries[score.2.index()];
-        debug_assert!(entry.live && !entry.cached, "admitting a known candidate");
-        entry.cached = true;
-        entry.filed = (score.0, score.1);
+        let record = self.record(score.2);
+        debug_assert!(!record.cached(), "admitting a known candidate");
+        record.file(score);
     }
 
     fn evicted(&mut self, score: Score) -> bool {
-        let entry = &mut self.entries[score.2.index()];
-        debug_assert!(entry.live && entry.cached, "evicting a cached program");
-        entry.cached = false;
-        if entry.count == 0 {
-            *entry = Entry::DEAD;
+        let record = self.record(score.2);
+        debug_assert!(record.cached(), "evicting a cached program");
+        record.filed_seq = 0;
+        let live = record.count > 0;
+        if !live {
+            self.records.remove(score.2);
         }
-        entry.live
+        live
     }
 }
 
@@ -222,7 +253,7 @@ impl WindowedLfu {
             history: VecDeque::new(),
             fed: None,
             displaced: Vec::new(),
-            entries: Vec::new(),
+            records: ProgramSlots::default(),
             line: Waterline::new(capacity_slots),
         }
     }
@@ -232,19 +263,6 @@ impl WindowedLfu {
     pub fn fed_by(mut self, history: Option<HistoryWindow>) -> Self {
         self.fed = history;
         self
-    }
-
-    /// The dense-table slot for `program`, growing the table on demand.
-    fn entry_mut(&mut self, program: ProgramId) -> &mut Entry {
-        let idx = program.index();
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, Entry::DEAD);
-        }
-        &mut self.entries[idx]
-    }
-
-    fn live_entry(&self, program: ProgramId) -> Option<&Entry> {
-        self.entries.get(program.index()).filter(|e| e.live)
     }
 
     /// Overrides the swap margin (1 = pure strict dominance).
@@ -348,28 +366,73 @@ impl WindowedLfu {
         self.displaced = displaced;
     }
 
+    /// The next sequence number, renumbering those in use first when the
+    /// 32 bits are spent (see the type docs).
+    fn next_seq(&mut self) -> u32 {
+        if self.seq == u32::MAX {
+            self.renumber();
+        }
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Replaces every sequence number still held by its rank among them,
+    /// in the records and in both score sets, keeping their order.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut held: Vec<u32> = self
+            .records
+            .records_mut()
+            .iter()
+            .flat_map(|r| [r.last_seq, r.filed_seq])
+            .filter(|&seq| seq != 0)
+            .collect();
+        held.sort_unstable();
+        held.dedup();
+        let rank = |seq: u32| -> u32 {
+            match seq {
+                0 => 0,
+                seq => {
+                    let at = held.binary_search(&seq).expect("a held number");
+                    at as u32 + 1
+                }
+            }
+        };
+        for record in self.records.records_mut() {
+            record.last_seq = rank(record.last_seq);
+            record.filed_seq = rank(record.filed_seq);
+        }
+        for set in [&mut self.line.cached, &mut self.line.candidates] {
+            *set = std::mem::take(set)
+                .into_iter()
+                .map(|(count, seq, program)| (count, rank(seq), program))
+                .collect();
+        }
+        self.seq = held.len() as u32;
+        assert!(
+            self.seq < u32::MAX,
+            "more live programs than 32-bit sequence numbers can order"
+        );
+    }
+
     /// Counts one access of `program`: its score rises and it becomes the
     /// most recent of its count.
     ///
     /// A hit on a cached program only *raises* its score, and the cached
     /// set is only ever read from its weak end, so the set keeps the
-    /// stale lower key (`Entry::filed`) and the rebalance repairs it if
-    /// it ever surfaces there.
+    /// stale lower key (`Record::filed_seq`) and the rebalance repairs it
+    /// if it ever surfaces there.
     fn count(&mut self, program: ProgramId, cost: u32) {
-        self.seq += 1;
-        let seq = self.seq;
+        let seq = self.next_seq();
         self.line.note_cost(cost);
-        let entry = self.entry_mut(program);
-        if !entry.live {
-            *entry = Entry::fresh(0, cost);
-        }
-        let old = (entry.count, entry.last_seq, program);
-        entry.count += 1;
-        entry.last_seq = seq;
-        entry.cost = cost;
-        if !entry.cached {
-            let new = (entry.count, entry.last_seq, program);
-            self.line.candidates.remove(&old); // no-op for brand-new entries
+        let record = self.records.get_or_insert(program);
+        let old = record.score(program);
+        record.count += 1;
+        record.last_seq = seq;
+        record.cost = cost;
+        if !record.cached() {
+            let new = record.score(program);
+            self.line.candidates.remove(&old); // no-op for brand-new records
             self.line.candidates.insert(new);
         }
     }
@@ -429,25 +492,27 @@ impl WindowedLfu {
                 },
             };
             let program = event.program();
-            let entry = &mut self.entries[program.index()];
-            debug_assert!(entry.live, "history refers to live entry");
-            let old = (entry.count, entry.last_seq, program);
-            entry.count -= 1;
-            let new = (entry.count, entry.last_seq, program);
-            if entry.cached {
+            let record = self
+                .records
+                .get_mut(program)
+                .expect("history refers to a live program");
+            let old = record.score(program);
+            record.count -= 1;
+            let new = record.score(program);
+            if record.cached() {
                 // A filed key may lag below the score but never sit above
                 // it, so a lowered score is refiled as soon as it dips
                 // under its key.
-                let filed = (entry.filed.0, entry.filed.1, program);
+                let filed = record.filed(program);
                 if new < filed {
-                    entry.filed = (new.0, new.1);
+                    record.file(new);
                     self.line.cached.remove(&filed);
                     self.line.cached.insert(new);
                 }
             } else {
                 self.line.candidates.remove(&old);
-                if entry.count == 0 {
-                    *entry = Entry::DEAD;
+                if record.count == 0 {
+                    self.records.remove(program);
                 } else {
                     self.line.candidates.insert(new);
                 }
@@ -458,7 +523,7 @@ impl WindowedLfu {
     /// Restores the waterline (see [`crate::waterline`]).
     pub(crate) fn rebalance(&mut self, ops: &mut Vec<CacheOp>) {
         let mut table = Table {
-            entries: &mut self.entries,
+            records: &mut self.records,
             swap_margin: self.swap_margin,
         };
         self.line.rebalance(&mut table, ops);
@@ -473,19 +538,23 @@ impl WindowedLfu {
 
     /// Windowed access count of `program` (0 when unknown).
     pub fn count_of(&self, program: ProgramId) -> u32 {
-        self.live_entry(program).map_or(0, |e| e.count)
+        self.records.get(program).map_or(0, |r| r.count)
     }
 
     /// Guarantees the just-accessed program is an admission candidate even
     /// if its own event already expired (window 0): it then carries a
     /// count-0, freshest-recency score — exactly the LRU degeneration.
     pub(crate) fn ensure_candidate(&mut self, program: ProgramId, cost: u32) {
-        if self.live_entry(program).is_none() {
-            self.seq += 1;
-            let seq = self.seq;
+        if self.records.get(program).is_none() {
+            let seq = self.next_seq();
             self.line.note_cost(cost);
-            *self.entry_mut(program) = Entry::fresh(seq, cost);
-            self.line.candidates.insert((0, seq, program));
+            let record = Record {
+                cost,
+                last_seq: seq,
+                ..Record::default()
+            };
+            self.records.insert(program, record);
+            self.line.candidates.insert(record.score(program));
         }
     }
 }
@@ -515,11 +584,11 @@ impl CacheStrategy for WindowedLfu {
     }
 
     fn contains(&self, program: ProgramId) -> bool {
-        self.live_entry(program).is_some_and(|e| e.cached)
+        self.records.get(program).is_some_and(Record::cached)
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {
-        self.live_entry(program).map(|e| e.cost)
+        self.records.get(program).map(|r| r.cost)
     }
 
     fn used_slots(&self) -> u64 {
@@ -539,12 +608,12 @@ impl CacheStrategy for WindowedLfu {
             history,
             fed,
             displaced,
-            entries,
+            records,
             line,
         } = self;
         (history.capacity() + displaced.capacity()) * std::mem::size_of::<AccessEvent>()
             + fed.as_ref().map_or(0, HistoryWindow::heap_bytes)
-            + entries.capacity() * std::mem::size_of::<Entry>()
+            + records.heap_bytes()
             + line.heap_bytes()
     }
 }
@@ -897,6 +966,43 @@ mod tests {
             );
             assert_eq!(ops_a, ops_b, "at {now}");
         }
+    }
+
+    /// A live program's record is what the strategy keeps a program
+    /// beyond its 4-byte slot and its key in one score set.
+    #[test]
+    fn a_record_is_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 20);
+    }
+
+    /// Renumbering keeps the order of every sequence number held (see the
+    /// type docs): an LFU pushed to the end of the 32 bits again and again
+    /// decides exactly as one that never gets near it.
+    #[test]
+    fn renumbering_changes_no_decision() {
+        let window = SimDuration::from_hours(6);
+        let (mut plain, mut pushed) = (WindowedLfu::new(20, window), WindowedLfu::new(20, window));
+        let mut renumbered = 0;
+        for i in 0..3_000u64 {
+            if i % 400 == 0 {
+                // Any number above every one held is as good as the next.
+                pushed.seq = pushed.seq.max(u32::MAX - 40);
+            }
+            let before = pushed.seq;
+            let program = (i * 7919 % 53) as u32;
+            let cost = 1 + program % 6;
+            assert_eq!(
+                access(&mut plain, program, cost, i * 97),
+                access(&mut pushed, program, cost, i * 97),
+                "step {i}"
+            );
+            renumbered += usize::from(pushed.seq < before);
+            for q in 0..53 {
+                assert_eq!(plain.count_of(p(q)), pushed.count_of(p(q)), "step {i}");
+                assert_eq!(plain.contains(p(q)), pushed.contains(p(q)), "step {i}");
+            }
+        }
+        assert_eq!(renumbered, 8);
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub mod placement;
 pub mod prior;
 pub mod registry;
 pub mod schedule;
+mod slots;
 pub mod strategy;
 #[cfg(test)]
 mod strategy_references;

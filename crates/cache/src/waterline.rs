@@ -61,10 +61,11 @@ use cablevod_hfc::ids::ProgramId;
 
 use crate::strategy::CacheOp;
 
-/// Score of a program: access count, then recency, then id. Ordered
-/// ascending, so the first cached score is the best eviction victim and
-/// the last candidate the best admission.
-pub(crate) type Score = (u32, u64, ProgramId);
+/// Score of a program: access count, then recency (a sequence number,
+/// kept below 2^32 by the LFU's renumbering), then id. Ordered ascending,
+/// so the first cached score is the best eviction victim and the last
+/// candidate the best admission.
+pub(crate) type Score = (u32, u32, ProgramId);
 
 /// The per-program facts a strategy lends to [`Waterline::rebalance`].
 pub(crate) trait Tenants {

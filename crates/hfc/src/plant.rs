@@ -19,7 +19,7 @@
 //! table load at all — the `*_at` twins of the box operations.
 //!
 //! A box holds only what differs from box to box — the bytes its cache
-//! holds and its in-flight streams ([`SetTopBox`], 40 bytes). Its id is its
+//! holds and its in-flight streams ([`SetTopBox`], 32 bytes). Its id is its
 //! position, and the storage contribution and stream-slot limit are one
 //! `TopologyConfig`'s, so the plant keeps those once and every box
 //! operation ([`store`](Plant::store), [`delete`](Plant::delete),

@@ -21,8 +21,8 @@
 //! never as silently free space.
 //!
 //! A plant holds one box per subscriber for the whole run, so a box is
-//! kept at 40 bytes with nothing behind it while no stream spills
-//! (`a_box_is_forty_bytes` pins the size).
+//! kept at 32 bytes with nothing behind it while no stream spills
+//! (`a_box_is_thirty_two_bytes` pins the size).
 
 use crate::error::HfcError;
 use crate::ids::PeerId;
@@ -72,10 +72,15 @@ pub struct SetTopBox {
 /// behind it. Streams beyond them (the viewer's own playback overcommitting
 /// a busy box, or a configured limit above two) spill out of line, to a
 /// list allocated while it is needed and dropped once it empties.
+///
+/// An inline slot holding [`SimTime::EPOCH`] is empty, so the box needs no
+/// count of its own. No stream in flight ends at the epoch: a stream is
+/// released at the first operation at or after its end, and every time is
+/// at or after the epoch, so one ending there would be gone before anything
+/// could count it — which is why [`ActiveStreams::push`] takes none.
 #[derive(Debug, Clone, Default)]
 struct ActiveStreams {
     inline: [SimTime; Self::INLINE],
-    inline_len: u8,
     /// Boxed so the empty case — nearly every box, all run long — is one
     /// 8-byte null pointer in the box rather than a 24-byte `Vec` header.
     #[allow(clippy::box_collection)]
@@ -85,30 +90,31 @@ struct ActiveStreams {
 impl ActiveStreams {
     const INLINE: usize = DEFAULT_STREAM_SLOTS as usize;
 
+    /// An empty inline slot.
+    const EMPTY: SimTime = SimTime::EPOCH;
+
     fn len(&self) -> usize {
-        usize::from(self.inline_len) + self.spill.as_ref().map_or(0, |spill| spill.len())
+        let inline = self.inline.iter().filter(|&&end| end != Self::EMPTY);
+        inline.count() + self.spill.as_ref().map_or(0, |spill| spill.len())
     }
 
+    /// Occupies a slot until `end`, which must be past the epoch (see the
+    /// type docs).
     fn push(&mut self, end: SimTime) {
-        match self.inline.get_mut(usize::from(self.inline_len)) {
-            Some(slot) => {
-                *slot = end;
-                self.inline_len += 1;
-            }
+        debug_assert!(end != Self::EMPTY, "a stream in flight ends past the epoch");
+        match self.inline.iter_mut().find(|slot| **slot == Self::EMPTY) {
+            Some(slot) => *slot = end,
             None => self.spill.get_or_insert_with(Box::default).push(end),
         }
     }
 
     /// Drops every stream that has ended by `now`.
     fn release_finished(&mut self, now: SimTime) {
-        let mut kept = 0;
-        for i in 0..usize::from(self.inline_len) {
-            if self.inline[i] > now {
-                self.inline[kept] = self.inline[i];
-                kept += 1;
+        for slot in &mut self.inline {
+            if *slot <= now {
+                *slot = Self::EMPTY;
             }
         }
-        self.inline_len = kept as u8;
         if let Some(spill) = self.spill.as_mut() {
             spill.retain(|&end| end > now);
             if spill.is_empty() {
@@ -172,7 +178,9 @@ impl SetTopBox {
     }
 
     /// Attempts to occupy one of `slot_limit` stream slots from `now`
-    /// until `end`.
+    /// until `end` (until `now` if `end` is earlier). A stream that ends
+    /// at the epoch occupies nothing: the next operation would release it
+    /// whatever its time (see [`ActiveStreams`]).
     ///
     /// Returns `false` when all slots are busy;
     /// §V-C: "The cache will trigger a miss if a segment is requested from a
@@ -182,7 +190,10 @@ impl SetTopBox {
         if self.active.len() >= usize::from(slot_limit) {
             return false;
         }
-        self.active.push(end.max(now));
+        let end = end.max(now);
+        if end > SimTime::EPOCH {
+            self.active.push(end);
+        }
         true
     }
 
@@ -217,8 +228,26 @@ mod tests {
 
     /// The box is what a run holds per subscriber (see the module docs).
     #[test]
-    fn a_box_is_forty_bytes() {
-        assert!(std::mem::size_of::<SetTopBox>() <= 40);
+    fn a_box_is_thirty_two_bytes() {
+        assert!(std::mem::size_of::<SetTopBox>() <= 32);
+    }
+
+    /// A stream that ends at the epoch is released by the next operation
+    /// at any time, so taking none for it is the same box: it answers every
+    /// later request as a box that took it and let it go.
+    #[test]
+    fn a_stream_ending_at_the_epoch_occupies_nothing() {
+        let t = SimTime::EPOCH;
+        let mut stb = SetTopBox::default();
+        assert!(stb.try_start_stream(t, t, 1));
+        assert_eq!(stb.active.len(), 0);
+        assert!(stb.try_start_stream(t, SimTime::from_secs(5), 1));
+        assert!(!stb.try_start_stream(t, t, 1), "a full box is still full");
+        assert!(!stb.try_start_stream(SimTime::from_secs(4), t, 1));
+        assert!(stb.try_start_stream(SimTime::from_secs(5), t, 1));
+        // Ended before it started: held until the next operation, which
+        // releases it, as at any other time.
+        assert_eq!(stb.active_streams(SimTime::from_secs(5)), 0);
     }
 
     #[test]

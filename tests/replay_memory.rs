@@ -11,18 +11,29 @@
 //! counts and score sets, by program — must not grow when the same
 //! subscribers make twice the sessions in the same week. An index copying
 //! its accesses into a ring of its own fails that: its ring is the window.
+//!
+//! Nor may it grow by a record for every program id in the catalog. An
+//! index keeps a record only for the programs its neighborhood keeps
+//! something about, behind a 4-byte slot an id (`cablevod_cache::slots`),
+//! so spreading the same programs over twenty times the ids, the rest of
+//! them never watched, costs each neighborhood's LFU its slots and no
+//! more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use cablevod_cache::StrategySpec;
+use cablevod_cache::{StrategyRegistry, StrategySpec};
+use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::DataSize;
-use cablevod_sim::{SimConfig, Simulation};
-use cablevod_trace::columnar::ColumnarReader;
+use cablevod_sim::{SimConfig, SimReport, Simulation};
+use cablevod_trace::catalog::ProgramCatalog;
+use cablevod_trace::columnar::{write_trace, ColumnarReader};
+use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::TraceSource;
-use cablevod_trace::synth::{generate_to_disk, SynthConfig};
+use cablevod_trace::synth::{generate, generate_to_disk, SynthConfig};
 
 struct Counting;
 
@@ -75,8 +86,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The peak live heap `work` adds on this thread, in bytes.
+/// The peak live heap `work` adds on this thread, in bytes. One
+/// measurement at a time: the counters are shared by every test thread.
 fn peak_heap(work: impl FnOnce()) -> u64 {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _measuring = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     COUNTING.with(|on| on.set(true));
@@ -148,5 +162,84 @@ fn lfu_drivers_heap_does_not_grow_with_the_events_in_the_window() {
         extra2 <= extra + records / 8,
         "{records} -> {records2} records moved the LFU's heap over LRU from {extra} B to \
          {extra2} B (LRU {lru} -> {lru2} B, LFU {lfu} -> {lfu2} B)"
+    );
+}
+
+/// `trace` with program `p` renamed `k·p` in a catalog `k` times as long:
+/// ids `k·p + 1 ..= k·p + k − 1` are programs nobody watches (each a copy
+/// of `p`'s entry). The renaming keeps every order between two ids, so
+/// even a decision that breaks a tie by program id decides the same way.
+fn spread_program_ids(trace: &Trace, k: u32) -> Trace {
+    let catalog: ProgramCatalog = trace
+        .catalog()
+        .iter()
+        .flat_map(|(_, info)| std::iter::repeat_n(*info, k as usize))
+        .collect();
+    let records = trace
+        .iter()
+        .map(|r| SessionRecord {
+            program: ProgramId::new(k * r.program.value()),
+            ..*r
+        })
+        .collect();
+    Trace::new(records, catalog, trace.user_count(), trace.days()).expect("spread trace")
+}
+
+/// A relation over the catalog's ids. Spread over twenty times the ids,
+/// a week of 3 000 subscribers in six neighborhoods, replayed time-major
+/// from a file (the blocked replay, every driver on this thread), must
+/// give every registry strategy the report it gives the dense catalog.
+/// And what the week-long `lfu` holds beyond `lru` may grow by no more
+/// than its slot maps: 4 B for each added id in each neighborhood. A
+/// table holding a record for every id grows by that record instead — a
+/// 40-byte LFU entry an id did.
+#[test]
+fn spreading_program_ids_changes_no_report_and_costs_a_slot_an_id() {
+    const K: u32 = 20;
+    const NEIGHBORHOODS: i64 = 6;
+    let dir = TempDir(std::env::temp_dir().join(format!("cvtc_spread_ids_{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).expect("create test dir");
+    let dense = generate(&SynthConfig {
+        users: 3_000,
+        programs: 400,
+        days: 6,
+        seed: 38,
+        ..SynthConfig::powerinfo()
+    });
+    let spread = spread_program_ids(&dense, K);
+    let added_ids = i64::from(K - 1) * dense.catalog().len() as i64;
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(500)
+        .with_per_peer_storage(DataSize::from_gigabytes(2))
+        .with_warmup_days(3);
+    let readers = [("dense", &dense), ("spread", &spread)].map(|(name, trace)| {
+        let path = dir.0.join(format!("{name}.cvtc"));
+        write_trace(&path, trace, 4_096).expect("write");
+        ColumnarReader::open(&path).expect("open")
+    });
+    let replay = |reader: &ColumnarReader, spec: StrategySpec| -> SimReport {
+        Simulation::over(reader)
+            .config(config.clone())
+            .strategy(spec)
+            .serial()
+            .run()
+            .expect("replays")
+            .report
+    };
+    for name in StrategyRegistry::builtin().names() {
+        let spec = StrategySpec::parse(name).expect("a registry name parses");
+        let [a, b] = readers.each_ref().map(|reader| replay(reader, spec));
+        assert_eq!(a, b, "{name}: spreading the program ids moved the report");
+    }
+    let [extra, extra_spread] = readers.each_ref().map(|reader| {
+        let [lru, lfu] = [StrategySpec::Lru, StrategySpec::default_lfu()]
+            .map(|spec| peak_heap(|| drop(replay(reader, spec))) as i64);
+        lfu - lru
+    });
+    let slots = 4 * added_ids * NEIGHBORHOODS;
+    assert!(
+        extra_spread <= extra + slots,
+        "{added_ids} more ids moved the LFU's heap over LRU from {extra} B to {extra_spread} B, \
+         more than {slots} B of slots"
     );
 }
