@@ -6,39 +6,24 @@
 //! accesses — instantaneously, in 30-minute batches, in 2-hour batches —
 //! against the purely local LFU.
 //!
-//! [`GlobalFeed`] is the system-wide event stream (the simulation engine
-//! publishes every access); [`GlobalLfu`] is a windowed LFU that counts
-//! local accesses immediately and remote accesses once their batch boundary
-//! has passed.
+//! The engine publishes every access into one carrier, the
+//! [`WatermarkFeed`]; [`GlobalLfu`] is a windowed LFU that counts local
+//! accesses immediately and remote accesses once their batch boundary has
+//! passed.
 //!
-//! # Two feed carriers, one consumption contract
+//! # One carrier, one consumption contract
 //!
 //! Consumers read the feed through the [`FeedEvents`] trait: a dense
 //! sequence of events addressed by **global sequence number** (the global
-//! record index of the access that produced the event). Two carriers
-//! implement it:
+//! record index of the access that produced the event). Every plan carries
+//! it in a [`WatermarkFeed`] (see [`crate::watermark`]), published by the
+//! run's one producer ahead of every consumer: the resident plan's pass
+//! over its records, the blocked replay's decoder, the online ingress.
 //!
-//! * [`GlobalFeed`] — an append-only `Vec`, grown by a single publisher
-//!   (a precomputation pass over a resident trace);
-//! * [`WatermarkFeed`] — the concurrent
-//!   bounded-retention carrier for *streaming* simulation, where no
-//!   precomputed feed exists (see [`crate::watermark`]).
-//!
-//! # One provider seam for every engine path
-//!
-//! The simulation engine does not pick carriers directly: its single
-//! session-lifecycle implementation consumes the feed through the
-//! [`FeedProvider`] trait — strategy syncs, and retiring the consumers it
-//! answers for — so resident and streaming runs differ only in which
-//! provider they construct. Publication is not the lifecycle's business:
-//! whoever owns the records publishes them before any driver runs.
-//!
-//! * [`PrecomputedFeed`] wraps a fully built [`GlobalFeed`]: syncs bound
-//!   consumption by the session's own record index;
-//! * [`SharedFeed`] wraps a [`WatermarkFeed`](crate::watermark::
-//!   WatermarkFeed) its run's one producer publishes into, ahead of every
-//!   consumer; every sync reports the strategy's consumption cursor back
-//!   so the carrier can reclaim.
+//! Every driver reads it through a [`SharedFeed`]: strategy syncs, bounded
+//! per session by the session's own record index, and the retirement of
+//! its consumer once the driver is through. Every sync reports the
+//! strategy's consumption cursor back so the carrier can reclaim.
 
 use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -49,7 +34,7 @@ use crate::history::HistoryWindow;
 use crate::index::IndexServer;
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
-use crate::watermark::WatermarkFeed;
+use crate::watermark::{FeedView, WatermarkFeed};
 
 /// One access published to the global feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,29 +69,23 @@ pub trait FeedEvents {
     fn published(&self) -> usize;
 }
 
-/// The append-only system-wide access stream.
-///
-/// Events must be published in non-decreasing time order (the engine
-/// processes the trace chronologically); consumers hold cursors into the
-/// stream.
+/// The append-only system-wide access stream: the plain carrier this
+/// crate's unit tests publish into by hand.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct GlobalFeed {
+pub(crate) struct GlobalFeed {
     events: Vec<FeedEvent>,
 }
 
+#[cfg(test)]
 impl GlobalFeed {
     /// Creates an empty feed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GlobalFeed::default()
     }
 
-    /// Publishes one access.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `event` is older than the newest published
-    /// event.
-    pub fn publish(&mut self, event: FeedEvent) {
+    /// Publishes one access, no older than the newest published one.
+    pub(crate) fn publish(&mut self, event: FeedEvent) {
         debug_assert!(
             self.events
                 .last()
@@ -117,21 +96,17 @@ impl GlobalFeed {
     }
 
     /// All published events, oldest first.
-    pub fn events(&self) -> &[FeedEvent] {
+    pub(crate) fn events(&self) -> &[FeedEvent] {
         &self.events
     }
 
     /// Number of published events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Whether nothing has been published.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
+#[cfg(test)]
 impl FeedEvents for GlobalFeed {
     fn event_at(&self, seq: usize) -> FeedEvent {
         self.events[seq]
@@ -142,75 +117,45 @@ impl FeedEvents for GlobalFeed {
     }
 }
 
-/// How a session-lifecycle driver sees the global popularity feed.
-///
-/// The engine's single event loop is generic over this trait; the
-/// concrete provider decides what consumption means for its carrier (see
-/// the module docs). All sequence numbers are global record indices.
-pub trait FeedProvider {
-    /// Feeds `index`'s strategy every newly visible event up to and
-    /// including `seq`, at session-start time `now`. Events `0..=seq`
-    /// must be published — the run's producer works ahead of its
-    /// consumers, so for a driver about to start record `seq` they are.
-    fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64);
-
-    /// Marks the consumers this provider answers for as done: nothing
-    /// more will be read.
-    fn finish(&mut self);
-}
-
-/// [`FeedProvider`] over a fully precomputed [`GlobalFeed`] — the resident
-/// engine paths, where one pass over the record slice built the whole feed
-/// up front. Consumption is bounded per session by the session's own
-/// record index, reproducing grow-as-you-go publication.
-#[derive(Debug, Clone, Copy)]
-pub struct PrecomputedFeed<'a> {
-    feed: &'a GlobalFeed,
-}
-
-impl<'a> PrecomputedFeed<'a> {
-    /// Wraps a fully built feed.
-    pub fn new(feed: &'a GlobalFeed) -> Self {
-        PrecomputedFeed { feed }
-    }
-}
-
-impl FeedProvider for PrecomputedFeed<'_> {
-    fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
-        index.sync_feed(self.feed, now, seq as usize + 1);
-    }
-
-    fn finish(&mut self) {}
-}
-
-/// [`FeedProvider`] over a shared [`WatermarkFeed`] — the streaming and
-/// online engine paths. One instance serves the one consumer its driver
-/// syncs: the driver's own neighborhood.
+/// How a driver reads a shared [`WatermarkFeed`]: one instance serves
+/// the one consumer its driver syncs, the driver's own neighborhood. All
+/// sequence numbers are global record indices.
 #[derive(Debug)]
 pub struct SharedFeed<'a> {
     feed: &'a WatermarkFeed,
+    /// Kept from sync to sync, so the segment the consumer reads from
+    /// stays cached and a sync takes no lock on the feed's directory.
+    view: FeedView<'a>,
     consumer: usize,
 }
 
 impl<'a> SharedFeed<'a> {
     /// A provider syncing (and eventually finishing) `consumer`.
     pub fn new(feed: &'a WatermarkFeed, consumer: usize) -> Self {
-        SharedFeed { feed, consumer }
+        SharedFeed {
+            feed,
+            view: feed.view(),
+            consumer,
+        }
     }
-}
 
-impl FeedProvider for SharedFeed<'_> {
-    fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
-        let view = self.feed.view();
+    /// Feeds `index`'s strategy every newly visible event up to and
+    /// including `seq`, at session-start time `now`, and reports its
+    /// cursor back to the carrier. Events `0..=seq` must be published —
+    /// the run's producer works ahead of its consumers, so for a driver
+    /// about to start record `seq` they are.
+    pub fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
+        self.view.catch_up();
         debug_assert!(
-            view.published() as u64 > seq,
+            self.view.published() as u64 > seq,
             "the producer publishes ahead of every consumer"
         );
-        let cursor = index.sync_feed(&view, now, seq as usize + 1);
-        self.feed.note_consumed(index.home().index(), cursor);
+        let cursor = index.sync_feed(&self.view, now, seq as usize + 1);
+        self.feed.note_consumed(self.consumer, cursor);
     }
 
-    fn finish(&mut self) {
+    /// Marks the consumer as done: nothing more will be read.
+    pub fn finish(&mut self) {
         self.feed.finish_consumer(self.consumer);
     }
 }
@@ -442,8 +387,8 @@ mod tests {
 
     #[test]
     fn limit_bounds_consumption_like_serial_publication() {
-        // A shard holding the full precomputed feed must not look past the
-        // publication bound, even when later events are time-visible.
+        // A shard reading a feed published in full ahead of it must not
+        // look past the bound, even when later events are time-visible.
         let mut feed = GlobalFeed::new();
         feed.publish(ev(10, 1, 7));
         feed.publish(ev(10, 2, 8)); // same time, "published later"
@@ -466,29 +411,6 @@ mod tests {
         s.sync_global(&feed, SimTime::from_secs(20), feed.len());
         s.sync_global(&feed, SimTime::from_secs(30), feed.len());
         assert_eq!(s.cursor(), 1, "event consumed exactly once");
-    }
-
-    #[test]
-    fn providers_share_one_consumption_contract() {
-        // The same event stream through a PrecomputedFeed and a SharedFeed
-        // must leave a GlobalLfu with the same cursor.
-        let events: Vec<FeedEvent> = (0..6).map(|i| ev(10 + i, 1, i as u32)).collect();
-        let mut built = GlobalFeed::new();
-        let shared = WatermarkFeed::new(events.len() as u64, 1);
-        let mut producer = shared.producer_handle();
-        for (seq, &e) in events.iter().enumerate() {
-            built.publish(e);
-            producer.publish(seq as u64, e);
-        }
-        producer.advance(events.len() as u64);
-        let mut a = lfu(0);
-        let mut b = lfu(0);
-        for limit in [2usize, 6] {
-            let now = SimTime::from_secs(40);
-            a.sync_global(&built, now, limit);
-            b.sync_global(&shared, now, limit);
-            assert_eq!(a.cursor(), b.cursor(), "limit {limit}");
-        }
     }
 
     #[test]

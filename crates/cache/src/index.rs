@@ -390,11 +390,10 @@ impl IndexServer {
     ///
     /// The explicit bound reproduces the serial engine's prefix-visibility
     /// semantics (the serial engine grows the feed one record at a time,
-    /// so at record `r` only events `0..=r` exist) on any carrier: the
-    /// resident sharded engine hands every shard the full precomputed
-    /// [`GlobalFeed`](crate::feed::GlobalFeed), the streaming sharded engine a
+    /// so at record `r` only events `0..=r` exist) however far ahead the
+    /// feed is published: every plan hands its shards a
     /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) whose watermark
-    /// has passed `limit`.
+    /// has passed `limit` — all of it, on a resident run.
     ///
     /// Returns the strategy's post-sync consumption cursor (see
     /// [`CacheStrategy::sync_global`]) so bounded feed carriers can

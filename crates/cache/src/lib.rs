@@ -79,9 +79,7 @@ pub use self::arc::ArcCache;
 pub use delayed::DelayedLfu;
 pub use error::CacheError;
 pub use event::AccessEvent;
-pub use feed::{
-    FeedEvent, FeedEvents, FeedProvider, GlobalFeed, GlobalLfu, PrecomputedFeed, SharedFeed,
-};
+pub use feed::{FeedEvent, FeedEvents, GlobalLfu, SharedFeed};
 pub use fetch::FetchModel;
 pub use history::HistoryWindow;
 pub use index::{IndexServer, IndexStats, MissReason, Resolution};

@@ -12,11 +12,10 @@
 //! bound, not an implementable policy.
 //!
 //! The future itself is consumed through a [`ScheduleWindow`], fed
-//! through [`CacheStrategy::extend_schedule`]: in one piece by a resident
-//! run, by the record supply as it reads ahead on a streaming one, where
-//! the window's state is bounded by the look-ahead span (see
-//! [`crate::schedule`]). Either way the Oracle sees the identical event
-//! sequence, so decisions are bit-identical.
+//! through [`CacheStrategy::extend_schedule`] by the record supply as it
+//! reads ahead, so the window's state is bounded by the look-ahead span
+//! (see [`crate::schedule`]). However the hand-overs fall, the Oracle sees
+//! the identical event sequence, so decisions are bit-identical.
 //!
 //! # What a window step costs
 //!
@@ -266,7 +265,8 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    /// A window handed its whole future up front, as a resident run's is.
+    /// A window handed its whole future up front, as the online engine's
+    /// is.
     fn schedule(events: &[(u64, u32)], costs: Vec<u32>) -> ScheduleWindow {
         let events: Vec<_> = events.iter().map(|&(s, q)| event(s, q)).collect();
         let mut window = ScheduleWindow::new(costs.into());

@@ -10,15 +10,14 @@
 //! the hand-overs now cover. Events are buffered when they are handed
 //! over and dropped the moment they fall behind `now`.
 //!
-//! Who feeds it is the engine's business, and the only difference between
-//! its drivers here: a resident run hands the whole future over in one
-//! piece when it builds the neighborhood's index server; a streaming
-//! run's record supply reads the same records `lookahead` further along
-//! and hands each stretch over as it goes, so the window holds O(events
-//! inside the look-ahead window + one hand-over), never O(trace). Either
-//! way the window replays the **same event sequence in the same order**,
-//! so the Oracle's decisions are bit-identical — the engine's
-//! streaming-parity property tests pin this end to end.
+//! Who feeds it is the engine's business, and it is the same on every
+//! plan: the record supply reads the neighborhood's records `lookahead`
+//! further along than the replay and hands each stretch over as it goes,
+//! so the window holds O(events inside the look-ahead window + one
+//! hand-over), never O(trace). However the stretches fall, the window
+//! replays the **same event sequence in the same order**, so the Oracle's
+//! decisions are bit-identical — the engine's plan-parity property tests
+//! pin this end to end.
 //!
 //! # Fallibility: `prepare`, then infallible advancing
 //!
@@ -256,9 +255,9 @@ mod tests {
         ProgramId::new(i)
     }
 
-    /// The two ways a window is fed: the whole future in one piece (a
-    /// resident run), and batch by batch as far as each access needs (a
-    /// streaming run's supply).
+    /// The two ways a window is fed: the whole future in one piece (the
+    /// online engine's replayed schedule), and batch by batch as far as
+    /// each access needs (every offline supply).
     #[test]
     fn both_window_kinds_replay_the_same_events() {
         let events: Vec<(u64, u32)> = (0..500).map(|i| (i * 10, (i % 13) as u32)).collect();
@@ -340,7 +339,7 @@ mod tests {
         );
     }
 
-    /// A resident run's window: handed its whole future up front, it
+    /// The online engine's window: handed its whole future up front, it
     /// covers every horizon from then on and still drops each event as it
     /// falls behind `now`.
     #[test]

@@ -52,9 +52,8 @@
 //!    cursor and must be idempotent.
 //! 2. **`prepare`** — the one fallible access-path hook; the Oracle
 //!    checks here that the look-ahead it was handed
-//!    ([`extend_schedule`](CacheStrategy::extend_schedule): all at once
-//!    when a resident run builds its index, by the record supply as it
-//!    reads ahead on a streaming run) reaches the access's horizon, and a
+//!    ([`extend_schedule`](CacheStrategy::extend_schedule), by the record
+//!    supply as it reads ahead) reaches the access's horizon, and a
 //!    windowed LFU that the accesses leaving its history were handed back
 //!    ([`extend_history`](CacheStrategy::extend_history), by the record
 //!    supply as it reads behind, before the feed sync).
@@ -150,10 +149,8 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// Takes the next stretch of this neighborhood's future accesses, in
     /// time order, after which every access before `covered` has been
     /// handed over. Called when the factory declares a
-    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead): once,
-    /// with the whole future, when a resident run builds the index; by a
-    /// streaming replay's record supply as it reads ahead. The default
-    /// ignores the events.
+    /// [`schedule_lookahead`](StrategyFactory::schedule_lookahead), by the
+    /// record supply as it reads ahead. The default ignores the events.
     ///
     /// # Errors
     ///
@@ -223,9 +220,8 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// Only events below sequence number `limit` may be consumed. The
     /// engine sets `limit` to the number of events published when the
     /// triggering access happened, which reproduces the serial engine's
-    /// grow-as-you-go visibility exactly whether the carrier is a
-    /// precomputed [`GlobalFeed`](crate::feed::GlobalFeed) or a
-    /// streaming [`WatermarkFeed`](crate::watermark::WatermarkFeed).
+    /// grow-as-you-go visibility exactly however far ahead the run's
+    /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) is published.
     /// The prefix is delivered at-least-once with non-decreasing
     /// `limit`s; implementations keep a cursor and must be idempotent.
     ///
@@ -628,9 +624,8 @@ pub trait StrategyFactory: fmt::Debug + Send + Sync {
     /// schedule; `None` (the default) when they need none. With
     /// `Some(lookahead)` the engine passes each neighborhood an empty
     /// window as [`StrategyContext::schedule`] and feeds it through
-    /// [`CacheStrategy::extend_schedule`] — the whole future at once on
-    /// resident runs; on streaming runs the record supply keeps it
-    /// `lookahead` ahead of the replay.
+    /// [`CacheStrategy::extend_schedule`]: on every plan the record supply
+    /// keeps it `lookahead` ahead of the replay.
     fn schedule_lookahead(&self) -> Option<SimDuration> {
         None
     }

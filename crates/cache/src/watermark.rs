@@ -1,14 +1,15 @@
-//! The watermark-ordered feed carrier for streaming simulation.
+//! The watermark-ordered carrier of the global popularity feed.
 //!
-//! [`WatermarkFeed`] is the concurrent carrier of the global popularity
-//! feed (see [`crate::feed`]) for *streaming* runs, where no precomputed
-//! feed exists. A run has **one producer** — the thread that decodes the
+//! [`WatermarkFeed`] is the one carrier of the global popularity feed
+//! (see [`crate::feed`]), on every plan. A run has **one producer** — the
+//! resident plan's pass over its records, the thread that decodes the
 //! trace, or the online ingress — which publishes every record's event
 //! under its global sequence number through a [`FeedProducer`] and
 //! advances the **watermark**: a promise that every event below that
 //! sequence number is published. Publication runs ahead of consumption by
-//! construction (a block is published before any shard replays it; an
-//! online session is published when it is submitted), so no consumer ever
+//! construction (a resident run publishes every record before any shard
+//! starts; a block is published before any shard replays it; an online
+//! session is published when it is submitted), so no consumer ever
 //! waits: the one starting the record with global index `g` consumes
 //! events `0..=g`, which reproduces the serial engine's grow-as-you-go
 //! prefix visibility bit-for-bit.
@@ -30,7 +31,10 @@
 //! O(trace). (A consumer that stops syncing pins its cursor and with it
 //! the window — its next sync will consume the whole backlog — so the
 //! engine syncs every neighborhood each time its driver pauses, whether
-//! or not a session started there.)
+//! or not a session started there.) A resident run's shards are jobs that
+//! each consume from their first session to their last, and one not yet
+//! started pins the floor at zero, so its feed stays whole until the last
+//! shard runs: one slot a record, in segments allocated exactly.
 //!
 //! Publication never blocks: if consumers lag, the live window grows by
 //! allocating fresh segments.
@@ -316,6 +320,14 @@ pub struct FeedView<'a> {
     feed: &'a WatermarkFeed,
     watermark: u64,
     cached: Cell<Option<Arc<Segment>>>,
+}
+
+impl FeedView<'_> {
+    /// Moves the view's watermark up to the feed's as it stands now,
+    /// keeping the cached segment.
+    pub(crate) fn catch_up(&mut self) {
+        self.watermark = self.feed.watermark();
+    }
 }
 
 impl std::fmt::Debug for FeedView<'_> {

@@ -9,16 +9,18 @@
 //! as its [`IndexServer`], its [`Plant`] and its [`AdmissionControl`], all
 //! built in one place ([`DriverParts::driver`](super::DriverParts::driver)).
 //! It is generic
-//! over two seams, and those seams — not copies of this loop — are what
-//! distinguish the entry drivers:
-//!
-//! * [`FeedProvider`] — how the global popularity feed is consumed: a
-//!   precomputed carrier (resident) or the shared watermark carrier
-//!   (streaming, online), published into before the driver runs;
-//! * [`RecordSupply`] — where sessions come from: the neighborhood's
-//!   records gathered out of a resident trace, its slice of each decoded
-//!   block, a merged chunk stream (see [`super::stream`]) or a live queue
-//!   (see [`super::online`]).
+//! over one seam, and that seam — not copies of this loop — is what
+//! distinguishes the entry drivers: the [`RecordSupply`], where sessions
+//! come from — the neighborhood's records gathered out of a resident
+//! trace, its slice of each decoded block, a merged chunk stream (see
+//! [`super::stream`]) or a live queue (see [`super::online`]) — and
+//! what crosses the neighborhood's edge with them: the Oracle's future,
+//! read ahead, and the windowed LFU's past, read behind. The global
+//! popularity feed, the one thing that crosses it from other
+//! neighborhoods, is read the same way on every plan: through a
+//! [`SharedFeed`] over the run's
+//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed), published into
+//! ahead of the driver.
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or as a
 //! resumable cooperative task ([`SessionDriver::step`]), which is how the
@@ -46,7 +48,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cablevod_cache::{AccessEvent, FeedEvent, FeedProvider, IndexServer, Resolution};
+use cablevod_cache::{AccessEvent, FeedEvent, IndexServer, Resolution, SharedFeed};
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId};
 use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
@@ -205,16 +207,14 @@ pub(super) trait RecordSupply {
         None
     }
 
-    /// Called after every [`peek`](RecordSupply::peek). A supply that
-    /// reads ahead of its sessions for a strategy that looks into the
-    /// future (see [`super::stream::LookAhead`]) hands `sink` what it has
-    /// passed since the last call: the neighborhood's accesses in time
-    /// order, and the instant before which every one of them has now been
-    /// handed over — at least `lookahead` past the staged session's start.
-    /// The default hands over nothing: a resident run's index server was
-    /// handed its whole future when it was built
-    /// ([`resident_future`](RecordSupply::resident_future)), a live
-    /// ingress has none.
+    /// Called after every [`peek`](RecordSupply::peek). Under a strategy
+    /// that looks into the future, every supply reads ahead of its
+    /// sessions (see [`super::stream::RunCursor`]) and hands `sink` what
+    /// it has passed since the last call: the neighborhood's accesses in
+    /// time order, and the instant before which every one of them has now
+    /// been handed over — at least `lookahead` past the staged session's
+    /// start, [`SimTime::MAX`] once the supply has no session left to
+    /// stage. The default hands over nothing.
     ///
     /// # Errors
     ///
@@ -228,7 +228,7 @@ pub(super) trait RecordSupply {
 
     /// Called before every access the driver publishes and every idle
     /// sweep, under a strategy that remembers its past (see
-    /// [`super::stream::ReadBehind`]): hands `sink` the neighborhood's
+    /// [`super::stream::RunCursor`]): hands `sink` the neighborhood's
     /// accesses starting at or before `until` — the trailing edge of the
     /// strategy's history window — that it has not handed back yet, in
     /// time order, and the instant before which every one of them has now
@@ -246,17 +246,6 @@ pub(super) trait RecordSupply {
         _sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         Ok(())
-    }
-
-    /// Every record this supply will ever stage, in order, when all of
-    /// them are resident already: under a strategy that looks ahead the
-    /// driver's constructor hands the index server the whole of its
-    /// neighborhood's future from here, once, and nothing rides the hot
-    /// loop. `None`, the default, for a supply that reads its records as
-    /// it goes and keeps its index server fed through
-    /// [`read_ahead`](RecordSupply::read_ahead).
-    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        None
     }
 }
 
@@ -364,9 +353,9 @@ pub(super) enum Step {
 
 /// The single discrete-event loop (see the module docs). One instance
 /// drives one neighborhood.
-pub(super) struct SessionDriver<'a, F, R> {
+pub(super) struct SessionDriver<'a, R> {
     supply: R,
-    feed: Option<F>,
+    feed: Option<SharedFeed<'a>>,
     /// The boxes and meters of this driver's neighborhood.
     plant: Plant<'a>,
     /// Its admission control, when a fault plan or enforcing admission
@@ -404,18 +393,14 @@ pub(super) struct SessionDriver<'a, F, R> {
     completed: u64,
 }
 
-impl<'a, F, R> SessionDriver<'a, F, R>
-where
-    F: FeedProvider,
-    R: RecordSupply,
-{
+impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     /// A driver for `index`'s neighborhood, `plant` being its boxes and
     /// meters, handing accesses back `history` behind the replay for a
     /// strategy that remembers its past.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         supply: R,
-        feed: Option<F>,
+        feed: Option<SharedFeed<'a>>,
         plant: Plant<'a>,
         index: IndexServer,
         history: Option<SimDuration>,
@@ -675,7 +660,7 @@ where
         self.read_behind(rec.start)?;
         if let Some(feed) = self.feed.as_mut() {
             // Events up to and including this record are published (see
-            // the module docs on feed exactness); the provider bounds
+            // the module docs on feed exactness); the sync bounds
             // consumption accordingly.
             feed.sync(&mut self.index, rec.start, gidx);
         }

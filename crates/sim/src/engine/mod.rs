@@ -15,7 +15,7 @@
 //! segments can come from different peers, and a busy peer misses only the
 //! segments it actually hosts).
 //!
-//! # Architecture: one lifecycle, two seams, thin drivers
+//! # Architecture: one lifecycle, one seam, thin drivers
 //!
 //! There is exactly **one** session-lifecycle implementation —
 //! `lifecycle::SessionDriver` — and it owns exactly one neighborhood, the
@@ -31,7 +31,9 @@
 //!  SessionDriver                 (lifecycle.rs — THE event loop: record/queue
 //!        │                        interleave, session start, segment resolve)
 //!        │ is generic over
-//!        ├─► RecordSupply        (stream.rs — where sessions come from)
+//!        ├─► RecordSupply        (stream.rs — where sessions come from, and
+//!        │                        the Oracle's future and the LFU's past
+//!        │                        with them: read ahead, read behind)
 //!        │     GatheredSupply      the neighborhood's records of a resident
 //!        │                         trace, gathered into one contiguous run
 //!        │     BlockSupply         the neighborhood's contiguous run of each
@@ -40,10 +42,10 @@
 //!        │                         chunk runs (the sweep fast path)
 //!        │     LiveSupply          the neighborhood's submitted sessions,
 //!        │                         released up to the live clock (online.rs)
-//!        ├─► FeedProvider        (cablevod_cache::feed — how the global
-//!        │     PrecomputedFeed     popularity feed is consumed: precomputed
-//!        │     SharedFeed          in full by a resident run's survey, or
-//!        │                         published into a WatermarkFeed as decoded)
+//!        │ reads, under a strategy that takes the feed,
+//!        ├── SharedFeed          (cablevod_cache::feed — the global
+//!        │                        popularity feed, read out of the run's
+//!        │                        one WatermarkFeed, published ahead of it)
 //!        │ and owns, for its neighborhood of the one Topology,
 //!        ├── Plant                (cablevod_hfc::plant — its boxes, coax
 //!        │                         network and server meter)
@@ -51,9 +53,8 @@
 //!        └── IndexServer          built over a
 //!        ▼
 //!  ScheduleWindow                (cablevod_cache::schedule — how the Oracle
-//!                                 sees its future: a buffer fed the whole of
-//!                                 it when a resident run builds the index,
-//!                                 or kept fed by the record supply)
+//!                                 sees its future: a buffer the record
+//!                                 supply keeps fed as it reads ahead)
 //!  HistoryWindow                 (cablevod_cache::history — how a windowed
 //!                                 LFU lets go of its past: the record supply
 //!                                 hands each access back as it leaves)
@@ -64,7 +65,7 @@
 //!                                 every neighborhood's meters and counters)
 //! ```
 //!
-//! The drivers pick one of each. **The plan follows the data,
+//! The drivers pick a supply. **The plan follows the data,
 //! never the worker count**: the source decides between resident and
 //! streaming, and — for streaming — what the engine can observe of the
 //! file and the strategy decides the supply (`shard_plans`). Every replay
@@ -74,12 +75,18 @@
 //! every shard walks one contiguous run of records in ascending global
 //! index:
 //!
-//! | plan      | entry                              | supply                           | feed              | history hand-back                  | scheduling                               |
-//! |-----------|------------------------------------|----------------------------------|-------------------|------------------------------------|------------------------------------------|
-//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | `PrecomputedFeed` | an index into the gathered run     | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | `SharedFeed`      | the decoder's trailing cursor, per block | cooperative tasks, parked at block edges |
-//! |           |                                    | `StreamSupply` (sweep fast path) | none              | the shard's own trailing cursor    | work-stealing pool                       |
-//! | online    | `online::serve_serial`             | `LiveSupply`                     | `SharedFeed`      | released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | plan      | entry                              | supply                           | feed producer           | look-ahead and history hand-back          | scheduling                               |
+//! |-----------|------------------------------------|----------------------------------|-------------------------|-------------------------------------------|------------------------------------------|
+//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | the survey, up front    | indices into the gathered run             | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | the decoder, per block  | the decoder's two cursors, per block      | cooperative tasks, parked at block edges |
+//! |           |                                    | `StreamSupply` (sweep fast path) | none (takes no feed)    | the shard's own two cursors               | work-stealing pool                       |
+//! | online    | `online::serve_serial`             | `LiveSupply`                     | the ingress, per session | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//!
+//! Every driver reads the feed the same way — a `SharedFeed` over the
+//! run's one `WatermarkFeed` — and is handed its future and its past the
+//! same way, through its supply's `read_ahead` and `read_behind`: the
+//! rows differ in the supply alone. The resident plan and the fast path
+//! run their shards through one job loop (`shard::run_jobs`).
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
@@ -136,23 +143,22 @@
 //!
 //! Serial feed exactness: a serial replay of the whole trace would publish
 //! the feed one record at a time, so at record `r` a strategy can only
-//! ever see events `0..=r`. The resident plan reproduces that bound against a feed
-//! precomputed in full — a pure function of the trace, built by the one
-//! pass that validates the records (`DriverParts::survey`) and read by
-//! every shard through a `PrecomputedFeed`, which bounds consumption
-//! per session by its own record index, which equals grow-as-you-go
-//! publication exactly; streaming and online runs publish into a shared
-//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed) and bound every
-//! consumer by its own record index, so an early-published event is never
-//! visible early. Every run has **one** producer, working ahead of every
-//! consumer: the decoding thread publishes a whole block and moves the
-//! watermark past it before any shard runs; the online ingress publishes
-//! a session when it is submitted. So no driver ever waits on the feed,
-//! and a shard about to start the session with global index `g` consumes
-//! events `0..=g` exactly like the serial engine. Feed memory stays
-//! bounded by consumption, not trace length: every sync reports the
-//! strategy's cursor back and the carrier reclaims fully consumed
-//! segments (see [`cablevod_cache::watermark`]).
+//! ever see events `0..=r`. Every plan publishes into one shared
+//! [`WatermarkFeed`] and bounds every consumer by its own record index,
+//! so an event published early is never visible early. Every run has
+//! **one** producer, working ahead of every consumer: the resident plan's
+//! one pass over its records (`DriverParts::survey`, which also validates
+//! them) publishes all of them and moves the watermark past the last
+//! before any shard starts; the decoding thread publishes a whole block
+//! and moves the watermark past it before any shard replays it; the
+//! online ingress publishes a session when it is submitted. So no driver
+//! ever waits on the feed, and a shard about to start the session with
+//! global index `g` consumes events `0..=g` exactly like the serial
+//! engine. Every sync reports the strategy's cursor back and the carrier
+//! reclaims fully consumed segments (see [`cablevod_cache::watermark`]),
+//! so on a streaming or online run feed memory is bounded by consumption,
+//! not trace length; a resident run holds the trace already, and its
+//! feed, whole until its last shard starts, a slot a record beside it.
 //!
 //! Idle-neighborhood retention: a neighborhood between (or without)
 //! sessions never syncs on its own — its stalled cursor would floor the
@@ -168,18 +174,18 @@
 //!
 //! Oracle is inherently offline — it needs the future — but only the next
 //! `lookahead` of it, and that is further along the very records being
-//! replayed. On a streaming run the place that stages a neighborhood's
-//! records in order — the blocked replay's decoder, or the shard's own
-//! supply on the sweep fast path — keeps a second cursor over the same
-//! chunk runs `lookahead` ahead of the replay and hands each
+//! replayed. So the place that stages a neighborhood's records in order
+//! reads them a second time `lookahead` ahead of the replay and hands the
 //! neighborhood's `(time, program)` pairs to its index server before the
-//! access that needs them (see `stream.rs`): no pre-pass, no second file,
-//! each chunk decoded twice, and a [`ScheduleWindow`] whose resident
-//! state is bounded by the look-ahead span plus one hand-over. A resident
-//! run has the whole future in memory already and hands each
-//! neighborhood's to its window in one piece, when the index server is
-//! built — nothing on its hot loop. Either way the window shows the
-//! Oracle the identical event sequence, so reports stay bit-identical.
+//! access that needs them (`RecordSupply::read_ahead`, see `stream.rs`):
+//! on a streaming run the blocked replay's decoder, or the shard's own
+//! supply on the sweep fast path, keeps a second cursor over the same
+//! chunk runs — no pre-pass, no second file, each chunk decoded twice; a
+//! resident run's supply keeps an index into the run it gathered; the
+//! online engine's supply hands over the schedule it was given, whole.
+//! The offline plans' [`ScheduleWindow`] is bounded by the look-ahead
+//! span plus one hand-over, and every plan shows the Oracle the identical
+//! event sequence, so reports stay bit-identical.
 //!
 //! # The history's trailing cursor
 //!
@@ -237,14 +243,13 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    AccessEvent, FeedProvider, GlobalFeed, HistoryWindow, IndexServer, PlacementPolicy,
-    ScheduleWindow, SlotLedger, StrategyContext, StrategyFactory,
+    HistoryWindow, IndexServer, PlacementPolicy, ScheduleWindow, SharedFeed, SlotLedger,
+    StrategyContext, StrategyFactory, WatermarkFeed,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::{Topology, TopologyConfig};
-use cablevod_hfc::units::SimTime;
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
@@ -456,22 +461,32 @@ impl<'a> DriverParts<'a> {
     /// what rejects a dangling program or an unknown user before anything
     /// runs — and lists each neighborhood's record indices, ascending:
     /// what its shard gathers, not something the replay follows. Under a
-    /// strategy that takes the feed it also publishes every record's
-    /// event into the run's precomputed [`GlobalFeed`] (a pure function
-    /// of the trace — see the module docs).
+    /// strategy that takes the feed it is also the run's one feed
+    /// producer: it publishes every record's event into a
+    /// [`WatermarkFeed`] and advances the watermark past the last record,
+    /// before any shard runs (see the module docs).
     fn survey(
         &self,
         records: &[SessionRecord],
-    ) -> Result<(Vec<Vec<u32>>, Option<GlobalFeed>), SimError> {
+    ) -> Result<(Vec<Vec<u32>>, Option<WatermarkFeed>), SimError> {
         let seg_len = self.segmenter.segment_len().as_secs();
-        let mut members = vec![Vec::new(); self.topo.neighborhood_count()];
-        let mut feed = self.strategy.needs_feed().then(GlobalFeed::new);
+        let nbhd_count = self.topo.neighborhood_count();
+        let mut members = vec![Vec::new(); nbhd_count];
+        let feed = self
+            .strategy
+            .needs_feed()
+            .then(|| WatermarkFeed::new(records.len() as u64, nbhd_count));
+        let mut producer = feed.as_ref().map(WatermarkFeed::producer_handle);
         for (gidx, rec) in (0u32..).zip(records) {
             let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
-            if let Some(feed) = feed.as_mut() {
-                feed.publish(feed_event(rec, &ctx, self.config, &self.segmenter));
+            if let Some(producer) = producer.as_mut() {
+                let event = feed_event(rec, &ctx, self.config, &self.segmenter);
+                producer.publish(u64::from(gidx), event);
             }
             members[ctx.nbhd as usize].push(gidx);
+        }
+        if let Some(mut producer) = producer {
+            producer.advance(records.len() as u64);
         }
         Ok((members, feed))
     }
@@ -529,34 +544,24 @@ impl<'a> DriverParts<'a> {
 
     /// The one place a [`SessionDriver`] is built: the driver owning
     /// neighborhood `n` — its index server, its [`Plant`] and (inside
-    /// [`SessionDriver::new`]) its admission control — around `supply`
-    /// and `feed`. Under a strategy that looks ahead, a supply whose
-    /// records are resident hands the index the whole of the
-    /// neighborhood's future here, in one piece, before the replay starts
-    /// (a streaming supply hands the same events over as it reads ahead —
-    /// see `stream.rs`). Here too the index's ledger is checked against
-    /// the plant's boxes once, so that every copy reaches its box by its
-    /// ledger index ([`IndexServer::check_plant`]).
-    fn driver<F: FeedProvider, R: RecordSupply>(
+    /// [`SessionDriver::new`]) its admission control — around `supply`,
+    /// reading the run's `feed` when the strategy takes one. Here too the
+    /// index's ledger is checked against the plant's boxes once, so that
+    /// every copy reaches its box by its ledger index
+    /// ([`IndexServer::check_plant`]).
+    fn driver<R: RecordSupply>(
         &self,
         n: usize,
         supply: R,
-        feed: Option<F>,
+        feed: Option<&'a WatermarkFeed>,
         abort: Option<&'a AtomicBool>,
-    ) -> Result<SessionDriver<'a, F, R>, SimError> {
-        let mut index = self.index(n)?;
-        if let (Some(_), Some(future)) = (&self.costs, supply.resident_future()) {
-            // Trace order is time order, so the list arrives sorted.
-            let events = future
-                .map(|r| AccessEvent::new(r.start, r.program))
-                .collect::<Result<Vec<_>, _>>()?;
-            index.extend_schedule(&events, SimTime::MAX)?;
-        }
+    ) -> Result<SessionDriver<'a, R>, SimError> {
+        let index = self.index(n)?;
         let plant = Plant::over(self.topo, NeighborhoodId::new(n as u32))?;
         index.check_plant(&plant)?;
         Ok(SessionDriver::new(
             supply,
-            feed,
+            feed.map(|feed| SharedFeed::new(feed, n)),
             plant,
             index,
             self.strategy.history_window(),

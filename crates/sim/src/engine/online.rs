@@ -17,9 +17,10 @@
 //!   other supply), its feed event is published into a shared
 //!   [`WatermarkFeed`] and the watermark is advanced past it — the
 //!   ingress is the run's one feed producer, ahead of every driver. The
-//!   session is then staged on its neighborhood's supply (which, when
-//!   the caller replays a resident trace, knows that neighborhood's
-//!   records as its whole future, like any resident supply).
+//!   session is then staged on its neighborhood's supply (which, under a
+//!   strategy that looks ahead, holds that neighborhood's records of the
+//!   replayed trace as its future, and hands them over whole through
+//!   `read_ahead` the first time its driver steps).
 //! * **advance_to** — a block edge at the live clock's "now": every
 //!   supply releases the sessions that start at or before it, every
 //!   driver processes every event at or before it in exactly the order
@@ -57,9 +58,7 @@
 
 use std::collections::VecDeque;
 
-use cablevod_cache::{
-    AccessEvent, FeedProducer, IndexServer, SharedFeed, StrategyFactory, WatermarkFeed,
-};
+use cablevod_cache::{AccessEvent, FeedProducer, IndexServer, StrategyFactory, WatermarkFeed};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
@@ -239,7 +238,8 @@ pub(super) fn serve<T>(
         .filter(|_| strategy.schedule_lookahead().is_some());
     let mut futures = vec![Vec::new(); nbhd_count];
     for rec in ahead.unwrap_or_default() {
-        futures[topo.neighborhood_of_user(rec.user)?.index()].push(rec);
+        futures[topo.neighborhood_of_user(rec.user)?.index()]
+            .push(AccessEvent::new(rec.start, rec.program)?);
     }
     let drivers = futures
         .into_iter()
@@ -253,8 +253,7 @@ pub(super) fn serve<T>(
                 handed: 0,
                 leaving: Vec::new(),
             };
-            let feed = wfeed.as_ref().map(|f| SharedFeed::new(f, n));
-            parts.driver(n, supply, feed, None)
+            parts.driver(n, supply, wfeed.as_ref(), None)
         })
         .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {
@@ -280,7 +279,7 @@ pub(super) fn serve<T>(
 /// One neighborhood's [`RecordSupply`]: the sessions the ingress routed
 /// to it (published at submit — see [`Ingress::admit`]), released up to
 /// the horizon the engine last advanced to.
-struct LiveSupply<'s> {
+struct LiveSupply {
     staged: VecDeque<PendingSession>,
     /// The second after the last advanced horizon: sessions starting
     /// before it are released and continuations run while they are
@@ -288,9 +287,9 @@ struct LiveSupply<'s> {
     /// engine drains: everything is released, and the supply is through
     /// once it is empty.
     edge: Option<SimTime>,
-    /// The neighborhood's records of [`OnlineSpec::schedule_records`],
-    /// under a strategy that looks ahead.
-    future: Option<Vec<&'s SessionRecord>>,
+    /// The neighborhood's accesses of [`OnlineSpec::schedule_records`],
+    /// under a strategy that looks ahead, until they are handed over.
+    future: Option<Vec<AccessEvent>>,
     /// Under a strategy that remembers its past: the sessions taken and
     /// not yet handed back, as access events — the history no index keeps
     /// a copy of.
@@ -302,7 +301,7 @@ struct LiveSupply<'s> {
     leaving: Vec<AccessEvent>,
 }
 
-impl RecordSupply for LiveSupply<'_> {
+impl RecordSupply for LiveSupply {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         Ok(self
             .staged
@@ -329,6 +328,18 @@ impl RecordSupply for LiveSupply<'_> {
         self.edge
     }
 
+    /// Hands the whole schedule over at the first call: it is in memory
+    /// already, and there is nothing further along to read.
+    fn read_ahead(
+        &mut self,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        match self.future.take() {
+            Some(future) => sink(&future, SimTime::MAX),
+            None => Ok(()),
+        }
+    }
+
     fn read_behind(
         &mut self,
         until: SimTime,
@@ -353,11 +364,6 @@ impl RecordSupply for LiveSupply<'_> {
             self.handed += 1;
         }
         sink(&self.leaving, past(until))
-    }
-
-    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        let future = self.future.as_ref()?;
-        Some(Box::new(future.iter().copied()))
     }
 }
 
@@ -447,7 +453,7 @@ impl<'s> Ingress<'s> {
 /// The online engine: one [`SessionDriver`] per neighborhood, in
 /// neighborhood order.
 struct SerialOnline<'s> {
-    drivers: Vec<SessionDriver<'s, SharedFeed<'s>, LiveSupply<'s>>>,
+    drivers: Vec<SessionDriver<'s, LiveSupply>>,
     ingress: Ingress<'s>,
     epoch: u64,
 }

@@ -7,23 +7,26 @@
 //! meter merges because bucket accounting is commutative
 //! ([`RateMeter::merge`](cablevod_hfc::meter::RateMeter::merge)), and the
 //! one thing that crosses neighborhoods — the global popularity feed — is
-//! always published from one place, ahead of every shard that reads it
-//! (precomputed on resident runs, by the decoding thread on streaming
-//! runs). Each shard is therefore one [`SessionDriver`] over its own
-//! neighborhood, built by the one constructor every driver comes from,
-//! and what a shard may read never depends on how far another has got. What a
-//! shard reads is always one contiguous run of `(global index, record)`
-//! pairs, front to back, in ascending global index:
+//! always published into one [`WatermarkFeed`] from one place, ahead of
+//! every shard that reads it (all of it by the resident plan's first pass,
+//! block by block by the decoding thread on streaming runs). Each shard
+//! is therefore one [`SessionDriver`] over its own neighborhood, built by
+//! the one constructor every driver comes from, and what a shard may read
+//! never depends on how far another has got. What a shard reads is always
+//! one contiguous run of `(global index, record)` pairs, front to back,
+//! in ascending global index:
 //!
 //! * resident ([`run_sharded_resident`]): one pass over the records
-//!   validates them and lists each neighborhood's record indices; a shard
-//!   copies its own records out through that list once, when it starts,
-//!   and replays the copy. Streaming over a matched neighborhood-major
-//!   file under a feed-less strategy: a shard decodes its own chunk runs.
-//!   Either way shards are independent jobs on the work-stealing pool
-//!   ([`runner::run_indexed`]), built when started and dropped when done
-//!   — on one worker, inline on the caller's thread, so one
-//!   neighborhood's plant, index and records are alive at a time;
+//!   validates them, publishes the feed if the strategy takes one and
+//!   lists each neighborhood's record indices; a shard copies its own
+//!   records out through that list once, when it starts, and replays the
+//!   copy. Streaming over a matched neighborhood-major file under a
+//!   feed-less strategy: a shard decodes its own chunk runs. Either way
+//!   shards are independent jobs on the work-stealing pool, run by one
+//!   loop ([`run_jobs`]) that differs between the two only in the supply
+//!   it builds; each is built when started and dropped when done — on one
+//!   worker, inline on the caller's thread, so one neighborhood's plant,
+//!   index and records are alive at a time;
 //! * every other streaming replay is **blocked** ([`run_blocked`]): shards
 //!   are cooperative tasks striped over the workers, advancing block by
 //!   block, each parked at the block's edge until the caller's thread has
@@ -41,11 +44,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{SharedFeed, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{StrategyFactory, WatermarkFeed};
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
-use super::lifecycle::{SessionDriver, Step, ABORTED};
+use super::lifecycle::{RecordSupply, SessionDriver, Step, ABORTED};
 use super::report::{merge_outcomes, NeighborhoodOutcome};
 use super::stream::{Block, BlockSupply, Demux, GatheredSupply, StreamSupply};
 use super::{build_topology, shard_plans, DriverParts, Replay};
@@ -55,13 +58,13 @@ use crate::report::SimReport;
 use crate::runner;
 
 /// The resident per-neighborhood plan, at any worker count: one pass
-/// over the records validates them, builds the feed if the strategy takes
-/// one and lists each neighborhood's record indices; then every shard is
-/// a job on the work-stealing pool that gathers its own records into one
-/// contiguous run ([`GatheredSupply`]), replays it front to back
-/// interleaved with its continuation queue, with the precomputed feed
-/// shared read-only, and is dropped, plant and all, when done. With
-/// `threads == 1` the jobs run inline on the caller's thread, one
+/// over the records validates them, publishes the feed if the strategy
+/// takes one and lists each neighborhood's record indices; then every
+/// shard is a job on the work-stealing pool that gathers its own records
+/// into one contiguous run ([`GatheredSupply`]), replays it front to back
+/// interleaved with its continuation queue, reading the feed and its own
+/// future as every plan does, and is dropped, plant and all, when done.
+/// With `threads == 1` the jobs run inline on the caller's thread, one
 /// neighborhood's working set alive at a time.
 pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
     records: &[SessionRecord],
@@ -75,21 +78,36 @@ pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
     let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
 
     let (members, feed) = parts.survey(records)?;
-
-    let outcomes = runner::run_indexed(members.len(), threads, |n| {
-        let supply = GatheredSupply::gather(
+    let lookahead = strategy.schedule_lookahead();
+    let outcomes = run_jobs(&parts, feed.as_ref(), threads, |n| {
+        GatheredSupply::gather(
             records,
             &members[n],
             parts.catalog,
             parts.topo,
             &parts.segmenter,
-        );
-        let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
-        let mut driver = parts.driver(n, supply, provider, None)?;
-        driver.run()?;
-        Ok(driver.into_outcome())
+            lookahead,
+        )
     });
     merge_outcomes(outcomes, source.days(), config)
+}
+
+/// Runs every shard of `parts`' plant as an independent job on the
+/// work-stealing pool, `threads` at once: each builds its driver around
+/// the supply `supply` makes for it — reading `feed`, published in full
+/// already, when the strategy takes one — runs it out and is dropped
+/// with it. Returns every shard's ending in neighborhood order.
+fn run_jobs<R: RecordSupply>(
+    parts: &DriverParts<'_>,
+    feed: Option<&WatermarkFeed>,
+    threads: usize,
+    supply: impl Fn(usize) -> R + Sync,
+) -> Vec<Result<NeighborhoodOutcome, SimError>> {
+    runner::run_indexed(parts.topo.neighborhood_count(), threads, |n| {
+        let mut driver = parts.driver(n, supply(n), feed, None)?;
+        driver.run()?;
+        Ok(driver.into_outcome())
+    })
 }
 
 /// What a streaming run says about itself beside its report.
@@ -131,18 +149,15 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     let outcomes = match &replay {
         Replay::Runs(runs) => {
             streamed.fastpath = true;
-            runner::run_indexed(nbhd_count, threads, |n| {
-                let supply = StreamSupply::new(
+            run_jobs(&parts, None, threads, |n| {
+                StreamSupply::new(
                     source,
                     &runs[n],
                     &topo,
                     &parts.segmenter,
                     lookahead,
                     history,
-                );
-                let mut driver = parts.driver(n, supply, None::<SharedFeed<'_>>, None)?;
-                driver.run()?;
-                Ok(driver.into_outcome())
+                )
             })
         }
         Replay::Blocked(runs) => {
@@ -260,7 +275,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
 }
 
 /// A shard of the blocked replay.
-type BlockDriver<'a> = SessionDriver<'a, SharedFeed<'a>, BlockSupply<'a>>;
+type BlockDriver<'a> = SessionDriver<'a, BlockSupply<'a>>;
 
 /// What one worker hands back: each of its shards' endings.
 type ShardResults = Vec<(usize, Result<NeighborhoodOutcome, SimError>)>;
@@ -348,8 +363,9 @@ impl<'a, S: TraceSource + ?Sized> ShardEnv<'a, S> {
                 self.parts.topo,
                 &self.parts.segmenter,
             );
-            let feed = self.feed.map(|f| SharedFeed::new(f, nbhd));
-            let driver = self.parts.driver(nbhd, supply, feed, Some(&self.aborted));
+            let driver = self
+                .parts
+                .driver(nbhd, supply, self.feed, Some(&self.aborted));
             match driver {
                 Ok(driver) => tasks.push((nbhd, driver)),
                 Err(e) => {

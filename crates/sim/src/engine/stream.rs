@@ -1,5 +1,6 @@
-//! Record supplies: where a [`SessionDriver`](super::lifecycle::
-//! SessionDriver) gets its sessions from.
+//! Record supplies: where a
+//! [`SessionDriver`](super::lifecycle::SessionDriver) gets its sessions
+//! from.
 //!
 //! * [`GatheredSupply`] — one neighborhood's records of a resident trace,
 //!   copied out of the slice into one contiguous `(gidx, record)` run
@@ -40,28 +41,30 @@
 //!
 //! Under a strategy that looks into the future (the Oracle), whoever
 //! stages a neighborhood's records in order also reads the same records
-//! `lookahead` further along — a [`LookAhead`], one more cursor over the
-//! same chunk runs, so such a run decodes each chunk twice — and hands
-//! the accesses it passes, as [`AccessEvent`]s, to the neighborhood's index
-//! server ahead of the access that needs them
-//! ([`RecordSupply::read_ahead`]): the `Demux` per block, grouped by
-//! neighborhood beside the block's records, so the barrier that orders
-//! records and feed orders this too; a `StreamSupply` whenever it stages
-//! a record.
+//! `lookahead` further along and hands the accesses it passes, as
+//! [`AccessEvent`]s, to the neighborhood's index server ahead of the
+//! access that needs them ([`RecordSupply::read_ahead`]): the `Demux` per
+//! block, grouped by neighborhood beside the block's records, so the
+//! barrier that orders records and feed orders this too; a
+//! `StreamSupply` whenever it stages a record; a [`GatheredSupply`] by an
+//! index into its run, with nothing to decode. Where the records come
+//! from a file, the reading is a [`RunCursor`], one more cursor over the
+//! same chunk runs, so such a run decodes each chunk twice.
 //!
 //! Under a strategy that remembers its past (the windowed LFU family) the
 //! same staging reads the records a second time `window` *behind* the
-//! replay — a [`ReadBehind`], the look-ahead's mirror — and hands each
-//! access back to its index server as it leaves the history window
-//! ([`RecordSupply::read_behind`]): the `Demux` per block, `window` behind
-//! the block's edge, its slice grouped beside the look-ahead's and handed
-//! back by the `BlockSupply` access by access; a `StreamSupply` before
-//! every access; a [`GatheredSupply`] by an index into its run, with
-//! nothing to decode. The cursor reads nothing until
-//! the window's edge reaches the replay's first record, so a window
-//! longer than the run decodes nothing twice; a shorter one decodes again
-//! the chunks its edge has passed, holding one decoded chunk a run
-//! instead of a copy of the window in every index.
+//! replay — the look-ahead's mirror, and over a file the same kind of
+//! [`RunCursor`], bounded by the window's trailing edge instead of the
+//! look-ahead's leading one — and hands each access back to its index
+//! server as it leaves the history window ([`RecordSupply::read_behind`]):
+//! the `Demux` per block, `window` behind the block's edge, its slice
+//! grouped beside the look-ahead's and handed back by the `BlockSupply`
+//! access by access; a `StreamSupply` before every access; a
+//! [`GatheredSupply`] by a second index into its run. The cursor reads
+//! nothing until the window's edge reaches the replay's first record, so
+//! a window longer than the run decodes nothing twice; a shorter one
+//! decodes again the chunks its edge has passed, holding one decoded
+//! chunk a run instead of a copy of the window in every index.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
@@ -69,7 +72,7 @@
 //! sequence-ascending [`ChunkRun`]. Wherever records of several runs must
 //! come out in global order — a group spanning several cells, the
 //! decoder reading a whole neighborhood-major file, either one's
-//! look-ahead — the one [`RunMerge`] cursor does it: a binary heap of run
+//! second cursor — the one [`RunMerge`] cursor does it: a binary heap of run
 //! heads (run counts are cell counts, tens to a few hundred), which over
 //! a single run is plain sequential streaming.
 
@@ -98,10 +101,16 @@ use crate::error::SimError;
 pub(super) struct GatheredSupply<'a> {
     run: Vec<(u64, SessionRecord)>,
     pos: usize,
+    /// Under a strategy that looks ahead: how far.
+    lookahead: Option<SimDuration>,
+    /// The read-ahead: `run[..ahead]` has been handed over, and with it
+    /// every access before `covered`.
+    ahead: usize,
+    covered: SimTime,
     /// The read-behind: `run[..behind]` has been handed back.
     behind: usize,
-    /// Scratch for one hand-back.
-    leaving: Vec<AccessEvent>,
+    /// Scratch for one hand-over or hand-back.
+    events: Vec<AccessEvent>,
     catalog: &'a ProgramCatalog,
     topo: &'a Topology,
     seg_len: u64,
@@ -109,14 +118,16 @@ pub(super) struct GatheredSupply<'a> {
 
 impl<'a> GatheredSupply<'a> {
     /// Copies `records[i]` for every `i` of `members` — one neighborhood's
-    /// record indices, ascending — into the run. Every record was
-    /// validated by the pass that listed it (`DriverParts::survey`).
+    /// record indices, ascending — into the run, to be read `lookahead`
+    /// ahead for a strategy that asks for it. Every record was validated
+    /// by the pass that listed it (`DriverParts::survey`).
     pub(super) fn gather(
         records: &[SessionRecord],
         members: &[u32],
         catalog: &'a ProgramCatalog,
         topo: &'a Topology,
         segmenter: &Segmenter,
+        lookahead: Option<SimDuration>,
     ) -> Self {
         GatheredSupply {
             run: members
@@ -124,8 +135,11 @@ impl<'a> GatheredSupply<'a> {
                 .map(|&i| (u64::from(i), records[i as usize]))
                 .collect(),
             pos: 0,
+            lookahead,
+            ahead: 0,
+            covered: SimTime::EPOCH,
             behind: 0,
-            leaving: Vec::new(),
+            events: Vec::new(),
             catalog,
             topo,
             seg_len: segmenter.segment_len().as_secs(),
@@ -146,28 +160,65 @@ impl RecordSupply for GatheredSupply<'_> {
         PendingSession { gidx, rec, ctx }
     }
 
+    fn read_ahead(
+        &mut self,
+        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let Some(lookahead) = self.lookahead else {
+            return Ok(());
+        };
+        let horizon = ahead_of(self.run.get(self.pos).map(|(_, rec)| rec.start), lookahead);
+        if horizon <= self.covered {
+            return Ok(());
+        }
+        hand_on(&self.run, &mut self.ahead, horizon, &mut self.events)?;
+        self.covered = if self.ahead == self.run.len() {
+            SimTime::MAX
+        } else {
+            horizon
+        };
+        sink(&self.events, self.covered)
+    }
+
     fn read_behind(
         &mut self,
         until: SimTime,
         sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        self.leaving.clear();
-        while let Some((_, rec)) = self.run.get(self.behind).filter(|(_, r)| r.start <= until) {
-            self.leaving.push(AccessEvent::new(rec.start, rec.program)?);
-            self.behind += 1;
-        }
-        sink(&self.leaving, past(until))
+        let covered = past(until);
+        hand_on(&self.run, &mut self.behind, covered, &mut self.events)?;
+        sink(&self.events, covered)
     }
+}
 
-    fn resident_future(&self) -> Option<Box<dyn Iterator<Item = &SessionRecord> + '_>> {
-        Some(Box::new(self.run.iter().map(|(_, rec)| rec)))
+/// Refills `events` with the accesses of `run[*from..]` that start before
+/// `bound`, moving `from` past them: a [`GatheredSupply`]'s read-ahead and
+/// read-behind, each an index into its run.
+fn hand_on(
+    run: &[(u64, SessionRecord)],
+    from: &mut usize,
+    bound: SimTime,
+    events: &mut Vec<AccessEvent>,
+) -> Result<(), SimError> {
+    events.clear();
+    while let Some((_, rec)) = run.get(*from).filter(|(_, rec)| rec.start < bound) {
+        events.push(AccessEvent::new(rec.start, rec.program)?);
+        *from += 1;
     }
+    Ok(())
 }
 
 /// The instant just past `until`: what a hand-back of every access at or
 /// before `until` covers.
 pub(super) fn past(until: SimTime) -> SimTime {
     until.saturating_add(SimDuration::from_secs(1))
+}
+
+/// The instant a read-ahead has to reach: `lookahead` past `now`, the
+/// start of the latest access there can be until the next is staged —
+/// or, with no access left to stage, the end of time.
+fn ahead_of(now: Option<SimTime>, lookahead: SimDuration) -> SimTime {
+    now.map_or(SimTime::MAX, |now| now.saturating_add(lookahead))
 }
 
 /// One stretch of the global record order, demultiplexed by
@@ -233,11 +284,12 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     /// is a chunk's worth of work in either layout.
     block_records: usize,
     feed: Option<FeedProducer<'a>>,
-    /// Under a strategy that looks ahead: the second cursor over `runs`.
-    ahead: Option<LookAhead<'a, S>>,
+    /// Under a strategy that looks ahead: the second cursor over `runs`,
+    /// and how far ahead of the block's edge it reads.
+    ahead: Option<(RunCursor<'a, S>, SimDuration)>,
     /// Under a strategy that remembers its past: the trailing cursor over
     /// `runs`, and how far behind the block's edge it trails.
-    behind: Option<(ReadBehind<'a, S>, SimDuration)>,
+    behind: Option<(RunCursor<'a, S>, SimDuration)>,
     /// Records handed out so far, which is the global index due next.
     published: u64,
     last_start: SimTime,
@@ -272,10 +324,10 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             feed: feed.map(WatermarkFeed::producer_handle),
             ahead: strategy
                 .schedule_lookahead()
-                .map(|lookahead| LookAhead::new(source, runs, lookahead)),
+                .map(|lookahead| (RunCursor::new(source, runs), lookahead)),
             behind: strategy
                 .history_window()
-                .map(|window| (ReadBehind::new(source, runs), window)),
+                .map(|window| (RunCursor::new(source, runs), window)),
             published: 0,
             last_start: SimTime::EPOCH,
             dest: Vec::new(),
@@ -375,12 +427,13 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         if more {
             block.edge = Some((self.last_start, self.published));
         }
-        if let Some(ahead) = self.ahead.as_mut() {
+        if let Some((ahead, lookahead)) = self.ahead.as_mut() {
             // Until the next block is attached no shard starts a session
             // after `last_start`, so that is the `now` the look-ahead has
             // to be ahead of; the last block takes whatever is left.
             block.ahead.resize_with(self.nbhd_count, Vec::new);
-            ahead.advance(more.then_some(self.last_start), |rec| {
+            let horizon = ahead_of(more.then_some(self.last_start), *lookahead);
+            ahead.advance(horizon, |rec| {
                 let nbhd = self.topo.neighborhood_of_user(rec.user)?;
                 block.ahead[nbhd.index()].push(AccessEvent::new(rec.start, rec.program)?);
                 Ok(())
@@ -394,7 +447,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             // reads past it waits for the next block.
             block.behind.resize_with(self.nbhd_count, Vec::new);
             if let Some(until) = self.last_start.checked_sub(*window) {
-                behind.advance(until, |rec| {
+                behind.advance(past(until), |rec| {
                     let nbhd = self.topo.neighborhood_of_user(rec.user)?;
                     block.behind[nbhd.index()].push(AccessEvent::new(rec.start, rec.program)?);
                     Ok(())
@@ -652,44 +705,54 @@ impl<'a, S: TraceSource + ?Sized> RunMerge<'a, S> {
     }
 }
 
-/// The read-ahead of a strategy that looks into the future (see the
-/// module docs): a second cursor over the chunk runs a replay reads, kept
-/// `lookahead` ahead of it.
-pub(super) struct LookAhead<'a, S: TraceSource + ?Sized> {
+/// A second cursor over the chunk runs a replay reads (see the module
+/// docs): kept `lookahead` ahead of the replay for a strategy that looks
+/// into its future, or a history window behind it for one that remembers
+/// its past. Either way it passes on, in global order, every record that
+/// starts before a bound that only moves forward.
+pub(super) struct RunCursor<'a, S: TraceSource + ?Sized> {
     merge: RunMerge<'a, S>,
-    lookahead: SimDuration,
-    /// Read already, but at or past every horizon so far.
+    /// Read already, but at or past every bound so far.
     held: Option<SessionRecord>,
+    /// Every record starting before this instant has been passed on:
+    /// [`SimTime::MAX`] once the runs are exhausted.
     covered: SimTime,
+    /// The start of the first record the replay staged, once noted: no
+    /// record precedes it, so a bound short of it reads nothing — and a
+    /// history window that never reaches back that far decodes nothing.
+    first: Option<SimTime>,
 }
 
-impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
-    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>], lookahead: SimDuration) -> Self {
-        LookAhead {
+impl<'a, S: TraceSource + ?Sized> RunCursor<'a, S> {
+    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>]) -> Self {
+        RunCursor {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
-            lookahead,
             held: None,
             covered: SimTime::EPOCH,
+            first: None,
         }
     }
 
-    /// The instant before which every record has been passed on:
-    /// [`SimTime::MAX`] once the runs are exhausted.
+    /// See the `covered` field.
     pub(super) fn covered(&self) -> SimTime {
         self.covered
     }
 
-    /// Reads on to `lookahead` past `now` — to the end of the runs when
-    /// the replay has no record left to name a `now` — passing `sink`
-    /// every record on the way, in global order. Returns whether
+    /// Notes the start of the first record the replay staged (once; later
+    /// calls change nothing).
+    pub(super) fn note_first(&mut self, start: SimTime) {
+        self.first.get_or_insert(start);
+    }
+
+    /// Passes `sink` every record starting before `bound` that it has not
+    /// passed yet, in global order. Returns whether
     /// [`covered`](Self::covered) moved.
     pub(super) fn advance(
         &mut self,
-        now: Option<SimTime>,
+        bound: SimTime,
         mut sink: impl FnMut(&SessionRecord) -> Result<(), SimError>,
     ) -> Result<bool, SimError> {
-        let horizon = now.map_or(SimTime::MAX, |now| now.saturating_add(self.lookahead));
-        if horizon <= self.covered {
+        if bound <= self.covered || self.first.is_some_and(|first| bound <= first) {
             return Ok(false);
         }
         loop {
@@ -698,10 +761,10 @@ impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
                 None => self.merge.next()?.map(|(_, rec)| rec),
             };
             match next {
-                Some(rec) if rec.start < horizon => sink(&rec)?,
+                Some(rec) if rec.start < bound => sink(&rec)?,
                 Some(rec) => {
                     self.held = Some(rec);
-                    self.covered = horizon;
+                    self.covered = bound;
                     return Ok(true);
                 }
                 None => {
@@ -713,68 +776,6 @@ impl<'a, S: TraceSource + ?Sized> LookAhead<'a, S> {
     }
 }
 
-/// The read-behind of a strategy that remembers its past (see the module
-/// docs): a second cursor over the chunk runs a replay reads, trailing it
-/// by the history window — the mirror of [`LookAhead`].
-pub(super) struct ReadBehind<'a, S: TraceSource + ?Sized> {
-    merge: RunMerge<'a, S>,
-    /// Read already, but not leaving yet.
-    held: Option<SessionRecord>,
-    /// Before anything is read: the start of the first record the replay
-    /// staged, which no record precedes (`None` while it has staged none)
-    /// — so a window that never reaches back that far decodes nothing.
-    first: Option<SimTime>,
-}
-
-impl<'a, S: TraceSource + ?Sized> ReadBehind<'a, S> {
-    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>]) -> Self {
-        ReadBehind {
-            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
-            held: None,
-            first: None,
-        }
-    }
-
-    /// Notes the start of the first record the replay staged (once; later
-    /// calls change nothing).
-    pub(super) fn note_first(&mut self, start: SimTime) {
-        self.first.get_or_insert(start);
-    }
-
-    /// Passes `sink` every record starting at or before `until` that it
-    /// has not passed yet, in global order.
-    pub(super) fn advance(
-        &mut self,
-        until: SimTime,
-        mut sink: impl FnMut(&SessionRecord) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        if self.held.is_none() && self.first.is_none_or(|first| until < first) {
-            return Ok(());
-        }
-        loop {
-            let next = match self.held.take() {
-                Some(rec) => Some(rec),
-                None => self.merge.next()?.map(|(_, rec)| rec),
-            };
-            match next {
-                Some(rec) if rec.start <= until => sink(&rec)?,
-                Some(rec) => {
-                    self.held = Some(rec);
-                    return Ok(());
-                }
-                None => return Ok(()),
-            }
-        }
-    }
-}
-
-/// A [`StreamSupply`]'s read-ahead: the cursor, and scratch for one
-/// hand-over.
-struct ReadAhead<'a, S: TraceSource + ?Sized> {
-    cursor: LookAhead<'a, S>,
-    events: Vec<AccessEvent>,
-}
-
 /// The supply of a shard that decodes its own chunk runs (see the module
 /// docs): its group's cell runs merged by global index, one record staged
 /// at a time.
@@ -784,10 +785,12 @@ pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
     topo: &'a Topology,
     seg_len: u64,
     staged: Option<PendingSession>,
-    ahead: Option<ReadAhead<'a, S>>,
-    /// Under a strategy that remembers its past: the trailing cursor, and
-    /// scratch for one hand-back.
-    behind: Option<(ReadBehind<'a, S>, Vec<AccessEvent>)>,
+    /// Under a strategy that looks ahead: the read-ahead, and how far.
+    ahead: Option<(RunCursor<'a, S>, SimDuration)>,
+    /// Under a strategy that remembers its past: the trailing cursor.
+    behind: Option<RunCursor<'a, S>>,
+    /// Scratch for one hand-over or hand-back.
+    events: Vec<AccessEvent>,
 }
 
 impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
@@ -808,11 +811,9 @@ impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
             topo,
             seg_len: segmenter.segment_len().as_secs(),
             staged: None,
-            ahead: lookahead.map(|lookahead| ReadAhead {
-                cursor: LookAhead::new(source, runs, lookahead),
-                events: Vec::new(),
-            }),
-            behind: history.map(|_| (ReadBehind::new(source, runs), Vec::new())),
+            ahead: lookahead.map(|lookahead| (RunCursor::new(source, runs), lookahead)),
+            behind: history.map(|_| RunCursor::new(source, runs)),
+            events: Vec::new(),
         }
     }
 }
@@ -823,7 +824,7 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
             if let Some((gidx, rec)) = self.merge.next()? {
                 let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
                 self.staged = Some(PendingSession { gidx, rec, ctx });
-                if let Some((behind, _)) = self.behind.as_mut() {
+                if let Some(behind) = self.behind.as_mut() {
                     behind.note_first(rec.start);
                 }
             }
@@ -839,19 +840,20 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
         &mut self,
         sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        let Some(ahead) = self.ahead.as_mut() else {
+        let Some((cursor, lookahead)) = self.ahead.as_mut() else {
             return Ok(());
         };
         // The staged record is the latest access there can be until the
         // next one is staged.
-        let now = self.staged.as_ref().map(|staged| staged.rec.start);
-        ahead.events.clear();
-        let moved = ahead.cursor.advance(now, |rec| {
-            ahead.events.push(AccessEvent::new(rec.start, rec.program)?);
+        let horizon = ahead_of(self.staged.as_ref().map(|s| s.rec.start), *lookahead);
+        let events = &mut self.events;
+        events.clear();
+        let moved = cursor.advance(horizon, |rec| {
+            events.push(AccessEvent::new(rec.start, rec.program)?);
             Ok(())
         })?;
         if moved {
-            sink(&ahead.events, ahead.cursor.covered())?;
+            sink(events, cursor.covered())?;
         }
         Ok(())
     }
@@ -861,11 +863,12 @@ impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
         until: SimTime,
         sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        let Some((cursor, events)) = self.behind.as_mut() else {
+        let Some(cursor) = self.behind.as_mut() else {
             return Ok(());
         };
+        let events = &mut self.events;
         events.clear();
-        cursor.advance(until, |rec| {
+        cursor.advance(past(until), |rec| {
             events.push(AccessEvent::new(rec.start, rec.program)?);
             Ok(())
         })?;

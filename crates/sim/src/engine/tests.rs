@@ -7,9 +7,9 @@
 use super::lifecycle::{ActiveSessions, SessionCtx};
 use super::*;
 use crate::Simulation;
-use cablevod_cache::StrategySpec;
+use cablevod_cache::{AccessEvent, StrategySpec};
 use cablevod_hfc::ids::{ProgramId, UserId};
-use cablevod_hfc::units::{BitRate, DataSize, SimDuration};
+use cablevod_hfc::units::{BitRate, DataSize, SimDuration, SimTime};
 use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::{generate, SynthConfig};
@@ -747,13 +747,17 @@ impl TraceSource for Tampered<'_> {
 /// The resident per-neighborhood plan reads what the index walk it
 /// replaced read: every shard's gathered run is, session for session —
 /// global index, record, context — its neighborhood's records in trace
-/// order, on neighborhoods of unequal size, one of them empty; and a
+/// order, on neighborhoods of unequal size, one of them empty. Its
+/// read-ahead hands the index exactly the walk's `(start, program)`
+/// pairs, in order, each hand-over covering at least `lookahead` past the
+/// session staged; the survey publishes every record's feed event; and a
 /// record that names no program or no subscriber fails the run with the
 /// same error at any worker count, before any shard is built.
 #[test]
 fn gathered_runs_are_the_index_walk_session_for_session() {
-    use super::lifecycle::RecordSupply;
+    use super::lifecycle::{feed_event, RecordSupply};
     use super::stream::GatheredSupply;
+    use cablevod_cache::FeedEvents;
 
     let (trace, config) = uneven_workload();
     let strategy = config.strategy().factory();
@@ -762,6 +766,7 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         DriverParts::new(&topo, trace.catalog(), &config, strategy.as_ref()).expect("parts");
     let seg_len = parts.segmenter.segment_len().as_secs();
     let records = trace.records();
+    let lookahead = SimDuration::from_hours(1);
 
     let (members, feed) = parts.survey(records).expect("survey");
     assert!(feed.is_none(), "lfu takes no feed");
@@ -780,25 +785,47 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
                 (ctx.nbhd as usize == n).then_some((i as u64, *rec, ctx))
             })
             .collect();
-        let mut supply =
-            GatheredSupply::gather(records, members, trace.catalog(), &topo, &parts.segmenter);
-        let future: Vec<_> = supply
-            .resident_future()
-            .expect("resident")
-            .copied()
-            .collect();
-        assert!(future.iter().eq(walk.iter().map(|(_, rec, _)| rec)));
-        let mut gathered = Vec::new();
-        while let Some((start, gidx)) = supply.peek().expect("peek") {
+        let mut supply = GatheredSupply::gather(
+            records,
+            members,
+            trace.catalog(),
+            &topo,
+            &parts.segmenter,
+            Some(lookahead),
+        );
+        let (mut gathered, mut handed, mut covered) = (Vec::new(), Vec::new(), SimTime::EPOCH);
+        loop {
+            let staged = supply.peek().expect("peek");
+            supply
+                .read_ahead(|events, to| {
+                    assert!(to > covered, "neighborhood {n}: covered did not move on");
+                    assert!(events.iter().all(|e| e.at() < to));
+                    handed.extend(events.iter().map(|e| (e.at(), e.program())));
+                    covered = to;
+                    Ok(())
+                })
+                .expect("hand-over");
+            let Some((start, gidx)) = staged else { break };
+            assert!(
+                start + lookahead <= covered,
+                "neighborhood {n}: record {gidx} staged ahead of its look-ahead"
+            );
             let session = supply.take();
             assert_eq!((start, gidx), (session.rec.start, session.gidx));
             gathered.push((session.gidx, session.rec, session.ctx));
         }
         assert_eq!(gathered, walk, "neighborhood {n}");
+        let pairs: Vec<_> = walk
+            .iter()
+            .map(|(_, rec, _)| (rec.start, rec.program))
+            .collect();
+        assert_eq!(handed, pairs, "neighborhood {n}");
+        assert_eq!(covered, SimTime::MAX, "neighborhood {n}");
     }
 
-    // Under a feed strategy the same pass publishes every record's event,
-    // in trace order.
+    // Under a feed strategy the same pass publishes every record's event
+    // under its global index, and promises all of them before any shard
+    // runs.
     let global = StrategySpec::GlobalLfu {
         history: SimDuration::from_days(1),
         lag: SimDuration::ZERO,
@@ -807,10 +834,14 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     let feeding =
         DriverParts::new(&topo, trace.catalog(), &config, global.as_ref()).expect("parts");
     let (_, feed) = feeding.survey(records).expect("survey");
-    assert_eq!(
-        feed.expect("global lfu takes the feed").len(),
-        records.len()
-    );
+    let feed = feed.expect("global lfu takes the feed");
+    assert_eq!(feed.watermark(), records.len() as u64);
+    let view = feed.view();
+    for (seq, rec) in records.iter().enumerate() {
+        let ctx = session_ctx(rec, trace.catalog(), &topo, seg_len).expect("valid");
+        let event = feed_event(rec, &ctx, &config, &feeding.segmenter);
+        assert_eq!(view.event_at(seq), event, "record {seq}");
+    }
 
     // The same failure whichever worker count.
     let mut dangling = records.to_vec();
@@ -964,11 +995,16 @@ fn queue_counts(trace: &Trace, config: &SimConfig) -> (u64, u64) {
     let (members, feed) = parts.survey(records).expect("survey");
     let mut counts = (0, 0);
     for (n, members) in members.iter().enumerate() {
-        let supply =
-            GatheredSupply::gather(records, members, trace.catalog(), &topo, &parts.segmenter);
-        let provider = feed.as_ref().map(cablevod_cache::PrecomputedFeed::new);
+        let supply = GatheredSupply::gather(
+            records,
+            members,
+            trace.catalog(),
+            &topo,
+            &parts.segmenter,
+            strategy.schedule_lookahead(),
+        );
         let mut driver = parts
-            .driver(n, supply, provider, None)
+            .driver(n, supply, feed.as_ref(), None)
             .expect("shard driver");
         driver.run().expect("shard replay");
         let (pushed, spilled) = driver.queue_counts();

@@ -1,4 +1,4 @@
-//! The blocked replay's peak live heap, counted by a global allocator of
+//! Replays' peak live heap, counted by a global allocator of
 //! this binary's own (a `/proc` reading would also count whatever else the
 //! process does).
 //!
@@ -11,6 +11,9 @@
 //! counts and score sets, by program — must not grow when the same
 //! subscribers make twice the sessions in the same week. An index copying
 //! its accesses into a ring of its own fails that: its ring is the window.
+//!
+//! The same holds for the resident plan's Oracle and the days ahead of
+//! it: its index is handed its future a look-ahead at a time, not whole.
 //!
 //! Nor may it grow by a record for every program id in the catalog. An
 //! index keeps a record only for the programs its neighborhood keeps
@@ -27,7 +30,7 @@ use std::sync::{Mutex, PoisonError};
 
 use cablevod_cache::{StrategyRegistry, StrategySpec};
 use cablevod_hfc::ids::ProgramId;
-use cablevod_hfc::units::DataSize;
+use cablevod_hfc::units::{DataSize, SimDuration};
 use cablevod_sim::{SimConfig, SimReport, Simulation};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
@@ -241,5 +244,62 @@ fn spreading_program_ids_changes_no_report_and_costs_a_slot_an_id() {
         extra_spread <= extra + slots,
         "{added_ids} more ids moved the LFU's heap over LRU from {extra} B to {extra_spread} B, \
          more than {slots} B of slots"
+    );
+}
+
+/// The peak heaps of a resident replay of `days` of 3 000 subscribers in
+/// six neighborhoods, at the same daily load whatever `days`, serially
+/// (the resident plan, one shard alive at a time) under `lru` and under a
+/// one-day `oracle`. Returns the records and the two peaks.
+fn resident_oracle_replay(days: u64) -> (u64, u64, u64) {
+    let trace = generate(&SynthConfig {
+        users: 3_000,
+        programs: 400,
+        days,
+        seed: 38,
+        ..SynthConfig::powerinfo()
+    });
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(500)
+        .with_per_peer_storage(DataSize::from_gigabytes(2))
+        .with_warmup_days(3);
+    let oracle = StrategySpec::Oracle {
+        lookahead: SimDuration::from_days(1),
+    };
+    let [lru, oracle] = [StrategySpec::Lru, oracle].map(|spec| {
+        peak_heap(|| {
+            Simulation::over(&trace)
+                .config(config.clone())
+                .strategy(spec)
+                .serial()
+                .run()
+                .expect("replays");
+        })
+    });
+    (trace.record_count(), lru, oracle)
+}
+
+/// A relation over the trace's length on the resident plan. The Oracle's
+/// index is handed its future by the record supply a look-ahead at a time
+/// (`cablevod_cache::schedule`), so what it holds beyond an LRU index —
+/// per-program counts and a day of its neighborhood's accesses — must not
+/// grow when the same subscribers' trace covers twice the days at the
+/// same daily load. The tolerance is an eighth of a byte for each record
+/// of the shorter trace (about 5 KB). A window handed its neighborhood's
+/// whole future holds 8 bytes for every access still to come: at least
+/// 8 × 7 000 B more here, for the busiest of six neighborhoods.
+#[test]
+fn resident_oracle_heap_does_not_grow_with_the_days_ahead() {
+    let (records, lru, oracle) = resident_oracle_replay(6);
+    let (records2, lru2, oracle2) = resident_oracle_replay(12);
+    assert!(
+        records2 >= 2 * records - records / 20,
+        "{records} -> {records2}"
+    );
+    let (extra, extra2) = (oracle.saturating_sub(lru), oracle2.saturating_sub(lru2));
+    assert!(
+        extra2 <= extra + records / 8,
+        "{records} -> {records2} records moved the Oracle's heap over LRU from {extra} B to \
+         {extra2} B (LRU {lru} -> {lru2} B, Oracle {oracle} -> {oracle2} B)"
     );
 }
