@@ -11,8 +11,8 @@
 //! It is generic
 //! over one seam, and that seam — not copies of this loop — is what
 //! distinguishes the entry drivers: the [`RecordSupply`], where sessions
-//! come from — the neighborhood's records gathered out of a resident
-//! trace, its slice of each decoded block, a merged chunk stream (see
+//! come from — a merged stream of chunks, gathered out of a resident
+//! trace or decoded from a file, its slice of each decoded block (see
 //! [`super::stream`]) or a live queue (see [`super::online`]) — and
 //! what crosses the neighborhood's edge with them: the Oracle's future,
 //! read ahead, and the windowed LFU's past, read behind. The global

@@ -34,12 +34,11 @@
 //!        ├─► RecordSupply        (stream.rs — where sessions come from, and
 //!        │                        the Oracle's future and the LFU's past
 //!        │                        with them: read ahead, read behind)
-//!        │     GatheredSupply      the neighborhood's records of a resident
-//!        │                         trace, gathered into one contiguous run
+//!        │     StreamSupply        gidx-ordered merge over the shard's own
+//!        │                         chunk runs: a resident trace's strides
+//!        │                         or a file's chunks (the sweep fast path)
 //!        │     BlockSupply         the neighborhood's contiguous run of each
 //!        │                         decoded, grouped block (the blocked replay)
-//!        │     StreamSupply        gidx-ordered merge over the shard's own
-//!        │                         chunk runs (the sweep fast path)
 //!        │     LiveSupply          the neighborhood's submitted sessions,
 //!        │                         released up to the live clock (online.rs)
 //!        │ reads, under a strategy that takes the feed,
@@ -72,21 +71,22 @@
 //! — [`run`], a [`Simulation`](crate::Simulation) at any worker count, the
 //! online engine — is one driver per neighborhood; `serial()` and
 //! `threads(n)` say how many shards run at once and nothing else, and
-//! every shard walks one contiguous run of records in ascending global
-//! index:
+//! every shard walks its records in ascending global index:
 //!
-//! | plan      | entry                              | supply                           | feed producer           | look-ahead and history hand-back          | scheduling                               |
-//! |-----------|------------------------------------|----------------------------------|-------------------------|-------------------------------------------|------------------------------------------|
-//! | resident  | `run` or `Simulation`, resident    | `GatheredSupply`                 | the survey, up front    | indices into the gathered run             | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming | `run` or `Simulation`, chunked     | `BlockSupply` (blocked replay)   | the decoder, per block  | the decoder's two cursors, per block      | cooperative tasks, parked at block edges |
-//! |           |                                    | `StreamSupply` (sweep fast path) | none (takes no feed)    | the shard's own two cursors               | work-stealing pool                       |
-//! | online    | `online::serve_serial`             | `LiveSupply`                     | the ingress, per session | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | plan      | entry                              | supply                                  | feed producer            | look-ahead and history hand-back          | scheduling                               |
+//! |-----------|------------------------------------|-----------------------------------------|--------------------------|-------------------------------------------|------------------------------------------|
+//! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, up front    | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed) | the shard's own two cursors   | work-stealing pool                       |
+//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, per block   | the decoder's two cursors, per block      | cooperative tasks, parked at block edges |
+//! | online    | `online::serve_serial`             | `LiveSupply`                            | the ingress, per session | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! Every driver reads the feed the same way — a `SharedFeed` over the
 //! run's one `WatermarkFeed` — and is handed its future and its past the
 //! same way, through its supply's `read_ahead` and `read_behind`: the
 //! rows differ in the supply alone. The resident plan and the fast path
-//! run their shards through one job loop (`shard::run_jobs`).
+//! share one supply over two chunk sources, and one job loop
+//! (`shard::run_jobs`); they differ in where a chunk comes from and in
+//! the feed, which only the resident plan can carry.
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
@@ -94,10 +94,14 @@
 //! few places short of it, costs a deque operation — on the benchmark's
 //! traces every push does.
 //!
-//! A resident shard reads its records as one contiguous run, gathered out
-//! of the trace when it starts: reaching each record through a
-//! per-neighborhood index instead read about 30 % slower on the
-//! `resident_lfu` benchmark workload.
+//! A resident shard reads its records a stride at a time: each of its
+//! cursors gathers the next at most `stream::STRIDE` (4 096) records of
+//! its neighborhood into one contiguous buffer and walks it front to
+//! back. Reaching each record through a per-neighborhood index as it
+//! replays read about 30 % slower on the `resident_lfu` benchmark
+//! workload, and gathering the whole run at once holds 40 B a record of
+//! the neighborhood's load; a stride holds 160 KiB a cursor whatever the
+//! load, and costs one chunk step in 4 096 records.
 //!
 //! # Trace layouts and decode work
 //!
@@ -181,8 +185,9 @@
 //! on a streaming run the blocked replay's decoder, or the shard's own
 //! supply on the sweep fast path, keeps a second cursor over the same
 //! chunk runs — no pre-pass, no second file, each chunk decoded twice; a
-//! resident run's supply keeps an index into the run it gathered; the
-//! online engine's supply hands over the schedule it was given, whole.
+//! resident run's supply does the same over its strides, each gathered
+//! twice; the online engine's supply hands over the schedule it was
+//! given, whole.
 //! The offline plans' [`ScheduleWindow`] is bounded by the look-ahead
 //! span plus one hand-over, and every plan shows the Oracle the identical
 //! event sequence, so reports stay bit-identical.
@@ -200,18 +205,18 @@
 //! driver calls before every access it publishes and every idle sweep),
 //! through a [`HistoryWindow`], and the strategy
 //! keeps a copy only of what no supply can hand back (remote feed events,
-//! the delayed-hits LFU's double weight). A resident run's supply keeps an
-//! index into the run it gathered; the blocked replay's decoder keeps a
-//! trailing cursor over the chunk runs, `window` behind each block's edge,
-//! and groups what it passes by neighborhood beside the block's records,
-//! like the look-ahead's slice, for each shard to hand back access by
-//! access; a fast-path shard keeps one over its own runs;
-//! the online supply keeps its released sessions until they leave. The
-//! trailing cursor reads nothing until the window's edge reaches the first
-//! record, so a window that covers the whole run decodes every chunk once;
-//! a shorter one decodes a second time every chunk its edge has passed —
-//! the whole file, for a zero window — while holding one decoded chunk a
-//! run instead of every neighborhood's copy of its window. The events and
+//! the delayed-hits LFU's double weight). A resident or fast-path shard
+//! keeps a trailing cursor over its own runs; the blocked replay's
+//! decoder keeps one over the chunk runs, `window` behind each block's
+//! edge, and groups what it passes by neighborhood beside the block's
+//! records, like the look-ahead's slice, for each shard to hand back
+//! access by access; the online supply keeps its released sessions until
+//! they leave. The trailing cursor reads nothing until the window's edge
+//! reaches the first record, so a window that covers the whole run reads
+//! every chunk once; a shorter one reads a second time every chunk (or
+//! stride) its edge has passed — all of them, for a zero window — while
+//! holding one chunk a run instead of every neighborhood's copy of its
+//! window. The events and
 //! the instant at which each leaves are the ones the strategy's own copy
 //! would give, so reports stay bit-identical; the reference model's
 //! strategies keep their own copies, which holds the hand-back to an
@@ -259,6 +264,8 @@ use crate::error::SimError;
 use crate::report::SimReport;
 
 use lifecycle::{feed_event, session_ctx, RecordSupply, SessionDriver};
+use report::merge_outcomes;
+use stream::Strides;
 
 /// Runs one simulation of the workload in `source` under `config` and
 /// returns the measured report: the config's own strategy, one worker,
@@ -320,16 +327,21 @@ pub(crate) fn replay<S: TraceSource + ?Sized>(
     workers: usize,
 ) -> Result<(SimReport, bool), SimError> {
     check_record_count(source)?;
-    match source.resident_records() {
+    config.validate()?;
+    let topo = build_topology(source, config)?;
+    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
+    let (outcomes, fastpath) = match source.resident_records() {
         Some(records) => {
-            let report = shard::run_sharded_resident(records, source, config, strategy, workers)?;
-            Ok((report, false))
+            let (strides, feed) = parts.survey(records)?;
+            let outcomes = shard::run_jobs(&parts, &strides, &strides.runs, feed.as_ref(), workers);
+            (outcomes, false)
         }
         None => {
-            let (report, streamed) = shard::run_streaming(source, config, strategy, workers)?;
-            Ok((report, streamed.fastpath))
+            let (outcomes, streamed) = shard::run_streaming(source, &parts, workers)?;
+            (outcomes, streamed.fastpath)
         }
-    }
+    };
+    Ok((merge_outcomes(outcomes, source.days(), config)?, fastpath))
 }
 
 /// The source's chunk index for `config`'s neighborhood size, when shards
@@ -459,16 +471,16 @@ impl<'a> DriverParts<'a> {
     /// The one pass a resident run makes over its records before any
     /// driver is built. It computes every record's context — which is
     /// what rejects a dangling program or an unknown user before anything
-    /// runs — and lists each neighborhood's record indices, ascending:
-    /// what its shard gathers, not something the replay follows. Under a
+    /// runs — and lists each neighborhood's record indices, ascending, cut
+    /// into [`Strides`]: the chunks its shard gathers. Under a
     /// strategy that takes the feed it is also the run's one feed
     /// producer: it publishes every record's event into a
     /// [`WatermarkFeed`] and advances the watermark past the last record,
     /// before any shard runs (see the module docs).
-    fn survey(
+    fn survey<'r>(
         &self,
-        records: &[SessionRecord],
-    ) -> Result<(Vec<Vec<u32>>, Option<WatermarkFeed>), SimError> {
+        records: &'r [SessionRecord],
+    ) -> Result<(Strides<'r>, Option<WatermarkFeed>), SimError> {
         let seg_len = self.segmenter.segment_len().as_secs();
         let nbhd_count = self.topo.neighborhood_count();
         let mut members = vec![Vec::new(); nbhd_count];
@@ -488,7 +500,7 @@ impl<'a> DriverParts<'a> {
         if let Some(mut producer) = producer {
             producer.advance(records.len() as u64);
         }
-        Ok((members, feed))
+        Ok((Strides::new(records, members), feed))
     }
 
     /// Builds the index server for neighborhood `n`, configured the same

@@ -1,6 +1,6 @@
-//! Per-neighborhood sharding: shard scheduling and the two sharded entry
-//! drivers — every replay the `Simulation` builder composes, at every
-//! worker count, one included.
+//! Per-neighborhood sharding: shard scheduling and the two ways shards
+//! run — every replay the `Simulation` builder composes, at every worker
+//! count, one included.
 //!
 //! The paper's unit of isolation is the neighborhood: per-event state
 //! (cache, boxes, coax) is neighborhood-local, the shared central-server
@@ -8,25 +8,23 @@
 //! ([`RateMeter::merge`](cablevod_hfc::meter::RateMeter::merge)), and the
 //! one thing that crosses neighborhoods — the global popularity feed — is
 //! always published into one [`WatermarkFeed`] from one place, ahead of
-//! every shard that reads it (all of it by the resident plan's first pass,
+//! every shard that reads it (all of it by the resident plan's survey,
 //! block by block by the decoding thread on streaming runs). Each shard
 //! is therefore one [`SessionDriver`] over its own neighborhood, built by
 //! the one constructor every driver comes from, and what a shard may read
-//! never depends on how far another has got. What a shard reads is always
-//! one contiguous run of `(global index, record)` pairs, front to back,
-//! in ascending global index:
+//! never depends on how far another has got. A shard reads its
+//! `(global index, record)` pairs front to back, in ascending global
+//! index:
 //!
-//! * resident ([`run_sharded_resident`]): one pass over the records
-//!   validates them, publishes the feed if the strategy takes one and
-//!   lists each neighborhood's record indices; a shard copies its own
-//!   records out through that list once, when it starts, and replays the
-//!   copy. Streaming over a matched neighborhood-major file under a
-//!   feed-less strategy: a shard decodes its own chunk runs. Either way
-//!   shards are independent jobs on the work-stealing pool, run by one
-//!   loop ([`run_jobs`]) that differs between the two only in the supply
-//!   it builds; each is built when started and dropped when done — on one
-//!   worker, inline on the caller's thread, so one neighborhood's plant,
-//!   index and records are alive at a time;
+//! * as independent jobs ([`run_jobs`]): every shard streams its own chunk
+//!   runs through a [`StreamSupply`] — a resident trace's strides, which
+//!   the survey cut from each neighborhood's record indices after it
+//!   validated the records and published the feed if the strategy takes
+//!   one; or a matched neighborhood-major file's chunks under a feed-less
+//!   strategy. One loop runs both on the work-stealing pool; each shard
+//!   is built when started and dropped when done — on one worker, inline
+//!   on the caller's thread, so one neighborhood's plant, index and
+//!   cursors are alive at a time;
 //! * every other streaming replay is **blocked** ([`run_blocked`]): shards
 //!   are cooperative tasks striped over the workers, advancing block by
 //!   block, each parked at the block's edge until the caller's thread has
@@ -44,67 +42,32 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use cablevod_cache::{StrategyFactory, WatermarkFeed};
-use cablevod_trace::record::SessionRecord;
+use cablevod_cache::WatermarkFeed;
 use cablevod_trace::source::TraceSource;
 
-use super::lifecycle::{RecordSupply, SessionDriver, Step, ABORTED};
-use super::report::{merge_outcomes, NeighborhoodOutcome};
-use super::stream::{Block, BlockSupply, Demux, GatheredSupply, StreamSupply};
-use super::{build_topology, shard_plans, DriverParts, Replay};
-use crate::config::SimConfig;
+use super::lifecycle::{SessionDriver, Step, ABORTED};
+use super::report::NeighborhoodOutcome;
+use super::stream::{Block, BlockSupply, ChunkSource, Demux, StreamSupply};
+use super::{shard_plans, DriverParts, Replay};
 use crate::error::SimError;
-use crate::report::SimReport;
 use crate::runner;
 
-/// The resident per-neighborhood plan, at any worker count: one pass
-/// over the records validates them, publishes the feed if the strategy
-/// takes one and lists each neighborhood's record indices; then every
-/// shard is a job on the work-stealing pool that gathers its own records
-/// into one contiguous run ([`GatheredSupply`]), replays it front to back
-/// interleaved with its continuation queue, reading the feed and its own
-/// future as every plan does, and is dropped, plant and all, when done.
-/// With `threads == 1` the jobs run inline on the caller's thread, one
-/// neighborhood's working set alive at a time.
-pub(super) fn run_sharded_resident<S: TraceSource + ?Sized>(
-    records: &[SessionRecord],
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-    threads: usize,
-) -> Result<SimReport, SimError> {
-    config.validate()?;
-    let topo = build_topology(source, config)?;
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
-
-    let (members, feed) = parts.survey(records)?;
-    let lookahead = strategy.schedule_lookahead();
-    let outcomes = run_jobs(&parts, feed.as_ref(), threads, |n| {
-        GatheredSupply::gather(
-            records,
-            &members[n],
-            parts.catalog,
-            parts.topo,
-            &parts.segmenter,
-            lookahead,
-        )
-    });
-    merge_outcomes(outcomes, source.days(), config)
-}
-
 /// Runs every shard of `parts`' plant as an independent job on the
-/// work-stealing pool, `threads` at once: each builds its driver around
-/// the supply `supply` makes for it — reading `feed`, published in full
-/// already, when the strategy takes one — runs it out and is dropped
-/// with it. Returns every shard's ending in neighborhood order.
-fn run_jobs<R: RecordSupply>(
+/// work-stealing pool, `threads` at once: shard `n` builds its driver
+/// around a [`StreamSupply`] over its own `runs[n]` of `chunks` — reading
+/// `feed`, published in full already, when the strategy takes one — runs
+/// it out and is dropped with it. Returns every shard's ending in
+/// neighborhood order.
+pub(super) fn run_jobs<C: ChunkSource + Sync + ?Sized>(
     parts: &DriverParts<'_>,
+    chunks: &C,
+    runs: &[Vec<Vec<u32>>],
     feed: Option<&WatermarkFeed>,
     threads: usize,
-    supply: impl Fn(usize) -> R + Sync,
 ) -> Vec<Result<NeighborhoodOutcome, SimError>> {
     runner::run_indexed(parts.topo.neighborhood_count(), threads, |n| {
-        let mut driver = parts.driver(n, supply(n), feed, None)?;
+        let supply = StreamSupply::new(chunks, &runs[n], parts);
+        let mut driver = parts.driver(n, supply, feed, None)?;
         driver.run()?;
         Ok(driver.into_outcome())
     })
@@ -124,54 +87,33 @@ pub(super) struct Streamed {
 /// The streaming driver, at any worker count: shards are supplied as the
 /// source's layout and the strategy dictate (see [`super::shard_plans`]).
 /// `threads` is how many run at once and nothing else — `1` is the plan on
-/// the caller's thread.
+/// the caller's thread. Returns every shard's ending in neighborhood order.
 pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
+    parts: &DriverParts<'_>,
     threads: usize,
-) -> Result<(SimReport, Streamed), SimError> {
-    config.validate()?;
-    let topo = build_topology(source, config)?;
-    let nbhd_count = topo.neighborhood_count();
-
-    let replay = shard_plans(source, config, nbhd_count, strategy);
-    // A strategy that looks ahead is fed its future by whoever supplies
-    // its neighborhood's records, as the replay goes.
-    let lookahead = strategy.schedule_lookahead();
-    let history = strategy.history_window();
-    let parts = DriverParts::new(&topo, source.catalog(), config, strategy)?;
-
+) -> Result<(Vec<Result<NeighborhoodOutcome, SimError>>, Streamed), SimError> {
+    let nbhd_count = parts.topo.neighborhood_count();
     let mut streamed = Streamed {
         fastpath: false,
         peak_feed_slots: None,
     };
-    let outcomes = match &replay {
+    let outcomes = match shard_plans(source, parts.config, nbhd_count, parts.strategy) {
         Replay::Runs(runs) => {
             streamed.fastpath = true;
-            run_jobs(&parts, None, threads, |n| {
-                StreamSupply::new(
-                    source,
-                    &runs[n],
-                    &topo,
-                    &parts.segmenter,
-                    lookahead,
-                    history,
-                )
-            })
+            run_jobs(parts, source, &runs, None, threads)
         }
         Replay::Blocked(runs) => {
-            let feed = strategy
+            let feed = parts
+                .strategy
                 .needs_feed()
                 .then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
-            let outcomes = run_blocked(source, runs, &parts, feed.as_ref(), threads)?;
+            let outcomes = run_blocked(source, &runs, parts, feed.as_ref(), threads)?;
             streamed.peak_feed_slots = feed.as_ref().map(WatermarkFeed::peak_live_slots);
             outcomes
         }
     };
-
-    let report = merge_outcomes(outcomes, source.days(), config)?;
-    Ok((report, streamed))
+    Ok((outcomes, streamed))
 }
 
 /// The blocked replay (see the module docs): the caller's thread decodes

@@ -2,12 +2,21 @@
 //! [`SessionDriver`](super::lifecycle::SessionDriver) gets its sessions
 //! from.
 //!
-//! * [`GatheredSupply`] — one neighborhood's records of a resident trace,
-//!   copied out of the slice into one contiguous `(gidx, record)` run
-//!   when the shard starts and walked front to back: the supply of the
-//!   per-neighborhood resident plan. It keeps no context table — the
-//!   context of the session about to start is two table lookups, computed
-//!   when it is taken.
+//! * [`StreamSupply`] — a shard that reads its own chunk runs, merged by
+//!   global index: the supply of every shard that shares nothing with
+//!   another while it runs. Its chunks come from a [`ChunkSource`], one of
+//!   two:
+//!   - a neighborhood-major file whose grouping **matches** the plant,
+//!     under a strategy that takes no feed (the sweep fast path): each
+//!     chunk decoded by its shard;
+//!   - a resident trace's [`Strides`]: the survey
+//!     (`DriverParts::survey`) lists each neighborhood's record indices
+//!     and cuts the list into strides of at most [`STRIDE`] records, each
+//!     a chunk, gathered as `(i, records[i])` for every index `i` of it
+//!     when a cursor reaches it. A neighborhood's run is its list of
+//!     stride ids, the shape of a file's chunk index.
+//!
+//!   It computes contexts at ingestion and publishes nothing.
 //! * [`BlockSupply`] — one neighborhood's slice of the current
 //!   [`Block`]: the supply of the **blocked** replay. A [`Demux`] on the
 //!   caller's thread decodes each chunk once into the shared block —
@@ -19,25 +28,25 @@
 //!   walks its own contiguous run of the block front to back and, once it
 //!   is through, reports the block's edge so its driver parks there until
 //!   the next block is attached.
-//! * [`StreamSupply`] — a shard that decodes its own chunk runs: the
-//!   supply of a neighborhood-major file whose grouping **matches** the
-//!   plant, under a strategy that takes no feed, where shards share
-//!   nothing. It computes contexts at ingestion and publishes nothing.
 //!
-//! No supply reaches a record through an index: each walks
-//! records laid out contiguously in the order it replays them —
-//! gathered, grouped, or as its chunks decode.
+//! No supply reaches a record through an index as it replays: each walks
+//! records laid out contiguously in the order it replays them — a
+//! chunk as it decodes, a stride as it is gathered, or a block's group.
+//! A stride is a chunk so that a shard holds one stride a cursor, 160 KiB
+//! of `(u64, SessionRecord)`, whatever its neighborhood's load, and few
+//! enough chunk steps that walking it costs what one contiguous run did.
 //!
-//! Every streaming replay is sharded per neighborhood; what the engine
-//! can observe of the source and the strategy picks the supply, the
-//! worker count never does:
+//! Every replay is sharded per neighborhood; what the engine can observe
+//! of the source and the strategy picks the supply, the worker count
+//! never does:
 //!
-//! | source                        | strategy   | supply         | chunk decodes                | reads ahead  | reads behind |
-//! |-------------------------------|------------|----------------|------------------------------|--------------|--------------|
-//! | time-major                    | any        | `BlockSupply`  | each once, centrally         | the `Demux`  | the `Demux`  |
-//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each once, by its shard      | every supply | every supply |
-//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged | the `Demux`  | the `Demux`  |
-//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged | the `Demux`  | the `Demux`  |
+//! | source                        | strategy   | supply         | chunks                           | reads ahead  | reads behind |
+//! |-------------------------------|------------|----------------|----------------------------------|--------------|--------------|
+//! | resident                      | any        | `StreamSupply` | strides, gathered by its shard   | every supply | every supply |
+//! | matching neighborhood-major   | feed-less  | `StreamSupply` | each decoded once, by its shard  | every supply | every supply |
+//! | time-major                    | any        | `BlockSupply`  | each decoded once, centrally     | the `Demux`  | the `Demux`  |
+//! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged     | the `Demux`  | the `Demux`  |
+//! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged     | the `Demux`  | the `Demux`  |
 //!
 //! Under a strategy that looks into the future (the Oracle), whoever
 //! stages a neighborhood's records in order also reads the same records
@@ -46,25 +55,24 @@
 //! access that needs them ([`RecordSupply::read_ahead`]): the `Demux` per
 //! block, grouped by neighborhood beside the block's records, so the
 //! barrier that orders records and feed orders this too; a
-//! `StreamSupply` whenever it stages a record; a [`GatheredSupply`] by an
-//! index into its run, with nothing to decode. Where the records come
-//! from a file, the reading is a [`RunCursor`], one more cursor over the
-//! same chunk runs, so such a run decodes each chunk twice.
+//! `StreamSupply` whenever it stages a record. Either reading is a
+//! [`RunCursor`], one more cursor over the same chunk runs, so such a run
+//! reads each chunk twice: from a file, a second decode; from a resident
+//! trace, a second gather.
 //!
 //! Under a strategy that remembers its past (the windowed LFU family) the
 //! same staging reads the records a second time `window` *behind* the
-//! replay — the look-ahead's mirror, and over a file the same kind of
-//! [`RunCursor`], bounded by the window's trailing edge instead of the
-//! look-ahead's leading one — and hands each access back to its index
-//! server as it leaves the history window ([`RecordSupply::read_behind`]):
-//! the `Demux` per block, `window` behind the block's edge, its slice
-//! grouped beside the look-ahead's and handed back by the `BlockSupply`
-//! access by access; a `StreamSupply` before every access; a
-//! [`GatheredSupply`] by a second index into its run. The cursor reads
-//! nothing until the window's edge reaches the replay's first record, so
-//! a window longer than the run decodes nothing twice; a shorter one
-//! decodes again the chunks its edge has passed, holding one decoded
-//! chunk a run instead of a copy of the window in every index.
+//! replay — the look-ahead's mirror, the same kind of [`RunCursor`],
+//! bounded by the window's trailing edge instead of the look-ahead's
+//! leading one — and hands each access back to its index server as it
+//! leaves the history window ([`RecordSupply::read_behind`]): the `Demux`
+//! per block, `window` behind the block's edge, its slice grouped beside
+//! the look-ahead's and handed back by the `BlockSupply` access by
+//! access; a `StreamSupply` before every access. The cursor reads nothing
+//! until the window's edge reaches the replay's first record, so a window
+//! longer than the run reads nothing twice; a shorter one reads again the
+//! chunks its edge has passed, holding one chunk a run instead of a copy
+//! of the window in every index.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
@@ -74,7 +82,8 @@
 //! decoder reading a whole neighborhood-major file, either one's
 //! second cursor — the one [`RunMerge`] cursor does it: a binary heap of run
 //! heads (run counts are cell counts, tens to a few hundred), which over
-//! a single run is plain sequential streaming.
+//! a single run — a time-major file, a single-index file's group, a
+//! resident neighborhood's strides — is plain sequential streaming.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -92,120 +101,83 @@ use cablevod_trace::source::TraceSource;
 use cablevod_trace::TraceError;
 
 use super::lifecycle::{feed_event, session_ctx, PendingSession, RecordSupply};
+use super::DriverParts;
 use crate::config::SimConfig;
 use crate::error::SimError;
 
-/// One neighborhood's records of a resident trace as one contiguous run
-/// (see the module docs): gathered once, when the shard starts, and
-/// dropped with it.
-pub(super) struct GatheredSupply<'a> {
-    run: Vec<(u64, SessionRecord)>,
-    pos: usize,
-    /// Under a strategy that looks ahead: how far.
-    lookahead: Option<SimDuration>,
-    /// The read-ahead: `run[..ahead]` has been handed over, and with it
-    /// every access before `covered`.
-    ahead: usize,
-    covered: SimTime,
-    /// The read-behind: `run[..behind]` has been handed back.
-    behind: usize,
-    /// Scratch for one hand-over or hand-back.
-    events: Vec<AccessEvent>,
-    catalog: &'a ProgramCatalog,
-    topo: &'a Topology,
-    seg_len: u64,
+/// The most records of one neighborhood a [`Strides`] chunk holds (see
+/// the module docs).
+pub(super) const STRIDE: usize = 4_096;
+
+/// Where a [`ChunkRun`] reads its chunks: a [`TraceSource`]'s, decoded,
+/// or a resident trace's [`Strides`], gathered. The one thing the cursors
+/// below ask of their source.
+pub(super) trait ChunkSource {
+    /// Reads `chunk` into `out`, cleared first, as `(global index,
+    /// record)` pairs, ascending in global index.
+    fn fetch(&self, chunk: u32, out: &mut Vec<(u64, SessionRecord)>) -> Result<(), TraceError>;
 }
 
-impl<'a> GatheredSupply<'a> {
-    /// Copies `records[i]` for every `i` of `members` — one neighborhood's
-    /// record indices, ascending — into the run, to be read `lookahead`
-    /// ahead for a strategy that asks for it. Every record was validated
-    /// by the pass that listed it (`DriverParts::survey`).
-    pub(super) fn gather(
-        records: &[SessionRecord],
-        members: &[u32],
-        catalog: &'a ProgramCatalog,
-        topo: &'a Topology,
-        segmenter: &Segmenter,
-        lookahead: Option<SimDuration>,
-    ) -> Self {
-        GatheredSupply {
-            run: members
+impl<S: TraceSource + ?Sized> ChunkSource for S {
+    fn fetch(&self, chunk: u32, out: &mut Vec<(u64, SessionRecord)>) -> Result<(), TraceError> {
+        self.read_chunk_indexed(chunk as usize, out)
+    }
+}
+
+/// A resident trace as chunks (see the module docs): each neighborhood's
+/// record indices, ascending, cut into strides of at most [`STRIDE`],
+/// numbered in neighborhood order.
+pub(super) struct Strides<'a> {
+    records: &'a [SessionRecord],
+    members: Vec<Vec<u32>>,
+    /// Chunk `c` is `members[n][from..]`, cut at [`STRIDE`] records, for
+    /// `(n, from) = chunks[c]`.
+    chunks: Vec<(u32, u32)>,
+    /// `runs[n]` is neighborhood `n`'s one run of chunk ids: the shape of
+    /// a neighborhood-major file's chunk index.
+    pub(super) runs: Vec<Vec<Vec<u32>>>,
+}
+
+impl<'a> Strides<'a> {
+    /// Cuts `members` — one list of ascending indices into `records` a
+    /// neighborhood, every record validated by the pass that listed it
+    /// (`DriverParts::survey`) — into strides.
+    pub(super) fn new(records: &'a [SessionRecord], members: Vec<Vec<u32>>) -> Self {
+        let mut chunks = Vec::new();
+        let runs = (0u32..)
+            .zip(&members)
+            .map(|(n, list)| {
+                let run = (0..list.len() as u32)
+                    .step_by(STRIDE)
+                    .map(|from| {
+                        chunks.push((n, from));
+                        chunks.len() as u32 - 1
+                    })
+                    .collect();
+                vec![run]
+            })
+            .collect();
+        Strides {
+            records,
+            members,
+            chunks,
+            runs,
+        }
+    }
+}
+
+impl ChunkSource for Strides<'_> {
+    fn fetch(&self, chunk: u32, out: &mut Vec<(u64, SessionRecord)>) -> Result<(), TraceError> {
+        let (n, from) = self.chunks[chunk as usize];
+        let rest = &self.members[n as usize][from as usize..];
+        out.clear();
+        out.extend(
+            rest[..rest.len().min(STRIDE)]
                 .iter()
-                .map(|&i| (u64::from(i), records[i as usize]))
-                .collect(),
-            pos: 0,
-            lookahead,
-            ahead: 0,
-            covered: SimTime::EPOCH,
-            behind: 0,
-            events: Vec::new(),
-            catalog,
-            topo,
-            seg_len: segmenter.segment_len().as_secs(),
-        }
+                .map(|&i| (u64::from(i), self.records[i as usize])),
+        );
+        Ok(())
     }
-}
-
-impl RecordSupply for GatheredSupply<'_> {
-    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
-        Ok(self.run.get(self.pos).map(|(gidx, rec)| (rec.start, *gidx)))
-    }
-
-    fn take(&mut self) -> PendingSession {
-        let (gidx, rec) = self.run[self.pos];
-        self.pos += 1;
-        let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)
-            .expect("the survey computed this context once already");
-        PendingSession { gidx, rec, ctx }
-    }
-
-    fn read_ahead(
-        &mut self,
-        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        let Some(lookahead) = self.lookahead else {
-            return Ok(());
-        };
-        let horizon = ahead_of(self.run.get(self.pos).map(|(_, rec)| rec.start), lookahead);
-        if horizon <= self.covered {
-            return Ok(());
-        }
-        hand_on(&self.run, &mut self.ahead, horizon, &mut self.events)?;
-        self.covered = if self.ahead == self.run.len() {
-            SimTime::MAX
-        } else {
-            horizon
-        };
-        sink(&self.events, self.covered)
-    }
-
-    fn read_behind(
-        &mut self,
-        until: SimTime,
-        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        let covered = past(until);
-        hand_on(&self.run, &mut self.behind, covered, &mut self.events)?;
-        sink(&self.events, covered)
-    }
-}
-
-/// Refills `events` with the accesses of `run[*from..]` that start before
-/// `bound`, moving `from` past them: a [`GatheredSupply`]'s read-ahead and
-/// read-behind, each an index into its run.
-fn hand_on(
-    run: &[(u64, SessionRecord)],
-    from: &mut usize,
-    bound: SimTime,
-    events: &mut Vec<AccessEvent>,
-) -> Result<(), SimError> {
-    events.clear();
-    while let Some((_, rec)) = run.get(*from).filter(|(_, rec)| rec.start < bound) {
-        events.push(AccessEvent::new(rec.start, rec.program)?);
-        *from += 1;
-    }
-    Ok(())
 }
 
 /// The instant just past `until`: what a hand-back of every access at or
@@ -584,8 +556,8 @@ impl RecordSupply for BlockSupply<'_> {
 
 /// A sequential cursor over a gidx-ascending list of chunk ids, holding
 /// one decoded chunk at a time.
-struct ChunkRun<'a, S: TraceSource + ?Sized> {
-    source: &'a S,
+struct ChunkRun<'a, C: ChunkSource + ?Sized> {
+    source: &'a C,
     chunks: &'a [u32],
     /// Position in `chunks` of the next one to decode.
     next: usize,
@@ -593,13 +565,13 @@ struct ChunkRun<'a, S: TraceSource + ?Sized> {
     pos: usize,
 }
 
-impl<S: TraceSource + ?Sized> ChunkRun<'_, S> {
+impl<C: ChunkSource + ?Sized> ChunkRun<'_, C> {
     /// Decodes the run's next chunk into `out`, cleared first; at the end
     /// of the run `out` stays empty.
     fn decode_next(&mut self, out: &mut Vec<(u64, SessionRecord)>) -> Result<(), SimError> {
         out.clear();
         if let Some(&chunk) = self.chunks.get(self.next) {
-            self.source.read_chunk_indexed(chunk as usize, out)?;
+            self.source.fetch(chunk, out)?;
             self.next += 1;
         }
         Ok(())
@@ -622,8 +594,8 @@ impl<S: TraceSource + ?Sized> ChunkRun<'_, S> {
 /// The one sequence-number merge (see the module docs): a cursor handing
 /// out the records of its [`ChunkRun`]s in global order, holding one
 /// decoded chunk per run.
-pub(super) struct RunMerge<'a, S: TraceSource + ?Sized> {
-    runs: Vec<ChunkRun<'a, S>>,
+pub(super) struct RunMerge<'a, C: ChunkSource + ?Sized> {
+    runs: Vec<ChunkRun<'a, C>>,
     /// One `(key, run)` entry per run not yet found exhausted, smallest
     /// key first. A key is the global index at the run's head or, while
     /// the chunk holding that head is still undecoded, a lower bound on
@@ -631,9 +603,9 @@ pub(super) struct RunMerge<'a, S: TraceSource + ?Sized> {
     heads: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
-impl<'a, S: TraceSource + ?Sized> RunMerge<'a, S> {
+impl<'a, C: ChunkSource + ?Sized> RunMerge<'a, C> {
     /// A cursor over `runs`, each a gidx-ascending chunk list of `source`.
-    pub(super) fn new(source: &'a S, runs: impl IntoIterator<Item = &'a [u32]>) -> Self {
+    pub(super) fn new(source: &'a C, runs: impl IntoIterator<Item = &'a [u32]>) -> Self {
         let run = |chunks| ChunkRun {
             source,
             chunks,
@@ -710,8 +682,8 @@ impl<'a, S: TraceSource + ?Sized> RunMerge<'a, S> {
 /// into its future, or a history window behind it for one that remembers
 /// its past. Either way it passes on, in global order, every record that
 /// starts before a bound that only moves forward.
-pub(super) struct RunCursor<'a, S: TraceSource + ?Sized> {
-    merge: RunMerge<'a, S>,
+pub(super) struct RunCursor<'a, C: ChunkSource + ?Sized> {
+    merge: RunMerge<'a, C>,
     /// Read already, but at or past every bound so far.
     held: Option<SessionRecord>,
     /// Every record starting before this instant has been passed on:
@@ -723,8 +695,8 @@ pub(super) struct RunCursor<'a, S: TraceSource + ?Sized> {
     first: Option<SimTime>,
 }
 
-impl<'a, S: TraceSource + ?Sized> RunCursor<'a, S> {
-    pub(super) fn new(source: &'a S, runs: &'a [Vec<u32>]) -> Self {
+impl<'a, C: ChunkSource + ?Sized> RunCursor<'a, C> {
+    pub(super) fn new(source: &'a C, runs: &'a [Vec<u32>]) -> Self {
         RunCursor {
             merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
             held: None,
@@ -776,49 +748,47 @@ impl<'a, S: TraceSource + ?Sized> RunCursor<'a, S> {
     }
 }
 
-/// The supply of a shard that decodes its own chunk runs (see the module
-/// docs): its group's cell runs merged by global index, one record staged
-/// at a time.
-pub(super) struct StreamSupply<'a, S: TraceSource + ?Sized> {
-    merge: RunMerge<'a, S>,
+/// The supply of a shard that reads its own chunk runs (see the module
+/// docs): its neighborhood's runs merged by global index, one record
+/// staged at a time.
+pub(super) struct StreamSupply<'a, C: ChunkSource + ?Sized> {
+    merge: RunMerge<'a, C>,
     catalog: &'a ProgramCatalog,
     topo: &'a Topology,
     seg_len: u64,
     staged: Option<PendingSession>,
     /// Under a strategy that looks ahead: the read-ahead, and how far.
-    ahead: Option<(RunCursor<'a, S>, SimDuration)>,
+    ahead: Option<(RunCursor<'a, C>, SimDuration)>,
     /// Under a strategy that remembers its past: the trailing cursor.
-    behind: Option<RunCursor<'a, S>>,
+    behind: Option<RunCursor<'a, C>>,
     /// Scratch for one hand-over or hand-back.
     events: Vec<AccessEvent>,
 }
 
-impl<'a, S: TraceSource + ?Sized> StreamSupply<'a, S> {
-    /// The supply of a neighborhood over its own `runs`, reading
-    /// `lookahead` ahead for a strategy that asks for it, and behind for
-    /// one that keeps a `history` window.
-    pub(super) fn new(
-        source: &'a S,
-        runs: &'a [Vec<u32>],
-        topo: &'a Topology,
-        segmenter: &Segmenter,
-        lookahead: Option<SimDuration>,
-        history: Option<SimDuration>,
-    ) -> Self {
+impl<'a, C: ChunkSource + ?Sized> StreamSupply<'a, C> {
+    /// The supply of a neighborhood of `parts`' plant over its own `runs`
+    /// of `chunks`, reading ahead for a strategy that looks ahead, and
+    /// behind for one that keeps a history window.
+    pub(super) fn new(chunks: &'a C, runs: &'a [Vec<u32>], parts: &DriverParts<'a>) -> Self {
+        let strategy = parts.strategy;
         StreamSupply {
-            merge: RunMerge::new(source, runs.iter().map(Vec::as_slice)),
-            catalog: source.catalog(),
-            topo,
-            seg_len: segmenter.segment_len().as_secs(),
+            merge: RunMerge::new(chunks, runs.iter().map(Vec::as_slice)),
+            catalog: parts.catalog,
+            topo: parts.topo,
+            seg_len: parts.segmenter.segment_len().as_secs(),
             staged: None,
-            ahead: lookahead.map(|lookahead| (RunCursor::new(source, runs), lookahead)),
-            behind: history.map(|_| RunCursor::new(source, runs)),
+            ahead: strategy
+                .schedule_lookahead()
+                .map(|lookahead| (RunCursor::new(chunks, runs), lookahead)),
+            behind: strategy
+                .history_window()
+                .map(|_| RunCursor::new(chunks, runs)),
             events: Vec::new(),
         }
     }
 }
 
-impl<S: TraceSource + ?Sized> RecordSupply for StreamSupply<'_, S> {
+impl<C: ChunkSource + ?Sized> RecordSupply for StreamSupply<'_, C> {
     fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
         if self.staged.is_none() {
             if let Some((gidx, rec)) = self.merge.next()? {

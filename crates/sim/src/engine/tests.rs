@@ -421,9 +421,11 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
     let chunked = ChunkedTrace::new(&trace, 1_024);
     let sources: [(&str, &dyn TraceSource); 2] =
         [("time-major", &chunked), ("neighborhood-major", &nm_reader)];
+    let topo = build_topology(&trace, &config).expect("topology");
+    let parts = DriverParts::new(&topo, trace.catalog(), &config, factory.as_ref()).expect("parts");
     for (layout, source) in sources {
-        let (report, streamed) =
-            shard::run_streaming(source, &config, factory.as_ref(), 1).expect("streaming runs");
+        let (outcomes, streamed) = shard::run_streaming(source, &parts, 1).expect("streaming runs");
+        let report = report::merge_outcomes(outcomes, trace.days(), &config).expect("merges");
         let peak = streamed
             .peak_feed_slots
             .expect("global LFU consumes the feed");
@@ -647,16 +649,11 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let layout = nm_reader
         .neighborhood_layout_for(config.neighborhood_size())
         .expect("indexed at this size");
+    let oracle = StrategySpec::Oracle { lookahead };
+    let parts = DriverParts::new(&topo, trace.catalog(), &config, &oracle).expect("parts");
     let mut fed = unfed();
     for (n, fed) in fed.iter_mut().enumerate() {
-        let mut supply = StreamSupply::new(
-            &nm_reader,
-            &layout.runs[n],
-            &topo,
-            &segmenter,
-            Some(lookahead),
-            None,
-        );
+        let mut supply = StreamSupply::new(&nm_reader, &layout.runs[n], &parts);
         drain(&mut supply, lookahead, fed);
     }
     check("fast path", fed);
@@ -664,11 +661,12 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     std::fs::remove_file(&nm).ok();
 }
 
-/// 4,000 sessions a minute apart over three 50-subscriber neighborhoods
+/// 12,000 sessions a minute apart over three 50-subscriber neighborhoods
 /// of very unequal load — neighborhood 0 starts four sessions for every
 /// one of neighborhood 2, neighborhood 1 never starts any — with seeks and
 /// lengths that make every field of a context vary: what the two
-/// contiguous-run tests below replay.
+/// run tests below replay. Neighborhood 0's 9,600 records span three
+/// resident strides, neighborhood 2's 2,400 one.
 fn uneven_workload() -> (Trace, SimConfig) {
     use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
     use cablevod_trace::rechunk::neighborhood_groups;
@@ -684,7 +682,7 @@ fn uneven_workload() -> (Trace, SimConfig) {
             introduced_day: 0,
         })
         .collect();
-    let records: Vec<SessionRecord> = (0..4_000u64)
+    let records: Vec<SessionRecord> = (0..12_000u64)
         .map(|i| {
             let pool = if i % 5 == 3 { &quiet } else { &busy };
             let mut rec = SessionRecord::new(
@@ -697,7 +695,7 @@ fn uneven_workload() -> (Trace, SimConfig) {
             rec
         })
         .collect();
-    let trace = Trace::new(records, catalog, users, 3).expect("valid trace");
+    let trace = Trace::new(records, catalog, users, 9).expect("valid trace");
     let config = SimConfig::paper_default()
         .with_neighborhood_size(nbhd_size)
         .with_per_peer_storage(DataSize::from_gigabytes(1))
@@ -745,18 +743,21 @@ impl TraceSource for Tampered<'_> {
 }
 
 /// The resident per-neighborhood plan reads what the index walk it
-/// replaced read: every shard's gathered run is, session for session —
-/// global index, record, context — its neighborhood's records in trace
-/// order, on neighborhoods of unequal size, one of them empty. Its
+/// replaced read: every shard's supply over its gathered strides gives,
+/// session for session — global index, record, context — its
+/// neighborhood's records in trace order, on neighborhoods of unequal
+/// size, one of them empty and one spanning three strides. Its
 /// read-ahead hands the index exactly the walk's `(start, program)`
 /// pairs, in order, each hand-over covering at least `lookahead` past the
-/// session staged; the survey publishes every record's feed event; and a
-/// record that names no program or no subscriber fails the run with the
-/// same error at any worker count, before any shard is built.
+/// session staged; its read-behind, under a one-hour history, hands each
+/// access back once, in order, never before the window's edge has passed
+/// it; the survey publishes every record's feed event; and a record that
+/// names no program or no subscriber fails the run with the same error at
+/// any worker count, before any shard is built.
 #[test]
 fn gathered_runs_are_the_index_walk_session_for_session() {
     use super::lifecycle::{feed_event, RecordSupply};
-    use super::stream::GatheredSupply;
+    use super::stream::{StreamSupply, STRIDE};
     use cablevod_cache::FeedEvents;
 
     let (trace, config) = uneven_workload();
@@ -766,17 +767,17 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         DriverParts::new(&topo, trace.catalog(), &config, strategy.as_ref()).expect("parts");
     let seg_len = parts.segmenter.segment_len().as_secs();
     let records = trace.records();
-    let lookahead = SimDuration::from_hours(1);
+    let (lookahead, window) = (SimDuration::from_hours(1), SimDuration::from_hours(1));
+    let ahead = StrategySpec::Oracle { lookahead };
+    let ahead = DriverParts::new(&topo, trace.catalog(), &config, &ahead).expect("parts");
+    let behind = StrategySpec::Lfu { history: window };
+    let behind = DriverParts::new(&topo, trace.catalog(), &config, &behind).expect("parts");
 
-    let (members, feed) = parts.survey(records).expect("survey");
+    let (strides, feed) = parts.survey(records).expect("survey");
     assert!(feed.is_none(), "lfu takes no feed");
-    let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
-    assert_eq!(sizes.len(), 3);
-    assert!(
-        sizes[1] == 0 && sizes[2] > 0 && sizes[0] > 3 * sizes[2],
-        "{sizes:?}"
-    );
-    for (n, members) in members.iter().enumerate() {
+    let spans: Vec<usize> = strides.runs.iter().map(|runs| runs[0].len()).collect();
+    assert_eq!(spans, [3, 0, 1], "strides of {STRIDE} records");
+    for n in 0..spans.len() {
         let walk: Vec<_> = records
             .iter()
             .enumerate()
@@ -785,14 +786,12 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
                 (ctx.nbhd as usize == n).then_some((i as u64, *rec, ctx))
             })
             .collect();
-        let mut supply = GatheredSupply::gather(
-            records,
-            members,
-            trace.catalog(),
-            &topo,
-            &parts.segmenter,
-            Some(lookahead),
-        );
+        let pairs: Vec<_> = walk
+            .iter()
+            .map(|(_, rec, _)| (rec.start, rec.program))
+            .collect();
+
+        let mut supply = StreamSupply::new(&strides, &strides.runs[n], &ahead);
         let (mut gathered, mut handed, mut covered) = (Vec::new(), Vec::new(), SimTime::EPOCH);
         loop {
             let staged = supply.peek().expect("peek");
@@ -815,12 +814,34 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
             gathered.push((session.gidx, session.rec, session.ctx));
         }
         assert_eq!(gathered, walk, "neighborhood {n}");
-        let pairs: Vec<_> = walk
-            .iter()
-            .map(|(_, rec, _)| (rec.start, rec.program))
-            .collect();
         assert_eq!(handed, pairs, "neighborhood {n}");
         assert_eq!(covered, SimTime::MAX, "neighborhood {n}");
+
+        // The driver hands back before every access, then once more at
+        // the end of time here, which must leave nothing behind.
+        let mut supply = StreamSupply::new(&strides, &strides.runs[n], &behind);
+        let mut handed = Vec::new();
+        let mut hand_back = |supply: &mut StreamSupply<'_, _>, until: SimTime| {
+            supply
+                .read_behind(until, |events, to| {
+                    assert_eq!(to, until.saturating_add(SimDuration::from_secs(1)));
+                    assert!(
+                        events.iter().all(|e| e.at() <= until),
+                        "neighborhood {n}: handed back before {until:?} passed it"
+                    );
+                    handed.extend(events.iter().map(|e| (e.at(), e.program())));
+                    Ok(())
+                })
+                .expect("hand-back");
+        };
+        while let Some((start, _)) = supply.peek().expect("peek") {
+            supply.take();
+            if let Some(until) = start.checked_sub(window) {
+                hand_back(&mut supply, until);
+            }
+        }
+        hand_back(&mut supply, SimTime::MAX);
+        assert_eq!(handed, pairs, "neighborhood {n}");
     }
 
     // Under a feed strategy the same pass publishes every record's event
@@ -986,23 +1007,15 @@ fn active_sessions_bound_allocation_by_concurrency() {
 /// The continuation queue's (pushes, spills) over a replay of `trace`,
 /// summed over the per-neighborhood drivers of the resident plan.
 fn queue_counts(trace: &Trace, config: &SimConfig) -> (u64, u64) {
-    use super::stream::GatheredSupply;
+    use super::stream::StreamSupply;
 
     let strategy = config.strategy().factory();
     let topo = build_topology(trace, config).expect("topology");
     let parts = DriverParts::new(&topo, trace.catalog(), config, strategy.as_ref()).expect("parts");
-    let records = trace.records();
-    let (members, feed) = parts.survey(records).expect("survey");
+    let (strides, feed) = parts.survey(trace.records()).expect("survey");
     let mut counts = (0, 0);
-    for (n, members) in members.iter().enumerate() {
-        let supply = GatheredSupply::gather(
-            records,
-            members,
-            trace.catalog(),
-            &topo,
-            &parts.segmenter,
-            strategy.schedule_lookahead(),
-        );
+    for (n, runs) in strides.runs.iter().enumerate() {
+        let supply = StreamSupply::new(&strides, runs, &parts);
         let mut driver = parts
             .driver(n, supply, feed.as_ref(), None)
             .expect("shard driver");

@@ -14,6 +14,9 @@
 //!
 //! The same holds for the resident plan's Oracle and the days ahead of
 //! it: its index is handed its future a look-ahead at a time, not whole.
+//! And a resident shard reads its records a stride at a time, so what a
+//! serial resident replay holds does not grow when one neighborhood
+//! carries the whole load instead of a sixth of it.
 //!
 //! Nor may it grow by a record for every program id in the catalog. An
 //! index keeps a record only for the programs its neighborhood keeps
@@ -29,11 +32,12 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use cablevod_cache::{StrategyRegistry, StrategySpec};
-use cablevod_hfc::ids::ProgramId;
+use cablevod_hfc::ids::{ProgramId, UserId};
 use cablevod_hfc::units::{DataSize, SimDuration};
 use cablevod_sim::{SimConfig, SimReport, Simulation};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
+use cablevod_trace::rechunk::neighborhood_groups;
 use cablevod_trace::record::{SessionRecord, Trace};
 use cablevod_trace::source::TraceSource;
 use cablevod_trace::synth::{generate, generate_to_disk, SynthConfig};
@@ -301,5 +305,60 @@ fn resident_oracle_heap_does_not_grow_with_the_days_ahead() {
         extra2 <= extra + records / 8,
         "{records} -> {records2} records moved the Oracle's heap over LRU from {extra} B to \
          {extra2} B (LRU {lru} -> {lru2} B, Oracle {oracle} -> {oracle2} B)"
+    );
+}
+
+/// A relation over one neighborhood's load on the resident plan. Six days
+/// of 3 000 subscribers in six neighborhoods replay serially under `lru`,
+/// once as generated and once with every record's subscriber renamed
+/// into neighborhood 0, which then carries all of them. A shard reads its
+/// records a stride at a time through its cursors, and only one shard is
+/// alive at a time, so the two peaks may differ only by what the survey's
+/// membership lists hold: 4 B a record either way, plus what a `Vec`
+/// grown by doubling keeps spare, under 4 B a record of the list. That
+/// slack, 4 B a record of the trace, is the tolerance. A shard holding
+/// its whole run (40 B a record) fails it: that is over 1.4 MB more here.
+#[test]
+fn resident_shard_heap_does_not_grow_with_its_neighborhoods_load() {
+    const USERS: u32 = 3_000;
+    const NEIGHBORHOOD: u32 = 500;
+    let spread = generate(&SynthConfig {
+        users: USERS,
+        programs: 400,
+        days: 6,
+        seed: 38,
+        ..SynthConfig::powerinfo()
+    });
+    let groups = neighborhood_groups(USERS, NEIGHBORHOOD).expect("groups");
+    let first: Vec<u32> = (0..USERS).filter(|&u| groups[u as usize] == 0).collect();
+    let records = spread
+        .iter()
+        .map(|r| SessionRecord {
+            user: UserId::new(first[r.user.value() as usize % first.len()]),
+            ..*r
+        })
+        .collect();
+    let crowded =
+        Trace::new(records, spread.catalog().clone(), USERS, spread.days()).expect("crowded trace");
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(NEIGHBORHOOD)
+        .with_per_peer_storage(DataSize::from_gigabytes(2))
+        .with_warmup_days(3);
+    let [alone, together] = [&spread, &crowded].map(|trace| {
+        peak_heap(|| {
+            Simulation::over(trace)
+                .config(config.clone())
+                .strategy(StrategySpec::Lru)
+                .serial()
+                .run()
+                .expect("replays");
+        })
+    });
+    let slack = 4 * spread.record_count();
+    assert!(
+        together.abs_diff(alone) <= slack,
+        "one neighborhood carrying all {} records moved a serial resident replay's peak heap \
+         from {alone} B to {together} B, more than the membership lists' {slack} B",
+        spread.record_count()
     );
 }
