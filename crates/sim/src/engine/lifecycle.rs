@@ -22,13 +22,12 @@
 //! [`WatermarkFeed`](cablevod_cache::WatermarkFeed), published into
 //! ahead of the driver.
 //!
-//! The loop can run to completion ([`SessionDriver::run`]) or as a
-//! resumable cooperative task ([`SessionDriver::step`]), which is how the
-//! blocked streaming replay carries every shard from one block of the
-//! source to the next and how the online engine stops at the live clock.
-//! Either way the supply alone says where the driver parks
-//! ([`RecordSupply::resumes_at`]): at a block's edge, or just past the
-//! live clock's "now".
+//! The loop can run to completion ([`SessionDriver::run`]) or stop and
+//! resume ([`SessionDriver::step`]): the blocked streaming replay steps
+//! every shard once a block, in one pool pass, and the online engine
+//! steps every driver to the live clock. Either way the supply alone
+//! says where the driver parks ([`RecordSupply::resumes_at`]): at a
+//! block's edge, or just past the live clock's "now".
 //!
 //! # Continuations in arrival order
 //!
@@ -46,8 +45,6 @@
 //! The fallback changes what a push costs, never the order of pops (see
 //! [`super::queue`]).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use cablevod_cache::{AccessEvent, FeedEvent, IndexServer, Resolution, SharedFeed};
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId};
 use cablevod_hfc::plant::Plant;
@@ -63,10 +60,6 @@ use crate::error::SimError;
 use super::fault::{AdmissionControl, Verdict};
 use super::queue::ContinuationQueue;
 use super::report::NeighborhoodOutcome;
-
-/// Error reason used when a shard bails out because a sibling failed; the
-/// merge prefers the sibling's real error over this sentinel.
-pub(super) const ABORTED: &str = "aborted after a failure in another shard";
 
 /// Sentinel segment index marking a retry event on the continuation queue
 /// (a refused session's backoff re-attempt, not a segment request). Real
@@ -343,11 +336,13 @@ pub(super) enum Step {
     Done,
     /// Every event before its supply's edge
     /// ([`RecordSupply::resumes_at`]) has been processed and the driver
-    /// is parked there: at the edge of the block the supply was last
-    /// handed, or just past the live clock's "now" (see
-    /// [`super::online`]). Unlike [`Step::Done`] the feed's consumer is
-    /// **not** finished: more records may still arrive. `progressed`
-    /// reports whether any events were processed.
+    /// is parked there until it is stepped again: at the edge of the
+    /// block the supply was last handed, where the blocked replay's pool
+    /// pass over that block leaves it (see [`super::shard`]), or just
+    /// past the live clock's "now" (see [`super::online`]). Unlike
+    /// [`Step::Done`] the feed's consumer is **not** finished: more
+    /// records may still arrive. `progressed` reports whether any events
+    /// were processed.
     Horizon { progressed: bool },
 }
 
@@ -378,9 +373,6 @@ pub(super) struct SessionDriver<'a, R> {
     counters: EngineCounters,
     config: &'a SimConfig,
     segmenter: Segmenter,
-    /// Set when any sibling shard failed; checked at every step entry so
-    /// parked shards unblock into an orderly bail-out.
-    abort: Option<&'a AtomicBool>,
     /// Debug builds only (zero otherwise): the bits every segment request
     /// so far offered the plant, held against what the neighborhood's coax
     /// carried when the run ends
@@ -406,7 +398,6 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
         history: Option<SimDuration>,
         config: &'a SimConfig,
         segmenter: Segmenter,
-        abort: Option<&'a AtomicBool>,
     ) -> Self {
         SessionDriver {
             supply,
@@ -420,7 +411,6 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
             counters: EngineCounters::default(),
             config,
             segmenter,
-            abort,
             offered_bits: 0,
             completed: 0,
         }
@@ -436,13 +426,6 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     pub(super) fn step(&mut self) -> Result<Step, SimError> {
         let mut progressed = false;
         loop {
-            if let Some(abort) = self.abort {
-                if abort.load(Ordering::Relaxed) {
-                    return Err(SimError::Config {
-                        reason: ABORTED.into(),
-                    });
-                }
-            }
             let staged = self.supply.peek()?;
             let index = &mut self.index;
             self.supply
@@ -489,9 +472,9 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     }
 
     /// Runs to completion. Only valid for drivers whose supply no longer
-    /// pauses (resident slices, chunk runs, a closed live supply being
-    /// drained; the shards of a blocked replay step from block to block
-    /// instead).
+    /// pauses (a shard's own chunk runs, resident strides or a file's, a
+    /// closed live supply being drained; a shard of the blocked replay is
+    /// stepped once a block instead, by that block's pool pass).
     pub(super) fn run(&mut self) -> Result<(), SimError> {
         match self.step()? {
             Step::Done => Ok(()),
@@ -520,8 +503,9 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
 
     /// The idle sweep: syncs the driver's index against the first
     /// `published` feed events, at time `now`. Called when the
-    /// driver is parked — at a block's edge, or at the live clock's
-    /// "now" — where every one of those events is published and no
+    /// driver is parked — at a block's edge, by the step of the block's
+    /// pool pass that parked it there, or at the live clock's "now" —
+    /// where every one of those events is published and no
     /// session still to start begins before `now`, so it consumes
     /// exactly what the neighborhood's next session would consume first
     /// anyway, and a neighborhood with no session since the last pause

@@ -77,7 +77,7 @@
 //! |-----------|------------------------------------|-----------------------------------------|--------------------------|-------------------------------------------|------------------------------------------|
 //! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, up front    | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
 //! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed) | the shard's own two cursors   | work-stealing pool                       |
-//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, per block   | the decoder's two cursors, per block      | cooperative tasks, parked at block edges |
+//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, per block   | the decoder's two cursors, per block      | work-stealing pool, one pass a block: every live shard stepped to the block's edge |
 //! | online    | `online::serve_serial`             | `LiveSupply`                            | the ingress, per session | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
 //! Every driver reads the feed the same way — a `SharedFeed` over the
@@ -244,7 +244,6 @@ mod stream;
 #[cfg(test)]
 mod tests;
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cablevod_cache::{
@@ -566,7 +565,6 @@ impl<'a> DriverParts<'a> {
         n: usize,
         supply: R,
         feed: Option<&'a WatermarkFeed>,
-        abort: Option<&'a AtomicBool>,
     ) -> Result<SessionDriver<'a, R>, SimError> {
         let index = self.index(n)?;
         let plant = Plant::over(self.topo, NeighborhoodId::new(n as u32))?;
@@ -579,7 +577,6 @@ impl<'a> DriverParts<'a> {
             self.strategy.history_window(),
             self.config,
             self.segmenter,
-            abort,
         ))
     }
 }

@@ -253,7 +253,7 @@ pub(super) fn serve<T>(
                 handed: 0,
                 leaving: Vec::new(),
             };
-            parts.driver(n, supply, wfeed.as_ref(), None)
+            parts.driver(n, supply, wfeed.as_ref())
         })
         .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {

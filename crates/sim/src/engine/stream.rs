@@ -54,7 +54,7 @@
 //! [`AccessEvent`]s, to the neighborhood's index server ahead of the
 //! access that needs them ([`RecordSupply::read_ahead`]): the `Demux` per
 //! block, grouped by neighborhood beside the block's records, so the
-//! barrier that orders records and feed orders this too; a
+//! block boundary that orders records and feed orders this too; a
 //! `StreamSupply` whenever it stages a record. Either reading is a
 //! [`RunCursor`], one more cursor over the same chunk runs, so such a run
 //! reads each chunk twice: from a file, a second decode; from a resident
@@ -88,7 +88,6 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cablevod_cache::{AccessEvent, FeedProducer, StrategyFactory, WatermarkFeed};
@@ -227,9 +226,8 @@ impl Block {
         self.edge
     }
 
-    /// Empties the block. Left like this — no records, no edge — it is
-    /// the final block of a run.
-    pub(super) fn reset(&mut self, nbhd_count: usize) {
+    /// Empties the block for the next fill.
+    fn reset(&mut self, nbhd_count: usize) {
         self.records.clear();
         self.starts.clear();
         self.starts.resize(nbhd_count + 2, 0);
@@ -268,7 +266,6 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     /// Scratch, an entry per record of the block being filled: its
     /// neighborhood, then where the grouping puts it.
     dest: Vec<u32>,
-    failure: Option<SimError>,
 }
 
 impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
@@ -303,33 +300,17 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             published: 0,
             last_start: SimTime::EPOCH,
             dest: Vec::new(),
-            failure: None,
         }
     }
 
-    /// Fills `block` with the next stretch of records. A decode or
-    /// context failure — or a shard's, seen through `aborted` — ends the
-    /// run instead: the flag is raised, the block is empty and final, and
-    /// the failure is kept for [`into_failure`](Demux::into_failure).
-    pub(super) fn next_block(&mut self, block: &mut Block, aborted: &AtomicBool) {
-        if !aborted.load(Ordering::Relaxed) {
-            match self.fill(block) {
-                Ok(()) => return,
-                Err(e) => {
-                    self.failure = Some(e);
-                    aborted.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        block.reset(self.nbhd_count);
-    }
-
-    /// The failure that ended the run early, if the decoder met one.
-    pub(super) fn into_failure(self) -> Option<SimError> {
-        self.failure
-    }
-
-    fn fill(&mut self, block: &mut Block) -> Result<(), SimError> {
+    /// Fills `block` with the next stretch of records: the final one
+    /// carries no edge.
+    ///
+    /// # Errors
+    ///
+    /// A decode failure, a record out of the global sequence, or one
+    /// [`session_ctx`] refuses.
+    pub(super) fn fill(&mut self, block: &mut Block) -> Result<(), SimError> {
         block.reset(self.nbhd_count);
         self.merge.refill(&mut block.records, self.block_records)?;
         if let (Some((behind, _)), Some((_, rec))) = (self.behind.as_mut(), block.records.first()) {

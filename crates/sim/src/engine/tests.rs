@@ -541,7 +541,6 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     use super::stream::{Block, BlockSupply, Demux, StreamSupply};
     use cablevod_trace::columnar::{write_trace, ColumnarReader};
     use cablevod_trace::rechunk::rechunk_by_neighborhood;
-    use std::sync::atomic::AtomicBool;
 
     let trace = generate(&SynthConfig {
         users: 600,
@@ -619,11 +618,10 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         .collect();
     let mut fed = unfed();
     let mut block = Arc::new(Block::default());
-    let aborted = AtomicBool::new(false);
     let mut blocks = 0;
     loop {
         let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
-        demux.next_block(filling, &aborted);
+        demux.fill(filling).expect("decode");
         blocks += 1;
         for (n, supply) in supplies.iter_mut().enumerate() {
             supply.attach(&block);
@@ -633,7 +631,6 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             break;
         }
     }
-    assert!(demux.into_failure().is_none());
     assert!(blocks > 30, "a day spans many blocks: {blocks}");
     check("blocked", fed);
 
@@ -896,7 +893,6 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
     use super::stream::{Block, BlockSupply, Demux};
     use cablevod_trace::columnar::{write_trace, ColumnarReader};
     use cablevod_trace::rechunk::rechunk_by_neighborhood;
-    use std::sync::atomic::AtomicBool;
 
     let (trace, config) = uneven_workload();
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
@@ -932,11 +928,10 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
             .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
             .collect();
         let mut block = Arc::new(Block::default());
-        let aborted = AtomicBool::new(false);
         let (mut published, mut blocks, mut edge_moved) = (0u64, 0, 0);
         loop {
             let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
-            demux.next_block(filling, &aborted);
+            demux.fill(filling).expect("decode");
             blocks += 1;
             let mut seen = Vec::new();
             let mut tail = None;
@@ -969,7 +964,6 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
             );
             edge_moved += usize::from(tail != Some(decoded - 1));
         }
-        assert!(demux.into_failure().is_none(), "{layout}");
         assert_eq!(published, records.len() as u64, "{layout}");
         assert!(blocks > 30, "{layout}: {blocks} blocks");
         assert!(
@@ -1017,7 +1011,7 @@ fn queue_counts(trace: &Trace, config: &SimConfig) -> (u64, u64) {
     for (n, runs) in strides.runs.iter().enumerate() {
         let supply = StreamSupply::new(&strides, runs, &parts);
         let mut driver = parts
-            .driver(n, supply, feed.as_ref(), None)
+            .driver(n, supply, feed.as_ref())
             .expect("shard driver");
         driver.run().expect("shard replay");
         let (pushed, spilled) = driver.queue_counts();

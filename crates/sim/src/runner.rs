@@ -21,19 +21,24 @@
 //!   and vice versa, small grid cells pack around a big sharded job
 //!   instead of idling behind it.
 //!
-//! The blocked streaming replay ([`crate::engine`]'s cooperative tasks)
-//! sizes its worker set from the same ledger at entry; its shard tasks
-//! cannot migrate between workers mid-run, so it does not recruit, but
-//! its permits still free early as workers finish. (Streaming shards that
-//! decode their own chunks are `run_indexed` jobs like the resident
-//! ones.)
+//! Every engine path runs its shards here: the resident plan and the
+//! sweep fast path as one `run_indexed` call, a shard a job; the blocked
+//! streaming replay as one call a decoded block, every live shard stepped
+//! through the block as a job, so a shard may move to another worker
+//! between blocks.
+//!
+//! A job that panics stops the run claiming further indexes, and its own
+//! payload resumes on the caller's thread once every worker is out — on a
+//! recruited worker as on the caller's own.
 //!
 //! Scheduling never changes results: `run_indexed` returns results in
 //! index order no matter which worker ran which job, and every engine
 //! path is bit-identical across worker counts by construction.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::Scope;
 
 /// The process-wide extra-worker budget: `default_threads() - 1` units
@@ -75,6 +80,7 @@ pub(crate) fn take_permit() -> Option<Permit> {
 }
 
 /// Takes up to `want` permits (possibly zero — whatever the ledger has).
+#[cfg(test)]
 pub(crate) fn take_permits(want: usize) -> Vec<Permit> {
     let mut free = ledger().free.lock().expect("worker ledger poisoned");
     let n = (*free).min(want);
@@ -83,7 +89,7 @@ pub(crate) fn take_permits(want: usize) -> Vec<Permit> {
 }
 
 /// Shared state of one `run_indexed` call: the stolen-index counter, the
-/// recruitment budget, and the result sink.
+/// recruitment budget, the result sink, and the first panic a job raised.
 struct IndexedRun<'env, R, F> {
     count: usize,
     /// Max workers ever active at once (caller included).
@@ -93,6 +99,7 @@ struct IndexedRun<'env, R, F> {
     /// an upper bound on concurrency, not a steady-state target.
     spawned: AtomicUsize,
     sink: Mutex<Vec<(u32, R)>>,
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
     job: &'env F,
 }
 
@@ -100,7 +107,10 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
     /// Claims indexes off the shared counter until none remain; between
     /// jobs, tries to recruit another worker for the leftover indexes if
     /// the ledger has freed capacity. The permit (if any) releases when
-    /// this worker runs dry.
+    /// this worker runs dry. A job that panics is not left to unwind the
+    /// worker — `std::thread::scope` would replace its payload with one
+    /// of its own — but kept, the first one only, and the counter run
+    /// out so that no worker claims another index.
     fn work<'scope, 'env2>(
         &'env2 self,
         scope: &'scope Scope<'scope, 'env2>,
@@ -114,7 +124,17 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
                 break;
             }
             self.recruit(scope);
-            mine.push((i as u32, (self.job)(i)));
+            match catch_unwind(AssertUnwindSafe(|| (self.job)(i))) {
+                Ok(result) => mine.push((i as u32, result)),
+                Err(payload) => {
+                    self.next.store(self.count, Ordering::Relaxed);
+                    self.panicked
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(payload);
+                    return;
+                }
+            }
         }
         if !mine.is_empty() {
             self.sink
@@ -163,6 +183,11 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
 /// from the shared [`Ledger`] and are recruited *during* the run as
 /// capacity frees up elsewhere, so `threads` is a ceiling — the actual
 /// worker count adapts to what the rest of the process is doing.
+///
+/// # Panics
+///
+/// Resumes the first panicking job's own payload on the caller's thread,
+/// whichever worker ran it.
 pub(crate) fn run_indexed<R, F>(count: usize, threads: usize, job: F) -> Vec<R>
 where
     R: Send,
@@ -182,9 +207,17 @@ where
         next: AtomicUsize::new(0),
         spawned: AtomicUsize::new(0),
         sink: Mutex::new(Vec::with_capacity(count)),
+        panicked: Mutex::new(None),
         job: &job,
     };
     std::thread::scope(|scope| shared.work(scope, None));
+    if let Some(payload) = shared
+        .panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
 
     let mut merged: Vec<Option<R>> = (0..count).map(|_| None).collect();
     for (i, result) in shared.sink.into_inner().expect("pool result sink poisoned") {
@@ -232,6 +265,35 @@ mod tests {
                 (0..7).map(|inner| (outer, inner)).collect::<Vec<_>>()
             );
         }
+    }
+
+    #[test]
+    fn a_panic_on_a_recruited_worker_resumes_with_its_own_payload() {
+        // The caller's own jobs wait a little, so that a recruited worker
+        // claims some; a job there panics. The caller must get that
+        // job's payload, not a generic "a scoped thread panicked". The
+        // ledger is shared with the tests running beside this one, so a
+        // run may find it dry and do every job itself: try again.
+        let caller = std::thread::current().id();
+        for _ in 0..500 {
+            let run = catch_unwind(|| {
+                run_indexed(16, 2, |i| {
+                    if std::thread::current().id() != caller {
+                        std::panic::panic_any(format!("job {i} panics on a worker"));
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                })
+            });
+            let Err(payload) = run else { continue };
+            let message = payload.downcast_ref::<String>();
+            assert!(
+                message.is_some_and(|m| m.ends_with(" panics on a worker")),
+                "the caller got another payload: {:?}",
+                payload.downcast_ref::<&str>()
+            );
+            return;
+        }
+        assert_eq!(default_threads(), 1, "no worker was ever recruited");
     }
 
     #[test]

@@ -118,12 +118,11 @@ impl HourOrder {
 /// `(start, user, program)` order, ties in generation order.
 ///
 /// This is the shared core of [`generate`] (`emit` appends to a `Vec`)
-/// and [`generate_to_disk`] (`emit` appends to a
-/// [`ColumnarWriter`](crate::columnar::ColumnarWriter)): hour batches
-/// partition the start-time axis, so ordering each hour gives the trace's
-/// one global stable order — the two paths emit byte-identical record
-/// sequences while the streaming one never holds more than an hour of
-/// records.
+/// and [`generate_to_disk`] (`emit` appends to a [`ColumnarWriter`]):
+/// hour batches partition the start-time axis, so ordering each hour
+/// gives the trace's one global stable order — the two paths emit
+/// byte-identical record sequences while the streaming one never holds
+/// more than an hour of records.
 fn generate_hours<E>(
     config: &SynthConfig,
     catalog: &ProgramCatalog,

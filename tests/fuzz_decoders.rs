@@ -216,7 +216,7 @@ fn payload_bit_flip_is_caught_by_checksum() {
 /// there — chunks before it already demultiplexed and run by every shard.
 /// On one worker and on two the run must return the decoder's own error,
 /// naming the chunk: no panic, no hang on a block that never comes, no
-/// partial report, and not the abort sentinel the shards bail out with.
+/// partial report.
 /// Under `oracle:3d` over these two days it is the look-ahead cursor that
 /// gets there, filling the first block, with the replay still in chunk 0.
 #[test]

@@ -1169,11 +1169,9 @@ impl CacheStrategy for FailingStrategy {
     }
 }
 
-/// A shard failing inside a block fails the run closed: its siblings —
-/// on its worker and on the others — bail out through the abort flag at
-/// their next step, the decoder stops feeding blocks, and the run
-/// returns the shard's own error rather than the siblings' abort
-/// sentinel. No panic, no hang, no partial report.
+/// A shard failing inside a block fails the run closed: the decoder
+/// feeds no further block, and the run returns the shard's own error at
+/// every worker count. No panic, no hang, no partial report.
 #[test]
 fn a_shard_failing_inside_a_block_fails_the_run_closed() {
     let trace: Trace = generate(&tiny_config(300, 40, 4, 23));
@@ -1205,13 +1203,113 @@ fn a_shard_failing_inside_a_block_fails_the_run_closed() {
     }
 }
 
-/// A shard *panicking* inside a block fails the run too, instead of
-/// hanging it: the worker that caught the unwind keeps meeting its
-/// siblings at the block barriers until the decoder has closed the run,
-/// and the panic resumes on the caller's thread — where the scenario
-/// layer's bulkhead turns it into that one cell's `job panicked`. Driven
-/// from a second thread so that a worker left waiting at a barrier fails
-/// this test on a timeout rather than hanging the suite.
+/// An LRU that looks a day ahead and whose neighborhoods `homes` each
+/// fail at their `fail_at`-th look-ahead hand-over. Every live shard of
+/// the blocked replay is handed its slice of each block's look-ahead at
+/// the start of the block, so those shards all fail in the same block.
+#[derive(Debug)]
+struct FailingAheadFactory {
+    homes: [u32; 2],
+    fail_at: u32,
+}
+
+#[derive(Debug)]
+struct FailingAheadStrategy {
+    inner: Box<dyn CacheStrategy>,
+    home: u32,
+    hand_overs_left: Option<u32>,
+}
+
+impl StrategyFactory for FailingAheadFactory {
+    fn name(&self) -> &str {
+        "failing-ahead-lru"
+    }
+    fn schedule_lookahead(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_days(1))
+    }
+    fn build(&self, ctx: StrategyContext) -> Result<Box<dyn CacheStrategy>, CacheError> {
+        let home = ctx.home.value();
+        Ok(Box::new(FailingAheadStrategy {
+            inner: StrategySpec::Lru.factory().build(ctx)?,
+            home,
+            hand_overs_left: self.homes.contains(&home).then_some(self.fail_at),
+        }))
+    }
+}
+
+impl CacheStrategy for FailingAheadStrategy {
+    fn name(&self) -> &'static str {
+        "failing-ahead-lru"
+    }
+    fn extend_schedule(&mut self, _: &[AccessEvent], _: SimTime) -> Result<(), CacheError> {
+        match self.hand_overs_left.as_mut() {
+            Some(0) => Err(CacheError::Schedule {
+                reason: format!("neighborhood {} fails here", self.home),
+            }),
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
+    fn on_access(&mut self, program: ProgramId, cost: u32, now: SimTime, ops: &mut Vec<CacheOp>) {
+        self.inner.on_access(program, cost, now, ops);
+    }
+    fn contains(&self, program: ProgramId) -> bool {
+        self.inner.contains(program)
+    }
+    fn cost_of(&self, program: ProgramId) -> Option<u32> {
+        self.inner.cost_of(program)
+    }
+    fn used_slots(&self) -> u64 {
+        self.inner.used_slots()
+    }
+    fn capacity_slots(&self) -> u64 {
+        self.inner.capacity_slots()
+    }
+}
+
+/// Two shards failing in the same block: the run returns the
+/// lowest-numbered neighborhood's error, whichever worker stepped which
+/// shard first.
+#[test]
+fn two_shards_failing_in_one_block_return_the_lowest_neighborhoods_error() {
+    let trace: Trace = generate(&tiny_config(300, 40, 4, 23));
+    let config = config_for(60, 2, StrategySpec::Lru);
+    for fail_at in [0u32, 3] {
+        for chunk in [1usize, 64] {
+            let source = ChunkedTrace::new(&trace, chunk);
+            for threads in [None, Some(2), Some(5)] {
+                let sim = Simulation::over(&source)
+                    .config(config.clone())
+                    .strategy_factory(Arc::new(FailingAheadFactory {
+                        homes: [3, 1],
+                        fail_at,
+                    }));
+                let err = match threads {
+                    None => sim.serial(),
+                    Some(n) => sim.threads(n),
+                }
+                .run()
+                .expect_err("the failing shards fail the run");
+                assert!(
+                    matches!(&err, SimError::Cache(CacheError::Schedule { reason })
+                        if reason == "neighborhood 1 fails here"),
+                    "fail_at {fail_at}, chunk {chunk}, threads {threads:?}: {err}"
+                );
+            }
+        }
+    }
+}
+
+/// A shard *panicking* fails the run too, instead of hanging it, and its
+/// own payload resumes on the caller's thread whichever worker ran it —
+/// where the scenario layer's bulkhead turns it into that one cell's
+/// `job panicked`. The same on every plan: the blocked replay, the
+/// resident plan, and the fast path over a matched neighborhood-major
+/// file. Driven from a second thread so that a run that never returns
+/// fails this test on a timeout rather than hanging the suite.
 #[test]
 fn a_shard_panicking_inside_a_block_fails_the_run_instead_of_hanging_it() {
     let (done, watchdog) = mpsc::channel();
@@ -1225,11 +1323,38 @@ fn a_shard_panicking_inside_a_block_fails_the_run_instead_of_hanging_it() {
                 panics: true,
             })
         };
+        let mut tm = std::env::temp_dir();
+        tm.push(format!("cvtc_panic_tm_{}.cvtc", std::process::id()));
+        let mut nm = std::env::temp_dir();
+        nm.push(format!("cvtc_panic_nm_{}.cvtc", std::process::id()));
+        write_trace(&tm, &trace, 64).expect("write time-major");
+        let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+        rechunk_by_neighborhood(&tm_reader, &nm, 60, 64).expect("rechunk");
+        let matched = ColumnarReader::open(&nm).expect("open neighborhood-major");
+        let fast = Simulation::over(&matched)
+            .config(config.clone())
+            .run()
+            .expect("an lru replay");
+        assert!(fast.telemetry.fastpath, "the file matches the plant");
+        let blocked: Vec<_> = [1usize, 64]
+            .into_iter()
+            .map(|chunk| {
+                (
+                    format!("blocked, chunk {chunk}"),
+                    ChunkedTrace::new(&trace, chunk),
+                )
+            })
+            .collect();
+        let mut sources: Vec<(String, &dyn TraceSource)> = blocked
+            .iter()
+            .map(|(what, source)| (what.clone(), source as &dyn TraceSource))
+            .collect();
+        sources.push(("resident".into(), &trace));
+        sources.push(("fast path".into(), &matched));
         for fail_at in [0u32, 7, 90] {
-            for chunk in [1usize, 64] {
-                let source = ChunkedTrace::new(&trace, chunk);
+            for (what, source) in &sources {
                 for threads in [None, Some(2), Some(5)] {
-                    let sim = Simulation::over(&source)
+                    let sim = Simulation::over(*source)
                         .config(config.clone())
                         .strategy_factory(panicking(fail_at));
                     let sim = match threads {
@@ -1241,11 +1366,13 @@ fn a_shard_panicking_inside_a_block_fails_the_run_instead_of_hanging_it() {
                     assert_eq!(
                         payload.downcast_ref::<&str>(),
                         Some(&"neighborhood 1 panics here"),
-                        "fail_at {fail_at}, chunk {chunk}, threads {threads:?}"
+                        "{what}, fail_at {fail_at}, threads {threads:?}"
                     );
                 }
             }
         }
+        std::fs::remove_file(&tm).ok();
+        std::fs::remove_file(&nm).ok();
 
         // The same through a grid on two engine workers: the panicking
         // series' cell fails alone, its sibling completes.
