@@ -6,24 +6,37 @@
 //! accesses — instantaneously, in 30-minute batches, in 2-hour batches —
 //! against the purely local LFU.
 //!
-//! The engine publishes every access into one carrier, the
-//! [`WatermarkFeed`]; [`GlobalLfu`] is a windowed LFU that counts local
-//! accesses immediately and remote accesses once their batch boundary has
-//! passed.
+//! The engine publishes every access into one carrier, the [`Feed`];
+//! [`GlobalLfu`] is a windowed LFU that counts local accesses immediately
+//! and remote accesses once their batch boundary has passed.
 //!
-//! # One carrier, one consumption contract
+//! # One carrier, read as slices
 //!
-//! Consumers read the feed through the [`FeedEvents`] trait: a dense
-//! sequence of events addressed by **global sequence number** (the global
-//! record index of the access that produced the event). Every plan carries
-//! it in a [`WatermarkFeed`] (see [`crate::watermark`]), published by the
-//! run's one producer ahead of every consumer: the resident plan's pass
-//! over its records, the blocked replay's decoder, the online ingress.
+//! A [`Feed`] is the dense sequence of events addressed by **global
+//! sequence number** (the global record index of the access that produced
+//! the event), in global order, which never goes back in time: what a
+//! strategy's batching lag lets it see of the events it is handed is a
+//! prefix of them. A run's one producer appends to it through `&mut` in a
+//! phase where no driver runs — the resident survey before any shard
+//! starts, the blocked replay's decoder between pool passes, the online
+//! ingress between clock advances — and the drivers then read it through
+//! `&`: each keeps its own consumption cursor and hands its strategy the
+//! unread published prefix up to the session it is about to start as one
+//! slice ([`CacheStrategy::sync_global`]). The borrow checker is what
+//! keeps a read and a write apart.
 //!
-//! Every driver reads it through a [`SharedFeed`]: strategy syncs, bounded
-//! per session by the session's own record index, and the retirement of
-//! its consumer once the driver is through. Every sync reports the
-//! strategy's consumption cursor back so the carrier can reclaim.
+//! # Retention
+//!
+//! A streaming or online run drops the events below the smallest cursor
+//! of its live drivers after every pass ([`Feed::reclaim`]), so what it
+//! retains is what some driver has yet to read: one block (or one
+//! advance's submissions) plus what a strategy's batching lag still keeps
+//! invisible — provided every driver keeps reading, which is why a parked
+//! driver syncs at every edge (the engine's idle sweep). A resident run
+//! holds the trace already and never reclaims: its feed is a `Vec` sized
+//! to the record count, 24 B an event.
+
+use std::ops::Range;
 
 use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -31,10 +44,8 @@ use cablevod_hfc::units::{SimDuration, SimTime};
 use crate::error::CacheError;
 use crate::event::AccessEvent;
 use crate::history::HistoryWindow;
-use crate::index::IndexServer;
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
-use crate::watermark::{FeedView, WatermarkFeed};
 
 /// One access published to the global feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,114 +60,70 @@ pub struct FeedEvent {
     pub cost: u32,
 }
 
-/// Read access to the system-wide event sequence, addressed by global
-/// sequence number.
-///
-/// Implementations guarantee that events `0..published()` exist and are in
-/// non-decreasing time order; consumers additionally bound themselves with
-/// the explicit `limit` the engine passes to
-/// [`CacheStrategy::sync_global`].
-pub trait FeedEvents {
-    /// The event with sequence number `seq`.
-    ///
-    /// # Panics
-    ///
-    /// May panic when `seq >= published()`.
-    fn event_at(&self, seq: usize) -> FeedEvent;
-
-    /// Number of leading events guaranteed present: every `seq` below this
-    /// is safe to read.
-    fn published(&self) -> usize;
-}
-
-/// The append-only system-wide access stream: the plain carrier this
-/// crate's unit tests publish into by hand.
-#[cfg(test)]
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GlobalFeed {
+/// The run's global popularity feed: the events of sequence numbers
+/// `floor..end`, the ones below the floor dropped (see the module docs).
+#[derive(Debug, Default)]
+pub struct Feed {
+    /// The sequence number of `events[0]`.
+    floor: u64,
     events: Vec<FeedEvent>,
+    /// The most events retained before any reclaim so far.
+    peak: usize,
 }
 
-#[cfg(test)]
-impl GlobalFeed {
-    /// Creates an empty feed.
-    pub(crate) fn new() -> Self {
-        GlobalFeed::default()
-    }
-
-    /// Publishes one access, no older than the newest published one.
-    pub(crate) fn publish(&mut self, event: FeedEvent) {
-        debug_assert!(
-            self.events
-                .last()
-                .is_none_or(|last| last.time <= event.time),
-            "feed events must be published in time order"
-        );
-        self.events.push(event);
-    }
-
-    /// All published events, oldest first.
-    pub(crate) fn events(&self) -> &[FeedEvent] {
-        &self.events
-    }
-
-    /// Number of published events.
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
-#[cfg(test)]
-impl FeedEvents for GlobalFeed {
-    fn event_at(&self, seq: usize) -> FeedEvent {
-        self.events[seq]
-    }
-
-    fn published(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// How a driver reads a shared [`WatermarkFeed`]: one instance serves
-/// the one consumer its driver syncs, the driver's own neighborhood. All
-/// sequence numbers are global record indices.
-#[derive(Debug)]
-pub struct SharedFeed<'a> {
-    feed: &'a WatermarkFeed,
-    /// Kept from sync to sync, so the segment the consumer reads from
-    /// stays cached and a sync takes no lock on the feed's directory.
-    view: FeedView<'a>,
-    consumer: usize,
-}
-
-impl<'a> SharedFeed<'a> {
-    /// A provider syncing (and eventually finishing) `consumer`.
-    pub fn new(feed: &'a WatermarkFeed, consumer: usize) -> Self {
-        SharedFeed {
-            feed,
-            view: feed.view(),
-            consumer,
+impl Feed {
+    /// An empty feed with room for `events` events.
+    pub fn with_capacity(events: usize) -> Self {
+        Feed {
+            events: Vec::with_capacity(events),
+            ..Feed::default()
         }
     }
 
-    /// Feeds `index`'s strategy every newly visible event up to and
-    /// including `seq`, at session-start time `now`, and reports its
-    /// cursor back to the carrier. Events `0..=seq` must be published —
-    /// the run's producer works ahead of its consumers, so for a driver
-    /// about to start record `seq` they are.
-    pub fn sync(&mut self, index: &mut IndexServer, now: SimTime, seq: u64) {
-        self.view.catch_up();
-        debug_assert!(
-            self.view.published() as u64 > seq,
-            "the producer publishes ahead of every consumer"
-        );
-        let cursor = index.sync_feed(&self.view, now, seq as usize + 1);
-        self.feed.note_consumed(self.consumer, cursor);
+    /// Publishes the event of sequence number [`end`](Feed::end).
+    pub fn push(&mut self, event: FeedEvent) {
+        self.events.push(event);
     }
 
-    /// Marks the consumer as done: nothing more will be read.
-    pub fn finish(&mut self) {
-        self.feed.finish_consumer(self.consumer);
+    /// The sequence number the next event gets: every one below it is
+    /// published.
+    pub fn end(&self) -> u64 {
+        self.floor + self.events.len() as u64
+    }
+
+    /// The events of sequence numbers `seqs`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seqs` reaches below the floor or past [`end`](Feed::end).
+    pub fn events(&self, seqs: Range<u64>) -> &[FeedEvent] {
+        assert!(
+            seqs.start >= self.floor,
+            "feed event {} was read below the floor {}",
+            seqs.start,
+            self.floor
+        );
+        let at = |seq: u64| (seq - self.floor) as usize;
+        &self.events[at(seqs.start)..at(seqs.end)]
+    }
+
+    /// Drops every event below the smallest of `cursors`, each a reader's
+    /// next sequence number — every event, when no reader is left.
+    pub fn reclaim(&mut self, cursors: impl IntoIterator<Item = u64>) {
+        self.peak = self.peak.max(self.events.len());
+        let gone = cursors
+            .into_iter()
+            .min()
+            .unwrap_or(u64::MAX)
+            .saturating_sub(self.floor)
+            .min(self.events.len() as u64);
+        self.events.drain(..gone as usize);
+        self.floor += gone;
+    }
+
+    /// The most events the feed has held at once.
+    pub fn peak_retained(&self) -> usize {
+        self.peak.max(self.events.len())
     }
 }
 
@@ -174,7 +141,6 @@ pub struct GlobalLfu {
     pub(crate) core: WindowedLfu,
     home: NeighborhoodId,
     lag: SimDuration,
-    cursor: usize,
     name: &'static str,
     fill: FillPolicy,
 }
@@ -191,7 +157,6 @@ impl GlobalLfu {
             core: WindowedLfu::new(capacity_slots, window),
             home,
             lag,
-            cursor: 0,
             name: "Global LFU",
             fill: FillPolicy::OnBroadcast,
         }
@@ -222,11 +187,6 @@ impl GlobalLfu {
     /// The batching lag.
     pub fn lag(&self) -> SimDuration {
         self.lag
-    }
-
-    /// Number of feed events consumed so far.
-    pub fn cursor(&self) -> usize {
-        self.cursor
     }
 
     /// The instant before which every remote event is visible at `now`:
@@ -285,31 +245,27 @@ impl CacheStrategy for GlobalLfu {
         self.fill
     }
 
-    /// Ingests newly visible remote accesses — the feed is in time order,
-    /// so they reach the window as one sorted run. Counts only —
-    /// rebalancing happens at the next local access, when admissions can
-    /// actually be placed. Returns the post-sync cursor: everything below
-    /// it has been consumed and will never be read again.
-    fn sync_global(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
-        let limit = limit.min(feed.published());
+    /// Ingests the newly visible remote accesses at the front of
+    /// `events` — the feed is in time order, so they are a prefix, and
+    /// reach the window as one sorted run. Counts only — rebalancing
+    /// happens at the next local access, when admissions can actually be
+    /// placed. Returns the length of that prefix.
+    fn sync_global(&mut self, events: &[FeedEvent], now: SimTime) -> usize {
         let home = self.home;
         let visible_before = Self::visible_before(self.lag, now);
-        let cursor = &mut self.cursor;
-        self.core.record_run(std::iter::from_fn(|| {
-            while *cursor < limit {
-                let ev = feed.event_at(*cursor);
-                if ev.time >= visible_before {
-                    break;
-                }
-                *cursor += 1;
-                if ev.neighborhood != home {
-                    return Some((ev.program, ev.cost, ev.time));
-                } // else: counted locally at access time
-            }
-            None
-        }));
+        let visible = events
+            .iter()
+            .position(|ev| ev.time >= visible_before)
+            .unwrap_or(events.len());
+        self.core.record_run(
+            events[..visible]
+                .iter()
+                // The home neighborhood's own are counted at access time.
+                .filter(|ev| ev.neighborhood != home)
+                .map(|ev| (ev.program, ev.cost, ev.time)),
+        );
         self.core.expire(now);
-        self.cursor as u64
+        visible
     }
 }
 
@@ -336,12 +292,83 @@ mod tests {
     }
 
     #[test]
+    fn a_feed_event_is_24_bytes() {
+        // What a resident run's feed holds a record, beside the trace.
+        assert_eq!(std::mem::size_of::<FeedEvent>(), 24);
+    }
+
+    #[test]
+    fn reads_in_order_across_a_reclaim() {
+        let mut feed = Feed::with_capacity(4);
+        for seq in 0..10u64 {
+            feed.push(ev(seq, 1, seq as u32));
+        }
+        assert_eq!(feed.events(2..5), &[ev(2, 1, 2), ev(3, 1, 3), ev(4, 1, 4)]);
+        feed.reclaim([6, 9]);
+        for seq in 10..14u64 {
+            feed.push(ev(seq, 1, seq as u32));
+        }
+        assert_eq!(feed.end(), 14);
+        let tail: Vec<u32> = feed
+            .events(6..14)
+            .iter()
+            .map(|e| e.program.value())
+            .collect();
+        assert_eq!(tail, (6..14).collect::<Vec<_>>());
+        assert!(feed.events(14..14).is_empty());
+        // With no reader left everything published goes, and the
+        // sequence numbers carry on.
+        feed.reclaim([]);
+        feed.push(ev(14, 1, 14));
+        assert_eq!(feed.events(14..15), &[ev(14, 1, 14)]);
+        assert_eq!(feed.peak_retained(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the floor")]
+    fn reading_below_the_floor_panics() {
+        let mut feed = Feed::default();
+        for seq in 0..12u64 {
+            feed.push(ev(seq, 0, 1));
+        }
+        feed.reclaim([8]);
+        feed.events(7..12);
+    }
+
+    #[test]
+    fn retention_stays_bounded_under_a_trailing_consumer() {
+        // A trace-length stream through the carrier, reclaimed below the
+        // slower of two cursors that trail publication by a bounded lag
+        // (as a global LFU's trails it by its batching lag): what is
+        // retained stays within the lag plus two reclaim periods while
+        // the published events grow a thousandfold past it.
+        let (total, lag, period) = (100_000u64, 100u64, 64u64);
+        let mut feed = Feed::default();
+        let mut cursors = [0u64; 2];
+        for seq in 0..total {
+            feed.push(ev(seq, (seq % 2) as u32, (seq % 97) as u32));
+            cursors[(seq % 2) as usize] = seq.saturating_sub(lag);
+            if seq % period == 0 {
+                feed.reclaim(cursors);
+            }
+        }
+        let peak = feed.peak_retained() as u64;
+        assert!(
+            peak <= lag + 2 * period,
+            "retention leaked: {peak} events retained for a {total} event stream"
+        );
+        // The retained suffix is still readable.
+        assert_eq!(
+            feed.events(total - 1..total)[0].time,
+            SimTime::from_secs(total - 1)
+        );
+    }
+
+    #[test]
     fn zero_lag_sees_remote_events_immediately() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(100, 1, 7));
+        let feed = [ev(100, 1, 7)];
         let mut s = lfu(0);
-        s.sync_global(&feed, SimTime::from_secs(100), feed.len());
-        assert_eq!(s.cursor(), 1);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(100)), 1);
         // Remote count is pending; a local access triggers admission of the
         // remotely-hot program alongside the local one.
         let mut ops = Vec::new();
@@ -356,25 +383,19 @@ mod tests {
     #[test]
     fn lagged_events_wait_for_batch_boundary() {
         let lag = 1_800; // 30 minutes
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(lag + 10, 1, 7)); // batch 1
+        let feed = [ev(lag + 10, 1, 7)]; // batch 1
         let mut s = lfu(lag);
         // Still inside batch 1: not visible.
-        s.sync_global(&feed, SimTime::from_secs(2 * lag - 1), feed.len());
-        assert_eq!(s.cursor(), 0);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(2 * lag - 1)), 0);
         // After the boundary: visible.
-        s.sync_global(&feed, SimTime::from_secs(2 * lag), feed.len());
-        assert_eq!(s.cursor(), 1);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(2 * lag)), 1);
     }
 
     #[test]
     fn own_neighborhood_events_are_skipped() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 0, 7)); // home neighborhood
-        feed.publish(ev(11, 2, 8));
+        let feed = [ev(10, 0, 7), ev(11, 2, 8)]; // the first is home's
         let mut s = lfu(0);
-        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
-        assert_eq!(s.cursor(), 2);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(20)), 2);
         // Program 7 was home-published: not counted via the feed.
         let mut ops = Vec::new();
         s.on_access(ProgramId::new(1), 1, SimTime::from_secs(21), &mut ops);
@@ -387,43 +408,41 @@ mod tests {
 
     #[test]
     fn limit_bounds_consumption_like_serial_publication() {
-        // A shard reading a feed published in full ahead of it must not
-        // look past the bound, even when later events are time-visible.
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
-        feed.publish(ev(10, 2, 8)); // same time, "published later"
+        // A shard reading a feed published in full ahead of it reads no
+        // further than the slice it is handed, even when later events
+        // are time-visible.
+        let feed = [ev(10, 1, 7), ev(10, 2, 8)]; // same time, "published later"
         let mut s = lfu(0);
-        s.sync_global(&feed, SimTime::from_secs(10), 1);
-        assert_eq!(s.cursor(), 1, "second event is beyond the bound");
-        // The next sync (bound advanced) picks it up.
-        s.sync_global(&feed, SimTime::from_secs(10), feed.len());
-        assert_eq!(s.cursor(), 2);
-        // A bound beyond the feed is clamped.
-        s.sync_global(&feed, SimTime::from_secs(11), 99);
-        assert_eq!(s.cursor(), 2);
+        assert_eq!(s.sync_global(&feed[..1], SimTime::from_secs(10)), 1);
+        assert_eq!(s.core.count_of(ProgramId::new(8)), 0, "beyond the slice");
+        // The next sync (slice extended) picks it up.
+        assert_eq!(s.sync_global(&feed[1..], SimTime::from_secs(10)), 1);
+        assert_eq!(s.core.count_of(ProgramId::new(8)), 1);
     }
 
     #[test]
     fn cursor_never_rereads() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
+        let feed = [ev(10, 1, 7)];
         let mut s = lfu(0);
-        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
-        s.sync_global(&feed, SimTime::from_secs(30), feed.len());
-        assert_eq!(s.cursor(), 1, "event consumed exactly once");
+        let cursor = s.sync_global(&feed, SimTime::from_secs(20));
+        assert_eq!(s.sync_global(&feed[cursor..], SimTime::from_secs(30)), 0);
+        assert_eq!(
+            s.core.count_of(ProgramId::new(7)),
+            1,
+            "event consumed exactly once"
+        );
     }
 
     #[test]
     fn remote_counts_expire_with_the_window() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
+        let feed = [ev(10, 1, 7)];
         let mut s = GlobalLfu::new(
             4,
             SimDuration::from_hours(1),
             SimDuration::ZERO,
             NeighborhoodId::new(0),
         );
-        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
+        s.sync_global(&feed, SimTime::from_secs(20));
         // Two hours later the remote access is stale; only the fresh local
         // program gets admitted.
         let mut ops = Vec::new();

@@ -222,7 +222,7 @@ mod tests {
     mod feeders {
         use super::*;
         use crate::delayed::DelayedLfu;
-        use crate::feed::{FeedEvent, GlobalFeed, GlobalLfu};
+        use crate::feed::{FeedEvent, GlobalLfu};
         use crate::lfu::WindowedLfu;
         use crate::strategy::{CacheOp, CacheStrategy};
         use cablevod_hfc::ids::NeighborhoodId;
@@ -295,22 +295,22 @@ mod tests {
             fed: bool,
         ) -> Trail {
             let cost = |q: ProgramId| 1 + q.value() % 4;
-            let mut feed = GlobalFeed::new();
-            for &(time, nbhd, program) in events {
-                feed.publish(FeedEvent {
+            let feed: Vec<FeedEvent> = events
+                .iter()
+                .map(|&(time, nbhd, program)| FeedEvent {
                     time,
                     neighborhood: NeighborhoodId::new(nbhd),
                     program,
                     cost: cost(program),
-                });
-            }
+                })
+                .collect();
             let own: Vec<AccessEvent> = events
                 .iter()
                 .filter(|e| e.1 == 0)
                 .map(|&(time, _, q)| AccessEvent::new(time, q).expect("below the horizon"))
                 .collect();
             let mut under = Under::build(kind, capacity, window, fed);
-            let (mut behind, mut trail) = (0, Trail::new());
+            let (mut behind, mut consumed, mut trail) = (0, 0, Trail::new());
             for (seq, &(now, nbhd, program)) in events.iter().enumerate() {
                 if let (true, Some(until)) = (fed, now.checked_sub(window)) {
                     let from = behind;
@@ -324,7 +324,7 @@ mod tests {
                         .expect("in order");
                 }
                 let strategy = under.strategy();
-                strategy.sync_global(&feed, now, seq + 1);
+                consumed += strategy.sync_global(&feed[consumed..=seq], now);
                 if nbhd != 0 {
                     continue; // an idle sweep
                 }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CacheError;
 use crate::event::AccessEvent;
-use crate::feed::FeedEvents;
+use crate::feed::FeedEvent;
 use crate::fetch::FetchModel;
 use crate::placement::SlotLedger;
 use crate::slots::ProgramSlots;
@@ -384,22 +384,12 @@ impl IndexServer {
         Ok(())
     }
 
-    /// Ingests global-feed events that are newly visible at `now` **and**
-    /// published at or before global record index `limit` (exclusive).
-    /// No-op for local strategies.
-    ///
-    /// The explicit bound reproduces the serial engine's prefix-visibility
-    /// semantics (the serial engine grows the feed one record at a time,
-    /// so at record `r` only events `0..=r` exist) however far ahead the
-    /// feed is published: every plan hands its shards a
-    /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) whose watermark
-    /// has passed `limit` — all of it, on a resident run.
-    ///
-    /// Returns the strategy's post-sync consumption cursor (see
-    /// [`CacheStrategy::sync_global`]) so bounded feed carriers can
-    /// reclaim fully consumed slots.
-    pub fn sync_feed(&mut self, feed: &dyn FeedEvents, now: SimTime, limit: usize) -> u64 {
-        self.strategy.sync_global(feed, now, limit)
+    /// Hands the strategy the feed's unread published prefix, `events`,
+    /// at `now`, and returns how many of them it consumed (see
+    /// [`CacheStrategy::sync_global`]): the caller's cursor moves that
+    /// far. No-op for local strategies, which consume everything.
+    pub fn sync_feed(&mut self, events: &[FeedEvent], now: SimTime) -> usize {
+        self.strategy.sync_global(events, now)
     }
 
     /// Hands the strategy the next stretch of this neighborhood's future

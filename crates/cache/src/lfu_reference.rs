@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use cablevod_hfc::ids::NeighborhoodId;
 
-use crate::feed::{FeedEvent, FeedEvents, GlobalFeed, GlobalLfu};
+use crate::feed::{FeedEvent, GlobalLfu};
 use crate::lfu::WindowedLfu;
 use crate::strategy::{CacheOp, CacheStrategy};
 
@@ -274,13 +274,13 @@ impl ReferenceLfu {
 fn reference_sync(
     reference: &mut ReferenceLfu,
     cursor: &mut usize,
-    feed: &GlobalFeed,
+    feed: &[FeedEvent],
     (home, lag): (NeighborhoodId, u64),
     now: SimTime,
     limit: usize,
 ) {
     while *cursor < limit.min(feed.len()) {
-        let ev = feed.event_at(*cursor);
+        let ev = feed[*cursor];
         let visible = match lag {
             0 => ev.time <= now,
             lag => ev.time.as_secs() / lag < now.as_secs() / lag,
@@ -363,11 +363,11 @@ proptest! {
         // Shorter than either lag, between them, and longer than both.
         let window = SimDuration::from_secs([600, 3_600, 5_400, 14_400, 86_400][window]);
         let home = NeighborhoodId::new(0);
-        let mut feed = GlobalFeed::new();
+        let mut feed = Vec::new();
         let mut now = 0u64;
         for &(dt, nbhd, p) in &events {
             now += dt;
-            feed.publish(FeedEvent {
+            feed.push(FeedEvent {
                 time: SimTime::from_secs(now),
                 neighborhood: NeighborhoodId::new(nbhd),
                 program: ProgramId::new(p),
@@ -377,15 +377,15 @@ proptest! {
 
         let mut lfu = GlobalLfu::new(capacity, window, SimDuration::from_secs(lag), home);
         let mut reference = ReferenceLfu::new(capacity, window);
-        let mut cursor = 0usize;
+        let (mut consumed, mut cursor) = (0usize, 0usize);
         let (mut ops, mut expected) = (Vec::new(), Vec::new());
-        for (seq, ev) in feed.events().iter().enumerate() {
+        for (seq, ev) in feed.iter().enumerate() {
             if ev.neighborhood != home && seq % 5 != 0 {
                 continue;
             }
-            let consumed = lfu.sync_global(&feed, ev.time, seq + 1);
+            consumed += lfu.sync_global(&feed[consumed..=seq], ev.time);
             reference_sync(&mut reference, &mut cursor, &feed, (home, lag), ev.time, seq + 1);
-            prop_assert_eq!(consumed, cursor as u64, "cursor at record {}", seq);
+            prop_assert_eq!(consumed, cursor, "cursor at record {}", seq);
             if ev.neighborhood == home {
                 ops.clear();
                 expected.clear();

@@ -25,7 +25,8 @@
 //!   nameable from scenario spec files;
 //! * [`fetch`] — the fetch-latency model behind delayed-hit accounting;
 //! * [`lru`], [`lfu`], [`oracle`], [`feed`] — the paper's LRU, windowed
-//!   LFU, Oracle, and global-popularity LFU variants;
+//!   LFU, Oracle, and global-popularity LFU variants, with the
+//!   [`feed::Feed`] that carries the system-wide accesses to the last;
 //! * [`arc`], [`tlru`], [`prior`], [`delayed`] — the literature
 //!   strategies: ARC, time-aware LRU, the prior-storing server (a feed
 //!   consumer, like the global LFU), and the delayed-hits-aware LFU
@@ -73,13 +74,12 @@ pub mod strategy;
 mod strategy_references;
 pub mod tlru;
 mod waterline;
-pub mod watermark;
 
 pub use self::arc::ArcCache;
 pub use delayed::DelayedLfu;
 pub use error::CacheError;
 pub use event::AccessEvent;
-pub use feed::{FeedEvent, FeedEvents, GlobalLfu, SharedFeed};
+pub use feed::{Feed, FeedEvent, GlobalLfu};
 pub use fetch::FetchModel;
 pub use history::HistoryWindow;
 pub use index::{IndexServer, IndexStats, MissReason, Resolution};
@@ -93,4 +93,3 @@ pub use strategy::{
     CacheOp, CacheStrategy, FillPolicy, StrategyContext, StrategyFactory, StrategySpec,
 };
 pub use tlru::Tlru;
-pub use watermark::{FeedProducer, FeedView, WatermarkFeed};

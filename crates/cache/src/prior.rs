@@ -20,7 +20,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::feed::{FeedEvent, GlobalFeed, GlobalLfu};
+    use crate::feed::{FeedEvent, GlobalLfu};
     use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
     use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
     use cablevod_hfc::units::{SimDuration, SimTime};
@@ -40,11 +40,9 @@ mod tests {
 
     #[test]
     fn feed_window_predicts_before_first_local_access() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(100, 1, 7));
+        let feed = [ev(100, 1, 7)];
         let mut s = prior();
-        s.sync_global(&feed, SimTime::from_secs(100), feed.len());
-        assert_eq!(s.cursor(), 1);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(100)), 1);
         // The predicted program is admitted alongside the local one at
         // the next access — through the ordinary ops channel.
         let mut ops = Vec::new();
@@ -58,56 +56,53 @@ mod tests {
     }
 
     #[test]
-    fn windows_are_idempotent_under_redelivery() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
+    fn a_sync_consumes_each_event_once() {
+        // The caller moves its cursor past what a sync returns, so the
+        // next syncs are handed only what follows.
+        let feed = [ev(10, 1, 7)];
         let mut s = prior();
+        let mut cursor = 0;
         for _ in 0..3 {
-            s.sync_global(&feed, SimTime::from_secs(20), feed.len());
+            cursor += s.sync_global(&feed[cursor..], SimTime::from_secs(20));
         }
-        assert_eq!(s.cursor(), 1, "event consumed exactly once");
+        assert_eq!(cursor, 1);
         assert_eq!(s.core.count_of(ProgramId::new(7)), 1);
     }
 
     #[test]
     fn home_events_are_skipped() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 0, 7)); // home neighborhood
-        feed.publish(ev(11, 2, 8));
+        let feed = [ev(10, 0, 7), ev(11, 2, 8)]; // the first is home's
         let mut s = prior();
-        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
-        assert_eq!(s.cursor(), 2);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(20)), 2);
         assert_eq!(s.core.count_of(ProgramId::new(7)), 0);
         assert_eq!(s.core.count_of(ProgramId::new(8)), 1);
     }
 
     #[test]
     fn limit_bounds_the_window() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
-        feed.publish(ev(10, 2, 8));
+        let feed = [ev(10, 1, 7), ev(10, 2, 8)];
         let mut s = prior();
-        s.sync_global(&feed, SimTime::from_secs(10), 1);
-        assert_eq!(s.cursor(), 1);
-        s.sync_global(&feed, SimTime::from_secs(10), 99);
-        assert_eq!(s.cursor(), 2, "clamped to published");
+        assert_eq!(s.sync_global(&feed[..1], SimTime::from_secs(10)), 1);
+        assert_eq!(s.core.count_of(ProgramId::new(8)), 0);
+        assert_eq!(s.sync_global(&feed[1..], SimTime::from_secs(10)), 1);
+        assert_eq!(s.core.count_of(ProgramId::new(8)), 1);
     }
 
     #[test]
     fn sync_global_reports_the_prefetch_cursor() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
+        // At lag zero every published event at or before `now` is
+        // visible, and one after it is not.
+        let feed = [ev(10, 1, 7), ev(11, 1, 8)];
         let mut s = prior();
-        assert_eq!(s.sync_global(&feed, SimTime::from_secs(10), feed.len()), 1);
-        assert_eq!(s.sync_global(&feed, SimTime::from_secs(10), feed.len()), 1);
+        assert_eq!(s.sync_global(&feed, SimTime::from_secs(10)), 1);
+        assert_eq!(s.sync_global(&feed[1..], SimTime::from_secs(11)), 1);
     }
 
     #[test]
     fn predictions_expire_with_the_horizon() {
-        let mut feed = GlobalFeed::new();
-        feed.publish(ev(10, 1, 7));
+        let feed = [ev(10, 1, 7)];
         let mut s = GlobalLfu::prior_storing(4, SimDuration::from_hours(1), NeighborhoodId::new(0));
-        s.sync_global(&feed, SimTime::from_secs(20), feed.len());
+        s.sync_global(&feed, SimTime::from_secs(20));
         // Two hours later the prediction is stale: only the fresh local
         // program is admitted.
         let mut ops = Vec::new();

@@ -47,9 +47,9 @@
 //!    [`needs_feed`](StrategyFactory::needs_feed)), the strategy sees
 //!    them first: the global LFU ingests those its batching lag makes
 //!    visible, the prior-storing server builds its prediction state from
-//!    all of them. The published prefix is delivered at-least-once with
-//!    non-decreasing `limit` bounds, so implementations keep an internal
-//!    cursor and must be idempotent.
+//!    all of them. The caller keeps the consumption cursor and hands over
+//!    the unread events as one slice; each event reaches the strategy
+//!    until the strategy says it consumed it, and never after.
 //! 2. **`prepare`** — the one fallible access-path hook; the Oracle
 //!    checks here that the look-ahead it was handed
 //!    ([`extend_schedule`](CacheStrategy::extend_schedule), by the record
@@ -88,7 +88,7 @@ use crate::arc::ArcCache;
 use crate::delayed::DelayedLfu;
 use crate::error::CacheError;
 use crate::event::AccessEvent;
-use crate::feed::{FeedEvents, GlobalLfu};
+use crate::feed::{FeedEvent, GlobalLfu};
 use crate::fetch::FetchModel;
 use crate::history::HistoryWindow;
 use crate::lfu::WindowedLfu;
@@ -215,23 +215,17 @@ pub trait CacheStrategy: fmt::Debug + Send {
     /// ingests the events its batching lag makes visible at `now`, the
     /// prior-storing server all of them; admissions still materialize
     /// through the [`on_access`](CacheStrategy::on_access) ops channel.
-    /// The default is a no-op.
     ///
-    /// Only events below sequence number `limit` may be consumed. The
-    /// engine sets `limit` to the number of events published when the
-    /// triggering access happened, which reproduces the serial engine's
-    /// grow-as-you-go visibility exactly however far ahead the run's
-    /// [`WatermarkFeed`](crate::watermark::WatermarkFeed) is published.
-    /// The prefix is delivered at-least-once with non-decreasing
-    /// `limit`s; implementations keep a cursor and must be idempotent.
-    ///
-    /// Returns the strategy's consumption cursor after the sync: the
-    /// sequence number below which it will never read the feed again.
-    /// Bounded feed carriers reclaim slots below the minimum cursor
-    /// across consumers; strategies that ignore the feed report `limit`
-    /// (they will never read anything).
-    fn sync_global(&mut self, _feed: &dyn FeedEvents, _now: SimTime, limit: usize) -> u64 {
-        limit as u64
+    /// `events` is the feed's unread published prefix: from the caller's
+    /// cursor up to and including the triggering access's own event,
+    /// which reproduces the serial engine's grow-as-you-go visibility
+    /// exactly however far ahead the run's [`Feed`](crate::feed::Feed)
+    /// is published. Returns how many of them, from the front, the
+    /// strategy consumed: the caller moves its cursor that far and hands
+    /// the rest over again at the next sync. The default consumes them
+    /// all and looks at none.
+    fn sync_global(&mut self, events: &[FeedEvent], _now: SimTime) -> usize {
+        events.len()
     }
 
     /// Heap bytes the strategy holds, from its collections' capacities

@@ -17,10 +17,11 @@
 //! what crosses the neighborhood's edge with them: the Oracle's future,
 //! read ahead, and the windowed LFU's past, read behind. The global
 //! popularity feed, the one thing that crosses it from other
-//! neighborhoods, is read the same way on every plan: through a
-//! [`SharedFeed`] over the run's
-//! [`WatermarkFeed`](cablevod_cache::WatermarkFeed), published into
-//! ahead of the driver.
+//! neighborhoods, is read the same way on every plan: the driver keeps
+//! its own cursor into the run's [`Feed`], and whoever runs it hands it
+//! the feed, published ahead of it, by `&` at every step — so nothing is
+//! published while a driver reads — and reclaims below the cursors of
+//! its drivers between steps.
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or stop and
 //! resume ([`SessionDriver::step`]): the blocked streaming replay steps
@@ -45,7 +46,7 @@
 //! The fallback changes what a push costs, never the order of pops (see
 //! [`super::queue`]).
 
-use cablevod_cache::{AccessEvent, FeedEvent, IndexServer, Resolution, SharedFeed};
+use cablevod_cache::{AccessEvent, Feed, FeedEvent, IndexServer, Resolution};
 use cablevod_hfc::ids::{NeighborhoodId, PeerId, SegmentId};
 use cablevod_hfc::plant::Plant;
 use cablevod_hfc::segment::Segmenter;
@@ -340,9 +341,8 @@ pub(super) enum Step {
     /// block the supply was last handed, where the blocked replay's pool
     /// pass over that block leaves it (see [`super::shard`]), or just
     /// past the live clock's "now" (see [`super::online`]). Unlike
-    /// [`Step::Done`] the feed's consumer is **not** finished: more
-    /// records may still arrive. `progressed` reports whether any events
-    /// were processed.
+    /// [`Step::Done`] more records may still arrive. `progressed` reports
+    /// whether any events were processed.
     Horizon { progressed: bool },
 }
 
@@ -350,7 +350,9 @@ pub(super) enum Step {
 /// drives one neighborhood.
 pub(super) struct SessionDriver<'a, R> {
     supply: R,
-    feed: Option<SharedFeed<'a>>,
+    /// The sequence number of the first feed event the strategy has yet
+    /// to consume, under a strategy that takes the feed.
+    feed_cursor: u64,
     /// The boxes and meters of this driver's neighborhood.
     plant: Plant<'a>,
     /// Its admission control, when a fault plan or enforcing admission
@@ -389,10 +391,8 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     /// A driver for `index`'s neighborhood, `plant` being its boxes and
     /// meters, handing accesses back `history` behind the replay for a
     /// strategy that remembers its past.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         supply: R,
-        feed: Option<SharedFeed<'a>>,
         plant: Plant<'a>,
         index: IndexServer,
         history: Option<SimDuration>,
@@ -401,7 +401,7 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     ) -> Self {
         SessionDriver {
             supply,
-            feed,
+            feed_cursor: 0,
             admission: AdmissionControl::build(config, index.home()),
             plant,
             index,
@@ -422,8 +422,9 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     /// ([`RecordSupply::resumes_at`]) continuations run strictly before
     /// its edge and the driver then parks with [`Step::Horizon`] instead
     /// of finishing — so only a supply that is through for good lets the
-    /// driver finish its feed.
-    pub(super) fn step(&mut self) -> Result<Step, SimError> {
+    /// driver finish. Under a strategy that takes the feed, `feed` is the
+    /// run's, published through every session the supply stages.
+    pub(super) fn step(&mut self, feed: Option<&Feed>) -> Result<Step, SimError> {
         let mut progressed = false;
         loop {
             let staged = self.supply.peek()?;
@@ -434,9 +435,6 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
                 (None, None) => {
                     if self.supply.resumes_at().is_some() {
                         return Ok(Step::Horizon { progressed });
-                    }
-                    if let Some(feed) = self.feed.as_mut() {
-                        feed.finish();
                     }
                     return Ok(Step::Done);
                 }
@@ -452,7 +450,7 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
 
             if take_record {
                 let session = self.supply.take();
-                self.start_session(&session)?;
+                self.start_session(&session, feed)?;
             } else {
                 let (at, gidx, seg_idx, slot) = self.queue.pop().expect("peeked entry exists");
                 if seg_idx == RETRY_SEG {
@@ -475,8 +473,8 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     /// pauses (a shard's own chunk runs, resident strides or a file's, a
     /// closed live supply being drained; a shard of the blocked replay is
     /// stepped once a block instead, by that block's pool pass).
-    pub(super) fn run(&mut self) -> Result<(), SimError> {
-        match self.step()? {
+    pub(super) fn run(&mut self, feed: Option<&Feed>) -> Result<(), SimError> {
+        match self.step(feed)? {
             Step::Done => Ok(()),
             Step::Horizon { .. } => unreachable!("this supply never pauses between blocks"),
         }
@@ -501,25 +499,41 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
         &mut self.supply
     }
 
-    /// The idle sweep: syncs the driver's index against the first
-    /// `published` feed events, at time `now`. Called when the
-    /// driver is parked — at a block's edge, by the step of the block's
-    /// pool pass that parked it there, or at the live clock's "now" —
-    /// where every one of those events is published and no
-    /// session still to start begins before `now`, so it consumes
-    /// exactly what the neighborhood's next session would consume first
-    /// anyway, and a neighborhood with no session since the last pause
-    /// still moves its cursor and with it the feed's reclamation floor.
+    /// The idle sweep: syncs the driver's index against every event of
+    /// `feed`, at time `now`. Called when the driver is parked — at a
+    /// block's edge, by the step of the block's pool pass that parked it
+    /// there, or at the live clock's "now" — where no session still to
+    /// start begins before `now`, so it consumes exactly what the
+    /// neighborhood's next session would consume first anyway, and a
+    /// neighborhood with no session since the last pause still moves its
+    /// cursor and with it the feed's reclamation floor.
     ///
     /// # Errors
     ///
     /// Propagates a failed history hand-back.
-    pub(super) fn sync_published(&mut self, now: SimTime, published: u64) -> Result<(), SimError> {
+    pub(super) fn sync_published(
+        &mut self,
+        now: SimTime,
+        feed: Option<&Feed>,
+    ) -> Result<(), SimError> {
         self.read_behind(now)?;
-        if let (Some(feed), Some(seq)) = (self.feed.as_mut(), published.checked_sub(1)) {
-            feed.sync(&mut self.index, now, seq);
+        if let Some(feed) = feed.filter(|feed| feed.end() > 0) {
+            self.sync_feed(feed, now, feed.end());
         }
         Ok(())
+    }
+
+    /// How far the strategy has consumed the feed: no event below this
+    /// is read again.
+    pub(super) fn feed_cursor(&self) -> u64 {
+        self.feed_cursor
+    }
+
+    /// Hands the strategy the feed's events from the cursor up to
+    /// `published`, at `now`, and moves the cursor past what it consumed.
+    fn sync_feed(&mut self, feed: &Feed, now: SimTime, published: u64) {
+        let events = feed.events(self.feed_cursor..published);
+        self.feed_cursor += self.index.sync_feed(events, now) as u64;
     }
 
     /// Has the supply hand the index every access that leaves the
@@ -538,7 +552,11 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
 
     /// Handles one session start: admission, viewer slot accounting, feed
     /// sync, strategy update, and the first segment request.
-    fn start_session(&mut self, session: &PendingSession) -> Result<(), SimError> {
+    fn start_session(
+        &mut self,
+        session: &PendingSession,
+        feed: Option<&Feed>,
+    ) -> Result<(), SimError> {
         let PendingSession { gidx, rec, ctx } = session;
         debug_assert_eq!(
             ctx.nbhd,
@@ -551,18 +569,18 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
             None => Verdict::Admit,
         };
         match verdict {
-            Verdict::Admit => self.admit_session(*gidx, rec, ctx),
+            Verdict::Admit => self.admit_session(*gidx, rec, ctx, feed),
             Verdict::Retry { at } => {
                 // The request itself still drives the feed and the
                 // strategy's popularity at its original time — only
                 // playback waits for the backoff.
-                self.publish_access(*gidx, rec, ctx)?;
+                self.publish_access(*gidx, rec, ctx, feed)?;
                 let slot = self.active.insert(*rec, *ctx);
                 self.active.bump_retries(slot);
                 self.queue.push((at, *gidx as u32, RETRY_SEG, slot));
                 Ok(())
             }
-            Verdict::Blocked => self.publish_access(*gidx, rec, ctx),
+            Verdict::Blocked => self.publish_access(*gidx, rec, ctx, feed),
         }
     }
 
@@ -592,9 +610,10 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
         gidx: u64,
         rec: &SessionRecord,
         ctx: &SessionCtx,
+        feed: Option<&Feed>,
     ) -> Result<(), SimError> {
         self.occupy_viewer_slot(rec, ctx)?;
-        self.publish_access(gidx, rec, ctx)?;
+        self.publish_access(gidx, rec, ctx, feed)?;
 
         let cont = if ctx.watched.as_secs() > 0 {
             self.process_segment(rec, ctx, ctx.first_seg)?
@@ -640,13 +659,14 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
         gidx: u64,
         rec: &SessionRecord,
         ctx: &SessionCtx,
+        feed: Option<&Feed>,
     ) -> Result<(), SimError> {
         self.read_behind(rec.start)?;
-        if let Some(feed) = self.feed.as_mut() {
+        if let Some(feed) = feed {
             // Events up to and including this record are published (see
-            // the module docs on feed exactness); the sync bounds
-            // consumption accordingly.
-            feed.sync(&mut self.index, rec.start, gidx);
+            // the module docs on feed exactness); the sync reads no
+            // further.
+            self.sync_feed(feed, rec.start, gidx + 1);
         }
         self.index
             .on_program_access(rec.program, ctx.length, rec.start, &mut self.plant)?;

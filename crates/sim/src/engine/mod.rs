@@ -41,10 +41,11 @@
 //!        │                         decoded, grouped block (the blocked replay)
 //!        │     LiveSupply          the neighborhood's submitted sessions,
 //!        │                         released up to the live clock (online.rs)
-//!        │ reads, under a strategy that takes the feed,
-//!        ├── SharedFeed          (cablevod_cache::feed — the global
-//!        │                        popularity feed, read out of the run's
-//!        │                        one WatermarkFeed, published ahead of it)
+//!        │ reads, under a strategy that takes the feed, through its own
+//!        │ cursor,
+//!        ├── Feed                (cablevod_cache::feed — the global
+//!        │                        popularity feed, the run's one, handed
+//!        │                        to every step published ahead of it)
 //!        │ and owns, for its neighborhood of the one Topology,
 //!        ├── Plant                (cablevod_hfc::plant — its boxes, coax
 //!        │                         network and server meter)
@@ -73,17 +74,17 @@
 //! `threads(n)` say how many shards run at once and nothing else, and
 //! every shard walks its records in ascending global index:
 //!
-//! | plan      | entry                              | supply                                  | feed producer            | look-ahead and history hand-back          | scheduling                               |
-//! |-----------|------------------------------------|-----------------------------------------|--------------------------|-------------------------------------------|------------------------------------------|
-//! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, up front    | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
-//! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed) | the shard's own two cursors   | work-stealing pool                       |
-//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, per block   | the decoder's two cursors, per block      | work-stealing pool, one pass a block: every live shard stepped to the block's edge |
-//! | online    | `online::serve_serial`             | `LiveSupply`                            | the ingress, per session | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | plan      | entry                              | supply                                  | feed producer (and reclaim)                  | look-ahead and history hand-back          | scheduling                               |
+//! |-----------|------------------------------------|-----------------------------------------|----------------------------------------------|-------------------------------------------|------------------------------------------|
+//! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, before any shard starts (never) | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
+//! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed)             | the shard's own two cursors               | work-stealing pool                       |
+//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, a block before each pass (after each pass) | the decoder's two cursors, per block | work-stealing pool, one pass a block: every live shard stepped to the block's edge |
+//! | online    | `online::serve_serial`             | `LiveSupply`                            | the ingress, at each submit (after each advance) | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
 //!
-//! Every driver reads the feed the same way — a `SharedFeed` over the
-//! run's one `WatermarkFeed` — and is handed its future and its past the
-//! same way, through its supply's `read_ahead` and `read_behind`: the
-//! rows differ in the supply alone. The resident plan and the fast path
+//! Every driver reads the feed the same way — a cursor of its own into
+//! the run's one `Feed`, handed to it by `&` — and is handed its future
+//! and its past the same way, through its supply's `read_ahead` and
+//! `read_behind`: the rows differ in the supply alone. The resident plan and the fast path
 //! share one supply over two chunk sources, and one job loop
 //! (`shard::run_jobs`); they differ in where a chunk comes from and in
 //! the feed, which only the resident plan can carry.
@@ -114,8 +115,7 @@
 //!   as it stands; a **neighborhood-major** file's cell runs are merged
 //!   back into it by their stored sequence numbers, a chunk's worth of
 //!   records a block. It computes the records' contexts, publishes the
-//!   block's feed events and advances the watermark past the block, and
-//!   moves the block's records into neighborhood-grouped order, in place;
+//!   block's feed events, and moves the block's records into neighborhood-grouped order, in place;
 //!   then every shard runs through its own contiguous run of the block
 //!   and on to — strictly before — the start of the last record the block
 //!   decoded, and carries its continuation queue into
@@ -147,32 +147,34 @@
 //!
 //! Serial feed exactness: a serial replay of the whole trace would publish
 //! the feed one record at a time, so at record `r` a strategy can only
-//! ever see events `0..=r`. Every plan publishes into one shared
-//! [`WatermarkFeed`] and bounds every consumer by its own record index,
-//! so an event published early is never visible early. Every run has
-//! **one** producer, working ahead of every consumer: the resident plan's
-//! one pass over its records (`DriverParts::survey`, which also validates
-//! them) publishes all of them and moves the watermark past the last
-//! before any shard starts; the decoding thread publishes a whole block
-//! and moves the watermark past it before any shard replays it; the
-//! online ingress publishes a session when it is submitted. So no driver
-//! ever waits on the feed, and a shard about to start the session with
-//! global index `g` consumes events `0..=g` exactly like the serial
-//! engine. Every sync reports the strategy's cursor back and the carrier
-//! reclaims fully consumed segments (see [`cablevod_cache::watermark`]),
-//! so on a streaming or online run feed memory is bounded by consumption,
-//! not trace length; a resident run holds the trace already, and its
-//! feed, whole until its last shard starts, a slot a record beside it.
+//! ever see events `0..=r`. Every plan publishes into one [`Feed`] and
+//! hands every strategy the events from its driver's cursor up to its own
+//! record index, so an event published early is never visible early.
+//! Every run has **one** producer, and it publishes in a phase where no
+//! driver runs: the resident plan's one pass over its records
+//! (`DriverParts::survey`, which also validates them) publishes all of
+//! them before any shard starts; the decoding thread publishes a whole
+//! block between two pool passes; the online ingress publishes a session
+//! when it is submitted, between two advances. The producer writes
+//! through `&mut` and the drivers read through `&`, so the borrow checker
+//! is what keeps them apart; no driver ever waits on the feed, and a
+//! shard about to start the session with global index `g` consumes
+//! events `0..=g` exactly like the serial engine. After each pass (each
+//! advance) the feed drops the events below the smallest cursor of the
+//! live drivers, so on a streaming or online run feed memory is bounded
+//! by consumption, not trace length; a resident run holds the trace
+//! already, and its feed, whole, 24 B a record beside it.
 //!
 //! Idle-neighborhood retention: a neighborhood between (or without)
 //! sessions never syncs on its own — its stalled cursor would floor the
-//! carrier's reclamation and pin the whole retained window. The blocked
-//! replay therefore runs an **idle sweep** at every block's end: each
-//! shard, parked at the edge, syncs its index against the published
-//! prefix, which consumes exactly what the neighborhood's next session
-//! would consume first anyway (so results stay bit-identical) and keeps
-//! live feed slots O(block + visibility lag), not O(trace). The online
-//! engine runs the same sweep at every advance of its clock.
+//! reclamation and pin everything published since. The blocked replay
+//! therefore runs an **idle sweep** at every block's end: each shard,
+//! parked at the edge, syncs its index against the published feed, which
+//! consumes exactly what the neighborhood's next session would consume
+//! first anyway (so results stay bit-identical) and keeps the retained
+//! events one block plus what the batching lag keeps invisible, not
+//! O(trace). The online engine runs the same sweep at every advance of
+//! its clock, and retains one advance's submissions plus the lag's.
 //!
 //! # The Oracle's look-ahead
 //!
@@ -247,8 +249,8 @@ mod tests;
 use std::sync::Arc;
 
 use cablevod_cache::{
-    HistoryWindow, IndexServer, PlacementPolicy, ScheduleWindow, SharedFeed, SlotLedger,
-    StrategyContext, StrategyFactory, WatermarkFeed,
+    Feed, HistoryWindow, IndexServer, PlacementPolicy, ScheduleWindow, SlotLedger, StrategyContext,
+    StrategyFactory,
 };
 use cablevod_hfc::ids::{NeighborhoodId, PeerId};
 use cablevod_hfc::plant::Plant;
@@ -473,31 +475,24 @@ impl<'a> DriverParts<'a> {
     /// runs — and lists each neighborhood's record indices, ascending, cut
     /// into [`Strides`]: the chunks its shard gathers. Under a
     /// strategy that takes the feed it is also the run's one feed
-    /// producer: it publishes every record's event into a
-    /// [`WatermarkFeed`] and advances the watermark past the last record,
-    /// before any shard runs (see the module docs).
+    /// producer: it publishes every record's event into a [`Feed`] sized
+    /// to the record count, before any shard runs (see the module docs).
     fn survey<'r>(
         &self,
         records: &'r [SessionRecord],
-    ) -> Result<(Strides<'r>, Option<WatermarkFeed>), SimError> {
+    ) -> Result<(Strides<'r>, Option<Feed>), SimError> {
         let seg_len = self.segmenter.segment_len().as_secs();
-        let nbhd_count = self.topo.neighborhood_count();
-        let mut members = vec![Vec::new(); nbhd_count];
-        let feed = self
+        let mut members = vec![Vec::new(); self.topo.neighborhood_count()];
+        let mut feed = self
             .strategy
             .needs_feed()
-            .then(|| WatermarkFeed::new(records.len() as u64, nbhd_count));
-        let mut producer = feed.as_ref().map(WatermarkFeed::producer_handle);
+            .then(|| Feed::with_capacity(records.len()));
         for (gidx, rec) in (0u32..).zip(records) {
             let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
-            if let Some(producer) = producer.as_mut() {
-                let event = feed_event(rec, &ctx, self.config, &self.segmenter);
-                producer.publish(u64::from(gidx), event);
+            if let Some(feed) = feed.as_mut() {
+                feed.push(feed_event(rec, &ctx, self.config, &self.segmenter));
             }
             members[ctx.nbhd as usize].push(gidx);
-        }
-        if let Some(mut producer) = producer {
-            producer.advance(records.len() as u64);
         }
         Ok((Strides::new(records, members), feed))
     }
@@ -555,23 +550,20 @@ impl<'a> DriverParts<'a> {
 
     /// The one place a [`SessionDriver`] is built: the driver owning
     /// neighborhood `n` — its index server, its [`Plant`] and (inside
-    /// [`SessionDriver::new`]) its admission control — around `supply`,
-    /// reading the run's `feed` when the strategy takes one. Here too the
-    /// index's ledger is checked against the plant's boxes once, so that
-    /// every copy reaches its box by its ledger index
+    /// [`SessionDriver::new`]) its admission control — around `supply`.
+    /// Here too the index's ledger is checked against the plant's boxes
+    /// once, so that every copy reaches its box by its ledger index
     /// ([`IndexServer::check_plant`]).
     fn driver<R: RecordSupply>(
         &self,
         n: usize,
         supply: R,
-        feed: Option<&'a WatermarkFeed>,
     ) -> Result<SessionDriver<'a, R>, SimError> {
         let index = self.index(n)?;
         let plant = Plant::over(self.topo, NeighborhoodId::new(n as u32))?;
         index.check_plant(&plant)?;
         Ok(SessionDriver::new(
             supply,
-            feed.map(|feed| SharedFeed::new(feed, n)),
             plant,
             index,
             self.strategy.history_window(),

@@ -14,18 +14,19 @@
 //!
 //! * **submit** — hand the engine one session request. The record's
 //!   context is computed at ingress (exactly `session_ctx`, like every
-//!   other supply), its feed event is published into a shared
-//!   [`WatermarkFeed`] and the watermark is advanced past it — the
-//!   ingress is the run's one feed producer, ahead of every driver. The
-//!   session is then staged on its neighborhood's supply (which, under a
-//!   strategy that looks ahead, holds that neighborhood's records of the
-//!   replayed trace as its future, and hands them over whole through
-//!   `read_ahead` the first time its driver steps).
+//!   other supply) and its feed event is appended to the engine's own
+//!   [`Feed`] — the ingress is the run's one feed producer, and no
+//!   driver runs while it publishes. The session is then staged on its
+//!   neighborhood's supply (which, under a strategy that looks ahead,
+//!   holds that neighborhood's records of the replayed trace as its
+//!   future, and hands them over whole through `read_ahead` the first
+//!   time its driver steps).
 //! * **advance_to** — a block edge at the live clock's "now": every
 //!   supply releases the sessions that start at or before it, every
 //!   driver processes every event at or before it in exactly the order
 //!   the offline engine would and parks just past it, then syncs its
-//!   index against the published feed (the blocked replay's idle sweep).
+//!   index against the published feed (the blocked replay's idle sweep);
+//!   then the feed drops what every driver has consumed.
 //! * **lookup** — read a neighborhood's current placement for a program
 //!   straight from its driver's [`IndexServer`], without disturbing the
 //!   lifecycle.
@@ -58,7 +59,7 @@
 
 use std::collections::VecDeque;
 
-use cablevod_cache::{AccessEvent, FeedProducer, IndexServer, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{AccessEvent, Feed, IndexServer, StrategyFactory};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
@@ -90,8 +91,8 @@ pub struct OnlineSpec<'a> {
     /// Accounting horizon in days for the final report (peak windows,
     /// hourly profiles). The online analogue of [`TraceSource::days`].
     pub days: u64,
-    /// Upper bound on sessions ever submitted (sizes the shared feed; a
-    /// submission beyond it is rejected with an explicit error).
+    /// Upper bound on sessions ever submitted: the ingress bound, a
+    /// submission beyond it is rejected with an explicit error.
     pub capacity: u64,
     /// Resident records for strategies that need an offline access
     /// schedule (Oracle). `None` means such strategies are rejected —
@@ -205,10 +206,9 @@ pub fn serve_serial<T>(
     Ok((value, report))
 }
 
-/// [`serve_serial`], saying beside the report how many slots the
-/// watermark feed held live at its peak (`None` when the run carried no
-/// feed) — what the idle-neighborhood regression test asserts stays
-/// bounded.
+/// [`serve_serial`], saying beside the report the most events the feed
+/// retained at once (`None` when the run carried no feed) — what the
+/// idle-neighborhood regression test asserts stays bounded.
 pub(super) fn serve<T>(
     spec: &OnlineSpec<'_>,
     config: &SimConfig,
@@ -228,9 +228,6 @@ pub(super) fn serve<T>(
     let nbhd_count = topo.neighborhood_count();
     let parts = DriverParts::new(&topo, spec.catalog, config, strategy)?;
 
-    let wfeed = strategy
-        .needs_feed()
-        .then(|| WatermarkFeed::new(spec.capacity, nbhd_count));
     // Under a strategy that looks ahead, each driver's future is its own
     // neighborhood's records of the schedule, gathered in one pass.
     let ahead = spec
@@ -253,27 +250,24 @@ pub(super) fn serve<T>(
                 handed: 0,
                 leaving: Vec::new(),
             };
-            parts.driver(n, supply, wfeed.as_ref())
+            parts.driver(n, supply)
         })
         .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {
         drivers,
-        ingress: Ingress::new(&topo, spec, config, parts.segmenter, wfeed.as_ref()),
+        ingress: Ingress::new(&topo, spec, config, parts.segmenter, strategy.needs_feed()),
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
+    let feed = engine.ingress.feed.as_ref();
     let outcomes = engine.drivers.into_iter().map(|mut driver| {
         driver.supply_mut().edge = None;
-        driver.run()?;
+        driver.run(feed)?;
         Ok(driver.into_outcome())
     });
     let report = merge_outcomes(outcomes, spec.days, config)?;
-    Ok((
-        value,
-        report,
-        wfeed.as_ref().map(WatermarkFeed::peak_live_slots),
-    ))
+    Ok((value, report, feed.map(Feed::peak_retained)))
 }
 
 /// One neighborhood's [`RecordSupply`]: the sessions the ingress routed
@@ -375,7 +369,8 @@ struct Ingress<'s> {
     config: &'s SimConfig,
     segmenter: Segmenter,
     seg_len: u64,
-    producer: Option<FeedProducer<'s>>,
+    /// The run's feed, under a strategy that takes one.
+    feed: Option<Feed>,
     capacity: u64,
     next_gidx: u64,
     last_start: Option<SimTime>,
@@ -388,7 +383,7 @@ impl<'s> Ingress<'s> {
         spec: &OnlineSpec<'s>,
         config: &'s SimConfig,
         segmenter: Segmenter,
-        wfeed: Option<&'s WatermarkFeed>,
+        needs_feed: bool,
     ) -> Self {
         Ingress {
             topo,
@@ -396,7 +391,7 @@ impl<'s> Ingress<'s> {
             config,
             segmenter,
             seg_len: segmenter.segment_len().as_secs(),
-            producer: wfeed.map(WatermarkFeed::producer_handle),
+            feed: needs_feed.then(Feed::default),
             capacity: spec.capacity,
             next_gidx: 0,
             last_start: None,
@@ -405,8 +400,7 @@ impl<'s> Ingress<'s> {
     }
 
     /// Admits one submission: enforces the ordering contract, computes
-    /// the session context, publishes its feed event and advances the
-    /// watermark past it.
+    /// the session context and publishes its feed event.
     fn admit(&mut self, rec: SessionRecord) -> Result<PendingSession, SimError> {
         if self.next_gidx >= self.capacity {
             return Err(SimError::Config {
@@ -430,9 +424,8 @@ impl<'s> Ingress<'s> {
         }
         let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
         let gidx = self.next_gidx;
-        if let Some(feed) = self.producer.as_mut() {
-            feed.publish(gidx, feed_event(&rec, &ctx, self.config, &self.segmenter));
-            feed.advance(gidx + 1);
+        if let Some(feed) = self.feed.as_mut() {
+            feed.push(feed_event(&rec, &ctx, self.config, &self.segmenter));
         }
         self.next_gidx += 1;
         self.last_start = Some(rec.start);
@@ -469,12 +462,16 @@ impl OnlineEngine for SerialOnline<'_> {
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
         self.ingress.note_advance(now)?;
         let edge = now.saturating_add(SimDuration::from_secs(1));
+        let feed = self.ingress.feed.as_ref();
         let mut progressed = false;
         for driver in &mut self.drivers {
             driver.supply_mut().edge = Some(edge);
             // An open supply always resumes, so the driver parks.
-            progressed |= matches!(driver.step()?, Step::Horizon { progressed: true });
-            driver.sync_published(now, self.ingress.next_gidx)?;
+            progressed |= matches!(driver.step(feed)?, Step::Horizon { progressed: true });
+            driver.sync_published(now, feed)?;
+        }
+        if let Some(feed) = self.ingress.feed.as_mut() {
+            feed.reclaim(self.drivers.iter().map(SessionDriver::feed_cursor));
         }
         if progressed {
             self.epoch += 1;

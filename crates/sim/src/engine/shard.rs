@@ -7,12 +7,13 @@
 //! meter merges because bucket accounting is commutative
 //! ([`RateMeter::merge`](cablevod_hfc::meter::RateMeter::merge)), and the
 //! one thing that crosses neighborhoods — the global popularity feed — is
-//! always published into one [`WatermarkFeed`] from one place, ahead of
-//! every shard that reads it (all of it by the resident plan's survey,
-//! block by block by the decoding thread on streaming runs). Each shard
-//! is therefore one [`SessionDriver`] over its own neighborhood, built by
-//! the one constructor every driver comes from, and what a shard may read
-//! never depends on how far another has got. A shard reads its
+//! always published into one [`Feed`] from one place, while no shard runs
+//! (all of it by the resident plan's survey, block by block between pool
+//! passes by the decoding thread on streaming runs), and read by every
+//! shard through `&` and a cursor of its own. Each shard is therefore
+//! one [`SessionDriver`] over its own neighborhood, built by the one
+//! constructor every driver comes from, and what a shard may read never
+//! depends on how far another has got. A shard reads its
 //! `(global index, record)` pairs front to back, in ascending global
 //! index:
 //!
@@ -29,7 +30,8 @@
 //!   caller's thread decodes and publishes the next block and groups its
 //!   records by neighborhood, then one pass of the pool steps every live
 //!   shard through it — a shard's run is its slice of the block — and on
-//!   to its edge, where the shard parks until the next pass. A shard may
+//!   to its edge, where the shard parks until the next pass; after the
+//!   pass the feed drops what every live shard has consumed. A shard may
 //!   move to another worker between blocks; nothing else is shared.
 //!
 //! Both draw their workers from the pool in [`runner`], which sizes them
@@ -40,7 +42,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cablevod_cache::WatermarkFeed;
+use cablevod_cache::Feed;
 use cablevod_trace::source::TraceSource;
 
 use super::lifecycle::{SessionDriver, Step};
@@ -60,13 +62,13 @@ pub(super) fn run_jobs<C: ChunkSource + Sync + ?Sized>(
     parts: &DriverParts<'_>,
     chunks: &C,
     runs: &[Vec<Vec<u32>>],
-    feed: Option<&WatermarkFeed>,
+    feed: Option<&Feed>,
     threads: usize,
 ) -> Vec<Result<NeighborhoodOutcome, SimError>> {
     runner::run_indexed(parts.topo.neighborhood_count(), threads, |n| {
         let supply = StreamSupply::new(chunks, &runs[n], parts);
-        let mut driver = parts.driver(n, supply, feed)?;
-        driver.run()?;
+        let mut driver = parts.driver(n, supply)?;
+        driver.run(feed)?;
         Ok(driver.into_outcome())
     })
 }
@@ -76,10 +78,10 @@ pub(super) struct Streamed {
     /// Whether the replay took the sweep fast path
     /// ([`super::fastpath_layout`]).
     pub(super) fastpath: bool,
-    /// The watermark feed's peak live slot count (`None` when the run
+    /// The most feed events the run retained at once (`None` when it
     /// carried no feed), which the idle-neighborhood regression test
     /// asserts stays bounded.
-    pub(super) peak_feed_slots: Option<usize>,
+    pub(super) peak_feed_events: Option<usize>,
 }
 
 /// The streaming driver, at any worker count: shards are supplied as the
@@ -94,7 +96,7 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
     let nbhd_count = parts.topo.neighborhood_count();
     let mut streamed = Streamed {
         fastpath: false,
-        peak_feed_slots: None,
+        peak_feed_events: None,
     };
     let outcomes = match shard_plans(source, parts.config, nbhd_count, parts.strategy) {
         Replay::Runs(runs) => {
@@ -102,12 +104,9 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
             run_jobs(parts, source, &runs, None, threads)
         }
         Replay::Blocked(runs) => {
-            let feed = parts
-                .strategy
-                .needs_feed()
-                .then(|| WatermarkFeed::new(source.record_count(), nbhd_count));
-            let outcomes = run_blocked(source, &runs, parts, feed.as_ref(), threads)?;
-            streamed.peak_feed_slots = feed.as_ref().map(WatermarkFeed::peak_live_slots);
+            let mut feed = parts.strategy.needs_feed().then(Feed::default);
+            let outcomes = run_blocked(source, &runs, parts, feed.as_mut(), threads)?;
+            streamed.peak_feed_events = feed.as_ref().map(Feed::peak_retained);
             outcomes.into_iter().map(Ok).collect()
         }
     };
@@ -120,25 +119,27 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
 /// through it: a shard runs through its run of the block and on to —
 /// strictly before — the block's edge, carrying its continuation queue
 /// into the next block, and the final block has no edge and runs every
-/// shard out. Returns every shard's outcome in neighborhood order, or the
+/// shard out. The decoder publishes each block into `feed` before the
+/// pass, and after it the events below every live shard's cursor are
+/// dropped. Returns every shard's outcome in neighborhood order, or the
 /// failure that ended the run: the decoder's, else the lowest-numbered
 /// neighborhood's of the pass it failed in, at any worker count.
 fn run_blocked<S: TraceSource + ?Sized>(
     source: &S,
     runs: &[Vec<u32>],
     parts: &DriverParts<'_>,
-    feed: Option<&WatermarkFeed>,
+    mut feed: Option<&mut Feed>,
     threads: usize,
 ) -> Result<Vec<NeighborhoodOutcome>, SimError> {
     let nbhd_count = parts.topo.neighborhood_count();
     // A shard is its driver until it ends; the lock is never contended —
     // a pass steps each shard once — and lets a pass hand it to whichever
     // worker claims its index.
-    let shards: Vec<Mutex<Option<BlockDriver<'_>>>> =
+    let mut shards: Vec<Mutex<Option<BlockDriver<'_>>>> =
         runner::run_indexed(nbhd_count, threads, |n| {
             let supply = BlockSupply::new(n, source.catalog(), parts.topo, &parts.segmenter);
             parts
-                .driver(n, supply, feed)
+                .driver(n, supply)
                 .map(|driver| Mutex::new(Some(driver)))
         })
         .into_iter()
@@ -150,18 +151,19 @@ fn run_blocked<S: TraceSource + ?Sized>(
         parts.topo,
         parts.config,
         parts.segmenter,
-        feed,
         parts.strategy,
     );
     let mut block = Arc::new(Block::default());
     loop {
-        demux.fill(Arc::get_mut(&mut block).expect("every shard let go of the last block"))?;
+        let filling = Arc::get_mut(&mut block).expect("every shard let go of the last block");
+        demux.fill(filling, feed.as_deref_mut())?;
+        let published = feed.as_deref();
         let endings = runner::run_indexed(nbhd_count, threads, |n| {
             let mut shard = shards[n].lock().expect("a shard's step panicked");
             let driver = shard.as_mut()?;
             driver.supply_mut().attach(&block);
-            let ending = driver.step().and_then(|step| {
-                if let (Step::Horizon { .. }, Some((edge, published))) = (&step, block.edge()) {
+            let ending = driver.step(published).and_then(|step| {
+                if let (Step::Horizon { .. }, Some(edge)) = (&step, block.edge()) {
                     driver.sync_published(edge, published)?;
                 }
                 Ok(step)
@@ -179,6 +181,14 @@ fn run_blocked<S: TraceSource + ?Sized>(
             if let Some(ending) = ending {
                 outcomes[n] = Some(ending?);
             }
+        }
+        if let Some(feed) = feed.as_deref_mut() {
+            feed.reclaim(
+                shards
+                    .iter_mut()
+                    .filter_map(|shard| shard.get_mut().expect("no step panicked").as_ref())
+                    .map(SessionDriver::feed_cursor),
+            );
         }
         if block.edge().is_none() {
             break;

@@ -22,9 +22,9 @@
 //!   caller's thread decodes each chunk once into the shared block —
 //!   a time-major file's next chunk in place, a neighborhood-major file's
 //!   cell runs merged back into global order — validates every record,
-//!   publishes the block's feed events and advances the watermark past
-//!   it, then moves the block's *records* into neighborhood-grouped order
-//!   (a stable counting sort, applied in place); every shard's supply
+//!   appends the block's feed events to the run's feed, then moves the
+//!   block's *records* into neighborhood-grouped order (a stable
+//!   counting sort, applied in place); every shard's supply
 //!   walks its own contiguous run of the block front to back and, once it
 //!   is through, reports the block's edge so its driver parks there until
 //!   the next block is attached.
@@ -90,7 +90,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use cablevod_cache::{AccessEvent, FeedProducer, StrategyFactory, WatermarkFeed};
+use cablevod_cache::{AccessEvent, Feed, StrategyFactory};
 use cablevod_hfc::segment::Segmenter;
 use cablevod_hfc::topology::Topology;
 use cablevod_hfc::units::{SimDuration, SimTime};
@@ -205,9 +205,8 @@ pub(super) struct Block {
     starts: Vec<u32>,
     /// While more blocks follow: the latest start time decoded so far —
     /// the last record *decoded*, wherever the grouping then put it; no
-    /// later session starts before it — and how many records are
-    /// published. `None` on the final block.
-    edge: Option<(SimTime, u64)>,
+    /// later session starts before it. `None` on the final block.
+    edge: Option<SimTime>,
     /// Under a strategy that looks ahead: `ahead[n]` is what entered
     /// neighborhood `n`'s look-ahead with this block, after which every
     /// access before `covered` has been handed over.
@@ -222,7 +221,7 @@ pub(super) struct Block {
 
 impl Block {
     /// See the `edge` field.
-    pub(super) fn edge(&self) -> Option<(SimTime, u64)> {
+    pub(super) fn edge(&self) -> Option<SimTime> {
         self.edge
     }
 
@@ -253,7 +252,6 @@ pub(super) struct Demux<'a, S: TraceSource + ?Sized> {
     /// Records per merged block: the file's mean chunk size, so a block
     /// is a chunk's worth of work in either layout.
     block_records: usize,
-    feed: Option<FeedProducer<'a>>,
     /// Under a strategy that looks ahead: the second cursor over `runs`,
     /// and how far ahead of the block's edge it reads.
     ahead: Option<(RunCursor<'a, S>, SimDuration)>,
@@ -278,7 +276,6 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         topo: &'a Topology,
         config: &'a SimConfig,
         segmenter: Segmenter,
-        feed: Option<&'a WatermarkFeed>,
         strategy: &dyn StrategyFactory,
     ) -> Self {
         let chunks = source.chunk_count().max(1) as u64;
@@ -290,7 +287,6 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             segmenter,
             nbhd_count: topo.neighborhood_count(),
             block_records: source.record_count().div_ceil(chunks).max(1) as usize,
-            feed: feed.map(WatermarkFeed::producer_handle),
             ahead: strategy
                 .schedule_lookahead()
                 .map(|lookahead| (RunCursor::new(source, runs), lookahead)),
@@ -303,14 +299,19 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         }
     }
 
-    /// Fills `block` with the next stretch of records: the final one
+    /// Fills `block` with the next stretch of records, and appends their
+    /// events to `feed` under a strategy that takes one: the final block
     /// carries no edge.
     ///
     /// # Errors
     ///
     /// A decode failure, a record out of the global sequence, or one
     /// [`session_ctx`] refuses.
-    pub(super) fn fill(&mut self, block: &mut Block) -> Result<(), SimError> {
+    pub(super) fn fill(
+        &mut self,
+        block: &mut Block,
+        mut feed: Option<&mut Feed>,
+    ) -> Result<(), SimError> {
         block.reset(self.nbhd_count);
         self.merge.refill(&mut block.records, self.block_records)?;
         if let (Some((behind, _)), Some((_, rec))) = (self.behind.as_mut(), block.records.first()) {
@@ -344,8 +345,8 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             }
             self.published += 1;
             let ctx = session_ctx(rec, self.catalog, self.topo, seg_len)?;
-            if let Some(feed) = self.feed.as_mut() {
-                feed.publish(*gidx, feed_event(rec, &ctx, self.config, &self.segmenter));
+            if let Some(feed) = feed.as_deref_mut() {
+                feed.push(feed_event(rec, &ctx, self.config, &self.segmenter));
             }
             block.starts[ctx.nbhd as usize + 2] += 1;
             self.dest.push(ctx.nbhd);
@@ -373,12 +374,9 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
                 self.dest.swap(at, to);
             }
         }
-        if let Some(feed) = self.feed.as_mut() {
-            feed.advance(self.published);
-        }
         let more = self.merge.has_more();
         if more {
-            block.edge = Some((self.last_start, self.published));
+            block.edge = Some(self.last_start);
         }
         if let Some((ahead, lookahead)) = self.ahead.as_mut() {
             // Until the next block is attached no shard starts a session
@@ -460,7 +458,7 @@ impl<'a> BlockSupply<'a> {
     /// Hands the supply the next block.
     pub(super) fn attach(&mut self, block: &Arc<Block>) {
         debug_assert!(self.block.is_none(), "the previous run was not drained");
-        self.resumes = block.edge.map(|(edge, _)| edge);
+        self.resumes = block.edge;
         self.ahead = block.covered.map(|covered| (Arc::clone(block), covered));
         debug_assert!(
             self.behind.is_none(),

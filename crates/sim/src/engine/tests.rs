@@ -390,6 +390,15 @@ fn idle_neighborhood_workload() -> (Trace, SimConfig) {
     (trace, config)
 }
 
+/// The batching lag of [`idle_neighborhood_workload`]'s strategy, in
+/// seconds: the most events it keeps invisible at an edge, one a second.
+fn idle_neighborhood_lag(config: &SimConfig) -> usize {
+    match config.strategy() {
+        StrategySpec::GlobalLfu { lag, .. } => lag.as_secs() as usize,
+        other => unreachable!("the workload runs a global LFU, not {other:?}"),
+    }
+}
+
 /// The ROADMAP "idle-neighborhood feed retention" item: a session-less
 /// neighborhood must not pin the streaming feed's retained window. The
 /// blocked replay's idle sweep — every shard syncs at every block's edge —
@@ -405,20 +414,21 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
     let (trace, config) = idle_neighborhood_workload();
     let nbhd_size = config.neighborhood_size();
     let total = trace.len();
+    let (block, lag) = (1_024u32, idle_neighborhood_lag(&config));
 
     let mut tm = std::env::temp_dir();
     tm.push(format!("cvtc_idle_tm_{}.cvtc", std::process::id()));
     let mut nm = std::env::temp_dir();
     nm.push(format!("cvtc_idle_nm_{}.cvtc", std::process::id()));
-    write_trace(&tm, &trace, 1_024).expect("write time-major");
+    write_trace(&tm, &trace, block).expect("write time-major");
     let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
-    rechunk_by_neighborhood(&tm_reader, &nm, nbhd_size, 1_024).expect("rechunk");
+    rechunk_by_neighborhood(&tm_reader, &nm, nbhd_size, block).expect("rechunk");
     let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
     assert!(nm_reader.neighborhood_layout().is_some());
 
     let resident = run(&trace, &config).expect("resident runs");
     let factory = config.strategy().factory();
-    let chunked = ChunkedTrace::new(&trace, 1_024);
+    let chunked = ChunkedTrace::new(&trace, block as usize);
     let sources: [(&str, &dyn TraceSource); 2] =
         [("time-major", &chunked), ("neighborhood-major", &nm_reader)];
     let topo = build_topology(&trace, &config).expect("topology");
@@ -427,16 +437,18 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
         let (outcomes, streamed) = shard::run_streaming(source, &parts, 1).expect("streaming runs");
         let report = report::merge_outcomes(outcomes, trace.days(), &config).expect("merges");
         let peak = streamed
-            .peak_feed_slots
+            .peak_feed_events
             .expect("global LFU consumes the feed");
         // Without the idle sweep, neighborhood 1's cursor floors
-        // reclamation at zero and every one of the 100k slots stays live
-        // (checked by removing the `sync_published` call). With it, the
-        // floor trails the head by at most one 1,024-record block plus
-        // segment rounding.
+        // reclamation at zero and every one of the 100k events stays
+        // retained (checked by removing the feed sync from
+        // `SessionDriver::sync_published`). With it, every cursor
+        // reaches the block's edge, so the feed retains one block of
+        // 1,024 records plus what the lag keeps invisible there — the
+        // records of its last `lag` seconds, one a second.
         assert!(
-            peak <= 8 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
-            "{layout}: idle neighborhood pinned the feed: {peak} live slots for a \
+            peak <= block as usize + lag,
+            "{layout}: idle neighborhood pinned the feed: {peak} events retained for a \
              {total}-event stream"
         );
         // The sweep must not change results.
@@ -449,8 +461,8 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
 /// The same law online: every `advance_to` is a block edge, and each
 /// neighborhood's driver, parked there, runs the blocked replay's idle
 /// sweep (`SessionDriver::sync_published`). Over the same workload,
-/// submitted a session at a time, live feed slots stay O(granule), not
-/// O(sessions submitted).
+/// submitted a session at a time, the retained feed events stay one
+/// advance's worth, not O(sessions submitted).
 #[test]
 fn idle_neighborhood_does_not_pin_the_online_feed() {
     let (trace, config) = idle_neighborhood_workload();
@@ -466,13 +478,16 @@ fn idle_neighborhood_does_not_pin_the_online_feed() {
     .expect("online run");
     let peak = peak.expect("global LFU consumes the feed");
     // Without the sweep, neighborhood 1's cursor floors reclamation at
-    // zero and every one of the 100k slots stays live (checked by
-    // removing the `sync_published` call from `advance_to`). With it,
-    // the floor trails the head by at most one advance plus segment
-    // rounding.
+    // zero and every one of the 100k events stays retained (checked by
+    // removing the feed sync from `SessionDriver::sync_published`, which
+    // `advance_to` calls). With it, every cursor reaches the clock, so
+    // the feed retains one advance's submissions — a single session —
+    // plus what the lag keeps invisible at the clock, the sessions of
+    // its last `lag` seconds, one a second.
+    let lag = idle_neighborhood_lag(&config);
     assert!(
-        peak <= 4 * cablevod_cache::watermark::DEFAULT_SEGMENT_SLOTS,
-        "idle neighborhood pinned the feed: {peak} live slots for {} sessions",
+        peak <= 1 + lag,
+        "idle neighborhood pinned the feed: {peak} events retained for {} sessions",
         trace.len()
     );
     // The sweep must not change results.
@@ -610,7 +625,6 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         &topo,
         &config,
         segmenter,
-        None,
         &StrategySpec::Oracle { lookahead },
     );
     let mut supplies: Vec<_> = (0..nbhd_count)
@@ -621,7 +635,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let mut blocks = 0;
     loop {
         let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
-        demux.fill(filling).expect("decode");
+        demux.fill(filling, None).expect("decode");
         blocks += 1;
         for (n, supply) in supplies.iter_mut().enumerate() {
             supply.attach(&block);
@@ -755,7 +769,6 @@ impl TraceSource for Tampered<'_> {
 fn gathered_runs_are_the_index_walk_session_for_session() {
     use super::lifecycle::{feed_event, RecordSupply};
     use super::stream::{StreamSupply, STRIDE};
-    use cablevod_cache::FeedEvents;
 
     let (trace, config) = uneven_workload();
     let strategy = config.strategy().factory();
@@ -842,8 +855,7 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     }
 
     // Under a feed strategy the same pass publishes every record's event
-    // under its global index, and promises all of them before any shard
-    // runs.
+    // under its global index before any shard runs.
     let global = StrategySpec::GlobalLfu {
         history: SimDuration::from_days(1),
         lag: SimDuration::ZERO,
@@ -853,12 +865,15 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         DriverParts::new(&topo, trace.catalog(), &config, global.as_ref()).expect("parts");
     let (_, feed) = feeding.survey(records).expect("survey");
     let feed = feed.expect("global lfu takes the feed");
-    assert_eq!(feed.watermark(), records.len() as u64);
-    let view = feed.view();
-    for (seq, rec) in records.iter().enumerate() {
+    let events = feed.events(0..feed.end());
+    assert_eq!(events.len(), records.len());
+    for (seq, (rec, event)) in records.iter().zip(events).enumerate() {
         let ctx = session_ctx(rec, trace.catalog(), &topo, seg_len).expect("valid");
-        let event = feed_event(rec, &ctx, &config, &feeding.segmenter);
-        assert_eq!(view.event_at(seq), event, "record {seq}");
+        assert_eq!(
+            *event,
+            feed_event(rec, &ctx, &config, &feeding.segmenter),
+            "record {seq}"
+        );
     }
 
     // The same failure whichever worker count.
@@ -915,15 +930,7 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
 
     for (layout, source) in sources {
         let runs = serial_runs(source);
-        let mut demux = Demux::new(
-            source,
-            &runs,
-            &topo,
-            &config,
-            segmenter,
-            None,
-            &StrategySpec::Lru,
-        );
+        let mut demux = Demux::new(source, &runs, &topo, &config, segmenter, &StrategySpec::Lru);
         let mut supplies: Vec<_> = (0..nbhd_count)
             .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &segmenter))
             .collect();
@@ -931,7 +938,7 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
         let (mut published, mut blocks, mut edge_moved) = (0u64, 0, 0);
         loop {
             let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
-            demux.fill(filling).expect("decode");
+            demux.fill(filling, None).expect("decode");
             blocks += 1;
             let mut seen = Vec::new();
             let mut tail = None;
@@ -959,7 +966,7 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
             let Some(edge) = block.edge() else { break };
             assert_eq!(
                 edge,
-                (records[decoded as usize - 1].start, decoded),
+                records[decoded as usize - 1].start,
                 "{layout}, block {blocks}"
             );
             edge_moved += usize::from(tail != Some(decoded - 1));
@@ -1010,10 +1017,8 @@ fn queue_counts(trace: &Trace, config: &SimConfig) -> (u64, u64) {
     let mut counts = (0, 0);
     for (n, runs) in strides.runs.iter().enumerate() {
         let supply = StreamSupply::new(&strides, runs, &parts);
-        let mut driver = parts
-            .driver(n, supply, feed.as_ref())
-            .expect("shard driver");
-        driver.run().expect("shard replay");
+        let mut driver = parts.driver(n, supply).expect("shard driver");
+        driver.run(feed.as_ref()).expect("shard replay");
         let (pushed, spilled) = driver.queue_counts();
         counts = (counts.0 + pushed, counts.1 + spilled);
     }

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use cablevod_cache::{
-    AccessEvent, CacheOp, CacheStrategy, FeedEvent, FeedEvents, FetchModel, FillPolicy, IndexStats,
+    AccessEvent, CacheOp, CacheStrategy, FeedEvent, FetchModel, FillPolicy, IndexStats,
     PlacementPolicy, ScheduleWindow, StrategyContext,
 };
 use cablevod_hfc::channels::ChannelPlan;
@@ -125,19 +125,8 @@ struct Neighborhood {
     stats: IndexStats,
     coax: RateMeter,
     admission: Option<Admission>,
-}
-
-/// The feed as the serial engine grows it: one event per record reached.
-struct Feed(Vec<FeedEvent>);
-
-impl FeedEvents for Feed {
-    fn event_at(&self, seq: usize) -> FeedEvent {
-        self.0[seq]
-    }
-
-    fn published(&self) -> usize {
-        self.0.len()
-    }
+    /// How many of the feed's events the strategy has consumed.
+    consumed: usize,
 }
 
 struct Model<'a> {
@@ -148,7 +137,9 @@ struct Model<'a> {
     seg_len: u64,
     needs_feed: bool,
     nbhds: Vec<Neighborhood>,
-    feed: Feed,
+    /// The feed as the serial engine grows it: one event per record
+    /// reached.
+    feed: Vec<FeedEvent>,
     /// Every pending segment request and retry, keyed by due time and the
     /// session's record index; a session has at most one pending.
     queue: BTreeMap<(SimTime, u64), (Due, Session)>,
@@ -233,6 +224,7 @@ impl<'a> Model<'a> {
                     stats: IndexStats::default(),
                     coax: RateMeter::hourly(),
                     admission,
+                    consumed: 0,
                 }
             })
             .collect();
@@ -244,7 +236,7 @@ impl<'a> Model<'a> {
             topo,
             needs_feed: factory.needs_feed(),
             nbhds,
-            feed: Feed(Vec::new()),
+            feed: Vec::new(),
             queue: BTreeMap::new(),
             server: RateMeter::hourly(),
             sessions: 0,
@@ -294,7 +286,7 @@ impl<'a> Model<'a> {
             retries: 0,
             interrupted: false,
         };
-        self.feed.0.push(FeedEvent {
+        self.feed.push(FeedEvent {
             time: rec.start,
             neighborhood: nbhd,
             program: rec.program,
@@ -386,8 +378,7 @@ impl<'a> Model<'a> {
         let needs_feed = self.needs_feed;
         let nbhd = &mut self.nbhds[session.nbhd];
         if needs_feed {
-            nbhd.strategy
-                .sync_global(&self.feed, now, self.feed.0.len());
+            nbhd.consumed += nbhd.strategy.sync_global(&self.feed[nbhd.consumed..], now);
         }
         nbhd.strategy
             .prepare(now)

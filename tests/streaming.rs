@@ -35,10 +35,11 @@ use cablevod_trace::synth::{generate, SynthConfig};
 use helpers::{serve_trace, tiny_config};
 
 /// The strategy matrix the equivalence properties sweep: the paper's five
-/// (Global LFU's feed consumption exercises the watermark feed the
-/// blocked replay's decoder publishes) plus the literature four — ARC, TLRU, the
-/// prior-storing server (a second feed consumer) and the
-/// delayed-hits-aware LFU (fetch-model accounting, merged counters).
+/// (Global LFU's feed consumption exercises the feed the blocked
+/// replay's decoder publishes between pool passes) plus the literature
+/// four — ARC, TLRU, the prior-storing server (a second feed consumer)
+/// and the delayed-hits-aware LFU (fetch-model accounting, merged
+/// counters).
 fn strategy(pick: usize) -> StrategySpec {
     [
         StrategySpec::NoCache,
@@ -148,7 +149,7 @@ proptest! {
         prop_assert_eq!(&residents[4], &residents[3], "every second there is: the whole trace");
     }
 
-    /// Sharded streaming replay (watermark-ordered feed included) equals
+    /// Sharded streaming replay (global feed included) equals
     /// the serial resident engine across strategies, chunk sizes and
     /// shard-pool sizes.
     #[test]
