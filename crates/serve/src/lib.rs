@@ -14,11 +14,14 @@
 //!   Sessions arrive either by replaying a `.cvtc` trace against the
 //!   clock ([`replay`]) or as newline-framed requests over a TCP/Unix
 //!   socket ([`server`]).
-//! * **Decision tier** (`cablevod_sim::engine::online`) — the one
-//!   `SessionDriver` lifecycle stepped cooperatively against the live
-//!   clock. All nine registry strategies, fault plans, and enforcing
-//!   admission/retry run unchanged; the final report is byte-identical
-//!   to the offline replay's.
+//! * **Decision tier** (`cablevod_sim::engine::online`) — the offline
+//!   blocked replay with the socket as its decoder: at every tick the
+//!   engine's ingress moves the sessions submitted since into one block,
+//!   and each neighborhood's `SessionDriver` is stepped through it by
+//!   the blocked replay's own per-shard step, up to the live clock. All
+//!   nine registry strategies, fault plans, and enforcing admission/retry
+//!   run unchanged; the final report is byte-identical to the offline
+//!   replay's.
 //! * **Front tier** ([`cache`], [`hist`]) — a repeat-lookup
 //!   [`ResponseCache`] with epoch-based invalidation and per-request
 //!   [`LatencyHistogram`]s (p50/p99/p999), plus a drain-on-SIGTERM path

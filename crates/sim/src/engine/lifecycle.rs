@@ -11,9 +11,10 @@
 //! It is generic
 //! over one seam, and that seam — not copies of this loop — is what
 //! distinguishes the entry drivers: the [`RecordSupply`], where sessions
-//! come from — a merged stream of chunks, gathered out of a resident
-//! trace or decoded from a file, its slice of each decoded block (see
-//! [`super::stream`]) or a live queue (see [`super::online`]) — and
+//! come from — a merged stream of chunks the supply reads itself,
+//! gathered out of a resident trace or decoded from a file, or its slice
+//! of each block fed to it from outside, by a file's decoder or the
+//! online ingress (see [`super::stream`], [`super::online`]) — and
 //! what crosses the neighborhood's edge with them: the Oracle's future,
 //! read ahead, and the windowed LFU's past, read behind. The global
 //! popularity feed, the one thing that crosses it from other
@@ -24,11 +25,14 @@
 //! its drivers between steps.
 //!
 //! The loop can run to completion ([`SessionDriver::run`]) or stop and
-//! resume ([`SessionDriver::step`]): the blocked streaming replay steps
-//! every shard once a block, in one pool pass, and the online engine
-//! steps every driver to the live clock. Either way the supply alone
-//! says where the driver parks ([`RecordSupply::resumes_at`]): at a
-//! block's edge, or just past the live clock's "now".
+//! resume ([`SessionDriver::step`]): every driver fed block by block —
+//! a shard of the blocked streaming replay, once a block in one pool
+//! pass, or a neighborhood of the online engine, once an advance of the
+//! live clock — is stepped through each block to its edge, by one
+//! per-shard step (`shard::step_shard`). The supply alone says where the
+//! driver parks ([`RecordSupply::resumes_at`]): at the edge of the block
+//! it was last handed — for the online engine's, the second after the
+//! live clock's "now".
 //!
 //! # Continuations in arrival order
 //!
@@ -171,8 +175,10 @@ pub(super) struct PendingSession {
 }
 
 /// Where a driver's sessions come from, in the order it must start them
-/// (ascending global index). Supplies own all staging concerns: chunk
-/// decoding and context computation.
+/// (ascending global index). There are two (see [`super::stream`]): the
+/// one supply that reads its own chunks, and the one fed its slice of
+/// each block from outside. A supply owns its staging: the decoding of
+/// what it reads itself, and context computation.
 pub(super) trait RecordSupply {
     /// Stages (if necessary) and describes the next session as
     /// `(start time, global index)`; `None` when the supply has nothing
@@ -192,11 +198,13 @@ pub(super) trait RecordSupply {
     fn take(&mut self) -> PendingSession;
 
     /// With nothing staged: `Some(edge)` when the supply will stage more
-    /// sessions later, none of them starting before `edge` — the driver
-    /// then parks with [`Step::Horizon`] once its continuations reach
-    /// `edge` (a session sorts ahead of a continuation at the same
-    /// second, so one due exactly at `edge` has to wait for it). `None`,
-    /// the default, means exhausted for good.
+    /// sessions later, none of them starting before `edge` — the edge of
+    /// the block it was last handed — and the driver then parks with
+    /// [`Step::Horizon`] once its continuations reach `edge` (a session
+    /// sorts ahead of a continuation at the same second, so one due
+    /// exactly at `edge` has to wait for it). `None`, the default, means
+    /// exhausted for good: a supply reading its own chunks, or one handed
+    /// the final block.
     fn resumes_at(&self) -> Option<SimTime> {
         None
     }
@@ -338,11 +346,11 @@ pub(super) enum Step {
     /// Every event before its supply's edge
     /// ([`RecordSupply::resumes_at`]) has been processed and the driver
     /// is parked there until it is stepped again: at the edge of the
-    /// block the supply was last handed, where the blocked replay's pool
-    /// pass over that block leaves it (see [`super::shard`]), or just
-    /// past the live clock's "now" (see [`super::online`]). Unlike
-    /// [`Step::Done`] more records may still arrive. `progressed` reports
-    /// whether any events were processed.
+    /// block the supply was last handed — by the blocked replay's pool
+    /// pass (see [`super::shard`]), or by the online engine's advance,
+    /// whose blocks end a second past the live clock's "now" (see
+    /// [`super::online`]). Unlike [`Step::Done`] more records may still
+    /// arrive. `progressed` reports whether any events were processed.
     Horizon { progressed: bool },
 }
 
@@ -469,10 +477,9 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
         }
     }
 
-    /// Runs to completion. Only valid for drivers whose supply no longer
-    /// pauses (a shard's own chunk runs, resident strides or a file's, a
-    /// closed live supply being drained; a shard of the blocked replay is
-    /// stepped once a block instead, by that block's pool pass).
+    /// Runs to completion. Only valid for drivers whose supply never
+    /// pauses (a shard's own chunk runs, resident strides or a file's; a
+    /// driver fed block by block is stepped once a block instead).
     pub(super) fn run(&mut self, feed: Option<&Feed>) -> Result<(), SimError> {
         match self.step(feed)? {
             Step::Done => Ok(()),
@@ -494,15 +501,15 @@ impl<'a, R: RecordSupply> SessionDriver<'a, R> {
     }
 
     /// The supply, for a caller that hands it work between steps (the
-    /// next block of a streaming replay, the next live sessions).
+    /// next block).
     pub(super) fn supply_mut(&mut self) -> &mut R {
         &mut self.supply
     }
 
     /// The idle sweep: syncs the driver's index against every event of
-    /// `feed`, at time `now`. Called when the driver is parked — at a
-    /// block's edge, by the step of the block's pool pass that parked it
-    /// there, or at the live clock's "now" — where no session still to
+    /// `feed`, at time `now`. Called when the driver is parked, by the
+    /// step that parked it — at a block's edge on the blocked replay, at
+    /// the live clock's "now" online — where no session still to
     /// start begins before `now`, so it consumes exactly what the
     /// neighborhood's next session would consume first anyway, and a
     /// neighborhood with no session since the last pause still moves its

@@ -38,9 +38,9 @@
 //!        │                         chunk runs: a resident trace's strides
 //!        │                         or a file's chunks (the sweep fast path)
 //!        │     BlockSupply         the neighborhood's contiguous run of each
-//!        │                         decoded, grouped block (the blocked replay)
-//!        │     LiveSupply          the neighborhood's submitted sessions,
-//!        │                         released up to the live clock (online.rs)
+//!        │                         grouped block, fed from outside: by the
+//!        │                         decoder (the blocked replay) or by the
+//!        │                         ingress (online.rs)
 //!        │ reads, under a strategy that takes the feed, through its own
 //!        │ cursor,
 //!        ├── Feed                (cablevod_cache::feed — the global
@@ -79,7 +79,7 @@
 //! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, before any shard starts (never) | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
 //! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed)             | the shard's own two cursors               | work-stealing pool                       |
 //! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, a block before each pass (after each pass) | the decoder's two cursors, per block | work-stealing pool, one pass a block: every live shard stepped to the block's edge |
-//! | online    | `online::serve_serial`             | `LiveSupply`                            | the ingress, at each submit (after each advance) | the replayed schedule, whole; released sessions, kept until they leave | stepped in turn on the caller's thread, parked just past each advanced horizon |
+//! | online    | `online::serve_serial`             | `BlockSupply` (the ingress's blocks)    | the ingress, at each submit (after each advance) | the ingress: the replayed schedule, whole, in the first block; the submitted accesses' trailing ring, per block | one block an advance, every driver stepped in turn on the caller's thread to the second after "now" |
 //!
 //! Every driver reads the feed the same way — a cursor of its own into
 //! the run's one `Feed`, handed to it by `&` — and is handed its future
@@ -87,7 +87,12 @@
 //! `read_behind`: the rows differ in the supply alone. The resident plan and the fast path
 //! share one supply over two chunk sources, and one job loop
 //! (`shard::run_jobs`); they differ in where a chunk comes from and in
-//! the feed, which only the resident plan can carry.
+//! the feed, which only the resident plan can carry. The blocked replay
+//! and the online engine share the other supply and one per-shard step
+//! (`shard::step_shard`); they differ in who fills the blocks — the
+//! decoder from a file, the ingress from submissions — and in where a
+//! parked driver runs its idle sweep: at the block's edge, or online at
+//! the clock's "now", a second short of it.
 //!
 //! Every driver keeps its pending segment requests and retries in one
 //! continuation queue (`queue.rs`, contract in `lifecycle.rs`): it pops
@@ -188,8 +193,8 @@
 //! supply on the sweep fast path, keeps a second cursor over the same
 //! chunk runs — no pre-pass, no second file, each chunk decoded twice; a
 //! resident run's supply does the same over its strides, each gathered
-//! twice; the online engine's supply hands over the schedule it was
-//! given, whole.
+//! twice; the online ingress hands each neighborhood the schedule it was
+//! given, whole, in the first block it fills.
 //! The offline plans' [`ScheduleWindow`] is bounded by the look-ahead
 //! span plus one hand-over, and every plan shows the Oracle the identical
 //! event sequence, so reports stay bit-identical.
@@ -212,13 +217,14 @@
 //! decoder keeps one over the chunk runs, `window` behind each block's
 //! edge, and groups what it passes by neighborhood beside the block's
 //! records, like the look-ahead's slice, for each shard to hand back
-//! access by access; the online supply keeps its released sessions until
-//! they leave. The trailing cursor reads nothing until the window's edge
-//! reaches the first record, so a window that covers the whole run reads
-//! every chunk once; a shorter one reads a second time every chunk (or
-//! stride) its edge has passed — all of them, for a zero window — while
-//! holding one chunk a run instead of every neighborhood's copy of its
-//! window. The events and
+//! access by access; the online ingress keeps one trailing ring of the
+//! accesses submitted and slices what leaves the window by each advance
+//! into that advance's block the same way. The trailing cursor reads
+//! nothing until the window's edge reaches the first record, so a window
+//! that covers the whole run reads every chunk once; a shorter one reads
+//! a second time every chunk (or stride) its edge has passed — all of
+//! them, for a zero window — while holding one chunk a run instead of
+//! every neighborhood's copy of its window. The events and
 //! the instant at which each leaves are the ones the strategy's own copy
 //! would give, so reports stay bit-identical; the reference model's
 //! strategies keep their own copies, which holds the hand-back to an

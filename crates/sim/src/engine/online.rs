@@ -5,31 +5,40 @@
 //! trace and the driver burns through every event. Online, sessions
 //! arrive over time — from a paced trace replay or a socket — and the
 //! engine must answer *between* events. The online engine is the blocked
-//! streaming replay with the caller as its decoder: one `SessionDriver`
-//! per neighborhood, built by the same constructor as every shard
-//! (`DriverParts::driver`), each over a `LiveSupply` —
-//! a `RecordSupply` fed by the caller instead of a file scan — and
-//! stepped from one advance of the live clock to the next. Three public
-//! seams:
+//! replay with the caller as its decoder: one `SessionDriver` per
+//! neighborhood, built by the same constructor as every shard
+//! (`DriverParts::driver`), each over a `BlockSupply` and stepped through
+//! each block by the blocked replay's own per-shard step
+//! (`shard::step_shard`); the blocks come from the `Ingress` instead of
+//! a file. Three public seams:
 //!
-//! * **submit** — hand the engine one session request. The record's
-//!   context is computed at ingress (exactly `session_ctx`, like every
-//!   other supply) and its feed event is appended to the engine's own
-//!   [`Feed`] — the ingress is the run's one feed producer, and no
-//!   driver runs while it publishes. The session is then staged on its
-//!   neighborhood's supply (which, under a strategy that looks ahead,
-//!   holds that neighborhood's records of the replayed trace as its
-//!   future, and hands them over whole through `read_ahead` the first
-//!   time its driver steps).
-//! * **advance_to** — a block edge at the live clock's "now": every
-//!   supply releases the sessions that start at or before it, every
-//!   driver processes every event at or before it in exactly the order
-//!   the offline engine would and parks just past it, then syncs its
-//!   index against the published feed (the blocked replay's idle sweep);
-//!   then the feed drops what every driver has consumed.
+//! * **submit** — hand the engine one session request. The ingress
+//!   computes the record's context (exactly `session_ctx`, like every
+//!   other producer) and appends its feed event to the engine's own
+//!   [`Feed`] — the ingress is the run's one feed producer, and no driver
+//!   runs while it publishes — then stages the session until an advance
+//!   reaches its start.
+//! * **advance_to** — a block edge at the live clock's "now": the ingress
+//!   moves the staged sessions that start before the second after "now"
+//!   into the next block, grouped by neighborhood (`Block::group`, the
+//!   decoder's grouping), with that second as its edge; every driver
+//!   processes every event before the edge in exactly the order the
+//!   offline engine would and parks there, then runs the idle sweep at
+//!   "now"; then the feed drops what every driver has consumed.
 //! * **lookup** — read a neighborhood's current placement for a program
 //!   straight from its driver's [`IndexServer`], without disturbing the
 //!   lifecycle.
+//!
+//! What crosses a neighborhood's edge with its sessions rides in the
+//! block, as it does from the decoder: under a strategy that looks ahead,
+//! the first block the ingress fills hands each neighborhood its whole
+//! future of [`OnlineSpec::schedule_records`], covered to the end of
+//! time; under one that remembers its past, the ingress keeps one
+//! trailing ring of the accesses submitted, and each block hands every
+//! neighborhood its accesses that leave the history window by the block's
+//! sweep, trimming the ring there. When the session ends the ingress
+//! fills one last block with every session still staged and no edge,
+//! which runs every driver out.
 //!
 //! Every strategy in the registry, fault plans, and enforcing
 //! admission/retry work unchanged — they live below the seams this
@@ -58,6 +67,7 @@
 //! stale placement as fresh).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use cablevod_cache::{AccessEvent, Feed, IndexServer, StrategyFactory};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
@@ -68,11 +78,10 @@ use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::record::SessionRecord;
 use cablevod_trace::source::TraceSource;
 
-use super::lifecycle::{
-    feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step,
-};
+use super::lifecycle::{feed_event, session_ctx, PendingSession, Step};
 use super::report::merge_outcomes;
-use super::stream::past;
+use super::shard::{step_shard, BlockDriver};
+use super::stream::{past, Block, BlockSupply};
 use super::{build_topology_for, DriverParts};
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -225,152 +234,60 @@ pub(super) fn serve<T>(
         });
     }
     let topo = build_topology_for(spec.user_count, config)?;
-    let nbhd_count = topo.neighborhood_count();
     let parts = DriverParts::new(&topo, spec.catalog, config, strategy)?;
-
-    // Under a strategy that looks ahead, each driver's future is its own
-    // neighborhood's records of the schedule, gathered in one pass.
-    let ahead = spec
-        .schedule_records
-        .filter(|_| strategy.schedule_lookahead().is_some());
-    let mut futures = vec![Vec::new(); nbhd_count];
-    for rec in ahead.unwrap_or_default() {
-        futures[topo.neighborhood_of_user(rec.user)?.index()]
-            .push(AccessEvent::new(rec.start, rec.program)?);
-    }
-    let drivers = futures
-        .into_iter()
-        .enumerate()
-        .map(|(n, future)| {
-            let supply = LiveSupply {
-                staged: VecDeque::new(),
-                edge: Some(SimTime::EPOCH),
-                future: ahead.map(|_| future),
-                past: strategy.history_window().map(|_| VecDeque::new()),
-                handed: 0,
-                leaving: Vec::new(),
-            };
+    let drivers = (0..topo.neighborhood_count())
+        .map(|n| {
+            let supply = BlockSupply::new(n, spec.catalog, &topo, &parts.segmenter);
             parts.driver(n, supply)
         })
         .collect::<Result<_, _>>()?;
     let mut engine = SerialOnline {
         drivers,
-        ingress: Ingress::new(&topo, spec, config, parts.segmenter, strategy.needs_feed()),
+        ingress: Ingress::new(&parts, spec)?,
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
-    let feed = engine.ingress.feed.as_ref();
-    let outcomes = engine.drivers.into_iter().map(|mut driver| {
-        driver.supply_mut().edge = None;
-        driver.run(feed)?;
-        Ok(driver.into_outcome())
+    // The drain: one last block, with no edge, runs every driver out.
+    let (drivers, mut ingress) = (engine.drivers, engine.ingress);
+    ingress.fill(None)?;
+    let feed = ingress.feed.as_ref();
+    let outcomes = drivers.into_iter().map(|mut driver| {
+        match step_shard(&mut driver, &ingress.block, None, feed)? {
+            Step::Done => Ok(driver.into_outcome()),
+            Step::Horizon { .. } => unreachable!("the last block has no edge"),
+        }
     });
     let report = merge_outcomes(outcomes, spec.days, config)?;
     Ok((value, report, feed.map(Feed::peak_retained)))
 }
 
-/// One neighborhood's [`RecordSupply`]: the sessions the ingress routed
-/// to it (published at submit — see [`Ingress::admit`]), released up to
-/// the horizon the engine last advanced to.
-struct LiveSupply {
-    staged: VecDeque<PendingSession>,
-    /// The second after the last advanced horizon: sessions starting
-    /// before it are released and continuations run while they are
-    /// before it (see [`RecordSupply::resumes_at`]). `None` once the
-    /// engine drains: everything is released, and the supply is through
-    /// once it is empty.
-    edge: Option<SimTime>,
-    /// The neighborhood's accesses of [`OnlineSpec::schedule_records`],
-    /// under a strategy that looks ahead, until they are handed over.
-    future: Option<Vec<AccessEvent>>,
-    /// Under a strategy that remembers its past: the sessions taken and
-    /// not yet handed back, as access events — the history no index keeps
-    /// a copy of.
-    past: Option<VecDeque<AccessEvent>>,
-    /// How many of `staged`'s front sessions were handed back before they
-    /// were taken (a zero window's same-second burst).
-    handed: usize,
-    /// Scratch for one hand-back.
-    leaving: Vec<AccessEvent>,
-}
-
-impl RecordSupply for LiveSupply {
-    fn peek(&mut self) -> Result<Option<(SimTime, u64)>, SimError> {
-        Ok(self
-            .staged
-            .front()
-            .filter(|p| self.edge.is_none_or(|edge| p.rec.start < edge))
-            .map(|p| (p.rec.start, p.gidx)))
-    }
-
-    fn take(&mut self) -> PendingSession {
-        let session = self.staged.pop_front().expect("a session is staged");
-        if self.handed > 0 {
-            self.handed -= 1;
-        } else if let Some(past) = self.past.as_mut() {
-            let rec = &session.rec;
-            past.push_back(
-                AccessEvent::new(rec.start, rec.program)
-                    .expect("the ingress computed this session's context"),
-            );
-        }
-        session
-    }
-
-    fn resumes_at(&self) -> Option<SimTime> {
-        self.edge
-    }
-
-    /// Hands the whole schedule over at the first call: it is in memory
-    /// already, and there is nothing further along to read.
-    fn read_ahead(
-        &mut self,
-        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        match self.future.take() {
-            Some(future) => sink(&future, SimTime::MAX),
-            None => Ok(()),
-        }
-    }
-
-    fn read_behind(
-        &mut self,
-        until: SimTime,
-        sink: impl FnOnce(&[AccessEvent], SimTime) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        let Some(kept) = self.past.as_mut() else {
-            return Ok(());
-        };
-        self.leaving.clear();
-        while let Some(&event) = kept.front().filter(|e| e.at() <= until) {
-            self.leaving.push(event);
-            kept.pop_front();
-        }
-        // Released sessions not taken yet can leave too, under a zero
-        // window: the rest of the second being replayed.
-        for session in self.staged.iter().skip(self.handed) {
-            if session.rec.start > until {
-                break;
-            }
-            self.leaving
-                .push(AccessEvent::new(session.rec.start, session.rec.program)?);
-            self.handed += 1;
-        }
-        sink(&self.leaving, past(until))
-    }
-}
-
-/// Ingress bookkeeping: context computation, feed publication, capacity
-/// and monotonicity enforcement.
-struct Ingress<'s> {
+/// The online engine's decoder (see the module docs): enforces the
+/// ordering contract and the capacity, computes each submission's context
+/// and publishes its feed event, stages it, and at each advance fills the
+/// [`Block`] every driver is stepped through next.
+pub(super) struct Ingress<'s> {
     topo: &'s Topology,
     catalog: &'s ProgramCatalog,
     config: &'s SimConfig,
     segmenter: Segmenter,
-    seg_len: u64,
     /// The run's feed, under a strategy that takes one.
     feed: Option<Feed>,
+    /// The block the drivers are stepped through, refilled in place.
+    pub(super) block: Arc<Block>,
+    /// Sessions submitted and not yet moved into a block, in submission
+    /// order.
+    staged: VecDeque<PendingSession>,
+    /// Scratch for [`Block::group`]: each moved record's neighborhood.
+    dest: Vec<u32>,
+    /// Under a strategy that looks ahead: each neighborhood's accesses of
+    /// [`OnlineSpec::schedule_records`], until the first block hands
+    /// them over.
+    future: Option<Vec<Vec<AccessEvent>>>,
+    /// Under a strategy that remembers its past: its history window, and
+    /// the trailing ring — every access submitted and not yet handed back,
+    /// with its neighborhood, in submission order.
+    behind: Option<(SimDuration, VecDeque<(u32, AccessEvent)>)>,
     capacity: u64,
     next_gidx: u64,
     last_start: Option<SimTime>,
@@ -378,30 +295,42 @@ struct Ingress<'s> {
 }
 
 impl<'s> Ingress<'s> {
-    fn new(
-        topo: &'s Topology,
-        spec: &OnlineSpec<'s>,
-        config: &'s SimConfig,
-        segmenter: Segmenter,
-        needs_feed: bool,
-    ) -> Self {
-        Ingress {
-            topo,
-            catalog: spec.catalog,
-            config,
-            segmenter,
-            seg_len: segmenter.segment_len().as_secs(),
-            feed: needs_feed.then(Feed::default),
+    pub(super) fn new(parts: &DriverParts<'s>, spec: &OnlineSpec<'_>) -> Result<Self, SimError> {
+        let strategy = parts.strategy;
+        let future = match spec.schedule_records {
+            Some(records) if strategy.schedule_lookahead().is_some() => {
+                let mut future = vec![Vec::new(); parts.topo.neighborhood_count()];
+                for rec in records {
+                    future[parts.topo.neighborhood_of_user(rec.user)?.index()]
+                        .push(AccessEvent::new(rec.start, rec.program)?);
+                }
+                Some(future)
+            }
+            _ => None,
+        };
+        Ok(Ingress {
+            topo: parts.topo,
+            catalog: parts.catalog,
+            config: parts.config,
+            segmenter: parts.segmenter,
+            feed: strategy.needs_feed().then(Feed::default),
+            block: Arc::default(),
+            staged: VecDeque::new(),
+            dest: Vec::new(),
+            future,
+            behind: strategy
+                .history_window()
+                .map(|window| (window, VecDeque::new())),
             capacity: spec.capacity,
             next_gidx: 0,
             last_start: None,
             advanced: None,
-        }
+        })
     }
 
     /// Admits one submission: enforces the ordering contract, computes
-    /// the session context and publishes its feed event.
-    fn admit(&mut self, rec: SessionRecord) -> Result<PendingSession, SimError> {
+    /// the session context, publishes its feed event and stages it.
+    pub(super) fn admit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
         if self.next_gidx >= self.capacity {
             return Err(SimError::Config {
                 reason: format!(
@@ -422,56 +351,95 @@ impl<'s> Ingress<'s> {
                     .into(),
             });
         }
-        let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)?;
-        let gidx = self.next_gidx;
+        let seg_len = self.segmenter.segment_len().as_secs();
+        let ctx = session_ctx(&rec, self.catalog, self.topo, seg_len)?;
+        if let Some((_, ring)) = self.behind.as_mut() {
+            ring.push_back((ctx.nbhd, AccessEvent::new(rec.start, rec.program)?));
+        }
         if let Some(feed) = self.feed.as_mut() {
             feed.push(feed_event(&rec, &ctx, self.config, &self.segmenter));
         }
+        let gidx = self.next_gidx;
         self.next_gidx += 1;
         self.last_start = Some(rec.start);
-        Ok(PendingSession { gidx, rec, ctx })
+        self.staged.push_back(PendingSession { gidx, rec, ctx });
+        Ok(gidx)
     }
 
-    fn note_advance(&mut self, now: SimTime) -> Result<(), SimError> {
-        if self.advanced.is_some_and(|h| now < h) {
-            return Err(SimError::Config {
-                reason: "advance horizons must not regress".into(),
-            });
+    /// Fills the next block: at an advance to `now`, every staged session
+    /// that starts at or before it, with the second after it as the edge
+    /// and what leaves the history window by `now`; at the drain
+    /// (`None`), every staged session, with no edge and what leaves the
+    /// window by the last one's start.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a regressing `now`.
+    pub(super) fn fill(&mut self, now: Option<SimTime>) -> Result<(), SimError> {
+        if let Some(now) = now {
+            if self.advanced.is_some_and(|h| now < h) {
+                return Err(SimError::Config {
+                    reason: "advance horizons must not regress".into(),
+                });
+            }
+            self.advanced = Some(now);
         }
-        self.advanced = Some(now);
+        let nbhd_count = self.topo.neighborhood_count();
+        let block = Arc::get_mut(&mut self.block).expect("every driver let go of the last block");
+        block.reset(nbhd_count);
+        block.edge = now.map(past);
+        self.dest.clear();
+        while let Some(session) = self
+            .staged
+            .pop_front_if(|s| block.edge.is_none_or(|edge| s.rec.start < edge))
+        {
+            block.records.push((session.gidx, session.rec));
+            self.dest.push(session.ctx.nbhd);
+        }
+        block.group(&mut self.dest);
+        // The whole future, in the first block; the next lets go of it.
+        let future = self.future.take();
+        block.covered = future.is_some().then_some(SimTime::MAX);
+        block.ahead = future.unwrap_or_default();
+        if let Some((window, ring)) = self.behind.as_mut() {
+            block.behind.resize_with(nbhd_count, Vec::new);
+            // By the sweep at `now`; at the drain, by the last access.
+            let swept = now.or(self.last_start);
+            if let Some(until) = swept.and_then(|at| at.checked_sub(*window)) {
+                while let Some((n, access)) = ring.pop_front_if(|(_, a)| a.at() <= until) {
+                    block.behind[n as usize].push(access);
+                }
+                block.behind_covered = Some(past(until));
+            }
+        }
         Ok(())
     }
 }
 
-/// The online engine: one [`SessionDriver`] per neighborhood, in
-/// neighborhood order.
+/// The online engine: one [`SessionDriver`](super::lifecycle::SessionDriver)
+/// per neighborhood, in neighborhood order, and the ingress that feeds
+/// them.
 struct SerialOnline<'s> {
-    drivers: Vec<SessionDriver<'s, LiveSupply>>,
+    drivers: Vec<BlockDriver<'s>>,
     ingress: Ingress<'s>,
     epoch: u64,
 }
 
 impl OnlineEngine for SerialOnline<'_> {
     fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
-        let pending = self.ingress.admit(rec)?;
-        let driver = &mut self.drivers[pending.ctx.nbhd as usize];
-        driver.supply_mut().staged.push_back(pending);
-        Ok(pending.gidx)
+        self.ingress.admit(rec)
     }
 
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
-        self.ingress.note_advance(now)?;
-        let edge = now.saturating_add(SimDuration::from_secs(1));
-        let feed = self.ingress.feed.as_ref();
+        self.ingress.fill(Some(now))?;
+        let ingress = &self.ingress;
         let mut progressed = false;
         for driver in &mut self.drivers {
-            driver.supply_mut().edge = Some(edge);
-            // An open supply always resumes, so the driver parks.
-            progressed |= matches!(driver.step(feed)?, Step::Horizon { progressed: true });
-            driver.sync_published(now, feed)?;
+            let step = step_shard(driver, &ingress.block, Some(now), ingress.feed.as_ref())?;
+            progressed |= matches!(step, Step::Horizon { progressed: true });
         }
         if let Some(feed) = self.ingress.feed.as_mut() {
-            feed.reclaim(self.drivers.iter().map(SessionDriver::feed_cursor));
+            feed.reclaim(self.drivers.iter().map(BlockDriver::feed_cursor));
         }
         if progressed {
             self.epoch += 1;

@@ -34,6 +34,11 @@
 //!   pass the feed drops what every live shard has consumed. A shard may
 //!   move to another worker between blocks; nothing else is shared.
 //!
+//! The per-shard step of a pass ([`step_shard`]) is also the online
+//! engine's: its ingress fills a block at every advance of the live
+//! clock, and each neighborhood's driver is stepped through it in turn,
+//! on the caller's thread (see [`super::online`]).
+//!
 //! Both draw their workers from the pool in [`runner`], which sizes them
 //! from the process-wide permit ledger, so a sharded run composes with a
 //! concurrently executing sweep instead of oversubscribing the machine
@@ -43,6 +48,7 @@
 use std::sync::{Arc, Mutex};
 
 use cablevod_cache::Feed;
+use cablevod_hfc::units::SimTime;
 use cablevod_trace::source::TraceSource;
 
 use super::lifecycle::{SessionDriver, Step};
@@ -161,14 +167,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
         let endings = runner::run_indexed(nbhd_count, threads, |n| {
             let mut shard = shards[n].lock().expect("a shard's step panicked");
             let driver = shard.as_mut()?;
-            driver.supply_mut().attach(&block);
-            let ending = driver.step(published).and_then(|step| {
-                if let (Step::Horizon { .. }, Some(edge)) = (&step, block.edge()) {
-                    driver.sync_published(edge, published)?;
-                }
-                Ok(step)
-            });
-            match ending {
+            match step_shard(driver, &block, block.edge, published) {
                 Ok(Step::Horizon { .. }) => None,
                 Ok(Step::Done) => shard.take().map(|driver| Ok(driver.into_outcome())),
                 Err(e) => {
@@ -190,7 +189,7 @@ fn run_blocked<S: TraceSource + ?Sized>(
                     .map(SessionDriver::feed_cursor),
             );
         }
-        if block.edge().is_none() {
+        if block.edge.is_none() {
             break;
         }
     }
@@ -200,5 +199,26 @@ fn run_blocked<S: TraceSource + ?Sized>(
         .collect())
 }
 
-/// A shard of the blocked replay.
-type BlockDriver<'a> = SessionDriver<'a, BlockSupply<'a>>;
+/// A shard of the blocked replay, or a neighborhood of the online engine.
+pub(super) type BlockDriver<'a> = SessionDriver<'a, BlockSupply<'a>>;
+
+/// The one step of a shard through a [`Block`], on both plans that have
+/// blocks — [`run_blocked`]'s pool pass and the online engine's advance:
+/// hands the shard's supply its run of `block`, steps the driver through
+/// it and on to — strictly before — the block's edge and, parked there,
+/// runs the idle sweep at `sweep` (the blocked replay's is the edge; the
+/// online engine's is the clock's "now", a second short of it, so what a
+/// lookup reads between advances is the index as of "now").
+pub(super) fn step_shard(
+    driver: &mut BlockDriver<'_>,
+    block: &Arc<Block>,
+    sweep: Option<SimTime>,
+    feed: Option<&Feed>,
+) -> Result<Step, SimError> {
+    driver.supply_mut().attach(block);
+    let step = driver.step(feed)?;
+    if let (Step::Horizon { .. }, Some(at)) = (&step, sweep) {
+        driver.sync_published(at, feed)?;
+    }
+    Ok(step)
+}

@@ -16,18 +16,23 @@
 //!     when a cursor reaches it. A neighborhood's run is its list of
 //!     stride ids, the shape of a file's chunk index.
 //!
-//!   It computes contexts at ingestion and publishes nothing.
+//!   It is the one supply that reads its own chunks; it computes contexts
+//!   at ingestion and publishes nothing.
 //! * [`BlockSupply`] — one neighborhood's slice of the current
-//!   [`Block`]: the supply of the **blocked** replay. A [`Demux`] on the
-//!   caller's thread decodes each chunk once into the shared block —
-//!   a time-major file's next chunk in place, a neighborhood-major file's
-//!   cell runs merged back into global order — validates every record,
-//!   appends the block's feed events to the run's feed, then moves the
-//!   block's *records* into neighborhood-grouped order (a stable
-//!   counting sort, applied in place); every shard's supply
-//!   walks its own contiguous run of the block front to back and, once it
-//!   is through, reports the block's edge so its driver parks there until
-//!   the next block is attached.
+//!   [`Block`]: the one supply fed from outside its driver, by whoever
+//!   fills the shared block on the caller's thread — the **blocked**
+//!   replay's [`Demux`], or the online engine's ingress
+//!   (`online::Ingress`). A `Demux` decodes each chunk once into the
+//!   block — a time-major file's next chunk in place, a
+//!   neighborhood-major file's cell runs merged back into global order;
+//!   the ingress moves in the sessions submitted before the live clock's
+//!   next second. Either validates every record and appends the block's
+//!   feed events to the run's feed, then moves the block's *records* into
+//!   neighborhood-grouped order ([`Block::group`], a stable counting sort
+//!   applied in place); every shard's supply walks its own contiguous run
+//!   of the block front to back and, once it is through, reports the
+//!   block's edge so its driver parks there until the next block is
+//!   attached.
 //!
 //! No supply reaches a record through an index as it replays: each walks
 //! records laid out contiguously in the order it replays them — a
@@ -47,6 +52,7 @@
 //! | time-major                    | any        | `BlockSupply`  | each decoded once, centrally     | the `Demux`  | the `Demux`  |
 //! | matching neighborhood-major   | takes feed | `BlockSupply`  | each once, centrally, merged     | the `Demux`  | the `Demux`  |
 //! | mismatched neighborhood-major | any        | `BlockSupply`  | each once, centrally, merged     | the `Demux`  | the `Demux`  |
+//! | online submissions            | any        | `BlockSupply`  | none: the ingress's blocks       | the ingress  | the ingress  |
 //!
 //! Under a strategy that looks into the future (the Oracle), whoever
 //! stages a neighborhood's records in order also reads the same records
@@ -58,7 +64,8 @@
 //! `StreamSupply` whenever it stages a record. Either reading is a
 //! [`RunCursor`], one more cursor over the same chunk runs, so such a run
 //! reads each chunk twice: from a file, a second decode; from a resident
-//! trace, a second gather.
+//! trace, a second gather. The online ingress has its schedule in memory
+//! already and hands each neighborhood all of it in the first block.
 //!
 //! Under a strategy that remembers its past (the windowed LFU family) the
 //! same staging reads the records a second time `window` *behind* the
@@ -72,7 +79,9 @@
 //! until the window's edge reaches the replay's first record, so a window
 //! longer than the run reads nothing twice; a shorter one reads again the
 //! chunks its edge has passed, holding one chunk a run instead of a copy
-//! of the window in every index.
+//! of the window in every index. The online ingress, with no chunks to
+//! read again, keeps one ring of the accesses submitted instead, and
+//! slices it into each block the same way.
 //!
 //! A *placement cell* is the finest partition a multi-index source
 //! carries — the intersection of its per-size groupings (a single-index
@@ -193,40 +202,38 @@ fn ahead_of(now: Option<SimTime>, lookahead: SimDuration) -> SimTime {
 }
 
 /// One stretch of the global record order, demultiplexed by
-/// neighborhood: the unit of work of the blocked streaming replay. Filled
-/// in place by the [`Demux`], read by every shard's [`BlockSupply`].
+/// neighborhood: the unit of work of the blocked replay. Filled in place
+/// by its producer — the [`Demux`] decoding a file, or the online
+/// ingress (`online::Ingress`) — and read by every shard's
+/// [`BlockSupply`].
 #[derive(Debug, Default)]
 pub(super) struct Block {
     /// The stretch's records, grouped by neighborhood and ascending in
-    /// global index within each group (a stable counting sort), so a
-    /// group is one contiguous run in global order.
-    records: Vec<(u64, SessionRecord)>,
+    /// global index within each group ([`Block::group`]), so a group is
+    /// one contiguous run in global order.
+    pub(super) records: Vec<(u64, SessionRecord)>,
     /// `records[starts[n]..starts[n + 1]]` is neighborhood `n`'s run.
     starts: Vec<u32>,
-    /// While more blocks follow: the latest start time decoded so far —
-    /// the last record *decoded*, wherever the grouping then put it; no
-    /// later session starts before it. `None` on the final block.
-    edge: Option<SimTime>,
+    /// While more blocks follow: no session of a later block starts
+    /// before it — the start of the last record the [`Demux`] decoded,
+    /// wherever the grouping then put it, or the second after the online
+    /// clock's "now". `None` on the final block.
+    pub(super) edge: Option<SimTime>,
     /// Under a strategy that looks ahead: `ahead[n]` is what entered
     /// neighborhood `n`'s look-ahead with this block, after which every
     /// access before `covered` has been handed over.
-    ahead: Vec<Vec<AccessEvent>>,
-    covered: Option<SimTime>,
+    pub(super) ahead: Vec<Vec<AccessEvent>>,
+    pub(super) covered: Option<SimTime>,
     /// Under a strategy that remembers its past: `behind[n]` is what left
     /// neighborhood `n`'s history window with this block, after which
     /// every access before `behind_covered` has been handed back.
-    behind: Vec<Vec<AccessEvent>>,
-    behind_covered: Option<SimTime>,
+    pub(super) behind: Vec<Vec<AccessEvent>>,
+    pub(super) behind_covered: Option<SimTime>,
 }
 
 impl Block {
-    /// See the `edge` field.
-    pub(super) fn edge(&self) -> Option<SimTime> {
-        self.edge
-    }
-
     /// Empties the block for the next fill.
-    fn reset(&mut self, nbhd_count: usize) {
+    pub(super) fn reset(&mut self, nbhd_count: usize) {
         self.records.clear();
         self.starts.clear();
         self.starts.resize(nbhd_count + 2, 0);
@@ -235,6 +242,39 @@ impl Block {
         self.covered = None;
         self.behind.iter_mut().for_each(Vec::clear);
         self.behind_covered = None;
+    }
+
+    /// Moves the block's records into neighborhood-grouped order, `dest`
+    /// naming each record's neighborhood: a stable counting sort, applied
+    /// in place — the one grouping of every block, the [`Demux`]'s and
+    /// the online ingress's. Tally into `starts[n + 2]`, prefix-sum so
+    /// `starts[n + 1]` is where `n`'s run begins, then number every
+    /// record's place through it — which leaves it at the run's end, that
+    /// is, at the beginning of `n + 1`'s — and move the records there;
+    /// `dest` is left a scratch.
+    pub(super) fn group(&mut self, dest: &mut [u32]) {
+        debug_assert_eq!(dest.len(), self.records.len());
+        for &n in dest.iter() {
+            self.starts[n as usize + 2] += 1;
+        }
+        for n in 1..self.starts.len() {
+            self.starts[n] += self.starts[n - 1];
+        }
+        for dest in dest.iter_mut() {
+            let slot = &mut self.starts[*dest as usize + 1];
+            *dest = *slot;
+            *slot += 1;
+        }
+        // Apply the permutation cycle by cycle: every swap puts one
+        // record where it belongs for good — at most one swap a record,
+        // and no second block-sized buffer.
+        for at in 0..dest.len() {
+            while dest[at] as usize != at {
+                let to = dest[at] as usize;
+                self.records.swap(at, to);
+                dest.swap(at, to);
+            }
+        }
     }
 }
 
@@ -322,12 +362,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         // record, names its neighborhood and sizes its feed event — but
         // not kept: a shard recomputes the one it is about to start
         // (`BlockSupply::take`), which costs two table lookups and saves
-        // a context-sized column per block. What is kept is the counting
-        // sort of the records by neighborhood: tally into `starts[n + 2]`,
-        // prefix-sum so `starts[n + 1]` is where `n`'s run begins, then
-        // number every record's place through it — which leaves it at
-        // the run's end, that is, at the beginning of `n + 1`'s — and
-        // move the records there.
+        // a context-sized column per block.
         self.dest.clear();
         for (gidx, rec) in &block.records {
             // The feed is addressed by global index and every consumer
@@ -348,7 +383,6 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
             if let Some(feed) = feed.as_deref_mut() {
                 feed.push(feed_event(rec, &ctx, self.config, &self.segmenter));
             }
-            block.starts[ctx.nbhd as usize + 2] += 1;
             self.dest.push(ctx.nbhd);
         }
         // The edge is the last record decoded: read it before the
@@ -356,24 +390,7 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
         if let Some((_, rec)) = block.records.last() {
             self.last_start = rec.start;
         }
-        for n in 1..block.starts.len() {
-            block.starts[n] += block.starts[n - 1];
-        }
-        for dest in &mut self.dest {
-            let slot = &mut block.starts[*dest as usize + 1];
-            *dest = *slot;
-            *slot += 1;
-        }
-        // Apply the permutation in place, cycle by cycle: every swap puts
-        // one record where it belongs for good — at most one swap a
-        // record, and no second block-sized buffer.
-        for at in 0..self.dest.len() {
-            while self.dest[at] as usize != at {
-                let to = self.dest[at] as usize;
-                block.records.swap(at, to);
-                self.dest.swap(at, to);
-            }
-        }
+        block.group(&mut self.dest);
         let more = self.merge.has_more();
         if more {
             block.edge = Some(self.last_start);
@@ -412,8 +429,8 @@ impl<'a, S: TraceSource + ?Sized> Demux<'a, S> {
 
 /// One neighborhood's run of the current [`Block`] (see the module
 /// docs). Holds the block only while records of its run remain, so by
-/// the time every shard is parked at the edge the [`Demux`] owns the
-/// block again and refills it in place.
+/// the time every shard is parked at the edge the block's producer owns
+/// it again and refills it in place.
 pub(super) struct BlockSupply<'a> {
     nbhd: usize,
     block: Option<Arc<Block>>,
@@ -485,7 +502,7 @@ impl RecordSupply for BlockSupply<'_> {
         let block = self.block.as_ref().expect("a record is staged");
         let (gidx, rec) = block.records[self.pos];
         let ctx = session_ctx(&rec, self.catalog, self.topo, self.seg_len)
-            .expect("the demultiplexer computed this context once already");
+            .expect("the block's producer computed this context once already");
         self.pos += 1;
         if self.pos == self.end {
             self.block = None;

@@ -272,7 +272,7 @@ fn streaming_serial_matches_resident_on_every_strategy() {
 }
 
 #[test]
-fn streaming_parallel_matches_serial_with_watermark_feed() {
+fn streaming_parallel_matches_serial_under_a_feed_strategy() {
     let trace = small_trace();
     let config = base_config().with_strategy(StrategySpec::GlobalLfu {
         history: SimDuration::from_days(3),
@@ -541,15 +541,17 @@ fn run_merge_restores_global_order_across_uneven_runs() {
     assert!(!cursor.has_more());
 }
 
-/// The look-ahead cursor on both of its producers, under `oracle:1d` over
-/// 30 days in 64-record chunks: the blocked replay's decoder, handing
-/// every block's slices to the shards' supplies, and a supply reading
-/// ahead over its own runs of the neighborhood-major form of the same
-/// trace. Per neighborhood the hand-overs, end to end, are the resident
-/// schedule's events exactly — none twice, none skipped, same-second
-/// order kept; each holds only events before the instant it declares
-/// covered, which never moves back, is a day past every session by the
-/// time that session is staged, and ends at "forever".
+/// The look-ahead on every producer, under `oracle:1d` over 30 days in
+/// 64-record chunks: the blocked replay's decoder, handing every block's
+/// slices to the shards' supplies; the online ingress, advanced at every
+/// session second and once a day, handing each neighborhood its whole
+/// future in the first block; and a supply reading ahead over its own
+/// runs of the neighborhood-major form of the same trace. Per
+/// neighborhood the hand-overs, end to end, are the resident schedule's
+/// events exactly — none twice, none skipped, same-second order kept;
+/// each holds only events before the instant it declares covered, which
+/// never moves back, is a day past every session by the time that
+/// session is staged, and ends at "forever".
 #[test]
 fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     use super::lifecycle::RecordSupply;
@@ -587,6 +589,10 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             supply
                 .read_ahead(|events, covered| {
                     assert!(covered >= fed.covered, "covered moved back");
+                    assert!(
+                        covered > fed.covered || events.is_empty(),
+                        "handed over again what {covered:?} already covered"
+                    );
                     assert!(events.iter().all(|e| e.at() < covered));
                     fed.events.extend_from_slice(events);
                     fed.covered = covered;
@@ -641,12 +647,42 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             supply.attach(&block);
             drain(supply, lookahead, &mut fed[n]);
         }
-        if block.edge().is_none() {
+        if block.edge.is_none() {
             break;
         }
     }
     assert!(blocks > 30, "a day spans many blocks: {blocks}");
     check("blocked", fed);
+
+    // The online ingress, through the same supplies, advanced at the last
+    // second of every `every` a session starts in, then drained.
+    let oracle = StrategySpec::Oracle { lookahead };
+    let parts = DriverParts::new(&topo, trace.catalog(), &config, &oracle).expect("parts");
+    let spec = online::OnlineSpec::from_source(&trace);
+    for every in [1, 86_400] {
+        let mut ingress = online::Ingress::new(&parts, &spec).expect("ingress");
+        let mut fed = unfed();
+        let mut step = |ingress: &mut online::Ingress<'_>, now: Option<SimTime>| {
+            ingress.fill(now).expect("advance");
+            for (n, supply) in supplies.iter_mut().enumerate() {
+                supply.attach(&ingress.block);
+                drain(supply, lookahead, &mut fed[n]);
+            }
+        };
+        let mut horizon = None;
+        for rec in trace.records() {
+            if let Some(now) = horizon.filter(|&now| now < rec.start) {
+                step(&mut ingress, Some(now));
+            }
+            ingress.admit(*rec).expect("submit");
+            horizon = Some(SimTime::from_secs(
+                rec.start.as_secs() / every * every + every - 1,
+            ));
+        }
+        step(&mut ingress, horizon);
+        step(&mut ingress, None);
+        check(&format!("online, advanced every {every} s"), fed);
+    }
 
     // Every shard's own supply, over its own runs.
     let mut tm = std::env::temp_dir();
@@ -660,8 +696,6 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
     let layout = nm_reader
         .neighborhood_layout_for(config.neighborhood_size())
         .expect("indexed at this size");
-    let oracle = StrategySpec::Oracle { lookahead };
-    let parts = DriverParts::new(&topo, trace.catalog(), &config, &oracle).expect("parts");
     let mut fed = unfed();
     for (n, fed) in fed.iter_mut().enumerate() {
         let mut supply = StreamSupply::new(&nm_reader, &layout.runs[n], &parts);
@@ -762,13 +796,47 @@ impl TraceSource for Tampered<'_> {
 /// pairs, in order, each hand-over covering at least `lookahead` past the
 /// session staged; its read-behind, under a one-hour history, hands each
 /// access back once, in order, never before the window's edge has passed
-/// it; the survey publishes every record's feed event; and a record that
-/// names no program or no subscriber fails the run with the same error at
-/// any worker count, before any shard is built.
+/// it — and so does the online ingress's trailing ring, through the
+/// blocks it fills, under that history and a zero one; the survey
+/// publishes every record's feed event; and a record that names no
+/// program or no subscriber fails the run with the same error at any
+/// worker count, before any shard is built.
 #[test]
 fn gathered_runs_are_the_index_walk_session_for_session() {
     use super::lifecycle::{feed_event, RecordSupply};
-    use super::stream::{StreamSupply, STRIDE};
+    use super::stream::{past, BlockSupply, StreamSupply, STRIDE};
+
+    /// Has `supply` hand back what leaves a history window whose trailing
+    /// edge is at `until`, onto `handed`, none of it before `until` has
+    /// passed it and, once it is, every one of `pairs` before the instant
+    /// it says it covers; returns that instant.
+    fn hand_back<R: RecordSupply>(
+        supply: &mut R,
+        until: SimTime,
+        handed: &mut Vec<(SimTime, ProgramId)>,
+        pairs: &[(SimTime, ProgramId)],
+    ) -> Option<SimTime> {
+        let mut covered = None;
+        supply
+            .read_behind(until, |events, to| {
+                assert!(to >= past(until), "covered {to:?}, short of {until:?}");
+                assert!(
+                    events.iter().all(|e| e.at() <= until),
+                    "handed back before {until:?} passed it"
+                );
+                handed.extend(events.iter().map(|e| (e.at(), e.program())));
+                let due = pairs.partition_point(|&(at, _)| at < to);
+                assert_eq!(
+                    handed.len(),
+                    due,
+                    "covered {to:?} before handing it all back"
+                );
+                covered = Some(to);
+                Ok(())
+            })
+            .expect("hand-back");
+        covered
+    }
 
     let (trace, config) = uneven_workload();
     let strategy = config.strategy().factory();
@@ -787,6 +855,7 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
     assert!(feed.is_none(), "lfu takes no feed");
     let spans: Vec<usize> = strides.runs.iter().map(|runs| runs[0].len()).collect();
     assert_eq!(spans, [3, 0, 1], "strides of {STRIDE} records");
+    let mut every_pairs = Vec::new();
     for n in 0..spans.len() {
         let walk: Vec<_> = records
             .iter()
@@ -832,17 +901,8 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         let mut supply = StreamSupply::new(&strides, &strides.runs[n], &behind);
         let mut handed = Vec::new();
         let mut hand_back = |supply: &mut StreamSupply<'_, _>, until: SimTime| {
-            supply
-                .read_behind(until, |events, to| {
-                    assert_eq!(to, until.saturating_add(SimDuration::from_secs(1)));
-                    assert!(
-                        events.iter().all(|e| e.at() <= until),
-                        "neighborhood {n}: handed back before {until:?} passed it"
-                    );
-                    handed.extend(events.iter().map(|e| (e.at(), e.program())));
-                    Ok(())
-                })
-                .expect("hand-back");
+            let covered = hand_back(supply, until, &mut handed, &pairs);
+            assert_eq!(covered, Some(past(until)), "neighborhood {n}");
         };
         while let Some((start, _)) = supply.peek().expect("peek") {
             supply.take();
@@ -852,6 +912,45 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
         }
         hand_back(&mut supply, SimTime::MAX);
         assert_eq!(handed, pairs, "neighborhood {n}");
+        every_pairs.push(pairs);
+    }
+
+    // The online ingress, advanced at every session's second: the driver
+    // hands back before every access and at each advance's sweep, and one
+    // advance a window past the last session hands back the rest.
+    let spec = online::OnlineSpec::from_source(&trace);
+    let last = records.last().expect("records").start;
+    for window in [window, SimDuration::ZERO] {
+        let lfu = StrategySpec::Lfu { history: window };
+        let parts = DriverParts::new(&topo, trace.catalog(), &config, &lfu).expect("parts");
+        let mut ingress = online::Ingress::new(&parts, &spec).expect("ingress");
+        let mut supplies: Vec<_> = (0..spans.len())
+            .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &parts.segmenter))
+            .collect();
+        let mut handed = vec![Vec::new(); spans.len()];
+        let mut advance = |ingress: &mut online::Ingress<'_>, now: SimTime| {
+            ingress.fill(Some(now)).expect("advance");
+            for (n, supply) in supplies.iter_mut().enumerate() {
+                supply.attach(&ingress.block);
+                while let Some((start, _)) = supply.peek().expect("peek") {
+                    supply.take();
+                    if let Some(until) = start.checked_sub(window) {
+                        hand_back(supply, until, &mut handed[n], &every_pairs[n]);
+                    }
+                }
+                if let Some(until) = now.checked_sub(window) {
+                    hand_back(supply, until, &mut handed[n], &every_pairs[n]);
+                }
+            }
+        };
+        for rec in records {
+            ingress.admit(*rec).expect("submit");
+            advance(&mut ingress, rec.start);
+        }
+        advance(&mut ingress, past(last + window));
+        for (n, pairs) in every_pairs.iter().enumerate() {
+            assert_eq!(&handed[n], pairs, "online, {window:?}, neighborhood {n}");
+        }
     }
 
     // Under a feed strategy the same pass publishes every record's event
@@ -963,7 +1062,7 @@ fn demux_groups_each_block_in_order_and_keeps_the_decoded_edge() {
                 "{layout}, block {blocks}: not a permutation of records {published}..{decoded}"
             );
             published = decoded;
-            let Some(edge) = block.edge() else { break };
+            let Some(edge) = block.edge else { break };
             assert_eq!(
                 edge,
                 records[decoded as usize - 1].start,

@@ -18,6 +18,11 @@
 //! serial resident replay holds does not grow when one neighborhood
 //! carries the whole load instead of a sixth of it.
 //!
+//! The online engine is held to the same: its ingress keeps one ring of
+//! the accesses submitted and hands each back through the blocks as it
+//! leaves the window, so what an online LFU holds beyond an online LRU
+//! must not grow with the days submitted.
+//!
 //! Nor may it grow by a record for every program id in the catalog. An
 //! index keeps a record only for the programs its neighborhood keeps
 //! something about, behind a 4-byte slot an id (`cablevod_cache::slots`),
@@ -33,8 +38,8 @@ use std::sync::{Mutex, PoisonError};
 
 use cablevod_cache::{StrategyRegistry, StrategySpec};
 use cablevod_hfc::ids::{ProgramId, UserId};
-use cablevod_hfc::units::{DataSize, SimDuration};
-use cablevod_sim::{SimConfig, SimReport, Simulation};
+use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
+use cablevod_sim::{serve_serial, OnlineSpec, SimConfig, SimReport, Simulation};
 use cablevod_trace::catalog::ProgramCatalog;
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::rechunk::neighborhood_groups;
@@ -360,5 +365,81 @@ fn resident_shard_heap_does_not_grow_with_its_neighborhoods_load() {
         "one neighborhood carrying all {} records moved a serial resident replay's peak heap \
          from {alone} B to {together} B, more than the membership lists' {slack} B",
         spread.record_count()
+    );
+}
+
+/// The peak heaps of the online engine fed `days` of 3 000 subscribers in
+/// six neighborhoods, at the same daily load whatever `days`, a session
+/// at a time and advanced to the second before each new second (as
+/// `tests/helpers.rs`'s `serve_trace` does), under `lru` and under a
+/// one-hour `lfu`. Returns the sessions, the two peaks and the most
+/// sessions any one hour of the trace starts.
+fn online_replay(days: u64) -> (u64, u64, u64, u64) {
+    let trace = generate(&SynthConfig {
+        users: 3_000,
+        programs: 400,
+        days,
+        seed: 38,
+        ..SynthConfig::powerinfo()
+    });
+    let config = SimConfig::paper_default()
+        .with_neighborhood_size(500)
+        .with_per_peer_storage(DataSize::from_gigabytes(2))
+        .with_warmup_days(3);
+    let spec = OnlineSpec::from_source(&trace);
+    let hour = StrategySpec::Lfu {
+        history: SimDuration::from_hours(1),
+    };
+    let [lru, lfu] = [StrategySpec::Lru, hour].map(|strategy| {
+        peak_heap(|| {
+            serve_serial(&spec, &config, &strategy, |engine| {
+                let mut second = None;
+                for &rec in trace.records() {
+                    if second != Some(rec.start) {
+                        second = Some(rec.start);
+                        engine.advance_to(rec.start.saturating_sub(SimDuration::from_secs(1)))?;
+                    }
+                    engine.submit(rec)?;
+                }
+                Ok(())
+            })
+            .expect("serves");
+        })
+    });
+    let starts: Vec<SimTime> = trace.iter().map(|r| r.start).collect();
+    let busiest_hour = starts
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| starts[i..].partition_point(|&s| s < t + SimDuration::from_hours(1)))
+        .max()
+        .unwrap_or(0);
+    (trace.record_count(), lru, lfu, busiest_hour as u64)
+}
+
+/// A relation over the days submitted online. The ingress keeps one
+/// trailing ring of the accesses submitted — 12 B each, an 8-byte access
+/// and its neighborhood — and trims it at each advance to those still in
+/// the history window, so what a one-hour `lfu` engine holds beyond an
+/// `lru` one — per-program counts and an hour of accesses — must not grow
+/// when the same subscribers submit twice the days at the same daily
+/// load. The tolerance is the ring's whole capacity at the longer run's
+/// busiest hour, which a different busiest hour may move by a doubling
+/// (2 × 12 B a session of that hour), plus an eighth of a byte a session
+/// of the shorter run. A ring never trimmed holds 12 B for every session
+/// submitted: at least 12 B × 40 000 more here.
+#[test]
+fn online_history_heap_does_not_grow_with_the_days_submitted() {
+    let (records, lru, lfu, _) = online_replay(6);
+    let (records2, lru2, lfu2, busiest_hour) = online_replay(12);
+    assert!(
+        records2 >= 2 * records - records / 20,
+        "{records} -> {records2}"
+    );
+    let (extra, extra2) = (lfu.saturating_sub(lru), lfu2.saturating_sub(lru2));
+    let tolerance = 2 * 12 * busiest_hour + records / 8;
+    assert!(
+        extra2 <= extra + tolerance,
+        "{records} -> {records2} sessions moved the online LFU's heap over LRU from {extra} B \
+         to {extra2} B, more than {tolerance} B (LRU {lru} -> {lru2} B, LFU {lfu} -> {lfu2} B)"
     );
 }
