@@ -22,7 +22,8 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use cablevod_cache::{
-    CacheStrategy, IndexServer, PlacementPolicy, SlotLedger, StrategySpec, WindowedLfu,
+    AccessEvent, CacheStrategy, IndexServer, Oracle, PlacementPolicy, ScheduleWindow, SlotLedger,
+    StrategySpec, WindowedLfu,
 };
 use cablevod_hfc::ids::{NeighborhoodId, ProgramId};
 use cablevod_hfc::plant::Plant;
@@ -86,14 +87,26 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// `WindowedLfu::on_access` alone, replayed with the bench trace's own
-/// per-neighborhood access sequences and costs (one strategy instance
-/// per neighborhood, as the engine builds them) — the layer row under
-/// `engine/lfu`. The default 7-day window outlasts the 6-day trace, so
-/// `lfu_on_access` is record + rebalance only; `lfu_on_access_window_1d`
-/// also drives `expire` and the repair of lazily filed cached scores.
-fn lfu_on_access(c: &mut Criterion) {
-    let trace = bench_trace();
+/// The bench workload's users over the paper's 8 278-program catalog
+/// (§V-A), which every strategy row above sees at 400 programs.
+fn paper_catalog_trace() -> &'static Trace {
+    static TRACE: OnceLock<Trace> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        generate(&SynthConfig {
+            users: 1_500,
+            programs: 8_278,
+            days: 6,
+            ..SynthConfig::powerinfo()
+        })
+    })
+}
+
+/// One neighborhood's accesses as its index server's strategy meets them.
+type Accesses = Vec<(SimTime, ProgramId)>;
+
+/// A trace's accesses split by neighborhood, each program's cost in
+/// slots and a neighborhood's capacity in slots, at the bench config.
+fn strategy_workload(trace: &Trace) -> (Vec<Accesses>, Vec<u32>, u64) {
     let config = SimConfig::paper_default()
         .with_neighborhood_size(500)
         .with_per_peer_storage(DataSize::from_gigabytes(2));
@@ -106,21 +119,43 @@ fn lfu_on_access(c: &mut Criterion) {
         .map(|(_, info)| segmenter.segment_count(info.length))
         .collect();
     let nbhds = groups.iter().copied().max().map_or(0, |g| g as usize + 1);
-    let mut accesses: Vec<Vec<(SimTime, ProgramId)>> = vec![Vec::new(); nbhds];
+    let mut accesses: Vec<Accesses> = vec![Vec::new(); nbhds];
     for rec in trace.records() {
         accesses[groups[rec.user.index()] as usize].push((rec.start, rec.program));
     }
     let nominal = config.stream_rate() * config.segment_len();
     let capacity = config.per_peer_storage().as_bits() / nominal.as_bits()
         * u64::from(config.neighborhood_size());
+    (accesses, costs, capacity)
+}
 
+/// `WindowedLfu::on_access` alone, replayed with the bench trace's own
+/// per-neighborhood access sequences and costs (one strategy instance
+/// per neighborhood, as the engine builds them) — the layer row under
+/// `engine/lfu`. The default 7-day window outlasts the 6-day trace, so
+/// `lfu_on_access` is record + rebalance only; `lfu_on_access_window_1d`
+/// also drives `expire`, which refiles a leaving access's program and
+/// drops the programs that die. `lfu_on_access_paper_catalog` is the
+/// first row over the paper's catalog, where the candidates' heap holds
+/// thousands of programs instead of a few hundred.
+fn lfu_on_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    for (name, history) in [
-        ("lfu_on_access", SimDuration::from_days(7)),
-        ("lfu_on_access_window_1d", SimDuration::from_days(1)),
+    for (name, trace, history) in [
+        ("lfu_on_access", bench_trace(), SimDuration::from_days(7)),
+        (
+            "lfu_on_access_window_1d",
+            bench_trace(),
+            SimDuration::from_days(1),
+        ),
+        (
+            "lfu_on_access_paper_catalog",
+            paper_catalog_trace(),
+            SimDuration::from_days(7),
+        ),
     ] {
+        let (accesses, costs, capacity) = strategy_workload(trace);
+        group.throughput(Throughput::Elements(trace.len() as u64));
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut ops = Vec::new();
@@ -137,6 +172,51 @@ fn lfu_on_access(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// `Oracle::on_access` alone over the paper's catalog, as
+/// `lfu_on_access_paper_catalog` runs the LFU: one Oracle a neighborhood
+/// with the default 3-day look-ahead, its schedule window handed the
+/// neighborhood's whole future up front (as a resident run's survey
+/// does), stepped at each of its accesses. Each iteration builds the
+/// windows, which copies the schedule once.
+fn oracle_on_access(c: &mut Criterion) {
+    let trace = paper_catalog_trace();
+    let (accesses, costs, capacity) = strategy_workload(trace);
+    let costs: std::sync::Arc<[u32]> = costs.into();
+    let schedules: Vec<Vec<AccessEvent>> = accesses
+        .iter()
+        .map(|sequence| {
+            sequence
+                .iter()
+                .map(|&(at, program)| AccessEvent::new(at, program).expect("below the horizon"))
+                .collect()
+        })
+        .collect();
+    let StrategySpec::Oracle { lookahead } = StrategySpec::default_oracle() else {
+        unreachable!("the default Oracle is an Oracle")
+    };
+    let mut group = c.benchmark_group("cache");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    group.bench_function("oracle_on_access", |b| {
+        b.iter(|| {
+            let mut ops = Vec::new();
+            let mut probes = 0;
+            for (sequence, schedule) in accesses.iter().zip(&schedules) {
+                let mut window = ScheduleWindow::new(costs.clone());
+                window.extend(schedule, SimTime::MAX).expect("in order");
+                let mut oracle = Oracle::new(capacity, lookahead, window);
+                for &(now, program) in sequence {
+                    oracle.on_access(program, costs[program.index()], now, &mut ops);
+                    ops.clear();
+                }
+                probes += oracle.candidate_probes();
+            }
+            black_box(probes)
+        })
+    });
     group.finish();
 }
 
@@ -636,6 +716,7 @@ criterion_group!(
     benches,
     engine_throughput,
     lfu_on_access,
+    oracle_on_access,
     admit_evict_churn,
     engine_parallel_throughput,
     engine_streaming_throughput,

@@ -7,10 +7,11 @@
 //! > are stored in the cache, with ties being resolved using an LRU
 //! > strategy."
 //!
-//! Implementation: a sliding event window maintains per-program counts; a
-//! pair of ordered score sets (cached / candidates) keeps the *waterline*
-//! invariant — no uncached program strictly out-*counts* a cached one —
-//! via transactional swaps on every access.
+//! Implementation: a sliding event window maintains per-program counts,
+//! and a pair of score heaps — a min-heap of the cached programs and a
+//! max-heap of the candidates, both filed at every program's current
+//! score — keeps the *waterline* invariant — no uncached program strictly
+//! out-*counts* a cached one — via transactional swaps on every access.
 //!
 //! # What an access costs
 //!
@@ -32,9 +33,14 @@
 //!   spare, a lower-ranked, smaller candidate is still admitted.
 //!
 //! The third exit is the steady state of a full cache: one candidate
-//! probe per access ([`WindowedLfu::candidate_probes`] counts them).
-//! Likewise a hit does not re-sort the cached set, which is only ever
-//! read from its weak end: the stale key is repaired if it surfaces there.
+//! probe per access ([`WindowedLfu::candidate_probes`] counts them), which
+//! reads the two heaps' roots. Counting an access refiles its program
+//! where its new score belongs — a sift of a few levels, the cached
+//! heap's for a hit — so the roots are exact when the rebalance reads
+//! them. With a few slots free that the best candidates do not fit, every
+//! access walks sixteen candidates to the second exit instead; that walk
+//! is remembered while the candidates' heap stays as it is, which a hit
+//! on a cached program leaves it, so the next access reads it as a list.
 //!
 //! Tie handling matters enormously here. Swapping on recency among
 //! equal-count programs (the literal reading of "ties resolved using LRU")
@@ -59,10 +65,10 @@ use crate::event::AccessEvent;
 use crate::history::HistoryWindow;
 use crate::slots::ProgramSlots;
 use crate::strategy::{CacheOp, CacheStrategy};
-use crate::waterline::{Score, Tenants, Waterline};
+use crate::waterline::{Place, Places, Score, Tenants, Waterline};
 
 /// What the strategy keeps about one live program: one counted in the
-/// window, or a candidate, or cached. Twenty bytes.
+/// window, or a candidate, or cached. Sixteen bytes.
 #[derive(Debug, Clone, Copy, Default)]
 struct Record {
     count: u32,
@@ -70,38 +76,36 @@ struct Record {
     /// Recency: the sequence number of the program's latest access (see
     /// [`WindowedLfu::next_seq`]).
     last_seq: u32,
-    /// While cached: the `(count, last_seq)` this program is filed under
-    /// in the cached set, at or below its current score (see
-    /// [`WindowedLfu::count`]). `filed_seq` is 0 while it is not cached:
-    /// sequence numbers start at 1.
-    filed_count: u32,
-    filed_seq: u32,
+    /// Where the program's score is filed: a live program's is in one of
+    /// the waterline's heaps, at its current value.
+    place: Place,
 }
 
 impl Record {
     fn cached(&self) -> bool {
-        self.filed_seq != 0
+        self.place.is_cached()
     }
 
     fn score(&self, program: ProgramId) -> Score {
         (self.count, self.last_seq, program)
     }
+}
 
-    fn filed(&self, program: ProgramId) -> Score {
-        (self.filed_count, self.filed_seq, program)
-    }
-
-    fn file(&mut self, (count, seq, _): Score) {
-        (self.filed_count, self.filed_seq) = (count, seq);
+impl Places for ProgramSlots<Record> {
+    fn set_place(&mut self, program: ProgramId, place: Place) {
+        self.get_mut(program)
+            .expect("a filed program is live")
+            .place = place;
     }
 }
 
 /// The windowed-LFU cache strategy.
 ///
 /// Per-program state is a `ProgramSlots` map (`slots.rs`): a 4-byte slot
-/// per program id in front of a 20-byte record per *live* program — one
-/// counted in the window, a candidate or cached. A program whose last
-/// access left the window and that is not cached dies, and its record is
+/// per program id in front of a 16-byte record per *live* program — one
+/// counted in the window, a candidate or cached — which also says where
+/// in the waterline's heaps its score sits. A program whose last access
+/// left the window and that is not cached dies, and its record is
 /// recycled.
 ///
 /// # Who remembers the window
@@ -153,15 +157,16 @@ impl Record {
 /// Nothing bounds how many accesses one index counts — a global feed
 /// hands every index the whole plant's — so a 32-bit number would run out
 /// on a long enough run. It never wraps: when it reaches `u32::MAX`, every
-/// number still held (each live record's `last_seq`, and `filed_seq` for
-/// the cached) is replaced by its rank among them, in one pass, and the
-/// count goes on from the highest rank. Only the order of sequence
-/// numbers is ever read — both score sets compare them, nothing does
+/// number still held (each live record's `last_seq`, in the record and in
+/// its filed score) is replaced by its rank among them, in one pass, and
+/// the count goes on from the highest rank. Only the order of sequence
+/// numbers is ever read — both score heaps compare them, nothing does
 /// arithmetic on them — and ranking keeps the order, so renumbering
-/// changes no decision (`renumbering_changes_no_decision` runs an LFU
-/// through it beside one that never reaches it). After it, at most two
-/// numbers a live program are in use, so it frees room for at least half
-/// the 32-bit range while fewer than 2^30 programs are live.
+/// changes no decision and moves no score in either heap
+/// (`renumbering_changes_no_decision` runs an LFU through it beside one
+/// that never reaches it). After it, one number a live program is in
+/// use, so it frees room for at least half the 32-bit range while fewer
+/// than 2^31 programs are live.
 #[derive(Debug)]
 pub struct WindowedLfu {
     window: SimDuration,
@@ -202,6 +207,12 @@ impl Table<'_> {
     }
 }
 
+impl Places for Table<'_> {
+    fn set_place(&mut self, program: ProgramId, place: Place) {
+        self.records.set_place(program, place);
+    }
+}
+
 impl Tenants for Table<'_> {
     fn cost(&self, program: ProgramId) -> Option<u32> {
         let record = self.records.get(program).expect("a scored program is live");
@@ -214,24 +225,8 @@ impl Tenants for Table<'_> {
         victim.0 + self.swap_margin <= candidate.0
     }
 
-    fn refile(&mut self, filed: Score) -> Score {
-        let record = self.record(filed.2);
-        let current = record.score(filed.2);
-        record.file(current);
-        current
-    }
-
-    fn admitted(&mut self, score: Score) {
-        let record = self.record(score.2);
-        debug_assert!(!record.cached(), "admitting a known candidate");
-        record.file(score);
-    }
-
     fn evicted(&mut self, score: Score) -> bool {
-        let record = self.record(score.2);
-        debug_assert!(record.cached(), "evicting a cached program");
-        record.filed_seq = 0;
-        let live = record.count > 0;
+        let live = self.record(score.2).count > 0;
         if !live {
             self.records.remove(score.2);
         }
@@ -377,14 +372,14 @@ impl WindowedLfu {
     }
 
     /// Replaces every sequence number still held by its rank among them,
-    /// in the records and in both score sets, keeping their order.
+    /// in the records and in both score heaps, keeping their order.
     #[cold]
     fn renumber(&mut self) {
         let mut held: Vec<u32> = self
             .records
             .records_mut()
             .iter()
-            .flat_map(|r| [r.last_seq, r.filed_seq])
+            .map(|r| r.last_seq)
             .filter(|&seq| seq != 0)
             .collect();
         held.sort_unstable();
@@ -400,14 +395,9 @@ impl WindowedLfu {
         };
         for record in self.records.records_mut() {
             record.last_seq = rank(record.last_seq);
-            record.filed_seq = rank(record.filed_seq);
         }
-        for set in [&mut self.line.cached, &mut self.line.candidates] {
-            *set = std::mem::take(set)
-                .into_iter()
-                .map(|(count, seq, program)| (count, rank(seq), program))
-                .collect();
-        }
+        self.line
+            .rescore(|(count, seq, program)| (count, rank(seq), program));
         self.seq = held.len() as u32;
         assert!(
             self.seq < u32::MAX,
@@ -415,25 +405,21 @@ impl WindowedLfu {
         );
     }
 
-    /// Counts one access of `program`: its score rises and it becomes the
-    /// most recent of its count.
-    ///
-    /// A hit on a cached program only *raises* its score, and the cached
-    /// set is only ever read from its weak end, so the set keeps the
-    /// stale lower key (`Record::filed_seq`) and the rebalance repairs it
-    /// if it ever surfaces there.
+    /// Counts one access of `program`: its score rises, it becomes the
+    /// most recent of its count, and it is refiled in whichever heap it
+    /// is in (a brand-new record is filed as a candidate).
     fn count(&mut self, program: ProgramId, cost: u32) {
         let seq = self.next_seq();
         self.line.note_cost(cost);
         let record = self.records.get_or_insert(program);
-        let old = record.score(program);
         record.count += 1;
         record.last_seq = seq;
         record.cost = cost;
-        if !record.cached() {
-            let new = record.score(program);
-            self.line.candidates.remove(&old); // no-op for brand-new records
-            self.line.candidates.insert(new);
+        let (place, score) = (record.place, record.score(program));
+        if place.is_filed() {
+            self.line.refile(place, score, &mut self.records);
+        } else {
+            self.line.file(score, &mut self.records);
         }
     }
 
@@ -496,26 +482,14 @@ impl WindowedLfu {
                 .records
                 .get_mut(program)
                 .expect("history refers to a live program");
-            let old = record.score(program);
             record.count -= 1;
-            let new = record.score(program);
-            if record.cached() {
-                // A filed key may lag below the score but never sit above
-                // it, so a lowered score is refiled as soon as it dips
-                // under its key.
-                let filed = record.filed(program);
-                if new < filed {
-                    record.file(new);
-                    self.line.cached.remove(&filed);
-                    self.line.cached.insert(new);
-                }
+            let (place, score) = (record.place, record.score(program));
+            if record.count == 0 && !record.cached() {
+                // Nothing left to rank it by: the program dies.
+                self.line.drop(place, &mut self.records);
+                self.records.remove(program);
             } else {
-                self.line.candidates.remove(&old);
-                if record.count == 0 {
-                    self.records.remove(program);
-                } else {
-                    self.line.candidates.insert(new);
-                }
+                self.line.refile(place, score, &mut self.records);
             }
         }
     }
@@ -554,7 +528,7 @@ impl WindowedLfu {
                 ..Record::default()
             };
             self.records.insert(program, record);
-            self.line.candidates.insert(record.score(program));
+            self.line.file(record.score(program), &mut self.records);
         }
     }
 }
@@ -791,13 +765,15 @@ mod tests {
         assert_eq!(lfu.candidate_probes(), before + 2);
     }
 
+    /// Hits on the cached floor refile it above the other cached program
+    /// before any victim is chosen.
     #[test]
-    fn stale_floor_key_is_repaired_before_choosing_victims() {
+    fn hits_lift_the_floor_before_victims_are_chosen() {
         let mut lfu = WindowedLfu::new(8, day(1));
         access(&mut lfu, 0, 4, 0);
         access(&mut lfu, 1, 4, 1); // both count 1; program 0 is the older
         for t in 2..5 {
-            access(&mut lfu, 0, 4, t); // count 4, still filed under count 1
+            access(&mut lfu, 0, 4, t); // count 4: no longer the floor
         }
         access(&mut lfu, 2, 4, 5);
         access(&mut lfu, 2, 4, 6);
@@ -930,7 +906,7 @@ mod tests {
 
     /// The ring's order among events of one time is not observable (see
     /// the type docs): reversing every equal-time group before an expiry
-    /// leaves the same counts, the same sets and the same ops afterwards.
+    /// leaves the same counts, the same scores and the same ops afterwards.
     #[test]
     fn equal_time_events_may_leave_in_any_order() {
         let build = || {
@@ -951,9 +927,9 @@ mod tests {
         for now in [110, 125, 140, 179, 180, 500] {
             as_arrived.expire(SimTime::from_secs(now));
             reversed.expire(SimTime::from_secs(now));
-            assert_eq!(as_arrived.line.cached, reversed.line.cached, "at {now}");
             assert_eq!(
-                as_arrived.line.candidates, reversed.line.candidates,
+                as_arrived.line.sorted_scores(),
+                reversed.line.sorted_scores(),
                 "at {now}"
             );
             for q in 0..11 {
@@ -969,10 +945,10 @@ mod tests {
     }
 
     /// A live program's record is what the strategy keeps a program
-    /// beyond its 4-byte slot and its key in one score set.
+    /// beyond its 4-byte slot and its score in one heap.
     #[test]
-    fn a_record_is_twenty_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 20);
+    fn a_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
     }
 
     /// Renumbering keeps the order of every sequence number held (see the

@@ -1,8 +1,13 @@
-//! Test-only reference for [`WindowedLfu`]: the literal rebalance loop —
-//! every cached hit repositioned eagerly, all sixteen rounds walked, a
-//! fresh victim list per round — exactly as it stood before the waterline
-//! learned to stop early and to file cached scores lazily. The property
-//! below holds the production strategy to it op for op.
+//! Test-only reference for [`WindowedLfu`]: the literal rebalance loop
+//! over two ordered sets — all sixteen rounds walked, each candidate
+//! searched for afresh, a fresh victim list per round — exactly as it
+//! stood before the waterline learned to stop early. Production keeps its
+//! scores in two binary heaps instead (`waterline.rs`), walked best first
+//! past their roots; the sets here are the independent mirror those heaps
+//! are held to. The property below holds the production strategy to it op
+//! for op, over a catalogue of twelve programs and over one of a few
+//! hundred, deep enough for the heaps' lower levels and for records of
+//! dead programs to be recycled while others stay filed.
 //!
 //! Its `record` is also the per-event ring insert as it stood before remote
 //! runs were merged into the tail in one piece: every event keyed
@@ -298,32 +303,58 @@ fn reference_sync(
 
 const PROGRAMS: u32 = 12;
 
+/// The wide cases' catalogue: a few hundred programs, so the production
+/// strategy's score heaps are several levels deep.
+const WIDE: u32 = 400;
+
+/// The catalogue of a case: `PROGRAMS` programs, or `WIDE` ones.
+fn width(wide: usize) -> u32 {
+    [PROGRAMS, WIDE][wide]
+}
+
+/// A program from a uniform `draw` in `0..WIDE`: any of a narrow
+/// catalogue's, and in a wide one an id skewed toward the low end, so a
+/// few programs stay hot while most come and go and the records of the
+/// dead are recycled for new ones while the hot stay filed.
+fn program_of(draw: u32, width: u32) -> u32 {
+    match width {
+        PROGRAMS => draw % PROGRAMS,
+        width => draw * draw / width,
+    }
+}
+
+/// Every twelfth program never fits: its cost exceeds any capacity.
+fn cost_of(costs: &[u32], p: u32) -> u32 {
+    costs[p as usize] + if p % PROGRAMS == PROGRAMS - 1 { 200 } else { 0 }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Local accesses in nondecreasing time interleaved with remote
     /// records carrying older timestamps, the way `GlobalLfu::sync_global`
-    /// issues them (`record`s, then one `expire`, no rebalance).
+    /// issues them (`record`s, then one `expire`, no rebalance), over a
+    /// narrow catalogue or a wide one with a cache a dozen times larger.
     #[test]
     fn windowed_lfu_emits_the_reference_ops(
-        steps in prop::collection::vec((0u64..900, 0u32..PROGRAMS, 0u64..5_000), 1..400),
-        shape in (2u64..14, 0u64..9, 1u32..4),
-        costs in prop::collection::vec(1u32..6, PROGRAMS as usize),
+        steps in prop::collection::vec((0u64..900, 0u32..WIDE, 0u64..5_000), 1..400),
+        shape in (2u64..14, 0u64..9, 1u32..4, 0usize..2),
+        costs in prop::collection::vec(1u32..6, WIDE as usize),
     ) {
-        let (capacity, window_hours, margin) = shape;
+        let (capacity, window_hours, margin, wide) = shape;
+        let (width, capacity) = (width(wide), capacity * [1, 12][wide]);
         let window = SimDuration::from_hours(window_hours);
         let mut lfu = WindowedLfu::new(capacity, window);
         let mut reference = ReferenceLfu::new(capacity, window);
         lfu.set_swap_margin(margin);
         reference.set_swap_margin(margin);
-        // The last program never fits: its cost exceeds any capacity.
-        let cost_of = |p: u32| costs[p as usize] + if p == PROGRAMS - 1 { 14 } else { 0 };
 
         let (mut ops, mut expected) = (Vec::new(), Vec::new());
         let mut now = 0u64;
-        for (step, &(dt, p, age)) in steps.iter().enumerate() {
+        for (step, &(dt, draw, age)) in steps.iter().enumerate() {
             now += dt;
-            let (program, cost) = (ProgramId::new(p), cost_of(p));
+            let p = program_of(draw, width);
+            let (program, cost) = (ProgramId::new(p), cost_of(&costs, p));
             if age % 4 == 0 {
                 let at = SimTime::from_secs(now.saturating_sub(age));
                 lfu.record_run([(program, cost, at)]);
@@ -338,7 +369,7 @@ proptest! {
                 prop_assert_eq!(&ops, &expected, "ops diverge at step {}", step);
             }
             prop_assert_eq!(lfu.used_slots(), reference.used, "used at step {}", step);
-            for q in (0..PROGRAMS).map(ProgramId::new) {
+            for q in (0..width).map(ProgramId::new) {
                 prop_assert_eq!(lfu.count_of(q), reference.count_of(q), "count of {} at step {}", q, step);
                 prop_assert_eq!(lfu.contains(q), reference.contains(q), "{} cached at step {}", q, step);
             }
@@ -351,27 +382,30 @@ proptest! {
     /// sweep) at some of the others'. Remote events turn visible a lag
     /// batch at a time, behind local events already recorded, in runs the
     /// production strategy merges in one piece and the reference files one
-    /// by one.
+    /// by one. A narrow catalogue, or a wide one with a cache a dozen
+    /// times larger.
     #[test]
     fn global_lfu_ingests_runs_as_the_per_event_reference_does(
-        events in prop::collection::vec((0u64..900, 0u32..4, 0u32..PROGRAMS), 1..500),
-        shape in (2u64..14, 0usize..3, 0usize..5),
-        costs in prop::collection::vec(1u32..6, PROGRAMS as usize),
+        events in prop::collection::vec((0u64..900, 0u32..4, 0u32..WIDE), 1..500),
+        shape in (2u64..14, 0usize..3, 0usize..5, 0usize..2),
+        costs in prop::collection::vec(1u32..6, WIDE as usize),
     ) {
-        let (capacity, lag, window) = shape;
+        let (capacity, lag, window, wide) = shape;
+        let (width, capacity) = (width(wide), capacity * [1, 12][wide]);
         let lag = [0, 1_800, 7_200][lag];
         // Shorter than either lag, between them, and longer than both.
         let window = SimDuration::from_secs([600, 3_600, 5_400, 14_400, 86_400][window]);
         let home = NeighborhoodId::new(0);
         let mut feed = Vec::new();
         let mut now = 0u64;
-        for &(dt, nbhd, p) in &events {
+        for &(dt, nbhd, draw) in &events {
             now += dt;
+            let p = program_of(draw, width);
             feed.push(FeedEvent {
                 time: SimTime::from_secs(now),
                 neighborhood: NeighborhoodId::new(nbhd),
                 program: ProgramId::new(p),
-                cost: costs[p as usize],
+                cost: cost_of(&costs, p),
             });
         }
 
@@ -395,7 +429,7 @@ proptest! {
             }
             prop_assert_eq!(lfu.used_slots(), reference.used, "used at record {}", seq);
         }
-        for q in (0..PROGRAMS).map(ProgramId::new) {
+        for q in (0..width).map(ProgramId::new) {
             prop_assert_eq!(lfu.core.count_of(q), reference.count_of(q), "count of {}", q);
             prop_assert_eq!(lfu.contains(q), reference.contains(q), "{} cached", q);
         }

@@ -20,14 +20,16 @@
 //! # What a window step costs
 //!
 //! Program ids are dense catalog indices and the window's cost table names
-//! the catalog, so the per-program state — future count, cached flag,
-//! filed key — is one `Vec` sized from it: no hashing. Cached scores are
-//! filed lazily, exactly as the LFU files its own (`lfu.rs`): the cached
-//! set is only ever read from its weak end, so an event *entering* the
-//! window for a cached program touches no set at all, and one *leaving*
-//! moves the program's key only when its count dips under the key it is
-//! filed under. The rebalance repairs a stale key if it surfaces
-//! (`Tenants::refile` in `waterline.rs`).
+//! the catalog, so the per-program state — future count and where the
+//! program's score sits in the waterline's heaps, eight bytes — is one
+//! `Vec` sized from it: no hashing. Every event crossing a window edge
+//! refiles its program at its new count in whichever heap it is in (a
+//! min-heap of the cached, a max-heap of the candidates), exactly as the
+//! LFU refiles its own (`lfu.rs`): a sift of a few levels. A candidate
+//! whose count falls to zero leaves its heap, and one whose count rises
+//! from zero joins it. The rebalance then reads the two roots, and walks
+//! past them only when the best candidate neither enters nor ends the
+//! rebalance (`waterline.rs`).
 //!
 //! # Ties
 //!
@@ -48,17 +50,22 @@ use crate::error::CacheError;
 use crate::event::AccessEvent;
 use crate::schedule::ScheduleWindow;
 use crate::strategy::{CacheOp, CacheStrategy, FillPolicy};
-use crate::waterline::{Score, Tenants, Waterline};
+use crate::waterline::{Place, Places, Score, Tenants, Waterline};
 
 /// Per-program state, indexed by `ProgramId::index()`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Accesses inside the current window.
     future: u32,
-    cached: bool,
-    /// While cached: the count this program is filed under in the cached
-    /// set, at or below `future`.
-    filed: u32,
+    /// Where the program's score is filed: cached, a candidate (a future
+    /// count above zero) or nowhere.
+    place: Place,
+}
+
+impl Places for [Slot] {
+    fn set_place(&mut self, program: ProgramId, place: Place) {
+        self[program.index()].place = place;
+    }
 }
 
 /// The clairvoyant cache strategy.
@@ -84,6 +91,12 @@ struct Catalog<'a> {
     programs: &'a mut [Slot],
 }
 
+impl Places for Catalog<'_> {
+    fn set_place(&mut self, program: ProgramId, place: Place) {
+        self.programs.set_place(program, place);
+    }
+}
+
 impl Tenants for Catalog<'_> {
     /// Zero-length programs are unplaceable; their future counts stay
     /// tracked.
@@ -95,20 +108,7 @@ impl Tenants for Catalog<'_> {
         victim < candidate
     }
 
-    fn refile(&mut self, filed: Score) -> Score {
-        let slot = &mut self.programs[filed.2.index()];
-        slot.filed = slot.future;
-        (slot.future, 0, filed.2)
-    }
-
-    fn admitted(&mut self, score: Score) {
-        let slot = &mut self.programs[score.2.index()];
-        slot.cached = true;
-        slot.filed = score.0;
-    }
-
     fn evicted(&mut self, score: Score) -> bool {
-        self.programs[score.2.index()].cached = false;
         score.0 > 0
     }
 }
@@ -150,27 +150,20 @@ impl Oracle {
             self.programs.resize(idx + 1, Slot::default());
         }
         let slot = &mut self.programs[idx];
-        let old = (slot.future, 0, program);
         slot.future = if entering {
             slot.future + 1
         } else {
             slot.future.saturating_sub(1)
         };
-        let new = (slot.future, 0, program);
-        if slot.cached {
-            // The filed key may lag below the score but never sit above
-            // it: a raised score is left alone, a lowered one refiled as
-            // soon as it dips under its key.
-            if new.0 < slot.filed {
-                self.line.cached.remove(&(slot.filed, 0, program));
-                self.line.cached.insert(new);
-                slot.filed = new.0;
-            }
-        } else {
-            self.line.candidates.remove(&old);
-            if new.0 > 0 {
-                self.line.candidates.insert(new);
-            }
+        let (place, score) = (slot.place, (slot.future, 0, program));
+        let programs = self.programs.as_mut_slice();
+        match (place.is_filed(), score.0 > 0) {
+            (false, true) => self.line.file(score, programs),
+            (false, false) => {}
+            // A candidate with no future left leaves; a cached program
+            // stays cached at zero.
+            (true, false) if !place.is_cached() => self.line.drop(place, programs),
+            (true, _) => self.line.refile(place, score, programs),
         }
     }
 
@@ -192,6 +185,14 @@ impl Oracle {
             programs: &mut self.programs,
         };
         self.line.rebalance(&mut catalog, ops);
+    }
+
+    /// Candidates visited by every rebalance so far — the deterministic
+    /// work count behind the per-access timing, as
+    /// [`WindowedLfu::candidate_probes`](crate::lfu::WindowedLfu::candidate_probes)
+    /// counts the LFU's.
+    pub fn candidate_probes(&self) -> u64 {
+        self.line.probes()
     }
 
     /// Future access count of `program` within the current window.
@@ -232,7 +233,7 @@ impl CacheStrategy for Oracle {
     fn contains(&self, program: ProgramId) -> bool {
         self.programs
             .get(program.index())
-            .is_some_and(|slot| slot.cached)
+            .is_some_and(|slot| slot.place.is_cached())
     }
 
     fn cost_of(&self, program: ProgramId) -> Option<u32> {

@@ -228,9 +228,9 @@ pub trait CacheStrategy: fmt::Debug + Send {
         events.len()
     }
 
-    /// Heap bytes the strategy holds, from its collections' capacities
-    /// (an ordered set at its keys' size). Test builds only: what the
-    /// per-subscriber memory pin in `index.rs` reads.
+    /// Heap bytes the strategy holds, from its collections' capacities.
+    /// Test builds only: what the per-subscriber memory pin in `index.rs`
+    /// reads.
     #[cfg(test)]
     fn heap_bytes(&self) -> usize {
         unimplemented!("{} does not account its bytes", self.name())

@@ -2,10 +2,11 @@
 //! their bodies exactly as they stood before the four were rewritten over
 //! dense tables — a SipHash map and one (`Lru`), two (`Tlru`) or four
 //! (`ArcCache`, a map and an ordered set a list) ordered sets for the
-//! orders a linked list now holds, hash maps and eagerly repositioned
-//! cached scores in the Oracle (its rebalance written out, where the
-//! production Oracle shares the waterline's). The properties below hold
-//! the production strategies to them op for op, `lfu_reference.rs`' way.
+//! orders a linked list now holds, hash maps and two ordered score sets
+//! in the Oracle (its rebalance written out, where the production Oracle
+//! shares the waterline's walk of two binary heaps). The properties below
+//! hold the production strategies to them op for op, `lfu_reference.rs`'
+//! way; the Oracle's also over a catalogue of a few hundred programs.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -524,6 +525,10 @@ impl ReferenceOracle {
 
 const PROGRAMS: u32 = 14;
 
+/// The wide Oracle cases' catalogue: a few hundred programs, so the
+/// production Oracle's score heaps are several levels deep.
+const WIDE: u32 = 400;
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -611,26 +616,35 @@ proptest! {
 
     /// Both window feeds — the whole future at once and one event a
     /// hand-over — over a cost table with zero-cost (unplaceable) programs
-    /// in it and a schedule that names programs beyond it.
+    /// in it and a schedule that names programs beyond it. A narrow
+    /// catalogue, or a wide one whose ids are skewed toward the low end
+    /// (so a few programs stay in the look-ahead while most come and go)
+    /// with a cache a dozen times larger.
     #[test]
     fn oracle_emits_the_reference_ops(
-        events in prop::collection::vec((0u64..3_000, 0u32..PROGRAMS + 2), 1..500),
+        events in prop::collection::vec((0u64..3_000, 0u32..WIDE + 2), 1..500),
         accesses in prop::collection::vec(0u64..9_000, 1..120),
-        shape in (0u64..20, 0u64..40_000),
-        costs in prop::collection::vec(0u32..6, PROGRAMS as usize),
+        shape in (0u64..20, 0u64..40_000, 0usize..2),
+        costs in prop::collection::vec(0u32..6, WIDE as usize),
     ) {
-        let (capacity, lookahead) = shape;
+        let (capacity, lookahead, wide) = shape;
+        let (width, capacity) = ([PROGRAMS, WIDE][wide], capacity * [1, 12][wide]);
+        let costs = &costs[..width as usize];
         let lookahead = SimDuration::from_secs(lookahead);
         let mut at = 0u64;
         let events: Vec<(u64, u32)> = events
             .iter()
-            .map(|&(dt, p)| {
+            .map(|&(dt, draw)| {
                 at += dt;
+                let p = match wide {
+                    0 => draw % (PROGRAMS + 2),
+                    _ => draw * draw / (WIDE + 2),
+                };
                 (at, p)
             })
             .collect();
         for batch in [1, events.len()] {
-            let window = || ScheduleWindow::new(costs.clone().into());
+            let window = || ScheduleWindow::new(costs.to_vec().into());
             let mut oracle = Oracle::new(capacity, lookahead, window());
             let mut reference = ReferenceOracle::new(capacity, lookahead, window());
             let mut feeder = Feeder::over(&events, batch);
@@ -652,7 +666,7 @@ proptest! {
                 reference.on_access(now, &mut expected);
                 prop_assert_eq!(&ops, &expected, "ops diverge at step {}, batch {}", step, batch);
                 prop_assert_eq!(oracle.used_slots(), reference.used, "used at step {}", step);
-                for q in (0..PROGRAMS + 3).map(ProgramId::new) {
+                for q in (0..width + 3).map(ProgramId::new) {
                     prop_assert_eq!(oracle.future_count(q), reference.future_count(q), "future of {} at step {}", q, step);
                     prop_assert_eq!(oracle.contains(q), reference.cached_set.contains_key(&q), "{} cached at step {}", q, step);
                     prop_assert_eq!(oracle.cost_of(q), reference.cost_of(q));
