@@ -613,6 +613,12 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    // About half the cases are narrow and half wide: each kind gets about
+    // the 256 cases the narrow property had alone.
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
     /// Both window feeds — the whole future at once and one event a
     /// hand-over — over a cost table with zero-cost (unplaceable) programs

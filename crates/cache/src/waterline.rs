@@ -55,15 +55,17 @@
 //! the cached root one by one: they are the weakest, in the order the
 //! walk met them.
 //!
-//! A walk is remembered until its heap next changes, and the next
-//! rebalance that walks the same heap reads the remembered entries
-//! before it extends them. That is the common case with some free space
-//! that the best candidates' costs do not fit: every access walks sixteen
-//! candidates to exit 2, and an access that hits a cached program leaves
-//! the candidates' heap as it was, so the next access reads the same
-//! sixteen from a list. A walk of a changed heap is never read: every
-//! change steps the heap's generation, and a walk taken at another
-//! generation starts over.
+//! A walk is remembered until its heap next changes, and the next search
+//! that walks the same heap reads the remembered entries before it
+//! extends them. Short of an admission, an access changes one heap at
+//! most: a hit refiles a cached score and leaves the candidates' heap as
+//! it was, a miss the cached heap. On the benchmark's `grid_zoo` grid,
+//! half to four fifths of its five waterline strategies' searches begin
+//! by reading a remembered candidate walk, and a build that started every
+//! walk afresh ran a pass about 9 % slower. A walk of a changed heap is
+//! never read: a heap's scores change only through `Scores::change`,
+//! which steps their generation, and a walk taken at another generation
+//! starts over.
 //!
 //! # Eager filing
 //!
@@ -83,6 +85,7 @@
 //! 9 % faster and the rest slower: the windowed LFU's accesses replayed
 //! alone by about 8 %, the Oracle's by 15 to 20 %.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use cablevod_hfc::ids::ProgramId;
@@ -155,11 +158,46 @@ pub(crate) trait Tenants: Places {
 /// moves has its program's [`Place`] updated.
 #[derive(Debug, Default)]
 struct Heap<const CACHED: bool> {
-    scores: Vec<Score>,
-    /// Stepped by every change, so a walk knows whether the one it
-    /// remembers still holds.
-    generation: u64,
+    scores: Scores,
 }
+
+mod scores {
+    use std::ops::Deref;
+
+    use super::Score;
+
+    /// A heap's scores, readable as they are and changeable only through
+    /// [`Scores::change`], which counts the change: a remembered walk
+    /// knows from the count alone whether it still holds.
+    #[derive(Debug, Default)]
+    pub(super) struct Scores {
+        scores: Vec<Score>,
+        generation: u64,
+    }
+
+    impl Scores {
+        /// The scores, lent to be changed.
+        pub(super) fn change(&mut self) -> &mut Vec<Score> {
+            self.generation += 1;
+            &mut self.scores
+        }
+
+        /// How many times the scores were lent to be changed.
+        pub(super) fn generation(&self) -> u64 {
+            self.generation
+        }
+    }
+
+    impl Deref for Scores {
+        type Target = Vec<Score>;
+
+        fn deref(&self) -> &Vec<Score> {
+            &self.scores
+        }
+    }
+}
+
+use scores::Scores;
 
 impl<const CACHED: bool> Heap<CACHED> {
     /// Whether `a` belongs nearer the root than `b`.
@@ -173,8 +211,7 @@ impl<const CACHED: bool> Heap<CACHED> {
     }
 
     fn push<P: Places + ?Sized>(&mut self, score: Score, places: &mut P) {
-        self.generation += 1;
-        self.scores.push(score);
+        self.scores.change().push(score);
         let pos = self.sift_up(self.scores.len() - 1, score, places);
         places.set_place(score.2, Place::at::<CACHED>(pos));
     }
@@ -182,8 +219,7 @@ impl<const CACHED: bool> Heap<CACHED> {
     /// Takes out the score at `pos` (which is then filed nowhere) and
     /// returns it.
     fn remove<P: Places + ?Sized>(&mut self, pos: usize, places: &mut P) -> Score {
-        self.generation += 1;
-        let last = self.scores.pop().expect("a filed score");
+        let last = self.scores.change().pop().expect("a filed score");
         let removed = if pos < self.scores.len() {
             let removed = self.scores[pos];
             // The last score fills the hole, and goes whichever way it
@@ -208,7 +244,6 @@ impl<const CACHED: bool> Heap<CACHED> {
     fn replace<P: Places + ?Sized>(&mut self, pos: usize, score: Score, places: &mut P) {
         let old = self.scores[pos];
         debug_assert_eq!(old.2, score.2, "refiling another program");
-        self.generation += 1;
         let to = if Self::above(score, old) {
             self.sift_up(pos, score, places)
         } else {
@@ -228,17 +263,18 @@ impl<const CACHED: bool> Heap<CACHED> {
         score: Score,
         places: &mut P,
     ) -> usize {
+        let scores = self.scores.change();
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            let moved = self.scores[parent];
+            let moved = scores[parent];
             if !Self::above(score, moved) {
                 break;
             }
-            self.scores[pos] = moved;
+            scores[pos] = moved;
             places.set_place(moved.2, Place::at::<CACHED>(pos));
             pos = parent;
         }
-        self.scores[pos] = score;
+        scores[pos] = score;
         pos
     }
 
@@ -249,52 +285,50 @@ impl<const CACHED: bool> Heap<CACHED> {
         score: Score,
         places: &mut P,
     ) -> usize {
-        let len = self.scores.len();
+        let scores = self.scores.change();
+        let len = scores.len();
         loop {
             let mut child = 2 * pos + 1;
             if child >= len {
                 break;
             }
-            if child + 1 < len && Self::above(self.scores[child + 1], self.scores[child]) {
+            if child + 1 < len && Self::above(scores[child + 1], scores[child]) {
                 child += 1;
             }
-            let moved = self.scores[child];
+            let moved = scores[child];
             if !Self::above(moved, score) {
                 break;
             }
-            self.scores[pos] = moved;
+            scores[pos] = moved;
             places.set_place(moved.2, Place::at::<CACHED>(pos));
             pos = child;
         }
-        self.scores[pos] = score;
+        scores[pos] = score;
         pos
     }
 }
 
-/// A heap position and its score packed in one integer that orders as
-/// the heap does — the greater nearer the root — so that a
-/// [`BinaryHeap`] of them pops the one nearest the root first: count,
-/// sequence number and id above the position, the score's bits inverted
-/// for the cached heap (whose root is its least). Scores differ by their
-/// ids, so the position never decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Ranked<const CACHED: bool>(u128);
+/// A score and its heap position (below 2^31, as a [`Place`] holds it),
+/// ordered as the heap orders scores — the greater nearer the root — so
+/// that a [`BinaryHeap`] of them pops the one nearest the root first.
+/// Scores differ by their ids, so the position never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ranked<const CACHED: bool>(Score, u32);
 
-impl<const CACHED: bool> Ranked<CACHED> {
-    /// The bits that flip the score's order for the cached heap.
-    const FLIP: u128 = if CACHED { !0 << 32 } else { 0 };
-
-    fn new((count, seq, id): Score, pos: usize) -> Self {
-        debug_assert!(pos < 1 << 32, "a heap of 2^32 scores");
-        let score = u128::from(count) << 96 | u128::from(seq) << 64 | u128::from(id.value()) << 32;
-        Ranked((score ^ Self::FLIP) | pos as u128)
+impl<const CACHED: bool> Ord for Ranked<CACHED> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let order = (self.0, self.1).cmp(&(other.0, other.1));
+        if CACHED {
+            order.reverse()
+        } else {
+            order
+        }
     }
+}
 
-    fn get(self) -> (Score, usize) {
-        let bits = self.0 ^ Self::FLIP;
-        let field = |shift: u32| (bits >> shift) as u32;
-        let score = (field(96), field(64), ProgramId::new(field(32)));
-        (score, field(0) as usize)
+impl<const CACHED: bool> PartialOrd for Ranked<CACHED> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -304,7 +338,7 @@ impl<const CACHED: bool> Ranked<CACHED> {
 struct Walk<const CACHED: bool> {
     /// The entries visited so far, in order, with their positions: the
     /// heap's best, nearest the root first.
-    visited: Vec<(Score, usize)>,
+    visited: Vec<(Score, u32)>,
     /// The children of the visited entries (but the last) not visited
     /// yet.
     frontier: BinaryHeap<Ranked<CACHED>>,
@@ -318,15 +352,15 @@ impl<const CACHED: bool> Walk<CACHED> {
     #[cfg(test)]
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.visited.capacity() * size_of::<(Score, usize)>()
+        self.visited.capacity() * size_of::<(Score, u32)>()
             + self.frontier.capacity() * size_of::<Ranked<CACHED>>()
     }
 
     /// Starts a pass from the root, forgetting the walk if the heap
     /// changed since.
     fn start(&mut self, heap: &Heap<CACHED>) {
-        if self.generation != heap.generation {
-            self.generation = heap.generation;
+        if self.generation != heap.scores.generation() {
+            self.generation = heap.scores.generation();
             self.visited.clear();
             self.frontier.clear();
         }
@@ -336,26 +370,31 @@ impl<const CACHED: bool> Walk<CACHED> {
     /// The pass's next score of `heap`, nearest the root first, with its
     /// position.
     fn next(&mut self, heap: &Heap<CACHED>) -> Option<(Score, usize)> {
-        debug_assert_eq!(self.generation, heap.generation, "a walk of a changed heap");
-        if let Some(&entry) = self.visited.get(self.cursor) {
+        debug_assert_eq!(
+            self.generation,
+            heap.scores.generation(),
+            "a walk of a changed heap"
+        );
+        if let Some(&(score, pos)) = self.visited.get(self.cursor) {
             self.cursor += 1;
-            return Some(entry);
+            return Some((score, pos as usize));
         }
         let entry = match self.visited.last() {
             // The root is the first: the frontier is only needed past it.
             None => (*heap.scores.first()?, 0),
             Some(&(_, last)) => {
                 for child in [2 * last + 1, 2 * last + 2] {
-                    if let Some(&score) = heap.scores.get(child) {
-                        self.frontier.push(Ranked::new(score, child));
+                    if let Some(&score) = heap.scores.get(child as usize) {
+                        self.frontier.push(Ranked(score, child));
                     }
                 }
-                self.frontier.pop()?.get()
+                let Ranked(score, pos) = self.frontier.pop()?;
+                (score, pos)
             }
         };
         self.visited.push(entry);
         self.cursor += 1;
-        Some(entry)
+        Some((entry.0, entry.1 as usize))
     }
 }
 
@@ -396,7 +435,7 @@ impl Waterline {
     /// The cached scores and the candidates', each sorted ascending.
     #[cfg(test)]
     pub(crate) fn sorted_scores(&self) -> [Vec<Score>; 2] {
-        [&self.cached.scores, &self.candidates.scores].map(|scores| {
+        [&*self.cached.scores, &*self.candidates.scores].map(|scores| {
             let mut scores = scores.clone();
             scores.sort_unstable();
             scores
@@ -468,12 +507,10 @@ impl Waterline {
     /// Rewrites every filed score through `rescore`, which must keep
     /// their order (the LFU's renumbering), so nothing moves.
     pub(crate) fn rescore(&mut self, rescore: impl Fn(Score) -> Score) {
-        self.cached.generation += 1;
-        self.candidates.generation += 1;
-        for score in self.cached.scores.iter_mut() {
+        for score in self.cached.scores.change().iter_mut() {
             *score = rescore(*score);
         }
-        for score in self.candidates.scores.iter_mut() {
+        for score in self.candidates.scores.change().iter_mut() {
             *score = rescore(*score);
         }
     }
