@@ -28,8 +28,8 @@
 //! resume ([`SessionDriver::step`]): every driver fed block by block —
 //! a shard of the blocked streaming replay, once a block in one pool
 //! pass, or a neighborhood of the online engine, once an advance of the
-//! live clock — is stepped through each block to its edge, by one
-//! per-shard step (`shard::step_shard`). The supply alone says where the
+//! live clock — is stepped through each block to its edge, by one block
+//! loop (`shard::BlockLoop`). The supply alone says where the
 //! driver parks ([`RecordSupply::resumes_at`]): at the edge of the block
 //! it was last handed — for the online engine's, the second after the
 //! live clock's "now".

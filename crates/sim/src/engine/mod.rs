@@ -78,8 +78,8 @@
 //! |-----------|------------------------------------|-----------------------------------------|----------------------------------------------|-------------------------------------------|------------------------------------------|
 //! | resident  | `run` or `Simulation`, resident    | `StreamSupply` over the survey's strides | the survey, before any shard starts (never) | the shard's own two cursors               | work-stealing pool (one worker: inline, a shard built when started, dropped when done) |
 //! | streaming | `run` or `Simulation`, chunked     | `StreamSupply` over the file's chunks (sweep fast path) | none (takes no feed)             | the shard's own two cursors               | work-stealing pool                       |
-//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, a block before each pass (after each pass) | the decoder's two cursors, per block | work-stealing pool, one pass a block: every live shard stepped to the block's edge |
-//! | online    | `online::serve_serial`             | `BlockSupply` (the ingress's blocks)    | the ingress, at each submit (after each advance) | the ingress: the replayed schedule, whole, in the first block; the submitted accesses' trailing ring, per block | one block an advance, every driver stepped in turn on the caller's thread to the second after "now" |
+//! |           |                                    | `BlockSupply` (blocked replay)          | the decoder, a block before each pass (after each pass) | the decoder's two cursors, per block | the block loop on the work-stealing pool, one pass a block: every shard stepped to the block's edge |
+//! | online    | `online::serve_serial`             | `BlockSupply` (the ingress's blocks)    | the ingress, at each submit (after each advance) | the ingress: the replayed schedule, whole, in the first block; the submitted accesses' trailing ring, per block | the same block loop on one worker, one pass an advance: every driver stepped to the second after "now" |
 //!
 //! Every driver reads the feed the same way — a cursor of its own into
 //! the run's one `Feed`, handed to it by `&` — and is handed its future
@@ -88,8 +88,9 @@
 //! share one supply over two chunk sources, and one job loop
 //! (`shard::run_jobs`); they differ in where a chunk comes from and in
 //! the feed, which only the resident plan can carry. The blocked replay
-//! and the online engine share the other supply and one per-shard step
-//! (`shard::step_shard`); they differ in who fills the blocks — the
+//! and the online engine share the other supply and one block loop
+//! (`shard::BlockLoop`), which owns their drivers, the block and the
+//! feed; they differ in who fills the blocks — the
 //! decoder from a file, the ingress from submissions — and in where a
 //! parked driver runs its idle sweep: at the block's edge, or online at
 //! the clock's "now", a second short of it.

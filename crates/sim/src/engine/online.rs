@@ -7,17 +7,17 @@
 //! engine must answer *between* events. The online engine is the blocked
 //! replay with the caller as its decoder: one `SessionDriver` per
 //! neighborhood, built by the same constructor as every shard
-//! (`DriverParts::driver`), each over a `BlockSupply` and stepped through
-//! each block by the blocked replay's own per-shard step
-//! (`shard::step_shard`); the blocks come from the `Ingress` instead of
-//! a file. Three public seams:
+//! (`DriverParts::driver`), each over a `BlockSupply`, all stepped
+//! through each block by the blocked replay's own loop
+//! (`shard::BlockLoop`, on one worker); the blocks come from the
+//! `Ingress` instead of a file. Three public seams:
 //!
 //! * **submit** — hand the engine one session request. The ingress
 //!   computes the record's context (exactly `session_ctx`, like every
-//!   other producer) and appends its feed event to the engine's own
-//!   [`Feed`] — the ingress is the run's one feed producer, and no driver
-//!   runs while it publishes — then stages the session until an advance
-//!   reaches its start.
+//!   other producer) and appends its feed event to the loop's [`Feed`] —
+//!   the ingress is the run's one feed producer, and no driver runs while
+//!   it publishes — then stages the session until an advance reaches its
+//!   start.
 //! * **advance_to** — a block edge at the live clock's "now": the ingress
 //!   moves the staged sessions that start before the second after "now"
 //!   into the next block, grouped by neighborhood (`Block::group`, the
@@ -67,7 +67,6 @@
 //! stale placement as fresh).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use cablevod_cache::{AccessEvent, Feed, IndexServer, StrategyFactory};
 use cablevod_hfc::ids::{PeerId, ProgramId, SegmentId};
@@ -80,8 +79,8 @@ use cablevod_trace::source::TraceSource;
 
 use super::lifecycle::{feed_event, session_ctx, PendingSession, Step};
 use super::report::merge_outcomes;
-use super::shard::{step_shard, BlockDriver};
-use super::stream::{past, Block, BlockSupply};
+use super::shard::BlockLoop;
+use super::stream::{past, Block};
 use super::{build_topology_for, DriverParts};
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -235,31 +234,20 @@ pub(super) fn serve<T>(
     }
     let topo = build_topology_for(spec.user_count, config)?;
     let parts = DriverParts::new(&topo, spec.catalog, config, strategy)?;
-    let drivers = (0..topo.neighborhood_count())
-        .map(|n| {
-            let supply = BlockSupply::new(n, spec.catalog, &topo, &parts.segmenter);
-            parts.driver(n, supply)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut engine = SerialOnline {
-        drivers,
+    let mut engine = Online {
+        blocks: BlockLoop::new(&parts, 1)?,
         ingress: Ingress::new(&parts, spec)?,
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
     // The drain: one last block, with no edge, runs every driver out.
-    let (drivers, mut ingress) = (engine.drivers, engine.ingress);
-    ingress.fill(None)?;
-    let feed = ingress.feed.as_ref();
-    let outcomes = drivers.into_iter().map(|mut driver| {
-        match step_shard(&mut driver, &ingress.block, None, feed)? {
-            Step::Done => Ok(driver.into_outcome()),
-            Step::Horizon { .. } => unreachable!("the last block has no edge"),
-        }
-    });
-    let report = merge_outcomes(outcomes, spec.days, config)?;
-    Ok((value, report, feed.map(Feed::peak_retained)))
+    engine
+        .blocks
+        .pass(|block, _| engine.ingress.fill(block, None).map(|()| None))?;
+    let (outcomes, peak) = engine.blocks.finish();
+    let report = merge_outcomes(outcomes.into_iter().map(Ok), spec.days, config)?;
+    Ok((value, report, peak))
 }
 
 /// The online engine's decoder (see the module docs): enforces the
@@ -271,10 +259,6 @@ pub(super) struct Ingress<'s> {
     catalog: &'s ProgramCatalog,
     config: &'s SimConfig,
     segmenter: Segmenter,
-    /// The run's feed, under a strategy that takes one.
-    feed: Option<Feed>,
-    /// The block the drivers are stepped through, refilled in place.
-    pub(super) block: Arc<Block>,
     /// Sessions submitted and not yet moved into a block, in submission
     /// order.
     staged: VecDeque<PendingSession>,
@@ -313,8 +297,6 @@ impl<'s> Ingress<'s> {
             catalog: parts.catalog,
             config: parts.config,
             segmenter: parts.segmenter,
-            feed: strategy.needs_feed().then(Feed::default),
-            block: Arc::default(),
             staged: VecDeque::new(),
             dest: Vec::new(),
             future,
@@ -329,8 +311,13 @@ impl<'s> Ingress<'s> {
     }
 
     /// Admits one submission: enforces the ordering contract, computes
-    /// the session context, publishes its feed event and stages it.
-    pub(super) fn admit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
+    /// the session context, publishes its feed event into `feed` and
+    /// stages it.
+    pub(super) fn admit(
+        &mut self,
+        rec: SessionRecord,
+        feed: Option<&mut Feed>,
+    ) -> Result<u64, SimError> {
         if self.next_gidx >= self.capacity {
             return Err(SimError::Config {
                 reason: format!(
@@ -356,7 +343,7 @@ impl<'s> Ingress<'s> {
         if let Some((_, ring)) = self.behind.as_mut() {
             ring.push_back((ctx.nbhd, AccessEvent::new(rec.start, rec.program)?));
         }
-        if let Some(feed) = self.feed.as_mut() {
+        if let Some(feed) = feed {
             feed.push(feed_event(&rec, &ctx, self.config, &self.segmenter));
         }
         let gidx = self.next_gidx;
@@ -366,7 +353,7 @@ impl<'s> Ingress<'s> {
         Ok(gidx)
     }
 
-    /// Fills the next block: at an advance to `now`, every staged session
+    /// Fills `block`: at an advance to `now`, every staged session
     /// that starts at or before it, with the second after it as the edge
     /// and what leaves the history window by `now`; at the drain
     /// (`None`), every staged session, with no edge and what leaves the
@@ -375,7 +362,7 @@ impl<'s> Ingress<'s> {
     /// # Errors
     ///
     /// Rejects a regressing `now`.
-    pub(super) fn fill(&mut self, now: Option<SimTime>) -> Result<(), SimError> {
+    pub(super) fn fill(&mut self, block: &mut Block, now: Option<SimTime>) -> Result<(), SimError> {
         if let Some(now) = now {
             if self.advanced.is_some_and(|h| now < h) {
                 return Err(SimError::Config {
@@ -385,7 +372,6 @@ impl<'s> Ingress<'s> {
             self.advanced = Some(now);
         }
         let nbhd_count = self.topo.neighborhood_count();
-        let block = Arc::get_mut(&mut self.block).expect("every driver let go of the last block");
         block.reset(nbhd_count);
         block.edge = now.map(past);
         self.dest.clear();
@@ -416,31 +402,24 @@ impl<'s> Ingress<'s> {
     }
 }
 
-/// The online engine: one [`SessionDriver`](super::lifecycle::SessionDriver)
-/// per neighborhood, in neighborhood order, and the ingress that feeds
-/// them.
-struct SerialOnline<'s> {
-    drivers: Vec<BlockDriver<'s>>,
+/// The online engine: the block loop over every neighborhood's driver,
+/// and the ingress that feeds it.
+struct Online<'s> {
+    blocks: BlockLoop<'s>,
     ingress: Ingress<'s>,
     epoch: u64,
 }
 
-impl OnlineEngine for SerialOnline<'_> {
+impl OnlineEngine for Online<'_> {
     fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
-        self.ingress.admit(rec)
+        self.ingress.admit(rec, self.blocks.feed.as_mut())
     }
 
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
-        self.ingress.fill(Some(now))?;
-        let ingress = &self.ingress;
-        let mut progressed = false;
-        for driver in &mut self.drivers {
-            let step = step_shard(driver, &ingress.block, Some(now), ingress.feed.as_ref())?;
-            progressed |= matches!(step, Step::Horizon { progressed: true });
-        }
-        if let Some(feed) = self.ingress.feed.as_mut() {
-            feed.reclaim(self.drivers.iter().map(BlockDriver::feed_cursor));
-        }
+        let step = self
+            .blocks
+            .pass(|block, _| self.ingress.fill(block, Some(now)).map(|()| Some(now)))?;
+        let progressed = matches!(step, Step::Horizon { progressed: true });
         if progressed {
             self.epoch += 1;
         }
@@ -449,8 +428,8 @@ impl OnlineEngine for SerialOnline<'_> {
 
     fn lookup(&self, nbhd: u32, program: ProgramId) -> Result<OnlinePlacement, SimError> {
         let driver = self
-            .drivers
-            .get(nbhd as usize)
+            .blocks
+            .driver(nbhd as usize)
             .ok_or_else(|| SimError::Config {
                 reason: format!("unknown neighborhood {nbhd}"),
             })?;
@@ -466,6 +445,6 @@ impl OnlineEngine for SerialOnline<'_> {
     }
 
     fn neighborhoods(&self) -> usize {
-        self.drivers.len()
+        self.ingress.topo.neighborhood_count()
     }
 }

@@ -28,16 +28,16 @@
 //!   cursors are alive at a time;
 //! * every other streaming replay is **blocked** ([`run_blocked`]): the
 //!   caller's thread decodes and publishes the next block and groups its
-//!   records by neighborhood, then one pass of the pool steps every live
-//!   shard through it — a shard's run is its slice of the block — and on
-//!   to its edge, where the shard parks until the next pass; after the
-//!   pass the feed drops what every live shard has consumed. A shard may
-//!   move to another worker between blocks; nothing else is shared.
+//!   records by neighborhood, then one pass of the pool steps every shard
+//!   through it — a shard's run is its slice of the block — and on to its
+//!   edge, where the shard parks until the next pass; after the pass the
+//!   feed drops what every shard has consumed. A shard may move to
+//!   another worker between blocks; nothing else is shared.
 //!
-//! The per-shard step of a pass ([`step_shard`]) is also the online
-//! engine's: its ingress fills a block at every advance of the live
-//! clock, and each neighborhood's driver is stepped through it in turn,
-//! on the caller's thread (see [`super::online`]).
+//! The blocked replay's loop ([`BlockLoop`]) is also the online engine's:
+//! its ingress fills a block at every advance of the live clock, and one
+//! pass on one worker — a plain loop on the caller's thread — steps each
+//! neighborhood's driver through it (see [`super::online`]).
 //!
 //! Both draw their workers from the pool in [`runner`], which sizes them
 //! from the process-wide permit ledger, so a sharded run composes with a
@@ -45,7 +45,8 @@
 //! (and the caller's own thread always works, so a dry ledger just means
 //! a single-worker run).
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cablevod_cache::Feed;
 use cablevod_hfc::units::SimTime;
@@ -110,47 +111,27 @@ pub(super) fn run_streaming<S: TraceSource + ?Sized>(
             run_jobs(parts, source, &runs, None, threads)
         }
         Replay::Blocked(runs) => {
-            let mut feed = parts.strategy.needs_feed().then(Feed::default);
-            let outcomes = run_blocked(source, &runs, parts, feed.as_mut(), threads)?;
-            streamed.peak_feed_events = feed.as_ref().map(Feed::peak_retained);
+            let (outcomes, peak) = run_blocked(source, &runs, parts, threads)?;
+            streamed.peak_feed_events = peak;
             outcomes.into_iter().map(Ok).collect()
         }
     };
     Ok((outcomes, streamed))
 }
 
-/// The blocked replay (see the module docs): the caller's thread decodes
-/// `runs` — together every record of `source` — block by block, and after
-/// each block one pool pass on `threads` workers steps every live shard
-/// through it: a shard runs through its run of the block and on to —
-/// strictly before — the block's edge, carrying its continuation queue
-/// into the next block, and the final block has no edge and runs every
-/// shard out. The decoder publishes each block into `feed` before the
-/// pass, and after it the events below every live shard's cursor are
-/// dropped. Returns every shard's outcome in neighborhood order, or the
-/// failure that ended the run: the decoder's, else the lowest-numbered
-/// neighborhood's of the pass it failed in, at any worker count.
+/// The blocked replay (see the module docs): the [`Demux`] decodes
+/// `runs` — together every record of `source` — block by block into the
+/// block loop, on `threads` workers, which runs every driver out at the
+/// final block. Returns every shard's outcome in neighborhood order and
+/// the feed's peak, or the failure that ended the run (see
+/// [`BlockLoop::pass`]).
 fn run_blocked<S: TraceSource + ?Sized>(
     source: &S,
     runs: &[Vec<u32>],
     parts: &DriverParts<'_>,
-    mut feed: Option<&mut Feed>,
     threads: usize,
-) -> Result<Vec<NeighborhoodOutcome>, SimError> {
-    let nbhd_count = parts.topo.neighborhood_count();
-    // A shard is its driver until it ends; the lock is never contended —
-    // a pass steps each shard once — and lets a pass hand it to whichever
-    // worker claims its index.
-    let mut shards: Vec<Mutex<Option<BlockDriver<'_>>>> =
-        runner::run_indexed(nbhd_count, threads, |n| {
-            let supply = BlockSupply::new(n, source.catalog(), parts.topo, &parts.segmenter);
-            parts
-                .driver(n, supply)
-                .map(|driver| Mutex::new(Some(driver)))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-    let mut outcomes: Vec<Option<NeighborhoodOutcome>> = (0..nbhd_count).map(|_| None).collect();
+) -> Result<(Vec<NeighborhoodOutcome>, Option<usize>), SimError> {
+    let mut blocks = BlockLoop::new(parts, threads)?;
     let mut demux = Demux::new(
         source,
         runs,
@@ -159,66 +140,129 @@ fn run_blocked<S: TraceSource + ?Sized>(
         parts.segmenter,
         parts.strategy,
     );
-    let mut block = Arc::new(Block::default());
-    loop {
-        let filling = Arc::get_mut(&mut block).expect("every shard let go of the last block");
-        demux.fill(filling, feed.as_deref_mut())?;
-        let published = feed.as_deref();
-        let endings = runner::run_indexed(nbhd_count, threads, |n| {
-            let mut shard = shards[n].lock().expect("a shard's step panicked");
-            let driver = shard.as_mut()?;
-            match step_shard(driver, &block, block.edge, published) {
-                Ok(Step::Horizon { .. }) => None,
-                Ok(Step::Done) => shard.take().map(|driver| Ok(driver.into_outcome())),
-                Err(e) => {
-                    *shard = None;
-                    Some(Err(e))
-                }
-            }
-        });
-        for (n, ending) in endings.into_iter().enumerate() {
-            if let Some(ending) = ending {
-                outcomes[n] = Some(ending?);
-            }
-        }
-        if let Some(feed) = feed.as_deref_mut() {
-            feed.reclaim(
-                shards
-                    .iter_mut()
-                    .filter_map(|shard| shard.get_mut().expect("no step panicked").as_ref())
-                    .map(SessionDriver::feed_cursor),
-            );
-        }
-        if block.edge.is_none() {
-            break;
-        }
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|outcome| outcome.expect("the final block runs every shard out"))
-        .collect())
+    while let Step::Horizon { .. } = blocks.pass(|block, feed| {
+        demux.fill(block, feed)?;
+        Ok(block.edge)
+    })? {}
+    Ok(blocks.finish())
 }
 
 /// A shard of the blocked replay, or a neighborhood of the online engine.
 pub(super) type BlockDriver<'a> = SessionDriver<'a, BlockSupply<'a>>;
 
-/// The one step of a shard through a [`Block`], on both plans that have
-/// blocks — [`run_blocked`]'s pool pass and the online engine's advance:
-/// hands the shard's supply its run of `block`, steps the driver through
-/// it and on to — strictly before — the block's edge and, parked there,
-/// runs the idle sweep at `sweep` (the blocked replay's is the edge; the
-/// online engine's is the clock's "now", a second short of it, so what a
-/// lookup reads between advances is the index as of "now").
-pub(super) fn step_shard(
-    driver: &mut BlockDriver<'_>,
-    block: &Arc<Block>,
-    sweep: Option<SimTime>,
-    feed: Option<&Feed>,
-) -> Result<Step, SimError> {
-    driver.supply_mut().attach(block);
-    let step = driver.step(feed)?;
-    if let (Step::Horizon { .. }, Some(at)) = (&step, sweep) {
-        driver.sync_published(at, feed)?;
+/// The one loop that steps drivers through [`Block`]s, on both plans that
+/// have them: [`run_blocked`], whose decoder fills each block from a
+/// file, and the online engine, whose ingress fills one at every advance
+/// of the live clock (see [`super::online`]). It owns every
+/// neighborhood's driver, the block and the run's feed.
+pub(super) struct BlockLoop<'a> {
+    /// Every neighborhood's driver, in neighborhood order, beside the
+    /// error its step in the current pass returned, if it failed.
+    shards: Vec<(BlockDriver<'a>, Option<SimError>)>,
+    /// The block the drivers are stepped through, refilled in place.
+    block: Arc<Block>,
+    /// The run's feed, under a strategy that takes one; the online
+    /// ingress publishes into it between passes.
+    pub(super) feed: Option<Feed>,
+    /// How many drivers a pass steps at once.
+    threads: usize,
+}
+
+impl<'a> BlockLoop<'a> {
+    /// Builds every neighborhood's driver of `parts`' plant, on `threads`
+    /// workers, each over a [`BlockSupply`] that has no block yet.
+    pub(super) fn new(parts: &DriverParts<'a>, threads: usize) -> Result<Self, SimError> {
+        let shards = runner::run_indexed(parts.topo.neighborhood_count(), threads, |n| {
+            let supply = BlockSupply::new(n, parts.catalog, parts.topo, &parts.segmenter);
+            Ok((parts.driver(n, supply)?, None))
+        })
+        .into_iter()
+        .collect::<Result<_, SimError>>()?;
+        Ok(BlockLoop {
+            shards,
+            block: Arc::default(),
+            feed: parts.strategy.needs_feed().then(Feed::default),
+            threads,
+        })
     }
-    Ok(step)
+
+    /// One pass. `fill` refills the block, publishing its feed events,
+    /// and says where a parked driver runs its idle sweep: the blocked
+    /// replay's is the edge; the online engine's is the clock's "now", a
+    /// second short of it, so what a lookup reads between advances is the
+    /// index as of "now". Then every driver, on the pool, is handed its
+    /// run of the block, stepped through it and on to — strictly before —
+    /// the block's edge, carrying its continuation queue into the next
+    /// block, and, parked there, runs the idle sweep. Then the feed drops
+    /// what every driver has consumed.
+    ///
+    /// Returns [`Step::Done`] after the final block, which has no edge and
+    /// runs every driver out, and otherwise whether any driver progressed.
+    ///
+    /// # Errors
+    ///
+    /// The failure that ended the run: `fill`'s, else the
+    /// lowest-numbered neighborhood's, at any worker count.
+    pub(super) fn pass(
+        &mut self,
+        fill: impl FnOnce(&mut Block, Option<&mut Feed>) -> Result<Option<SimTime>, SimError>,
+    ) -> Result<Step, SimError> {
+        let filling = Arc::get_mut(&mut self.block).expect("every driver let go of the last block");
+        let sweep = fill(filling, self.feed.as_mut())?;
+        let (block, feed) = (&self.block, self.feed.as_ref());
+        // Flags, not a step kept per driver and gathered after: on one
+        // worker the pass stays one loop over the drivers.
+        let (progressed, failed) = (AtomicBool::new(false), AtomicBool::new(false));
+        runner::for_each(self.shards.iter_mut(), self.threads, |(driver, error)| {
+            driver.supply_mut().attach(block);
+            let stepped = driver.step(feed).and_then(|step| {
+                if let (Step::Horizon { .. }, Some(at)) = (&step, sweep) {
+                    driver.sync_published(at, feed)?;
+                }
+                Ok(step)
+            });
+            match stepped {
+                Ok(Step::Horizon { progressed: true }) => progressed.store(true, Ordering::Relaxed),
+                Ok(_) => {}
+                Err(e) => {
+                    *error = Some(e);
+                    failed.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+        if failed.into_inner() {
+            let lowest = self.shards.iter_mut().find_map(|(_, error)| error.take());
+            return Err(lowest.expect("a failed step left its error"));
+        }
+        let progressed = progressed.into_inner();
+        if let Some(feed) = self.feed.as_mut() {
+            feed.reclaim(self.shards.iter().map(|(driver, _)| driver.feed_cursor()));
+        }
+        Ok(match self.block.edge {
+            Some(_) => Step::Horizon { progressed },
+            None => Step::Done,
+        })
+    }
+
+    /// Neighborhood `n`'s driver, if the plant has one.
+    pub(super) fn driver(&self, n: usize) -> Option<&BlockDriver<'a>> {
+        self.shards.get(n).map(|(driver, _)| driver)
+    }
+
+    /// After the final pass: every driver's outcome in neighborhood order,
+    /// and the most events the feed retained at once (`None` when the run
+    /// carried no feed).
+    pub(super) fn finish(self) -> (Vec<NeighborhoodOutcome>, Option<usize>) {
+        debug_assert!(
+            self.block.edge.is_none(),
+            "the final block ran every driver out"
+        );
+        let peak = self.feed.as_ref().map(Feed::peak_retained);
+        let outcomes = self
+            .shards
+            .into_iter()
+            .map(|(driver, _)| driver.into_outcome())
+            .collect();
+        (outcomes, peak)
+    }
 }

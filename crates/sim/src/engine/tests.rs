@@ -663,9 +663,10 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
         let mut ingress = online::Ingress::new(&parts, &spec).expect("ingress");
         let mut fed = unfed();
         let mut step = |ingress: &mut online::Ingress<'_>, now: Option<SimTime>| {
-            ingress.fill(now).expect("advance");
+            let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
+            ingress.fill(filling, now).expect("advance");
             for (n, supply) in supplies.iter_mut().enumerate() {
-                supply.attach(&ingress.block);
+                supply.attach(&block);
                 drain(supply, lookahead, &mut fed[n]);
             }
         };
@@ -674,7 +675,7 @@ fn look_ahead_hands_each_neighborhood_its_future_once_and_in_time() {
             if let Some(now) = horizon.filter(|&now| now < rec.start) {
                 step(&mut ingress, Some(now));
             }
-            ingress.admit(*rec).expect("submit");
+            ingress.admit(*rec, None).expect("submit");
             horizon = Some(SimTime::from_secs(
                 rec.start.as_secs() / every * every + every - 1,
             ));
@@ -804,7 +805,7 @@ impl TraceSource for Tampered<'_> {
 #[test]
 fn gathered_runs_are_the_index_walk_session_for_session() {
     use super::lifecycle::{feed_event, RecordSupply};
-    use super::stream::{past, BlockSupply, StreamSupply, STRIDE};
+    use super::stream::{past, Block, BlockSupply, StreamSupply, STRIDE};
 
     /// Has `supply` hand back what leaves a history window whose trailing
     /// edge is at `until`, onto `handed`, none of it before `until` has
@@ -928,10 +929,12 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
             .map(|n| BlockSupply::new(n, trace.catalog(), &topo, &parts.segmenter))
             .collect();
         let mut handed = vec![Vec::new(); spans.len()];
+        let mut block = Arc::new(Block::default());
         let mut advance = |ingress: &mut online::Ingress<'_>, now: SimTime| {
-            ingress.fill(Some(now)).expect("advance");
+            let filling = Arc::get_mut(&mut block).expect("every supply let go of the block");
+            ingress.fill(filling, Some(now)).expect("advance");
             for (n, supply) in supplies.iter_mut().enumerate() {
-                supply.attach(&ingress.block);
+                supply.attach(&block);
                 while let Some((start, _)) = supply.peek().expect("peek") {
                     supply.take();
                     if let Some(until) = start.checked_sub(window) {
@@ -944,7 +947,7 @@ fn gathered_runs_are_the_index_walk_session_for_session() {
             }
         };
         for rec in records {
-            ingress.admit(*rec).expect("submit");
+            ingress.admit(*rec, None).expect("submit");
             advance(&mut ingress, rec.start);
         }
         advance(&mut ingress, past(last + window));

@@ -14,26 +14,30 @@
 //! * extra workers exist only while a `Permit` is held; a permit
 //!   returns to the ledger the moment its worker runs out of work, not
 //!   when the whole call finishes;
-//! * `run_indexed` **recruits**: between jobs, its workers check the
+//! * the pool **recruits**: between jobs, its workers check the
 //!   ledger and spawn additional scoped workers when capacity has been
 //!   freed elsewhere. A sweep that started single-file while a sharded
 //!   job held the machine fans out as soon as that job's shards drain —
 //!   and vice versa, small grid cells pack around a big sharded job
 //!   instead of idling behind it.
 //!
-//! Every engine path runs its shards here: the resident plan and the
-//! sweep fast path as one `run_indexed` call, a shard a job; the blocked
-//! streaming replay as one call a decoded block, every live shard stepped
-//! through the block as a job, so a shard may move to another worker
-//! between blocks.
+//! The pool has one way to hand out work, `for_each`: its workers claim
+//! the items of an iterator one at a time under a lock that is never held
+//! while a job runs. Over `slice.iter_mut()` that gives each job a slot of
+//! its own by `&mut`. `run_indexed` is `for_each` over one result slot
+//! an index. Every engine path runs its shards here: the resident plan
+//! and the sweep fast path as one `run_indexed` call, a shard a job; the
+//! block loop (`engine::shard::BlockLoop`) as one `for_each` a block over
+//! its drivers, so a driver may move to another worker between blocks.
 //!
-//! A job that panics stops the run claiming further indexes, and its own
+//! A job that panics stops the run claiming further items, and its own
 //! payload resumes on the caller's thread once every worker is out — on a
 //! recruited worker as on the caller's own.
 //!
-//! Scheduling never changes results: `run_indexed` returns results in
-//! index order no matter which worker ran which job, and every engine
-//! path is bit-identical across worker counts by construction.
+//! Scheduling never changes results: a job writes only its own slot,
+//! `run_indexed` returns results in index order no matter which worker
+//! ran which job, and every engine path is bit-identical across worker
+//! counts by construction.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -88,70 +92,65 @@ pub(crate) fn take_permits(want: usize) -> Vec<Permit> {
     (0..n).map(|_| Permit(())).collect()
 }
 
-/// Shared state of one `run_indexed` call: the stolen-index counter, the
-/// recruitment budget, the result sink, and the first panic a job raised.
-struct IndexedRun<'env, R, F> {
-    count: usize,
+/// Shared state of one [`for_each`] call: the items no worker has
+/// claimed yet, the recruitment budget, and the first panic a job raised.
+struct Claims<'env, I, F> {
     /// Max workers ever active at once (caller included).
     cap: usize,
-    next: AtomicUsize,
+    /// The unclaimed items, locked only to claim the next one — never
+    /// while a job runs — and `None` once a job panicked.
+    items: Mutex<Option<I>>,
     /// Workers spawned so far (caller excluded); only grows, so `cap` is
     /// an upper bound on concurrency, not a steady-state target.
     spawned: AtomicUsize,
-    sink: Mutex<Vec<(u32, R)>>,
     panicked: Mutex<Option<Box<dyn Any + Send>>>,
     job: &'env F,
 }
 
-impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
-    /// Claims indexes off the shared counter until none remain; between
-    /// jobs, tries to recruit another worker for the leftover indexes if
-    /// the ledger has freed capacity. The permit (if any) releases when
-    /// this worker runs dry. A job that panics is not left to unwind the
-    /// worker — `std::thread::scope` would replace its payload with one
-    /// of its own — but kept, the first one only, and the counter run
-    /// out so that no worker claims another index.
+impl<I: ExactSizeIterator + Send, F: Fn(I::Item) + Sync> Claims<'_, I, F> {
+    /// Claims items until none remain; between jobs, tries to recruit
+    /// another worker for the leftover items if the ledger has freed
+    /// capacity. The permit (if any) releases when this worker runs dry.
+    /// A job that panics is not left to unwind the worker —
+    /// `std::thread::scope` would replace its payload with one of its own
+    /// — but kept, the first one only, and the items dropped so that no
+    /// worker claims another.
     fn work<'scope, 'env2>(
         &'env2 self,
         scope: &'scope Scope<'scope, 'env2>,
         permit: Option<Permit>,
     ) {
         let _permit = permit;
-        let mut mine: Vec<(u32, R)> = Vec::new();
         loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.count {
-                break;
+            let claimed = {
+                let mut items = self.items.lock().expect("no claim panics");
+                items
+                    .as_mut()
+                    .and_then(|items| Some((items.next()?, items.len())))
+            };
+            let Some((item, left)) = claimed else { break };
+            if left > 0 {
+                self.recruit(scope);
             }
-            self.recruit(scope);
-            match catch_unwind(AssertUnwindSafe(|| (self.job)(i))) {
-                Ok(result) => mine.push((i as u32, result)),
-                Err(payload) => {
-                    self.next.store(self.count, Ordering::Relaxed);
-                    self.panicked
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_or_insert(payload);
-                    return;
-                }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.job)(item))) {
+                *self.items.lock().expect("no claim panics") = None;
+                self.panicked
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+                return;
             }
-        }
-        if !mine.is_empty() {
-            self.sink
-                .lock()
-                .expect("pool result sink poisoned")
-                .extend(mine);
         }
     }
 
-    /// Spawns at most one extra worker — if the cap allows it, unclaimed
-    /// indexes remain, and the ledger grants a permit. Called once per
-    /// job, so fan-out is gradual and stops the moment the ledger dries
-    /// up again.
+    /// Spawns at most one extra worker — if the cap allows it and the
+    /// ledger grants a permit. Called once per job that leaves items
+    /// unclaimed, so fan-out is gradual and stops the moment the ledger
+    /// dries up again.
     fn recruit<'scope, 'env2>(&'env2 self, scope: &'scope Scope<'scope, 'env2>) {
         loop {
             let spawned = self.spawned.load(Ordering::Relaxed);
-            if spawned + 1 >= self.cap || self.next.load(Ordering::Relaxed) >= self.count {
+            if spawned + 1 >= self.cap {
                 return;
             }
             if self
@@ -173,13 +172,13 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
     }
 }
 
-/// Runs `job(0..count)` on up to `threads` workers (clamped to `count`),
-/// collecting results in index order. Single-threaded requests run inline
-/// with no pool setup.
+/// Runs `job` on every item of `items`, on up to `threads` workers
+/// (clamped to the item count). Single-threaded requests are a plain loop
+/// on the caller's thread: no lock, no allocation.
 ///
-/// Work is stolen index-by-index off a shared atomic counter; each worker
-/// batches its `(index, result)` pairs privately and results are stitched
-/// back into index order once, at the end. Workers beyond the caller come
+/// Work is stolen item by item: a worker locks the iterator only to claim
+/// its next item, so a job gets its item — a `&mut` slot, when `items`
+/// iterates a slice mutably — to itself. Workers beyond the caller come
 /// from the shared [`Ledger`] and are recruited *during* the run as
 /// capacity frees up elsewhere, so `threads` is a ceiling — the actual
 /// worker count adapts to what the rest of the process is doing.
@@ -187,43 +186,50 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
 /// # Panics
 ///
 /// Resumes the first panicking job's own payload on the caller's thread,
-/// whichever worker ran it.
-pub(crate) fn run_indexed<R, F>(count: usize, threads: usize, job: F) -> Vec<R>
+/// whichever worker ran it, once every worker is out.
+pub(crate) fn for_each<I, F>(items: I, threads: usize, job: F)
 where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
+    I: ExactSizeIterator + Send,
+    F: Fn(I::Item) + Sync,
 {
-    if count == 0 {
-        return Vec::new();
-    }
-    let cap = threads.clamp(1, count);
+    let cap = threads.clamp(1, items.len().max(1));
     if cap == 1 {
-        return (0..count).map(job).collect();
+        items.for_each(job);
+        return;
     }
-
-    let shared = IndexedRun {
-        count,
+    let claims = Claims {
         cap,
-        next: AtomicUsize::new(0),
+        items: Mutex::new(Some(items)),
         spawned: AtomicUsize::new(0),
-        sink: Mutex::new(Vec::with_capacity(count)),
         panicked: Mutex::new(None),
         job: &job,
     };
-    std::thread::scope(|scope| shared.work(scope, None));
-    if let Some(payload) = shared
+    std::thread::scope(|scope| claims.work(scope, None));
+    if let Some(payload) = claims
         .panicked
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
     {
         resume_unwind(payload);
     }
+}
 
-    let mut merged: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    for (i, result) in shared.sink.into_inner().expect("pool result sink poisoned") {
-        merged[i as usize] = Some(result);
-    }
-    merged
+/// Runs `job(0..count)` on up to `threads` workers, collecting results in
+/// index order: [`for_each`] over one result slot an index.
+///
+/// # Panics
+///
+/// As [`for_each`].
+pub(crate) fn run_indexed<R, F>(count: usize, threads: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+    for_each(slots.iter_mut().enumerate(), threads, |(i, slot)| {
+        *slot = Some(job(i));
+    });
+    slots
         .into_iter()
         .map(|slot| slot.expect("every job index was visited"))
         .collect()
@@ -249,8 +255,15 @@ mod tests {
                 (0..23).map(|i| i * i).collect::<Vec<_>>(),
                 "threads {threads}"
             );
+            // The slot form: every call hands each slot to one job, once.
+            let mut slots = vec![0u32; 23];
+            for call in 1..=3 {
+                for_each(slots.iter_mut(), threads, |slot| *slot += 1);
+                assert_eq!(slots, vec![call; 23], "threads {threads}, call {call}");
+            }
         }
         assert!(run_indexed(0, 4, |i| i).is_empty());
+        for_each(std::iter::empty::<()>(), 4, |()| unreachable!());
     }
 
     #[test]
@@ -275,25 +288,34 @@ mod tests {
         // ledger is shared with the tests running beside this one, so a
         // run may find it dry and do every job itself: try again.
         let caller = std::thread::current().id();
-        for _ in 0..500 {
-            let run = catch_unwind(|| {
-                run_indexed(16, 2, |i| {
-                    if std::thread::current().id() != caller {
-                        std::panic::panic_any(format!("job {i} panics on a worker"));
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                })
-            });
-            let Err(payload) = run else { continue };
-            let message = payload.downcast_ref::<String>();
-            assert!(
-                message.is_some_and(|m| m.ends_with(" panics on a worker")),
-                "the caller got another payload: {:?}",
-                payload.downcast_ref::<&str>()
-            );
-            return;
+        let job = |i: usize| {
+            if std::thread::current().id() != caller {
+                std::panic::panic_any(format!("job {i} panics on a worker"));
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        };
+        let mut slots: Vec<usize> = (0..16).collect();
+        let forms: [(&str, &mut dyn FnMut()); 2] = [
+            ("indexed", &mut || drop(run_indexed(16, 2, job))),
+            ("slots", &mut || {
+                for_each(slots.iter_mut(), 2, |slot| job(*slot))
+            }),
+        ];
+        'forms: for (form, run) in forms {
+            for _ in 0..500 {
+                let Err(payload) = catch_unwind(AssertUnwindSafe(&mut *run)) else {
+                    continue;
+                };
+                let message = payload.downcast_ref::<String>();
+                assert!(
+                    message.is_some_and(|m| m.ends_with(" panics on a worker")),
+                    "{form}: the caller got another payload: {:?}",
+                    payload.downcast_ref::<&str>()
+                );
+                continue 'forms;
+            }
+            assert_eq!(default_threads(), 1, "{form}: no worker was ever recruited");
         }
-        assert_eq!(default_threads(), 1, "no worker was ever recruited");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Front-door properties. Every way through the [`Simulation`] builder —
-//! one worker or several, resident or streamed — must reproduce, report
-//! for report, the naive whole-plant reference model in `reference/`
-//! (all nine registered strategies × counting / enforcing admission ×
-//! healthy / seeded fault plans × balanced / first-fit placement × one or
-//! two replicas). [`Scenario`] specs must round-trip through the
-//! spec-file format, and an out-of-tree strategy registered through the
-//! [`StrategyFactory`] interface must run end-to-end without touching the
-//! cache crate's [`StrategySpec`] enum.
+//! one worker or several, resident or streamed from either file layout —
+//! and the online engine must reproduce, report for report, the naive
+//! whole-plant reference model in `reference/` (all nine registered
+//! strategies × counting / enforcing admission × healthy / seeded fault
+//! plans × balanced / first-fit placement × one or two replicas).
+//! [`Scenario`] specs must round-trip through the spec-file format, and
+//! an out-of-tree strategy registered through the [`StrategyFactory`]
+//! interface must run end-to-end without touching the cache crate's
+//! [`StrategySpec`] enum.
 
 mod helpers;
 mod reference;
@@ -28,10 +29,12 @@ use cablevod_sim::{
     run, AdmissionMode, AxisPoint, FaultPlan, RetryPolicy, Scenario, SimConfig, Simulation,
     SourceSpec,
 };
+use cablevod_trace::columnar::{write_trace, ColumnarReader};
+use cablevod_trace::rechunk::rechunk_by_neighborhood;
 use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::{generate, SynthConfig};
-use helpers::tiny_config;
+use helpers::{serve_trace_every, tiny_config};
 
 /// One spec per registered strategy, with the parameters `tests/zoo.rs`
 /// and `tests/streaming.rs` use to make each one's distinctive machinery
@@ -94,19 +97,23 @@ fn the_parity_matrix_covers_every_registered_strategy() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// The reference model against everything the builder composes: the
-    /// resident plan on one worker (`serial()`, the default) and on
-    /// three, and the streamed plan on one and on two — every one a
-    /// driver per neighborhood, every one held to the model bit for bit
-    /// across the whole matrix (see the module docs). Each case draws a
-    /// small trace with seeks on or off segment boundaries, its start
-    /// times to the second or rounded down to 5 minutes or an hour (so
-    /// sessions start together and continuations fall on their second),
-    /// and, for the run, a fill override, the coax (the paper's, or two
-    /// channels for video on demand — eight streams, which small traces
-    /// overrun), the global LFU's lag, the delayed LFU's fetch latency (10
-    /// seconds, or a segment's 300, which a coarse clock's misses land
-    /// exactly on) and the warm-up.
+    /// The reference model against every plan: the resident plan on one
+    /// worker (`serial()`, the default) and on three; the streamed plan
+    /// on one and on two; the case's trace written to disk and
+    /// re-chunked neighborhood-major at another size (the decoder's merge
+    /// feeding the block loop) and at the plant's own (the sweep fast
+    /// path, under every feed-less strategy); and the online engine,
+    /// advanced at every session's second and every six simulated hours.
+    /// Every one is a driver per neighborhood, every one held to the
+    /// model bit for bit across the whole matrix (see the module docs).
+    /// Each case draws a small trace with seeks on or off segment
+    /// boundaries, its start times to the second or rounded down to 5
+    /// minutes or an hour (so sessions start together and continuations
+    /// fall on their second), and, for the run, a fill override, the coax
+    /// (the paper's, or two channels for video on demand — eight streams,
+    /// which small traces overrun), the global LFU's lag, the delayed
+    /// LFU's fetch latency (10 seconds, or a segment's 300, which a coarse
+    /// clock's misses land exactly on) and the warm-up.
     #[test]
     fn builder_is_bit_identical_to_the_reference_model(
         users in 60u32..220,
@@ -145,6 +152,16 @@ proptest! {
             },
         ][narrow];
         let lag = [SimDuration::ZERO, SimDuration::from_minutes(30)][lag];
+        let path = |layout: &str| {
+            std::env::temp_dir().join(format!("cvtc_builder_{layout}_{}.cvtc", std::process::id()))
+        };
+        let (tm, merged, matched) = (path("tm"), path("merged"), path("matched"));
+        write_trace(&tm, &trace, 64).expect("write time-major");
+        let tm_reader = ColumnarReader::open(&tm).expect("open time-major");
+        rechunk_by_neighborhood(&tm_reader, &merged, nbhd * 2 / 3, 64).expect("rechunk");
+        rechunk_by_neighborhood(&tm_reader, &matched, nbhd, 64).expect("rechunk");
+        let merged_reader = ColumnarReader::open(&merged).expect("open neighborhood-major");
+        let matched_reader = ColumnarReader::open(&matched).expect("open neighborhood-major");
         for spec in all_strategies(lag, [10_000, 300_000][latency]) {
             for admission in [AdmissionMode::Counting, AdmissionMode::Enforcing] {
                 for faults in [FaultPlan::empty(), seeded.clone()] {
@@ -170,19 +187,35 @@ proptest! {
                             let model = reference::simulate(&trace, &config);
                             let resident = || Simulation::over(&trace).config(config.clone());
                             let streamed = || Simulation::over(&chunked).config(config.clone());
-                            for (how, outcome) in [
-                                ("serial", resident().serial().run()),
-                                ("threads(3)", resident().threads(3).run()),
-                                ("streamed", streamed().run()),
-                                ("streamed threads(2)", streamed().threads(2).run()),
+                            let file =
+                                |reader| Simulation::over(reader).config(config.clone()).run();
+                            let feedless = !spec.factory().needs_feed();
+                            for (how, outcome, fastpath) in [
+                                ("serial", resident().serial().run(), false),
+                                ("threads(3)", resident().threads(3).run(), false),
+                                ("streamed", streamed().run(), false),
+                                ("streamed threads(2)", streamed().threads(2).run(), false),
+                                ("merged", file(&merged_reader), false),
+                                ("matched", file(&matched_reader), feedless),
                             ] {
                                 let outcome = outcome.expect("the engine runs");
                                 prop_assert_eq!(&outcome.report, &model, "{}, {}", how, &what);
+                                prop_assert_eq!(outcome.telemetry.fastpath, fastpath, "{}", how);
+                            }
+                            for every in [1, 6 * 3_600] {
+                                let strategy = spec.factory();
+                                let report =
+                                    serve_trace_every(&trace, &config, strategy.as_ref(), every)
+                                        .expect("the online engine runs");
+                                prop_assert_eq!(&report, &model, "online every {} s, {}", every, &what);
                             }
                         }
                     }
                 }
             }
+        }
+        for path in [tm, merged, matched] {
+            std::fs::remove_file(path).ok();
         }
     }
 }

@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cablevod_cache::{StrategyFactory, StrategySpec};
-use cablevod_hfc::units::SimDuration;
+use cablevod_hfc::units::{SimDuration, SimTime};
 use cablevod_serve::{ClockSource, ServeStats, Server, ServerConfig};
 use cablevod_sim::engine::online::serve_serial;
 use cablevod_sim::{OnlineSpec, SimConfig, SimError, SimReport};
@@ -83,14 +83,28 @@ pub fn serve_trace(
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
 ) -> Result<SimReport, SimError> {
+    serve_trace_every(trace, config, strategy, 1)
+}
+
+/// [`serve_trace`] with a coarser clock: advanced only when a session
+/// starts in a later window of `every` seconds than the last, to the
+/// second before that window, so one advance takes many sessions and
+/// continuations.
+pub fn serve_trace_every(
+    trace: &Trace,
+    config: &SimConfig,
+    strategy: &dyn StrategyFactory,
+    every: u64,
+) -> Result<SimReport, SimError> {
     let spec = OnlineSpec::from_source(trace);
     let ((), report) = serve_serial(&spec, config, strategy, |engine| {
-        let mut second = None;
+        let mut window = None;
         for &rec in trace.records() {
-            if second != Some(rec.start) {
-                second = Some(rec.start);
-                engine.advance_to(rec.start.saturating_sub(SimDuration::from_secs(1)))?;
+            let at = SimTime::from_secs(rec.start.as_secs() / every * every);
+            if window.is_some_and(|last| last != at) {
+                engine.advance_to(at.saturating_sub(SimDuration::from_secs(1)))?;
             }
+            window = Some(at);
             engine.submit(rec)?;
         }
         Ok(())

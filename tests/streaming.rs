@@ -1273,21 +1273,31 @@ impl CacheStrategy for FailingAheadStrategy {
 
 /// Two shards failing in the same block: the run returns the
 /// lowest-numbered neighborhood's error, whichever worker stepped which
-/// shard first.
+/// shard first — and so does the online engine, whose advances step its
+/// drivers through the same pass. Its ingress hands each neighborhood its
+/// whole future in the first block, so there only the first hand-over
+/// can fail.
 #[test]
 fn two_shards_failing_in_one_block_return_the_lowest_neighborhoods_error() {
     let trace: Trace = generate(&tiny_config(300, 40, 4, 23));
     let config = config_for(60, 2, StrategySpec::Lru);
+    let failing = |fail_at| FailingAheadFactory {
+        homes: [3, 1],
+        fail_at,
+    };
+    let err = serve_trace(&trace, &config, &failing(0)).expect_err("the failing drivers fail");
+    assert!(
+        matches!(&err, SimError::Cache(CacheError::Schedule { reason })
+            if reason == "neighborhood 1 fails here"),
+        "online: {err}"
+    );
     for fail_at in [0u32, 3] {
         for chunk in [1usize, 64] {
             let source = ChunkedTrace::new(&trace, chunk);
             for threads in [None, Some(2), Some(5)] {
                 let sim = Simulation::over(&source)
                     .config(config.clone())
-                    .strategy_factory(Arc::new(FailingAheadFactory {
-                        homes: [3, 1],
-                        fail_at,
-                    }));
+                    .strategy_factory(Arc::new(failing(fail_at)));
                 let err = match threads {
                     None => sim.serial(),
                     Some(n) => sim.threads(n),
